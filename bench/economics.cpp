@@ -102,7 +102,7 @@ int main(int argc, char** argv) try {
     cfg.elastic_ec.enabled = true;
     cfg.elastic_ec.min_machines = 1;
     cfg.elastic_ec.max_machines = 4;
-    cfg.topology.ec_machines = 1;  // start small, grow on demand
+    cfg.ec_sites[0].machines = 1;  // start small, grow on demand
     s.config_override = cfg;
     s.name = kElastic;
     variants.push_back(s);

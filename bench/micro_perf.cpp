@@ -133,7 +133,7 @@ void BM_BatchAdmission(benchmark::State& state) {
         .next_doc_id = &next_doc_id,
         .ic_machines = 4,
         .upload_class_backlog_bytes = {0.0, 0.0, 0.0},
-        .download_backlog_bytes = 0.0,
+        .download_backlog_bytes = {0.0},
     };
     state.ResumeTiming();
     benchmark::DoNotOptimize(scheduler.schedule_batch(batch, ctx));

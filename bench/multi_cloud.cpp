@@ -4,26 +4,21 @@
 // diversity (independent congestion processes) at the cost of fragmenting
 // the upload pipeline.
 //
-// Flags: --seeds a,b,c --threads N. The MultiCloudController has no
-// run_scenario path, so this bench plugs a custom run function into the
-// parallel runner (RunnerOptions::run): each cell builds its own
-// Simulation/controller from the scenario name's site table and returns a
-// RunResult with the outcomes filled in.
+// Flags: --seeds a,b,c --threads N. Each cell is an ordinary run_scenario
+// run (Order Preserving, oracle estimator) whose config_override carries
+// the cell's EC site list; the belief places each burst on the site with
+// the earliest believed round trip.
 #include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "core/multi_cloud.hpp"
+#include "core/config.hpp"
 #include "harness/cli.hpp"
 #include "harness/runner.hpp"
 #include "harness/table.hpp"
-#include "models/estimator.hpp"
-#include "simcore/simulation.hpp"
 #include "sla/metrics.hpp"
 #include "stats/aggregate.hpp"
-#include "stats/distributions.hpp"
-#include "workload/generator.hpp"
 
 namespace {
 
@@ -46,48 +41,19 @@ core::EcSiteConfig site(const char* name, std::size_t machines,
   return s;
 }
 
-/// One multi-cloud run, reentrant by construction: every call owns its
-/// Simulation, RNG streams and controller, exactly like run_scenario.
-harness::RunResult run_sites(const harness::Scenario& scenario,
-                             const std::vector<core::EcSiteConfig>& sites) {
-  sim::Simulation simulation;
-  sim::RngStream root(scenario.seed);
-  workload::GroundTruthModel truth({}, root.substream("truth"));
-  models::OracleEstimator estimator(truth);
-
-  core::MultiCloudConfig cfg;
-  cfg.ic.ic_machines = 8;
-  cfg.sites = sites;
+harness::Scenario cell(const std::string& name, std::uint64_t seed,
+                       const std::vector<core::EcSiteConfig>& sites) {
+  harness::Scenario s = harness::make_scenario(
+      core::SchedulerKind::kOrderPreserving, workload::SizeBucket::kLargeBiased,
+      seed);
+  s.name = name;
+  s.estimator = core::EstimatorKind::kOracle;
+  s.num_batches = 8;
+  core::ControllerConfig cfg = core::default_controller_config(false);
+  cfg.ec_sites = sites;
   cfg.bandwidth_estimator.prior_rate = sites[0].uplink.base_rate * 0.8;
-  cfg.slack_safety_margin = 30.0;
-  cfg.log_threshold = scenario.log_threshold;
-  cfg.log_sink = scenario.log_sink;
-
-  core::MultiCloudController controller(simulation, cfg, truth, estimator,
-                                        root.substream("system"));
-  workload::WorkloadGenerator::Config gen_cfg;
-  gen_cfg.bucket = workload::SizeBucket::kLargeBiased;
-  workload::WorkloadGenerator gen(gen_cfg, truth, root.substream("workload"));
-  auto rng = std::make_shared<sim::RngStream>(root.substream("arrivals"));
-  for (std::size_t b = 0; b < 8; ++b) {
-    simulation.schedule_at(180.0 * static_cast<double>(b), [&, b] {
-      workload::Batch batch;
-      batch.batch_index = b;
-      batch.arrival_time = simulation.now();
-      auto n = stats::sample_poisson(*rng, 15.0);
-      if (n == 0) n = 1;
-      batch.documents = gen.batch(n);
-      controller.on_batch(batch);
-    });
-  }
-  simulation.run();
-
-  harness::RunResult result;
-  result.scenario = scenario;
-  result.outcomes = controller.outcomes();
-  result.sim_end_time = simulation.now();
-  result.events_processed = simulation.events_processed();
-  return result;
+  s.config_override = cfg;
+  return s;
 }
 
 double p95_peak(const harness::RunResult& r) {
@@ -116,19 +82,12 @@ int main(int argc, char** argv) try {
   std::vector<harness::Scenario> cells;
   for (const std::uint64_t seed : seeds) {
     for (const auto& [name, sites] : site_tables) {
-      (void)sites;
-      harness::Scenario s;
-      s.seed = seed;
-      s.name = name;
-      cells.push_back(std::move(s));
+      cells.push_back(cell(name, seed, sites));
     }
   }
 
   harness::RunnerOptions opts;
   opts.threads = harness::cli::threads_from_args(args);
-  opts.run = [&site_tables](const harness::Scenario& s) {
-    return run_sites(s, site_tables.at(s.name));
-  };
   const auto results =
       harness::run_plan(harness::ExperimentPlan::list(std::move(cells)), opts);
   for (const auto& r : results) {

@@ -16,8 +16,8 @@ int main() {
         kind, workload::SizeBucket::kLargeBiased, /*seed=*/99);
     auto cfg = core::default_controller_config(false);
     // The storm: both directions throttled to 25% from t=10min to t=30min.
-    cfg.uplink.throttles = {{600.0, 1800.0, 0.25}};
-    cfg.downlink.throttles = {{600.0, 1800.0, 0.25}};
+    cfg.ec_sites[0].uplink.throttles = {{600.0, 1800.0, 0.25}};
+    cfg.ec_sites[0].downlink.throttles = {{600.0, 1800.0, 0.25}};
     s.config_override = cfg;
     s.name = std::string(core::to_string(kind)) + "/storm";
     return s;

@@ -42,16 +42,18 @@ std::optional<SizeIntervalBounds> compute_size_interval_bounds(
   if (eligible_sizes.empty()) return std::nullopt;
 
   // Line 13: normalized left-over capacity of each queue. An empty system
-  // degenerates to equal thirds.
-  const double total_backlog =
-      queue_backlog_bytes[0] + queue_backlog_bytes[1] + queue_backlog_bytes[2];
+  // degenerates to equal thirds. A backlog below zero is treated as empty:
+  // one negative share would push another past 1 and its count past |L|.
+  const double backlog[3] = {std::max(0.0, queue_backlog_bytes[0]),
+                             std::max(0.0, queue_backlog_bytes[1]),
+                             std::max(0.0, queue_backlog_bytes[2])};
+  const double total_backlog = backlog[0] + backlog[1] + backlog[2];
   double leftover[3];
   if (total_backlog <= 0.0) {
     leftover[0] = leftover[1] = leftover[2] = 1.0;
   } else {
     for (int q = 0; q < 3; ++q) {
-      leftover[q] = 1.0 - queue_backlog_bytes[static_cast<std::size_t>(q)] /
-                              total_backlog;
+      leftover[q] = 1.0 - backlog[q] / total_backlog;
     }
   }
   const double leftover_sum = leftover[0] + leftover[1] + leftover[2];

@@ -2,10 +2,26 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
+
+#include "sla/job_outcome.hpp"
 
 namespace cbs::core {
 
 using cbs::sim::SimTime;
+
+BeliefState::BeliefState(
+    const cbs::models::ProcessingTimeEstimator& service_estimator,
+    std::size_t ic_machines, double ic_speed, int ic_job_parallelism)
+    : service_estimator_(service_estimator),
+      ic_machines_(ic_machines),
+      ic_speed_(ic_speed) {
+  assert(ic_machines > 0 && ic_speed > 0.0);
+  assert(ic_job_parallelism >= 1);
+  ic_job_rate_ = ic_speed * static_cast<double>(std::min<std::size_t>(
+                                ic_machines, static_cast<std::size_t>(
+                                                 ic_job_parallelism)));
+}
 
 BeliefState::BeliefState(
     const cbs::models::ProcessingTimeEstimator& service_estimator,
@@ -14,66 +30,80 @@ BeliefState::BeliefState(
     std::size_t ic_machines, double ic_speed, std::size_t ec_machines,
     double ec_speed, int ic_job_parallelism, int ec_job_parallelism,
     double ec_job_overhead_seconds)
-    : service_estimator_(service_estimator),
-      uplink_(uplink_estimator),
-      downlink_(downlink_estimator),
-      ic_machines_(ic_machines),
-      ic_speed_(ic_speed),
-      ec_machines_(ec_machines),
-      ec_speed_(ec_speed) {
-  assert(ic_machines > 0 && ic_speed > 0.0);
-  assert(ec_machines > 0 && ec_speed > 0.0);
-  assert(ic_job_parallelism >= 1 && ec_job_parallelism >= 1);
-  assert(ec_job_overhead_seconds >= 0.0);
-  ec_job_overhead_ = ec_job_overhead_seconds;
-  ic_job_rate_ = ic_speed * static_cast<double>(std::min<std::size_t>(
-                                ic_machines, static_cast<std::size_t>(
-                                                 ic_job_parallelism)));
-  ec_job_rate_ = ec_speed * static_cast<double>(std::min<std::size_t>(
-                                ec_machines, static_cast<std::size_t>(
-                                                 ec_job_parallelism)));
+    : BeliefState(service_estimator, ic_machines, ic_speed, ic_job_parallelism) {
+  EcSiteConfig site;
+  site.machines = ec_machines;
+  site.speed = ec_speed;
+  site.job_overhead_seconds = ec_job_overhead_seconds;
+  add_ec_site(uplink_estimator, downlink_estimator, site, ec_job_parallelism);
 }
 
 BeliefState::BeliefState(
     const BeliefState& src,
-    const cbs::models::ProcessingTimeEstimator& service_estimator,
-    const cbs::net::BandwidthEstimator& uplink_estimator,
-    const cbs::net::BandwidthEstimator& downlink_estimator)
+    const cbs::models::ProcessingTimeEstimator& service_estimator)
     : service_estimator_(service_estimator),
-      uplink_(uplink_estimator),
-      downlink_(downlink_estimator),
       ic_machines_(src.ic_machines_),
       ic_speed_(src.ic_speed_),
-      ec_machines_(src.ec_machines_),
-      ec_speed_(src.ec_speed_),
       ic_job_rate_(src.ic_job_rate_),
-      ec_job_rate_(src.ec_job_rate_),
-      ec_job_overhead_(src.ec_job_overhead_),
+      sites_(src.sites_),
+      selection_(src.selection_),
+      tickets_(src.tickets_),
       ic_jobs_(src.ic_jobs_),
       ic_outstanding_seconds_(src.ic_outstanding_seconds_),
       ec_jobs_(src.ec_jobs_),
       ec_finish_heap_(src.ec_finish_heap_),
-      ec_outstanding_seconds_(src.ec_outstanding_seconds_),
-      upload_backlog_bytes_(src.upload_backlog_bytes_),
-      view_(src.view_),
-      ec_risk_factor_(src.ec_risk_factor_) {}
+      view_(src.view_) {}
+
+std::size_t BeliefState::add_ec_site(
+    const cbs::net::BandwidthEstimator& uplink_estimator,
+    const cbs::net::BandwidthEstimator& downlink_estimator,
+    const EcSiteConfig& site, int job_parallelism) {
+  assert(site.machines > 0 && site.speed > 0.0);
+  assert(job_parallelism >= 1);
+  assert(site.job_overhead_seconds >= 0.0);
+  EcSite s{std::cref(uplink_estimator), std::cref(downlink_estimator)};
+  s.machines = site.machines;
+  s.speed = site.speed;
+  s.job_rate = site.speed * static_cast<double>(std::min<std::size_t>(
+                                site.machines, static_cast<std::size_t>(
+                                                   job_parallelism)));
+  s.job_overhead = site.job_overhead_seconds;
+  s.price = site.price_per_machine_hour;
+  sites_.push_back(s);
+  return sites_.size() - 1;
+}
+
+void BeliefState::rebind_site(std::size_t site,
+                              const cbs::net::BandwidthEstimator& uplink_estimator,
+                              const cbs::net::BandwidthEstimator& downlink_estimator) {
+  sites_[site].uplink = std::cref(uplink_estimator);
+  sites_[site].downlink = std::cref(downlink_estimator);
+}
+
+void BeliefState::set_site_selection(SiteSelection selection,
+                                     const cbs::sla::TicketPolicy& tickets) {
+  selection_ = selection;
+  tickets_ = tickets;
+}
 
 double BeliefState::estimate_service(const cbs::workload::Document& doc) const {
   return service_estimator_.estimate_seconds(doc);
 }
 
-double BeliefState::upload_seconds_for(SimTime t, double bytes) const {
+double BeliefState::upload_seconds_for(const EcSite& site, SimTime t,
+                                       double bytes) const {
   if (view_ == BandwidthView::kTransient) {
-    return bytes / std::max(uplink_.last_observed(), 1.0);
+    return bytes / std::max(site.uplink.get().last_observed(), 1.0);
   }
-  return uplink_.estimate_transfer_seconds(t, bytes);
+  return site.uplink.get().estimate_transfer_seconds(t, bytes);
 }
 
-double BeliefState::download_seconds_for(SimTime t, double bytes) const {
+double BeliefState::download_seconds_for(const EcSite& site, SimTime t,
+                                         double bytes) const {
   if (view_ == BandwidthView::kTransient) {
-    return bytes / std::max(downlink_.last_observed(), 1.0);
+    return bytes / std::max(site.downlink.get().last_observed(), 1.0);
   }
-  return downlink_.estimate_transfer_seconds(t, bytes);
+  return site.downlink.get().estimate_transfer_seconds(t, bytes);
 }
 
 SimTime BeliefState::ic_drain_time(SimTime now) const {
@@ -87,63 +117,116 @@ SimTime BeliefState::ft_ic(const cbs::workload::Document& doc, SimTime now) cons
   return now + ic_outstanding_seconds_ / ic_capacity() + est / ic_job_rate_;
 }
 
-EcEstimate BeliefState::ft_ec(const cbs::workload::Document& doc,
-                              SimTime now) const {
+EcEstimate BeliefState::estimate_on(std::size_t site_index,
+                                    const cbs::workload::Document& doc,
+                                    double service, SimTime now,
+                                    double download_backlog_bytes) const {
+  const EcSite& site = sites_[site_index];
   EcEstimate e;
+  e.site = site_index;
   // Upload: queued bytes ahead of us plus our own, at the believed rate.
   e.upload_seconds =
-      upload_seconds_for(now, upload_backlog_bytes_ + doc.input_bytes());
+      upload_seconds_for(site, now, site.upload_backlog_bytes + doc.input_bytes());
   const SimTime upload_done = now + e.upload_seconds;
 
   // EC compute: outstanding believed work drains meanwhile; whatever is
   // left when our bytes land queues ahead of us.
-  const double drained = (upload_done - now) * ec_capacity();
-  const double backlog_left = std::max(0.0, ec_outstanding_seconds_ - drained);
-  e.ec_wait_seconds = backlog_left / ec_capacity();
+  const double drained = (upload_done - now) * site.capacity();
+  const double backlog_left =
+      std::max(0.0, site.outstanding_seconds - drained);
+  e.ec_wait_seconds = backlog_left / site.capacity();
   // Risk pricing: predicted EC failure risk inflates the believed
   // processing term (× 1.0 exactly when the hazard predictor is off).
-  e.processing_seconds =
-      (ec_job_overhead_ + estimate_service(doc) / ec_job_rate_) *
-      (1.0 + ec_risk_factor_);
+  e.processing_seconds = (site.job_overhead + service / site.job_rate) *
+                         (1.0 + site.risk_factor);
   const SimTime proc_done =
       upload_done + e.ec_wait_seconds + e.processing_seconds;
 
   // Download of the (estimated) output at the believed downlink rate at
   // that future time — the l(t_i + t') term of Eq. 2.
-  e.download_seconds = download_seconds_for(proc_done, doc.output_bytes());
+  e.download_seconds = download_seconds_for(
+      site, proc_done, download_backlog_bytes + doc.output_bytes());
   e.finish = proc_done + e.download_seconds;
   return e;
+}
+
+EcEstimate BeliefState::no_load_on(std::size_t site_index,
+                                   const cbs::workload::Document& doc,
+                                   double service, SimTime now) const {
+  const EcSite& site = sites_[site_index];
+  EcEstimate e;
+  e.site = site_index;
+  e.upload_seconds = upload_seconds_for(site, now, doc.input_bytes());
+  e.processing_seconds = (site.job_overhead + service / site.job_rate) *
+                         (1.0 + site.risk_factor);
+  e.download_seconds = download_seconds_for(
+      site, now + e.upload_seconds + e.processing_seconds, doc.output_bytes());
+  e.finish = now + e.upload_seconds + e.processing_seconds + e.download_seconds;
+  return e;
+}
+
+template <typename EstimateOn>
+EcEstimate BeliefState::pick_site(const cbs::workload::Document& doc,
+                                  SimTime now, EstimateOn&& estimate) const {
+  assert(!sites_.empty());
+  EcEstimate fastest = estimate(std::size_t{0});
+  if (sites_.size() == 1) return fastest;
+  // kCheapestFeasible: among sites whose believed completion meets the
+  // job's ticket, the lowest price class; ties go to the lower index and
+  // infeasibility to the fastest round trip.
+  const bool by_price = selection_ == SiteSelection::kCheapestFeasible;
+  cbs::sla::JobOutcome ticket;
+  ticket.arrival = now;
+  ticket.input_mb = doc.features.size_mb;
+  const SimTime deadline = tickets_.deadline_for(ticket);
+  std::optional<EcEstimate> cheapest;
+  const auto consider = [&](const EcEstimate& e) {
+    if (!by_price || e.finish > deadline) return;
+    if (!cheapest || sites_[e.site].price < sites_[cheapest->site].price) {
+      cheapest = e;
+    }
+  };
+  consider(fastest);
+  for (std::size_t s = 1; s < sites_.size(); ++s) {
+    const EcEstimate e = estimate(s);
+    if (e.finish < fastest.finish) fastest = e;
+    consider(e);
+  }
+  return cheapest ? *cheapest : fastest;
+}
+
+EcEstimate BeliefState::ft_ec(const cbs::workload::Document& doc,
+                              SimTime now) const {
+  const double service = estimate_service(doc);
+  return pick_site(doc, now, [&](std::size_t site) {
+    return estimate_on(site, doc, service, now, 0.0);
+  });
 }
 
 EcEstimate BeliefState::ft_ec_job_level(
     const cbs::workload::Document& doc, SimTime now,
-    double observed_upload_backlog_bytes,
-    double observed_download_backlog_bytes) const {
-  EcEstimate e;
-  e.upload_seconds = upload_seconds_for(
-      now, observed_upload_backlog_bytes + doc.input_bytes());
-  const SimTime upload_done = now + e.upload_seconds;
-  const double drained = (upload_done - now) * ec_capacity();
-  const double backlog_left = std::max(0.0, ec_outstanding_seconds_ - drained);
-  e.ec_wait_seconds = backlog_left / ec_capacity();
-  e.processing_seconds =
-      (ec_job_overhead_ + estimate_service(doc) / ec_job_rate_) *
-      (1.0 + ec_risk_factor_);
-  const SimTime proc_done = upload_done + e.ec_wait_seconds + e.processing_seconds;
-  e.download_seconds = download_seconds_for(
-      proc_done, observed_download_backlog_bytes + doc.output_bytes());
-  e.finish = proc_done + e.download_seconds;
-  return e;
+    const std::vector<double>& observed_download_backlog_bytes) const {
+  assert(observed_download_backlog_bytes.size() == sites_.size());
+  const double service = estimate_service(doc);
+  return pick_site(doc, now, [&](std::size_t site) {
+    return estimate_on(site, doc, service, now,
+                       observed_download_backlog_bytes[site]);
+  });
 }
 
 double BeliefState::ec_round_trip_no_load(const cbs::workload::Document& doc,
                                           SimTime now) const {
-  const double up = upload_seconds_for(now, doc.input_bytes());
-  const double proc =
-      (ec_job_overhead_ + estimate_service(doc) / ec_job_rate_) *
-      (1.0 + ec_risk_factor_);
-  const double down = download_seconds_for(now + up + proc, doc.output_bytes());
-  return up + proc + down;
+  const double service = estimate_service(doc);
+  const EcEstimate e = pick_site(doc, now, [&](std::size_t site) {
+    return no_load_on(site, doc, service, now);
+  });
+  return e.upload_seconds + e.processing_seconds + e.download_seconds;
+}
+
+double BeliefState::ec_round_trip_no_load(const cbs::workload::Document& doc,
+                                          SimTime now, std::size_t site) const {
+  const EcEstimate e = no_load_on(site, doc, estimate_service(doc), now);
+  return e.upload_seconds + e.processing_seconds + e.download_seconds;
 }
 
 SimTime BeliefState::slack(SimTime now) const {
@@ -189,6 +272,7 @@ void BeliefState::commit_ic(std::uint64_t seq, double estimated_service) {
 
 void BeliefState::commit_ec(std::uint64_t seq, const cbs::workload::Document& doc,
                             const EcEstimate& estimate) {
+  assert(estimate.site < sites_.size());
   const double proc_standard = estimate_service(doc);
   const bool inserted =
       ec_jobs_.emplace(seq, EcJob{estimate.finish, proc_standard}).second;
@@ -206,8 +290,9 @@ void BeliefState::commit_ec(std::uint64_t seq, const cbs::workload::Document& do
   }
   ec_finish_heap_.emplace_back(estimate.finish, seq);
   std::push_heap(ec_finish_heap_.begin(), ec_finish_heap_.end());
-  ec_outstanding_seconds_ += proc_standard;
-  upload_backlog_bytes_ += doc.input_bytes();
+  EcSite& site = sites_[estimate.site];
+  site.outstanding_seconds += proc_standard;
+  site.upload_backlog_bytes += doc.input_bytes();
 }
 
 void BeliefState::on_ic_complete(std::uint64_t seq) {
@@ -217,25 +302,34 @@ void BeliefState::on_ic_complete(std::uint64_t seq) {
   ic_jobs_.erase(it);
 }
 
-void BeliefState::on_ec_complete(std::uint64_t seq) {
+void BeliefState::on_ec_complete(std::uint64_t seq, std::size_t site) {
   auto it = ec_jobs_.find(seq);
   assert(it != ec_jobs_.end());
-  ec_outstanding_seconds_ =
-      std::max(0.0, ec_outstanding_seconds_ - it->second.processing_seconds);
+  EcSite& s = sites_[site];
+  s.outstanding_seconds =
+      std::max(0.0, s.outstanding_seconds - it->second.processing_seconds);
   ec_jobs_.erase(it);
 }
 
-void BeliefState::on_upload_complete(double bytes) {
-  upload_backlog_bytes_ = std::max(0.0, upload_backlog_bytes_ - bytes);
+void BeliefState::on_upload_complete(double bytes, std::size_t site) {
+  EcSite& s = sites_[site];
+  s.upload_backlog_bytes = std::max(0.0, s.upload_backlog_bytes - bytes);
+}
+
+double BeliefState::upload_backlog_bytes() const noexcept {
+  double total = 0.0;
+  for (const EcSite& site : sites_) total += site.upload_backlog_bytes;
+  return total;
 }
 
 void BeliefState::retract_ic(std::uint64_t seq) {
   on_ic_complete(seq);  // identical bookkeeping: the work leaves the IC belief
 }
 
-void BeliefState::retract_ec(std::uint64_t seq, double pending_upload_bytes) {
-  on_ec_complete(seq);
-  on_upload_complete(pending_upload_bytes);
+void BeliefState::retract_ec(std::uint64_t seq, double pending_upload_bytes,
+                             std::size_t site) {
+  on_ec_complete(seq, site);
+  on_upload_complete(pending_upload_bytes, site);
 }
 
 }  // namespace cbs::core

@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
+#include "core/config.hpp"
 #include "models/estimator.hpp"
 #include "util/flat_map.hpp"
 #include "net/bandwidth_estimator.hpp"
@@ -18,8 +20,10 @@ namespace cbs::core {
 /// whose fragility §IV.D analyses.
 enum class BandwidthView : std::uint8_t { kLearned, kTransient };
 
-/// Breakdown of an estimated external round trip (the terms of Eq. 2).
+/// Breakdown of an estimated external round trip (the terms of Eq. 2) on
+/// the EC site the belief's SiteSelection picked for it.
 struct EcEstimate {
+  std::size_t site = 0;              ///< index into the belief's EC sites
   double upload_seconds = 0.0;
   double ec_wait_seconds = 0.0;      ///< queueing behind earlier EC work
   double processing_seconds = 0.0;   ///< wall time on the EC cluster
@@ -27,8 +31,10 @@ struct EcEstimate {
   cbs::sim::SimTime finish = 0.0;    ///< absolute estimated completion (ft^ec)
 };
 
-/// The scheduler's belief about the state of both clouds — everything the
+/// The scheduler's belief about the state of the clouds — everything the
 /// finish-time estimators ft^ic(i,S) and ft^ec(i,S) of §III.A condition on.
+/// It keeps one record per EC site; every ft^ec it returns is for the site
+/// its SiteSelection picks, so the schedulers stay site-agnostic.
 ///
 /// The belief is built only from information a real controller has: its own
 /// placement decisions, the QRSM's service estimates, the EWMA bandwidth
@@ -38,10 +44,16 @@ struct EcEstimate {
 /// analyses.
 class BeliefState {
  public:
-  /// `*_job_parallelism` is how many machines one job's tasks can occupy
-  /// at once (TopologyConfig::max_map_tasks_per_job clamped to the cluster
-  /// size) — it divides the job's own service time, while the backlog
-  /// always drains at full aggregate rate.
+  /// A belief over the internal cloud alone; add_ec_site() registers the
+  /// external sites. `*_job_parallelism` is how many machines one job's
+  /// tasks can occupy at once (TopologyConfig::max_map_tasks_per_job
+  /// clamped to the cluster size) — it divides the job's own service time,
+  /// while the backlog always drains at full aggregate rate.
+  BeliefState(const cbs::models::ProcessingTimeEstimator& service_estimator,
+              std::size_t ic_machines, double ic_speed,
+              int ic_job_parallelism = 1);
+
+  /// A belief over the IC and one EC site (the paper's topology).
   BeliefState(const cbs::models::ProcessingTimeEstimator& service_estimator,
               const cbs::net::BandwidthEstimator& uplink_estimator,
               const cbs::net::BandwidthEstimator& downlink_estimator,
@@ -50,11 +62,27 @@ class BeliefState {
               int ec_job_parallelism = 1, double ec_job_overhead_seconds = 0.0);
 
   /// Fork support: copies `src`'s believed state wholesale, rebinding the
-  /// estimator references to the fork's clones. Pure value copy otherwise.
+  /// service estimator to the fork's clone. Pure value copy otherwise; the
+  /// sites still read `src`'s bandwidth estimators until rebind_site().
   BeliefState(const BeliefState& src,
-              const cbs::models::ProcessingTimeEstimator& service_estimator,
-              const cbs::net::BandwidthEstimator& uplink_estimator,
-              const cbs::net::BandwidthEstimator& downlink_estimator);
+              const cbs::models::ProcessingTimeEstimator& service_estimator);
+
+  /// Registers the next EC site (its index is the return value): the
+  /// bandwidth estimators of its pipe, and its machines, speed, per-job
+  /// overhead and price class from `site`.
+  std::size_t add_ec_site(const cbs::net::BandwidthEstimator& uplink_estimator,
+                          const cbs::net::BandwidthEstimator& downlink_estimator,
+                          const EcSiteConfig& site, int job_parallelism = 1);
+
+  /// Fork support: points site `site` at the fork's bandwidth estimators.
+  void rebind_site(std::size_t site,
+                   const cbs::net::BandwidthEstimator& uplink_estimator,
+                   const cbs::net::BandwidthEstimator& downlink_estimator);
+
+  /// The *where* policy every ft^ec applies; `tickets` defines a job's
+  /// deadline for kCheapestFeasible. The default is kFastest.
+  void set_site_selection(SiteSelection selection,
+                          const cbs::sla::TicketPolicy& tickets);
 
   /// Estimated standard-machine service seconds for a document (t^e(i)).
   [[nodiscard]] double estimate_service(const cbs::workload::Document& doc) const;
@@ -67,26 +95,31 @@ class BeliefState {
                                         cbs::sim::SimTime now) const;
 
   /// ft^ec with the full round-trip breakdown: upload-queue drain + upload,
-  /// EC backlog, processing, download (Eq. 2's terms).
+  /// EC backlog, processing, download (Eq. 2's terms), on the site the
+  /// selection policy picks.
   [[nodiscard]] EcEstimate ft_ec(const cbs::workload::Document& doc,
                                  cbs::sim::SimTime now) const;
 
   /// ft^ec ignoring all queueing (Algorithm 3, line 5: completion "under no
-  /// load": t_up + e_ec + t_down).
+  /// load": t_up + e_ec + t_down), on the site the selection policy picks.
   [[nodiscard]] double ec_round_trip_no_load(const cbs::workload::Document& doc,
                                              cbs::sim::SimTime now) const;
+  /// The same on a given site (a job already committed there).
+  [[nodiscard]] double ec_round_trip_no_load(const cbs::workload::Document& doc,
+                                             cbs::sim::SimTime now,
+                                             std::size_t site) const;
 
   /// The *job-level* ft^ec of Algorithm 1: the greedy scheduler evaluates
   /// each job against the state of the system as observed at batch arrival
-  /// (`observed_upload_backlog_bytes` is the real upload queue then) — but
-  /// it does NOT model the backlog its own earlier in-batch decisions are
-  /// creating. This blind spot is precisely how greedy-bursted jobs end up
-  /// on the critical path (§IV.D): each decision looks locally fine, and
-  /// the queueing delay only materializes at download time.
+  /// — `observed_download_backlog_bytes[s]` is the real download queue of
+  /// site s then — but it does NOT anticipate the download contention its
+  /// own in-batch bursts will create. This blind spot is precisely how
+  /// greedy-bursted jobs end up on the critical path (§IV.D): each decision
+  /// looks locally fine, and the queueing delay only materializes at
+  /// download time.
   [[nodiscard]] EcEstimate ft_ec_job_level(
       const cbs::workload::Document& doc, cbs::sim::SimTime now,
-      double observed_upload_backlog_bytes,
-      double observed_download_backlog_bytes) const;
+      const std::vector<double>& observed_download_backlog_bytes) const;
 
   /// Eq. 1: the cushion for the next job to be scheduled — the latest
   /// estimated completion among all outstanding (committed, not completed)
@@ -117,21 +150,27 @@ class BeliefState {
 
   /// Records an IC placement of `seq` with the given service estimate.
   void commit_ic(std::uint64_t seq, double estimated_service);
-  /// Records an EC placement with its round-trip estimate.
+  /// Records an EC placement on `estimate.site` with its round-trip
+  /// estimate.
   void commit_ec(std::uint64_t seq, const cbs::workload::Document& doc,
                  const EcEstimate& estimate);
 
   // ---- Observations (completion notifications) ----
+  // The EC calls name the job's site (the estimate's `site` at commit):
+  // the job table stays two doubles per job, since completions erase from
+  // its front and every extra byte is moved again on each erase.
 
   void on_ic_complete(std::uint64_t seq);
-  void on_ec_complete(std::uint64_t seq);
-  /// An upload finished; removes its bytes from the believed upload backlog.
-  void on_upload_complete(double bytes);
+  void on_ec_complete(std::uint64_t seq, std::size_t site = 0);
+  /// An upload to `site` finished; removes its bytes from that site's
+  /// believed upload backlog.
+  void on_upload_complete(double bytes, std::size_t site = 0);
 
   /// Moves a job between clouds (rescheduler support). The caller supplies
   /// the new estimate for the receiving side.
   void retract_ic(std::uint64_t seq);
-  void retract_ec(std::uint64_t seq, double pending_upload_bytes);
+  void retract_ec(std::uint64_t seq, double pending_upload_bytes,
+                  std::size_t site = 0);
 
   [[nodiscard]] std::size_t outstanding_ic_jobs() const noexcept {
     return ic_jobs_.size();
@@ -139,52 +178,82 @@ class BeliefState {
   [[nodiscard]] std::size_t outstanding_ec_jobs() const noexcept {
     return ec_jobs_.size();
   }
-  [[nodiscard]] double upload_backlog_bytes() const noexcept {
-    return upload_backlog_bytes_;
-  }
+  /// Believed bytes waiting to upload, summed over the sites.
+  [[nodiscard]] double upload_backlog_bytes() const noexcept;
+  [[nodiscard]] std::size_t site_count() const noexcept { return sites_.size(); }
 
   void set_bandwidth_view(BandwidthView view) noexcept { view_ = view; }
   [[nodiscard]] BandwidthView bandwidth_view() const noexcept { return view_; }
 
-  /// Elastic EC support: the believed external machine count follows the
+  /// Elastic EC support: the believed machine count of `site` follows its
   /// actual provisioning level.
-  void set_ec_machines(std::size_t machines) noexcept {
-    if (machines > 0) ec_machines_ = machines;
+  void set_ec_machines(std::size_t site, std::size_t machines) noexcept {
+    if (machines > 0) sites_[site].machines = machines;
   }
-  [[nodiscard]] std::size_t ec_machines() const noexcept { return ec_machines_; }
 
-  /// Proactive-resilience risk pricing: believed EC processing time scales
-  /// by (1 + factor), so every scheduler that consults ft_ec /
+  /// Proactive-resilience risk pricing: believed processing time on `site`
+  /// scales by (1 + factor), so every scheduler that consults ft_ec /
   /// ft_ec_job_level / ec_round_trip_no_load prices predicted EC failure
   /// risk into its burst decision. 0 (the default) is an exact no-op.
-  void set_ec_risk_factor(double factor) noexcept {
-    ec_risk_factor_ = factor < 0.0 ? 0.0 : factor;
+  void set_ec_risk_factor(std::size_t site, double factor) noexcept {
+    sites_[site].risk_factor = factor < 0.0 ? 0.0 : factor;
   }
-  [[nodiscard]] double ec_risk_factor() const noexcept { return ec_risk_factor_; }
+  [[nodiscard]] double ec_risk_factor(std::size_t site) const noexcept {
+    return sites_[site].risk_factor;
+  }
 
  private:
+  /// What the belief knows about one EC site.
+  struct EcSite {
+    std::reference_wrapper<const cbs::net::BandwidthEstimator> uplink;
+    std::reference_wrapper<const cbs::net::BandwidthEstimator> downlink;
+    std::size_t machines = 1;
+    double speed = 1.0;
+    double job_rate = 1.0;      ///< speed × job parallelism
+    double job_overhead = 0.0;  ///< fixed wall-clock overhead per job
+    double price = 0.0;         ///< price class, for kCheapestFeasible
+    double outstanding_seconds = 0.0;   ///< believed standard seconds queued
+    double upload_backlog_bytes = 0.0;  ///< believed bytes not yet uploaded
+    double risk_factor = 0.0;  ///< believed-EC inflation, (1 + factor)
+
+    [[nodiscard]] double capacity() const noexcept {
+      return static_cast<double>(machines) * speed;
+    }
+  };
+
   [[nodiscard]] double ic_capacity() const noexcept {
     return static_cast<double>(ic_machines_) * ic_speed_;
   }
-  [[nodiscard]] double ec_capacity() const noexcept {
-    return static_cast<double>(ec_machines_) * ec_speed_;
-  }
 
-  [[nodiscard]] double upload_seconds_for(cbs::sim::SimTime t,
+  [[nodiscard]] double upload_seconds_for(const EcSite& site,
+                                          cbs::sim::SimTime t,
                                           double bytes) const;
-  [[nodiscard]] double download_seconds_for(cbs::sim::SimTime t,
+  [[nodiscard]] double download_seconds_for(const EcSite& site,
+                                            cbs::sim::SimTime t,
                                             double bytes) const;
+  /// ft^ec on one site, with `download_backlog_bytes` ahead of the output.
+  [[nodiscard]] EcEstimate estimate_on(std::size_t site,
+                                       const cbs::workload::Document& doc,
+                                       double service, cbs::sim::SimTime now,
+                                       double download_backlog_bytes) const;
+  /// The unloaded round trip on one site (no wait term).
+  [[nodiscard]] EcEstimate no_load_on(std::size_t site,
+                                      const cbs::workload::Document& doc,
+                                      double service,
+                                      cbs::sim::SimTime now) const;
+  /// Applies the selection policy to `estimate(site)` over every site.
+  template <typename EstimateOn>
+  [[nodiscard]] EcEstimate pick_site(const cbs::workload::Document& doc,
+                                     cbs::sim::SimTime now,
+                                     EstimateOn&& estimate) const;
 
   const cbs::models::ProcessingTimeEstimator& service_estimator_;
-  const cbs::net::BandwidthEstimator& uplink_;
-  const cbs::net::BandwidthEstimator& downlink_;
   std::size_t ic_machines_;
   double ic_speed_;
-  std::size_t ec_machines_;
-  double ec_speed_;
   double ic_job_rate_;  ///< speed × job parallelism on the IC
-  double ec_job_rate_;  ///< speed × job parallelism on the EC
-  double ec_job_overhead_;  ///< fixed wall-clock overhead per EC job
+  std::vector<EcSite> sites_;
+  SiteSelection selection_ = SiteSelection::kFastest;
+  cbs::sla::TicketPolicy tickets_{};
 
   // Outstanding IC jobs: seq -> estimated standard seconds.
   cbs::util::FlatMap<std::uint64_t, double> ic_jobs_;
@@ -202,10 +271,7 @@ class BeliefState {
   /// and commit_ec compacts when stale records dominate. `mutable` because
   /// popping stale tops is a read-side maintenance step.
   mutable std::vector<std::pair<cbs::sim::SimTime, std::uint64_t>> ec_finish_heap_;
-  double ec_outstanding_seconds_ = 0.0;
-  double upload_backlog_bytes_ = 0.0;
   BandwidthView view_ = BandwidthView::kLearned;
-  double ec_risk_factor_ = 0.0;  ///< believed-EC inflation, (1 + factor)
 };
 
 }  // namespace cbs::core

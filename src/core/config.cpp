@@ -24,22 +24,23 @@ ControllerConfig default_controller_config(bool high_network_variation) {
   // the paper's regime. (The paper quotes "250kbps" but moves hundreds of
   // MB per job in tens of minutes, so its unit is clearly not bits/s; we
   // keep everything in bytes/s.)
-  cfg.uplink.name = "uplink";
-  cfg.uplink.base_rate = 1.3e6;
-  cfg.uplink.per_connection_cap = 320.0e3;
-  cfg.uplink.profile = cbs::net::DiurnalProfile::business_pipe();
+  EcSiteConfig& ec = cfg.ec_sites.front();
+  ec.uplink.name = "uplink";
+  ec.uplink.base_rate = 1.3e6;
+  ec.uplink.per_connection_cap = 320.0e3;
+  ec.uplink.profile = cbs::net::DiurnalProfile::business_pipe();
   // Normal regime: short-lived fluctuations (correlation time ~5 min).
   // High variation (Fig. 9/10): congestion epochs lasting tens of minutes —
   // the regime where transient-bandwidth decisions strand whole clusters of
   // bursted jobs behind a trough.
-  cfg.uplink.noise_rho = high_network_variation ? 0.95 : 0.9;
-  cfg.uplink.noise_sigma = high_network_variation ? 0.25 : 0.12;
-  cfg.uplink.noise_step = high_network_variation ? 120.0 : 30.0;
-  cfg.uplink.setup_latency = 0.3;
+  ec.uplink.noise_rho = high_network_variation ? 0.95 : 0.9;
+  ec.uplink.noise_sigma = high_network_variation ? 0.25 : 0.12;
+  ec.uplink.noise_step = high_network_variation ? 120.0 : 30.0;
+  ec.uplink.setup_latency = 0.3;
 
-  cfg.downlink = cfg.uplink;
-  cfg.downlink.name = "downlink";
-  cfg.downlink.base_rate = 1.5e6;  // asymmetric line: downstream is wider
+  ec.downlink = ec.uplink;
+  ec.downlink.name = "downlink";
+  ec.downlink.base_rate = 1.5e6;  // asymmetric line: downstream is wider
 
   cfg.bandwidth_estimator.prior_rate = 1.0e6;
   cfg.bandwidth_estimator.alpha = 0.3;

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "compute/job_store.hpp"
 #include "models/hazard.hpp"
@@ -12,6 +13,7 @@
 #include "simcore/fault_plan.hpp"
 #include "simcore/logging.hpp"
 #include "simcore/time.hpp"
+#include "sla/tickets.hpp"
 #include "workload/chunker.hpp"
 
 namespace cbs::core {
@@ -62,13 +64,12 @@ struct SchedulerParams {
   std::uint64_t random_seed = 12345;
 };
 
-/// Hybrid-cloud topology (§V.A test bed: 8 internal VMs, 2 EMR VMs).
+/// The internal cloud and the job shape shared by every cluster (§V.A test
+/// bed: 8 internal VMs; the external side is ControllerConfig::ec_sites).
 struct TopologyConfig {
   std::size_t ic_machines = 8;
   double ic_speed = 1.0;
-  std::size_t ec_machines = 2;
-  double ec_speed = 1.0;
-  /// Map-task granularity on either cluster (MB of input per map task).
+  /// Map-task granularity on any cluster (MB of input per map task).
   double map_chunk_mb = 16.0;
   /// Hadoop task-slot cap: how many map tasks of ONE job may run
   /// concurrently. 1 reproduces the paper's Fig. 2 semantics (each job
@@ -77,17 +78,45 @@ struct TopologyConfig {
   int max_map_tasks_per_job = 1;
   /// Merge/compress cost per MB of output on the executing cluster.
   double merge_seconds_per_output_mb = 0.05;
-  /// Fixed per-job overhead on the external cloud (S3 staging, EMR job
-  /// setup and task scheduling) — machine-occupying time added to every EC
-  /// job. This is what makes bursting a small job unattractive when the
+};
+
+/// One external cloud site: its cluster and its own pipe. The default is
+/// the paper's single EC (§V.A: 2 EMR VMs); several sites form the pool of
+/// providers the intro and §VII meta-brokering have in mind ("one could
+/// possibly choose from a pool of Cloud Providers at run-time depending on
+/// the input job's SLAs").
+struct EcSiteConfig {
+  std::string name = "ec";
+  std::size_t machines = 2;
+  double speed = 1.0;
+  /// Fixed per-job overhead (S3 staging, EMR job setup and task
+  /// scheduling) — machine-occupying time added to every job on this site.
+  /// This is what makes bursting a small job unattractive when the
   /// internal queue is short.
-  double ec_job_overhead_seconds = 30.0;
+  double job_overhead_seconds = 30.0;
+  /// Relative price class (e.g. machine-hour list price) read by
+  /// SiteSelection::kCheapestFeasible; lower is cheaper.
+  double price_per_machine_hour = 0.10;
+  cbs::net::LinkConfig uplink{};
+  cbs::net::LinkConfig downlink{};
+};
+
+/// How a burst picks its site among ControllerConfig::ec_sites — the
+/// *where* question (§I: "depending on the input job's SLAs"). The
+/// schedulers answer *whether*; BeliefState applies this policy inside
+/// every ft^ec it returns. Irrelevant with one site.
+enum class SiteSelection : std::uint8_t {
+  kFastest,  ///< earliest believed round-trip completion
+  /// Cheapest site whose believed completion still meets the job's ticket
+  /// deadline (ControllerConfig::ticket_policy); the fastest when none can.
+  kCheapestFeasible,
 };
 
 /// §V.B.4 future work: elastic scaling of the external cloud — "the
 /// scaling (at EC) must be just enough to ensure saturation of the
-/// download bandwidth". A periodic autonomic check grows the EC while
-/// work queues behind it and shrinks it when instances idle.
+/// download bandwidth". A periodic autonomic check grows each EC site
+/// while work queues behind it and shrinks it when instances idle; the
+/// bounds apply per site.
 struct ElasticEcConfig {
   bool enabled = false;
   std::size_t min_machines = 1;
@@ -138,8 +167,13 @@ struct ControllerConfig {
   SchedulerParams params{};
   TopologyConfig topology{};
 
-  cbs::net::LinkConfig uplink{};
-  cbs::net::LinkConfig downlink{};
+  /// The external sites, one Fig. 5 EC pipeline each; at least one (an
+  /// empty list is rejected at construction). Site 0 is the paper's EC.
+  std::vector<EcSiteConfig> ec_sites{EcSiteConfig{}};
+  SiteSelection site_selection = SiteSelection::kFastest;
+  /// The ticket promise kCheapestFeasible reads as "meets the SLA".
+  cbs::sla::TicketPolicy ticket_policy{};
+
   cbs::net::BandwidthEstimator::Config bandwidth_estimator{};
   cbs::net::ThreadTuner::Config thread_tuner{};
 

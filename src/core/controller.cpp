@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "models/per_class_qrsm.hpp"
 #include "simcore/snapshot.hpp"
@@ -33,45 +35,123 @@ std::unique_ptr<models::ProcessingTimeEstimator> make_estimator(
 std::string input_key(std::uint64_t seq) { return "in/" + std::to_string(seq); }
 std::string output_key(std::uint64_t seq) { return "out/" + std::to_string(seq); }
 
+/// RNG stream names of a site's links and crash processes: the plain name
+/// for site 0 (the paper's single EC), "#i" appended for site i > 0, so
+/// adding a site never perturbs the draws of the sites before it.
+std::string site_stream(std::string_view base, std::size_t site) {
+  std::string name(base);
+  if (site > 0) {
+    name += '#';
+    name += std::to_string(site);
+  }
+  return name;
+}
+
+/// A site arrives holding -1 (fresh) or its fork source's handler slot;
+/// re-registration must reproduce the latter, because pending transfers and
+/// store operations carry slot indices across the fork.
+int checked_slot(int held, int registered) {
+  assert((held < 0 || held == registered) &&
+         "handler registration order must match the fork source");
+  (void)held;
+  return registered;
+}
+
+ControllerConfig validated(ControllerConfig config) {
+  if (config.ec_sites.empty()) {
+    throw std::invalid_argument(
+        "ControllerConfig::ec_sites is empty: the controller needs at least "
+        "one external site");
+  }
+  return config;
+}
+
 }  // namespace
+
+CloudBurstController::Site::Site(cbs::sim::Simulation& sim,
+                                 const ControllerConfig& config,
+                                 std::size_t index, cbs::sim::RngStream rng)
+    : cluster(sim, config.ec_sites[index].name, config.ec_sites[index].machines,
+              config.ec_sites[index].speed),
+      runtime(sim, cluster),
+      uplink(sim, config.ec_sites[index].uplink,
+             rng.substream(site_stream("uplink", index))),
+      downlink(sim, config.ec_sites[index].downlink,
+               rng.substream(site_stream("downlink", index))),
+      store(sim, config.store),
+      uplink_estimator(config.bandwidth_estimator),
+      downlink_estimator(config.bandwidth_estimator),
+      up_tuner(config.thread_tuner),
+      down_tuner(config.thread_tuner),
+      upload_queues(sim, uplink, up_tuner,
+                    config.scheduler == SchedulerKind::kBandwidthSplit
+                        ? config.params.size_interval_queues
+                        : 1,
+                    config.scheduler == SchedulerKind::kBandwidthSplit
+                        ? 1
+                        : config.single_queue_upload_slots),
+      download_queue(sim, downlink, down_tuner, 1, config.download_slots) {
+  if (config.resilience.enabled()) {
+    hazard = std::make_unique<models::VmHazardEstimator>(
+        config.resilience.hazard, config.ec_sites[index].machines, sim.now());
+  }
+}
+
+CloudBurstController::Site::Site(cbs::sim::Simulation& dst, const Site& src)
+    : cluster(dst, src.cluster),
+      runtime(dst, src.runtime, cluster),
+      uplink(dst, src.uplink),
+      downlink(dst, src.downlink),
+      store(dst, src.store),
+      uplink_estimator(src.uplink_estimator),
+      downlink_estimator(src.downlink_estimator),
+      up_tuner(src.up_tuner),
+      down_tuner(src.down_tuner),
+      // The queue sets claim slot 0 of each link here, as in the primary
+      // constructor; the probe handlers (slot 1) follow in wire_site().
+      upload_queues(dst, src.upload_queues, uplink, up_tuner),
+      download_queue(dst, src.download_queue, downlink, down_tuner),
+      hazard(src.hazard ? std::make_unique<models::VmHazardEstimator>(*src.hazard)
+                        : nullptr),
+      bursts(src.bursts),
+      pending_boots(src.pending_boots),
+      store_input_slot(src.store_input_slot),
+      store_output_slot(src.store_output_slot),
+      probe_up_slot(src.probe_up_slot),
+      probe_down_slot(src.probe_down_slot) {}
+
+void CloudBurstController::Site::rebuild_events(cbs::sim::SnapshotContext& ctx) {
+  uplink.rebuild_events(ctx);
+  downlink.rebuild_events(ctx);
+  cluster.rebuild_events(ctx);
+  store.rebuild_events(ctx);
+}
 
 CloudBurstController::CloudBurstController(cbs::sim::Simulation& sim,
                                            ControllerConfig config,
                                            cbs::workload::GroundTruthModel& truth,
                                            cbs::sim::RngStream rng)
     : sim_(sim),
-      config_(std::move(config)),
+      config_(validated(std::move(config))),
       truth_(truth),
       log_("controller", config_.log_threshold),
       ic_cluster_(sim, "ic", config_.topology.ic_machines, config_.topology.ic_speed),
-      ec_cluster_(sim, "ec", config_.topology.ec_machines, config_.topology.ec_speed),
       ic_runtime_(sim, ic_cluster_),
-      ec_runtime_(sim, ec_cluster_),
-      uplink_(sim, config_.uplink, rng.substream("uplink")),
-      downlink_(sim, config_.downlink, rng.substream("downlink")),
-      store_(sim, config_.store),
-      uplink_estimator_(config_.bandwidth_estimator),
-      downlink_estimator_(config_.bandwidth_estimator),
-      up_tuner_(config_.thread_tuner),
-      down_tuner_(config_.thread_tuner),
       proc_estimator_(make_estimator(config_.estimator, truth)),
-      belief_(*proc_estimator_, uplink_estimator_, downlink_estimator_,
-              config_.topology.ic_machines, config_.topology.ic_speed,
-              config_.topology.ec_machines, config_.topology.ec_speed,
-              config_.topology.max_map_tasks_per_job,
-              config_.topology.max_map_tasks_per_job,
-              config_.topology.ec_job_overhead_seconds),
-      scheduler_(make_scheduler(config_.scheduler)),
-      upload_queues_(sim, uplink_, up_tuner_,
-                     config_.scheduler == SchedulerKind::kBandwidthSplit
-                         ? config_.params.size_interval_queues
-                         : 1,
-                     config_.scheduler == SchedulerKind::kBandwidthSplit
-                         ? 1
-                         : config_.single_queue_upload_slots),
-      download_queue_(sim, downlink_, down_tuner_, 1, config_.download_slots) {
+      belief_(*proc_estimator_, config_.topology.ic_machines,
+              config_.topology.ic_speed, config_.topology.max_map_tasks_per_job),
+      scheduler_(make_scheduler(config_.scheduler)) {
   if (config_.log_sink) log_.set_sink(config_.log_sink);
-  wire_hooks();
+  wire_ic();
+  for (std::size_t i = 0; i < config_.ec_sites.size(); ++i) {
+    sites_.push_back(std::make_unique<Site>(sim, config_, i, rng));
+    Site& site = *sites_.back();
+    belief_.add_ec_site(site.uplink_estimator, site.downlink_estimator,
+                        config_.ec_sites[i],
+                        config_.topology.max_map_tasks_per_job);
+    wire_site(i);
+  }
+  belief_.set_site_selection(config_.site_selection, config_.ticket_policy);
   if (config_.scheduler == SchedulerKind::kGreedy) {
     // Algorithm 1 conditions on "the current transit bandwidth" — the
     // transient reading, not the learned time-of-day model (§IV.D).
@@ -85,10 +165,13 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& sim,
         "ic", config_.topology.ic_machines, config_.faults.ic_vm_mtbf,
         [this](std::size_t m) { on_ic_crash(m); },
         [this](std::size_t m) { on_ic_recover(m); });
-    fault_plan_->drive_vm_crashes(
-        "ec", config_.topology.ec_machines, config_.faults.ec_vm_mtbf,
-        [this](std::size_t m) { on_ec_crash(m); },
-        [this](std::size_t m) { on_ec_recover(m); });
+    for (std::size_t i = 0; i < sites_.size(); ++i) {
+      fault_plan_->drive_vm_crashes(
+          site_stream("ec", i), config_.ec_sites[i].machines,
+          config_.faults.ec_vm_mtbf,
+          [this, i](std::size_t m) { on_ec_crash(i, m); },
+          [this, i](std::size_t m) { on_ec_recover(i, m); });
+    }
     fault_plan_->drive_outages(
         [this](const sim::OutageWindow&) { on_outage_begin(); },
         [this] { on_outage_end(); });
@@ -96,8 +179,6 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& sim,
   if (config_.resilience.enabled()) {
     ic_hazard_ = std::make_unique<models::VmHazardEstimator>(
         config_.resilience.hazard, config_.topology.ic_machines, sim_.now());
-    ec_hazard_ = std::make_unique<models::VmHazardEstimator>(
-        config_.resilience.hazard, config_.topology.ec_machines, sim_.now());
   }
 }
 
@@ -109,22 +190,10 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
       truth_(truth),
       log_("controller", config_.log_threshold),
       ic_cluster_(dst, src.ic_cluster_),
-      ec_cluster_(dst, src.ec_cluster_),
       ic_runtime_(dst, src.ic_runtime_, ic_cluster_),
-      ec_runtime_(dst, src.ec_runtime_, ec_cluster_),
-      uplink_(dst, src.uplink_),
-      downlink_(dst, src.downlink_),
-      store_(dst, src.store_),
-      uplink_estimator_(src.uplink_estimator_),
-      downlink_estimator_(src.downlink_estimator_),
-      up_tuner_(src.up_tuner_),
-      down_tuner_(src.down_tuner_),
       proc_estimator_(src.proc_estimator_->clone(truth)),
-      belief_(src.belief_, *proc_estimator_, uplink_estimator_,
-              downlink_estimator_),
+      belief_(src.belief_, *proc_estimator_),
       scheduler_(src.scheduler_->clone()),
-      upload_queues_(dst, src.upload_queues_, uplink_, up_tuner_),
-      download_queue_(dst, src.download_queue_, downlink_, down_tuner_),
       jobs_(src.jobs_),
       ic_wait_(src.ic_wait_),
       outcomes_(src.outcomes_),
@@ -136,7 +205,6 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
       push_outs_(src.push_outs_),
       stage_log_(src.stage_log_),
       elastic_check_scheduled_(src.elastic_check_scheduled_),
-      pending_boots_(src.pending_boots_),
       scale_ups_(src.scale_ups_),
       scale_downs_(src.scale_downs_),
       probe_event_(src.probe_event_),
@@ -150,13 +218,13 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
          "estimator kind does not support forking");
   assert(scheduler_ != nullptr && "scheduler does not support forking");
   if (config_.log_sink) log_.set_sink(config_.log_sink);
-  wire_hooks();
-  // Slot indices are the cross-fork contract: pending transfers/ops carry
-  // them, so registration order on the clone must reproduce the source's.
-  assert(store_input_slot_ == src.store_input_slot_);
-  assert(store_output_slot_ == src.store_output_slot_);
-  assert(probe_up_slot_ == src.probe_up_slot_);
-  assert(probe_down_slot_ == src.probe_down_slot_);
+  wire_ic();
+  for (std::size_t i = 0; i < src.sites_.size(); ++i) {
+    sites_.push_back(std::make_unique<Site>(dst, *src.sites_[i]));
+    Site& site = *sites_.back();
+    belief_.rebind_site(i, site.uplink_estimator, site.downlink_estimator);
+    wire_site(i);
+  }
   for (const auto& entry : src.alt_schedulers_) {
     auto copy = entry.second->clone();
     assert(copy != nullptr);
@@ -166,17 +234,20 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
     fault_plan_ = std::make_unique<sim::FaultPlan>(dst, *src.fault_plan_);
     fault_plan_->set_active([this] { return outstanding_ > 0; });
     // Hook indices follow the primary constructor's drive_vm_crashes()
-    // order: IC (when driven) before EC (when driven).
+    // order: IC (when driven), then each site (when driven).
     std::size_t idx = 0;
     if (config_.faults.ic_vm_mtbf > 0.0 && config_.topology.ic_machines > 0) {
       fault_plan_->rebind_cluster_hooks(
           idx++, [this](std::size_t m) { on_ic_crash(m); },
           [this](std::size_t m) { on_ic_recover(m); });
     }
-    if (config_.faults.ec_vm_mtbf > 0.0 && config_.topology.ec_machines > 0) {
+    for (std::size_t i = 0; i < sites_.size(); ++i) {
+      if (config_.faults.ec_vm_mtbf <= 0.0 || config_.ec_sites[i].machines == 0) {
+        continue;
+      }
       fault_plan_->rebind_cluster_hooks(
-          idx++, [this](std::size_t m) { on_ec_crash(m); },
-          [this](std::size_t m) { on_ec_recover(m); });
+          idx++, [this, i](std::size_t m) { on_ec_crash(i, m); },
+          [this, i](std::size_t m) { on_ec_recover(i, m); });
     }
     fault_plan_->rebind_outage_hooks(
         [this](const sim::OutageWindow&) { on_outage_begin(); },
@@ -184,54 +255,64 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
   }
   if (src.ic_hazard_) {
     ic_hazard_ = std::make_unique<models::VmHazardEstimator>(*src.ic_hazard_);
-    ec_hazard_ = std::make_unique<models::VmHazardEstimator>(*src.ec_hazard_);
   }
 }
 
-void CloudBurstController::wire_hooks() {
-  upload_queues_.set_on_complete(
-      [this](std::uint64_t seq, int, const net::TransferRecord& rec) {
-        on_upload_done(seq, rec);
-      });
-  download_queue_.set_on_complete(
-      [this](std::uint64_t seq, int, const net::TransferRecord& rec) {
-        on_download_done(seq, rec);
-      });
+void CloudBurstController::wire_ic() {
   ic_cluster_.set_task_done_hook([this] { dispatch_ic(); });
   ic_runtime_.set_on_complete(
       [this](const compute::MapReduceRecord& rec) { on_ic_done(rec.job_id); });
-  ec_runtime_.set_on_complete([this](const compute::MapReduceRecord& rec) {
-    on_ec_proc_done(rec.job_id);
-  });
   if (config_.enable_rescheduler) {
     ic_cluster_.set_idle_hook([this](std::size_t) { maybe_pull_back(); });
   }
+}
+
+void CloudBurstController::wire_site(std::size_t i) {
+  Site& site = *sites_[i];
+  site.upload_queues.set_on_complete(
+      [this, i](std::uint64_t seq, int, const net::TransferRecord& rec) {
+        on_upload_done(i, seq, rec);
+      });
+  site.download_queue.set_on_complete(
+      [this, i](std::uint64_t seq, int, const net::TransferRecord& rec) {
+        on_download_done(i, seq, rec);
+      });
+  site.runtime.set_on_complete([this, i](const compute::MapReduceRecord& rec) {
+    on_ec_proc_done(i, rec.job_id);
+  });
   // Link-handler registration order is part of the fork contract: the
-  // transfer queue sets claimed slot 0 of each link during member
-  // construction, so the probe handlers land on slot 1 in source and clone
-  // alike.
-  probe_up_slot_ = uplink_.register_handler(
-      [this](std::uint64_t, const net::TransferRecord& rec) {
-        uplink_estimator_.observe(sim_.now(), rec.transfer_rate());
-        up_tuner_.report(sim_.now(), rec.threads, rec.transfer_rate());
-      });
-  probe_down_slot_ = downlink_.register_handler(
-      [this](std::uint64_t, const net::TransferRecord& rec) {
-        downlink_estimator_.observe(sim_.now(), rec.transfer_rate());
-        down_tuner_.report(sim_.now(), rec.threads, rec.transfer_rate());
-      });
-  store_input_slot_ = store_.register_continuation(
-      [this](std::uint64_t seq, bool ok, double) { on_input_staged(seq, ok); });
-  store_output_slot_ = store_.register_continuation(
-      [this](std::uint64_t seq, bool ok, double) { on_output_staged(seq, ok); });
+  // transfer queue sets claimed slot 0 of each link during construction,
+  // so the probe handlers land on slot 1 in source and clone alike.
+  site.probe_up_slot = checked_slot(
+      site.probe_up_slot,
+      site.uplink.register_handler(
+          [this, i](std::uint64_t, const net::TransferRecord& rec) {
+            Site& s = *sites_[i];
+            s.uplink_estimator.observe(sim_.now(), rec.transfer_rate());
+            s.up_tuner.report(sim_.now(), rec.threads, rec.transfer_rate());
+          }));
+  site.probe_down_slot = checked_slot(
+      site.probe_down_slot,
+      site.downlink.register_handler(
+          [this, i](std::uint64_t, const net::TransferRecord& rec) {
+            Site& s = *sites_[i];
+            s.downlink_estimator.observe(sim_.now(), rec.transfer_rate());
+            s.down_tuner.report(sim_.now(), rec.threads, rec.transfer_rate());
+          }));
+  site.store_input_slot = checked_slot(
+      site.store_input_slot,
+      site.store.register_continuation(
+          [this](std::uint64_t seq, bool ok, double) { on_input_staged(seq, ok); }));
+  site.store_output_slot = checked_slot(
+      site.store_output_slot,
+      site.store.register_continuation([this, i](std::uint64_t seq, bool ok, double) {
+        on_output_staged(i, seq, ok);
+      }));
 }
 
 void CloudBurstController::rebuild_events(cbs::sim::SnapshotContext& ctx) {
-  uplink_.rebuild_events(ctx);
-  downlink_.rebuild_events(ctx);
   ic_cluster_.rebuild_events(ctx);
-  ec_cluster_.rebuild_events(ctx);
-  store_.rebuild_events(ctx);
+  for (auto& site : sites_) site->rebuild_events(ctx);
   if (fault_plan_) fault_plan_->rebuild_events(ctx);
   for (auto& entry : burst_deadlines_) {
     const std::uint64_t seq = entry.first;
@@ -246,8 +327,8 @@ void CloudBurstController::rebuild_events(cbs::sim::SnapshotContext& ctx) {
   }
   for (auto& entry : boot_events_) {
     const std::uint64_t boot_id = entry.first;
-    entry.second =
-        ctx.restore(entry.second, [this, boot_id] { on_boot_done(boot_id); });
+    entry.second.event = ctx.restore(entry.second.event,
+                                     [this, boot_id] { on_boot_done(boot_id); });
   }
 }
 
@@ -278,6 +359,20 @@ void CloudBurstController::on_batch(const cbs::workload::Batch& batch) {
   // Refresh the hazard picture before pricing this batch: drains, the
   // believed EC capacity and the risk factor all feed the decisions below.
   update_resilience();
+  std::vector<double> class_backlog =
+      sites_.front()->upload_queues.backlog_bytes_per_class();
+  std::vector<double> download_backlog;
+  download_backlog.reserve(sites_.size());
+  for (std::size_t i = 0; i < sites_.size(); ++i) {
+    if (i > 0) {
+      const std::vector<double> more =
+          sites_[i]->upload_queues.backlog_bytes_per_class();
+      for (std::size_t k = 0; k < class_backlog.size(); ++k) {
+        class_backlog[k] += more[k];
+      }
+    }
+    download_backlog.push_back(sites_[i]->download_queue.total_backlog_bytes());
+  }
   Scheduler::Context ctx{
       .now = sim_.now(),
       .belief = belief_,
@@ -286,8 +381,8 @@ void CloudBurstController::on_batch(const cbs::workload::Batch& batch) {
       .next_seq = &next_seq_,
       .next_doc_id = &next_doc_id_,
       .ic_machines = config_.topology.ic_machines,
-      .upload_class_backlog_bytes = upload_queues_.backlog_bytes_per_class(),
-      .download_backlog_bytes = download_queue_.total_backlog_bytes(),
+      .upload_class_backlog_bytes = std::move(class_backlog),
+      .download_backlog_bytes = std::move(download_backlog),
   };
   auto decisions = scheduler_->schedule_batch(batch.documents, ctx);
 
@@ -313,8 +408,9 @@ void CloudBurstController::on_batch(const cbs::workload::Batch& batch) {
       set_state(it->second, JobState::kIcWaiting);
       ic_wait_.push_back(d.seq_id);
     } else {
+      it->second.site = d.ec_estimate.site;
       set_state(it->second, JobState::kUploadQueued);
-      upload_queues_.enqueue(d.seq_id, d.doc.input_bytes(), d.upload_class);
+      enqueue_upload(it->second, d.upload_class);
       arm_burst_deadline(d.seq_id);
     }
   }
@@ -322,9 +418,21 @@ void CloudBurstController::on_batch(const cbs::workload::Batch& batch) {
   ensure_probing();
   ensure_elastic_check();
   if (fault_plan_) fault_plan_->ensure_armed();
-  if (config_.enable_rescheduler && upload_queues_.idle()) {
+  if (config_.enable_rescheduler && any_upload_idle()) {
     maybe_push_out();
   }
+}
+
+void CloudBurstController::enqueue_upload(Job& job, int upload_class) {
+  Site& site = *sites_[job.site];
+  ++site.bursts;
+  site.upload_queues.enqueue(job.seq_id, job.doc.input_bytes(), upload_class);
+}
+
+bool CloudBurstController::any_upload_idle() const {
+  return std::any_of(sites_.begin(), sites_.end(), [](const auto& site) {
+    return site->upload_queues.idle();
+  });
 }
 
 void CloudBurstController::on_batch_as(const cbs::workload::Batch& batch,
@@ -402,24 +510,26 @@ void CloudBurstController::on_ic_done(std::uint64_t seq) {
   dispatch_ic();
   // Each internal completion is a fresh look at the §IV.D condition: "when
   // the EC upload queue is idle and IC has jobs waiting to execute".
-  if (config_.enable_rescheduler && upload_queues_.idle() && outstanding_ > 0) {
+  if (config_.enable_rescheduler && any_upload_idle() && outstanding_ > 0) {
     maybe_push_out();
   }
 }
 
-void CloudBurstController::on_upload_done(std::uint64_t seq,
+void CloudBurstController::on_upload_done(std::size_t site_index,
+                                          std::uint64_t seq,
                                           const net::TransferRecord& rec) {
+  Site& site = *sites_[site_index];
   disarm_burst_deadline(seq);  // past the retractable phase
-  uplink_estimator_.observe(sim_.now(), rec.transfer_rate());
-  up_tuner_.report(sim_.now(), rec.threads, rec.transfer_rate());
-  belief_.on_upload_complete(rec.bytes);
+  site.uplink_estimator.observe(sim_.now(), rec.transfer_rate());
+  site.up_tuner.report(sim_.now(), rec.threads, rec.transfer_rate());
+  belief_.on_upload_complete(rec.bytes, site_index);
 
   // Stage the input. With the store healthy this completes synchronously;
   // during an outage it retries with backoff, and a permanent failure
   // falls back to internal execution (the upload was wasted).
-  store_.put_async(input_key(seq), rec.bytes, store_input_slot_, seq);
+  site.store.put_async(input_key(seq), rec.bytes, site.store_input_slot, seq);
 
-  if (config_.enable_rescheduler && upload_queues_.idle()) {
+  if (config_.enable_rescheduler && site.upload_queues.idle()) {
     maybe_push_out();
   }
 }
@@ -434,26 +544,29 @@ void CloudBurstController::on_input_staged(std::uint64_t seq, bool ok) {
 
 void CloudBurstController::start_ec_processing(std::uint64_t seq) {
   Job& job = job_at(seq);
+  const EcSiteConfig& cfg = config_.ec_sites[job.site];
   set_state(job, JobState::kEcRunning);
   compute::MapReduceSpec spec =
       spec_for(job, config_.topology.merge_seconds_per_output_mb);
   // EMR job setup/staging occupies the executing instance; book it on the
   // merge task (speed-scaled so it costs the configured wall seconds).
-  spec.merge_seconds +=
-      config_.topology.ec_job_overhead_seconds * config_.topology.ec_speed;
-  ec_runtime_.run(spec);
+  spec.merge_seconds += cfg.job_overhead_seconds * cfg.speed;
+  sites_[job.site]->runtime.run(spec);
 }
 
-void CloudBurstController::on_ec_proc_done(std::uint64_t seq) {
+void CloudBurstController::on_ec_proc_done(std::size_t site_index,
+                                           std::uint64_t seq) {
+  Site& site = *sites_[site_index];
   Job& job = job_at(seq);
   // The merge task already covered compression cost; swap input for the
   // compressed output in the store and ship it home.
-  store_.erase(input_key(seq));
-  store_.put_async(output_key(seq), job.doc.output_bytes(), store_output_slot_,
-                   seq);
+  site.store.erase(input_key(seq));
+  site.store.put_async(output_key(seq), job.doc.output_bytes(),
+                       site.store_output_slot, seq);
 }
 
-void CloudBurstController::on_output_staged(std::uint64_t seq, bool ok) {
+void CloudBurstController::on_output_staged(std::size_t site, std::uint64_t seq,
+                                            bool ok) {
   if (!ok) {
     // The result exists only on EC and cannot be staged for download:
     // the external execution is wasted, re-run internally.
@@ -462,17 +575,19 @@ void CloudBurstController::on_output_staged(std::uint64_t seq, bool ok) {
   }
   Job& job = job_at(seq);
   set_state(job, JobState::kDownloading);
-  download_queue_.enqueue(seq, job.doc.output_bytes(), 0);
+  sites_[site]->download_queue.enqueue(seq, job.doc.output_bytes(), 0);
 }
 
-void CloudBurstController::on_download_done(std::uint64_t seq,
+void CloudBurstController::on_download_done(std::size_t site_index,
+                                            std::uint64_t seq,
                                             const net::TransferRecord& rec) {
-  downlink_estimator_.observe(sim_.now(), rec.transfer_rate());
-  down_tuner_.report(sim_.now(), rec.threads, rec.transfer_rate());
+  Site& site = *sites_[site_index];
+  site.downlink_estimator.observe(sim_.now(), rec.transfer_rate());
+  site.down_tuner.report(sim_.now(), rec.threads, rec.transfer_rate());
 
   Job& job = job_at(seq);
-  store_.erase(output_key(seq));
-  belief_.on_ec_complete(seq);
+  site.store.erase(output_key(seq));
+  belief_.on_ec_complete(seq, site_index);
   proc_estimator_->observe(job.doc, job.true_service_seconds);
   finish_job(job);
 }
@@ -489,10 +604,13 @@ void CloudBurstController::finish_job(Job& job) {
 
 sla::CostInputs CloudBurstController::cost_inputs() const {
   sla::CostInputs in;
-  in.ec_provisioned_machine_seconds = ec_cluster_.provisioned_machine_seconds();
-  in.uplink_bytes = uplink_.total_bytes_delivered();
-  in.downlink_bytes = downlink_.total_bytes_delivered();
-  in.store_byte_seconds = store_.occupancy_byte_seconds();
+  for (const auto& site : sites_) {
+    in.ec_provisioned_machine_seconds +=
+        site->cluster.provisioned_machine_seconds();
+    in.uplink_bytes += site->uplink.total_bytes_delivered();
+    in.downlink_bytes += site->downlink.total_bytes_delivered();
+    in.store_byte_seconds += site->store.occupancy_byte_seconds();
+  }
   in.ic_machine_seconds = ic_cluster_.provisioned_machine_seconds();
   return in;
 }
@@ -517,10 +635,13 @@ void CloudBurstController::probe() {
     return;
   }
 
-  const int up_threads = up_tuner_.suggest(sim_.now());
-  uplink_.submit(config_.probe_bytes, up_threads, probe_up_slot_, 0);
-  const int down_threads = down_tuner_.suggest(sim_.now());
-  downlink_.submit(config_.probe_bytes, down_threads, probe_down_slot_, 0);
+  for (const auto& site : sites_) {
+    const int up_threads = site->up_tuner.suggest(sim_.now());
+    site->uplink.submit(config_.probe_bytes, up_threads, site->probe_up_slot, 0);
+    const int down_threads = site->down_tuner.suggest(sim_.now());
+    site->downlink.submit(config_.probe_bytes, down_threads,
+                          site->probe_down_slot, 0);
+  }
   ensure_probing();
 }
 
@@ -532,13 +653,14 @@ void CloudBurstController::arm_burst_deadline(std::uint64_t seq) {
   // Allow `factor` times the believed unloaded round trip for the upload
   // phase; past that, the burst is doing worse than the estimate that
   // justified it and an internal re-execution is the safer bet.
-  const double round_trip = belief_.ec_round_trip_no_load(job.doc, sim_.now());
+  const double round_trip =
+      belief_.ec_round_trip_no_load(job.doc, sim_.now(), job.site);
   double delay =
       config_.faults.retraction_deadline_factor * std::max(round_trip, 1.0);
   // Hazard-aware retraction: when the predictor sees EC failure risk, give
   // the burst proportionally less patience before pulling it home — the
   // expected cost of waiting out a predicted outage rises with the risk.
-  if (ec_hazard_) delay /= (1.0 + belief_.ec_risk_factor());
+  if (sites_[job.site]->hazard) delay /= (1.0 + belief_.ec_risk_factor(job.site));
   burst_deadlines_[seq] =
       sim_.schedule_in(delay, [this, seq] { on_burst_deadline(seq); });
 }
@@ -556,8 +678,8 @@ void CloudBurstController::on_burst_deadline(std::uint64_t seq) {
   // Only the upload phase is retractable: once the input is staged the
   // remaining EC work is believed cheaper than starting over internally.
   if (job.state != JobState::kUploadQueued) return;
-  const bool cancelled = upload_queues_.try_cancel(seq) ||
-                         upload_queues_.try_cancel_active(seq);
+  TransferQueueSet& uploads = sites_[job.site]->upload_queues;
+  const bool cancelled = uploads.try_cancel(seq) || uploads.try_cancel_active(seq);
   assert(cancelled);
   (void)cancelled;
   readmit_to_ic(seq, job.doc.input_bytes(), "round-trip deadline exceeded");
@@ -567,7 +689,7 @@ void CloudBurstController::readmit_to_ic(std::uint64_t seq,
                                          double pending_upload_bytes,
                                          const char* why) {
   Job& job = job_at(seq);
-  belief_.retract_ec(seq, pending_upload_bytes);
+  belief_.retract_ec(seq, pending_upload_bytes, job.site);
   belief_.commit_ic(seq, job.estimated_service_seconds);
   job.placement = Placement::kInternal;
   set_state(job, JobState::kIcWaiting);
@@ -585,26 +707,34 @@ void CloudBurstController::admit_ic_in_order(std::uint64_t seq) {
 }
 
 void CloudBurstController::on_outage_begin() {
+  // An outage cuts the internal cloud off from every site: the configured
+  // windows model the enterprise's own uplink going down.
   log_.warn(sim_.now(), "EC outage begins: links down, store unavailable");
-  uplink_.set_outage(true);
-  downlink_.set_outage(true);
-  store_.set_available(false);
+  for (const auto& site : sites_) {
+    site->uplink.set_outage(true);
+    site->downlink.set_outage(true);
+    site->store.set_available(false);
+  }
   // The outage is observable (connection resets): pull every upload that
   // has not started back to the IC instead of letting it queue into a
   // dead pipe. In-flight transfers keep their slot and resume — or hit
   // their retraction deadline — on their own.
-  for (const std::uint64_t seq : upload_queues_.queued_tags()) {
-    if (!upload_queues_.try_cancel(seq)) continue;
-    disarm_burst_deadline(seq);
-    readmit_to_ic(seq, job_at(seq).doc.input_bytes(), "EC outage observed");
+  for (const auto& site : sites_) {
+    for (const std::uint64_t seq : site->upload_queues.queued_tags()) {
+      if (!site->upload_queues.try_cancel(seq)) continue;
+      disarm_burst_deadline(seq);
+      readmit_to_ic(seq, job_at(seq).doc.input_bytes(), "EC outage observed");
+    }
   }
 }
 
 void CloudBurstController::on_outage_end() {
   log_.info(sim_.now(), "EC outage ends");
-  uplink_.set_outage(false);
-  downlink_.set_outage(false);
-  store_.set_available(true);
+  for (const auto& site : sites_) {
+    site->uplink.set_outage(false);
+    site->downlink.set_outage(false);
+    site->store.set_available(true);
+  }
 }
 
 // ---- proactive failure resilience (hazard prediction, DESIGN.md §13) ----
@@ -622,19 +752,23 @@ void CloudBurstController::on_ic_recover(std::size_t machine) {
   if (ic_hazard_) update_resilience();
 }
 
-void CloudBurstController::on_ec_crash(std::size_t machine) {
-  if (ec_hazard_) {
+void CloudBurstController::on_ec_crash(std::size_t site_index,
+                                       std::size_t machine) {
+  Site& site = *sites_[site_index];
+  if (site.hazard) {
     // Elastic EC may have grown the cluster since construction.
-    ec_hazard_->ensure_machines(ec_cluster_.machine_slots(), sim_.now());
-    ec_hazard_->on_failure(machine, sim_.now());
+    site.hazard->ensure_machines(site.cluster.machine_slots(), sim_.now());
+    site.hazard->on_failure(machine, sim_.now());
   }
-  ec_cluster_.crash_machine(machine);
-  if (ec_hazard_) update_resilience();
+  site.cluster.crash_machine(machine);
+  if (site.hazard) update_resilience();
 }
 
-void CloudBurstController::on_ec_recover(std::size_t machine) {
-  ec_cluster_.recover_machine(machine);
-  if (ec_hazard_) update_resilience();
+void CloudBurstController::on_ec_recover(std::size_t site_index,
+                                         std::size_t machine) {
+  Site& site = *sites_[site_index];
+  site.cluster.recover_machine(machine);
+  if (site.hazard) update_resilience();
 }
 
 void CloudBurstController::update_resilience() {
@@ -643,16 +777,20 @@ void CloudBurstController::update_resilience() {
   // Expire stale crash predictions first so precision/recall bookkeeping
   // never credits a drain that simply outlived its window.
   ic_hazard_->settle(now);
-  ec_hazard_->settle(now);
+  for (const auto& site : sites_) site->hazard->settle(now);
   update_cluster_drains(ic_cluster_, *ic_hazard_);
-  update_cluster_drains(ec_cluster_, *ec_hazard_);
-  // Fold the predicted EC outage risk into every believed-EC estimate via
-  // a single lever: ft_ec and friends inflate their processing term by
-  // (1 + risk_weight * mean failure probability). Drains are soft (they
-  // re-route dispatch, not remove capacity), so the believed machine count
-  // is left alone.
-  belief_.set_ec_risk_factor(config_.resilience.risk_weight *
-                             ec_failure_risk());
+  for (const auto& site : sites_) {
+    update_cluster_drains(site->cluster, *site->hazard);
+  }
+  // Fold each site's predicted outage risk into every believed estimate on
+  // that site via a single lever: ft_ec and friends inflate their
+  // processing term by (1 + risk_weight * mean failure probability). Drains
+  // are soft (they re-route dispatch, not remove capacity), so the believed
+  // machine count is left alone.
+  for (std::size_t i = 0; i < sites_.size(); ++i) {
+    belief_.set_ec_risk_factor(
+        i, config_.resilience.risk_weight * site_failure_risk(i));
+  }
 }
 
 void CloudBurstController::update_cluster_drains(
@@ -677,10 +815,17 @@ void CloudBurstController::update_cluster_drains(
   }
 }
 
-double CloudBurstController::ec_failure_risk() const {
-  if (!ec_hazard_) return 0.0;
+double CloudBurstController::site_failure_risk(std::size_t site) const {
+  const models::VmHazardEstimator* hazard = sites_[site]->hazard.get();
+  if (hazard == nullptr) return 0.0;
   return models::mean_failure_probability(
-      *ec_hazard_, sim_.now(), config_.resilience.drain_window_seconds);
+      *hazard, sim_.now(), config_.resilience.drain_window_seconds);
+}
+
+double CloudBurstController::ec_failure_risk() const {
+  double total = 0.0;
+  for (std::size_t i = 0; i < sites_.size(); ++i) total += site_failure_risk(i);
+  return total / static_cast<double>(sites_.size());
 }
 
 // ---- elastic EC scaling (§V.B.4 future work, behind a flag) -------------
@@ -696,45 +841,57 @@ void CloudBurstController::elastic_check() {
   elastic_check_scheduled_ = false;
   elastic_event_ = cbs::sim::EventId{};
   if (outstanding_ == 0) return;  // run over; let the simulation drain
-  const ElasticEcConfig& e = config_.elastic_ec;
-
-  const std::size_t provisioned = ec_cluster_.machine_count() + pending_boots_;
-  // Believed wait of a newly arriving EC job behind the current queue.
-  const double wait_seconds =
-      ec_cluster_.queued_standard_seconds() /
-      (static_cast<double>(std::max<std::size_t>(provisioned, 1)) *
-       config_.topology.ec_speed);
-
-  if (wait_seconds > e.grow_wait_threshold_seconds &&
-      provisioned < e.max_machines) {
-    ++pending_boots_;
-    ++scale_ups_;
-    log_.info(sim_.now(), "elastic EC: scaling up to ", provisioned + 1);
-    const std::uint64_t boot_id = next_boot_id_++;
-    boot_events_[boot_id] =
-        sim_.schedule_in(e.boot_delay, [this, boot_id] { on_boot_done(boot_id); });
-  } else if (provisioned > e.min_machines && pending_boots_ == 0) {
-    const auto idle = static_cast<double>(ec_cluster_.machine_count() -
-                                          ec_cluster_.running_tasks());
-    if (ec_cluster_.queued_tasks() == 0 &&
-        idle > e.shrink_idle_fraction *
-                   static_cast<double>(ec_cluster_.machine_count())) {
-      if (ec_cluster_.remove_machine()) {
-        ++scale_downs_;
-        belief_.set_ec_machines(ec_cluster_.machine_count());
-        log_.info(sim_.now(), "elastic EC: scaling down to ",
-                  ec_cluster_.machine_count());
-      }
-    }
-  }
+  for (std::size_t i = 0; i < sites_.size(); ++i) scale_site(i);
   ensure_elastic_check();
 }
 
+void CloudBurstController::scale_site(std::size_t index) {
+  const ElasticEcConfig& e = config_.elastic_ec;
+  Site& site = *sites_[index];
+  compute::Cluster& cluster = site.cluster;
+
+  const std::size_t provisioned = cluster.machine_count() + site.pending_boots;
+  // Believed wait of a newly arriving EC job behind the current queue.
+  const double wait_seconds =
+      cluster.queued_standard_seconds() /
+      (static_cast<double>(std::max<std::size_t>(provisioned, 1)) *
+       config_.ec_sites[index].speed);
+
+  if (wait_seconds > e.grow_wait_threshold_seconds &&
+      provisioned < e.max_machines) {
+    ++site.pending_boots;
+    ++scale_ups_;
+    log_.info(sim_.now(), "elastic EC: scaling ", cluster.name(), " up to ",
+              provisioned + 1);
+    const std::uint64_t boot_id = next_boot_id_++;
+    boot_events_[boot_id] = PendingBoot{
+        index,
+        sim_.schedule_in(e.boot_delay, [this, boot_id] { on_boot_done(boot_id); })};
+  } else if (provisioned > e.min_machines && site.pending_boots == 0) {
+    const auto idle =
+        static_cast<double>(cluster.machine_count() - cluster.running_tasks());
+    if (cluster.queued_tasks() == 0 &&
+        idle > e.shrink_idle_fraction *
+                   static_cast<double>(cluster.machine_count())) {
+      if (cluster.remove_machine()) {
+        ++scale_downs_;
+        belief_.set_ec_machines(index, cluster.machine_count());
+        log_.info(sim_.now(), "elastic EC: scaling ", cluster.name(),
+                  " down to ", cluster.machine_count());
+      }
+    }
+  }
+}
+
 void CloudBurstController::on_boot_done(std::uint64_t boot_id) {
-  boot_events_.erase(boot_id);
-  --pending_boots_;
-  ec_cluster_.add_machine();
-  belief_.set_ec_machines(ec_cluster_.machine_count());
+  const auto it = boot_events_.find(boot_id);
+  assert(it != boot_events_.end());
+  const std::size_t index = it->second.site;
+  boot_events_.erase(it);
+  Site& site = *sites_[index];
+  --site.pending_boots;
+  site.cluster.add_machine();
+  belief_.set_ec_machines(index, site.cluster.machine_count());
 }
 
 // ---- §IV.D rescheduling strategies (paper future work, behind a flag) --
@@ -743,32 +900,34 @@ void CloudBurstController::maybe_pull_back() {
   // An internal machine is idle with nothing waiting: reclaim the earliest
   // still-queued upload whose believed external completion is further away
   // than an internal re-execution.
-  const auto tags = upload_queues_.queued_tags();
-  for (const std::uint64_t seq : tags) {
-    Job& job = job_at(seq);
-    const double reexec_seconds =
-        job.estimated_service_seconds /
-        (static_cast<double>(config_.topology.ic_machines) *
-         config_.topology.ic_speed);
-    const double remaining_ec =
-        belief_.ec_round_trip_no_load(job.doc, sim_.now());
-    if (remaining_ec <= reexec_seconds) continue;
-    if (!upload_queues_.try_cancel(seq)) continue;
+  for (std::size_t i = 0; i < sites_.size(); ++i) {
+    TransferQueueSet& uploads = sites_[i]->upload_queues;
+    for (const std::uint64_t seq : uploads.queued_tags()) {
+      Job& job = job_at(seq);
+      const double reexec_seconds =
+          job.estimated_service_seconds /
+          (static_cast<double>(config_.topology.ic_machines) *
+           config_.topology.ic_speed);
+      const double remaining_ec =
+          belief_.ec_round_trip_no_load(job.doc, sim_.now(), i);
+      if (remaining_ec <= reexec_seconds) continue;
+      if (!uploads.try_cancel(seq)) continue;
 
-    belief_.retract_ec(seq, job.doc.input_bytes());
-    belief_.commit_ic(seq, job.estimated_service_seconds);
-    job.placement = Placement::kInternal;
-    set_state(job, JobState::kIcWaiting);
-    ic_wait_.push_back(seq);
-    ++pull_backs_;
-    log_.info(sim_.now(), "pull-back of job ", seq, " to IC");
-    dispatch_ic();
-    return;
+      belief_.retract_ec(seq, job.doc.input_bytes(), i);
+      belief_.commit_ic(seq, job.estimated_service_seconds);
+      job.placement = Placement::kInternal;
+      set_state(job, JobState::kIcWaiting);
+      ic_wait_.push_back(seq);
+      ++pull_backs_;
+      log_.info(sim_.now(), "pull-back of job ", seq, " to IC");
+      dispatch_ic();
+      return;
+    }
   }
 }
 
 void CloudBurstController::maybe_push_out() {
-  // The upload pipe is idle while internal jobs wait: scan the IC wait
+  // An upload pipe is idle while internal jobs wait: scan the IC wait
   // queue from the tail for a job whose round trip fits the current slack.
   for (auto it = ic_wait_.rbegin(); it != ic_wait_.rend(); ++it) {
     const std::uint64_t seq = *it;
@@ -785,8 +944,9 @@ void CloudBurstController::maybe_push_out() {
     ic_wait_.erase(std::next(it).base());
     belief_.commit_ec(seq, job.doc, ec);
     job.placement = Placement::kExternal;
+    job.site = ec.site;
     set_state(job, JobState::kUploadQueued);
-    upload_queues_.enqueue(seq, job.doc.input_bytes(), 0);
+    enqueue_upload(job, 0);
     arm_burst_deadline(seq);
     ++push_outs_;
     log_.info(sim_.now(), "push-out of job ", seq, " to EC");

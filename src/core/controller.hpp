@@ -36,12 +36,54 @@ namespace cbs::core {
 ///                           { upload queue(s) → EC store → EC MapReduce →
 ///                             compress/merge → download queue } → results
 ///
-/// Every stage is asynchronous; the controller reacts to completion events.
-/// It owns the autonomic loop: QRSM observations after every job, EWMA
-/// bandwidth updates after every transfer, periodic 1 MB probes, and
-/// thread-count tuning.
+/// with one bracketed EC pipeline per configured external site. Every stage
+/// is asynchronous; the controller reacts to completion events. It owns the
+/// autonomic loop: QRSM observations after every job, EWMA bandwidth
+/// updates after every transfer, periodic 1 MB probes, and thread-count
+/// tuning. The scheduler decides whether a job bursts; the belief's
+/// SiteSelection decides where.
 class CloudBurstController {
  public:
+  /// One external site: the EC half of Fig. 5 with its own pipe, bandwidth
+  /// model, thread tuners, transfer queues, staging store and (when the
+  /// hazard predictor is on) per-VM hazard estimator. Sites are independent
+  /// substrates; ControllerConfig::ec_sites[i] configures site i.
+  struct Site {
+    Site(cbs::sim::Simulation& sim, const ControllerConfig& config,
+         std::size_t index, cbs::sim::RngStream rng);
+    /// Fork support: value-clones the whole substrate bound to `dst`. The
+    /// handler slots are copied so that re-registration can be checked
+    /// against them.
+    Site(cbs::sim::Simulation& dst, const Site& src);
+    Site(const Site&) = delete;
+    Site& operator=(const Site&) = delete;
+
+    /// Re-schedules this site's pending link, cluster and store events.
+    void rebuild_events(cbs::sim::SnapshotContext& ctx);
+
+    compute::Cluster cluster;
+    compute::MapReduceRuntime runtime;
+    net::Link uplink;
+    net::Link downlink;
+    compute::JobStore store;
+    net::BandwidthEstimator uplink_estimator;
+    net::BandwidthEstimator downlink_estimator;
+    net::ThreadTuner up_tuner;
+    net::ThreadTuner down_tuner;
+    TransferQueueSet upload_queues;
+    TransferQueueSet download_queue;
+    /// Per-VM hazard estimator; nullptr when the predictor is off. Pure
+    /// value state, so forks copy-construct it.
+    std::unique_ptr<models::VmHazardEstimator> hazard;
+    std::size_t bursts = 0;         ///< jobs placed on this site so far
+    std::size_t pending_boots = 0;  ///< elastic instances spinning up
+    int store_input_slot = -1;   ///< JobStore continuation: input staged
+    int store_output_slot = -1;  ///< JobStore continuation: output staged
+    int probe_up_slot = -1;      ///< uplink handler for probe transfers
+    int probe_down_slot = -1;    ///< downlink handler for probe transfers
+  };
+
+  /// Throws std::invalid_argument when `config.ec_sites` is empty.
   CloudBurstController(cbs::sim::Simulation& sim, ControllerConfig config,
                        cbs::workload::GroundTruthModel& truth,
                        cbs::sim::RngStream rng);
@@ -84,18 +126,29 @@ class CloudBurstController {
   }
   [[nodiscard]] std::size_t outstanding_jobs() const noexcept { return outstanding_; }
   [[nodiscard]] const compute::Cluster& ic_cluster() const noexcept { return ic_cluster_; }
-  [[nodiscard]] const compute::Cluster& ec_cluster() const noexcept { return ec_cluster_; }
-  [[nodiscard]] const net::Link& uplink() const noexcept { return uplink_; }
-  [[nodiscard]] const net::Link& downlink() const noexcept { return downlink_; }
-  [[nodiscard]] const compute::JobStore& store() const noexcept { return store_; }
+  [[nodiscard]] std::size_t site_count() const noexcept { return sites_.size(); }
+  [[nodiscard]] const Site& site(std::size_t index) const { return *sites_.at(index); }
+  // Site 0 — the paper's single EC.
+  [[nodiscard]] const compute::Cluster& ec_cluster() const noexcept {
+    return sites_.front()->cluster;
+  }
+  [[nodiscard]] const net::Link& uplink() const noexcept {
+    return sites_.front()->uplink;
+  }
+  [[nodiscard]] const net::Link& downlink() const noexcept {
+    return sites_.front()->downlink;
+  }
+  [[nodiscard]] const compute::JobStore& store() const noexcept {
+    return sites_.front()->store;
+  }
   [[nodiscard]] const net::BandwidthEstimator& uplink_estimator() const noexcept {
-    return uplink_estimator_;
+    return sites_.front()->uplink_estimator;
   }
   [[nodiscard]] const net::BandwidthEstimator& downlink_estimator() const noexcept {
-    return downlink_estimator_;
+    return sites_.front()->downlink_estimator;
   }
   [[nodiscard]] const net::ThreadTuner& upload_tuner() const noexcept {
-    return up_tuner_;
+    return sites_.front()->up_tuner;
   }
   [[nodiscard]] const models::ProcessingTimeEstimator& service_estimator() const {
     return *proc_estimator_;
@@ -116,16 +169,18 @@ class CloudBurstController {
   [[nodiscard]] std::size_t probe_blackout_skips() const noexcept {
     return probe_blackout_skips_;
   }
-  /// The per-VM hazard estimators, or nullptr when the predictor is off.
+  /// The per-VM hazard estimators (EC: site 0's), or nullptr when the
+  /// predictor is off.
   [[nodiscard]] const models::VmHazardEstimator* ic_hazard() const noexcept {
     return ic_hazard_.get();
   }
   [[nodiscard]] const models::VmHazardEstimator* ec_hazard() const noexcept {
-    return ec_hazard_.get();
+    return sites_.front()->hazard.get();
   }
   /// Mean predicted probability that a usable (non-drained) EC machine
-  /// fails within the drain window; 0 when the predictor is off. This is
-  /// the risk signal the burst pricing and the lookahead scoring consume.
+  /// fails within the drain window, averaged over the sites; 0 when the
+  /// predictor is off. The lookahead scoring consumes it; burst pricing
+  /// reads each site's own risk.
   [[nodiscard]] double ec_failure_risk() const;
   /// Outstanding jobs the belief currently places on the EC.
   [[nodiscard]] std::size_t outstanding_ec_jobs() const noexcept {
@@ -137,7 +192,8 @@ class CloudBurstController {
     return fault_plan_.get();
   }
   /// Billing inputs accumulated so far (provisioned EC machine-seconds,
-  /// bytes moved each way, staging byte-seconds, IC machine-seconds).
+  /// bytes moved each way, staging byte-seconds — summed over the sites —
+  /// and IC machine-seconds).
   [[nodiscard]] sla::CostInputs cost_inputs() const;
 
   /// One pipeline-stage transition of one job (recorded when
@@ -152,15 +208,24 @@ class CloudBurstController {
   }
 
  private:
-  void wire_hooks();
+  /// An elastic instance booting on `site`, and its pending boot event.
+  struct PendingBoot {
+    std::size_t site = 0;
+    cbs::sim::EventId event{};
+  };
+
+  void wire_ic();
+  void wire_site(std::size_t index);
   void dispatch_ic();
   void run_on_ic(std::uint64_t seq);
   void on_ic_done(std::uint64_t seq);
-  void on_upload_done(std::uint64_t seq, const net::TransferRecord& rec);
+  void enqueue_upload(Job& job, int upload_class);
+  void on_upload_done(std::size_t site, std::uint64_t seq,
+                      const net::TransferRecord& rec);
   void on_input_staged(std::uint64_t seq, bool ok);
-  void on_output_staged(std::uint64_t seq, bool ok);
+  void on_output_staged(std::size_t site, std::uint64_t seq, bool ok);
   void start_ec_processing(std::uint64_t seq);
-  void on_ec_proc_done(std::uint64_t seq);
+  void on_ec_proc_done(std::size_t site, std::uint64_t seq);
   void on_boot_done(std::uint64_t boot_id);
   void arm_burst_deadline(std::uint64_t seq);
   void disarm_burst_deadline(std::uint64_t seq);
@@ -170,27 +235,31 @@ class CloudBurstController {
   void admit_ic_in_order(std::uint64_t seq);
   void on_outage_begin();
   void on_outage_end();
-  void on_download_done(std::uint64_t seq, const net::TransferRecord& rec);
+  void on_download_done(std::size_t site, std::uint64_t seq,
+                        const net::TransferRecord& rec);
   void finish_job(Job& job);
   void set_state(Job& job, JobState state);
   void ensure_probing();
   void probe();
   void ensure_elastic_check();
   void elastic_check();
+  void scale_site(std::size_t index);
+  [[nodiscard]] bool any_upload_idle() const;
   void maybe_pull_back();
   void maybe_push_out();
   // ---- proactive resilience (hazard prediction + drains) ----
   void on_ic_crash(std::size_t machine);
   void on_ic_recover(std::size_t machine);
-  void on_ec_crash(std::size_t machine);
-  void on_ec_recover(std::size_t machine);
-  /// Re-evaluates drains and the believed EC risk factor; no-op when the
-  /// predictor is off. Runs at every crash, recovery and batch arrival —
-  /// existing deterministic event points, so no new events are created and
-  /// nothing extra crosses a fork.
+  void on_ec_crash(std::size_t site, std::size_t machine);
+  void on_ec_recover(std::size_t site, std::size_t machine);
+  /// Re-evaluates drains and each site's believed risk factor; no-op when
+  /// the predictor is off. Runs at every crash, recovery and batch arrival
+  /// — existing deterministic event points, so no new events are created
+  /// and nothing extra crosses a fork.
   void update_resilience();
   void update_cluster_drains(compute::Cluster& cluster,
                              models::VmHazardEstimator& hazard);
+  [[nodiscard]] double site_failure_risk(std::size_t site) const;
   [[nodiscard]] compute::MapReduceSpec spec_for(const Job& job,
                                                 double merge_per_mb) const;
   [[nodiscard]] Job& job_at(std::uint64_t seq);
@@ -201,21 +270,13 @@ class CloudBurstController {
   sim::Logger log_;
 
   compute::Cluster ic_cluster_;
-  compute::Cluster ec_cluster_;
   compute::MapReduceRuntime ic_runtime_;
-  compute::MapReduceRuntime ec_runtime_;
-  net::Link uplink_;
-  net::Link downlink_;
-  compute::JobStore store_;
-  net::BandwidthEstimator uplink_estimator_;
-  net::BandwidthEstimator downlink_estimator_;
-  net::ThreadTuner up_tuner_;
-  net::ThreadTuner down_tuner_;
   std::unique_ptr<models::ProcessingTimeEstimator> proc_estimator_;
   BeliefState belief_;
   std::unique_ptr<Scheduler> scheduler_;
-  TransferQueueSet upload_queues_;
-  TransferQueueSet download_queue_;
+  /// One per ControllerConfig::ec_sites entry; heap-held so the references
+  /// between a site's members stay valid.
+  std::vector<std::unique_ptr<Site>> sites_;
 
   cbs::util::FlatMap<std::uint64_t, Job> jobs_;
   std::deque<std::uint64_t> ic_wait_;  ///< IC feed queue (enables rescheduling)
@@ -228,19 +289,13 @@ class CloudBurstController {
   std::size_t push_outs_ = 0;
   std::vector<StageEvent> stage_log_;
   bool elastic_check_scheduled_ = false;
-  std::size_t pending_boots_ = 0;  ///< instances spinning up
   std::size_t scale_ups_ = 0;
   std::size_t scale_downs_ = 0;
 
-  // ---- registered dispatch slots (the forkable event paths) ----
-  int store_input_slot_ = -1;   ///< JobStore continuation: input staged
-  int store_output_slot_ = -1;  ///< JobStore continuation: output staged
-  int probe_up_slot_ = -1;      ///< uplink handler for probe transfers
-  int probe_down_slot_ = -1;    ///< downlink handler for probe transfers
   // ---- controller-owned pending events (restored across forks) ----
   cbs::sim::EventId probe_event_{};
   cbs::sim::EventId elastic_event_{};
-  cbs::util::FlatMap<std::uint64_t, cbs::sim::EventId> boot_events_;
+  cbs::util::FlatMap<std::uint64_t, PendingBoot> boot_events_;
   std::uint64_t next_boot_id_ = 1;
   /// Lazily created schedulers for on_batch_as(); cloned across forks.
   std::vector<std::pair<SchedulerKind, std::unique_ptr<Scheduler>>>
@@ -254,9 +309,9 @@ class CloudBurstController {
   std::size_t probe_blackout_skips_ = 0;
 
   // ---- proactive resilience (absent and cost-free unless configured) ----
-  // Pure value state (no events, no hooks), so forks copy-construct them.
+  // Pure value state (no events, no hooks), so forks copy-construct it; the
+  // EC estimators live in the sites.
   std::unique_ptr<models::VmHazardEstimator> ic_hazard_;
-  std::unique_ptr<models::VmHazardEstimator> ec_hazard_;
 };
 
 }  // namespace cbs::core

@@ -14,9 +14,8 @@ std::vector<ScheduleDecision> GreedyScheduler::schedule_batch(
     // contention its bursts create beyond what is queued right now — the
     // §IV.D fragility.
     const cbs::sim::SimTime t_ic = ctx.belief.ft_ic(doc, ctx.now);
-    const EcEstimate ec = ctx.belief.ft_ec_job_level(
-        doc, ctx.now, ctx.belief.upload_backlog_bytes(),
-        ctx.download_backlog_bytes);
+    const EcEstimate ec =
+        ctx.belief.ft_ec_job_level(doc, ctx.now, ctx.download_backlog_bytes);
     if (t_ic <= ec.finish) {
       out.push_back(decide_ic(doc, ctx));
     } else {

@@ -36,6 +36,7 @@ struct Job {
   cbs::sim::SimTime completed_time = 0.0;
   JobState state = JobState::kArrived;
   cbs::sla::Placement placement = cbs::sla::Placement::kInternal;
+  std::size_t site = 0;  ///< EC site of an external placement
   /// Realized standard-machine service seconds (ground-truth draw, fixed at
   /// scheduling time so IC and EC would execute identical work).
   double true_service_seconds = 0.0;

@@ -46,11 +46,12 @@ class Scheduler {
     std::uint64_t* next_seq;     ///< global FCFS position counter
     std::uint64_t* next_doc_id;  ///< id source for chunk documents
     std::size_t ic_machines = 1; ///< |IC| (Algorithm 3's n)
-    /// Believed upload backlog per size-interval class (Algorithm 3's
-    /// s_up/m_up/l_up); single-queue schedulers see one entry.
+    /// Upload backlog per size-interval class (Algorithm 3's
+    /// s_up/m_up/l_up), summed over the EC sites; single-queue schedulers
+    /// see one entry.
     std::vector<double> upload_class_backlog_bytes;
-    /// Bytes waiting/in flight on the downlink at batch arrival.
-    double download_backlog_bytes = 0.0;
+    /// Bytes waiting/in flight on each EC site's downlink at batch arrival.
+    std::vector<double> download_backlog_bytes;
   };
 
   virtual ~Scheduler() = default;

@@ -15,7 +15,6 @@ TransferQueueSet::TransferQueueSet(cbs::sim::Simulation& sim,
   queues_.resize(static_cast<std::size_t>(num_classes));
   slots_.assign(static_cast<std::size_t>(num_classes),
                 std::vector<Slot>(static_cast<std::size_t>(slots_per_class)));
-  active_bytes_per_class_.assign(static_cast<std::size_t>(num_classes), 0.0);
   link_slot_ = link_.register_handler(
       [this](std::uint64_t tag, const cbs::net::TransferRecord& rec) {
         on_link_complete(tag, rec);
@@ -37,8 +36,7 @@ TransferQueueSet::TransferQueueSet(cbs::sim::Simulation& dst,
       queues_(src.queues_),
       slots_(src.slots_),
       active_(src.active_),
-      active_count_(src.active_count_),
-      active_bytes_per_class_(src.active_bytes_per_class_) {
+      active_count_(src.active_count_) {
   link_slot_ = link_.register_handler(
       [this](std::uint64_t tag, const cbs::net::TransferRecord& rec) {
         on_link_complete(tag, rec);
@@ -69,8 +67,6 @@ bool TransferQueueSet::try_cancel(std::uint64_t tag) {
 void TransferQueueSet::release_slot(const ActiveItem& active) {
   slots_[static_cast<std::size_t>(active.slot_klass)][active.slot].busy = false;
   --active_count_;
-  active_bytes_per_class_[static_cast<std::size_t>(active.item.klass)] -=
-      active.item.bytes;
 }
 
 bool TransferQueueSet::try_cancel_active(std::uint64_t tag) {
@@ -106,7 +102,6 @@ void TransferQueueSet::pump() {
       queues_[static_cast<std::size_t>(source)].pop_front();
       class_slots[s].busy = true;
       ++active_count_;
-      active_bytes_per_class_[static_cast<std::size_t>(item.klass)] += item.bytes;
 
       const int threads = tuner_.suggest(sim_.now());
       const std::uint64_t tag = item.tag;
@@ -133,8 +128,16 @@ void TransferQueueSet::on_link_complete(std::uint64_t tag,
 std::vector<double> TransferQueueSet::backlog_bytes_per_class() const {
   std::vector<double> backlog(queues_.size(), 0.0);
   for (std::size_t q = 0; q < queues_.size(); ++q) {
-    for (const Item& item : queues_[q]) backlog[q] += item.bytes;
-    backlog[q] += active_bytes_per_class_[q];
+    double queued = 0.0;
+    for (const Item& item : queues_[q]) queued += item.bytes;
+    backlog[q] = queued;
+  }
+  // Summed from the live transfers, never kept as a running total: adding
+  // and subtracting different sizes leaves a rounding residue that can go
+  // negative once a class empties, and Algorithm 3's left-over shares then
+  // leave [0, 1].
+  for (const auto& [tag, active] : active_) {
+    backlog[static_cast<std::size_t>(active.item.klass)] += active.item.bytes;
   }
   return backlog;
 }

@@ -113,7 +113,6 @@ class TransferQueueSet {
   // lookup; tags are monotonic so inserts are O(1) amortized appends.
   cbs::util::FlatMap<std::uint64_t, ActiveItem> active_;
   std::size_t active_count_ = 0;
-  std::vector<double> active_bytes_per_class_;
   // cbs-lint: snapshot-complete-ok(owner re-wires set_on_complete post-fork)
   CompletionHandler on_complete_;
   int link_slot_ = -1;  ///< registered handler slot on link_

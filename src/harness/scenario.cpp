@@ -9,14 +9,16 @@ cbs::core::ControllerConfig Scenario::controller_config() const {
       config_override.value_or(
           cbs::core::default_controller_config(high_network_variation));
   if (config_override && high_network_variation) {
-    cfg.uplink.noise_rho = 0.95;
-    cfg.uplink.noise_sigma = 0.25;
-    cfg.uplink.noise_step = 120.0;
-    cfg.downlink.noise_rho = 0.95;
-    cfg.downlink.noise_sigma = 0.25;
-    cfg.downlink.noise_step = 120.0;
+    for (cbs::core::EcSiteConfig& site : cfg.ec_sites) {
+      for (cbs::net::LinkConfig* link : {&site.uplink, &site.downlink}) {
+        link->noise_rho = 0.95;
+        link->noise_sigma = 0.25;
+        link->noise_step = 120.0;
+      }
+    }
   }
   cfg.scheduler = scheduler;
+  cfg.ticket_policy = ticket_policy;
   cfg.estimator = estimator;
   cfg.enable_rescheduler = enable_rescheduler;
   if (faults.enabled()) cfg.faults = faults;

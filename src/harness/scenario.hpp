@@ -61,7 +61,8 @@ struct Scenario {
   double oo_sampling_interval = 120.0;
   std::uint64_t oo_tolerance = 4;
 
-  // Ticket SLA (§I) and pay-as-you-go billing evaluated on every run.
+  // Ticket SLA (§I) and pay-as-you-go billing evaluated on every run; the
+  // ticket is also what SiteSelection::kCheapestFeasible must meet.
   cbs::sla::TicketPolicy ticket_policy{};
   cbs::sla::CostRates cost_rates{};
 
@@ -72,8 +73,9 @@ struct Scenario {
   cbs::sim::LogLevel log_threshold = cbs::sim::LogLevel::kWarn;
   cbs::sim::Logger::Sink log_sink{};
 
-  /// Full controller override; when set, scheduler/estimator/rescheduler
-  /// and network fields above are still applied on top of it.
+  /// Full controller override (e.g. a list of EC sites); when set, the
+  /// scheduler/estimator/rescheduler, network-variation and ticket fields
+  /// above are still applied on top of it.
   std::optional<cbs::core::ControllerConfig> config_override;
 
   /// Resolves the effective controller configuration.

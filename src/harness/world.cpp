@@ -180,42 +180,54 @@ RunResult ScenarioWorld::result() const {
   result.events_processed = static_cast<std::size_t>(sim_.events_processed());
   result.pull_backs = controller.pull_backs();
   result.push_outs = controller.push_outs();
-  result.peak_store_bytes = controller.store().peak_occupancy_bytes();
 
-  result.faults.ic_crashes = controller.ic_cluster().crashes();
-  result.faults.ec_crashes = controller.ec_cluster().crashes();
-  result.faults.reexecutions = controller.ic_cluster().reexecutions() +
-                               controller.ec_cluster().reexecutions();
-  result.faults.wasted_compute_seconds =
-      controller.ic_cluster().wasted_standard_seconds() +
-      controller.ec_cluster().wasted_standard_seconds();
-  result.faults.link_outage_aborts =
-      controller.uplink().outage_aborts() + controller.downlink().outage_aborts();
-  result.faults.link_drops = controller.uplink().injected_failures() +
-                             controller.downlink().injected_failures();
-  result.faults.wasted_transfer_bytes =
-      controller.uplink().wasted_bytes() + controller.downlink().wasted_bytes();
+  // IC first, then the EC sites in order, so a one-site run adds the same
+  // terms in the same order as IC + EC and its doubles stay bit-identical.
+  const cbs::compute::Cluster& ic = controller.ic_cluster();
+  result.faults.ic_crashes = ic.crashes();
+  result.faults.reexecutions = ic.reexecutions();
+  result.faults.wasted_compute_seconds = ic.wasted_standard_seconds();
+  result.faults.drains = ic.drains();
+  result.faults.undrains = ic.undrains();
+  result.faults.drain_preemptions = ic.drain_preemptions();
+  result.faults.idle_crashes_absorbed = ic.idle_crashes_absorbed();
+  result.faults.checkpointed_compute_seconds = ic.checkpointed_standard_seconds();
+  std::vector<const cbs::models::VmHazardEstimator*> hazards = {
+      controller.ic_hazard()};
+  double ec_busy = 0.0;
+  std::size_t ec_machines = 0;
+  for (std::size_t i = 0; i < controller.site_count(); ++i) {
+    const auto& site = controller.site(i);
+    const cbs::compute::Cluster& ec = site.cluster;
+    result.peak_store_bytes += site.store.peak_occupancy_bytes();
+    result.faults.ec_crashes += ec.crashes();
+    result.faults.reexecutions += ec.reexecutions();
+    result.faults.wasted_compute_seconds += ec.wasted_standard_seconds();
+    result.faults.link_outage_aborts +=
+        site.uplink.outage_aborts() + site.downlink.outage_aborts();
+    result.faults.link_drops +=
+        site.uplink.injected_failures() + site.downlink.injected_failures();
+    result.faults.wasted_transfer_bytes +=
+        site.uplink.wasted_bytes() + site.downlink.wasted_bytes();
+    result.faults.store_retries += site.store.failed_attempts();
+    result.faults.store_abandoned += site.store.abandoned_ops();
+    result.faults.drains += ec.drains();
+    result.faults.undrains += ec.undrains();
+    result.faults.drain_preemptions += ec.drain_preemptions();
+    result.faults.idle_crashes_absorbed += ec.idle_crashes_absorbed();
+    result.faults.checkpointed_compute_seconds +=
+        ec.checkpointed_standard_seconds();
+    hazards.push_back(site.hazard.get());
+    ec_busy += ec.total_busy_time();
+    ec_machines += ec.machine_count();
+  }
   result.faults.retractions = controller.retractions();
-  result.faults.store_retries = controller.store().failed_attempts();
-  result.faults.store_abandoned = controller.store().abandoned_ops();
   result.faults.probe_blackout_skips = controller.probe_blackout_skips();
   if (const auto* plan = controller.fault_plan()) {
     result.faults.crashes_injected = plan->crashes_injected();
     result.faults.outages = plan->outages_started();
   }
-  result.faults.drains =
-      controller.ic_cluster().drains() + controller.ec_cluster().drains();
-  result.faults.undrains =
-      controller.ic_cluster().undrains() + controller.ec_cluster().undrains();
-  result.faults.drain_preemptions = controller.ic_cluster().drain_preemptions() +
-                                    controller.ec_cluster().drain_preemptions();
-  result.faults.idle_crashes_absorbed =
-      controller.ic_cluster().idle_crashes_absorbed() +
-      controller.ec_cluster().idle_crashes_absorbed();
-  result.faults.checkpointed_compute_seconds =
-      controller.ic_cluster().checkpointed_standard_seconds() +
-      controller.ec_cluster().checkpointed_standard_seconds();
-  for (const auto* hazard : {controller.ic_hazard(), controller.ec_hazard()}) {
+  for (const auto* hazard : hazards) {
     if (hazard == nullptr) continue;
     const cbs::models::HazardPredictionStats& hs = hazard->stats();
     result.faults.hazard_predictions += hs.predictions;
@@ -227,11 +239,8 @@ RunResult ScenarioWorld::result() const {
   result.report = cbs::sla::build_report(
       std::string(cbs::core::to_string(scenario_.scheduler)),
       std::string(cbs::workload::to_string(scenario_.bucket)), result.outcomes,
-      controller.ic_cluster().total_busy_time(),
-      controller.ic_cluster().machine_count(),
-      controller.ec_cluster().total_busy_time(),
-      controller.ec_cluster().machine_count(), scenario_.oo_sampling_interval,
-      scenario_.oo_tolerance);
+      ic.total_busy_time(), ic.machine_count(), ec_busy, ec_machines,
+      scenario_.oo_sampling_interval, scenario_.oo_tolerance);
 
   cbs::sla::OoMetricCalculator oo(result.outcomes);
   result.oo_series =

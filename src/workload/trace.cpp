@@ -1,6 +1,7 @@
 #include "workload/trace.hpp"
 
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -46,6 +47,10 @@ int to_int(const std::string& s) {
 }  // namespace
 
 std::size_t write(std::ostream& out, const std::vector<Batch>& batches) {
+  // Enough digits that every double reads back bit-identical, so a saved
+  // trace replays the run that produced it.
+  const std::streamsize saved_precision =
+      out.precision(std::numeric_limits<double>::max_digits10);
   out << kHeader << "\n";
   std::size_t rows = 0;
   for (const Batch& b : batches) {
@@ -59,6 +64,7 @@ std::size_t write(std::ostream& out, const std::vector<Batch>& batches) {
       ++rows;
     }
   }
+  out.precision(saved_precision);
   return rows;
 }
 
@@ -121,7 +127,6 @@ std::vector<Batch> read_file(const std::string& path) {
 
 std::vector<Batch> round_trip(const std::vector<Batch>& batches) {
   std::stringstream ss;
-  ss.precision(17);
   write(ss, batches);
   return read(ss);
 }

@@ -17,7 +17,9 @@ namespace cbs::workload {
 ///   resolution_dpi,color_fraction,text_ratio,coverage,output_size_mb
 namespace trace {
 
-/// Writes batches to a stream. Returns the number of document rows written.
+/// Writes batches to a stream with max_digits10 precision (restored after),
+/// so reading the rows back yields bit-identical doubles. Returns the
+/// number of document rows written.
 std::size_t write(std::ostream& out, const std::vector<Batch>& batches);
 
 /// Writes batches to a file. Throws std::runtime_error on I/O failure.

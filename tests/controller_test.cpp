@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "core/controller.hpp"
@@ -8,6 +10,7 @@
 #include "sla/metrics.hpp"
 #include "workload/arrival.hpp"
 #include "workload/generator.hpp"
+#include "workload/trace.hpp"
 
 namespace {
 
@@ -27,15 +30,16 @@ struct Rig {
     cfg.scheduler = kind;
     cfg.estimator = EstimatorKind::kOracle;
     cfg.probe_interval = 0.0;  // no probes: event counts stay minimal
-    cfg.uplink.base_rate = 1.0e6;
-    cfg.uplink.per_connection_cap = 1.0e6;
-    cfg.uplink.noise_sigma = 0.0;
-    cfg.uplink.setup_latency = 0.0;
-    cfg.downlink = cfg.uplink;
+    EcSiteConfig& ec = cfg.ec_sites[0];
+    ec.uplink.base_rate = 1.0e6;
+    ec.uplink.per_connection_cap = 1.0e6;
+    ec.uplink.noise_sigma = 0.0;
+    ec.uplink.setup_latency = 0.0;
+    ec.downlink = ec.uplink;
     cfg.bandwidth_estimator.prior_rate = 1.0e6;
     cfg.topology.ic_machines = 2;
-    cfg.topology.ec_machines = 1;
-    cfg.topology.ec_job_overhead_seconds = 0.0;
+    ec.machines = 1;
+    ec.job_overhead_seconds = 0.0;
     cfg.params.variability_threshold_mb = 1e9;  // no chunking unless asked
     cfg.params.slack_safety_margin = 0.0;
     return cfg;
@@ -195,11 +199,12 @@ TEST(ControllerTest, ReschedulerPushesOutWhenUploadIdles) {
   // little at batch time, then learns the real rate from its first uploads
   // — at which point idle-pipe push-outs become attractive (the adaptive
   // behaviour §IV.D describes).
-  cfg.uplink.base_rate = 5.0e6;
-  cfg.uplink.per_connection_cap = 5.0e6;
-  cfg.downlink = cfg.uplink;
+  EcSiteConfig& ec = cfg.ec_sites[0];
+  ec.uplink.base_rate = 5.0e6;
+  ec.uplink.per_connection_cap = 5.0e6;
+  ec.downlink = ec.uplink;
   cfg.bandwidth_estimator.prior_rate = 0.4e6;
-  cfg.topology.ec_machines = 2;
+  ec.machines = 2;
   CloudBurstController ctl(rig.sim, cfg, rig.truth, RngStream(11));
   // One huge backlog: Op bursts some; when uploads drain and IC still has
   // waiting jobs, push-outs should fire.
@@ -289,6 +294,48 @@ TEST(ControllerTest, UtilizationNeverExceedsOne) {
   EXPECT_LE(ic_util, 1.0 + 1e-9);
   EXPECT_GE(ec_util, 0.0);
   EXPECT_LE(ec_util, 1.0 + 1e-9);
+}
+
+/// Drives a default controller over `batches`, one arrival event each.
+std::vector<cbs::sla::JobOutcome> run_batches(
+    const std::vector<cbs::workload::Batch>& batches) {
+  Simulation sim;
+  cbs::workload::GroundTruthModel truth({}, RngStream(5));
+  ControllerConfig cfg = default_controller_config(false);
+  cfg.estimator = EstimatorKind::kOracle;
+  CloudBurstController ctl(sim, cfg, truth, RngStream(6));
+  for (const auto& batch : batches) {
+    sim.schedule_at(batch.arrival_time, [&ctl, &batch] { ctl.on_batch(batch); });
+  }
+  sim.run();
+  return ctl.outcomes();
+}
+
+TEST(TraceReplayTest, SavedTraceReplaysTheRunThatProducedIt) {
+  // generate -> write_file -> read_file -> run must equal generate -> run:
+  // the trace carries every double bit-exactly.
+  cbs::workload::GroundTruthModel truth({}, RngStream(1));
+  cbs::workload::WorkloadGenerator gen({}, truth, RngStream(2));
+  cbs::workload::BatchArrivalProcess arrivals({.num_batches = 4}, gen,
+                                              RngStream(3));
+  const auto batches = arrivals.generate_all();
+  const std::string path = ::testing::TempDir() + "cbs_trace_replay.csv";
+  cbs::workload::trace::write_file(path, batches);
+  const auto reloaded = cbs::workload::trace::read_file(path);
+  std::remove(path.c_str());
+
+  const auto direct = run_batches(batches);
+  const auto replayed = run_batches(reloaded);
+  ASSERT_FALSE(direct.empty());
+  ASSERT_EQ(direct.size(), replayed.size());
+  for (std::size_t i = 0; i < direct.size(); ++i) {
+    EXPECT_EQ(direct[i].seq_id, replayed[i].seq_id) << "outcome " << i;
+    EXPECT_EQ(direct[i].input_mb, replayed[i].input_mb) << "outcome " << i;
+    EXPECT_EQ(direct[i].true_service_seconds, replayed[i].true_service_seconds)
+        << "outcome " << i;
+    EXPECT_EQ(direct[i].placement, replayed[i].placement) << "outcome " << i;
+    EXPECT_EQ(direct[i].completed, replayed[i].completed) << "outcome " << i;
+  }
 }
 
 }  // namespace

@@ -148,19 +148,62 @@ TEST(BeliefStateTest, TransientViewUsesLastObservation) {
   fx.uplink.observe(0.0, 2.0e6);  // EWMA != last after a second sample
   fx.uplink.observe(1.0, 0.5e6);
   fx.belief.set_bandwidth_view(BandwidthView::kTransient);
-  const EcEstimate e = fx.belief.ft_ec_job_level(make_doc(1, 100.0), 0.0, 0.0, 0.0);
+  const EcEstimate e = fx.belief.ft_ec_job_level(make_doc(1, 100.0), 0.0, {0.0});
   EXPECT_DOUBLE_EQ(e.upload_seconds, 100.0e6 / 0.5e6);
 }
 
-TEST(BeliefStateTest, JobLevelIgnoresCommittedUploadBacklog) {
+TEST(BeliefStateTest, JobLevelWaitsBehindObservedDownloads) {
   BeliefFixture fx;
-  const Document queued = make_doc(10, 200.0);
-  fx.belief.commit_ec(10, queued, fx.belief.ft_ec(queued, 0.0));
+  // 100 MB of output already on the downlink: the job-level view queues
+  // behind it; ft_ec prices only the job's own output.
   const EcEstimate e =
-      fx.belief.ft_ec_job_level(make_doc(1, 100.0), 0.0, 0.0, 0.0);
-  EXPECT_DOUBLE_EQ(e.upload_seconds, 100.0);  // blind to the 200 MB ahead
+      fx.belief.ft_ec_job_level(make_doc(1, 100.0), 0.0, {100.0e6});
+  EXPECT_DOUBLE_EQ(e.download_seconds, 200.0);
   const EcEstimate full = fx.belief.ft_ec(make_doc(1, 100.0), 0.0);
-  EXPECT_DOUBLE_EQ(full.upload_seconds, 300.0);
+  EXPECT_DOUBLE_EQ(full.download_seconds, 100.0);
+}
+
+/// The fixture plus a second EC site with a 4x faster pipe (site 1).
+struct TwoSiteFixture : BeliefFixture {
+  cbs::net::BandwidthEstimator fast_up{
+      {.slots_per_day = 1, .alpha = 0.3, .prior_rate = 4.0e6}};
+  cbs::net::BandwidthEstimator fast_down = fast_up;
+  TwoSiteFixture() {
+    EcSiteConfig fast;
+    fast.job_overhead_seconds = 0.0;
+    fast.price_per_machine_hour = 0.20;  // pricier than site 0's 0.10
+    belief.add_ec_site(fast_up, fast_down, fast);
+  }
+};
+
+TEST(BeliefStateTest, FtEcPicksTheFastestSite) {
+  TwoSiteFixture fx;
+  ASSERT_EQ(fx.belief.site_count(), 2u);
+  const Document d = make_doc(1, 100.0);
+  const EcEstimate e = fx.belief.ft_ec(d, 0.0);
+  EXPECT_EQ(e.site, 1u);
+  EXPECT_DOUBLE_EQ(e.finish, 25.0 + 100.0 + 25.0);
+  // The commitment loads site 1 only: site 0's no-load round trip is
+  // unchanged, site 1's upload now queues behind 100 MB.
+  fx.belief.commit_ec(1, d, e);
+  EXPECT_DOUBLE_EQ(fx.belief.ec_round_trip_no_load(d, 0.0, 0), 300.0);
+  EXPECT_DOUBLE_EQ(fx.belief.ft_ec(d, 0.0).upload_seconds, 50.0);
+  fx.belief.retract_ec(1, d.input_bytes(), e.site);
+  EXPECT_DOUBLE_EQ(fx.belief.upload_backlog_bytes(), 0.0);
+}
+
+TEST(BeliefStateTest, CheapestFeasibleSiteMeetsTheTicket) {
+  TwoSiteFixture fx;
+  const Document d = make_doc(1, 100.0);  // finishes at 300 s / 150 s
+  fx.belief.set_site_selection(SiteSelection::kCheapestFeasible,
+                               {.base_seconds = 1000.0, .seconds_per_mb = 0.0});
+  EXPECT_EQ(fx.belief.ft_ec(d, 0.0).site, 0u);  // both meet it: cheaper wins
+  fx.belief.set_site_selection(SiteSelection::kCheapestFeasible,
+                               {.base_seconds = 200.0, .seconds_per_mb = 0.0});
+  EXPECT_EQ(fx.belief.ft_ec(d, 0.0).site, 1u);  // only the fast site meets it
+  fx.belief.set_site_selection(SiteSelection::kCheapestFeasible,
+                               {.base_seconds = 1.0, .seconds_per_mb = 0.0});
+  EXPECT_EQ(fx.belief.ft_ec(d, 0.0).site, 1u);  // none does: the fastest
 }
 
 TEST(BeliefStateTest, EcOverheadEntersProcessing) {
@@ -191,7 +234,7 @@ struct SchedulerFixture {
         .next_doc_id = &next_doc_id,
         .ic_machines = 4,
         .upload_class_backlog_bytes = {0.0, 0.0, 0.0},
-        .download_backlog_bytes = 0.0,
+        .download_backlog_bytes = {0.0},
     };
   }
 };
@@ -357,6 +400,24 @@ TEST(BandwidthSplitTest, BackloggedQueueGetsFewerJobs) {
   ASSERT_TRUE(balanced.has_value());
   ASSERT_TRUE(skewed.has_value());
   EXPECT_LT(skewed->small_upper_mb, balanced->small_upper_mb);
+}
+
+TEST(BandwidthSplitTest, RoundingResidueBacklogKeepsBoundsInRange) {
+  // The per-class backlog that aborted op-bandwidth-split on the uniform
+  // bucket (seed 1, 100 batches): rounding residue, one class below zero.
+  SchedulerFixture f;
+  f.fx.belief.commit_ic(999, 1.0e9);  // everything is burst-eligible
+  std::vector<Document> batch;
+  for (int i = 1; i <= 24; ++i) {
+    batch.push_back(make_doc(static_cast<std::uint64_t>(i), 10.0 * i));
+  }
+  const auto bounds = compute_size_interval_bounds(
+      batch, f.fx.belief, 0.0, 4,
+      {2.6077032089233398e-08, -7.4505805969238281e-09, 0.0});
+  ASSERT_TRUE(bounds.has_value());
+  EXPECT_GE(bounds->small_upper_mb, 10.0);
+  EXPECT_GE(bounds->medium_upper_mb, bounds->small_upper_mb);
+  EXPECT_LE(bounds->medium_upper_mb, 240.0);
 }
 
 TEST(BandwidthSplitTest, SchedulerAssignsUploadClasses) {
@@ -592,6 +653,22 @@ TEST(TransferQueueSetTest, BacklogAccountsQueuedAndActive) {
   EXPECT_DOUBLE_EQ(queues.total_backlog_bytes(), 0.0);
 }
 
+TEST(TransferQueueSetTest, DrainedClassBacklogIsExactlyZero) {
+  // Ride-up puts several class-0 transfers in flight at once; once they all
+  // land, the class backlog must be exactly empty, not a rounding residue.
+  QueueFixture f;
+  TransferQueueSet queues(f.sim, f.link, f.tuner, 3);
+  // Summed then subtracted smallest-first (the completion order), these
+  // sizes leave -5.8e-11 bytes in a running total.
+  queues.enqueue(1, 1.0e6 / 3.0, 0);
+  queues.enqueue(2, 1.0e6 / 7.0, 0);
+  queues.enqueue(3, 1.0e6 / 13.0, 0);
+  f.sim.run();
+  for (const double bytes : queues.backlog_bytes_per_class()) {
+    EXPECT_EQ(bytes, 0.0);
+  }
+}
+
 TEST(TransferQueueSetTest, QueuedTagsListsWaitingOnly) {
   QueueFixture f;
   TransferQueueSet queues(f.sim, f.link, f.tuner, 1);
@@ -671,8 +748,10 @@ TEST(ConfigTest, SchedulerNames) {
 TEST(ConfigTest, HighVariationRaisesSigma) {
   const auto normal = default_controller_config(false);
   const auto high = default_controller_config(true);
-  EXPECT_GT(high.uplink.noise_sigma, normal.uplink.noise_sigma);
-  EXPECT_DOUBLE_EQ(normal.uplink.base_rate, high.uplink.base_rate);
+  EXPECT_GT(high.ec_sites[0].uplink.noise_sigma,
+            normal.ec_sites[0].uplink.noise_sigma);
+  EXPECT_DOUBLE_EQ(normal.ec_sites[0].uplink.base_rate,
+                   high.ec_sites[0].uplink.base_rate);
 }
 
 TEST(ConfigTest, FactoryMakesAllSchedulers) {

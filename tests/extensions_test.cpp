@@ -1,12 +1,14 @@
 // Tests for the paper's future-work features implemented by this library:
 // elastic clusters + the EC scaling policy, per-class QRSM surfaces,
-// position-aware chunking, and the multi-external-cloud controller.
+// position-aware chunking, and bursting to a list of EC sites.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 #include "compute/cluster.hpp"
 #include "core/controller.hpp"
-#include "core/multi_cloud.hpp"
 #include "core/order_preserving_scheduler.hpp"
+#include "harness/world.hpp"
 #include "models/per_class_qrsm.hpp"
 #include "simcore/simulation.hpp"
 #include "sla/metrics.hpp"
@@ -97,15 +99,16 @@ TEST(ElasticEcTest, ScalesUpUnderBacklogAndDownWhenIdle) {
   cfg.scheduler = core::SchedulerKind::kGreedy;
   cfg.estimator = core::EstimatorKind::kOracle;
   cfg.probe_interval = 0.0;
-  cfg.uplink.base_rate = 5.0e6;
-  cfg.uplink.per_connection_cap = 5.0e6;
-  cfg.uplink.noise_sigma = 0.0;
-  cfg.uplink.setup_latency = 0.0;
-  cfg.downlink = cfg.uplink;
+  core::EcSiteConfig& ec = cfg.ec_sites[0];
+  ec.uplink.base_rate = 5.0e6;
+  ec.uplink.per_connection_cap = 5.0e6;
+  ec.uplink.noise_sigma = 0.0;
+  ec.uplink.setup_latency = 0.0;
+  ec.downlink = ec.uplink;
   cfg.bandwidth_estimator.prior_rate = 5.0e6;
   cfg.topology.ic_machines = 1;
-  cfg.topology.ec_machines = 1;
-  cfg.topology.ec_job_overhead_seconds = 0.0;
+  ec.machines = 1;
+  ec.job_overhead_seconds = 0.0;
   cfg.elastic_ec.enabled = true;
   cfg.elastic_ec.max_machines = 4;
   cfg.elastic_ec.check_interval = 20.0;
@@ -232,7 +235,7 @@ TEST(PositionAwareChunkingTest, TailJobsGetCoarserChunks) {
       .next_doc_id = &next_doc,
       .ic_machines = 4,
       .upload_class_backlog_bytes = {0.0},
-      .download_backlog_bytes = 0.0,
+      .download_backlog_bytes = {0.0},
   };
 
   auto make = [](std::uint64_t id, double mb) {
@@ -259,181 +262,161 @@ TEST(PositionAwareChunkingTest, TailJobsGetCoarserChunks) {
   EXPECT_GT(head_chunks, tail_chunks);
 }
 
-// ---- multi-cloud controller --------------------------------------------------
+// ---- a list of EC sites (multi-provider bursting, §VII) ----------------------
 
-core::MultiCloudConfig two_site_config() {
-  core::MultiCloudConfig cfg;
-  cfg.ic.ic_machines = 2;
-  cfg.slack_safety_margin = 0.0;
+/// A flat, noise-free pipe of `rate` bytes/s each way.
+core::EcSiteConfig flat_site(const char* name, double rate) {
+  core::EcSiteConfig site;
+  site.name = name;
+  site.job_overhead_seconds = 0.0;
+  site.uplink.base_rate = rate;
+  site.uplink.per_connection_cap = rate;
+  site.uplink.noise_sigma = 0.0;
+  site.uplink.setup_latency = 0.0;
+  site.downlink = site.uplink;
+  return site;
+}
+
+/// Order Preserving with the oracle behind a 2-machine IC, large documents,
+/// no probes, and two sites: site 0's pipe is 10x faster than site 1's.
+harness::Scenario two_site_scenario(std::uint64_t seed) {
+  harness::Scenario s = harness::make_scenario(
+      core::SchedulerKind::kOrderPreserving, workload::SizeBucket::kLargeBiased,
+      seed);
+  s.estimator = core::EstimatorKind::kOracle;
+  s.truth.noise_sigma = 0.0;
+  s.num_batches = 2;
+  core::ControllerConfig cfg;
+  cfg.topology.ic_machines = 2;
+  cfg.params.slack_safety_margin = 0.0;
   cfg.probe_interval = 0.0;
   cfg.bandwidth_estimator.prior_rate = 1.0e6;
-
-  core::EcSiteConfig fast;
-  fast.name = "ec-fast";
-  fast.machines = 2;
-  fast.job_overhead_seconds = 0.0;
-  fast.uplink.base_rate = 4.0e6;
-  fast.uplink.per_connection_cap = 4.0e6;
-  fast.uplink.noise_sigma = 0.0;
-  fast.uplink.setup_latency = 0.0;
-  fast.downlink = fast.uplink;
-
-  core::EcSiteConfig slow = fast;
-  slow.name = "ec-slow";
-  slow.uplink.base_rate = 0.4e6;
-  slow.uplink.per_connection_cap = 0.4e6;
-  slow.downlink = slow.uplink;
-
-  cfg.sites = {fast, slow};
-  // The schedulers see the true per-site rates via the priors.
-  return cfg;
+  cfg.ec_sites = {flat_site("ec-fast", 4.0e6), flat_site("ec-slow", 0.4e6)};
+  s.config_override = cfg;
+  return s;
 }
 
-workload::Batch big_batch(int n, double size_mb) {
-  workload::Batch batch;
-  batch.batch_index = 0;
-  for (int i = 0; i < n; ++i) {
-    workload::Document d;
-    d.doc_id = static_cast<std::uint64_t>(i + 1);
-    d.features.size_mb = size_mb;
-    d.features.pages = static_cast<int>(size_mb);
-    d.output_size_mb = size_mb;
-    batch.documents.push_back(d);
+core::ControllerConfig& config_of(harness::Scenario& s) {
+  return *s.config_override;
+}
+
+/// Runs the scenario to completion; result() throws on a lost job or an
+/// outcome invariant violation.
+struct SiteRun {
+  std::vector<std::size_t> bursts;
+  harness::RunResult result;
+};
+SiteRun run_sites(const harness::Scenario& s) {
+  harness::ScenarioWorld world(s);
+  world.run();
+  SiteRun run;
+  for (std::size_t i = 0; i < world.controller().site_count(); ++i) {
+    run.bursts.push_back(world.controller().site(i).bursts);
   }
-  return batch;
+  run.result = world.result();
+  return run;
 }
 
-TEST(MultiCloudTest, CompletesAllJobsWithValidOutcomes) {
-  Simulation sim;
-  workload::GroundTruthModel truth({.noise_sigma = 0.0}, RngStream(12));
-  models::OracleEstimator estimator(truth);
-  auto cfg = two_site_config();
-  // Distinct per-site priors so the believed rates match reality.
-  core::MultiCloudController ctl(sim, cfg, truth, estimator, RngStream(13));
-  ctl.on_batch(big_batch(20, 60.0));
-  sim.run();
-  EXPECT_EQ(ctl.outstanding_jobs(), 0u);
-  EXPECT_EQ(ctl.outcomes().size(), 20u);
-  EXPECT_EQ(cbs::sla::validate_outcomes(ctl.outcomes()), "");
+TEST(EcSitesTest, CompletesAllJobsWithValidOutcomes) {
+  const SiteRun run = run_sites(two_site_scenario(12));
+  EXPECT_GT(run.result.outcomes.size(), 10u);
+  EXPECT_EQ(cbs::sla::validate_outcomes(run.result.outcomes), "");
+  EXPECT_GT(run.bursts[0] + run.bursts[1], 0u);
 }
 
-TEST(MultiCloudTest, PrefersTheFasterProvider) {
-  Simulation sim;
-  workload::GroundTruthModel truth({.noise_sigma = 0.0}, RngStream(14));
-  models::OracleEstimator estimator(truth);
-  core::MultiCloudController ctl(sim, two_site_config(), truth, estimator,
-                                 RngStream(15));
-  ctl.on_batch(big_batch(24, 60.0));
-  sim.run();
-  const auto bursts = ctl.bursts_per_site();
-  ASSERT_EQ(bursts.size(), 2u);
-  EXPECT_GT(bursts[0] + bursts[1], 0u);
-  EXPECT_GE(bursts[0], bursts[1]);  // the 10x faster pipe must win overall
+TEST(EcSitesTest, PrefersTheFasterProvider) {
+  const SiteRun run = run_sites(two_site_scenario(14));
+  ASSERT_EQ(run.bursts.size(), 2u);
+  EXPECT_GT(run.bursts[0] + run.bursts[1], 0u);
+  EXPECT_GE(run.bursts[0], run.bursts[1]);  // the 10x faster pipe wins
 }
 
-TEST(MultiCloudTest, SpillsToSecondSiteWhenFirstSaturates) {
-  Simulation sim;
-  workload::GroundTruthModel truth({.noise_sigma = 0.0}, RngStream(16));
-  models::OracleEstimator estimator(truth);
-  auto cfg = two_site_config();
-  // Make both sites equal: load balancing should use both.
-  cfg.sites[1] = cfg.sites[0];
-  cfg.sites[1].name = "ec-b";
-  core::MultiCloudController ctl(sim, cfg, truth, estimator, RngStream(17));
-  ctl.on_batch(big_batch(30, 60.0));
-  sim.run();
-  const auto bursts = ctl.bursts_per_site();
-  if (bursts[0] + bursts[1] >= 4) {
-    EXPECT_GT(bursts[0], 0u);
-    EXPECT_GT(bursts[1], 0u);
-  }
+TEST(EcSitesTest, SpillsToSecondSiteWhenFirstSaturates) {
+  harness::Scenario s = two_site_scenario(16);
+  // Two equal sites: once one queues up, the other is believed faster.
+  config_of(s).ec_sites[1] = flat_site("ec-b", 4.0e6);
+  const SiteRun run = run_sites(s);
+  ASSERT_GE(run.bursts[0] + run.bursts[1], 4u);
+  EXPECT_GT(run.bursts[0], 0u);
+  EXPECT_GT(run.bursts[1], 0u);
 }
 
-TEST(MultiCloudTest, CheapestFeasibleSelectionPrefersCheapSite) {
-  // Two equally fast sites; one costs half as much. The cost-aware policy
-  // must route bursts to the cheap one whenever the deadline is loose.
-  Simulation sim;
-  workload::GroundTruthModel truth({.noise_sigma = 0.0}, RngStream(30));
-  models::OracleEstimator estimator(truth);
-  auto cfg = two_site_config();
-  cfg.sites[1] = cfg.sites[0];
-  cfg.sites[0].name = "pricey";
-  cfg.sites[0].price_per_machine_hour = 0.20;
-  cfg.sites[1].name = "cheap";
-  cfg.sites[1].price_per_machine_hour = 0.05;
+TEST(EcSitesTest, CheapestFeasibleSelectionPrefersCheapSite) {
+  // Two equally fast sites; one costs a quarter as much. With a loose
+  // ticket every burst fits on either, so the cheap one carries the load.
+  harness::Scenario s = two_site_scenario(30);
+  core::ControllerConfig& cfg = config_of(s);
+  cfg.ec_sites = {flat_site("pricey", 4.0e6), flat_site("cheap", 4.0e6)};
+  cfg.ec_sites[0].price_per_machine_hour = 0.20;
+  cfg.ec_sites[1].price_per_machine_hour = 0.05;
   cfg.site_selection = core::SiteSelection::kCheapestFeasible;
-  cfg.ticket_policy = {.base_seconds = 1.0e6, .seconds_per_mb = 0.0};  // loose
-  core::MultiCloudController ctl(sim, cfg, truth, estimator, RngStream(31));
-  ctl.on_batch(big_batch(24, 60.0));
-  sim.run();
-  const auto bursts = ctl.bursts_per_site();
-  EXPECT_GT(bursts[1], bursts[0]);  // cheap site carries the load
+  s.ticket_policy = {.base_seconds = 1.0e6, .seconds_per_mb = 0.0};
+  const SiteRun run = run_sites(s);
+  EXPECT_GT(run.bursts[1], run.bursts[0]);
 }
 
-TEST(MultiCloudTest, TightDeadlineFallsBackToFastest) {
-  // Deadline impossible for everyone: the policy must fall back to the
-  // fastest site rather than refusing to pick.
-  Simulation sim;
-  workload::GroundTruthModel truth({.noise_sigma = 0.0}, RngStream(32));
-  models::OracleEstimator estimator(truth);
-  auto cfg = two_site_config();  // site 0 has the 10x faster pipe
-  cfg.sites[0].price_per_machine_hour = 0.20;
-  cfg.sites[1].price_per_machine_hour = 0.05;
+TEST(EcSitesTest, TightDeadlineFallsBackToFastest) {
+  // A ticket no site can meet: the policy falls back to the fastest round
+  // trip (site 0's pipe) instead of the cheap slow site.
+  harness::Scenario s = two_site_scenario(32);
+  core::ControllerConfig& cfg = config_of(s);
+  cfg.ec_sites[0].price_per_machine_hour = 0.20;
+  cfg.ec_sites[1].price_per_machine_hour = 0.05;
   cfg.site_selection = core::SiteSelection::kCheapestFeasible;
-  cfg.ticket_policy = {.base_seconds = 1.0, .seconds_per_mb = 0.0};  // impossible
-  core::MultiCloudController ctl(sim, cfg, truth, estimator, RngStream(33));
-  ctl.on_batch(big_batch(24, 60.0));
-  sim.run();
-  const auto bursts = ctl.bursts_per_site();
-  if (bursts[0] + bursts[1] > 0) {
-    EXPECT_GE(bursts[0], bursts[1]);  // fastest (site 0) wins the fallback
-  }
+  s.ticket_policy = {.base_seconds = 1.0, .seconds_per_mb = 0.0};
+  const SiteRun run = run_sites(s);
+  ASSERT_GT(run.bursts[0] + run.bursts[1], 0u);
+  EXPECT_GE(run.bursts[0], run.bursts[1]);
 }
 
-TEST(MultiCloudTest, SurvivesNoisyPathsAndProbes) {
-  Simulation sim;
-  workload::GroundTruthModel truth({}, RngStream(40));  // noisy runtimes
-  models::OracleEstimator estimator(truth);
-  auto cfg = two_site_config();
-  for (auto& site : cfg.sites) {
+TEST(EcSitesTest, SurvivesNoisyPathsAndProbes) {
+  harness::Scenario s = two_site_scenario(40);
+  s.truth.noise_sigma = 0.3;  // noisy runtimes
+  core::ControllerConfig& cfg = config_of(s);
+  for (auto& site : cfg.ec_sites) {
     site.uplink.noise_sigma = 0.3;
     site.downlink.noise_sigma = 0.3;
   }
   cfg.probe_interval = 60.0;  // probing enabled on every site
-  core::MultiCloudController ctl(sim, cfg, truth, estimator, RngStream(41));
-  ctl.on_batch(big_batch(20, 60.0));
-  sim.run();
-  EXPECT_EQ(ctl.outstanding_jobs(), 0u);
-  EXPECT_EQ(cbs::sla::validate_outcomes(ctl.outcomes()), "");
+  const SiteRun run = run_sites(s);
+  EXPECT_EQ(cbs::sla::validate_outcomes(run.result.outcomes), "");
 }
 
-TEST(MultiCloudTest, DeterministicReplay) {
-  auto run = [] {
-    Simulation sim;
-    workload::GroundTruthModel truth({}, RngStream(50));
-    models::OracleEstimator estimator(truth);
-    core::MultiCloudController ctl(sim, two_site_config(), truth, estimator,
-                                   RngStream(51));
-    ctl.on_batch(big_batch(16, 70.0));
-    sim.run();
-    std::vector<double> completions;
-    for (const auto& o : ctl.outcomes()) completions.push_back(o.completed);
-    return completions;
+TEST(EcSitesTest, DeterministicReplay) {
+  harness::Scenario s = two_site_scenario(50);
+  s.truth.noise_sigma = 0.3;
+  const auto completions = [&s] {
+    std::vector<double> out;
+    for (const auto& o : run_sites(s).result.outcomes) out.push_back(o.completed);
+    return out;
   };
-  EXPECT_EQ(run(), run());
+  EXPECT_EQ(completions(), completions());
 }
 
-TEST(MultiCloudTest, SingleSiteDegeneratesToSingleEc) {
-  Simulation sim;
-  workload::GroundTruthModel truth({.noise_sigma = 0.0}, RngStream(18));
-  models::OracleEstimator estimator(truth);
-  auto cfg = two_site_config();
-  cfg.sites.resize(1);
-  core::MultiCloudController ctl(sim, cfg, truth, estimator, RngStream(19));
-  ctl.on_batch(big_batch(12, 60.0));
-  sim.run();
-  EXPECT_EQ(ctl.outstanding_jobs(), 0u);
-  EXPECT_EQ(ctl.site_count(), 1u);
+TEST(EcSitesTest, SingleSiteListIsTheDefaultTopology) {
+  // The default configuration *is* a one-site list: spelling it out as an
+  // override changes nothing, down to the last bit.
+  harness::Scenario plain = harness::make_scenario(
+      core::SchedulerKind::kOrderPreserving, workload::SizeBucket::kLargeBiased,
+      18);
+  plain.num_batches = 3;
+  harness::Scenario spelled = plain;
+  spelled.config_override = core::default_controller_config(false);
+  ASSERT_EQ(spelled.config_override->ec_sites.size(), 1u);
+  const SiteRun a = run_sites(plain);
+  const SiteRun b = run_sites(spelled);
+  ASSERT_EQ(a.bursts.size(), 1u);
+  ASSERT_EQ(a.result.outcomes.size(), b.result.outcomes.size());
+  for (std::size_t i = 0; i < a.result.outcomes.size(); ++i) {
+    EXPECT_EQ(a.result.outcomes[i].completed, b.result.outcomes[i].completed);
+    EXPECT_EQ(a.result.outcomes[i].placement, b.result.outcomes[i].placement);
+  }
+}
+
+TEST(EcSitesTest, EmptySiteListIsRejected) {
+  harness::Scenario s = two_site_scenario(19);
+  config_of(s).ec_sites.clear();
+  EXPECT_THROW(harness::ScenarioWorld world(s), std::invalid_argument);
 }
 
 }  // namespace

@@ -215,8 +215,8 @@ TEST(ScenarioFailureTest, FullRunSurvivesFlakyPipe) {
       core::SchedulerKind::kOrderPreserving, workload::SizeBucket::kLargeBiased);
   s.num_batches = 3;
   auto cfg = core::default_controller_config(false);
-  cfg.uplink.failure_probability = 0.3;
-  cfg.downlink.failure_probability = 0.3;
+  cfg.ec_sites[0].uplink.failure_probability = 0.3;
+  cfg.ec_sites[0].downlink.failure_probability = 0.3;
   s.config_override = cfg;
   const auto r = harness::run_scenario(s);  // throws on invariant violation
   EXPECT_GT(r.outcomes.size(), 10u);
@@ -233,8 +233,8 @@ TEST(ScenarioFailureTest, FlakyPipeCostsMakespanNotCorrectness) {
   const auto clean = harness::run_scenario(base);
 
   auto flaky_cfg = clean_cfg;
-  flaky_cfg.uplink.failure_probability = 0.5;
-  flaky_cfg.downlink.failure_probability = 0.5;
+  flaky_cfg.ec_sites[0].uplink.failure_probability = 0.5;
+  flaky_cfg.ec_sites[0].downlink.failure_probability = 0.5;
   base.config_override = flaky_cfg;
   const auto flaky = harness::run_scenario(base);
 

@@ -55,6 +55,25 @@ Scenario hazard_fixture(cbs::models::HazardPredictorKind kind) {
   return s;
 }
 
+/// Two EC sites with every fork-crossing layer on: crashes on the IC and on
+/// both sites' VMs, an outage that takes both pipes down, retraction
+/// deadlines, per-site hazard estimators and elastic scaling of each site.
+Scenario two_site_fixture() {
+  Scenario s = hazard_fixture(cbs::models::HazardPredictorKind::kEwma);
+  cbs::core::ControllerConfig cfg = cbs::core::default_controller_config(false);
+  cbs::core::EcSiteConfig far = cfg.ec_sites[0];
+  far.name = "ec-far";
+  far.machines = 1;
+  far.speed = 1.5;
+  far.uplink.base_rate = 0.8e6;
+  far.downlink.base_rate = 0.9e6;
+  cfg.ec_sites.push_back(far);
+  cfg.elastic_ec.enabled = true;
+  cfg.elastic_ec.max_machines = 3;
+  s.config_override = cfg;
+  return s;
+}
+
 /// Exact equality over everything a run reports. Doubles compared with ==
 /// on purpose: the fork contract is bit-replay, not approximation.
 void expect_identical(const RunResult& a, const RunResult& b) {
@@ -206,6 +225,35 @@ TEST(ForkEquivalence, HazardEstimatorStateIsCopiedExactly) {
   }
   EXPECT_EQ(parent.controller().ec_failure_risk(),
             forked->controller().ec_failure_risk());
+}
+
+TEST(ForkEquivalence, TwoSiteFixtureBurstsToBothSites) {
+  // Guards the fixture: the fork tests below only mean something if both
+  // sites carry jobs and the fault layer actually fires on them.
+  ScenarioWorld world(two_site_fixture());
+  world.run();
+  const auto& controller = world.controller();
+  ASSERT_EQ(controller.site_count(), 2u);
+  EXPECT_GT(controller.site(0).bursts, 0u);
+  EXPECT_GT(controller.site(1).bursts, 0u);
+  EXPECT_GT(world.result().faults.ec_crashes, 0u);
+}
+
+TEST(ForkEquivalence, TwoSiteFixtureForkEarly) {
+  const Scenario s = two_site_fixture();
+  expect_identical(run_scenario(s), run_scenario_via_fork(s, 100.0));
+}
+
+TEST(ForkEquivalence, TwoSiteFixtureForkMidRun) {
+  // Inside the outage (350-550 s): both sites' links are down, retraction
+  // deadlines and booting instances are pending on either site.
+  const Scenario s = two_site_fixture();
+  expect_identical(run_scenario(s), run_scenario_via_fork(s, 400.0));
+}
+
+TEST(ForkEquivalence, TwoSiteFixtureForkLate) {
+  const Scenario s = two_site_fixture();
+  expect_identical(run_scenario(s), run_scenario_via_fork(s, 700.0));
 }
 
 TEST(ForkEquivalence, ForkIsIndependentOfParent) {

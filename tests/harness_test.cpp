@@ -134,7 +134,7 @@ TEST(ScenarioCliTest, HighVarSurvivesElasticOverride) {
       scenario_args({"--elastic", "--high-var"}));
   const auto cfg = s.controller_config();
   EXPECT_TRUE(cfg.elastic_ec.enabled);
-  EXPECT_DOUBLE_EQ(cfg.uplink.noise_sigma, 0.25);
+  EXPECT_DOUBLE_EQ(cfg.ec_sites[0].uplink.noise_sigma, 0.25);
 }
 
 // ---- csv / chart helpers -------------------------------------------------------

@@ -132,10 +132,10 @@ TEST_P(ScenarioPropertyTest, OpSlackKeepsBurstsOffTheCriticalPath) {
   s.estimator = core::EstimatorKind::kOracle;
   s.truth.noise_sigma = 0.0;
   auto cfg = core::default_controller_config(false);
-  cfg.uplink.noise_sigma = 0.0;
-  cfg.downlink.noise_sigma = 0.0;
-  cfg.uplink.profile = net::DiurnalProfile::flat();
-  cfg.downlink.profile = net::DiurnalProfile::flat();
+  cfg.ec_sites[0].uplink.noise_sigma = 0.0;
+  cfg.ec_sites[0].downlink.noise_sigma = 0.0;
+  cfg.ec_sites[0].uplink.profile = net::DiurnalProfile::flat();
+  cfg.ec_sites[0].downlink.profile = net::DiurnalProfile::flat();
   s.config_override = cfg;
 
   const auto result = harness::run_scenario(s);

@@ -5,7 +5,6 @@
 
 #include "simcore/rng.hpp"
 #include "stats/distributions.hpp"
-#include "stats/histogram.hpp"
 #include "stats/aggregate.hpp"
 #include "stats/summary.hpp"
 #include "stats/timeseries.hpp"
@@ -185,47 +184,6 @@ TEST(SummaryTest, StddevOfWindow) {
   EXPECT_DOUBLE_EQ(stddev_of({5.0}), 0.0);
   EXPECT_NEAR(stddev_of({2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}),
               std::sqrt(32.0 / 7.0), 1e-12);
-}
-
-// ---- Histogram ------------------------------------------------------
-
-TEST(HistogramTest, BucketsValuesCorrectly) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);
-  h.add(2.5);
-  h.add(2.6);
-  h.add(9.99);
-  EXPECT_EQ(h.count_at(0), 1u);
-  EXPECT_EQ(h.count_at(1), 2u);
-  EXPECT_EQ(h.count_at(4), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(HistogramTest, UnderAndOverflow) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);
-  h.add(10.0);  // hi is exclusive
-  h.add(100.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(HistogramTest, BucketBounds) {
-  Histogram h(10.0, 20.0, 4);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 10.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(0), 12.5);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(3), 17.5);
-}
-
-TEST(HistogramTest, RenderContainsCounts) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  const std::string out = h.render(10);
-  EXPECT_NE(out.find("1"), std::string::npos);
-  EXPECT_NE(out.find("2"), std::string::npos);
 }
 
 // ---- TimeSeries -----------------------------------------------------

@@ -9,7 +9,6 @@
 #include "workload/document.hpp"
 #include "workload/generator.hpp"
 #include "workload/ground_truth.hpp"
-#include "workload/seasonal.hpp"
 #include "workload/trace.hpp"
 
 namespace {
@@ -300,85 +299,6 @@ TEST(ArrivalTest, ScheduleOnFiresAtArrivalTimes) {
   ASSERT_EQ(fired_at.size(), 3u);
   EXPECT_DOUBLE_EQ(fired_at[1], 100.0);
   EXPECT_EQ(schedule.size(), 3u);
-}
-
-// ---- SeasonalArrivalProcess ------------------------------------------------
-
-TEST(SeasonalTest, BusinessDayShape) {
-  const auto day = SeasonalArrivalProcess::business_day();
-  using cbs::sim::kHour;
-  EXPECT_LT(day(3.0 * kHour), 0.1);                   // overnight quiet
-  EXPECT_GT(day(15.0 * kHour), day(10.0 * kHour));    // afternoon peak
-  EXPECT_LT(day(12.5 * kHour), day(11.0 * kHour));    // lunch dip
-  EXPECT_LT(day(23.0 * kHour), 0.2);
-}
-
-TEST(SeasonalTest, BusinessWeekQuietWeekends) {
-  const auto week = SeasonalArrivalProcess::business_week();
-  using cbs::sim::kDay;
-  using cbs::sim::kHour;
-  const double monday_noon = 0.0 * kDay + 11.0 * kHour;
-  const double saturday_noon = 5.0 * kDay + 11.0 * kHour;
-  EXPECT_GT(week(monday_noon), 5.0 * week(saturday_noon));
-}
-
-TEST(SeasonalTest, BatchSizesFollowIntensity) {
-  auto truth = make_truth();
-  WorkloadGenerator gen({}, truth, RngStream(20));
-  // Horizon: one day of 3-minute slots.
-  SeasonalArrivalProcess arrivals(
-      {.batch_interval = 180.0, .base_jobs_per_batch = 20.0,
-       .num_batches = 480},
-      SeasonalArrivalProcess::business_day(), gen, RngStream(21));
-  const auto batches = arrivals.generate_all();
-  double night_jobs = 0.0;
-  double afternoon_jobs = 0.0;
-  int night_slots = 0;
-  int afternoon_slots = 0;
-  for (const auto& b : batches) {
-    const double hour = b.arrival_time / cbs::sim::kHour;
-    if (hour < 5.0) {
-      night_jobs += static_cast<double>(b.documents.size());
-      ++night_slots;
-    } else if (hour >= 13.0 && hour < 17.0) {
-      afternoon_jobs += static_cast<double>(b.documents.size());
-      ++afternoon_slots;
-    }
-  }
-  ASSERT_GT(afternoon_slots, 0);
-  const double afternoon_mean = afternoon_jobs / afternoon_slots;
-  EXPECT_NEAR(afternoon_mean, 24.0, 3.0);  // 20 * 1.2
-  // Night slots are mostly skipped entirely (Poisson(1) often draws 0).
-  EXPECT_LT(night_jobs, 0.1 * afternoon_jobs);
-}
-
-TEST(SeasonalTest, BatchIndicesAreDense) {
-  auto truth = make_truth();
-  WorkloadGenerator gen({}, truth, RngStream(22));
-  SeasonalArrivalProcess arrivals(
-      {.batch_interval = 180.0, .base_jobs_per_batch = 2.0, .num_batches = 100},
-      SeasonalArrivalProcess::business_day(), gen, RngStream(23));
-  const auto batches = arrivals.generate_all();
-  for (std::size_t i = 0; i < batches.size(); ++i) {
-    EXPECT_EQ(batches[i].batch_index, i);
-    EXPECT_FALSE(batches[i].documents.empty());
-  }
-}
-
-TEST(SeasonalTest, ScheduleOnFiresInOrder) {
-  auto truth = make_truth();
-  WorkloadGenerator gen({}, truth, RngStream(24));
-  SeasonalArrivalProcess arrivals(
-      {.batch_interval = 100.0, .base_jobs_per_batch = 10.0, .num_batches = 20},
-      [](double) { return 1.0; }, gen, RngStream(25));
-  cbs::sim::Simulation sim;
-  double last = -1.0;
-  const auto schedule = arrivals.schedule_on(sim, [&](const Batch& b) {
-    EXPECT_GT(b.arrival_time, last);
-    last = b.arrival_time;
-  });
-  sim.run();
-  EXPECT_FALSE(schedule.empty());
 }
 
 // ---- trace I/O ------------------------------------------------------------
