@@ -125,12 +125,16 @@ Scenario scenario_from_args(const Args& args) {
       parse_bucket(args.get_or("bucket", "large")),
       static_cast<std::uint64_t>(args.get_long_or("seed", 42)),
       args.has("high-var"));
-  s.num_batches = static_cast<std::size_t>(args.get_long_or("batches", 8));
+  const long batches = args.get_long_or("batches", 8);
+  if (batches < 0) throw std::invalid_argument("--batches must be > 0");
+  s.num_batches = static_cast<std::size_t>(batches);
   s.mean_jobs_per_batch = args.get_double_or("lambda", 15.0);
   s.batch_interval_seconds = args.get_double_or("interval", 180.0);
   s.enable_rescheduler = args.has("rescheduler");
-  s.oo_tolerance =
-      static_cast<std::uint64_t>(args.get_long_or("tolerance", 4));
+  // Checked before the cast: -3 would wrap to 2^64 - 3.
+  const long tolerance = args.get_long_or("tolerance", 4);
+  if (tolerance < 0) throw std::invalid_argument("--tolerance must be >= 0");
+  s.oo_tolerance = static_cast<std::uint64_t>(tolerance);
   s.oo_sampling_interval = args.get_double_or("oo-interval", 120.0);
   s.truth.noise_sigma = args.get_double_or("noise", s.truth.noise_sigma);
 
@@ -173,6 +177,7 @@ Scenario scenario_from_args(const Args& args) {
       args.get_double_or("horizon", s.lookahead_horizon_seconds);
   s.lookahead_candidates = static_cast<int>(
       args.get_long_or("candidates", s.lookahead_candidates));
+  require_valid(s);
   return s;
 }
 

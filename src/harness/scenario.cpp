@@ -1,6 +1,8 @@
 #include "harness/scenario.hpp"
 
+#include <cmath>
 #include <sstream>
+#include <stdexcept>
 
 namespace cbs::harness {
 
@@ -26,6 +28,39 @@ cbs::core::ControllerConfig Scenario::controller_config() const {
   cfg.log_threshold = log_threshold;
   cfg.log_sink = log_sink;
   return cfg;
+}
+
+std::vector<std::string> Scenario::validate() const {
+  std::vector<std::string> errors;
+  const auto reject = [&errors](const char* field, const char* rule,
+                                double got) {
+    std::ostringstream msg;
+    msg << field << " must be " << rule << " (got " << got << ")";
+    errors.push_back(msg.str());
+  };
+  if (num_batches == 0) reject("num_batches", "> 0", 0.0);
+  // Written as !(x > 0) so that NaN is rejected too.
+  if (!(mean_jobs_per_batch > 0.0)) {
+    reject("mean_jobs_per_batch", "> 0", mean_jobs_per_batch);
+  }
+  if (!(batch_interval_seconds > 0.0)) {
+    reject("batch_interval_seconds", "> 0", batch_interval_seconds);
+  }
+  if (!std::isfinite(truth.noise_sigma) || truth.noise_sigma < 0.0) {
+    reject("truth.noise_sigma", "finite and >= 0", truth.noise_sigma);
+  }
+  return errors;
+}
+
+const Scenario& require_valid(const Scenario& scenario) {
+  const std::vector<std::string> errors = scenario.validate();
+  if (errors.empty()) return scenario;
+  std::string msg = "invalid scenario: ";
+  for (std::size_t i = 0; i < errors.size(); ++i) {
+    if (i > 0) msg += "; ";
+    msg += errors[i];
+  }
+  throw std::invalid_argument(msg);
 }
 
 Scenario make_scenario(cbs::core::SchedulerKind scheduler,

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/config.hpp"
 #include "simcore/logging.hpp"
@@ -80,7 +81,16 @@ struct Scenario {
 
   /// Resolves the effective controller configuration.
   [[nodiscard]] cbs::core::ControllerConfig controller_config() const;
+
+  /// One named error per workload value no run can use: no batches, a
+  /// non-positive arrival rate or batch interval, a negative or non-finite
+  /// noise sigma. Empty when the scenario is runnable.
+  [[nodiscard]] std::vector<std::string> validate() const;
 };
+
+/// Returns `scenario` when validate() finds nothing; otherwise throws
+/// std::invalid_argument listing every error.
+const Scenario& require_valid(const Scenario& scenario);
 
 /// Named constructor for the §V experiment grid.
 [[nodiscard]] Scenario make_scenario(cbs::core::SchedulerKind scheduler,

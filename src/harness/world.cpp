@@ -65,7 +65,7 @@ double ordered_output_mb(const std::vector<cbs::sla::JobOutcome>& outcomes,
 }  // namespace
 
 ScenarioWorld::ScenarioWorld(const Scenario& scenario)
-    : scenario_(scenario),
+    : scenario_(require_valid(scenario)),
       truth_(scenario.truth,
              cbs::sim::RngStream(scenario.seed).substream("truth")) {
   // The build order below mirrors the historical run_scenario body line by
@@ -236,15 +236,14 @@ RunResult ScenarioWorld::result() const {
     result.faults.hazard_false_negatives += hs.false_negatives;
   }
 
+  result.oo_series = cbs::sla::OoMetricCalculator(result.outcomes)
+                          .ordered_mb_series(scenario_.oo_sampling_interval,
+                                             scenario_.oo_tolerance);
   result.report = cbs::sla::build_report(
       std::string(cbs::core::to_string(scenario_.scheduler)),
       std::string(cbs::workload::to_string(scenario_.bucket)), result.outcomes,
       ic.total_busy_time(), ic.machine_count(), ec_busy, ec_machines,
-      scenario_.oo_sampling_interval, scenario_.oo_tolerance);
-
-  cbs::sla::OoMetricCalculator oo(result.outcomes);
-  result.oo_series =
-      oo.ordered_mb_series(scenario_.oo_sampling_interval, scenario_.oo_tolerance);
+      result.oo_series, scenario_.oo_tolerance);
 
   result.tickets =
       cbs::sla::evaluate_tickets(result.outcomes, scenario_.ticket_policy);

@@ -1,7 +1,6 @@
 #include "models/feature_vector.hpp"
 
 #include <cassert>
-#include <cmath>
 
 namespace cbs::models {
 
@@ -27,45 +26,19 @@ std::array<double, kNumRawFeatures> extract_raw(
   };
 }
 
-std::vector<double> quadratic_expand(const std::array<double, kNumRawFeatures>& x) {
-  std::vector<double> row;
-  row.reserve(quadratic_dim(kNumRawFeatures));
-  row.push_back(1.0);
-  for (double xi : x) row.push_back(xi);
+QuadraticRow quadratic_expand(const std::array<double, kNumRawFeatures>& x) {
+  QuadraticRow row{};
+  std::size_t k = 0;
+  row[k++] = 1.0;
+  for (double xi : x) row[k++] = xi;
   for (std::size_t i = 0; i < kNumRawFeatures; ++i) {
     for (std::size_t j = i + 1; j < kNumRawFeatures; ++j) {
-      row.push_back(x[i] * x[j]);
+      row[k++] = x[i] * x[j];
     }
   }
-  for (double xi : x) row.push_back(xi * xi);
-  assert(row.size() == quadratic_dim(kNumRawFeatures));
+  for (double xi : x) row[k++] = xi * xi;
+  assert(k == kQuadraticDim);
   return row;
-}
-
-FeatureScaler FeatureScaler::fit(
-    const std::vector<std::array<double, kNumRawFeatures>>& rows) {
-  FeatureScaler s;
-  s.scale.fill(1.0);
-  if (rows.empty()) return s;
-
-  const auto n = static_cast<double>(rows.size());
-  for (const auto& r : rows) {
-    for (std::size_t i = 0; i < kNumRawFeatures; ++i) s.mean[i] += r[i];
-  }
-  for (double& m : s.mean) m /= n;
-
-  std::array<double, kNumRawFeatures> var{};
-  for (const auto& r : rows) {
-    for (std::size_t i = 0; i < kNumRawFeatures; ++i) {
-      const double d = r[i] - s.mean[i];
-      var[i] += d * d;
-    }
-  }
-  for (std::size_t i = 0; i < kNumRawFeatures; ++i) {
-    const double sd = std::sqrt(var[i] / n);
-    s.scale[i] = sd > 1e-12 ? sd : 1.0;
-  }
-  return s;
 }
 
 std::array<double, kNumRawFeatures> FeatureScaler::apply(

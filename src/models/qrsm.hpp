@@ -22,12 +22,19 @@ namespace cbs::models {
 /// observed (features, actual runtime) pairs, exactly the autonomic loop
 /// the paper describes: start from a factory prior trained on a standard
 /// corpus, then adapt to the deployment.
+///
+/// The online loop never rebuilds the design matrix. The window's normal
+/// equations are kept as running moments in a fixed reference scaling and
+/// carried onto each refit's scaling by an exact change of basis
+/// (DESIGN.md §9, "Incremental QRSM").
 class QrsmModel {
  public:
   struct Config {
     double ridge_lambda = 1.0e-3;
-    /// Online buffer: refit happens every `refit_interval` observations,
-    /// using at most `window` most recent pairs. A window of 0 keeps all.
+    /// Online buffer: every observation updates the moments of the last
+    /// `window` pairs (0 keeps all) by one rank-1 update, plus one rank-1
+    /// downdate for the pair that leaves; every `refit_interval`
+    /// observations the surface is re-solved from those moments.
     std::size_t refit_interval = 32;
     std::size_t window = 4096;
     /// Predictions are clamped below by this (a job is never free).
@@ -52,12 +59,18 @@ class QrsmModel {
   [[nodiscard]] double predict(const cbs::workload::DocumentFeatures& features) const;
 
   [[nodiscard]] bool is_fitted() const noexcept { return fit_.has_value(); }
-  /// Goodness of fit on the most recent training window.
-  [[nodiscard]] const std::optional<cbs::linalg::FitResult>& last_fit() const noexcept {
+  /// Goodness of fit on the most recent training window. R² and RMSE come
+  /// from the moments at refit; MAPE needs one pass over that window and is
+  /// filled in by the first read after the refit. That read writes, so one
+  /// model must not be read from two threads at once.
+  [[nodiscard]] const std::optional<cbs::linalg::FitResult>& last_fit() const {
+    fill_mape();
     return fit_;
   }
   [[nodiscard]] std::size_t observations() const noexcept { return total_observed_; }
-  [[nodiscard]] std::size_t buffered() const noexcept { return buffer_.size(); }
+  [[nodiscard]] std::size_t buffered() const noexcept {
+    return buffer_.size() - evicted_;
+  }
 
   /// Forces a refit on the current buffer (no-op when data is insufficient).
   void refit();
@@ -68,13 +81,48 @@ class QrsmModel {
     double y;
   };
 
+  /// Adds (sign = +1) or removes (sign = -1) one pair's terms in the moments.
+  void accumulate(const Example& ex, double sign);
+  /// Re-anchors `ref_` on the current window and recomputes the moments
+  /// from the buffer, discarding the rounding drift of the updates.
+  void rebuild_moments();
+  /// The window's FeatureScaler, derived from the moments.
+  [[nodiscard]] FeatureScaler scaler_from_moments() const;
+  /// Fallback when the normal equations are not positive definite: a batch
+  /// ridge fit (with its QR fallback) on an explicit design matrix.
+  void refit_from_design();
+  /// The fitted surface before clamping.
+  [[nodiscard]] double surface(const std::array<double, kNumRawFeatures>& raw) const;
+  void fill_mape() const;
+  /// Pops the rows that left the window.
+  void drop_evicted();
+
   Config config_;
+  /// The window's pairs, oldest first. While the last fit's MAPE is
+  /// pending, the first `evicted_` rows have already left the window and
+  /// are kept only so that MAPE is measured on the fit's own window, which
+  /// is then `buffer_[0, fit_rows_)`.
   std::deque<Example> buffer_;
+  std::size_t evicted_ = 0;
+  std::size_t fit_rows_ = 0;
   std::size_t total_observed_ = 0;
   std::size_t since_refit_ = 0;
   FeatureScaler scaler_;
-  std::optional<cbs::linalg::FitResult> fit_;
-  double mean_runtime_ = 0.0;  // fallback prediction before first fit
+
+  // The window's moments, in the reference scaling ref_: with
+  // φ₀ = quadratic_expand(ref_.apply(raw)), gram0_ = Σφ₀φ₀ᵀ (upper
+  // triangle only), xty0_ = Σφ₀y, plus Σy and Σy².
+  FeatureScaler ref_;
+  cbs::linalg::Matrix gram0_;
+  cbs::linalg::Vector xty0_;
+  double sum_y_ = 0.0;
+  double sum_y2_ = 0.0;
+  bool anchored_ = false;  ///< false until the first refit builds the moments
+  std::size_t refits_since_rebuild_ = 0;
+
+  // Filled in by the first last_fit() read after a refit (logically const).
+  mutable std::optional<cbs::linalg::FitResult> fit_;
+  mutable bool mape_pending_ = false;
 };
 
 }  // namespace cbs::models

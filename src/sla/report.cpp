@@ -2,6 +2,7 @@
 
 #include <iomanip>
 #include <sstream>
+#include <utility>
 
 namespace cbs::sla {
 
@@ -10,6 +11,22 @@ SlaReport build_report(std::string scheduler, std::string bucket,
                        double ic_total_busy, std::size_t ic_machines,
                        double ec_total_busy, std::size_t ec_machines,
                        double oo_interval, std::uint64_t oo_tolerance) {
+  cbs::stats::TimeSeries oo_series;
+  if (!outcomes.empty()) {
+    oo_series = OoMetricCalculator(outcomes).ordered_mb_series(oo_interval,
+                                                               oo_tolerance);
+  }
+  return build_report(std::move(scheduler), std::move(bucket), outcomes,
+                      ic_total_busy, ic_machines, ec_total_busy, ec_machines,
+                      oo_series, oo_tolerance);
+}
+
+SlaReport build_report(std::string scheduler, std::string bucket,
+                       const std::vector<JobOutcome>& outcomes,
+                       double ic_total_busy, std::size_t ic_machines,
+                       double ec_total_busy, std::size_t ec_machines,
+                       const cbs::stats::TimeSeries& oo_series,
+                       std::uint64_t oo_tolerance) {
   SlaReport r;
   r.scheduler = std::move(scheduler);
   r.bucket = std::move(bucket);
@@ -24,14 +41,10 @@ SlaReport build_report(std::string scheduler, std::string bucket,
   r.mean_turnaround_seconds = mean_turnaround(outcomes);
   r.oo_tolerance = oo_tolerance;
 
-  if (!outcomes.empty()) {
-    OoMetricCalculator oo(outcomes);
-    const auto ts = oo.ordered_mb_series(oo_interval, oo_tolerance);
-    if (!ts.empty()) {
-      r.oo_final_mb = ts.back().value;
-      const double end = ts.back().time;
-      if (end > 0.0) r.oo_time_averaged_mb = ts.time_average(0.0, end);
-    }
+  if (!outcomes.empty() && !oo_series.empty()) {
+    r.oo_final_mb = oo_series.back().value;
+    const double end = oo_series.back().time;
+    if (end > 0.0) r.oo_time_averaged_mb = oo_series.time_average(0.0, end);
   }
   return r;
 }

@@ -37,6 +37,15 @@ struct SlaReport {
     std::size_t ic_machines, double ec_total_busy, std::size_t ec_machines,
     double oo_interval, std::uint64_t oo_tolerance);
 
+/// Same, from the run's OO series already built by
+/// OoMetricCalculator::ordered_mb_series at `oo_tolerance`, for a caller
+/// that keeps the series as well.
+[[nodiscard]] SlaReport build_report(
+    std::string scheduler, std::string bucket,
+    const std::vector<JobOutcome>& outcomes, double ic_total_busy,
+    std::size_t ic_machines, double ec_total_busy, std::size_t ec_machines,
+    const cbs::stats::TimeSeries& oo_series, std::uint64_t oo_tolerance);
+
 /// Fixed-width table of several reports (one line each), with a header —
 /// the harness's standard output format.
 [[nodiscard]] std::string format_table(const std::vector<SlaReport>& reports);

@@ -11,6 +11,7 @@
 #include "harness/experiment.hpp"
 #include "harness/scenario.hpp"
 #include "harness/world.hpp"
+#include "models/estimator.hpp"
 
 namespace {
 
@@ -72,6 +73,22 @@ Scenario two_site_fixture() {
   cfg.elastic_ec.max_machines = 3;
   s.config_override = cfg;
   return s;
+}
+
+/// OP + QRSM at the default settings (4096-row window, refit every 32
+/// observations), long enough for the window to wrap: a fork copies the
+/// running moments and the rows kept for a pending MAPE.
+Scenario qrsm_wrap_fixture() {
+  Scenario s = table1_fixture(cbs::core::SchedulerKind::kOrderPreserving);
+  s.num_batches = 220;
+  return s;
+}
+
+const cbs::models::QrsmModel& qrsm_of(const ScenarioWorld& world) {
+  const auto* est = dynamic_cast<const cbs::models::QrsmEstimator*>(
+      &world.controller().service_estimator());
+  EXPECT_NE(est, nullptr);
+  return est->model();
 }
 
 /// Exact equality over everything a run reports. Doubles compared with ==
@@ -254,6 +271,39 @@ TEST(ForkEquivalence, TwoSiteFixtureForkMidRun) {
 TEST(ForkEquivalence, TwoSiteFixtureForkLate) {
   const Scenario s = two_site_fixture();
   expect_identical(run_scenario(s), run_scenario_via_fork(s, 700.0));
+}
+
+TEST(ForkEquivalence, QrsmWrappedWindowForkBetweenRefits) {
+  const Scenario s = qrsm_wrap_fixture();
+  const cbs::models::QrsmModel::Config defaults;
+  ScenarioWorld parent(s);
+  // Advance until the window has wrapped and the last refit is a few
+  // observations back.
+  const auto since_refit = [&] {
+    return (qrsm_of(parent).observations() - s.pretrain_samples) %
+           defaults.refit_interval;
+  };
+  cbs::sim::SimTime t = 0.0;
+  while (qrsm_of(parent).observations() <
+             s.pretrain_samples + defaults.window + 100 ||
+         since_refit() == 0) {
+    t += 60.0;
+    parent.run_until(t);
+    ASSERT_LT(t, static_cast<double>(s.num_batches) * s.batch_interval_seconds)
+        << "the arrivals ended before the window wrapped";
+  }
+  ASSERT_EQ(qrsm_of(parent).buffered(), defaults.window);
+
+  std::unique_ptr<ScenarioWorld> forked = parent.fork();
+  parent.run();
+  forked->run();
+  expect_identical(parent.result(), forked->result());
+  expect_identical(forked->result(), run_scenario(s));
+  ASSERT_TRUE(qrsm_of(parent).last_fit().has_value());
+  ASSERT_TRUE(qrsm_of(*forked).last_fit().has_value());
+  EXPECT_EQ(qrsm_of(parent).last_fit()->coefficients,
+            qrsm_of(*forked).last_fit()->coefficients);
+  EXPECT_EQ(qrsm_of(parent).last_fit()->mape, qrsm_of(*forked).last_fit()->mape);
 }
 
 TEST(ForkEquivalence, ForkIsIndependentOfParent) {

@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "harness/cli.hpp"
 #include "harness/csv.hpp"
 #include "harness/experiment.hpp"
 #include "harness/plot.hpp"
 #include "harness/scenario.hpp"
+#include "harness/world.hpp"
 
 namespace {
 
@@ -135,6 +138,46 @@ TEST(ScenarioCliTest, HighVarSurvivesElasticOverride) {
   const auto cfg = s.controller_config();
   EXPECT_TRUE(cfg.elastic_ec.enabled);
   EXPECT_DOUBLE_EQ(cfg.ec_sites[0].uplink.noise_sigma, 0.25);
+}
+
+TEST(ScenarioValidateTest, DefaultScenarioIsValid) {
+  EXPECT_TRUE(Scenario{}.validate().empty());
+}
+
+TEST(ScenarioValidateTest, NamesEveryBadField) {
+  Scenario s;
+  s.num_batches = 0;
+  s.mean_jobs_per_batch = 0.0;
+  s.batch_interval_seconds = -1.0;
+  s.truth.noise_sigma = std::nan("");
+  const std::vector<std::string> errors = s.validate();
+  ASSERT_EQ(errors.size(), 4u);
+  EXPECT_NE(errors[0].find("num_batches"), std::string::npos);
+  EXPECT_NE(errors[1].find("mean_jobs_per_batch"), std::string::npos);
+  EXPECT_NE(errors[2].find("batch_interval_seconds"), std::string::npos);
+  EXPECT_NE(errors[3].find("noise_sigma"), std::string::npos);
+
+  Scenario negative_noise;
+  negative_noise.truth.noise_sigma = -0.1;
+  EXPECT_EQ(negative_noise.validate().size(), 1u);
+}
+
+TEST(ScenarioValidateTest, WorldAndRunRejectInvalidScenarios) {
+  Scenario s;
+  s.mean_jobs_per_batch = std::nan("");
+  EXPECT_THROW(ScenarioWorld{s}, std::invalid_argument);
+  EXPECT_THROW((void)run_scenario(s), std::invalid_argument);
+}
+
+TEST(ScenarioValidateTest, CliRejectsBadValuesBeforeCasting) {
+  EXPECT_THROW((void)cli::scenario_from_args(scenario_args({"--tolerance=-3"})),
+               std::invalid_argument);
+  EXPECT_THROW((void)cli::scenario_from_args(scenario_args({"--batches=-1"})),
+               std::invalid_argument);
+  EXPECT_THROW((void)cli::scenario_from_args(scenario_args({"--batches=0"})),
+               std::invalid_argument);
+  EXPECT_THROW((void)cli::scenario_from_args(scenario_args({"--noise=nan"})),
+               std::invalid_argument);
 }
 
 // ---- csv / chart helpers -------------------------------------------------------

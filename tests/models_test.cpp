@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <deque>
+#include <string>
 
+#include "linalg/least_squares.hpp"
 #include "models/estimator.hpp"
 #include "models/feature_vector.hpp"
 #include "models/qrsm.hpp"
@@ -184,6 +188,159 @@ TEST(QrsmTest, AdaptsToRegimeChange) {
   }
   const double after = model.predict(probe_docs[0].features);
   EXPECT_GT(after, 1.5 * before);
+}
+
+// ---- incremental QRSM against a batch fit ----------------------------------
+
+struct Labeled {
+  DocumentFeatures features;
+  double y = 0.0;
+};
+
+/// The batch reference: FeatureScaler::fit + quadratic_expand +
+/// ridge_least_squares on exactly the rows of `window`.
+cbs::linalg::FitResult batch_fit(const std::deque<Labeled>& window,
+                                 double lambda) {
+  std::vector<std::array<double, kNumRawFeatures>> raws;
+  for (const Labeled& ex : window) raws.push_back(extract_raw(ex.features));
+  const FeatureScaler scaler = FeatureScaler::fit(raws);
+  cbs::linalg::Matrix design(window.size(), kQuadraticDim);
+  cbs::linalg::Vector y(window.size());
+  for (std::size_t r = 0; r < window.size(); ++r) {
+    const QuadraticRow row = quadratic_expand(scaler.apply(raws[r]));
+    std::copy(row.begin(), row.end(), design.row_data(r));
+    y[r] = window[r].y;
+  }
+  return cbs::linalg::ridge_least_squares(design, y, lambda);
+}
+
+void expect_matches_batch(const cbs::linalg::FitResult& got,
+                          const cbs::linalg::FitResult& want) {
+  ASSERT_EQ(got.coefficients.size(), want.coefficients.size());
+  const double rel =
+      cbs::linalg::norm(cbs::linalg::subtract(got.coefficients,
+                                              want.coefficients)) /
+      cbs::linalg::norm(want.coefficients);
+  EXPECT_LE(rel, 1e-8);
+  EXPECT_NEAR(got.r_squared, want.r_squared, 1e-8);
+  EXPECT_NEAR(got.rmse, want.rmse, 1e-8);
+  EXPECT_NEAR(got.mape, want.mape, 1e-8);
+  EXPECT_FALSE(got.used_qr_fallback);
+}
+
+/// `n` documents with noisy labels; from `regime_change_at` on the labels
+/// are scaled by `factor`.
+std::vector<Labeled> labeled_stream(std::size_t n, std::uint64_t seed,
+                                    std::size_t regime_change_at = SIZE_MAX,
+                                    double factor = 1.7) {
+  GroundTruthModel truth({}, RngStream(seed));
+  WorkloadGenerator gen({}, truth, RngStream(seed + 1));
+  std::vector<Labeled> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Document d = gen.next();
+    const double y = truth.sample_seconds(d.features);
+    out.push_back({d.features, i >= regime_change_at ? factor * y : y});
+  }
+  return out;
+}
+
+/// Streams `data` through observe() and checks every automatic refit
+/// against the batch fit on the same window. Returns the refits checked.
+std::size_t stream_against_batch(const QrsmModel::Config& cfg,
+                                 const std::vector<Labeled>& data) {
+  QrsmModel model(cfg);
+  std::deque<Labeled> window;
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    model.observe(data[i].features, data[i].y);
+    window.push_back(data[i]);
+    if (cfg.window > 0 && window.size() > cfg.window) window.pop_front();
+    EXPECT_EQ(model.buffered(), window.size());
+    const bool refitted = (i + 1) % cfg.refit_interval == 0 &&
+                          window.size() >= kQuadraticDim + kQuadraticDim / 4;
+    if (!refitted) continue;
+    SCOPED_TRACE("after observation " + std::to_string(i + 1));
+    EXPECT_NO_FATAL_FAILURE(expect_matches_batch(
+        *model.last_fit(), batch_fit(window, cfg.ridge_lambda)));
+    ++checked;
+  }
+  return checked;
+}
+
+TEST(QrsmIncrementalTest, MatchesBatchBeforeTheWindowFills) {
+  const auto data = labeled_stream(1000, 21);
+  EXPECT_EQ(stream_against_batch({.refit_interval = 16, .window = 4096}, data),
+            (1000 - 64) / 16 + 1);
+}
+
+TEST(QrsmIncrementalTest, MatchesBatchAcrossWrapAndPeriodicRebuilds) {
+  // A 256-row window wraps after 256 observations. The moments are rebuilt
+  // from the buffer every 64 refits, here every 1024 observations, so 4000
+  // observations cross three periodic rebuilds.
+  const auto data = labeled_stream(4000, 22);
+  EXPECT_EQ(stream_against_batch({.refit_interval = 16, .window = 256}, data),
+            (4000 - 64) / 16 + 1);
+}
+
+TEST(QrsmIncrementalTest, MatchesBatchThroughRegimeChange) {
+  // Labels jump by x1.7 halfway and two features drift: the spread of
+  // size_mb collapses 1000x and resolution shifts. The window's scaling
+  // then moves far from the reference one; carried across by the change
+  // of basis alone, the moments' rounding would grow with the map's
+  // quartic terms to a coefficient error of several percent, so the refit
+  // must rebuild instead.
+  auto data = labeled_stream(2400, 23, /*regime_change_at=*/1200);
+  for (std::size_t i = 1200; i < data.size(); ++i) {
+    data[i].features.size_mb *= 0.001;
+    data[i].features.resolution_dpi += 300.0;
+  }
+  stream_against_batch({.refit_interval = 32, .window = 512}, data);
+}
+
+TEST(QrsmIncrementalTest, MatchesBatchWhenKeepingAll) {
+  const auto data = labeled_stream(1500, 24);
+  stream_against_batch({.refit_interval = 32, .window = 0}, data);
+}
+
+TEST(QrsmIncrementalTest, MatchesBatchWithAConstantFeature) {
+  auto data = labeled_stream(1200, 25);
+  for (Labeled& ex : data) ex.features.coverage = 0.5;  // scale 1
+  stream_against_batch({.refit_interval = 16, .window = 300}, data);
+}
+
+TEST(QrsmIncrementalTest, MatchesBatchWithTinyRidge) {
+  // The ridge term of RecoversNoiselessQuadraticLawExactly, on a stream.
+  const auto truth = noiseless_truth();
+  WorkloadGenerator gen({}, truth, RngStream(2));
+  std::vector<Labeled> data;
+  for (int i = 0; i < 1500; ++i) {
+    Document d = gen.next();
+    d.features.type = cbs::workload::JobType::kMailCampaign;
+    data.push_back({d.features, truth.expected_seconds(d.features)});
+  }
+  stream_against_batch({.ridge_lambda = 1e-8, .refit_interval = 32,
+                        .window = 400},
+                       data);
+}
+
+TEST(QrsmIncrementalTest, MapeIsMeasuredOnTheFitWindow) {
+  // MAPE is read only after later observations pushed rows of the fit's
+  // window out: it must still describe that window.
+  const QrsmModel::Config cfg{.refit_interval = 32, .window = 128};
+  const auto data = labeled_stream(400, 26);
+  QrsmModel model(cfg);
+  std::deque<Labeled> fit_window;
+  for (std::size_t i = 0; i < 320; ++i) {
+    model.observe(data[i].features, data[i].y);
+    fit_window.push_back(data[i]);
+    if (fit_window.size() > cfg.window) fit_window.pop_front();
+  }
+  for (std::size_t i = 320; i < 340; ++i) {
+    model.observe(data[i].features, data[i].y);
+  }
+  EXPECT_EQ(model.buffered(), cfg.window);
+  expect_matches_batch(*model.last_fit(),
+                       batch_fit(fit_window, cfg.ridge_lambda));
 }
 
 // ---- estimators --------------------------------------------------------------

@@ -265,6 +265,21 @@ TEST(ReportTest, BuildComputesHeadlineNumbers) {
   EXPECT_GT(r.oo_time_averaged_mb, 0.0);
 }
 
+TEST(ReportTest, PrebuiltSeriesGivesTheSameReport) {
+  const std::vector<JobOutcome> outcomes = {
+      outcome(1, 50.0, 20.0, Placement::kInternal, 0, 0.0, 40.0),
+      outcome(2, 100.0, 30.0, Placement::kExternal, 0, 0.0, 60.0),
+      outcome(3, 75.0, 10.0, Placement::kInternal, 0, 0.0, 25.0)};
+  const SlaReport a = build_report("op", "uniform", outcomes, 160.0, 2, 50.0,
+                                   1, /*oo interval*/ 10.0, /*tolerance*/ 1);
+  const SlaReport b = build_report(
+      "op", "uniform", outcomes, 160.0, 2, 50.0, 1,
+      OoMetricCalculator(outcomes).ordered_mb_series(10.0, 1), 1);
+  EXPECT_EQ(a.oo_final_mb, b.oo_final_mb);
+  EXPECT_EQ(a.oo_time_averaged_mb, b.oo_time_averaged_mb);
+  EXPECT_EQ(format_table({a}), format_table({b}));
+}
+
 TEST(ReportTest, FormatTableContainsAllRows) {
   SlaReport a;
   a.scheduler = "greedy";
