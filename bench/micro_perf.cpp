@@ -2,6 +2,10 @@
 // fit/predict, OO metric computation, full scenario throughput.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "core/belief_state.hpp"
 #include "core/order_preserving_scheduler.hpp"
 #include "core/scheduler.hpp"
@@ -18,6 +22,7 @@
 #include "sla/metrics.hpp"
 #include "workload/chunker.hpp"
 #include "sla/oo_metric.hpp"
+#include "util/flat_map.hpp"
 #include "workload/generator.hpp"
 
 namespace {
@@ -229,7 +234,30 @@ void BM_OoMetricSeries(benchmark::State& state) {
     benchmark::DoNotOptimize(oo.series(120.0, 4));
   }
 }
-BENCHMARK(BM_OoMetricSeries)->Arg(100)->Arg(1000);
+BENCHMARK(BM_OoMetricSeries)->Arg(100)->Arg(1000)->Arg(30000);
+
+void BM_FlatMapFifoErase(benchmark::State& state) {
+  // The belief table's life: n jobs admitted in sequence order, then
+  // completed roughly first-in first-out; one completion in 16 overtakes up
+  // to 63 older jobs.
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  std::vector<std::uint64_t> order(n);
+  for (std::uint64_t i = 0; i < n; ++i) order[i] = i + 1;
+  cbs::sim::RngStream rng(5);
+  for (std::uint64_t i = 0; i + 1 < n; i += 16) {
+    std::swap(order[i], order[std::min(n - 1, i + rng.uniform_int(1, 63))]);
+  }
+  for (auto _ : state) {
+    cbs::util::FlatMap<std::uint64_t, double> table;
+    for (std::uint64_t k = 1; k <= n; ++k) {
+      table.emplace(k, static_cast<double>(k));
+    }
+    for (const std::uint64_t k : order) table.erase(k);
+    benchmark::DoNotOptimize(table.size());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_FlatMapFifoErase)->Arg(1000)->Arg(10000);
 
 void BM_LinkAllocationStorm(benchmark::State& state) {
   // Water-filling reallocation cost under many concurrent transfers.

@@ -49,8 +49,52 @@ std::vector<OoSample> OoMetricCalculator::series(SimDuration interval,
   assert(interval > 0.0);
   std::vector<OoSample> out;
   const SimTime end = last_completion_ + interval;
-  for (SimTime t = 0.0; t <= end; t += interval) {
-    out.push_back(sample_at(t, tolerance));
+  for (SimTime t = 0.0; t <= end; t += interval) out.push_back({.time = t});
+
+  // One forward sweep instead of one sample_at() per sample. Job i counts
+  // as done from sample due[i] on: the first sample time >= its completion
+  // (never, for completed <= 0, as in sample_at()). Done-ness only grows
+  // with t, so the frontier `f` (the first id not yet done) only moves
+  // right. Ids below it are all done, and their id-order running sum
+  // `frontier_mb` is the prefix sum sample_at() accumulates over them; so
+  // continuing it through the done ids past `f` adds the same doubles in
+  // the same order, and o_t comes out bit-identical. Each sample costs the
+  // span from `f` to the (tolerance+1)-th missing id rather than n.
+  const std::size_t n = by_id_.size() - 1;
+  const std::size_t never = out.size();
+  std::vector<std::size_t> due(n + 1, never);
+  std::vector<std::size_t> done_at(out.size() + 1, 0);  // jobs per due
+  for (std::size_t i = 1; i <= n; ++i) {
+    const SimTime completed = by_id_[i].completed;
+    if (completed > 0.0) {
+      const auto at =
+          std::ranges::lower_bound(out, completed, {}, &OoSample::time);
+      due[i] = static_cast<std::size_t>(at - out.begin());
+    }
+    ++done_at[due[i]];
+  }
+
+  std::size_t completed_count = 0;
+  std::size_t f = 1;
+  double frontier_mb = 0.0;
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    completed_count += done_at[k];
+    while (f <= n && due[f] <= k) frontier_mb += by_id_[f++].output_mb;
+
+    OoSample& s = out[k];
+    s.completed_count = completed_count;
+    s.max_in_order = f - 1;
+    double mb = frontier_mb;
+    std::uint64_t missing = 0;
+    for (std::size_t i = f; i <= n; ++i) {
+      if (due[i] <= k) {
+        mb += by_id_[i].output_mb;
+        s.max_in_order = i;
+      } else if (++missing > tolerance) {
+        break;
+      }
+    }
+    s.ordered_mb = mb;
   }
   return out;
 }

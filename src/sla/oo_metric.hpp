@@ -30,11 +30,15 @@ class OoMetricCalculator {
   /// (validate_outcomes enforces this upstream).
   explicit OoMetricCalculator(const std::vector<JobOutcome>& outcomes);
 
-  /// The metric at one sampling time.
+  /// The metric at one sampling time: one O(n) pass over the ids. The
+  /// reference `series()` is tested against.
   [[nodiscard]] OoSample sample_at(cbs::sim::SimTime t, std::uint64_t tolerance) const;
 
   /// Samples every `interval` seconds from t = 0 through the last
   /// completion (inclusive of one sample past it, so the series ends flat).
+  /// One forward sweep: O(n log T) set-up, then each sample costs the span
+  /// from the in-order frontier to the (tolerance+1)-th missing id; each
+  /// sample is bit-identical to `sample_at` at its time.
   [[nodiscard]] std::vector<OoSample> series(cbs::sim::SimDuration interval,
                                              std::uint64_t tolerance) const;
 

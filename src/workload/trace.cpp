@@ -1,5 +1,6 @@
 #include "workload/trace.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -14,13 +15,6 @@ constexpr std::string_view kHeader =
     "batch,arrival_time,doc_id,type,size_mb,pages,num_images,avg_image_mb,"
     "resolution_dpi,color_fraction,text_ratio,coverage,output_size_mb";
 
-JobType job_type_from(const std::string& name) {
-  for (JobType t : kAllJobTypes) {
-    if (to_string(t) == name) return t;
-  }
-  throw std::runtime_error("trace: unknown job type '" + name + "'");
-}
-
 std::vector<std::string> split_csv_line(const std::string& line) {
   std::vector<std::string> fields;
   std::string field;
@@ -30,19 +24,96 @@ std::vector<std::string> split_csv_line(const std::string& line) {
   return fields;
 }
 
-double to_double(const std::string& s) {
-  std::size_t pos = 0;
-  const double v = std::stod(s, &pos);
-  if (pos != s.size()) throw std::runtime_error("trace: bad number '" + s + "'");
-  return v;
-}
+/// One data row of a trace, parsed field by field. Every rejection names
+/// the line and the column, so a hand-edited trace fails at the boundary
+/// rather than deep inside the scheduler.
+class Row {
+ public:
+  Row(std::size_t line_no, std::vector<std::string> fields)
+      : line_no_(line_no), fields_(std::move(fields)) {}
 
-int to_int(const std::string& s) {
-  std::size_t pos = 0;
-  const int v = std::stoi(s, &pos);
-  if (pos != s.size()) throw std::runtime_error("trace: bad integer '" + s + "'");
-  return v;
-}
+  [[noreturn]] void fail(const std::string& what) const {
+    std::string msg = "trace: line ";
+    msg += std::to_string(line_no_);
+    msg += ": ";
+    msg += what;
+    throw std::runtime_error(msg);
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return fields_.size(); }
+  [[nodiscard]] const std::string& text(std::size_t col) const {
+    return fields_[col];
+  }
+
+  [[nodiscard]] JobType job_type(std::size_t col) const {
+    for (JobType t : kAllJobTypes) {
+      if (to_string(t) == fields_[col]) return t;
+    }
+    fail(describe("unknown job", col));
+  }
+
+  /// A finite double.
+  [[nodiscard]] double real(std::size_t col) const {
+    const std::string& s = fields_[col];
+    std::size_t pos = 0;
+    double v = 0.0;
+    try {
+      v = std::stod(s, &pos);
+    } catch (const std::exception&) {
+      pos = 0;
+    }
+    if (pos == 0 || pos != s.size()) fail(describe("bad number", col));
+    if (!std::isfinite(v)) fail(describe("non-finite", col));
+    return v;
+  }
+
+  [[nodiscard]] double non_negative_real(std::size_t col) const {
+    const double v = real(col);
+    if (v < 0.0) fail(describe("negative", col));
+    return v;
+  }
+
+  /// A non-negative integer that fits in `T`.
+  template <typename T>
+  [[nodiscard]] T count(std::size_t col) const {
+    const std::string& s = fields_[col];
+    std::size_t pos = 0;
+    long long v = 0;
+    try {
+      v = std::stoll(s, &pos);
+    } catch (const std::exception&) {
+      pos = 0;
+    }
+    if (pos == 0 || pos != s.size()) fail(describe("bad integer", col));
+    if (v < 0) fail(describe("negative", col));
+    if (static_cast<unsigned long long>(v) >
+        static_cast<unsigned long long>(std::numeric_limits<T>::max())) {
+      fail(describe("out-of-range", col));
+    }
+    return static_cast<T>(v);
+  }
+
+ private:
+  [[nodiscard]] std::string describe(const char* problem,
+                                     std::size_t col) const {
+    std::string what = problem;
+    what += " ";
+    what += column_name(col);
+    what += " '";
+    what += fields_[col];
+    what += "'";
+    return what;
+  }
+
+  static std::string column_name(std::size_t col) {
+    static const std::vector<std::string> names =
+        split_csv_line(std::string(kHeader));
+    return names[col];
+  }
+
+  std::size_t line_no_;
+  std::vector<std::string> fields_;
+};
 
 }  // namespace
 
@@ -87,29 +158,32 @@ std::vector<Batch> read(std::istream& in) {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
-    const auto fields = split_csv_line(line);
-    if (fields.size() != 13) {
-      throw std::runtime_error("trace: line " + std::to_string(line_no) +
-                               ": expected 13 fields, got " +
-                               std::to_string(fields.size()));
+    const Row row(line_no, split_csv_line(line));
+    if (row.size() != 13) {
+      row.fail("expected 13 fields, got " + std::to_string(row.size()));
     }
-    const auto batch_index = static_cast<std::size_t>(to_int(fields[0]));
+    const auto batch_index = row.count<std::size_t>(0);
+    const double arrival_time = row.real(1);
     Batch& batch = by_index[batch_index];
+    if (!batch.documents.empty() && batch.arrival_time != arrival_time) {
+      row.fail("arrival_time '" + row.text(1) +
+               "' disagrees with earlier rows of batch " + row.text(0));
+    }
     batch.batch_index = batch_index;
-    batch.arrival_time = to_double(fields[1]);
+    batch.arrival_time = arrival_time;
 
     Document d;
-    d.doc_id = static_cast<std::uint64_t>(to_int(fields[2]));
-    d.features.type = job_type_from(fields[3]);
-    d.features.size_mb = to_double(fields[4]);
-    d.features.pages = to_int(fields[5]);
-    d.features.num_images = to_int(fields[6]);
-    d.features.avg_image_mb = to_double(fields[7]);
-    d.features.resolution_dpi = to_double(fields[8]);
-    d.features.color_fraction = to_double(fields[9]);
-    d.features.text_ratio = to_double(fields[10]);
-    d.features.coverage = to_double(fields[11]);
-    d.output_size_mb = to_double(fields[12]);
+    d.doc_id = row.count<std::uint64_t>(2);
+    d.features.type = row.job_type(3);
+    d.features.size_mb = row.non_negative_real(4);
+    d.features.pages = row.count<int>(5);
+    d.features.num_images = row.count<int>(6);
+    d.features.avg_image_mb = row.non_negative_real(7);
+    d.features.resolution_dpi = row.real(8);
+    d.features.color_fraction = row.real(9);
+    d.features.text_ratio = row.real(10);
+    d.features.coverage = row.real(11);
+    d.output_size_mb = row.non_negative_real(12);
     batch.documents.push_back(d);
   }
 

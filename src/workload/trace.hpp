@@ -25,8 +25,11 @@ std::size_t write(std::ostream& out, const std::vector<Batch>& batches);
 /// Writes batches to a file. Throws std::runtime_error on I/O failure.
 std::size_t write_file(const std::string& path, const std::vector<Batch>& batches);
 
-/// Parses batches from a stream. Throws std::runtime_error on malformed
-/// input (wrong column count, non-numeric fields, unknown job type).
+/// Parses batches from a stream. Throws std::runtime_error, naming the
+/// line, on malformed input: a wrong column count, a non-numeric, nan or
+/// infinite field, an unknown job type, a negative size, page count, image
+/// count, batch or doc id, or rows of one batch that disagree on
+/// arrival_time.
 [[nodiscard]] std::vector<Batch> read(std::istream& in);
 
 /// Parses batches from a file. Throws std::runtime_error on I/O failure.

@@ -7,6 +7,9 @@
 #include "util/flat_map.hpp"
 
 #include <cstdint>
+#include <iterator>
+#include <map>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -128,6 +131,156 @@ TEST(FlatMapTest, ClearAndReserveRoundTrip) {
   EXPECT_TRUE(m.empty());
   EXPECT_EQ(m.size(), 0u);
   EXPECT_EQ(m.find(0), m.end());
+}
+
+/// A mapped value that owns heap memory (so a stale or double-moved slot
+/// shows under ASan) and counts its copies (so a test can tell how many
+/// entries a FlatMap copy actually duplicated).
+struct Tracked {
+  static inline std::size_t copies = 0;
+
+  std::string payload;
+
+  Tracked() = default;
+  explicit Tracked(std::string p) : payload(std::move(p)) {}
+  Tracked(const Tracked& other) : payload(other.payload) { ++copies; }
+  Tracked& operator=(const Tracked& other) {
+    payload = other.payload;
+    ++copies;
+    return *this;
+  }
+  Tracked(Tracked&&) noexcept = default;
+  Tracked& operator=(Tracked&&) noexcept = default;
+  ~Tracked() = default;
+};
+
+/// Long enough to defeat the small-string buffer, so every value is a heap
+/// allocation.
+std::string long_label(std::uint64_t k) {
+  std::string label = "payload-for-key-";
+  label += std::to_string(k);
+  label += "-padded-past-the-sso-buffer";
+  return label;
+}
+
+using Model = std::map<std::uint64_t, std::string>;
+
+void expect_same(const FlatMap<std::uint64_t, Tracked>& m, const Model& ref) {
+  ASSERT_EQ(m.size(), ref.size());
+  EXPECT_EQ(m.empty(), ref.empty());
+  auto r = ref.begin();
+  for (const auto& [k, v] : m) {
+    ASSERT_EQ(k, r->first);
+    ASSERT_EQ(v.payload, r->second);
+    ++r;
+  }
+}
+
+TEST(FlatMapTest, RandomizedOpsMatchStdMap) {
+  // A FIFO-shaped workload like the belief and controller tables: keys
+  // arrive in increasing order and mostly leave from the front, with
+  // retractions re-inserting keys below the current front and erases at
+  // the back and in the middle. Every step is checked against std::map.
+  std::mt19937_64 rng(20101);
+  FlatMap<std::uint64_t, Tracked> m;
+  Model ref;
+  std::uint64_t next_key = 1000000;
+  for (int step = 0; step < 40000; ++step) {
+    const auto op = rng() % 100;
+    if (op < 40 || ref.empty()) {
+      const std::uint64_t k = next_key++;
+      ASSERT_TRUE(m.emplace(k, long_label(k)).second);
+      ref.emplace(k, long_label(k));
+    } else if (op < 45) {
+      // Re-admission below the current front.
+      const std::uint64_t k = ref.begin()->first - 1 - rng() % 8;
+      const bool fresh = ref.emplace(k, long_label(k)).second;
+      EXPECT_EQ(m.emplace(k, long_label(k)).second, fresh);
+    } else if (op < 80) {
+      const std::uint64_t k = ref.begin()->first;
+      EXPECT_EQ(m.erase(k), 1u);
+      ref.erase(k);
+    } else if (op < 85) {
+      const std::uint64_t k = std::prev(ref.end())->first;
+      EXPECT_EQ(m.erase(k), 1u);
+      ref.erase(k);
+    } else if (op < 92) {
+      auto r = ref.begin();
+      std::advance(r, static_cast<std::ptrdiff_t>(rng() % ref.size()));
+      const std::uint64_t k = r->first;
+      // Erase through the iterator; the returned one must be the successor.
+      auto next = m.erase(m.find(k));
+      r = ref.erase(r);
+      if (r == ref.end()) {
+        EXPECT_EQ(next, m.end());
+      } else {
+        ASSERT_NE(next, m.end());
+        EXPECT_EQ(next->first, r->first);
+      }
+    } else if (op < 96) {
+      auto r = ref.begin();
+      std::advance(r, static_cast<std::ptrdiff_t>(rng() % ref.size()));
+      EXPECT_EQ(m.at(r->first).payload, r->second);
+      EXPECT_EQ(m[r->first].payload, r->second);
+      r->second += "+";
+      m[r->first].payload += "+";
+      EXPECT_EQ(m.find(next_key), m.end());
+      EXPECT_FALSE(m.contains(ref.begin()->first - 100));
+    } else {
+      expect_same(m, ref);
+    }
+    if (step % 997 == 0) {
+      const FlatMap<std::uint64_t, Tracked> copy(m);
+      expect_same(copy, ref);
+      FlatMap<std::uint64_t, Tracked> assigned;
+      assigned.emplace(1, long_label(1));
+      assigned = m;
+      expect_same(assigned, ref);
+    }
+  }
+  expect_same(m, ref);
+}
+
+TEST(FlatMapTest, CopiesHoldOnlyLiveEntries) {
+  // 3000 front erases of 4000 entries: the dead head passes half the
+  // storage, so the map compacts (at least once) on the way.
+  FlatMap<std::uint64_t, Tracked> m;
+  for (std::uint64_t k = 1; k <= 4000; ++k) m.emplace(k, long_label(k));
+  for (std::uint64_t k = 1; k <= 300; ++k) ASSERT_EQ(m.erase(k), 1u);
+
+  // Many front erases, no compaction yet: 300 dead slots are not copied.
+  Tracked::copies = 0;
+  FlatMap<std::uint64_t, Tracked> copy(m);
+  EXPECT_EQ(Tracked::copies, 3700u);
+  EXPECT_EQ(copy.size(), 3700u);
+  EXPECT_EQ(copy.begin()->first, 301u);
+
+  for (std::uint64_t k = 301; k <= 3000; ++k) ASSERT_EQ(m.erase(k), 1u);
+  Tracked::copies = 0;
+  copy = m;
+  EXPECT_EQ(Tracked::copies, 1000u);
+  ASSERT_EQ(copy.size(), 1000u);
+  std::uint64_t expected = 3001;
+  for (const auto& [k, v] : copy) {
+    EXPECT_EQ(k, expected);
+    EXPECT_EQ(v.payload, long_label(expected));
+    ++expected;
+  }
+
+  // The source keeps working after compaction: re-insert below its front,
+  // then drain it from the front.
+  m.emplace(7, long_label(7));
+  EXPECT_EQ(m.begin()->first, 7u);
+  while (!m.empty()) m.erase(m.begin());
+  EXPECT_EQ(m.begin(), m.end());
+  EXPECT_EQ(copy.size(), 1000u);
+
+  // A moved-from map is empty and reusable.
+  FlatMap<std::uint64_t, Tracked> moved(std::move(copy));
+  EXPECT_EQ(moved.size(), 1000u);
+  EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+  copy.emplace(5, long_label(5));
+  EXPECT_EQ(copy.size(), 1u);
 }
 
 }  // namespace

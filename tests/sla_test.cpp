@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <random>
 #include <vector>
 
 #include "sla/job_outcome.hpp"
@@ -141,6 +145,66 @@ TEST(OoMetricTest, SeriesCoversRunAndEndsFlat) {
   const auto series = oo.series(10.0, 0);
   EXPECT_GE(series.back().time, 95.0);
   EXPECT_DOUBLE_EQ(series.back().ordered_mb, 10.0);
+}
+
+/// Seeded outcome sets for the sweep test. Every other set puts completions
+/// on a 60 s grid, so many are ties and half fall exactly on a 120 s sample
+/// boundary; the rest use continuous times. Job 2 completes long after the
+/// thousands of later ids, and about one row in 16 never completes
+/// (`completed == 0`).
+/// Output sizes span six decades so a change in summation order would show
+/// in the last bits of o_t.
+std::vector<JobOutcome> sweep_outcomes(std::uint64_t seed, std::uint64_t n) {
+  std::mt19937_64 rng(seed);
+  const bool on_grid = seed % 2 == 0;
+  std::vector<JobOutcome> outcomes;
+  for (std::uint64_t i = 1; i <= n; ++i) {
+    double completed =
+        on_grid ? 60.0 * static_cast<double>(1 + rng() % 200)
+                : 12000.0 * std::generate_canonical<double, 53>(rng);
+    if (rng() % 16 == 0) completed = 0.0;
+    if (i == 2) completed = 20000.0;
+    const double mb = std::ldexp(1.0 + std::generate_canonical<double, 53>(rng),
+                                 static_cast<int>(rng() % 20) - 10);
+    outcomes.push_back(outcome(i, completed, mb));
+  }
+  std::shuffle(outcomes.begin(), outcomes.end(), rng);
+  return outcomes;
+}
+
+TEST(OoMetricTest, SeriesMatchesSampleAtBitForBit) {
+  constexpr double kInterval = 120.0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const std::uint64_t n = 3000;
+    const OoMetricCalculator oo(sweep_outcomes(seed, n));
+    for (const std::uint64_t tol : {std::uint64_t{0}, std::uint64_t{1},
+                                    std::uint64_t{4}, n}) {
+      const auto series = oo.series(kInterval, tol);
+      std::size_t samples = 0;
+      const double end = oo.last_completion() + kInterval;
+      for (double t = 0.0; t <= end; t += kInterval) {
+        ASSERT_LT(samples, series.size());
+        const OoSample& s = series[samples++];
+        const OoSample ref = oo.sample_at(t, tol);
+        ASSERT_EQ(std::memcmp(&s.time, &ref.time, sizeof(double)), 0);
+        ASSERT_EQ(s.max_in_order, ref.max_in_order)
+            << "seed " << seed << " tol " << tol << " t " << t;
+        ASSERT_EQ(s.completed_count, ref.completed_count)
+            << "seed " << seed << " tol " << tol << " t " << t;
+        ASSERT_EQ(
+            std::memcmp(&s.ordered_mb, &ref.ordered_mb, sizeof(double)), 0)
+            << "seed " << seed << " tol " << tol << " t " << t << ": "
+            << s.ordered_mb << " vs " << ref.ordered_mb;
+      }
+      EXPECT_EQ(samples, series.size());
+      // Job 2 holds the strict frontier at 1 until it lands at t = 20000.
+      if (tol == 0) {
+        for (const OoSample& s : series) {
+          EXPECT_LE(s.max_in_order, s.time < 20000.0 ? 1u : n);
+        }
+      }
+    }
+  }
 }
 
 // ---- makespan / speedup / utilization / burst (Eq. 7-12) --------------------

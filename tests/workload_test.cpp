@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "simcore/simulation.hpp"
 #include "stats/summary.hpp"
@@ -352,6 +354,91 @@ TEST(TraceTest, RejectsMalformedNumber) {
       "resolution_dpi,color_fraction,text_ratio,coverage,output_size_mb\n"
       "0,0,1,book,10x,1,0,0,300,0,1,0.5,8\n");
   EXPECT_THROW((void)trace::read(in), std::runtime_error);
+}
+
+/// Reads a trace with the standard header plus `rows`; returns the error
+/// message, or "" when the trace parses.
+std::string trace_error(const std::string& rows) {
+  std::istringstream in(
+      "batch,arrival_time,doc_id,type,size_mb,pages,num_images,avg_image_mb,"
+      "resolution_dpi,color_fraction,text_ratio,coverage,output_size_mb\n" +
+      rows);
+  try {
+    (void)trace::read(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// A valid row with column `col` replaced by `value`.
+std::string row_with(std::size_t col, const std::string& value) {
+  std::vector<std::string> fields = {"0",   "0", "1",   "book", "10", "1", "0",
+                                     "0.5", "300", "0", "1",    "0.5", "8"};
+  fields[col] = value;
+  std::string row;
+  for (const std::string& f : fields) {
+    if (!row.empty()) row += ',';
+    row += f;
+  }
+  row += '\n';
+  return row;
+}
+
+TEST(TraceTest, ValidRowParses) {
+  EXPECT_EQ(trace_error(row_with(0, "0")), "");
+}
+
+TEST(TraceTest, RejectsNanInAnyNumericField) {
+  for (std::size_t col : {1u, 4u, 7u, 8u, 9u, 10u, 11u, 12u}) {
+    const std::string err = trace_error(row_with(col, "nan"));
+    EXPECT_NE(err.find("trace: line 2: non-finite"), std::string::npos)
+        << "col " << col << ": " << err;
+  }
+}
+
+TEST(TraceTest, RejectsInfinityInAnyNumericField) {
+  for (std::size_t col : {1u, 4u, 7u, 8u, 9u, 10u, 11u, 12u}) {
+    for (const char* inf : {"inf", "-inf", "1e999"}) {
+      const std::string err = trace_error(row_with(col, inf));
+      EXPECT_EQ(err.rfind("trace: line 2: ", 0), 0u)
+          << "col " << col << ": " << err;
+    }
+  }
+}
+
+TEST(TraceTest, RejectsNegativeSizes) {
+  EXPECT_EQ(trace_error(row_with(4, "-1")),
+            "trace: line 2: negative size_mb '-1'");
+  EXPECT_EQ(trace_error(row_with(12, "-0.5")),
+            "trace: line 2: negative output_size_mb '-0.5'");
+  EXPECT_EQ(trace_error(row_with(7, "-2")),
+            "trace: line 2: negative avg_image_mb '-2'");
+}
+
+TEST(TraceTest, RejectsNegativeCounts) {
+  EXPECT_EQ(trace_error(row_with(5, "-3")),
+            "trace: line 2: negative pages '-3'");
+  EXPECT_EQ(trace_error(row_with(6, "-1")),
+            "trace: line 2: negative num_images '-1'");
+}
+
+TEST(TraceTest, RejectsNegativeBatchOrDocIdBeforeTheUnsignedCast) {
+  EXPECT_EQ(trace_error(row_with(0, "-1")),
+            "trace: line 2: negative batch '-1'");
+  EXPECT_EQ(trace_error(row_with(2, "-7")),
+            "trace: line 2: negative doc_id '-7'");
+}
+
+TEST(TraceTest, RejectsBatchRowsThatDisagreeOnArrival) {
+  // Today's writer gives every row of a batch the same arrival_time; a
+  // hand edit that changes one row must not silently move the batch.
+  const std::string err = trace_error(row_with(1, "0") + row_with(0, "1") +
+                                      row_with(1, "180"));
+  EXPECT_EQ(err,
+            "trace: line 4: arrival_time '180' disagrees with earlier rows "
+            "of batch 0");
+  EXPECT_EQ(trace_error(row_with(1, "180") + row_with(1, "180")), "");
 }
 
 TEST(TraceTest, WriteReportsRowCount) {
