@@ -426,6 +426,25 @@ void BM_SnapshotFork(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotFork)->Unit(benchmark::kMicrosecond);
 
+void BM_SnapshotForkMidRun(benchmark::State& state) {
+  // BM_SnapshotFork deep into a long run: a 1000-batch OP world run to
+  // batch 500 has ~13k finished jobs behind it. A fork copies only live
+  // state and shares the finished history, so this row must stay close to
+  // BM_SnapshotFork instead of growing with the jobs already done.
+  auto scenario = cbs::harness::make_scenario(
+      cbs::core::SchedulerKind::kOrderPreserving,
+      cbs::workload::SizeBucket::kUniform, 42);
+  scenario.num_batches = 1000;
+  cbs::harness::ScenarioWorld world(scenario);
+  world.run_until(world.batches()[500].arrival_time);
+  for (auto _ : state) {
+    auto forked = world.fork();
+    benchmark::DoNotOptimize(forked->now());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SnapshotForkMidRun)->Unit(benchmark::kMicrosecond);
+
 void BM_LookaheadDecision(benchmark::State& state) {
   // One full model-predictive decision: fork the world once per candidate,
   // inject the batch, roll each fork 900 s forward and score it.

@@ -115,7 +115,7 @@ int main() {
           });
     }
     simulation.run();
-    const auto& outcomes = controller.outcomes();
+    const auto outcomes = controller.outcomes().to_vector();
     std::printf("%-22s %9.1fs %9.2f %9.2f\n",
                 kind == core::EstimatorKind::kQrsm ? "pooled-qrsm"
                                                    : "per-class-qrsm",

@@ -77,7 +77,7 @@ int main() {
 
   simulation.run();
 
-  const auto& outcomes = controller.outcomes();
+  const auto outcomes = controller.outcomes().to_vector();
   std::printf("=== print shop day complete ===\n");
   std::printf("jobs: %zu   makespan window: %.1f h   burst ratio: %.2f\n",
               outcomes.size(), sla::makespan(outcomes) / sim::kHour,

@@ -37,7 +37,8 @@ cbs::sla::SlaReport run_trace(const std::vector<cbs::workload::Batch>& batches,
   }
   simulation.run();
   return sla::build_report(
-      std::string(core::to_string(kind)), "trace", controller.outcomes(),
+      std::string(core::to_string(kind)), "trace",
+      controller.outcomes().to_vector(),
       controller.ic_cluster().total_busy_time(),
       controller.ic_cluster().machine_count(),
       controller.ec_cluster().total_busy_time(),

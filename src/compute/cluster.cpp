@@ -43,8 +43,7 @@ Cluster::Cluster(cbs::sim::Simulation& dst, const Cluster& src)
       queue_(src.queue_),
       running_(src.running_),
       queued_standard_seconds_(src.queued_standard_seconds_),
-      next_id_(src.next_id_),
-      completed_(src.completed_) {
+      next_id_(src.next_id_) {
 #ifndef NDEBUG
   for (const Pending& p : queue_) {
     assert(!p.on_complete && "closure-based tasks cannot cross a fork");
@@ -211,7 +210,6 @@ void Cluster::finish(std::size_t machine_idx) {
   rec.completed = sim_.now();
   rec.machine = machine_idx;
   rec.standard_service = task.standard_service;
-  completed_.push_back(rec);
 
   // Pull the next task before invoking callbacks, so the machine never sits
   // idle across a callback that might enqueue more work.

@@ -90,10 +90,6 @@ class Cluster {
   [[nodiscard]] double average_utilization(cbs::sim::SimTime t0,
                                            cbs::sim::SimTime t1) const;
 
-  [[nodiscard]] const std::vector<TaskRecord>& completed() const noexcept {
-    return completed_;
-  }
-
   /// Registers a hook invoked whenever a machine becomes free and the queue
   /// is empty — the trigger point of the §IV.D rescheduling strategies.
   void set_idle_hook(std::function<void(std::size_t machine)> hook) {
@@ -259,7 +255,6 @@ class Cluster {
   std::size_t running_ = 0;
   double queued_standard_seconds_ = 0.0;
   TaskId next_id_ = 1;
-  std::vector<TaskRecord> completed_;
   // cbs-lint: snapshot-complete-ok(owner re-registers its hooks post-fork)
   std::function<void(std::size_t)> idle_hook_;
   // cbs-lint: snapshot-complete-ok(owner re-registers its hooks post-fork)

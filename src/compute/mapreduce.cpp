@@ -15,8 +15,7 @@ MapReduceRuntime::MapReduceRuntime(cbs::sim::Simulation& dst,
                                    Cluster& cluster)
     : sim_(dst),
       cluster_(cluster),
-      in_flight_(src.in_flight_),
-      completed_(src.completed_) {
+      in_flight_(src.in_flight_) {
 #ifndef NDEBUG
   for (const auto& [id, job] : in_flight_) {
     assert(job.hook_form && "closure-form jobs cannot cross a fork");
@@ -119,7 +118,6 @@ void MapReduceRuntime::finish_merge(std::uint64_t job_id,
   const bool hook_form = jt->second.hook_form;
   Callback cb = std::move(jt->second.on_complete);
   in_flight_.erase(jt);
-  completed_.push_back(rec);
   if (hook_form) {
     if (on_complete_) on_complete_(rec);
   } else if (cb) {

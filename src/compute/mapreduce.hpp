@@ -69,9 +69,6 @@ class MapReduceRuntime {
 
   [[nodiscard]] Cluster& cluster() noexcept { return cluster_; }
   [[nodiscard]] std::size_t jobs_in_flight() const noexcept { return in_flight_.size(); }
-  [[nodiscard]] const std::vector<MapReduceRecord>& completed() const noexcept {
-    return completed_;
-  }
 
  private:
   struct InFlight {
@@ -95,7 +92,6 @@ class MapReduceRuntime {
   // Sorted-vector map: job ids are monotonic, so inserts append; keeps the
   // compute layer free of hash-ordered containers like simcore/core.
   cbs::util::FlatMap<std::uint64_t, InFlight> in_flight_;
-  std::vector<MapReduceRecord> completed_;
 };
 
 }  // namespace cbs::compute

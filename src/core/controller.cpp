@@ -600,6 +600,9 @@ void CloudBurstController::finish_job(Job& job) {
   --outstanding_;
   log_.debug(sim_.now(), "job ", job.seq_id, " done on ",
              cbs::sla::to_string(job.placement));
+  // The outcome is the job's whole record from here on; `job` dangles.
+  const std::uint64_t seq = job.seq_id;
+  jobs_.erase(seq);
 }
 
 sla::CostInputs CloudBurstController::cost_inputs() const {

@@ -12,6 +12,7 @@
 #include "core/job.hpp"
 #include "core/scheduler.hpp"
 #include "core/upload_queues.hpp"
+#include "util/chunked_log.hpp"
 #include "util/flat_map.hpp"
 #include "models/estimator.hpp"
 #include "models/hazard.hpp"
@@ -121,10 +122,17 @@ class CloudBurstController {
 
   // ---- results & introspection -------------------------------------
 
-  [[nodiscard]] const std::vector<cbs::sla::JobOutcome>& outcomes() const noexcept {
+  /// Finished jobs in completion order. Forks share the sealed history.
+  [[nodiscard]] const cbs::util::ChunkedLog<cbs::sla::JobOutcome>& outcomes()
+      const noexcept {
     return outcomes_;
   }
   [[nodiscard]] std::size_t outstanding_jobs() const noexcept { return outstanding_; }
+  /// Entries in the job table: exactly the outstanding jobs, since a job
+  /// is erased once its outcome is recorded.
+  [[nodiscard]] std::size_t job_table_size() const noexcept {
+    return jobs_.size();
+  }
   [[nodiscard]] const compute::Cluster& ic_cluster() const noexcept { return ic_cluster_; }
   [[nodiscard]] std::size_t site_count() const noexcept { return sites_.size(); }
   [[nodiscard]] const Site& site(std::size_t index) const { return *sites_.at(index); }
@@ -203,7 +211,8 @@ class CloudBurstController {
     JobState state = JobState::kArrived;
     cbs::sim::SimTime time = 0.0;
   };
-  [[nodiscard]] const std::vector<StageEvent>& stage_log() const noexcept {
+  [[nodiscard]] const cbs::util::ChunkedLog<StageEvent>& stage_log()
+      const noexcept {
     return stage_log_;
   }
 
@@ -278,16 +287,18 @@ class CloudBurstController {
   /// between a site's members stay valid.
   std::vector<std::unique_ptr<Site>> sites_;
 
+  /// Outstanding jobs only: finish_job() erases a job once its outcome is
+  /// recorded, so a fork copies live state, not the run's history.
   cbs::util::FlatMap<std::uint64_t, Job> jobs_;
   std::deque<std::uint64_t> ic_wait_;  ///< IC feed queue (enables rescheduling)
-  std::vector<cbs::sla::JobOutcome> outcomes_;
+  cbs::util::ChunkedLog<cbs::sla::JobOutcome> outcomes_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t next_doc_id_ = 1ULL << 32;  ///< chunk ids, disjoint from inputs
   std::size_t outstanding_ = 0;
   bool probe_scheduled_ = false;
   std::size_t pull_backs_ = 0;
   std::size_t push_outs_ = 0;
-  std::vector<StageEvent> stage_log_;
+  cbs::util::ChunkedLog<StageEvent> stage_log_;
   bool elastic_check_scheduled_ = false;
   std::size_t scale_ups_ = 0;
   std::size_t scale_downs_ = 0;

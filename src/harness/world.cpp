@@ -36,13 +36,19 @@ void pretrain_controller(cbs::core::CloudBurstController& controller,
   controller.pretrain(docs, runtimes);
 }
 
+using OutcomeLog = cbs::util::ChunkedLog<cbs::sla::JobOutcome>;
+
+double lateness_of(const cbs::sla::JobOutcome& o,
+                   const cbs::sla::TicketPolicy& policy) {
+  return std::max(0.0, o.completed - policy.deadline_for(o));
+}
+
 /// The OO metric's o_t (paper Eq. 5–6) evaluated on a *partial* outcome
 /// set (a mid-horizon rollout has gaps in the seq-id space, which
 /// OoMetricCalculator rejects): the cumulative output MB of completed jobs
 /// with id <= m, where m is the largest id with at most `tolerance`
 /// missing jobs below it.
-double ordered_output_mb(const std::vector<cbs::sla::JobOutcome>& outcomes,
-                         std::uint64_t tolerance) {
+double ordered_output_mb(const OutcomeLog& outcomes, std::uint64_t tolerance) {
   if (outcomes.empty()) return 0.0;
   std::uint64_t max_id = 0;
   for (const auto& o : outcomes) max_id = std::max(max_id, o.seq_id);
@@ -89,39 +95,40 @@ ScenarioWorld::ScenarioWorld(const Scenario& scenario)
   arr_cfg.num_batches = scenario.num_batches;
   cbs::workload::BatchArrivalProcess arrivals(arr_cfg, generator,
                                               root.substream("arrivals"));
-  batches_ = arrivals.generate_all();
+  batches_ = std::make_shared<const std::vector<cbs::workload::Batch>>(
+      arrivals.generate_all());
 
-  // Pre-size the event slab: all batch-arrival events are pending at once,
-  // plus a working set of per-job events for roughly two batches in flight
-  // (jobs overlap at the batch boundary, not across the whole horizon).
+  // Pre-size the event slab: the pending arrival plus a working set of
+  // per-job events for roughly two batches in flight (jobs overlap at the
+  // batch boundary, not across the whole horizon).
   std::size_t max_batch_jobs = 0;
-  for (const auto& b : batches_) {
+  for (const auto& b : *batches_) {
     max_batch_jobs = std::max(max_batch_jobs, b.documents.size());
   }
-  sim_.reserve_events(batches_.size() + 4 * max_batch_jobs + 64);
+  sim_.reserve_events(4 * max_batch_jobs + 65);
 
-  batch_events_.reserve(batches_.size());
-  for (std::size_t i = 0; i < batches_.size(); ++i) {
-    batch_events_.push_back(sim_.schedule_at(
-        batches_[i].arrival_time, [this, i] { deliver_batch(i); }));
-  }
+  // Every arrival keeps the (time, seq) it would have if all were scheduled
+  // here, but only the next one is pending at any time (DESIGN §12.2).
+  first_arrival_seq_ = sim_.reserve_seqs(batches_->size());
+  schedule_arrival(0);
 }
 
 ScenarioWorld::ScenarioWorld(const ScenarioWorld& src)
     : scenario_(src.scenario_),
       truth_(src.truth_),
       batches_(src.batches_),
-      batch_events_(src.batch_events_),
+      first_arrival_seq_(src.first_arrival_seq_),
+      next_arrival_(src.next_arrival_),
+      arrival_event_(src.arrival_event_),
       rollout_(src.rollout_),
       rollout_kind_(src.rollout_kind_),
-      lookahead_choices_(src.lookahead_choices_) {
+      lookahead_choices_(src.lookahead_choices_),
+      score_prefix_(src.score_prefix_) {
   cbs::sim::SnapshotContext ctx(src.sim_, sim_);
   controller_ = std::make_unique<cbs::core::CloudBurstController>(
       sim_, *src.controller_, truth_);
-  for (std::size_t i = 0; i < batch_events_.size(); ++i) {
-    batch_events_[i] =
-        ctx.restore(batch_events_[i], [this, i] { deliver_batch(i); });
-  }
+  arrival_event_ = ctx.restore(
+      arrival_event_, [this, i = next_arrival_] { deliver_batch(i); });
   controller_->rebuild_events(ctx);
   const std::size_t orphaned = ctx.finish();
   if (orphaned != 0) {
@@ -137,9 +144,28 @@ cbs::sim::SimTime ScenarioWorld::run_until(cbs::sim::SimTime deadline) {
   return sim_.run_until(deadline);
 }
 
+std::size_t ScenarioWorld::pending_arrivals() const {
+  std::size_t pending = 0;
+  const std::uint64_t end_seq = first_arrival_seq_ + batches_->size();
+  for (const auto& record : sim_.pending_snapshot()) {
+    if (record.seq >= first_arrival_seq_ && record.seq < end_seq) ++pending;
+  }
+  return pending;
+}
+
+void ScenarioWorld::schedule_arrival(std::size_t index) {
+  next_arrival_ = index;
+  arrival_event_ = cbs::sim::EventId{};
+  if (index >= batches_->size()) return;
+  arrival_event_ = sim_.schedule_reserved(
+      (*batches_)[index].arrival_time, first_arrival_seq_ + index,
+      [this, index] { deliver_batch(index); });
+}
+
 void ScenarioWorld::deliver_batch(std::size_t index) {
-  batch_events_[index] = cbs::sim::EventId{};  // fired: inert across forks
-  const cbs::workload::Batch& batch = batches_[index];
+  // Before anything else, so a lookahead fork taken below carries it.
+  schedule_arrival(index + 1);
+  const cbs::workload::Batch& batch = (*batches_)[index];
   if (rollout_) {
     // Inside a candidate rollout the policy under evaluation persists for
     // every in-horizon arrival; no nested lookahead.
@@ -151,6 +177,7 @@ void ScenarioWorld::deliver_batch(std::size_t index) {
     cfg.horizon_seconds = scenario_.lookahead_horizon_seconds;
     cfg.candidates = scenario_.lookahead_candidates;
     const LookaheadController lookahead(cfg);
+    score_prefix_.advance(controller_->outcomes(), scenario_.ticket_policy);
     const LookaheadController::Decision decision = lookahead.decide(*this, batch);
     lookahead_choices_.push_back(decision.kind);
     controller_->on_batch_as(batch, decision.kind);
@@ -165,17 +192,16 @@ RunResult ScenarioWorld::result() const {
                              std::to_string(controller_->outstanding_jobs()) +
                              " jobs outstanding");
   }
-  const std::string violation =
-      cbs::sla::validate_outcomes(controller_->outcomes());
+  const cbs::core::CloudBurstController& controller = *controller_;
+
+  RunResult result;
+  result.outcomes = controller.outcomes().to_vector();
+  const std::string violation = cbs::sla::validate_outcomes(result.outcomes);
   if (!violation.empty()) {
     throw std::runtime_error("run_scenario: outcome invariants violated: " +
                              violation);
   }
-  const cbs::core::CloudBurstController& controller = *controller_;
-
-  RunResult result;
   result.scenario = scenario_;
-  result.outcomes = controller.outcomes();
   result.sim_end_time = sim_.now();
   result.events_processed = static_cast<std::size_t>(sim_.events_processed());
   result.pull_backs = controller.pull_backs();
@@ -291,7 +317,7 @@ LookaheadController::Decision LookaheadController::decide(
     // so the fork never sees it — inject the batch by hand.
     rollout->inject_batch_as(batch, kind);
     rollout->run_until(parent.now() + config_.horizon_seconds);
-    const double score = score_world(*rollout);
+    const double score = score_rollout(*rollout, parent.score_prefix());
     decision.scores.emplace_back(kind, score);
     if (c == 0 || score < decision.score) {
       decision.kind = kind;
@@ -302,19 +328,73 @@ LookaheadController::Decision LookaheadController::decide(
 }
 
 double LookaheadController::score_world(const ScenarioWorld& world) const {
-  const auto& outcomes = world.controller().outcomes();
+  const OutcomeLog& outcomes = world.controller().outcomes();
   const cbs::sla::TicketPolicy& policy = world.scenario().ticket_policy;
   double lateness = 0.0;
-  for (const auto& o : outcomes) {
-    lateness += std::max(0.0, o.completed - policy.deadline_for(o));
+  for (const auto& o : outcomes) lateness += lateness_of(o, policy);
+  return score_with(world, lateness,
+                    ordered_output_mb(outcomes, world.scenario().oo_tolerance));
+}
+
+double LookaheadController::score_rollout(const ScenarioWorld& rollout,
+                                          const ScorePrefix& prefix) const {
+  const OutcomeLog& outcomes = rollout.controller().outcomes();
+  const cbs::sla::TicketPolicy& policy = rollout.scenario().ticket_policy;
+  // Every id below the frontier is done, so ordered_output_mb()'s walk
+  // over ids 1..frontier-1 has already happened in the prefix; resume it
+  // at the frontier over the prefix's ids ahead plus the rollout's own.
+  const auto fresh = outcomes.iterator_at(prefix.count);
+  double lateness = prefix.lateness;
+  std::uint64_t max_id =
+      prefix.ahead.empty() ? 0 : std::prev(prefix.ahead.end())->first;
+  for (auto it = fresh; it != outcomes.end(); ++it) {
+    lateness += lateness_of(*it, policy);
+    max_id = std::max(max_id, it->seq_id);
   }
+  double running = prefix.ordered_mb;
+  if (max_id >= prefix.frontier) {
+    std::vector<double> output_by_id(max_id - prefix.frontier + 1, -1.0);
+    for (const auto& [id, mb] : prefix.ahead) {
+      output_by_id[id - prefix.frontier] = mb;
+    }
+    for (auto it = fresh; it != outcomes.end(); ++it) {
+      output_by_id[it->seq_id - prefix.frontier] = it->output_mb;
+    }
+    const std::uint64_t tolerance = rollout.scenario().oo_tolerance;
+    std::uint64_t missing = 0;
+    for (const double mb : output_by_id) {
+      if (mb < 0.0) {
+        if (++missing > tolerance) break;
+        continue;
+      }
+      running += mb;
+    }
+  }
+  return score_with(rollout, lateness, running);
+}
+
+void ScorePrefix::advance(const OutcomeLog& log,
+                          const cbs::sla::TicketPolicy& policy) {
+  for (auto it = log.iterator_at(count); it != log.end(); ++it) {
+    lateness += lateness_of(*it, policy);
+    ahead.emplace(it->seq_id, it->output_mb);
+  }
+  count = log.size();
+  while (!ahead.empty() && ahead.begin()->first == frontier) {
+    ordered_mb += ahead.begin()->second;
+    ahead.erase(ahead.begin());
+    ++frontier;
+  }
+}
+
+double LookaheadController::score_with(const ScenarioWorld& world,
+                                       double lateness,
+                                       double ordered_mb) const {
   const double unfinished =
       config_.unfinished_penalty_seconds *
       static_cast<double>(world.controller().outstanding_jobs());
   const cbs::sla::CostReport cost = cbs::sla::compute_cost(
       world.controller().cost_inputs(), world.scenario().cost_rates);
-  const double oo =
-      ordered_output_mb(outcomes, world.scenario().oo_tolerance);
   // Predicted-outage exposure: jobs the horizon-end belief still places on
   // the EC are at risk of a predicted crash; price that as a fraction of
   // the unfinished penalty. Zero exactly when the hazard predictor is off
@@ -325,7 +405,7 @@ double LookaheadController::score_world(const ScenarioWorld& world) const {
       config_.unfinished_penalty_seconds;
   return lateness + unfinished + hazard_exposure +
          config_.seconds_per_dollar * cost.cloud_total() -
-         config_.oo_weight_seconds_per_mb * oo;
+         config_.oo_weight_seconds_per_mb * ordered_mb;
 }
 
 RunResult run_scenario_via_fork(const Scenario& scenario,

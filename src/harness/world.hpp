@@ -8,15 +8,40 @@
 #include "harness/experiment.hpp"
 #include "harness/scenario.hpp"
 #include "simcore/simulation.hpp"
+#include "sla/job_outcome.hpp"
+#include "sla/tickets.hpp"
+#include "util/chunked_log.hpp"
+#include "util/flat_map.hpp"
 #include "workload/arrival.hpp"
 #include "workload/ground_truth.hpp"
 
 namespace cbs::harness {
 
+/// The part of a lookahead score that a rollout inherits from its parent
+/// world: the parent's outcome log up to `count`, already folded. A rollout
+/// is a fork, so its log starts with exactly these entries, and scoring it
+/// continues from here instead of re-walking the whole run. The sums add the
+/// same terms in the same order as a full recompute, so scores stay
+/// bit-identical.
+struct ScorePrefix {
+  std::size_t count = 0;       ///< outcomes folded in, from the log's start
+  double lateness = 0.0;       ///< Σ ticket lateness over them, in log order
+  std::uint64_t frontier = 1;  ///< smallest seq id not among them
+  double ordered_mb = 0.0;     ///< Σ output_mb, ids 1..frontier-1, id order
+  /// output_mb of the folded ids above the frontier.
+  cbs::util::FlatMap<std::uint64_t, double> ahead;
+
+  /// Folds in the entries of `log` past `count`. `log` must extend the log
+  /// this prefix was built from (the same world, or a fork of it).
+  void advance(const cbs::util::ChunkedLog<cbs::sla::JobOutcome>& log,
+               const cbs::sla::TicketPolicy& policy);
+};
+
 /// A scenario's entire running state as a first-class, *forkable* value:
 /// the engine, the ground-truth model, the controller and the pre-drawn
-/// arrival schedule. `run_scenario` is a thin wrapper over this class;
-/// holding the world directly additionally buys
+/// arrival schedule (shared, immutable, across forks). `run_scenario` is a
+/// thin wrapper over this class; holding the world directly additionally
+/// buys
 ///
 ///  - checkpoint/resume: `run_until(t)` then `fork()` yields an independent
 ///    deep copy whose continuation is byte-identical to the original's
@@ -62,7 +87,21 @@ class ScenarioWorld {
     return *controller_;
   }
   [[nodiscard]] const std::vector<cbs::workload::Batch>& batches() const noexcept {
-    return batches_;
+    return *batches_;
+  }
+
+  /// Events pending in the engine.
+  [[nodiscard]] std::size_t pending_events() const noexcept {
+    return sim_.pending_events();
+  }
+  /// Batch-arrival events pending in the engine: 1 until the last batch
+  /// has arrived, then 0. Only the next arrival is ever scheduled.
+  [[nodiscard]] std::size_t pending_arrivals() const;
+
+  /// The score prefix of this world's outcomes, advanced at each lookahead
+  /// decision point (empty for other schedulers).
+  [[nodiscard]] const ScorePrefix& score_prefix() const noexcept {
+    return score_prefix_;
   }
 
   /// Marks this (freshly forked) world as a lookahead rollout: every
@@ -89,17 +128,24 @@ class ScenarioWorld {
 
  private:
   void deliver_batch(std::size_t index);
+  /// Makes arrival `index` the pending one (none past the last batch).
+  void schedule_arrival(std::size_t index);
 
   Scenario scenario_;
   cbs::sim::Simulation sim_;
   cbs::workload::GroundTruthModel truth_;
   std::unique_ptr<cbs::core::CloudBurstController> controller_;
-  std::vector<cbs::workload::Batch> batches_;
-  std::vector<cbs::sim::EventId> batch_events_;  ///< restored across forks
+  std::shared_ptr<const std::vector<cbs::workload::Batch>> batches_;
+  /// Arrival i fires under the scheduling-order number first_arrival_seq_
+  /// + i, reserved at construction; see DESIGN §12.2.
+  std::uint64_t first_arrival_seq_ = 0;
+  std::size_t next_arrival_ = 0;  ///< index of the pending arrival
+  cbs::sim::EventId arrival_event_{};
   bool rollout_ = false;
   cbs::core::SchedulerKind rollout_kind_ =
       cbs::core::SchedulerKind::kOrderPreserving;
   std::vector<cbs::core::SchedulerKind> lookahead_choices_;
+  ScorePrefix score_prefix_;
 };
 
 /// The model-predictive burst policy (ISSUE tentpole): at a decision point
@@ -156,11 +202,21 @@ class LookaheadController {
                                 const cbs::workload::Batch& batch) const;
 
   /// The trajectory score of a (rolled-forward) world; lower is better.
+  /// Walks the world's whole outcome log: the reference for score_rollout.
   [[nodiscard]] double score_world(const ScenarioWorld& world) const;
+
+  /// score_world(rollout), bit for bit, continuing from `prefix` — the
+  /// score prefix of the world `rollout` was forked from.
+  [[nodiscard]] double score_rollout(const ScenarioWorld& rollout,
+                                     const ScorePrefix& prefix) const;
 
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
  private:
+  /// The score given its two outcome-log terms.
+  [[nodiscard]] double score_with(const ScenarioWorld& world, double lateness,
+                                  double ordered_mb) const;
+
   Config config_;
 };
 

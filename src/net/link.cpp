@@ -115,7 +115,6 @@ Link::Link(cbs::sim::Simulation& dst, const Link& src)
       outage_(src.outage_),
       hot_(src.hot_),
       cold_(src.cold_),
-      completed_(src.completed_),
       next_id_(src.next_id_),
       bytes_delivered_(src.bytes_delivered_),
       dirty_(src.dirty_),
@@ -289,9 +288,9 @@ void Link::record_capacity(SimTime now, double capacity) {
       now - capacity_history_.back().time < capacity_min_interval_) {
     return;
   }
-  capacity_history_.add(now, capacity);
+  capacity_history_.push_back({now, capacity});
   if (capacity_history_.size() >= kCapacityHistoryMax) {
-    capacity_history_.decimate_half();
+    capacity_history_ = cbs::util::decimated_half(capacity_history_);
     const double span =
         capacity_history_.back().time - capacity_history_.at(0).time;
     capacity_min_interval_ = std::max(
@@ -408,7 +407,6 @@ void Link::on_timer() {
   hot_.erase(due);
   dirty_ = true;
   cold_.erase(it);
-  completed_.push_back(rec);
   note_busy_transition();
   flush();
   if (cold_.empty() && tick_scheduled_) {

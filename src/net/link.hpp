@@ -10,6 +10,7 @@
 #include "simcore/rng.hpp"
 #include "simcore/simulation.hpp"
 #include "stats/timeseries.hpp"
+#include "util/chunked_log.hpp"
 #include "util/flat_map.hpp"
 
 namespace cbs::sim {
@@ -171,16 +172,14 @@ class Link {
 
   [[nodiscard]] std::size_t active_transfers() const noexcept { return cold_.size(); }
   [[nodiscard]] double total_bytes_delivered() const noexcept { return bytes_delivered_; }
-  [[nodiscard]] const std::vector<TransferRecord>& completed() const noexcept {
-    return completed_;
-  }
   /// Total time during which at least one transfer was active.
   [[nodiscard]] double busy_time() const;
   /// Capacity samples recorded at allocation events (for Fig. 4a). Bounded:
   /// once kCapacityHistoryMax samples accumulate the series is decimated
   /// 2:1 and the minimum recording interval doubles, so arbitrarily long
-  /// runs keep O(1) memory here.
-  [[nodiscard]] const cbs::stats::TimeSeries& capacity_history() const noexcept {
+  /// runs keep O(1) memory here. Forks share the sealed part.
+  [[nodiscard]] const cbs::util::ChunkedLog<cbs::stats::TimePoint>&
+  capacity_history() const noexcept {
     return capacity_history_;
   }
   /// Connection drops injected so far (failure_probability > 0).
@@ -298,7 +297,6 @@ class Link {
   bool outage_ = false;
   HotPool hot_;
   cbs::util::FlatMap<TransferId, Cold> cold_;
-  std::vector<TransferRecord> completed_;
   TransferId next_id_ = 1;
   double bytes_delivered_ = 0.0;
   // Batched-reallocation state: membership changes set dirty_; flush()
@@ -315,7 +313,8 @@ class Link {
   bool tick_scheduled_ = false;
   cbs::sim::EventId tick_event_{};
   static constexpr std::size_t kCapacityHistoryMax = 4096;
-  cbs::stats::TimeSeries capacity_history_;
+  /// History shared with forks: only the open tail is copied.
+  cbs::util::ChunkedLog<cbs::stats::TimePoint> capacity_history_;
   cbs::sim::SimDuration capacity_min_interval_ = 0.0;
   // Busy-time accounting.
   double busy_accum_ = 0.0;

@@ -102,8 +102,10 @@ class EventQueue {
   [[nodiscard]] std::vector<PendingEvent> pending_records() const;
 
   /// Re-schedules an event with an explicit (time, seq) taken from a
-  /// source queue's PendingEvent. Precondition: seq < next_seq() (call
-  /// set_next_seq() first) and seq unique among restored events.
+  /// source queue's PendingEvent, or reserved earlier by advancing
+  /// next_seq() past it (Simulation::reserve_seqs). Precondition: seq <
+  /// next_seq() (call set_next_seq() first) and seq unique among pending
+  /// events.
   EventId restore(SimTime t, std::uint64_t seq, Callback cb);
 
   [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }

@@ -11,6 +11,13 @@ EventId Simulation::schedule_at(SimTime t, EventQueue::Callback cb) {
   return queue_.push(t, std::move(cb));
 }
 
+EventId Simulation::schedule_reserved(SimTime t, std::uint64_t seq,
+                                      EventQueue::Callback cb) {
+  assert(is_valid_time(t) && "schedule_reserved: invalid time");
+  assert(t >= now_ && "schedule_reserved: cannot schedule in the past");
+  return queue_.restore(t, seq, std::move(cb));
+}
+
 EventId Simulation::schedule_in(SimDuration delay, EventQueue::Callback cb) {
   assert(delay >= 0.0 && "schedule_in: negative delay");
   return queue_.push(now_ + delay, std::move(cb));

@@ -43,6 +43,22 @@ class Simulation {
   /// Schedules `cb` after a non-negative delay.
   EventId schedule_in(SimDuration delay, EventQueue::Callback cb);
 
+  /// Reserves `count` consecutive scheduling-order numbers and returns the
+  /// first. An event later scheduled with schedule_reserved() at one of
+  /// them pops exactly where an event scheduled now would have: a long
+  /// chain of future events can then keep only its next link pending.
+  std::uint64_t reserve_seqs(std::uint64_t count) noexcept {
+    const std::uint64_t first = queue_.next_seq();
+    queue_.set_next_seq(first + count);
+    return first;
+  }
+
+  /// Schedules `cb` at `t >= now()` under a seq taken from reserve_seqs()
+  /// (each reserved seq at most once), via the explicit-seq path a fork's
+  /// restore_event() uses.
+  EventId schedule_reserved(SimTime t, std::uint64_t seq,
+                            EventQueue::Callback cb);
+
   /// Cancels a pending event; no-op if already fired/cancelled.
   bool cancel(EventId id) { return queue_.cancel(id); }
 

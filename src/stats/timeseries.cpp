@@ -45,15 +45,6 @@ std::vector<TimePoint> TimeSeries::diff_on_grid(const TimeSeries& other,
   return out;
 }
 
-void TimeSeries::decimate_half() {
-  if (points_.size() < 3) return;
-  const std::size_t n = points_.size();
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < n; i += 2) points_[out++] = points_[i];
-  if ((n - 1) % 2 != 0) points_[out++] = points_[n - 1];  // keep the newest
-  points_.resize(out);
-}
-
 double TimeSeries::time_average(SimTime t0, SimTime t1) const {
   assert(t1 > t0);
   double area = 0.0;

@@ -45,12 +45,6 @@ class TimeSeries {
   /// Time-weighted average of the step function over [t0, t1].
   [[nodiscard]] double time_average(cbs::sim::SimTime t0, cbs::sim::SimTime t1) const;
 
-  /// 2:1 downsampling: keeps every other point (even indices, so the first
-  /// sample always survives) plus the final point. Producers that must
-  /// bound memory on unbounded runs (Link::capacity_history) call this
-  /// when the series hits their cap and double their sampling interval.
-  void decimate_half();
-
  private:
   std::vector<TimePoint> points_;  // strictly non-decreasing in time
 };

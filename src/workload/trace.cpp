@@ -149,8 +149,12 @@ std::size_t write_file(const std::string& path, const std::vector<Batch>& batche
 
 std::vector<Batch> read(std::istream& in) {
   std::string line;
-  if (!std::getline(in, line)) throw std::runtime_error("trace: empty input");
-  if (line != kHeader) throw std::runtime_error("trace: unexpected header");
+  if (!std::getline(in, line)) {
+    throw std::runtime_error("trace: line 1: empty input");
+  }
+  if (line != kHeader) {
+    throw std::runtime_error("trace: line 1: unexpected header");
+  }
 
   // batch index -> batch, ordered.
   std::map<std::size_t, Batch> by_index;

@@ -25,8 +25,9 @@ std::size_t write(std::ostream& out, const std::vector<Batch>& batches);
 /// Writes batches to a file. Throws std::runtime_error on I/O failure.
 std::size_t write_file(const std::string& path, const std::vector<Batch>& batches);
 
-/// Parses batches from a stream. Throws std::runtime_error, naming the
-/// line, on malformed input: a wrong column count, a non-numeric, nan or
+/// Parses batches from a stream. Throws std::runtime_error, starting
+/// "trace: line N: ", on malformed input: an empty input or a wrong header
+/// (line 1), a wrong column count, a non-numeric, nan or
 /// infinite field, an unknown job type, a negative size, page count, image
 /// count, batch or doc id, or rows of one batch that disagree on
 /// arrival_time.

@@ -79,7 +79,7 @@ TEST(ControllerTest, IcOnlyRunsEverythingInternally) {
     EXPECT_GT(o.completed, 0.0);
   }
   EXPECT_DOUBLE_EQ(ctl.uplink().total_bytes_delivered(), 0.0);
-  EXPECT_EQ(cbs::sla::validate_outcomes(ctl.outcomes()), "");
+  EXPECT_EQ(cbs::sla::validate_outcomes(ctl.outcomes().to_vector()), "");
 }
 
 TEST(ControllerTest, EcPipelineMovesBytesThroughStore) {
@@ -117,7 +117,7 @@ TEST(ControllerTest, SequenceIdsSpanBatches) {
   ctl.on_batch(rig.batch(1, {10.0}));
   rig.sim.run();
   ASSERT_EQ(ctl.outcomes().size(), 3u);
-  EXPECT_EQ(cbs::sla::validate_outcomes(ctl.outcomes()), "");
+  EXPECT_EQ(cbs::sla::validate_outcomes(ctl.outcomes().to_vector()), "");
   std::size_t batch1_jobs = 0;
   for (const auto& o : ctl.outcomes()) {
     if (o.batch_index == 1) {
@@ -212,7 +212,7 @@ TEST(ControllerTest, ReschedulerPushesOutWhenUploadIdles) {
   ctl.on_batch(rig.batch(0, sizes));
   rig.sim.run();
   EXPECT_EQ(ctl.outstanding_jobs(), 0u);
-  EXPECT_EQ(cbs::sla::validate_outcomes(ctl.outcomes()), "");
+  EXPECT_EQ(cbs::sla::validate_outcomes(ctl.outcomes().to_vector()), "");
   EXPECT_GT(ctl.push_outs() + ctl.pull_backs(), 0u);
 }
 
@@ -225,7 +225,7 @@ TEST(ControllerTest, ChunkedJobsGetFreshSeqAndDocIds) {
   ctl.on_batch(rig.batch(0, {200.0, 5.0, 5.0}));
   rig.sim.run();
   EXPECT_GT(ctl.outcomes().size(), 3u);
-  EXPECT_EQ(cbs::sla::validate_outcomes(ctl.outcomes()), "");
+  EXPECT_EQ(cbs::sla::validate_outcomes(ctl.outcomes().to_vector()), "");
   // Chunk doc ids live in the dedicated high range.
   bool saw_chunk_id = false;
   for (const auto& o : ctl.outcomes()) {
@@ -283,7 +283,7 @@ TEST(ControllerTest, UtilizationNeverExceedsOne) {
   CloudBurstController ctl(rig.sim, cfg, rig.truth, RngStream(13));
   ctl.on_batch(rig.batch(0, {80.0, 120.0, 40.0, 10.0, 250.0}));
   rig.sim.run();
-  const double makespan = cbs::sla::makespan(ctl.outcomes());
+  const double makespan = cbs::sla::makespan(ctl.outcomes().to_vector());
   const double ic_util = cbs::sla::set_utilization(
       ctl.ic_cluster().total_busy_time(), ctl.ic_cluster().machine_count(),
       makespan);
@@ -308,7 +308,7 @@ std::vector<cbs::sla::JobOutcome> run_batches(
     sim.schedule_at(batch.arrival_time, [&ctl, &batch] { ctl.on_batch(batch); });
   }
   sim.run();
-  return ctl.outcomes();
+  return ctl.outcomes().to_vector();
 }
 
 TEST(TraceReplayTest, SavedTraceReplaysTheRunThatProducedIt) {

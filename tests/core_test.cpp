@@ -586,9 +586,11 @@ TEST(TransferQueueSetTest, SmallJobRidesHigherClassSlot) {
   QueueFixture f;
   TransferQueueSet queues(f.sim, f.link, f.tuner, 3);
   std::vector<std::uint64_t> done;
+  std::vector<cbs::net::TransferRecord> recs;
   queues.set_on_complete(
-      [&](std::uint64_t tag, int, const cbs::net::TransferRecord&) {
+      [&](std::uint64_t tag, int, const cbs::net::TransferRecord& rec) {
         done.push_back(tag);
+        recs.push_back(rec);
       });
   // Two small (class 0) jobs and nothing in classes 1/2: the second small
   // job must ride a higher slot and run concurrently.
@@ -598,7 +600,7 @@ TEST(TransferQueueSetTest, SmallJobRidesHigherClassSlot) {
   // Concurrent at 0.5 MB/s each -> both complete at t=4; serial would be
   // 2 then 4.
   ASSERT_EQ(done.size(), 2u);
-  const auto& recs = f.link.completed();
+  ASSERT_EQ(recs.size(), 2u);
   EXPECT_DOUBLE_EQ(recs[0].completed, 4.0);
   EXPECT_DOUBLE_EQ(recs[1].completed, 4.0);
 }
@@ -608,9 +610,11 @@ TEST(TransferQueueSetTest, LargeJobNeverRidesSmallSlot) {
   TransferQueueSet queues(f.sim, f.link, f.tuner, 2);
   int active_large = 0;
   int max_active_large = 0;
+  std::vector<cbs::net::TransferRecord> recs;
   queues.set_on_complete(
-      [&](std::uint64_t, int klass, const cbs::net::TransferRecord&) {
+      [&](std::uint64_t, int klass, const cbs::net::TransferRecord& rec) {
         if (klass == 1) --active_large;
+        recs.push_back(rec);
       });
   // Three large-class jobs: only the class-1 slot may carry them, so they
   // serialize even though the class-0 slot idles.
@@ -619,7 +623,8 @@ TEST(TransferQueueSetTest, LargeJobNeverRidesSmallSlot) {
   max_active_large = active_large;
   f.sim.run();
   EXPECT_EQ(max_active_large, 1);
-  EXPECT_DOUBLE_EQ(f.link.completed().back().completed, 3.0);  // serial at 1 MB/s
+  ASSERT_FALSE(recs.empty());
+  EXPECT_DOUBLE_EQ(recs.back().completed, 3.0);  // serial at 1 MB/s
 }
 
 TEST(TransferQueueSetTest, CancelOnlyWorksWhileQueued) {

@@ -138,7 +138,7 @@ TEST(ElasticEcTest, ScalesUpUnderBacklogAndDownWhenIdle) {
   // The elastic denominator integrates the provisioning level over time.
   EXPECT_GT(ctl.ec_cluster().provisioned_machine_seconds(),
             static_cast<double>(sim.now()));
-  EXPECT_EQ(cbs::sla::validate_outcomes(ctl.outcomes()), "");
+  EXPECT_EQ(cbs::sla::validate_outcomes(ctl.outcomes().to_vector()), "");
 }
 
 // ---- per-class QRSM -----------------------------------------------------------

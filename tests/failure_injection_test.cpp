@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "harness/experiment.hpp"
 #include "harness/scenario.hpp"
@@ -28,13 +29,19 @@ net::LinkConfig flaky_link(double failure_probability) {
   return cfg;
 }
 
+/// A completion handler appending each finished transfer's record to `out`.
+net::Link::CompletionHandler collector(std::vector<net::TransferRecord>& out) {
+  return [&out](const net::TransferRecord& rec) { out.push_back(rec); };
+}
+
 TEST(LinkFailureTest, ZeroProbabilityInjectsNothing) {
   Simulation sim;
   net::Link link(sim, flaky_link(0.0), RngStream(1));
-  for (int i = 0; i < 20; ++i) link.submit(1.0e6, 1, nullptr);
+  std::vector<net::TransferRecord> completed;
+  for (int i = 0; i < 20; ++i) link.submit(1.0e6, 1, collector(completed));
   sim.run();
   EXPECT_EQ(link.injected_failures(), 0u);
-  for (const auto& rec : link.completed()) EXPECT_EQ(rec.retries, 0);
+  for (const auto& rec : completed) EXPECT_EQ(rec.retries, 0);
 }
 
 TEST(LinkFailureTest, DropsHappenAndTransfersStillComplete) {
@@ -70,10 +77,11 @@ TEST(LinkFailureTest, RetriesAreRecordedAndBounded) {
   auto cfg = flaky_link(0.9);
   cfg.max_retries = 2;
   net::Link link(sim, cfg, RngStream(4));
-  for (int i = 0; i < 40; ++i) link.submit(1.0e6, 1, nullptr);
+  std::vector<net::TransferRecord> completed;
+  for (int i = 0; i < 40; ++i) link.submit(1.0e6, 1, collector(completed));
   sim.run();
   bool saw_retry = false;
-  for (const auto& rec : link.completed()) {
+  for (const auto& rec : completed) {
     EXPECT_LE(rec.retries, 2);
     if (rec.retries > 0) saw_retry = true;
   }
@@ -108,10 +116,11 @@ TEST(LinkFailureTest, MultipleDropsPerTransferAreInjected) {
   auto cfg = flaky_link(0.9);
   cfg.max_retries = 5;
   net::Link link(sim, cfg, RngStream(6));
-  for (int i = 0; i < 60; ++i) link.submit(1.0e6, 1, nullptr);
+  std::vector<net::TransferRecord> completed;
+  for (int i = 0; i < 60; ++i) link.submit(1.0e6, 1, collector(completed));
   sim.run();
   int max_retries_seen = 0;
-  for (const auto& rec : link.completed()) {
+  for (const auto& rec : completed) {
     max_retries_seen = std::max(max_retries_seen, rec.retries);
   }
   EXPECT_GE(max_retries_seen, 3);

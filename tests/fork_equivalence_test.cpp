@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "harness/experiment.hpp"
@@ -317,6 +318,52 @@ TEST(ForkEquivalence, ForkIsIndependentOfParent) {
   forked->run();
   expect_identical(parent.result(), forked->result());
   expect_identical(forked->result(), run_scenario(s));
+}
+
+TEST(ForkEquivalence, ForkCopiesLiveStateAndSharesHistory) {
+  // A fork copies what is live and shares what is history: one pending
+  // batch arrival (not every remaining one), a job table holding only the
+  // outstanding jobs, and the sealed outcome chunks and batch schedule of
+  // the parent itself.
+  Scenario s = table1_fixture(cbs::core::SchedulerKind::kOrderPreserving);
+  s.num_batches = 1000;
+  ScenarioWorld parent(s);
+  parent.run_until(parent.batches()[500].arrival_time + 1.0);
+  const std::unique_ptr<ScenarioWorld> forked = parent.fork();
+
+  EXPECT_EQ(forked->pending_events(), parent.pending_events());
+  EXPECT_EQ(parent.pending_arrivals(), 1u);
+  EXPECT_EQ(forked->pending_arrivals(), 1u);
+  EXPECT_EQ(&forked->batches(), &parent.batches());
+
+  for (const ScenarioWorld* world : {&parent, forked.get()}) {
+    const auto& controller = world->controller();
+    EXPECT_GT(controller.outstanding_jobs(), 0u);
+    EXPECT_EQ(controller.job_table_size(), controller.outstanding_jobs());
+  }
+
+  const auto& parent_log = parent.controller().outcomes();
+  const auto& fork_log = forked->controller().outcomes();
+  ASSERT_GT(parent_log.sealed_chunks(), 0u);
+  ASSERT_EQ(fork_log.sealed_chunks(), parent_log.sealed_chunks());
+  for (std::size_t i = 0; i < parent_log.sealed_chunks(); ++i) {
+    EXPECT_EQ(&fork_log.sealed_chunk(i), &parent_log.sealed_chunk(i));
+  }
+
+  const std::vector<cbs::sla::JobOutcome> before = parent_log.to_vector();
+  forked->run_until(parent.now() + 3600.0);
+  ASSERT_GT(fork_log.size(), before.size());
+  const std::vector<cbs::sla::JobOutcome> after = parent_log.to_vector();
+  const std::vector<cbs::sla::JobOutcome> fork_all = fork_log.to_vector();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].seq_id, before[i].seq_id) << "outcome " << i;
+    EXPECT_EQ(after[i].completed, before[i].completed) << "outcome " << i;
+    EXPECT_EQ(fork_all[i].seq_id, before[i].seq_id) << "outcome " << i;
+    EXPECT_EQ(fork_all[i].completed, before[i].completed) << "outcome " << i;
+  }
+  EXPECT_EQ(forked->controller().job_table_size(),
+            forked->controller().outstanding_jobs());
 }
 
 TEST(ForkEquivalence, ForkOfForkStillIdentical) {

@@ -201,8 +201,9 @@ TEST(LinkForkEquivalence, MidFlightSoAStateForksBitExact) {
 
     // Bit-exact equivalence of everything after the fork point: the fork
     // sees the same noise draws, the same failure injections, the same
-    // completion order. (recs_a also holds the pre-fork completions; the
-    // clone's copied completed() ledger covers those below.)
+    // completion order. (recs_a also holds the pre-fork completions. The
+    // clone keeps no ledger: its history is those records followed by its
+    // own, checked against the source's below.)
     ASSERT_EQ(recs_a.size(), pre_fork + recs_b.size());
     for (std::size_t i = 0; i < recs_b.size(); ++i) {
       const TransferRecord& ra = recs_a[pre_fork + i];
@@ -214,10 +215,13 @@ TEST(LinkForkEquivalence, MidFlightSoAStateForksBitExact) {
       EXPECT_EQ(ra.started, recs_b[i].started);
       EXPECT_EQ(ra.completed, recs_b[i].completed);
     }
-    ASSERT_EQ(a.completed().size(), b.completed().size());
-    for (std::size_t i = 0; i < a.completed().size(); ++i) {
-      EXPECT_EQ(a.completed()[i].id, b.completed()[i].id);
-      EXPECT_EQ(a.completed()[i].completed, b.completed()[i].completed);
+    std::vector<TransferRecord> ledger_b(
+        recs_a.begin(), recs_a.begin() + static_cast<std::ptrdiff_t>(pre_fork));
+    ledger_b.insert(ledger_b.end(), recs_b.begin(), recs_b.end());
+    ASSERT_EQ(recs_a.size(), ledger_b.size());
+    for (std::size_t i = 0; i < recs_a.size(); ++i) {
+      EXPECT_EQ(recs_a[i].id, ledger_b[i].id);
+      EXPECT_EQ(recs_a[i].completed, ledger_b[i].completed);
     }
     EXPECT_EQ(a.total_bytes_delivered(), b.total_bytes_delivered());
     EXPECT_EQ(a.wasted_bytes(), b.wasted_bytes());

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <vector>
+
 #include "harness/experiment.hpp"
 #include "harness/scenario.hpp"
 #include "harness/world.hpp"
@@ -91,6 +95,62 @@ TEST(Lookahead, DeterministicAcrossRuns) {
     EXPECT_EQ(a.outcomes[i].placement, b.outcomes[i].placement);
   }
   EXPECT_EQ(a.cost.cloud_total(), b.cost.cloud_total());
+}
+
+/// decide()'s rollouts re-scored by score_world, which walks every outcome
+/// of each rollout: the full-recompute reference for the prefix scoring.
+std::vector<double> reference_scores(const LookaheadController& lookahead,
+                                     const ScenarioWorld& parent,
+                                     const cbs::workload::Batch& batch) {
+  std::vector<double> scores;
+  const auto& order = LookaheadController::candidate_order();
+  for (int c = 0; c < lookahead.config().candidates; ++c) {
+    const SchedulerKind kind = order[static_cast<std::size_t>(c)];
+    std::unique_ptr<ScenarioWorld> rollout = parent.fork();
+    rollout->begin_rollout(kind);
+    rollout->inject_batch_as(batch, kind);
+    rollout->run_until(parent.now() + lookahead.config().horizon_seconds);
+    scores.push_back(lookahead.score_world(*rollout));
+  }
+  return scores;
+}
+
+TEST(Lookahead, PrefixScoresMatchFullRecomputeBitForBit) {
+  for (const bool faults : {false, true}) {
+    Scenario s = lookahead_scenario(42);
+    s.num_batches = 40;
+    if (faults) {
+      s.faults.ic_vm_mtbf = 3000.0;
+      s.faults.ec_vm_mtbf = 900.0;
+      s.faults.vm_recovery_seconds = 90.0;
+      s.faults.outage_windows = {cbs::sim::OutageWindow{1500.0, 400.0}};
+      s.faults.retraction_deadline_factor = 3.0;
+    }
+    ScenarioWorld world(s);
+    LookaheadController::Config cfg;
+    cfg.horizon_seconds = s.lookahead_horizon_seconds;
+    cfg.candidates = s.lookahead_candidates;
+    const LookaheadController lookahead(cfg);
+    for (const std::size_t i : {3u, 10u, 17u, 25u, 39u}) {
+      // The arrival fires a real decision, which advances the prefix.
+      world.run_until(world.batches()[i].arrival_time);
+      if (i >= 17) {
+        EXPECT_GT(world.score_prefix().count, 0u);
+        EXPECT_GT(world.score_prefix().frontier, 1u);
+      }
+      const auto decision = lookahead.decide(world, world.batches()[i]);
+      const std::vector<double> want =
+          reference_scores(lookahead, world, world.batches()[i]);
+      ASSERT_EQ(decision.scores.size(), want.size());
+      for (std::size_t c = 0; c < want.size(); ++c) {
+        EXPECT_EQ(std::memcmp(&decision.scores[c].second, &want[c],
+                              sizeof(double)),
+                  0)
+            << "faults " << faults << ", batch " << i << ", candidate " << c
+            << ": " << decision.scores[c].second << " vs " << want[c];
+      }
+    }
+  }
 }
 
 // The acceptance bar: on the uniform bucket (the paper's §V default

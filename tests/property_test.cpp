@@ -35,22 +35,27 @@ TEST_P(LinkStormTest, ConservesBytesUnderRandomTraffic) {
   RngStream rng(GetParam());
   double submitted = 0.0;
   std::size_t count = 0;
+  std::vector<net::TransferRecord> completed;
+  const auto collect = [&completed](const net::TransferRecord& rec) {
+    completed.push_back(rec);
+  };
   for (int i = 0; i < 60; ++i) {
     const double bytes = rng.uniform(0.05e6, 40.0e6);
     const double when = rng.uniform(0.0, 2000.0);
     const int threads = static_cast<int>(rng.uniform_int(1, 8));
     submitted += bytes;
     ++count;
-    sim.schedule_at(when,
-                    [&link, bytes, threads] { link.submit(bytes, threads, nullptr); });
+    sim.schedule_at(when, [&link, &collect, bytes, threads] {
+      link.submit(bytes, threads, collect);
+    });
   }
   sim.run();
   EXPECT_NEAR(link.total_bytes_delivered(), submitted,
               1e-6 * submitted + 1.0);
-  EXPECT_EQ(link.completed().size(), count);
+  EXPECT_EQ(completed.size(), count);
   EXPECT_EQ(link.active_transfers(), 0u);
   // Completion timestamps are causal.
-  for (const auto& rec : link.completed()) {
+  for (const auto& rec : completed) {
     EXPECT_GE(rec.started, rec.requested);
     EXPECT_GT(rec.completed, rec.started);
   }

@@ -200,33 +200,6 @@ TEST(TimeSeriesTest, ValueAtIsStepFunction) {
   EXPECT_DOUBLE_EQ(ts.value_at(1e9), 2.0);
 }
 
-TEST(TimeSeriesTest, DecimateHalfKeepsEndpointsAndOrder) {
-  TimeSeries ts;
-  for (int i = 0; i < 9; ++i) {
-    ts.add(static_cast<double>(i), static_cast<double>(i) * 10.0);
-  }
-  ts.decimate_half();
-  // Even indices survive: 0, 2, 4, 6, 8 — first and last always kept.
-  ASSERT_EQ(ts.size(), 5U);
-  EXPECT_DOUBLE_EQ(ts.at(0).time, 0.0);
-  EXPECT_DOUBLE_EQ(ts.at(2).time, 4.0);
-  EXPECT_DOUBLE_EQ(ts.back().time, 8.0);
-  EXPECT_DOUBLE_EQ(ts.back().value, 80.0);
-
-  TimeSeries even;
-  for (int i = 0; i < 8; ++i) even.add(static_cast<double>(i), 1.0);
-  even.decimate_half();
-  // Even count: indices 0,2,4,6 plus the appended final point 7.
-  ASSERT_EQ(even.size(), 5U);
-  EXPECT_DOUBLE_EQ(even.back().time, 7.0);
-
-  TimeSeries tiny;
-  tiny.add(1.0, 1.0);
-  tiny.add(2.0, 2.0);
-  tiny.decimate_half();  // below the minimum size: untouched
-  EXPECT_EQ(tiny.size(), 2U);
-}
-
 TEST(TimeSeriesTest, ResampleGrid) {
   TimeSeries ts;
   ts.add(0.0, 1.0);
