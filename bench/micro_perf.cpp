@@ -199,6 +199,28 @@ void BM_QrsmObserveFullWindow(benchmark::State& state) {
 }
 BENCHMARK(BM_QrsmObserveFullWindow)->Unit(benchmark::kMillisecond);
 
+void BM_QrsmRefit(benchmark::State& state) {
+  // One refit on a full 4096-row window: the moments are already built,
+  // so this is the change of basis plus the 45×45 Cholesky solve.
+  constexpr std::size_t kWindow = 4096;
+  cbs::sim::RngStream rng(7);
+  cbs::workload::GroundTruthModel truth({}, rng.substream("t"));
+  cbs::workload::WorkloadGenerator gen({}, truth, rng.substream("g"));
+  std::vector<cbs::workload::DocumentFeatures> feats;
+  std::vector<double> y;
+  for (std::size_t i = 0; i < kWindow; ++i) {
+    feats.push_back(gen.next().features);
+    y.push_back(truth.sample_seconds(feats.back()));
+  }
+  cbs::models::QrsmModel model;
+  model.fit(feats, y);
+  for (auto _ : state) {
+    model.refit();
+    benchmark::DoNotOptimize(model.is_fitted());
+  }
+}
+BENCHMARK(BM_QrsmRefit);
+
 void BM_QrsmPredict(benchmark::State& state) {
   cbs::sim::RngStream rng(7);
   cbs::workload::GroundTruthModel truth({}, rng.substream("t"));
@@ -312,6 +334,11 @@ void BM_OrderlinessStats(benchmark::State& state) {
 BENCHMARK(BM_OrderlinessStats)->Arg(1000)->Arg(10000);
 
 void BM_BandwidthEstimatorTransferSeconds(benchmark::State& state) {
+  // The argument is the bytes to move: one job's upload (3e8, within a
+  // slot or two), and about one and six days of this link's capacity
+  // (~8.4e10 bytes a day), which is what a query pays under overload,
+  // when the queue ahead of the job is priced too.
+  const auto bytes = static_cast<double>(state.range(0));
   cbs::net::BandwidthEstimator est(
       {.slots_per_day = 48, .alpha = 0.3, .prior_rate = 1.0e6});
   for (int s = 0; s < 48; ++s) {
@@ -319,11 +346,14 @@ void BM_BandwidthEstimatorTransferSeconds(benchmark::State& state) {
   }
   double t = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(est.estimate_transfer_seconds(t, 3.0e8));
+    benchmark::DoNotOptimize(est.estimate_transfer_seconds(t, bytes));
     t += 137.0;
   }
 }
-BENCHMARK(BM_BandwidthEstimatorTransferSeconds);
+BENCHMARK(BM_BandwidthEstimatorTransferSeconds)
+    ->Arg(300000000)
+    ->Arg(84000000000)
+    ->Arg(500000000000);
 
 void BM_FullScenario(benchmark::State& state) {
   for (auto _ : state) {

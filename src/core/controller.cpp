@@ -195,6 +195,8 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
       belief_(src.belief_, *proc_estimator_),
       scheduler_(src.scheduler_->clone()),
       jobs_(src.jobs_),
+      job_slot_(src.job_slot_),
+      first_job_seq_(src.first_job_seq_),
       ic_wait_(src.ic_wait_),
       outcomes_(src.outcomes_),
       next_seq_(src.next_seq_),
@@ -350,9 +352,22 @@ void CloudBurstController::pretrain(
 }
 
 Job& CloudBurstController::job_at(std::uint64_t seq) {
-  auto it = jobs_.find(seq);
-  assert(it != jobs_.end());
-  return it->second;
+  assert(seq >= first_job_seq_ && seq - first_job_seq_ < job_slot_.size());
+  const std::uint32_t slot = job_slot_[seq - first_job_seq_];
+  assert(slot != kNoJob);
+  return jobs_[slot];
+}
+
+Job& CloudBurstController::add_job(Job job) {
+  const std::uint64_t seq = job.seq_id;
+  if (job_slot_.empty()) first_job_seq_ = seq;
+  for (; seq < first_job_seq_; --first_job_seq_) job_slot_.push_front(kNoJob);
+  while (seq - first_job_seq_ >= job_slot_.size()) job_slot_.push_back(kNoJob);
+  std::uint32_t& slot = job_slot_[seq - first_job_seq_];
+  assert(slot == kNoJob);
+  slot = static_cast<std::uint32_t>(jobs_.size());
+  jobs_.push_back(std::move(job));
+  return jobs_.back();
 }
 
 void CloudBurstController::on_batch(const cbs::workload::Batch& batch) {
@@ -400,17 +415,16 @@ void CloudBurstController::on_batch(const cbs::workload::Batch& batch) {
     // scheduler) it runs; only the simulated clusters consume this value.
     job.true_service_seconds = truth_.realized_seconds(d.doc);
 
-    auto [it, inserted] = jobs_.emplace(d.seq_id, std::move(job));
-    assert(inserted);
+    Job& placed = add_job(std::move(job));
     ++outstanding_;
 
     if (d.placement == Placement::kInternal) {
-      set_state(it->second, JobState::kIcWaiting);
+      set_state(placed, JobState::kIcWaiting);
       ic_wait_.push_back(d.seq_id);
     } else {
-      it->second.site = d.ec_estimate.site;
-      set_state(it->second, JobState::kUploadQueued);
-      enqueue_upload(it->second, d.upload_class);
+      placed.site = d.ec_estimate.site;
+      set_state(placed, JobState::kUploadQueued);
+      enqueue_upload(placed, d.upload_class);
       arm_burst_deadline(d.seq_id);
     }
   }
@@ -601,8 +615,20 @@ void CloudBurstController::finish_job(Job& job) {
   log_.debug(sim_.now(), "job ", job.seq_id, " done on ",
              cbs::sla::to_string(job.placement));
   // The outcome is the job's whole record from here on; `job` dangles.
-  const std::uint64_t seq = job.seq_id;
-  jobs_.erase(seq);
+  // The last job in the table moves into its slot.
+  std::uint32_t& entry = job_slot_[job.seq_id - first_job_seq_];
+  const std::uint32_t slot = entry;
+  assert(&jobs_[slot] == &job);
+  entry = kNoJob;
+  if (slot + 1 != jobs_.size()) {
+    jobs_[slot] = jobs_.back();
+    job_slot_[jobs_[slot].seq_id - first_job_seq_] = slot;
+  }
+  jobs_.pop_back();
+  while (!job_slot_.empty() && job_slot_.front() == kNoJob) {
+    job_slot_.pop_front();
+    ++first_job_seq_;
+  }
 }
 
 sla::CostInputs CloudBurstController::cost_inputs() const {

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -272,6 +274,8 @@ class CloudBurstController {
   [[nodiscard]] compute::MapReduceSpec spec_for(const Job& job,
                                                 double merge_per_mb) const;
   [[nodiscard]] Job& job_at(std::uint64_t seq);
+  /// Adds an outstanding job to the table; returns it in place.
+  Job& add_job(Job job);
 
   cbs::sim::Simulation& sim_;
   ControllerConfig config_;
@@ -288,8 +292,17 @@ class CloudBurstController {
   std::vector<std::unique_ptr<Site>> sites_;
 
   /// Outstanding jobs only: finish_job() erases a job once its outcome is
-  /// recorded, so a fork copies live state, not the run's history.
-  cbs::util::FlatMap<std::uint64_t, Job> jobs_;
+  /// recorded, so a fork copies live state, not the run's history. The
+  /// jobs sit densely in jobs_, in no particular order; the job with seq s
+  /// is jobs_[job_slot_[s − first_job_seq_]], and kNoJob marks a seq not in
+  /// the table. Finished seqs are trimmed off the front, so job_slot_ spans
+  /// the oldest outstanding seq to the newest. Every lookup, insert and
+  /// erase is O(1); jobs do not finish in seq order, and under overload an
+  /// erase from a seq-ordered table moved O(backlog) jobs.
+  static constexpr std::uint32_t kNoJob = UINT32_MAX;
+  std::vector<Job> jobs_;
+  std::deque<std::uint32_t> job_slot_;
+  std::uint64_t first_job_seq_ = 0;
   std::deque<std::uint64_t> ic_wait_;  ///< IC feed queue (enables rescheduling)
   cbs::util::ChunkedLog<cbs::sla::JobOutcome> outcomes_;
   std::uint64_t next_seq_ = 1;

@@ -1,6 +1,8 @@
 #include "harness/cli.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <limits>
 #include <stdexcept>
 
 namespace cbs::harness::cli {
@@ -8,6 +10,19 @@ namespace cbs::harness::cli {
 namespace {
 
 bool is_flag(const std::string& s) { return s.rfind("--", 0) == 0; }
+
+/// parse(value of --key), or parse(fallback) when the flag is absent. An
+/// error names the flag: a bare `--scheduler` reads as "true", and
+/// "unknown scheduler: true" alone would not say where that came from.
+template <typename Parse>
+auto parse_flag(const Args& args, const std::string& key,
+                const std::string& fallback, Parse parse) {
+  try {
+    return parse(args.get_or(key, fallback));
+  } catch (const std::exception& e) {
+    throw std::invalid_argument("--" + key + ": " + e.what());
+  }
+}
 
 }  // namespace
 
@@ -57,8 +72,15 @@ double Args::get_double_or(const std::string& key, double fallback) const {
   const auto v = get(key);
   if (!v) return fallback;
   std::size_t pos = 0;
-  const double out = std::stod(*v, &pos);
-  if (pos != v->size()) throw std::runtime_error("bad number for --" + key);
+  double out = 0.0;
+  try {
+    out = std::stod(*v, &pos);
+  } catch (const std::exception&) {
+    pos = 0;  // not a number, or out of double's range
+  }
+  if (pos == 0 || pos != v->size()) {
+    throw std::runtime_error("bad number for --" + key + ": '" + *v + "'");
+  }
   return out;
 }
 
@@ -66,8 +88,15 @@ long Args::get_long_or(const std::string& key, long fallback) const {
   const auto v = get(key);
   if (!v) return fallback;
   std::size_t pos = 0;
-  const long out = std::stol(*v, &pos);
-  if (pos != v->size()) throw std::runtime_error("bad integer for --" + key);
+  long out = 0;
+  try {
+    out = std::stol(*v, &pos);
+  } catch (const std::exception&) {
+    pos = 0;  // not an integer, or out of long's range
+  }
+  if (pos == 0 || pos != v->size()) {
+    throw std::runtime_error("bad integer for --" + key + ": '" + *v + "'");
+  }
   return out;
 }
 
@@ -120,34 +149,34 @@ const std::vector<std::string>& scenario_flags() {
 }
 
 Scenario scenario_from_args(const Args& args) {
+  // Signed values are range-checked before each cast: a seed of -5 would
+  // wrap to 2^64 - 5, and 2^32 + 3 candidates would truncate to 3.
+  const long seed = args.get_long_or("seed", 42);
+  if (seed < 0) throw std::invalid_argument("--seed must be >= 0");
   Scenario s = make_scenario(
-      parse_scheduler(args.get_or("scheduler", "order-preserving")),
-      parse_bucket(args.get_or("bucket", "large")),
-      static_cast<std::uint64_t>(args.get_long_or("seed", 42)),
-      args.has("high-var"));
+      parse_flag(args, "scheduler", "order-preserving", parse_scheduler),
+      parse_flag(args, "bucket", "large", parse_bucket),
+      static_cast<std::uint64_t>(seed), args.has("high-var"));
   const long batches = args.get_long_or("batches", 8);
-  if (batches < 0) throw std::invalid_argument("--batches must be > 0");
+  if (batches < 0) throw std::invalid_argument("--batches must be >= 0");
   s.num_batches = static_cast<std::size_t>(batches);
   s.mean_jobs_per_batch = args.get_double_or("lambda", 15.0);
   s.batch_interval_seconds = args.get_double_or("interval", 180.0);
   s.enable_rescheduler = args.has("rescheduler");
-  // Checked before the cast: -3 would wrap to 2^64 - 3.
   const long tolerance = args.get_long_or("tolerance", 4);
   if (tolerance < 0) throw std::invalid_argument("--tolerance must be >= 0");
   s.oo_tolerance = static_cast<std::uint64_t>(tolerance);
   s.oo_sampling_interval = args.get_double_or("oo-interval", 120.0);
   s.truth.noise_sigma = args.get_double_or("noise", s.truth.noise_sigma);
 
-  const std::string estimator = args.get_or("estimator", "qrsm");
-  if (estimator == "qrsm") {
-    s.estimator = cbs::core::EstimatorKind::kQrsm;
-  } else if (estimator == "oracle") {
-    s.estimator = cbs::core::EstimatorKind::kOracle;
-  } else if (estimator == "per-class") {
-    s.estimator = cbs::core::EstimatorKind::kPerClassQrsm;
-  } else {
-    throw std::runtime_error("unknown estimator: " + estimator);
-  }
+  s.estimator =
+      parse_flag(args, "estimator", "qrsm", [](const std::string& name) {
+        using cbs::core::EstimatorKind;
+        if (name == "qrsm") return EstimatorKind::kQrsm;
+        if (name == "oracle") return EstimatorKind::kOracle;
+        if (name == "per-class") return EstimatorKind::kPerClassQrsm;
+        throw std::runtime_error("unknown estimator: " + name);
+      });
 
   if (args.has("elastic")) {
     auto cfg = s.controller_config();
@@ -165,7 +194,7 @@ Scenario scenario_from_args(const Args& args) {
       args.get_double_or("retraction-factor", 0.0);
 
   s.resilience.hazard.kind =
-      parse_hazard_predictor(args.get_or("hazard-predictor", "off"));
+      parse_flag(args, "hazard-predictor", "off", parse_hazard_predictor);
   s.resilience.drain_threshold =
       args.get_double_or("drain-threshold", s.resilience.drain_threshold);
   s.resilience.drain_window_seconds =
@@ -175,8 +204,16 @@ Scenario scenario_from_args(const Args& args) {
 
   s.lookahead_horizon_seconds =
       args.get_double_or("horizon", s.lookahead_horizon_seconds);
-  s.lookahead_candidates = static_cast<int>(
-      args.get_long_or("candidates", s.lookahead_candidates));
+  const long candidates =
+      args.get_long_or("candidates", s.lookahead_candidates);
+  constexpr int kMaxCandidates = std::numeric_limits<int>::max();
+  if (candidates < 1 || candidates > kMaxCandidates) {
+    std::string msg = "--candidates must be in [1, ";
+    msg += std::to_string(kMaxCandidates);
+    msg += "]";
+    throw std::invalid_argument(msg);
+  }
+  s.lookahead_candidates = static_cast<int>(candidates);
   require_valid(s);
   return s;
 }
@@ -191,6 +228,10 @@ std::vector<std::uint64_t> parse_seed_list(const std::string& csv) {
     if (token.empty()) throw std::runtime_error("empty seed in list: " + csv);
     std::size_t pos = 0;
     unsigned long long value = 0;
+    // stoull accepts a sign and negates "-5" to 2^64 - 5: digits only.
+    if (std::isdigit(static_cast<unsigned char>(token.front())) == 0) {
+      throw std::invalid_argument("bad seed: " + token);
+    }
     try {
       value = std::stoull(token, &pos);
     } catch (const std::exception&) {
@@ -206,14 +247,13 @@ std::vector<std::uint64_t> parse_seed_list(const std::string& csv) {
 
 std::vector<std::uint64_t> seeds_from_args(const Args& args,
                                            std::vector<std::uint64_t> fallback) {
-  const auto v = args.get("seeds");
-  if (!v) return fallback;
-  return parse_seed_list(*v);
+  if (!args.has("seeds")) return fallback;
+  return parse_flag(args, "seeds", "", parse_seed_list);
 }
 
 std::size_t threads_from_args(const Args& args) {
   const long n = args.get_long_or("threads", 0);
-  if (n < 0) throw std::runtime_error("--threads must be >= 1");
+  if (n < 0) throw std::runtime_error("--threads must be >= 0");
   return static_cast<std::size_t>(n);
 }
 

@@ -24,6 +24,9 @@ class Args {
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
   [[nodiscard]] std::string get_or(const std::string& key,
                                    const std::string& fallback) const;
+  /// The flag's value as a number, or `fallback` when the flag is absent.
+  /// A value that is not wholly a number in range throws
+  /// std::runtime_error naming both: "bad number for --lambda: 'abc'".
   [[nodiscard]] double get_double_or(const std::string& key,
                                      double fallback) const;
   [[nodiscard]] long get_long_or(const std::string& key, long fallback) const;
@@ -75,7 +78,7 @@ class Args {
     const Args& args, std::vector<std::uint64_t> fallback);
 
 /// Worker-thread count for the experiment runner: `--threads N` when
-/// given (N >= 1), else 0 = hardware concurrency.
+/// given (N >= 0), else 0; 0 means hardware concurrency.
 [[nodiscard]] std::size_t threads_from_args(const Args& args);
 
 }  // namespace cbs::harness::cli

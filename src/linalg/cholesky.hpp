@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <optional>
+#include <span>
 
 #include "linalg/matrix.hpp"
 
@@ -16,5 +18,17 @@ namespace cbs::linalg {
 
 /// Convenience: factor-and-solve; std::nullopt if not positive definite.
 [[nodiscard]] std::optional<Vector> solve_spd(const Matrix& a, const Vector& b);
+
+/// The same factorization on caller-owned storage, for callers that must
+/// not allocate: `a` holds an n×n symmetric matrix row-major, of which only
+/// the lower triangle is read, and L is written over it (the strict upper
+/// triangle is left as it was). Returns false when A is not positive
+/// definite; `a` is then partly overwritten.
+[[nodiscard]] bool cholesky_in_place(std::span<double> a, std::size_t n);
+
+/// Solves L·Lᵀ·x = b in place, with L the lower triangle of `l` (n×n,
+/// row-major) as cholesky_in_place leaves it.
+void cholesky_solve_in_place(std::span<const double> l, std::size_t n,
+                             std::span<double> b);
 
 }  // namespace cbs::linalg

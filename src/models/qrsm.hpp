@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <deque>
 #include <optional>
@@ -24,17 +25,17 @@ namespace cbs::models {
 /// corpus, then adapt to the deployment.
 ///
 /// The online loop never rebuilds the design matrix. The window's normal
-/// equations are kept as running moments in a fixed reference scaling and
-/// carried onto each refit's scaling by an exact change of basis
-/// (DESIGN.md §9, "Incremental QRSM").
+/// equations are kept as running sums of the distinct monomials they are
+/// made of, in a fixed reference scaling, and carried onto each refit's
+/// scaling by an exact change of basis (DESIGN.md §9, "Incremental QRSM").
 class QrsmModel {
  public:
   struct Config {
     double ridge_lambda = 1.0e-3;
-    /// Online buffer: every observation updates the moments of the last
-    /// `window` pairs (0 keeps all) by one rank-1 update, plus one rank-1
-    /// downdate for the pair that leaves; every `refit_interval`
-    /// observations the surface is re-solved from those moments.
+    /// Online buffer: every observation adds its monomials to the moments
+    /// of the last `window` pairs (0 keeps all) and subtracts those of the
+    /// pair that leaves; every `refit_interval` observations the surface is
+    /// re-solved from those moments.
     std::size_t refit_interval = 32;
     std::size_t window = 4096;
     /// Predictions are clamped below by this (a job is never free).
@@ -71,6 +72,11 @@ class QrsmModel {
   [[nodiscard]] std::size_t buffered() const noexcept {
     return buffer_.size() - evicted_;
   }
+  /// Rows added to or removed from the moments so far, the rows of every
+  /// rebuild included: a host-independent measure of the model's work.
+  [[nodiscard]] std::size_t moment_rows() const noexcept {
+    return moment_rows_;
+  }
 
   /// Forces a refit on the current buffer (no-op when data is insufficient).
   void refit();
@@ -81,11 +87,23 @@ class QrsmModel {
     double y;
   };
 
-  /// Adds (sign = +1) or removes (sign = -1) one pair's terms in the moments.
-  void accumulate(const Example& ex, double sign);
+  /// Distinct monomials of degree ≤ 4 in the features,
+  /// C(kNumRawFeatures + 4, 4): every entry of φφᵀ is one of them.
+  static constexpr std::size_t kNumMonomials =
+      (kNumRawFeatures + 4) * (kNumRawFeatures + 3) * (kNumRawFeatures + 2) *
+      (kNumRawFeatures + 1) / 24;
+
+  /// Adds (sign = +1) or removes (sign = -1) the terms of N pairs in the
+  /// moments, in one pass over the sums.
+  template <std::size_t N>
+  void accumulate(const std::array<const Example*, N>& rows,
+                  const std::array<double, N>& signs);
   /// Re-anchors `ref_` on the current window and recomputes the moments
   /// from the buffer, discarding the rounding drift of the updates.
   void rebuild_moments();
+  /// Whether the updates since the last rebuild may have rounded the
+  /// moments by more than kMaxRelativeDrift of their scale.
+  [[nodiscard]] bool drifted() const;
   /// The window's FeatureScaler, derived from the moments.
   [[nodiscard]] FeatureScaler scaler_from_moments() const;
   /// Fallback when the normal equations are not positive definite: a batch
@@ -110,15 +128,23 @@ class QrsmModel {
   FeatureScaler scaler_;
 
   // The window's moments, in the reference scaling ref_: with
-  // φ₀ = quadratic_expand(ref_.apply(raw)), gram0_ = Σφ₀φ₀ᵀ (upper
-  // triangle only), xty0_ = Σφ₀y, plus Σy and Σy².
+  // x = [1, ref_.apply(raw)], mono_ holds Σ of every degree-4 product of
+  // x's entries (so of every monomial of degree ≤ 4 in the scaled
+  // features) and xty_ holds Σ of every degree-2 product times y, both in
+  // the suffix layout of qrsm.cpp; plus Σy². Σy is xty_[0].
   FeatureScaler ref_;
-  cbs::linalg::Matrix gram0_;
-  cbs::linalg::Vector xty0_;
-  double sum_y_ = 0.0;
+  std::array<double, kNumMonomials> mono_{};
+  std::array<double, kQuadraticDim> xty_{};
   double sum_y2_ = 0.0;
   bool anchored_ = false;  ///< false until the first refit builds the moments
-  std::size_t refits_since_rebuild_ = 0;
+  // The rounding bound: the window's feature and label mass (Σ of a bound
+  // on each row's largest monomial, and Σy²) and, since the last rebuild,
+  // the sum of those masses after every update.
+  double mass_x_ = 0.0;
+  double mass_y_ = 0.0;
+  double drift_x_ = 0.0;
+  double drift_y_ = 0.0;
+  std::size_t moment_rows_ = 0;
 
   // Filled in by the first last_fit() read after a refit (logically const).
   mutable std::optional<cbs::linalg::FitResult> fit_;

@@ -1,5 +1,6 @@
 #include "net/bandwidth_estimator.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -30,6 +31,7 @@ void BandwidthEstimator::observe(SimTime t, double rate) {
   global_ewma_.observe(rate);
   last_observed_ = rate;
   ++observations_;
+  table_stale_ = true;
 }
 
 double BandwidthEstimator::slot_estimate(std::size_t slot) const {
@@ -43,34 +45,80 @@ double BandwidthEstimator::estimate(SimTime t) const {
   return slot_estimate(slot_of(t));
 }
 
+void BandwidthEstimator::rebuild_table() const {
+  const std::size_t slots = config_.slots_per_day;
+  const double slot_seconds = kDay / static_cast<double>(slots);
+  rate_.resize(slots);
+  movable_.assign(slots + 1, 0.0);
+  for (std::size_t k = 0; k < slots; ++k) {
+    rate_[k] = std::max(slot_estimate(k), 1.0);
+    movable_[k + 1] = movable_[k] + rate_[k] * slot_seconds;
+  }
+  table_stale_ = false;
+  ++work_.table_rebuilds;
+}
+
+double BandwidthEstimator::movable_in(std::size_t first, std::size_t m) const {
+  const std::size_t slots = config_.slots_per_day;
+  assert(first < slots && m <= slots);
+  ++work_.search_steps;
+  const std::size_t end = first + m;
+  if (end <= slots) return movable_[end] - movable_[first];
+  return (movable_[slots] - movable_[first]) + movable_[end - slots];
+}
+
 double BandwidthEstimator::estimate_transfer_seconds(SimTime t, double bytes) const {
   assert(bytes >= 0.0);
-  const double slot_seconds = kDay / static_cast<double>(config_.slots_per_day);
-  double remaining = bytes;
-  double elapsed = 0.0;
-  SimTime cursor = t;
-  // Walk slot by slot; cap the walk at one week to guarantee termination
-  // even with absurdly small estimates, then extrapolate at the last rate.
-  const int max_slots = static_cast<int>(config_.slots_per_day) * 7;
-  for (int i = 0; i < max_slots && remaining > 0.0; ++i) {
-    const double rate = std::max(estimate(cursor), 1.0);
-    const double slot_end =
-        (std::floor(cursor / slot_seconds) + 1.0) * slot_seconds;
-    const double window = slot_end - cursor;
-    const double movable = rate * window;
-    if (movable >= remaining) {
-      elapsed += remaining / rate;
-      remaining = 0.0;
+  ++work_.queries;
+  if (bytes <= 0.0) return 0.0;
+  if (table_stale_) rebuild_table();
+  const std::size_t slots = config_.slots_per_day;
+  const double slot_seconds = kDay / static_cast<double>(slots);
+
+  // The rest of t's slot.
+  const double first_rate = rate_[slot_of(t)];
+  const double first_end = (std::floor(t / slot_seconds) + 1.0) * slot_seconds;
+  const double first_window = first_end - t;
+  if (first_rate * first_window >= bytes) return bytes / first_rate;
+  double remaining = bytes - first_rate * first_window;
+  double elapsed = first_window;
+
+  // Then whole slots from `next` on, at most 7 days' worth with the first
+  // slot counted. Any day of consecutive whole slots moves a day's
+  // capacity, so whole days are skipped at once, keeping the last day
+  // (and at least one byte) for the search.
+  constexpr std::size_t kMaxDays = 7;
+  const std::size_t next = slot_of(first_end);
+  const double day_bytes = movable_[slots];
+  double days = std::floor(remaining / day_bytes);
+  if (days > 0.0 && days * day_bytes >= remaining) days -= 1.0;
+  days = std::min(days, static_cast<double>(kMaxDays - 1));
+  remaining -= days * day_bytes;
+  elapsed += days * static_cast<double>(slots) * slot_seconds;
+  const std::size_t budget =
+      kMaxDays * slots - 1 - static_cast<std::size_t>(days) * slots;
+
+  // The first m in [1, limit] whose slots move `remaining`, else limit.
+  const std::size_t limit = std::min(budget, slots);
+  std::size_t lo = std::min<std::size_t>(1, limit);
+  std::size_t hi = limit;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (movable_in(next, mid) >= remaining) {
+      hi = mid;
     } else {
-      elapsed += window;
-      remaining -= movable;
-      cursor = slot_end;
+      lo = mid + 1;
     }
   }
-  if (remaining > 0.0) {
-    elapsed += remaining / std::max(estimate(cursor), 1.0);
+  const double through = movable_in(next, lo);
+  if (through < remaining && limit == budget) {
+    // The week is used up: extrapolate at the rate of the slot it ends in.
+    elapsed += static_cast<double>(limit) * slot_seconds;
+    return elapsed + (remaining - through) / rate_[(next + limit) % slots];
   }
-  return elapsed;
+  elapsed += static_cast<double>(lo - 1) * slot_seconds;
+  return elapsed + (remaining - movable_in(next, lo - 1)) /
+                       rate_[(next + lo - 1) % slots];
 }
 
 }  // namespace cbs::net

@@ -40,10 +40,26 @@ class BandwidthEstimator {
   [[nodiscard]] double estimate(cbs::sim::SimTime t) const;
 
   /// Estimated seconds to move `bytes` starting at time `t`, integrating the
-  /// per-slot estimates across slot boundaries (a transfer that straddles
-  /// the fast night slots and the slow morning slots gets a blended value).
+  /// per-slot estimates (each at least 1 B/s) across slot boundaries: a
+  /// transfer that straddles the fast night slots and the slow morning
+  /// slots gets a blended value. The integration spans at most seven days
+  /// from the start of t's slot; bytes left beyond that move at the rate of
+  /// the slot the cap ends in. The cost does not grow with `bytes`: the
+  /// first query after an observe() rebuilds a per-day cumulative table in
+  /// O(slots_per_day), and every query is then O(log slots_per_day). That
+  /// rebuild writes, so one estimator must not be queried from two threads
+  /// at once.
   [[nodiscard]] double estimate_transfer_seconds(cbs::sim::SimTime t,
                                                  double bytes) const;
+
+  /// Work done by estimate_transfer_seconds, counted rather than timed so
+  /// that it does not depend on the host.
+  struct Work {
+    std::size_t queries = 0;
+    std::size_t table_rebuilds = 0;
+    std::size_t search_steps = 0;  ///< cumulative-table probes
+  };
+  [[nodiscard]] const Work& work() const noexcept { return work_; }
 
   [[nodiscard]] std::size_t slot_of(cbs::sim::SimTime t) const;
   [[nodiscard]] std::size_t slots_per_day() const noexcept { return config_.slots_per_day; }
@@ -52,11 +68,25 @@ class BandwidthEstimator {
   [[nodiscard]] double slot_estimate(std::size_t slot) const;
 
  private:
+  /// Refills rate_ and movable_ from the current estimates.
+  void rebuild_table() const;
+  /// Bytes that the m whole slots starting at slot `first` move, m ≤ a day.
+  [[nodiscard]] double movable_in(std::size_t first, std::size_t m) const;
+
   Config config_;
   std::vector<Ewma> slot_ewmas_;
   Ewma global_ewma_;
   std::size_t observations_ = 0;
   double last_observed_ = 0.0;
+
+  // Filled in by the first query after an observe() (logically const):
+  // rate_[k] is slot k's estimate clamped to ≥ 1 B/s, and movable_[k] the
+  // bytes whole slots 0..k−1 move at those rates, so movable_.back() is a
+  // day's capacity.
+  mutable std::vector<double> rate_;
+  mutable std::vector<double> movable_;
+  mutable bool table_stale_ = true;
+  mutable Work work_;
 };
 
 }  // namespace cbs::net

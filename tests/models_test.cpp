@@ -244,11 +244,12 @@ std::vector<Labeled> labeled_stream(std::size_t n, std::uint64_t seed,
   return out;
 }
 
-/// Streams `data` through observe() and checks every automatic refit
-/// against the batch fit on the same window. Returns the refits checked.
-std::size_t stream_against_batch(const QrsmModel::Config& cfg,
+/// Streams `data` through observe() on `model`, built with `cfg`, and
+/// checks every automatic refit against the batch fit on the same window.
+/// Returns the refits checked.
+std::size_t stream_against_batch(QrsmModel& model,
+                                 const QrsmModel::Config& cfg,
                                  const std::vector<Labeled>& data) {
-  QrsmModel model(cfg);
   std::deque<Labeled> window;
   std::size_t checked = 0;
   for (std::size_t i = 0; i < data.size(); ++i) {
@@ -267,19 +268,60 @@ std::size_t stream_against_batch(const QrsmModel::Config& cfg,
   return checked;
 }
 
+std::size_t stream_against_batch(const QrsmModel::Config& cfg,
+                                 const std::vector<Labeled>& data) {
+  QrsmModel model(cfg);
+  return stream_against_batch(model, cfg, data);
+}
+
 TEST(QrsmIncrementalTest, MatchesBatchBeforeTheWindowFills) {
   const auto data = labeled_stream(1000, 21);
   EXPECT_EQ(stream_against_batch({.refit_interval = 16, .window = 4096}, data),
             (1000 - 64) / 16 + 1);
 }
 
-TEST(QrsmIncrementalTest, MatchesBatchAcrossWrapAndPeriodicRebuilds) {
-  // A 256-row window wraps after 256 observations. The moments are rebuilt
-  // from the buffer every 64 refits, here every 1024 observations, so 4000
-  // observations cross three periodic rebuilds.
+TEST(QrsmIncrementalTest, MatchesBatchAcrossManyWindowWraps) {
+  // A 256-row window wraps after 256 observations, so 4000 observations
+  // replace the whole window fifteen times over, each row entering the
+  // moments by one update and leaving by one downdate.
   const auto data = labeled_stream(4000, 22);
   EXPECT_EQ(stream_against_batch({.refit_interval = 16, .window = 256}, data),
             (4000 - 64) / 16 + 1);
+}
+
+TEST(QrsmIncrementalTest, LongStreamNeedsNoPeriodicRebuild) {
+  // 100 000 observations on a 256-row window, labels jumping x1.7 halfway:
+  // 200 000 updates and downdates of the same moments, and 6 250 refits.
+  // A stationary stream neither strays from the reference scaling nor
+  // comes near the rounding bound, so the moments are built once, at the
+  // first refit, and every refit still matches the batch fit.
+  constexpr std::size_t kObservations = 100000;
+  const QrsmModel::Config cfg{.refit_interval = 16, .window = 256};
+  const auto data = labeled_stream(kObservations, 27, kObservations / 2);
+  QrsmModel model(cfg);
+  EXPECT_EQ(stream_against_batch(model, cfg, data),
+            (kObservations - 64) / cfg.refit_interval + 1);
+  // 64 rows at the first refit, then one update per observation and one
+  // downdate per observation past the window.
+  EXPECT_EQ(model.moment_rows(), 64 + (kObservations - 64) +
+                                     (kObservations - cfg.window));
+}
+
+TEST(QrsmIncrementalTest, LabelCollapseTriggersARebuild) {
+  // Labels shrink 10⁴× halfway. Once the large ones have left the window,
+  // the rounding their updates left in the label sums is large next to
+  // what remains (R² would be off by ~1e-7 without a rebuild); the drift
+  // bound sees the window's Σy² collapse and rebuilds. The features do
+  // not move, so the scaling guard never fires.
+  constexpr std::size_t kObservations = 3000;
+  const QrsmModel::Config cfg{.refit_interval = 16, .window = 256};
+  const auto data =
+      labeled_stream(kObservations, 28, kObservations / 2, /*factor=*/1e-4);
+  QrsmModel model(cfg);
+  stream_against_batch(model, cfg, data);
+  const std::size_t without_rebuild =
+      64 + (kObservations - 64) + (kObservations - cfg.window);
+  EXPECT_GE(model.moment_rows(), without_rebuild + cfg.window);
 }
 
 TEST(QrsmIncrementalTest, MatchesBatchThroughRegimeChange) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -367,6 +369,107 @@ TEST(BandwidthEstimatorTest, LastObservedIsRaw) {
   est.observe(1.0, 900.0);
   EXPECT_DOUBLE_EQ(est.last_observed(), 900.0);
   EXPECT_LT(est.estimate(0.0), 300.0);  // EWMA is far behind the spike
+}
+
+/// The slot-by-slot walk that estimate_transfer_seconds replaced, kept as
+/// its reference: up to seven days of slots, one at a time, then the rest
+/// at the rate where the walk stopped.
+double walk_transfer_seconds(const BandwidthEstimator& est, double t,
+                             double bytes) {
+  const double slot_seconds = kDay / static_cast<double>(est.slots_per_day());
+  double remaining = bytes;
+  double elapsed = 0.0;
+  double cursor = t;
+  const int max_slots = static_cast<int>(est.slots_per_day()) * 7;
+  for (int i = 0; i < max_slots && remaining > 0.0; ++i) {
+    const double rate = std::max(est.estimate(cursor), 1.0);
+    const double slot_end =
+        (std::floor(cursor / slot_seconds) + 1.0) * slot_seconds;
+    const double window = slot_end - cursor;
+    const double movable = rate * window;
+    if (movable >= remaining) {
+      elapsed += remaining / rate;
+      remaining = 0.0;
+    } else {
+      elapsed += window;
+      remaining -= movable;
+      cursor = slot_end;
+    }
+  }
+  if (remaining > 0.0) {
+    elapsed += remaining / std::max(est.estimate(cursor), 1.0);
+  }
+  return elapsed;
+}
+
+TEST(BandwidthEstimatorTest, TransferSecondsMatchTheSlotWalk) {
+  RngStream rng(4242);
+  std::size_t queries = 0;
+  std::size_t capped = 0;
+  for (std::size_t trial = 0; trial < 120; ++trial) {
+    const std::size_t slots = std::array<std::size_t, 3>{48, 24, 1}[trial % 3];
+    const double slot_seconds = kDay / static_cast<double>(slots);
+    // Every fourth trial observes rates below 1 B/s, which the estimate
+    // clamps to 1 B/s.
+    const bool slow = trial % 4 == 3;
+    const double lo = slow ? 0.05 : 1.0e5;
+    const double hi = slow ? 3.0 : 1.0e6;
+    BandwidthEstimator est({.slots_per_day = slots,
+                            .alpha = 0.3,
+                            .prior_rate = slow ? 0.5 : 2.5e5});
+    for (std::size_t q = 0; q < 60; ++q) {
+      // Observing a few slots at a time leaves the others on the global
+      // EWMA (or the prior), and makes the next query rebuild the table.
+      if (q % 10 == 0) {
+        for (std::uint64_t k = rng.uniform_int(0, 3); k > 0; --k) {
+          est.observe(rng.uniform(0.0, 3.0 * kDay), rng.uniform(lo, hi));
+        }
+      }
+      double t = rng.uniform(0.0, 30.0 * kDay);
+      if (q % 3 == 0) {  // exactly on a slot boundary
+        t = static_cast<double>(rng.uniform_int(0, 30 * slots)) * slot_seconds;
+      }
+      const double day_bytes = hi * kDay;
+      double bytes = 0.0;
+      switch (q % 5) {
+        case 0: bytes = 0.0; break;
+        case 1: bytes = rng.uniform(0.0, lo * slot_seconds); break;
+        case 2: bytes = rng.uniform(0.0, day_bytes); break;
+        case 3: bytes = rng.uniform(day_bytes, 6.0 * day_bytes); break;
+        default:  // past the cap
+          bytes = rng.uniform(8.0, 30.0) * day_bytes;
+          break;
+      }
+      const double want = walk_transfer_seconds(est, t, bytes);
+      const double got = est.estimate_transfer_seconds(t, bytes);
+      ++queries;
+      capped += want > 7.0 * kDay ? 1 : 0;
+      EXPECT_NEAR(got, want, 1e-12 * std::max(want, got))
+          << "slots " << slots << " t " << t << " bytes " << bytes;
+    }
+  }
+  EXPECT_GT(capped, queries / 10);
+}
+
+TEST(BandwidthEstimatorTest, TransferQueryCostDoesNotGrowWithBytes) {
+  BandwidthEstimator est(
+      {.slots_per_day = 48, .alpha = 0.3, .prior_rate = 1.0e6});
+  for (int s = 0; s < 48; ++s) {
+    est.observe(static_cast<double>(s) * 1800.0, 0.5e6 + 2.0e4 * s);
+  }
+  EXPECT_EQ(est.work().table_rebuilds, 0u);  // built by the first query
+  // From a few seconds of bytes to past the seven-day cap: the table is
+  // built once, and each query probes it at most ⌈log₂ 48⌉ + 2 times.
+  const std::array<double, 5> bytes = {1.0e3, 3.0e8, 4.0e10, 2.5e11, 1.0e13};
+  for (const double b : bytes) {
+    EXPECT_GT(est.estimate_transfer_seconds(1000.0, b), 0.0);
+  }
+  EXPECT_EQ(est.work().queries, bytes.size());
+  EXPECT_EQ(est.work().table_rebuilds, 1u);
+  EXPECT_LE(est.work().search_steps, bytes.size() * 8);
+  est.observe(0.0, 1.0e6);
+  EXPECT_GT(est.estimate_transfer_seconds(0.0, 1.0e9), 0.0);
+  EXPECT_EQ(est.work().table_rebuilds, 2u);
 }
 
 // ---- ThreadTuner ---------------------------------------------------------
