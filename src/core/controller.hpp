@@ -122,6 +122,14 @@ class CloudBurstController {
   /// reading); both scheduler and view are restored before returning.
   void on_batch_as(const cbs::workload::Batch& batch, SchedulerKind kind);
 
+  /// Turns this controller's log off for good (threshold kOff, sink
+  /// dropped). A lookahead rollout calls it so a hypothetical future
+  /// never reaches the run's `log_sink`.
+  void mute_log() {
+    log_.set_threshold(sim::LogLevel::kOff);
+    log_.set_sink({});
+  }
+
   // ---- results & introspection -------------------------------------
 
   /// Finished jobs in completion order. Forks share the sealed history.

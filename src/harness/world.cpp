@@ -4,7 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
+#include "harness/task_pool.hpp"
 #include "models/estimator.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/snapshot.hpp"
@@ -138,6 +140,8 @@ ScenarioWorld::ScenarioWorld(const ScenarioWorld& src)
   }
 }
 
+ScenarioWorld::~ScenarioWorld() = default;
+
 cbs::sim::SimTime ScenarioWorld::run() { return sim_.run(); }
 
 cbs::sim::SimTime ScenarioWorld::run_until(cbs::sim::SimTime deadline) {
@@ -173,12 +177,15 @@ void ScenarioWorld::deliver_batch(std::size_t index) {
     return;
   }
   if (scenario_.scheduler == cbs::core::SchedulerKind::kLookahead) {
-    LookaheadController::Config cfg;
-    cfg.horizon_seconds = scenario_.lookahead_horizon_seconds;
-    cfg.candidates = scenario_.lookahead_candidates;
-    const LookaheadController lookahead(cfg);
+    if (!lookahead_) {
+      LookaheadController::Config cfg;
+      cfg.horizon_seconds = scenario_.lookahead_horizon_seconds;
+      cfg.candidates = scenario_.lookahead_candidates;
+      lookahead_ = std::make_unique<const LookaheadController>(cfg);
+    }
     score_prefix_.advance(controller_->outcomes(), scenario_.ticket_policy);
-    const LookaheadController::Decision decision = lookahead.decide(*this, batch);
+    const LookaheadController::Decision decision =
+        lookahead_->decide(*this, batch);
     lookahead_choices_.push_back(decision.kind);
     controller_->on_batch_as(batch, decision.kind);
     return;
@@ -300,16 +307,28 @@ LookaheadController::candidate_order() {
   return kOrder;
 }
 
+LookaheadController::LookaheadController(Config config) : config_(config) {
+  const std::size_t threads =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  pool_ = std::make_unique<TaskPool>(std::min(candidate_count(), threads) - 1);
+}
+
+LookaheadController::~LookaheadController() = default;
+
+std::size_t LookaheadController::candidate_count() const {
+  return std::min(candidate_order().size(),
+                  static_cast<std::size_t>(std::max(1, config_.candidates)));
+}
+
 LookaheadController::Decision LookaheadController::decide(
     const ScenarioWorld& parent, const cbs::workload::Batch& batch) const {
   const auto& order = candidate_order();
-  const std::size_t count = std::min(
-      order.size(),
-      static_cast<std::size_t>(std::max(1, config_.candidates)));
+  const std::size_t count = candidate_count();
 
-  Decision decision;
-  decision.scores.reserve(count);
-  for (std::size_t c = 0; c < count; ++c) {
+  // One task per candidate, fork included: a fork only reads its parent
+  // (DESIGN §12.4), so the chains share nothing they write.
+  std::vector<double> scores(count);
+  auto roll = [&](std::size_t c) {
     const cbs::core::SchedulerKind kind = order[c];
     std::unique_ptr<ScenarioWorld> rollout = parent.fork();
     rollout->begin_rollout(kind);
@@ -317,11 +336,17 @@ LookaheadController::Decision LookaheadController::decide(
     // so the fork never sees it — inject the batch by hand.
     rollout->inject_batch_as(batch, kind);
     rollout->run_until(parent.now() + config_.horizon_seconds);
-    const double score = score_rollout(*rollout, parent.score_prefix());
-    decision.scores.emplace_back(kind, score);
-    if (c == 0 || score < decision.score) {
-      decision.kind = kind;
-      decision.score = score;
+    scores[c] = score_rollout(*rollout, parent.score_prefix());
+  };
+  pool_->run(count, roll);
+
+  Decision decision;
+  decision.scores.reserve(count);
+  for (std::size_t c = 0; c < count; ++c) {
+    decision.scores.emplace_back(order[c], scores[c]);
+    if (c == 0 || scores[c] < decision.score) {
+      decision.kind = order[c];
+      decision.score = scores[c];
     }
   }
   return decision;

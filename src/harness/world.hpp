@@ -17,6 +17,9 @@
 
 namespace cbs::harness {
 
+class LookaheadController;
+class TaskPool;
+
 /// The part of a lookahead score that a rollout inherits from its parent
 /// world: the parent's outcome log up to `count`, already folded. A rollout
 /// is a fork, so its log starts with exactly these entries, and scoring it
@@ -64,6 +67,7 @@ class ScenarioWorld {
   /// rebuild_events hook — a bug, not a user error).
   ScenarioWorld(const ScenarioWorld& src);
   ScenarioWorld& operator=(const ScenarioWorld&) = delete;
+  ~ScenarioWorld();
 
   /// Drives the world to completion; returns the final clock.
   cbs::sim::SimTime run();
@@ -106,10 +110,13 @@ class ScenarioWorld {
 
   /// Marks this (freshly forked) world as a lookahead rollout: every
   /// in-horizon batch arrival is admitted under `kind` instead of the
-  /// scenario scheduler, and no nested lookahead decisions are made.
+  /// scenario scheduler, no nested lookahead decisions are made, and the
+  /// controller's log is silenced — a hypothetical future must not write
+  /// into the real run's log.
   void begin_rollout(cbs::core::SchedulerKind kind) {
     rollout_ = true;
     rollout_kind_ = kind;
+    controller_->mute_log();
   }
 
   /// Admits one batch under a temporarily swapped-in candidate scheduler
@@ -146,13 +153,23 @@ class ScenarioWorld {
       cbs::core::SchedulerKind::kOrderPreserving;
   std::vector<cbs::core::SchedulerKind> lookahead_choices_;
   ScorePrefix score_prefix_;
+  /// Built at the first lookahead decision, so other schedulers, rollouts
+  /// and a world that never decides start no thread.
+  // cbs-lint: snapshot-complete-ok(a fork builds its own at its first decision)
+  std::unique_ptr<const LookaheadController> lookahead_;
 };
 
-/// The model-predictive burst policy (ISSUE tentpole): at a decision point
-/// it forks the live world once per candidate scheduler, injects the batch
-/// into each fork, rolls the fork `horizon_seconds` forward and scores the
-/// resulting trajectory; the lowest score wins (first candidate wins ties,
-/// so decisions are deterministic).
+/// The model-predictive burst policy: at a decision point it forks the
+/// live world once per candidate scheduler, injects the batch into each
+/// fork, rolls the fork `horizon_seconds` forward and scores the resulting
+/// trajectory; the lowest score wins (first candidate wins ties, so
+/// decisions are deterministic).
+///
+/// The candidates' fork→inject→roll→score chains run side by side on a
+/// pool the controller owns (min(candidates, hardware threads) − 1
+/// workers, plus the calling thread). Each chain only reads the parent
+/// (DESIGN §12.4), and the winner is picked in candidate order after all
+/// have finished, so a Decision is bit-identical at any core count.
 ///
 /// The score is an SLA-cost surrogate in "penalty seconds":
 ///
@@ -194,10 +211,17 @@ class LookaheadController {
   [[nodiscard]] static const std::vector<cbs::core::SchedulerKind>&
   candidate_order();
 
-  explicit LookaheadController(Config config) : config_(config) {}
+  /// Starts the rollout pool's workers (none on a single hardware thread
+  /// or with one candidate).
+  explicit LookaheadController(Config config);
+  ~LookaheadController();
+  LookaheadController(const LookaheadController&) = delete;
+  LookaheadController& operator=(const LookaheadController&) = delete;
 
   /// Evaluates the candidates for `batch` against `parent` (which is not
-  /// modified — each rollout runs in its own fork).
+  /// modified — each rollout runs in its own fork). If a rollout throws,
+  /// the exception of the first such candidate in order is rethrown once
+  /// every rollout has finished.
   [[nodiscard]] Decision decide(const ScenarioWorld& parent,
                                 const cbs::workload::Batch& batch) const;
 
@@ -216,8 +240,11 @@ class LookaheadController {
   /// The score given its two outcome-log terms.
   [[nodiscard]] double score_with(const ScenarioWorld& world, double lateness,
                                   double ordered_mb) const;
+  /// The number of candidates decide() evaluates.
+  [[nodiscard]] std::size_t candidate_count() const;
 
   Config config_;
+  std::unique_ptr<TaskPool> pool_;
 };
 
 /// Checkpoint/resume driver used by the fork-equivalence suite: builds a

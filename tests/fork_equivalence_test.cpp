@@ -179,6 +179,17 @@ TEST(ForkEquivalence, GreedyForkMidRun) {
   expect_identical(run_scenario(s), run_scenario_via_fork(s, 500.0));
 }
 
+// A lookahead world forks its live state, not its rollout pool: the fork
+// builds its own controller at its next decision, and its decisions (run
+// concurrently) replay the straight run's exactly.
+TEST(ForkEquivalence, LookaheadFaultWorldForkMidRun) {
+  Scenario s = hazard_fixture(cbs::models::HazardPredictorKind::kEwma);
+  s.scheduler = cbs::core::SchedulerKind::kLookahead;
+  for (const double at : {0.0, 400.0, 700.0}) {
+    expect_identical(run_scenario(s), run_scenario_via_fork(s, at));
+  }
+}
+
 TEST(ForkEquivalence, FaultFixtureForkAtZero) {
   const Scenario s = fault_fixture();
   expect_identical(run_scenario(s), run_scenario_via_fork(s, 0.0));

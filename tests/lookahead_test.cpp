@@ -5,12 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
+#include "harness/cli.hpp"
 #include "harness/experiment.hpp"
 #include "harness/scenario.hpp"
+#include "harness/task_pool.hpp"
 #include "harness/world.hpp"
 
 namespace {
@@ -115,17 +123,59 @@ std::vector<double> reference_scores(const LookaheadController& lookahead,
   return scores;
 }
 
+/// The lookahead worlds whose forks take different paths: the oracle, the
+/// CLI default (QRSM estimator, whose model a fork copies), faults with
+/// outages and retractions, L2 faults with the EWMA hazard predictor, and
+/// two EC sites.
+std::vector<std::pair<std::string, Scenario>> fork_path_worlds() {
+  std::vector<std::pair<std::string, Scenario>> worlds;
+  Scenario oracle = lookahead_scenario(42);
+  oracle.estimator = cbs::core::EstimatorKind::kOracle;
+  worlds.emplace_back("oracle", oracle);
+
+  const char* argv[] = {"cloudburst_sim", "--scheduler", "lookahead"};
+  namespace cli = cbs::harness::cli;
+  const cli::Args args(3, argv, cli::scenario_flags());
+  Scenario from_cli = cli::scenario_from_args(args);
+  EXPECT_EQ(from_cli.estimator, cbs::core::EstimatorKind::kQrsm);
+  worlds.emplace_back("cli-default-qrsm", from_cli);
+
+  Scenario faults = lookahead_scenario(42);
+  faults.faults.ic_vm_mtbf = 3000.0;
+  faults.faults.ec_vm_mtbf = 900.0;
+  faults.faults.vm_recovery_seconds = 90.0;
+  faults.faults.outage_windows = {cbs::sim::OutageWindow{1500.0, 400.0}};
+  faults.faults.retraction_deadline_factor = 3.0;
+  worlds.emplace_back("faults", faults);
+
+  Scenario hazard = lookahead_scenario(42);
+  hazard.faults.ec_vm_mtbf = 1200.0;
+  hazard.faults.ic_vm_mtbf = 6000.0;
+  hazard.faults.retraction_deadline_factor = 3.0;
+  hazard.resilience.hazard.kind = cbs::models::HazardPredictorKind::kEwma;
+  worlds.emplace_back("l2-faults-ewma-hazard", hazard);
+
+  Scenario sites = lookahead_scenario(42);
+  cbs::core::ControllerConfig cfg = cbs::core::default_controller_config();
+  cfg.ec_sites.push_back(cfg.ec_sites.front());
+  cfg.ec_sites.back().name = "ec-2";
+  cfg.ec_sites.back().uplink.base_rate *= 0.5;
+  cfg.ec_sites.back().downlink.base_rate *= 0.5;
+  sites.config_override = cfg;
+  worlds.emplace_back("two-ec-sites", sites);
+
+  for (auto& [name, scenario] : worlds) {
+    scenario.num_batches = 40;
+    scenario.log_threshold = cbs::sim::LogLevel::kOff;
+  }
+  return worlds;
+}
+
+// decide() runs the candidates' rollouts concurrently; the reference forks
+// and rolls them one after another on this thread. Equal bits on every
+// fork path means the concurrent decision is the serial one.
 TEST(Lookahead, PrefixScoresMatchFullRecomputeBitForBit) {
-  for (const bool faults : {false, true}) {
-    Scenario s = lookahead_scenario(42);
-    s.num_batches = 40;
-    if (faults) {
-      s.faults.ic_vm_mtbf = 3000.0;
-      s.faults.ec_vm_mtbf = 900.0;
-      s.faults.vm_recovery_seconds = 90.0;
-      s.faults.outage_windows = {cbs::sim::OutageWindow{1500.0, 400.0}};
-      s.faults.retraction_deadline_factor = 3.0;
-    }
+  for (const auto& [name, s] : fork_path_worlds()) {
     ScenarioWorld world(s);
     LookaheadController::Config cfg;
     cfg.horizon_seconds = s.lookahead_horizon_seconds;
@@ -135,22 +185,106 @@ TEST(Lookahead, PrefixScoresMatchFullRecomputeBitForBit) {
       // The arrival fires a real decision, which advances the prefix.
       world.run_until(world.batches()[i].arrival_time);
       if (i >= 17) {
-        EXPECT_GT(world.score_prefix().count, 0u);
-        EXPECT_GT(world.score_prefix().frontier, 1u);
+        EXPECT_GT(world.score_prefix().count, 0u) << name;
+        EXPECT_GT(world.score_prefix().frontier, 1u) << name;
       }
       const auto decision = lookahead.decide(world, world.batches()[i]);
       const std::vector<double> want =
           reference_scores(lookahead, world, world.batches()[i]);
       ASSERT_EQ(decision.scores.size(), want.size());
+      std::size_t best = 0;
       for (std::size_t c = 0; c < want.size(); ++c) {
         EXPECT_EQ(std::memcmp(&decision.scores[c].second, &want[c],
                               sizeof(double)),
                   0)
-            << "faults " << faults << ", batch " << i << ", candidate " << c
-            << ": " << decision.scores[c].second << " vs " << want[c];
+            << name << ", batch " << i << ", candidate " << c << ": "
+            << decision.scores[c].second << " vs " << want[c];
+        if (want[c] < want[best]) best = c;
+      }
+      EXPECT_EQ(decision.kind, LookaheadController::candidate_order()[best])
+          << name << ", batch " << i;
+      EXPECT_EQ(std::memcmp(&decision.score, &want[best], sizeof(double)), 0)
+          << name << ", batch " << i;
+    }
+    world.run();
+    EXPECT_NO_THROW((void)world.result()) << name;
+  }
+}
+
+// A forked controller used to re-install the run's log_sink, so every
+// rollout that crossed an outage start logged it into the real run (16
+// lines here). Rollouts are silenced; only the run itself logs it.
+TEST(Lookahead, RolloutsDoNotWriteToTheRunLog) {
+  Scenario s = lookahead_scenario(1);
+  s.num_batches = 40;
+  s.estimator = cbs::core::EstimatorKind::kOracle;
+  s.faults.outage_windows = {cbs::sim::OutageWindow{2000.0, 600.0}};
+  std::vector<std::pair<double, std::string>> lines;
+  s.log_sink = [&lines](cbs::sim::LogLevel, cbs::sim::SimTime t,
+                        std::string_view msg) { lines.emplace_back(t, msg); };
+  (void)run_scenario(s);
+  std::size_t outage_lines = 0;
+  for (const auto& [t, msg] : lines) {
+    if (msg.find("EC outage begins") == std::string::npos) continue;
+    ++outage_lines;
+    EXPECT_EQ(t, 2000.0);
+  }
+  EXPECT_EQ(outage_lines, 1u);
+}
+
+TEST(TaskPool, RunsEveryIndexOnceAndWaitsForAll) {
+  for (const std::size_t workers : {0u, 1u, 3u}) {
+    cbs::harness::TaskPool pool(workers);
+    EXPECT_EQ(pool.workers(), workers);
+    for (const std::size_t n : {0u, 1u, 2u, 5u, 17u}) {
+      std::vector<std::atomic<int>> hits(n);
+      auto task = [&](std::size_t i) { hits[i].fetch_add(1); };
+      pool.run(n, task);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << workers << " workers, task " << i;
       }
     }
   }
+}
+
+TEST(TaskPool, RethrowsTheFirstFailureInIndexOrderAfterTheJoin) {
+  cbs::harness::TaskPool pool(2);
+  std::vector<std::atomic<int>> finished(6);
+  auto task = [&](std::size_t i) {
+    if (i == 4) throw std::logic_error("task 4");
+    if (i == 2) {
+      // Lets task 4 fail first in time on most interleavings.
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      finished[i].fetch_add(1);
+      throw std::runtime_error("task 2");
+    }
+    finished[i].fetch_add(1);
+  };
+  try {
+    pool.run(6, task);
+    ADD_FAILURE() << "expected a rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "task 2");
+  }
+  for (const std::size_t i : {0u, 1u, 2u, 3u, 5u}) {
+    EXPECT_EQ(finished[i].load(), 1) << "task " << i;
+  }
+  // The pool is still usable after a failed call.
+  std::atomic<int> calls{0};
+  auto count = [&](std::size_t) { calls.fetch_add(1); };
+  pool.run(3, count);
+  EXPECT_EQ(calls.load(), 3);
+}
+
+TEST(TaskPool, ZeroWorkersIsTheSerialLoop) {
+  cbs::harness::TaskPool pool(0);
+  std::vector<std::size_t> order;
+  auto task = [&](std::size_t i) {
+    order.push_back(i);
+    if (i == 1) throw std::runtime_error("stop");
+  };
+  EXPECT_THROW(pool.run(4, task), std::runtime_error);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1}));
 }
 
 // The acceptance bar: on the uniform bucket (the paper's §V default

@@ -113,6 +113,64 @@ TEST(RunnerTest, IdenticalResultsAtAnyThreadCount) {
   }
 }
 
+// Lookahead cells run their candidates' rollouts on a pool of their own,
+// so plan workers and rollout workers nest. The results must not depend on
+// either thread count.
+TEST(RunnerTest, NestedLookaheadPoolsGiveIdenticalResults) {
+  harness::Scenario base;
+  base.num_batches = 12;
+  base.log_threshold = sim::LogLevel::kOff;
+  base.faults.ec_vm_mtbf = 1200.0;
+  base.faults.retraction_deadline_factor = 3.0;
+  const harness::ExperimentPlan plan = harness::ExperimentPlan::grid(
+      {1, 2}, {SchedulerKind::kLookahead, SchedulerKind::kOrderPreserving},
+      {SizeBucket::kUniform}, base);
+
+  auto run_at = [&plan](std::size_t threads) {
+    harness::RunnerOptions opts;
+    opts.threads = threads;
+    return harness::run_plan(plan, opts);
+  };
+  const auto r1 = run_at(1);
+  const auto r4 = run_at(4);
+  ASSERT_EQ(harness::failed_cells(r1), 0u);
+  ASSERT_EQ(harness::failed_cells(r4), 0u);
+  ASSERT_EQ(r1.size(), r4.size());
+  for (std::size_t i = 0; i < r1.size(); ++i) {
+    const harness::RunResult& a = *r1[i].result;
+    const harness::RunResult& b = *r4[i].result;
+    EXPECT_EQ(a.sim_end_time, b.sim_end_time) << i;
+    EXPECT_EQ(a.events_processed, b.events_processed) << i;
+    EXPECT_EQ(a.pull_backs, b.pull_backs) << i;
+    EXPECT_EQ(a.push_outs, b.push_outs) << i;
+    EXPECT_EQ(a.peak_store_bytes, b.peak_store_bytes) << i;
+    EXPECT_EQ(a.qrsm_r_squared, b.qrsm_r_squared) << i;
+    EXPECT_EQ(a.qrsm_mape, b.qrsm_mape) << i;
+    ASSERT_EQ(a.outcomes.size(), b.outcomes.size()) << i;
+    for (std::size_t j = 0; j < a.outcomes.size(); ++j) {
+      const auto& x = a.outcomes[j];
+      const auto& y = b.outcomes[j];
+      EXPECT_EQ(x.seq_id, y.seq_id) << i << "/" << j;
+      EXPECT_EQ(x.scheduled, y.scheduled) << i << "/" << j;
+      EXPECT_EQ(x.completed, y.completed) << i << "/" << j;
+      EXPECT_EQ(x.placement, y.placement) << i << "/" << j;
+    }
+    ASSERT_EQ(a.oo_series.size(), b.oo_series.size()) << i;
+    for (std::size_t k = 0; k < a.oo_series.size(); ++k) {
+      EXPECT_EQ(a.oo_series.at(k).value, b.oo_series.at(k).value) << i;
+    }
+    EXPECT_EQ(a.report.makespan_seconds, b.report.makespan_seconds) << i;
+    EXPECT_EQ(a.report.oo_time_averaged_mb, b.report.oo_time_averaged_mb) << i;
+    EXPECT_EQ(a.tickets.met, b.tickets.met) << i;
+    EXPECT_EQ(a.tickets.max_lateness, b.tickets.max_lateness) << i;
+    EXPECT_EQ(a.cost.cloud_total(), b.cost.cloud_total()) << i;
+    EXPECT_EQ(a.faults.ec_crashes, b.faults.ec_crashes) << i;
+    EXPECT_EQ(a.faults.retractions, b.faults.retractions) << i;
+    EXPECT_EQ(a.faults.wasted_compute_seconds, b.faults.wasted_compute_seconds)
+        << i;
+  }
+}
+
 // A throwing cell must surface as a failed CellResult with the exception
 // text, while its siblings complete normally.
 TEST(RunnerTest, ThrowingCellDoesNotAbortSiblings) {

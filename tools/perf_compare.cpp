@@ -20,12 +20,11 @@
 //     gate, so adding a benchmark does not require regenerating the
 //     baseline in the same commit.
 //
-// The parser is a purpose-built scanner for the handful of keys we need
-// ("name", "cpu_time", "cpu_time_ns", "time_unit", "peak_rss_bytes") — not
-// a general JSON parser — so the tool has no third-party dependencies.
+// The reader (tools/perf_report.hpp) accepts a row only with a finite,
+// positive time and a known time_unit; a report it cannot trust, a bad
+// --threshold or an unknown argument exits 2 with a named error.
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -33,122 +32,14 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
+
+#include "perf_report.hpp"
 
 namespace {
 
-struct BenchResult {
-  std::string name;
-  double cpu_time_ns = 0.0;
-  double peak_rss_bytes = 0.0;  ///< 0 = not reported for this entry
-};
-
-double unit_to_ns(std::string_view unit) {
-  if (unit == "ns") return 1.0;
-  if (unit == "us") return 1.0e3;
-  if (unit == "ms") return 1.0e6;
-  if (unit == "s") return 1.0e9;
-  std::cerr << "perf_compare: unknown time_unit '" << unit
-            << "', assuming ns\n";
-  return 1.0;
-}
-
-/// Extracts the JSON string value following `pos` (which points at the
-/// opening quote of the value). No escape handling beyond what benchmark
-/// names need (they contain none).
-std::optional<std::string> read_string_value(std::string_view text,
-                                             std::size_t pos) {
-  if (pos >= text.size() || text[pos] != '"') return std::nullopt;
-  const std::size_t end = text.find('"', pos + 1);
-  if (end == std::string_view::npos) return std::nullopt;
-  return std::string(text.substr(pos + 1, end - pos - 1));
-}
-
-std::optional<double> read_number_value(std::string_view text,
-                                        std::size_t pos) {
-  const std::size_t end = text.find_first_not_of("0123456789+-.eE", pos);
-  const std::string token(text.substr(pos, end - pos));
-  if (token.empty()) return std::nullopt;
-  try {
-    return std::stod(token);
-  } catch (...) {
-    return std::nullopt;
-  }
-}
-
-/// Position just past `"key":` with optional whitespace, or npos.
-std::size_t find_value_of(std::string_view text, std::string_view key,
-                          std::size_t from) {
-  const std::string needle = '"' + std::string(key) + '"';
-  while (true) {
-    const std::size_t at = text.find(needle, from);
-    if (at == std::string_view::npos) return std::string_view::npos;
-    std::size_t pos = at + needle.size();
-    while (pos < text.size() &&
-           (std::isspace(static_cast<unsigned char>(text[pos])) != 0)) {
-      ++pos;
-    }
-    if (pos < text.size() && text[pos] == ':') {
-      ++pos;
-      while (pos < text.size() &&
-             (std::isspace(static_cast<unsigned char>(text[pos])) != 0)) {
-        ++pos;
-      }
-      return pos;
-    }
-    from = at + 1;  // matched inside a string value; keep looking
-  }
-}
-
-/// Scans a google-benchmark report (or an emitted baseline) for benchmark
-/// entries. Each entry is delimited by a "name" key; "cpu_time"/"cpu_time_ns"
-/// and "time_unit" are taken from the span up to the next "name".
-std::vector<BenchResult> parse_benchmarks(const std::string& text) {
-  std::vector<BenchResult> out;
-  // Only scan inside the "benchmarks" array — the "context" block also has
-  // string keys, but no "name".
-  std::size_t pos = find_value_of(text, "benchmarks", 0);
-  if (pos == std::string_view::npos) pos = 0;
-  std::size_t name_at = find_value_of(text, "name", pos);
-  while (name_at != std::string_view::npos) {
-    const std::size_t next_name = find_value_of(text, "name", name_at);
-    const std::size_t span_end =
-        next_name == std::string_view::npos ? text.size() : next_name;
-    const std::string_view span =
-        std::string_view(text).substr(0, span_end);
-
-    BenchResult r;
-    if (auto name = read_string_value(span, name_at)) {
-      r.name = std::move(*name);
-    } else {
-      name_at = next_name;
-      continue;
-    }
-    if (const std::size_t ns_at = find_value_of(span, "cpu_time_ns", name_at);
-        ns_at != std::string_view::npos) {
-      if (auto v = read_number_value(span, ns_at)) r.cpu_time_ns = *v;
-    } else if (const std::size_t t_at = find_value_of(span, "cpu_time", name_at);
-               t_at != std::string_view::npos) {
-      double scale = 1.0;
-      if (const std::size_t u_at = find_value_of(span, "time_unit", name_at);
-          u_at != std::string_view::npos) {
-        if (auto unit = read_string_value(span, u_at)) {
-          scale = unit_to_ns(*unit);
-        }
-      }
-      if (auto v = read_number_value(span, t_at)) r.cpu_time_ns = *v * scale;
-    }
-    if (const std::size_t rss_at = find_value_of(span, "peak_rss_bytes", name_at);
-        rss_at != std::string_view::npos) {
-      if (auto v = read_number_value(span, rss_at)) r.peak_rss_bytes = *v;
-    }
-    if (r.cpu_time_ns > 0.0) out.push_back(std::move(r));
-    name_at = next_name;
-  }
-  return out;
-}
+using cbs::perf::BenchResult;
+using cbs::perf::parse_benchmarks;
 
 std::optional<std::string> read_file(const std::string& path) {
   std::ifstream in(path);
@@ -158,13 +49,23 @@ std::optional<std::string> read_file(const std::string& path) {
   return ss.str();
 }
 
+/// The rows of the report at `path`; throws ReportError naming the file.
+std::vector<BenchResult> read_report(const std::string& path,
+                                     const std::string& text) {
+  try {
+    return parse_benchmarks(text);
+  } catch (const cbs::perf::ReportError& e) {
+    throw cbs::perf::ReportError(path + ": " + e.what());
+  }
+}
+
 int emit(const std::string& in_path, const std::string& out_path) {
   const auto text = read_file(in_path);
   if (!text) {
     std::cerr << "perf_compare: cannot read " << in_path << "\n";
     return 2;
   }
-  const auto results = parse_benchmarks(*text);
+  const auto results = read_report(in_path, *text);
   if (results.empty()) {
     std::cerr << "perf_compare: no benchmarks found in " << in_path << "\n";
     return 2;
@@ -201,8 +102,8 @@ int compare(const std::string& baseline_path, const std::string& current_path,
               << (!base_text ? baseline_path : current_path) << "\n";
     return 2;
   }
-  const auto base = parse_benchmarks(*base_text);
-  const auto cur = parse_benchmarks(*cur_text);
+  const auto base = read_report(baseline_path, *base_text);
+  const auto cur = read_report(current_path, *cur_text);
   if (base.empty() || cur.empty()) {
     std::cerr << "perf_compare: empty benchmark set ("
               << (base.empty() ? baseline_path : current_path) << ")\n";
@@ -274,21 +175,45 @@ int compare(const std::string& baseline_path, const std::string& current_path,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::vector<std::string> args(argv + 1, argv + argc);
-  if (args.size() >= 3 && args[0] == "emit") {
-    return emit(args[1], args[2]);
-  }
-  if (args.size() >= 3 && args[0] == "compare") {
-    double threshold = 0.30;
-    for (std::size_t i = 3; i + 1 < args.size(); ++i) {
-      if (args[i] == "--threshold") threshold = std::stod(args[i + 1]);
-    }
-    return compare(args[1], args[2], threshold);
-  }
+int usage() {
   std::cerr << "usage:\n"
             << "  perf_compare emit <raw_benchmark.json> <baseline.json>\n"
             << "  perf_compare compare <baseline.json> <current.json>"
             << " [--threshold 0.30]\n";
   return 2;
+}
+
+int main(int argc, char** argv) {
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  try {
+    if (args.size() == 3 && args[0] == "emit") {
+      return emit(args[1], args[2]);
+    }
+    if (args.size() >= 3 && args[0] == "compare") {
+      double threshold = 0.30;
+      for (std::size_t i = 3; i < args.size(); i += 2) {
+        if (args[i] != "--threshold") {
+          std::cerr << "perf_compare: unknown argument '" << args[i] << "'\n";
+          return usage();
+        }
+        if (i + 1 == args.size()) {
+          std::cerr << "perf_compare: --threshold needs a value\n";
+          return 2;
+        }
+        const std::optional<double> value =
+            cbs::perf::parse_number(args[i + 1]);
+        if (!value || *value < 0.0) {
+          std::cerr << "perf_compare: bad number for --threshold: '"
+                    << args[i + 1] << "' (want a finite number >= 0)\n";
+          return 2;
+        }
+        threshold = *value;
+      }
+      return compare(args[1], args[2], threshold);
+    }
+  } catch (const cbs::perf::ReportError& e) {
+    std::cerr << "perf_compare: " << e.what() << "\n";
+    return 2;
+  }
+  return usage();
 }
