@@ -27,7 +27,6 @@ JobStore::JobStore(cbs::sim::Simulation& dst, const JobStore& src)
       peak_(src.peak_),
       byte_seconds_(src.byte_seconds_),
       last_change_(src.last_change_),
-      history_(src.history_),
       pending_ops_(src.pending_ops_),
       next_op_id_(src.next_op_id_) {
   assert(src.closure_retries_pending_ == 0 &&
@@ -193,7 +192,6 @@ void JobStore::put(const std::string& key, double bytes) {
   }
   occupancy_ += bytes;
   peak_ = std::max(peak_, occupancy_);
-  history_.add(sim_.now(), occupancy_);
 }
 
 double JobStore::size_of(const std::string& key) const {
@@ -212,7 +210,6 @@ double JobStore::erase(const std::string& key) {
   const double freed = it->second;
   occupancy_ -= freed;
   objects_.erase(it);
-  history_.add(sim_.now(), occupancy_);
   return freed;
 }
 

@@ -9,7 +9,6 @@
 
 #include "simcore/simulation.hpp"
 #include "simcore/time.hpp"
-#include "stats/timeseries.hpp"
 #include "util/flat_map.hpp"
 
 namespace cbs::sim {
@@ -20,8 +19,9 @@ namespace cbs::compute {
 
 /// The external cloud's staging storage (Amazon S3 in the prototype):
 /// uploaded job inputs land here before EMR picks them up, and compressed
-/// outputs wait here for download. Tracks occupancy over time so benches
-/// can report peak staging footprint.
+/// outputs wait here for download. Keeps current and peak occupancy and
+/// their time integral (the billing quantity) as running values, not as a
+/// history, so a fork copies only the live objects.
 ///
 /// The synchronous put/size_of/erase API models the fault-free control
 /// plane. The asynchronous put_async/get_async paths add S3-style
@@ -120,9 +120,6 @@ class JobStore {
   /// quantity.
   [[nodiscard]] double occupancy_byte_seconds() const;
   [[nodiscard]] std::size_t object_count() const noexcept { return objects_.size(); }
-  [[nodiscard]] const cbs::stats::TimeSeries& occupancy_history() const noexcept {
-    return history_;
-  }
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
  private:
@@ -156,7 +153,6 @@ class JobStore {
   double peak_ = 0.0;
   double byte_seconds_ = 0.0;
   cbs::sim::SimTime last_change_ = 0.0;
-  cbs::stats::TimeSeries history_;
   // Owners re-register continuations in the same slot order post-fork.
   // cbs-lint: snapshot-complete-ok(re-registered post-fork in slot order)
   std::vector<Continuation> continuations_;

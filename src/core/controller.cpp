@@ -57,6 +57,17 @@ int checked_slot(int held, int registered) {
   return registered;
 }
 
+/// A fork's copy of the job table with at least the source's room to grow
+/// (and never less than a batch's worth), so the rollout's first admission
+/// does not reallocate and move the whole inherited backlog.
+std::vector<Job> copy_with_room(const std::vector<Job>& src) {
+  constexpr std::size_t kMinRoom = 64;
+  std::vector<Job> copy;
+  copy.reserve(std::max(src.capacity(), src.size() + kMinRoom));
+  copy.assign(src.begin(), src.end());
+  return copy;
+}
+
 ControllerConfig validated(ControllerConfig config) {
   if (config.ec_sites.empty()) {
     throw std::invalid_argument(
@@ -194,7 +205,7 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
       proc_estimator_(src.proc_estimator_->clone(truth)),
       belief_(src.belief_, *proc_estimator_),
       scheduler_(src.scheduler_->clone()),
-      jobs_(src.jobs_),
+      jobs_(copy_with_room(src.jobs_)),
       job_slot_(src.job_slot_),
       first_job_seq_(src.first_job_seq_),
       ic_wait_(src.ic_wait_),

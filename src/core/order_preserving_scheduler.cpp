@@ -2,51 +2,85 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <iterator>
+#include <utility>
 
 #include "sla/slack.hpp"
-#include "stats/summary.hpp"
 #include "workload/chunker.hpp"
 
 namespace cbs::core {
+
+namespace {
+
+/// Sample standard deviation of the sizes of docs[first, last): the sums
+/// of stats::stddev_of, in its order, without copying the sizes out.
+double size_stddev(const std::vector<cbs::workload::Document>& docs,
+                   std::size_t first, std::size_t last) {
+  const std::size_t n = last - first;
+  if (n < 2) return 0.0;
+  double sum = 0.0;
+  for (std::size_t k = first; k < last; ++k) sum += docs[k].features.size_mb;
+  const double mean = sum / static_cast<double>(n);
+  double squares = 0.0;
+  for (std::size_t k = first; k < last; ++k) {
+    const double x = docs[k].features.size_mb;
+    squares += (x - mean) * (x - mean);
+  }
+  return std::sqrt(squares / static_cast<double>(n - 1));
+}
+
+}  // namespace
 
 void OrderPreservingScheduler::apply_chunking(
     std::vector<cbs::workload::Document>& docs, Context& ctx) {
   const auto window = static_cast<std::size_t>(ctx.params.variability_window);
   const std::size_t original_size = docs.size();
 
-  std::size_t i = 0;
-  while (i < docs.size()) {
-    // §VII non-uniform chunking: the effective target grows toward the
-    // tail of the batch, trading availability for per-chunk overhead.
-    cbs::workload::PdfChunker::Config chunk_cfg = ctx.params.chunker;
-    if (ctx.params.position_aware_chunking && original_size > 1) {
-      const double frac = static_cast<double>(std::min(i, original_size - 1)) /
-                          static_cast<double>(original_size - 1);
-      chunk_cfg.target_size_mb *=
-          1.0 + (ctx.params.tail_chunk_scale - 1.0) * frac;
-    }
-    const cbs::workload::PdfChunker chunker(chunk_cfg);
+  // The batch with every split document replaced by its chunks, in order;
+  // started at the first split, so a batch that splits nothing is left as
+  // it is. Input document j sits at index i of the spliced list, behind
+  // the chunks added ahead of it, and the documents from i on are still
+  // the unsplit input docs[j, end).
+  std::vector<cbs::workload::Document> spliced;
+  for (std::size_t j = 0; j < original_size; ++j) {
+    const std::size_t i = spliced.empty() ? j : spliced.size();
+    if (!docs[j].is_chunk()) {
+      // §VII non-uniform chunking: the effective target grows toward the
+      // tail of the batch, trading availability for per-chunk overhead.
+      cbs::workload::PdfChunker::Config chunk_cfg = ctx.params.chunker;
+      if (ctx.params.position_aware_chunking && original_size > 1) {
+        const double frac =
+            static_cast<double>(std::min(i, original_size - 1)) /
+            static_cast<double>(original_size - 1);
+        chunk_cfg.target_size_mb *=
+            1.0 + (ctx.params.tail_chunk_scale - 1.0) * frac;
+      }
+      const cbs::workload::PdfChunker chunker(chunk_cfg);
 
-    // σ(i : i+x) over the sizes of the upcoming window (lines 4–5).
-    std::vector<double> sizes;
-    for (std::size_t k = i; k < std::min(docs.size(), i + window); ++k) {
-      sizes.push_back(docs[k].features.size_mb);
-    }
-    const double sigma = cbs::stats::stddev_of(sizes);
+      // σ(i : i+x) over the sizes of the upcoming window (lines 4–5).
+      const double sigma =
+          size_stddev(docs, j, std::min(original_size, j + window));
 
-    if (sigma > ctx.params.variability_threshold_mb && !docs[i].is_chunk() &&
-        chunker.chunk_count_for(docs[i].features.size_mb) > 1) {
-      // Lines 6–9: replace j_i by its chunks, spliced in order.
-      auto chunks = chunker.chunk(docs[i], ctx.truth, ctx.next_doc_id);
-      docs.erase(docs.begin() + static_cast<std::ptrdiff_t>(i));
-      docs.insert(docs.begin() + static_cast<std::ptrdiff_t>(i),
-                  chunks.begin(), chunks.end());
-      // Do not advance: the first chunk is re-examined (and, being a chunk,
-      // will not be re-split).
-      continue;
+      if (sigma > ctx.params.variability_threshold_mb &&
+          chunker.chunk_count_for(docs[j].features.size_mb) > 1) {
+        // Lines 6–9: replace j_i by its chunks, spliced in order. Chunks
+        // are never re-split.
+        auto chunks = chunker.chunk(docs[j], ctx.truth, ctx.next_doc_id);
+        if (spliced.empty()) {
+          const auto split = docs.begin() + static_cast<std::ptrdiff_t>(j);
+          spliced.reserve(original_size - 1 + chunks.size());
+          spliced.assign(std::make_move_iterator(docs.begin()),
+                         std::make_move_iterator(split));
+        }
+        spliced.insert(spliced.end(), std::make_move_iterator(chunks.begin()),
+                       std::make_move_iterator(chunks.end()));
+        continue;
+      }
     }
-    ++i;
+    if (!spliced.empty()) spliced.push_back(std::move(docs[j]));
   }
+  if (!spliced.empty()) docs = std::move(spliced);
 }
 
 ScheduleDecision OrderPreservingScheduler::place(

@@ -125,8 +125,6 @@ Link::Link(cbs::sim::Simulation& dst, const Link& src)
       timer_event_(src.timer_event_),
       tick_scheduled_(src.tick_scheduled_),
       tick_event_(src.tick_event_),
-      capacity_history_(src.capacity_history_),
-      capacity_min_interval_(src.capacity_min_interval_),
       busy_accum_(src.busy_accum_),
       busy_since_(src.busy_since_),
       busy_(src.busy_) {
@@ -283,26 +281,9 @@ void Link::progress_all() {
   }
 }
 
-void Link::record_capacity(SimTime now, double capacity) {
-  if (!capacity_history_.empty() && capacity_min_interval_ > 0.0 &&
-      now - capacity_history_.back().time < capacity_min_interval_) {
-    return;
-  }
-  capacity_history_.push_back({now, capacity});
-  if (capacity_history_.size() >= kCapacityHistoryMax) {
-    capacity_history_ = cbs::util::decimated_half(capacity_history_);
-    const double span =
-        capacity_history_.back().time - capacity_history_.at(0).time;
-    capacity_min_interval_ = std::max(
-        2.0 * capacity_min_interval_,
-        span / static_cast<double>(kCapacityHistoryMax / 2));
-  }
-}
-
 void Link::run_pass() {
   const double capacity = true_capacity_now();
   const SimTime now = sim_.now();
-  record_capacity(now, capacity);
   last_pass_capacity_ = capacity;
 
   // Progressive water-filling by ascending demand: transfers whose thread

@@ -9,8 +9,6 @@
 #include "net/noise.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/simulation.hpp"
-#include "stats/timeseries.hpp"
-#include "util/chunked_log.hpp"
 #include "util/flat_map.hpp"
 
 namespace cbs::sim {
@@ -174,14 +172,6 @@ class Link {
   [[nodiscard]] double total_bytes_delivered() const noexcept { return bytes_delivered_; }
   /// Total time during which at least one transfer was active.
   [[nodiscard]] double busy_time() const;
-  /// Capacity samples recorded at allocation events (for Fig. 4a). Bounded:
-  /// once kCapacityHistoryMax samples accumulate the series is decimated
-  /// 2:1 and the minimum recording interval doubles, so arbitrarily long
-  /// runs keep O(1) memory here. Forks share the sealed part.
-  [[nodiscard]] const cbs::util::ChunkedLog<cbs::stats::TimePoint>&
-  capacity_history() const noexcept {
-    return capacity_history_;
-  }
   /// Connection drops injected so far (failure_probability > 0).
   [[nodiscard]] std::uint64_t injected_failures() const noexcept {
     return injected_failures_;
@@ -277,7 +267,6 @@ class Link {
   /// rescheduled completion events.
   void flush();
   void run_pass();
-  void record_capacity(cbs::sim::SimTime now, double capacity);
   void on_timer();
   void ensure_tick();
   void on_tick();
@@ -312,10 +301,6 @@ class Link {
   cbs::sim::EventId timer_event_{};
   bool tick_scheduled_ = false;
   cbs::sim::EventId tick_event_{};
-  static constexpr std::size_t kCapacityHistoryMax = 4096;
-  /// History shared with forks: only the open tail is copied.
-  cbs::util::ChunkedLog<cbs::stats::TimePoint> capacity_history_;
-  cbs::sim::SimDuration capacity_min_interval_ = 0.0;
   // Busy-time accounting.
   double busy_accum_ = 0.0;
   cbs::sim::SimTime busy_since_ = 0.0;

@@ -65,7 +65,7 @@ double sample_triangular(RngStream& rng, double lo, double mode, double hi) {
   return hi - std::sqrt((1.0 - u) * (hi - lo) * (hi - mode));
 }
 
-std::size_t sample_discrete(RngStream& rng, const std::vector<double>& weights) {
+std::size_t sample_discrete(RngStream& rng, std::span<const double> weights) {
   assert(!weights.empty());
   double total = 0.0;
   for (double w : weights) {

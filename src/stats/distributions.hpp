@@ -1,7 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "simcore/rng.hpp"
 
@@ -41,6 +42,6 @@ namespace cbs::stats {
 /// Samples an index in [0, weights.size()) proportionally to weights.
 /// All weights must be >= 0 with a positive sum.
 [[nodiscard]] std::size_t sample_discrete(cbs::sim::RngStream& rng,
-                                          const std::vector<double>& weights);
+                                          std::span<const double> weights);
 
 }  // namespace cbs::stats

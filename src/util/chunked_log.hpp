@@ -12,16 +12,18 @@ namespace cbs::util {
 /// Append-only log whose history is shared between copies.
 ///
 /// The simulator records one entry per finished job (and, when asked, one
-/// per pipeline-stage transition, and a link's capacity samples) and never
-/// edits an entry afterwards. A world fork copies these logs, so a plain
-/// vector would make every fork cost O(run length). This log instead keeps
-/// its entries in fixed-size chunks:
+/// per pipeline-stage transition) and never edits an entry afterwards. A
+/// world fork copies these logs, so a plain vector would make every fork
+/// cost O(run length). This log instead keeps its entries in fixed-size
+/// chunks:
 ///
 ///  - a full chunk is *sealed*: moved into a `shared_ptr<const vector>`
 ///    that is never written again, so every copy of the log can point at
 ///    the same chunk object;
 ///  - only the open tail (fewer than `ChunkSize` entries) is owned, so a
-///    copy costs one pointer per sealed chunk plus the tail;
+///    copy costs one pointer per sealed chunk plus the tail. The copy's
+///    tail gets a full chunk of room, as the source's has, so appending to
+///    it never reallocates;
 ///  - appending to a copy touches only the copy's own tail; the sealed
 ///    chunks it shares stay valid for as long as any copy holds them.
 ///
@@ -32,6 +34,20 @@ class ChunkedLog {
 
  public:
   using Chunk = std::vector<T>;
+
+  ChunkedLog() = default;
+  ChunkedLog(const ChunkedLog& other) : sealed_(other.sealed_) {
+    if (!other.tail_.empty()) {
+      tail_.reserve(ChunkSize);
+      tail_.assign(other.tail_.begin(), other.tail_.end());
+    }
+  }
+  ChunkedLog& operator=(const ChunkedLog& other) {
+    if (this != &other) *this = ChunkedLog(other);
+    return *this;
+  }
+  ChunkedLog(ChunkedLog&&) noexcept = default;
+  ChunkedLog& operator=(ChunkedLog&&) noexcept = default;
 
   /// Forward iterator over sealed chunks, then the tail.
   class const_iterator {
@@ -147,23 +163,5 @@ class ChunkedLog {
   std::vector<std::shared_ptr<const Chunk>> sealed_;
   Chunk tail_;  ///< open chunk, always shorter than ChunkSize
 };
-
-/// 2:1 downsampling into a new log: the entries at even indices (so the
-/// oldest always survives) plus the newest. Logs of fewer than three
-/// entries come back unchanged. Producers that bound the memory of an
-/// unbounded history (Link::capacity_history) call this at their cap.
-template <typename T, std::size_t ChunkSize>
-[[nodiscard]] ChunkedLog<T, ChunkSize> decimated_half(
-    const ChunkedLog<T, ChunkSize>& log) {
-  if (log.size() < 3) return log;
-  ChunkedLog<T, ChunkSize> kept;
-  const std::size_t newest = log.size() - 1;
-  std::size_t index = 0;
-  for (const T& entry : log) {
-    if (index % 2 == 0 || index == newest) kept.push_back(entry);
-    ++index;
-  }
-  return kept;
-}
 
 }  // namespace cbs::util

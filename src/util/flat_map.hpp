@@ -30,7 +30,8 @@ namespace cbs::util {
 ///  - lookups are cache-friendly binary searches over the live range;
 ///  - iteration is in ascending key order, like `std::map`, so replacing
 ///    one with the other cannot change any deterministic output;
-///  - a copy (every fork copies these tables) holds only the live entries.
+///  - a copy (every fork copies these tables) holds only the live entries,
+///    with the source's spare capacity.
 ///
 /// The deliberate difference from `std::map`: iterators AND references are
 /// invalidated by every insert/erase. Callers must re-find after mutating —
@@ -45,12 +46,12 @@ class FlatMap {
   using const_iterator = typename storage_type::const_iterator;
 
   FlatMap() = default;
-  // Copies take the live range only and start with no dead head.
-  FlatMap(const FlatMap& other)
-      : data_(other.begin(), other.end()), head_(0) {}
+  // Copies take the live range only and start with no dead head, but keep
+  // the source's room to grow, so a copy's first inserts do not reallocate.
+  FlatMap(const FlatMap& other) : data_(live_copy(other)), head_(0) {}
   FlatMap& operator=(const FlatMap& other) {
     if (this != &other) {
-      data_.assign(other.begin(), other.end());
+      data_ = live_copy(other);
       head_ = 0;
     }
     return *this;
@@ -157,6 +158,12 @@ class FlatMap {
   /// pay for it.
   static constexpr std::size_t kMinDeadHead = 64;
 
+  [[nodiscard]] static storage_type live_copy(const FlatMap& other) {
+    storage_type copy;
+    copy.reserve(other.data_.capacity() - other.head_);
+    copy.assign(other.begin(), other.end());
+    return copy;
+  }
   [[nodiscard]] std::ptrdiff_t live_offset() const noexcept {
     return static_cast<std::ptrdiff_t>(head_);
   }

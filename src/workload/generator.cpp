@@ -1,6 +1,7 @@
 #include "workload/generator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 
@@ -49,11 +50,11 @@ DocumentFeatures WorkloadGenerator::features_for_size(double size_mb) {
 
   // Job-type mix of a production print shop; bigger documents skew toward
   // raster-heavy classes.
-  const bool large = size_mb > 100.0;
-  const std::vector<double> weights =
-      large ? std::vector<double>{3.0, 2.0, 2.0, 1.0, 0.2, 2.5, 2.0}
-            : std::vector<double>{1.0, 1.0, 2.0, 2.5, 3.0, 1.0, 1.5};
-  f.type = kAllJobTypes[sample_discrete(rng_, weights)];
+  using Weights = std::array<double, kAllJobTypes.size()>;
+  static constexpr Weights kLargeWeights{3.0, 2.0, 2.0, 1.0, 0.2, 2.5, 2.0};
+  static constexpr Weights kSmallWeights{1.0, 1.0, 2.0, 2.5, 3.0, 1.0, 1.5};
+  f.type = kAllJobTypes[sample_discrete(
+      rng_, size_mb > 100.0 ? kLargeWeights : kSmallWeights)];
 
   // Per-class profiles; the size-correlated draws keep features physically
   // consistent (you cannot have a 300 MB statement with 3 pages).

@@ -93,6 +93,23 @@ TEST(ChunkedLogTest, CopySharesSealedChunksAndAppendsIndependently) {
   EXPECT_NE(&child.sealed_chunk(2), &parent.sealed_chunk(2));
 }
 
+TEST(ChunkedLogTest, CopyTailHasAFullChunkOfRoom) {
+  // Appending to a fork's copy fills its tail in place until it seals.
+  Log parent;
+  for (int v = 0; v < 5; ++v) parent.push_back(v);  // one sealed, tail {4}
+  Log copy(parent);
+  Log assigned;
+  assigned = parent;
+  for (Log* log : {&copy, &assigned}) {
+    const int* tail = &log->at(4);
+    for (int v = 5; v < 7; ++v) {
+      log->push_back(v);
+      EXPECT_EQ(&log->at(4), tail) << "the copy's tail reallocated";
+    }
+    EXPECT_EQ(iterate(*log), iota(0, 7));
+  }
+}
+
 TEST(ChunkedLogTest, CopyOutlivesItsSource) {
   auto source = std::make_unique<Log>();
   for (int v = 0; v < 9; ++v) source->push_back(v);
@@ -116,39 +133,6 @@ TEST(ChunkedLogTest, AtAndBackReadAnyChunk) {
   log.push_back(100);
   log.push_back(110);  // seals a chunk, leaving an empty tail
   EXPECT_EQ(log.back(), 110);
-}
-
-struct Point {
-  double time;
-  double value;
-};
-
-TEST(ChunkedLogTest, DecimatedHalfKeepsEndpointsAndOrder) {
-  cbs::util::ChunkedLog<Point, 4> odd;
-  for (int i = 0; i < 9; ++i) {
-    odd.push_back({static_cast<double>(i), static_cast<double>(i) * 10.0});
-  }
-  const auto ts = cbs::util::decimated_half(odd);
-  // Even indices survive: 0, 2, 4, 6, 8 — first and last always kept.
-  ASSERT_EQ(ts.size(), 5U);
-  EXPECT_DOUBLE_EQ(ts.at(0).time, 0.0);
-  EXPECT_DOUBLE_EQ(ts.at(2).time, 4.0);
-  EXPECT_DOUBLE_EQ(ts.back().time, 8.0);
-  EXPECT_DOUBLE_EQ(ts.back().value, 80.0);
-  EXPECT_EQ(odd.size(), 9U);  // the source is left as it was
-
-  cbs::util::ChunkedLog<Point, 4> even;
-  for (int i = 0; i < 8; ++i) even.push_back({static_cast<double>(i), 1.0});
-  const auto even_kept = cbs::util::decimated_half(even);
-  // Even count: indices 0,2,4,6 plus the appended final point 7.
-  ASSERT_EQ(even_kept.size(), 5U);
-  EXPECT_DOUBLE_EQ(even_kept.back().time, 7.0);
-
-  cbs::util::ChunkedLog<Point, 4> tiny;
-  tiny.push_back({1.0, 1.0});
-  tiny.push_back({2.0, 2.0});
-  // Below the minimum size: untouched.
-  EXPECT_EQ(cbs::util::decimated_half(tiny).size(), 2U);
 }
 
 TEST(ChunkedLogTest, AssignmentReplacesContents) {

@@ -434,17 +434,21 @@ TEST(JobStoreRetryTest, GetRetriesThroughOutage) {
   EXPECT_GT(store.failed_attempts(), 0u);
 }
 
-TEST(JobStoreTest, HistoryRecordsTransitions) {
+TEST(JobStoreTest, RunningStateTracksTransitions) {
+  // The store keeps running values, not a history: current and peak
+  // occupancy, and the byte-seconds integral billing reads.
   Simulation sim;
   JobStore store(sim);
-  sim.schedule_at(5.0, [&] { store.put("a", 10.0); });
+  sim.schedule_at(5.0, [&] {
+    store.put("a", 10.0);
+    EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 10.0);
+  });
   sim.schedule_at(9.0, [&] { store.erase("a"); });
   sim.run();
-  const auto& h = store.occupancy_history();
-  ASSERT_EQ(h.size(), 2u);
-  EXPECT_DOUBLE_EQ(h.at(0).time, 5.0);
-  EXPECT_DOUBLE_EQ(h.at(0).value, 10.0);
-  EXPECT_DOUBLE_EQ(h.at(1).value, 0.0);
+  EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 0.0);
+  EXPECT_DOUBLE_EQ(store.peak_occupancy_bytes(), 10.0);
+  EXPECT_DOUBLE_EQ(sim.now(), 9.0);
+  EXPECT_DOUBLE_EQ(store.occupancy_byte_seconds(), 40.0);
 }
 
 }  // namespace

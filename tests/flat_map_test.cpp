@@ -283,4 +283,28 @@ TEST(FlatMapTest, CopiesHoldOnlyLiveEntries) {
   EXPECT_EQ(copy.size(), 1u);
 }
 
+TEST(FlatMapTest, CopyKeepsTheSourcesRoomToGrow) {
+  // A fork's copy must not reallocate on its first inserts: it reserves
+  // the source's capacity less the dead head, though it copies only the
+  // live entries.
+  FlatMap<std::uint64_t, int> m;
+  m.reserve(100);
+  for (std::uint64_t k = 1; k <= 10; ++k) m.emplace(k, static_cast<int>(k));
+  ASSERT_EQ(m.erase(1), 1u);
+  ASSERT_EQ(m.erase(2), 1u);  // two dead head slots
+
+  FlatMap<std::uint64_t, int> copy(m);
+  FlatMap<std::uint64_t, int> assigned;
+  assigned = m;
+  for (FlatMap<std::uint64_t, int>* map : {&copy, &assigned}) {
+    ASSERT_EQ(map->size(), 8u);
+    const auto* first = &*map->begin();
+    for (std::uint64_t k = 11; k <= 98; ++k) {
+      map->emplace(k, 0);
+      ASSERT_EQ(&*map->begin(), first) << "the copy reallocated at " << k;
+    }
+    EXPECT_EQ(map->size(), 96u);
+  }
+}
+
 }  // namespace

@@ -375,6 +375,32 @@ TEST(ForkEquivalence, ForkCopiesLiveStateAndSharesHistory) {
   }
   EXPECT_EQ(forked->controller().job_table_size(),
             forked->controller().outstanding_jobs());
+
+  // A store-active world (faults on, EC objects staged, some already
+  // fetched and erased, so the byte-seconds integral has run) forks its
+  // store's live objects and running occupancy values, not a history, and
+  // the fork still continues byte-identically.
+  const Scenario faulty = fault_fixture();
+  ScenarioWorld active(faulty);
+  const auto& store = active.controller().store();
+  const auto staged_and_erased = [&store] {
+    return store.object_count() > 0 &&
+           store.peak_occupancy_bytes() > store.occupancy_bytes();
+  };
+  for (double at = 50.0; !staged_and_erased() && at <= 2000.0; at += 50.0) {
+    active.run_until(at);
+  }
+  ASSERT_GT(store.object_count(), 0u);
+  ASSERT_GT(store.peak_occupancy_bytes(), store.occupancy_bytes());
+  const std::unique_ptr<ScenarioWorld> active_fork = active.fork();
+  const auto& fork_store = active_fork->controller().store();
+  EXPECT_EQ(fork_store.object_count(), store.object_count());
+  EXPECT_EQ(fork_store.occupancy_bytes(), store.occupancy_bytes());
+  EXPECT_EQ(fork_store.peak_occupancy_bytes(), store.peak_occupancy_bytes());
+  EXPECT_EQ(fork_store.occupancy_byte_seconds(),
+            store.occupancy_byte_seconds());
+  active_fork->run();
+  expect_identical(active_fork->result(), run_scenario(faulty));
 }
 
 TEST(ForkEquivalence, ForkOfForkStillIdentical) {

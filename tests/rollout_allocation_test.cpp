@@ -1,0 +1,171 @@
+// Host-independent allocation gate for the lookahead scheduler's critical
+// path: one order-preserving rollout chain (fork, admit the decision
+// batch, roll the horizon, tear down) on the lookahead_fork scenario
+// (λ = 15 overload, uniform bucket, oracle, seed 1).
+//
+// This binary replaces the global operator new with one that counts, per
+// thread, the allocations made while a chain is measured. The counts do not
+// depend on the host's speed, so the bounds can be tight:
+//  - no single allocation while the batch is admitted and the horizon
+//    rolled may exceed 64 KiB: a fork keeps its tables' room to grow, so a
+//    rollout never reallocates the backlog it inherited (DESIGN §12.1);
+//  - the chain's allocation count at batch 200 stays under a ceiling
+//    recorded with 1.5x headroom.
+//
+// The decision point is reproduced without a test hook: the parent runs to
+// just before batch k arrives and is forked there. The fork, marked as an
+// order-preserving rollout, then fires batch k's arrival itself, which
+// admits the batch through the same CloudBurstController::on_batch_as call
+// that inject_batch_as makes, before any other event at that time.
+//
+// Allocation counting conflicts with a sanitizer's own operator new, so
+// this test is kept out of the sanitizer jobs.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <memory>
+#include <new>
+
+#include "harness/scenario.hpp"
+#include "harness/world.hpp"
+
+namespace {
+
+struct AllocationCount {
+  bool counting = false;
+  std::size_t count = 0;
+  std::size_t bytes = 0;
+  std::size_t largest = 0;
+};
+
+thread_local AllocationCount t_allocations;
+
+// Out of line, so the compiler does not pair a malloc or free it can see
+// with the operator that calls it (-Wmismatched-new-delete).
+[[gnu::noinline]] void* counted_alloc(std::size_t size) {
+  AllocationCount& a = t_allocations;
+  if (a.counting) {
+    ++a.count;
+    a.bytes += size;
+    if (size > a.largest) a.largest = size;
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  release(p);
+}
+
+namespace {
+
+using cbs::harness::ScenarioWorld;
+
+/// The counts of the calls made while `fn` runs on this thread.
+template <typename Fn>
+AllocationCount count_allocations(Fn&& fn) {
+  t_allocations = AllocationCount{};
+  t_allocations.counting = true;
+  fn();
+  AllocationCount counted = t_allocations;
+  counted.counting = false;
+  t_allocations = AllocationCount{};
+  return counted;
+}
+
+struct Chain {
+  std::size_t outstanding = 0;  ///< jobs in the parent at the decision
+  AllocationCount fork;
+  AllocationCount admit;  ///< the decision batch's admission
+  AllocationCount roll;   ///< the rest of the horizon
+  AllocationCount teardown;
+
+  [[nodiscard]] std::size_t count() const {
+    return fork.count + admit.count + roll.count;
+  }
+  [[nodiscard]] std::size_t largest_after_fork() const {
+    return std::max(admit.largest, roll.largest);
+  }
+};
+
+/// Runs the order-preserving chain of the lookahead decision at `batch`.
+Chain measure_op_chain(std::size_t batch) {
+  cbs::harness::Scenario s = cbs::harness::make_scenario(
+      cbs::core::SchedulerKind::kLookahead, cbs::workload::SizeBucket::kUniform,
+      /*seed=*/1);
+  s.estimator = cbs::core::EstimatorKind::kOracle;
+  s.mean_jobs_per_batch = 15.0;
+  s.num_batches = 400;
+  s.lookahead_horizon_seconds = 900.0;
+  s.lookahead_candidates = 3;
+  s.log_threshold = cbs::sim::LogLevel::kError;
+
+  ScenarioWorld parent(s);
+  const double arrival = parent.batches().at(batch).arrival_time;
+  parent.run_until(
+      std::nextafter(arrival, -std::numeric_limits<double>::infinity()));
+
+  Chain chain;
+  chain.outstanding = parent.controller().outstanding_jobs();
+  std::unique_ptr<ScenarioWorld> rollout;
+  chain.fork = count_allocations([&] {
+    rollout = parent.fork();
+    rollout->begin_rollout(cbs::core::SchedulerKind::kOrderPreserving);
+  });
+  chain.admit = count_allocations([&] { rollout->run_until(arrival); });
+  chain.roll = count_allocations(
+      [&] { rollout->run_until(arrival + s.lookahead_horizon_seconds); });
+  chain.teardown = count_allocations([&] { rollout.reset(); });
+  std::printf(
+      "batch %zu: %zu outstanding; allocations fork %zu, admit %zu, roll %zu "
+      "(%zu bytes after the fork, largest %zu)\n",
+      batch, chain.outstanding, chain.fork.count, chain.admit.count,
+      chain.roll.count, chain.admit.bytes + chain.roll.bytes,
+      chain.largest_after_fork());
+  return chain;
+}
+
+constexpr std::size_t kLargestAllocation = 64 * 1024;
+
+TEST(RolloutAllocation, CountIsBoundedAtBatch200) {
+  const Chain chain = measure_op_chain(200);
+  ASSERT_GT(chain.outstanding, 200u);  // the overload backlog is there
+  EXPECT_LE(chain.largest_after_fork(), kLargestAllocation);
+  // 271 measured (98 fork, 26 admit, 147 roll); the ceiling keeps 1.5x
+  // headroom. Before forks kept their room to grow it was 1,176.
+  EXPECT_LE(chain.count(), 406u);
+  EXPECT_EQ(chain.teardown.count, 0u);
+}
+
+TEST(RolloutAllocation, NoLargeAllocationAtBatch399) {
+  const Chain chain = measure_op_chain(399);
+  ASSERT_GT(chain.outstanding, 600u);
+  EXPECT_LE(chain.largest_after_fork(), kLargestAllocation);
+}
+
+}  // namespace

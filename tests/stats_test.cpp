@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -100,7 +101,7 @@ TEST(DistributionsTest, DiscreteRespectsWeights) {
   RngStream rng(10);
   std::vector<double> counts(3, 0.0);
   for (int i = 0; i < kSamples; ++i) {
-    counts[sample_discrete(rng, {1.0, 2.0, 1.0})] += 1.0;
+    counts[sample_discrete(rng, std::array{1.0, 2.0, 1.0})] += 1.0;
   }
   EXPECT_NEAR(counts[1] / kSamples, 0.5, 0.02);
   EXPECT_NEAR(counts[0] / kSamples, 0.25, 0.02);
@@ -109,7 +110,7 @@ TEST(DistributionsTest, DiscreteRespectsWeights) {
 TEST(DistributionsTest, DiscreteZeroWeightNeverSampled) {
   RngStream rng(11);
   for (int i = 0; i < 2000; ++i) {
-    EXPECT_NE(sample_discrete(rng, {1.0, 0.0, 1.0}), 1u);
+    EXPECT_NE(sample_discrete(rng, std::array{1.0, 0.0, 1.0}), 1u);
   }
 }
 
