@@ -7,12 +7,10 @@
 #include <cmath>
 #include <cstdio>
 
-#include "core/controller.hpp"
+#include "harness/experiment.hpp"
+#include "harness/scenario.hpp"
 #include "models/per_class_qrsm.hpp"
 #include "models/qrsm.hpp"
-#include "simcore/simulation.hpp"
-#include "stats/distributions.hpp"
-#include "sla/metrics.hpp"
 #include "workload/generator.hpp"
 
 namespace {
@@ -82,45 +80,18 @@ int main() {
               "burst");
   for (const auto kind :
        {core::EstimatorKind::kQrsm, core::EstimatorKind::kPerClassQrsm}) {
-    sim::Simulation simulation;
-    sim::RngStream run_root(4242);
-    workload::GroundTruthModel run_truth({}, run_root.substream("truth"));
-    workload::WorkloadGenerator run_gen({}, run_truth,
-                                        run_root.substream("workload"));
-    auto cfg = core::default_controller_config(false);
-    cfg.scheduler = core::SchedulerKind::kOrderPreserving;
-    cfg.estimator = kind;
-    core::CloudBurstController controller(simulation, cfg, run_truth,
-                                          run_root.substream("system"));
-    {
-      workload::WorkloadGenerator corpus({}, run_truth,
-                                         run_root.substream("corpus"));
-      const auto docs = corpus.batch(400);
-      std::vector<double> y;
-      for (const auto& d : docs) y.push_back(run_truth.sample_seconds(d.features));
-      controller.pretrain(docs, y);
-    }
-    auto arr_rng = std::make_shared<sim::RngStream>(run_root.substream("arr"));
-    for (std::size_t b = 0; b < 6; ++b) {
-      simulation.schedule_at(
-          180.0 * static_cast<double>(b),
-          [&controller, &run_gen, arr_rng, b, &simulation] {
-            workload::Batch batch;
-            batch.batch_index = b;
-            batch.arrival_time = simulation.now();
-            auto n = cbs::stats::sample_poisson(*arr_rng, 15.0);
-            if (n == 0) n = 1;
-            batch.documents = run_gen.batch(n);
-            controller.on_batch(batch);
-          });
-    }
-    simulation.run();
-    const auto outcomes = controller.outcomes().to_vector();
+    harness::Scenario scenario;
+    scenario.seed = 4242;
+    scenario.num_batches = 6;
+    scenario.pretrain_samples = 400;
+    scenario.scheduler = core::SchedulerKind::kOrderPreserving;
+    scenario.estimator = kind;
+    const harness::RunResult run = harness::run_scenario(scenario);
     std::printf("%-22s %9.1fs %9.2f %9.2f\n",
                 kind == core::EstimatorKind::kQrsm ? "pooled-qrsm"
                                                    : "per-class-qrsm",
-                sla::makespan(outcomes), sla::speedup(outcomes),
-                sla::burst_ratio(outcomes));
+                run.report.makespan_seconds, run.report.speedup,
+                run.report.burst_ratio);
   }
   return 0;
 }

@@ -7,35 +7,24 @@
 #include <vector>
 
 #include "core/controller.hpp"
-#include "simcore/simulation.hpp"
-#include "workload/generator.hpp"
+#include "harness/world.hpp"
 
 int main() {
   using namespace cbs;
-  sim::Simulation simulation;
-  sim::RngStream root(4711);
-  workload::GroundTruthModel truth({}, root.substream("truth"));
-
+  harness::Scenario scenario;
+  scenario.seed = 4711;
+  scenario.scheduler = core::SchedulerKind::kGreedy;
+  scenario.num_batches = 1;
+  scenario.mean_jobs_per_batch = 10.0;
+  scenario.pretrain_samples = 150;
   auto cfg = core::default_controller_config(false);
-  cfg.scheduler = core::SchedulerKind::kGreedy;
   cfg.record_stage_log = true;
   cfg.topology.ic_machines = 2;  // small IC so jobs burst readily
-  core::CloudBurstController controller(simulation, cfg, truth,
-                                        root.substream("system"));
-  {
-    workload::WorkloadGenerator corpus({}, truth, root.substream("corpus"));
-    const auto docs = corpus.batch(150);
-    std::vector<double> y;
-    for (const auto& d : docs) y.push_back(truth.sample_seconds(d.features));
-    controller.pretrain(docs, y);
-  }
+  scenario.config_override = cfg;
 
-  workload::WorkloadGenerator gen({}, truth, root.substream("workload"));
-  workload::Batch batch;
-  batch.batch_index = 0;
-  batch.documents = gen.batch(10);
-  controller.on_batch(batch);
-  simulation.run();
+  harness::ScenarioWorld world(scenario);
+  world.run();
+  const core::CloudBurstController& controller = world.controller();
 
   // Group the stage log per job.
   std::map<std::uint64_t, std::vector<core::CloudBurstController::StageEvent>>

@@ -28,10 +28,7 @@ JobStore::JobStore(cbs::sim::Simulation& dst, const JobStore& src)
       byte_seconds_(src.byte_seconds_),
       last_change_(src.last_change_),
       pending_ops_(src.pending_ops_),
-      next_op_id_(src.next_op_id_) {
-  assert(src.closure_retries_pending_ == 0 &&
-         "closure-based async ops cannot cross a fork");
-}
+      next_op_id_(src.next_op_id_) {}
 
 int JobStore::register_continuation(Continuation continuation) {
   assert(continuation);
@@ -53,102 +50,20 @@ cbs::sim::SimDuration JobStore::backoff_delay(int attempt) const {
   return std::min(delay, config_.max_backoff);
 }
 
-void JobStore::attempt_put(const std::string& key, double bytes,
-                           PutHandler done, int attempt) {
-  const double delta = bytes - size_of(key);  // overwrite frees the old object
-  if (available_ && occupancy_ + delta <= config_.capacity_bytes) {
-    put(key, bytes);
-    if (done) done(true);
-    return;
-  }
-  ++failed_attempts_;
-  if (attempt + 1 >= config_.max_attempts) {
-    ++abandoned_ops_;
-    if (done) done(false);
-    return;
-  }
-  ++closure_retries_pending_;
-  sim_.schedule_in(backoff_delay(attempt),
-                   [this, key, bytes, done = std::move(done), attempt] {
-                     --closure_retries_pending_;
-                     attempt_put(key, bytes, done, attempt + 1);
-                   });
-}
-
-void JobStore::put_async(const std::string& key, double bytes,
-                         PutHandler done) {
-  attempt_put(key, bytes, std::move(done), 0);
-}
-
-void JobStore::attempt_get(const std::string& key, GetHandler done,
-                           int attempt) {
-  if (available_) {
-    auto it = objects_.find(key);
-    if (it == objects_.end()) {
-      // Absence on a healthy store is a definite answer, not a fault.
-      if (done) done(false, 0.0);
-    } else {
-      if (done) done(true, it->second);
-    }
-    return;
-  }
-  ++failed_attempts_;
-  if (attempt + 1 >= config_.max_attempts) {
-    ++abandoned_ops_;
-    if (done) done(false, 0.0);
-    return;
-  }
-  ++closure_retries_pending_;
-  sim_.schedule_in(backoff_delay(attempt),
-                   [this, key, done = std::move(done), attempt] {
-                     --closure_retries_pending_;
-                     attempt_get(key, done, attempt + 1);
-                   });
-}
-
-void JobStore::get_async(const std::string& key, GetHandler done) {
-  attempt_get(key, std::move(done), 0);
-}
-
-void JobStore::put_async(const std::string& key, double bytes, int slot,
-                         std::uint64_t tag) {
+void JobStore::put_async(std::uint64_t seq, ObjectKind kind, double bytes,
+                         int slot, std::uint64_t tag) {
   assert(slot >= 0 && slot < static_cast<int>(continuations_.size()));
-  PendingOp op;
-  op.is_put = true;
-  op.key = key;
-  op.bytes = bytes;
-  op.slot = slot;
-  op.tag = tag;
-  step_op(std::move(op));
-}
-
-void JobStore::get_async(const std::string& key, int slot, std::uint64_t tag) {
-  assert(slot >= 0 && slot < static_cast<int>(continuations_.size()));
-  PendingOp op;
-  op.is_put = false;
-  op.key = key;
-  op.slot = slot;
-  op.tag = tag;
-  step_op(std::move(op));
+  step_op(PendingOp{
+      .seq = seq, .kind = kind, .bytes = bytes, .slot = slot, .tag = tag});
 }
 
 void JobStore::step_op(PendingOp op) {
   Continuation& done = continuations_[static_cast<std::size_t>(op.slot)];
-  if (op.is_put) {
-    const double delta = op.bytes - size_of(op.key);
-    if (available_ && occupancy_ + delta <= config_.capacity_bytes) {
-      put(op.key, op.bytes);
-      done(op.tag, true, op.bytes);
-      return;
-    }
-  } else if (available_) {
-    // Absence on a healthy store is a definite answer, not a fault.
-    auto it = objects_.find(op.key);
-    if (it == objects_.end()) {
-      done(op.tag, false, 0.0);
-    } else {
-      done(op.tag, true, it->second);
-    }
+  // An overwrite frees the old object.
+  const double delta = op.bytes - size_of(op.seq, op.kind);
+  if (available_ && occupancy_ + delta <= config_.capacity_bytes) {
+    put(op.seq, op.kind, op.bytes);
+    done(op.tag, true, op.bytes);
     return;
   }
   ++failed_attempts_;
@@ -182,10 +97,15 @@ double JobStore::occupancy_byte_seconds() const {
   return byte_seconds_ + occupancy_ * (sim_.now() - last_change_);
 }
 
-void JobStore::put(const std::string& key, double bytes) {
+std::uint64_t JobStore::key_of(std::uint64_t seq, ObjectKind kind) {
+  assert(seq < (std::uint64_t{1} << 63));
+  return (seq << 1) | static_cast<std::uint64_t>(kind);
+}
+
+void JobStore::put(std::uint64_t seq, ObjectKind kind, double bytes) {
   assert(bytes >= 0.0);
   integrate();
-  auto [it, inserted] = objects_.try_emplace(key, bytes);
+  auto [it, inserted] = objects_.emplace(key_of(seq, kind), bytes);
   if (!inserted) {
     occupancy_ -= it->second;
     it->second = bytes;
@@ -194,17 +114,13 @@ void JobStore::put(const std::string& key, double bytes) {
   peak_ = std::max(peak_, occupancy_);
 }
 
-double JobStore::size_of(const std::string& key) const {
-  auto it = objects_.find(key);
+double JobStore::size_of(std::uint64_t seq, ObjectKind kind) const {
+  auto it = objects_.find(key_of(seq, kind));
   return it == objects_.end() ? 0.0 : it->second;
 }
 
-bool JobStore::contains(const std::string& key) const {
-  return objects_.contains(key);
-}
-
-double JobStore::erase(const std::string& key) {
-  auto it = objects_.find(key);
+double JobStore::erase(std::uint64_t seq, ObjectKind kind) {
+  auto it = objects_.find(key_of(seq, kind));
   if (it == objects_.end()) return 0.0;
   integrate();
   const double freed = it->second;

@@ -3,8 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "simcore/simulation.hpp"
@@ -23,16 +21,20 @@ namespace cbs::compute {
 /// their time integral (the billing quantity) as running values, not as a
 /// history, so a fork copies only the live objects.
 ///
+/// A job has at most one object of each kind here, so an object is named
+/// by its job's sequence id and its kind.
+///
 /// The synchronous put/size_of/erase API models the fault-free control
-/// plane. The asynchronous put_async/get_async paths add S3-style
-/// best-effort semantics: while the store is unavailable (an EC outage) or
-/// over capacity, an attempt fails and is retried after exponential
-/// backoff, giving up after `Config::max_attempts`. With the store
-/// available and capacity unconstrained (the defaults), the async paths
-/// complete synchronously and schedule no events — the fault layer is free
-/// when disabled.
+/// plane. put_async adds S3-style best-effort semantics: while the store is
+/// unavailable (an EC outage) or over capacity, an attempt fails and is
+/// retried after exponential backoff, giving up after
+/// `Config::max_attempts`. With the store available and capacity
+/// unconstrained (the defaults), put_async completes synchronously and
+/// schedules no events — the fault layer is free when disabled.
 class JobStore {
  public:
+  enum class ObjectKind : std::uint8_t { kInput, kOutput };
+
   struct Config {
     /// Attempts per operation (first try included). At least 1.
     int max_attempts = 6;
@@ -45,10 +47,8 @@ class JobStore {
     double capacity_bytes = std::numeric_limits<double>::infinity();
   };
 
-  using PutHandler = std::function<void(bool ok)>;
-  using GetHandler = std::function<void(bool ok, double bytes)>;
   /// A registered continuation: receives the caller's tag and the result
-  /// (`bytes` is the object size for gets, the stored size for puts).
+  /// (`bytes` is the stored size, 0 when the put was abandoned).
   using Continuation =
       std::function<void(std::uint64_t tag, bool ok, double bytes)>;
 
@@ -60,52 +60,40 @@ class JobStore {
   /// Fork support: copies `src`'s value state (objects, occupancy
   /// accounting, pending retry records) into a store bound to `dst`.
   /// Continuations are NOT copied — the owner must register them on the
-  /// clone in source order, then call rebuild_events(). Precondition: no
-  /// closure-based async op is awaiting a retry.
+  /// clone in source order, then call rebuild_events().
   JobStore(cbs::sim::Simulation& dst, const JobStore& src);
 
-  /// Registers a continuation and returns its slot for the tag-based
-  /// async forms.
+  /// Registers a continuation and returns its slot for put_async.
   int register_continuation(Continuation continuation);
 
   /// Re-schedules pending retry events after a fork.
   void rebuild_events(cbs::sim::SnapshotContext& ctx);
 
-  /// Stores `bytes` under `key`; overwrites an existing object.
-  void put(const std::string& key, double bytes);
+  /// Stores `bytes` as job `seq`'s object of `kind`; overwrites an
+  /// existing one.
+  void put(std::uint64_t seq, ObjectKind kind, double bytes);
 
-  /// Size of the object under `key`; 0 if absent.
-  [[nodiscard]] double size_of(const std::string& key) const;
-
-  [[nodiscard]] bool contains(const std::string& key) const;
+  /// Size of job `seq`'s object of `kind`; 0 if absent.
+  [[nodiscard]] double size_of(std::uint64_t seq, ObjectKind kind) const;
 
   /// Removes an object; no-op if absent. Returns the freed bytes.
-  double erase(const std::string& key);
+  double erase(std::uint64_t seq, ObjectKind kind);
 
-  // ---- Best-effort paths (retry/backoff against outages) -------------
+  // ---- Best-effort path (retry/backoff against outages) --------------
 
   /// Availability switch, driven by the EC outage windows of the fault
-  /// plan. While false, every async attempt fails.
+  /// plan. While false, every put_async attempt fails.
   void set_available(bool available) noexcept { available_ = available; }
   [[nodiscard]] bool available() const noexcept { return available_; }
 
-  /// Stores `bytes` under `key` with retry/backoff; `done(ok)` fires once,
-  /// synchronously when the first attempt succeeds.
-  void put_async(const std::string& key, double bytes, PutHandler done);
-
-  /// Fetches the object size with the same retry semantics. A missing key
-  /// on an *available* store fails immediately (no retry — absence is a
-  /// definite answer, not an outage).
-  void get_async(const std::string& key, GetHandler done);
-
-  /// Tag-based forms — the forkable path: the result is dispatched to the
-  /// registered continuation `slot` with `tag`, and a pending retry is
-  /// value state (re-schedulable across a fork) instead of a closure.
-  void put_async(const std::string& key, double bytes, int slot,
+  /// put() with retry/backoff. The result goes, once, to the registered
+  /// continuation `slot` with `tag`: synchronously when the first attempt
+  /// succeeds. A pending retry is value state (re-schedulable across a
+  /// fork), not a closure.
+  void put_async(std::uint64_t seq, ObjectKind kind, double bytes, int slot,
                  std::uint64_t tag);
-  void get_async(const std::string& key, int slot, std::uint64_t tag);
 
-  /// Async attempts that failed (unavailable or over capacity).
+  /// put_async attempts that failed (unavailable or over capacity).
   [[nodiscard]] std::uint64_t failed_attempts() const noexcept {
     return failed_attempts_;
   }
@@ -123,24 +111,24 @@ class JobStore {
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
  private:
-  /// One tag-based async op awaiting its next retry — pure value state
-  /// plus the pending event id, so forks can re-schedule it.
+  /// One put_async awaiting its next retry — pure value state plus the
+  /// pending event id, so forks can re-schedule it.
   struct PendingOp {
-    bool is_put = false;
-    std::string key;
-    double bytes = 0.0;  ///< puts only
+    std::uint64_t seq = 0;
+    ObjectKind kind = ObjectKind::kInput;
+    double bytes = 0.0;
     int slot = -1;
     std::uint64_t tag = 0;
     int attempt = 0;
     cbs::sim::EventId retry{};
   };
 
+  /// The objects_ key of job `seq`'s object of `kind`.
+  [[nodiscard]] static std::uint64_t key_of(std::uint64_t seq, ObjectKind kind);
+
   cbs::sim::Simulation& sim_;
   void integrate();
   [[nodiscard]] cbs::sim::SimDuration backoff_delay(int attempt) const;
-  void attempt_put(const std::string& key, double bytes, PutHandler done,
-                   int attempt);
-  void attempt_get(const std::string& key, GetHandler done, int attempt);
   void step_op(PendingOp op);
   void retry_op(std::uint64_t op_id);
 
@@ -148,7 +136,7 @@ class JobStore {
   bool available_ = true;
   std::uint64_t failed_attempts_ = 0;
   std::uint64_t abandoned_ops_ = 0;
-  std::unordered_map<std::string, double> objects_;
+  cbs::util::FlatMap<std::uint64_t, double> objects_;
   double occupancy_ = 0.0;
   double peak_ = 0.0;
   double byte_seconds_ = 0.0;
@@ -158,7 +146,6 @@ class JobStore {
   std::vector<Continuation> continuations_;
   cbs::util::FlatMap<std::uint64_t, PendingOp> pending_ops_;
   std::uint64_t next_op_id_ = 1;
-  std::uint64_t closure_retries_pending_ = 0;  ///< blocks forking when > 0
 };
 
 }  // namespace cbs::compute

@@ -15,6 +15,7 @@ namespace cbs::core {
 
 using cbs::sim::SimTime;
 using cbs::sla::Placement;
+using StoredObject = cbs::compute::JobStore::ObjectKind;
 
 namespace {
 
@@ -31,9 +32,6 @@ std::unique_ptr<models::ProcessingTimeEstimator> make_estimator(
   assert(false && "unknown estimator kind");
   return nullptr;
 }
-
-std::string input_key(std::uint64_t seq) { return "in/" + std::to_string(seq); }
-std::string output_key(std::uint64_t seq) { return "out/" + std::to_string(seq); }
 
 /// RNG stream names of a site's links and crash processes: the plain name
 /// for site 0 (the paper's single EC), "#i" appended for site i > 0, so
@@ -552,7 +550,8 @@ void CloudBurstController::on_upload_done(std::size_t site_index,
   // Stage the input. With the store healthy this completes synchronously;
   // during an outage it retries with backoff, and a permanent failure
   // falls back to internal execution (the upload was wasted).
-  site.store.put_async(input_key(seq), rec.bytes, site.store_input_slot, seq);
+  site.store.put_async(seq, StoredObject::kInput, rec.bytes,
+                       site.store_input_slot, seq);
 
   if (config_.enable_rescheduler && site.upload_queues.idle()) {
     maybe_push_out();
@@ -585,8 +584,8 @@ void CloudBurstController::on_ec_proc_done(std::size_t site_index,
   Job& job = job_at(seq);
   // The merge task already covered compression cost; swap input for the
   // compressed output in the store and ship it home.
-  site.store.erase(input_key(seq));
-  site.store.put_async(output_key(seq), job.doc.output_bytes(),
+  site.store.erase(seq, StoredObject::kInput);
+  site.store.put_async(seq, StoredObject::kOutput, job.doc.output_bytes(),
                        site.store_output_slot, seq);
 }
 
@@ -611,7 +610,7 @@ void CloudBurstController::on_download_done(std::size_t site_index,
   site.down_tuner.report(sim_.now(), rec.threads, rec.transfer_rate());
 
   Job& job = job_at(seq);
-  site.store.erase(output_key(seq));
+  site.store.erase(seq, StoredObject::kOutput);
   belief_.on_ec_complete(seq, site_index);
   proc_estimator_->observe(job.doc, job.true_service_seconds);
   finish_job(job);

@@ -64,30 +64,4 @@ void cholesky_solve_in_place(std::span<const double> l, std::size_t n,
   }
 }
 
-std::optional<Matrix> cholesky(const Matrix& a) {
-  assert(a.rows() == a.cols());
-  const std::size_t n = a.rows();
-  Matrix l = a;
-  if (n == 0) return l;
-  if (!cholesky_in_place({l.row_data(0), n * n}, n)) return std::nullopt;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) l(i, j) = 0.0;
-  }
-  return l;
-}
-
-Vector cholesky_solve(const Matrix& l, const Vector& b) {
-  const std::size_t n = l.rows();
-  assert(l.cols() == n && b.size() == n);
-  Vector x = b;
-  if (n > 0) cholesky_solve_in_place({l.row_data(0), n * n}, n, x);
-  return x;
-}
-
-std::optional<Vector> solve_spd(const Matrix& a, const Vector& b) {
-  auto l = cholesky(a);
-  if (!l) return std::nullopt;
-  return cholesky_solve(*l, b);
-}
-
 }  // namespace cbs::linalg

@@ -5,14 +5,12 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <ranges>
 #include <utility>
 
 #include "linalg/cholesky.hpp"
 
 namespace cbs::models {
-
-using cbs::linalg::Matrix;
-using cbs::linalg::Vector;
 
 namespace {
 
@@ -309,15 +307,17 @@ bool QrsmModel::drifted() const {
 }
 
 void QrsmModel::rebuild_moments() {
-  assert(evicted_ == 0);
+  const std::ranges::subrange window(
+      std::next(buffer_.begin(), static_cast<std::ptrdiff_t>(evicted_)),
+      buffer_.end());
   ref_ = FeatureScaler::fit(
-      buffer_, [](const Example& ex) -> const RawFeatures& { return ex.raw; });
+      window, [](const Example& ex) -> const RawFeatures& { return ex.raw; });
   mono_.fill(0.0);
   xty_.fill(0.0);
   sum_y2_ = 0.0;
   mass_x_ = 0.0;
   mass_y_ = 0.0;
-  for (const Example& ex : buffer_) accumulate<1>({&ex}, {1.0});
+  for (const Example& ex : window) accumulate<1>({&ex}, {1.0});
   drift_x_ = 0.0;  // the sums were just formed from scratch
   drift_y_ = 0.0;
   anchored_ = true;
@@ -341,26 +341,25 @@ void QrsmModel::refit() {
   since_refit_ = 0;
   // Require modest oversampling before trusting a quadratic surface.
   if (buffered() < kQuadraticDim + kQuadraticDim / 4) return;
-  mape_pending_ = false;  // the fit it belonged to is being replaced
-  drop_evicted();
 
   // z = (x − m)/s and z₀ = (x − m₀)/s₀ give z = a⊙z₀ + d with a = s₀/s
   // and d = (m₀ − m)/s.
   RawFeatures a{};
   RawFeatures d{};
+  FeatureScaler scaler;
   bool rebuild = !anchored_ || drifted();
   if (!rebuild) {
-    scaler_ = scaler_from_moments();
+    scaler = scaler_from_moments();
     for (std::size_t i = 0; i < kNumRawFeatures; ++i) {
-      a[i] = ref_.scale[i] / scaler_.scale[i];
-      d[i] = (ref_.mean[i] - scaler_.mean[i]) / scaler_.scale[i];
+      a[i] = ref_.scale[i] / scaler.scale[i];
+      d[i] = (ref_.mean[i] - scaler.mean[i]) / scaler.scale[i];
       rebuild = rebuild || a[i] > kMaxScaleRatio ||
                 a[i] < 1.0 / kMaxScaleRatio || std::abs(d[i]) > kMaxMeanShift;
     }
   }
   if (rebuild) {
     rebuild_moments();
-    scaler_ = ref_;
+    scaler = ref_;
     a.fill(1.0);
     d.fill(0.0);
   }
@@ -404,7 +403,9 @@ void QrsmModel::refit() {
   std::array<double, n * n> chol = gram;
   for (std::size_t i = 0; i < n; ++i) chol[i * n + i] += config_.ridge_lambda;
   if (!cbs::linalg::cholesky_in_place(chol, n)) {
-    refit_from_design();
+    // A rank-deficient window (possible only with ridge_lambda = 0): keep
+    // the previous fit, its scaling and the rows its pending MAPE needs.
+    ++refit_failures_;
     return;
   }
   std::array<double, n> beta = xty;
@@ -427,25 +428,16 @@ void QrsmModel::refit() {
   const double sum_y = xty_[0];
   const double ss_tot = sum_y2_ - sum_y * sum_y / rows;
 
-  if (!fit_) fit_.emplace();
-  fit_->coefficients.assign(beta.begin(), beta.end());
-  fit_->rmse = std::sqrt(ss_res / rows);
-  fit_->r_squared = ss_tot <= 0.0 ? 1.0 : 1.0 - ss_res / ss_tot;
-  fit_->mape = 0.0;
-  fit_->used_qr_fallback = false;
+  // The new fit replaces the old one, and with it the old fit's pending
+  // MAPE and the rows kept for it.
+  drop_evicted();
+  scaler_ = scaler;
+  fit_ = QrsmFit{.coefficients = beta,
+                 .r_squared = ss_tot <= 0.0 ? 1.0 : 1.0 - ss_res / ss_tot,
+                 .rmse = std::sqrt(ss_res / rows),
+                 .mape = 0.0};
   fit_rows_ = buffer_.size();
   mape_pending_ = true;
-}
-
-void QrsmModel::refit_from_design() {
-  Matrix design(buffer_.size(), kQuadraticDim);
-  Vector y(buffer_.size());
-  for (std::size_t r = 0; r < buffer_.size(); ++r) {
-    const QuadraticRow row = quadratic_expand(scaler_.apply(buffer_[r].raw));
-    std::copy(row.begin(), row.end(), design.row_data(r));
-    y[r] = buffer_[r].y;
-  }
-  fit_ = cbs::linalg::ridge_least_squares(design, y, config_.ridge_lambda);
 }
 
 double QrsmModel::surface(const RawFeatures& raw) const {
@@ -460,7 +452,7 @@ double QrsmModel::surface(const RawFeatures& raw) const {
 void QrsmModel::fill_mape() const {
   if (!mape_pending_) return;
   mape_pending_ = false;
-  // Same definition as ridge_least_squares: rows with y = 0 are skipped.
+  // Rows with y = 0 are skipped.
   double ape_sum = 0.0;
   std::size_t ape_n = 0;
   for (std::size_t r = 0; r < fit_rows_; ++r) {

@@ -6,11 +6,18 @@
 #include <optional>
 #include <vector>
 
-#include "linalg/least_squares.hpp"
 #include "models/feature_vector.hpp"
 #include "workload/document.hpp"
 
 namespace cbs::models {
+
+/// A QRSM surface and its goodness of fit on the window it was fitted on.
+struct QrsmFit {
+  QuadraticRow coefficients{};  ///< over quadratic_expand's columns
+  double r_squared = 0.0;       ///< 1 - SS_res / SS_tot
+  double rmse = 0.0;            ///< sqrt(mean squared residual)
+  double mape = 0.0;            ///< mean |residual / y| over y != 0 rows
+};
 
 /// Quadratic Response Surface Model for processing time (paper §III.A.1):
 ///
@@ -64,13 +71,19 @@ class QrsmModel {
   /// from the moments at refit; MAPE needs one pass over that window and is
   /// filled in by the first read after the refit. That read writes, so one
   /// model must not be read from two threads at once.
-  [[nodiscard]] const std::optional<cbs::linalg::FitResult>& last_fit() const {
+  [[nodiscard]] const std::optional<QrsmFit>& last_fit() const {
     fill_mape();
     return fit_;
   }
   [[nodiscard]] std::size_t observations() const noexcept { return total_observed_; }
   [[nodiscard]] std::size_t buffered() const noexcept {
     return buffer_.size() - evicted_;
+  }
+  /// Refits whose normal equations were not positive definite (a
+  /// rank-deficient window with ridge_lambda = 0). Each kept the previous
+  /// fit, and its scaling, unchanged.
+  [[nodiscard]] std::size_t refit_failures() const noexcept {
+    return refit_failures_;
   }
   /// Rows added to or removed from the moments so far, the rows of every
   /// rebuild included: a host-independent measure of the model's work.
@@ -106,9 +119,6 @@ class QrsmModel {
   [[nodiscard]] bool drifted() const;
   /// The window's FeatureScaler, derived from the moments.
   [[nodiscard]] FeatureScaler scaler_from_moments() const;
-  /// Fallback when the normal equations are not positive definite: a batch
-  /// ridge fit (with its QR fallback) on an explicit design matrix.
-  void refit_from_design();
   /// The fitted surface before clamping.
   [[nodiscard]] double surface(const std::array<double, kNumRawFeatures>& raw) const;
   void fill_mape() const;
@@ -145,9 +155,10 @@ class QrsmModel {
   double drift_x_ = 0.0;
   double drift_y_ = 0.0;
   std::size_t moment_rows_ = 0;
+  std::size_t refit_failures_ = 0;
 
   // Filled in by the first last_fit() read after a refit (logically const).
-  mutable std::optional<cbs::linalg::FitResult> fit_;
+  mutable std::optional<QrsmFit> fit_;
   mutable bool mape_pending_ = false;
 };
 

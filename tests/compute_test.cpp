@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "compute/cluster.hpp"
@@ -204,23 +205,41 @@ TEST(MapReduceTest, ConcurrentJobsInterleave) {
 
 // ---- JobStore --------------------------------------------------------------
 
+constexpr auto kIn = JobStore::ObjectKind::kInput;
+constexpr auto kOut = JobStore::ObjectKind::kOutput;
+
 TEST(JobStoreTest, PutGetErase) {
   Simulation sim;
   JobStore store(sim);
-  store.put("a", 100.0);
-  EXPECT_TRUE(store.contains("a"));
-  EXPECT_DOUBLE_EQ(store.size_of("a"), 100.0);
+  store.put(1, kIn, 100.0);
+  EXPECT_DOUBLE_EQ(store.size_of(1, kIn), 100.0);
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 100.0);
-  EXPECT_DOUBLE_EQ(store.erase("a"), 100.0);
-  EXPECT_FALSE(store.contains("a"));
+  EXPECT_DOUBLE_EQ(store.erase(1, kIn), 100.0);
+  EXPECT_DOUBLE_EQ(store.size_of(1, kIn), 0.0);
+  EXPECT_EQ(store.object_count(), 0u);
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 0.0);
+}
+
+TEST(JobStoreTest, InputAndOutputOfAJobAreDistinctObjects) {
+  Simulation sim;
+  JobStore store(sim);
+  store.put(7, kIn, 100.0);
+  store.put(7, kOut, 30.0);
+  store.put(8, kIn, 5.0);
+  EXPECT_EQ(store.object_count(), 3u);
+  EXPECT_DOUBLE_EQ(store.size_of(7, kIn), 100.0);
+  EXPECT_DOUBLE_EQ(store.size_of(7, kOut), 30.0);
+  EXPECT_DOUBLE_EQ(store.size_of(8, kOut), 0.0);
+  EXPECT_DOUBLE_EQ(store.erase(7, kIn), 100.0);
+  EXPECT_DOUBLE_EQ(store.size_of(7, kOut), 30.0);
+  EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 35.0);
 }
 
 TEST(JobStoreTest, OverwriteReplacesSize) {
   Simulation sim;
   JobStore store(sim);
-  store.put("a", 100.0);
-  store.put("a", 40.0);
+  store.put(1, kIn, 100.0);
+  store.put(1, kIn, 40.0);
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 40.0);
   EXPECT_EQ(store.object_count(), 1u);
 }
@@ -228,10 +247,10 @@ TEST(JobStoreTest, OverwriteReplacesSize) {
 TEST(JobStoreTest, PeakOccupancy) {
   Simulation sim;
   JobStore store(sim);
-  store.put("a", 100.0);
-  store.put("b", 50.0);
-  store.erase("a");
-  store.put("c", 20.0);
+  store.put(1, kIn, 100.0);
+  store.put(2, kIn, 50.0);
+  store.erase(1, kIn);
+  store.put(3, kIn, 20.0);
   EXPECT_DOUBLE_EQ(store.peak_occupancy_bytes(), 150.0);
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 70.0);
 }
@@ -239,8 +258,8 @@ TEST(JobStoreTest, PeakOccupancy) {
 TEST(JobStoreTest, EraseMissingIsNoOp) {
   Simulation sim;
   JobStore store(sim);
-  EXPECT_DOUBLE_EQ(store.erase("nothing"), 0.0);
-  EXPECT_DOUBLE_EQ(store.size_of("nothing"), 0.0);
+  EXPECT_DOUBLE_EQ(store.erase(99, kOut), 0.0);
+  EXPECT_DOUBLE_EQ(store.size_of(99, kOut), 0.0);
 }
 
 // ---- Cluster crash/recover (fault injection) -----------------------------
@@ -320,13 +339,33 @@ TEST(ClusterCrashTest, CrashOnIdleMachineJustTakesItDown) {
 
 // ---- JobStore retry/backoff (S3 best-effort semantics) -------------------
 
+/// What a put_async continuation reported, and when.
+struct PutResult {
+  bool called = false;
+  std::uint64_t tag = 0;
+  bool ok = false;
+  double bytes = 0.0;
+  double at = -1.0;
+};
+
+int record_into(JobStore& store, Simulation& sim, PutResult& out) {
+  return store.register_continuation(
+      [&out, &sim](std::uint64_t tag, bool ok, double bytes) {
+        out = {true, tag, ok, bytes, sim.now()};
+      });
+}
+
 TEST(JobStoreRetryTest, HealthyPutCompletesSynchronously) {
   Simulation sim;
   JobStore store(sim);
-  bool ok = false;
-  store.put_async("a", 100.0, [&](bool result) { ok = result; });
-  // No event needed: the handler already ran.
-  EXPECT_TRUE(ok);
+  PutResult put;
+  const int slot = record_into(store, sim, put);
+  store.put_async(1, kIn, 100.0, slot, 42);
+  // No event needed: the continuation already ran.
+  EXPECT_TRUE(put.ok);
+  EXPECT_EQ(put.tag, 42u);
+  EXPECT_DOUBLE_EQ(put.bytes, 100.0);
+  EXPECT_EQ(sim.pending_events(), 0u);
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 100.0);
   EXPECT_EQ(store.failed_attempts(), 0u);
 }
@@ -338,15 +377,14 @@ TEST(JobStoreRetryTest, PutRetriesThroughOutage) {
   cfg.backoff_multiplier = 2.0;
   JobStore store(sim, cfg);
   store.set_available(false);
-  double ok_at = -1.0;
-  store.put_async("a", 50.0, [&](bool result) {
-    if (result) ok_at = sim.now();
-  });
+  PutResult put;
+  store.put_async(1, kIn, 50.0, record_into(store, sim, put), 1);
   // Attempts at 0, 2, 6 (backoff 2 then 4); the store comes back at 5, so
   // the third attempt lands the object.
   sim.schedule_at(5.0, [&] { store.set_available(true); });
   sim.run();
-  EXPECT_DOUBLE_EQ(ok_at, 6.0);
+  EXPECT_TRUE(put.ok);
+  EXPECT_DOUBLE_EQ(put.at, 6.0);
   EXPECT_EQ(store.failed_attempts(), 2u);
   EXPECT_EQ(store.abandoned_ops(), 0u);
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 50.0);
@@ -358,15 +396,11 @@ TEST(JobStoreRetryTest, ZeroCapacityPutIsAbandoned) {
   cfg.capacity_bytes = 0.0;
   cfg.max_attempts = 3;
   JobStore store(sim, cfg);
-  bool called = false;
-  bool ok = true;
-  store.put_async("a", 1.0, [&](bool result) {
-    called = true;
-    ok = result;
-  });
+  PutResult put;
+  store.put_async(1, kIn, 1.0, record_into(store, sim, put), 1);
   sim.run();
-  EXPECT_TRUE(called);
-  EXPECT_FALSE(ok);
+  EXPECT_TRUE(put.called);
+  EXPECT_FALSE(put.ok);
   EXPECT_EQ(store.failed_attempts(), 3u);
   EXPECT_EQ(store.abandoned_ops(), 1u);
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 0.0);
@@ -377,11 +411,11 @@ TEST(JobStoreRetryTest, OverwriteWithinCapacitySucceeds) {
   JobStore::Config cfg;
   cfg.capacity_bytes = 100.0;
   JobStore store(sim, cfg);
-  store.put("a", 80.0);
-  bool ok = false;
+  store.put(1, kIn, 80.0);
+  PutResult put;
   // 80 -> 90 needs only 10 fresh bytes; the overwrite frees the old object.
-  store.put_async("a", 90.0, [&](bool result) { ok = result; });
-  EXPECT_TRUE(ok);
+  store.put_async(1, kIn, 90.0, record_into(store, sim, put), 1);
+  EXPECT_TRUE(put.ok);
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 90.0);
 }
 
@@ -394,44 +428,13 @@ TEST(JobStoreRetryTest, BackoffIsCapped) {
   cfg.max_attempts = 4;
   JobStore store(sim, cfg);
   store.set_available(false);
-  double failed_at = -1.0;
-  store.put_async("a", 1.0, [&](bool result) {
-    if (!result) failed_at = sim.now();
-  });
+  PutResult put;
+  store.put_async(1, kIn, 1.0, record_into(store, sim, put), 1);
   sim.run();
   // Attempts at 0, 2, 7 (20 capped to 5), 12: gives up on the fourth.
-  EXPECT_DOUBLE_EQ(failed_at, 12.0);
+  EXPECT_FALSE(put.ok);
+  EXPECT_DOUBLE_EQ(put.at, 12.0);
   EXPECT_EQ(store.abandoned_ops(), 1u);
-}
-
-TEST(JobStoreRetryTest, GetMissingKeyFailsFastWhenAvailable) {
-  Simulation sim;
-  JobStore store(sim);
-  bool called = false;
-  bool ok = true;
-  store.get_async("missing", [&](bool result, double) {
-    called = true;
-    ok = result;
-  });
-  // Absence on a healthy store is a definite answer: no retries scheduled.
-  EXPECT_TRUE(called);
-  EXPECT_FALSE(ok);
-  EXPECT_EQ(store.failed_attempts(), 0u);
-}
-
-TEST(JobStoreRetryTest, GetRetriesThroughOutage) {
-  Simulation sim;
-  JobStore store(sim);
-  store.put("a", 30.0);
-  store.set_available(false);
-  double bytes_seen = 0.0;
-  store.get_async("a", [&](bool result, double bytes) {
-    if (result) bytes_seen = bytes;
-  });
-  sim.schedule_at(3.0, [&] { store.set_available(true); });
-  sim.run();
-  EXPECT_DOUBLE_EQ(bytes_seen, 30.0);
-  EXPECT_GT(store.failed_attempts(), 0u);
 }
 
 TEST(JobStoreTest, RunningStateTracksTransitions) {
@@ -440,10 +443,10 @@ TEST(JobStoreTest, RunningStateTracksTransitions) {
   Simulation sim;
   JobStore store(sim);
   sim.schedule_at(5.0, [&] {
-    store.put("a", 10.0);
+    store.put(1, kIn, 10.0);
     EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 10.0);
   });
-  sim.schedule_at(9.0, [&] { store.erase("a"); });
+  sim.schedule_at(9.0, [&] { store.erase(1, kIn); });
   sim.run();
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 0.0);
   EXPECT_DOUBLE_EQ(store.peak_occupancy_bytes(), 10.0);

@@ -1,231 +1,92 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstddef>
+#include <limits>
 
 #include "linalg/cholesky.hpp"
-#include "linalg/least_squares.hpp"
-#include "linalg/matrix.hpp"
-#include "linalg/qr.hpp"
 #include "simcore/rng.hpp"
 
 namespace {
 
-using namespace cbs::linalg;
-
-TEST(MatrixTest, ConstructionAndIndexing) {
-  Matrix m(2, 3, 1.5);
-  EXPECT_EQ(m.rows(), 2u);
-  EXPECT_EQ(m.cols(), 3u);
-  EXPECT_DOUBLE_EQ(m(1, 2), 1.5);
-  m(0, 1) = 7.0;
-  EXPECT_DOUBLE_EQ(m(0, 1), 7.0);
-}
-
-TEST(MatrixTest, InitializerList) {
-  Matrix m{{1.0, 2.0}, {3.0, 4.0}};
-  EXPECT_DOUBLE_EQ(m(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(m(1, 1), 4.0);
-}
-
-TEST(MatrixTest, IdentityMultiplication) {
-  Matrix a{{1.0, 2.0}, {3.0, 4.0}};
-  const Matrix i = Matrix::identity(2);
-  const Matrix ai = a * i;
-  for (std::size_t r = 0; r < 2; ++r)
-    for (std::size_t c = 0; c < 2; ++c) EXPECT_DOUBLE_EQ(ai(r, c), a(r, c));
-}
-
-TEST(MatrixTest, MatrixProductKnown) {
-  Matrix a{{1.0, 2.0}, {3.0, 4.0}};
-  Matrix b{{5.0, 6.0}, {7.0, 8.0}};
-  const Matrix c = a * b;
-  EXPECT_DOUBLE_EQ(c(0, 0), 19.0);
-  EXPECT_DOUBLE_EQ(c(0, 1), 22.0);
-  EXPECT_DOUBLE_EQ(c(1, 0), 43.0);
-  EXPECT_DOUBLE_EQ(c(1, 1), 50.0);
-}
-
-TEST(MatrixTest, MatrixVectorProduct) {
-  Matrix a{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
-  const Vector v = {1.0, 0.0, -1.0};
-  const Vector out = a * v;
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_DOUBLE_EQ(out[0], -2.0);
-  EXPECT_DOUBLE_EQ(out[1], -2.0);
-}
-
-TEST(MatrixTest, Transpose) {
-  Matrix a{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
-  const Matrix t = a.transposed();
-  EXPECT_EQ(t.rows(), 3u);
-  EXPECT_EQ(t.cols(), 2u);
-  EXPECT_DOUBLE_EQ(t(2, 1), 6.0);
-}
-
-TEST(MatrixTest, GramEqualsTransposeTimesSelf) {
-  cbs::sim::RngStream rng(3);
-  Matrix a(7, 4);
-  for (std::size_t r = 0; r < 7; ++r)
-    for (std::size_t c = 0; c < 4; ++c) a(r, c) = rng.uniform(-2.0, 2.0);
-  const Matrix g = a.gram();
-  const Matrix expected = a.transposed() * a;
-  for (std::size_t r = 0; r < 4; ++r)
-    for (std::size_t c = 0; c < 4; ++c)
-      EXPECT_NEAR(g(r, c), expected(r, c), 1e-12);
-}
-
-TEST(MatrixTest, TransposeTimesVector) {
-  Matrix a{{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}};
-  const Vector y = {1.0, 1.0, 1.0};
-  const Vector out = a.transpose_times(y);
-  EXPECT_DOUBLE_EQ(out[0], 9.0);
-  EXPECT_DOUBLE_EQ(out[1], 12.0);
-}
-
-TEST(MatrixTest, VectorHelpers) {
-  const Vector a = {3.0, 4.0};
-  const Vector b = {1.0, 2.0};
-  EXPECT_DOUBLE_EQ(norm(a), 5.0);
-  EXPECT_DOUBLE_EQ(dot(a, b), 11.0);
-  const Vector d = subtract(a, b);
-  EXPECT_DOUBLE_EQ(d[0], 2.0);
-  EXPECT_DOUBLE_EQ(d[1], 2.0);
-}
-
-// ---- Cholesky -------------------------------------------------------
+using cbs::linalg::cholesky_in_place;
+using cbs::linalg::cholesky_solve_in_place;
 
 TEST(CholeskyTest, FactorsKnownSpdMatrix) {
-  const Matrix a{{4.0, 2.0}, {2.0, 3.0}};
-  const auto l = cholesky(a);
-  ASSERT_TRUE(l.has_value());
-  EXPECT_DOUBLE_EQ((*l)(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ((*l)(1, 0), 1.0);
-  EXPECT_NEAR((*l)(1, 1), std::sqrt(2.0), 1e-12);
+  // A = [[4, 2, 2], [2, 5, 3], [2, 3, 6]] = L·Lᵀ with
+  // L = [[2, 0, 0], [1, 2, 0], [1, 1, 2]].
+  std::array<double, 9> a = {4.0, 2.0, 2.0,  //
+                             2.0, 5.0, 3.0,  //
+                             2.0, 3.0, 6.0};
+  ASSERT_TRUE(cholesky_in_place(a, 3));
+  const std::array<double, 9> l = {2.0, 0.0, 0.0,  //
+                                   1.0, 2.0, 0.0,  //
+                                   1.0, 1.0, 2.0};
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      EXPECT_DOUBLE_EQ(a[i * 3 + j], l[i * 3 + j]) << i << "," << j;
+    }
+  }
 }
 
 TEST(CholeskyTest, RejectsIndefinite) {
-  const Matrix a{{1.0, 2.0}, {2.0, 1.0}};  // eigenvalues 3, -1
-  EXPECT_FALSE(cholesky(a).has_value());
+  std::array<double, 4> a = {1.0, 2.0, 2.0, 1.0};  // eigenvalues 3, -1
+  EXPECT_FALSE(cholesky_in_place(a, 2));
+  // Singular (rank 1): the second pivot is exactly zero.
+  std::array<double, 4> b = {1.0, 1.0, 1.0, 1.0};
+  EXPECT_FALSE(cholesky_in_place(b, 2));
+}
+
+TEST(CholeskyTest, RejectsNanDiagonal) {
+  std::array<double, 4> a = {std::numeric_limits<double>::quiet_NaN(), 0.0,
+                             0.0, 1.0};
+  EXPECT_FALSE(cholesky_in_place(a, 2));
+  std::array<double, 4> b = {1.0, 0.0, 0.0,
+                             std::numeric_limits<double>::quiet_NaN()};
+  EXPECT_FALSE(cholesky_in_place(b, 2));
 }
 
 TEST(CholeskyTest, SolveRoundTrip) {
+  // A = BᵀB + I/2 is SPD; solve A·x = A·x_true.
+  constexpr std::size_t n = 5;
   cbs::sim::RngStream rng(4);
-  Matrix b(5, 5);
-  for (std::size_t r = 0; r < 5; ++r)
-    for (std::size_t c = 0; c < 5; ++c) b(r, c) = rng.uniform(-1.0, 1.0);
-  Matrix a = b.gram();  // SPD (with probability 1)
-  for (std::size_t i = 0; i < 5; ++i) a(i, i) += 0.5;
-
-  const Vector x_true = {1.0, -2.0, 3.0, -4.0, 5.0};
-  const Vector rhs = a * x_true;
-  const auto x = solve_spd(a, rhs);
-  ASSERT_TRUE(x.has_value());
-  for (std::size_t i = 0; i < 5; ++i) EXPECT_NEAR((*x)[i], x_true[i], 1e-9);
-}
-
-// ---- QR --------------------------------------------------------------
-
-TEST(QrTest, SolvesExactSquareSystem) {
-  Matrix a{{2.0, 1.0}, {1.0, 3.0}};
-  const Vector b = {5.0, 10.0};
-  const auto x = qr_least_squares(a, b);
-  ASSERT_TRUE(x.has_value());
-  EXPECT_NEAR((*x)[0], 1.0, 1e-10);
-  EXPECT_NEAR((*x)[1], 3.0, 1e-10);
-}
-
-TEST(QrTest, LeastSquaresOfOverdeterminedSystem) {
-  // Fit y = 2x + 1 through noiseless points: exact recovery.
-  Matrix a(4, 2);
-  Vector b(4);
-  for (int i = 0; i < 4; ++i) {
-    a(static_cast<std::size_t>(i), 0) = 1.0;
-    a(static_cast<std::size_t>(i), 1) = i;
-    b[static_cast<std::size_t>(i)] = 2.0 * i + 1.0;
+  std::array<double, n * n> b{};
+  for (double& v : b) v = rng.uniform(-1.0, 1.0);
+  std::array<double, n * n> a{};
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t k = 0; k < n; ++k) a[i * n + j] += b[k * n + i] * b[k * n + j];
+    }
+    a[i * n + i] += 0.5;
   }
-  const auto x = qr_least_squares(a, b);
-  ASSERT_TRUE(x.has_value());
-  EXPECT_NEAR((*x)[0], 1.0, 1e-10);
-  EXPECT_NEAR((*x)[1], 2.0, 1e-10);
-}
-
-TEST(QrTest, DetectsRankDeficiency) {
-  Matrix a(3, 2);
-  for (std::size_t i = 0; i < 3; ++i) {
-    a(i, 0) = 1.0;
-    a(i, 1) = 2.0;  // column 2 = 2 * column 1
+  const std::array<double, n> x_true = {1.0, -2.0, 3.0, -4.0, 5.0};
+  std::array<double, n> x{};
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) x[i] += a[i * n + j] * x_true[j];
   }
-  EXPECT_FALSE(qr_least_squares(a, {1.0, 2.0, 3.0}).has_value());
+
+  ASSERT_TRUE(cholesky_in_place(a, n));
+  cholesky_solve_in_place(a, n, x);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
 }
 
-TEST(QrTest, MatchesNormalEquationsOnRandomProblem) {
-  cbs::sim::RngStream rng(5);
-  Matrix a(20, 4);
-  Vector b(20);
-  for (std::size_t r = 0; r < 20; ++r) {
-    for (std::size_t c = 0; c < 4; ++c) a(r, c) = rng.uniform(-3.0, 3.0);
-    b[r] = rng.uniform(-3.0, 3.0);
-  }
-  const auto qr = qr_least_squares(a, b);
-  const auto ne = solve_spd(a.gram(), a.transpose_times(b));
-  ASSERT_TRUE(qr.has_value());
-  ASSERT_TRUE(ne.has_value());
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR((*qr)[i], (*ne)[i], 1e-8);
-}
+TEST(CholeskyTest, LeavesTheStrictUpperTriangleAsItWas) {
+  // Only the lower triangle is read and written: sentinels above the
+  // diagonal survive the factorization, and the solve ignores them.
+  constexpr double kSentinel = -777.0;
+  std::array<double, 9> a = {4.0,  kSentinel, kSentinel,  //
+                             2.0,  5.0,       kSentinel,  //
+                             2.0,  3.0,       6.0};
+  ASSERT_TRUE(cholesky_in_place(a, 3));
+  EXPECT_EQ(a[1], kSentinel);
+  EXPECT_EQ(a[2], kSentinel);
+  EXPECT_EQ(a[5], kSentinel);
 
-// ---- Ridge least squares ---------------------------------------------
-
-TEST(RidgeTest, ZeroLambdaRecoversExactFit) {
-  Matrix a(6, 2);
-  Vector b(6);
-  for (int i = 0; i < 6; ++i) {
-    a(static_cast<std::size_t>(i), 0) = 1.0;
-    a(static_cast<std::size_t>(i), 1) = i;
-    b[static_cast<std::size_t>(i)] = 3.0 * i - 2.0;
-  }
-  const FitResult fit = ridge_least_squares(a, b, 0.0);
-  EXPECT_NEAR(fit.coefficients[0], -2.0, 1e-9);
-  EXPECT_NEAR(fit.coefficients[1], 3.0, 1e-9);
-  EXPECT_NEAR(fit.r_squared, 1.0, 1e-12);
-  EXPECT_NEAR(fit.rmse, 0.0, 1e-9);
-}
-
-TEST(RidgeTest, LargeLambdaShrinksCoefficients) {
-  Matrix a(6, 2);
-  Vector b(6);
-  for (int i = 0; i < 6; ++i) {
-    a(static_cast<std::size_t>(i), 0) = 1.0;
-    a(static_cast<std::size_t>(i), 1) = i;
-    b[static_cast<std::size_t>(i)] = 3.0 * i - 2.0;
-  }
-  const FitResult small = ridge_least_squares(a, b, 1e-6);
-  const FitResult big = ridge_least_squares(a, b, 1e6);
-  EXPECT_LT(std::abs(big.coefficients[1]), std::abs(small.coefficients[1]));
-  EXPECT_LT(big.r_squared, small.r_squared);
-}
-
-TEST(RidgeTest, RidgeHandlesCollinearColumns) {
-  // Exactly collinear columns: plain normal equations are singular, but the
-  // ridge term keeps the solve well-posed.
-  Matrix a(5, 2);
-  Vector b(5);
-  for (std::size_t i = 0; i < 5; ++i) {
-    a(i, 0) = static_cast<double>(i);
-    a(i, 1) = 2.0 * static_cast<double>(i);
-    b[i] = 5.0 * static_cast<double>(i);
-  }
-  const FitResult fit = ridge_least_squares(a, b, 1e-3);
-  // Prediction is what matters: a*coef should reproduce b closely.
-  const Vector pred = a * fit.coefficients;
-  for (std::size_t i = 0; i < 5; ++i) EXPECT_NEAR(pred[i], b[i], 0.05);
-}
-
-TEST(RidgeTest, ReportsMape) {
-  Matrix a{{1.0}, {1.0}};
-  const Vector b = {2.0, 4.0};
-  const FitResult fit = ridge_least_squares(a, b, 0.0);
-  // Best constant is 3; APEs are 0.5 and 0.25.
-  EXPECT_NEAR(fit.mape, 0.375, 1e-9);
+  // A·(1, 1, 1) = (8, 10, 11).
+  std::array<double, 3> x = {8.0, 10.0, 11.0};
+  cholesky_solve_in_place(a, 3, x);
+  for (const double xi : x) EXPECT_NEAR(xi, 1.0, 1e-12);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 #include <deque>
 #include <string>
 
-#include "linalg/least_squares.hpp"
+#include "linalg/cholesky.hpp"
 #include "models/estimator.hpp"
 #include "models/feature_vector.hpp"
 #include "models/qrsm.hpp"
@@ -169,6 +169,40 @@ TEST(QrsmTest, WindowBoundsBuffer) {
   EXPECT_EQ(model.observations(), 200u);
 }
 
+TEST(QrsmTest, RankDeficientWindowKeepsLastFit) {
+  // Without a ridge term, a window of identical documents makes the normal
+  // equations singular. The refit must fail softly: keep the previous fit
+  // and count the failure.
+  const QrsmModel::Config cfg{.ridge_lambda = 0.0, .window = 64};
+  const auto truth = noiseless_truth();
+  WorkloadGenerator gen({}, truth, RngStream(8));
+  std::vector<DocumentFeatures> feats;
+  std::vector<double> y;
+  for (int i = 0; i < 200; ++i) {
+    const Document d = gen.next();
+    feats.push_back(d.features);
+    y.push_back(truth.expected_seconds(d.features));
+  }
+  QrsmModel model(cfg);
+  model.fit(feats, y);
+  ASSERT_TRUE(model.is_fitted());
+  EXPECT_EQ(model.refit_failures(), 0u);
+  const QrsmFit before = *model.last_fit();
+  const double predicted_before = model.predict(feats[0]);
+
+  // Once fewer than kQuadraticDim distinct rows remain, the window cannot
+  // determine the surface; at the end it is 64 identical rows.
+  const DocumentFeatures same{.size_mb = 100.0};
+  for (std::size_t i = 0; i < cfg.window; ++i) model.observe(same, 10.0);
+  EXPECT_GE(model.refit_failures(), 1u);
+  ASSERT_TRUE(model.is_fitted());
+  EXPECT_EQ(model.last_fit()->coefficients, before.coefficients);
+  EXPECT_EQ(model.last_fit()->r_squared, before.r_squared);
+  EXPECT_EQ(model.last_fit()->mape, before.mape);
+  EXPECT_TRUE(std::isfinite(model.predict(same)));
+  EXPECT_EQ(model.predict(feats[0]), predicted_before);
+}
+
 TEST(QrsmTest, AdaptsToRegimeChange) {
   // Labels double mid-stream; the windowed online fit must follow.
   const auto truth = noiseless_truth();
@@ -197,35 +231,70 @@ struct Labeled {
   double y = 0.0;
 };
 
-/// The batch reference: FeatureScaler::fit + quadratic_expand +
-/// ridge_least_squares on exactly the rows of `window`.
-cbs::linalg::FitResult batch_fit(const std::deque<Labeled>& window,
-                                 double lambda) {
+/// The batch reference, independent of the model's moments: FeatureScaler::fit
+/// and quadratic_expand give the explicit design rows of `window`; the ridge
+/// normal equations XᵀX + λI = Xᵀy are formed from those rows and solved by
+/// Cholesky, and R², RMSE and MAPE come from the explicit residuals.
+QrsmFit batch_fit(const std::deque<Labeled>& window, double lambda) {
+  constexpr std::size_t n = kQuadraticDim;
   std::vector<std::array<double, kNumRawFeatures>> raws;
   for (const Labeled& ex : window) raws.push_back(extract_raw(ex.features));
   const FeatureScaler scaler = FeatureScaler::fit(raws);
-  cbs::linalg::Matrix design(window.size(), kQuadraticDim);
-  cbs::linalg::Vector y(window.size());
-  for (std::size_t r = 0; r < window.size(); ++r) {
-    const QuadraticRow row = quadratic_expand(scaler.apply(raws[r]));
-    std::copy(row.begin(), row.end(), design.row_data(r));
-    y[r] = window[r].y;
+  std::vector<QuadraticRow> design;
+  for (const auto& raw : raws) design.push_back(quadratic_expand(scaler.apply(raw)));
+
+  // Only the lower triangle of XᵀX + λI is formed: cholesky_in_place reads
+  // nothing else.
+  std::vector<double> gram(n * n, 0.0);
+  QrsmFit fit;
+  for (std::size_t r = 0; r < design.size(); ++r) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j <= i; ++j) {
+        gram[i * n + j] += design[r][i] * design[r][j];
+      }
+      fit.coefficients[i] += design[r][i] * window[r].y;
+    }
   }
-  return cbs::linalg::ridge_least_squares(design, y, lambda);
+  for (std::size_t i = 0; i < n; ++i) gram[i * n + i] += lambda;
+  EXPECT_TRUE(cbs::linalg::cholesky_in_place(gram, n));
+  cbs::linalg::cholesky_solve_in_place(gram, n, fit.coefficients);
+
+  double mean_y = 0.0;
+  for (const Labeled& ex : window) mean_y += ex.y;
+  mean_y /= static_cast<double>(window.size());
+  double ss_res = 0.0;
+  double ss_tot = 0.0;
+  double ape_sum = 0.0;
+  std::size_t ape_n = 0;
+  for (std::size_t r = 0; r < design.size(); ++r) {
+    double pred = 0.0;
+    for (std::size_t i = 0; i < n; ++i) pred += design[r][i] * fit.coefficients[i];
+    const double y = window[r].y;
+    ss_res += (y - pred) * (y - pred);
+    ss_tot += (y - mean_y) * (y - mean_y);
+    if (std::abs(y) > 1e-12) {
+      ape_sum += std::abs((y - pred) / y);
+      ++ape_n;
+    }
+  }
+  fit.rmse = std::sqrt(ss_res / static_cast<double>(window.size()));
+  fit.r_squared = ss_tot <= 0.0 ? 1.0 : 1.0 - ss_res / ss_tot;
+  fit.mape = ape_n == 0 ? 0.0 : ape_sum / static_cast<double>(ape_n);
+  return fit;
 }
 
-void expect_matches_batch(const cbs::linalg::FitResult& got,
-                          const cbs::linalg::FitResult& want) {
-  ASSERT_EQ(got.coefficients.size(), want.coefficients.size());
-  const double rel =
-      cbs::linalg::norm(cbs::linalg::subtract(got.coefficients,
-                                              want.coefficients)) /
-      cbs::linalg::norm(want.coefficients);
-  EXPECT_LE(rel, 1e-8);
+void expect_matches_batch(const QrsmFit& got, const QrsmFit& want) {
+  double diff2 = 0.0;
+  double want2 = 0.0;
+  for (std::size_t i = 0; i < kQuadraticDim; ++i) {
+    const double d = got.coefficients[i] - want.coefficients[i];
+    diff2 += d * d;
+    want2 += want.coefficients[i] * want.coefficients[i];
+  }
+  EXPECT_LE(std::sqrt(diff2) / std::sqrt(want2), 1e-8);
   EXPECT_NEAR(got.r_squared, want.r_squared, 1e-8);
   EXPECT_NEAR(got.rmse, want.rmse, 1e-8);
   EXPECT_NEAR(got.mape, want.mape, 1e-8);
-  EXPECT_FALSE(got.used_qr_fallback);
 }
 
 /// `n` documents with noisy labels; from `regime_change_at` on the labels
@@ -265,6 +334,7 @@ std::size_t stream_against_batch(QrsmModel& model,
         *model.last_fit(), batch_fit(window, cfg.ridge_lambda)));
     ++checked;
   }
+  EXPECT_EQ(model.refit_failures(), 0u);
   return checked;
 }
 
