@@ -4,6 +4,7 @@
 // pipe saturated.
 //
 // Flags: --seed S (default 99).
+#include <cstdint>
 #include <cstdio>
 
 #include "harness/cli.hpp"
@@ -43,15 +44,14 @@ int main(int argc, char** argv) try {
   const double probe_bytes = 8.0e6;
   const double interval = 240.0;
   const int probes = static_cast<int>(2.0 * sim::kDay / interval);
+  const int probe_done = link.register_handler(
+      [&](std::uint64_t, const net::TransferRecord& rec) {
+        estimator.observe(simulation.now(), rec.transfer_rate());
+        tuner.report(simulation.now(), rec.threads, rec.transfer_rate());
+      });
   for (int i = 0; i < probes; ++i) {
     simulation.schedule_at(i * interval, [&] {
-      const int threads = tuner.suggest(simulation.now());
-      link.submit(probe_bytes, threads,
-                  [&estimator, &tuner, &simulation,
-                   threads](const net::TransferRecord& rec) {
-                    estimator.observe(simulation.now(), rec.transfer_rate());
-                    tuner.report(simulation.now(), threads, rec.transfer_rate());
-                  });
+      link.submit(probe_bytes, tuner.suggest(simulation.now()), probe_done, 0);
     });
   }
   simulation.run();

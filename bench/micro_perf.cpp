@@ -292,9 +292,11 @@ void BM_LinkAllocationStorm(benchmark::State& state) {
     cfg.noise_sigma = 0.0;
     cfg.setup_latency = 0.0;
     cbs::net::Link link(sim, cfg, cbs::sim::RngStream(1));
+    const int done = link.register_handler(
+        [](std::uint64_t, const cbs::net::TransferRecord&) {});
     for (int i = 0; i < n; ++i) {
       sim.schedule_at(static_cast<double>(i) * 0.1,
-                      [&link] { link.submit(1.0e5, 2, nullptr); });
+                      [&link, done] { link.submit(1.0e5, 2, done, 0); });
     }
     sim.run();
     benchmark::DoNotOptimize(link.total_bytes_delivered());

@@ -43,17 +43,7 @@ Cluster::Cluster(cbs::sim::Simulation& dst, const Cluster& src)
       queue_(src.queue_),
       running_(src.running_),
       queued_standard_seconds_(src.queued_standard_seconds_),
-      next_id_(src.next_id_) {
-#ifndef NDEBUG
-  for (const Pending& p : queue_) {
-    assert(!p.on_complete && "closure-based tasks cannot cross a fork");
-  }
-  for (const auto& run : running_tasks_) {
-    assert((!run || !run->task.on_complete) &&
-           "closure-based tasks cannot cross a fork");
-  }
-#endif
-}
+      next_id_(src.next_id_) {}
 
 void Cluster::rebuild_events(cbs::sim::SnapshotContext& ctx) {
   for (std::size_t m = 0; m < running_tasks_.size(); ++m) {
@@ -122,22 +112,11 @@ bool Cluster::remove_machine() {
 }
 
 TaskId Cluster::submit(double standard_service_seconds, std::uint64_t group_id,
-                       Callback on_complete) {
-  assert(standard_service_seconds >= 0.0);
-  const TaskId id = next_id_++;
-  queue_.push_back(Pending{id, group_id, 0, sim_.now(),
-                           standard_service_seconds, std::move(on_complete)});
-  queued_standard_seconds_ += standard_service_seconds;
-  dispatch();
-  return id;
-}
-
-TaskId Cluster::submit(double standard_service_seconds, std::uint64_t group_id,
                        std::uint32_t kind) {
   assert(standard_service_seconds >= 0.0);
   const TaskId id = next_id_++;
-  queue_.push_back(Pending{id, group_id, kind, sim_.now(),
-                           standard_service_seconds, nullptr});
+  queue_.push_back(
+      Pending{id, group_id, kind, sim_.now(), standard_service_seconds});
   queued_standard_seconds_ += standard_service_seconds;
   dispatch();
   return id;
@@ -214,11 +193,7 @@ void Cluster::finish(std::size_t machine_idx) {
   // Pull the next task before invoking callbacks, so the machine never sits
   // idle across a callback that might enqueue more work.
   dispatch();
-  if (task.on_complete) {
-    task.on_complete(rec);
-  } else if (task_complete_hook_) {
-    task_complete_hook_(rec);
-  }
+  if (task_complete_hook_) task_complete_hook_(rec);
   if (task_done_hook_) task_done_hook_();
   if (queue_.empty() && !machines_[machine_idx].busy && idle_hook_) {
     idle_hook_(machine_idx);

@@ -48,20 +48,15 @@ class Cluster {
   /// tasks, accounting) into a cluster bound to `dst`. Hooks are NOT
   /// copied — owners re-register them on the clone — and then
   /// rebuild_events() re-schedules the running tasks' completions.
-  /// Precondition: no queued or running task carries a per-task closure
-  /// (closure submissions cannot cross a fork; use the kind-tagged form).
   Cluster(cbs::sim::Simulation& dst, const Cluster& src);
 
   /// Re-schedules pending completion events after a fork.
   void rebuild_events(cbs::sim::SnapshotContext& ctx);
 
-  /// Enqueues a task needing `standard_service_seconds` of speed-1 compute.
-  TaskId submit(double standard_service_seconds, std::uint64_t group_id,
-                Callback on_complete);
-
-  /// Kind-tagged submission — the forkable form: completion is dispatched
-  /// to the set-once task-complete hook with `kind` in the record instead
-  /// of a per-task closure.
+  /// Enqueues a task needing `standard_service_seconds` of speed-1
+  /// compute. Its completion is dispatched to the task-complete hook with
+  /// `group_id` and `kind` in the record, so a queued or running task is
+  /// plain data and crosses a fork as is.
   TaskId submit(double standard_service_seconds, std::uint64_t group_id,
                 std::uint32_t kind);
 
@@ -103,9 +98,8 @@ class Cluster {
     task_done_hook_ = std::move(hook);
   }
 
-  /// Registers the completion hook for kind-tagged tasks (tasks submitted
-  /// without a closure). Fires before task_done_hook_, in the position the
-  /// per-task closure would have run.
+  /// Registers the completion hook every task reports to. Fires before
+  /// task_done_hook_.
   void set_task_complete_hook(Callback hook) {
     task_complete_hook_ = std::move(hook);
   }
@@ -215,7 +209,6 @@ class Cluster {
     std::uint32_t kind;
     cbs::sim::SimTime enqueued;
     double standard_service;
-    Callback on_complete;  ///< closure form (non-forkable); else hook fires
   };
 
   /// The task executing on one machine, kept out of the completion-event

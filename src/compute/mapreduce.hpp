@@ -39,7 +39,7 @@ class MapReduceRuntime {
  public:
   using Callback = std::function<void(const MapReduceRecord&)>;
 
-  /// Cluster task kinds used by the runtime's kind-tagged submissions.
+  /// Cluster task kinds the runtime tags its submissions with.
   static constexpr std::uint32_t kMapTask = 1;
   static constexpr std::uint32_t kMergeTask = 2;
 
@@ -51,20 +51,15 @@ class MapReduceRuntime {
   /// bound to `dst` and `cluster` (the forked cluster) and re-registers
   /// the cluster's task-complete hook. The runtime schedules no events of
   /// its own — its pending state is all cluster tasks, which the cluster's
-  /// own rebuild_events() restores. Precondition: every in-flight job was
-  /// submitted through the hook form run(spec).
+  /// own rebuild_events() restores.
   MapReduceRuntime(cbs::sim::Simulation& dst, const MapReduceRuntime& src,
                    Cluster& cluster);
 
-  /// Submits a job; `on_complete` fires when its merge task finishes.
-  /// Closure form — jobs submitted this way cannot cross a fork.
-  void run(const MapReduceSpec& spec, Callback on_complete);
-
-  /// Submits a job whose completion is dispatched to the set-once
-  /// set_on_complete() hook — the forkable form.
+  /// Submits a job; its completion is dispatched to the set_on_complete()
+  /// hook when its merge task finishes.
   void run(const MapReduceSpec& spec);
 
-  /// Registers the completion hook for jobs submitted via run(spec).
+  /// Registers the completion hook every job reports to.
   void set_on_complete(Callback hook) { on_complete_ = std::move(hook); }
 
   [[nodiscard]] Cluster& cluster() noexcept { return cluster_; }
@@ -76,19 +71,16 @@ class MapReduceRuntime {
     cbs::sim::SimTime submitted = 0.0;
     cbs::sim::SimTime maps_done = 0.0;  ///< set when the last map finishes
     int maps_remaining = 0;
-    bool hook_form = false;  ///< submitted via run(spec); forkable
-    Callback on_complete;    ///< closure form only
   };
 
   void on_cluster_task(const TaskRecord& rec);
   void on_map_done(std::uint64_t job_id);
-  void start_merge(std::uint64_t job_id);
   void finish_merge(std::uint64_t job_id, const TaskRecord& merge);
 
   cbs::sim::Simulation& sim_;
   Cluster& cluster_;
   // cbs-lint: snapshot-complete-ok(owner re-wires set_on_complete post-fork)
-  Callback on_complete_;  ///< hook-form completion dispatch
+  Callback on_complete_;
   // Sorted-vector map: job ids are monotonic, so inserts append; keeps the
   // compute layer free of hash-ordered containers like simcore/core.
   cbs::util::FlatMap<std::uint64_t, InFlight> in_flight_;

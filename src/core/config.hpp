@@ -198,11 +198,6 @@ struct ControllerConfig {
   /// EC staging-store retry/backoff/capacity knobs (S3 best-effort model).
   cbs::compute::JobStore::Config store{};
 
-  /// Concurrent uploads when a single upload queue is used; the
-  /// size-interval scheduler uses one slot per interval queue instead.
-  int single_queue_upload_slots = 1;
-  int download_slots = 1;
-
   /// Record every job's pipeline-stage transitions (Fig. 5 observability);
   /// costs memory proportional to jobs x stages, so off by default.
   bool record_stage_log = false;

@@ -95,11 +95,8 @@ CloudBurstController::Site::Site(cbs::sim::Simulation& sim,
       upload_queues(sim, uplink, up_tuner,
                     config.scheduler == SchedulerKind::kBandwidthSplit
                         ? config.params.size_interval_queues
-                        : 1,
-                    config.scheduler == SchedulerKind::kBandwidthSplit
-                        ? 1
-                        : config.single_queue_upload_slots),
-      download_queue(sim, downlink, down_tuner, 1, config.download_slots) {
+                        : 1),
+      download_queue(sim, downlink, down_tuner, 1) {
   if (config.resilience.enabled()) {
     hazard = std::make_unique<models::VmHazardEstimator>(
         config.resilience.hazard, config.ec_sites[index].machines, sim.now());

@@ -165,9 +165,6 @@ class CloudBurstController {
   [[nodiscard]] const net::BandwidthEstimator& downlink_estimator() const noexcept {
     return sites_.front()->downlink_estimator;
   }
-  [[nodiscard]] const net::ThreadTuner& upload_tuner() const noexcept {
-    return sites_.front()->up_tuner;
-  }
   [[nodiscard]] const models::ProcessingTimeEstimator& service_estimator() const {
     return *proc_estimator_;
   }

@@ -31,7 +31,7 @@ class TransferQueueSet {
   /// Fired when a job's transfer completes; `klass` is the queue class the
   /// item was *enqueued* to (not the slot that carried it). Move-only: the
   /// handler is a set-once hook owned by this queue set, never copied.
-  using CompletionHandler = cbs::sim::UniqueFunction<void(
+  using CompletionHook = cbs::sim::UniqueFunction<void(
       std::uint64_t tag, int klass, const cbs::net::TransferRecord&)>;
 
   TransferQueueSet(cbs::sim::Simulation& sim, cbs::net::Link& link,
@@ -49,7 +49,7 @@ class TransferQueueSet {
   TransferQueueSet(cbs::sim::Simulation& dst, const TransferQueueSet& src,
                    cbs::net::Link& link, cbs::net::ThreadTuner& tuner);
 
-  void set_on_complete(CompletionHandler handler) {
+  void set_on_complete(CompletionHook handler) {
     on_complete_ = std::move(handler);
   }
 
@@ -114,7 +114,7 @@ class TransferQueueSet {
   cbs::util::FlatMap<std::uint64_t, ActiveItem> active_;
   std::size_t active_count_ = 0;
   // cbs-lint: snapshot-complete-ok(owner re-wires set_on_complete post-fork)
-  CompletionHandler on_complete_;
+  CompletionHook on_complete_;
   int link_slot_ = -1;  ///< registered handler slot on link_
 };
 

@@ -1,7 +1,6 @@
 #include "harness/table.hpp"
 
 #include <algorithm>
-#include <ostream>
 
 namespace cbs::harness {
 
@@ -90,25 +89,6 @@ void TextTable::print(std::FILE* out) const {
       print_padded(row[c].text, width, row[c].right_align);
     }
     std::fputc('\n', out);
-  }
-}
-
-void TextTable::write_csv(std::ostream& out) const {
-  auto sanitize = [](std::string s) {
-    std::replace(s.begin(), s.end(), ',', ';');
-    return s;
-  };
-  for (std::size_t c = 0; c < header_.size(); ++c) {
-    if (c > 0) out << ',';
-    out << sanitize(header_[c]);
-  }
-  out << '\n';
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) out << ',';
-      out << sanitize(row[c].text);
-    }
-    out << '\n';
   }
 }
 

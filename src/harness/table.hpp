@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdio>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,10 +37,6 @@ class TextTable {
                      std::string_view suffix = "");
 
   void print(std::FILE* out = stdout) const;
-
-  /// Same content, comma-separated, header first. Cells are emitted
-  /// verbatim (commas inside a cell are replaced by ';').
-  void write_csv(std::ostream& out) const;
 
  private:
   struct Cell {

@@ -127,14 +127,7 @@ Link::Link(cbs::sim::Simulation& dst, const Link& src)
       tick_event_(src.tick_event_),
       busy_accum_(src.busy_accum_),
       busy_since_(src.busy_since_),
-      busy_(src.busy_) {
-#ifndef NDEBUG
-  for (const auto& [id, c] : cold_) {
-    assert(c.handler_slot >= 0 &&
-           "closure-based transfers cannot cross a fork");
-  }
-#endif
-}
+      busy_(src.busy_) {}
 
 int Link::register_handler(TaggedHandler handler) {
   assert(handler);
@@ -159,30 +152,20 @@ void Link::reserve_transfers(std::size_t expected) {
   cold_.reserve(expected);
 }
 
-TransferId Link::submit(double bytes, int threads, CompletionHandler on_complete) {
-  Cold c;
-  c.on_complete = std::move(on_complete);
-  return submit_impl(bytes, threads, std::move(c));
-}
-
 TransferId Link::submit(double bytes, int threads, int handler_slot,
                         std::uint64_t tag) {
-  assert(handler_slot >= 0 &&
-         handler_slot < static_cast<int>(handlers_.size()));
-  Cold c;
-  c.handler_slot = handler_slot;
-  c.tag = tag;
-  return submit_impl(bytes, threads, std::move(c));
-}
-
-TransferId Link::submit_impl(double bytes, int threads, Cold c) {
   assert(bytes > 0.0);
   assert(threads >= 1);
+  assert(handler_slot >= 0 &&
+         handler_slot < static_cast<int>(handlers_.size()));
   const TransferId id = next_id_++;
+  Cold c;
   c.bytes_total = bytes;
   c.threads = threads;
   c.requested = sim_.now();
-  cold_.emplace(id, std::move(c));
+  c.handler_slot = handler_slot;
+  c.tag = tag;
+  cold_.emplace(id, c);
   schedule_activation(id, config_.setup_latency);
   return id;
 }
@@ -382,7 +365,6 @@ void Link::on_timer() {
   rec.started = c.started;
   rec.completed = now;
   bytes_delivered_ += c.bytes_total;
-  CompletionHandler handler = std::move(c.on_complete);
   const int handler_slot = c.handler_slot;
   const std::uint64_t tag = c.tag;
   hot_.erase(due);
@@ -395,11 +377,7 @@ void Link::on_timer() {
     sim_.cancel(tick_event_);
     tick_scheduled_ = false;
   }
-  if (handler_slot >= 0) {
-    handlers_[static_cast<std::size_t>(handler_slot)](tag, rec);
-  } else if (handler) {
-    handler(rec);
-  }
+  handlers_[static_cast<std::size_t>(handler_slot)](tag, rec);
 }
 
 bool Link::cancel(TransferId id) {

@@ -95,8 +95,8 @@ struct TransferRecord {
 /// SoA pool (`HotPool`) kept sorted by (demand, id) — the exact order the
 /// water-filling pass consumes — so a reallocation streams contiguous
 /// arrays with no per-pass sort and no pointer chasing. Cold bookkeeping
-/// (handlers, retry counters, timestamps) sits in a `FlatMap` keyed by the
-/// monotonically increasing `TransferId`, which doubles as the generation
+/// (handler slots, retry counters, timestamps) sits in a `FlatMap` keyed by
+/// the monotonically increasing `TransferId`, which doubles as the generation
 /// check: ids are never reused, so a stale id can never alias a later
 /// transfer. Membership changes only mark the link dirty; `flush()` runs a
 /// single water-filling pass per event timestamp and re-arms ONE per-link
@@ -107,7 +107,6 @@ struct TransferRecord {
 /// fully deterministic given the seed.
 class Link {
  public:
-  using CompletionHandler = std::function<void(const TransferRecord&)>;
   /// A registered completion handler: receives the caller's tag back.
   using TaggedHandler =
       std::function<void(std::uint64_t tag, const TransferRecord&)>;
@@ -121,8 +120,7 @@ class Link {
   /// NOT copied — each owner must call register_handler() on the clone in
   /// the same order as on the source (slot indices must line up), then
   /// rebuild_events() re-schedules the pending activation/timer/tick
-  /// events. Precondition: every in-flight transfer uses a registered
-  /// handler slot (closure-based submissions cannot cross a fork).
+  /// events.
   Link(cbs::sim::Simulation& dst, const Link& src);
 
   /// Registers a completion handler and returns its slot for submit().
@@ -137,15 +135,10 @@ class Link {
   /// Purely a performance hint; growth past it still works.
   void reserve_transfers(std::size_t expected);
 
-  /// Starts a transfer of `bytes` using `threads` parallel connections;
-  /// `on_complete` fires (as a simulation event) when the last byte lands.
-  /// Transfers submitted this way pin the link: it cannot be forked while
-  /// they are in flight (tests use this form; production code registers
-  /// handler slots).
-  TransferId submit(double bytes, int threads, CompletionHandler on_complete);
-
-  /// Starts a transfer whose completion is dispatched to the registered
-  /// handler `handler_slot` with `tag` — the forkable submission form.
+  /// Starts a transfer of `bytes` using `threads` parallel connections.
+  /// When the last byte lands, the registered handler `handler_slot` is
+  /// called with `tag` — the in-flight transfer is plain data, so the link
+  /// forks with it.
   TransferId submit(double bytes, int threads, int handler_slot,
                     std::uint64_t tag);
 
@@ -219,8 +212,7 @@ class Link {
     cbs::sim::SimTime requested = 0.0;
     cbs::sim::SimTime started = 0.0;
     cbs::sim::EventId activation_event{};
-    CompletionHandler on_complete;   ///< closure form (non-forkable)
-    int handler_slot = -1;           ///< registered form; -1 = closure form
+    int handler_slot = 0;  ///< index into handlers_
     std::uint64_t tag = 0;
   };
 
@@ -249,8 +241,6 @@ class Link {
     void clear() noexcept;
     void reserve(std::size_t n);
   };
-
-  TransferId submit_impl(double bytes, int threads, Cold c);
 
   [[nodiscard]] double demand_of(const Cold& c) const noexcept {
     return c.threads * config_.per_connection_cap;

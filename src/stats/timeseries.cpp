@@ -34,17 +34,6 @@ std::vector<TimePoint> TimeSeries::resample(SimTime start, SimTime end,
   return out;
 }
 
-std::vector<TimePoint> TimeSeries::diff_on_grid(const TimeSeries& other,
-                                                SimTime start, SimTime end,
-                                                SimDuration dt) const {
-  assert(dt > 0.0 && end >= start);
-  std::vector<TimePoint> out;
-  for (SimTime t = start; t <= end + 1e-9; t += dt) {
-    out.push_back({t, value_at(t) - other.value_at(t)});
-  }
-  return out;
-}
-
 double TimeSeries::time_average(SimTime t0, SimTime t1) const {
   assert(t1 > t0);
   double area = 0.0;

@@ -35,13 +35,6 @@ class TimeSeries {
                                                 cbs::sim::SimTime end,
                                                 cbs::sim::SimDuration dt) const;
 
-  /// Pointwise difference this - other, sampled on the given grid. Used for
-  /// the paper's Fig. 10 (OO metric relative to the IC-only baseline).
-  [[nodiscard]] std::vector<TimePoint> diff_on_grid(const TimeSeries& other,
-                                                    cbs::sim::SimTime start,
-                                                    cbs::sim::SimTime end,
-                                                    cbs::sim::SimDuration dt) const;
-
   /// Time-weighted average of the step function over [t0, t1].
   [[nodiscard]] double time_average(cbs::sim::SimTime t0, cbs::sim::SimTime t1) const;
 

@@ -31,17 +31,4 @@ std::vector<Batch> BatchArrivalProcess::generate_all() {
   return batches;
 }
 
-std::vector<Batch> BatchArrivalProcess::schedule_on(
-    cbs::sim::Simulation& sim, std::function<void(const Batch&)> on_batch) {
-  assert(on_batch);
-  std::vector<Batch> batches = generate_all();
-  for (const Batch& batch : batches) {
-    // Copy the batch into the event: the returned vector is the caller's
-    // bookkeeping record and must stay immutable.
-    sim.schedule_at(batch.arrival_time,
-                    [batch, on_batch] { on_batch(batch); });
-  }
-  return batches;
-}
-
 }  // namespace cbs::workload

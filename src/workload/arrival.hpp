@@ -1,11 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "simcore/rng.hpp"
-#include "simcore/simulation.hpp"
+#include "simcore/time.hpp"
 #include "workload/generator.hpp"
 
 namespace cbs::workload {
@@ -36,11 +35,6 @@ class BatchArrivalProcess {
 
   /// Pre-draws the whole arrival schedule (deterministic per seed).
   [[nodiscard]] std::vector<Batch> generate_all();
-
-  /// Schedules batch-arrival events on `sim`, invoking `on_batch` at each
-  /// arrival time. Returns the generated schedule for bookkeeping.
-  std::vector<Batch> schedule_on(cbs::sim::Simulation& sim,
-                                 std::function<void(const Batch&)> on_batch);
 
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 

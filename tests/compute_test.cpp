@@ -7,6 +7,7 @@
 #include "compute/job_store.hpp"
 #include "compute/mapreduce.hpp"
 #include "simcore/simulation.hpp"
+#include "simcore/snapshot.hpp"
 
 namespace {
 
@@ -19,11 +20,10 @@ TEST(ClusterTest, SingleMachineRunsFcfs) {
   Simulation sim;
   Cluster cluster(sim, "c", 1);
   std::vector<std::pair<TaskId, double>> done;
-  for (int i = 0; i < 3; ++i) {
-    cluster.submit(10.0, 0, [&](const TaskRecord& rec) {
-      done.emplace_back(rec.task_id, rec.completed);
-    });
-  }
+  cluster.set_task_complete_hook([&](const TaskRecord& rec) {
+    done.emplace_back(rec.task_id, rec.completed);
+  });
+  for (int i = 0; i < 3; ++i) cluster.submit(10.0, 0, 0);
   sim.run();
   ASSERT_EQ(done.size(), 3u);
   EXPECT_DOUBLE_EQ(done[0].second, 10.0);
@@ -36,9 +36,8 @@ TEST(ClusterTest, ParallelMachines) {
   Simulation sim;
   Cluster cluster(sim, "c", 4);
   int done = 0;
-  for (int i = 0; i < 4; ++i) {
-    cluster.submit(10.0, 0, [&](const TaskRecord&) { ++done; });
-  }
+  cluster.set_task_complete_hook([&](const TaskRecord&) { ++done; });
+  for (int i = 0; i < 4; ++i) cluster.submit(10.0, 0, 0);
   sim.run();
   EXPECT_EQ(done, 4);
   EXPECT_DOUBLE_EQ(sim.now(), 10.0);  // all four ran concurrently
@@ -48,7 +47,9 @@ TEST(ClusterTest, SpeedScalesServiceTime) {
   Simulation sim;
   Cluster cluster(sim, "c", 1, 2.0);
   double completed = -1.0;
-  cluster.submit(10.0, 0, [&](const TaskRecord& rec) { completed = rec.completed; });
+  cluster.set_task_complete_hook(
+      [&](const TaskRecord& rec) { completed = rec.completed; });
+  cluster.submit(10.0, 0, 0);
   sim.run();
   EXPECT_DOUBLE_EQ(completed, 5.0);
 }
@@ -57,9 +58,10 @@ TEST(ClusterTest, RecordsContainTimestamps) {
   Simulation sim;
   Cluster cluster(sim, "c", 1);
   std::vector<TaskRecord> recs;
-  const auto collect = [&recs](const TaskRecord& rec) { recs.push_back(rec); };
-  cluster.submit(5.0, 7, collect);
-  cluster.submit(5.0, 8, collect);
+  cluster.set_task_complete_hook(
+      [&recs](const TaskRecord& rec) { recs.push_back(rec); });
+  cluster.submit(5.0, 7, 0);
+  cluster.submit(5.0, 8, 0);
   sim.run();
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_DOUBLE_EQ(recs[1].enqueued, 0.0);
@@ -72,8 +74,8 @@ TEST(ClusterTest, RecordsContainTimestamps) {
 TEST(ClusterTest, BusyTimeAndUtilization) {
   Simulation sim;
   Cluster cluster(sim, "c", 2);
-  cluster.submit(10.0, 0, nullptr);
-  cluster.submit(6.0, 0, nullptr);
+  cluster.submit(10.0, 0, 0);
+  cluster.submit(6.0, 0, 0);
   sim.run();
   EXPECT_DOUBLE_EQ(cluster.machine_busy_time(0), 10.0);
   EXPECT_DOUBLE_EQ(cluster.machine_busy_time(1), 6.0);
@@ -84,9 +86,9 @@ TEST(ClusterTest, BusyTimeAndUtilization) {
 TEST(ClusterTest, QueuedStandardSecondsTracksBacklog) {
   Simulation sim;
   Cluster cluster(sim, "c", 1);
-  cluster.submit(5.0, 0, nullptr);  // starts immediately
-  cluster.submit(7.0, 0, nullptr);  // queued
-  cluster.submit(3.0, 0, nullptr);  // queued
+  cluster.submit(5.0, 0, 0);  // starts immediately
+  cluster.submit(7.0, 0, 0);  // queued
+  cluster.submit(3.0, 0, 0);  // queued
   EXPECT_DOUBLE_EQ(cluster.queued_standard_seconds(), 10.0);
   EXPECT_EQ(cluster.queued_tasks(), 2u);
   EXPECT_EQ(cluster.running_tasks(), 1u);
@@ -100,8 +102,8 @@ TEST(ClusterTest, IdleHookFiresWhenDrained) {
   Cluster cluster(sim, "c", 2);
   int idle_calls = 0;
   cluster.set_idle_hook([&](std::size_t) { ++idle_calls; });
-  cluster.submit(5.0, 0, nullptr);
-  cluster.submit(5.0, 0, nullptr);
+  cluster.submit(5.0, 0, 0);
+  cluster.submit(5.0, 0, 0);
   sim.run();
   EXPECT_EQ(idle_calls, 2);  // each machine frees into an empty queue
 }
@@ -111,7 +113,7 @@ TEST(ClusterTest, TaskDoneHookFiresPerTask) {
   Cluster cluster(sim, "c", 1);
   int hook_calls = 0;
   cluster.set_task_done_hook([&] { ++hook_calls; });
-  for (int i = 0; i < 5; ++i) cluster.submit(1.0, 0, nullptr);
+  for (int i = 0; i < 5; ++i) cluster.submit(1.0, 0, 0);
   sim.run();
   EXPECT_EQ(hook_calls, 5);
 }
@@ -120,11 +122,14 @@ TEST(ClusterTest, CallbackCanSubmitMoreWork) {
   Simulation sim;
   Cluster cluster(sim, "c", 1);
   double second_done = -1.0;
-  cluster.submit(2.0, 0, [&](const TaskRecord&) {
-    cluster.submit(3.0, 0, [&](const TaskRecord& rec) {
+  cluster.set_task_complete_hook([&](const TaskRecord& rec) {
+    if (rec.kind == 1) {
+      cluster.submit(3.0, 0, 2);
+    } else {
       second_done = rec.completed;
-    });
+    }
   });
+  cluster.submit(2.0, 0, 1);
   sim.run();
   EXPECT_DOUBLE_EQ(second_done, 5.0);
 }
@@ -133,7 +138,9 @@ TEST(ClusterTest, ZeroServiceTaskCompletesInstantly) {
   Simulation sim;
   Cluster cluster(sim, "c", 1);
   double completed = -1.0;
-  cluster.submit(0.0, 0, [&](const TaskRecord& rec) { completed = rec.completed; });
+  cluster.set_task_complete_hook(
+      [&](const TaskRecord& rec) { completed = rec.completed; });
+  cluster.submit(0.0, 0, 0);
   sim.run();
   EXPECT_DOUBLE_EQ(completed, 0.0);
 }
@@ -145,9 +152,9 @@ TEST(MapReduceTest, SingleTaskJob) {
   Cluster cluster(sim, "c", 2);
   MapReduceRuntime mr(sim, cluster);
   MapReduceRecord record;
+  mr.set_on_complete([&](const MapReduceRecord& rec) { record = rec; });
   mr.run({.job_id = 1, .total_map_seconds = 10.0, .num_map_tasks = 1,
-          .merge_seconds = 2.0},
-         [&](const MapReduceRecord& rec) { record = rec; });
+          .merge_seconds = 2.0});
   sim.run();
   EXPECT_DOUBLE_EQ(record.maps_done, 10.0);
   EXPECT_DOUBLE_EQ(record.completed, 12.0);
@@ -158,9 +165,9 @@ TEST(MapReduceTest, MapsRunInParallel) {
   Cluster cluster(sim, "c", 4);
   MapReduceRuntime mr(sim, cluster);
   MapReduceRecord record;
+  mr.set_on_complete([&](const MapReduceRecord& rec) { record = rec; });
   mr.run({.job_id = 1, .total_map_seconds = 40.0, .num_map_tasks = 4,
-          .merge_seconds = 0.0},
-         [&](const MapReduceRecord& rec) { record = rec; });
+          .merge_seconds = 0.0});
   sim.run();
   // 4 tasks of 10s over 4 machines -> 10s wall.
   EXPECT_DOUBLE_EQ(record.completed, 10.0);
@@ -171,9 +178,9 @@ TEST(MapReduceTest, MergeWaitsForAllMaps) {
   Cluster cluster(sim, "c", 1);
   MapReduceRuntime mr(sim, cluster);
   MapReduceRecord record;
+  mr.set_on_complete([&](const MapReduceRecord& rec) { record = rec; });
   mr.run({.job_id = 1, .total_map_seconds = 9.0, .num_map_tasks = 3,
-          .merge_seconds = 1.0},
-         [&](const MapReduceRecord& rec) { record = rec; });
+          .merge_seconds = 1.0});
   sim.run();
   EXPECT_DOUBLE_EQ(record.maps_done, 9.0);  // serial on one machine
   EXPECT_DOUBLE_EQ(record.completed, 10.0);
@@ -185,13 +192,13 @@ TEST(MapReduceTest, ConcurrentJobsInterleave) {
   MapReduceRuntime mr(sim, cluster);
   std::vector<std::uint64_t> order;
   std::vector<MapReduceRecord> records;
+  mr.set_on_complete([&order, &records](const MapReduceRecord& rec) {
+    order.push_back(rec.job_id);
+    records.push_back(rec);
+  });
   for (std::uint64_t id = 1; id <= 3; ++id) {
     mr.run({.job_id = id, .total_map_seconds = 4.0, .num_map_tasks = 2,
-            .merge_seconds = 0.0},
-           [&order, &records](const MapReduceRecord& rec) {
-             order.push_back(rec.job_id);
-             records.push_back(rec);
-           });
+            .merge_seconds = 0.0});
   }
   sim.run();
   ASSERT_EQ(order.size(), 3u);
@@ -201,6 +208,45 @@ TEST(MapReduceTest, ConcurrentJobsInterleave) {
   EXPECT_EQ(order[2], 3u);
   EXPECT_EQ(mr.jobs_in_flight(), 0u);
   EXPECT_EQ(records.size(), 3u);
+}
+
+TEST(MapReduceTest, ForkMidJobMatchesSource) {
+  // Three maps and a merge on one machine: after the first map, the fork
+  // carries a running map, a queued map and a job waiting on both.
+  Simulation sim_a;
+  Cluster cluster_a(sim_a, "c", 1);
+  MapReduceRuntime mr_a(sim_a, cluster_a);
+  std::vector<MapReduceRecord> recs_a;
+  mr_a.set_on_complete(
+      [&recs_a](const MapReduceRecord& rec) { recs_a.push_back(rec); });
+  mr_a.run({.job_id = 1, .total_map_seconds = 9.0, .num_map_tasks = 3,
+            .merge_seconds = 1.0});
+  sim_a.run_until(4.0);
+  ASSERT_EQ(cluster_a.running_tasks(), 1u);
+  ASSERT_EQ(cluster_a.queued_tasks(), 1u);
+
+  Simulation sim_b;
+  Cluster cluster_b(sim_b, cluster_a);
+  MapReduceRuntime mr_b(sim_b, mr_a, cluster_b);
+  std::vector<MapReduceRecord> recs_b;
+  mr_b.set_on_complete(
+      [&recs_b](const MapReduceRecord& rec) { recs_b.push_back(rec); });
+  cbs::sim::SnapshotContext ctx(sim_a, sim_b);
+  cluster_b.rebuild_events(ctx);
+  ASSERT_EQ(ctx.finish(), 0u);
+
+  sim_a.run();
+  sim_b.run();
+  ASSERT_EQ(recs_a.size(), 1u);
+  ASSERT_EQ(recs_b.size(), 1u);
+  EXPECT_EQ(recs_b[0].job_id, recs_a[0].job_id);
+  EXPECT_EQ(recs_b[0].submitted, recs_a[0].submitted);
+  EXPECT_EQ(recs_b[0].maps_done, recs_a[0].maps_done);
+  EXPECT_EQ(recs_b[0].completed, recs_a[0].completed);
+  EXPECT_EQ(recs_b[0].num_map_tasks, recs_a[0].num_map_tasks);
+  EXPECT_DOUBLE_EQ(recs_a[0].maps_done, 9.0);
+  EXPECT_DOUBLE_EQ(recs_a[0].completed, 10.0);
+  EXPECT_EQ(mr_b.jobs_in_flight(), 0u);
 }
 
 // ---- JobStore --------------------------------------------------------------
@@ -270,8 +316,9 @@ TEST(ClusterCrashTest, CrashRequeuesAndReexecutesRunningTask) {
   std::size_t completions = 0;  // every task completion, not just this task's
   cluster.set_task_done_hook([&completions] { ++completions; });
   std::vector<double> done;
-  cluster.submit(10.0, 0,
-                 [&](const TaskRecord& rec) { done.push_back(rec.completed); });
+  cluster.set_task_complete_hook(
+      [&](const TaskRecord& rec) { done.push_back(rec.completed); });
+  cluster.submit(10.0, 0, 0);
   sim.schedule_at(4.0, [&] { cluster.crash_machine(0); });
   sim.schedule_at(6.0, [&] { cluster.recover_machine(0); });
   sim.run();
@@ -288,10 +335,10 @@ TEST(ClusterCrashTest, ReclaimedTaskKeepsFcfsPosition) {
   Simulation sim;
   Cluster cluster(sim, "c", 1);
   std::vector<TaskId> order;
-  const TaskId first = cluster.submit(
-      10.0, 0, [&](const TaskRecord& rec) { order.push_back(rec.task_id); });
-  const TaskId second = cluster.submit(
-      10.0, 0, [&](const TaskRecord& rec) { order.push_back(rec.task_id); });
+  cluster.set_task_complete_hook(
+      [&](const TaskRecord& rec) { order.push_back(rec.task_id); });
+  const TaskId first = cluster.submit(10.0, 0, 0);
+  const TaskId second = cluster.submit(10.0, 0, 0);
   sim.schedule_at(5.0, [&] { cluster.crash_machine(0); });
   sim.schedule_at(7.0, [&] { cluster.recover_machine(0); });
   sim.run();
@@ -307,13 +354,11 @@ TEST(ClusterCrashTest, DownMachineIsNotDispatchedUntilRecovery) {
   Cluster cluster(sim, "c", 2);
   sim.schedule_at(0.0, [&] { cluster.crash_machine(0); });
   std::vector<std::size_t> machines;
+  cluster.set_task_complete_hook(
+      [&](const TaskRecord& rec) { machines.push_back(rec.machine); });
   sim.schedule_at(1.0, [&] {
-    cluster.submit(5.0, 0, [&](const TaskRecord& rec) {
-      machines.push_back(rec.machine);
-    });
-    cluster.submit(5.0, 0, [&](const TaskRecord& rec) {
-      machines.push_back(rec.machine);
-    });
+    cluster.submit(5.0, 0, 0);
+    cluster.submit(5.0, 0, 0);
   });
   sim.schedule_at(2.0, [&] { cluster.recover_machine(0); });
   sim.run();

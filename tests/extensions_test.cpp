@@ -26,11 +26,9 @@ TEST(ElasticClusterTest, AddMachineIncreasesParallelism) {
   Simulation sim;
   compute::Cluster cluster(sim, "c", 1);
   std::vector<double> done;
-  for (int i = 0; i < 2; ++i) {
-    cluster.submit(10.0, 0, [&](const compute::TaskRecord& rec) {
-      done.push_back(rec.completed);
-    });
-  }
+  cluster.set_task_complete_hook(
+      [&](const compute::TaskRecord& rec) { done.push_back(rec.completed); });
+  for (int i = 0; i < 2; ++i) cluster.submit(10.0, 0, 0);
   cluster.add_machine();
   sim.run();
   ASSERT_EQ(done.size(), 2u);
@@ -58,9 +56,9 @@ TEST(ElasticClusterTest, BusyMachineDrainsBeforeRetiring) {
   Simulation sim;
   compute::Cluster cluster(sim, "c", 1);
   double first_done = -1.0;
-  cluster.submit(10.0, 0, [&](const compute::TaskRecord& rec) {
-    first_done = rec.completed;
-  });
+  cluster.set_task_complete_hook(
+      [&](const compute::TaskRecord& rec) { first_done = rec.completed; });
+  cluster.submit(10.0, 0, 0);
   cluster.add_machine();          // now 2 machines
   EXPECT_TRUE(cluster.remove_machine());  // removes the idle new one
   EXPECT_EQ(cluster.machine_count(), 1u);

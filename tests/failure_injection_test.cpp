@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "harness/experiment.hpp"
@@ -29,16 +30,27 @@ net::LinkConfig flaky_link(double failure_probability) {
   return cfg;
 }
 
-/// A completion handler appending each finished transfer's record to `out`.
-net::Link::CompletionHandler collector(std::vector<net::TransferRecord>& out) {
-  return [&out](const net::TransferRecord& rec) { out.push_back(rec); };
+/// Registers a completion handler on `link` that appends each finished
+/// transfer's record to `out`; returns its slot.
+int collector(net::Link& link, std::vector<net::TransferRecord>& out) {
+  return link.register_handler(
+      [&out](std::uint64_t, const net::TransferRecord& rec) {
+        out.push_back(rec);
+      });
+}
+
+/// Registers a completion handler on `link` that ignores completions.
+int ignore_completions(net::Link& link) {
+  return link.register_handler(
+      [](std::uint64_t, const net::TransferRecord&) {});
 }
 
 TEST(LinkFailureTest, ZeroProbabilityInjectsNothing) {
   Simulation sim;
   net::Link link(sim, flaky_link(0.0), RngStream(1));
   std::vector<net::TransferRecord> completed;
-  for (int i = 0; i < 20; ++i) link.submit(1.0e6, 1, collector(completed));
+  const int done = collector(link, completed);
+  for (int i = 0; i < 20; ++i) link.submit(1.0e6, 1, done, 0);
   sim.run();
   EXPECT_EQ(link.injected_failures(), 0u);
   for (const auto& rec : completed) EXPECT_EQ(rec.retries, 0);
@@ -48,9 +60,9 @@ TEST(LinkFailureTest, DropsHappenAndTransfersStillComplete) {
   Simulation sim;
   net::Link link(sim, flaky_link(0.6), RngStream(2));
   int completions = 0;
-  for (int i = 0; i < 50; ++i) {
-    link.submit(2.0e6, 1, [&](const net::TransferRecord&) { ++completions; });
-  }
+  const int done = link.register_handler(
+      [&](std::uint64_t, const net::TransferRecord&) { ++completions; });
+  for (int i = 0; i < 50; ++i) link.submit(2.0e6, 1, done, 0);
   sim.run();
   EXPECT_EQ(completions, 50);
   EXPECT_GT(link.injected_failures(), 5u);
@@ -63,10 +75,11 @@ TEST(LinkFailureTest, DeliveredBytesCountPayloadOnce) {
   Simulation sim;
   net::Link link(sim, flaky_link(0.7), RngStream(3));
   double submitted = 0.0;
+  const int done = ignore_completions(link);
   for (int i = 0; i < 30; ++i) {
     const double bytes = 1.0e6 + 1.0e5 * i;
     submitted += bytes;
-    link.submit(bytes, 1, nullptr);
+    link.submit(bytes, 1, done, 0);
   }
   sim.run();
   EXPECT_NEAR(link.total_bytes_delivered(), submitted, 1.0);
@@ -78,7 +91,8 @@ TEST(LinkFailureTest, RetriesAreRecordedAndBounded) {
   cfg.max_retries = 2;
   net::Link link(sim, cfg, RngStream(4));
   std::vector<net::TransferRecord> completed;
-  for (int i = 0; i < 40; ++i) link.submit(1.0e6, 1, collector(completed));
+  const int done = collector(link, completed);
+  for (int i = 0; i < 40; ++i) link.submit(1.0e6, 1, done, 0);
   sim.run();
   bool saw_retry = false;
   for (const auto& rec : completed) {
@@ -94,13 +108,14 @@ TEST(LinkFailureTest, FailuresMakeTransfersSlower) {
     net::Link link(sim, flaky_link(prob), RngStream(5));
     double total = 0.0;
     int n = 0;
-    for (int i = 0; i < 40; ++i) {
-      sim.schedule_at(100.0 * i, [&link, &total, &n] {
-        link.submit(4.0e6, 1, [&](const net::TransferRecord& rec) {
+    const int done = link.register_handler(
+        [&](std::uint64_t, const net::TransferRecord& rec) {
           total += rec.completed - rec.requested;
           ++n;
         });
-      });
+    for (int i = 0; i < 40; ++i) {
+      sim.schedule_at(100.0 * i,
+                      [&link, done] { link.submit(4.0e6, 1, done, 0); });
     }
     sim.run();
     return total / n;
@@ -117,7 +132,8 @@ TEST(LinkFailureTest, MultipleDropsPerTransferAreInjected) {
   cfg.max_retries = 5;
   net::Link link(sim, cfg, RngStream(6));
   std::vector<net::TransferRecord> completed;
-  for (int i = 0; i < 60; ++i) link.submit(1.0e6, 1, collector(completed));
+  const int done = collector(link, completed);
+  for (int i = 0; i < 60; ++i) link.submit(1.0e6, 1, done, 0);
   sim.run();
   int max_retries_seen = 0;
   for (const auto& rec : completed) {
@@ -132,11 +148,13 @@ TEST(LinkOutageTest, OutageAbortsAndResumesTransfers) {
   net::Link link(sim, flaky_link(0.0), RngStream(7));
   net::TransferRecord done{};
   int completions = 0;
+  const int slot = link.register_handler(
+      [&](std::uint64_t, const net::TransferRecord& rec) {
+        done = rec;
+        ++completions;
+      });
   // 8 MB at 1 MB/s: without the outage this finishes at ~8.5 s.
-  link.submit(8.0e6, 8, [&](const net::TransferRecord& rec) {
-    done = rec;
-    ++completions;
-  });
+  link.submit(8.0e6, 8, slot, 0);
   sim.schedule_at(4.0, [&] { link.set_outage(true); });
   sim.schedule_at(50.0, [&] { link.set_outage(false); });
   sim.run();
@@ -155,8 +173,11 @@ TEST(LinkOutageTest, SubmitDuringOutageWaitsForRecovery) {
   net::Link link(sim, flaky_link(0.0), RngStream(8));
   link.set_outage(true);
   double completed_at = -1.0;
-  link.submit(1.0e6, 1,
-              [&](const net::TransferRecord& rec) { completed_at = rec.completed; });
+  const int done = link.register_handler(
+      [&](std::uint64_t, const net::TransferRecord& rec) {
+        completed_at = rec.completed;
+      });
+  link.submit(1.0e6, 1, done, 0);
   sim.schedule_at(30.0, [&] { link.set_outage(false); });
   sim.run();
   // Activation parked at setup-latency end, released at outage end: the
@@ -172,7 +193,9 @@ TEST(LinkOutageTest, RepeatedAbortsBackOffExponentially) {
   cfg.outage_backoff_multiplier = 2.0;
   net::Link link(sim, cfg, RngStream(9));
   net::TransferRecord done{};
-  link.submit(60.0e6, 8, [&](const net::TransferRecord& rec) { done = rec; });
+  const int slot = link.register_handler(
+      [&](std::uint64_t, const net::TransferRecord& rec) { done = rec; });
+  link.submit(60.0e6, 8, slot, 0);
   // Two outages, each severing the same transfer: reconnect delays are
   // setup + 2 s, then setup + 4 s.
   sim.schedule_at(5.0, [&] { link.set_outage(true); });
@@ -190,8 +213,9 @@ TEST(LinkCancelTest, CancelAbortsInFlightTransfer) {
   Simulation sim;
   net::Link link(sim, flaky_link(0.0), RngStream(10));
   int completions = 0;
-  const auto id =
-      link.submit(10.0e6, 8, [&](const net::TransferRecord&) { ++completions; });
+  const int done = link.register_handler(
+      [&](std::uint64_t, const net::TransferRecord&) { ++completions; });
+  const auto id = link.submit(10.0e6, 8, done, 0);
   bool cancelled = false;
   sim.schedule_at(3.0, [&] { cancelled = link.cancel(id); });
   sim.run();
@@ -207,9 +231,12 @@ TEST(LinkCancelTest, CancelFreesCapacityForSurvivors) {
   Simulation sim;
   net::Link link(sim, flaky_link(0.0), RngStream(11));
   net::TransferRecord survivor{};
-  const auto victim = link.submit(50.0e6, 8, nullptr);
-  link.submit(4.0e6, 8,
-              [&](const net::TransferRecord& rec) { survivor = rec; });
+  const int done = link.register_handler(
+      [&](std::uint64_t tag, const net::TransferRecord& rec) {
+        if (tag == 1) survivor = rec;
+      });
+  const auto victim = link.submit(50.0e6, 8, done, 0);
+  link.submit(4.0e6, 8, done, 1);
   sim.schedule_at(1.0, [&] { link.cancel(victim); });
   sim.run();
   // With the victim gone the survivor gets the whole 1 MB/s pipe: ~0.5 s

@@ -83,16 +83,17 @@ TEST(LinkWaterfillProperty, BatchedPassMatchesSortBasedReference) {
     auto submitted = std::make_shared<std::vector<TransferId>>();
     std::size_t completions = 0;
     std::size_t cancellations = 0;
+    const int done = link.register_handler(
+        [&completions](std::uint64_t, const TransferRecord&) {
+          ++completions;
+        });
     double t = 0.0;
     for (int i = 0; i < 48; ++i) {
       t += rng.uniform(0.05, 2.0);
       const double bytes = rng.uniform(0.1e6, 2.5e6);
       const int threads = 1 + static_cast<int>(rng.uniform_int(0, 5));
-      sim.schedule_at(t, [&link, &completions, submitted, bytes, threads] {
-        submitted->push_back(link.submit(
-            bytes, threads, [&completions](const TransferRecord&) {
-              ++completions;
-            }));
+      sim.schedule_at(t, [&link, done, submitted, bytes, threads] {
+        submitted->push_back(link.submit(bytes, threads, done, 0));
       });
       // The storm also cancels: roughly every seventh submission, abort a
       // pseudo-random earlier transfer (a no-op when already finished).

@@ -165,9 +165,11 @@ TEST(LinkTest, SingleTransferTakesBytesOverRate) {
   Simulation sim;
   Link link(sim, basic_link(1.0e6), RngStream(1));
   double completed_at = -1.0;
-  link.submit(5.0e6, 1, [&](const TransferRecord& rec) {
-    completed_at = rec.completed;
-  });
+  const int done = link.register_handler(
+      [&](std::uint64_t, const TransferRecord& rec) {
+        completed_at = rec.completed;
+      });
+  link.submit(5.0e6, 1, done, 0);
   sim.run();
   EXPECT_NEAR(completed_at, 5.0, 1e-9);
 }
@@ -178,7 +180,9 @@ TEST(LinkTest, SetupLatencyDelaysStart) {
   cfg.setup_latency = 2.0;
   Link link(sim, cfg, RngStream(1));
   TransferRecord record;
-  link.submit(1.0e6, 1, [&](const TransferRecord& rec) { record = rec; });
+  const int done = link.register_handler(
+      [&](std::uint64_t, const TransferRecord& rec) { record = rec; });
+  link.submit(1.0e6, 1, done, 0);
   sim.run();
   EXPECT_DOUBLE_EQ(record.started, 2.0);
   EXPECT_NEAR(record.completed, 3.0, 1e-9);
@@ -192,10 +196,12 @@ TEST(LinkTest, PerConnectionCapLimitsSingleTransfer) {
   cfg.per_connection_cap = 0.25e6;
   Link link(sim, cfg, RngStream(1));
   double completed_at = -1.0;
+  const int done = link.register_handler(
+      [&](std::uint64_t, const TransferRecord& rec) {
+        completed_at = rec.completed;
+      });
   // 2 threads -> 0.5 MB/s even though the pipe offers 1 MB/s.
-  link.submit(1.0e6, 2, [&](const TransferRecord& rec) {
-    completed_at = rec.completed;
-  });
+  link.submit(1.0e6, 2, done, 0);
   sim.run();
   EXPECT_NEAR(completed_at, 2.0, 1e-9);
 }
@@ -204,11 +210,11 @@ TEST(LinkTest, ConcurrentTransfersShareCapacityFairly) {
   Simulation sim;
   Link link(sim, basic_link(1.0e6), RngStream(1));
   std::vector<double> completions;
-  for (int i = 0; i < 2; ++i) {
-    link.submit(1.0e6, 1, [&](const TransferRecord& rec) {
-      completions.push_back(rec.completed);
-    });
-  }
+  const int done = link.register_handler(
+      [&](std::uint64_t, const TransferRecord& rec) {
+        completions.push_back(rec.completed);
+      });
+  for (int i = 0; i < 2; ++i) link.submit(1.0e6, 1, done, 0);
   sim.run();
   ASSERT_EQ(completions.size(), 2u);
   // Both share 1 MB/s -> each effectively 0.5 MB/s -> both done at t=2.
@@ -222,14 +228,14 @@ TEST(LinkTest, WaterFillingRespectsSmallDemands) {
   cfg.per_connection_cap = 0.2e6;
   Link link(sim, cfg, RngStream(1));
   std::vector<std::pair<int, double>> done;  // (tag, time)
+  const int slot = link.register_handler(
+      [&](std::uint64_t tag, const TransferRecord& rec) {
+        done.emplace_back(static_cast<int>(tag), rec.completed);
+      });
   // Transfer A: 1 thread -> demand 0.2 MB/s. Transfer B: 8 threads -> wants
   // 1.6 but gets the remaining 0.8.
-  link.submit(0.2e6, 1, [&](const TransferRecord& rec) {
-    done.emplace_back(0, rec.completed);
-  });
-  link.submit(1.6e6, 8, [&](const TransferRecord& rec) {
-    done.emplace_back(1, rec.completed);
-  });
+  link.submit(0.2e6, 1, slot, 0);
+  link.submit(1.6e6, 8, slot, 1);
   sim.run();
   ASSERT_EQ(done.size(), 2u);
   EXPECT_EQ(done[0].first, 0);
@@ -249,14 +255,14 @@ TEST(LinkTest, ConservesBytes) {
   RngStream rng(5);
   double submitted = 0.0;
   std::size_t completed = 0;
+  const int done = link.register_handler(
+      [&completed](std::uint64_t, const TransferRecord&) { ++completed; });
   for (int i = 0; i < 40; ++i) {
     const double bytes = rng.uniform(0.1e6, 20.0e6);
     submitted += bytes;
     const double when = rng.uniform(0.0, 500.0);
-    sim.schedule_at(when, [&link, &completed, bytes] {
-      link.submit(bytes, 2,
-                  [&completed](const TransferRecord&) { ++completed; });
-    });
+    sim.schedule_at(when,
+                    [&link, done, bytes] { link.submit(bytes, 2, done, 0); });
   }
   sim.run();
   EXPECT_NEAR(link.total_bytes_delivered(), submitted, 1.0);
@@ -270,9 +276,11 @@ TEST(LinkTest, ThrottleSlowsTransfers) {
   cfg.throttles = {{0.0, 1000.0, 0.5}};
   Link link(sim, cfg, RngStream(1));
   double completed_at = -1.0;
-  link.submit(1.0e6, 1, [&](const TransferRecord& rec) {
-    completed_at = rec.completed;
-  });
+  const int done = link.register_handler(
+      [&](std::uint64_t, const TransferRecord& rec) {
+        completed_at = rec.completed;
+      });
+  link.submit(1.0e6, 1, done, 0);
   sim.run();
   EXPECT_NEAR(completed_at, 2.0, 1e-6);
 }
@@ -284,9 +292,11 @@ TEST(LinkTest, CapacityFloorGuaranteesProgress) {
   cfg.min_capacity_fraction = 0.1;     // ... but the floor holds 0.1 MB/s
   Link link(sim, cfg, RngStream(1));
   double completed_at = -1.0;
-  link.submit(1.0e6, 1, [&](const TransferRecord& rec) {
-    completed_at = rec.completed;
-  });
+  const int done = link.register_handler(
+      [&](std::uint64_t, const TransferRecord& rec) {
+        completed_at = rec.completed;
+      });
+  link.submit(1.0e6, 1, done, 0);
   sim.run();
   EXPECT_NEAR(completed_at, 10.0, 1e-6);
 }
@@ -294,8 +304,10 @@ TEST(LinkTest, CapacityFloorGuaranteesProgress) {
 TEST(LinkTest, BusyTimeTracksActivity) {
   Simulation sim;
   Link link(sim, basic_link(1.0e6), RngStream(1));
-  link.submit(2.0e6, 1, nullptr);
-  sim.schedule_at(10.0, [&] { link.submit(1.0e6, 1, nullptr); });
+  const int done =
+      link.register_handler([](std::uint64_t, const TransferRecord&) {});
+  link.submit(2.0e6, 1, done, 0);
+  sim.schedule_at(10.0, [&] { link.submit(1.0e6, 1, done, 0); });
   sim.run();
   EXPECT_NEAR(link.busy_time(), 3.0, 1e-6);  // [0,2] and [10,11]
 }
@@ -308,9 +320,11 @@ TEST(LinkTest, DiurnalProfileChangesRateAcrossTicks) {
   cfg.noise_step = 60.0;
   Link link(sim, cfg, RngStream(1));
   double completed_at = -1.0;
-  link.submit(3.0e6, 1, [&](const TransferRecord& rec) {
-    completed_at = rec.completed;
-  });
+  const int done = link.register_handler(
+      [&](std::uint64_t, const TransferRecord& rec) {
+        completed_at = rec.completed;
+      });
+  link.submit(3.0e6, 1, done, 0);
   sim.run();
   // At 0.5 MB/s, 3 MB would take 6s — with piecewise re-evaluation it stays
   // ~6s because we are deep inside the slow slot.

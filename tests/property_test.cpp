@@ -36,17 +36,18 @@ TEST_P(LinkStormTest, ConservesBytesUnderRandomTraffic) {
   double submitted = 0.0;
   std::size_t count = 0;
   std::vector<net::TransferRecord> completed;
-  const auto collect = [&completed](const net::TransferRecord& rec) {
-    completed.push_back(rec);
-  };
+  const int collect = link.register_handler(
+      [&completed](std::uint64_t, const net::TransferRecord& rec) {
+        completed.push_back(rec);
+      });
   for (int i = 0; i < 60; ++i) {
     const double bytes = rng.uniform(0.05e6, 40.0e6);
     const double when = rng.uniform(0.0, 2000.0);
     const int threads = static_cast<int>(rng.uniform_int(1, 8));
     submitted += bytes;
     ++count;
-    sim.schedule_at(when, [&link, &collect, bytes, threads] {
-      link.submit(bytes, threads, collect);
+    sim.schedule_at(when, [&link, collect, bytes, threads] {
+      link.submit(bytes, threads, collect, 0);
     });
   }
   sim.run();

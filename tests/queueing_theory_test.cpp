@@ -42,17 +42,17 @@ TEST(QueueingTheoryTest, ClusterMatchesErlangC) {
   cbs::compute::Cluster cluster(sim, "mmc", static_cast<std::size_t>(c));
   RngStream rng(42);
   cbs::stats::Summary waits;
+  cluster.set_task_complete_hook(
+      [&waits](const cbs::compute::TaskRecord& rec) {
+        waits.add(rec.started - rec.enqueued);
+      });
 
   const int n_jobs = 60000;
   double t = 0.0;
   for (int i = 0; i < n_jobs; ++i) {
     t += cbs::stats::sample_exponential(rng, lambda);
     const double service = cbs::stats::sample_exponential(rng, mu);
-    sim.schedule_at(t, [&cluster, &waits, service] {
-      cluster.submit(service, 0, [&waits](const cbs::compute::TaskRecord& rec) {
-        waits.add(rec.started - rec.enqueued);
-      });
-    });
+    sim.schedule_at(t, [&cluster, service] { cluster.submit(service, 0, 0); });
   }
   sim.run();
 
@@ -75,7 +75,7 @@ TEST(QueueingTheoryTest, ClusterUtilizationMatchesRho) {
   for (int i = 0; i < 20000; ++i) {
     t += cbs::stats::sample_exponential(rng, lambda);
     const double service = cbs::stats::sample_exponential(rng, mu);
-    sim.schedule_at(t, [&cluster, service] { cluster.submit(service, 0, nullptr); });
+    sim.schedule_at(t, [&cluster, service] { cluster.submit(service, 0, 0); });
   }
   sim.run();
   const double util =
@@ -103,16 +103,17 @@ TEST(QueueingTheoryTest, LinkIsProcessorSharing) {
 
   RngStream rng(99);
   cbs::stats::Summary sojourns;
+  const int done = link.register_handler(
+      [&sojourns](std::uint64_t, const cbs::net::TransferRecord& rec) {
+        sojourns.add(rec.completed - rec.requested);
+      });
   double t = 0.0;
   const int n = 30000;
   for (int i = 0; i < n; ++i) {
     t += cbs::stats::sample_exponential(rng, lambda);
     const double bytes = capacity * cbs::stats::sample_exponential(rng, mu);
-    sim.schedule_at(t, [&link, &sojourns, bytes] {
-      link.submit(bytes, 1, [&sojourns](const cbs::net::TransferRecord& rec) {
-        sojourns.add(rec.completed - rec.requested);
-      });
-    });
+    sim.schedule_at(t,
+                    [&link, done, bytes] { link.submit(bytes, 1, done, 0); });
   }
   sim.run();
 
@@ -142,14 +143,14 @@ TEST(QueueingTheoryTest, LinkPsIsInsensitiveToServiceDistribution) {
 
   RngStream rng(5);
   cbs::stats::Summary sojourns;
+  const int done = link.register_handler(
+      [&sojourns](std::uint64_t, const cbs::net::TransferRecord& rec) {
+        sojourns.add(rec.completed - rec.requested);
+      });
   double t = 0.0;
   for (int i = 0; i < 30000; ++i) {
     t += cbs::stats::sample_exponential(rng, lambda);
-    sim.schedule_at(t, [&link, &sojourns] {
-      link.submit(4.0e6, 1, [&sojourns](const cbs::net::TransferRecord& rec) {
-        sojourns.add(rec.completed - rec.requested);
-      });
-    });
+    sim.schedule_at(t, [&link, done] { link.submit(4.0e6, 1, done, 0); });
   }
   sim.run();
   const double expected = (1.0 / mu) / (1.0 - rho);

@@ -213,18 +213,6 @@ TEST(TimeSeriesTest, ResampleGrid) {
   EXPECT_DOUBLE_EQ(grid[4].value, 3.0);
 }
 
-TEST(TimeSeriesTest, DiffOnGrid) {
-  TimeSeries a;
-  TimeSeries b;
-  a.add(0.0, 5.0);
-  b.add(0.0, 2.0);
-  b.add(10.0, 7.0);
-  const auto diff = a.diff_on_grid(b, 0.0, 10.0, 10.0);
-  ASSERT_EQ(diff.size(), 2u);
-  EXPECT_DOUBLE_EQ(diff[0].value, 3.0);
-  EXPECT_DOUBLE_EQ(diff[1].value, -2.0);
-}
-
 TEST(TimeSeriesTest, TimeAverageOfStep) {
   TimeSeries ts;
   ts.add(0.0, 0.0);
@@ -245,15 +233,6 @@ TEST(TimeSeriesTest, ResampleSinglePointGrid) {
   const auto grid = ts.resample(5.0, 5.0, 1.0);
   ASSERT_EQ(grid.size(), 1u);
   EXPECT_DOUBLE_EQ(grid[0].value, 3.0);
-}
-
-TEST(TimeSeriesTest, DiffAgainstEmptySeries) {
-  TimeSeries a;
-  a.add(0.0, 7.0);
-  TimeSeries empty;
-  const auto diff = a.diff_on_grid(empty, 0.0, 0.0, 1.0);
-  ASSERT_EQ(diff.size(), 1u);
-  EXPECT_DOUBLE_EQ(diff[0].value, 7.0);  // empty series reads as 0
 }
 
 TEST(TimeSeriesTest, EqualTimestampsAllowed) {

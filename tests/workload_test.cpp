@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "simcore/simulation.hpp"
 #include "stats/summary.hpp"
 #include "workload/arrival.hpp"
 #include "workload/chunker.hpp"
@@ -284,23 +283,6 @@ TEST(ArrivalTest, PoissonCountsAverageLambda) {
     s.add(static_cast<double>(b.documents.size()));
   }
   EXPECT_NEAR(s.mean(), 15.0, 0.7);
-}
-
-TEST(ArrivalTest, ScheduleOnFiresAtArrivalTimes) {
-  auto truth = make_truth();
-  WorkloadGenerator gen({}, truth, RngStream(9));
-  BatchArrivalProcess arrivals({.batch_interval = 100.0, .num_batches = 3},
-                               gen, RngStream(10));
-  cbs::sim::Simulation sim;
-  std::vector<double> fired_at;
-  const auto schedule = arrivals.schedule_on(
-      sim, [&](const Batch& batch) {
-        fired_at.push_back(batch.arrival_time);
-      });
-  sim.run();
-  ASSERT_EQ(fired_at.size(), 3u);
-  EXPECT_DOUBLE_EQ(fired_at[1], 100.0);
-  EXPECT_EQ(schedule.size(), 3u);
 }
 
 // ---- trace I/O ------------------------------------------------------------
