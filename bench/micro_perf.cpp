@@ -81,7 +81,7 @@ void BM_SlackMaintenance(benchmark::State& state) {
   cbs::net::BandwidthEstimator uplink(
       {.slots_per_day = 1, .alpha = 0.3, .prior_rate = 1.0e6});
   cbs::net::BandwidthEstimator downlink = uplink;
-  cbs::core::BeliefState belief(estimator, uplink, downlink, 50, 1.0, 50, 1.0);
+  cbs::core::BeliefState belief(estimator, uplink, downlink, 50, 50, 1.0);
   std::vector<cbs::workload::Document> docs;
   for (std::size_t i = 0; i < n; ++i) docs.push_back(gen.next());
   std::uint64_t seq = 1;
@@ -123,8 +123,7 @@ void BM_BatchAdmission(benchmark::State& state) {
     state.PauseTiming();
     // Fresh belief per iteration so committed state does not accumulate
     // across iterations; seeded with a backlog so jobs are burst-eligible.
-    cbs::core::BeliefState belief(estimator, uplink, downlink, 4, 1.0, 50,
-                                  1.0);
+    cbs::core::BeliefState belief(estimator, uplink, downlink, 4, 50, 1.0);
     belief.commit_ic(999999, 40000.0);
     std::uint64_t next_seq = 1;
     std::uint64_t next_doc_id = 1ULL << 40;

@@ -252,7 +252,7 @@ bool Cluster::recover_machine(std::size_t machine_idx) {
   return true;
 }
 
-bool Cluster::drain_machine(std::size_t machine_idx, bool preempt) {
+bool Cluster::drain_machine(std::size_t machine_idx) {
   if (machine_idx >= machines_.size()) return false;
   Machine& machine = machines_[machine_idx];
   if (machine.retired || machine.retire_when_free || machine.drained) {
@@ -261,7 +261,7 @@ bool Cluster::drain_machine(std::size_t machine_idx, bool preempt) {
   machine.drained = true;
   ++drained_;
   ++drains_;
-  if (preempt && machine.busy) {
+  if (machine.busy) {
     // Checkpoint-restart: cancel the completion, bank the finished
     // fraction and re-queue only the remainder at its FCFS position.
     Running& run = *running_tasks_[machine_idx];

@@ -142,12 +142,12 @@ class Cluster {
   /// free (a *soft* exclusion — under full backlog it still accepts work
   /// rather than stall the queue, so a drain trades placement preference,
   /// never capacity). It stays provisioned (still billed, still counted in
-  /// machine_count()). With `preempt`, a task running on it is
-  /// checkpoint-restarted: its completed fraction is preserved and only the
-  /// remaining service re-queues at the *front* of the FCFS queue — unlike
-  /// a crash, no compute is wasted. Refused (returns false) for a retired
-  /// or already-drained machine.
-  bool drain_machine(std::size_t machine, bool preempt);
+  /// machine_count()). A task running on it is checkpoint-restarted: its
+  /// completed fraction is preserved and only the remaining service
+  /// re-queues at the *front* of the FCFS queue — unlike a crash, no
+  /// compute is wasted. Refused (returns false) for a retired or
+  /// already-drained machine.
+  bool drain_machine(std::size_t machine);
 
   /// Lifts a drain; the machine immediately pulls queued work. Returns
   /// false unless the machine is currently drained.

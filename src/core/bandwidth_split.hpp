@@ -6,6 +6,9 @@
 
 namespace cbs::core {
 
+/// Algorithm 3's upload queues: small, medium and large.
+inline constexpr int kSizeIntervalQueues = 3;
+
 /// The size-interval bounds computed per batch by Algorithm 3.
 struct SizeIntervalBounds {
   double small_upper_mb = 0.0;   ///< s_bound

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <optional>
-
-#include "sla/job_outcome.hpp"
 
 namespace cbs::core {
 
@@ -12,30 +9,23 @@ using cbs::sim::SimTime;
 
 BeliefState::BeliefState(
     const cbs::models::ProcessingTimeEstimator& service_estimator,
-    std::size_t ic_machines, double ic_speed, int ic_job_parallelism)
-    : service_estimator_(service_estimator),
-      ic_machines_(ic_machines),
-      ic_speed_(ic_speed) {
-  assert(ic_machines > 0 && ic_speed > 0.0);
-  assert(ic_job_parallelism >= 1);
-  ic_job_rate_ = ic_speed * static_cast<double>(std::min<std::size_t>(
-                                ic_machines, static_cast<std::size_t>(
-                                                 ic_job_parallelism)));
+    std::size_t ic_machines)
+    : service_estimator_(service_estimator), ic_machines_(ic_machines) {
+  assert(ic_machines > 0);
 }
 
 BeliefState::BeliefState(
     const cbs::models::ProcessingTimeEstimator& service_estimator,
     const cbs::net::BandwidthEstimator& uplink_estimator,
     const cbs::net::BandwidthEstimator& downlink_estimator,
-    std::size_t ic_machines, double ic_speed, std::size_t ec_machines,
-    double ec_speed, int ic_job_parallelism, int ec_job_parallelism,
+    std::size_t ic_machines, std::size_t ec_machines, double ec_speed,
     double ec_job_overhead_seconds)
-    : BeliefState(service_estimator, ic_machines, ic_speed, ic_job_parallelism) {
+    : BeliefState(service_estimator, ic_machines) {
   EcSiteConfig site;
   site.machines = ec_machines;
   site.speed = ec_speed;
   site.job_overhead_seconds = ec_job_overhead_seconds;
-  add_ec_site(uplink_estimator, downlink_estimator, site, ec_job_parallelism);
+  add_ec_site(uplink_estimator, downlink_estimator, site);
 }
 
 BeliefState::BeliefState(
@@ -43,11 +33,7 @@ BeliefState::BeliefState(
     const cbs::models::ProcessingTimeEstimator& service_estimator)
     : service_estimator_(service_estimator),
       ic_machines_(src.ic_machines_),
-      ic_speed_(src.ic_speed_),
-      ic_job_rate_(src.ic_job_rate_),
       sites_(src.sites_),
-      selection_(src.selection_),
-      tickets_(src.tickets_),
       ic_jobs_(src.ic_jobs_),
       ic_outstanding_seconds_(src.ic_outstanding_seconds_),
       ec_jobs_(src.ec_jobs_),
@@ -57,18 +43,13 @@ BeliefState::BeliefState(
 std::size_t BeliefState::add_ec_site(
     const cbs::net::BandwidthEstimator& uplink_estimator,
     const cbs::net::BandwidthEstimator& downlink_estimator,
-    const EcSiteConfig& site, int job_parallelism) {
+    const EcSiteConfig& site) {
   assert(site.machines > 0 && site.speed > 0.0);
-  assert(job_parallelism >= 1);
   assert(site.job_overhead_seconds >= 0.0);
   EcSite s{std::cref(uplink_estimator), std::cref(downlink_estimator)};
   s.machines = site.machines;
   s.speed = site.speed;
-  s.job_rate = site.speed * static_cast<double>(std::min<std::size_t>(
-                                site.machines, static_cast<std::size_t>(
-                                                   job_parallelism)));
   s.job_overhead = site.job_overhead_seconds;
-  s.price = site.price_per_machine_hour;
   sites_.push_back(s);
   return sites_.size() - 1;
 }
@@ -78,12 +59,6 @@ void BeliefState::rebind_site(std::size_t site,
                               const cbs::net::BandwidthEstimator& downlink_estimator) {
   sites_[site].uplink = std::cref(uplink_estimator);
   sites_[site].downlink = std::cref(downlink_estimator);
-}
-
-void BeliefState::set_site_selection(SiteSelection selection,
-                                     const cbs::sla::TicketPolicy& tickets) {
-  selection_ = selection;
-  tickets_ = tickets;
 }
 
 double BeliefState::estimate_service(const cbs::workload::Document& doc) const {
@@ -111,10 +86,9 @@ SimTime BeliefState::ic_drain_time(SimTime now) const {
 }
 
 SimTime BeliefState::ft_ic(const cbs::workload::Document& doc, SimTime now) const {
-  const double est = estimate_service(doc);
   // Backlog drains at full aggregate rate; the new job's own work then
-  // runs at the per-job rate (task-slot cap).
-  return now + ic_outstanding_seconds_ / ic_capacity() + est / ic_job_rate_;
+  // runs on one speed-1 machine.
+  return now + ic_outstanding_seconds_ / ic_capacity() + estimate_service(doc);
 }
 
 EcEstimate BeliefState::estimate_on(std::size_t site_index,
@@ -137,7 +111,7 @@ EcEstimate BeliefState::estimate_on(std::size_t site_index,
   e.ec_wait_seconds = backlog_left / site.capacity();
   // Risk pricing: predicted EC failure risk inflates the believed
   // processing term (× 1.0 exactly when the hazard predictor is off).
-  e.processing_seconds = (site.job_overhead + service / site.job_rate) *
+  e.processing_seconds = (site.job_overhead + service / site.speed) *
                          (1.0 + site.risk_factor);
   const SimTime proc_done =
       upload_done + e.ec_wait_seconds + e.processing_seconds;
@@ -157,7 +131,7 @@ EcEstimate BeliefState::no_load_on(std::size_t site_index,
   EcEstimate e;
   e.site = site_index;
   e.upload_seconds = upload_seconds_for(site, now, doc.input_bytes());
-  e.processing_seconds = (site.job_overhead + service / site.job_rate) *
+  e.processing_seconds = (site.job_overhead + service / site.speed) *
                          (1.0 + site.risk_factor);
   e.download_seconds = download_seconds_for(
       site, now + e.upload_seconds + e.processing_seconds, doc.output_bytes());
@@ -166,39 +140,20 @@ EcEstimate BeliefState::no_load_on(std::size_t site_index,
 }
 
 template <typename EstimateOn>
-EcEstimate BeliefState::pick_site(const cbs::workload::Document& doc,
-                                  SimTime now, EstimateOn&& estimate) const {
+EcEstimate BeliefState::pick_site(EstimateOn&& estimate) const {
   assert(!sites_.empty());
   EcEstimate fastest = estimate(std::size_t{0});
-  if (sites_.size() == 1) return fastest;
-  // kCheapestFeasible: among sites whose believed completion meets the
-  // job's ticket, the lowest price class; ties go to the lower index and
-  // infeasibility to the fastest round trip.
-  const bool by_price = selection_ == SiteSelection::kCheapestFeasible;
-  cbs::sla::JobOutcome ticket;
-  ticket.arrival = now;
-  ticket.input_mb = doc.features.size_mb;
-  const SimTime deadline = tickets_.deadline_for(ticket);
-  std::optional<EcEstimate> cheapest;
-  const auto consider = [&](const EcEstimate& e) {
-    if (!by_price || e.finish > deadline) return;
-    if (!cheapest || sites_[e.site].price < sites_[cheapest->site].price) {
-      cheapest = e;
-    }
-  };
-  consider(fastest);
   for (std::size_t s = 1; s < sites_.size(); ++s) {
     const EcEstimate e = estimate(s);
     if (e.finish < fastest.finish) fastest = e;
-    consider(e);
   }
-  return cheapest ? *cheapest : fastest;
+  return fastest;
 }
 
 EcEstimate BeliefState::ft_ec(const cbs::workload::Document& doc,
                               SimTime now) const {
   const double service = estimate_service(doc);
-  return pick_site(doc, now, [&](std::size_t site) {
+  return pick_site([&](std::size_t site) {
     return estimate_on(site, doc, service, now, 0.0);
   });
 }
@@ -208,7 +163,7 @@ EcEstimate BeliefState::ft_ec_job_level(
     const std::vector<double>& observed_download_backlog_bytes) const {
   assert(observed_download_backlog_bytes.size() == sites_.size());
   const double service = estimate_service(doc);
-  return pick_site(doc, now, [&](std::size_t site) {
+  return pick_site([&](std::size_t site) {
     return estimate_on(site, doc, service, now,
                        observed_download_backlog_bytes[site]);
   });
@@ -217,7 +172,7 @@ EcEstimate BeliefState::ft_ec_job_level(
 double BeliefState::ec_round_trip_no_load(const cbs::workload::Document& doc,
                                           SimTime now) const {
   const double service = estimate_service(doc);
-  const EcEstimate e = pick_site(doc, now, [&](std::size_t site) {
+  const EcEstimate e = pick_site([&](std::size_t site) {
     return no_load_on(site, doc, service, now);
   });
   return e.upload_seconds + e.processing_seconds + e.download_seconds;

@@ -21,7 +21,7 @@ namespace cbs::core {
 enum class BandwidthView : std::uint8_t { kLearned, kTransient };
 
 /// Breakdown of an estimated external round trip (the terms of Eq. 2) on
-/// the EC site the belief's SiteSelection picked for it.
+/// the EC site the belief picked for it.
 struct EcEstimate {
   std::size_t site = 0;              ///< index into the belief's EC sites
   double upload_seconds = 0.0;
@@ -34,7 +34,8 @@ struct EcEstimate {
 /// The scheduler's belief about the state of the clouds — everything the
 /// finish-time estimators ft^ic(i,S) and ft^ec(i,S) of §III.A condition on.
 /// It keeps one record per EC site; every ft^ec it returns is for the site
-/// its SiteSelection picks, so the schedulers stay site-agnostic.
+/// with the earliest believed completion, so the schedulers stay
+/// site-agnostic.
 ///
 /// The belief is built only from information a real controller has: its own
 /// placement decisions, the QRSM's service estimates, the EWMA bandwidth
@@ -44,22 +45,19 @@ struct EcEstimate {
 /// analyses.
 class BeliefState {
  public:
-  /// A belief over the internal cloud alone; add_ec_site() registers the
-  /// external sites. `*_job_parallelism` is how many machines one job's
-  /// tasks can occupy at once (TopologyConfig::max_map_tasks_per_job
-  /// clamped to the cluster size) — it divides the job's own service time,
-  /// while the backlog always drains at full aggregate rate.
+  /// A belief over the internal cloud of `ic_machines` speed-1 machines
+  /// alone; add_ec_site() registers the external sites. A job occupies one
+  /// machine, so its own service time runs at the machine's speed, while
+  /// the backlog drains at the cluster's aggregate rate.
   BeliefState(const cbs::models::ProcessingTimeEstimator& service_estimator,
-              std::size_t ic_machines, double ic_speed,
-              int ic_job_parallelism = 1);
+              std::size_t ic_machines);
 
   /// A belief over the IC and one EC site (the paper's topology).
   BeliefState(const cbs::models::ProcessingTimeEstimator& service_estimator,
               const cbs::net::BandwidthEstimator& uplink_estimator,
               const cbs::net::BandwidthEstimator& downlink_estimator,
-              std::size_t ic_machines, double ic_speed, std::size_t ec_machines,
-              double ec_speed, int ic_job_parallelism = 1,
-              int ec_job_parallelism = 1, double ec_job_overhead_seconds = 0.0);
+              std::size_t ic_machines, std::size_t ec_machines, double ec_speed,
+              double ec_job_overhead_seconds = 0.0);
 
   /// Fork support: copies `src`'s believed state wholesale, rebinding the
   /// service estimator to the fork's clone. Pure value copy otherwise; the
@@ -68,40 +66,35 @@ class BeliefState {
               const cbs::models::ProcessingTimeEstimator& service_estimator);
 
   /// Registers the next EC site (its index is the return value): the
-  /// bandwidth estimators of its pipe, and its machines, speed, per-job
-  /// overhead and price class from `site`.
+  /// bandwidth estimators of its pipe, and its machines, speed and per-job
+  /// overhead from `site`.
   std::size_t add_ec_site(const cbs::net::BandwidthEstimator& uplink_estimator,
                           const cbs::net::BandwidthEstimator& downlink_estimator,
-                          const EcSiteConfig& site, int job_parallelism = 1);
+                          const EcSiteConfig& site);
 
   /// Fork support: points site `site` at the fork's bandwidth estimators.
   void rebind_site(std::size_t site,
                    const cbs::net::BandwidthEstimator& uplink_estimator,
                    const cbs::net::BandwidthEstimator& downlink_estimator);
 
-  /// The *where* policy every ft^ec applies; `tickets` defines a job's
-  /// deadline for kCheapestFeasible. The default is kFastest.
-  void set_site_selection(SiteSelection selection,
-                          const cbs::sla::TicketPolicy& tickets);
-
   /// Estimated standard-machine service seconds for a document (t^e(i)).
   [[nodiscard]] double estimate_service(const cbs::workload::Document& doc) const;
 
   /// ft^ic: estimated absolute completion time if `doc` were appended to
   /// the internal queue now. The cluster is modeled as draining its
-  /// estimated backlog at aggregate rate (machines × speed) — accurate for
-  /// the map-task-granular FCFS dispatch the controller uses.
+  /// estimated backlog at the aggregate rate of its speed-1 machines —
+  /// accurate for the task-granular FCFS dispatch the controller uses.
   [[nodiscard]] cbs::sim::SimTime ft_ic(const cbs::workload::Document& doc,
                                         cbs::sim::SimTime now) const;
 
   /// ft^ec with the full round-trip breakdown: upload-queue drain + upload,
-  /// EC backlog, processing, download (Eq. 2's terms), on the site the
-  /// selection policy picks.
+  /// EC backlog, processing, download (Eq. 2's terms), on the site with the
+  /// earliest believed completion.
   [[nodiscard]] EcEstimate ft_ec(const cbs::workload::Document& doc,
                                  cbs::sim::SimTime now) const;
 
   /// ft^ec ignoring all queueing (Algorithm 3, line 5: completion "under no
-  /// load": t_up + e_ec + t_down), on the site the selection policy picks.
+  /// load": t_up + e_ec + t_down), on the site with the shortest one.
   [[nodiscard]] double ec_round_trip_no_load(const cbs::workload::Document& doc,
                                              cbs::sim::SimTime now) const;
   /// The same on a given site (a job already committed there).
@@ -209,9 +202,7 @@ class BeliefState {
     std::reference_wrapper<const cbs::net::BandwidthEstimator> downlink;
     std::size_t machines = 1;
     double speed = 1.0;
-    double job_rate = 1.0;      ///< speed × job parallelism
     double job_overhead = 0.0;  ///< fixed wall-clock overhead per job
-    double price = 0.0;         ///< price class, for kCheapestFeasible
     double outstanding_seconds = 0.0;   ///< believed standard seconds queued
     double upload_backlog_bytes = 0.0;  ///< believed bytes not yet uploaded
     double risk_factor = 0.0;  ///< believed-EC inflation, (1 + factor)
@@ -222,7 +213,7 @@ class BeliefState {
   };
 
   [[nodiscard]] double ic_capacity() const noexcept {
-    return static_cast<double>(ic_machines_) * ic_speed_;
+    return static_cast<double>(ic_machines_);
   }
 
   [[nodiscard]] double upload_seconds_for(const EcSite& site,
@@ -241,19 +232,14 @@ class BeliefState {
                                       const cbs::workload::Document& doc,
                                       double service,
                                       cbs::sim::SimTime now) const;
-  /// Applies the selection policy to `estimate(site)` over every site.
+  /// The `estimate(site)` with the earliest finish; ties go to the lower
+  /// site index.
   template <typename EstimateOn>
-  [[nodiscard]] EcEstimate pick_site(const cbs::workload::Document& doc,
-                                     cbs::sim::SimTime now,
-                                     EstimateOn&& estimate) const;
+  [[nodiscard]] EcEstimate pick_site(EstimateOn&& estimate) const;
 
   const cbs::models::ProcessingTimeEstimator& service_estimator_;
   std::size_t ic_machines_;
-  double ic_speed_;
-  double ic_job_rate_;  ///< speed × job parallelism on the IC
   std::vector<EcSite> sites_;
-  SiteSelection selection_ = SiteSelection::kFastest;
-  cbs::sla::TicketPolicy tickets_{};
 
   // Outstanding IC jobs: seq -> estimated standard seconds.
   cbs::util::FlatMap<std::uint64_t, double> ic_jobs_;

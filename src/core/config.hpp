@@ -13,7 +13,6 @@
 #include "simcore/fault_plan.hpp"
 #include "simcore/logging.hpp"
 #include "simcore/time.hpp"
-#include "sla/tickets.hpp"
 #include "workload/chunker.hpp"
 
 namespace cbs::core {
@@ -49,33 +48,15 @@ struct SchedulerParams {
   /// the Order Preserving scheduler targets finishing τ early (§IV), which
   /// is what buys its robustness to bandwidth dips.
   cbs::sim::SimDuration slack_safety_margin = 30.0;
-  /// Algorithm 3: number of size-interval upload queues (small/medium/large).
-  int size_interval_queues = 3;
-  /// §VII future work: "modulating the chunking of jobs as a function of
-  /// their position in the input queue". When enabled, the chunk target
-  /// grows linearly from `chunker.target_size_mb` at the batch head to
-  /// `tail_chunk_scale` times that at the tail — head jobs are needed soon
-  /// (fine chunks, early availability), tail jobs can afford coarse chunks
-  /// (less per-chunk overhead).
-  bool position_aware_chunking = false;
-  double tail_chunk_scale = 2.5;
-  /// Random baseline: probability a job is bursted, and the draw seed.
-  double random_burst_probability = 0.15;
-  std::uint64_t random_seed = 12345;
 };
 
 /// The internal cloud and the job shape shared by every cluster (§V.A test
-/// bed: 8 internal VMs; the external side is ControllerConfig::ec_sites).
+/// bed: 8 internal speed-1 VMs; the external side is
+/// ControllerConfig::ec_sites). Each job runs as one map task and one merge
+/// task, the paper's Fig. 2 semantics: a job occupies one resource, and
+/// parallelism comes from concurrent jobs and Algorithm 2's pdfchunk.
 struct TopologyConfig {
   std::size_t ic_machines = 8;
-  double ic_speed = 1.0;
-  /// Map-task granularity on any cluster (MB of input per map task).
-  double map_chunk_mb = 16.0;
-  /// Hadoop task-slot cap: how many map tasks of ONE job may run
-  /// concurrently. 1 reproduces the paper's Fig. 2 semantics (each job
-  /// occupies one resource; parallelism comes from concurrent jobs, and
-  /// Algorithm 2's pdfchunk is what splits big jobs across machines).
-  int max_map_tasks_per_job = 1;
   /// Merge/compress cost per MB of output on the executing cluster.
   double merge_seconds_per_output_mb = 0.05;
 };
@@ -94,29 +75,15 @@ struct EcSiteConfig {
   /// This is what makes bursting a small job unattractive when the
   /// internal queue is short.
   double job_overhead_seconds = 30.0;
-  /// Relative price class (e.g. machine-hour list price) read by
-  /// SiteSelection::kCheapestFeasible; lower is cheaper.
-  double price_per_machine_hour = 0.10;
   cbs::net::LinkConfig uplink{};
   cbs::net::LinkConfig downlink{};
-};
-
-/// How a burst picks its site among ControllerConfig::ec_sites — the
-/// *where* question (§I: "depending on the input job's SLAs"). The
-/// schedulers answer *whether*; BeliefState applies this policy inside
-/// every ft^ec it returns. Irrelevant with one site.
-enum class SiteSelection : std::uint8_t {
-  kFastest,  ///< earliest believed round-trip completion
-  /// Cheapest site whose believed completion still meets the job's ticket
-  /// deadline (ControllerConfig::ticket_policy); the fastest when none can.
-  kCheapestFeasible,
 };
 
 /// §V.B.4 future work: elastic scaling of the external cloud — "the
 /// scaling (at EC) must be just enough to ensure saturation of the
 /// download bandwidth". A periodic autonomic check grows each EC site
-/// while work queues behind it and shrinks it when instances idle; the
-/// bounds apply per site.
+/// while work queues behind it and shrinks it when more than half its
+/// instances idle with an empty queue; the bounds apply per site.
 struct ElasticEcConfig {
   bool enabled = false;
   std::size_t min_machines = 1;
@@ -126,15 +93,13 @@ struct ElasticEcConfig {
   cbs::sim::SimDuration boot_delay = 45.0;
   /// Grow when the believed EC queue wait exceeds this many seconds.
   double grow_wait_threshold_seconds = 90.0;
-  /// Shrink when more than this fraction of instances sit idle with an
-  /// empty queue.
-  double shrink_idle_fraction = 0.5;
 };
 
 /// Proactive failure resilience: an online per-VM hazard predictor
 /// (models/hazard.hpp) feeding three controller policies — pre-emptive
-/// drain of high-hazard machines, risk-weighted burst pricing (believed EC
-/// round trips inflate with predicted failure probability, which every
+/// drain of high-hazard machines (the task running there is
+/// checkpoint-restarted), risk-weighted burst pricing (believed EC round
+/// trips inflate with predicted failure probability, which every
 /// scheduler consumes through BeliefState), and hazard-shortened burst
 /// retraction deadlines. Default-constructed = predictor off: nothing is
 /// built, no estimate changes, runs stay byte-identical.
@@ -150,10 +115,6 @@ struct ResilienceConfig {
   /// Risk pricing lever: believed EC processing scales by
   /// (1 + risk_weight × mean P(EC VM fails within the drain window)).
   double risk_weight = 0.5;
-  /// Checkpoint-restart the running task when its machine drains (the
-  /// completed fraction is preserved); otherwise the task runs to the end
-  /// and only new dispatches are blocked.
-  bool preempt_on_drain = true;
 
   [[nodiscard]] bool enabled() const noexcept {
     return hazard.kind != cbs::models::HazardPredictorKind::kOff;
@@ -170,9 +131,6 @@ struct ControllerConfig {
   /// The external sites, one Fig. 5 EC pipeline each; at least one (an
   /// empty list is rejected at construction). Site 0 is the paper's EC.
   std::vector<EcSiteConfig> ec_sites{EcSiteConfig{}};
-  SiteSelection site_selection = SiteSelection::kFastest;
-  /// The ticket promise kCheapestFeasible reads as "meets the SLA".
-  cbs::sla::TicketPolicy ticket_policy{};
 
   cbs::net::BandwidthEstimator::Config bandwidth_estimator{};
   cbs::net::ThreadTuner::Config thread_tuner{};

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 
+#include "core/bandwidth_split.hpp"
 #include "models/per_class_qrsm.hpp"
 #include "simcore/snapshot.hpp"
 #include "sla/slack.hpp"
@@ -18,6 +18,10 @@ using cbs::sla::Placement;
 using StoredObject = cbs::compute::JobStore::ObjectKind;
 
 namespace {
+
+/// Elastic EC shrinks a site when more than this fraction of its instances
+/// sit idle with an empty queue.
+constexpr double kShrinkIdleFraction = 0.5;
 
 std::unique_ptr<models::ProcessingTimeEstimator> make_estimator(
     EstimatorKind kind, const cbs::workload::GroundTruthModel& truth) {
@@ -82,7 +86,7 @@ CloudBurstController::Site::Site(cbs::sim::Simulation& sim,
                                  std::size_t index, cbs::sim::RngStream rng)
     : cluster(sim, config.ec_sites[index].name, config.ec_sites[index].machines,
               config.ec_sites[index].speed),
-      runtime(sim, cluster),
+      runtime(cluster),
       uplink(sim, config.ec_sites[index].uplink,
              rng.substream(site_stream("uplink", index))),
       downlink(sim, config.ec_sites[index].downlink,
@@ -94,7 +98,7 @@ CloudBurstController::Site::Site(cbs::sim::Simulation& sim,
       down_tuner(config.thread_tuner),
       upload_queues(sim, uplink, up_tuner,
                     config.scheduler == SchedulerKind::kBandwidthSplit
-                        ? config.params.size_interval_queues
+                        ? kSizeIntervalQueues
                         : 1),
       download_queue(sim, downlink, down_tuner, 1) {
   if (config.resilience.enabled()) {
@@ -105,7 +109,7 @@ CloudBurstController::Site::Site(cbs::sim::Simulation& sim,
 
 CloudBurstController::Site::Site(cbs::sim::Simulation& dst, const Site& src)
     : cluster(dst, src.cluster),
-      runtime(dst, src.runtime, cluster),
+      runtime(src.runtime, cluster),
       uplink(dst, src.uplink),
       downlink(dst, src.downlink),
       store(dst, src.store),
@@ -141,11 +145,10 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& sim,
       config_(validated(std::move(config))),
       truth_(truth),
       log_("controller", config_.log_threshold),
-      ic_cluster_(sim, "ic", config_.topology.ic_machines, config_.topology.ic_speed),
-      ic_runtime_(sim, ic_cluster_),
+      ic_cluster_(sim, "ic", config_.topology.ic_machines),
+      ic_runtime_(ic_cluster_),
       proc_estimator_(make_estimator(config_.estimator, truth)),
-      belief_(*proc_estimator_, config_.topology.ic_machines,
-              config_.topology.ic_speed, config_.topology.max_map_tasks_per_job),
+      belief_(*proc_estimator_, config_.topology.ic_machines),
       scheduler_(make_scheduler(config_.scheduler)) {
   if (config_.log_sink) log_.set_sink(config_.log_sink);
   wire_ic();
@@ -153,11 +156,9 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& sim,
     sites_.push_back(std::make_unique<Site>(sim, config_, i, rng));
     Site& site = *sites_.back();
     belief_.add_ec_site(site.uplink_estimator, site.downlink_estimator,
-                        config_.ec_sites[i],
-                        config_.topology.max_map_tasks_per_job);
+                        config_.ec_sites[i]);
     wire_site(i);
   }
-  belief_.set_site_selection(config_.site_selection, config_.ticket_policy);
   if (config_.scheduler == SchedulerKind::kGreedy) {
     // Algorithm 1 conditions on "the current transit bandwidth" — the
     // transient reading, not the learned time-of-day model (§IV.D).
@@ -196,7 +197,7 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
       truth_(truth),
       log_("controller", config_.log_threshold),
       ic_cluster_(dst, src.ic_cluster_),
-      ic_runtime_(dst, src.ic_runtime_, ic_cluster_),
+      ic_runtime_(src.ic_runtime_, ic_cluster_),
       proc_estimator_(src.proc_estimator_->clone(truth)),
       belief_(src.belief_, *proc_estimator_),
       scheduler_(src.scheduler_->clone()),
@@ -268,8 +269,7 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
 
 void CloudBurstController::wire_ic() {
   ic_cluster_.set_task_done_hook([this] { dispatch_ic(); });
-  ic_runtime_.set_on_complete(
-      [this](const compute::MapReduceRecord& rec) { on_ic_done(rec.job_id); });
+  ic_runtime_.set_on_complete([this](std::uint64_t seq) { on_ic_done(seq); });
   if (config_.enable_rescheduler) {
     ic_cluster_.set_idle_hook([this](std::size_t) { maybe_pull_back(); });
   }
@@ -285,9 +285,8 @@ void CloudBurstController::wire_site(std::size_t i) {
       [this, i](std::uint64_t seq, int, const net::TransferRecord& rec) {
         on_download_done(i, seq, rec);
       });
-  site.runtime.set_on_complete([this, i](const compute::MapReduceRecord& rec) {
-    on_ec_proc_done(i, rec.job_id);
-  });
+  site.runtime.set_on_complete(
+      [this, i](std::uint64_t seq) { on_ec_proc_done(i, seq); });
   // Link-handler registration order is part of the fork contract: the
   // transfer queue sets claimed slot 0 of each link during construction,
   // so the probe handlers land on slot 1 in source and clone alike.
@@ -478,19 +477,12 @@ void CloudBurstController::on_batch_as(const cbs::workload::Batch& batch,
   std::swap(scheduler_, *alt);
 }
 
-compute::MapReduceSpec CloudBurstController::spec_for(const Job& job,
-                                                      double merge_per_mb) const {
+compute::MapReduceSpec CloudBurstController::spec_for(const Job& job) const {
   compute::MapReduceSpec spec;
   spec.job_id = job.seq_id;
-  spec.total_map_seconds = job.true_service_seconds;
-  // Task granularity is capped by the per-job slot limit: with a cap of k,
-  // splitting finer than k tasks cannot add concurrency, so we emit at most
-  // k (equal) tasks.
-  spec.num_map_tasks = std::clamp(
-      static_cast<int>(
-          std::ceil(job.doc.features.size_mb / config_.topology.map_chunk_mb)),
-      1, config_.topology.max_map_tasks_per_job);
-  spec.merge_seconds = merge_per_mb * job.doc.output_size_mb;
+  spec.map_seconds = job.true_service_seconds;
+  spec.merge_seconds =
+      config_.topology.merge_seconds_per_output_mb * job.doc.output_size_mb;
   return spec;
 }
 
@@ -519,7 +511,7 @@ void CloudBurstController::set_state(Job& job, JobState state) {
 void CloudBurstController::run_on_ic(std::uint64_t seq) {
   Job& job = job_at(seq);
   set_state(job, JobState::kIcRunning);
-  ic_runtime_.run(spec_for(job, config_.topology.merge_seconds_per_output_mb));
+  ic_runtime_.run(spec_for(job));
 }
 
 void CloudBurstController::on_ic_done(std::uint64_t seq) {
@@ -567,8 +559,7 @@ void CloudBurstController::start_ec_processing(std::uint64_t seq) {
   Job& job = job_at(seq);
   const EcSiteConfig& cfg = config_.ec_sites[job.site];
   set_state(job, JobState::kEcRunning);
-  compute::MapReduceSpec spec =
-      spec_for(job, config_.topology.merge_seconds_per_output_mb);
+  compute::MapReduceSpec spec = spec_for(job);
   // EMR job setup/staging occupies the executing instance; book it on the
   // merge task (speed-scaled so it costs the configured wall seconds).
   spec.merge_seconds += cfg.job_overhead_seconds * cfg.speed;
@@ -838,8 +829,7 @@ void CloudBurstController::update_cluster_drains(
     if (cluster.machine_retired(m)) continue;
     const double p = hazard.failure_probability(m, now, window);
     if (p >= config_.resilience.drain_threshold) {
-      if (cluster.machine_drained(m) ||
-          cluster.drain_machine(m, config_.resilience.preempt_on_drain)) {
+      if (cluster.machine_drained(m) || cluster.drain_machine(m)) {
         // Flag (or keep flagging) the machine as predicted-to-crash; the
         // estimator scores the prediction when the crash lands or the
         // window expires.
@@ -907,7 +897,7 @@ void CloudBurstController::scale_site(std::size_t index) {
     const auto idle =
         static_cast<double>(cluster.machine_count() - cluster.running_tasks());
     if (cluster.queued_tasks() == 0 &&
-        idle > e.shrink_idle_fraction *
+        idle > kShrinkIdleFraction *
                    static_cast<double>(cluster.machine_count())) {
       if (cluster.remove_machine()) {
         ++scale_downs_;
@@ -942,8 +932,7 @@ void CloudBurstController::maybe_pull_back() {
       Job& job = job_at(seq);
       const double reexec_seconds =
           job.estimated_service_seconds /
-          (static_cast<double>(config_.topology.ic_machines) *
-           config_.topology.ic_speed);
+          static_cast<double>(config_.topology.ic_machines);
       const double remaining_ec =
           belief_.ec_round_trip_no_load(job.doc, sim_.now(), i);
       if (remaining_ec <= reexec_seconds) continue;

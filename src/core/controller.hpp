@@ -43,8 +43,8 @@ namespace cbs::core {
 /// is asynchronous; the controller reacts to completion events. It owns the
 /// autonomic loop: QRSM observations after every job, EWMA bandwidth
 /// updates after every transfer, periodic 1 MB probes, and thread-count
-/// tuning. The scheduler decides whether a job bursts; the belief's
-/// SiteSelection decides where.
+/// tuning. The scheduler decides whether a job bursts; the belief sends a
+/// burst to the site with the earliest believed completion.
 class CloudBurstController {
  public:
   /// One external site: the EC half of Fig. 5 with its own pipe, bandwidth
@@ -276,8 +276,7 @@ class CloudBurstController {
   void update_cluster_drains(compute::Cluster& cluster,
                              models::VmHazardEstimator& hazard);
   [[nodiscard]] double site_failure_risk(std::size_t site) const;
-  [[nodiscard]] compute::MapReduceSpec spec_for(const Job& job,
-                                                double merge_per_mb) const;
+  [[nodiscard]] compute::MapReduceSpec spec_for(const Job& job) const;
   [[nodiscard]] Job& job_at(std::uint64_t seq);
   /// Adds an outstanding job to the table; returns it in place.
   Job& add_job(Job job);

@@ -36,28 +36,15 @@ void OrderPreservingScheduler::apply_chunking(
     std::vector<cbs::workload::Document>& docs, Context& ctx) {
   const auto window = static_cast<std::size_t>(ctx.params.variability_window);
   const std::size_t original_size = docs.size();
+  const cbs::workload::PdfChunker chunker(ctx.params.chunker);
 
   // The batch with every split document replaced by its chunks, in order;
   // started at the first split, so a batch that splits nothing is left as
-  // it is. Input document j sits at index i of the spliced list, behind
-  // the chunks added ahead of it, and the documents from i on are still
-  // the unsplit input docs[j, end).
+  // it is. The documents after input document j are still the unsplit
+  // input docs[j + 1, end), so the window is read from docs.
   std::vector<cbs::workload::Document> spliced;
   for (std::size_t j = 0; j < original_size; ++j) {
-    const std::size_t i = spliced.empty() ? j : spliced.size();
     if (!docs[j].is_chunk()) {
-      // §VII non-uniform chunking: the effective target grows toward the
-      // tail of the batch, trading availability for per-chunk overhead.
-      cbs::workload::PdfChunker::Config chunk_cfg = ctx.params.chunker;
-      if (ctx.params.position_aware_chunking && original_size > 1) {
-        const double frac =
-            static_cast<double>(std::min(i, original_size - 1)) /
-            static_cast<double>(original_size - 1);
-        chunk_cfg.target_size_mb *=
-            1.0 + (ctx.params.tail_chunk_scale - 1.0) * frac;
-      }
-      const cbs::workload::PdfChunker chunker(chunk_cfg);
-
       // σ(i : i+x) over the sizes of the upcoming window (lines 4–5).
       const double sigma =
           size_stddev(docs, j, std::min(original_size, j + window));

@@ -43,13 +43,10 @@ std::vector<ScheduleDecision> IcOnlyScheduler::schedule_batch(
 
 std::vector<ScheduleDecision> RandomScheduler::schedule_batch(
     std::vector<cbs::workload::Document> docs, Context& ctx) {
-  if (!rng_) {
-    rng_ = std::make_unique<cbs::sim::RngStream>(ctx.params.random_seed);
-  }
   std::vector<ScheduleDecision> out;
   out.reserve(docs.size());
   for (const auto& doc : docs) {
-    if (rng_->next_double() < ctx.params.random_burst_probability) {
+    if (rng_.next_double() < kBurstProbability) {
       // Still record the believed round trip so the belief stays coherent;
       // the decision itself ignores it.
       out.push_back(decide_ec(doc, ctx.belief.ft_ec(doc, ctx.now), ctx));

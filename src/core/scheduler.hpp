@@ -88,17 +88,20 @@ class IcOnlyScheduler final : public Scheduler {
 /// ... relative to a random scheduler" — this is that comparator.
 class RandomScheduler final : public Scheduler {
  public:
+  /// Probability that a job is bursted.
+  static constexpr double kBurstProbability = 0.15;
+  /// Seed of the burst draws; every run draws the same sequence.
+  static constexpr std::uint64_t kSeed = 12345;
+
   [[nodiscard]] std::string_view name() const override { return "random"; }
   [[nodiscard]] std::vector<ScheduleDecision> schedule_batch(
       std::vector<cbs::workload::Document> docs, Context& ctx) override;
   [[nodiscard]] std::unique_ptr<Scheduler> clone() const override {
-    auto out = std::make_unique<RandomScheduler>();
-    if (rng_) out->rng_ = std::make_unique<cbs::sim::RngStream>(*rng_);
-    return out;
+    return std::make_unique<RandomScheduler>(*this);
   }
 
  private:
-  std::unique_ptr<cbs::sim::RngStream> rng_;  ///< lazily seeded from params
+  cbs::sim::RngStream rng_{kSeed};
 };
 
 /// Factory for the four §IV/§V scheduler flavors.

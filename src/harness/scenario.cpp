@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace cbs::harness {
 
@@ -20,7 +21,6 @@ cbs::core::ControllerConfig Scenario::controller_config() const {
     }
   }
   cfg.scheduler = scheduler;
-  cfg.ticket_policy = ticket_policy;
   cfg.estimator = estimator;
   cfg.enable_rescheduler = enable_rescheduler;
   if (faults.enabled()) cfg.faults = faults;
@@ -48,6 +48,20 @@ std::vector<std::string> Scenario::validate() const {
   }
   if (!std::isfinite(truth.noise_sigma) || truth.noise_sigma < 0.0) {
     reject("truth.noise_sigma", "finite and >= 0", truth.noise_sigma);
+  }
+  if (!std::isfinite(oo_sampling_interval) || oo_sampling_interval <= 0.0) {
+    reject("oo_sampling_interval", "finite and > 0", oo_sampling_interval);
+  }
+  const std::pair<const char*, double> fault_fields[] = {
+      {"faults.ic_vm_mtbf", faults.ic_vm_mtbf},
+      {"faults.ec_vm_mtbf", faults.ec_vm_mtbf},
+      {"faults.vm_recovery_seconds", faults.vm_recovery_seconds},
+      {"faults.retraction_deadline_factor", faults.retraction_deadline_factor},
+  };
+  for (const auto& [field, value] : fault_fields) {
+    if (!std::isfinite(value) || value < 0.0) {
+      reject(field, "finite and >= 0", value);
+    }
   }
   return errors;
 }

@@ -62,8 +62,8 @@ struct Scenario {
   double oo_sampling_interval = 120.0;
   std::uint64_t oo_tolerance = 4;
 
-  // Ticket SLA (§I) and pay-as-you-go billing evaluated on every run; the
-  // ticket is also what SiteSelection::kCheapestFeasible must meet.
+  // Ticket SLA (§I) and pay-as-you-go billing evaluated on every run, and
+  // scored by the lookahead policy.
   cbs::sla::TicketPolicy ticket_policy{};
   cbs::sla::CostRates cost_rates{};
 
@@ -75,16 +75,17 @@ struct Scenario {
   cbs::sim::Logger::Sink log_sink{};
 
   /// Full controller override (e.g. a list of EC sites); when set, the
-  /// scheduler/estimator/rescheduler, network-variation and ticket fields
-  /// above are still applied on top of it.
+  /// scheduler/estimator/rescheduler, network-variation, fault, resilience
+  /// and logging fields above are still applied on top of it.
   std::optional<cbs::core::ControllerConfig> config_override;
 
   /// Resolves the effective controller configuration.
   [[nodiscard]] cbs::core::ControllerConfig controller_config() const;
 
-  /// One named error per workload value no run can use: no batches, a
-  /// non-positive arrival rate or batch interval, a negative or non-finite
-  /// noise sigma. Empty when the scenario is runnable.
+  /// One named error per value no run can use: no batches, a non-positive
+  /// arrival rate, batch interval or OO sampling interval, a negative or
+  /// non-finite noise sigma or fault field. Empty when the scenario is
+  /// runnable.
   [[nodiscard]] std::vector<std::string> validate() const;
 };
 

@@ -20,6 +20,12 @@ namespace cbs::harness {
 
 namespace {
 
+/// The lookahead score's unfinished-job charge, in penalty seconds per job
+/// still outstanding at horizon end.
+constexpr double kUnfinishedPenaltySeconds = 900.0;
+/// Exchange rate folding the cloud bill into penalty seconds.
+constexpr double kSecondsPerDollar = 3600.0;
+
 /// The "standard set of production data observed across a variety of
 /// locations" (§III.A.1): a uniform corpus, labeled by actually observed
 /// (noisy) runtimes.
@@ -416,32 +422,20 @@ double LookaheadController::score_with(const ScenarioWorld& world,
                                        double lateness,
                                        double ordered_mb) const {
   const double unfinished =
-      config_.unfinished_penalty_seconds *
+      kUnfinishedPenaltySeconds *
       static_cast<double>(world.controller().outstanding_jobs());
   const cbs::sla::CostReport cost = cbs::sla::compute_cost(
       world.controller().cost_inputs(), world.scenario().cost_rates);
   // Predicted-outage exposure: jobs the horizon-end belief still places on
-  // the EC are at risk of a predicted crash; price that as a fraction of
-  // the unfinished penalty. Zero exactly when the hazard predictor is off
-  // (ec_failure_risk() is 0), so the score is unchanged.
+  // the EC are at risk of a predicted crash; price each at the unfinished
+  // penalty times the predicted failure risk. Zero exactly when the hazard
+  // predictor is off (ec_failure_risk() is 0), so the score is unchanged.
   const double hazard_exposure =
-      config_.hazard_risk_weight * world.controller().ec_failure_risk() *
+      world.controller().ec_failure_risk() *
       static_cast<double>(world.controller().outstanding_ec_jobs()) *
-      config_.unfinished_penalty_seconds;
+      kUnfinishedPenaltySeconds;
   return lateness + unfinished + hazard_exposure +
-         config_.seconds_per_dollar * cost.cloud_total() -
-         config_.oo_weight_seconds_per_mb * ordered_mb;
-}
-
-RunResult run_scenario_via_fork(const Scenario& scenario,
-                                cbs::sim::SimTime fork_time) {
-  ScenarioWorld parent(scenario);
-  // fork_time 0 means a pristine fork: run_until(0) would already fire the
-  // t=0 batch (events at exactly the deadline fire), so skip it.
-  if (fork_time > 0.0) parent.run_until(fork_time);
-  std::unique_ptr<ScenarioWorld> resumed = parent.fork();
-  resumed->run();
-  return resumed->result();
+         kSecondsPerDollar * cost.cloud_total() - ordered_mb;
 }
 
 }  // namespace cbs::harness

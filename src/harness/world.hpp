@@ -173,30 +173,22 @@ class ScenarioWorld {
 ///
 /// The score is an SLA-cost surrogate in "penalty seconds":
 ///
-///   Σ ticket lateness  +  penalty × unfinished jobs
-///     + seconds_per_dollar × cloud bill  −  oo_weight × ordered output MB
+///   Σ ticket lateness  +  900 s × unfinished jobs
+///     + 900 s × predicted EC failure risk × jobs still on the EC
+///     + 3600 s per dollar of cloud bill  −  1 s per ordered output MB
 ///
 /// Lateness and the cloud bill are the two SLA terms the paper optimizes;
 /// the ordered-output credit is its OO metric (Eq. 6) evaluated at horizon
 /// end; the unfinished penalty keeps a candidate from looking good by
-/// merely deferring work past the horizon.
+/// merely deferring work past the horizon. The EC-risk term prices the
+/// jobs a predicted crash would hit; it is exactly zero when the hazard
+/// predictor is off.
 class LookaheadController {
  public:
   struct Config {
     double horizon_seconds = 900.0;
     /// Candidates evaluated, a prefix of candidate_order() (min 1).
     int candidates = 3;
-    /// Charged per job still outstanding at horizon end, seconds.
-    double unfinished_penalty_seconds = 900.0;
-    /// Exchange rate folding the cloud bill into penalty seconds.
-    double seconds_per_dollar = 3600.0;
-    /// Credit per MB of in-order output available at horizon end.
-    double oo_weight_seconds_per_mb = 1.0;
-    /// Weight of the predicted-EC-outage term: each job the rolled-forward
-    /// world still believes on the EC is charged this fraction of the
-    /// unfinished penalty times the controller's predicted EC failure
-    /// risk. Exactly zero contribution when the hazard predictor is off.
-    double hazard_risk_weight = 1.0;
   };
 
   struct Decision {
@@ -246,13 +238,5 @@ class LookaheadController {
   Config config_;
   std::unique_ptr<TaskPool> pool_;
 };
-
-/// Checkpoint/resume driver used by the fork-equivalence suite: builds a
-/// fresh world, advances it to `fork_time`, forks it, abandons the parent
-/// and completes the fork. The result must be byte-identical to
-/// run_scenario(scenario) — for any fork_time. A fork_time of 0 forks the
-/// pristine world before any event (including the t=0 batch) fires.
-[[nodiscard]] RunResult run_scenario_via_fork(const Scenario& scenario,
-                                              cbs::sim::SimTime fork_time);
 
 }  // namespace cbs::harness

@@ -82,31 +82,4 @@ class OracleEstimator final : public ProcessingTimeEstimator {
   const cbs::workload::GroundTruthModel& truth_;
 };
 
-/// Deliberately biased estimator (multiplies an inner estimator by a fixed
-/// factor) — drives the over/under-estimation failure modes §IV.D discusses.
-class BiasedEstimator final : public ProcessingTimeEstimator {
- public:
-  BiasedEstimator(std::unique_ptr<ProcessingTimeEstimator> inner, double factor)
-      : inner_(std::move(inner)), factor_(factor) {}
-
-  [[nodiscard]] double estimate_seconds(
-      const cbs::workload::Document& doc) const override {
-    return inner_->estimate_seconds(doc) * factor_;
-  }
-  void observe(const cbs::workload::Document& doc, double actual_seconds) override {
-    inner_->observe(doc, actual_seconds);
-  }
-
-  [[nodiscard]] std::unique_ptr<ProcessingTimeEstimator> clone(
-      const cbs::workload::GroundTruthModel& truth) const override {
-    auto inner = inner_->clone(truth);
-    if (!inner) return nullptr;
-    return std::make_unique<BiasedEstimator>(std::move(inner), factor_);
-  }
-
- private:
-  std::unique_ptr<ProcessingTimeEstimator> inner_;
-  double factor_;
-};
-
 }  // namespace cbs::models

@@ -193,6 +193,11 @@ const std::map<std::string, std::string>& field_of_flag() {
       {"lambda", "mean_jobs_per_batch"},
       {"interval", "batch_interval_seconds"},
       {"noise", "noise_sigma"},
+      {"oo-interval", "oo_sampling_interval"},
+      {"ic-mtbf", "ic_vm_mtbf"},
+      {"ec-mtbf", "ec_vm_mtbf"},
+      {"vm-recovery", "vm_recovery_seconds"},
+      {"retraction-factor", "retraction_deadline_factor"},
   };
   return kFields;
 }

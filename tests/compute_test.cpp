@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "compute/cluster.hpp"
@@ -147,105 +148,83 @@ TEST(ClusterTest, ZeroServiceTaskCompletesInstantly) {
 
 // ---- MapReduceRuntime ------------------------------------------------------
 
+/// A MapReduceRuntime's completions as (job id, completion time) pairs.
+struct Completions {
+  std::vector<std::pair<std::uint64_t, double>> done;
+  void record_on(MapReduceRuntime& mr, const Simulation& sim) {
+    mr.set_on_complete([this, &sim](std::uint64_t job_id) {
+      done.emplace_back(job_id, sim.now());
+    });
+  }
+};
+
 TEST(MapReduceTest, SingleTaskJob) {
   Simulation sim;
   Cluster cluster(sim, "c", 2);
-  MapReduceRuntime mr(sim, cluster);
-  MapReduceRecord record;
-  mr.set_on_complete([&](const MapReduceRecord& rec) { record = rec; });
-  mr.run({.job_id = 1, .total_map_seconds = 10.0, .num_map_tasks = 1,
-          .merge_seconds = 2.0});
+  MapReduceRuntime mr(cluster);
+  Completions c;
+  c.record_on(mr, sim);
+  mr.run({.job_id = 1, .map_seconds = 10.0, .merge_seconds = 2.0});
+  sim.run_until(10.0);
+  // The map is done; the merge runs.
+  EXPECT_TRUE(c.done.empty());
+  EXPECT_EQ(cluster.running_tasks(), 1u);
+  EXPECT_EQ(mr.jobs_in_flight(), 1u);
   sim.run();
-  EXPECT_DOUBLE_EQ(record.maps_done, 10.0);
-  EXPECT_DOUBLE_EQ(record.completed, 12.0);
-}
-
-TEST(MapReduceTest, MapsRunInParallel) {
-  Simulation sim;
-  Cluster cluster(sim, "c", 4);
-  MapReduceRuntime mr(sim, cluster);
-  MapReduceRecord record;
-  mr.set_on_complete([&](const MapReduceRecord& rec) { record = rec; });
-  mr.run({.job_id = 1, .total_map_seconds = 40.0, .num_map_tasks = 4,
-          .merge_seconds = 0.0});
-  sim.run();
-  // 4 tasks of 10s over 4 machines -> 10s wall.
-  EXPECT_DOUBLE_EQ(record.completed, 10.0);
-}
-
-TEST(MapReduceTest, MergeWaitsForAllMaps) {
-  Simulation sim;
-  Cluster cluster(sim, "c", 1);
-  MapReduceRuntime mr(sim, cluster);
-  MapReduceRecord record;
-  mr.set_on_complete([&](const MapReduceRecord& rec) { record = rec; });
-  mr.run({.job_id = 1, .total_map_seconds = 9.0, .num_map_tasks = 3,
-          .merge_seconds = 1.0});
-  sim.run();
-  EXPECT_DOUBLE_EQ(record.maps_done, 9.0);  // serial on one machine
-  EXPECT_DOUBLE_EQ(record.completed, 10.0);
+  ASSERT_EQ(c.done.size(), 1u);
+  EXPECT_EQ(c.done[0].first, 1u);
+  EXPECT_DOUBLE_EQ(c.done[0].second, 12.0);
 }
 
 TEST(MapReduceTest, ConcurrentJobsInterleave) {
   Simulation sim;
   Cluster cluster(sim, "c", 2);
-  MapReduceRuntime mr(sim, cluster);
-  std::vector<std::uint64_t> order;
-  std::vector<MapReduceRecord> records;
-  mr.set_on_complete([&order, &records](const MapReduceRecord& rec) {
-    order.push_back(rec.job_id);
-    records.push_back(rec);
-  });
+  MapReduceRuntime mr(cluster);
+  Completions c;
+  c.record_on(mr, sim);
   for (std::uint64_t id = 1; id <= 3; ++id) {
-    mr.run({.job_id = id, .total_map_seconds = 4.0, .num_map_tasks = 2,
-            .merge_seconds = 0.0});
+    mr.run({.job_id = id, .map_seconds = 4.0, .merge_seconds = 0.0});
   }
   sim.run();
-  ASSERT_EQ(order.size(), 3u);
+  ASSERT_EQ(c.done.size(), 3u);
   // FCFS at task level preserves job completion order.
-  EXPECT_EQ(order[0], 1u);
-  EXPECT_EQ(order[1], 2u);
-  EXPECT_EQ(order[2], 3u);
+  EXPECT_EQ(c.done[0].first, 1u);
+  EXPECT_EQ(c.done[1].first, 2u);
+  EXPECT_EQ(c.done[2].first, 3u);
+  EXPECT_DOUBLE_EQ(c.done[2].second, 8.0);
   EXPECT_EQ(mr.jobs_in_flight(), 0u);
-  EXPECT_EQ(records.size(), 3u);
 }
 
 TEST(MapReduceTest, ForkMidJobMatchesSource) {
-  // Three maps and a merge on one machine: after the first map, the fork
-  // carries a running map, a queued map and a job waiting on both.
+  // Two jobs on one machine: mid-way through the first map, the fork
+  // carries a running map, a queued map and two jobs waiting to merge.
   Simulation sim_a;
   Cluster cluster_a(sim_a, "c", 1);
-  MapReduceRuntime mr_a(sim_a, cluster_a);
-  std::vector<MapReduceRecord> recs_a;
-  mr_a.set_on_complete(
-      [&recs_a](const MapReduceRecord& rec) { recs_a.push_back(rec); });
-  mr_a.run({.job_id = 1, .total_map_seconds = 9.0, .num_map_tasks = 3,
-            .merge_seconds = 1.0});
-  sim_a.run_until(4.0);
+  MapReduceRuntime mr_a(cluster_a);
+  Completions a;
+  a.record_on(mr_a, sim_a);
+  mr_a.run({.job_id = 1, .map_seconds = 4.0, .merge_seconds = 1.0});
+  mr_a.run({.job_id = 2, .map_seconds = 5.0, .merge_seconds = 1.0});
+  sim_a.run_until(2.0);
   ASSERT_EQ(cluster_a.running_tasks(), 1u);
   ASSERT_EQ(cluster_a.queued_tasks(), 1u);
 
   Simulation sim_b;
   Cluster cluster_b(sim_b, cluster_a);
-  MapReduceRuntime mr_b(sim_b, mr_a, cluster_b);
-  std::vector<MapReduceRecord> recs_b;
-  mr_b.set_on_complete(
-      [&recs_b](const MapReduceRecord& rec) { recs_b.push_back(rec); });
+  MapReduceRuntime mr_b(mr_a, cluster_b);
+  Completions b;
+  b.record_on(mr_b, sim_b);
   cbs::sim::SnapshotContext ctx(sim_a, sim_b);
   cluster_b.rebuild_events(ctx);
   ASSERT_EQ(ctx.finish(), 0u);
 
   sim_a.run();
   sim_b.run();
-  ASSERT_EQ(recs_a.size(), 1u);
-  ASSERT_EQ(recs_b.size(), 1u);
-  EXPECT_EQ(recs_b[0].job_id, recs_a[0].job_id);
-  EXPECT_EQ(recs_b[0].submitted, recs_a[0].submitted);
-  EXPECT_EQ(recs_b[0].maps_done, recs_a[0].maps_done);
-  EXPECT_EQ(recs_b[0].completed, recs_a[0].completed);
-  EXPECT_EQ(recs_b[0].num_map_tasks, recs_a[0].num_map_tasks);
-  EXPECT_DOUBLE_EQ(recs_a[0].maps_done, 9.0);
-  EXPECT_DOUBLE_EQ(recs_a[0].completed, 10.0);
+  ASSERT_EQ(a.done.size(), 2u);
+  EXPECT_EQ(b.done, a.done);
+  // Job 1's merge queues behind job 2's map (FCFS): 4 + 5 + 1, then + 1.
+  EXPECT_DOUBLE_EQ(a.done[0].second, 10.0);
+  EXPECT_DOUBLE_EQ(a.done[1].second, 11.0);
   EXPECT_EQ(mr_b.jobs_in_flight(), 0u);
 }
 

@@ -204,62 +204,6 @@ TEST(PerClassQrsmTest, WorksAsControllerEstimator) {
   EXPECT_EQ(ctl.outstanding_jobs(), 0u);
 }
 
-// ---- position-aware chunking ---------------------------------------------
-
-TEST(PositionAwareChunkingTest, TailJobsGetCoarserChunks) {
-  // Two identical huge jobs at head and tail: the head one must split into
-  // more chunks than the tail one.
-  workload::GroundTruthModel truth({.noise_sigma = 0.0}, RngStream(11));
-  models::OracleEstimator estimator(truth);
-  net::BandwidthEstimator up({.slots_per_day = 1, .alpha = 0.3, .prior_rate = 1.0e6});
-  net::BandwidthEstimator down = up;
-  core::BeliefState belief(estimator, up, down, 4, 1.0, 2, 1.0);
-
-  core::SchedulerParams params;
-  params.variability_window = 4;
-  params.variability_threshold_mb = 30.0;
-  params.chunker.target_size_mb = 60.0;
-  params.position_aware_chunking = true;
-  params.tail_chunk_scale = 4.0;
-
-  std::uint64_t next_seq = 1;
-  std::uint64_t next_doc = 1000;
-  core::Scheduler::Context ctx{
-      .now = 0.0,
-      .belief = belief,
-      .params = params,
-      .truth = truth,
-      .next_seq = &next_seq,
-      .next_doc_id = &next_doc,
-      .ic_machines = 4,
-      .upload_class_backlog_bytes = {0.0},
-      .download_backlog_bytes = {0.0},
-  };
-
-  auto make = [](std::uint64_t id, double mb) {
-    workload::Document d;
-    d.doc_id = id;
-    d.features.size_mb = mb;
-    d.features.pages = static_cast<int>(mb);
-    d.output_size_mb = mb;
-    return d;
-  };
-  core::OrderPreservingScheduler scheduler;
-  const auto decisions = scheduler.schedule_batch(
-      {make(1, 240.0), make(2, 5.0), make(3, 5.0), make(4, 5.0), make(5, 5.0),
-       make(6, 5.0), make(7, 240.0)},
-      ctx);
-
-  int head_chunks = 0;
-  int tail_chunks = 0;
-  for (const auto& d : decisions) {
-    if (d.doc.parent_id == 1) ++head_chunks;
-    if (d.doc.parent_id == 7) ++tail_chunks;
-  }
-  EXPECT_GT(head_chunks, 1);
-  EXPECT_GT(head_chunks, tail_chunks);
-}
-
 // ---- a list of EC sites (multi-provider bursting, §VII) ----------------------
 
 /// A flat, noise-free pipe of `rate` bytes/s each way.
@@ -337,34 +281,6 @@ TEST(EcSitesTest, SpillsToSecondSiteWhenFirstSaturates) {
   ASSERT_GE(run.bursts[0] + run.bursts[1], 4u);
   EXPECT_GT(run.bursts[0], 0u);
   EXPECT_GT(run.bursts[1], 0u);
-}
-
-TEST(EcSitesTest, CheapestFeasibleSelectionPrefersCheapSite) {
-  // Two equally fast sites; one costs a quarter as much. With a loose
-  // ticket every burst fits on either, so the cheap one carries the load.
-  harness::Scenario s = two_site_scenario(30);
-  core::ControllerConfig& cfg = config_of(s);
-  cfg.ec_sites = {flat_site("pricey", 4.0e6), flat_site("cheap", 4.0e6)};
-  cfg.ec_sites[0].price_per_machine_hour = 0.20;
-  cfg.ec_sites[1].price_per_machine_hour = 0.05;
-  cfg.site_selection = core::SiteSelection::kCheapestFeasible;
-  s.ticket_policy = {.base_seconds = 1.0e6, .seconds_per_mb = 0.0};
-  const SiteRun run = run_sites(s);
-  EXPECT_GT(run.bursts[1], run.bursts[0]);
-}
-
-TEST(EcSitesTest, TightDeadlineFallsBackToFastest) {
-  // A ticket no site can meet: the policy falls back to the fastest round
-  // trip (site 0's pipe) instead of the cheap slow site.
-  harness::Scenario s = two_site_scenario(32);
-  core::ControllerConfig& cfg = config_of(s);
-  cfg.ec_sites[0].price_per_machine_hour = 0.20;
-  cfg.ec_sites[1].price_per_machine_hour = 0.05;
-  cfg.site_selection = core::SiteSelection::kCheapestFeasible;
-  s.ticket_policy = {.base_seconds = 1.0, .seconds_per_mb = 0.0};
-  const SiteRun run = run_sites(s);
-  ASSERT_GT(run.bursts[0] + run.bursts[1], 0u);
-  EXPECT_GE(run.bursts[0], run.bursts[1]);
 }
 
 TEST(EcSitesTest, SurvivesNoisyPathsAndProbes) {

@@ -20,7 +20,22 @@ using cbs::harness::RunResult;
 using cbs::harness::Scenario;
 using cbs::harness::ScenarioWorld;
 using cbs::harness::run_scenario;
-using cbs::harness::run_scenario_via_fork;
+
+/// Checkpoint/resume helper: builds a fresh world, advances it to
+/// `fork_time`, forks it, abandons the parent and completes the fork. The
+/// result must be byte-identical to run_scenario(scenario) — for any
+/// fork_time. A fork_time of 0 forks the pristine world before any event
+/// (including the t=0 batch) fires.
+RunResult run_scenario_via_fork(const Scenario& scenario,
+                                cbs::sim::SimTime fork_time) {
+  ScenarioWorld parent(scenario);
+  // fork_time 0 means a pristine fork: run_until(0) would already fire the
+  // t=0 batch (events at exactly the deadline fire), so skip it.
+  if (fork_time > 0.0) parent.run_until(fork_time);
+  std::unique_ptr<ScenarioWorld> resumed = parent.fork();
+  resumed->run();
+  return resumed->result();
+}
 
 /// The table1_metrics-style fixture: the §V grid cell the flagship bench
 /// pins, shrunk to keep the suite fast.

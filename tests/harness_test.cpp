@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -160,6 +161,32 @@ TEST(ScenarioValidateTest, NamesEveryBadField) {
   Scenario negative_noise;
   negative_noise.truth.noise_sigma = -0.1;
   EXPECT_EQ(negative_noise.validate().size(), 1u);
+
+  // The OO sampling interval and every fault field; each of these once
+  // passed validation and then aborted in an assert or ran fault-free.
+  for (const double interval : {0.0, -1.0, std::nan("")}) {
+    Scenario oo;
+    oo.oo_sampling_interval = interval;
+    const std::vector<std::string> oo_errors = oo.validate();
+    ASSERT_EQ(oo_errors.size(), 1u) << interval;
+    EXPECT_NE(oo_errors[0].find("oo_sampling_interval"), std::string::npos);
+  }
+  Scenario faults;
+  faults.faults.ic_vm_mtbf = -5.0;
+  faults.faults.ec_vm_mtbf = std::nan("");
+  faults.faults.vm_recovery_seconds = -1.0;
+  faults.faults.retraction_deadline_factor = -1.0;
+  const std::vector<std::string> fault_errors = faults.validate();
+  ASSERT_EQ(fault_errors.size(), 4u);
+  EXPECT_NE(fault_errors[0].find("faults.ic_vm_mtbf"), std::string::npos);
+  EXPECT_NE(fault_errors[1].find("faults.ec_vm_mtbf"), std::string::npos);
+  EXPECT_NE(fault_errors[2].find("faults.vm_recovery_seconds"),
+            std::string::npos);
+  EXPECT_NE(fault_errors[3].find("faults.retraction_deadline_factor"),
+            std::string::npos);
+  Scenario infinite_mtbf;
+  infinite_mtbf.faults.ic_vm_mtbf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(infinite_mtbf.validate().size(), 1u);
 }
 
 TEST(ScenarioValidateTest, WorldAndRunRejectInvalidScenarios) {
@@ -177,6 +204,16 @@ TEST(ScenarioValidateTest, CliRejectsBadValuesBeforeCasting) {
   EXPECT_THROW((void)cli::scenario_from_args(scenario_args({"--batches=0"})),
                std::invalid_argument);
   EXPECT_THROW((void)cli::scenario_from_args(scenario_args({"--noise=nan"})),
+               std::invalid_argument);
+  for (const char* flag :
+       {"--oo-interval=0", "--oo-interval=nan", "--ic-mtbf=-5",
+        "--retraction-factor=-1"}) {
+    EXPECT_THROW((void)cli::scenario_from_args(scenario_args({flag})),
+                 std::invalid_argument)
+        << flag;
+  }
+  EXPECT_THROW((void)cli::scenario_from_args(
+                   scenario_args({"--ic-mtbf=3600", "--vm-recovery=-1"})),
                std::invalid_argument);
 }
 

@@ -466,15 +466,6 @@ TEST(EstimatorTest, OracleReturnsExpectation) {
                    truth.expected_seconds(d.features));
 }
 
-TEST(EstimatorTest, BiasedEstimatorScales) {
-  const auto truth = noiseless_truth();
-  auto biased = BiasedEstimator(std::make_unique<OracleEstimator>(truth), 1.5);
-  Document d;
-  d.features.size_mb = 100.0;
-  EXPECT_DOUBLE_EQ(biased.estimate_seconds(d),
-                   1.5 * truth.expected_seconds(d.features));
-}
-
 TEST(EstimatorTest, QrsmEstimatorLearnsFromObserve) {
   const auto truth = noiseless_truth();
   WorkloadGenerator gen({}, truth, RngStream(8));
