@@ -11,6 +11,7 @@
 #include "net/bandwidth_estimator.hpp"
 #include "net/link.hpp"
 #include "net/thread_tuner.hpp"
+#include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 
 int main(int argc, char** argv) try {
@@ -49,8 +50,9 @@ int main(int argc, char** argv) try {
         estimator.observe(simulation.now(), rec.transfer_rate());
         tuner.report(simulation.now(), rec.threads, rec.transfer_rate());
       });
+  sim::ClosureEvents events(simulation);
   for (int i = 0; i < probes; ++i) {
-    simulation.schedule_at(i * interval, [&] {
+    events.at(i * interval, [&] {
       link.submit(probe_bytes, tuner.suggest(simulation.now()), probe_done, 0);
     });
   }

@@ -18,6 +18,7 @@
 #include "models/qrsm.hpp"
 #include "net/bandwidth_estimator.hpp"
 #include "net/link.hpp"
+#include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 #include "sla/metrics.hpp"
 #include "workload/chunker.hpp"
@@ -27,12 +28,26 @@
 
 namespace {
 
+/// The engine benchmarks' event target: counts what it receives, the way a
+/// simulation component handles its events.
+class CountingTarget final : public cbs::sim::EventTarget {
+ public:
+  explicit CountingTarget(cbs::sim::Simulation& sim)
+      : id(sim.register_target(*this)) {}
+  void on_event(std::uint32_t /*kind*/, std::uint64_t arg) override {
+    sum += arg;
+  }
+  cbs::sim::TargetId id;
+  std::uint64_t sum = 0;
+};
+
 void BM_EventEngineThroughput(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     cbs::sim::Simulation sim;
+    CountingTarget target(sim);
     for (int i = 0; i < n; ++i) {
-      sim.schedule_at(static_cast<double>(i % 97), [] {});
+      sim.schedule_at(static_cast<double>(i % 97), {target.id, 0, 1});
     }
     sim.run();
     benchmark::DoNotOptimize(sim.events_processed());
@@ -47,14 +62,15 @@ void BM_EventCancelChurn(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     cbs::sim::Simulation sim;
+    CountingTarget target(sim);
     std::vector<cbs::sim::EventId> doomed;
     doomed.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
       const double t = static_cast<double>(i % 97) + 1.0;
       if (i % 8 == 0) {
-        sim.schedule_at(t, [] {});
+        sim.schedule_at(t, {target.id, 0, 1});
       } else {
-        doomed.push_back(sim.schedule_at(t, [] {}));
+        doomed.push_back(sim.schedule_at(t, {target.id, 0, 1}));
       }
       if (doomed.size() >= 32) {
         for (const auto id : doomed) sim.cancel(id);
@@ -293,9 +309,10 @@ void BM_LinkAllocationStorm(benchmark::State& state) {
     cbs::net::Link link(sim, cfg, cbs::sim::RngStream(1));
     const int done = link.register_handler(
         [](std::uint64_t, const cbs::net::TransferRecord&) {});
+    cbs::sim::ClosureEvents events(sim);
     for (int i = 0; i < n; ++i) {
-      sim.schedule_at(static_cast<double>(i) * 0.1,
-                      [&link, done] { link.submit(1.0e5, 2, done, 0); });
+      events.at(static_cast<double>(i) * 0.1,
+                [&link, done] { link.submit(1.0e5, 2, done, 0); });
     }
     sim.run();
     benchmark::DoNotOptimize(link.total_bytes_delivered());
@@ -439,8 +456,8 @@ void BM_HazardFaultedScenario(benchmark::State& state) {
 BENCHMARK(BM_HazardFaultedScenario)->Unit(benchmark::kMillisecond);
 
 void BM_SnapshotFork(benchmark::State& state) {
-  // Cost of one deep fork of a live mid-run world (engine + controller +
-  // every sub-component + pending-event restoration). The lookahead
+  // Cost of one deep fork of a live mid-run world (engine copy +
+  // controller + every sub-component + target re-registration). The lookahead
   // policy pays this once per candidate per decision, so it must stay a
   // small fraction of the horizon roll it enables (BM_LookaheadDecision).
   auto scenario = cbs::harness::make_scenario(

@@ -31,6 +31,7 @@
 #include "core/upload_queues.hpp"
 #include "net/link.hpp"
 #include "net/thread_tuner.hpp"
+#include "simcore/closure_events.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/simulation.hpp"
 
@@ -82,12 +83,13 @@ RunResult run_storm(std::size_t jobs) {
   // (and thus memory) is workload-bound, not horizon-bound.
   sim.reserve_events(1024);
   cbs::sim::RngStream rng(cbs::sim::RngStream(42).substream("arrivals"));
+  cbs::sim::ClosureEvents events(sim);
   double when = 0.0;
   for (std::size_t i = 0; i < jobs; ++i) {
     const double bytes = rng.uniform(0.2e6, 4.0e6);
     const int klass = static_cast<int>(i % 3);
     when += rng.uniform(0.2, 1.5);
-    sim.schedule_at(when, [&queues, i, bytes, klass] {
+    events.at(when, [&queues, i, bytes, klass] {
       queues.enqueue(/*tag=*/i + 1, bytes, klass);
     });
   }

@@ -7,6 +7,7 @@
 
 #include "core/controller.hpp"
 #include "harness/scenario.hpp"
+#include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 #include "stats/distributions.hpp"
 #include "sla/metrics.hpp"
@@ -52,6 +53,7 @@ int main() {
       {"afternoon mixed", 15.0, 5, workload::SizeBucket::kUniform},
   };
 
+  sim::ClosureEvents events(simulation);
   std::size_t batch_counter = 0;
   for (const Shift& shift : shifts) {
     workload::WorkloadGenerator::Config gen_cfg;
@@ -63,7 +65,7 @@ int main() {
     for (std::size_t b = 0; b < shift.batches; ++b) {
       const double at = shift.start_hour * sim::kHour + 180.0 * static_cast<double>(b);
       const std::size_t index = batch_counter++;
-      simulation.schedule_at(at, [&controller, gen, rng, index, at] {
+      events.at(at, [&controller, gen, rng, index, at] {
         workload::Batch batch;
         batch.batch_index = index;
         batch.arrival_time = at;

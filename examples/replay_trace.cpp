@@ -5,6 +5,7 @@
 #include <string>
 
 #include "core/controller.hpp"
+#include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 #include "sla/metrics.hpp"
 #include "sla/report.hpp"
@@ -31,9 +32,10 @@ cbs::sla::SlaReport run_trace(const std::vector<cbs::workload::Batch>& batches,
     for (const auto& d : docs) y.push_back(truth.sample_seconds(d.features));
     controller.pretrain(docs, y);
   }
+  sim::ClosureEvents events(simulation);
   for (const auto& batch : batches) {
-    simulation.schedule_at(batch.arrival_time,
-                           [&controller, batch] { controller.on_batch(batch); });
+    events.at(batch.arrival_time,
+              [&controller, batch] { controller.on_batch(batch); });
   }
   simulation.run();
   return sla::build_report(

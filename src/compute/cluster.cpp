@@ -3,15 +3,17 @@
 #include <cassert>
 #include <utility>
 
-#include "simcore/snapshot.hpp"
-
 namespace cbs::compute {
 
 using cbs::sim::SimTime;
 
 Cluster::Cluster(cbs::sim::Simulation& sim, std::string name, std::size_t machines,
                  double speed)
-    : sim_(sim), name_(std::move(name)), speed_(speed), machines_(machines),
+    : sim_(sim),
+      target_(sim.register_target(*this)),
+      name_(std::move(name)),
+      speed_(speed),
+      machines_(machines),
       running_tasks_(machines) {
   assert(machines > 0);
   assert(speed > 0.0);
@@ -22,6 +24,7 @@ Cluster::Cluster(cbs::sim::Simulation& sim, std::string name, std::size_t machin
 
 Cluster::Cluster(cbs::sim::Simulation& dst, const Cluster& src)
     : sim_(dst),
+      target_(dst.register_target(*this, src.target_)),
       name_(src.name_),
       speed_(src.speed_),
       machines_(src.machines_),
@@ -45,12 +48,8 @@ Cluster::Cluster(cbs::sim::Simulation& dst, const Cluster& src)
       queued_standard_seconds_(src.queued_standard_seconds_),
       next_id_(src.next_id_) {}
 
-void Cluster::rebuild_events(cbs::sim::SnapshotContext& ctx) {
-  for (std::size_t m = 0; m < running_tasks_.size(); ++m) {
-    if (!running_tasks_[m]) continue;
-    running_tasks_[m]->completion =
-        ctx.restore(running_tasks_[m]->completion, [this, m] { finish(m); });
-  }
+void Cluster::on_event(std::uint32_t /*kind*/, std::uint64_t machine) {
+  finish(machine);
 }
 
 void Cluster::note_provision_change(std::size_t new_count) {
@@ -155,10 +154,10 @@ void Cluster::dispatch() {
     ++running_;
 
     const double duration = task.standard_service / speed_;
-    // The task is parked on the machine (not in the event closure) so a
-    // crash can cancel the completion and reclaim it for re-execution.
+    // The task is parked on the machine (the event names only the
+    // machine) so a crash can cancel the completion and reclaim it.
     Running run{std::move(task), sim_.now(), {}};
-    run.completion = sim_.schedule_in(duration, [this, free] { finish(free); });
+    run.completion = sim_.schedule_in(duration, {target_, 0, free});
     running_tasks_[free] = std::move(run);
   }
 }

@@ -10,10 +10,6 @@
 #include "simcore/simulation.hpp"
 #include "simcore/time.hpp"
 
-namespace cbs::sim {
-class SnapshotContext;
-}
-
 namespace cbs::compute {
 
 using TaskId = std::uint64_t;
@@ -35,7 +31,7 @@ struct TaskRecord {
 /// controllers) and external (EMR) clouds. Tasks are dispatched to the
 /// lowest-indexed free machine; each machine runs one task at a time at
 /// `speed` times the standard rate.
-class Cluster {
+class Cluster : private cbs::sim::EventTarget {
  public:
   using Callback = std::function<void(const TaskRecord&)>;
 
@@ -45,13 +41,9 @@ class Cluster {
   Cluster& operator=(const Cluster&) = delete;
 
   /// Fork support: copies `src`'s value state (machines, queue, running
-  /// tasks, accounting) into a cluster bound to `dst`. Hooks are NOT
-  /// copied — owners re-register them on the clone — and then
-  /// rebuild_events() re-schedules the running tasks' completions.
+  /// tasks, accounting) into a cluster bound to `dst`, the copy of `src`'s
+  /// engine. Hooks are NOT copied — owners re-register them on the clone.
   Cluster(cbs::sim::Simulation& dst, const Cluster& src);
-
-  /// Re-schedules pending completion events after a fork.
-  void rebuild_events(cbs::sim::SnapshotContext& ctx);
 
   /// Enqueues a task needing `standard_service_seconds` of speed-1
   /// compute. Its completion is dispatched to the task-complete hook with
@@ -211,20 +203,24 @@ class Cluster {
     double standard_service;
   };
 
-  /// The task executing on one machine, kept out of the completion-event
-  /// closure so a crash can cancel the event and reclaim the task.
+  /// The task executing on one machine; its completion event carries only
+  /// the machine index, so a crash can cancel the event and reclaim the
+  /// task.
   struct Running {
     Pending task;
     cbs::sim::SimTime started = 0.0;
     cbs::sim::EventId completion{};
   };
 
+  /// The completion of the task running on machine `machine`.
+  void on_event(std::uint32_t kind, std::uint64_t machine) override;
   void dispatch();
   void finish(std::size_t machine);
 
   void note_provision_change(std::size_t new_count);
 
   cbs::sim::Simulation& sim_;
+  cbs::sim::TargetId target_;
   std::string name_;
   double speed_;
   std::vector<Machine> machines_;

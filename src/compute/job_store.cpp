@@ -4,12 +4,10 @@
 #include <cassert>
 #include <utility>
 
-#include "simcore/snapshot.hpp"
-
 namespace cbs::compute {
 
 JobStore::JobStore(cbs::sim::Simulation& sim, Config config)
-    : sim_(sim), config_(config) {
+    : sim_(sim), target_(sim.register_target(*this)), config_(config) {
   assert(config_.max_attempts >= 1);
   assert(config_.retry_backoff >= 0.0);
   assert(config_.backoff_multiplier >= 1.0);
@@ -18,6 +16,7 @@ JobStore::JobStore(cbs::sim::Simulation& sim, Config config)
 
 JobStore::JobStore(cbs::sim::Simulation& dst, const JobStore& src)
     : sim_(dst),
+      target_(dst.register_target(*this, src.target_)),
       config_(src.config_),
       available_(src.available_),
       failed_attempts_(src.failed_attempts_),
@@ -34,13 +33,6 @@ int JobStore::register_continuation(Continuation continuation) {
   assert(continuation);
   continuations_.push_back(std::move(continuation));
   return static_cast<int>(continuations_.size()) - 1;
-}
-
-void JobStore::rebuild_events(cbs::sim::SnapshotContext& ctx) {
-  for (auto& [op_id, op] : pending_ops_) {
-    const std::uint64_t id = op_id;
-    op.retry = ctx.restore(op.retry, [this, id] { retry_op(id); });
-  }
 }
 
 cbs::sim::SimDuration JobStore::backoff_delay(int attempt) const {
@@ -74,16 +66,15 @@ void JobStore::step_op(PendingOp op) {
   }
   const std::uint64_t op_id = next_op_id_++;
   const cbs::sim::SimDuration delay = backoff_delay(op.attempt);
-  op.retry = sim_.schedule_in(delay, [this, op_id] { retry_op(op_id); });
+  sim_.schedule_in(delay, {target_, 0, op_id});
   pending_ops_.emplace(op_id, std::move(op));
 }
 
-void JobStore::retry_op(std::uint64_t op_id) {
+void JobStore::on_event(std::uint32_t /*kind*/, std::uint64_t op_id) {
   auto it = pending_ops_.find(op_id);
   assert(it != pending_ops_.end());
   PendingOp op = std::move(it->second);
   pending_ops_.erase(it);
-  op.retry = cbs::sim::EventId{};
   ++op.attempt;
   step_op(std::move(op));
 }

@@ -9,10 +9,6 @@
 #include "simcore/time.hpp"
 #include "util/flat_map.hpp"
 
-namespace cbs::sim {
-class SnapshotContext;
-}
-
 namespace cbs::compute {
 
 /// The external cloud's staging storage (Amazon S3 in the prototype):
@@ -31,7 +27,7 @@ namespace cbs::compute {
 /// `Config::max_attempts`. With the store available and capacity
 /// unconstrained (the defaults), put_async completes synchronously and
 /// schedules no events — the fault layer is free when disabled.
-class JobStore {
+class JobStore : private cbs::sim::EventTarget {
  public:
   enum class ObjectKind : std::uint8_t { kInput, kOutput };
 
@@ -58,16 +54,13 @@ class JobStore {
   JobStore& operator=(const JobStore&) = delete;
 
   /// Fork support: copies `src`'s value state (objects, occupancy
-  /// accounting, pending retry records) into a store bound to `dst`.
-  /// Continuations are NOT copied — the owner must register them on the
-  /// clone in source order, then call rebuild_events().
+  /// accounting, pending retry records) into a store bound to `dst`, the
+  /// copy of `src`'s engine. Continuations are NOT copied — the owner must
+  /// register them on the clone in source order.
   JobStore(cbs::sim::Simulation& dst, const JobStore& src);
 
   /// Registers a continuation and returns its slot for put_async.
   int register_continuation(Continuation continuation);
-
-  /// Re-schedules pending retry events after a fork.
-  void rebuild_events(cbs::sim::SnapshotContext& ctx);
 
   /// Stores `bytes` as job `seq`'s object of `kind`; overwrites an
   /// existing one.
@@ -111,8 +104,8 @@ class JobStore {
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
  private:
-  /// One put_async awaiting its next retry — pure value state plus the
-  /// pending event id, so forks can re-schedule it.
+  /// One put_async awaiting its next retry — pure value state, named by
+  /// its retry event's argument.
   struct PendingOp {
     std::uint64_t seq = 0;
     ObjectKind kind = ObjectKind::kInput;
@@ -120,18 +113,19 @@ class JobStore {
     int slot = -1;
     std::uint64_t tag = 0;
     int attempt = 0;
-    cbs::sim::EventId retry{};
   };
 
   /// The objects_ key of job `seq`'s object of `kind`.
   [[nodiscard]] static std::uint64_t key_of(std::uint64_t seq, ObjectKind kind);
 
-  cbs::sim::Simulation& sim_;
+  /// The retry of pending op `op_id`.
+  void on_event(std::uint32_t kind, std::uint64_t op_id) override;
   void integrate();
   [[nodiscard]] cbs::sim::SimDuration backoff_delay(int attempt) const;
   void step_op(PendingOp op);
-  void retry_op(std::uint64_t op_id);
 
+  cbs::sim::Simulation& sim_;
+  cbs::sim::TargetId target_;
   Config config_;
   bool available_ = true;
   std::uint64_t failed_attempts_ = 0;

@@ -39,8 +39,8 @@ class MapReduceRuntime {
   /// Fork support: copies `src`'s in-flight bookkeeping into a runtime
   /// bound to `cluster` (the forked cluster) and re-registers the
   /// cluster's task-complete hook. The runtime schedules no events of its
-  /// own — its pending state is all cluster tasks, which the cluster's own
-  /// rebuild_events() restores.
+  /// own — its pending state is all cluster tasks, which the forked
+  /// cluster carries.
   MapReduceRuntime(const MapReduceRuntime& src, Cluster& cluster);
 
   /// Submits a job; its completion is dispatched to the set_on_complete()

@@ -14,6 +14,16 @@ std::string_view to_string(SchedulerKind kind) noexcept {
   return "?";
 }
 
+void set_link_noise(cbs::net::LinkConfig& link, bool high_network_variation) {
+  // Normal regime: short-lived fluctuations (correlation time ~5 min).
+  // High variation (Fig. 9/10): congestion epochs lasting tens of minutes —
+  // the regime where transient-bandwidth decisions strand whole clusters of
+  // bursted jobs behind a trough.
+  link.noise_rho = high_network_variation ? 0.95 : 0.9;
+  link.noise_sigma = high_network_variation ? 0.25 : 0.12;
+  link.noise_step = high_network_variation ? 120.0 : 30.0;
+}
+
 ControllerConfig default_controller_config(bool high_network_variation) {
   ControllerConfig cfg;
 
@@ -29,13 +39,7 @@ ControllerConfig default_controller_config(bool high_network_variation) {
   ec.uplink.base_rate = 1.3e6;
   ec.uplink.per_connection_cap = 320.0e3;
   ec.uplink.profile = cbs::net::DiurnalProfile::business_pipe();
-  // Normal regime: short-lived fluctuations (correlation time ~5 min).
-  // High variation (Fig. 9/10): congestion epochs lasting tens of minutes —
-  // the regime where transient-bandwidth decisions strand whole clusters of
-  // bursted jobs behind a trough.
-  ec.uplink.noise_rho = high_network_variation ? 0.95 : 0.9;
-  ec.uplink.noise_sigma = high_network_variation ? 0.25 : 0.12;
-  ec.uplink.noise_step = high_network_variation ? 120.0 : 30.0;
+  set_link_noise(ec.uplink, high_network_variation);
   ec.uplink.setup_latency = 0.3;
 
   ec.downlink = ec.uplink;

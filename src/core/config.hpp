@@ -88,11 +88,6 @@ struct ElasticEcConfig {
   bool enabled = false;
   std::size_t min_machines = 1;
   std::size_t max_machines = 8;
-  cbs::sim::SimDuration check_interval = 60.0;
-  /// Instance spin-up delay (an EC2 boot); capacity arrives late.
-  cbs::sim::SimDuration boot_delay = 45.0;
-  /// Grow when the believed EC queue wait exceeds this many seconds.
-  double grow_wait_threshold_seconds = 90.0;
 };
 
 /// Proactive failure resilience: an online per-VM hazard predictor
@@ -174,5 +169,9 @@ struct ControllerConfig {
 /// studies. `high_network_variation` raises the AR(1) sigma (Fig. 9/10).
 [[nodiscard]] ControllerConfig default_controller_config(
     bool high_network_variation = false);
+
+/// Sets `link`'s AR(1) noise to the normal regime or, with
+/// `high_network_variation`, to the long congestion epochs of Fig. 9/10.
+void set_link_noise(cbs::net::LinkConfig& link, bool high_network_variation);
 
 }  // namespace cbs::core

@@ -8,7 +8,6 @@
 
 #include "core/bandwidth_split.hpp"
 #include "models/per_class_qrsm.hpp"
-#include "simcore/snapshot.hpp"
 #include "sla/slack.hpp"
 
 namespace cbs::core {
@@ -19,8 +18,13 @@ using StoredObject = cbs::compute::JobStore::ObjectKind;
 
 namespace {
 
-/// Elastic EC shrinks a site when more than this fraction of its instances
-/// sit idle with an empty queue.
+/// Elastic EC: the period of the scaling check, the spin-up delay of a new
+/// instance (an EC2 boot; capacity arrives late), the believed EC queue
+/// wait above which a site grows, and the fraction of idle instances (with
+/// an empty queue) above which it shrinks.
+constexpr cbs::sim::SimDuration kElasticCheckInterval = 60.0;
+constexpr cbs::sim::SimDuration kBootDelay = 45.0;
+constexpr double kGrowWaitThresholdSeconds = 90.0;
 constexpr double kShrinkIdleFraction = 0.5;
 
 std::unique_ptr<models::ProcessingTimeEstimator> make_estimator(
@@ -130,13 +134,6 @@ CloudBurstController::Site::Site(cbs::sim::Simulation& dst, const Site& src)
       probe_up_slot(src.probe_up_slot),
       probe_down_slot(src.probe_down_slot) {}
 
-void CloudBurstController::Site::rebuild_events(cbs::sim::SnapshotContext& ctx) {
-  uplink.rebuild_events(ctx);
-  downlink.rebuild_events(ctx);
-  cluster.rebuild_events(ctx);
-  store.rebuild_events(ctx);
-}
-
 CloudBurstController::CloudBurstController(cbs::sim::Simulation& sim,
                                            ControllerConfig config,
                                            cbs::workload::GroundTruthModel& truth,
@@ -145,6 +142,7 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& sim,
       config_(validated(std::move(config))),
       truth_(truth),
       log_("controller", config_.log_threshold),
+      target_(sim.register_target(*this)),
       ic_cluster_(sim, "ic", config_.topology.ic_machines),
       ic_runtime_(ic_cluster_),
       proc_estimator_(make_estimator(config_.estimator, truth)),
@@ -196,6 +194,7 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
       config_(src.config_),
       truth_(truth),
       log_("controller", config_.log_threshold),
+      target_(dst.register_target(*this, src.target_)),
       ic_cluster_(dst, src.ic_cluster_),
       ic_runtime_(src.ic_runtime_, ic_cluster_),
       proc_estimator_(src.proc_estimator_->clone(truth)),
@@ -216,9 +215,7 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
       elastic_check_scheduled_(src.elastic_check_scheduled_),
       scale_ups_(src.scale_ups_),
       scale_downs_(src.scale_downs_),
-      probe_event_(src.probe_event_),
-      elastic_event_(src.elastic_event_),
-      boot_events_(src.boot_events_),
+      boot_sites_(src.boot_sites_),
       next_boot_id_(src.next_boot_id_),
       burst_deadlines_(src.burst_deadlines_),
       retractions_(src.retractions_),
@@ -317,26 +314,14 @@ void CloudBurstController::wire_site(std::size_t i) {
       }));
 }
 
-void CloudBurstController::rebuild_events(cbs::sim::SnapshotContext& ctx) {
-  ic_cluster_.rebuild_events(ctx);
-  for (auto& site : sites_) site->rebuild_events(ctx);
-  if (fault_plan_) fault_plan_->rebuild_events(ctx);
-  for (auto& entry : burst_deadlines_) {
-    const std::uint64_t seq = entry.first;
-    entry.second =
-        ctx.restore(entry.second, [this, seq] { on_burst_deadline(seq); });
+void CloudBurstController::on_event(std::uint32_t kind, std::uint64_t arg) {
+  switch (kind) {
+    case kProbe: probe(); return;
+    case kBurstDeadline: on_burst_deadline(arg); return;
+    case kElasticCheck: elastic_check(); return;
+    case kBootDone: on_boot_done(arg); return;
   }
-  if (probe_scheduled_) {
-    probe_event_ = ctx.restore(probe_event_, [this] { probe(); });
-  }
-  if (elastic_check_scheduled_) {
-    elastic_event_ = ctx.restore(elastic_event_, [this] { elastic_check(); });
-  }
-  for (auto& entry : boot_events_) {
-    const std::uint64_t boot_id = entry.first;
-    entry.second.event = ctx.restore(entry.second.event,
-                                     [this, boot_id] { on_boot_done(boot_id); });
-  }
+  assert(false && "unknown controller event");
 }
 
 void CloudBurstController::pretrain(
@@ -647,12 +632,11 @@ sla::CostInputs CloudBurstController::cost_inputs() const {
 void CloudBurstController::ensure_probing() {
   if (probe_scheduled_ || config_.probe_interval <= 0.0) return;
   probe_scheduled_ = true;
-  probe_event_ = sim_.schedule_in(config_.probe_interval, [this] { probe(); });
+  sim_.schedule_in(config_.probe_interval, {target_, kProbe, 0});
 }
 
 void CloudBurstController::probe() {
   probe_scheduled_ = false;
-  probe_event_ = cbs::sim::EventId{};
   if (outstanding_ == 0) return;  // run over; stop generating events
   if (config_.faults.in_probe_blackout(sim_.now())) {
     // Probe infrastructure is down: skip the measurement but keep the
@@ -689,7 +673,7 @@ void CloudBurstController::arm_burst_deadline(std::uint64_t seq) {
   // expected cost of waiting out a predicted outage rises with the risk.
   if (sites_[job.site]->hazard) delay /= (1.0 + belief_.ec_risk_factor(job.site));
   burst_deadlines_[seq] =
-      sim_.schedule_in(delay, [this, seq] { on_burst_deadline(seq); });
+      sim_.schedule_in(delay, {target_, kBurstDeadline, seq});
 }
 
 void CloudBurstController::disarm_burst_deadline(std::uint64_t seq) {
@@ -859,13 +843,11 @@ double CloudBurstController::ec_failure_risk() const {
 void CloudBurstController::ensure_elastic_check() {
   if (!config_.elastic_ec.enabled || elastic_check_scheduled_) return;
   elastic_check_scheduled_ = true;
-  elastic_event_ = sim_.schedule_in(config_.elastic_ec.check_interval,
-                                    [this] { elastic_check(); });
+  sim_.schedule_in(kElasticCheckInterval, {target_, kElasticCheck, 0});
 }
 
 void CloudBurstController::elastic_check() {
   elastic_check_scheduled_ = false;
-  elastic_event_ = cbs::sim::EventId{};
   if (outstanding_ == 0) return;  // run over; let the simulation drain
   for (std::size_t i = 0; i < sites_.size(); ++i) scale_site(i);
   ensure_elastic_check();
@@ -883,16 +865,15 @@ void CloudBurstController::scale_site(std::size_t index) {
       (static_cast<double>(std::max<std::size_t>(provisioned, 1)) *
        config_.ec_sites[index].speed);
 
-  if (wait_seconds > e.grow_wait_threshold_seconds &&
+  if (wait_seconds > kGrowWaitThresholdSeconds &&
       provisioned < e.max_machines) {
     ++site.pending_boots;
     ++scale_ups_;
     log_.info(sim_.now(), "elastic EC: scaling ", cluster.name(), " up to ",
               provisioned + 1);
     const std::uint64_t boot_id = next_boot_id_++;
-    boot_events_[boot_id] = PendingBoot{
-        index,
-        sim_.schedule_in(e.boot_delay, [this, boot_id] { on_boot_done(boot_id); })};
+    boot_sites_[boot_id] = index;
+    sim_.schedule_in(kBootDelay, {target_, kBootDone, boot_id});
   } else if (provisioned > e.min_machines && site.pending_boots == 0) {
     const auto idle =
         static_cast<double>(cluster.machine_count() - cluster.running_tasks());
@@ -910,10 +891,10 @@ void CloudBurstController::scale_site(std::size_t index) {
 }
 
 void CloudBurstController::on_boot_done(std::uint64_t boot_id) {
-  const auto it = boot_events_.find(boot_id);
-  assert(it != boot_events_.end());
-  const std::size_t index = it->second.site;
-  boot_events_.erase(it);
+  const auto it = boot_sites_.find(boot_id);
+  assert(it != boot_sites_.end());
+  const std::size_t index = it->second;
+  boot_sites_.erase(it);
   Site& site = *sites_[index];
   --site.pending_boots;
   site.cluster.add_machine();

@@ -45,7 +45,7 @@ namespace cbs::core {
 /// updates after every transfer, periodic 1 MB probes, and thread-count
 /// tuning. The scheduler decides whether a job bursts; the belief sends a
 /// burst to the site with the earliest believed completion.
-class CloudBurstController {
+class CloudBurstController : private cbs::sim::EventTarget {
  public:
   /// One external site: the EC half of Fig. 5 with its own pipe, bandwidth
   /// model, thread tuners, transfer queues, staging store and (when the
@@ -60,9 +60,6 @@ class CloudBurstController {
     Site(cbs::sim::Simulation& dst, const Site& src);
     Site(const Site&) = delete;
     Site& operator=(const Site&) = delete;
-
-    /// Re-schedules this site's pending link, cluster and store events.
-    void rebuild_events(cbs::sim::SnapshotContext& ctx);
 
     compute::Cluster cluster;
     compute::MapReduceRuntime runtime;
@@ -93,18 +90,14 @@ class CloudBurstController {
   CloudBurstController(const CloudBurstController&) = delete;
   CloudBurstController& operator=(const CloudBurstController&) = delete;
 
-  /// Fork support: deep-copies `src` into a controller bound to the (empty)
-  /// destination engine `dst` and the fork's ground-truth model. Every
-  /// sub-component is value-cloned and rebound to its forked peers; call
-  /// rebuild_events() afterwards to re-schedule the pending work, then
-  /// SnapshotContext::finish() to verify nothing was orphaned.
+  /// Fork support: deep-copies `src` into a controller bound to `dst`, the
+  /// copy of `src`'s engine, and the fork's ground-truth model. Every
+  /// sub-component is value-cloned, registered on `dst` in the source's
+  /// order and rebound to its forked peers, so the copied pending events
+  /// reach the clones.
   CloudBurstController(cbs::sim::Simulation& dst,
                        const CloudBurstController& src,
                        cbs::workload::GroundTruthModel& truth);
-
-  /// Re-schedules all pending events owned by this controller and its
-  /// sub-components after a fork.
-  void rebuild_events(cbs::sim::SnapshotContext& ctx);
 
   /// Seeds the QRSM with a labeled factory corpus (§III.A.1: "initial best
   /// estimate model based on a standard set of production data"). No-op for
@@ -224,12 +217,9 @@ class CloudBurstController {
   }
 
  private:
-  /// An elastic instance booting on `site`, and its pending boot event.
-  struct PendingBoot {
-    std::size_t site = 0;
-    cbs::sim::EventId event{};
-  };
+  enum : std::uint32_t { kProbe, kBurstDeadline, kElasticCheck, kBootDone };
 
+  void on_event(std::uint32_t kind, std::uint64_t arg) override;
   void wire_ic();
   void wire_site(std::size_t index);
   void dispatch_ic();
@@ -285,6 +275,7 @@ class CloudBurstController {
   ControllerConfig config_;
   cbs::workload::GroundTruthModel& truth_;
   sim::Logger log_;
+  cbs::sim::TargetId target_;
 
   compute::Cluster ic_cluster_;
   compute::MapReduceRuntime ic_runtime_;
@@ -320,10 +311,8 @@ class CloudBurstController {
   std::size_t scale_ups_ = 0;
   std::size_t scale_downs_ = 0;
 
-  // ---- controller-owned pending events (restored across forks) ----
-  cbs::sim::EventId probe_event_{};
-  cbs::sim::EventId elastic_event_{};
-  cbs::util::FlatMap<std::uint64_t, PendingBoot> boot_events_;
+  /// Elastic instances booting: boot id -> site.
+  cbs::util::FlatMap<std::uint64_t, std::size_t> boot_sites_;
   std::uint64_t next_boot_id_ = 1;
   /// Lazily created schedulers for on_batch_as(); cloned across forks.
   std::vector<std::pair<SchedulerKind, std::unique_ptr<Scheduler>>>

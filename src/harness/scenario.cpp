@@ -13,11 +13,8 @@ cbs::core::ControllerConfig Scenario::controller_config() const {
           cbs::core::default_controller_config(high_network_variation));
   if (config_override && high_network_variation) {
     for (cbs::core::EcSiteConfig& site : cfg.ec_sites) {
-      for (cbs::net::LinkConfig* link : {&site.uplink, &site.downlink}) {
-        link->noise_rho = 0.95;
-        link->noise_sigma = 0.25;
-        link->noise_step = 120.0;
-      }
+      cbs::core::set_link_noise(site.uplink, true);
+      cbs::core::set_link_noise(site.downlink, true);
     }
   }
   cfg.scheduler = scheduler;
@@ -62,6 +59,24 @@ std::vector<std::string> Scenario::validate() const {
     if (!std::isfinite(value) || value < 0.0) {
       reject(field, "finite and >= 0", value);
     }
+  }
+  if (!std::isfinite(lookahead_horizon_seconds) ||
+      lookahead_horizon_seconds <= 0.0) {
+    reject("lookahead_horizon_seconds", "finite and > 0",
+           lookahead_horizon_seconds);
+  }
+  if (!std::isfinite(resilience.drain_threshold) ||
+      resilience.drain_threshold < 0.0 || resilience.drain_threshold > 1.0) {
+    reject("resilience.drain_threshold", "finite and in [0, 1]",
+           resilience.drain_threshold);
+  }
+  if (!std::isfinite(resilience.drain_window_seconds) ||
+      resilience.drain_window_seconds <= 0.0) {
+    reject("resilience.drain_window_seconds", "finite and > 0",
+           resilience.drain_window_seconds);
+  }
+  if (!std::isfinite(resilience.risk_weight) || resilience.risk_weight < 0.0) {
+    reject("resilience.risk_weight", "finite and >= 0", resilience.risk_weight);
   }
   return errors;
 }

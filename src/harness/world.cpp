@@ -9,7 +9,6 @@
 #include "harness/task_pool.hpp"
 #include "models/estimator.hpp"
 #include "simcore/rng.hpp"
-#include "simcore/snapshot.hpp"
 #include "sla/cost.hpp"
 #include "sla/oo_metric.hpp"
 #include "sla/report.hpp"
@@ -80,6 +79,7 @@ double ordered_output_mb(const OutcomeLog& outcomes, std::uint64_t tolerance) {
 
 ScenarioWorld::ScenarioWorld(const Scenario& scenario)
     : scenario_(require_valid(scenario)),
+      target_(sim_.register_target(*this)),
       truth_(scenario.truth,
              cbs::sim::RngStream(scenario.seed).substream("truth")) {
   // The build order below mirrors the historical run_scenario body line by
@@ -123,27 +123,18 @@ ScenarioWorld::ScenarioWorld(const Scenario& scenario)
 
 ScenarioWorld::ScenarioWorld(const ScenarioWorld& src)
     : scenario_(src.scenario_),
+      sim_(src.sim_),
+      target_(sim_.register_target(*this, src.target_)),
       truth_(src.truth_),
+      controller_(std::make_unique<cbs::core::CloudBurstController>(
+          sim_, *src.controller_, truth_)),
       batches_(src.batches_),
       first_arrival_seq_(src.first_arrival_seq_),
-      next_arrival_(src.next_arrival_),
-      arrival_event_(src.arrival_event_),
       rollout_(src.rollout_),
       rollout_kind_(src.rollout_kind_),
       lookahead_choices_(src.lookahead_choices_),
       score_prefix_(src.score_prefix_) {
-  cbs::sim::SnapshotContext ctx(src.sim_, sim_);
-  controller_ = std::make_unique<cbs::core::CloudBurstController>(
-      sim_, *src.controller_, truth_);
-  arrival_event_ = ctx.restore(
-      arrival_event_, [this, i = next_arrival_] { deliver_batch(i); });
-  controller_->rebuild_events(ctx);
-  const std::size_t orphaned = ctx.finish();
-  if (orphaned != 0) {
-    throw std::runtime_error(
-        "ScenarioWorld fork left " + std::to_string(orphaned) +
-        " pending event(s) unclaimed (missing rebuild_events coverage)");
-  }
+  sim_.verify_fork();
 }
 
 ScenarioWorld::~ScenarioWorld() = default;
@@ -155,21 +146,17 @@ cbs::sim::SimTime ScenarioWorld::run_until(cbs::sim::SimTime deadline) {
 }
 
 std::size_t ScenarioWorld::pending_arrivals() const {
-  std::size_t pending = 0;
-  const std::uint64_t end_seq = first_arrival_seq_ + batches_->size();
-  for (const auto& record : sim_.pending_snapshot()) {
-    if (record.seq >= first_arrival_seq_ && record.seq < end_seq) ++pending;
-  }
-  return pending;
+  return sim_.pending_events_of(target_);
 }
 
 void ScenarioWorld::schedule_arrival(std::size_t index) {
-  next_arrival_ = index;
-  arrival_event_ = cbs::sim::EventId{};
   if (index >= batches_->size()) return;
-  arrival_event_ = sim_.schedule_reserved(
-      (*batches_)[index].arrival_time, first_arrival_seq_ + index,
-      [this, index] { deliver_batch(index); });
+  sim_.schedule_reserved((*batches_)[index].arrival_time,
+                         first_arrival_seq_ + index, {target_, 0, index});
+}
+
+void ScenarioWorld::on_event(std::uint32_t /*kind*/, std::uint64_t index) {
+  deliver_batch(index);
 }
 
 void ScenarioWorld::deliver_batch(std::size_t index) {

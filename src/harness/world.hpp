@@ -57,14 +57,16 @@ struct ScorePrefix {
 /// Construction replicates run_scenario's historical build order exactly —
 /// same RNG substreams, same event (time, seq) assignment — so results are
 /// byte-identical to the pre-world harness.
-class ScenarioWorld {
+class ScenarioWorld : private cbs::sim::EventTarget {
  public:
   explicit ScenarioWorld(const Scenario& scenario);
 
-  /// Fork: deep-copies `src` into an independent world via the
-  /// SnapshotContext protocol. Throws std::runtime_error if any pending
-  /// event of the source is left unclaimed (a component missed its
-  /// rebuild_events hook — a bug, not a user error).
+  /// Fork: deep-copies `src` into an independent world. The engine is
+  /// copied with its pending events, and every component registers its
+  /// clone on the copy in the source's order. Throws std::runtime_error if
+  /// the fork registered a different number of event targets than the
+  /// source had (a component that registers in one constructor and not
+  /// the other — a bug, not a user error).
   ScenarioWorld(const ScenarioWorld& src);
   ScenarioWorld& operator=(const ScenarioWorld&) = delete;
   ~ScenarioWorld();
@@ -134,20 +136,21 @@ class ScenarioWorld {
   }
 
  private:
+  /// The arrival of batch `index`, the world's only event.
+  void on_event(std::uint32_t kind, std::uint64_t index) override;
   void deliver_batch(std::size_t index);
   /// Makes arrival `index` the pending one (none past the last batch).
   void schedule_arrival(std::size_t index);
 
   Scenario scenario_;
   cbs::sim::Simulation sim_;
+  cbs::sim::TargetId target_;
   cbs::workload::GroundTruthModel truth_;
   std::unique_ptr<cbs::core::CloudBurstController> controller_;
   std::shared_ptr<const std::vector<cbs::workload::Batch>> batches_;
   /// Arrival i fires under the scheduling-order number first_arrival_seq_
   /// + i, reserved at construction; see DESIGN §12.2.
   std::uint64_t first_arrival_seq_ = 0;
-  std::size_t next_arrival_ = 0;  ///< index of the pending arrival
-  cbs::sim::EventId arrival_event_{};
   bool rollout_ = false;
   cbs::core::SchedulerKind rollout_kind_ =
       cbs::core::SchedulerKind::kOrderPreserving;

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <utility>
 
-#include "simcore/snapshot.hpp"
-
 namespace cbs::net {
 
 using cbs::sim::SimTime;
@@ -85,6 +83,7 @@ void Link::HotPool::reserve(std::size_t n) {
 
 Link::Link(cbs::sim::Simulation& sim, LinkConfig config, cbs::sim::RngStream rng)
     : sim_(sim),
+      target_(sim.register_target(*this)),
       config_(std::move(config)),
       noise_(config_.noise_rho, config_.noise_sigma, config_.noise_step,
              rng.substream("noise")),
@@ -106,6 +105,7 @@ double Link::true_capacity_now() {
 
 Link::Link(cbs::sim::Simulation& dst, const Link& src)
     : sim_(dst),
+      target_(dst.register_target(*this, src.target_)),
       config_(src.config_),
       noise_(src.noise_),
       failure_rng_(src.failure_rng_),
@@ -135,16 +135,13 @@ int Link::register_handler(TaggedHandler handler) {
   return static_cast<int>(handlers_.size()) - 1;
 }
 
-void Link::rebuild_events(cbs::sim::SnapshotContext& ctx) {
-  for (auto& [id, c] : cold_) {
-    const TransferId tid = id;
-    c.activation_event =
-        ctx.restore(c.activation_event, [this, tid] { activate(tid); });
+void Link::on_event(std::uint32_t kind, std::uint64_t id) {
+  switch (kind) {
+    case kActivate: activate(id); return;
+    case kTimer: on_timer(); return;
+    case kTick: on_tick(); return;
   }
-  timer_event_ = ctx.restore(timer_event_, [this] { on_timer(); });
-  tick_event_ = ctx.restore(tick_event_, [this] { on_tick(); });
-  assert(!timer_armed_ || timer_event_ != cbs::sim::EventId{});
-  assert(!tick_scheduled_ || tick_event_ != cbs::sim::EventId{});
+  assert(false && "unknown Link event");
 }
 
 void Link::reserve_transfers(std::size_t expected) {
@@ -172,7 +169,7 @@ TransferId Link::submit(double bytes, int threads, int handler_slot,
 
 void Link::schedule_activation(TransferId id, cbs::sim::SimDuration delay) {
   cold_.at(id).activation_event =
-      sim_.schedule_in(delay, [this, id] { activate(id); });
+      sim_.schedule_in(delay, {target_, kActivate, id});
 }
 
 void Link::arm_failure(Cold& transfer) {
@@ -318,7 +315,7 @@ void Link::flush() {
     timer_event_ = cbs::sim::EventId{};
   }
   if (next_completion_ != cbs::sim::kTimeInfinity) {
-    timer_event_ = sim_.schedule_at(next_completion_, [this] { on_timer(); });
+    timer_event_ = sim_.schedule_at(next_completion_, {target_, kTimer, 0});
     timer_armed_ = true;
   }
 }
@@ -455,7 +452,7 @@ void Link::set_outage(bool down) {
 void Link::ensure_tick() {
   if (tick_scheduled_ || cold_.empty()) return;
   tick_scheduled_ = true;
-  tick_event_ = sim_.schedule_in(config_.noise_step, [this] { on_tick(); });
+  tick_event_ = sim_.schedule_in(config_.noise_step, {target_, kTick, 0});
 }
 
 void Link::on_tick() {

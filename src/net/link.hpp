@@ -11,10 +11,6 @@
 #include "simcore/simulation.hpp"
 #include "util/flat_map.hpp"
 
-namespace cbs::sim {
-class SnapshotContext;
-}
-
 namespace cbs::net {
 
 /// Configuration of one link direction (upload or download). All rates are
@@ -105,7 +101,7 @@ struct TransferRecord {
 ///
 /// The model conserves bytes exactly (see LinkTest.ConservesBytes) and is
 /// fully deterministic given the seed.
-class Link {
+class Link : private cbs::sim::EventTarget {
  public:
   /// A registered completion handler: receives the caller's tag back.
   using TaggedHandler =
@@ -116,20 +112,16 @@ class Link {
   Link& operator=(const Link&) = delete;
 
   /// Fork support: copies `src`'s value state (noise/failure RNG positions,
-  /// active transfers, accounting) into a link bound to `dst`. Handlers are
-  /// NOT copied — each owner must call register_handler() on the clone in
-  /// the same order as on the source (slot indices must line up), then
-  /// rebuild_events() re-schedules the pending activation/timer/tick
-  /// events.
+  /// active transfers, accounting) into a link bound to `dst`, the copy of
+  /// `src`'s engine. Handlers are NOT copied — each owner must call
+  /// register_handler() on the clone in the same order as on the source
+  /// (slot indices must line up).
   Link(cbs::sim::Simulation& dst, const Link& src);
 
   /// Registers a completion handler and returns its slot for submit().
   /// Handler slots make the link forkable: the per-transfer state is then
   /// a plain {slot, tag} pair instead of a closure capturing the owner.
   int register_handler(TaggedHandler handler);
-
-  /// Re-schedules pending events after a fork (see the clone constructor).
-  void rebuild_events(cbs::sim::SnapshotContext& ctx);
 
   /// Pre-sizes the transfer tables for `expected` concurrent transfers.
   /// Purely a performance hint; growth past it still works.
@@ -246,6 +238,9 @@ class Link {
     return c.threads * config_.per_connection_cap;
   }
 
+  enum : std::uint32_t { kActivate, kTimer, kTick };
+
+  void on_event(std::uint32_t kind, std::uint64_t id) override;
   void activate(TransferId id);
   void schedule_activation(TransferId id, cbs::sim::SimDuration delay);
   void arm_failure(Cold& transfer);
@@ -263,11 +258,12 @@ class Link {
   void note_busy_transition();
 
   cbs::sim::Simulation& sim_;
+  cbs::sim::TargetId target_;
   LinkConfig config_;
   Ar1LogNoise noise_;
   cbs::sim::RngStream failure_rng_;
   // Owners re-register their handlers in original construction order so
-  // slot indices line up (snapshot.hpp protocol).
+  // slot indices line up.
   // cbs-lint: snapshot-complete-ok(re-registered post-fork in slot order)
   std::vector<TaggedHandler> handlers_;
   std::uint64_t injected_failures_ = 0;

@@ -9,20 +9,19 @@ namespace cbs::sim {
 
 /// Move-only, type-erased callable with small-buffer optimisation.
 ///
-/// `UniqueFunction<void()>` (aliased as `UniqueCallback`) is the event
-/// engine's callback type; the other instantiations carry the simulator's
-/// set-once hooks (fault callbacks, transfer-completion handlers).
-/// `std::function` was measurably wrong for the job: it must be copyable
-/// (so captured state is constrained or heap-shared), its small-buffer is
-/// implementation-defined, and every heap-spilled callback costs an
-/// allocation on the hottest path in the simulator. `UniqueFunction`
-/// guarantees:
+/// The simulator's set-once hooks (fault callbacks, transfer-completion
+/// handlers) are `UniqueFunction`s, and `UniqueFunction<void()>` (aliased
+/// as `UniqueCallback`) is the closure type of `ClosureEvents`, the event
+/// target of never-forked drivers. `std::function` was measurably wrong
+/// for the job: it must be copyable (so captured state is constrained or
+/// heap-shared), its small-buffer is implementation-defined, and every
+/// heap-spilled callback costs an allocation. `UniqueFunction` guarantees:
 ///
-///  - callables up to `kInlineSize` bytes (and nothrow-movable) live inline
-///    in the event slab — zero allocations to schedule them;
+///  - callables up to `kInlineSize` bytes (and nothrow-movable) live
+///    inline — zero allocations to store them;
 ///  - larger callables take exactly one allocation, owned uniquely;
-///  - moves are `noexcept` pointer/buffer relocations, so slab vectors can
-///    grow with cheap relocation and no exception paths.
+///  - moves are `noexcept` pointer/buffer relocations, with no exception
+///    paths.
 ///
 /// Invoking an empty callback is undefined (assert-guarded at the call
 /// sites); test with `explicit operator bool`.
@@ -32,9 +31,9 @@ class UniqueFunction;
 template <typename R, typename... Args>
 class UniqueFunction<R(Args...)> {
  public:
-  /// Sized to hold the common controller captures (`this` + a seq id + a
-  /// couple of values) with headroom; tune only with benchmark evidence
-  /// (bench/micro_perf.cpp: BM_EventEngineThroughput).
+  /// Sized to hold the common hook and driver captures (`this` or a few
+  /// references plus a couple of values) with headroom; tune only with
+  /// benchmark evidence (bench/micro_perf.cpp: BM_LinkAllocationStorm).
   static constexpr std::size_t kInlineSize = 48;
   static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
 
@@ -143,7 +142,7 @@ class UniqueFunction<R(Args...)> {
   const VTable* vt_ = nullptr;
 };
 
-/// The event engine's `void()` callback (see `EventQueue::Callback`).
+/// The `void()` closure `ClosureEvents` runs.
 using UniqueCallback = UniqueFunction<void()>;
 
 }  // namespace cbs::sim

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <utility>
 
 namespace cbs::sim {
 
@@ -22,24 +21,18 @@ constexpr std::uint32_t id_slot(std::uint64_t value) noexcept {
 
 }  // namespace
 
-std::uint32_t EventQueue::acquire_slot() const {
+std::uint32_t EventQueue::acquire_slot() {
   if (!free_.empty()) {
     const std::uint32_t idx = free_.back();
     free_.pop_back();
     return idx;
   }
-  const std::uint32_t idx = slot_count_;
-  if ((idx >> kChunkBits) == slabs_.size()) {
-    slabs_.push_back(std::make_unique<Slot[]>(kChunkSize));
-  }
-  ++slot_count_;
-  return idx;
+  slots_.emplace_back();
+  return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
-void EventQueue::release_slot(std::uint32_t idx) const {
-  Slot& slot = slot_at(idx);
-  slot.callback.reset();
-  slot.state = SlotState::kFree;
+void EventQueue::release_slot(std::uint32_t idx) {
+  slots_[idx].state = SlotState::kFree;
   free_.push_back(idx);
 }
 
@@ -49,7 +42,7 @@ void EventQueue::release_slot(std::uint32_t idx) const {
 // the prefetcher handles for free. This is where the engine's time goes,
 // so the arity is a measured choice, not a style one.
 
-void EventQueue::sift_up(std::size_t pos) const {
+void EventQueue::sift_up(std::size_t pos) {
   const HeapItem item = heap_[pos];
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / 4;
@@ -60,7 +53,7 @@ void EventQueue::sift_up(std::size_t pos) const {
   heap_[pos] = item;
 }
 
-void EventQueue::sift_down(std::size_t pos) const {
+void EventQueue::sift_down(std::size_t pos) {
   const std::size_t n = heap_.size();
   const HeapItem item = heap_[pos];
   while (true) {
@@ -78,7 +71,7 @@ void EventQueue::sift_down(std::size_t pos) const {
   heap_[pos] = item;
 }
 
-void EventQueue::heapify() const {
+void EventQueue::heapify() {
   if (heap_.size() < 2) return;
   for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;) {
     sift_down(i);
@@ -86,72 +79,46 @@ void EventQueue::heapify() const {
 }
 
 void EventQueue::reserve(std::size_t expected_events) {
-  while (slabs_.size() * kChunkSize < expected_events) {
-    slabs_.push_back(std::make_unique<Slot[]>(kChunkSize));
-  }
+  slots_.reserve(expected_events);
   heap_.reserve(expected_events);
   free_.reserve(expected_events);
 }
 
-EventId EventQueue::push(SimTime t, Callback cb) {
+EventId EventQueue::push(SimTime t, Event event) {
+  return push_reserved(t, next_seq_++, event);
+}
+
+EventId EventQueue::push_reserved(SimTime t, std::uint64_t seq, Event event) {
   assert(is_valid_time(t) && "event time must be finite and non-negative");
-  const std::uint64_t seq = next_seq_++;
-  const std::uint32_t idx = acquire_slot();
-  Slot& slot = slot_at(idx);
-  ++slot.gen;
-  slot.state = SlotState::kPending;
-  slot.callback = std::move(cb);
-  assert(idx < (1U << kSlotBits) && "too many concurrent events");
+  assert(seq > 0 && seq < next_seq_ && "seq must predate next_seq()");
   assert(seq < (1ULL << (64 - kSlotBits)) && "lifetime event limit");
-  heap_.push_back(HeapItem{t, (seq << kSlotBits) | idx});
-  sift_up(heap_.size() - 1);
-  ++live_;
-  return EventId{pack_id(slot.gen, idx)};
-}
-
-std::vector<EventQueue::PendingEvent> EventQueue::pending_records() const {
-  std::vector<PendingEvent> out;
-  out.reserve(live_);
-  for (const HeapItem& item : heap_) {
-    const std::uint32_t idx = item.slot();
-    const Slot& slot = slot_at(idx);
-    if (slot.state != SlotState::kPending) continue;
-    out.push_back(PendingEvent{EventId{pack_id(slot.gen, idx)}, item.time,
-                               item.order >> kSlotBits});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const PendingEvent& a, const PendingEvent& b) {
-              return a.seq < b.seq;
-            });
-  return out;
-}
-
-EventId EventQueue::restore(SimTime t, std::uint64_t seq, Callback cb) {
-  assert(is_valid_time(t) && "event time must be finite and non-negative");
-  assert(seq > 0 && seq < next_seq_ && "restore() seq must predate next_seq()");
   const std::uint32_t idx = acquire_slot();
-  Slot& slot = slot_at(idx);
+  assert(idx < (1U << kSlotBits) && "too many concurrent events");
+  Slot& slot = slots_[idx];
   ++slot.gen;
   slot.state = SlotState::kPending;
-  slot.callback = std::move(cb);
-  assert(idx < (1U << kSlotBits) && "too many concurrent events");
+  slot.event = event;
   heap_.push_back(HeapItem{t, (seq << kSlotBits) | idx});
   sift_up(heap_.size() - 1);
   ++live_;
   return EventId{pack_id(slot.gen, idx)};
+}
+
+const Event* EventQueue::find(EventId id) const noexcept {
+  const std::uint32_t idx = id_slot(id.value);
+  if (idx >= slots_.size()) return nullptr;
+  const Slot& slot = slots_[idx];
+  if (slot.state != SlotState::kPending || slot.gen != id_gen(id.value)) {
+    return nullptr;
+  }
+  return &slot.event;
 }
 
 bool EventQueue::cancel(EventId id) {
-  const std::uint32_t idx = id_slot(id.value);
-  if (idx >= slot_count_) return false;
-  Slot& slot = slot_at(idx);
-  if (slot.state != SlotState::kPending || slot.gen != id_gen(id.value)) {
-    return false;
-  }
+  if (find(id) == nullptr) return false;
   // Tombstone: the heap record stays until it surfaces or a compaction
-  // sweeps it, but the callback (and everything it captured) dies now.
-  slot.callback.reset();
-  slot.state = SlotState::kCancelled;
+  // sweeps it.
+  slots_[id_slot(id.value)].state = SlotState::kCancelled;
   ++tombstones_;
   assert(live_ > 0);
   --live_;
@@ -159,9 +126,20 @@ bool EventQueue::cancel(EventId id) {
   return true;
 }
 
-void EventQueue::drop_cancelled_head() const {
+std::size_t EventQueue::count_pending(TargetId target) const noexcept {
+  std::size_t count = 0;
+  for (const HeapItem& item : heap_) {
+    const Slot& slot = slots_[item.slot()];
+    if (slot.state == SlotState::kPending && slot.event.target == target) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+void EventQueue::drop_cancelled_head() {
   while (!heap_.empty() &&
-         slot_at(heap_.front().slot()).state == SlotState::kCancelled) {
+         slots_[heap_.front().slot()].state == SlotState::kCancelled) {
     release_slot(heap_.front().slot());
     --tombstones_;
     heap_.front() = heap_.back();
@@ -170,14 +148,14 @@ void EventQueue::drop_cancelled_head() const {
   }
 }
 
-void EventQueue::maybe_compact() const {
+void EventQueue::maybe_compact() {
   // Compact when tombstones dominate: the heap then shrinks to the live
   // events, bounding memory on cancel-heavy workloads (burst-retraction
   // deadlines are armed per burst and almost always cancelled).
   if (tombstones_ < 64 || tombstones_ * 2 < heap_.size()) return;
   std::size_t kept = 0;
   for (const HeapItem& item : heap_) {
-    if (slot_at(item.slot()).state == SlotState::kCancelled) {
+    if (slots_[item.slot()].state == SlotState::kCancelled) {
       release_slot(item.slot());
     } else {
       heap_[kept++] = item;
@@ -188,7 +166,7 @@ void EventQueue::maybe_compact() const {
   heapify();
 }
 
-SimTime EventQueue::next_time() const {
+SimTime EventQueue::next_time() {
   drop_cancelled_head();
   return heap_.empty() ? kTimeInfinity : heap_.front().time;
 }
@@ -196,10 +174,10 @@ SimTime EventQueue::next_time() const {
 EventQueue::Popped EventQueue::pop() {
   drop_cancelled_head();
   assert(!heap_.empty() && "pop() on empty EventQueue");
-  Slot& slot = slot_at(heap_.front().slot());
-  assert(slot.state == SlotState::kPending);
-  Popped out{heap_.front().time, std::move(slot.callback)};
-  release_slot(heap_.front().slot());
+  const std::uint32_t idx = heap_.front().slot();
+  assert(slots_[idx].state == SlotState::kPending);
+  const Popped out{heap_.front().time, slots_[idx].event};
+  release_slot(idx);
   heap_.front() = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0);

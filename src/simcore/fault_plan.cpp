@@ -5,12 +5,13 @@
 #include <string>
 #include <utility>
 
-#include "simcore/snapshot.hpp"
-
 namespace cbs::sim {
 
 FaultPlan::FaultPlan(Simulation& sim, FaultConfig config, RngStream rng)
-    : sim_(sim), config_(std::move(config)), rng_(rng) {
+    : sim_(sim),
+      target_(sim.register_target(*this)),
+      config_(std::move(config)),
+      rng_(rng) {
   assert(config_.ic_vm_mtbf >= 0.0);
   assert(config_.ec_vm_mtbf >= 0.0);
   assert(config_.vm_recovery_seconds >= 0.0);
@@ -19,6 +20,7 @@ FaultPlan::FaultPlan(Simulation& sim, FaultConfig config, RngStream rng)
 
 FaultPlan::FaultPlan(Simulation& dst, const FaultPlan& src)
     : sim_(dst),
+      target_(dst.register_target(*this, src.target_)),
       config_(src.config_),
       rng_(src.rng_),
       hooks_(src.hooks_.size()),  // empty pairs; rebind_cluster_hooks() fills
@@ -43,19 +45,13 @@ void FaultPlan::rebind_outage_hooks(OutageBeginHook on_begin,
   outage_end_ = std::move(on_end);
 }
 
-void FaultPlan::rebuild_events(SnapshotContext& ctx) {
-  for (std::size_t i = 0; i < processes_.size(); ++i) {
-    CrashProcess& p = processes_[i];
-    if (p.armed) {
-      p.pending = ctx.restore(p.pending, [this, i] { fire(i); });
-    } else if (p.recovering) {
-      p.pending = ctx.restore(p.pending, [this, i] { recover(i); });
-    }
+void FaultPlan::on_event(std::uint32_t kind, std::uint64_t index) {
+  switch (kind) {
+    case kCrash: fire(index); return;
+    case kRecover: recover(index); return;
+    case kOutageEdge: fire_outage(index); return;
   }
-  for (std::size_t k = 0; k < outage_edges_.size(); ++k) {
-    outage_edges_[k].event =
-        ctx.restore(outage_edges_[k].event, [this, k] { fire_outage(k); });
-  }
+  assert(false && "unknown FaultPlan event");
 }
 
 void FaultPlan::drive_vm_crashes(std::string_view cluster, std::size_t machines,
@@ -67,7 +63,7 @@ void FaultPlan::drive_vm_crashes(std::string_view cluster, std::size_t machines,
   const RngStream cluster_rng = rng_.substream(cluster);
   for (std::size_t m = 0; m < machines; ++m) {
     processes_.push_back(CrashProcess{cluster_rng.substream(m), mtbf, m,
-                                      cluster_idx, false, false, EventId{}});
+                                      cluster_idx, false, false});
     arm(processes_.size() - 1);
   }
 }
@@ -79,13 +75,12 @@ void FaultPlan::arm(std::size_t i) {
   // Exponential inter-crash time: -mtbf * ln(1 - U), U in [0, 1).
   const double delay =
       -process.mtbf * std::log1p(-process.rng.next_double());
-  process.pending = sim_.schedule_in(delay, [this, i] { fire(i); });
+  sim_.schedule_in(delay, {target_, kCrash, i});
 }
 
 void FaultPlan::fire(std::size_t i) {
   CrashProcess& process = processes_[i];
   process.armed = false;
-  process.pending = EventId{};
   // Pause while the system is idle so the event queue can drain; the
   // controller re-arms via ensure_armed() when work arrives.
   if (!is_active()) return;
@@ -93,14 +88,12 @@ void FaultPlan::fire(std::size_t i) {
   process.recovering = true;
   ClusterHooks& hooks = hooks_[process.cluster];
   if (hooks.on_crash) hooks.on_crash(process.machine);
-  process.pending =
-      sim_.schedule_in(config_.vm_recovery_seconds, [this, i] { recover(i); });
+  sim_.schedule_in(config_.vm_recovery_seconds, {target_, kRecover, i});
 }
 
 void FaultPlan::recover(std::size_t i) {
   CrashProcess& process = processes_[i];
   process.recovering = false;
-  process.pending = EventId{};
   ClusterHooks& hooks = hooks_[process.cluster];
   if (hooks.on_recover) hooks.on_recover(process.machine);
   // Next failure is drawn from the recovery instant, so MTBF measures
@@ -122,20 +115,16 @@ void FaultPlan::drive_outages(OutageBeginHook on_begin, OutageEndHook on_end) {
   outage_end_ = std::move(on_end);
   for (const OutageWindow& window : config_.outage_windows) {
     if (window.duration <= 0.0) continue;
-    const std::size_t begin_idx = outage_edges_.size();
-    outage_edges_.push_back(OutageEdge{window, true, EventId{}});
-    outage_edges_.back().event = sim_.schedule_at(
-        window.start, [this, begin_idx] { fire_outage(begin_idx); });
-    const std::size_t end_idx = outage_edges_.size();
-    outage_edges_.push_back(OutageEdge{window, false, EventId{}});
-    outage_edges_.back().event = sim_.schedule_at(
-        window.end(), [this, end_idx] { fire_outage(end_idx); });
+    for (const bool begin : {true, false}) {
+      sim_.schedule_at(begin ? window.start : window.end(),
+                       {target_, kOutageEdge, outage_edges_.size()});
+      outage_edges_.push_back(OutageEdge{window, begin});
+    }
   }
 }
 
 void FaultPlan::fire_outage(std::size_t k) {
-  OutageEdge& edge = outage_edges_[k];
-  edge.event = EventId{};
+  const OutageEdge& edge = outage_edges_[k];
   if (edge.begin) {
     if (outage_depth_++ == 0) {
       ++outages_started_;

@@ -71,8 +71,6 @@ struct FaultConfig {
   }
 };
 
-class SnapshotContext;
-
 /// Deterministic, seed-driven fault-event generator.
 ///
 /// The plan owns independent RNG substreams per (cluster, machine), so a
@@ -85,12 +83,10 @@ class SnapshotContext;
 /// Hooks are `UniqueFunction`s (move-only): one crash/recover pair is
 /// stored per `drive_vm_crashes` call and shared by every machine of that
 /// cluster, rather than copied into each per-machine process the way a
-/// `std::function` design would. Event callbacks capture only `this` plus
-/// a process/edge index, and the pending `EventId` is stored alongside the
-/// indexed state — which is what makes the plan forkable: a clone copies
-/// the value state, the owner re-registers the hooks, and
-/// `rebuild_events()` re-schedules whatever was pending.
-class FaultPlan {
+/// `std::function` design would. Events carry only a process or edge
+/// index, which is what makes the plan forkable: a clone copies the value
+/// state and the owner re-registers the hooks.
+class FaultPlan : private EventTarget {
  public:
   using MachineHook = UniqueFunction<void(std::size_t)>;
   using OutageBeginHook = UniqueFunction<void(const OutageWindow&)>;
@@ -103,9 +99,9 @@ class FaultPlan {
 
   /// Fork support: copies `src`'s value state (RNG positions, per-process
   /// armed/recovering flags, outage schedule and depth) into a plan bound
-  /// to `dst`. Hooks and the active gate are NOT copied — the owner must
-  /// re-register them via rebind_cluster_hooks()/rebind_outage_hooks()/
-  /// set_active(), then call rebuild_events() to re-schedule pending work.
+  /// to `dst`, the copy of `src`'s engine. Hooks and the active gate are
+  /// NOT copied — the owner must re-register them via
+  /// rebind_cluster_hooks()/rebind_outage_hooks()/set_active().
   FaultPlan(Simulation& dst, const FaultPlan& src);
 
   /// Re-registers the hook pair of the `cluster_idx`-th drive_vm_crashes()
@@ -115,9 +111,6 @@ class FaultPlan {
 
   /// Re-registers the outage hooks on a forked plan.
   void rebind_outage_hooks(OutageBeginHook on_begin, OutageEndHook on_end);
-
-  /// Re-schedules pending crash/recovery/outage events after a fork.
-  void rebuild_events(SnapshotContext& ctx);
 
   [[nodiscard]] const FaultConfig& config() const noexcept { return config_; }
 
@@ -163,15 +156,17 @@ class FaultPlan {
     std::size_t cluster;  ///< index into hooks_
     bool armed;           ///< a crash event is pending
     bool recovering;      ///< crashed; the recovery event is pending
-    EventId pending{};    ///< the crash (armed) or recovery (recovering) event
   };
 
   /// One scheduled outage edge (begin or end of a configured window).
   struct OutageEdge {
     OutageWindow window;
     bool begin;
-    EventId event{};
   };
+
+  enum : std::uint32_t { kCrash, kRecover, kOutageEdge };
+
+  void on_event(std::uint32_t kind, std::uint64_t index) override;
 
   void arm(std::size_t i);
   void fire(std::size_t i);
@@ -180,6 +175,7 @@ class FaultPlan {
   [[nodiscard]] bool is_active() { return !active_ || active_(); }
 
   Simulation& sim_;
+  TargetId target_;
   FaultConfig config_;
   RngStream rng_;
   // cbs-lint: snapshot-complete-ok(owner re-wires the gate post-fork)

@@ -198,6 +198,10 @@ const std::map<std::string, std::string>& field_of_flag() {
       {"ec-mtbf", "ec_vm_mtbf"},
       {"vm-recovery", "vm_recovery_seconds"},
       {"retraction-factor", "retraction_deadline_factor"},
+      {"horizon", "lookahead_horizon_seconds"},
+      {"drain-threshold", "drain_threshold"},
+      {"drain-window", "drain_window_seconds"},
+      {"risk-weight", "risk_weight"},
   };
   return kFields;
 }

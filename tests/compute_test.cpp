@@ -7,8 +7,8 @@
 #include "compute/cluster.hpp"
 #include "compute/job_store.hpp"
 #include "compute/mapreduce.hpp"
+#include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
-#include "simcore/snapshot.hpp"
 
 namespace {
 
@@ -209,14 +209,12 @@ TEST(MapReduceTest, ForkMidJobMatchesSource) {
   ASSERT_EQ(cluster_a.running_tasks(), 1u);
   ASSERT_EQ(cluster_a.queued_tasks(), 1u);
 
-  Simulation sim_b;
+  Simulation sim_b(sim_a);
   Cluster cluster_b(sim_b, cluster_a);
   MapReduceRuntime mr_b(mr_a, cluster_b);
   Completions b;
   b.record_on(mr_b, sim_b);
-  cbs::sim::SnapshotContext ctx(sim_a, sim_b);
-  cluster_b.rebuild_events(ctx);
-  ASSERT_EQ(ctx.finish(), 0u);
+  sim_b.verify_fork();
 
   sim_a.run();
   sim_b.run();
@@ -291,6 +289,7 @@ TEST(JobStoreTest, EraseMissingIsNoOp) {
 
 TEST(ClusterCrashTest, CrashRequeuesAndReexecutesRunningTask) {
   Simulation sim;
+  cbs::sim::ClosureEvents events(sim);
   Cluster cluster(sim, "c", 1);
   std::size_t completions = 0;  // every task completion, not just this task's
   cluster.set_task_done_hook([&completions] { ++completions; });
@@ -298,8 +297,8 @@ TEST(ClusterCrashTest, CrashRequeuesAndReexecutesRunningTask) {
   cluster.set_task_complete_hook(
       [&](const TaskRecord& rec) { done.push_back(rec.completed); });
   cluster.submit(10.0, 0, 0);
-  sim.schedule_at(4.0, [&] { cluster.crash_machine(0); });
-  sim.schedule_at(6.0, [&] { cluster.recover_machine(0); });
+  events.at(4.0, [&] { cluster.crash_machine(0); });
+  events.at(6.0, [&] { cluster.recover_machine(0); });
   sim.run();
   // 4 s of work destroyed; full re-execution starts at recovery: 6 + 10.
   ASSERT_EQ(done.size(), 1u);
@@ -312,14 +311,15 @@ TEST(ClusterCrashTest, CrashRequeuesAndReexecutesRunningTask) {
 
 TEST(ClusterCrashTest, ReclaimedTaskKeepsFcfsPosition) {
   Simulation sim;
+  cbs::sim::ClosureEvents events(sim);
   Cluster cluster(sim, "c", 1);
   std::vector<TaskId> order;
   cluster.set_task_complete_hook(
       [&](const TaskRecord& rec) { order.push_back(rec.task_id); });
   const TaskId first = cluster.submit(10.0, 0, 0);
   const TaskId second = cluster.submit(10.0, 0, 0);
-  sim.schedule_at(5.0, [&] { cluster.crash_machine(0); });
-  sim.schedule_at(7.0, [&] { cluster.recover_machine(0); });
+  events.at(5.0, [&] { cluster.crash_machine(0); });
+  events.at(7.0, [&] { cluster.recover_machine(0); });
   sim.run();
   // The crashed head task goes back to the *front* of the queue, so it
   // still finishes before the task behind it.
@@ -330,16 +330,17 @@ TEST(ClusterCrashTest, ReclaimedTaskKeepsFcfsPosition) {
 
 TEST(ClusterCrashTest, DownMachineIsNotDispatchedUntilRecovery) {
   Simulation sim;
+  cbs::sim::ClosureEvents events(sim);
   Cluster cluster(sim, "c", 2);
-  sim.schedule_at(0.0, [&] { cluster.crash_machine(0); });
+  events.at(0.0, [&] { cluster.crash_machine(0); });
   std::vector<std::size_t> machines;
   cluster.set_task_complete_hook(
       [&](const TaskRecord& rec) { machines.push_back(rec.machine); });
-  sim.schedule_at(1.0, [&] {
+  events.at(1.0, [&] {
     cluster.submit(5.0, 0, 0);
     cluster.submit(5.0, 0, 0);
   });
-  sim.schedule_at(2.0, [&] { cluster.recover_machine(0); });
+  events.at(2.0, [&] { cluster.recover_machine(0); });
   sim.run();
   ASSERT_EQ(machines.size(), 2u);
   EXPECT_EQ(cluster.down_machines(), 0u);
@@ -396,6 +397,7 @@ TEST(JobStoreRetryTest, HealthyPutCompletesSynchronously) {
 
 TEST(JobStoreRetryTest, PutRetriesThroughOutage) {
   Simulation sim;
+  cbs::sim::ClosureEvents events(sim);
   JobStore::Config cfg;
   cfg.retry_backoff = 2.0;
   cfg.backoff_multiplier = 2.0;
@@ -405,7 +407,7 @@ TEST(JobStoreRetryTest, PutRetriesThroughOutage) {
   store.put_async(1, kIn, 50.0, record_into(store, sim, put), 1);
   // Attempts at 0, 2, 6 (backoff 2 then 4); the store comes back at 5, so
   // the third attempt lands the object.
-  sim.schedule_at(5.0, [&] { store.set_available(true); });
+  events.at(5.0, [&] { store.set_available(true); });
   sim.run();
   EXPECT_TRUE(put.ok);
   EXPECT_DOUBLE_EQ(put.at, 6.0);
@@ -465,12 +467,13 @@ TEST(JobStoreTest, RunningStateTracksTransitions) {
   // The store keeps running values, not a history: current and peak
   // occupancy, and the byte-seconds integral billing reads.
   Simulation sim;
+  cbs::sim::ClosureEvents events(sim);
   JobStore store(sim);
-  sim.schedule_at(5.0, [&] {
+  events.at(5.0, [&] {
     store.put(1, kIn, 10.0);
     EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 10.0);
   });
-  sim.schedule_at(9.0, [&] { store.erase(1, kIn); });
+  events.at(9.0, [&] { store.erase(1, kIn); });
   sim.run();
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 0.0);
   EXPECT_DOUBLE_EQ(store.peak_occupancy_bytes(), 10.0);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/controller.hpp"
+#include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 #include "sla/metrics.hpp"
 #include "workload/arrival.hpp"
@@ -300,12 +301,13 @@ TEST(ControllerTest, UtilizationNeverExceedsOne) {
 std::vector<cbs::sla::JobOutcome> run_batches(
     const std::vector<cbs::workload::Batch>& batches) {
   Simulation sim;
+  cbs::sim::ClosureEvents events(sim);
   cbs::workload::GroundTruthModel truth({}, RngStream(5));
   ControllerConfig cfg = default_controller_config(false);
   cfg.estimator = EstimatorKind::kOracle;
   CloudBurstController ctl(sim, cfg, truth, RngStream(6));
   for (const auto& batch : batches) {
-    sim.schedule_at(batch.arrival_time, [&ctl, &batch] { ctl.on_batch(batch); });
+    events.at(batch.arrival_time, [&ctl, &batch] { ctl.on_batch(batch); });
   }
   sim.run();
   return ctl.outcomes().to_vector();

@@ -10,6 +10,7 @@
 #include "core/order_preserving_scheduler.hpp"
 #include "harness/world.hpp"
 #include "models/per_class_qrsm.hpp"
+#include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 #include "sla/metrics.hpp"
 #include "workload/generator.hpp"
@@ -79,10 +80,11 @@ TEST(ElasticClusterTest, RetiredSlotIsReused) {
 
 TEST(ElasticClusterTest, ProvisionedMachineSecondsIntegrate) {
   Simulation sim;
+  cbs::sim::ClosureEvents events(sim);
   compute::Cluster cluster(sim, "c", 2);
-  sim.schedule_at(10.0, [&] { cluster.add_machine(); });
-  sim.schedule_at(20.0, [&] { cluster.remove_machine(); });
-  sim.schedule_at(30.0, [&] {});
+  events.at(10.0, [&] { cluster.add_machine(); });
+  events.at(20.0, [&] { cluster.remove_machine(); });
+  events.at(30.0, [&] {});
   sim.run();
   // 2 machines for 10s, 3 for 10s, 2 for 10s = 70 machine-seconds.
   EXPECT_DOUBLE_EQ(cluster.provisioned_machine_seconds(), 70.0);
@@ -109,9 +111,6 @@ TEST(ElasticEcTest, ScalesUpUnderBacklogAndDownWhenIdle) {
   ec.job_overhead_seconds = 0.0;
   cfg.elastic_ec.enabled = true;
   cfg.elastic_ec.max_machines = 4;
-  cfg.elastic_ec.check_interval = 20.0;
-  cfg.elastic_ec.boot_delay = 10.0;
-  cfg.elastic_ec.grow_wait_threshold_seconds = 30.0;
   core::CloudBurstController ctl(sim, cfg, truth, RngStream(2));
 
   // A single huge batch: IC (1 machine) clogs, greedy bursts heavily, the

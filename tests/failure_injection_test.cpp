@@ -11,6 +11,7 @@
 #include "harness/experiment.hpp"
 #include "harness/scenario.hpp"
 #include "net/link.hpp"
+#include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 
 namespace {
@@ -105,6 +106,7 @@ TEST(LinkFailureTest, RetriesAreRecordedAndBounded) {
 TEST(LinkFailureTest, FailuresMakeTransfersSlower) {
   const auto run_mean = [](double prob) {
     Simulation sim;
+    cbs::sim::ClosureEvents events(sim);
     net::Link link(sim, flaky_link(prob), RngStream(5));
     double total = 0.0;
     int n = 0;
@@ -114,8 +116,7 @@ TEST(LinkFailureTest, FailuresMakeTransfersSlower) {
           ++n;
         });
     for (int i = 0; i < 40; ++i) {
-      sim.schedule_at(100.0 * i,
-                      [&link, done] { link.submit(4.0e6, 1, done, 0); });
+      events.at(100.0 * i, [&link, done] { link.submit(4.0e6, 1, done, 0); });
     }
     sim.run();
     return total / n;
@@ -145,6 +146,7 @@ TEST(LinkFailureTest, MultipleDropsPerTransferAreInjected) {
 
 TEST(LinkOutageTest, OutageAbortsAndResumesTransfers) {
   Simulation sim;
+  cbs::sim::ClosureEvents events(sim);
   net::Link link(sim, flaky_link(0.0), RngStream(7));
   net::TransferRecord done{};
   int completions = 0;
@@ -155,8 +157,8 @@ TEST(LinkOutageTest, OutageAbortsAndResumesTransfers) {
       });
   // 8 MB at 1 MB/s: without the outage this finishes at ~8.5 s.
   link.submit(8.0e6, 8, slot, 0);
-  sim.schedule_at(4.0, [&] { link.set_outage(true); });
-  sim.schedule_at(50.0, [&] { link.set_outage(false); });
+  events.at(4.0, [&] { link.set_outage(true); });
+  events.at(50.0, [&] { link.set_outage(false); });
   sim.run();
   ASSERT_EQ(completions, 1);
   EXPECT_EQ(link.outage_aborts(), 1u);
@@ -170,6 +172,7 @@ TEST(LinkOutageTest, OutageAbortsAndResumesTransfers) {
 
 TEST(LinkOutageTest, SubmitDuringOutageWaitsForRecovery) {
   Simulation sim;
+  cbs::sim::ClosureEvents events(sim);
   net::Link link(sim, flaky_link(0.0), RngStream(8));
   link.set_outage(true);
   double completed_at = -1.0;
@@ -178,7 +181,7 @@ TEST(LinkOutageTest, SubmitDuringOutageWaitsForRecovery) {
         completed_at = rec.completed;
       });
   link.submit(1.0e6, 1, done, 0);
-  sim.schedule_at(30.0, [&] { link.set_outage(false); });
+  events.at(30.0, [&] { link.set_outage(false); });
   sim.run();
   // Activation parked at setup-latency end, released at outage end: the
   // transfer only moves after t = 30.
@@ -188,6 +191,7 @@ TEST(LinkOutageTest, SubmitDuringOutageWaitsForRecovery) {
 
 TEST(LinkOutageTest, RepeatedAbortsBackOffExponentially) {
   Simulation sim;
+  cbs::sim::ClosureEvents events(sim);
   auto cfg = flaky_link(0.0);
   cfg.outage_backoff_base = 2.0;
   cfg.outage_backoff_multiplier = 2.0;
@@ -198,10 +202,10 @@ TEST(LinkOutageTest, RepeatedAbortsBackOffExponentially) {
   link.submit(60.0e6, 8, slot, 0);
   // Two outages, each severing the same transfer: reconnect delays are
   // setup + 2 s, then setup + 4 s.
-  sim.schedule_at(5.0, [&] { link.set_outage(true); });
-  sim.schedule_at(6.0, [&] { link.set_outage(false); });
-  sim.schedule_at(20.0, [&] { link.set_outage(true); });
-  sim.schedule_at(21.0, [&] { link.set_outage(false); });
+  events.at(5.0, [&] { link.set_outage(true); });
+  events.at(6.0, [&] { link.set_outage(false); });
+  events.at(20.0, [&] { link.set_outage(true); });
+  events.at(21.0, [&] { link.set_outage(false); });
   sim.run();
   EXPECT_EQ(link.outage_aborts(), 2u);
   // 60 s of payload restarted at t ≈ 21 + 0.5 + 4: finishes after ~85 s.
@@ -211,13 +215,14 @@ TEST(LinkOutageTest, RepeatedAbortsBackOffExponentially) {
 
 TEST(LinkCancelTest, CancelAbortsInFlightTransfer) {
   Simulation sim;
+  cbs::sim::ClosureEvents events(sim);
   net::Link link(sim, flaky_link(0.0), RngStream(10));
   int completions = 0;
   const int done = link.register_handler(
       [&](std::uint64_t, const net::TransferRecord&) { ++completions; });
   const auto id = link.submit(10.0e6, 8, done, 0);
   bool cancelled = false;
-  sim.schedule_at(3.0, [&] { cancelled = link.cancel(id); });
+  events.at(3.0, [&] { cancelled = link.cancel(id); });
   sim.run();
   EXPECT_TRUE(cancelled);
   EXPECT_EQ(completions, 0);
@@ -229,6 +234,7 @@ TEST(LinkCancelTest, CancelAbortsInFlightTransfer) {
 
 TEST(LinkCancelTest, CancelFreesCapacityForSurvivors) {
   Simulation sim;
+  cbs::sim::ClosureEvents events(sim);
   net::Link link(sim, flaky_link(0.0), RngStream(11));
   net::TransferRecord survivor{};
   const int done = link.register_handler(
@@ -237,7 +243,7 @@ TEST(LinkCancelTest, CancelFreesCapacityForSurvivors) {
       });
   const auto victim = link.submit(50.0e6, 8, done, 0);
   link.submit(4.0e6, 8, done, 1);
-  sim.schedule_at(1.0, [&] { link.cancel(victim); });
+  events.at(1.0, [&] { link.cancel(victim); });
   sim.run();
   // With the victim gone the survivor gets the whole 1 MB/s pipe: ~0.5 s
   // sharing + full rate after, far sooner than the ~8.5 s a fair split of

@@ -13,6 +13,7 @@
 #include "harness/scenario.hpp"
 #include "simcore/fault_plan.hpp"
 #include "simcore/rng.hpp"
+#include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 
 namespace {
@@ -106,6 +107,7 @@ TEST(FaultPlanTest, OverlappingOutageWindowsMerge) {
 
 TEST(FaultPlanTest, CrashProcessPausesWhileInactiveAndResumes) {
   Simulation sim;
+  cbs::sim::ClosureEvents events(sim);
   FaultConfig cfg;
   cfg.ic_vm_mtbf = 10.0;
   cfg.vm_recovery_seconds = 1.0;
@@ -119,7 +121,7 @@ TEST(FaultPlanTest, CrashProcessPausesWhileInactiveAndResumes) {
   EXPECT_EQ(crashes, 0);
   active = true;
   plan.ensure_armed();
-  sim.schedule_in(200.0, [&active] { active = false; });
+  events.in(200.0, [&active] { active = false; });
   sim.run();
   EXPECT_GT(crashes, 0);
 }

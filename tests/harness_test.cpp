@@ -187,6 +187,52 @@ TEST(ScenarioValidateTest, NamesEveryBadField) {
   Scenario infinite_mtbf;
   infinite_mtbf.faults.ic_vm_mtbf = std::numeric_limits<double>::infinity();
   EXPECT_EQ(infinite_mtbf.validate().size(), 1u);
+
+  // The lookahead horizon and the resilience knobs: each of these once ran
+  // to exit 0, with NaN or zero-length rollouts or with bursting silently
+  // off (a NaN risk weight).
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double horizon : {0.0, -100.0, std::nan(""), inf}) {
+    Scenario la;
+    la.lookahead_horizon_seconds = horizon;
+    const std::vector<std::string> la_errors = la.validate();
+    ASSERT_EQ(la_errors.size(), 1u) << horizon;
+    EXPECT_NE(la_errors[0].find("lookahead_horizon_seconds"),
+              std::string::npos);
+  }
+  Scenario resilience;
+  resilience.resilience.drain_window_seconds = 0.0;
+  resilience.resilience.risk_weight = std::nan("");
+  resilience.resilience.drain_threshold = 1.5;
+  const std::vector<std::string> res_errors = resilience.validate();
+  ASSERT_EQ(res_errors.size(), 3u);
+  EXPECT_NE(res_errors[0].find("resilience.drain_threshold"),
+            std::string::npos);
+  EXPECT_NE(res_errors[1].find("resilience.drain_window_seconds"),
+            std::string::npos);
+  EXPECT_NE(res_errors[2].find("resilience.risk_weight"), std::string::npos);
+  for (const double window : {-1.0, std::nan(""), inf}) {
+    Scenario r;
+    r.resilience.drain_window_seconds = window;
+    EXPECT_EQ(r.validate().size(), 1u) << window;
+  }
+  for (const double weight : {-0.5, inf}) {
+    Scenario r;
+    r.resilience.risk_weight = weight;
+    EXPECT_EQ(r.validate().size(), 1u) << weight;
+  }
+  for (const double threshold : {-0.1, std::nan(""), inf}) {
+    Scenario r;
+    r.resilience.drain_threshold = threshold;
+    EXPECT_EQ(r.validate().size(), 1u) << threshold;
+  }
+  // The edges of the ranges are valid.
+  Scenario edges;
+  edges.resilience.drain_threshold = 1.0;
+  edges.resilience.risk_weight = 0.0;
+  EXPECT_TRUE(edges.validate().empty());
+  edges.resilience.drain_threshold = 0.0;
+  EXPECT_TRUE(edges.validate().empty());
 }
 
 TEST(ScenarioValidateTest, WorldAndRunRejectInvalidScenarios) {
@@ -207,7 +253,10 @@ TEST(ScenarioValidateTest, CliRejectsBadValuesBeforeCasting) {
                std::invalid_argument);
   for (const char* flag :
        {"--oo-interval=0", "--oo-interval=nan", "--ic-mtbf=-5",
-        "--retraction-factor=-1"}) {
+        "--retraction-factor=-1", "--horizon=nan", "--horizon=-100",
+        "--horizon=0", "--drain-window=0", "--drain-window=nan",
+        "--risk-weight=nan", "--risk-weight=-1", "--drain-threshold=1.5",
+        "--drain-threshold=nan"}) {
     EXPECT_THROW((void)cli::scenario_from_args(scenario_args({flag})),
                  std::invalid_argument)
         << flag;
@@ -215,6 +264,13 @@ TEST(ScenarioValidateTest, CliRejectsBadValuesBeforeCasting) {
   EXPECT_THROW((void)cli::scenario_from_args(
                    scenario_args({"--ic-mtbf=3600", "--vm-recovery=-1"})),
                std::invalid_argument);
+  EXPECT_THROW((void)cli::scenario_from_args(scenario_args(
+                   {"--scheduler=lookahead", "--horizon=nan"})),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)cli::scenario_from_args(scenario_args(
+          {"--hazard-predictor=ewma", "--ec-mtbf=1200", "--risk-weight=nan"})),
+      std::invalid_argument);
 }
 
 // ---- csv / chart helpers -------------------------------------------------------

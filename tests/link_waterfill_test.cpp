@@ -17,9 +17,9 @@
 #include <vector>
 
 #include "net/link.hpp"
+#include "simcore/closure_events.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/simulation.hpp"
-#include "simcore/snapshot.hpp"
 
 namespace {
 
@@ -69,6 +69,7 @@ std::vector<std::pair<TransferId, double>> reference_waterfill(
 TEST(LinkWaterfillProperty, BatchedPassMatchesSortBasedReference) {
   for (const std::uint64_t seed : {1ULL, 7ULL, 23ULL, 99ULL, 1234ULL}) {
     Simulation sim;
+    cbs::sim::ClosureEvents events(sim);
     LinkConfig cfg;
     cfg.base_rate = 1.0e6;
     cfg.per_connection_cap = 0.12e6;
@@ -92,7 +93,7 @@ TEST(LinkWaterfillProperty, BatchedPassMatchesSortBasedReference) {
       t += rng.uniform(0.05, 2.0);
       const double bytes = rng.uniform(0.1e6, 2.5e6);
       const int threads = 1 + static_cast<int>(rng.uniform_int(0, 5));
-      sim.schedule_at(t, [&link, done, submitted, bytes, threads] {
+      events.at(t, [&link, done, submitted, bytes, threads] {
         submitted->push_back(link.submit(bytes, threads, done, 0));
       });
       // The storm also cancels: roughly every seventh submission, abort a
@@ -100,7 +101,7 @@ TEST(LinkWaterfillProperty, BatchedPassMatchesSortBasedReference) {
       if (i % 7 == 3) {
         const double when = t + rng.uniform(0.1, 1.0);
         const std::uint64_t pick = rng.uniform_int(0, 1U << 20U);
-        sim.schedule_at(when, [&link, &cancellations, submitted, pick] {
+        events.at(when, [&link, &cancellations, submitted, pick] {
           if (submitted->empty()) return;
           if (link.cancel((*submitted)[pick % submitted->size()])) {
             ++cancellations;
@@ -173,8 +174,8 @@ TEST(LinkForkEquivalence, MidFlightSoAStateForksBitExact) {
       const int threads = 1 + static_cast<int>(rng.uniform_int(0, 3));
       a.submit(bytes, threads, slot_a, static_cast<std::uint64_t>(i) + 1);
       // Drain to just past this submission so the next one happens at its
-      // own timestamp (submissions are direct calls, not scheduled events,
-      // so nothing un-restorable is pending at the fork point).
+      // own timestamp (submissions are direct calls, not closures, so the
+      // engine holds only the link's events at the fork point).
       sim_a.run_until(t);
     }
     // Fork inside the last transfer's setup window: the pool holds a mix
@@ -183,7 +184,7 @@ TEST(LinkForkEquivalence, MidFlightSoAStateForksBitExact) {
     ASSERT_GT(a.active_transfers(), 0U) << "storm drained before the fork";
 
     const std::size_t pre_fork = recs_a.size();
-    Simulation sim_b;
+    Simulation sim_b(sim_a);
     Link b(sim_b, a);
     std::vector<TransferRecord> recs_b;
     const int slot_b = b.register_handler(
@@ -191,10 +192,7 @@ TEST(LinkForkEquivalence, MidFlightSoAStateForksBitExact) {
           recs_b.push_back(r);
         });
     ASSERT_EQ(slot_b, slot_a);
-    cbs::sim::SnapshotContext ctx(sim_a, sim_b);
-    b.rebuild_events(ctx);
-    ASSERT_EQ(ctx.finish(), 0U)
-        << "link fork left pending events unclaimed";
+    sim_b.verify_fork();
 
     sim_a.run();
     sim_b.run();

@@ -167,7 +167,7 @@ namespace cbs::core {
 class Controller {
  public:
   Controller(Simulation& dst, const Controller& src);
-  void rebuild_events(SnapshotContext& ctx);
+  void on_event(std::uint32_t kind, std::uint64_t arg);
  private:
   EventId probe_event_{};
 };
@@ -177,8 +177,8 @@ class Controller {
 namespace cbs::core {
 Controller::Controller(Simulation& dst, const Controller& src)
     : probe_event_(src.probe_event_) {}
-void Controller::rebuild_events(SnapshotContext& ctx) {
-  probe_event_ = ctx.restore(probe_event_, 0);
+void Controller::on_event(std::uint32_t kind, std::uint64_t arg) {
+  probe_event_ = sim_.schedule_in(1.0, {target_, kind, arg});
 }
 }  // namespace cbs::core
 )";
@@ -191,19 +191,19 @@ void Controller::rebuild_events(SnapshotContext& ctx) {
   idx.build(std::move(parsed));
   const ClassDecl& cls = get_class(idx, "cbs::core::Controller");
   bool saw_ctor_body = false;
-  bool saw_rebuild_body = false;
+  bool saw_handler_body = false;
   for (const MethodDecl& m : cls.methods) {
     if (m.name == "Controller" && m.has_body) {
       saw_ctor_body = true;
       EXPECT_NE(m.init_list.find("probe_event_"), std::string::npos);
     }
-    if (m.name == "rebuild_events" && m.has_body) {
-      saw_rebuild_body = true;
-      EXPECT_NE(m.body.find("restore"), std::string::npos);
+    if (m.name == "on_event" && m.has_body) {
+      saw_handler_body = true;
+      EXPECT_NE(m.body.find("schedule_in"), std::string::npos);
     }
   }
   EXPECT_TRUE(saw_ctor_body);
-  EXPECT_TRUE(saw_rebuild_body);
+  EXPECT_TRUE(saw_handler_body);
 }
 
 TEST(DeclParser, IncludeGraphCollectsQuotedIncludesOnly) {

@@ -1,10 +1,10 @@
-// Positive fixture: a snapshot-aware component that satisfies all three
-// structural rule families without waivers — clone constructor mentions
-// every member, rebuild_events restores the stored id, and the include
-// points down the module DAG. cbs_lint must exit 0 on this tree.
+// Positive fixture: a forkable component that satisfies all three
+// structural rule families without waivers — the clone constructor copies
+// every member, the stored event id included, and the include points down
+// the module DAG. cbs_lint must exit 0 on this tree.
 #pragma once
 
-#include "simcore/snapshot.hpp"
+#include "simcore/simulation.hpp"
 
 namespace cbs::core {
 
@@ -15,10 +15,7 @@ class GoodComponent {
     static_cast<void>(dst);
   }
 
-  void arm(Simulation& sim) { timer_ = sim.schedule_in(1.0, 0); }
-  void rebuild_events(SnapshotContext& ctx) {
-    timer_ = ctx.restore(timer_, 0);
-  }
+  void arm(Simulation& sim) { timer_ = sim.schedule_in(1.0, {}); }
 
  private:
   int count_ = 0;

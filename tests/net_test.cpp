@@ -11,6 +11,7 @@
 #include "net/link.hpp"
 #include "net/noise.hpp"
 #include "net/thread_tuner.hpp"
+#include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 #include "stats/summary.hpp"
 
@@ -247,6 +248,7 @@ TEST(LinkTest, WaterFillingRespectsSmallDemands) {
 
 TEST(LinkTest, ConservesBytes) {
   Simulation sim;
+  cbs::sim::ClosureEvents events(sim);
   auto cfg = basic_link(0.8e6);
   cfg.noise_sigma = 0.3;
   cfg.noise_step = 10.0;
@@ -261,8 +263,7 @@ TEST(LinkTest, ConservesBytes) {
     const double bytes = rng.uniform(0.1e6, 20.0e6);
     submitted += bytes;
     const double when = rng.uniform(0.0, 500.0);
-    sim.schedule_at(when,
-                    [&link, done, bytes] { link.submit(bytes, 2, done, 0); });
+    events.at(when, [&link, done, bytes] { link.submit(bytes, 2, done, 0); });
   }
   sim.run();
   EXPECT_NEAR(link.total_bytes_delivered(), submitted, 1.0);
@@ -303,11 +304,12 @@ TEST(LinkTest, CapacityFloorGuaranteesProgress) {
 
 TEST(LinkTest, BusyTimeTracksActivity) {
   Simulation sim;
+  cbs::sim::ClosureEvents events(sim);
   Link link(sim, basic_link(1.0e6), RngStream(1));
   const int done =
       link.register_handler([](std::uint64_t, const TransferRecord&) {});
   link.submit(2.0e6, 1, done, 0);
-  sim.schedule_at(10.0, [&] { link.submit(1.0e6, 1, done, 0); });
+  events.at(10.0, [&] { link.submit(1.0e6, 1, done, 0); });
   sim.run();
   EXPECT_NEAR(link.busy_time(), 3.0, 1e-6);  // [0,2] and [10,11]
 }

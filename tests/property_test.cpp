@@ -5,6 +5,7 @@
 #include "harness/experiment.hpp"
 #include "harness/scenario.hpp"
 #include "net/link.hpp"
+#include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 #include "sla/metrics.hpp"
 #include "sla/oo_metric.hpp"
@@ -22,6 +23,7 @@ class LinkStormTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LinkStormTest, ConservesBytesUnderRandomTraffic) {
   Simulation sim;
+  cbs::sim::ClosureEvents events(sim);
   net::LinkConfig cfg;
   cfg.base_rate = 0.9e6;
   cfg.per_connection_cap = 0.3e6;
@@ -46,7 +48,7 @@ TEST_P(LinkStormTest, ConservesBytesUnderRandomTraffic) {
     const int threads = static_cast<int>(rng.uniform_int(1, 8));
     submitted += bytes;
     ++count;
-    sim.schedule_at(when, [&link, collect, bytes, threads] {
+    events.at(when, [&link, collect, bytes, threads] {
       link.submit(bytes, threads, collect, 0);
     });
   }

@@ -9,6 +9,7 @@
 
 #include "compute/cluster.hpp"
 #include "net/link.hpp"
+#include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 #include "stats/distributions.hpp"
 #include "stats/summary.hpp"
@@ -39,6 +40,7 @@ TEST(QueueingTheoryTest, ClusterMatchesErlangC) {
   const double lambda = 0.7 * c * mu;
 
   Simulation sim;
+  cbs::sim::ClosureEvents events(sim);
   cbs::compute::Cluster cluster(sim, "mmc", static_cast<std::size_t>(c));
   RngStream rng(42);
   cbs::stats::Summary waits;
@@ -52,7 +54,7 @@ TEST(QueueingTheoryTest, ClusterMatchesErlangC) {
   for (int i = 0; i < n_jobs; ++i) {
     t += cbs::stats::sample_exponential(rng, lambda);
     const double service = cbs::stats::sample_exponential(rng, mu);
-    sim.schedule_at(t, [&cluster, service] { cluster.submit(service, 0, 0); });
+    events.at(t, [&cluster, service] { cluster.submit(service, 0, 0); });
   }
   sim.run();
 
@@ -69,13 +71,14 @@ TEST(QueueingTheoryTest, ClusterUtilizationMatchesRho) {
   const double mu = 1.0 / 20.0;
   const double lambda = 0.6 * c * mu;
   Simulation sim;
+  cbs::sim::ClosureEvents events(sim);
   cbs::compute::Cluster cluster(sim, "mmc", static_cast<std::size_t>(c));
   RngStream rng(7);
   double t = 0.0;
   for (int i = 0; i < 20000; ++i) {
     t += cbs::stats::sample_exponential(rng, lambda);
     const double service = cbs::stats::sample_exponential(rng, mu);
-    sim.schedule_at(t, [&cluster, service] { cluster.submit(service, 0, 0); });
+    events.at(t, [&cluster, service] { cluster.submit(service, 0, 0); });
   }
   sim.run();
   const double util =
@@ -94,6 +97,7 @@ TEST(QueueingTheoryTest, LinkIsProcessorSharing) {
   const double lambda = rho * mu;
 
   Simulation sim;
+  cbs::sim::ClosureEvents events(sim);
   cbs::net::LinkConfig cfg;
   cfg.base_rate = capacity;
   cfg.per_connection_cap = capacity;  // each transfer can use the full pipe
@@ -112,8 +116,7 @@ TEST(QueueingTheoryTest, LinkIsProcessorSharing) {
   for (int i = 0; i < n; ++i) {
     t += cbs::stats::sample_exponential(rng, lambda);
     const double bytes = capacity * cbs::stats::sample_exponential(rng, mu);
-    sim.schedule_at(t,
-                    [&link, done, bytes] { link.submit(bytes, 1, done, 0); });
+    events.at(t, [&link, done, bytes] { link.submit(bytes, 1, done, 0); });
   }
   sim.run();
 
@@ -134,6 +137,7 @@ TEST(QueueingTheoryTest, LinkPsIsInsensitiveToServiceDistribution) {
   const double lambda = rho * mu;
 
   Simulation sim;
+  cbs::sim::ClosureEvents events(sim);
   cbs::net::LinkConfig cfg;
   cfg.base_rate = capacity;
   cfg.per_connection_cap = capacity;
@@ -150,7 +154,7 @@ TEST(QueueingTheoryTest, LinkPsIsInsensitiveToServiceDistribution) {
   double t = 0.0;
   for (int i = 0; i < 30000; ++i) {
     t += cbs::stats::sample_exponential(rng, lambda);
-    sim.schedule_at(t, [&link, done] { link.submit(4.0e6, 1, done, 0); });
+    events.at(t, [&link, done] { link.submit(4.0e6, 1, done, 0); });
   }
   sim.run();
   const double expected = (1.0 / mu) / (1.0 - rho);

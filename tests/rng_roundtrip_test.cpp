@@ -1,7 +1,7 @@
 // RngStream::State round-trip: saving the 256-bit state and restoring it
 // must replay the exact draw sequence through every distribution the
-// simulator consumes. This is the primitive the snapshot/fork machinery
-// (simcore/snapshot.hpp, harness/world.hpp) is built on — if any sampler
+// simulator consumes. This is the primitive the fork machinery
+// (harness/world.hpp) is built on — if any sampler
 // kept hidden state outside the RngStream (a cached Box–Muller spare, a
 // static, thread-local scratch), forks would silently diverge from their
 // parents and the fork-equivalence goldens would be unexplainable.

@@ -1,57 +1,69 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <stdexcept>
 #include <vector>
 
+#include "simcore/closure_events.hpp"
 #include "simcore/event_queue.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/simulation.hpp"
 
 namespace {
 
+using cbs::sim::ClosureEvents;
+using cbs::sim::Event;
 using cbs::sim::EventId;
 using cbs::sim::EventQueue;
+using cbs::sim::EventTarget;
 using cbs::sim::RngStream;
 using cbs::sim::Simulation;
+using cbs::sim::TargetId;
+
+/// An EventQueue record carrying `arg` (the queue never reads target/kind).
+Event ev(std::uint64_t arg) { return Event{0, 0, arg}; }
+
+/// Pops every live event and returns their args in pop order.
+std::vector<std::uint64_t> drain(EventQueue& q) {
+  std::vector<std::uint64_t> args;
+  while (!q.empty()) args.push_back(q.pop().event.arg);
+  return args;
+}
 
 TEST(EventQueueTest, PopsInTimeOrder) {
   EventQueue q;
-  std::vector<int> fired;
-  q.push(3.0, [&] { fired.push_back(3); });
-  q.push(1.0, [&] { fired.push_back(1); });
-  q.push(2.0, [&] { fired.push_back(2); });
-  while (!q.empty()) q.pop().callback();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+  q.push(3.0, ev(3));
+  q.push(1.0, ev(1));
+  q.push(2.0, ev(2));
+  EXPECT_EQ(drain(q), (std::vector<std::uint64_t>{1, 2, 3}));
 }
 
 TEST(EventQueueTest, FifoTieBreakAtEqualTimes) {
   EventQueue q;
-  std::vector<int> fired;
-  for (int i = 0; i < 10; ++i) {
-    q.push(5.0, [&fired, i] { fired.push_back(i); });
-  }
-  while (!q.empty()) q.pop().callback();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i);
+  for (std::uint64_t i = 0; i < 10; ++i) q.push(5.0, ev(i));
+  EXPECT_EQ(drain(q),
+            (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
 TEST(EventQueueTest, CancelRemovesPendingEvent) {
   EventQueue q;
-  bool fired = false;
-  const EventId id = q.push(1.0, [&] { fired = true; });
+  const EventId id = q.push(1.0, ev(1));
   EXPECT_TRUE(q.cancel(id));
   EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(fired);
+  EXPECT_EQ(q.find(id), nullptr);
 }
 
 TEST(EventQueueTest, CancelTwiceIsNoOp) {
   EventQueue q;
-  const EventId id = q.push(1.0, [] {});
+  const EventId id = q.push(1.0, ev(0));
   EXPECT_TRUE(q.cancel(id));
   EXPECT_FALSE(q.cancel(id));
 }
 
 TEST(EventQueueTest, CancelFiredEventIsNoOp) {
   EventQueue q;
-  const EventId id = q.push(1.0, [] {});
+  const EventId id = q.push(1.0, ev(0));
   q.pop();
   EXPECT_FALSE(q.cancel(id));
   EXPECT_EQ(q.size(), 0u);
@@ -59,29 +71,28 @@ TEST(EventQueueTest, CancelFiredEventIsNoOp) {
 
 TEST(EventQueueTest, CancelMiddleEventSkipsIt) {
   EventQueue q;
-  std::vector<int> fired;
-  q.push(1.0, [&] { fired.push_back(1); });
-  const EventId id = q.push(2.0, [&] { fired.push_back(2); });
-  q.push(3.0, [&] { fired.push_back(3); });
+  q.push(1.0, ev(1));
+  const EventId id = q.push(2.0, ev(2));
+  q.push(3.0, ev(3));
   q.cancel(id);
-  while (!q.empty()) q.pop().callback();
-  EXPECT_EQ(fired, (std::vector<int>{1, 3}));
+  EXPECT_EQ(drain(q), (std::vector<std::uint64_t>{1, 3}));
 }
 
 TEST(EventQueueTest, NextTimeSkipsCancelledHead) {
   EventQueue q;
-  const EventId id = q.push(1.0, [] {});
-  q.push(2.0, [] {});
+  const EventId id = q.push(1.0, ev(0));
+  q.push(2.0, ev(0));
   q.cancel(id);
   EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
 }
 
 TEST(SimulationTest, ClockAdvancesMonotonically) {
   Simulation sim;
+  ClosureEvents events(sim);
   std::vector<double> times;
-  sim.schedule_at(5.0, [&] { times.push_back(sim.now()); });
-  sim.schedule_at(1.0, [&] { times.push_back(sim.now()); });
-  sim.schedule_at(3.0, [&] { times.push_back(sim.now()); });
+  events.at(5.0, [&] { times.push_back(sim.now()); });
+  events.at(1.0, [&] { times.push_back(sim.now()); });
+  events.at(3.0, [&] { times.push_back(sim.now()); });
   sim.run();
   EXPECT_EQ(times, (std::vector<double>{1.0, 3.0, 5.0}));
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
@@ -89,11 +100,12 @@ TEST(SimulationTest, ClockAdvancesMonotonically) {
 
 TEST(SimulationTest, EventsCanScheduleMoreEvents) {
   Simulation sim;
+  ClosureEvents events(sim);
   int count = 0;
   std::function<void()> chain = [&] {
-    if (++count < 5) sim.schedule_in(1.0, chain);
+    if (++count < 5) events.in(1.0, chain);
   };
-  sim.schedule_in(1.0, chain);
+  events.in(1.0, chain);
   sim.run();
   EXPECT_EQ(count, 5);
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
@@ -101,9 +113,10 @@ TEST(SimulationTest, EventsCanScheduleMoreEvents) {
 
 TEST(SimulationTest, RunUntilStopsAtDeadline) {
   Simulation sim;
+  ClosureEvents events(sim);
   int fired = 0;
-  sim.schedule_at(1.0, [&] { ++fired; });
-  sim.schedule_at(10.0, [&] { ++fired; });
+  events.at(1.0, [&] { ++fired; });
+  events.at(10.0, [&] { ++fired; });
   sim.run_until(5.0);
   EXPECT_EQ(fired, 1);
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
@@ -113,20 +126,22 @@ TEST(SimulationTest, RunUntilStopsAtDeadline) {
 
 TEST(SimulationTest, RunUntilFiresEventsExactlyAtDeadline) {
   Simulation sim;
+  ClosureEvents events(sim);
   bool fired = false;
-  sim.schedule_at(5.0, [&] { fired = true; });
+  events.at(5.0, [&] { fired = true; });
   sim.run_until(5.0);
   EXPECT_TRUE(fired);
 }
 
 TEST(SimulationTest, StopHaltsTheLoop) {
   Simulation sim;
+  ClosureEvents events(sim);
   int fired = 0;
-  sim.schedule_at(1.0, [&] {
+  events.at(1.0, [&] {
     ++fired;
     sim.stop();
   });
-  sim.schedule_at(2.0, [&] { ++fired; });
+  events.at(2.0, [&] { ++fired; });
   sim.run();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.pending_events(), 1u);
@@ -134,16 +149,19 @@ TEST(SimulationTest, StopHaltsTheLoop) {
 
 TEST(SimulationTest, CancelledEventDoesNotFire) {
   Simulation sim;
+  ClosureEvents events(sim);
   bool fired = false;
-  const EventId id = sim.schedule_at(1.0, [&] { fired = true; });
-  sim.schedule_at(0.5, [&] { sim.cancel(id); });
+  const EventId id = events.at(1.0, [&] { fired = true; });
+  events.at(0.5, [&] { EXPECT_TRUE(events.cancel(id)); });
   sim.run();
   EXPECT_FALSE(fired);
+  EXPECT_FALSE(events.cancel(id));
 }
 
 TEST(SimulationTest, CountsProcessedEvents) {
   Simulation sim;
-  for (int i = 0; i < 7; ++i) sim.schedule_at(static_cast<double>(i), [] {});
+  ClosureEvents events(sim);
+  for (int i = 0; i < 7; ++i) events.at(static_cast<double>(i), [] {});
   sim.run();
   EXPECT_EQ(sim.events_processed(), 7u);
 }
@@ -152,14 +170,14 @@ TEST(EventQueueTest, CancelInvalidIdIsNoOp) {
   EventQueue q;
   EXPECT_FALSE(q.cancel(EventId{0}));
   EXPECT_FALSE(q.cancel(EventId{9999}));
-  q.push(1.0, [] {});
+  q.push(1.0, ev(0));
   EXPECT_EQ(q.size(), 1u);
 }
 
 TEST(EventQueueTest, SizeTracksLiveEvents) {
   EventQueue q;
-  const EventId a = q.push(1.0, [] {});
-  q.push(2.0, [] {});
+  const EventId a = q.push(1.0, ev(0));
+  q.push(2.0, ev(0));
   EXPECT_EQ(q.size(), 2u);
   q.cancel(a);
   EXPECT_EQ(q.size(), 1u);
@@ -173,27 +191,26 @@ TEST(EventQueueTest, SizeTracksLiveEvents) {
 
 TEST(EventQueueTest, CancelledIdCannotResurrectAfterSlotReuse) {
   EventQueue q;
-  const EventId stale = q.push(1.0, [] {});
+  const EventId stale = q.push(1.0, ev(1));
   ASSERT_TRUE(q.cancel(stale));
   // Force slot reuse: drain the queue so the cancelled record is released,
   // then schedule a fresh event (which grabs the freed slot).
-  q.push(2.0, [] {});
+  q.push(2.0, ev(2));
   (void)q.pop();
-  bool fired = false;
-  q.push(3.0, [&] { fired = true; });
+  q.push(3.0, ev(3));
   EXPECT_FALSE(q.cancel(stale));  // stale generation: must not match
+  EXPECT_EQ(q.find(stale), nullptr);
   ASSERT_EQ(q.size(), 1u);
-  auto [time, cb] = q.pop();
-  EXPECT_EQ(time, 3.0);
-  cb();
-  EXPECT_TRUE(fired);
+  const EventQueue::Popped popped = q.pop();
+  EXPECT_EQ(popped.time, 3.0);
+  EXPECT_EQ(popped.event.arg, 3u);
 }
 
 TEST(EventQueueTest, FiredIdCannotCancelSlotSuccessor) {
   EventQueue q;
-  const EventId fired_id = q.push(1.0, [] {});
+  const EventId fired_id = q.push(1.0, ev(0));
   (void)q.pop();  // fires; the slot returns to the free list
-  q.push(2.0, [] {});  // reuses the slot
+  q.push(2.0, ev(0));  // reuses the slot
   EXPECT_FALSE(q.cancel(fired_id));
   EXPECT_EQ(q.size(), 1u);  // the successor is untouched
 }
@@ -208,9 +225,9 @@ TEST(EventQueueTest, CancelHeavyChurnStaysBoundedAndOrdered) {
     const double t = static_cast<double>(i);
     if (i % 4 == 0) {
       expected_times.push_back(t);
-      q.push(t, [] {});
+      q.push(t, ev(0));
     } else {
-      doomed.push_back(q.push(t, [] {}));
+      doomed.push_back(q.push(t, ev(0)));
     }
   }
   for (const EventId id : doomed) ASSERT_TRUE(q.cancel(id));
@@ -223,9 +240,128 @@ TEST(EventQueueTest, CancelHeavyChurnStaysBoundedAndOrdered) {
 
 TEST(SimulationTest, RunUntilAdvancesClockToDeadlineWhenIdle) {
   Simulation sim;
-  sim.schedule_at(1.0, [] {});
+  ClosureEvents events(sim);
+  events.at(1.0, [] {});
   sim.run_until(10.0);
   EXPECT_DOUBLE_EQ(sim.now(), 10.0);  // idle gap still advances the clock
+}
+
+// ---- Forks: a Simulation copy carries the pending events as data -------
+
+/// A component that logs the events it receives as (time, kind, arg).
+class Recorder final : public EventTarget {
+ public:
+  struct Fired {
+    double time;
+    std::uint32_t kind;
+    std::uint64_t arg;
+    friend bool operator==(const Fired&, const Fired&) = default;
+  };
+
+  explicit Recorder(Simulation& sim)
+      : sim_(sim), id_(sim.register_target(*this)) {}
+  /// The clone of `src` on `dst`, a copy of `src`'s engine.
+  Recorder(Simulation& dst, const Recorder& src)
+      : sim_(dst), id_(dst.register_target(*this, src.id_)) {}
+
+  void on_event(std::uint32_t kind, std::uint64_t arg) override {
+    fired.push_back({sim_.now(), kind, arg});
+  }
+  EventId schedule(double t, std::uint32_t kind, std::uint64_t arg) {
+    return sim_.schedule_at(t, {id_, kind, arg});
+  }
+  [[nodiscard]] TargetId id() const { return id_; }
+
+  std::vector<Fired> fired;
+
+ private:
+  Simulation& sim_;
+  TargetId id_;
+};
+
+TEST(SimulationForkTest, CopyCarriesClockSeqAndEveryPendingEvent) {
+  Simulation src;
+  Recorder a(src);
+  Recorder b(src);
+  a.schedule(1.0, 1, 10);
+  const EventId cancelled = b.schedule(2.0, 2, 20);
+  a.schedule(3.0, 1, 30);
+  b.schedule(3.0, 2, 40);  // same time as a's: FIFO by seq
+  src.cancel(cancelled);
+  src.run_until(1.5);
+
+  Simulation copy(src);
+  Recorder a2(copy, a);
+  Recorder b2(copy, b);
+  copy.verify_fork();
+  EXPECT_EQ(copy.now(), src.now());
+  EXPECT_EQ(copy.events_processed(), src.events_processed());
+  EXPECT_EQ(copy.pending_events(), src.pending_events());
+  EXPECT_EQ(copy.pending_events_of(a2.id()), 1u);
+  EXPECT_EQ(copy.pending_events_of(b2.id()), 1u);
+  EXPECT_EQ(copy.find_pending(cancelled), nullptr);
+
+  // Same seq counter: an event scheduled now at t = 3 pops after both.
+  a.schedule(3.0, 3, 50);
+  a2.schedule(3.0, 3, 50);
+  src.run();
+  copy.run();
+  EXPECT_EQ(a2.fired, std::vector<Recorder::Fired>(a.fired.begin() + 1,
+                                                   a.fired.end()));
+  EXPECT_EQ(b2.fired, b.fired);
+  ASSERT_EQ(a2.fired.size(), 2u);
+  EXPECT_EQ(a2.fired[0].arg, 30u);
+  EXPECT_EQ(a2.fired[1].arg, 50u);
+  EXPECT_EQ(copy.events_processed(), src.events_processed());
+}
+
+TEST(SimulationForkTest, CancellingASourceIdInTheCopyLeavesTheSourceAlone) {
+  Simulation src;
+  Recorder a(src);
+  const EventId id = a.schedule(5.0, 1, 7);
+  a.schedule(6.0, 1, 8);
+
+  Simulation copy(src);
+  Recorder a2(copy, a);
+  copy.verify_fork();
+  ASSERT_NE(copy.find_pending(id), nullptr);
+  EXPECT_EQ(copy.find_pending(id)->arg, 7u);
+  EXPECT_TRUE(copy.cancel(id));
+  EXPECT_EQ(copy.find_pending(id), nullptr);
+  ASSERT_NE(src.find_pending(id), nullptr);  // the source still has it
+
+  src.run();
+  copy.run();
+  EXPECT_EQ(a.fired.size(), 2u);
+  ASSERT_EQ(a2.fired.size(), 1u);
+  EXPECT_EQ(a2.fired[0].arg, 8u);
+}
+
+TEST(SimulationForkTest, CopyWithADifferentTargetCountThrows) {
+  Simulation src;
+  Recorder a(src);
+  Recorder b(src);
+  a.schedule(1.0, 0, 0);
+
+  Simulation fewer(src);
+  Recorder a2(fewer, a);
+  EXPECT_THROW(fewer.verify_fork(), std::runtime_error);
+
+  Simulation more(src);
+  Recorder a3(more, a);
+  Recorder b3(more, b);
+  Recorder extra(more);
+  EXPECT_THROW(more.verify_fork(), std::runtime_error);
+}
+
+TEST(SimulationForkTest, ClosureEventsFailTheForkCheck) {
+  // Closures capture pointers into the source, so nothing re-registers
+  // them on a copy: copying an engine that has them must not pass.
+  Simulation src;
+  ClosureEvents events(src);
+  events.at(1.0, [] {});
+  Simulation copy(src);
+  EXPECT_THROW(copy.verify_fork(), std::runtime_error);
 }
 
 TEST(RngStreamTest, DeterministicForSameSeed) {

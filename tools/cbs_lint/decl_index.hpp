@@ -9,7 +9,7 @@
 //     every method's parameter list, constructor init-list and body text;
 //   * out-of-line member definitions (`X::Y::f(...) { ... }`), attached
 //     back to their class so "does this class call schedule_at?" and
-//     "does rebuild_events mention this member?" are whole-program
+//     "does the clone constructor copy this member?" are whole-program
 //     questions, not per-header ones;
 //   * the project include graph (quoted includes only).
 //
@@ -121,8 +121,9 @@ class DeclIndex {
 /// The three whole-program rule families (DESIGN.md §15):
 ///   snapshot-complete — every non-static data member of a class with a
 ///     clone constructor must be mentioned in that constructor;
-///   restore-coverage — every stored EventId of a scheduling class must be
-///     re-registered in rebuild_events() (or the clone ctor body);
+///   restore-coverage — every stored EventId of a scheduling class (or the
+///     member holding a nested struct that stores one) must be copied by
+///     the class's clone constructor;
 ///   layering — the include DAG `util → simcore → {stats, linalg} →
 ///     {net, compute, workload, sla} → models → core → harness →
 ///     tools/tests/bench/examples` admits no back-edges.

@@ -5,11 +5,11 @@
 // rest on conventions a compiler cannot see: deterministic-order containers
 // in sim state, seeded randomness only, move-only `UniqueFunction` callbacks
 // in the engine layers, `double` for time/size arithmetic, opaque
-// generation-checked `EventId` handles — and, since the fork/snapshot work,
-// the clone-constructor and `rebuild_events()` contracts that make a world
-// deep-copyable mid-run. clang-tidy covers the generic bug classes; this
-// tool turns the project-specific rules into machine checks so they survive
-// refactors without hand auditing.
+// generation-checked `EventId` handles — and, since the fork work, the
+// clone-constructor contracts that make a world deep-copyable mid-run.
+// clang-tidy covers the generic bug classes; this tool turns the
+// project-specific rules into machine checks so they survive refactors
+// without hand auditing.
 //
 // Design constraints: no libclang (the container only ships a GCC
 // toolchain). The per-line rules are a comment/string-aware token scanner;

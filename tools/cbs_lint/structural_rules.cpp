@@ -1,12 +1,12 @@
 // Whole-program structural rules over the declaration index.
 //
-// These are the contracts PR 5's fork machinery rests on, promoted from
+// These are the contracts the fork machinery rests on, promoted from
 // golden-pin-after-the-fact to machine checks (DESIGN.md §15): a silently
 // missed member in a clone constructor diverges a fork without any local
-// test failing, and a stored EventId that rebuild_events() forgets leaves
-// an orphaned event that only the fork-equivalence suite would catch — at
-// a distance. The layering rule hardens the module DAG ahead of the
-// datacenter-scale hierarchical-controller refactor (ROADMAP item 1).
+// test failing, and a stored EventId that a clone constructor does not copy
+// leaves the fork's copy of that event without a handle — it can no longer
+// be cancelled, which only the fork-equivalence suite would catch, at a
+// distance. The layering rule hardens the module DAG.
 
 #include <cstddef>
 #include <map>
@@ -66,21 +66,6 @@ std::string clone_mention_text(const ClassDecl& cls) {
     text += m.body;
     text += ' ';
   }
-  return text;
-}
-
-/// The text that may legitimately restore a stored EventId: every
-/// rebuild_events body plus every clone-ctor init-list/body (ScenarioWorld
-/// restores its batch events directly in the copy constructor).
-std::string restore_coverage_text(const ClassDecl& cls) {
-  std::string text;
-  for (const MethodDecl& m : cls.methods) {
-    if (m.name == "rebuild_events" && m.has_body) {
-      text += m.body;
-      text += ' ';
-    }
-  }
-  text += clone_mention_text(cls);
   return text;
 }
 
@@ -147,15 +132,14 @@ void check_restore_coverage(const DeclIndex& idx,
     if (event_members.empty()) continue;
 
     if (class_schedules(cls)) {
-      const std::string coverage = restore_coverage_text(cls);
+      const std::string coverage = clone_mention_text(cls);
       if (coverage.empty()) {
         emit(files,
              {cls.rel, cls.line, std::string(kRestoreRule),
               "'" + qualified +
                   "' stores EventId members and schedules events but "
-                  "defines no rebuild_events(SnapshotContext&) (and no "
-                  "clone constructor restoring them): its pending events "
-                  "would be orphaned by a fork",
+                  "defines no clone constructor copying them: a fork would "
+                  "carry its pending events with no handle to cancel them",
               ""},
              std::string(kRestoreRule), out);
         continue;
@@ -165,32 +149,38 @@ void check_restore_coverage(const DeclIndex& idx,
         emit(files,
              {cls.rel, member->line, std::string(kRestoreRule),
               "stored event id '" + member->name + "' of '" + qualified +
-                  "' is never mentioned in rebuild_events() or the clone "
-                  "constructor: the event it names cannot be re-registered "
-                  "across a fork (simcore/snapshot.hpp protocol)",
+                  "' is never mentioned in the clone constructor: the "
+                  "fork's copy of the event it names keeps firing with no "
+                  "handle to cancel it — copy the id as is",
               ""},
              std::string(kRestoreRule), out);
       }
       continue;
     }
 
-    // A non-scheduling holder (Link::Cold, Cluster::Machine, FaultPlan's
-    // per-VM state): the ids it stores are owned by the enclosing
-    // component, whose rebuild_events/clone ctor must restore them.
+    // A non-scheduling holder (Link::Cold, Cluster::Running): its ids are
+    // copied with the enclosing component's member that holds it, so the
+    // enclosing clone constructor must copy that member.
     const ClassDecl* outer = idx.enclosing(qualified);
     if (outer == nullptr) continue;
-    const std::string coverage = restore_coverage_text(*outer);
-    if (coverage.empty()) continue;  // outer is not snapshot-aware
-    for (const MemberDecl* member : event_members) {
-      if (has_token(coverage, member->name)) continue;
-      emit(files,
-           {cls.rel, member->line, std::string(kRestoreRule),
-            "stored event id '" + member->name + "' of nested '" +
-                qualified + "' is never mentioned in '" + outer->qualified +
-                "'::rebuild_events() or its clone constructor: the event "
-                "it names cannot be re-registered across a fork",
-            ""},
-           std::string(kRestoreRule), out);
+    const std::string coverage = clone_mention_text(*outer);
+    if (coverage.empty()) continue;  // outer is not forkable
+    for (const MemberDecl& holder : outer->members) {
+      if (holder.is_static || !has_token(holder.type_text, cls.simple)) {
+        continue;
+      }
+      if (has_token(coverage, holder.name)) continue;
+      for (const MemberDecl* member : event_members) {
+        emit(files,
+             {cls.rel, member->line, std::string(kRestoreRule),
+              "stored event id '" + member->name + "' of nested '" +
+                  qualified + "' sits in '" + holder.name +
+                  "', which the clone constructor of '" + outer->qualified +
+                  "' does not copy: the fork's copy of the event it names "
+                  "keeps firing with no handle to cancel it",
+              ""},
+             std::string(kRestoreRule), out);
+      }
     }
   }
 }

@@ -87,10 +87,9 @@ bool has_raw_eventid(const std::string& code) {
 
 /// True when a sim-component type name is followed by `*` (optionally
 /// spaced / const-qualified): a raw component pointer. Pointer identity
-/// does not survive a fork — the snapshot protocol (simcore/snapshot.hpp)
-/// requires components to hold rebindable references, owned value state,
-/// or id/slot handles, never raw peer pointers, whether in member state or
-/// captured into event closures.
+/// does not survive a fork — a fork copies value state, so components must
+/// hold rebindable references, owned value state, or id/slot handles,
+/// never raw peer pointers.
 bool has_component_pointer(const std::string& code) {
   static constexpr std::string_view kComponents[] = {
       "Simulation",        "EventQueue",     "Link",
@@ -249,8 +248,7 @@ const std::vector<Rule>& token_rules() {
       {"snapshot-unsafe", "snapshot",
        "raw pointer to a sim component in the engine layers: pointer "
        "identity does not survive a fork — hold a rebindable reference, "
-       "owned value state, or an id/slot handle restored via "
-       "SnapshotContext (simcore/snapshot.hpp)",
+       "owned value state, or an id/slot handle that a fork copies as is",
        in_engine_layers, has_component_pointer},
   };
   return kRules;
