@@ -14,6 +14,32 @@
 #include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 
+namespace {
+
+/// The link's owner: every finished probe updates the bandwidth estimator
+/// and the thread tuner.
+class ProbeObserver : public cbs::net::LinkOwner {
+ public:
+  ProbeObserver(const cbs::sim::Simulation& sim,
+                cbs::net::BandwidthEstimator& estimator,
+                cbs::net::ThreadTuner& tuner)
+      : sim_(sim), estimator_(estimator), tuner_(tuner) {}
+
+  void on_transfer_done(std::size_t /*link*/, std::uint32_t /*kind*/,
+                        std::uint64_t /*tag*/,
+                        const cbs::net::TransferRecord& rec) override {
+    estimator_.observe(sim_.now(), rec.transfer_rate());
+    tuner_.report(sim_.now(), rec.threads, rec.transfer_rate());
+  }
+
+ private:
+  const cbs::sim::Simulation& sim_;
+  cbs::net::BandwidthEstimator& estimator_;
+  cbs::net::ThreadTuner& tuner_;
+};
+
+}  // namespace
+
 int main(int argc, char** argv) try {
   using namespace cbs;
   const harness::cli::Args args(argc, argv, harness::cli::scenario_flags());
@@ -27,7 +53,6 @@ int main(int argc, char** argv) try {
   cfg.noise_rho = 0.9;
   cfg.noise_sigma = 0.15;
   cfg.setup_latency = 0.3;
-  net::Link link(simulation, cfg, root.substream("link"));
 
   net::BandwidthEstimator::Config est_cfg;
   est_cfg.slots_per_day = 24;  // hourly, to match the figure
@@ -39,21 +64,18 @@ int main(int argc, char** argv) try {
   tuner_cfg.initial_threads = 2;
   tuner_cfg.max_threads = 16;
   net::ThreadTuner tuner(tuner_cfg);
+  ProbeObserver observer(simulation, estimator, tuner);
+  net::Link link(simulation, observer, 0, cfg, root.substream("link"));
 
   // Probe every 4 minutes for two simulated days: a big transfer (8 MB)
   // measures the achievable rate at the tuner-suggested thread count.
   const double probe_bytes = 8.0e6;
   const double interval = 240.0;
   const int probes = static_cast<int>(2.0 * sim::kDay / interval);
-  const int probe_done = link.register_handler(
-      [&](std::uint64_t, const net::TransferRecord& rec) {
-        estimator.observe(simulation.now(), rec.transfer_rate());
-        tuner.report(simulation.now(), rec.threads, rec.transfer_rate());
-      });
   sim::ClosureEvents events(simulation);
   for (int i = 0; i < probes; ++i) {
     events.at(i * interval, [&] {
-      link.submit(probe_bytes, tuner.suggest(simulation.now()), probe_done, 0);
+      link.submit(probe_bytes, tuner.suggest(simulation.now()), 0, 0);
     });
   }
   simulation.run();

@@ -296,9 +296,17 @@ void BM_FlatMapFifoErase(benchmark::State& state) {
 }
 BENCHMARK(BM_FlatMapFifoErase)->Arg(1000)->Arg(10000);
 
+/// A link owner that ignores every completion.
+class IgnoreTransfers : public cbs::net::LinkOwner {
+ public:
+  void on_transfer_done(std::size_t, std::uint32_t, std::uint64_t,
+                        const cbs::net::TransferRecord&) override {}
+};
+
 void BM_LinkAllocationStorm(benchmark::State& state) {
   // Water-filling reallocation cost under many concurrent transfers.
   const auto n = static_cast<int>(state.range(0));
+  IgnoreTransfers owner;
   for (auto _ : state) {
     cbs::sim::Simulation sim;
     cbs::net::LinkConfig cfg;
@@ -306,13 +314,11 @@ void BM_LinkAllocationStorm(benchmark::State& state) {
     cfg.per_connection_cap = 0.1e6;
     cfg.noise_sigma = 0.0;
     cfg.setup_latency = 0.0;
-    cbs::net::Link link(sim, cfg, cbs::sim::RngStream(1));
-    const int done = link.register_handler(
-        [](std::uint64_t, const cbs::net::TransferRecord&) {});
+    cbs::net::Link link(sim, owner, 0, cfg, cbs::sim::RngStream(1));
     cbs::sim::ClosureEvents events(sim);
     for (int i = 0; i < n; ++i) {
       events.at(static_cast<double>(i) * 0.1,
-                [&link, done] { link.submit(1.0e5, 2, done, 0); });
+                [&link] { link.submit(1.0e5, 2, 0, 0); });
     }
     sim.run();
     benchmark::DoNotOptimize(link.total_bytes_delivered());

@@ -31,7 +31,6 @@
 #include "core/upload_queues.hpp"
 #include "net/link.hpp"
 #include "net/thread_tuner.hpp"
-#include "simcore/closure_events.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/simulation.hpp"
 
@@ -57,55 +56,94 @@ double peak_rss_bytes() {
   return static_cast<double>(usage.ru_maxrss) * 1024.0;  // KiB on Linux
 }
 
+/// Drives one storm: the owner of the uplink (each finished transfer frees
+/// its queue slot and counts) and the target of the arrival stream, which
+/// keeps only the next arrival pending, as ScenarioWorld does for batches —
+/// so the event queue, and the peak RSS, track live transfers rather than
+/// the whole job list.
+class Storm : private cbs::net::LinkOwner, private cbs::sim::EventTarget {
+ public:
+  Storm(cbs::sim::Simulation& sim, std::size_t jobs)
+      : sim_(sim),
+        target_(sim.register_target(*this)),
+        jobs_(jobs),
+        link_(sim, *this, 0, uplink_config(),
+              cbs::sim::RngStream(42).substream("link")),
+        queues_(sim, link_, tuner_, /*transfer_kind=*/0, /*num_classes=*/3,
+                /*slots_per_class=*/2) {
+    if (jobs_ > 0) schedule_next();
+  }
+
+  [[nodiscard]] std::size_t completed() const noexcept { return completed_; }
+
+ private:
+  void on_transfer_done(std::size_t /*link*/, std::uint32_t /*kind*/,
+                        std::uint64_t tag,
+                        const cbs::net::TransferRecord& /*rec*/) override {
+    queues_.on_transfer_done(tag);
+    ++completed_;
+  }
+
+  /// One noisy, diurnal uplink: noise ticks and water-filling churn stay
+  /// hot for the whole horizon.
+  static cbs::net::LinkConfig uplink_config() {
+    cbs::net::LinkConfig cfg;
+    cfg.base_rate = 2.0e6;
+    cfg.per_connection_cap = 0.25e6;
+    cfg.noise_sigma = 0.3;
+    cfg.noise_rho = 0.9;
+    cfg.noise_step = 15.0;
+    cfg.profile = cbs::net::DiurnalProfile::business_pipe();
+    cfg.setup_latency = 0.2;
+    return cfg;
+  }
+
+  /// Draws arrival `next_` and schedules it. Arrivals stream in at a rate
+  /// the pipe can absorb, so the queue depth (and thus memory) is
+  /// workload-bound, not horizon-bound.
+  void schedule_next() {
+    bytes_ = rng_.uniform(0.2e6, 4.0e6);
+    when_ += rng_.uniform(0.2, 1.5);
+    sim_.schedule_at(when_, {target_, 0, next_});
+  }
+
+  void on_event(std::uint32_t /*kind*/, std::uint64_t i) override {
+    const double bytes = bytes_;
+    ++next_;
+    if (next_ < jobs_) schedule_next();
+    queues_.enqueue(/*tag=*/i + 1, bytes, static_cast<int>(i % 3));
+  }
+
+  cbs::sim::Simulation& sim_;
+  cbs::sim::TargetId target_;
+  std::size_t jobs_;
+  cbs::net::ThreadTuner tuner_{{}};
+  cbs::net::Link link_;
+  cbs::core::TransferQueueSet queues_;
+  cbs::sim::RngStream rng_{cbs::sim::RngStream(42).substream("arrivals")};
+  std::uint64_t next_ = 0;  ///< index of the pending arrival
+  double bytes_ = 0.0;      ///< its size
+  double when_ = 0.0;       ///< its time
+  std::size_t completed_ = 0;
+};
+
 RunResult run_storm(std::size_t jobs) {
   cbs::sim::Simulation sim;
-  // One noisy, diurnal uplink: noise ticks, water-filling churn and
-  // capacity-history recording all stay hot for the whole horizon.
-  cbs::net::LinkConfig cfg;
-  cfg.base_rate = 2.0e6;
-  cfg.per_connection_cap = 0.25e6;
-  cfg.noise_sigma = 0.3;
-  cfg.noise_rho = 0.9;
-  cfg.noise_step = 15.0;
-  cfg.profile = cbs::net::DiurnalProfile::business_pipe();
-  cfg.setup_latency = 0.2;
-  cbs::net::Link link(sim, cfg, cbs::sim::RngStream(42).substream("link"));
-  cbs::net::ThreadTuner tuner({});
-  cbs::core::TransferQueueSet queues(sim, link, tuner, /*num_classes=*/3,
-                                     /*slots_per_class=*/2);
-  std::size_t completed = 0;
-  queues.set_on_complete(
-      [&completed](std::uint64_t, int, const cbs::net::TransferRecord&) {
-        ++completed;
-      });
-
-  // Arrivals stream in at a rate the pipe can absorb, so the queue depth
-  // (and thus memory) is workload-bound, not horizon-bound.
   sim.reserve_events(1024);
-  cbs::sim::RngStream rng(cbs::sim::RngStream(42).substream("arrivals"));
-  cbs::sim::ClosureEvents events(sim);
-  double when = 0.0;
-  for (std::size_t i = 0; i < jobs; ++i) {
-    const double bytes = rng.uniform(0.2e6, 4.0e6);
-    const int klass = static_cast<int>(i % 3);
-    when += rng.uniform(0.2, 1.5);
-    events.at(when, [&queues, i, bytes, klass] {
-      queues.enqueue(/*tag=*/i + 1, bytes, klass);
-    });
-  }
+  Storm storm(sim, jobs);
 
   const double t0 = cpu_now_ns();
   sim.run();
   const double t1 = cpu_now_ns();
 
   RunResult r;
-  r.jobs = completed;
+  r.jobs = storm.completed();
   r.cpu_time_ns = t1 - t0;
   r.peak_rss_bytes = peak_rss_bytes();
   r.events = static_cast<std::size_t>(sim.events_processed());
-  if (completed != jobs) {
+  if (storm.completed() != jobs) {
     std::fprintf(stderr, "scale_stress: expected %zu completions, got %zu\n",
-                 jobs, completed);
+                 jobs, storm.completed());
     std::exit(2);
   }
   return r;

@@ -7,10 +7,13 @@ namespace cbs::compute {
 
 using cbs::sim::SimTime;
 
-Cluster::Cluster(cbs::sim::Simulation& sim, std::string name, std::size_t machines,
+Cluster::Cluster(cbs::sim::Simulation& sim, ClusterOwner& owner,
+                 std::size_t index, std::string name, std::size_t machines,
                  double speed)
     : sim_(sim),
       target_(sim.register_target(*this)),
+      owner_(owner),
+      index_(index),
       name_(std::move(name)),
       speed_(speed),
       machines_(machines),
@@ -22,9 +25,12 @@ Cluster::Cluster(cbs::sim::Simulation& sim, std::string name, std::size_t machin
   provision_since_ = sim.now();
 }
 
-Cluster::Cluster(cbs::sim::Simulation& dst, const Cluster& src)
+Cluster::Cluster(cbs::sim::Simulation& dst, ClusterOwner& owner,
+                 const Cluster& src)
     : sim_(dst),
       target_(dst.register_target(*this, src.target_)),
+      owner_(owner),
+      index_(src.index_),
       name_(src.name_),
       speed_(src.speed_),
       machines_(src.machines_),
@@ -189,13 +195,12 @@ void Cluster::finish(std::size_t machine_idx) {
   rec.machine = machine_idx;
   rec.standard_service = task.standard_service;
 
-  // Pull the next task before invoking callbacks, so the machine never sits
-  // idle across a callback that might enqueue more work.
+  // Pull the next task before reporting, so the machine never sits idle
+  // across an owner call that might enqueue more work.
   dispatch();
-  if (task_complete_hook_) task_complete_hook_(rec);
-  if (task_done_hook_) task_done_hook_();
-  if (queue_.empty() && !machines_[machine_idx].busy && idle_hook_) {
-    idle_hook_(machine_idx);
+  owner_.on_task_done(index_, rec);
+  if (queue_.empty() && !machines_[machine_idx].busy) {
+    owner_.on_machine_idle(index_, machine_idx);
   }
 }
 

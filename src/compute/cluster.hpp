@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -26,6 +25,21 @@ struct TaskRecord {
   double standard_service = 0.0;  ///< service time on a speed-1 machine
 };
 
+/// What a Cluster reports to. `cluster` is the index the owner gave the
+/// cluster at construction.
+class ClusterOwner {
+ public:
+  /// A task finished. The freed machine has already pulled the next queued
+  /// task, so the owner never sees a machine idle across this call.
+  virtual void on_task_done(std::size_t cluster, const TaskRecord& rec) = 0;
+  /// After on_task_done(): `machine` is still free and the queue is empty —
+  /// the trigger point of the §IV.D rescheduling strategies.
+  virtual void on_machine_idle(std::size_t cluster, std::size_t machine) = 0;
+
+ protected:
+  ~ClusterOwner() = default;
+};
+
 /// A pool of identical machines with one global FCFS task queue — the
 /// execution substrate for both the internal (Hadoop on printer
 /// controllers) and external (EMR) clouds. Tasks are dispatched to the
@@ -33,22 +47,21 @@ struct TaskRecord {
 /// `speed` times the standard rate.
 class Cluster : private cbs::sim::EventTarget {
  public:
-  using Callback = std::function<void(const TaskRecord&)>;
-
-  Cluster(cbs::sim::Simulation& sim, std::string name, std::size_t machines,
-          double speed = 1.0);
+  /// A cluster that reports to `owner` under `index`.
+  Cluster(cbs::sim::Simulation& sim, ClusterOwner& owner, std::size_t index,
+          std::string name, std::size_t machines, double speed = 1.0);
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
   /// Fork support: copies `src`'s value state (machines, queue, running
-  /// tasks, accounting) into a cluster bound to `dst`, the copy of `src`'s
-  /// engine. Hooks are NOT copied — owners re-register them on the clone.
-  Cluster(cbs::sim::Simulation& dst, const Cluster& src);
+  /// tasks, accounting, its index) into a cluster bound to `dst`, the copy
+  /// of `src`'s engine, that reports to `owner`.
+  Cluster(cbs::sim::Simulation& dst, ClusterOwner& owner, const Cluster& src);
 
   /// Enqueues a task needing `standard_service_seconds` of speed-1
-  /// compute. Its completion is dispatched to the task-complete hook with
-  /// `group_id` and `kind` in the record, so a queued or running task is
-  /// plain data and crosses a fork as is.
+  /// compute. Its completion is reported to the owner with `group_id` and
+  /// `kind` in the record, so a queued or running task is plain data and
+  /// crosses a fork as is.
   TaskId submit(double standard_service_seconds, std::uint64_t group_id,
                 std::uint32_t kind);
 
@@ -76,25 +89,6 @@ class Cluster : private cbs::sim::EventTarget {
   /// Average utilization over [t0, t1] per the paper's Eq. 9.
   [[nodiscard]] double average_utilization(cbs::sim::SimTime t0,
                                            cbs::sim::SimTime t1) const;
-
-  /// Registers a hook invoked whenever a machine becomes free and the queue
-  /// is empty — the trigger point of the §IV.D rescheduling strategies.
-  void set_idle_hook(std::function<void(std::size_t machine)> hook) {
-    idle_hook_ = std::move(hook);
-  }
-
-  /// Registers a hook invoked after every task completion (after the next
-  /// task was dispatched) — lets a controller keep its feed-ahead window
-  /// topped up without polling.
-  void set_task_done_hook(std::function<void()> hook) {
-    task_done_hook_ = std::move(hook);
-  }
-
-  /// Registers the completion hook every task reports to. Fires before
-  /// task_done_hook_.
-  void set_task_complete_hook(Callback hook) {
-    task_complete_hook_ = std::move(hook);
-  }
 
   // ---- Elasticity (pay-as-you-go instances) --------------------------
 
@@ -221,6 +215,8 @@ class Cluster : private cbs::sim::EventTarget {
 
   cbs::sim::Simulation& sim_;
   cbs::sim::TargetId target_;
+  ClusterOwner& owner_;
+  std::size_t index_;
   std::string name_;
   double speed_;
   std::vector<Machine> machines_;
@@ -244,12 +240,6 @@ class Cluster : private cbs::sim::EventTarget {
   std::size_t running_ = 0;
   double queued_standard_seconds_ = 0.0;
   TaskId next_id_ = 1;
-  // cbs-lint: snapshot-complete-ok(owner re-registers its hooks post-fork)
-  std::function<void(std::size_t)> idle_hook_;
-  // cbs-lint: snapshot-complete-ok(owner re-registers its hooks post-fork)
-  std::function<void()> task_done_hook_;
-  // cbs-lint: snapshot-complete-ok(owner re-registers its hooks post-fork)
-  Callback task_complete_hook_;
 };
 
 }  // namespace cbs::compute

@@ -6,17 +6,25 @@
 
 namespace cbs::compute {
 
-JobStore::JobStore(cbs::sim::Simulation& sim, Config config)
-    : sim_(sim), target_(sim.register_target(*this)), config_(config) {
+JobStore::JobStore(cbs::sim::Simulation& sim, StoreOwner& owner,
+                   std::size_t index, Config config)
+    : sim_(sim),
+      target_(sim.register_target(*this)),
+      owner_(owner),
+      index_(index),
+      config_(config) {
   assert(config_.max_attempts >= 1);
   assert(config_.retry_backoff >= 0.0);
   assert(config_.backoff_multiplier >= 1.0);
   assert(config_.capacity_bytes >= 0.0);
 }
 
-JobStore::JobStore(cbs::sim::Simulation& dst, const JobStore& src)
+JobStore::JobStore(cbs::sim::Simulation& dst, StoreOwner& owner,
+                   const JobStore& src)
     : sim_(dst),
       target_(dst.register_target(*this, src.target_)),
+      owner_(owner),
+      index_(src.index_),
       config_(src.config_),
       available_(src.available_),
       failed_attempts_(src.failed_attempts_),
@@ -29,12 +37,6 @@ JobStore::JobStore(cbs::sim::Simulation& dst, const JobStore& src)
       pending_ops_(src.pending_ops_),
       next_op_id_(src.next_op_id_) {}
 
-int JobStore::register_continuation(Continuation continuation) {
-  assert(continuation);
-  continuations_.push_back(std::move(continuation));
-  return static_cast<int>(continuations_.size()) - 1;
-}
-
 cbs::sim::SimDuration JobStore::backoff_delay(int attempt) const {
   // attempt 0 failed -> wait retry_backoff, then grow geometrically.
   double delay = config_.retry_backoff;
@@ -42,26 +44,22 @@ cbs::sim::SimDuration JobStore::backoff_delay(int attempt) const {
   return std::min(delay, config_.max_backoff);
 }
 
-void JobStore::put_async(std::uint64_t seq, ObjectKind kind, double bytes,
-                         int slot, std::uint64_t tag) {
-  assert(slot >= 0 && slot < static_cast<int>(continuations_.size()));
-  step_op(PendingOp{
-      .seq = seq, .kind = kind, .bytes = bytes, .slot = slot, .tag = tag});
+void JobStore::put_async(std::uint64_t seq, ObjectKind kind, double bytes) {
+  step_op(PendingOp{.seq = seq, .kind = kind, .bytes = bytes});
 }
 
 void JobStore::step_op(PendingOp op) {
-  Continuation& done = continuations_[static_cast<std::size_t>(op.slot)];
   // An overwrite frees the old object.
   const double delta = op.bytes - size_of(op.seq, op.kind);
   if (available_ && occupancy_ + delta <= config_.capacity_bytes) {
     put(op.seq, op.kind, op.bytes);
-    done(op.tag, true, op.bytes);
+    owner_.on_put_done(index_, op.seq, op.kind, true);
     return;
   }
   ++failed_attempts_;
   if (op.attempt + 1 >= config_.max_attempts) {
     ++abandoned_ops_;
-    done(op.tag, false, 0.0);
+    owner_.on_put_done(index_, op.seq, op.kind, false);
     return;
   }
   const std::uint64_t op_id = next_op_id_++;

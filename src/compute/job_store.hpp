@@ -1,15 +1,15 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <vector>
 
 #include "simcore/simulation.hpp"
 #include "simcore/time.hpp"
 #include "util/flat_map.hpp"
 
 namespace cbs::compute {
+
+class StoreOwner;
 
 /// The external cloud's staging storage (Amazon S3 in the prototype):
 /// uploaded job inputs land here before EMR picks them up, and compressed
@@ -43,24 +43,18 @@ class JobStore : private cbs::sim::EventTarget {
     double capacity_bytes = std::numeric_limits<double>::infinity();
   };
 
-  /// A registered continuation: receives the caller's tag and the result
-  /// (`bytes` is the stored size, 0 when the put was abandoned).
-  using Continuation =
-      std::function<void(std::uint64_t tag, bool ok, double bytes)>;
-
-  explicit JobStore(cbs::sim::Simulation& sim) : JobStore(sim, Config{}) {}
-  JobStore(cbs::sim::Simulation& sim, Config config);
+  /// A store that reports to `owner` under `index`.
+  JobStore(cbs::sim::Simulation& sim, StoreOwner& owner, std::size_t index)
+      : JobStore(sim, owner, index, Config{}) {}
+  JobStore(cbs::sim::Simulation& sim, StoreOwner& owner, std::size_t index,
+           Config config);
   JobStore(const JobStore&) = delete;
   JobStore& operator=(const JobStore&) = delete;
 
   /// Fork support: copies `src`'s value state (objects, occupancy
-  /// accounting, pending retry records) into a store bound to `dst`, the
-  /// copy of `src`'s engine. Continuations are NOT copied — the owner must
-  /// register them on the clone in source order.
-  JobStore(cbs::sim::Simulation& dst, const JobStore& src);
-
-  /// Registers a continuation and returns its slot for put_async.
-  int register_continuation(Continuation continuation);
+  /// accounting, pending retry records, its index) into a store bound to
+  /// `dst`, the copy of `src`'s engine, that reports to `owner`.
+  JobStore(cbs::sim::Simulation& dst, StoreOwner& owner, const JobStore& src);
 
   /// Stores `bytes` as job `seq`'s object of `kind`; overwrites an
   /// existing one.
@@ -79,12 +73,10 @@ class JobStore : private cbs::sim::EventTarget {
   void set_available(bool available) noexcept { available_ = available; }
   [[nodiscard]] bool available() const noexcept { return available_; }
 
-  /// put() with retry/backoff. The result goes, once, to the registered
-  /// continuation `slot` with `tag`: synchronously when the first attempt
-  /// succeeds. A pending retry is value state (re-schedulable across a
-  /// fork), not a closure.
-  void put_async(std::uint64_t seq, ObjectKind kind, double bytes, int slot,
-                 std::uint64_t tag);
+  /// put() with retry/backoff. The result goes to the owner once, with
+  /// `seq` and `kind`: synchronously when the first attempt succeeds. A
+  /// pending retry is value state that crosses a fork, not a closure.
+  void put_async(std::uint64_t seq, ObjectKind kind, double bytes);
 
   /// put_async attempts that failed (unavailable or over capacity).
   [[nodiscard]] std::uint64_t failed_attempts() const noexcept {
@@ -110,8 +102,6 @@ class JobStore : private cbs::sim::EventTarget {
     std::uint64_t seq = 0;
     ObjectKind kind = ObjectKind::kInput;
     double bytes = 0.0;
-    int slot = -1;
-    std::uint64_t tag = 0;
     int attempt = 0;
   };
 
@@ -126,6 +116,8 @@ class JobStore : private cbs::sim::EventTarget {
 
   cbs::sim::Simulation& sim_;
   cbs::sim::TargetId target_;
+  StoreOwner& owner_;
+  std::size_t index_;
   Config config_;
   bool available_ = true;
   std::uint64_t failed_attempts_ = 0;
@@ -135,11 +127,20 @@ class JobStore : private cbs::sim::EventTarget {
   double peak_ = 0.0;
   double byte_seconds_ = 0.0;
   cbs::sim::SimTime last_change_ = 0.0;
-  // Owners re-register continuations in the same slot order post-fork.
-  // cbs-lint: snapshot-complete-ok(re-registered post-fork in slot order)
-  std::vector<Continuation> continuations_;
   cbs::util::FlatMap<std::uint64_t, PendingOp> pending_ops_;
   std::uint64_t next_op_id_ = 1;
+};
+
+/// What a JobStore reports finished put_async() operations to. `store` is
+/// the index the owner gave the store at construction; `ok` is false when
+/// the put was abandoned after Config::max_attempts.
+class StoreOwner {
+ public:
+  virtual void on_put_done(std::size_t store, std::uint64_t seq,
+                           JobStore::ObjectKind kind, bool ok) = 0;
+
+ protected:
+  ~StoreOwner() = default;
 };
 
 }  // namespace cbs::compute

@@ -4,17 +4,11 @@
 
 namespace cbs::compute {
 
-MapReduceRuntime::MapReduceRuntime(Cluster& cluster) : cluster_(cluster) {
-  cluster_.set_task_complete_hook(
-      [this](const TaskRecord& rec) { on_cluster_task(rec); });
-}
+MapReduceRuntime::MapReduceRuntime(Cluster& cluster) : cluster_(cluster) {}
 
 MapReduceRuntime::MapReduceRuntime(const MapReduceRuntime& src,
                                    Cluster& cluster)
-    : cluster_(cluster), in_flight_(src.in_flight_) {
-  cluster_.set_task_complete_hook(
-      [this](const TaskRecord& rec) { on_cluster_task(rec); });
-}
+    : cluster_(cluster), in_flight_(src.in_flight_) {}
 
 void MapReduceRuntime::run(const MapReduceSpec& spec) {
   assert(spec.map_seconds >= 0.0);
@@ -24,23 +18,23 @@ void MapReduceRuntime::run(const MapReduceSpec& spec) {
   cluster_.submit(spec.map_seconds, spec.job_id, kMapTask);
 }
 
-void MapReduceRuntime::on_cluster_task(const TaskRecord& rec) {
+std::optional<std::uint64_t> MapReduceRuntime::on_task_done(
+    const TaskRecord& rec) {
   switch (rec.kind) {
     case kMapTask: {
       const auto it = in_flight_.find(rec.group_id);
       assert(it != in_flight_.end());
       cluster_.submit(it->second, rec.group_id, kMergeTask);
-      break;
+      return std::nullopt;
     }
     case kMergeTask: {
       const bool erased = in_flight_.erase(rec.group_id) == 1;
       assert(erased);
       (void)erased;
-      if (on_complete_) on_complete_(rec.group_id);
-      break;
+      return rec.group_id;
     }
     default:
-      break;  // untagged task submitted directly to the cluster: not ours
+      return std::nullopt;  // untagged task submitted directly: not ours
   }
 }
 

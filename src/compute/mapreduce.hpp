@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <optional>
 
 #include "compute/cluster.hpp"
 #include "util/flat_map.hpp"
@@ -23,11 +23,10 @@ struct MapReduceSpec {
 /// Runs MapReduce-shaped jobs on a Cluster: queues each job's map task in
 /// the cluster's FCFS queue (so job order is preserved at task
 /// granularity), then submits its merge task once the map has finished.
+/// The runtime does not listen to the cluster: the cluster's owner hands
+/// it every finished task through on_task_done().
 class MapReduceRuntime {
  public:
-  /// Called with the job id when a job's merge task finishes.
-  using Callback = std::function<void(std::uint64_t job_id)>;
-
   /// Cluster task kinds the runtime tags its submissions with.
   static constexpr std::uint32_t kMapTask = 1;
   static constexpr std::uint32_t kMergeTask = 2;
@@ -37,27 +36,24 @@ class MapReduceRuntime {
   MapReduceRuntime& operator=(const MapReduceRuntime&) = delete;
 
   /// Fork support: copies `src`'s in-flight bookkeeping into a runtime
-  /// bound to `cluster` (the forked cluster) and re-registers the
-  /// cluster's task-complete hook. The runtime schedules no events of its
-  /// own — its pending state is all cluster tasks, which the forked
-  /// cluster carries.
+  /// bound to `cluster` (the forked cluster). The runtime schedules no
+  /// events of its own — its pending state is all cluster tasks, which the
+  /// forked cluster carries.
   MapReduceRuntime(const MapReduceRuntime& src, Cluster& cluster);
 
-  /// Submits a job; its completion is dispatched to the set_on_complete()
-  /// hook when its merge task finishes.
+  /// Submits a job; on_task_done() returns its id when its merge task
+  /// finishes.
   void run(const MapReduceSpec& spec);
 
-  /// Registers the completion hook every job reports to.
-  void set_on_complete(Callback hook) { on_complete_ = std::move(hook); }
+  /// Takes one finished task of the cluster: a finished map submits its
+  /// job's merge. Returns the job id when `rec` is a job's merge, and
+  /// nothing for a map or a task the runtime did not submit.
+  std::optional<std::uint64_t> on_task_done(const TaskRecord& rec);
 
   [[nodiscard]] std::size_t jobs_in_flight() const noexcept { return in_flight_.size(); }
 
  private:
-  void on_cluster_task(const TaskRecord& rec);
-
   Cluster& cluster_;
-  // cbs-lint: snapshot-complete-ok(owner re-wires set_on_complete post-fork)
-  Callback on_complete_;
   // Each running job's merge seconds, by job id. Sorted-vector map: job ids
   // are monotonic, so inserts append; keeps the compute layer free of
   // hash-ordered containers like simcore/core.

@@ -53,16 +53,6 @@ std::string site_stream(std::string_view base, std::size_t site) {
   return name;
 }
 
-/// A site arrives holding -1 (fresh) or its fork source's handler slot;
-/// re-registration must reproduce the latter, because pending transfers and
-/// store operations carry slot indices across the fork.
-int checked_slot(int held, int registered) {
-  assert((held < 0 || held == registered) &&
-         "handler registration order must match the fork source");
-  (void)held;
-  return registered;
-}
-
 /// A fork's copy of the job table with at least the source's room to grow
 /// (and never less than a batch's worth), so the rollout's first admission
 /// does not reallocate and move the whole inherited backlog.
@@ -86,53 +76,49 @@ ControllerConfig validated(ControllerConfig config) {
 }  // namespace
 
 CloudBurstController::Site::Site(cbs::sim::Simulation& sim,
+                                 CloudBurstController& owner,
                                  const ControllerConfig& config,
                                  std::size_t index, cbs::sim::RngStream rng)
-    : cluster(sim, config.ec_sites[index].name, config.ec_sites[index].machines,
-              config.ec_sites[index].speed),
+    : cluster(sim, owner, index, config.ec_sites[index].name,
+              config.ec_sites[index].machines, config.ec_sites[index].speed),
       runtime(cluster),
-      uplink(sim, config.ec_sites[index].uplink,
+      uplink(sim, owner, index, config.ec_sites[index].uplink,
              rng.substream(site_stream("uplink", index))),
-      downlink(sim, config.ec_sites[index].downlink,
+      downlink(sim, owner, index, config.ec_sites[index].downlink,
                rng.substream(site_stream("downlink", index))),
-      store(sim, config.store),
+      store(sim, owner, index, config.store),
       uplink_estimator(config.bandwidth_estimator),
       downlink_estimator(config.bandwidth_estimator),
       up_tuner(config.thread_tuner),
       down_tuner(config.thread_tuner),
-      upload_queues(sim, uplink, up_tuner,
+      upload_queues(sim, uplink, up_tuner, kUploadJob,
                     config.scheduler == SchedulerKind::kBandwidthSplit
                         ? kSizeIntervalQueues
                         : 1),
-      download_queue(sim, downlink, down_tuner, 1) {
+      download_queue(sim, downlink, down_tuner, kDownloadJob, 1) {
   if (config.resilience.enabled()) {
     hazard = std::make_unique<models::VmHazardEstimator>(
         config.resilience.hazard, config.ec_sites[index].machines, sim.now());
   }
 }
 
-CloudBurstController::Site::Site(cbs::sim::Simulation& dst, const Site& src)
-    : cluster(dst, src.cluster),
+CloudBurstController::Site::Site(cbs::sim::Simulation& dst,
+                                 CloudBurstController& owner, const Site& src)
+    : cluster(dst, owner, src.cluster),
       runtime(src.runtime, cluster),
-      uplink(dst, src.uplink),
-      downlink(dst, src.downlink),
-      store(dst, src.store),
+      uplink(dst, owner, src.uplink),
+      downlink(dst, owner, src.downlink),
+      store(dst, owner, src.store),
       uplink_estimator(src.uplink_estimator),
       downlink_estimator(src.downlink_estimator),
       up_tuner(src.up_tuner),
       down_tuner(src.down_tuner),
-      // The queue sets claim slot 0 of each link here, as in the primary
-      // constructor; the probe handlers (slot 1) follow in wire_site().
       upload_queues(dst, src.upload_queues, uplink, up_tuner),
       download_queue(dst, src.download_queue, downlink, down_tuner),
       hazard(src.hazard ? std::make_unique<models::VmHazardEstimator>(*src.hazard)
                         : nullptr),
       bursts(src.bursts),
-      pending_boots(src.pending_boots),
-      store_input_slot(src.store_input_slot),
-      store_output_slot(src.store_output_slot),
-      probe_up_slot(src.probe_up_slot),
-      probe_down_slot(src.probe_down_slot) {}
+      pending_boots(src.pending_boots) {}
 
 CloudBurstController::CloudBurstController(cbs::sim::Simulation& sim,
                                            ControllerConfig config,
@@ -143,19 +129,17 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& sim,
       truth_(truth),
       log_("controller", config_.log_threshold),
       target_(sim.register_target(*this)),
-      ic_cluster_(sim, "ic", config_.topology.ic_machines),
+      ic_cluster_(sim, *this, kIcCluster, "ic", config_.topology.ic_machines),
       ic_runtime_(ic_cluster_),
       proc_estimator_(make_estimator(config_.estimator, truth)),
       belief_(*proc_estimator_, config_.topology.ic_machines),
       scheduler_(make_scheduler(config_.scheduler)) {
   if (config_.log_sink) log_.set_sink(config_.log_sink);
-  wire_ic();
   for (std::size_t i = 0; i < config_.ec_sites.size(); ++i) {
-    sites_.push_back(std::make_unique<Site>(sim, config_, i, rng));
+    sites_.push_back(std::make_unique<Site>(sim, *this, config_, i, rng));
     Site& site = *sites_.back();
     belief_.add_ec_site(site.uplink_estimator, site.downlink_estimator,
                         config_.ec_sites[i]);
-    wire_site(i);
   }
   if (config_.scheduler == SchedulerKind::kGreedy) {
     // Algorithm 1 conditions on "the current transit bandwidth" — the
@@ -163,23 +147,17 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& sim,
     belief_.set_bandwidth_view(BandwidthView::kTransient);
   }
   if (config_.faults.enabled()) {
-    fault_plan_ = std::make_unique<sim::FaultPlan>(sim_, config_.faults,
-                                                   rng.substream("faults"));
-    fault_plan_->set_active([this] { return outstanding_ > 0; });
-    fault_plan_->drive_vm_crashes(
-        "ic", config_.topology.ic_machines, config_.faults.ic_vm_mtbf,
-        [this](std::size_t m) { on_ic_crash(m); },
-        [this](std::size_t m) { on_ic_recover(m); });
+    fault_plan_ = std::make_unique<sim::FaultPlan>(
+        sim_, static_cast<sim::FaultOwner&>(*this), config_.faults,
+        rng.substream("faults"));
+    fault_plan_->drive_vm_crashes("ic", config_.topology.ic_machines,
+                                  config_.faults.ic_vm_mtbf, kIcCluster);
     for (std::size_t i = 0; i < sites_.size(); ++i) {
-      fault_plan_->drive_vm_crashes(
-          site_stream("ec", i), config_.ec_sites[i].machines,
-          config_.faults.ec_vm_mtbf,
-          [this, i](std::size_t m) { on_ec_crash(i, m); },
-          [this, i](std::size_t m) { on_ec_recover(i, m); });
+      fault_plan_->drive_vm_crashes(site_stream("ec", i),
+                                    config_.ec_sites[i].machines,
+                                    config_.faults.ec_vm_mtbf, i);
     }
-    fault_plan_->drive_outages(
-        [this](const sim::OutageWindow&) { on_outage_begin(); },
-        [this] { on_outage_end(); });
+    fault_plan_->drive_outages();
   }
   if (config_.resilience.enabled()) {
     ic_hazard_ = std::make_unique<models::VmHazardEstimator>(
@@ -195,7 +173,7 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
       truth_(truth),
       log_("controller", config_.log_threshold),
       target_(dst.register_target(*this, src.target_)),
-      ic_cluster_(dst, src.ic_cluster_),
+      ic_cluster_(dst, *this, src.ic_cluster_),
       ic_runtime_(src.ic_runtime_, ic_cluster_),
       proc_estimator_(src.proc_estimator_->clone(truth)),
       belief_(src.belief_, *proc_estimator_),
@@ -224,12 +202,10 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
          "estimator kind does not support forking");
   assert(scheduler_ != nullptr && "scheduler does not support forking");
   if (config_.log_sink) log_.set_sink(config_.log_sink);
-  wire_ic();
   for (std::size_t i = 0; i < src.sites_.size(); ++i) {
-    sites_.push_back(std::make_unique<Site>(dst, *src.sites_[i]));
+    sites_.push_back(std::make_unique<Site>(dst, *this, *src.sites_[i]));
     Site& site = *sites_.back();
     belief_.rebind_site(i, site.uplink_estimator, site.downlink_estimator);
-    wire_site(i);
   }
   for (const auto& entry : src.alt_schedulers_) {
     auto copy = entry.second->clone();
@@ -237,81 +213,12 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
     alt_schedulers_.emplace_back(entry.first, std::move(copy));
   }
   if (src.fault_plan_) {
-    fault_plan_ = std::make_unique<sim::FaultPlan>(dst, *src.fault_plan_);
-    fault_plan_->set_active([this] { return outstanding_ > 0; });
-    // Hook indices follow the primary constructor's drive_vm_crashes()
-    // order: IC (when driven), then each site (when driven).
-    std::size_t idx = 0;
-    if (config_.faults.ic_vm_mtbf > 0.0 && config_.topology.ic_machines > 0) {
-      fault_plan_->rebind_cluster_hooks(
-          idx++, [this](std::size_t m) { on_ic_crash(m); },
-          [this](std::size_t m) { on_ic_recover(m); });
-    }
-    for (std::size_t i = 0; i < sites_.size(); ++i) {
-      if (config_.faults.ec_vm_mtbf <= 0.0 || config_.ec_sites[i].machines == 0) {
-        continue;
-      }
-      fault_plan_->rebind_cluster_hooks(
-          idx++, [this, i](std::size_t m) { on_ec_crash(i, m); },
-          [this, i](std::size_t m) { on_ec_recover(i, m); });
-    }
-    fault_plan_->rebind_outage_hooks(
-        [this](const sim::OutageWindow&) { on_outage_begin(); },
-        [this] { on_outage_end(); });
+    fault_plan_ = std::make_unique<sim::FaultPlan>(
+        dst, static_cast<sim::FaultOwner&>(*this), *src.fault_plan_);
   }
   if (src.ic_hazard_) {
     ic_hazard_ = std::make_unique<models::VmHazardEstimator>(*src.ic_hazard_);
   }
-}
-
-void CloudBurstController::wire_ic() {
-  ic_cluster_.set_task_done_hook([this] { dispatch_ic(); });
-  ic_runtime_.set_on_complete([this](std::uint64_t seq) { on_ic_done(seq); });
-  if (config_.enable_rescheduler) {
-    ic_cluster_.set_idle_hook([this](std::size_t) { maybe_pull_back(); });
-  }
-}
-
-void CloudBurstController::wire_site(std::size_t i) {
-  Site& site = *sites_[i];
-  site.upload_queues.set_on_complete(
-      [this, i](std::uint64_t seq, int, const net::TransferRecord& rec) {
-        on_upload_done(i, seq, rec);
-      });
-  site.download_queue.set_on_complete(
-      [this, i](std::uint64_t seq, int, const net::TransferRecord& rec) {
-        on_download_done(i, seq, rec);
-      });
-  site.runtime.set_on_complete(
-      [this, i](std::uint64_t seq) { on_ec_proc_done(i, seq); });
-  // Link-handler registration order is part of the fork contract: the
-  // transfer queue sets claimed slot 0 of each link during construction,
-  // so the probe handlers land on slot 1 in source and clone alike.
-  site.probe_up_slot = checked_slot(
-      site.probe_up_slot,
-      site.uplink.register_handler(
-          [this, i](std::uint64_t, const net::TransferRecord& rec) {
-            Site& s = *sites_[i];
-            s.uplink_estimator.observe(sim_.now(), rec.transfer_rate());
-            s.up_tuner.report(sim_.now(), rec.threads, rec.transfer_rate());
-          }));
-  site.probe_down_slot = checked_slot(
-      site.probe_down_slot,
-      site.downlink.register_handler(
-          [this, i](std::uint64_t, const net::TransferRecord& rec) {
-            Site& s = *sites_[i];
-            s.downlink_estimator.observe(sim_.now(), rec.transfer_rate());
-            s.down_tuner.report(sim_.now(), rec.threads, rec.transfer_rate());
-          }));
-  site.store_input_slot = checked_slot(
-      site.store_input_slot,
-      site.store.register_continuation(
-          [this](std::uint64_t seq, bool ok, double) { on_input_staged(seq, ok); }));
-  site.store_output_slot = checked_slot(
-      site.store_output_slot,
-      site.store.register_continuation([this, i](std::uint64_t seq, bool ok, double) {
-        on_output_staged(i, seq, ok);
-      }));
 }
 
 void CloudBurstController::on_event(std::uint32_t kind, std::uint64_t arg) {
@@ -322,6 +229,79 @@ void CloudBurstController::on_event(std::uint32_t kind, std::uint64_t arg) {
     case kBootDone: on_boot_done(arg); return;
   }
   assert(false && "unknown controller event");
+}
+
+// ---- reports of the owned components --------------------------------
+
+void CloudBurstController::on_transfer_done(std::size_t site_index,
+                                            std::uint32_t kind,
+                                            std::uint64_t seq,
+                                            const net::TransferRecord& rec) {
+  Site& site = *sites_[site_index];
+  switch (kind) {
+    case kUploadJob:
+      site.upload_queues.on_transfer_done(seq);
+      on_upload_done(site_index, seq, rec);
+      return;
+    case kUploadProbe:
+      observe_transfer(site.uplink_estimator, site.up_tuner, rec);
+      return;
+    case kDownloadJob:
+      site.download_queue.on_transfer_done(seq);
+      on_download_done(site_index, seq, rec);
+      return;
+    case kDownloadProbe:
+      observe_transfer(site.downlink_estimator, site.down_tuner, rec);
+      return;
+  }
+  assert(false && "unknown transfer kind");
+}
+
+void CloudBurstController::on_task_done(std::size_t cluster,
+                                        const compute::TaskRecord& rec) {
+  if (cluster != kIcCluster) {
+    if (const auto seq = sites_[cluster]->runtime.on_task_done(rec)) {
+      on_ec_proc_done(cluster, *seq);
+    }
+    return;
+  }
+  if (const auto seq = ic_runtime_.on_task_done(rec)) on_ic_done(*seq);
+  // Keep the feed-ahead window topped up after every IC task.
+  dispatch_ic();
+}
+
+void CloudBurstController::on_machine_idle(std::size_t cluster,
+                                           std::size_t /*machine*/) {
+  if (cluster == kIcCluster && config_.enable_rescheduler) maybe_pull_back();
+}
+
+void CloudBurstController::on_put_done(std::size_t site, std::uint64_t seq,
+                                       StoredObject kind, bool ok) {
+  if (!ok) {
+    // Staging failed for good: a lost input wasted the upload, a lost
+    // output the external execution. Either way the job re-runs internally.
+    readmit_to_ic(seq, 0.0,
+                  kind == StoredObject::kInput ? "input staging abandoned"
+                                               : "output staging abandoned");
+    return;
+  }
+  if (kind == StoredObject::kInput) {
+    start_ec_processing(seq);
+    return;
+  }
+  Job& job = job_at(seq);
+  set_state(job, JobState::kDownloading);
+  sites_[site]->download_queue.enqueue(seq, job.doc.output_bytes(), 0);
+}
+
+compute::Cluster& CloudBurstController::cluster_at(std::size_t cluster) {
+  return cluster == kIcCluster ? ic_cluster_ : sites_[cluster]->cluster;
+}
+
+models::VmHazardEstimator* CloudBurstController::hazard_at(
+    std::size_t cluster) {
+  return cluster == kIcCluster ? ic_hazard_.get()
+                               : sites_[cluster]->hazard.get();
 }
 
 void CloudBurstController::pretrain(
@@ -512,31 +492,28 @@ void CloudBurstController::on_ic_done(std::uint64_t seq) {
   }
 }
 
+void CloudBurstController::observe_transfer(net::BandwidthEstimator& estimator,
+                                            net::ThreadTuner& tuner,
+                                            const net::TransferRecord& rec) {
+  estimator.observe(sim_.now(), rec.transfer_rate());
+  tuner.report(sim_.now(), rec.threads, rec.transfer_rate());
+}
+
 void CloudBurstController::on_upload_done(std::size_t site_index,
                                           std::uint64_t seq,
                                           const net::TransferRecord& rec) {
   Site& site = *sites_[site_index];
   disarm_burst_deadline(seq);  // past the retractable phase
-  site.uplink_estimator.observe(sim_.now(), rec.transfer_rate());
-  site.up_tuner.report(sim_.now(), rec.threads, rec.transfer_rate());
+  observe_transfer(site.uplink_estimator, site.up_tuner, rec);
   belief_.on_upload_complete(rec.bytes, site_index);
 
   // Stage the input. With the store healthy this completes synchronously;
   // during an outage it retries with backoff, and a permanent failure
   // falls back to internal execution (the upload was wasted).
-  site.store.put_async(seq, StoredObject::kInput, rec.bytes,
-                       site.store_input_slot, seq);
+  site.store.put_async(seq, StoredObject::kInput, rec.bytes);
 
   if (config_.enable_rescheduler && site.upload_queues.idle()) {
     maybe_push_out();
-  }
-}
-
-void CloudBurstController::on_input_staged(std::uint64_t seq, bool ok) {
-  if (ok) {
-    start_ec_processing(seq);
-  } else {
-    readmit_to_ic(seq, 0.0, "input staging abandoned");
   }
 }
 
@@ -558,29 +535,14 @@ void CloudBurstController::on_ec_proc_done(std::size_t site_index,
   // The merge task already covered compression cost; swap input for the
   // compressed output in the store and ship it home.
   site.store.erase(seq, StoredObject::kInput);
-  site.store.put_async(seq, StoredObject::kOutput, job.doc.output_bytes(),
-                       site.store_output_slot, seq);
-}
-
-void CloudBurstController::on_output_staged(std::size_t site, std::uint64_t seq,
-                                            bool ok) {
-  if (!ok) {
-    // The result exists only on EC and cannot be staged for download:
-    // the external execution is wasted, re-run internally.
-    readmit_to_ic(seq, 0.0, "output staging abandoned");
-    return;
-  }
-  Job& job = job_at(seq);
-  set_state(job, JobState::kDownloading);
-  sites_[site]->download_queue.enqueue(seq, job.doc.output_bytes(), 0);
+  site.store.put_async(seq, StoredObject::kOutput, job.doc.output_bytes());
 }
 
 void CloudBurstController::on_download_done(std::size_t site_index,
                                             std::uint64_t seq,
                                             const net::TransferRecord& rec) {
   Site& site = *sites_[site_index];
-  site.downlink_estimator.observe(sim_.now(), rec.transfer_rate());
-  site.down_tuner.report(sim_.now(), rec.threads, rec.transfer_rate());
+  observe_transfer(site.downlink_estimator, site.down_tuner, rec);
 
   Job& job = job_at(seq);
   site.store.erase(seq, StoredObject::kOutput);
@@ -648,10 +610,10 @@ void CloudBurstController::probe() {
 
   for (const auto& site : sites_) {
     const int up_threads = site->up_tuner.suggest(sim_.now());
-    site->uplink.submit(config_.probe_bytes, up_threads, site->probe_up_slot, 0);
+    site->uplink.submit(config_.probe_bytes, up_threads, kUploadProbe, 0);
     const int down_threads = site->down_tuner.suggest(sim_.now());
-    site->downlink.submit(config_.probe_bytes, down_threads,
-                          site->probe_down_slot, 0);
+    site->downlink.submit(config_.probe_bytes, down_threads, kDownloadProbe,
+                          0);
   }
   ensure_probing();
 }
@@ -717,7 +679,8 @@ void CloudBurstController::admit_ic_in_order(std::uint64_t seq) {
   ic_wait_.insert(pos, seq);
 }
 
-void CloudBurstController::on_outage_begin() {
+void CloudBurstController::on_outage_begin(
+    const sim::OutageWindow& /*window*/) {
   // An outage cuts the internal cloud off from every site: the configured
   // windows model the enterprise's own uplink going down.
   log_.warn(sim_.now(), "EC outage begins: links down, store unavailable");
@@ -750,36 +713,25 @@ void CloudBurstController::on_outage_end() {
 
 // ---- proactive failure resilience (hazard prediction, DESIGN.md §13) ----
 
-void CloudBurstController::on_ic_crash(std::size_t machine) {
-  // Feed the estimator *before* applying the crash so the gap sample ends
-  // exactly at the crash instant, then re-evaluate the proactive policy.
-  if (ic_hazard_) ic_hazard_->on_failure(machine, sim_.now());
-  ic_cluster_.crash_machine(machine);
-  if (ic_hazard_) update_resilience();
-}
-
-void CloudBurstController::on_ic_recover(std::size_t machine) {
-  ic_cluster_.recover_machine(machine);
-  if (ic_hazard_) update_resilience();
-}
-
-void CloudBurstController::on_ec_crash(std::size_t site_index,
+void CloudBurstController::on_vm_crash(std::size_t cluster,
                                        std::size_t machine) {
-  Site& site = *sites_[site_index];
-  if (site.hazard) {
-    // Elastic EC may have grown the cluster since construction.
-    site.hazard->ensure_machines(site.cluster.machine_slots(), sim_.now());
-    site.hazard->on_failure(machine, sim_.now());
+  compute::Cluster& crashed = cluster_at(cluster);
+  models::VmHazardEstimator* hazard = hazard_at(cluster);
+  if (hazard != nullptr) {
+    // Feed the estimator *before* applying the crash so the gap sample
+    // ends exactly at the crash instant (elastic EC may have grown the
+    // cluster since construction), then re-evaluate the proactive policy.
+    hazard->ensure_machines(crashed.machine_slots(), sim_.now());
+    hazard->on_failure(machine, sim_.now());
   }
-  site.cluster.crash_machine(machine);
-  if (site.hazard) update_resilience();
+  crashed.crash_machine(machine);
+  if (hazard != nullptr) update_resilience();
 }
 
-void CloudBurstController::on_ec_recover(std::size_t site_index,
+void CloudBurstController::on_vm_recover(std::size_t cluster,
                                          std::size_t machine) {
-  Site& site = *sites_[site_index];
-  site.cluster.recover_machine(machine);
-  if (site.hazard) update_resilience();
+  cluster_at(cluster).recover_machine(machine);
+  if (hazard_at(cluster) != nullptr) update_resilience();
 }
 
 void CloudBurstController::update_resilience() {

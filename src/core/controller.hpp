@@ -45,19 +45,31 @@ namespace cbs::core {
 /// updates after every transfer, periodic 1 MB probes, and thread-count
 /// tuning. The scheduler decides whether a job bursts; the belief sends a
 /// burst to the site with the earliest believed completion.
-class CloudBurstController : private cbs::sim::EventTarget {
+///
+/// The controller is the owner every component it builds reports to: the IC
+/// cluster, each site's cluster, links and store, and the fault plan. It
+/// tells them apart by the index each got at construction — kIcCluster for
+/// the IC cluster, i for everything of site i — and a transfer by the
+/// report kind it was submitted with.
+class CloudBurstController : private cbs::sim::EventTarget,
+                             private net::LinkOwner,
+                             private compute::ClusterOwner,
+                             private compute::StoreOwner,
+                             private sim::FaultOwner {
  public:
   /// One external site: the EC half of Fig. 5 with its own pipe, bandwidth
   /// model, thread tuners, transfer queues, staging store and (when the
   /// hazard predictor is on) per-VM hazard estimator. Sites are independent
   /// substrates; ControllerConfig::ec_sites[i] configures site i.
   struct Site {
-    Site(cbs::sim::Simulation& sim, const ControllerConfig& config,
-         std::size_t index, cbs::sim::RngStream rng);
-    /// Fork support: value-clones the whole substrate bound to `dst`. The
-    /// handler slots are copied so that re-registration can be checked
-    /// against them.
-    Site(cbs::sim::Simulation& dst, const Site& src);
+    /// Site `index`, whose components report to `owner` under `index`.
+    Site(cbs::sim::Simulation& sim, CloudBurstController& owner,
+         const ControllerConfig& config, std::size_t index,
+         cbs::sim::RngStream rng);
+    /// Fork support: value-clones the whole substrate bound to `dst`,
+    /// reporting to `owner`.
+    Site(cbs::sim::Simulation& dst, CloudBurstController& owner,
+         const Site& src);
     Site(const Site&) = delete;
     Site& operator=(const Site&) = delete;
 
@@ -77,10 +89,6 @@ class CloudBurstController : private cbs::sim::EventTarget {
     std::unique_ptr<models::VmHazardEstimator> hazard;
     std::size_t bursts = 0;         ///< jobs placed on this site so far
     std::size_t pending_boots = 0;  ///< elastic instances spinning up
-    int store_input_slot = -1;   ///< JobStore continuation: input staged
-    int store_output_slot = -1;  ///< JobStore continuation: output staged
-    int probe_up_slot = -1;      ///< uplink handler for probe transfers
-    int probe_down_slot = -1;    ///< downlink handler for probe transfers
   };
 
   /// Throws std::invalid_argument when `config.ec_sites` is empty.
@@ -93,7 +101,7 @@ class CloudBurstController : private cbs::sim::EventTarget {
   /// Fork support: deep-copies `src` into a controller bound to `dst`, the
   /// copy of `src`'s engine, and the fork's ground-truth model. Every
   /// sub-component is value-cloned, registered on `dst` in the source's
-  /// order and rebound to its forked peers, so the copied pending events
+  /// order and reports to this controller, so the copied pending events
   /// reach the clones.
   CloudBurstController(cbs::sim::Simulation& dst,
                        const CloudBurstController& src,
@@ -218,18 +226,46 @@ class CloudBurstController : private cbs::sim::EventTarget {
 
  private:
   enum : std::uint32_t { kProbe, kBurstDeadline, kElasticCheck, kBootDone };
+  /// Report kinds of a site's transfers (Link::submit).
+  enum : std::uint32_t {
+    kUploadJob,
+    kUploadProbe,
+    kDownloadJob,
+    kDownloadProbe,
+  };
+  /// The IC cluster's index; site i's components report under i.
+  static constexpr std::size_t kIcCluster = SIZE_MAX;
 
   void on_event(std::uint32_t kind, std::uint64_t arg) override;
-  void wire_ic();
-  void wire_site(std::size_t index);
+  // ---- reports of the owned components ----
+  void on_transfer_done(std::size_t site, std::uint32_t kind,
+                        std::uint64_t seq,
+                        const net::TransferRecord& rec) override;
+  void on_task_done(std::size_t cluster,
+                    const compute::TaskRecord& rec) override;
+  void on_machine_idle(std::size_t cluster, std::size_t machine) override;
+  void on_put_done(std::size_t site, std::uint64_t seq,
+                   compute::JobStore::ObjectKind kind, bool ok) override;
+  [[nodiscard]] bool faults_active() const override { return outstanding_ > 0; }
+  void on_vm_crash(std::size_t cluster, std::size_t machine) override;
+  void on_vm_recover(std::size_t cluster, std::size_t machine) override;
+  void on_outage_begin(const sim::OutageWindow& window) override;
+  void on_outage_end() override;
+
+  [[nodiscard]] compute::Cluster& cluster_at(std::size_t cluster);
+  /// The hazard estimator of `cluster`; nullptr when the predictor is off.
+  [[nodiscard]] models::VmHazardEstimator* hazard_at(std::size_t cluster);
   void dispatch_ic();
   void run_on_ic(std::uint64_t seq);
   void on_ic_done(std::uint64_t seq);
   void enqueue_upload(Job& job, int upload_class);
+  /// A finished upload, download or probe updates the bandwidth belief
+  /// and the thread tuner of its direction.
+  void observe_transfer(net::BandwidthEstimator& estimator,
+                        net::ThreadTuner& tuner,
+                        const net::TransferRecord& rec);
   void on_upload_done(std::size_t site, std::uint64_t seq,
                       const net::TransferRecord& rec);
-  void on_input_staged(std::uint64_t seq, bool ok);
-  void on_output_staged(std::size_t site, std::uint64_t seq, bool ok);
   void start_ec_processing(std::uint64_t seq);
   void on_ec_proc_done(std::size_t site, std::uint64_t seq);
   void on_boot_done(std::uint64_t boot_id);
@@ -239,8 +275,6 @@ class CloudBurstController : private cbs::sim::EventTarget {
   void readmit_to_ic(std::uint64_t seq, double pending_upload_bytes,
                      const char* why);
   void admit_ic_in_order(std::uint64_t seq);
-  void on_outage_begin();
-  void on_outage_end();
   void on_download_done(std::size_t site, std::uint64_t seq,
                         const net::TransferRecord& rec);
   void finish_job(Job& job);
@@ -254,10 +288,6 @@ class CloudBurstController : private cbs::sim::EventTarget {
   void maybe_pull_back();
   void maybe_push_out();
   // ---- proactive resilience (hazard prediction + drains) ----
-  void on_ic_crash(std::size_t machine);
-  void on_ic_recover(std::size_t machine);
-  void on_ec_crash(std::size_t site, std::size_t machine);
-  void on_ec_recover(std::size_t site, std::size_t machine);
   /// Re-evaluates drains and each site's believed risk factor; no-op when
   /// the predictor is off. Runs at every crash, recovery and batch arrival
   /// — existing deterministic event points, so no new events are created

@@ -7,18 +7,15 @@ namespace cbs::core {
 
 TransferQueueSet::TransferQueueSet(cbs::sim::Simulation& sim,
                                    cbs::net::Link& link,
-                                   cbs::net::ThreadTuner& tuner, int num_classes,
-                                   int slots_per_class)
-    : sim_(sim), link_(link), tuner_(tuner) {
+                                   cbs::net::ThreadTuner& tuner,
+                                   std::uint32_t transfer_kind,
+                                   int num_classes, int slots_per_class)
+    : sim_(sim), link_(link), tuner_(tuner), transfer_kind_(transfer_kind) {
   assert(num_classes >= 1);
   assert(slots_per_class >= 1);
   queues_.resize(static_cast<std::size_t>(num_classes));
   slots_.assign(static_cast<std::size_t>(num_classes),
                 std::vector<Slot>(static_cast<std::size_t>(slots_per_class)));
-  link_slot_ = link_.register_handler(
-      [this](std::uint64_t tag, const cbs::net::TransferRecord& rec) {
-        on_link_complete(tag, rec);
-      });
   // The slot policy bounds this set's concurrent transfers, so the link's
   // SoA pool can be sized once up front (shared links take the max).
   link_.reserve_transfers(
@@ -33,17 +30,11 @@ TransferQueueSet::TransferQueueSet(cbs::sim::Simulation& dst,
     : sim_(dst),
       link_(link),
       tuner_(tuner),
+      transfer_kind_(src.transfer_kind_),
       queues_(src.queues_),
       slots_(src.slots_),
       active_(src.active_),
-      active_count_(src.active_count_) {
-  link_slot_ = link_.register_handler(
-      [this](std::uint64_t tag, const cbs::net::TransferRecord& rec) {
-        on_link_complete(tag, rec);
-      });
-  assert(link_slot_ == src.link_slot_ &&
-         "handler registration order must match the source link");
-}
+      active_count_(src.active_count_) {}
 
 void TransferQueueSet::enqueue(std::uint64_t tag, double bytes, int klass) {
   assert(bytes > 0.0);
@@ -106,23 +97,19 @@ void TransferQueueSet::pump() {
       const int threads = tuner_.suggest(sim_.now());
       const std::uint64_t tag = item.tag;
       const cbs::net::TransferId id =
-          link_.submit(item.bytes, threads, link_slot_, tag);
+          link_.submit(item.bytes, threads, transfer_kind_, tag);
       active_.emplace(tag, ActiveItem{item, klass, s, id});
     }
   }
 }
 
-void TransferQueueSet::on_link_complete(std::uint64_t tag,
-                                        const cbs::net::TransferRecord& rec) {
+void TransferQueueSet::on_transfer_done(std::uint64_t tag) {
   auto it = active_.find(tag);
   assert(it != active_.end());
   const ActiveItem done = it->second;
   active_.erase(it);
   release_slot(done);
-  // Serve the freed slot before notifying, so the pipe never idles across
-  // the callback.
   pump();
-  if (on_complete_) on_complete_(done.item.tag, done.item.klass, rec);
 }
 
 std::vector<double> TransferQueueSet::backlog_bytes_per_class() const {

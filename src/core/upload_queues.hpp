@@ -7,7 +7,6 @@
 #include "net/link.hpp"
 #include "util/flat_map.hpp"
 #include "net/thread_tuner.hpp"
-#include "simcore/callback.hpp"
 #include "simcore/simulation.hpp"
 
 namespace cbs::core {
@@ -26,32 +25,28 @@ namespace cbs::core {
 /// flight on the link, and tells the link so at construction
 /// (Link::reserve_transfers) — the link's hot/cold transfer tables then
 /// never reallocate in steady state.
+///
+/// The set does not listen to the link. It submits every transfer with the
+/// report kind it was built with, and the link's owner hands each finished
+/// one back through on_transfer_done().
 class TransferQueueSet {
  public:
-  /// Fired when a job's transfer completes; `klass` is the queue class the
-  /// item was *enqueued* to (not the slot that carried it). Move-only: the
-  /// handler is a set-once hook owned by this queue set, never copied.
-  using CompletionHook = cbs::sim::UniqueFunction<void(
-      std::uint64_t tag, int klass, const cbs::net::TransferRecord&)>;
-
   TransferQueueSet(cbs::sim::Simulation& sim, cbs::net::Link& link,
-                   cbs::net::ThreadTuner& tuner, int num_classes,
-                   int slots_per_class = 1);
+                   cbs::net::ThreadTuner& tuner, std::uint32_t transfer_kind,
+                   int num_classes, int slots_per_class = 1);
   TransferQueueSet(const TransferQueueSet&) = delete;
   TransferQueueSet& operator=(const TransferQueueSet&) = delete;
 
   /// Fork support: copies `src`'s queues and active bookkeeping into a set
-  /// bound to the forked `link`/`tuner`. Registers its completion handler
-  /// on `link` — construction order relative to other handler owners must
-  /// match the source link so slot indices line up. The set-once
-  /// on_complete_ hook is NOT copied; the owner re-registers it. The set
-  /// schedules no events of its own (the link owns the transfer events).
+  /// bound to the forked `link`/`tuner`. The set schedules no events of
+  /// its own (the link owns the transfer events).
   TransferQueueSet(cbs::sim::Simulation& dst, const TransferQueueSet& src,
                    cbs::net::Link& link, cbs::net::ThreadTuner& tuner);
 
-  void set_on_complete(CompletionHook handler) {
-    on_complete_ = std::move(handler);
-  }
+  /// Takes the finished transfer of `tag` back from the link's owner: frees
+  /// its slot and starts the next waiting item, so the pipe never idles
+  /// across the owner's own handling of the completion.
+  void on_transfer_done(std::uint64_t tag);
 
   /// Enqueues `bytes` for transfer under caller tag `tag` into `klass`.
   void enqueue(std::uint64_t tag, double bytes, int klass);
@@ -101,21 +96,18 @@ class TransferQueueSet {
 
   void pump();
   void release_slot(const ActiveItem& active);
-  void on_link_complete(std::uint64_t tag, const cbs::net::TransferRecord& rec);
   [[nodiscard]] int pick_queue_for_class(int klass) const;
 
   cbs::sim::Simulation& sim_;
   cbs::net::Link& link_;
   cbs::net::ThreadTuner& tuner_;
+  std::uint32_t transfer_kind_;  ///< Link::submit's report kind
   std::vector<std::deque<Item>> queues_;
   std::vector<std::vector<Slot>> slots_;  // per class
   // Deterministic ascending-tag iteration, and cancellation needs tag
   // lookup; tags are monotonic so inserts are O(1) amortized appends.
   cbs::util::FlatMap<std::uint64_t, ActiveItem> active_;
   std::size_t active_count_ = 0;
-  // cbs-lint: snapshot-complete-ok(owner re-wires set_on_complete post-fork)
-  CompletionHook on_complete_;
-  int link_slot_ = -1;  ///< registered handler slot on link_
 };
 
 }  // namespace cbs::core

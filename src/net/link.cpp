@@ -81,9 +81,12 @@ void Link::HotPool::reserve(std::size_t n) {
 
 // --- Link --------------------------------------------------------------
 
-Link::Link(cbs::sim::Simulation& sim, LinkConfig config, cbs::sim::RngStream rng)
+Link::Link(cbs::sim::Simulation& sim, LinkOwner& owner, std::size_t index,
+           LinkConfig config, cbs::sim::RngStream rng)
     : sim_(sim),
       target_(sim.register_target(*this)),
+      owner_(owner),
+      index_(index),
       config_(std::move(config)),
       noise_(config_.noise_rho, config_.noise_sigma, config_.noise_step,
              rng.substream("noise")),
@@ -103,9 +106,11 @@ double Link::true_capacity_now() {
   return std::max(raw, config_.base_rate * config_.min_capacity_fraction);
 }
 
-Link::Link(cbs::sim::Simulation& dst, const Link& src)
+Link::Link(cbs::sim::Simulation& dst, LinkOwner& owner, const Link& src)
     : sim_(dst),
       target_(dst.register_target(*this, src.target_)),
+      owner_(owner),
+      index_(src.index_),
       config_(src.config_),
       noise_(src.noise_),
       failure_rng_(src.failure_rng_),
@@ -129,12 +134,6 @@ Link::Link(cbs::sim::Simulation& dst, const Link& src)
       busy_since_(src.busy_since_),
       busy_(src.busy_) {}
 
-int Link::register_handler(TaggedHandler handler) {
-  assert(handler);
-  handlers_.push_back(std::move(handler));
-  return static_cast<int>(handlers_.size()) - 1;
-}
-
 void Link::on_event(std::uint32_t kind, std::uint64_t id) {
   switch (kind) {
     case kActivate: activate(id); return;
@@ -149,18 +148,16 @@ void Link::reserve_transfers(std::size_t expected) {
   cold_.reserve(expected);
 }
 
-TransferId Link::submit(double bytes, int threads, int handler_slot,
+TransferId Link::submit(double bytes, int threads, std::uint32_t kind,
                         std::uint64_t tag) {
   assert(bytes > 0.0);
   assert(threads >= 1);
-  assert(handler_slot >= 0 &&
-         handler_slot < static_cast<int>(handlers_.size()));
   const TransferId id = next_id_++;
   Cold c;
   c.bytes_total = bytes;
   c.threads = threads;
   c.requested = sim_.now();
-  c.handler_slot = handler_slot;
+  c.kind = kind;
   c.tag = tag;
   cold_.emplace(id, c);
   schedule_activation(id, config_.setup_latency);
@@ -362,7 +359,7 @@ void Link::on_timer() {
   rec.started = c.started;
   rec.completed = now;
   bytes_delivered_ += c.bytes_total;
-  const int handler_slot = c.handler_slot;
+  const std::uint32_t kind = c.kind;
   const std::uint64_t tag = c.tag;
   hot_.erase(due);
   dirty_ = true;
@@ -374,7 +371,7 @@ void Link::on_timer() {
     sim_.cancel(tick_event_);
     tick_scheduled_ = false;
   }
-  handlers_[static_cast<std::size_t>(handler_slot)](tag, rec);
+  owner_.on_transfer_done(index_, kind, tag, rec);
 }
 
 bool Link::cancel(TransferId id) {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -73,6 +72,20 @@ struct TransferRecord {
   }
 };
 
+/// What a Link reports finished transfers to. The link calls its owner
+/// once per transfer, when the last byte lands; `link` is the index the
+/// owner gave the link at construction, and `kind` and `tag` are what the
+/// transfer was submitted with.
+class LinkOwner {
+ public:
+  virtual void on_transfer_done(std::size_t link, std::uint32_t kind,
+                                std::uint64_t tag,
+                                const TransferRecord& rec) = 0;
+
+ protected:
+  ~LinkOwner() = default;
+};
+
 /// One direction of the inter-cloud pipe, modeled as a fluid-flow shared
 /// channel:
 ///
@@ -91,47 +104,37 @@ struct TransferRecord {
 /// SoA pool (`HotPool`) kept sorted by (demand, id) — the exact order the
 /// water-filling pass consumes — so a reallocation streams contiguous
 /// arrays with no per-pass sort and no pointer chasing. Cold bookkeeping
-/// (handler slots, retry counters, timestamps) sits in a `FlatMap` keyed by
-/// the monotonically increasing `TransferId`, which doubles as the generation
-/// check: ids are never reused, so a stale id can never alias a later
-/// transfer. Membership changes only mark the link dirty; `flush()` runs a
-/// single water-filling pass per event timestamp and re-arms ONE per-link
-/// completion timer at the minimum ETA — O(1) event-queue traffic per
-/// allocation instead of N cancels + N schedules.
+/// (report kind and tag, retry counters, timestamps) sits in a `FlatMap`
+/// keyed by the monotonically increasing `TransferId`, which doubles as the
+/// generation check: ids are never reused, so a stale id can never alias a
+/// later transfer. Membership changes only mark the link dirty; `flush()`
+/// runs a single water-filling pass per event timestamp and re-arms ONE
+/// per-link completion timer at the minimum ETA — O(1) event-queue traffic
+/// per allocation instead of N cancels + N schedules.
 ///
 /// The model conserves bytes exactly (see LinkTest.ConservesBytes) and is
 /// fully deterministic given the seed.
 class Link : private cbs::sim::EventTarget {
  public:
-  /// A registered completion handler: receives the caller's tag back.
-  using TaggedHandler =
-      std::function<void(std::uint64_t tag, const TransferRecord&)>;
-
-  Link(cbs::sim::Simulation& sim, LinkConfig config, cbs::sim::RngStream rng);
+  /// A link that reports to `owner` under `index`.
+  Link(cbs::sim::Simulation& sim, LinkOwner& owner, std::size_t index,
+       LinkConfig config, cbs::sim::RngStream rng);
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
   /// Fork support: copies `src`'s value state (noise/failure RNG positions,
-  /// active transfers, accounting) into a link bound to `dst`, the copy of
-  /// `src`'s engine. Handlers are NOT copied — each owner must call
-  /// register_handler() on the clone in the same order as on the source
-  /// (slot indices must line up).
-  Link(cbs::sim::Simulation& dst, const Link& src);
-
-  /// Registers a completion handler and returns its slot for submit().
-  /// Handler slots make the link forkable: the per-transfer state is then
-  /// a plain {slot, tag} pair instead of a closure capturing the owner.
-  int register_handler(TaggedHandler handler);
+  /// active transfers, accounting, its index) into a link bound to `dst`,
+  /// the copy of `src`'s engine, that reports to `owner`.
+  Link(cbs::sim::Simulation& dst, LinkOwner& owner, const Link& src);
 
   /// Pre-sizes the transfer tables for `expected` concurrent transfers.
   /// Purely a performance hint; growth past it still works.
   void reserve_transfers(std::size_t expected);
 
   /// Starts a transfer of `bytes` using `threads` parallel connections.
-  /// When the last byte lands, the registered handler `handler_slot` is
-  /// called with `tag` — the in-flight transfer is plain data, so the link
-  /// forks with it.
-  TransferId submit(double bytes, int threads, int handler_slot,
+  /// When the last byte lands, the owner gets `kind` and `tag` back — the
+  /// in-flight transfer is plain data, so the link forks with it.
+  TransferId submit(double bytes, int threads, std::uint32_t kind,
                     std::uint64_t tag);
 
   /// Aborts an in-flight transfer: progress so far is wasted, no completion
@@ -204,7 +207,7 @@ class Link : private cbs::sim::EventTarget {
     cbs::sim::SimTime requested = 0.0;
     cbs::sim::SimTime started = 0.0;
     cbs::sim::EventId activation_event{};
-    int handler_slot = 0;  ///< index into handlers_
+    std::uint32_t kind = 0;  ///< reported back to the owner
     std::uint64_t tag = 0;
   };
 
@@ -259,13 +262,11 @@ class Link : private cbs::sim::EventTarget {
 
   cbs::sim::Simulation& sim_;
   cbs::sim::TargetId target_;
+  LinkOwner& owner_;
+  std::size_t index_;
   LinkConfig config_;
   Ar1LogNoise noise_;
   cbs::sim::RngStream failure_rng_;
-  // Owners re-register their handlers in original construction order so
-  // slot indices line up.
-  // cbs-lint: snapshot-complete-ok(re-registered post-fork in slot order)
-  std::vector<TaggedHandler> handlers_;
   std::uint64_t injected_failures_ = 0;
   std::uint64_t outage_aborts_ = 0;
   double wasted_bytes_ = 0.0;

@@ -9,10 +9,10 @@ namespace cbs::sim {
 
 /// Move-only, type-erased callable with small-buffer optimisation.
 ///
-/// The simulator's set-once hooks (fault callbacks, transfer-completion
-/// handlers) are `UniqueFunction`s, and `UniqueFunction<void()>` (aliased
-/// as `UniqueCallback`) is the closure type of `ClosureEvents`, the event
-/// target of never-forked drivers. `std::function` was measurably wrong
+/// `UniqueFunction<void()>` (aliased as `UniqueCallback`) is the closure
+/// type of `ClosureEvents`, the event target of never-forked drivers; no
+/// simulator component stores a callable, since each reports to an owner
+/// interface it takes at construction. `std::function` was measurably wrong
 /// for the job: it must be copyable (so captured state is constrained or
 /// heap-shared), its small-buffer is implementation-defined, and every
 /// heap-spilled callback costs an allocation. `UniqueFunction` guarantees:

@@ -7,9 +7,11 @@
 
 namespace cbs::sim {
 
-FaultPlan::FaultPlan(Simulation& sim, FaultConfig config, RngStream rng)
+FaultPlan::FaultPlan(Simulation& sim, FaultOwner& owner, FaultConfig config,
+                     RngStream rng)
     : sim_(sim),
       target_(sim.register_target(*this)),
+      owner_(owner),
       config_(std::move(config)),
       rng_(rng) {
   assert(config_.ic_vm_mtbf >= 0.0);
@@ -18,32 +20,18 @@ FaultPlan::FaultPlan(Simulation& sim, FaultConfig config, RngStream rng)
   assert(config_.retraction_deadline_factor >= 0.0);
 }
 
-FaultPlan::FaultPlan(Simulation& dst, const FaultPlan& src)
+FaultPlan::FaultPlan(Simulation& dst, FaultOwner& owner, const FaultPlan& src)
     : sim_(dst),
       target_(dst.register_target(*this, src.target_)),
+      owner_(owner),
       config_(src.config_),
       rng_(src.rng_),
-      hooks_(src.hooks_.size()),  // empty pairs; rebind_cluster_hooks() fills
       processes_(src.processes_),
       outage_edges_(src.outage_edges_),
       outages_driven_(src.outages_driven_),
       outage_depth_(src.outage_depth_),
       crashes_injected_(src.crashes_injected_),
       outages_started_(src.outages_started_) {}
-
-void FaultPlan::rebind_cluster_hooks(std::size_t cluster_idx,
-                                     MachineHook on_crash,
-                                     MachineHook on_recover) {
-  assert(cluster_idx < hooks_.size());
-  hooks_[cluster_idx].on_crash = std::move(on_crash);
-  hooks_[cluster_idx].on_recover = std::move(on_recover);
-}
-
-void FaultPlan::rebind_outage_hooks(OutageBeginHook on_begin,
-                                    OutageEndHook on_end) {
-  outage_begin_ = std::move(on_begin);
-  outage_end_ = std::move(on_end);
-}
 
 void FaultPlan::on_event(std::uint32_t kind, std::uint64_t index) {
   switch (kind) {
@@ -54,16 +42,13 @@ void FaultPlan::on_event(std::uint32_t kind, std::uint64_t index) {
   assert(false && "unknown FaultPlan event");
 }
 
-void FaultPlan::drive_vm_crashes(std::string_view cluster, std::size_t machines,
-                                 double mtbf, MachineHook on_crash,
-                                 MachineHook on_recover) {
+void FaultPlan::drive_vm_crashes(std::string_view name, std::size_t machines,
+                                 double mtbf, std::size_t cluster) {
   if (mtbf <= 0.0 || machines == 0) return;
-  const std::size_t cluster_idx = hooks_.size();
-  hooks_.push_back(ClusterHooks{std::move(on_crash), std::move(on_recover)});
-  const RngStream cluster_rng = rng_.substream(cluster);
+  const RngStream cluster_rng = rng_.substream(name);
   for (std::size_t m = 0; m < machines; ++m) {
     processes_.push_back(CrashProcess{cluster_rng.substream(m), mtbf, m,
-                                      cluster_idx, false, false});
+                                      cluster, false, false});
     arm(processes_.size() - 1);
   }
 }
@@ -83,22 +68,20 @@ void FaultPlan::fire(std::size_t i) {
   process.armed = false;
   // Pause while the system is idle so the event queue can drain; the
   // controller re-arms via ensure_armed() when work arrives.
-  if (!is_active()) return;
+  if (!owner_.faults_active()) return;
   ++crashes_injected_;
   process.recovering = true;
-  ClusterHooks& hooks = hooks_[process.cluster];
-  if (hooks.on_crash) hooks.on_crash(process.machine);
+  owner_.on_vm_crash(process.cluster, process.machine);
   sim_.schedule_in(config_.vm_recovery_seconds, {target_, kRecover, i});
 }
 
 void FaultPlan::recover(std::size_t i) {
   CrashProcess& process = processes_[i];
   process.recovering = false;
-  ClusterHooks& hooks = hooks_[process.cluster];
-  if (hooks.on_recover) hooks.on_recover(process.machine);
+  owner_.on_vm_recover(process.cluster, process.machine);
   // Next failure is drawn from the recovery instant, so MTBF measures
   // time *between* crashes of one machine, not uptime alone.
-  if (is_active()) arm(i);
+  if (owner_.faults_active()) arm(i);
 }
 
 void FaultPlan::ensure_armed() {
@@ -108,11 +91,9 @@ void FaultPlan::ensure_armed() {
   }
 }
 
-void FaultPlan::drive_outages(OutageBeginHook on_begin, OutageEndHook on_end) {
+void FaultPlan::drive_outages() {
   assert(!outages_driven_ && "drive_outages() may be called at most once");
   outages_driven_ = true;
-  outage_begin_ = std::move(on_begin);
-  outage_end_ = std::move(on_end);
   for (const OutageWindow& window : config_.outage_windows) {
     if (window.duration <= 0.0) continue;
     for (const bool begin : {true, false}) {
@@ -128,11 +109,11 @@ void FaultPlan::fire_outage(std::size_t k) {
   if (edge.begin) {
     if (outage_depth_++ == 0) {
       ++outages_started_;
-      if (outage_begin_) outage_begin_(edge.window);
+      owner_.on_outage_begin(edge.window);
     }
   } else {
     assert(outage_depth_ > 0);
-    if (--outage_depth_ == 0 && outage_end_) outage_end_();
+    if (--outage_depth_ == 0) owner_.on_outage_end();
   }
 }
 

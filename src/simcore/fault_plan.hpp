@@ -1,11 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string_view>
 #include <vector>
 
-#include "simcore/callback.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/simulation.hpp"
 #include "simcore/time.hpp"
@@ -71,64 +69,59 @@ struct FaultConfig {
   }
 };
 
+/// What a FaultPlan reports its fault events to.
+class FaultOwner {
+ public:
+  /// Gate for the crash processes: while it reads false they pause, so a
+  /// drained simulation can terminate.
+  [[nodiscard]] virtual bool faults_active() const = 0;
+  /// `machine` of the cluster the owner drove under index `cluster`
+  /// crashes; its recovery follows `vm_recovery_seconds` later.
+  virtual void on_vm_crash(std::size_t cluster, std::size_t machine) = 0;
+  virtual void on_vm_recover(std::size_t cluster, std::size_t machine) = 0;
+  /// The outage depth went 0 -> 1 (`window` is the one that opened it).
+  virtual void on_outage_begin(const OutageWindow& window) = 0;
+  /// The outage depth returned to 0.
+  virtual void on_outage_end() = 0;
+
+ protected:
+  ~FaultOwner() = default;
+};
+
 /// Deterministic, seed-driven fault-event generator.
 ///
 /// The plan owns independent RNG substreams per (cluster, machine), so a
 /// machine's crash trace depends only on (seed, cluster name, machine
 /// index) — never on what the rest of the simulation does. Crash processes
-/// pause while the `active` gate (typically "jobs outstanding") is false,
-/// which lets a drained simulation terminate; call `ensure_armed()` when
-/// new work arrives to resume them.
-///
-/// Hooks are `UniqueFunction`s (move-only): one crash/recover pair is
-/// stored per `drive_vm_crashes` call and shared by every machine of that
-/// cluster, rather than copied into each per-machine process the way a
-/// `std::function` design would. Events carry only a process or edge
-/// index, which is what makes the plan forkable: a clone copies the value
-/// state and the owner re-registers the hooks.
+/// pause while the owner's faults_active() is false, which lets a drained
+/// simulation terminate; call `ensure_armed()` when new work arrives to
+/// resume them. Events carry only a process or edge index and every report
+/// goes to the owner fixed at construction, so a fork copies the plan's
+/// value state and nothing else.
 class FaultPlan : private EventTarget {
  public:
-  using MachineHook = UniqueFunction<void(std::size_t)>;
-  using OutageBeginHook = UniqueFunction<void(const OutageWindow&)>;
-  using OutageEndHook = UniqueFunction<void()>;
-  using ActiveGate = UniqueFunction<bool()>;
-
-  FaultPlan(Simulation& sim, FaultConfig config, RngStream rng);
+  FaultPlan(Simulation& sim, FaultOwner& owner, FaultConfig config,
+            RngStream rng);
   FaultPlan(const FaultPlan&) = delete;
   FaultPlan& operator=(const FaultPlan&) = delete;
 
   /// Fork support: copies `src`'s value state (RNG positions, per-process
   /// armed/recovering flags, outage schedule and depth) into a plan bound
-  /// to `dst`, the copy of `src`'s engine. Hooks and the active gate are
-  /// NOT copied — the owner must re-register them via
-  /// rebind_cluster_hooks()/rebind_outage_hooks()/set_active().
-  FaultPlan(Simulation& dst, const FaultPlan& src);
-
-  /// Re-registers the hook pair of the `cluster_idx`-th drive_vm_crashes()
-  /// call (registration order) on a forked plan.
-  void rebind_cluster_hooks(std::size_t cluster_idx, MachineHook on_crash,
-                            MachineHook on_recover);
-
-  /// Re-registers the outage hooks on a forked plan.
-  void rebind_outage_hooks(OutageBeginHook on_begin, OutageEndHook on_end);
+  /// to `dst`, the copy of `src`'s engine, that reports to `owner`.
+  FaultPlan(Simulation& dst, FaultOwner& owner, const FaultPlan& src);
 
   [[nodiscard]] const FaultConfig& config() const noexcept { return config_; }
 
-  /// Starts one crash/recover process per machine of a cluster. `on_crash`
-  /// fires as a simulation event; `on_recover` follows
-  /// `config().vm_recovery_seconds` later. Machines provisioned after this
-  /// call (elastic scale-up) are not fault-driven.
-  void drive_vm_crashes(std::string_view cluster, std::size_t machines,
-                        double mtbf, MachineHook on_crash,
-                        MachineHook on_recover);
+  /// Starts one crash/recover process per machine of a cluster, reported
+  /// to the owner under `cluster`. Machines provisioned after this call
+  /// (elastic scale-up) are not fault-driven.
+  void drive_vm_crashes(std::string_view name, std::size_t machines,
+                        double mtbf, std::size_t cluster);
 
-  /// Schedules the config's outage windows. Overlaps are merged: `on_begin`
-  /// fires when the outage depth goes 0 -> 1, `on_end` when it returns to 0.
-  /// May be called at most once per plan.
-  void drive_outages(OutageBeginHook on_begin, OutageEndHook on_end);
-
-  /// Gate for crash processes; when absent, processes never pause.
-  void set_active(ActiveGate active) { active_ = std::move(active); }
+  /// Schedules the config's outage windows. Overlaps are merged: the owner
+  /// hears the begin when the outage depth goes 0 -> 1 and the end when it
+  /// returns to 0. May be called at most once per plan.
+  void drive_outages();
 
   /// Resumes crash processes that paused while the gate was false.
   void ensure_armed();
@@ -141,19 +134,11 @@ class FaultPlan : private EventTarget {
   }
 
  private:
-  /// One crash/recover hook pair per drive_vm_crashes() call, shared by
-  /// every machine of that cluster (addressed by index, so forks can
-  /// re-register hooks without touching process state).
-  struct ClusterHooks {
-    MachineHook on_crash;
-    MachineHook on_recover;
-  };
-
   struct CrashProcess {
     RngStream rng;
     double mtbf;
     std::size_t machine;
-    std::size_t cluster;  ///< index into hooks_
+    std::size_t cluster;  ///< the owner's index of the machine's cluster
     bool armed;           ///< a crash event is pending
     bool recovering;      ///< crashed; the recovery event is pending
   };
@@ -172,21 +157,14 @@ class FaultPlan : private EventTarget {
   void fire(std::size_t i);
   void recover(std::size_t i);
   void fire_outage(std::size_t k);
-  [[nodiscard]] bool is_active() { return !active_ || active_(); }
 
   Simulation& sim_;
   TargetId target_;
+  FaultOwner& owner_;
   FaultConfig config_;
   RngStream rng_;
-  // cbs-lint: snapshot-complete-ok(owner re-wires the gate post-fork)
-  ActiveGate active_;
-  std::vector<ClusterHooks> hooks_;
   std::vector<CrashProcess> processes_;
   std::vector<OutageEdge> outage_edges_;
-  // cbs-lint: snapshot-complete-ok(owner re-wires outage hooks post-fork)
-  OutageBeginHook outage_begin_;
-  // cbs-lint: snapshot-complete-ok(owner re-wires outage hooks post-fork)
-  OutageEndHook outage_end_;
   bool outages_driven_ = false;
   int outage_depth_ = 0;
   std::uint64_t crashes_injected_ = 0;

@@ -7,6 +7,7 @@
 #include "compute/cluster.hpp"
 #include "compute/job_store.hpp"
 #include "compute/mapreduce.hpp"
+#include "recording_owner.hpp"
 #include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 
@@ -14,56 +15,52 @@ namespace {
 
 using namespace cbs::compute;
 using cbs::sim::Simulation;
+using cbs::testing::RecordingOwner;
 
 // ---- Cluster -------------------------------------------------------------
 
 TEST(ClusterTest, SingleMachineRunsFcfs) {
   Simulation sim;
-  Cluster cluster(sim, "c", 1);
-  std::vector<std::pair<TaskId, double>> done;
-  cluster.set_task_complete_hook([&](const TaskRecord& rec) {
-    done.emplace_back(rec.task_id, rec.completed);
-  });
+  RecordingOwner owner(sim);
+  Cluster cluster(sim, owner, 0, "c", 1);
   for (int i = 0; i < 3; ++i) cluster.submit(10.0, 0, 0);
   sim.run();
+  const std::vector<TaskRecord>& done = owner.tasks;
   ASSERT_EQ(done.size(), 3u);
-  EXPECT_DOUBLE_EQ(done[0].second, 10.0);
-  EXPECT_DOUBLE_EQ(done[1].second, 20.0);
-  EXPECT_DOUBLE_EQ(done[2].second, 30.0);
-  EXPECT_LT(done[0].first, done[1].first);  // FCFS order preserved
+  EXPECT_DOUBLE_EQ(done[0].completed, 10.0);
+  EXPECT_DOUBLE_EQ(done[1].completed, 20.0);
+  EXPECT_DOUBLE_EQ(done[2].completed, 30.0);
+  EXPECT_LT(done[0].task_id, done[1].task_id);  // FCFS order preserved
 }
 
 TEST(ClusterTest, ParallelMachines) {
   Simulation sim;
-  Cluster cluster(sim, "c", 4);
-  int done = 0;
-  cluster.set_task_complete_hook([&](const TaskRecord&) { ++done; });
+  RecordingOwner owner(sim);
+  Cluster cluster(sim, owner, 0, "c", 4);
   for (int i = 0; i < 4; ++i) cluster.submit(10.0, 0, 0);
   sim.run();
-  EXPECT_EQ(done, 4);
+  EXPECT_EQ(owner.tasks.size(), 4u);
   EXPECT_DOUBLE_EQ(sim.now(), 10.0);  // all four ran concurrently
 }
 
 TEST(ClusterTest, SpeedScalesServiceTime) {
   Simulation sim;
-  Cluster cluster(sim, "c", 1, 2.0);
-  double completed = -1.0;
-  cluster.set_task_complete_hook(
-      [&](const TaskRecord& rec) { completed = rec.completed; });
+  RecordingOwner owner(sim);
+  Cluster cluster(sim, owner, 0, "c", 1, 2.0);
   cluster.submit(10.0, 0, 0);
   sim.run();
-  EXPECT_DOUBLE_EQ(completed, 5.0);
+  ASSERT_EQ(owner.tasks.size(), 1u);
+  EXPECT_DOUBLE_EQ(owner.tasks[0].completed, 5.0);
 }
 
 TEST(ClusterTest, RecordsContainTimestamps) {
   Simulation sim;
-  Cluster cluster(sim, "c", 1);
-  std::vector<TaskRecord> recs;
-  cluster.set_task_complete_hook(
-      [&recs](const TaskRecord& rec) { recs.push_back(rec); });
+  RecordingOwner owner(sim);
+  Cluster cluster(sim, owner, 0, "c", 1);
   cluster.submit(5.0, 7, 0);
   cluster.submit(5.0, 8, 0);
   sim.run();
+  const std::vector<TaskRecord>& recs = owner.tasks;
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_DOUBLE_EQ(recs[1].enqueued, 0.0);
   EXPECT_DOUBLE_EQ(recs[1].started, 5.0);
@@ -74,7 +71,8 @@ TEST(ClusterTest, RecordsContainTimestamps) {
 
 TEST(ClusterTest, BusyTimeAndUtilization) {
   Simulation sim;
-  Cluster cluster(sim, "c", 2);
+  RecordingOwner owner(sim);
+  Cluster cluster(sim, owner, 0, "c", 2);
   cluster.submit(10.0, 0, 0);
   cluster.submit(6.0, 0, 0);
   sim.run();
@@ -86,7 +84,8 @@ TEST(ClusterTest, BusyTimeAndUtilization) {
 
 TEST(ClusterTest, QueuedStandardSecondsTracksBacklog) {
   Simulation sim;
-  Cluster cluster(sim, "c", 1);
+  RecordingOwner owner(sim);
+  Cluster cluster(sim, owner, 0, "c", 1);
   cluster.submit(5.0, 0, 0);  // starts immediately
   cluster.submit(7.0, 0, 0);  // queued
   cluster.submit(3.0, 0, 0);  // queued
@@ -100,70 +99,79 @@ TEST(ClusterTest, QueuedStandardSecondsTracksBacklog) {
 
 TEST(ClusterTest, IdleHookFiresWhenDrained) {
   Simulation sim;
-  Cluster cluster(sim, "c", 2);
-  int idle_calls = 0;
-  cluster.set_idle_hook([&](std::size_t) { ++idle_calls; });
+  RecordingOwner owner(sim);
+  Cluster cluster(sim, owner, 0, "c", 2);
   cluster.submit(5.0, 0, 0);
   cluster.submit(5.0, 0, 0);
   sim.run();
-  EXPECT_EQ(idle_calls, 2);  // each machine frees into an empty queue
+  // Each machine frees into an empty queue.
+  EXPECT_EQ(owner.idle_machines, (std::vector<std::size_t>{0, 1}));
 }
 
 TEST(ClusterTest, TaskDoneHookFiresPerTask) {
   Simulation sim;
-  Cluster cluster(sim, "c", 1);
-  int hook_calls = 0;
-  cluster.set_task_done_hook([&] { ++hook_calls; });
+  RecordingOwner owner(sim);
+  Cluster cluster(sim, owner, 0, "c", 1);
   for (int i = 0; i < 5; ++i) cluster.submit(1.0, 0, 0);
   sim.run();
-  EXPECT_EQ(hook_calls, 5);
+  EXPECT_EQ(owner.tasks.size(), 5u);
+  // Only the last task leaves the machine idle.
+  EXPECT_EQ(owner.idle_machines.size(), 1u);
 }
+
+/// Submits a kind-2 task whenever a kind-1 task finishes.
+struct ChainingOwner : RecordingOwner {
+  using RecordingOwner::RecordingOwner;
+  Cluster* cluster = nullptr;
+  void on_task_done(std::size_t index, const TaskRecord& rec) override {
+    RecordingOwner::on_task_done(index, rec);
+    if (rec.kind == 1) cluster->submit(3.0, 0, 2);
+  }
+};
 
 TEST(ClusterTest, CallbackCanSubmitMoreWork) {
   Simulation sim;
-  Cluster cluster(sim, "c", 1);
-  double second_done = -1.0;
-  cluster.set_task_complete_hook([&](const TaskRecord& rec) {
-    if (rec.kind == 1) {
-      cluster.submit(3.0, 0, 2);
-    } else {
-      second_done = rec.completed;
-    }
-  });
+  ChainingOwner owner(sim);
+  Cluster cluster(sim, owner, 0, "c", 1);
+  owner.cluster = &cluster;
   cluster.submit(2.0, 0, 1);
   sim.run();
-  EXPECT_DOUBLE_EQ(second_done, 5.0);
+  ASSERT_EQ(owner.tasks.size(), 2u);
+  EXPECT_DOUBLE_EQ(owner.tasks[1].completed, 5.0);
 }
 
 TEST(ClusterTest, ZeroServiceTaskCompletesInstantly) {
   Simulation sim;
-  Cluster cluster(sim, "c", 1);
-  double completed = -1.0;
-  cluster.set_task_complete_hook(
-      [&](const TaskRecord& rec) { completed = rec.completed; });
+  RecordingOwner owner(sim);
+  Cluster cluster(sim, owner, 0, "c", 1);
   cluster.submit(0.0, 0, 0);
   sim.run();
-  EXPECT_DOUBLE_EQ(completed, 0.0);
+  ASSERT_EQ(owner.tasks.size(), 1u);
+  EXPECT_DOUBLE_EQ(owner.tasks[0].completed, 0.0);
 }
 
 // ---- MapReduceRuntime ------------------------------------------------------
 
-/// A MapReduceRuntime's completions as (job id, completion time) pairs.
-struct Completions {
+/// Hands every finished task to a MapReduceRuntime, as the controller does,
+/// and records the runtime's completions as (job id, completion time).
+struct RuntimeOwner : RecordingOwner {
+  using RecordingOwner::RecordingOwner;
+  MapReduceRuntime* runtime = nullptr;
   std::vector<std::pair<std::uint64_t, double>> done;
-  void record_on(MapReduceRuntime& mr, const Simulation& sim) {
-    mr.set_on_complete([this, &sim](std::uint64_t job_id) {
-      done.emplace_back(job_id, sim.now());
-    });
+  void on_task_done(std::size_t index, const TaskRecord& rec) override {
+    RecordingOwner::on_task_done(index, rec);
+    if (const auto job = runtime->on_task_done(rec)) {
+      done.emplace_back(*job, sim_.now());
+    }
   }
 };
 
 TEST(MapReduceTest, SingleTaskJob) {
   Simulation sim;
-  Cluster cluster(sim, "c", 2);
+  RuntimeOwner c(sim);
+  Cluster cluster(sim, c, 0, "c", 2);
   MapReduceRuntime mr(cluster);
-  Completions c;
-  c.record_on(mr, sim);
+  c.runtime = &mr;
   mr.run({.job_id = 1, .map_seconds = 10.0, .merge_seconds = 2.0});
   sim.run_until(10.0);
   // The map is done; the merge runs.
@@ -178,10 +186,10 @@ TEST(MapReduceTest, SingleTaskJob) {
 
 TEST(MapReduceTest, ConcurrentJobsInterleave) {
   Simulation sim;
-  Cluster cluster(sim, "c", 2);
+  RuntimeOwner c(sim);
+  Cluster cluster(sim, c, 0, "c", 2);
   MapReduceRuntime mr(cluster);
-  Completions c;
-  c.record_on(mr, sim);
+  c.runtime = &mr;
   for (std::uint64_t id = 1; id <= 3; ++id) {
     mr.run({.job_id = id, .map_seconds = 4.0, .merge_seconds = 0.0});
   }
@@ -199,10 +207,10 @@ TEST(MapReduceTest, ForkMidJobMatchesSource) {
   // Two jobs on one machine: mid-way through the first map, the fork
   // carries a running map, a queued map and two jobs waiting to merge.
   Simulation sim_a;
-  Cluster cluster_a(sim_a, "c", 1);
+  RuntimeOwner a(sim_a);
+  Cluster cluster_a(sim_a, a, 0, "c", 1);
   MapReduceRuntime mr_a(cluster_a);
-  Completions a;
-  a.record_on(mr_a, sim_a);
+  a.runtime = &mr_a;
   mr_a.run({.job_id = 1, .map_seconds = 4.0, .merge_seconds = 1.0});
   mr_a.run({.job_id = 2, .map_seconds = 5.0, .merge_seconds = 1.0});
   sim_a.run_until(2.0);
@@ -210,10 +218,10 @@ TEST(MapReduceTest, ForkMidJobMatchesSource) {
   ASSERT_EQ(cluster_a.queued_tasks(), 1u);
 
   Simulation sim_b(sim_a);
-  Cluster cluster_b(sim_b, cluster_a);
+  RuntimeOwner b(sim_b);
+  Cluster cluster_b(sim_b, b, cluster_a);
   MapReduceRuntime mr_b(mr_a, cluster_b);
-  Completions b;
-  b.record_on(mr_b, sim_b);
+  b.runtime = &mr_b;
   sim_b.verify_fork();
 
   sim_a.run();
@@ -233,7 +241,8 @@ constexpr auto kOut = JobStore::ObjectKind::kOutput;
 
 TEST(JobStoreTest, PutGetErase) {
   Simulation sim;
-  JobStore store(sim);
+  RecordingOwner owner(sim);
+  JobStore store(sim, owner, 0);
   store.put(1, kIn, 100.0);
   EXPECT_DOUBLE_EQ(store.size_of(1, kIn), 100.0);
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 100.0);
@@ -245,7 +254,8 @@ TEST(JobStoreTest, PutGetErase) {
 
 TEST(JobStoreTest, InputAndOutputOfAJobAreDistinctObjects) {
   Simulation sim;
-  JobStore store(sim);
+  RecordingOwner owner(sim);
+  JobStore store(sim, owner, 0);
   store.put(7, kIn, 100.0);
   store.put(7, kOut, 30.0);
   store.put(8, kIn, 5.0);
@@ -260,7 +270,8 @@ TEST(JobStoreTest, InputAndOutputOfAJobAreDistinctObjects) {
 
 TEST(JobStoreTest, OverwriteReplacesSize) {
   Simulation sim;
-  JobStore store(sim);
+  RecordingOwner owner(sim);
+  JobStore store(sim, owner, 0);
   store.put(1, kIn, 100.0);
   store.put(1, kIn, 40.0);
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 40.0);
@@ -269,7 +280,8 @@ TEST(JobStoreTest, OverwriteReplacesSize) {
 
 TEST(JobStoreTest, PeakOccupancy) {
   Simulation sim;
-  JobStore store(sim);
+  RecordingOwner owner(sim);
+  JobStore store(sim, owner, 0);
   store.put(1, kIn, 100.0);
   store.put(2, kIn, 50.0);
   store.erase(1, kIn);
@@ -280,7 +292,8 @@ TEST(JobStoreTest, PeakOccupancy) {
 
 TEST(JobStoreTest, EraseMissingIsNoOp) {
   Simulation sim;
-  JobStore store(sim);
+  RecordingOwner owner(sim);
+  JobStore store(sim, owner, 0);
   EXPECT_DOUBLE_EQ(store.erase(99, kOut), 0.0);
   EXPECT_DOUBLE_EQ(store.size_of(99, kOut), 0.0);
 }
@@ -290,32 +303,26 @@ TEST(JobStoreTest, EraseMissingIsNoOp) {
 TEST(ClusterCrashTest, CrashRequeuesAndReexecutesRunningTask) {
   Simulation sim;
   cbs::sim::ClosureEvents events(sim);
-  Cluster cluster(sim, "c", 1);
-  std::size_t completions = 0;  // every task completion, not just this task's
-  cluster.set_task_done_hook([&completions] { ++completions; });
-  std::vector<double> done;
-  cluster.set_task_complete_hook(
-      [&](const TaskRecord& rec) { done.push_back(rec.completed); });
+  RecordingOwner owner(sim);
+  Cluster cluster(sim, owner, 0, "c", 1);
   cluster.submit(10.0, 0, 0);
   events.at(4.0, [&] { cluster.crash_machine(0); });
   events.at(6.0, [&] { cluster.recover_machine(0); });
   sim.run();
   // 4 s of work destroyed; full re-execution starts at recovery: 6 + 10.
-  ASSERT_EQ(done.size(), 1u);
-  EXPECT_DOUBLE_EQ(done[0], 16.0);
+  // The task completes exactly once.
+  ASSERT_EQ(owner.tasks.size(), 1u);
+  EXPECT_DOUBLE_EQ(owner.tasks[0].completed, 16.0);
   EXPECT_EQ(cluster.crashes(), 1u);
   EXPECT_EQ(cluster.reexecutions(), 1u);
   EXPECT_DOUBLE_EQ(cluster.wasted_standard_seconds(), 4.0);
-  EXPECT_EQ(completions, 1u);  // completes exactly once
 }
 
 TEST(ClusterCrashTest, ReclaimedTaskKeepsFcfsPosition) {
   Simulation sim;
   cbs::sim::ClosureEvents events(sim);
-  Cluster cluster(sim, "c", 1);
-  std::vector<TaskId> order;
-  cluster.set_task_complete_hook(
-      [&](const TaskRecord& rec) { order.push_back(rec.task_id); });
+  RecordingOwner owner(sim);
+  Cluster cluster(sim, owner, 0, "c", 1);
   const TaskId first = cluster.submit(10.0, 0, 0);
   const TaskId second = cluster.submit(10.0, 0, 0);
   events.at(5.0, [&] { cluster.crash_machine(0); });
@@ -323,36 +330,35 @@ TEST(ClusterCrashTest, ReclaimedTaskKeepsFcfsPosition) {
   sim.run();
   // The crashed head task goes back to the *front* of the queue, so it
   // still finishes before the task behind it.
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], first);
-  EXPECT_EQ(order[1], second);
+  ASSERT_EQ(owner.tasks.size(), 2u);
+  EXPECT_EQ(owner.tasks[0].task_id, first);
+  EXPECT_EQ(owner.tasks[1].task_id, second);
 }
 
 TEST(ClusterCrashTest, DownMachineIsNotDispatchedUntilRecovery) {
   Simulation sim;
   cbs::sim::ClosureEvents events(sim);
-  Cluster cluster(sim, "c", 2);
+  RecordingOwner owner(sim);
+  Cluster cluster(sim, owner, 0, "c", 2);
   events.at(0.0, [&] { cluster.crash_machine(0); });
-  std::vector<std::size_t> machines;
-  cluster.set_task_complete_hook(
-      [&](const TaskRecord& rec) { machines.push_back(rec.machine); });
   events.at(1.0, [&] {
     cluster.submit(5.0, 0, 0);
     cluster.submit(5.0, 0, 0);
   });
   events.at(2.0, [&] { cluster.recover_machine(0); });
   sim.run();
-  ASSERT_EQ(machines.size(), 2u);
+  ASSERT_EQ(owner.tasks.size(), 2u);
   EXPECT_EQ(cluster.down_machines(), 0u);
   // First task had only machine 1 available; the second started on the
   // recovered machine 0 at t = 2 rather than queueing behind machine 1.
-  EXPECT_EQ(machines[0], 1u);
-  EXPECT_EQ(machines[1], 0u);
+  EXPECT_EQ(owner.tasks[0].machine, 1u);
+  EXPECT_EQ(owner.tasks[1].machine, 0u);
 }
 
 TEST(ClusterCrashTest, CrashOnIdleMachineJustTakesItDown) {
   Simulation sim;
-  Cluster cluster(sim, "c", 2);
+  RecordingOwner owner(sim);
+  Cluster cluster(sim, owner, 0, "c", 2);
   EXPECT_TRUE(cluster.crash_machine(1));
   EXPECT_EQ(cluster.down_machines(), 1u);
   EXPECT_EQ(cluster.reexecutions(), 0u);
@@ -364,32 +370,17 @@ TEST(ClusterCrashTest, CrashOnIdleMachineJustTakesItDown) {
 
 // ---- JobStore retry/backoff (S3 best-effort semantics) -------------------
 
-/// What a put_async continuation reported, and when.
-struct PutResult {
-  bool called = false;
-  std::uint64_t tag = 0;
-  bool ok = false;
-  double bytes = 0.0;
-  double at = -1.0;
-};
-
-int record_into(JobStore& store, Simulation& sim, PutResult& out) {
-  return store.register_continuation(
-      [&out, &sim](std::uint64_t tag, bool ok, double bytes) {
-        out = {true, tag, ok, bytes, sim.now()};
-      });
-}
-
 TEST(JobStoreRetryTest, HealthyPutCompletesSynchronously) {
   Simulation sim;
-  JobStore store(sim);
-  PutResult put;
-  const int slot = record_into(store, sim, put);
-  store.put_async(1, kIn, 100.0, slot, 42);
-  // No event needed: the continuation already ran.
-  EXPECT_TRUE(put.ok);
-  EXPECT_EQ(put.tag, 42u);
-  EXPECT_DOUBLE_EQ(put.bytes, 100.0);
+  RecordingOwner owner(sim);
+  JobStore store(sim, owner, 0);
+  store.put_async(42, kIn, 100.0);
+  // No event needed: the owner already heard of it.
+  ASSERT_EQ(owner.puts.size(), 1u);
+  EXPECT_TRUE(owner.puts[0].ok);
+  EXPECT_EQ(owner.puts[0].seq, 42u);
+  EXPECT_EQ(owner.puts[0].kind, kIn);
+  EXPECT_DOUBLE_EQ(store.size_of(42, kIn), 100.0);
   EXPECT_EQ(sim.pending_events(), 0u);
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 100.0);
   EXPECT_EQ(store.failed_attempts(), 0u);
@@ -401,16 +392,17 @@ TEST(JobStoreRetryTest, PutRetriesThroughOutage) {
   JobStore::Config cfg;
   cfg.retry_backoff = 2.0;
   cfg.backoff_multiplier = 2.0;
-  JobStore store(sim, cfg);
+  RecordingOwner owner(sim);
+  JobStore store(sim, owner, 0, cfg);
   store.set_available(false);
-  PutResult put;
-  store.put_async(1, kIn, 50.0, record_into(store, sim, put), 1);
+  store.put_async(1, kIn, 50.0);
   // Attempts at 0, 2, 6 (backoff 2 then 4); the store comes back at 5, so
   // the third attempt lands the object.
   events.at(5.0, [&] { store.set_available(true); });
   sim.run();
-  EXPECT_TRUE(put.ok);
-  EXPECT_DOUBLE_EQ(put.at, 6.0);
+  ASSERT_EQ(owner.puts.size(), 1u);
+  EXPECT_TRUE(owner.puts[0].ok);
+  EXPECT_DOUBLE_EQ(owner.puts[0].at, 6.0);
   EXPECT_EQ(store.failed_attempts(), 2u);
   EXPECT_EQ(store.abandoned_ops(), 0u);
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 50.0);
@@ -421,12 +413,12 @@ TEST(JobStoreRetryTest, ZeroCapacityPutIsAbandoned) {
   JobStore::Config cfg;
   cfg.capacity_bytes = 0.0;
   cfg.max_attempts = 3;
-  JobStore store(sim, cfg);
-  PutResult put;
-  store.put_async(1, kIn, 1.0, record_into(store, sim, put), 1);
+  RecordingOwner owner(sim);
+  JobStore store(sim, owner, 0, cfg);
+  store.put_async(1, kIn, 1.0);
   sim.run();
-  EXPECT_TRUE(put.called);
-  EXPECT_FALSE(put.ok);
+  ASSERT_EQ(owner.puts.size(), 1u);
+  EXPECT_FALSE(owner.puts[0].ok);
   EXPECT_EQ(store.failed_attempts(), 3u);
   EXPECT_EQ(store.abandoned_ops(), 1u);
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 0.0);
@@ -436,12 +428,13 @@ TEST(JobStoreRetryTest, OverwriteWithinCapacitySucceeds) {
   Simulation sim;
   JobStore::Config cfg;
   cfg.capacity_bytes = 100.0;
-  JobStore store(sim, cfg);
+  RecordingOwner owner(sim);
+  JobStore store(sim, owner, 0, cfg);
   store.put(1, kIn, 80.0);
-  PutResult put;
   // 80 -> 90 needs only 10 fresh bytes; the overwrite frees the old object.
-  store.put_async(1, kIn, 90.0, record_into(store, sim, put), 1);
-  EXPECT_TRUE(put.ok);
+  store.put_async(1, kIn, 90.0);
+  ASSERT_EQ(owner.puts.size(), 1u);
+  EXPECT_TRUE(owner.puts[0].ok);
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 90.0);
 }
 
@@ -452,14 +445,15 @@ TEST(JobStoreRetryTest, BackoffIsCapped) {
   cfg.backoff_multiplier = 10.0;
   cfg.max_backoff = 5.0;
   cfg.max_attempts = 4;
-  JobStore store(sim, cfg);
+  RecordingOwner owner(sim);
+  JobStore store(sim, owner, 0, cfg);
   store.set_available(false);
-  PutResult put;
-  store.put_async(1, kIn, 1.0, record_into(store, sim, put), 1);
+  store.put_async(1, kIn, 1.0);
   sim.run();
   // Attempts at 0, 2, 7 (20 capped to 5), 12: gives up on the fourth.
-  EXPECT_FALSE(put.ok);
-  EXPECT_DOUBLE_EQ(put.at, 12.0);
+  ASSERT_EQ(owner.puts.size(), 1u);
+  EXPECT_FALSE(owner.puts[0].ok);
+  EXPECT_DOUBLE_EQ(owner.puts[0].at, 12.0);
   EXPECT_EQ(store.abandoned_ops(), 1u);
 }
 
@@ -468,7 +462,8 @@ TEST(JobStoreTest, RunningStateTracksTransitions) {
   // occupancy, and the byte-seconds integral billing reads.
   Simulation sim;
   cbs::sim::ClosureEvents events(sim);
-  JobStore store(sim);
+  RecordingOwner owner(sim);
+  JobStore store(sim, owner, 0);
   events.at(5.0, [&] {
     store.put(1, kIn, 10.0);
     EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 10.0);

@@ -15,6 +15,7 @@
 #include "net/bandwidth_estimator.hpp"
 #include "net/link.hpp"
 #include "net/thread_tuner.hpp"
+#include "recording_owner.hpp"
 #include "simcore/simulation.hpp"
 #include "workload/ground_truth.hpp"
 
@@ -538,6 +539,23 @@ TEST(BeliefStateTest, IncrementalSlackMatchesBruteforceUnderChurn) {
 
 // ---- TransferQueueSet ---------------------------------------------------
 
+/// The link's owner: hands every finished transfer back to the queue set
+/// (as the controller does) and records it.
+struct QueueOwner : cbs::testing::RecordingOwner {
+  using RecordingOwner::RecordingOwner;
+  TransferQueueSet* queues = nullptr;
+  void on_transfer_done(std::size_t link, std::uint32_t kind, std::uint64_t tag,
+                        const cbs::net::TransferRecord& rec) override {
+    queues->on_transfer_done(tag);
+    RecordingOwner::on_transfer_done(link, kind, tag, rec);
+  }
+  [[nodiscard]] std::vector<std::uint64_t> tags() const {
+    std::vector<std::uint64_t> out;
+    for (const Transfer& t : transfers) out.push_back(t.tag);
+    return out;
+  }
+};
+
 struct QueueFixture {
   Simulation sim;
   cbs::net::LinkConfig link_cfg = [] {
@@ -548,34 +566,33 @@ struct QueueFixture {
     cfg.setup_latency = 0.0;
     return cfg;
   }();
-  cbs::net::Link link{sim, link_cfg, RngStream(1)};
+  QueueOwner owner{sim};
+  cbs::net::Link link{sim, owner, 0, link_cfg, RngStream(1)};
   cbs::net::ThreadTuner tuner{{.slots_per_day = 1, .initial_threads = 1}};
+
+  std::unique_ptr<TransferQueueSet> set;
+
+  /// The fixture's queue set on its link, whose completions reach `owner`.
+  TransferQueueSet& queues(int num_classes) {
+    set = std::make_unique<TransferQueueSet>(sim, link, tuner,
+                                             /*transfer_kind=*/0, num_classes);
+    owner.queues = set.get();
+    return *set;
+  }
 };
 
 TEST(TransferQueueSetTest, SingleClassIsFifo) {
   QueueFixture f;
-  TransferQueueSet queues(f.sim, f.link, f.tuner, 1);
-  std::vector<std::uint64_t> done;
-  queues.set_on_complete(
-      [&](std::uint64_t tag, int, const cbs::net::TransferRecord&) {
-        done.push_back(tag);
-      });
+  TransferQueueSet& queues = f.queues(1);
   for (std::uint64_t tag = 1; tag <= 3; ++tag) queues.enqueue(tag, 1.0e6, 0);
   f.sim.run();
-  EXPECT_EQ(done, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(f.owner.tags(), (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_TRUE(queues.idle());
 }
 
 TEST(TransferQueueSetTest, SmallJobRidesHigherClassSlot) {
   QueueFixture f;
-  TransferQueueSet queues(f.sim, f.link, f.tuner, 3);
-  std::vector<std::uint64_t> done;
-  std::vector<cbs::net::TransferRecord> recs;
-  queues.set_on_complete(
-      [&](std::uint64_t tag, int, const cbs::net::TransferRecord& rec) {
-        done.push_back(tag);
-        recs.push_back(rec);
-      });
+  TransferQueueSet& queues = f.queues(3);
   // Two small (class 0) jobs and nothing in classes 1/2: the second small
   // job must ride a higher slot and run concurrently.
   queues.enqueue(1, 2.0e6, 0);
@@ -583,7 +600,7 @@ TEST(TransferQueueSetTest, SmallJobRidesHigherClassSlot) {
   f.sim.run();
   // Concurrent at 0.5 MB/s each -> both complete at t=4; serial would be
   // 2 then 4.
-  ASSERT_EQ(done.size(), 2u);
+  const std::vector<cbs::net::TransferRecord> recs = f.owner.transfer_records();
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_DOUBLE_EQ(recs[0].completed, 4.0);
   EXPECT_DOUBLE_EQ(recs[1].completed, 4.0);
@@ -591,46 +608,32 @@ TEST(TransferQueueSetTest, SmallJobRidesHigherClassSlot) {
 
 TEST(TransferQueueSetTest, LargeJobNeverRidesSmallSlot) {
   QueueFixture f;
-  TransferQueueSet queues(f.sim, f.link, f.tuner, 2);
-  int active_large = 0;
-  int max_active_large = 0;
-  std::vector<cbs::net::TransferRecord> recs;
-  queues.set_on_complete(
-      [&](std::uint64_t, int klass, const cbs::net::TransferRecord& rec) {
-        if (klass == 1) --active_large;
-        recs.push_back(rec);
-      });
+  TransferQueueSet& queues = f.queues(2);
   // Three large-class jobs: only the class-1 slot may carry them, so they
   // serialize even though the class-0 slot idles.
   for (std::uint64_t tag = 1; tag <= 3; ++tag) queues.enqueue(tag, 1.0e6, 1);
-  active_large = static_cast<int>(queues.active_items());
-  max_active_large = active_large;
+  EXPECT_EQ(queues.active_items(), 1u);
   f.sim.run();
-  EXPECT_EQ(max_active_large, 1);
-  ASSERT_FALSE(recs.empty());
+  const std::vector<cbs::net::TransferRecord> recs = f.owner.transfer_records();
+  ASSERT_EQ(recs.size(), 3u);
   EXPECT_DOUBLE_EQ(recs.back().completed, 3.0);  // serial at 1 MB/s
 }
 
 TEST(TransferQueueSetTest, CancelOnlyWorksWhileQueued) {
   QueueFixture f;
-  TransferQueueSet queues(f.sim, f.link, f.tuner, 1);
-  int completions = 0;
-  queues.set_on_complete(
-      [&](std::uint64_t, int, const cbs::net::TransferRecord&) {
-        ++completions;
-      });
+  TransferQueueSet& queues = f.queues(1);
   queues.enqueue(1, 1.0e6, 0);  // starts immediately
   queues.enqueue(2, 1.0e6, 0);  // queued
   EXPECT_FALSE(queues.try_cancel(1));  // already started
   EXPECT_TRUE(queues.try_cancel(2));
   EXPECT_FALSE(queues.try_cancel(2));  // gone
   f.sim.run();
-  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(f.owner.transfers.size(), 1u);
 }
 
 TEST(TransferQueueSetTest, BacklogAccountsQueuedAndActive) {
   QueueFixture f;
-  TransferQueueSet queues(f.sim, f.link, f.tuner, 3);
+  TransferQueueSet& queues = f.queues(3);
   queues.enqueue(1, 5.0e6, 0);
   queues.enqueue(2, 3.0e6, 2);
   queues.enqueue(3, 2.0e6, 2);
@@ -646,7 +649,7 @@ TEST(TransferQueueSetTest, DrainedClassBacklogIsExactlyZero) {
   // Ride-up puts several class-0 transfers in flight at once; once they all
   // land, the class backlog must be exactly empty, not a rounding residue.
   QueueFixture f;
-  TransferQueueSet queues(f.sim, f.link, f.tuner, 3);
+  TransferQueueSet& queues = f.queues(3);
   // Summed then subtracted smallest-first (the completion order), these
   // sizes leave -5.8e-11 bytes in a running total.
   queues.enqueue(1, 1.0e6 / 3.0, 0);
@@ -660,7 +663,7 @@ TEST(TransferQueueSetTest, DrainedClassBacklogIsExactlyZero) {
 
 TEST(TransferQueueSetTest, QueuedTagsListsWaitingOnly) {
   QueueFixture f;
-  TransferQueueSet queues(f.sim, f.link, f.tuner, 1);
+  TransferQueueSet& queues = f.queues(1);
   queues.enqueue(1, 1.0e6, 0);
   queues.enqueue(2, 1.0e6, 0);
   queues.enqueue(3, 1.0e6, 0);

@@ -10,6 +10,7 @@
 #include "core/order_preserving_scheduler.hpp"
 #include "harness/world.hpp"
 #include "models/per_class_qrsm.hpp"
+#include "recording_owner.hpp"
 #include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 #include "sla/metrics.hpp"
@@ -20,57 +21,58 @@ namespace {
 using namespace cbs;
 using cbs::sim::RngStream;
 using cbs::sim::Simulation;
+using cbs::testing::RecordingOwner;
 
 // ---- elastic Cluster -------------------------------------------------------
 
 TEST(ElasticClusterTest, AddMachineIncreasesParallelism) {
   Simulation sim;
-  compute::Cluster cluster(sim, "c", 1);
-  std::vector<double> done;
-  cluster.set_task_complete_hook(
-      [&](const compute::TaskRecord& rec) { done.push_back(rec.completed); });
+  RecordingOwner owner(sim);
+  compute::Cluster cluster(sim, owner, 0, "c", 1);
   for (int i = 0; i < 2; ++i) cluster.submit(10.0, 0, 0);
   cluster.add_machine();
   sim.run();
-  ASSERT_EQ(done.size(), 2u);
+  ASSERT_EQ(owner.tasks.size(), 2u);
   // Second task starts immediately on the new machine.
-  EXPECT_DOUBLE_EQ(done[0], 10.0);
-  EXPECT_DOUBLE_EQ(done[1], 10.0);
+  EXPECT_DOUBLE_EQ(owner.tasks[0].completed, 10.0);
+  EXPECT_DOUBLE_EQ(owner.tasks[1].completed, 10.0);
   EXPECT_EQ(cluster.machine_count(), 2u);
 }
 
 TEST(ElasticClusterTest, RemoveIdleMachineImmediately) {
   Simulation sim;
-  compute::Cluster cluster(sim, "c", 3);
+  RecordingOwner owner(sim);
+  compute::Cluster cluster(sim, owner, 0, "c", 3);
   EXPECT_TRUE(cluster.remove_machine());
   EXPECT_EQ(cluster.machine_count(), 2u);
 }
 
 TEST(ElasticClusterTest, NeverScalesToZero) {
   Simulation sim;
-  compute::Cluster cluster(sim, "c", 1);
+  RecordingOwner owner(sim);
+  compute::Cluster cluster(sim, owner, 0, "c", 1);
   EXPECT_FALSE(cluster.remove_machine());
   EXPECT_EQ(cluster.machine_count(), 1u);
 }
 
 TEST(ElasticClusterTest, BusyMachineDrainsBeforeRetiring) {
   Simulation sim;
-  compute::Cluster cluster(sim, "c", 1);
-  double first_done = -1.0;
-  cluster.set_task_complete_hook(
-      [&](const compute::TaskRecord& rec) { first_done = rec.completed; });
+  RecordingOwner owner(sim);
+  compute::Cluster cluster(sim, owner, 0, "c", 1);
   cluster.submit(10.0, 0, 0);
   cluster.add_machine();          // now 2 machines
   EXPECT_TRUE(cluster.remove_machine());  // removes the idle new one
   EXPECT_EQ(cluster.machine_count(), 1u);
   EXPECT_TRUE(cluster.remove_machine() == false);  // only the busy one left
   sim.run();
-  EXPECT_DOUBLE_EQ(first_done, 10.0);  // running task unaffected
+  ASSERT_EQ(owner.tasks.size(), 1u);
+  EXPECT_DOUBLE_EQ(owner.tasks[0].completed, 10.0);  // running task unaffected
 }
 
 TEST(ElasticClusterTest, RetiredSlotIsReused) {
   Simulation sim;
-  compute::Cluster cluster(sim, "c", 2);
+  RecordingOwner owner(sim);
+  compute::Cluster cluster(sim, owner, 0, "c", 2);
   EXPECT_TRUE(cluster.remove_machine());
   const std::size_t idx = cluster.add_machine();
   EXPECT_LT(idx, 2u);  // reused a slot instead of growing
@@ -81,7 +83,8 @@ TEST(ElasticClusterTest, RetiredSlotIsReused) {
 TEST(ElasticClusterTest, ProvisionedMachineSecondsIntegrate) {
   Simulation sim;
   cbs::sim::ClosureEvents events(sim);
-  compute::Cluster cluster(sim, "c", 2);
+  RecordingOwner owner(sim);
+  compute::Cluster cluster(sim, owner, 0, "c", 2);
   events.at(10.0, [&] { cluster.add_machine(); });
   events.at(20.0, [&] { cluster.remove_machine(); });
   events.at(30.0, [&] {});

@@ -11,6 +11,7 @@
 #include "harness/experiment.hpp"
 #include "harness/scenario.hpp"
 #include "net/link.hpp"
+#include "recording_owner.hpp"
 #include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 
@@ -19,6 +20,7 @@ namespace {
 using namespace cbs;
 using cbs::sim::RngStream;
 using cbs::sim::Simulation;
+using cbs::testing::RecordingOwner;
 
 net::LinkConfig flaky_link(double failure_probability) {
   net::LinkConfig cfg;
@@ -31,41 +33,23 @@ net::LinkConfig flaky_link(double failure_probability) {
   return cfg;
 }
 
-/// Registers a completion handler on `link` that appends each finished
-/// transfer's record to `out`; returns its slot.
-int collector(net::Link& link, std::vector<net::TransferRecord>& out) {
-  return link.register_handler(
-      [&out](std::uint64_t, const net::TransferRecord& rec) {
-        out.push_back(rec);
-      });
-}
-
-/// Registers a completion handler on `link` that ignores completions.
-int ignore_completions(net::Link& link) {
-  return link.register_handler(
-      [](std::uint64_t, const net::TransferRecord&) {});
-}
-
 TEST(LinkFailureTest, ZeroProbabilityInjectsNothing) {
   Simulation sim;
-  net::Link link(sim, flaky_link(0.0), RngStream(1));
-  std::vector<net::TransferRecord> completed;
-  const int done = collector(link, completed);
-  for (int i = 0; i < 20; ++i) link.submit(1.0e6, 1, done, 0);
+  RecordingOwner owner(sim);
+  net::Link link(sim, owner, 0, flaky_link(0.0), RngStream(1));
+  for (int i = 0; i < 20; ++i) link.submit(1.0e6, 1, 0, 0);
   sim.run();
   EXPECT_EQ(link.injected_failures(), 0u);
-  for (const auto& rec : completed) EXPECT_EQ(rec.retries, 0);
+  for (const auto& done : owner.transfers) EXPECT_EQ(done.rec.retries, 0);
 }
 
 TEST(LinkFailureTest, DropsHappenAndTransfersStillComplete) {
   Simulation sim;
-  net::Link link(sim, flaky_link(0.6), RngStream(2));
-  int completions = 0;
-  const int done = link.register_handler(
-      [&](std::uint64_t, const net::TransferRecord&) { ++completions; });
-  for (int i = 0; i < 50; ++i) link.submit(2.0e6, 1, done, 0);
+  RecordingOwner owner(sim);
+  net::Link link(sim, owner, 0, flaky_link(0.6), RngStream(2));
+  for (int i = 0; i < 50; ++i) link.submit(2.0e6, 1, 0, 0);
   sim.run();
-  EXPECT_EQ(completions, 50);
+  EXPECT_EQ(owner.transfers.size(), 50u);
   EXPECT_GT(link.injected_failures(), 5u);
   EXPECT_EQ(link.active_transfers(), 0u);
 }
@@ -74,13 +58,13 @@ TEST(LinkFailureTest, DeliveredBytesCountPayloadOnce) {
   // Conservation is on *useful* bytes: a transfer that restarted still
   // delivers its payload exactly once.
   Simulation sim;
-  net::Link link(sim, flaky_link(0.7), RngStream(3));
+  RecordingOwner owner(sim);
+  net::Link link(sim, owner, 0, flaky_link(0.7), RngStream(3));
   double submitted = 0.0;
-  const int done = ignore_completions(link);
   for (int i = 0; i < 30; ++i) {
     const double bytes = 1.0e6 + 1.0e5 * i;
     submitted += bytes;
-    link.submit(bytes, 1, done, 0);
+    link.submit(bytes, 1, 0, 0);
   }
   sim.run();
   EXPECT_NEAR(link.total_bytes_delivered(), submitted, 1.0);
@@ -90,13 +74,12 @@ TEST(LinkFailureTest, RetriesAreRecordedAndBounded) {
   Simulation sim;
   auto cfg = flaky_link(0.9);
   cfg.max_retries = 2;
-  net::Link link(sim, cfg, RngStream(4));
-  std::vector<net::TransferRecord> completed;
-  const int done = collector(link, completed);
-  for (int i = 0; i < 40; ++i) link.submit(1.0e6, 1, done, 0);
+  RecordingOwner owner(sim);
+  net::Link link(sim, owner, 0, cfg, RngStream(4));
+  for (int i = 0; i < 40; ++i) link.submit(1.0e6, 1, 0, 0);
   sim.run();
   bool saw_retry = false;
-  for (const auto& rec : completed) {
+  for (const auto& rec : owner.transfer_records()) {
     EXPECT_LE(rec.retries, 2);
     if (rec.retries > 0) saw_retry = true;
   }
@@ -107,19 +90,17 @@ TEST(LinkFailureTest, FailuresMakeTransfersSlower) {
   const auto run_mean = [](double prob) {
     Simulation sim;
     cbs::sim::ClosureEvents events(sim);
-    net::Link link(sim, flaky_link(prob), RngStream(5));
-    double total = 0.0;
-    int n = 0;
-    const int done = link.register_handler(
-        [&](std::uint64_t, const net::TransferRecord& rec) {
-          total += rec.completed - rec.requested;
-          ++n;
-        });
+    RecordingOwner owner(sim);
+    net::Link link(sim, owner, 0, flaky_link(prob), RngStream(5));
     for (int i = 0; i < 40; ++i) {
-      events.at(100.0 * i, [&link, done] { link.submit(4.0e6, 1, done, 0); });
+      events.at(100.0 * i, [&link] { link.submit(4.0e6, 1, 0, 0); });
     }
     sim.run();
-    return total / n;
+    double total = 0.0;
+    for (const auto& done : owner.transfers) {
+      total += done.rec.completed - done.rec.requested;
+    }
+    return total / static_cast<double>(owner.transfers.size());
   };
   EXPECT_GT(run_mean(0.8), 1.3 * run_mean(0.0));
 }
@@ -131,13 +112,12 @@ TEST(LinkFailureTest, MultipleDropsPerTransferAreInjected) {
   Simulation sim;
   auto cfg = flaky_link(0.9);
   cfg.max_retries = 5;
-  net::Link link(sim, cfg, RngStream(6));
-  std::vector<net::TransferRecord> completed;
-  const int done = collector(link, completed);
-  for (int i = 0; i < 60; ++i) link.submit(1.0e6, 1, done, 0);
+  RecordingOwner owner(sim);
+  net::Link link(sim, owner, 0, cfg, RngStream(6));
+  for (int i = 0; i < 60; ++i) link.submit(1.0e6, 1, 0, 0);
   sim.run();
   int max_retries_seen = 0;
-  for (const auto& rec : completed) {
+  for (const auto& rec : owner.transfer_records()) {
     max_retries_seen = std::max(max_retries_seen, rec.retries);
   }
   EXPECT_GE(max_retries_seen, 3);
@@ -147,20 +127,15 @@ TEST(LinkFailureTest, MultipleDropsPerTransferAreInjected) {
 TEST(LinkOutageTest, OutageAbortsAndResumesTransfers) {
   Simulation sim;
   cbs::sim::ClosureEvents events(sim);
-  net::Link link(sim, flaky_link(0.0), RngStream(7));
-  net::TransferRecord done{};
-  int completions = 0;
-  const int slot = link.register_handler(
-      [&](std::uint64_t, const net::TransferRecord& rec) {
-        done = rec;
-        ++completions;
-      });
+  RecordingOwner owner(sim);
+  net::Link link(sim, owner, 0, flaky_link(0.0), RngStream(7));
   // 8 MB at 1 MB/s: without the outage this finishes at ~8.5 s.
-  link.submit(8.0e6, 8, slot, 0);
+  link.submit(8.0e6, 8, 0, 0);
   events.at(4.0, [&] { link.set_outage(true); });
   events.at(50.0, [&] { link.set_outage(false); });
   sim.run();
-  ASSERT_EQ(completions, 1);
+  ASSERT_EQ(owner.transfers.size(), 1u);
+  const net::TransferRecord& done = owner.transfers[0].rec;
   EXPECT_EQ(link.outage_aborts(), 1u);
   // ~3.5 s of payload moved before the cut, all lost.
   EXPECT_GT(link.wasted_bytes(), 2.0e6);
@@ -173,19 +148,16 @@ TEST(LinkOutageTest, OutageAbortsAndResumesTransfers) {
 TEST(LinkOutageTest, SubmitDuringOutageWaitsForRecovery) {
   Simulation sim;
   cbs::sim::ClosureEvents events(sim);
-  net::Link link(sim, flaky_link(0.0), RngStream(8));
+  RecordingOwner owner(sim);
+  net::Link link(sim, owner, 0, flaky_link(0.0), RngStream(8));
   link.set_outage(true);
-  double completed_at = -1.0;
-  const int done = link.register_handler(
-      [&](std::uint64_t, const net::TransferRecord& rec) {
-        completed_at = rec.completed;
-      });
-  link.submit(1.0e6, 1, done, 0);
+  link.submit(1.0e6, 1, 0, 0);
   events.at(30.0, [&] { link.set_outage(false); });
   sim.run();
   // Activation parked at setup-latency end, released at outage end: the
   // transfer only moves after t = 30.
-  EXPECT_GT(completed_at, 30.0);
+  ASSERT_EQ(owner.transfers.size(), 1u);
+  EXPECT_GT(owner.transfers[0].rec.completed, 30.0);
   EXPECT_EQ(link.active_transfers(), 0u);
 }
 
@@ -195,11 +167,9 @@ TEST(LinkOutageTest, RepeatedAbortsBackOffExponentially) {
   auto cfg = flaky_link(0.0);
   cfg.outage_backoff_base = 2.0;
   cfg.outage_backoff_multiplier = 2.0;
-  net::Link link(sim, cfg, RngStream(9));
-  net::TransferRecord done{};
-  const int slot = link.register_handler(
-      [&](std::uint64_t, const net::TransferRecord& rec) { done = rec; });
-  link.submit(60.0e6, 8, slot, 0);
+  RecordingOwner owner(sim);
+  net::Link link(sim, owner, 0, cfg, RngStream(9));
+  link.submit(60.0e6, 8, 0, 0);
   // Two outages, each severing the same transfer: reconnect delays are
   // setup + 2 s, then setup + 4 s.
   events.at(5.0, [&] { link.set_outage(true); });
@@ -209,23 +179,22 @@ TEST(LinkOutageTest, RepeatedAbortsBackOffExponentially) {
   sim.run();
   EXPECT_EQ(link.outage_aborts(), 2u);
   // 60 s of payload restarted at t ≈ 21 + 0.5 + 4: finishes after ~85 s.
-  EXPECT_GT(done.completed, 85.0);
+  ASSERT_EQ(owner.transfers.size(), 1u);
+  EXPECT_GT(owner.transfers[0].rec.completed, 85.0);
   EXPECT_NEAR(link.total_bytes_delivered(), 60.0e6, 1.0);
 }
 
 TEST(LinkCancelTest, CancelAbortsInFlightTransfer) {
   Simulation sim;
   cbs::sim::ClosureEvents events(sim);
-  net::Link link(sim, flaky_link(0.0), RngStream(10));
-  int completions = 0;
-  const int done = link.register_handler(
-      [&](std::uint64_t, const net::TransferRecord&) { ++completions; });
-  const auto id = link.submit(10.0e6, 8, done, 0);
+  RecordingOwner owner(sim);
+  net::Link link(sim, owner, 0, flaky_link(0.0), RngStream(10));
+  const auto id = link.submit(10.0e6, 8, 0, 0);
   bool cancelled = false;
   events.at(3.0, [&] { cancelled = link.cancel(id); });
   sim.run();
   EXPECT_TRUE(cancelled);
-  EXPECT_EQ(completions, 0);
+  EXPECT_TRUE(owner.transfers.empty());
   EXPECT_EQ(link.active_transfers(), 0u);
   EXPECT_GT(link.wasted_bytes(), 1.0e6);  // ~2.5 s of progress discarded
   EXPECT_EQ(link.total_bytes_delivered(), 0.0);
@@ -235,16 +204,15 @@ TEST(LinkCancelTest, CancelAbortsInFlightTransfer) {
 TEST(LinkCancelTest, CancelFreesCapacityForSurvivors) {
   Simulation sim;
   cbs::sim::ClosureEvents events(sim);
-  net::Link link(sim, flaky_link(0.0), RngStream(11));
-  net::TransferRecord survivor{};
-  const int done = link.register_handler(
-      [&](std::uint64_t tag, const net::TransferRecord& rec) {
-        if (tag == 1) survivor = rec;
-      });
-  const auto victim = link.submit(50.0e6, 8, done, 0);
-  link.submit(4.0e6, 8, done, 1);
+  RecordingOwner owner(sim);
+  net::Link link(sim, owner, 0, flaky_link(0.0), RngStream(11));
+  const auto victim = link.submit(50.0e6, 8, 0, 0);
+  link.submit(4.0e6, 8, 0, 1);
   events.at(1.0, [&] { link.cancel(victim); });
   sim.run();
+  ASSERT_EQ(owner.transfers.size(), 1u);
+  EXPECT_EQ(owner.transfers[0].tag, 1u);
+  const net::TransferRecord& survivor = owner.transfers[0].rec;
   // With the victim gone the survivor gets the whole 1 MB/s pipe: ~0.5 s
   // sharing + full rate after, far sooner than the ~8.5 s a fair split of
   // the whole run would give.

@@ -11,9 +11,9 @@
 #include "harness/experiment.hpp"
 #include "harness/runner.hpp"
 #include "harness/scenario.hpp"
+#include "recording_owner.hpp"
 #include "simcore/fault_plan.hpp"
 #include "simcore/rng.hpp"
-#include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 
 namespace {
@@ -24,6 +24,7 @@ using cbs::sim::FaultPlan;
 using cbs::sim::OutageWindow;
 using cbs::sim::RngStream;
 using cbs::sim::Simulation;
+using cbs::testing::RecordingOwner;
 
 // ---- FaultPlan: the event generator ------------------------------------
 
@@ -42,15 +43,13 @@ TEST(FaultPlanTest, CrashTraceIsDeterministicPerSeed) {
     FaultConfig cfg;
     cfg.ec_vm_mtbf = 50.0;
     cfg.vm_recovery_seconds = 5.0;
-    FaultPlan plan(sim, cfg, RngStream(seed));
-    std::vector<std::pair<std::size_t, double>> crashes;
-    plan.drive_vm_crashes(
-        "ec", 3, cfg.ec_vm_mtbf,
-        [&](std::size_t m) { crashes.emplace_back(m, sim.now()); }, nullptr);
+    RecordingOwner owner(sim);
     // Stop the otherwise-unbounded crash/recover loop after a horizon.
-    plan.set_active([&sim] { return sim.now() < 300.0; });
+    owner.active_until = 300.0;
+    FaultPlan plan(sim, owner, cfg, RngStream(seed));
+    plan.drive_vm_crashes("ec", 3, cfg.ec_vm_mtbf, 0);
     sim.run();
-    return crashes;
+    return owner.crashes;
   };
   const auto a = trace(7);
   const auto b = trace(7);
@@ -68,16 +67,15 @@ TEST(FaultPlanTest, MachineSubstreamsAreIndependent) {
     FaultConfig cfg;
     cfg.ic_vm_mtbf = 40.0;
     cfg.vm_recovery_seconds = 1.0;
-    FaultPlan plan(sim, cfg, RngStream(11));
-    std::vector<double> times;
-    plan.drive_vm_crashes(
-        "ic", machines, cfg.ic_vm_mtbf,
-        [&](std::size_t m) {
-          if (m == 0) times.push_back(sim.now());
-        },
-        nullptr);
-    plan.set_active([&sim] { return sim.now() < 200.0; });
+    RecordingOwner owner(sim);
+    owner.active_until = 200.0;
+    FaultPlan plan(sim, owner, cfg, RngStream(11));
+    plan.drive_vm_crashes("ic", machines, cfg.ic_vm_mtbf, 0);
     sim.run();
+    std::vector<double> times;
+    for (const auto& crash : owner.crashes) {
+      if (crash.machine == 0) times.push_back(crash.at);
+    }
     return times;
   };
   EXPECT_EQ(machine0_times(1), machine0_times(4));
@@ -89,12 +87,12 @@ TEST(FaultPlanTest, OverlappingOutageWindowsMerge) {
   cfg.outage_windows = {OutageWindow{10.0, 10.0},   // [10, 20)
                         OutageWindow{15.0, 15.0},   // [15, 30) — overlaps
                         OutageWindow{50.0, 5.0}};   // [50, 55) — separate
-  FaultPlan plan(sim, cfg, RngStream(1));
-  std::vector<double> begins;
-  std::vector<double> ends;
-  plan.drive_outages([&](const OutageWindow&) { begins.push_back(sim.now()); },
-                     [&] { ends.push_back(sim.now()); });
+  RecordingOwner owner(sim);
+  FaultPlan plan(sim, owner, cfg, RngStream(1));
+  plan.drive_outages();
   sim.run();
+  const std::vector<double>& begins = owner.outage_begins;
+  const std::vector<double>& ends = owner.outage_ends;
   // Two merged outage episodes: [10, 30) and [50, 55).
   ASSERT_EQ(begins.size(), 2u);
   ASSERT_EQ(ends.size(), 2u);
@@ -107,23 +105,19 @@ TEST(FaultPlanTest, OverlappingOutageWindowsMerge) {
 
 TEST(FaultPlanTest, CrashProcessPausesWhileInactiveAndResumes) {
   Simulation sim;
-  cbs::sim::ClosureEvents events(sim);
   FaultConfig cfg;
   cfg.ic_vm_mtbf = 10.0;
   cfg.vm_recovery_seconds = 1.0;
-  FaultPlan plan(sim, cfg, RngStream(3));
-  bool active = false;
-  int crashes = 0;
-  plan.drive_vm_crashes("ic", 1, cfg.ic_vm_mtbf,
-                        [&](std::size_t) { ++crashes; }, nullptr);
-  plan.set_active([&active] { return active; });
+  RecordingOwner owner(sim);
+  owner.active_until = 0.0;
+  FaultPlan plan(sim, owner, cfg, RngStream(3));
+  plan.drive_vm_crashes("ic", 1, cfg.ic_vm_mtbf, 0);
   sim.run();  // gate closed: the armed crash fires as a no-op and pauses
-  EXPECT_EQ(crashes, 0);
-  active = true;
+  EXPECT_TRUE(owner.crashes.empty());
+  owner.active_until = sim.now() + 200.0;
   plan.ensure_armed();
-  events.in(200.0, [&active] { active = false; });
   sim.run();
-  EXPECT_GT(crashes, 0);
+  EXPECT_FALSE(owner.crashes.empty());
 }
 
 // ---- Scenario-level: invariants under faults ----------------------------

@@ -91,6 +91,15 @@ Scenario two_site_fixture() {
   return s;
 }
 
+/// The §IV.D rescheduler on: pull-backs and push-outs move jobs between
+/// the clouds mid-run, and the IC cluster's idle-machine report (read only
+/// on this path) triggers the pull-backs.
+Scenario rescheduler_fixture() {
+  Scenario s = table1_fixture(cbs::core::SchedulerKind::kGreedy);
+  s.enable_rescheduler = true;
+  return s;
+}
+
 /// OP + QRSM at the default settings (4096-row window, refit every 32
 /// observations), long enough for the window to wrap: a fork copies the
 /// running moments and the rows kept for a pending MAPE.
@@ -297,6 +306,35 @@ TEST(ForkEquivalence, TwoSiteFixtureForkMidRun) {
 
 TEST(ForkEquivalence, TwoSiteFixtureForkLate) {
   const Scenario s = two_site_fixture();
+  expect_identical(run_scenario(s), run_scenario_via_fork(s, 700.0));
+}
+
+TEST(ForkEquivalence, ReschedulerFixtureReschedulesBeforeTheMidFork) {
+  // Guards the fixture: the mid-run fork below must land after the
+  // rescheduler has already moved a job, and pull-backs (which an idle IC
+  // machine triggers) must also happen after the late fork.
+  ScenarioWorld world(rescheduler_fixture());
+  world.run_until(400.0);
+  EXPECT_GT(world.controller().pull_backs() + world.controller().push_outs(),
+            0u);
+  world.run_until(700.0);
+  const std::size_t late_fork_pull_backs = world.controller().pull_backs();
+  world.run();
+  EXPECT_GT(world.controller().pull_backs(), late_fork_pull_backs);
+}
+
+TEST(ForkEquivalence, ReschedulerFixtureForkAtZero) {
+  const Scenario s = rescheduler_fixture();
+  expect_identical(run_scenario(s), run_scenario_via_fork(s, 0.0));
+}
+
+TEST(ForkEquivalence, ReschedulerFixtureForkMidRun) {
+  const Scenario s = rescheduler_fixture();
+  expect_identical(run_scenario(s), run_scenario_via_fork(s, 400.0));
+}
+
+TEST(ForkEquivalence, ReschedulerFixtureForkLate) {
+  const Scenario s = rescheduler_fixture();
   expect_identical(run_scenario(s), run_scenario_via_fork(s, 700.0));
 }
 

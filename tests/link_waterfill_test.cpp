@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "net/link.hpp"
+#include "recording_owner.hpp"
 #include "simcore/closure_events.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/simulation.hpp"
@@ -78,23 +79,19 @@ TEST(LinkWaterfillProperty, BatchedPassMatchesSortBasedReference) {
     cfg.noise_step = 5.0;
     cfg.profile = cbs::net::DiurnalProfile::business_pipe();
     cfg.setup_latency = 0.3;
-    Link link(sim, cfg, RngStream(seed).substream("link"));
+    cbs::testing::RecordingOwner owner(sim);
+    Link link(sim, owner, 0, cfg, RngStream(seed).substream("link"));
 
     RngStream rng(RngStream(seed).substream("storm"));
     auto submitted = std::make_shared<std::vector<TransferId>>();
-    std::size_t completions = 0;
     std::size_t cancellations = 0;
-    const int done = link.register_handler(
-        [&completions](std::uint64_t, const TransferRecord&) {
-          ++completions;
-        });
     double t = 0.0;
     for (int i = 0; i < 48; ++i) {
       t += rng.uniform(0.05, 2.0);
       const double bytes = rng.uniform(0.1e6, 2.5e6);
       const int threads = 1 + static_cast<int>(rng.uniform_int(0, 5));
-      events.at(t, [&link, done, submitted, bytes, threads] {
-        submitted->push_back(link.submit(bytes, threads, done, 0));
+      events.at(t, [&link, submitted, bytes, threads] {
+        submitted->push_back(link.submit(bytes, threads, 0, 0));
       });
       // The storm also cancels: roughly every seventh submission, abort a
       // pseudo-random earlier transfer (a no-op when already finished).
@@ -143,7 +140,7 @@ TEST(LinkWaterfillProperty, BatchedPassMatchesSortBasedReference) {
     EXPECT_GT(checked, 10U) << "storm never reached a populated checkpoint";
 
     sim.run();
-    EXPECT_EQ(completions + cancellations, submitted->size());
+    EXPECT_EQ(owner.transfers.size() + cancellations, submitted->size());
   }
 }
 
@@ -159,12 +156,8 @@ TEST(LinkForkEquivalence, MidFlightSoAStateForksBitExact) {
     cfg.profile = cbs::net::DiurnalProfile::business_pipe();
     cfg.setup_latency = 0.4;
     cfg.failure_probability = 0.2;  // armed fail_below thresholds cross forks
-    Link a(sim_a, cfg, RngStream(seed).substream("link"));
-    std::vector<TransferRecord> recs_a;
-    const int slot_a = a.register_handler(
-        [&recs_a](std::uint64_t, const TransferRecord& r) {
-          recs_a.push_back(r);
-        });
+    cbs::testing::RecordingOwner owner_a(sim_a);
+    Link a(sim_a, owner_a, 0, cfg, RngStream(seed).substream("link"));
 
     RngStream rng(RngStream(seed).substream("storm"));
     double t = 0.0;
@@ -172,7 +165,7 @@ TEST(LinkForkEquivalence, MidFlightSoAStateForksBitExact) {
       t += rng.uniform(0.05, 1.2);
       const double bytes = rng.uniform(0.3e6, 3.0e6);
       const int threads = 1 + static_cast<int>(rng.uniform_int(0, 3));
-      a.submit(bytes, threads, slot_a, static_cast<std::uint64_t>(i) + 1);
+      a.submit(bytes, threads, 0, static_cast<std::uint64_t>(i) + 1);
       // Drain to just past this submission so the next one happens at its
       // own timestamp (submissions are direct calls, not closures, so the
       // engine holds only the link's events at the fork point).
@@ -183,19 +176,16 @@ TEST(LinkForkEquivalence, MidFlightSoAStateForksBitExact) {
     sim_a.run_until(t + 0.2);
     ASSERT_GT(a.active_transfers(), 0U) << "storm drained before the fork";
 
-    const std::size_t pre_fork = recs_a.size();
+    const std::size_t pre_fork = owner_a.transfers.size();
     Simulation sim_b(sim_a);
-    Link b(sim_b, a);
-    std::vector<TransferRecord> recs_b;
-    const int slot_b = b.register_handler(
-        [&recs_b](std::uint64_t, const TransferRecord& r) {
-          recs_b.push_back(r);
-        });
-    ASSERT_EQ(slot_b, slot_a);
+    cbs::testing::RecordingOwner owner_b(sim_b);
+    Link b(sim_b, owner_b, a);
     sim_b.verify_fork();
 
     sim_a.run();
     sim_b.run();
+    const std::vector<TransferRecord> recs_a = owner_a.transfer_records();
+    const std::vector<TransferRecord> recs_b = owner_b.transfer_records();
 
     // Bit-exact equivalence of everything after the fork point: the fork
     // sees the same noise draws, the same failure injections, the same
@@ -212,6 +202,7 @@ TEST(LinkForkEquivalence, MidFlightSoAStateForksBitExact) {
       EXPECT_EQ(ra.requested, recs_b[i].requested);
       EXPECT_EQ(ra.started, recs_b[i].started);
       EXPECT_EQ(ra.completed, recs_b[i].completed);
+      EXPECT_EQ(owner_a.transfers[pre_fork + i].tag, owner_b.transfers[i].tag);
     }
     std::vector<TransferRecord> ledger_b(
         recs_a.begin(), recs_a.begin() + static_cast<std::ptrdiff_t>(pre_fork));

@@ -11,6 +11,7 @@
 #include "net/link.hpp"
 #include "net/noise.hpp"
 #include "net/thread_tuner.hpp"
+#include "recording_owner.hpp"
 #include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 #include "stats/summary.hpp"
@@ -22,6 +23,7 @@ using cbs::sim::kDay;
 using cbs::sim::kHour;
 using cbs::sim::RngStream;
 using cbs::sim::Simulation;
+using cbs::testing::RecordingOwner;
 
 // ---- DiurnalProfile ---------------------------------------------------
 
@@ -164,27 +166,24 @@ LinkConfig basic_link(double rate = 1.0e6) {
 
 TEST(LinkTest, SingleTransferTakesBytesOverRate) {
   Simulation sim;
-  Link link(sim, basic_link(1.0e6), RngStream(1));
-  double completed_at = -1.0;
-  const int done = link.register_handler(
-      [&](std::uint64_t, const TransferRecord& rec) {
-        completed_at = rec.completed;
-      });
-  link.submit(5.0e6, 1, done, 0);
+  RecordingOwner owner(sim);
+  Link link(sim, owner, 0, basic_link(1.0e6), RngStream(1));
+  link.submit(5.0e6, 1, 0, 0);
   sim.run();
-  EXPECT_NEAR(completed_at, 5.0, 1e-9);
+  ASSERT_EQ(owner.transfers.size(), 1u);
+  EXPECT_NEAR(owner.transfers[0].rec.completed, 5.0, 1e-9);
 }
 
 TEST(LinkTest, SetupLatencyDelaysStart) {
   Simulation sim;
   auto cfg = basic_link(1.0e6);
   cfg.setup_latency = 2.0;
-  Link link(sim, cfg, RngStream(1));
-  TransferRecord record;
-  const int done = link.register_handler(
-      [&](std::uint64_t, const TransferRecord& rec) { record = rec; });
-  link.submit(1.0e6, 1, done, 0);
+  RecordingOwner owner(sim);
+  Link link(sim, owner, 0, cfg, RngStream(1));
+  link.submit(1.0e6, 1, 0, 0);
   sim.run();
+  ASSERT_EQ(owner.transfers.size(), 1u);
+  const TransferRecord& record = owner.transfers[0].rec;
   EXPECT_DOUBLE_EQ(record.started, 2.0);
   EXPECT_NEAR(record.completed, 3.0, 1e-9);
   EXPECT_NEAR(record.transfer_rate(), 1.0e6, 1.0);
@@ -195,55 +194,45 @@ TEST(LinkTest, PerConnectionCapLimitsSingleTransfer) {
   Simulation sim;
   auto cfg = basic_link(1.0e6);
   cfg.per_connection_cap = 0.25e6;
-  Link link(sim, cfg, RngStream(1));
-  double completed_at = -1.0;
-  const int done = link.register_handler(
-      [&](std::uint64_t, const TransferRecord& rec) {
-        completed_at = rec.completed;
-      });
+  RecordingOwner owner(sim);
+  Link link(sim, owner, 0, cfg, RngStream(1));
   // 2 threads -> 0.5 MB/s even though the pipe offers 1 MB/s.
-  link.submit(1.0e6, 2, done, 0);
+  link.submit(1.0e6, 2, 0, 0);
   sim.run();
-  EXPECT_NEAR(completed_at, 2.0, 1e-9);
+  ASSERT_EQ(owner.transfers.size(), 1u);
+  EXPECT_NEAR(owner.transfers[0].rec.completed, 2.0, 1e-9);
 }
 
 TEST(LinkTest, ConcurrentTransfersShareCapacityFairly) {
   Simulation sim;
-  Link link(sim, basic_link(1.0e6), RngStream(1));
-  std::vector<double> completions;
-  const int done = link.register_handler(
-      [&](std::uint64_t, const TransferRecord& rec) {
-        completions.push_back(rec.completed);
-      });
-  for (int i = 0; i < 2; ++i) link.submit(1.0e6, 1, done, 0);
+  RecordingOwner owner(sim);
+  Link link(sim, owner, 0, basic_link(1.0e6), RngStream(1));
+  for (int i = 0; i < 2; ++i) link.submit(1.0e6, 1, 0, 0);
   sim.run();
-  ASSERT_EQ(completions.size(), 2u);
+  ASSERT_EQ(owner.transfers.size(), 2u);
   // Both share 1 MB/s -> each effectively 0.5 MB/s -> both done at t=2.
-  EXPECT_NEAR(completions[0], 2.0, 1e-6);
-  EXPECT_NEAR(completions[1], 2.0, 1e-6);
+  EXPECT_NEAR(owner.transfers[0].rec.completed, 2.0, 1e-6);
+  EXPECT_NEAR(owner.transfers[1].rec.completed, 2.0, 1e-6);
 }
 
 TEST(LinkTest, WaterFillingRespectsSmallDemands) {
   Simulation sim;
   auto cfg = basic_link(1.0e6);
   cfg.per_connection_cap = 0.2e6;
-  Link link(sim, cfg, RngStream(1));
-  std::vector<std::pair<int, double>> done;  // (tag, time)
-  const int slot = link.register_handler(
-      [&](std::uint64_t tag, const TransferRecord& rec) {
-        done.emplace_back(static_cast<int>(tag), rec.completed);
-      });
+  RecordingOwner owner(sim);
+  Link link(sim, owner, 0, cfg, RngStream(1));
   // Transfer A: 1 thread -> demand 0.2 MB/s. Transfer B: 8 threads -> wants
   // 1.6 but gets the remaining 0.8.
-  link.submit(0.2e6, 1, slot, 0);
-  link.submit(1.6e6, 8, slot, 1);
+  link.submit(0.2e6, 1, 0, 0);
+  link.submit(1.6e6, 8, 0, 1);
   sim.run();
+  const auto& done = owner.transfers;
   ASSERT_EQ(done.size(), 2u);
-  EXPECT_EQ(done[0].first, 0);
-  EXPECT_NEAR(done[0].second, 1.0, 1e-6);  // 0.2 MB at 0.2 MB/s
+  EXPECT_EQ(done[0].tag, 0u);
+  EXPECT_NEAR(done[0].rec.completed, 1.0, 1e-6);  // 0.2 MB at 0.2 MB/s
   // B: 0.8 MB/s while A alive (1s -> 0.8 MB done), then full 1.0 MB/s for
   // the remaining 0.8 MB -> 1.8s total.
-  EXPECT_NEAR(done[1].second, 1.8, 1e-6);
+  EXPECT_NEAR(done[1].rec.completed, 1.8, 1e-6);
 }
 
 TEST(LinkTest, ConservesBytes) {
@@ -253,21 +242,19 @@ TEST(LinkTest, ConservesBytes) {
   cfg.noise_sigma = 0.3;
   cfg.noise_step = 10.0;
   cfg.per_connection_cap = 0.2e6;
-  Link link(sim, cfg, RngStream(99));
+  RecordingOwner owner(sim);
+  Link link(sim, owner, 0, cfg, RngStream(99));
   RngStream rng(5);
   double submitted = 0.0;
-  std::size_t completed = 0;
-  const int done = link.register_handler(
-      [&completed](std::uint64_t, const TransferRecord&) { ++completed; });
   for (int i = 0; i < 40; ++i) {
     const double bytes = rng.uniform(0.1e6, 20.0e6);
     submitted += bytes;
     const double when = rng.uniform(0.0, 500.0);
-    events.at(when, [&link, done, bytes] { link.submit(bytes, 2, done, 0); });
+    events.at(when, [&link, bytes] { link.submit(bytes, 2, 0, 0); });
   }
   sim.run();
   EXPECT_NEAR(link.total_bytes_delivered(), submitted, 1.0);
-  EXPECT_EQ(completed, 40u);
+  EXPECT_EQ(owner.transfers.size(), 40u);
   EXPECT_EQ(link.active_transfers(), 0u);
 }
 
@@ -275,15 +262,12 @@ TEST(LinkTest, ThrottleSlowsTransfers) {
   Simulation sim;
   auto cfg = basic_link(1.0e6);
   cfg.throttles = {{0.0, 1000.0, 0.5}};
-  Link link(sim, cfg, RngStream(1));
-  double completed_at = -1.0;
-  const int done = link.register_handler(
-      [&](std::uint64_t, const TransferRecord& rec) {
-        completed_at = rec.completed;
-      });
-  link.submit(1.0e6, 1, done, 0);
+  RecordingOwner owner(sim);
+  Link link(sim, owner, 0, cfg, RngStream(1));
+  link.submit(1.0e6, 1, 0, 0);
   sim.run();
-  EXPECT_NEAR(completed_at, 2.0, 1e-6);
+  ASSERT_EQ(owner.transfers.size(), 1u);
+  EXPECT_NEAR(owner.transfers[0].rec.completed, 2.0, 1e-6);
 }
 
 TEST(LinkTest, CapacityFloorGuaranteesProgress) {
@@ -291,25 +275,21 @@ TEST(LinkTest, CapacityFloorGuaranteesProgress) {
   auto cfg = basic_link(1.0e6);
   cfg.throttles = {{0.0, 1e9, 1e-9}};  // throttled to (almost) nothing
   cfg.min_capacity_fraction = 0.1;     // ... but the floor holds 0.1 MB/s
-  Link link(sim, cfg, RngStream(1));
-  double completed_at = -1.0;
-  const int done = link.register_handler(
-      [&](std::uint64_t, const TransferRecord& rec) {
-        completed_at = rec.completed;
-      });
-  link.submit(1.0e6, 1, done, 0);
+  RecordingOwner owner(sim);
+  Link link(sim, owner, 0, cfg, RngStream(1));
+  link.submit(1.0e6, 1, 0, 0);
   sim.run();
-  EXPECT_NEAR(completed_at, 10.0, 1e-6);
+  ASSERT_EQ(owner.transfers.size(), 1u);
+  EXPECT_NEAR(owner.transfers[0].rec.completed, 10.0, 1e-6);
 }
 
 TEST(LinkTest, BusyTimeTracksActivity) {
   Simulation sim;
   cbs::sim::ClosureEvents events(sim);
-  Link link(sim, basic_link(1.0e6), RngStream(1));
-  const int done =
-      link.register_handler([](std::uint64_t, const TransferRecord&) {});
-  link.submit(2.0e6, 1, done, 0);
-  events.at(10.0, [&] { link.submit(1.0e6, 1, done, 0); });
+  RecordingOwner owner(sim);
+  Link link(sim, owner, 0, basic_link(1.0e6), RngStream(1));
+  link.submit(2.0e6, 1, 0, 0);
+  events.at(10.0, [&] { link.submit(1.0e6, 1, 0, 0); });
   sim.run();
   EXPECT_NEAR(link.busy_time(), 3.0, 1e-6);  // [0,2] and [10,11]
 }
@@ -320,17 +300,14 @@ TEST(LinkTest, DiurnalProfileChangesRateAcrossTicks) {
   // Slow first half-day, fast second half.
   cfg.profile = DiurnalProfile({0.5, 0.5, 2.0, 2.0});
   cfg.noise_step = 60.0;
-  Link link(sim, cfg, RngStream(1));
-  double completed_at = -1.0;
-  const int done = link.register_handler(
-      [&](std::uint64_t, const TransferRecord& rec) {
-        completed_at = rec.completed;
-      });
-  link.submit(3.0e6, 1, done, 0);
+  RecordingOwner owner(sim);
+  Link link(sim, owner, 0, cfg, RngStream(1));
+  link.submit(3.0e6, 1, 0, 0);
   sim.run();
   // At 0.5 MB/s, 3 MB would take 6s — with piecewise re-evaluation it stays
   // ~6s because we are deep inside the slow slot.
-  EXPECT_NEAR(completed_at, 6.0, 0.1);
+  ASSERT_EQ(owner.transfers.size(), 1u);
+  EXPECT_NEAR(owner.transfers[0].rec.completed, 6.0, 0.1);
 }
 
 // ---- BandwidthEstimator ------------------------------------------------

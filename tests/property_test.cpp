@@ -5,6 +5,7 @@
 #include "harness/experiment.hpp"
 #include "harness/scenario.hpp"
 #include "net/link.hpp"
+#include "recording_owner.hpp"
 #include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 #include "sla/metrics.hpp"
@@ -32,27 +33,24 @@ TEST_P(LinkStormTest, ConservesBytesUnderRandomTraffic) {
   cfg.noise_step = 15.0;
   cfg.profile = net::DiurnalProfile::business_pipe();
   cfg.setup_latency = 0.5;
-  net::Link link(sim, cfg, RngStream(GetParam()).substream("link"));
+  cbs::testing::RecordingOwner owner(sim);
+  net::Link link(sim, owner, 0, cfg, RngStream(GetParam()).substream("link"));
 
   RngStream rng(GetParam());
   double submitted = 0.0;
   std::size_t count = 0;
-  std::vector<net::TransferRecord> completed;
-  const int collect = link.register_handler(
-      [&completed](std::uint64_t, const net::TransferRecord& rec) {
-        completed.push_back(rec);
-      });
   for (int i = 0; i < 60; ++i) {
     const double bytes = rng.uniform(0.05e6, 40.0e6);
     const double when = rng.uniform(0.0, 2000.0);
     const int threads = static_cast<int>(rng.uniform_int(1, 8));
     submitted += bytes;
     ++count;
-    events.at(when, [&link, collect, bytes, threads] {
-      link.submit(bytes, threads, collect, 0);
+    events.at(when, [&link, bytes, threads] {
+      link.submit(bytes, threads, 0, 0);
     });
   }
   sim.run();
+  const std::vector<net::TransferRecord> completed = owner.transfer_records();
   EXPECT_NEAR(link.total_bytes_delivered(), submitted,
               1e-6 * submitted + 1.0);
   EXPECT_EQ(completed.size(), count);

@@ -9,6 +9,7 @@
 
 #include "compute/cluster.hpp"
 #include "net/link.hpp"
+#include "recording_owner.hpp"
 #include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 #include "stats/distributions.hpp"
@@ -18,6 +19,7 @@ namespace {
 
 using cbs::sim::RngStream;
 using cbs::sim::Simulation;
+using cbs::testing::RecordingOwner;
 
 /// Erlang C: probability an arrival waits in an M/M/c queue.
 double erlang_c(int c, double offered_load /* lambda/mu */) {
@@ -41,13 +43,10 @@ TEST(QueueingTheoryTest, ClusterMatchesErlangC) {
 
   Simulation sim;
   cbs::sim::ClosureEvents events(sim);
-  cbs::compute::Cluster cluster(sim, "mmc", static_cast<std::size_t>(c));
+  RecordingOwner owner(sim);
+  cbs::compute::Cluster cluster(sim, owner, 0, "mmc",
+                                static_cast<std::size_t>(c));
   RngStream rng(42);
-  cbs::stats::Summary waits;
-  cluster.set_task_complete_hook(
-      [&waits](const cbs::compute::TaskRecord& rec) {
-        waits.add(rec.started - rec.enqueued);
-      });
 
   const int n_jobs = 60000;
   double t = 0.0;
@@ -57,6 +56,8 @@ TEST(QueueingTheoryTest, ClusterMatchesErlangC) {
     events.at(t, [&cluster, service] { cluster.submit(service, 0, 0); });
   }
   sim.run();
+  cbs::stats::Summary waits;
+  for (const auto& rec : owner.tasks) waits.add(rec.started - rec.enqueued);
 
   const double offered = lambda / mu;
   const double expected_wait = erlang_c(c, offered) / (c * mu - lambda);
@@ -72,7 +73,9 @@ TEST(QueueingTheoryTest, ClusterUtilizationMatchesRho) {
   const double lambda = 0.6 * c * mu;
   Simulation sim;
   cbs::sim::ClosureEvents events(sim);
-  cbs::compute::Cluster cluster(sim, "mmc", static_cast<std::size_t>(c));
+  RecordingOwner owner(sim);
+  cbs::compute::Cluster cluster(sim, owner, 0, "mmc",
+                                static_cast<std::size_t>(c));
   RngStream rng(7);
   double t = 0.0;
   for (int i = 0; i < 20000; ++i) {
@@ -103,22 +106,22 @@ TEST(QueueingTheoryTest, LinkIsProcessorSharing) {
   cfg.per_connection_cap = capacity;  // each transfer can use the full pipe
   cfg.noise_sigma = 0.0;
   cfg.setup_latency = 0.0;
-  cbs::net::Link link(sim, cfg, RngStream(1));
+  RecordingOwner owner(sim);
+  cbs::net::Link link(sim, owner, 0, cfg, RngStream(1));
 
   RngStream rng(99);
-  cbs::stats::Summary sojourns;
-  const int done = link.register_handler(
-      [&sojourns](std::uint64_t, const cbs::net::TransferRecord& rec) {
-        sojourns.add(rec.completed - rec.requested);
-      });
   double t = 0.0;
   const int n = 30000;
   for (int i = 0; i < n; ++i) {
     t += cbs::stats::sample_exponential(rng, lambda);
     const double bytes = capacity * cbs::stats::sample_exponential(rng, mu);
-    events.at(t, [&link, done, bytes] { link.submit(bytes, 1, done, 0); });
+    events.at(t, [&link, bytes] { link.submit(bytes, 1, 0, 0); });
   }
   sim.run();
+  cbs::stats::Summary sojourns;
+  for (const auto& done : owner.transfers) {
+    sojourns.add(done.rec.completed - done.rec.requested);
+  }
 
   const double expected = (1.0 / mu) / (1.0 - rho);
   ASSERT_EQ(sojourns.count(), static_cast<std::size_t>(n));
@@ -143,20 +146,20 @@ TEST(QueueingTheoryTest, LinkPsIsInsensitiveToServiceDistribution) {
   cfg.per_connection_cap = capacity;
   cfg.noise_sigma = 0.0;
   cfg.setup_latency = 0.0;
-  cbs::net::Link link(sim, cfg, RngStream(2));
+  RecordingOwner owner(sim);
+  cbs::net::Link link(sim, owner, 0, cfg, RngStream(2));
 
   RngStream rng(5);
-  cbs::stats::Summary sojourns;
-  const int done = link.register_handler(
-      [&sojourns](std::uint64_t, const cbs::net::TransferRecord& rec) {
-        sojourns.add(rec.completed - rec.requested);
-      });
   double t = 0.0;
   for (int i = 0; i < 30000; ++i) {
     t += cbs::stats::sample_exponential(rng, lambda);
-    events.at(t, [&link, done] { link.submit(4.0e6, 1, done, 0); });
+    events.at(t, [&link] { link.submit(4.0e6, 1, 0, 0); });
   }
   sim.run();
+  cbs::stats::Summary sojourns;
+  for (const auto& done : owner.transfers) {
+    sojourns.add(done.rec.completed - done.rec.requested);
+  }
   const double expected = (1.0 / mu) / (1.0 - rho);
   EXPECT_NEAR(sojourns.mean(), expected, 0.10 * expected);
 }

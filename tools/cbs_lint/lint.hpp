@@ -3,10 +3,11 @@
 // The simulator's SLA numbers are only reproducible because every run is
 // bit-deterministic at a fixed seed, and several PRs made that determinism
 // rest on conventions a compiler cannot see: deterministic-order containers
-// in sim state, seeded randomness only, move-only `UniqueFunction` callbacks
-// in the engine layers, `double` for time/size arithmetic, opaque
-// generation-checked `EventId` handles — and, since the fork work, the
-// clone-constructor contracts that make a world deep-copyable mid-run.
+// in sim state, seeded randomness only, components that report to an owner
+// interface instead of a stored `std::function`, `double` for time/size
+// arithmetic, opaque generation-checked `EventId` handles — and, since the
+// fork work, the clone-constructor contracts that make a world
+// deep-copyable mid-run.
 // clang-tidy covers the generic bug classes; this tool turns the
 // project-specific rules into machine checks so they survive refactors
 // without hand auditing.

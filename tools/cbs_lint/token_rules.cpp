@@ -35,6 +35,12 @@ bool in_event_hot_layers(const std::string& rel) {
   return path_starts_with(rel, "src/net/") ||
          path_starts_with(rel, "src/core/");
 }
+/// The std-function rule watches every layer whose components report to an
+/// owner: the engine, the link and compute substrates, and the controller.
+bool in_component_layers(const std::string& rel) {
+  return in_engine_layers(rel) || path_starts_with(rel, "src/net/") ||
+         path_starts_with(rel, "src/compute/");
+}
 bool in_src_outside_simcore(const std::string& rel) {
   return path_starts_with(rel, "src/") &&
          !path_starts_with(rel, "src/simcore/");
@@ -223,9 +229,11 @@ const std::vector<Rule>& token_rules() {
                 has_token(code, "high_resolution_clock");
        }},
       {"std-function", "std-function",
-       "std::function in the engine layers: schedule/hook paths must use "
-       "the move-only, SBO cbs::sim::UniqueFunction (simcore/callback.hpp)",
-       in_engine_layers, matches_std_function},
+       "std::function in a component layer: a component reports to an "
+       "owner interface it takes by reference at construction (e.g. "
+       "net::LinkOwner), never to a stored callable, so a fork re-wires "
+       "nothing",
+       in_component_layers, matches_std_function},
       {"float-arithmetic", "float",
        "float in model arithmetic: times and sizes are double end-to-end; "
        "float rounding drifts fixed-seed outputs across compilers",
