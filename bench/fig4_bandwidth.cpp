@@ -11,19 +11,36 @@
 #include "net/bandwidth_estimator.hpp"
 #include "net/link.hpp"
 #include "net/thread_tuner.hpp"
-#include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 
 namespace {
 
-/// The link's owner: every finished probe updates the bandwidth estimator
-/// and the thread tuner.
-class ProbeObserver : public cbs::net::LinkOwner {
+/// The link's owner: it submits each probe at its event, and every
+/// finished probe updates the bandwidth estimator and the thread tuner.
+class ProbeObserver final : public cbs::net::LinkOwner,
+                            public cbs::sim::EventTarget {
  public:
-  ProbeObserver(const cbs::sim::Simulation& sim,
+  ProbeObserver(cbs::sim::Simulation& sim,
                 cbs::net::BandwidthEstimator& estimator,
                 cbs::net::ThreadTuner& tuner)
       : sim_(sim), estimator_(estimator), tuner_(tuner) {}
+
+  /// Probes `link` with `bytes` at times 0, interval, ..., (probes - 1) *
+  /// interval, at the tuner-suggested thread count.
+  void schedule_probes(cbs::net::Link& link, double bytes, int probes,
+                       double interval) {
+    link_ = &link;
+    probe_bytes_ = bytes;
+    const cbs::sim::TargetId target = sim_.register_target(*this);
+    for (int i = 0; i < probes; ++i) {
+      sim_.schedule_at(i * interval,
+                       {target, 0, static_cast<std::uint64_t>(i)});
+    }
+  }
+
+  void on_event(std::uint32_t /*kind*/, std::uint64_t /*probe*/) override {
+    link_->submit(probe_bytes_, tuner_.suggest(sim_.now()), 0, 0);
+  }
 
   void on_transfer_done(std::size_t /*link*/, std::uint32_t /*kind*/,
                         std::uint64_t /*tag*/,
@@ -33,9 +50,11 @@ class ProbeObserver : public cbs::net::LinkOwner {
   }
 
  private:
-  const cbs::sim::Simulation& sim_;
+  cbs::sim::Simulation& sim_;
   cbs::net::BandwidthEstimator& estimator_;
   cbs::net::ThreadTuner& tuner_;
+  cbs::net::Link* link_ = nullptr;
+  double probe_bytes_ = 0.0;
 };
 
 }  // namespace
@@ -72,12 +91,7 @@ int main(int argc, char** argv) try {
   const double probe_bytes = 8.0e6;
   const double interval = 240.0;
   const int probes = static_cast<int>(2.0 * sim::kDay / interval);
-  sim::ClosureEvents events(simulation);
-  for (int i = 0; i < probes; ++i) {
-    events.at(i * interval, [&] {
-      link.submit(probe_bytes, tuner.suggest(simulation.now()), 0, 0);
-    });
-  }
+  observer.schedule_probes(link, probe_bytes, probes, interval);
   simulation.run();
 
   std::printf("=== Fig. 4a: time-of-day bandwidth model ===\n\n");

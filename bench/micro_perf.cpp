@@ -18,7 +18,6 @@
 #include "models/qrsm.hpp"
 #include "net/bandwidth_estimator.hpp"
 #include "net/link.hpp"
-#include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 #include "sla/metrics.hpp"
 #include "workload/chunker.hpp"
@@ -296,17 +295,24 @@ void BM_FlatMapFifoErase(benchmark::State& state) {
 }
 BENCHMARK(BM_FlatMapFifoErase)->Arg(1000)->Arg(10000);
 
-/// A link owner that ignores every completion.
-class IgnoreTransfers : public cbs::net::LinkOwner {
+/// A link owner that ignores every completion and submits one transfer to
+/// `link` per event it receives.
+class StormDriver final : public cbs::net::LinkOwner,
+                          public cbs::sim::EventTarget {
  public:
+  void on_event(std::uint32_t, std::uint64_t) override {
+    link->submit(1.0e5, 2, 0, 0);
+  }
   void on_transfer_done(std::size_t, std::uint32_t, std::uint64_t,
                         const cbs::net::TransferRecord&) override {}
+
+  cbs::net::Link* link = nullptr;
 };
 
 void BM_LinkAllocationStorm(benchmark::State& state) {
   // Water-filling reallocation cost under many concurrent transfers.
   const auto n = static_cast<int>(state.range(0));
-  IgnoreTransfers owner;
+  StormDriver driver;
   for (auto _ : state) {
     cbs::sim::Simulation sim;
     cbs::net::LinkConfig cfg;
@@ -314,11 +320,12 @@ void BM_LinkAllocationStorm(benchmark::State& state) {
     cfg.per_connection_cap = 0.1e6;
     cfg.noise_sigma = 0.0;
     cfg.setup_latency = 0.0;
-    cbs::net::Link link(sim, owner, 0, cfg, cbs::sim::RngStream(1));
-    cbs::sim::ClosureEvents events(sim);
+    cbs::net::Link link(sim, driver, 0, cfg, cbs::sim::RngStream(1));
+    driver.link = &link;
+    const cbs::sim::TargetId target = sim.register_target(driver);
     for (int i = 0; i < n; ++i) {
-      events.at(static_cast<double>(i) * 0.1,
-                [&link] { link.submit(1.0e5, 2, 0, 0); });
+      sim.schedule_at(static_cast<double>(i) * 0.1,
+                      {target, 0, static_cast<std::uint64_t>(i)});
     }
     sim.run();
     benchmark::DoNotOptimize(link.total_bytes_delivered());

@@ -3,40 +3,36 @@
 // scheduler with elastic EC scaling keeps the plant's SLAs. Demonstrates
 // the full autonomic loop at day scale: time-of-day bandwidth learning,
 // thread tuning, QRSM adaptation and pay-as-you-go EC capacity.
+#include <cstdint>
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "core/controller.hpp"
 #include "harness/scenario.hpp"
-#include "simcore/closure_events.hpp"
-#include "simcore/simulation.hpp"
+#include "harness/world.hpp"
+#include "simcore/rng.hpp"
 #include "stats/distributions.hpp"
 #include "sla/metrics.hpp"
-#include "sla/oo_metric.hpp"
 #include "workload/arrival.hpp"
 #include "workload/generator.hpp"
 
 int main() {
   using namespace cbs;
-  sim::Simulation simulation;
-  sim::RngStream root(2026);
-  workload::GroundTruthModel truth({}, root.substream("truth"));
-
-  core::ControllerConfig cfg = core::default_controller_config(false);
-  cfg.scheduler = core::SchedulerKind::kOrderPreserving;
+  harness::Scenario scenario;
+  scenario.name = "print shop day";
+  scenario.seed = 2026;
+  scenario.pretrain_samples = 150;  // the QRSM's factory prior
+  core::ControllerConfig cfg = scenario.controller_config();
   cfg.elastic_ec.enabled = true;
   cfg.elastic_ec.min_machines = 1;
   cfg.elastic_ec.max_machines = 6;
-  core::CloudBurstController controller(simulation, cfg, truth,
-                                        root.substream("system"));
+  scenario.config_override = cfg;
 
-  // Factory prior for the QRSM.
-  workload::WorkloadGenerator corpus_gen({}, truth, root.substream("corpus"));
-  {
-    const auto docs = corpus_gen.batch(150);
-    std::vector<double> runtimes;
-    for (const auto& d : docs) runtimes.push_back(truth.sample_seconds(d.features));
-    controller.pretrain(docs, runtimes);
-  }
+  // The generators only read output sizes off the truth model; the world
+  // builds its own from the same substream.
+  sim::RngStream root(scenario.seed);
+  const workload::GroundTruthModel truth({}, root.substream("truth"));
 
   // The day: a morning statement run (small bucket), a mid-day marketing
   // surge (large bucket), an afternoon mixed load (uniform). Batches every
@@ -53,33 +49,34 @@ int main() {
       {"afternoon mixed", 15.0, 5, workload::SizeBucket::kUniform},
   };
 
-  sim::ClosureEvents events(simulation);
-  std::size_t batch_counter = 0;
+  std::vector<workload::Batch> day;
+  std::uint64_t doc_id = 0;
   for (const Shift& shift : shifts) {
     workload::WorkloadGenerator::Config gen_cfg;
     gen_cfg.bucket = shift.bucket;
-    auto gen = std::make_shared<workload::WorkloadGenerator>(
-        gen_cfg, truth, root.substream(shift.name));
-    auto rng = std::make_shared<sim::RngStream>(
-        root.substream(shift.name).substream("arrivals"));
+    workload::WorkloadGenerator gen(gen_cfg, truth, root.substream(shift.name));
+    sim::RngStream rng = root.substream(shift.name).substream("arrivals");
     for (std::size_t b = 0; b < shift.batches; ++b) {
-      const double at = shift.start_hour * sim::kHour + 180.0 * static_cast<double>(b);
-      const std::size_t index = batch_counter++;
-      events.at(at, [&controller, gen, rng, index, at] {
-        workload::Batch batch;
-        batch.batch_index = index;
-        batch.arrival_time = at;
-        auto n = cbs::stats::sample_poisson(*rng, 15.0);
-        if (n == 0) n = 1;
-        batch.documents = gen->batch(n);
-        controller.on_batch(batch);
-      });
+      workload::Batch batch;
+      batch.batch_index = day.size();
+      batch.arrival_time =
+          shift.start_hour * sim::kHour + 180.0 * static_cast<double>(b);
+      auto n = stats::sample_poisson(rng, 15.0);
+      if (n == 0) n = 1;
+      batch.documents = gen.batch(n);
+      // Each shift's generator counts ids from 1, and a document's service
+      // noise is seeded by its id: renumber so no two share a draw.
+      for (workload::Document& doc : batch.documents) doc.doc_id = ++doc_id;
+      day.push_back(std::move(batch));
     }
   }
 
-  simulation.run();
+  harness::ScenarioWorld world(scenario, std::move(day));
+  world.run();
+  const harness::RunResult result = world.result();
+  const core::CloudBurstController& controller = world.controller();
 
-  const auto outcomes = controller.outcomes().to_vector();
+  const auto& outcomes = result.outcomes;
   std::printf("=== print shop day complete ===\n");
   std::printf("jobs: %zu   makespan window: %.1f h   burst ratio: %.2f\n",
               outcomes.size(), sla::makespan(outcomes) / sim::kHour,
@@ -88,28 +85,28 @@ int main() {
               "(static 2-VM would pay %.1f)\n",
               controller.scale_ups(), controller.scale_downs(),
               controller.ec_cluster().provisioned_machine_seconds() / sim::kHour,
-              2.0 * simulation.now() / sim::kHour);
+              2.0 * world.now() / sim::kHour);
   std::printf("rescheduler: %zu pull-backs, %zu push-outs\n",
-              controller.pull_backs(), controller.push_outs());
+              result.pull_backs, result.push_outs);
 
   // Per-shift turnaround.
   std::printf("\n%-26s %8s %12s %10s\n", "shift", "jobs", "turnaround", "bursted");
-  std::size_t shift_starts[] = {0, 5, 11, 16};
-  const char* names[] = {"morning statements", "mid-day marketing surge",
-                         "afternoon mixed"};
-  for (int s = 0; s < 3; ++s) {
+  std::size_t first_batch = 0;
+  for (const Shift& shift : shifts) {
+    const std::size_t end_batch = first_batch + shift.batches;
     double turnaround = 0.0;
     std::size_t jobs = 0;
     std::size_t bursted = 0;
     for (const auto& o : outcomes) {
-      if (o.batch_index >= shift_starts[s] && o.batch_index < shift_starts[s + 1]) {
+      if (o.batch_index >= first_batch && o.batch_index < end_batch) {
         turnaround += o.completed - o.arrival;
         ++jobs;
         if (o.bursted()) ++bursted;
       }
     }
-    std::printf("%-26s %8zu %11.1fs %10zu\n", names[s], jobs,
+    std::printf("%-26s %8zu %11.1fs %10zu\n", shift.name, jobs,
                 jobs ? turnaround / static_cast<double>(jobs) : 0.0, bursted);
+    first_batch = end_batch;
   }
 
   // What the autonomic layer learned about the pipe.

@@ -3,11 +3,11 @@
 // Usage: replay_trace [trace.csv]   (defaults to a temp path)
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "core/controller.hpp"
-#include "simcore/closure_events.hpp"
-#include "simcore/simulation.hpp"
-#include "sla/metrics.hpp"
+#include "harness/scenario.hpp"
+#include "harness/world.hpp"
 #include "sla/report.hpp"
 #include "workload/arrival.hpp"
 #include "workload/generator.hpp"
@@ -15,36 +15,15 @@
 
 namespace {
 
-cbs::sla::SlaReport run_trace(const std::vector<cbs::workload::Batch>& batches,
+cbs::sla::SlaReport run_trace(std::vector<cbs::workload::Batch> batches,
                               cbs::core::SchedulerKind kind) {
-  using namespace cbs;
-  sim::Simulation simulation;
-  sim::RngStream root(31337);
-  workload::GroundTruthModel truth({}, root.substream("truth"));
-  auto cfg = core::default_controller_config(false);
-  cfg.scheduler = kind;
-  core::CloudBurstController controller(simulation, cfg, truth,
-                                        root.substream("system"));
-  {
-    workload::WorkloadGenerator corpus({}, truth, root.substream("corpus"));
-    const auto docs = corpus.batch(150);
-    std::vector<double> y;
-    for (const auto& d : docs) y.push_back(truth.sample_seconds(d.features));
-    controller.pretrain(docs, y);
-  }
-  sim::ClosureEvents events(simulation);
-  for (const auto& batch : batches) {
-    events.at(batch.arrival_time,
-              [&controller, batch] { controller.on_batch(batch); });
-  }
-  simulation.run();
-  return sla::build_report(
-      std::string(core::to_string(kind)), "trace",
-      controller.outcomes().to_vector(),
-      controller.ic_cluster().total_busy_time(),
-      controller.ic_cluster().machine_count(),
-      controller.ec_cluster().total_busy_time(),
-      controller.ec_cluster().machine_count(), 120.0, 4);
+  cbs::harness::Scenario scenario;
+  scenario.seed = 31337;
+  scenario.scheduler = kind;
+  scenario.pretrain_samples = 150;
+  cbs::harness::ScenarioWorld world(scenario, std::move(batches));
+  world.run();
+  return world.result().report;
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "harness/task_pool.hpp"
 #include "models/estimator.hpp"
@@ -43,6 +45,54 @@ void pretrain_controller(cbs::core::CloudBurstController& controller,
   controller.pretrain(docs, runtimes);
 }
 
+/// The scenario's batches, drawn from its "workload" and "arrivals"
+/// substreams. The generator reads the truth model only through const
+/// calls, so this local copy labels the documents as the world's would.
+std::vector<cbs::workload::Batch> draw_batches(const Scenario& scenario) {
+  cbs::sim::RngStream root(scenario.seed);
+  const cbs::workload::GroundTruthModel truth(scenario.truth,
+                                              root.substream("truth"));
+  cbs::workload::WorkloadGenerator::Config gen_cfg;
+  gen_cfg.bucket = scenario.bucket;
+  cbs::workload::WorkloadGenerator generator(gen_cfg, truth,
+                                             root.substream("workload"));
+  cbs::workload::BatchArrivalProcess::Config arr_cfg;
+  arr_cfg.batch_interval = scenario.batch_interval_seconds;
+  arr_cfg.mean_jobs_per_batch = scenario.mean_jobs_per_batch;
+  arr_cfg.num_batches = scenario.num_batches;
+  cbs::workload::BatchArrivalProcess arrivals(arr_cfg, generator,
+                                              root.substream("arrivals"));
+  return arrivals.generate_all();
+}
+
+/// Returns `batches` when a world can schedule them; otherwise throws
+/// std::invalid_argument naming the first bad arrival.
+std::vector<cbs::workload::Batch> require_runnable(
+    std::vector<cbs::workload::Batch> batches) {
+  if (batches.empty()) {
+    throw std::invalid_argument("ScenarioWorld: empty batch list");
+  }
+  double previous = 0.0;
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    const double t = batches[i].arrival_time;
+    if (std::isfinite(t) && t >= previous) {
+      previous = t;
+      continue;
+    }
+    std::ostringstream msg;
+    msg << "ScenarioWorld: batch " << i << " arrival_time ";
+    if (!std::isfinite(t)) {
+      msg << "must be finite (got " << t << ")";
+    } else if (t < 0.0) {
+      msg << "must be >= 0 (got " << t << ")";
+    } else {
+      msg << t << " is earlier than batch " << i - 1 << "'s " << previous;
+    }
+    throw std::invalid_argument(msg.str());
+  }
+  return batches;
+}
+
 using OutcomeLog = cbs::util::ChunkedLog<cbs::sla::JobOutcome>;
 
 double lateness_of(const cbs::sla::JobOutcome& o,
@@ -78,33 +128,26 @@ double ordered_output_mb(const OutcomeLog& outcomes, std::uint64_t tolerance) {
 }  // namespace
 
 ScenarioWorld::ScenarioWorld(const Scenario& scenario)
+    : ScenarioWorld(scenario, draw_batches(require_valid(scenario))) {}
+
+ScenarioWorld::ScenarioWorld(const Scenario& scenario,
+                             std::vector<cbs::workload::Batch> batches)
     : scenario_(require_valid(scenario)),
       target_(sim_.register_target(*this)),
       truth_(scenario.truth,
-             cbs::sim::RngStream(scenario.seed).substream("truth")) {
+             cbs::sim::RngStream(scenario.seed).substream("truth")),
+      batches_(std::make_shared<const std::vector<cbs::workload::Batch>>(
+          require_runnable(std::move(batches)))) {
   // The build order below mirrors the historical run_scenario body line by
   // line (substream derivation is a pure function of (parent, name), so
-  // the local root here draws identically to the original's).
+  // the local root here draws identically to the original's). Batches
+  // drawn before the controller exists draw the same: drawing touches
+  // neither the engine nor truth_'s own stream.
   cbs::sim::RngStream root(scenario.seed);
-
-  cbs::workload::WorkloadGenerator::Config gen_cfg;
-  gen_cfg.bucket = scenario.bucket;
-  cbs::workload::WorkloadGenerator generator(gen_cfg, truth_,
-                                             root.substream("workload"));
-
   controller_ = std::make_unique<cbs::core::CloudBurstController>(
       sim_, scenario.controller_config(), truth_, root.substream("system"));
   pretrain_controller(*controller_, truth_, scenario.pretrain_samples,
                       root.substream("pretrain"));
-
-  cbs::workload::BatchArrivalProcess::Config arr_cfg;
-  arr_cfg.batch_interval = scenario.batch_interval_seconds;
-  arr_cfg.mean_jobs_per_batch = scenario.mean_jobs_per_batch;
-  arr_cfg.num_batches = scenario.num_batches;
-  cbs::workload::BatchArrivalProcess arrivals(arr_cfg, generator,
-                                              root.substream("arrivals"));
-  batches_ = std::make_shared<const std::vector<cbs::workload::Batch>>(
-      arrivals.generate_all());
 
   // Pre-size the event slab: the pending arrival plus a working set of
   // per-job events for roughly two batches in flight (jobs overlap at the

@@ -41,10 +41,10 @@ struct ScorePrefix {
 };
 
 /// A scenario's entire running state as a first-class, *forkable* value:
-/// the engine, the ground-truth model, the controller and the pre-drawn
-/// arrival schedule (shared, immutable, across forks). `run_scenario` is a
-/// thin wrapper over this class; holding the world directly additionally
-/// buys
+/// the engine, the ground-truth model, the controller and the arrival
+/// schedule, drawn or given (shared, immutable, across forks).
+/// `run_scenario` is a thin wrapper over this class; holding the world
+/// directly additionally buys
 ///
 ///  - checkpoint/resume: `run_until(t)` then `fork()` yields an independent
 ///    deep copy whose continuation is byte-identical to the original's
@@ -59,7 +59,17 @@ struct ScorePrefix {
 /// byte-identical to the pre-world harness.
 class ScenarioWorld : private cbs::sim::EventTarget {
  public:
+  /// Draws the scenario's batches (the generator and arrival process of
+  /// §V.A) and runs them as the constructor below does.
   explicit ScenarioWorld(const Scenario& scenario);
+
+  /// Runs `batches` (a trace, or a workload built by hand) in place of
+  /// drawn ones; the scenario's arrival fields are validated but drive
+  /// nothing. Throws std::invalid_argument when `batches` is empty, or
+  /// when an arrival time is non-finite, negative or earlier than the one
+  /// before it.
+  ScenarioWorld(const Scenario& scenario,
+                std::vector<cbs::workload::Batch> batches);
 
   /// Fork: deep-copies `src` into an independent world. The engine is
   /// copied with its pending events, and every component registers its

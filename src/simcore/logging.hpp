@@ -28,8 +28,8 @@ enum class LogLevel { kTrace, kDebug, kInfo, kWarn, kError, kOff };
 class Logger {
  public:
   /// Copyable on purpose: sinks ride inside ControllerConfig/Scenario,
-  /// which the parallel runner copies per plan cell — so the move-only
-  /// UniqueFunction cannot carry them.
+  /// which the parallel runner copies per plan cell — so a move-only
+  /// callable cannot carry them.
   // cbs-lint: std-function-ok(sink must stay copyable: it is carried by ControllerConfig/Scenario copies in the parallel runner)
   using Sink = std::function<void(LogLevel, SimTime, std::string_view)>;
 

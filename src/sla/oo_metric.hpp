@@ -38,7 +38,8 @@ class OoMetricCalculator {
   /// completion (inclusive of one sample past it, so the series ends flat).
   /// One forward sweep: O(n log T) set-up, then each sample costs the span
   /// from the in-order frontier to the (tolerance+1)-th missing id; each
-  /// sample is bit-identical to `sample_at` at its time.
+  /// sample is bit-identical to `sample_at` at its time. Throws
+  /// std::invalid_argument when that takes 10^7 samples or more.
   [[nodiscard]] std::vector<OoSample> series(cbs::sim::SimDuration interval,
                                              std::uint64_t tolerance) const;
 

@@ -167,7 +167,7 @@ std::vector<Batch> read(std::istream& in) {
       row.fail("expected 13 fields, got " + std::to_string(row.size()));
     }
     const auto batch_index = row.count<std::size_t>(0);
-    const double arrival_time = row.real(1);
+    const double arrival_time = row.non_negative_real(1);
     Batch& batch = by_index[batch_index];
     if (!batch.documents.empty() && batch.arrival_time != arrival_time) {
       row.fail("arrival_time '" + row.text(1) +

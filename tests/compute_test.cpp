@@ -4,11 +4,11 @@
 #include <utility>
 #include <vector>
 
+#include "closure_events.hpp"
 #include "compute/cluster.hpp"
 #include "compute/job_store.hpp"
 #include "compute/mapreduce.hpp"
 #include "recording_owner.hpp"
-#include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 
 namespace {
@@ -302,7 +302,7 @@ TEST(JobStoreTest, EraseMissingIsNoOp) {
 
 TEST(ClusterCrashTest, CrashRequeuesAndReexecutesRunningTask) {
   Simulation sim;
-  cbs::sim::ClosureEvents events(sim);
+  cbs::testing::ClosureEvents events(sim);
   RecordingOwner owner(sim);
   Cluster cluster(sim, owner, 0, "c", 1);
   cluster.submit(10.0, 0, 0);
@@ -320,7 +320,7 @@ TEST(ClusterCrashTest, CrashRequeuesAndReexecutesRunningTask) {
 
 TEST(ClusterCrashTest, ReclaimedTaskKeepsFcfsPosition) {
   Simulation sim;
-  cbs::sim::ClosureEvents events(sim);
+  cbs::testing::ClosureEvents events(sim);
   RecordingOwner owner(sim);
   Cluster cluster(sim, owner, 0, "c", 1);
   const TaskId first = cluster.submit(10.0, 0, 0);
@@ -337,7 +337,7 @@ TEST(ClusterCrashTest, ReclaimedTaskKeepsFcfsPosition) {
 
 TEST(ClusterCrashTest, DownMachineIsNotDispatchedUntilRecovery) {
   Simulation sim;
-  cbs::sim::ClosureEvents events(sim);
+  cbs::testing::ClosureEvents events(sim);
   RecordingOwner owner(sim);
   Cluster cluster(sim, owner, 0, "c", 2);
   events.at(0.0, [&] { cluster.crash_machine(0); });
@@ -388,7 +388,7 @@ TEST(JobStoreRetryTest, HealthyPutCompletesSynchronously) {
 
 TEST(JobStoreRetryTest, PutRetriesThroughOutage) {
   Simulation sim;
-  cbs::sim::ClosureEvents events(sim);
+  cbs::testing::ClosureEvents events(sim);
   JobStore::Config cfg;
   cfg.retry_backoff = 2.0;
   cfg.backoff_multiplier = 2.0;
@@ -461,7 +461,7 @@ TEST(JobStoreTest, RunningStateTracksTransitions) {
   // The store keeps running values, not a history: current and peak
   // occupancy, and the byte-seconds integral billing reads.
   Simulation sim;
-  cbs::sim::ClosureEvents events(sim);
+  cbs::testing::ClosureEvents events(sim);
   RecordingOwner owner(sim);
   JobStore store(sim, owner, 0);
   events.at(5.0, [&] {

@@ -3,10 +3,12 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/controller.hpp"
-#include "simcore/closure_events.hpp"
+#include "harness/scenario.hpp"
+#include "harness/world.hpp"
 #include "simcore/simulation.hpp"
 #include "sla/metrics.hpp"
 #include "workload/arrival.hpp"
@@ -297,20 +299,14 @@ TEST(ControllerTest, UtilizationNeverExceedsOne) {
   EXPECT_LE(ec_util, 1.0 + 1e-9);
 }
 
-/// Drives a default controller over `batches`, one arrival event each.
+/// Runs `batches` through a world on the default scenario.
 std::vector<cbs::sla::JobOutcome> run_batches(
-    const std::vector<cbs::workload::Batch>& batches) {
-  Simulation sim;
-  cbs::sim::ClosureEvents events(sim);
-  cbs::workload::GroundTruthModel truth({}, RngStream(5));
-  ControllerConfig cfg = default_controller_config(false);
-  cfg.estimator = EstimatorKind::kOracle;
-  CloudBurstController ctl(sim, cfg, truth, RngStream(6));
-  for (const auto& batch : batches) {
-    events.at(batch.arrival_time, [&ctl, &batch] { ctl.on_batch(batch); });
-  }
-  sim.run();
-  return ctl.outcomes().to_vector();
+    std::vector<cbs::workload::Batch> batches) {
+  cbs::harness::Scenario scenario;
+  scenario.estimator = EstimatorKind::kOracle;
+  cbs::harness::ScenarioWorld world(scenario, std::move(batches));
+  world.run();
+  return world.result().outcomes;
 }
 
 TEST(TraceReplayTest, SavedTraceReplaysTheRunThatProducedIt) {

@@ -5,13 +5,13 @@
 
 #include <stdexcept>
 
+#include "closure_events.hpp"
 #include "compute/cluster.hpp"
 #include "core/controller.hpp"
 #include "core/order_preserving_scheduler.hpp"
 #include "harness/world.hpp"
 #include "models/per_class_qrsm.hpp"
 #include "recording_owner.hpp"
-#include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 #include "sla/metrics.hpp"
 #include "workload/generator.hpp"
@@ -82,7 +82,7 @@ TEST(ElasticClusterTest, RetiredSlotIsReused) {
 
 TEST(ElasticClusterTest, ProvisionedMachineSecondsIntegrate) {
   Simulation sim;
-  cbs::sim::ClosureEvents events(sim);
+  cbs::testing::ClosureEvents events(sim);
   RecordingOwner owner(sim);
   compute::Cluster cluster(sim, owner, 0, "c", 2);
   events.at(10.0, [&] { cluster.add_machine(); });

@@ -8,11 +8,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "closure_events.hpp"
 #include "harness/experiment.hpp"
 #include "harness/scenario.hpp"
 #include "net/link.hpp"
 #include "recording_owner.hpp"
-#include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 
 namespace {
@@ -89,7 +89,7 @@ TEST(LinkFailureTest, RetriesAreRecordedAndBounded) {
 TEST(LinkFailureTest, FailuresMakeTransfersSlower) {
   const auto run_mean = [](double prob) {
     Simulation sim;
-    cbs::sim::ClosureEvents events(sim);
+    cbs::testing::ClosureEvents events(sim);
     RecordingOwner owner(sim);
     net::Link link(sim, owner, 0, flaky_link(prob), RngStream(5));
     for (int i = 0; i < 40; ++i) {
@@ -126,7 +126,7 @@ TEST(LinkFailureTest, MultipleDropsPerTransferAreInjected) {
 
 TEST(LinkOutageTest, OutageAbortsAndResumesTransfers) {
   Simulation sim;
-  cbs::sim::ClosureEvents events(sim);
+  cbs::testing::ClosureEvents events(sim);
   RecordingOwner owner(sim);
   net::Link link(sim, owner, 0, flaky_link(0.0), RngStream(7));
   // 8 MB at 1 MB/s: without the outage this finishes at ~8.5 s.
@@ -147,7 +147,7 @@ TEST(LinkOutageTest, OutageAbortsAndResumesTransfers) {
 
 TEST(LinkOutageTest, SubmitDuringOutageWaitsForRecovery) {
   Simulation sim;
-  cbs::sim::ClosureEvents events(sim);
+  cbs::testing::ClosureEvents events(sim);
   RecordingOwner owner(sim);
   net::Link link(sim, owner, 0, flaky_link(0.0), RngStream(8));
   link.set_outage(true);
@@ -163,7 +163,7 @@ TEST(LinkOutageTest, SubmitDuringOutageWaitsForRecovery) {
 
 TEST(LinkOutageTest, RepeatedAbortsBackOffExponentially) {
   Simulation sim;
-  cbs::sim::ClosureEvents events(sim);
+  cbs::testing::ClosureEvents events(sim);
   auto cfg = flaky_link(0.0);
   cfg.outage_backoff_base = 2.0;
   cfg.outage_backoff_multiplier = 2.0;
@@ -186,7 +186,7 @@ TEST(LinkOutageTest, RepeatedAbortsBackOffExponentially) {
 
 TEST(LinkCancelTest, CancelAbortsInFlightTransfer) {
   Simulation sim;
-  cbs::sim::ClosureEvents events(sim);
+  cbs::testing::ClosureEvents events(sim);
   RecordingOwner owner(sim);
   net::Link link(sim, owner, 0, flaky_link(0.0), RngStream(10));
   const auto id = link.submit(10.0e6, 8, 0, 0);
@@ -203,7 +203,7 @@ TEST(LinkCancelTest, CancelAbortsInFlightTransfer) {
 
 TEST(LinkCancelTest, CancelFreesCapacityForSurvivors) {
   Simulation sim;
-  cbs::sim::ClosureEvents events(sim);
+  cbs::testing::ClosureEvents events(sim);
   RecordingOwner owner(sim);
   net::Link link(sim, owner, 0, flaky_link(0.0), RngStream(11));
   const auto victim = link.submit(50.0e6, 8, 0, 0);

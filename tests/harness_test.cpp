@@ -5,6 +5,9 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/cli.hpp"
 #include "harness/csv.hpp"
@@ -271,6 +274,65 @@ TEST(ScenarioValidateTest, CliRejectsBadValuesBeforeCasting) {
       (void)cli::scenario_from_args(scenario_args(
           {"--hazard-predictor=ewma", "--ec-mtbf=1200", "--risk-weight=nan"})),
       std::invalid_argument);
+}
+
+// ---- ScenarioWorld over given batches ---------------------------------------
+
+/// The invalid_argument message of a world built over `batches` ("" when
+/// none is thrown).
+std::string world_error(std::vector<workload::Batch> batches) {
+  try {
+    const ScenarioWorld world(Scenario{}, std::move(batches));
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Empty batches arriving at `times`, in order.
+std::vector<workload::Batch> arriving_at(std::initializer_list<double> times) {
+  std::vector<workload::Batch> batches;
+  for (const double t : times) {
+    workload::Batch batch;
+    batch.batch_index = batches.size();
+    batch.arrival_time = t;
+    batches.push_back(batch);
+  }
+  return batches;
+}
+
+TEST(ScenarioWorldTest, GivenBatchesRejectEmptyNegativeAndDecreasingArrivals) {
+  EXPECT_EQ(world_error({}), "ScenarioWorld: empty batch list");
+  EXPECT_EQ(world_error(arriving_at({-5.0})),
+            "ScenarioWorld: batch 0 arrival_time must be >= 0 (got -5)");
+  EXPECT_EQ(world_error(arriving_at({0.0, 180.0, 60.0})),
+            "ScenarioWorld: batch 2 arrival_time 60 is earlier than batch 1's "
+            "180");
+  EXPECT_EQ(world_error(arriving_at({0.0, std::nan("")})),
+            "ScenarioWorld: batch 1 arrival_time must be finite (got nan)");
+  EXPECT_EQ(world_error(arriving_at(
+                {0.0, std::numeric_limits<double>::infinity()})),
+            "ScenarioWorld: batch 1 arrival_time must be finite (got inf)");
+}
+
+TEST(ScenarioWorldTest, GivenTheDrawnBatchesReplaysTheDrawnRun) {
+  Scenario s = make_scenario(core::SchedulerKind::kGreedy,
+                             workload::SizeBucket::kUniform, 7);
+  s.num_batches = 4;
+  ScenarioWorld drawn(s);
+  ScenarioWorld given(s, drawn.batches());
+  drawn.run();
+  given.run();
+  const RunResult a = drawn.result();
+  const RunResult b = given.result();
+  EXPECT_EQ(a.events_processed, b.events_processed);
+  EXPECT_EQ(a.sim_end_time, b.sim_end_time);
+  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
+    EXPECT_EQ(a.outcomes[i].seq_id, b.outcomes[i].seq_id) << i;
+    EXPECT_EQ(a.outcomes[i].completed, b.outcomes[i].completed) << i;
+    EXPECT_EQ(a.outcomes[i].placement, b.outcomes[i].placement) << i;
+  }
 }
 
 // ---- csv / chart helpers -------------------------------------------------------

@@ -16,9 +16,9 @@
 #include <memory>
 #include <vector>
 
+#include "closure_events.hpp"
 #include "net/link.hpp"
 #include "recording_owner.hpp"
-#include "simcore/closure_events.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/simulation.hpp"
 
@@ -70,7 +70,7 @@ std::vector<std::pair<TransferId, double>> reference_waterfill(
 TEST(LinkWaterfillProperty, BatchedPassMatchesSortBasedReference) {
   for (const std::uint64_t seed : {1ULL, 7ULL, 23ULL, 99ULL, 1234ULL}) {
     Simulation sim;
-    cbs::sim::ClosureEvents events(sim);
+    cbs::testing::ClosureEvents events(sim);
     LinkConfig cfg;
     cfg.base_rate = 1.0e6;
     cfg.per_connection_cap = 0.12e6;

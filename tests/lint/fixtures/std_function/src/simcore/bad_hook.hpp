@@ -1,5 +1,5 @@
 // Negative fixture: std::function in an engine layer. cbs_lint must
-// report [std-function]; the fix is cbs::sim::UniqueFunction.
+// report [std-function]; the fix is an owner interface (net::LinkOwner).
 #pragma once
 
 #include <functional>

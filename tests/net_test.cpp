@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "closure_events.hpp"
 #include "net/bandwidth_estimator.hpp"
 #include "net/bandwidth_profile.hpp"
 #include "net/ewma.hpp"
@@ -12,7 +13,6 @@
 #include "net/noise.hpp"
 #include "net/thread_tuner.hpp"
 #include "recording_owner.hpp"
-#include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 #include "stats/summary.hpp"
 
@@ -237,7 +237,7 @@ TEST(LinkTest, WaterFillingRespectsSmallDemands) {
 
 TEST(LinkTest, ConservesBytes) {
   Simulation sim;
-  cbs::sim::ClosureEvents events(sim);
+  cbs::testing::ClosureEvents events(sim);
   auto cfg = basic_link(0.8e6);
   cfg.noise_sigma = 0.3;
   cfg.noise_step = 10.0;
@@ -285,7 +285,7 @@ TEST(LinkTest, CapacityFloorGuaranteesProgress) {
 
 TEST(LinkTest, BusyTimeTracksActivity) {
   Simulation sim;
-  cbs::sim::ClosureEvents events(sim);
+  cbs::testing::ClosureEvents events(sim);
   RecordingOwner owner(sim);
   Link link(sim, owner, 0, basic_link(1.0e6), RngStream(1));
   link.submit(2.0e6, 1, 0, 0);

@@ -2,11 +2,11 @@
 // that must hold for every seed, not just the golden one.
 #include <gtest/gtest.h>
 
+#include "closure_events.hpp"
 #include "harness/experiment.hpp"
 #include "harness/scenario.hpp"
 #include "net/link.hpp"
 #include "recording_owner.hpp"
-#include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 #include "sla/metrics.hpp"
 #include "sla/oo_metric.hpp"
@@ -24,7 +24,7 @@ class LinkStormTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LinkStormTest, ConservesBytesUnderRandomTraffic) {
   Simulation sim;
-  cbs::sim::ClosureEvents events(sim);
+  cbs::testing::ClosureEvents events(sim);
   net::LinkConfig cfg;
   cfg.base_rate = 0.9e6;
   cfg.per_connection_cap = 0.3e6;

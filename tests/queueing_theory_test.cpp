@@ -7,10 +7,10 @@
 
 #include <cmath>
 
+#include "closure_events.hpp"
 #include "compute/cluster.hpp"
 #include "net/link.hpp"
 #include "recording_owner.hpp"
-#include "simcore/closure_events.hpp"
 #include "simcore/simulation.hpp"
 #include "stats/distributions.hpp"
 #include "stats/summary.hpp"
@@ -42,7 +42,7 @@ TEST(QueueingTheoryTest, ClusterMatchesErlangC) {
   const double lambda = 0.7 * c * mu;
 
   Simulation sim;
-  cbs::sim::ClosureEvents events(sim);
+  cbs::testing::ClosureEvents events(sim);
   RecordingOwner owner(sim);
   cbs::compute::Cluster cluster(sim, owner, 0, "mmc",
                                 static_cast<std::size_t>(c));
@@ -72,7 +72,7 @@ TEST(QueueingTheoryTest, ClusterUtilizationMatchesRho) {
   const double mu = 1.0 / 20.0;
   const double lambda = 0.6 * c * mu;
   Simulation sim;
-  cbs::sim::ClosureEvents events(sim);
+  cbs::testing::ClosureEvents events(sim);
   RecordingOwner owner(sim);
   cbs::compute::Cluster cluster(sim, owner, 0, "mmc",
                                 static_cast<std::size_t>(c));
@@ -100,7 +100,7 @@ TEST(QueueingTheoryTest, LinkIsProcessorSharing) {
   const double lambda = rho * mu;
 
   Simulation sim;
-  cbs::sim::ClosureEvents events(sim);
+  cbs::testing::ClosureEvents events(sim);
   cbs::net::LinkConfig cfg;
   cfg.base_rate = capacity;
   cfg.per_connection_cap = capacity;  // each transfer can use the full pipe
@@ -140,7 +140,7 @@ TEST(QueueingTheoryTest, LinkPsIsInsensitiveToServiceDistribution) {
   const double lambda = rho * mu;
 
   Simulation sim;
-  cbs::sim::ClosureEvents events(sim);
+  cbs::testing::ClosureEvents events(sim);
   cbs::net::LinkConfig cfg;
   cfg.base_rate = capacity;
   cfg.per_connection_cap = capacity;

@@ -5,14 +5,14 @@
 #include <stdexcept>
 #include <vector>
 
-#include "simcore/closure_events.hpp"
+#include "closure_events.hpp"
 #include "simcore/event_queue.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/simulation.hpp"
 
 namespace {
 
-using cbs::sim::ClosureEvents;
+using cbs::testing::ClosureEvents;
 using cbs::sim::Event;
 using cbs::sim::EventId;
 using cbs::sim::EventQueue;

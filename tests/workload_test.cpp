@@ -396,6 +396,8 @@ TEST(TraceTest, RejectsNegativeSizes) {
             "trace: line 2: negative output_size_mb '-0.5'");
   EXPECT_EQ(trace_error(row_with(7, "-2")),
             "trace: line 2: negative avg_image_mb '-2'");
+  EXPECT_EQ(trace_error(row_with(1, "-5")),
+            "trace: line 2: negative arrival_time '-5'");
 }
 
 TEST(TraceTest, RejectsNegativeCounts) {

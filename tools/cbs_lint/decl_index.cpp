@@ -188,7 +188,7 @@ class Parser {
           depth -= 2;
           if (depth <= 0) return k + 1;
         }
-        if (t.text == "(") {  // e.g. UniqueFunction<void(int)>
+        if (t.text == "(") {  // e.g. std::function<void(int)>
           k = skip_balanced(k, "(", ")");
           continue;
         }

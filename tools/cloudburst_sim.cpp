@@ -12,11 +12,16 @@
 //        --elastic          --estimator (qrsm|oracle|per-class)
 //        --tolerance t_l    --oo-interval s   --noise sigma
 //        --ic-mtbf s  --ec-mtbf s  --vm-recovery s  --retraction-factor f
+//        --hazard-predictor (off|ewma|bayes)  --drain-threshold p
+//        --drain-window s  --risk-weight w   (proactive resilience)
 //        --horizon s  --candidates N   (scheduler=lookahead rollouts)
 //        --csv (report|completion|oo)
 #include <cstdio>
 #include <exception>
 #include <iostream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "harness/cli.hpp"
 #include "harness/csv.hpp"
@@ -35,6 +40,9 @@ void print_usage() {
       "                      [--tolerance t] [--oo-interval s] [--noise sig]\n"
       "                      [--ic-mtbf s] [--ec-mtbf s] [--vm-recovery s]\n"
       "                      [--retraction-factor f]\n"
+      "                      [--hazard-predictor off|ewma|bayes]\n"
+      "                      [--drain-threshold p] [--drain-window s]\n"
+      "                      [--risk-weight w]\n"
       "                      [--horizon s] [--candidates N]\n"
       "                      [--csv report|completion|oo]\n"
       "schedulers: ic-only greedy order-preserving op-bandwidth-split\n"
@@ -42,20 +50,31 @@ void print_usage() {
       "buckets:    small uniform large\n");
 }
 
+/// scenario_flags() without the sweep flags: one run takes one seed.
+std::vector<std::string> run_flags() {
+  std::vector<std::string> flags = cbs::harness::cli::scenario_flags();
+  std::erase(flags, "seeds");
+  std::erase(flags, "threads");
+  return flags;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace cbs;
   try {
-    const harness::cli::Args args(argc, argv, harness::cli::scenario_flags());
+    const harness::cli::Args args(argc, argv, run_flags());
     if (args.has("help")) {
       print_usage();
       return 0;
     }
     const harness::Scenario scenario = harness::cli::scenario_from_args(args);
+    const std::string csv = args.get_or("csv", "");
+    if (!csv.empty() && csv != "completion" && csv != "oo" && csv != "report") {
+      throw std::invalid_argument("unknown --csv mode: '" + csv + "'");
+    }
     const harness::RunResult result = harness::run_scenario(scenario);
 
-    const std::string csv = args.get_or("csv", "");
     if (csv == "completion") {
       harness::csv::write_completion_series(std::cout, result);
       return 0;
@@ -67,10 +86,6 @@ int main(int argc, char** argv) {
     if (csv == "report") {
       harness::csv::write_reports(std::cout, {result});
       return 0;
-    }
-    if (!csv.empty()) {
-      std::fprintf(stderr, "unknown --csv mode: %s\n", csv.c_str());
-      return 2;
     }
 
     std::printf("scenario: %s (seed %llu, %zu batches)\n",
