@@ -20,6 +20,7 @@
 #include "net/link.hpp"
 #include "simcore/simulation.hpp"
 #include "sla/metrics.hpp"
+#include "workload/arrival.hpp"
 #include "workload/chunker.hpp"
 #include "sla/oo_metric.hpp"
 #include "util/flat_map.hpp"
@@ -385,6 +386,26 @@ BENCHMARK(BM_BandwidthEstimatorTransferSeconds)
     ->Arg(300000000)
     ->Arg(84000000000)
     ->Arg(500000000000);
+
+void BM_DrawWorkload(benchmark::State& state) {
+  // The §V.A draw a ScenarioWorld makes before it runs: greedy_faults_
+  // overload's 2000 batches of λ = 15 uniform documents (~30k), from the
+  // world's substreams. It is almost all of the world's construction.
+  const cbs::sim::RngStream root(1);
+  const cbs::workload::GroundTruthModel truth({}, root.substream("truth"));
+  for (auto _ : state) {
+    cbs::workload::WorkloadGenerator generator(
+        {.bucket = cbs::workload::SizeBucket::kUniform}, truth,
+        root.substream("workload"));
+    cbs::workload::BatchArrivalProcess arrivals(
+        {.batch_interval = 180.0,
+         .mean_jobs_per_batch = 15.0,
+         .num_batches = 2000},
+        generator, root.substream("arrivals"));
+    benchmark::DoNotOptimize(arrivals.generate_all());
+  }
+}
+BENCHMARK(BM_DrawWorkload)->Unit(benchmark::kMillisecond);
 
 void BM_FullScenario(benchmark::State& state) {
   for (auto _ : state) {

@@ -331,7 +331,8 @@ class CloudBurstController : private cbs::sim::EventTarget,
   std::deque<std::uint64_t> ic_wait_;  ///< IC feed queue (enables rescheduling)
   cbs::util::ChunkedLog<cbs::sla::JobOutcome> outcomes_;
   std::uint64_t next_seq_ = 1;
-  std::uint64_t next_doc_id_ = 1ULL << 32;  ///< chunk ids, disjoint from inputs
+  /// Chunk ids, disjoint from inputs.
+  std::uint64_t next_doc_id_ = cbs::workload::kFirstChunkId;
   std::size_t outstanding_ = 0;
   bool probe_scheduled_ = false;
   std::size_t pull_backs_ = 0;

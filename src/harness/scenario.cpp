@@ -27,14 +27,34 @@ cbs::core::ControllerConfig Scenario::controller_config() const {
   return cfg;
 }
 
-std::vector<std::string> Scenario::validate() const {
-  std::vector<std::string> errors;
-  const auto reject = [&errors](const char* field, const char* rule,
-                                double got) {
+namespace {
+
+/// The error list's reporter: "<field> must be <rule> (got <got>)".
+auto rejecter(std::vector<std::string>& errors) {
+  return [&errors](const char* field, const char* rule, double got) {
     std::ostringstream msg;
     msg << field << " must be " << rule << " (got " << got << ")";
     errors.push_back(msg.str());
   };
+}
+
+/// Throws std::invalid_argument listing `errors`, if there are any.
+const Scenario& require_none(const Scenario& scenario,
+                             const std::vector<std::string>& errors) {
+  if (errors.empty()) return scenario;
+  std::string msg = "invalid scenario: ";
+  for (std::size_t i = 0; i < errors.size(); ++i) {
+    if (i > 0) msg += "; ";
+    msg += errors[i];
+  }
+  throw std::invalid_argument(msg);
+}
+
+}  // namespace
+
+std::vector<std::string> Scenario::validate() const {
+  std::vector<std::string> errors;
+  const auto reject = rejecter(errors);
   if (num_batches == 0) reject("num_batches", "> 0", 0.0);
   // Written as !(x > 0) so that NaN is rejected too.
   if (!(mean_jobs_per_batch > 0.0)) {
@@ -43,6 +63,15 @@ std::vector<std::string> Scenario::validate() const {
   if (!(batch_interval_seconds > 0.0)) {
     reject("batch_interval_seconds", "> 0", batch_interval_seconds);
   }
+  for (std::string& e : validate_except_arrivals()) {
+    errors.push_back(std::move(e));
+  }
+  return errors;
+}
+
+std::vector<std::string> Scenario::validate_except_arrivals() const {
+  std::vector<std::string> errors;
+  const auto reject = rejecter(errors);
   if (!std::isfinite(truth.noise_sigma) || truth.noise_sigma < 0.0) {
     reject("truth.noise_sigma", "finite and >= 0", truth.noise_sigma);
   }
@@ -82,14 +111,11 @@ std::vector<std::string> Scenario::validate() const {
 }
 
 const Scenario& require_valid(const Scenario& scenario) {
-  const std::vector<std::string> errors = scenario.validate();
-  if (errors.empty()) return scenario;
-  std::string msg = "invalid scenario: ";
-  for (std::size_t i = 0; i < errors.size(); ++i) {
-    if (i > 0) msg += "; ";
-    msg += errors[i];
-  }
-  throw std::invalid_argument(msg);
+  return require_none(scenario, scenario.validate());
+}
+
+const Scenario& require_valid_except_arrivals(const Scenario& scenario) {
+  return require_none(scenario, scenario.validate_except_arrivals());
 }
 
 Scenario make_scenario(cbs::core::SchedulerKind scheduler,

@@ -46,7 +46,8 @@ struct Scenario {
   /// to one without the resilience layer.
   cbs::core::ResilienceConfig resilience{};
 
-  // QRSM factory prior: corpus size used for pretraining (0 disables).
+  // QRSM factory prior: corpus size used for pretraining (0 disables; the
+  // oracle learns nothing and draws no corpus).
   std::size_t pretrain_samples = 120;
 
   // Model-predictive lookahead (scheduler == kLookahead): at every batch
@@ -87,11 +88,19 @@ struct Scenario {
   /// non-finite noise sigma or fault field. Empty when the scenario is
   /// runnable.
   [[nodiscard]] std::vector<std::string> validate() const;
+
+  /// validate() without its three arrival checks (num_batches,
+  /// mean_jobs_per_batch, batch_interval_seconds): only drawing the batches
+  /// reads those, so a world given its batches checks just these.
+  [[nodiscard]] std::vector<std::string> validate_except_arrivals() const;
 };
 
 /// Returns `scenario` when validate() finds nothing; otherwise throws
 /// std::invalid_argument listing every error.
 const Scenario& require_valid(const Scenario& scenario);
+
+/// require_valid() over validate_except_arrivals().
+const Scenario& require_valid_except_arrivals(const Scenario& scenario);
 
 /// Named constructor for the §V experiment grid.
 [[nodiscard]] Scenario make_scenario(cbs::core::SchedulerKind scheduler,

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "harness/task_pool.hpp"
@@ -29,11 +30,14 @@ constexpr double kSecondsPerDollar = 3600.0;
 
 /// The "standard set of production data observed across a variety of
 /// locations" (§III.A.1): a uniform corpus, labeled by actually observed
-/// (noisy) runtimes.
+/// (noisy) runtimes. The oracle learns nothing, so it gets no corpus; the
+/// labels' draws from truth's own stream are then skipped too, which no
+/// run reads (documents take their service noise from their ids).
 void pretrain_controller(cbs::core::CloudBurstController& controller,
                          cbs::workload::GroundTruthModel& truth,
+                         cbs::core::EstimatorKind estimator,
                          std::size_t samples, cbs::sim::RngStream rng) {
-  if (samples == 0) return;
+  if (samples == 0 || estimator == cbs::core::EstimatorKind::kOracle) return;
   cbs::workload::WorkloadGenerator::Config gen_cfg;
   gen_cfg.bucket = cbs::workload::SizeBucket::kUniform;
   cbs::workload::WorkloadGenerator corpus_gen(gen_cfg, truth,
@@ -65,9 +69,36 @@ std::vector<cbs::workload::Batch> draw_batches(const Scenario& scenario) {
   return arrivals.generate_all();
 }
 
-/// Returns `batches` when a world can schedule them; otherwise throws
-/// std::invalid_argument naming the first bad arrival.
-std::vector<cbs::workload::Batch> require_runnable(
+/// Throws std::invalid_argument naming the first document of `batches`
+/// whose id is outside [1, kFirstChunkId) or repeats an earlier one (ids
+/// key each document's service noise, so a repeat shares its draw).
+void require_unique_ids(const std::vector<cbs::workload::Batch>& batches) {
+  using Position = std::pair<std::size_t, std::size_t>;  // batch, document
+  std::unordered_map<std::uint64_t, Position> first_seen;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    const auto& docs = batches[b].documents;
+    for (std::size_t i = 0; i < docs.size(); ++i) {
+      const std::uint64_t id = docs[i].doc_id;
+      const bool in_range = id != 0 && id < cbs::workload::kFirstChunkId;
+      const auto [it, fresh] = first_seen.emplace(id, Position{b, i});
+      if (in_range && fresh) continue;
+      std::ostringstream msg;
+      msg << "ScenarioWorld: batch " << b << " document " << i << " doc_id ";
+      if (!in_range) {
+        msg << "must be in [1, " << cbs::workload::kFirstChunkId << ") (got "
+            << id << ")";
+      } else {
+        msg << id << " repeats batch " << it->second.first << " document "
+            << it->second.second;
+      }
+      throw std::invalid_argument(msg.str());
+    }
+  }
+}
+
+/// Returns `batches`, shared, when a world can schedule them; otherwise
+/// throws std::invalid_argument naming the first bad arrival or document.
+std::shared_ptr<const std::vector<cbs::workload::Batch>> require_runnable(
     std::vector<cbs::workload::Batch> batches) {
   if (batches.empty()) {
     throw std::invalid_argument("ScenarioWorld: empty batch list");
@@ -90,7 +121,9 @@ std::vector<cbs::workload::Batch> require_runnable(
     }
     throw std::invalid_argument(msg.str());
   }
-  return batches;
+  require_unique_ids(batches);
+  return std::make_shared<const std::vector<cbs::workload::Batch>>(
+      std::move(batches));
 }
 
 using OutcomeLog = cbs::util::ChunkedLog<cbs::sla::JobOutcome>;
@@ -127,17 +160,28 @@ double ordered_output_mb(const OutcomeLog& outcomes, std::uint64_t tolerance) {
 
 }  // namespace
 
+// Each public constructor checks what it reads, then delegates: drawing
+// reads every scenario field; a given list needs all but the arrival
+// fields, and its batches checked. Drawn batches are runnable by
+// construction.
 ScenarioWorld::ScenarioWorld(const Scenario& scenario)
-    : ScenarioWorld(scenario, draw_batches(require_valid(scenario))) {}
+    : ScenarioWorld(scenario,
+                    std::make_shared<const std::vector<cbs::workload::Batch>>(
+                        draw_batches(require_valid(scenario)))) {}
 
 ScenarioWorld::ScenarioWorld(const Scenario& scenario,
                              std::vector<cbs::workload::Batch> batches)
-    : scenario_(require_valid(scenario)),
+    : ScenarioWorld(require_valid_except_arrivals(scenario),
+                    require_runnable(std::move(batches))) {}
+
+ScenarioWorld::ScenarioWorld(
+    const Scenario& scenario,
+    std::shared_ptr<const std::vector<cbs::workload::Batch>> batches)
+    : scenario_(scenario),
       target_(sim_.register_target(*this)),
       truth_(scenario.truth,
              cbs::sim::RngStream(scenario.seed).substream("truth")),
-      batches_(std::make_shared<const std::vector<cbs::workload::Batch>>(
-          require_runnable(std::move(batches)))) {
+      batches_(std::move(batches)) {
   // The build order below mirrors the historical run_scenario body line by
   // line (substream derivation is a pure function of (parent, name), so
   // the local root here draws identically to the original's). Batches
@@ -146,8 +190,8 @@ ScenarioWorld::ScenarioWorld(const Scenario& scenario,
   cbs::sim::RngStream root(scenario.seed);
   controller_ = std::make_unique<cbs::core::CloudBurstController>(
       sim_, scenario.controller_config(), truth_, root.substream("system"));
-  pretrain_controller(*controller_, truth_, scenario.pretrain_samples,
-                      root.substream("pretrain"));
+  pretrain_controller(*controller_, truth_, scenario.estimator,
+                      scenario.pretrain_samples, root.substream("pretrain"));
 
   // Pre-size the event slab: the pending arrival plus a working set of
   // per-job events for roughly two batches in flight (jobs overlap at the

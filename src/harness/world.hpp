@@ -64,10 +64,12 @@ class ScenarioWorld : private cbs::sim::EventTarget {
   explicit ScenarioWorld(const Scenario& scenario);
 
   /// Runs `batches` (a trace, or a workload built by hand) in place of
-  /// drawn ones; the scenario's arrival fields are validated but drive
-  /// nothing. Throws std::invalid_argument when `batches` is empty, or
-  /// when an arrival time is non-finite, negative or earlier than the one
-  /// before it.
+  /// drawn ones; the scenario's arrival fields (num_batches,
+  /// mean_jobs_per_batch, batch_interval_seconds) are neither read nor
+  /// checked. Throws std::invalid_argument when any other scenario field is
+  /// invalid, when `batches` is empty, when an arrival time is non-finite,
+  /// negative or earlier than the one before it, or when a doc_id is
+  /// outside [1, kFirstChunkId) or given twice.
   ScenarioWorld(const Scenario& scenario,
                 std::vector<cbs::workload::Batch> batches);
 
@@ -146,6 +148,11 @@ class ScenarioWorld : private cbs::sim::EventTarget {
   }
 
  private:
+  /// Builds over `batches`, which the public constructors have checked.
+  ScenarioWorld(
+      const Scenario& scenario,
+      std::shared_ptr<const std::vector<cbs::workload::Batch>> batches);
+
   /// The arrival of batch `index`, the world's only event.
   void on_event(std::uint32_t kind, std::uint64_t index) override;
   void deliver_batch(std::size_t index);

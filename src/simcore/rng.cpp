@@ -2,14 +2,6 @@
 
 namespace cbs::sim {
 
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 std::uint64_t hash_name(std::string_view name) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (char c : name) {
@@ -26,18 +18,6 @@ RngStream::RngStream(std::uint64_t seed) noexcept {
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;
 }
 
-std::uint64_t RngStream::next() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
 std::uint64_t RngStream::fingerprint() const noexcept {
   // Mixes the current state into one word without advancing the stream.
   SplitMix64 sm(state_[0] ^ rotl(state_[1], 13) ^ rotl(state_[2], 29) ^
@@ -52,15 +32,6 @@ RngStream RngStream::substream(std::string_view name) const noexcept {
 RngStream RngStream::substream(std::uint64_t index) const noexcept {
   SplitMix64 sm(fingerprint() ^ (0x9e3779b97f4a7c15ULL * (index + 1)));
   return RngStream(sm.next());
-}
-
-double RngStream::next_double() noexcept {
-  // 53 random mantissa bits — the canonical [0,1) construction.
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double RngStream::uniform(double lo, double hi) noexcept {
-  return lo + (hi - lo) * next_double();
 }
 
 std::uint64_t RngStream::uniform_int(std::uint64_t lo, std::uint64_t hi) noexcept {

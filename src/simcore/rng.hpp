@@ -50,14 +50,31 @@ class RngStream {
   /// Derives an independent child stream by index (e.g. per machine).
   [[nodiscard]] RngStream substream(std::uint64_t index) const noexcept;
 
-  std::uint64_t next() noexcept;
+  // next/next_double/uniform are defined here so that a per-document draw
+  // loop (the workload generator) inlines them instead of calling out.
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
   result_type operator()() noexcept { return next(); }
 
-  /// Uniform double in [0, 1).
-  [[nodiscard]] double next_double() noexcept;
+  /// Uniform double in [0, 1): 53 random mantissa bits, the canonical
+  /// construction.
+  [[nodiscard]] double next_double() noexcept {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
-  [[nodiscard]] double uniform(double lo, double hi) noexcept;
+  [[nodiscard]] double uniform(double lo, double hi) noexcept {
+    return lo + (hi - lo) * next_double();
+  }
 
   /// Uniform integer in [lo, hi] (inclusive), requires lo <= hi.
   [[nodiscard]] std::uint64_t uniform_int(std::uint64_t lo, std::uint64_t hi) noexcept;
@@ -75,6 +92,10 @@ class RngStream {
 
  private:
   State state_{};
+
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
 
   [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 };

@@ -57,28 +57,4 @@ double sample_bounded_pareto(RngStream& rng, double alpha, double lo, double hi)
   return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
 }
 
-double sample_triangular(RngStream& rng, double lo, double mode, double hi) {
-  assert(lo <= mode && mode <= hi && lo < hi);
-  const double u = rng.next_double();
-  const double fc = (mode - lo) / (hi - lo);
-  if (u < fc) return lo + std::sqrt(u * (hi - lo) * (mode - lo));
-  return hi - std::sqrt((1.0 - u) * (hi - lo) * (hi - mode));
-}
-
-std::size_t sample_discrete(RngStream& rng, std::span<const double> weights) {
-  assert(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    assert(w >= 0.0);
-    total += w;
-  }
-  assert(total > 0.0);
-  double x = rng.next_double() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    x -= weights[i];
-    if (x < 0.0) return i;
-  }
-  return weights.size() - 1;  // floating-point edge: return the last bucket
-}
-
 }  // namespace cbs::stats

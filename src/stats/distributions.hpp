@@ -1,5 +1,8 @@
 #pragma once
 
+#include <algorithm>
+#include <cassert>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -35,13 +38,43 @@ namespace cbs::stats {
 [[nodiscard]] double sample_bounded_pareto(cbs::sim::RngStream& rng, double alpha,
                                            double lo, double hi);
 
+// The two samplers below are defined here so that the workload
+// generator's per-document loop inlines them (and, for constant weights,
+// folds sample_discrete's sum).
+
 /// Triangular on [lo, hi] with the given mode.
-[[nodiscard]] double sample_triangular(cbs::sim::RngStream& rng, double lo,
-                                       double mode, double hi);
+[[nodiscard]] inline double sample_triangular(cbs::sim::RngStream& rng,
+                                              double lo, double mode,
+                                              double hi) {
+  assert(lo <= mode && mode <= hi && lo < hi);
+  const double u = rng.next_double();
+  const double fc = (mode - lo) / (hi - lo);
+  if (u < fc) return lo + std::sqrt(u * (hi - lo) * (mode - lo));
+  return hi - std::sqrt((1.0 - u) * (hi - lo) * (hi - mode));
+}
 
 /// Samples an index in [0, weights.size()) proportionally to weights.
 /// All weights must be >= 0 with a positive sum.
-[[nodiscard]] std::size_t sample_discrete(cbs::sim::RngStream& rng,
-                                          std::span<const double> weights);
+[[nodiscard]] inline std::size_t sample_discrete(
+    cbs::sim::RngStream& rng, std::span<const double> weights) {
+  assert(!weights.empty());
+  double total = 0.0;
+  for (double w : weights) {
+    assert(w >= 0.0);
+    total += w;
+  }
+  assert(total > 0.0);
+  // The first index whose running remainder x - w[0] - ... - w[i] is
+  // negative, or the last (a floating-point edge). The remainder never
+  // rises, so that index is the count of non-negative remainders, which
+  // needs no branch on the draw.
+  double x = rng.next_double() * total;
+  std::size_t i = 0;
+  for (const double w : weights) {
+    x -= w;
+    i += x >= 0.0 ? 1 : 0;
+  }
+  return std::min(i, weights.size() - 1);
+}
 
 }  // namespace cbs::stats

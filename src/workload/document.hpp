@@ -44,6 +44,11 @@ struct DocumentFeatures {
   JobType type = JobType::kMarketingMaterial;
 };
 
+/// Input documents take ids in [1, kFirstChunkId). Id 0 would make a
+/// document's chunks look like originals (parent_id == 0 below), and the
+/// controller numbers chunks from kFirstChunkId up.
+inline constexpr std::uint64_t kFirstChunkId = std::uint64_t{1} << 32;
+
 /// One schedulable unit of work: the features plus identity/derivation info.
 struct Document {
   std::uint64_t doc_id = 0;

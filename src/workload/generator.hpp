@@ -45,9 +45,6 @@ class WorkloadGenerator {
   [[nodiscard]] std::uint64_t documents_generated() const noexcept { return next_id_ - 1; }
 
  private:
-  [[nodiscard]] double sample_size_mb();
-  [[nodiscard]] DocumentFeatures features_for_size(double size_mb);
-
   Config config_;
   const GroundTruthModel& truth_;
   cbs::sim::RngStream rng_;

@@ -7,25 +7,6 @@
 
 namespace cbs::workload {
 
-namespace {
-
-/// Output/input size ratio per job class: raster-heavy classes inflate,
-/// text-heavy classes compress.
-double type_output_ratio(JobType type) noexcept {
-  switch (type) {
-    case JobType::kNewspaper: return 0.85;
-    case JobType::kBook: return 0.70;
-    case JobType::kMarketingMaterial: return 1.10;
-    case JobType::kMailCampaign: return 0.90;
-    case JobType::kCreditCardStatement: return 0.60;
-    case JobType::kImagePersonalization: return 1.25;
-    case JobType::kVariableDataPromo: return 1.05;
-  }
-  return 1.0;
-}
-
-}  // namespace
-
 GroundTruthModel::GroundTruthModel(Config config, cbs::sim::RngStream rng)
     : config_(config), rng_(rng) {
   assert(config.per_mb > 0.0);
@@ -85,12 +66,6 @@ double GroundTruthModel::realized_seconds(const Document& doc) const {
   const double s = config_.noise_sigma;
   const double noise = cbs::stats::sample_lognormal(stream, -0.5 * s * s, s);
   return expected * noise;
-}
-
-double GroundTruthModel::output_size_mb(const DocumentFeatures& f) const {
-  const double ratio = type_output_ratio(f.type) * config_.output_ratio_scale;
-  // A small per-page overlay models fixed result metadata per page.
-  return f.size_mb * ratio + 0.002 * static_cast<double>(f.pages);
 }
 
 }  // namespace cbs::workload

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
+
 #include "simcore/rng.hpp"
 #include "workload/document.hpp"
 
@@ -58,8 +61,14 @@ class GroundTruthModel {
   [[nodiscard]] double realized_seconds(const Document& doc) const;
 
   /// Deterministic output size for a document (result of processing):
-  /// type-dependent ratio of the input size plus a per-page overlay.
-  [[nodiscard]] double output_size_mb(const DocumentFeatures& f) const;
+  /// type-dependent ratio of the input size plus a small per-page overlay
+  /// (fixed result metadata per page). Defined here so the workload
+  /// generator's per-document loop inlines it.
+  [[nodiscard]] double output_size_mb(const DocumentFeatures& f) const {
+    const double ratio = kOutputRatio[static_cast<std::size_t>(f.type)] *
+                         config_.output_ratio_scale;
+    return f.size_mb * ratio + 0.002 * static_cast<double>(f.pages);
+  }
 
   /// Job-class cost multiplier applied to the expected time — the paper
   /// lists "specific job type" among the model dimensions; a pooled
@@ -69,6 +78,11 @@ class GroundTruthModel {
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
  private:
+  /// Output/input size ratio per job class, indexed by JobType:
+  /// raster-heavy classes inflate, text-heavy classes compress.
+  static constexpr std::array<double, kAllJobTypes.size()> kOutputRatio{
+      0.85, 0.70, 1.10, 0.90, 0.60, 1.25, 1.05};
+
   Config config_;
   cbs::sim::RngStream rng_;
   std::uint64_t noise_seed_;

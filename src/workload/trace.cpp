@@ -6,6 +6,7 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace cbs::workload::trace {
 
@@ -158,6 +159,8 @@ std::vector<Batch> read(std::istream& in) {
 
   // batch index -> batch, ordered.
   std::map<std::size_t, Batch> by_index;
+  // doc id -> the line that gave it.
+  std::unordered_map<std::uint64_t, std::size_t> id_line;
   std::size_t line_no = 1;
   while (std::getline(in, line)) {
     ++line_no;
@@ -178,6 +181,14 @@ std::vector<Batch> read(std::istream& in) {
 
     Document d;
     d.doc_id = row.count<std::uint64_t>(2);
+    if (d.doc_id == 0 || d.doc_id >= kFirstChunkId) {
+      row.fail("doc_id '" + row.text(2) + "' must be in [1, " +
+               std::to_string(kFirstChunkId) + ")");
+    }
+    if (const auto [it, fresh] = id_line.emplace(d.doc_id, line_no); !fresh) {
+      row.fail("doc_id '" + row.text(2) + "' repeats line " +
+               std::to_string(it->second));
+    }
     d.features.type = row.job_type(3);
     d.features.size_mb = row.non_negative_real(4);
     d.features.pages = row.count<int>(5);

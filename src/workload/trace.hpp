@@ -29,8 +29,8 @@ std::size_t write_file(const std::string& path, const std::vector<Batch>& batche
 /// "trace: line N: ", on malformed input: an empty input or a wrong header
 /// (line 1), a wrong column count, a non-numeric, nan or
 /// infinite field, an unknown job type, a negative size, page count, image
-/// count, batch or doc id, or rows of one batch that disagree on
-/// arrival_time.
+/// count or batch, a doc id outside [1, kFirstChunkId) or one given twice,
+/// or rows of one batch that disagree on arrival_time.
 [[nodiscard]] std::vector<Batch> read(std::istream& in);
 
 /// Parses batches from a file. Throws std::runtime_error on I/O failure.

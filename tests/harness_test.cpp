@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -313,6 +315,71 @@ TEST(ScenarioWorldTest, GivenBatchesRejectEmptyNegativeAndDecreasingArrivals) {
   EXPECT_EQ(world_error(arriving_at(
                 {0.0, std::numeric_limits<double>::infinity()})),
             "ScenarioWorld: batch 1 arrival_time must be finite (got inf)");
+}
+
+/// Batches at 0, 180, ... holding documents with the listed ids.
+std::vector<workload::Batch> with_ids(
+    std::initializer_list<std::initializer_list<std::uint64_t>> ids) {
+  std::vector<workload::Batch> batches;
+  for (const auto& batch_ids : ids) {
+    workload::Batch batch;
+    batch.batch_index = batches.size();
+    batch.arrival_time = 180.0 * static_cast<double>(batches.size());
+    for (const std::uint64_t id : batch_ids) {
+      workload::Document doc;
+      doc.doc_id = id;
+      doc.features.size_mb = 10.0;
+      batch.documents.push_back(doc);
+    }
+    batches.push_back(batch);
+  }
+  return batches;
+}
+
+TEST(ScenarioWorldTest, GivenBatchesRejectZeroChunkRangeAndRepeatedIds) {
+  // Ids key each document's service noise, id 0 would make its chunks look
+  // like originals, and ids from 2^32 up are the controller's chunk ids.
+  EXPECT_EQ(world_error(with_ids({{1, 0}})),
+            "ScenarioWorld: batch 0 document 1 doc_id must be in "
+            "[1, 4294967296) (got 0)");
+  EXPECT_EQ(world_error(with_ids({{1}, {4294967296}})),
+            "ScenarioWorld: batch 1 document 0 doc_id must be in "
+            "[1, 4294967296) (got 4294967296)");
+  EXPECT_EQ(world_error(with_ids({{1, 2}, {3, 2}})),
+            "ScenarioWorld: batch 1 document 1 doc_id 2 repeats batch 0 "
+            "document 1");
+  EXPECT_EQ(world_error(with_ids({{2, 1}, {4294967295}})), "");
+}
+
+TEST(ScenarioWorldTest, GivenBatchesIgnoreTheArrivalFields) {
+  Scenario s = make_scenario(core::SchedulerKind::kGreedy,
+                             workload::SizeBucket::kUniform, 7);
+  s.num_batches = 6;
+  ScenarioWorld drawn(s);
+  // The drawing fields drive nothing when the batches are given, so a
+  // caller replaying a list need not fill them in.
+  Scenario replay = s;
+  replay.num_batches = 0;
+  replay.mean_jobs_per_batch = 0.0;
+  replay.batch_interval_seconds = std::nan("");
+  EXPECT_EQ(replay.validate().size(), 3u);
+  ScenarioWorld given(replay, drawn.batches());
+  drawn.run();
+  given.run();
+  EXPECT_EQ(given.result().outcomes.size(), drawn.result().outcomes.size());
+  EXPECT_EQ(given.result().sim_end_time, drawn.result().sim_end_time);
+
+  // Every other field is still checked, and drawing checks them all.
+  replay.truth.noise_sigma = -1.0;
+  try {
+    const ScenarioWorld bad(replay, drawn.batches());
+    ADD_FAILURE() << "a negative noise sigma was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "invalid scenario: truth.noise_sigma must be finite and "
+                 ">= 0 (got -1)");
+  }
+  EXPECT_THROW(ScenarioWorld{replay}, std::invalid_argument);
 }
 
 TEST(ScenarioWorldTest, GivenTheDrawnBatchesReplaysTheDrawnRun) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "harness/experiment.hpp"
 #include "harness/scenario.hpp"
 #include "sla/cost.hpp"
@@ -46,6 +49,25 @@ TEST(TicketTest, CountsHitsAndLateness) {
   EXPECT_DOUBLE_EQ(r.max_lateness, 200.0);
   EXPECT_DOUBLE_EQ(r.mean_lateness, 140.0);
   EXPECT_DOUBLE_EQ(r.mean_slack_left, 25.0);
+}
+
+TEST(TicketTest, P95LatenessIsTheSortedOrderStatistic) {
+  // Latenesses 1..n s in a scrambled order: p95 is the element a full sort
+  // puts at floor(0.95 (n - 1)), whatever the input order.
+  const TicketPolicy policy{.base_seconds = 100.0, .seconds_per_mb = 0.0};
+  for (const std::uint64_t n : {1u, 2u, 20u, 21u, 101u}) {
+    std::vector<JobOutcome> outcomes;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const std::uint64_t late = (i * 37 + 11) % n + 1;  // a permutation
+      outcomes.push_back(
+          outcome(i + 1, 0.0, 100.0 + static_cast<double>(late), 1.0));
+    }
+    outcomes.push_back(outcome(n + 1, 0.0, 40.0, 1.0));  // met: not counted
+    const TicketReport r = evaluate_tickets(outcomes, policy);
+    const auto rank = static_cast<std::uint64_t>(
+        0.95 * static_cast<double>(n - 1));
+    EXPECT_EQ(r.p95_lateness, static_cast<double>(rank + 1)) << n;
+  }
 }
 
 TEST(TicketTest, EmptyRunIsSafe) {

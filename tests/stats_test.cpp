@@ -2,7 +2,9 @@
 
 #include <array>
 #include <cmath>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "simcore/rng.hpp"
 #include "stats/distributions.hpp"
@@ -111,6 +113,35 @@ TEST(DistributionsTest, DiscreteZeroWeightNeverSampled) {
   RngStream rng(11);
   for (int i = 0; i < 2000; ++i) {
     EXPECT_NE(sample_discrete(rng, std::array{1.0, 0.0, 1.0}), 1u);
+  }
+}
+
+TEST(DistributionsTest, DiscreteIsTheFirstNegativeRemainder) {
+  // The reference: subtract the weights in order from u * total and stop
+  // at the first negative remainder (the last index if none is).
+  const auto reference = [](RngStream& rng, std::span<const double> weights) {
+    double total = 0.0;
+    for (const double w : weights) total += w;
+    double x = rng.next_double() * total;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      x -= weights[i];
+      if (x < 0.0) return i;
+    }
+    return weights.size() - 1;
+  };
+  const std::vector<std::vector<double>> tables = {
+      {3.0, 2.0, 2.0, 1.0, 0.2, 2.5, 2.0},
+      {1.0, 1.0, 2.0, 2.5, 3.0, 1.0, 1.5},
+      {1.0, 0.0, 1.0},
+      {0.0, 0.0, 5.0, 0.0},
+      {0.1, 0.2, 0.3},
+      {7.0}};
+  for (const std::vector<double>& weights : tables) {
+    RngStream a(12);
+    RngStream b(12);
+    for (int i = 0; i < 20000; ++i) {
+      ASSERT_EQ(sample_discrete(a, weights), reference(b, weights)) << i;
+    }
   }
 }
 

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <initializer_list>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "stats/summary.hpp"
@@ -285,6 +289,85 @@ TEST(ArrivalTest, PoissonCountsAverageLambda) {
   EXPECT_NEAR(s.mean(), 15.0, 0.7);
 }
 
+/// FNV-1a over 64-bit words: every drawn field, doubles by their bits.
+class ScheduleHash {
+ public:
+  void add(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (word >> (8 * i)) & 0xffU;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(double x) { add(std::bit_cast<std::uint64_t>(x)); }
+  void add(int x) {
+    add(static_cast<std::uint64_t>(static_cast<std::int64_t>(x)));
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/// Digest of the §V.A schedule a world draws for (bucket, seed): the same
+/// substreams, generator and arrival process, 300 batches of λ = 15.
+std::uint64_t schedule_digest(SizeBucket bucket, std::uint64_t seed) {
+  const RngStream root(seed);
+  const GroundTruthModel truth({}, root.substream("truth"));
+  WorkloadGenerator gen({.bucket = bucket}, truth, root.substream("workload"));
+  BatchArrivalProcess arrivals({.num_batches = 300}, gen,
+                               root.substream("arrivals"));
+  ScheduleHash h;
+  for (const Batch& b : arrivals.generate_all()) {
+    h.add(static_cast<std::uint64_t>(b.batch_index));
+    h.add(b.arrival_time);
+    h.add(static_cast<std::uint64_t>(b.documents.size()));
+    for (const Document& d : b.documents) {
+      const DocumentFeatures& f = d.features;
+      h.add(d.doc_id);
+      h.add(f.size_mb);
+      h.add(f.pages);
+      h.add(f.num_images);
+      h.add(f.avg_image_mb);
+      h.add(f.resolution_dpi);
+      h.add(f.color_fraction);
+      h.add(f.text_ratio);
+      h.add(f.coverage);
+      h.add(static_cast<std::uint64_t>(f.type));
+      h.add(d.output_size_mb);
+      h.add(d.parent_id);
+      h.add(d.chunk_index);
+      h.add(d.chunk_count);
+    }
+  }
+  return h.value();
+}
+
+TEST(ArrivalTest, DrawnSchedulePinned) {
+  // Any change to what is drawn, or in what order, moves a digest: a
+  // faster draw must pass this unedited.
+  struct Pin {
+    SizeBucket bucket;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {SizeBucket::kSmallBiased, 1, 0x0fa33022aefd9b9eULL},
+      {SizeBucket::kSmallBiased, 42, 0x083306489760749fULL},
+      {SizeBucket::kSmallBiased, 7001, 0x281896cae1144a42ULL},
+      {SizeBucket::kUniform, 1, 0x0465a4f2c168f15cULL},
+      {SizeBucket::kUniform, 42, 0x7df535b60b039272ULL},
+      {SizeBucket::kUniform, 7001, 0x101ac0a83bf15105ULL},
+      {SizeBucket::kLargeBiased, 1, 0x86d4252429d2c0f9ULL},
+      {SizeBucket::kLargeBiased, 42, 0x4231be1694e1995fULL},
+      {SizeBucket::kLargeBiased, 7001, 0xc768163e71a15224ULL},
+  };
+  for (const Pin& p : pins) {
+    EXPECT_EQ(schedule_digest(p.bucket, p.seed), p.digest)
+        << to_string(p.bucket) << " seed " << p.seed << ": 0x" << std::hex
+        << schedule_digest(p.bucket, p.seed);
+  }
+}
+
 // ---- trace I/O ------------------------------------------------------------
 
 TEST(TraceTest, RoundTripPreservesEverything) {
@@ -353,11 +436,12 @@ std::string trace_error(const std::string& rows) {
   return "";
 }
 
-/// A valid row with column `col` replaced by `value`.
-std::string row_with(std::size_t col, const std::string& value) {
+/// A valid row with each listed column replaced by its value.
+std::string row_with(
+    std::initializer_list<std::pair<std::size_t, std::string>> changes) {
   std::vector<std::string> fields = {"0",   "0", "1",   "book", "10", "1", "0",
                                      "0.5", "300", "0", "1",    "0.5", "8"};
-  fields[col] = value;
+  for (const auto& [col, value] : changes) fields[col] = value;
   std::string row;
   for (const std::string& f : fields) {
     if (!row.empty()) row += ',';
@@ -365,6 +449,11 @@ std::string row_with(std::size_t col, const std::string& value) {
   }
   row += '\n';
   return row;
+}
+
+/// A valid row with column `col` replaced by `value`.
+std::string row_with(std::size_t col, const std::string& value) {
+  return row_with({{col, value}});
 }
 
 TEST(TraceTest, ValidRowParses) {
@@ -417,12 +506,34 @@ TEST(TraceTest, RejectsNegativeBatchOrDocIdBeforeTheUnsignedCast) {
 TEST(TraceTest, RejectsBatchRowsThatDisagreeOnArrival) {
   // Today's writer gives every row of a batch the same arrival_time; a
   // hand edit that changes one row must not silently move the batch.
-  const std::string err = trace_error(row_with(1, "0") + row_with(0, "1") +
-                                      row_with(1, "180"));
+  const std::string err =
+      trace_error(row_with({{1, "0"}, {2, "1"}}) +
+                  row_with({{0, "1"}, {2, "2"}}) +
+                  row_with({{1, "180"}, {2, "3"}}));
   EXPECT_EQ(err,
             "trace: line 4: arrival_time '180' disagrees with earlier rows "
             "of batch 0");
-  EXPECT_EQ(trace_error(row_with(1, "180") + row_with(1, "180")), "");
+  EXPECT_EQ(trace_error(row_with({{1, "180"}, {2, "1"}}) +
+                        row_with({{1, "180"}, {2, "2"}})),
+            "");
+}
+
+TEST(TraceTest, RejectsDocIdsOutsideTheInputRange) {
+  // Id 0 would make the document's chunks look like originals, and ids
+  // from 2^32 up are the controller's chunk ids.
+  EXPECT_EQ(trace_error(row_with(2, "0")),
+            "trace: line 2: doc_id '0' must be in [1, 4294967296)");
+  EXPECT_EQ(trace_error(row_with(2, "4294967296")),
+            "trace: line 2: doc_id '4294967296' must be in [1, 4294967296)");
+  EXPECT_EQ(trace_error(row_with(2, "4294967295")), "");
+}
+
+TEST(TraceTest, RejectsRepeatedDocIds) {
+  // A document's service noise is keyed by its id, so a repeat would
+  // silently share another document's draw.
+  EXPECT_EQ(trace_error(row_with(2, "5") + row_with(2, "6") +
+                        row_with({{0, "1"}, {2, "5"}})),
+            "trace: line 4: doc_id '5' repeats line 2");
 }
 
 TEST(TraceTest, WriteReportsRowCount) {
