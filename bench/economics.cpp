@@ -20,22 +20,6 @@
 #include "sla/tickets.hpp"
 #include "stats/aggregate.hpp"
 
-namespace {
-
-bool report_failures(const std::vector<cbs::harness::CellResult>& results) {
-  for (const auto& r : results) {
-    if (!r.ok()) {
-      std::fprintf(stderr, "cell %s (seed %llu) failed: %s\n",
-                   r.cell.scenario.name.c_str(),
-                   static_cast<unsigned long long>(r.cell.scenario.seed),
-                   r.error.c_str());
-    }
-  }
-  return cbs::harness::failed_cells(results) != 0;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) try {
   using namespace cbs;
   using harness::RunResult;
@@ -57,7 +41,7 @@ int main(int argc, char** argv) try {
        core::SchedulerKind::kBandwidthSplit},
       {workload::SizeBucket::kLargeBiased});
   const auto results = harness::run_plan(plan, opts);
-  if (report_failures(results)) return 1;
+  if (harness::report_failed_cells(results) != 0) return 1;
 
   const auto makespan = harness::reduce_over_seeds(
       plan, results,
@@ -110,7 +94,7 @@ int main(int argc, char** argv) try {
   const auto prov_results =
       harness::run_plan(harness::ExperimentPlan::list(std::move(variants)),
                         opts);
-  if (report_failures(prov_results)) return 1;
+  if (harness::report_failed_cells(prov_results) != 0) return 1;
 
   const auto p_makespan = harness::group_by_name(
       prov_results,

@@ -38,15 +38,7 @@ int main(int argc, char** argv) try {
   harness::RunnerOptions opts;
   opts.threads = harness::cli::threads_from_args(args);
   const auto results = harness::run_plan(plan, opts);
-  for (const auto& r : results) {
-    if (!r.ok()) {
-      std::fprintf(stderr, "cell %s (seed %llu) failed: %s\n",
-                   r.cell.scenario.name.c_str(),
-                   static_cast<unsigned long long>(r.cell.scenario.seed),
-                   r.error.c_str());
-    }
-  }
-  if (harness::failed_cells(results) != 0) return 1;
+  if (harness::report_failed_cells(results) != 0) return 1;
 
   const stats::SummaryMatrix makespans = harness::reduce_over_seeds(
       plan, results,

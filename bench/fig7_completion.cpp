@@ -77,13 +77,7 @@ int main(int argc, char** argv) try {
   harness::RunnerOptions opts;
   opts.threads = harness::cli::threads_from_args(args);
   const auto results = harness::run_plan(plan, opts);
-  for (const auto& r : results) {
-    if (!r.ok()) {
-      std::fprintf(stderr, "cell %s failed: %s\n", r.cell.scenario.name.c_str(),
-                   r.error.c_str());
-    }
-  }
-  if (harness::failed_cells(results) != 0) return 1;
+  if (harness::report_failed_cells(results) != 0) return 1;
 
   for (std::size_t b = 0; b < plan.buckets.size(); ++b) {
     report_bucket(plan, results, b, args.has("csv"));

@@ -32,13 +32,7 @@ int main(int argc, char** argv) try {
   harness::RunnerOptions opts;
   opts.threads = harness::cli::threads_from_args(args);
   const auto cell_results = harness::run_plan(plan, opts);
-  for (const auto& r : cell_results) {
-    if (!r.ok()) {
-      std::fprintf(stderr, "cell %s failed: %s\n", r.cell.scenario.name.c_str(),
-                   r.error.c_str());
-    }
-  }
-  if (harness::failed_cells(cell_results) != 0) return 1;
+  if (harness::report_failed_cells(cell_results) != 0) return 1;
   const std::vector<harness::RunResult> results =
       harness::last_seed_results(plan, cell_results);
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/belief_state.hpp"
-#include "core/order_preserving_scheduler.hpp"
 #include "core/scheduler.hpp"
 #include "harness/experiment.hpp"
 #include "models/estimator.hpp"
@@ -143,8 +142,8 @@ void BM_BatchAdmission(benchmark::State& state) {
     belief.commit_ic(999999, 40000.0);
     std::uint64_t next_seq = 1;
     std::uint64_t next_doc_id = 1ULL << 40;
-    cbs::core::OrderPreservingScheduler scheduler;
-    cbs::core::Scheduler::Context ctx{
+    cbs::core::SchedulerState scheduler_state;
+    cbs::core::ScheduleContext ctx{
         .now = 0.0,
         .belief = belief,
         .params = params,
@@ -156,7 +155,9 @@ void BM_BatchAdmission(benchmark::State& state) {
         .download_backlog_bytes = {0.0},
     };
     state.ResumeTiming();
-    benchmark::DoNotOptimize(scheduler.schedule_batch(batch, ctx));
+    benchmark::DoNotOptimize(
+        cbs::core::schedule_batch(cbs::core::SchedulerKind::kOrderPreserving,
+                                  batch, ctx, scheduler_state));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(batch_size));
@@ -387,16 +388,17 @@ BENCHMARK(BM_BandwidthEstimatorTransferSeconds)
     ->Arg(84000000000)
     ->Arg(500000000000);
 
-void BM_DrawWorkload(benchmark::State& state) {
+void draw_workload(benchmark::State& state, cbs::workload::SizeBucket bucket) {
   // The §V.A draw a ScenarioWorld makes before it runs: greedy_faults_
-  // overload's 2000 batches of λ = 15 uniform documents (~30k), from the
-  // world's substreams. It is almost all of the world's construction.
+  // overload's 2000 batches of λ = 15 documents (~30k), from the world's
+  // substreams. It is almost all of the world's construction. The uniform
+  // row is greedy_faults_overload's; the large row draws its sizes from
+  // the bounded Pareto the small and large buckets share.
   const cbs::sim::RngStream root(1);
   const cbs::workload::GroundTruthModel truth({}, root.substream("truth"));
   for (auto _ : state) {
     cbs::workload::WorkloadGenerator generator(
-        {.bucket = cbs::workload::SizeBucket::kUniform}, truth,
-        root.substream("workload"));
+        {.bucket = bucket}, truth, root.substream("workload"));
     cbs::workload::BatchArrivalProcess arrivals(
         {.batch_interval = 180.0,
          .mean_jobs_per_batch = 15.0,
@@ -405,7 +407,12 @@ void BM_DrawWorkload(benchmark::State& state) {
     benchmark::DoNotOptimize(arrivals.generate_all());
   }
 }
-BENCHMARK(BM_DrawWorkload)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(draw_workload, uniform, cbs::workload::SizeBucket::kUniform)
+    ->Name("BM_DrawWorkload")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(draw_workload, large, cbs::workload::SizeBucket::kLargeBiased)
+    ->Name("BM_DrawWorkload/large")
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FullScenario(benchmark::State& state) {
   for (auto _ : state) {

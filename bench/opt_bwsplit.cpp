@@ -104,15 +104,7 @@ int main(int argc, char** argv) try {
   harness::RunnerOptions opts;
   opts.threads = harness::cli::threads_from_args(args);
   const auto results = harness::run_plan(plan, opts);
-  for (const auto& r : results) {
-    if (!r.ok()) {
-      std::fprintf(stderr, "cell %s (seed %llu) failed: %s\n",
-                   r.cell.scenario.name.c_str(),
-                   static_cast<unsigned long long>(r.cell.scenario.seed),
-                   r.error.c_str());
-    }
-  }
-  if (harness::failed_cells(results) != 0) return 1;
+  if (harness::report_failed_cells(results) != 0) return 1;
 
   std::size_t pull_backs = 0, push_outs = 0;
   for (const auto& r : results) {
@@ -159,7 +151,7 @@ int main(int argc, char** argv) try {
   }
   const auto nochunk_results = harness::run_plan(
       harness::ExperimentPlan::list(std::move(nochunk)), opts);
-  if (harness::failed_cells(nochunk_results) != 0) return 1;
+  if (harness::report_failed_cells(nochunk_results) != 0) return 1;
 
   std::printf("bursted-job size CoV without chunking: %.2f\n",
               bursted_size_cov(nochunk_results, kOpNoChunk).mean());

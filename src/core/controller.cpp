@@ -6,7 +6,6 @@
 #include <string>
 #include <string_view>
 
-#include "core/bandwidth_split.hpp"
 #include "models/per_class_qrsm.hpp"
 #include "sla/slack.hpp"
 
@@ -92,9 +91,7 @@ CloudBurstController::Site::Site(cbs::sim::Simulation& sim,
       up_tuner(config.thread_tuner),
       down_tuner(config.thread_tuner),
       upload_queues(sim, uplink, up_tuner, kUploadJob,
-                    config.scheduler == SchedulerKind::kBandwidthSplit
-                        ? kSizeIntervalQueues
-                        : 1),
+                    upload_classes(config.scheduler)),
       download_queue(sim, downlink, down_tuner, kDownloadJob, 1) {
   if (config.resilience.enabled()) {
     hazard = std::make_unique<models::VmHazardEstimator>(
@@ -132,8 +129,7 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& sim,
       ic_cluster_(sim, *this, kIcCluster, "ic", config_.topology.ic_machines),
       ic_runtime_(ic_cluster_),
       proc_estimator_(make_estimator(config_.estimator, truth)),
-      belief_(*proc_estimator_, config_.topology.ic_machines),
-      scheduler_(make_scheduler(config_.scheduler)) {
+      belief_(*proc_estimator_, config_.topology.ic_machines) {
   if (config_.log_sink) log_.set_sink(config_.log_sink);
   for (std::size_t i = 0; i < config_.ec_sites.size(); ++i) {
     sites_.push_back(std::make_unique<Site>(sim, *this, config_, i, rng));
@@ -141,11 +137,7 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& sim,
     belief_.add_ec_site(site.uplink_estimator, site.downlink_estimator,
                         config_.ec_sites[i]);
   }
-  if (config_.scheduler == SchedulerKind::kGreedy) {
-    // Algorithm 1 conditions on "the current transit bandwidth" — the
-    // transient reading, not the learned time-of-day model (§IV.D).
-    belief_.set_bandwidth_view(BandwidthView::kTransient);
-  }
+  belief_.set_bandwidth_view(bandwidth_view_for(config_.scheduler));
   if (config_.faults.enabled()) {
     fault_plan_ = std::make_unique<sim::FaultPlan>(
         sim_, static_cast<sim::FaultOwner&>(*this), config_.faults,
@@ -177,7 +169,7 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
       ic_runtime_(src.ic_runtime_, ic_cluster_),
       proc_estimator_(src.proc_estimator_->clone(truth)),
       belief_(src.belief_, *proc_estimator_),
-      scheduler_(src.scheduler_->clone()),
+      scheduler_state_(src.scheduler_state_),
       jobs_(copy_with_room(src.jobs_)),
       job_slot_(src.job_slot_),
       first_job_seq_(src.first_job_seq_),
@@ -200,17 +192,11 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
       probe_blackout_skips_(src.probe_blackout_skips_) {
   assert(proc_estimator_ != nullptr &&
          "estimator kind does not support forking");
-  assert(scheduler_ != nullptr && "scheduler does not support forking");
   if (config_.log_sink) log_.set_sink(config_.log_sink);
   for (std::size_t i = 0; i < src.sites_.size(); ++i) {
     sites_.push_back(std::make_unique<Site>(dst, *this, *src.sites_[i]));
     Site& site = *sites_.back();
     belief_.rebind_site(i, site.uplink_estimator, site.downlink_estimator);
-  }
-  for (const auto& entry : src.alt_schedulers_) {
-    auto copy = entry.second->clone();
-    assert(copy != nullptr);
-    alt_schedulers_.emplace_back(entry.first, std::move(copy));
   }
   if (src.fault_plan_) {
     fault_plan_ = std::make_unique<sim::FaultPlan>(
@@ -340,7 +326,26 @@ Job& CloudBurstController::add_job(Job job) {
   return jobs_.back();
 }
 
-void CloudBurstController::on_batch(const cbs::workload::Batch& batch) {
+void CloudBurstController::on_batch(const cbs::workload::Batch& batch,
+                                    SchedulerKind kind) {
+  if (kind == SchedulerKind::kLookahead) {
+    throw std::invalid_argument(
+        "CloudBurstController: lookahead places no batch; admit under the "
+        "policy it picked");
+  }
+  if (upload_classes(kind) > sites_.front()->upload_queues.num_classes()) {
+    std::string msg = "CloudBurstController: cannot admit under ";
+    msg += to_string(kind);
+    msg += ": it needs ";
+    msg += std::to_string(upload_classes(kind));
+    msg += " upload classes per site and the sites have ";
+    msg += std::to_string(sites_.front()->upload_queues.num_classes());
+    throw std::invalid_argument(msg);
+  }
+  // The whole admission, push-outs included, sees the network the way
+  // `kind` reads it; the run's own view is restored before returning.
+  const BandwidthView saved_view = belief_.bandwidth_view();
+  belief_.set_bandwidth_view(bandwidth_view_for(kind));
   // Refresh the hazard picture before pricing this batch: drains, the
   // believed EC capacity and the risk factor all feed the decisions below.
   update_resilience();
@@ -358,7 +363,7 @@ void CloudBurstController::on_batch(const cbs::workload::Batch& batch) {
     }
     download_backlog.push_back(sites_[i]->download_queue.total_backlog_bytes());
   }
-  Scheduler::Context ctx{
+  ScheduleContext ctx{
       .now = sim_.now(),
       .belief = belief_,
       .params = config_.params,
@@ -369,7 +374,8 @@ void CloudBurstController::on_batch(const cbs::workload::Batch& batch) {
       .upload_class_backlog_bytes = std::move(class_backlog),
       .download_backlog_bytes = std::move(download_backlog),
   };
-  auto decisions = scheduler_->schedule_batch(batch.documents, ctx);
+  auto decisions =
+      schedule_batch(kind, batch.documents, ctx, scheduler_state_);
 
   for (auto& d : decisions) {
     Job job;
@@ -405,6 +411,7 @@ void CloudBurstController::on_batch(const cbs::workload::Batch& batch) {
   if (config_.enable_rescheduler && any_upload_idle()) {
     maybe_push_out();
   }
+  belief_.set_bandwidth_view(saved_view);
 }
 
 void CloudBurstController::enqueue_upload(Job& job, int upload_class) {
@@ -417,29 +424,6 @@ bool CloudBurstController::any_upload_idle() const {
   return std::any_of(sites_.begin(), sites_.end(), [](const auto& site) {
     return site->upload_queues.idle();
   });
-}
-
-void CloudBurstController::on_batch_as(const cbs::workload::Batch& batch,
-                                       SchedulerKind kind) {
-  std::unique_ptr<Scheduler>* alt = nullptr;
-  for (auto& entry : alt_schedulers_) {
-    if (entry.first == kind) {
-      alt = &entry.second;
-      break;
-    }
-  }
-  if (alt == nullptr) {
-    alt_schedulers_.emplace_back(kind, make_scheduler(kind));
-    alt = &alt_schedulers_.back().second;
-  }
-  std::swap(scheduler_, *alt);
-  const BandwidthView saved_view = belief_.bandwidth_view();
-  belief_.set_bandwidth_view(kind == SchedulerKind::kGreedy
-                                 ? BandwidthView::kTransient
-                                 : BandwidthView::kLearned);
-  on_batch(batch);
-  belief_.set_bandwidth_view(saved_view);
-  std::swap(scheduler_, *alt);
 }
 
 compute::MapReduceSpec CloudBurstController::spec_for(const Job& job) const {

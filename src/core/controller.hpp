@@ -113,15 +113,18 @@ class CloudBurstController : private cbs::sim::EventTarget,
   void pretrain(const std::vector<cbs::workload::Document>& docs,
                 const std::vector<double>& observed_runtimes);
 
-  /// Handles one arriving batch (wire this to BatchArrivalProcess).
-  void on_batch(const cbs::workload::Batch& batch);
-
-  /// Handles one arriving batch using a temporarily swapped-in scheduler of
-  /// `kind` (the lookahead controller commits its chosen candidate through
-  /// this). The belief's bandwidth view follows the candidate the way the
-  /// primary constructor wires it (Greedy conditions on the transient
-  /// reading); both scheduler and view are restored before returning.
-  void on_batch_as(const cbs::workload::Batch& batch, SchedulerKind kind);
+  /// Admits one arriving batch under policy `kind` — the configured
+  /// scheduler, or the candidate a lookahead decision or rollout picked.
+  /// The belief's bandwidth view follows `kind` for the admission (Greedy
+  /// conditions on the transient reading) and is restored before
+  /// returning. Throws std::invalid_argument when `kind` needs more upload
+  /// classes than the sites were built with (upload_classes()), or is
+  /// kLookahead.
+  void on_batch(const cbs::workload::Batch& batch, SchedulerKind kind);
+  /// Admits a batch under the configured scheduler.
+  void on_batch(const cbs::workload::Batch& batch) {
+    on_batch(batch, config_.scheduler);
+  }
 
   /// Turns this controller's log off for good (threshold kOff, sink
   /// dropped). A lookahead rollout calls it so a hypothetical future
@@ -169,7 +172,6 @@ class CloudBurstController : private cbs::sim::EventTarget,
   [[nodiscard]] const models::ProcessingTimeEstimator& service_estimator() const {
     return *proc_estimator_;
   }
-  [[nodiscard]] const Scheduler& scheduler() const noexcept { return *scheduler_; }
   [[nodiscard]] const ControllerConfig& config() const noexcept { return config_; }
   /// Number of §IV.D rescheduler interventions that occurred.
   [[nodiscard]] std::size_t pull_backs() const noexcept { return pull_backs_; }
@@ -311,7 +313,8 @@ class CloudBurstController : private cbs::sim::EventTarget,
   compute::MapReduceRuntime ic_runtime_;
   std::unique_ptr<models::ProcessingTimeEstimator> proc_estimator_;
   BeliefState belief_;
-  std::unique_ptr<Scheduler> scheduler_;
+  /// The policies' per-run state; a fork copies it.
+  SchedulerState scheduler_state_;
   /// One per ControllerConfig::ec_sites entry; heap-held so the references
   /// between a site's members stay valid.
   std::vector<std::unique_ptr<Site>> sites_;
@@ -345,9 +348,6 @@ class CloudBurstController : private cbs::sim::EventTarget,
   /// Elastic instances booting: boot id -> site.
   cbs::util::FlatMap<std::uint64_t, std::size_t> boot_sites_;
   std::uint64_t next_boot_id_ = 1;
-  /// Lazily created schedulers for on_batch_as(); cloned across forks.
-  std::vector<std::pair<SchedulerKind, std::unique_ptr<Scheduler>>>
-      alt_schedulers_;
 
   // ---- fault layer (absent and cost-free unless configured) ----
   std::unique_ptr<cbs::sim::FaultPlan> fault_plan_;

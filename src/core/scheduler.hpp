@@ -1,25 +1,23 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string_view>
+#include <optional>
 #include <vector>
 
 #include "core/belief_state.hpp"
 #include "core/config.hpp"
+#include "simcore/rng.hpp"
 #include "simcore/time.hpp"
 #include "sla/job_outcome.hpp"
-#include "workload/chunker.hpp"
 #include "workload/document.hpp"
-#include "simcore/rng.hpp"
 #include "workload/ground_truth.hpp"
 
 namespace cbs::core {
 
-/// One placement decision produced by a scheduler. After Algorithm-2
+/// One placement decision produced by a policy. After Algorithm-2
 /// chunking, a single arriving document may yield several decisions.
 struct ScheduleDecision {
-  std::uint64_t seq_id = 0;  ///< FCFS queue position assigned by the scheduler
+  std::uint64_t seq_id = 0;  ///< FCFS queue position assigned by the policy
   cbs::workload::Document doc;
   cbs::sla::Placement placement = cbs::sla::Placement::kInternal;
   double estimated_service_seconds = 0.0;
@@ -29,93 +27,107 @@ struct ScheduleDecision {
   int upload_class = 0;
 };
 
-/// The burst-scheduler strategy interface (§IV): given a freshly arrived
-/// batch and the controller's belief state, decide when/where/how-much.
-/// Implementations must assign sequence ids via ctx.next_seq and commit
-/// every decision to ctx.belief, so that later in-batch decisions (and
-/// later batches) see the load they just created.
-class Scheduler {
- public:
-  struct Context {
-    cbs::sim::SimTime now = 0.0;
-    BeliefState& belief;
-    const SchedulerParams& params;
-    /// For chunk output sizes (a deterministic, observable document
-    /// property — not a hidden runtime quantity).
-    const cbs::workload::GroundTruthModel& truth;
-    std::uint64_t* next_seq;     ///< global FCFS position counter
-    std::uint64_t* next_doc_id;  ///< id source for chunk documents
-    std::size_t ic_machines = 1; ///< |IC| (Algorithm 3's n)
-    /// Upload backlog per size-interval class (Algorithm 3's
-    /// s_up/m_up/l_up), summed over the EC sites; single-queue schedulers
-    /// see one entry.
-    std::vector<double> upload_class_backlog_bytes;
-    /// Bytes waiting/in flight on each EC site's downlink at batch arrival.
-    std::vector<double> download_backlog_bytes;
-  };
+/// What a burst policy (§IV) reads and writes while it places one freshly
+/// arrived batch. A policy assigns sequence ids via next_seq and commits
+/// every decision to belief, so that later in-batch decisions (and later
+/// batches) see the load they just created.
+struct ScheduleContext {
+  cbs::sim::SimTime now = 0.0;
+  BeliefState& belief;
+  const SchedulerParams& params;
+  /// For chunk output sizes (a deterministic, observable document
+  /// property — not a hidden runtime quantity).
+  const cbs::workload::GroundTruthModel& truth;
+  std::uint64_t* next_seq;     ///< global FCFS position counter
+  std::uint64_t* next_doc_id;  ///< id source for chunk documents
+  std::size_t ic_machines = 1; ///< |IC| (Algorithm 3's n)
+  /// Upload backlog per size-interval class (Algorithm 3's
+  /// s_up/m_up/l_up), summed over the EC sites; single-queue policies see
+  /// one entry.
+  std::vector<double> upload_class_backlog_bytes;
+  /// Bytes waiting/in flight on each EC site's downlink at batch arrival.
+  std::vector<double> download_backlog_bytes;
+};
 
-  virtual ~Scheduler() = default;
+/// Algorithm 3's upload queues: small, medium and large.
+inline constexpr int kSizeIntervalQueues = 3;
 
-  [[nodiscard]] virtual std::string_view name() const = 0;
+/// Upload classes every EC site needs for batches admitted under `kind`.
+[[nodiscard]] constexpr int upload_classes(SchedulerKind kind) noexcept {
+  return kind == SchedulerKind::kBandwidthSplit ? kSizeIntervalQueues : 1;
+}
 
-  /// Decides placement for every document of the batch, in arrival order.
-  [[nodiscard]] virtual std::vector<ScheduleDecision> schedule_batch(
-      std::vector<cbs::workload::Document> docs, Context& ctx) = 0;
+/// The bandwidth belief `kind` decides on: Algorithm 1 conditions on "the
+/// current transit bandwidth" — the transient reading, not the learned
+/// time-of-day model (§IV.D).
+[[nodiscard]] constexpr BandwidthView bandwidth_view_for(
+    SchedulerKind kind) noexcept {
+  return kind == SchedulerKind::kGreedy ? BandwidthView::kTransient
+                                        : BandwidthView::kLearned;
+}
 
-  /// Fork support: deep-copies the scheduler (including any per-run state,
-  /// e.g. RandomScheduler's RNG position or BandwidthSplit's bounds).
-  /// Returns nullptr when the concrete type does not support forking
-  /// (ad-hoc test schedulers keep the default).
-  [[nodiscard]] virtual std::unique_ptr<Scheduler> clone() const {
-    return nullptr;
+/// The size-interval bounds computed per batch by Algorithm 3.
+struct SizeIntervalBounds {
+  double small_upper_mb = 0.0;   ///< s_bound
+  double medium_upper_mb = 0.0;  ///< m_bound
+
+  [[nodiscard]] int class_of(double size_mb) const noexcept {
+    if (size_mb <= small_upper_mb) return 0;
+    if (size_mb <= medium_upper_mb) return 1;
+    return 2;
   }
 };
 
-/// Baseline: everything runs internally (the paper's "ICOnly" scheduler).
-class IcOnlyScheduler final : public Scheduler {
- public:
-  [[nodiscard]] std::string_view name() const override { return "ic-only"; }
-  [[nodiscard]] std::vector<ScheduleDecision> schedule_batch(
-      std::vector<cbs::workload::Document> docs, Context& ctx) override;
-  [[nodiscard]] std::unique_ptr<Scheduler> clone() const override {
-    return std::make_unique<IcOnlyScheduler>();
-  }
+/// The random comparator (§III cites [8]'s random scheduler) bursts each
+/// job with this probability, independent of estimates, queues or slack;
+/// every run draws the same sequence from this seed.
+inline constexpr double kRandomBurstProbability = 0.15;
+inline constexpr std::uint64_t kRandomSeed = 12345;
+
+/// Every policy's per-run state, as one value: a controller holds it and a
+/// fork copies it. Each field belongs to one kind, so a run that admits
+/// under several kinds never lets one disturb another's.
+struct SchedulerState {
+  /// Bandwidth-split: the Algorithm-3 bounds in force (sane defaults
+  /// before batch 1) and the reused eligible-size list L.
+  SizeIntervalBounds bounds{40.0, 120.0};
+  std::vector<double> size_scratch;
+  /// Random: the burst draws.
+  cbs::sim::RngStream rng{kRandomSeed};
 };
 
-/// Model-free baseline: bursts each job with a fixed probability,
-/// independent of estimates, queues or slack. §III argues that "even
-/// imprecise estimates of remaining workload have been shown to have merit
-/// ... relative to a random scheduler" — this is that comparator.
-class RandomScheduler final : public Scheduler {
- public:
-  /// Probability that a job is bursted.
-  static constexpr double kBurstProbability = 0.15;
-  /// Seed of the burst draws; every run draws the same sequence.
-  static constexpr std::uint64_t kSeed = 12345;
+/// The §IV burst policies: places every document of the batch under
+/// `kind`, in arrival order. Throws std::invalid_argument for kLookahead,
+/// which picks among the other kinds (harness/world.hpp) and places
+/// nothing itself.
+[[nodiscard]] std::vector<ScheduleDecision> schedule_batch(
+    SchedulerKind kind, std::vector<cbs::workload::Document> docs,
+    ScheduleContext& ctx, SchedulerState& state);
 
-  [[nodiscard]] std::string_view name() const override { return "random"; }
-  [[nodiscard]] std::vector<ScheduleDecision> schedule_batch(
-      std::vector<cbs::workload::Document> docs, Context& ctx) override;
-  [[nodiscard]] std::unique_ptr<Scheduler> clone() const override {
-    return std::make_unique<RandomScheduler>(*this);
-  }
-
- private:
-  cbs::sim::RngStream rng_{kSeed};
-};
-
-/// Factory for the four §IV/§V scheduler flavors.
-[[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind);
+/// Algorithm 3 in isolation (exposed for unit testing): given the batch,
+/// the believed IC load and the per-queue upload backlogs, computes the
+/// small/medium bounds that equalize the expected network load across the
+/// three upload queues. Returns nullopt when no job is burst-eligible
+/// (lines 3–12 select nothing), in which case the previous bounds remain
+/// in force. `scratch_sizes` is cleared and reused as the eligible-size
+/// list L, so per-batch calls stop allocating once the buffer has warmed
+/// up. The bounds are selected with nth_element (they are order statistics
+/// of L) — values are identical to the sorting implementation.
+[[nodiscard]] std::optional<SizeIntervalBounds> compute_size_interval_bounds(
+    const std::vector<cbs::workload::Document>& batch, const BeliefState& belief,
+    cbs::sim::SimTime now, std::size_t ic_machines,
+    const std::vector<double>& queue_backlog_bytes,
+    std::vector<double>& scratch_sizes);
 
 /// Shared helper: finalize an IC decision (estimate, commit, fill record).
 [[nodiscard]] ScheduleDecision decide_ic(const cbs::workload::Document& doc,
-                                         Scheduler::Context& ctx);
+                                         ScheduleContext& ctx);
 
 /// Shared helper: finalize an EC decision with the given round-trip
 /// estimate.
 [[nodiscard]] ScheduleDecision decide_ec(const cbs::workload::Document& doc,
                                          const EcEstimate& estimate,
-                                         Scheduler::Context& ctx,
+                                         ScheduleContext& ctx,
                                          int upload_class = 0);
 
 }  // namespace cbs::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <limits>
 #include <stdexcept>
 
 namespace cbs::harness::cli {
@@ -206,10 +205,9 @@ Scenario scenario_from_args(const Args& args) {
       args.get_double_or("horizon", s.lookahead_horizon_seconds);
   const long candidates =
       args.get_long_or("candidates", s.lookahead_candidates);
-  constexpr int kMaxCandidates = std::numeric_limits<int>::max();
-  if (candidates < 1 || candidates > kMaxCandidates) {
+  if (candidates < 1 || candidates > kLookaheadCandidates) {
     std::string msg = "--candidates must be in [1, ";
-    msg += std::to_string(kMaxCandidates);
+    msg += std::to_string(kLookaheadCandidates);
     msg += "]";
     throw std::invalid_argument(msg);
   }

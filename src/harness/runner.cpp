@@ -1,10 +1,12 @@
 #include "harness/runner.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <cstdio>
 #include <exception>
 #include <mutex>
 #include <thread>
+
+#include "harness/task_pool.hpp"
 
 namespace cbs::harness {
 
@@ -74,38 +76,29 @@ std::vector<CellResult> run_plan(const ExperimentPlan& plan,
                             : std::max(1u, std::thread::hardware_concurrency());
   threads = std::min(threads, total);
 
-  std::atomic<std::size_t> next{0};
   std::mutex progress_mutex;
   std::size_t done = 0;
-
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= total) return;
-      CellResult& slot = results[i];
-      slot.cell = std::move(cells[i]);
-      try {
-        slot.result = run(slot.cell.scenario);
-      } catch (const std::exception& e) {
-        slot.error = e.what();
-      } catch (...) {
-        slot.error = "unknown exception";
-      }
-      if (options.progress) {
-        const std::lock_guard<std::mutex> lock(progress_mutex);
-        options.progress(slot, ++done, total);
-      }
+  // Each cell writes only its own slot, so results land in plan order
+  // whichever thread runs which cell.
+  auto run_cell = [&](std::size_t i) {
+    CellResult& slot = results[i];
+    slot.cell = std::move(cells[i]);
+    try {
+      slot.result = run(slot.cell.scenario);
+    } catch (const std::exception& e) {
+      slot.error = e.what();
+    } catch (...) {
+      slot.error = "unknown exception";
+    }
+    if (options.progress) {
+      const std::lock_guard<std::mutex> lock(progress_mutex);
+      options.progress(slot, ++done, total);
     }
   };
-
-  if (threads == 1) {
-    worker();  // inline: keeps single-threaded runs trivially debuggable
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
+  // The caller runs cells too; with one thread the pool is the plain
+  // serial loop on the caller.
+  TaskPool pool(threads - 1);
+  pool.run(total, run_cell);
   return results;
 }
 
@@ -113,6 +106,17 @@ std::size_t failed_cells(const std::vector<CellResult>& results) {
   return static_cast<std::size_t>(
       std::count_if(results.begin(), results.end(),
                     [](const CellResult& r) { return !r.ok(); }));
+}
+
+std::size_t report_failed_cells(const std::vector<CellResult>& results) {
+  for (const CellResult& r : results) {
+    if (r.ok()) continue;
+    std::fprintf(stderr, "cell %s (seed %llu) failed: %s\n",
+                 r.cell.scenario.name.c_str(),
+                 static_cast<unsigned long long>(r.cell.scenario.seed),
+                 r.error.c_str());
+  }
+  return failed_cells(results);
 }
 
 stats::SummaryMatrix reduce_over_seeds(const ExperimentPlan& plan,

@@ -84,7 +84,8 @@ struct CellResult {
 };
 
 struct RunnerOptions {
-  /// Worker threads; 0 = hardware concurrency, clamped to the cell count.
+  /// Threads that run cells, the caller included; 0 = hardware
+  /// concurrency. Clamped to the cell count.
   std::size_t threads = 0;
 
   /// Per-cell body; defaults to run_scenario. Must be reentrant — it is
@@ -100,16 +101,22 @@ struct RunnerOptions {
       progress;
 };
 
-/// Executes every cell of `plan` on a thread pool and returns the results
-/// indexed exactly like `plan.cells()`. Per-cell exceptions are captured
-/// into the cell's CellResult instead of aborting the sweep. Results are
-/// bit-identical for any thread count: each run is seeded independently
-/// and aggregation order is plan order, not completion order.
+/// Executes every cell of `plan` on a TaskPool (threads − 1 workers plus
+/// the calling thread) and returns the results indexed exactly like
+/// `plan.cells()`. Per-cell exceptions are captured into the cell's
+/// CellResult instead of aborting the sweep. Results are bit-identical for
+/// any thread count: each run is seeded independently and aggregation
+/// order is plan order, not completion order.
 [[nodiscard]] std::vector<CellResult> run_plan(
     const ExperimentPlan& plan, const RunnerOptions& options = {});
 
 /// Number of failed cells in a result set.
 [[nodiscard]] std::size_t failed_cells(const std::vector<CellResult>& results);
+
+/// Writes "cell <name> (seed <seed>) failed: <error>" to stderr for every
+/// failed cell, in plan order, and returns their number — a bench's one
+/// failure report after run_plan.
+[[nodiscard]] std::size_t report_failed_cells(const std::vector<CellResult>& results);
 
 // ---- matrix aggregation over plan axes --------------------------------
 

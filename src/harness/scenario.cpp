@@ -94,6 +94,9 @@ std::vector<std::string> Scenario::validate_except_arrivals() const {
     reject("lookahead_horizon_seconds", "finite and > 0",
            lookahead_horizon_seconds);
   }
+  if (lookahead_candidates < 1 || lookahead_candidates > kLookaheadCandidates) {
+    reject("lookahead_candidates", "in [1, 3]", lookahead_candidates);
+  }
   if (!std::isfinite(resilience.drain_threshold) ||
       resilience.drain_threshold < 0.0 || resilience.drain_threshold > 1.0) {
     reject("resilience.drain_threshold", "finite and in [0, 1]",

@@ -15,6 +15,10 @@
 
 namespace cbs::harness {
 
+/// The length of the lookahead's candidate priority order
+/// (LookaheadController::candidate_order()).
+inline constexpr int kLookaheadCandidates = 3;
+
 /// A complete experiment description: workload, network regime, scheduler.
 /// Two scenarios with the same seed and workload fields face byte-identical
 /// arrivals and service times, so scheduler comparisons are paired.
@@ -54,8 +58,8 @@ struct Scenario {
   // arrival the world is forked once per candidate policy, each fork is
   // rolled `lookahead_horizon_seconds` forward, and the batch is committed
   // under the best-scoring candidate. The candidate list is a fixed
-  // priority order (order-preserving, greedy, ic-only, bandwidth-split,
-  // random) truncated to `lookahead_candidates`.
+  // priority order (order-preserving, greedy, ic-only) truncated to
+  // `lookahead_candidates`, which must be in [1, kLookaheadCandidates].
   double lookahead_horizon_seconds = 900.0;
   int lookahead_candidates = 3;
 

@@ -1,6 +1,7 @@
 #include "harness/world.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -250,13 +251,14 @@ void ScenarioWorld::deliver_batch(std::size_t index) {
   // Before anything else, so a lookahead fork taken below carries it.
   schedule_arrival(index + 1);
   const cbs::workload::Batch& batch = (*batches_)[index];
+  // Inside a candidate rollout the policy under evaluation persists for
+  // every in-horizon arrival, with no nested lookahead; a lookahead run
+  // admits under the candidate its decision picks; any other run under
+  // its own scheduler.
+  cbs::core::SchedulerKind kind = scenario_.scheduler;
   if (rollout_) {
-    // Inside a candidate rollout the policy under evaluation persists for
-    // every in-horizon arrival; no nested lookahead.
-    controller_->on_batch_as(batch, rollout_kind_);
-    return;
-  }
-  if (scenario_.scheduler == cbs::core::SchedulerKind::kLookahead) {
+    kind = rollout_kind_;
+  } else if (kind == cbs::core::SchedulerKind::kLookahead) {
     if (!lookahead_) {
       LookaheadController::Config cfg;
       cfg.horizon_seconds = scenario_.lookahead_horizon_seconds;
@@ -264,13 +266,10 @@ void ScenarioWorld::deliver_batch(std::size_t index) {
       lookahead_ = std::make_unique<const LookaheadController>(cfg);
     }
     score_prefix_.advance(controller_->outcomes(), scenario_.ticket_policy);
-    const LookaheadController::Decision decision =
-        lookahead_->decide(*this, batch);
-    lookahead_choices_.push_back(decision.kind);
-    controller_->on_batch_as(batch, decision.kind);
-    return;
+    kind = lookahead_->decide(*this, batch).kind;
+    lookahead_choices_.push_back(kind);
   }
-  controller_->on_batch(batch);
+  controller_->on_batch(batch, kind);
 }
 
 RunResult ScenarioWorld::result() const {
@@ -375,35 +374,38 @@ RunResult ScenarioWorld::result() const {
   return result;
 }
 
-const std::vector<cbs::core::SchedulerKind>&
+std::span<const cbs::core::SchedulerKind>
 LookaheadController::candidate_order() {
-  static const std::vector<cbs::core::SchedulerKind> kOrder = {
+  static constexpr std::array kOrder{
       cbs::core::SchedulerKind::kOrderPreserving,
       cbs::core::SchedulerKind::kGreedy,
       cbs::core::SchedulerKind::kIcOnly,
-      cbs::core::SchedulerKind::kBandwidthSplit,
-      cbs::core::SchedulerKind::kRandom,
   };
+  static_assert(kOrder.size() == kLookaheadCandidates);
   return kOrder;
 }
 
 LookaheadController::LookaheadController(Config config) : config_(config) {
+  if (config_.candidates < 1 || config_.candidates > kLookaheadCandidates) {
+    std::string msg = "LookaheadController: candidates must be in [1, ";
+    msg += std::to_string(kLookaheadCandidates);
+    msg += "] (got ";
+    msg += std::to_string(config_.candidates);
+    msg += ")";
+    throw std::invalid_argument(msg);
+  }
   const std::size_t threads =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  pool_ = std::make_unique<TaskPool>(std::min(candidate_count(), threads) - 1);
+  pool_ = std::make_unique<TaskPool>(
+      std::min(static_cast<std::size_t>(config_.candidates), threads) - 1);
 }
 
 LookaheadController::~LookaheadController() = default;
 
-std::size_t LookaheadController::candidate_count() const {
-  return std::min(candidate_order().size(),
-                  static_cast<std::size_t>(std::max(1, config_.candidates)));
-}
-
 LookaheadController::Decision LookaheadController::decide(
     const ScenarioWorld& parent, const cbs::workload::Batch& batch) const {
-  const auto& order = candidate_order();
-  const std::size_t count = candidate_count();
+  const auto order = candidate_order();
+  const auto count = static_cast<std::size_t>(config_.candidates);
 
   // One task per candidate, fork included: a fork only reads its parent
   // (DESIGN §12.4), so the chains share nothing they write.

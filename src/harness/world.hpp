@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/config.hpp"
@@ -133,11 +134,11 @@ class ScenarioWorld : private cbs::sim::EventTarget {
     controller_->mute_log();
   }
 
-  /// Admits one batch under a temporarily swapped-in candidate scheduler
-  /// (forwards to CloudBurstController::on_batch_as).
+  /// Admits one batch under policy `kind` (forwards to
+  /// CloudBurstController::on_batch).
   void inject_batch_as(const cbs::workload::Batch& batch,
                        cbs::core::SchedulerKind kind) {
-    controller_->on_batch_as(batch, kind);
+    controller_->on_batch(batch, kind);
   }
 
   /// The candidate committed at each lookahead decision point, in batch
@@ -207,7 +208,8 @@ class LookaheadController {
  public:
   struct Config {
     double horizon_seconds = 900.0;
-    /// Candidates evaluated, a prefix of candidate_order() (min 1).
+    /// Candidates evaluated, a prefix of candidate_order(); in
+    /// [1, kLookaheadCandidates].
     int candidates = 3;
   };
 
@@ -218,13 +220,15 @@ class LookaheadController {
     std::vector<std::pair<cbs::core::SchedulerKind, double>> scores;
   };
 
-  /// Fixed candidate priority: order-preserving, greedy, ic-only,
-  /// bandwidth-split, random.
-  [[nodiscard]] static const std::vector<cbs::core::SchedulerKind>&
+  /// Fixed candidate priority: order-preserving, greedy, ic-only — the
+  /// policies that admit into the single-class upload queues a lookahead
+  /// run's sites are built with (DESIGN §12.4).
+  [[nodiscard]] static std::span<const cbs::core::SchedulerKind>
   candidate_order();
 
   /// Starts the rollout pool's workers (none on a single hardware thread
-  /// or with one candidate).
+  /// or with one candidate). Throws std::invalid_argument when
+  /// `config.candidates` is outside [1, kLookaheadCandidates].
   explicit LookaheadController(Config config);
   ~LookaheadController();
   LookaheadController(const LookaheadController&) = delete;
@@ -252,9 +256,6 @@ class LookaheadController {
   /// The score given its two outcome-log terms.
   [[nodiscard]] double score_with(const ScenarioWorld& world, double lateness,
                                   double ordered_mb) const;
-  /// The number of candidates decide() evaluates.
-  [[nodiscard]] std::size_t candidate_count() const;
-
   Config config_;
   std::unique_ptr<TaskPool> pool_;
 };

@@ -49,12 +49,7 @@ double sample_lognormal(RngStream& rng, double mu, double sigma) {
 }
 
 double sample_bounded_pareto(RngStream& rng, double alpha, double lo, double hi) {
-  assert(alpha > 0.0 && lo > 0.0 && hi > lo);
-  const double u = rng.next_double();
-  const double la = std::pow(lo, alpha);
-  const double ha = std::pow(hi, alpha);
-  // Inverse-CDF of the bounded Pareto.
-  return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
+  return BoundedPareto(alpha, lo, hi)(rng);
 }
 
 }  // namespace cbs::stats

@@ -38,6 +38,30 @@ namespace cbs::stats {
 [[nodiscard]] double sample_bounded_pareto(cbs::sim::RngStream& rng, double alpha,
                                            double lo, double hi);
 
+/// sample_bounded_pareto with its per-law constants lo^α, hi^α and −1/α
+/// computed once, for a sampler that draws one law many times. Every draw
+/// equals sample_bounded_pareto(rng, alpha, lo, hi) bit for bit.
+class BoundedPareto {
+ public:
+  BoundedPareto(double alpha, double lo, double hi)
+      : la_(std::pow(lo, alpha)),
+        ha_(std::pow(hi, alpha)),
+        exponent_(-1.0 / alpha) {
+    assert(alpha > 0.0 && lo > 0.0 && hi > lo);
+  }
+
+  [[nodiscard]] double operator()(cbs::sim::RngStream& rng) const {
+    const double u = rng.next_double();
+    // Inverse-CDF of the bounded Pareto.
+    return std::pow(-(u * ha_ - u * la_ - ha_) / (ha_ * la_), exponent_);
+  }
+
+ private:
+  double la_;
+  double ha_;
+  double exponent_;
+};
+
 // The two samplers below are defined here so that the workload
 // generator's per-document loop inlines them (and, for constant weights,
 // folds sample_discrete's sum).

@@ -9,7 +9,7 @@
 
 namespace cbs::workload {
 
-using cbs::stats::sample_bounded_pareto;
+using cbs::stats::BoundedPareto;
 using cbs::stats::sample_discrete;
 using cbs::stats::sample_triangular;
 
@@ -24,10 +24,10 @@ std::string_view to_string(SizeBucket bucket) noexcept {
 
 WorkloadGenerator::WorkloadGenerator(Config config, const GroundTruthModel& truth,
                                      cbs::sim::RngStream rng)
-    : config_(config), truth_(truth), rng_(rng) {
-  assert(config.min_size_mb > 0.0 && config.max_size_mb > config.min_size_mb);
-  assert(config.pareto_alpha > 0.0);
-}
+    : config_(config),
+      truth_(truth),
+      rng_(rng),
+      pareto_(config.pareto_alpha, config.min_size_mb, config.max_size_mb) {}
 
 namespace {
 
@@ -124,19 +124,20 @@ DocumentFeatures features_for_size(cbs::sim::RngStream& rng, double size_mb) {
   return f;
 }
 
-/// A document size from the configured bucket's law.
+/// A document size from the configured bucket's law; `pareto` is the
+/// config's bounded Pareto.
 double sample_size_mb(const WorkloadGenerator::Config& config,
-                      cbs::sim::RngStream& rng) {
+                      const BoundedPareto& pareto, cbs::sim::RngStream& rng) {
   const double lo = config.min_size_mb;
   const double hi = config.max_size_mb;
   switch (config.bucket) {
     case SizeBucket::kSmallBiased:
-      return sample_bounded_pareto(rng, config.pareto_alpha, lo, hi);
+      return pareto(rng);
     case SizeBucket::kUniform:
       return rng.uniform(lo, hi);
     case SizeBucket::kLargeBiased:
       // Mirror image of the small-biased law: mass piles up near hi.
-      return lo + hi - sample_bounded_pareto(rng, config.pareto_alpha, lo, hi);
+      return lo + hi - pareto(rng);
   }
   return lo;
 }
@@ -144,11 +145,12 @@ double sample_size_mb(const WorkloadGenerator::Config& config,
 /// Document `id`: its size, then its features, then its output size.
 /// Declared inline so that batch()'s loop expands it and makes no call.
 inline Document draw_document(const WorkloadGenerator::Config& config,
+                              const BoundedPareto& pareto,
                               const GroundTruthModel& truth,
                               cbs::sim::RngStream& rng, std::uint64_t id) {
   Document doc;
   doc.doc_id = id;
-  doc.features = features_for_size(rng, sample_size_mb(config, rng));
+  doc.features = features_for_size(rng, sample_size_mb(config, pareto, rng));
   doc.output_size_mb = truth.output_size_mb(doc.features);
   return doc;
 }
@@ -156,14 +158,14 @@ inline Document draw_document(const WorkloadGenerator::Config& config,
 }  // namespace
 
 Document WorkloadGenerator::next() {
-  return draw_document(config_, truth_, rng_, next_id_++);
+  return draw_document(config_, pareto_, truth_, rng_, next_id_++);
 }
 
 std::vector<Document> WorkloadGenerator::batch(std::size_t n) {
   std::vector<Document> docs;
   docs.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    docs.push_back(draw_document(config_, truth_, rng_, next_id_++));
+    docs.push_back(draw_document(config_, pareto_, truth_, rng_, next_id_++));
   }
   return docs;
 }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "simcore/rng.hpp"
+#include "stats/distributions.hpp"
 #include "workload/document.hpp"
 #include "workload/ground_truth.hpp"
 
@@ -48,6 +49,8 @@ class WorkloadGenerator {
   Config config_;
   const GroundTruthModel& truth_;
   cbs::sim::RngStream rng_;
+  /// The small and large buckets' size law, its constants computed once.
+  cbs::stats::BoundedPareto pareto_;
   std::uint64_t next_id_ = 1;
 };
 

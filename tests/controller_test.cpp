@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -83,6 +84,53 @@ TEST(ControllerTest, IcOnlyRunsEverythingInternally) {
   }
   EXPECT_DOUBLE_EQ(ctl.uplink().total_bytes_delivered(), 0.0);
   EXPECT_EQ(cbs::sla::validate_outcomes(ctl.outcomes().to_vector()), "");
+}
+
+TEST(ControllerTest, EveryKindButLookaheadAdmitsABatch) {
+  for (const SchedulerKind kind :
+       {SchedulerKind::kIcOnly, SchedulerKind::kGreedy,
+        SchedulerKind::kOrderPreserving, SchedulerKind::kBandwidthSplit,
+        SchedulerKind::kRandom}) {
+    Rig rig;
+    CloudBurstController ctl(rig.sim, Rig::config(kind), rig.truth,
+                             RngStream(2));
+    EXPECT_EQ(ctl.site(0).upload_queues.num_classes(), upload_classes(kind))
+        << to_string(kind);
+    ctl.on_batch(rig.batch(0, {10.0, 20.0, 30.0}));
+    rig.sim.run();
+    EXPECT_EQ(ctl.outstanding_jobs(), 0u) << to_string(kind);
+    EXPECT_EQ(ctl.outcomes().size(), 3u) << to_string(kind);
+    EXPECT_EQ(cbs::sla::validate_outcomes(ctl.outcomes().to_vector()), "")
+        << to_string(kind);
+  }
+}
+
+// A lookahead candidate is admitted into sites built for the run's own
+// scheduler. Bandwidth-split into single-class sites once aborted on an
+// assert deep in Algorithm 3; it is now refused before anything changes.
+TEST(ControllerTest, AdmissionRefusesAPolicyTheSitesCannotCarry) {
+  Rig rig;
+  CloudBurstController ctl(rig.sim,
+                           Rig::config(SchedulerKind::kOrderPreserving),
+                           rig.truth, RngStream(2));
+  try {
+    ctl.on_batch(rig.batch(0, {10.0}), SchedulerKind::kBandwidthSplit);
+    ADD_FAILURE() << "bandwidth-split admitted into one-class sites";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("op-bandwidth-split: it needs 3 "
+                                         "upload classes per site and the "
+                                         "sites have 1"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(ctl.on_batch(rig.batch(0, {10.0}), SchedulerKind::kLookahead),
+               std::invalid_argument);
+  EXPECT_EQ(ctl.outstanding_jobs(), 0u);
+  // Every other kind is admitted into the same sites.
+  ctl.on_batch(rig.batch(0, {10.0}), SchedulerKind::kGreedy);
+  ctl.on_batch(rig.batch(0, {10.0}), SchedulerKind::kRandom);
+  rig.sim.run();
+  EXPECT_EQ(ctl.outcomes().size(), 2u);
 }
 
 TEST(ControllerTest, EcPipelineMovesBytesThroughStore) {

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 
-#include "core/bandwidth_split.hpp"
 #include "core/belief_state.hpp"
 #include "core/config.hpp"
-#include "core/greedy_scheduler.hpp"
-#include "core/order_preserving_scheduler.hpp"
 #include "core/scheduler.hpp"
 #include "core/upload_queues.hpp"
 #include "models/estimator.hpp"
@@ -209,8 +207,10 @@ struct SchedulerFixture {
   std::uint64_t next_seq = 1;
   std::uint64_t next_doc_id = 1000;
 
-  Scheduler::Context context(double now = 0.0) {
-    return Scheduler::Context{
+  SchedulerState state;
+
+  ScheduleContext context(double now = 0.0) {
+    return ScheduleContext{
         .now = now,
         .belief = fx.belief,
         .params = params,
@@ -222,14 +222,19 @@ struct SchedulerFixture {
         .download_backlog_bytes = {0.0},
     };
   }
+
+  /// Places `docs` under `kind` at time 0 through the one entry point.
+  std::vector<ScheduleDecision> schedule(SchedulerKind kind,
+                                         std::vector<Document> docs) {
+    auto ctx = context();
+    return schedule_batch(kind, std::move(docs), ctx, state);
+  }
 };
 
 TEST(IcOnlySchedulerTest, PlacesEverythingInternally) {
   SchedulerFixture f;
-  IcOnlyScheduler scheduler;
-  auto ctx = f.context();
-  const auto decisions =
-      scheduler.schedule_batch({make_doc(1, 10.0), make_doc(2, 250.0)}, ctx);
+  const auto decisions = f.schedule(SchedulerKind::kIcOnly,
+                                    {make_doc(1, 10.0), make_doc(2, 250.0)});
   ASSERT_EQ(decisions.size(), 2u);
   for (const auto& d : decisions) {
     EXPECT_EQ(d.placement, Placement::kInternal);
@@ -241,31 +246,28 @@ TEST(IcOnlySchedulerTest, PlacesEverythingInternally) {
 
 TEST(GreedySchedulerTest, PicksEarlierFinish) {
   SchedulerFixture f;
-  GreedyScheduler scheduler;
   // Preload the IC so ft_ic is slow: 4000 std-s over 4 machines = 1000 s.
   f.fx.belief.commit_ic(999, 4000.0);
-  auto ctx = f.context();
   // 100 MB job: ft_ic = 1000 + 100 = 1100 vs ft_ec = 100+100+100 = 300.
-  const auto decisions = scheduler.schedule_batch({make_doc(1, 100.0)}, ctx);
+  const auto decisions =
+      f.schedule(SchedulerKind::kGreedy, {make_doc(1, 100.0)});
   EXPECT_EQ(decisions[0].placement, Placement::kExternal);
 }
 
 TEST(GreedySchedulerTest, KeepsJobWhenIcWins) {
   SchedulerFixture f;
-  GreedyScheduler scheduler;
-  auto ctx = f.context();
   // Empty system: ft_ic = 100 < ft_ec = 300.
-  const auto decisions = scheduler.schedule_batch({make_doc(1, 100.0)}, ctx);
+  const auto decisions =
+      f.schedule(SchedulerKind::kGreedy, {make_doc(1, 100.0)});
   EXPECT_EQ(decisions[0].placement, Placement::kInternal);
 }
 
 TEST(GreedySchedulerTest, SeesLiveUploadQueueButTransientBandwidth) {
   SchedulerFixture f;
-  GreedyScheduler scheduler;
   f.fx.belief.commit_ic(999, 40000.0);  // force EC for everything
-  auto ctx = f.context();
-  const auto decisions = scheduler.schedule_batch(
-      {make_doc(1, 100.0), make_doc(2, 100.0), make_doc(3, 100.0)}, ctx);
+  const auto decisions = f.schedule(
+      SchedulerKind::kGreedy,
+      {make_doc(1, 100.0), make_doc(2, 100.0), make_doc(3, 100.0)});
   // Each burst enqueues real bytes, so the next decision's upload estimate
   // includes them (100, 200, 300 s at 1 MB/s).
   ASSERT_EQ(decisions.size(), 3u);
@@ -280,35 +282,33 @@ TEST(OrderPreservingTest, BurstsOnlyWithinSlack) {
   SchedulerFixture f;
   f.params.variability_threshold_mb = 1e9;  // disable chunking here
   f.params.slack_safety_margin = 0.0;
-  OrderPreservingScheduler scheduler;
-  auto ctx = f.context();
   // First job of an empty system: slack = now -> can never burst.
-  const auto d1 = scheduler.schedule_batch({make_doc(1, 50.0)}, ctx);
+  const auto d1 =
+      f.schedule(SchedulerKind::kOrderPreserving, {make_doc(1, 50.0)});
   EXPECT_EQ(d1[0].placement, Placement::kInternal);
   // Preload a big IC backlog: slack = 40000/4 = 10000 s; a 100 MB round
   // trip (300 s) easily fits.
   f.fx.belief.commit_ic(999, 40000.0);
-  auto ctx2 = f.context();
-  const auto d2 = scheduler.schedule_batch({make_doc(2, 100.0)}, ctx2);
+  const auto d2 =
+      f.schedule(SchedulerKind::kOrderPreserving, {make_doc(2, 100.0)});
   EXPECT_EQ(d2[0].placement, Placement::kExternal);
 }
 
 TEST(OrderPreservingTest, SafetyMarginTightensAdmission) {
   SchedulerFixture f;
   f.params.variability_threshold_mb = 1e9;
-  OrderPreservingScheduler scheduler;
   // Slack = 320/4 = 80 s; round trip of a 25 MB job = 75 s.
   f.fx.belief.commit_ic(999, 320.0);
   f.params.slack_safety_margin = 0.0;
   {
-    auto ctx = f.context();
-    const auto d = scheduler.schedule_batch({make_doc(1, 25.0)}, ctx);
+    const auto d =
+        f.schedule(SchedulerKind::kOrderPreserving, {make_doc(1, 25.0)});
     EXPECT_EQ(d[0].placement, Placement::kExternal);
   }
   f.params.slack_safety_margin = 20.0;  // 75 + 20 > 80 -> rejected
   {
-    auto ctx = f.context();
-    const auto d = scheduler.schedule_batch({make_doc(2, 25.0)}, ctx);
+    const auto d =
+        f.schedule(SchedulerKind::kOrderPreserving, {make_doc(2, 25.0)});
     EXPECT_EQ(d[0].placement, Placement::kInternal);
   }
 }
@@ -318,11 +318,10 @@ TEST(OrderPreservingTest, ChunksHighVarianceWindows) {
   f.params.variability_window = 3;
   f.params.variability_threshold_mb = 50.0;
   f.params.chunker.target_size_mb = 60.0;
-  OrderPreservingScheduler scheduler;
-  auto ctx = f.context();
   // Sizes 290, 5, 5: sigma >> 50 -> the 290 MB head job gets chunked.
-  const auto decisions = scheduler.schedule_batch(
-      {make_doc(1, 290.0), make_doc(2, 5.0), make_doc(3, 5.0)}, ctx);
+  const auto decisions =
+      f.schedule(SchedulerKind::kOrderPreserving,
+                 {make_doc(1, 290.0), make_doc(2, 5.0), make_doc(3, 5.0)});
   EXPECT_GT(decisions.size(), 3u);
   EXPECT_TRUE(decisions[0].doc.is_chunk());
   EXPECT_EQ(decisions[0].doc.parent_id, 1u);
@@ -335,10 +334,9 @@ TEST(OrderPreservingTest, ChunksHighVarianceWindows) {
 TEST(OrderPreservingTest, LowVarianceLeavesJobsIntact) {
   SchedulerFixture f;
   f.params.variability_threshold_mb = 50.0;
-  OrderPreservingScheduler scheduler;
-  auto ctx = f.context();
-  const auto decisions = scheduler.schedule_batch(
-      {make_doc(1, 280.0), make_doc(2, 290.0), make_doc(3, 285.0)}, ctx);
+  const auto decisions = f.schedule(
+      SchedulerKind::kOrderPreserving,
+      {make_doc(1, 280.0), make_doc(2, 290.0), make_doc(3, 285.0)});
   EXPECT_EQ(decisions.size(), 3u);
   for (const auto& d : decisions) EXPECT_FALSE(d.doc.is_chunk());
 }
@@ -352,7 +350,8 @@ TEST(BandwidthSplitTest, BoundsPartitionEligibleSizes) {
       make_doc(1, 10.0), make_doc(2, 20.0),  make_doc(3, 40.0),
       make_doc(4, 80.0), make_doc(5, 160.0), make_doc(6, 300.0)};
   const auto bounds = compute_size_interval_bounds(
-      batch, f.fx.belief, 0.0, 4, {0.0, 0.0, 0.0});
+      batch, f.fx.belief, 0.0, 4, {0.0, 0.0, 0.0},
+      f.state.size_scratch);
   ASSERT_TRUE(bounds.has_value());
   EXPECT_GT(bounds->small_upper_mb, 0.0);
   EXPECT_GE(bounds->medium_upper_mb, bounds->small_upper_mb);
@@ -365,7 +364,8 @@ TEST(BandwidthSplitTest, NoEligibleJobsMeansNoBounds) {
   SchedulerFixture f;  // empty IC: iload = 0 -> nothing passes line 6
   const std::vector<Document> batch = {make_doc(1, 100.0)};
   const auto bounds = compute_size_interval_bounds(
-      batch, f.fx.belief, 0.0, 4, {0.0, 0.0, 0.0});
+      batch, f.fx.belief, 0.0, 4, {0.0, 0.0, 0.0},
+      f.state.size_scratch);
   EXPECT_FALSE(bounds.has_value());
 }
 
@@ -379,9 +379,11 @@ TEST(BandwidthSplitTest, BackloggedQueueGetsFewerJobs) {
   // Small queue heavily backlogged: its left-over capacity shrinks, so the
   // small bound must drop relative to the balanced case.
   const auto balanced = compute_size_interval_bounds(
-      batch, f.fx.belief, 0.0, 4, {0.0, 0.0, 0.0});
+      batch, f.fx.belief, 0.0, 4, {0.0, 0.0, 0.0},
+      f.state.size_scratch);
   const auto skewed = compute_size_interval_bounds(
-      batch, f.fx.belief, 0.0, 4, {1.0e9, 0.0, 0.0});
+      batch, f.fx.belief, 0.0, 4, {1.0e9, 0.0, 0.0},
+      f.state.size_scratch);
   ASSERT_TRUE(balanced.has_value());
   ASSERT_TRUE(skewed.has_value());
   EXPECT_LT(skewed->small_upper_mb, balanced->small_upper_mb);
@@ -398,7 +400,8 @@ TEST(BandwidthSplitTest, RoundingResidueBacklogKeepsBoundsInRange) {
   }
   const auto bounds = compute_size_interval_bounds(
       batch, f.fx.belief, 0.0, 4,
-      {2.6077032089233398e-08, -7.4505805969238281e-09, 0.0});
+      {2.6077032089233398e-08, -7.4505805969238281e-09, 0.0},
+      f.state.size_scratch);
   ASSERT_TRUE(bounds.has_value());
   EXPECT_GE(bounds->small_upper_mb, 10.0);
   EXPECT_GE(bounds->medium_upper_mb, bounds->small_upper_mb);
@@ -409,13 +412,11 @@ TEST(BandwidthSplitTest, SchedulerAssignsUploadClasses) {
   SchedulerFixture f;
   f.params.variability_threshold_mb = 1e9;
   f.fx.belief.commit_ic(999, 40000.0);
-  BandwidthSplitScheduler scheduler;
-  auto ctx = f.context();
   std::vector<Document> batch;
   for (int i = 1; i <= 9; ++i) {
     batch.push_back(make_doc(static_cast<std::uint64_t>(i), 30.0 * i));
   }
-  const auto decisions = scheduler.schedule_batch(batch, ctx);
+  const auto decisions = f.schedule(SchedulerKind::kBandwidthSplit, batch);
   bool saw_small = false;
   bool saw_large = false;
   for (const auto& d : decisions) {
@@ -681,33 +682,29 @@ TEST(BandwidthSplitTest, ClassBoundariesAreInclusive) {
 
 TEST(RandomSchedulerTest, BurstsAtConfiguredProbability) {
   SchedulerFixture f;
-  RandomScheduler scheduler;
   std::vector<cbs::workload::Document> batch;
   for (int i = 1; i <= 400; ++i) {
     batch.push_back(make_doc(static_cast<std::uint64_t>(i), 20.0));
   }
-  auto ctx = f.context();
-  const auto decisions = scheduler.schedule_batch(batch, ctx);
+  const auto decisions = f.schedule(SchedulerKind::kRandom, batch);
   std::size_t bursted = 0;
   for (const auto& d : decisions) {
     if (d.placement == Placement::kExternal) ++bursted;
   }
   EXPECT_NEAR(static_cast<double>(bursted) / 400.0,
-              RandomScheduler::kBurstProbability, 0.07);
+              kRandomBurstProbability, 0.07);
 }
 
 TEST(RandomSchedulerTest, DeterministicPerSeed) {
-  // Two fresh schedulers draw the same placements, both IC and EC.
+  // Two fresh states draw the same placements, both IC and EC.
   auto run = [] {
     SchedulerFixture f;
-    RandomScheduler scheduler;
     std::vector<cbs::workload::Document> batch;
     for (int i = 1; i <= 50; ++i) {
       batch.push_back(make_doc(static_cast<std::uint64_t>(i), 20.0));
     }
-    auto ctx = f.context();
     std::vector<Placement> placements;
-    for (const auto& d : scheduler.schedule_batch(batch, ctx)) {
+    for (const auto& d : f.schedule(SchedulerKind::kRandom, batch)) {
       placements.push_back(d.placement);
     }
     return placements;
@@ -741,15 +738,11 @@ TEST(ConfigTest, HighVariationRaisesSigma) {
                    high.ec_sites[0].uplink.base_rate);
 }
 
-TEST(ConfigTest, FactoryMakesAllSchedulers) {
-  for (const auto kind :
-       {SchedulerKind::kIcOnly, SchedulerKind::kGreedy,
-        SchedulerKind::kOrderPreserving, SchedulerKind::kBandwidthSplit,
-        SchedulerKind::kRandom}) {
-    const auto scheduler = make_scheduler(kind);
-    ASSERT_NE(scheduler, nullptr);
-    EXPECT_EQ(scheduler->name(), to_string(kind));
-  }
+TEST(ScheduleBatchTest, LookaheadPlacesNothingItself) {
+  SchedulerFixture f;
+  EXPECT_THROW((void)f.schedule(SchedulerKind::kLookahead, {make_doc(1, 10.0)}),
+               std::invalid_argument);
+  EXPECT_EQ(f.next_seq, 1u);
 }
 
 }  // namespace

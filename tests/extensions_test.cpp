@@ -8,7 +8,6 @@
 #include "closure_events.hpp"
 #include "compute/cluster.hpp"
 #include "core/controller.hpp"
-#include "core/order_preserving_scheduler.hpp"
 #include "harness/world.hpp"
 #include "models/per_class_qrsm.hpp"
 #include "recording_owner.hpp"

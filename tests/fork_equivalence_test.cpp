@@ -203,6 +203,42 @@ TEST(ForkEquivalence, GreedyForkMidRun) {
   expect_identical(run_scenario(s), run_scenario_via_fork(s, 500.0));
 }
 
+// A fork carries the Algorithm-3 bounds in force. They only show in a
+// batch that bursts jobs although none was burst-eligible when the bounds
+// were cut (Algorithm 2's slack grows as the batch fills the IC): here the
+// batches after the idle gap, which class their bursts by the bounds the
+// two loaded batches at its start computed. A fork that restarted the
+// bounds at their defaults places those bursts in other upload classes.
+TEST(ForkEquivalence, BandwidthSplitForkMidRun) {
+  Scenario s = cbs::harness::make_scenario(
+      cbs::core::SchedulerKind::kBandwidthSplit,
+      cbs::workload::SizeBucket::kUniform, /*seed=*/2);
+  s.num_batches = 4;
+  std::vector<cbs::workload::Batch> batches = ScenarioWorld(s).batches();
+  batches[1].arrival_time = 60.0;
+  batches[2].arrival_time = 30000.0;
+  batches[3].arrival_time = 60000.0;
+  ScenarioWorld straight(s, batches);
+  straight.run();
+  for (const double at : {30.0, 20000.0, 45000.0}) {
+    ScenarioWorld parent(s, batches);
+    parent.run_until(at);
+    std::unique_ptr<ScenarioWorld> resumed = parent.fork();
+    resumed->run();
+    expect_identical(straight.result(), resumed->result());
+  }
+}
+
+// A fork carries the random comparator's draw position: a fork that
+// restarted the draws would burst other jobs after the fork point.
+TEST(ForkEquivalence, RandomForkMidRun) {
+  const Scenario s = table1_fixture(cbs::core::SchedulerKind::kRandom);
+  const RunResult straight = run_scenario(s);
+  for (const double at : {200.0, 400.0, 600.0}) {
+    expect_identical(straight, run_scenario_via_fork(s, at));
+  }
+}
+
 // A lookahead world forks its live state, not its rollout pool: the fork
 // builds its own controller at its next decision, and its decisions (run
 // concurrently) replay the straight run's exactly.

@@ -205,6 +205,16 @@ TEST(ScenarioValidateTest, NamesEveryBadField) {
     EXPECT_NE(la_errors[0].find("lookahead_horizon_seconds"),
               std::string::npos);
   }
+  // The candidate count: a 4th or 5th candidate (bandwidth-split, random)
+  // once passed and aborted the run at its first decision.
+  for (const int candidates : {0, -1, 4, 5}) {
+    Scenario la;
+    la.lookahead_candidates = candidates;
+    const std::vector<std::string> la_errors = la.validate();
+    ASSERT_EQ(la_errors.size(), 1u) << candidates;
+    EXPECT_NE(la_errors[0].find("lookahead_candidates must be in [1, 3]"),
+              std::string::npos);
+  }
   Scenario resilience;
   resilience.resilience.drain_window_seconds = 0.0;
   resilience.resilience.risk_weight = std::nan("");
@@ -261,7 +271,7 @@ TEST(ScenarioValidateTest, CliRejectsBadValuesBeforeCasting) {
         "--retraction-factor=-1", "--horizon=nan", "--horizon=-100",
         "--horizon=0", "--drain-window=0", "--drain-window=nan",
         "--risk-weight=nan", "--risk-weight=-1", "--drain-threshold=1.5",
-        "--drain-threshold=nan"}) {
+        "--drain-threshold=nan", "--candidates=0", "--candidates=4"}) {
     EXPECT_THROW((void)cli::scenario_from_args(scenario_args({flag})),
                  std::invalid_argument)
         << flag;

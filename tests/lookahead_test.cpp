@@ -47,11 +47,20 @@ TEST(Lookahead, DecidesAtEveryBatchAndValidates) {
 }
 
 TEST(Lookahead, CandidatePriorityOrderIsStable) {
-  const auto& order = LookaheadController::candidate_order();
-  ASSERT_GE(order.size(), 3u);
+  const auto order = LookaheadController::candidate_order();
+  ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order[0], SchedulerKind::kOrderPreserving);
   EXPECT_EQ(order[1], SchedulerKind::kGreedy);
   EXPECT_EQ(order[2], SchedulerKind::kIcOnly);
+}
+
+TEST(Lookahead, ControllerRejectsCandidateCountsOutsideTheOrder) {
+  for (const int candidates : {0, -1, 4, 5}) {
+    LookaheadController::Config cfg;
+    cfg.candidates = candidates;
+    EXPECT_THROW(LookaheadController{cfg}, std::invalid_argument)
+        << candidates;
+  }
 }
 
 TEST(Lookahead, DecisionEvaluatesRequestedCandidateCount) {
@@ -111,7 +120,7 @@ std::vector<double> reference_scores(const LookaheadController& lookahead,
                                      const ScenarioWorld& parent,
                                      const cbs::workload::Batch& batch) {
   std::vector<double> scores;
-  const auto& order = LookaheadController::candidate_order();
+  const auto order = LookaheadController::candidate_order();
   for (int c = 0; c < lookahead.config().candidates; ++c) {
     const SchedulerKind kind = order[static_cast<std::size_t>(c)];
     std::unique_ptr<ScenarioWorld> rollout = parent.fork();

@@ -15,7 +15,7 @@
 // The decision point is reproduced without a test hook: the parent runs to
 // just before batch k arrives and is forked there. The fork, marked as an
 // order-preserving rollout, then fires batch k's arrival itself, which
-// admits the batch through the same CloudBurstController::on_batch_as call
+// admits the batch through the same CloudBurstController::on_batch call
 // that inject_batch_as makes, before any other event at that time.
 //
 // Allocation counting conflicts with a sanitizer's own operator new, so

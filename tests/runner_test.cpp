@@ -7,6 +7,7 @@
 #include <chrono>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -204,6 +205,40 @@ TEST(RunnerTest, ThrowingCellDoesNotAbortSiblings) {
       EXPECT_EQ(results[i].result->scenario.name, "good");
     }
   }
+}
+
+// Every bench reports failed cells through one helper: one line per failed
+// cell, in plan order, and the count it returns is what the bench exits on.
+TEST(RunnerTest, ReportFailedCellsNamesEachFailureInPlanOrder) {
+  std::vector<harness::Scenario> list(5);
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    list[i].seed = 100 + i;
+    list[i].name = "cell-" + std::to_string(i);
+  }
+  harness::RunnerOptions opts;
+  opts.threads = 3;
+  opts.run = [](const harness::Scenario& s) -> harness::RunResult {
+    if (s.seed % 2 == 1) throw std::runtime_error("boom " + s.name);
+    harness::RunResult r;
+    r.scenario = s;
+    return r;
+  };
+  const auto results =
+      harness::run_plan(harness::ExperimentPlan::list(list), opts);
+  testing::internal::CaptureStderr();
+  const std::size_t failed = harness::report_failed_cells(results);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(failed, 2u);
+  EXPECT_EQ(err,
+            "cell cell-1 (seed 101) failed: boom cell-1\n"
+            "cell cell-3 (seed 103) failed: boom cell-3\n");
+
+  std::vector<harness::CellResult> all_ok(2);
+  all_ok[0].result.emplace();
+  all_ok[1].result.emplace();
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(harness::report_failed_cells(all_ok), 0u);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 
 // Result order must follow the plan, not completion: early cells are made

@@ -101,7 +101,7 @@ bool has_component_pointer(const std::string& code) {
       "Simulation",        "EventQueue",     "Link",
       "Cluster",           "JobStore",       "MapReduceRuntime",
       "FaultPlan",         "BeliefState",    "TransferQueueSet",
-      "BandwidthEstimator", "ThreadTuner",   "Scheduler",
+      "BandwidthEstimator", "ThreadTuner",   "SchedulerState",
       "ProcessingTimeEstimator",
   };
   for (const std::string_view token : kComponents) {

@@ -14,7 +14,8 @@
 //        --ic-mtbf s  --ec-mtbf s  --vm-recovery s  --retraction-factor f
 //        --hazard-predictor (off|ewma|bayes)  --drain-threshold p
 //        --drain-window s  --risk-weight w   (proactive resilience)
-//        --horizon s  --candidates N   (scheduler=lookahead rollouts)
+//        --horizon s  --candidates N   (scheduler=lookahead rollouts;
+//                                       N in [1, 3])
 //        --csv (report|completion|oo)
 #include <cstdio>
 #include <exception>
@@ -43,7 +44,7 @@ void print_usage() {
       "                      [--hazard-predictor off|ewma|bayes]\n"
       "                      [--drain-threshold p] [--drain-window s]\n"
       "                      [--risk-weight w]\n"
-      "                      [--horizon s] [--candidates N]\n"
+      "                      [--horizon s] [--candidates 1|2|3]\n"
       "                      [--csv report|completion|oo]\n"
       "schedulers: ic-only greedy order-preserving op-bandwidth-split\n"
       "            random lookahead\n"
