@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -163,6 +164,68 @@ void BM_BatchAdmission(benchmark::State& state) {
                           static_cast<std::int64_t>(batch_size));
 }
 BENCHMARK(BM_BatchAdmission)->Arg(64)->Arg(256)->Arg(1024);
+
+void BM_BatchAdmissionRolloutState(benchmark::State& state) {
+  // Algorithm 2 over one batch in the state a lookahead rollout admits
+  // into on lookahead_fork's overload: 15 uniform-bucket documents, the
+  // default 48-slot estimators after a day of observations, 200 bursts
+  // still queued for upload and an IC drain ten minutes past their
+  // believed finish. The first jobs fit the cushion and the rest miss it,
+  // which is the pricing order-preserving admission skips. The rows above
+  // use 1-slot estimators and an empty backlog, so they never pay it.
+  cbs::sim::RngStream rng(17);
+  cbs::workload::GroundTruthModel truth({}, rng.substream("t"));
+  cbs::workload::WorkloadGenerator gen({}, truth, rng.substream("g"));
+  cbs::models::OracleEstimator estimator(truth);
+  cbs::net::BandwidthEstimator uplink(cbs::net::BandwidthEstimator::Config{});
+  cbs::net::BandwidthEstimator downlink(
+      cbs::net::BandwidthEstimator::Config{});
+  for (int k = 0; k < 96; ++k) {
+    const double t = 900.0 * k;
+    const double rate = 1.0e6 * (1.0 + 0.5 * std::sin(t / 86400.0 * 6.283));
+    uplink.observe(t, rate);
+    downlink.observe(t, 2.0 * rate);
+  }
+  const double now = 86400.0 + 9.0 * 3600.0;
+  constexpr std::size_t kIcMachines = 8;
+  cbs::core::BeliefState base(estimator, uplink, downlink, kIcMachines, 2,
+                              1.0, 30.0);
+  std::uint64_t seq = 1;
+  for (int i = 0; i < 200; ++i) {
+    const auto doc = gen.next();
+    base.commit_ec(seq++, doc, base.ft_ec(doc, now));
+  }
+  base.commit_ic(seq++, (base.slack(now) - now + 600.0) *
+                            static_cast<double>(kIcMachines));
+  std::vector<cbs::workload::Document> batch;
+  for (int i = 0; i < 15; ++i) batch.push_back(gen.next());
+  const cbs::core::SchedulerParams params;
+  cbs::core::SchedulerState scheduler_state;
+  for (auto _ : state) {
+    state.PauseTiming();
+    cbs::core::BeliefState belief(base, estimator);
+    std::uint64_t next_seq = seq;
+    std::uint64_t next_doc_id = 1ULL << 40;
+    cbs::core::ScheduleContext ctx{
+        .now = now,
+        .belief = belief,
+        .params = params,
+        .truth = truth,
+        .next_seq = &next_seq,
+        .next_doc_id = &next_doc_id,
+        .ic_machines = kIcMachines,
+        .upload_class_backlog_bytes = {},
+        .download_backlog_bytes = {},
+    };
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(
+        cbs::core::schedule_batch(cbs::core::SchedulerKind::kOrderPreserving,
+                                  batch, ctx, scheduler_state));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch.size()));
+}
+BENCHMARK(BM_BatchAdmissionRolloutState)->Name("BM_BatchAdmission/rollout");
 
 void BM_QrsmFit(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "sla/slack.hpp"
+
 namespace cbs::core {
 
 using cbs::sim::SimTime;
@@ -38,6 +40,7 @@ BeliefState::BeliefState(
       ic_outstanding_seconds_(src.ic_outstanding_seconds_),
       ec_jobs_(src.ec_jobs_),
       ec_finish_heap_(src.ec_finish_heap_),
+      heap_top_live_(src.heap_top_live_),
       view_(src.view_) {}
 
 std::size_t BeliefState::add_ec_site(
@@ -59,6 +62,8 @@ void BeliefState::rebind_site(std::size_t site,
                               const cbs::net::BandwidthEstimator& downlink_estimator) {
   sites_[site].uplink = std::cref(uplink_estimator);
   sites_[site].downlink = std::cref(downlink_estimator);
+  sites_[site].floor = UploadQuery{};
+  sites_[site].last_upload = UploadQuery{};
 }
 
 double BeliefState::estimate_service(const cbs::workload::Document& doc) const {
@@ -91,16 +96,45 @@ SimTime BeliefState::ft_ic(const cbs::workload::Document& doc, SimTime now) cons
   return now + ic_outstanding_seconds_ / ic_capacity() + estimate_service(doc);
 }
 
-EcEstimate BeliefState::estimate_on(std::size_t site_index,
-                                    const cbs::workload::Document& doc,
-                                    double service, SimTime now,
-                                    double download_backlog_bytes) const {
+BeliefState::UploadQuery BeliefState::upload_query(const EcSite& site,
+                                                   SimTime now,
+                                                   double bytes) const {
+  return UploadQuery{.now = now,
+                     .bytes = bytes,
+                     .observations = site.uplink.get().observation_count(),
+                     .view = view_};
+}
+
+double BeliefState::upload_floor(const EcSite& site, SimTime now) const {
+  const UploadQuery key = upload_query(site, now, site.upload_backlog_bytes);
+  if (site.floor.same_query(key)) return site.floor.seconds;
+  const double seconds =
+      site.last_upload.same_query(key)
+          ? site.last_upload.seconds
+          : upload_seconds_for(site, now, site.upload_backlog_bytes);
+  site.floor = key;
+  // The transient view divides by one rate, which cannot fall as the bytes
+  // grow; the learned one can step back at a slot seam, so it takes the
+  // estimator's bound.
+  site.floor.seconds =
+      view_ == BandwidthView::kTransient
+          ? seconds
+          : site.uplink.get().transfer_seconds_floor(seconds, key.bytes);
+  return site.floor.seconds;
+}
+
+EcEstimate BeliefState::estimate_to_processing(
+    std::size_t site_index, const cbs::workload::Document& doc, double service,
+    SimTime now) const {
   const EcSite& site = sites_[site_index];
   EcEstimate e;
   e.site = site_index;
   // Upload: queued bytes ahead of us plus our own, at the believed rate.
-  e.upload_seconds =
-      upload_seconds_for(site, now, site.upload_backlog_bytes + doc.input_bytes());
+  site.last_upload =
+      upload_query(site, now, site.upload_backlog_bytes + doc.input_bytes());
+  site.last_upload.seconds =
+      upload_seconds_for(site, now, site.last_upload.bytes);
+  e.upload_seconds = site.last_upload.seconds;
   const SimTime upload_done = now + e.upload_seconds;
 
   // EC compute: outstanding believed work drains meanwhile; whatever is
@@ -111,16 +145,24 @@ EcEstimate BeliefState::estimate_on(std::size_t site_index,
   e.ec_wait_seconds = backlog_left / site.capacity();
   // Risk pricing: predicted EC failure risk inflates the believed
   // processing term (× 1.0 exactly when the hazard predictor is off).
-  e.processing_seconds = (site.job_overhead + service / site.speed) *
-                         (1.0 + site.risk_factor);
-  const SimTime proc_done =
-      upload_done + e.ec_wait_seconds + e.processing_seconds;
+  e.processing_seconds = site.processing_seconds(service);
+  e.finish = upload_done + e.ec_wait_seconds + e.processing_seconds;
+  return e;
+}
 
+void BeliefState::add_download(EcEstimate& e, double bytes) const {
   // Download of the (estimated) output at the believed downlink rate at
   // that future time — the l(t_i + t') term of Eq. 2.
-  e.download_seconds = download_seconds_for(
-      site, proc_done, download_backlog_bytes + doc.output_bytes());
-  e.finish = proc_done + e.download_seconds;
+  e.download_seconds = download_seconds_for(sites_[e.site], e.finish, bytes);
+  e.finish = e.finish + e.download_seconds;
+}
+
+EcEstimate BeliefState::estimate_on(std::size_t site_index,
+                                    const cbs::workload::Document& doc,
+                                    double service, SimTime now,
+                                    double download_backlog_bytes) const {
+  EcEstimate e = estimate_to_processing(site_index, doc, service, now);
+  add_download(e, download_backlog_bytes + doc.output_bytes());
   return e;
 }
 
@@ -131,8 +173,7 @@ EcEstimate BeliefState::no_load_on(std::size_t site_index,
   EcEstimate e;
   e.site = site_index;
   e.upload_seconds = upload_seconds_for(site, now, doc.input_bytes());
-  e.processing_seconds = (site.job_overhead + service / site.speed) *
-                         (1.0 + site.risk_factor);
+  e.processing_seconds = site.processing_seconds(service);
   e.download_seconds = download_seconds_for(
       site, now + e.upload_seconds + e.processing_seconds, doc.output_bytes());
   e.finish = now + e.upload_seconds + e.processing_seconds + e.download_seconds;
@@ -169,6 +210,30 @@ EcEstimate BeliefState::ft_ec_job_level(
   });
 }
 
+std::optional<EcEstimate> BeliefState::ft_ec_within(
+    const cbs::workload::Document& doc, SimTime now, SimTime slack,
+    cbs::sim::SimDuration margin) const {
+  assert(!sites_.empty());
+  const double service = estimate_service(doc);
+  std::optional<EcEstimate> fastest;
+  for (std::size_t s = 0; s < sites_.size(); ++s) {
+    const EcSite& site = sites_[s];
+    // The document's upload takes at least the floor, and the EC wait is
+    // never negative.
+    if (!cbs::sla::satisfies_slack(
+            now + upload_floor(site, now) + site.processing_seconds(service),
+            slack, margin)) {
+      continue;
+    }
+    EcEstimate e = estimate_to_processing(s, doc, service, now);
+    if (!cbs::sla::satisfies_slack(e.finish, slack, margin)) continue;
+    add_download(e, doc.output_bytes());
+    if (!cbs::sla::satisfies_slack(e.finish, slack, margin)) continue;
+    if (!fastest || e.finish < fastest->finish) fastest = e;
+  }
+  return fastest;
+}
+
 double BeliefState::ec_round_trip_no_load(const cbs::workload::Document& doc,
                                           SimTime now) const {
   const double service = estimate_service(doc);
@@ -195,8 +260,13 @@ SimTime BeliefState::slack(SimTime now) const {
   // is O(1) heap maintenance.
   while (!ec_finish_heap_.empty()) {
     const auto& [finish, seq] = ec_finish_heap_.front();
+    if (heap_top_live_) {
+      cushion = std::max(cushion, finish);
+      break;
+    }
     const auto it = ec_jobs_.find(seq);
     if (it != ec_jobs_.end() && it->second.est_finish == finish) {
+      heap_top_live_ = true;
       cushion = std::max(cushion, finish);
       break;
     }
@@ -242,7 +312,10 @@ void BeliefState::commit_ec(std::uint64_t seq, const cbs::workload::Document& do
       ec_finish_heap_.emplace_back(job.est_finish, live_seq);
     }
     std::make_heap(ec_finish_heap_.begin(), ec_finish_heap_.end());
+    heap_top_live_ = true;
   }
+  // A push keeps a live top live: the new record is live, and the seq is
+  // new to the table, so no older record changes.
   ec_finish_heap_.emplace_back(estimate.finish, seq);
   std::push_heap(ec_finish_heap_.begin(), ec_finish_heap_.end());
   EcSite& site = sites_[estimate.site];
@@ -264,6 +337,7 @@ void BeliefState::on_ec_complete(std::uint64_t seq, std::size_t site) {
   s.outstanding_seconds =
       std::max(0.0, s.outstanding_seconds - it->second.processing_seconds);
   ec_jobs_.erase(it);
+  heap_top_live_ = false;
 }
 
 void BeliefState::on_upload_complete(double bytes, std::size_t site) {

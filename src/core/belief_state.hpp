@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -92,6 +94,20 @@ class BeliefState {
   /// earliest believed completion.
   [[nodiscard]] EcEstimate ft_ec(const cbs::workload::Document& doc,
                                  cbs::sim::SimTime now) const;
+
+  /// Algorithm 2's burst test: the ft_ec() estimate when its finish plus
+  /// `margin` is within the cushion `slack` (sla::satisfies_slack), else
+  /// nullopt. It decides exactly as testing ft_ec() would, but stops
+  /// pricing a site as soon as the site is sure to miss: before the
+  /// document's upload query when the upload of the site's backlog alone,
+  /// plus processing, already misses (the upload floor), and before the
+  /// download query when upload, EC wait and processing already miss. A
+  /// rounded sum does not fall when a term grows, so a skipped site would
+  /// have failed the test; and a site that fails has a later finish than
+  /// one that fits, so it never was the pick.
+  [[nodiscard]] std::optional<EcEstimate> ft_ec_within(
+      const cbs::workload::Document& doc, cbs::sim::SimTime now,
+      cbs::sim::SimTime slack, cbs::sim::SimDuration margin) const;
 
   /// ft^ec ignoring all queueing (Algorithm 3, line 5: completion "under no
   /// load": t_up + e_ec + t_down), on the site with the shortest one.
@@ -196,6 +212,21 @@ class BeliefState {
   }
 
  private:
+  /// Believed upload seconds for `bytes` at `now`, and the state of the
+  /// belief they were computed in.
+  struct UploadQuery {
+    cbs::sim::SimTime now = std::numeric_limits<double>::quiet_NaN();
+    double bytes = 0.0;
+    std::size_t observations = 0;  ///< the uplink estimator's, at the time
+    BandwidthView view = BandwidthView::kLearned;
+    double seconds = 0.0;
+
+    [[nodiscard]] bool same_query(const UploadQuery& o) const noexcept {
+      return now == o.now && bytes == o.bytes &&
+             observations == o.observations && view == o.view;
+    }
+  };
+
   /// What the belief knows about one EC site.
   struct EcSite {
     std::reference_wrapper<const cbs::net::BandwidthEstimator> uplink;
@@ -206,9 +237,19 @@ class BeliefState {
     double outstanding_seconds = 0.0;   ///< believed standard seconds queued
     double upload_backlog_bytes = 0.0;  ///< believed bytes not yet uploaded
     double risk_factor = 0.0;  ///< believed-EC inflation, (1 + factor)
+    /// The upload floor of the backlog (upload_floor()), and the last
+    /// document's upload estimate. `mutable`: they are memos, refreshed by
+    /// the reads that find them stale. The documents of one admission share
+    /// the floor until a burst grows the backlog, and the burst's own
+    /// estimate is the upload of the grown backlog.
+    mutable UploadQuery floor{};
+    mutable UploadQuery last_upload{};
 
     [[nodiscard]] double capacity() const noexcept {
       return static_cast<double>(machines) * speed;
+    }
+    [[nodiscard]] double processing_seconds(double service) const noexcept {
+      return (job_overhead + service / speed) * (1.0 + risk_factor);
     }
   };
 
@@ -222,6 +263,22 @@ class BeliefState {
   [[nodiscard]] double download_seconds_for(const EcSite& site,
                                             cbs::sim::SimTime t,
                                             double bytes) const;
+  /// The key of an upload estimate of `bytes` on `site` at `now`.
+  [[nodiscard]] UploadQuery upload_query(const EcSite& site,
+                                         cbs::sim::SimTime now,
+                                         double bytes) const;
+  /// A lower bound on the believed upload time of anything queued behind
+  /// `site`'s backlog at `now`; see ft_ec_within().
+  [[nodiscard]] double upload_floor(const EcSite& site,
+                                    cbs::sim::SimTime now) const;
+  /// ft^ec on one site up to the end of EC processing: every term but the
+  /// download, with `finish` the believed end of processing.
+  [[nodiscard]] EcEstimate estimate_to_processing(
+      std::size_t site, const cbs::workload::Document& doc, double service,
+      cbs::sim::SimTime now) const;
+  /// Completes `e` with the download of `bytes` that starts when its
+  /// processing ends.
+  void add_download(EcEstimate& e, double bytes) const;
   /// ft^ec on one site, with `download_backlog_bytes` ahead of the output.
   [[nodiscard]] EcEstimate estimate_on(std::size_t site,
                                        const cbs::workload::Document& doc,
@@ -257,6 +314,9 @@ class BeliefState {
   /// and commit_ec compacts when stale records dominate. `mutable` because
   /// popping stale tops is a read-side maintenance step.
   mutable std::vector<std::pair<cbs::sim::SimTime, std::uint64_t>> ec_finish_heap_;
+  /// The heap's top was found live and no job has left the table since, so
+  /// slack() need not look it up again: within a batch, commits only push.
+  mutable bool heap_top_live_ = false;
   BandwidthView view_ = BandwidthView::kLearned;
 };
 

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 
 #include "models/per_class_qrsm.hpp"
-#include "sla/slack.hpp"
 
 namespace cbs::core {
 
@@ -189,6 +189,7 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
       next_boot_id_(src.next_boot_id_),
       burst_deadlines_(src.burst_deadlines_),
       retractions_(src.retractions_),
+      service_draws_(src.service_draws_),
       probe_blackout_skips_(src.probe_blackout_skips_) {
   assert(proc_estimator_ != nullptr &&
          "estimator kind does not support forking");
@@ -314,16 +315,16 @@ Job& CloudBurstController::job_at(std::uint64_t seq) {
   return jobs_[slot];
 }
 
-Job& CloudBurstController::add_job(Job job) {
-  const std::uint64_t seq = job.seq_id;
+Job& CloudBurstController::add_job(std::uint64_t seq) {
   if (job_slot_.empty()) first_job_seq_ = seq;
   for (; seq < first_job_seq_; --first_job_seq_) job_slot_.push_front(kNoJob);
   while (seq - first_job_seq_ >= job_slot_.size()) job_slot_.push_back(kNoJob);
   std::uint32_t& slot = job_slot_[seq - first_job_seq_];
   assert(slot == kNoJob);
   slot = static_cast<std::uint32_t>(jobs_.size());
-  jobs_.push_back(std::move(job));
-  return jobs_.back();
+  Job& job = jobs_.emplace_back();
+  job.seq_id = seq;
+  return job;
 }
 
 void CloudBurstController::on_batch(const cbs::workload::Batch& batch,
@@ -349,20 +350,6 @@ void CloudBurstController::on_batch(const cbs::workload::Batch& batch,
   // Refresh the hazard picture before pricing this batch: drains, the
   // believed EC capacity and the risk factor all feed the decisions below.
   update_resilience();
-  std::vector<double> class_backlog =
-      sites_.front()->upload_queues.backlog_bytes_per_class();
-  std::vector<double> download_backlog;
-  download_backlog.reserve(sites_.size());
-  for (std::size_t i = 0; i < sites_.size(); ++i) {
-    if (i > 0) {
-      const std::vector<double> more =
-          sites_[i]->upload_queues.backlog_bytes_per_class();
-      for (std::size_t k = 0; k < class_backlog.size(); ++k) {
-        class_backlog[k] += more[k];
-      }
-    }
-    download_backlog.push_back(sites_[i]->download_queue.total_backlog_bytes());
-  }
   ScheduleContext ctx{
       .now = sim_.now(),
       .belief = belief_,
@@ -371,27 +358,39 @@ void CloudBurstController::on_batch(const cbs::workload::Batch& batch,
       .next_seq = &next_seq_,
       .next_doc_id = &next_doc_id_,
       .ic_machines = config_.topology.ic_machines,
-      .upload_class_backlog_bytes = std::move(class_backlog),
-      .download_backlog_bytes = std::move(download_backlog),
+      .upload_class_backlog_bytes = {},
+      .download_backlog_bytes = {},
   };
-  auto decisions =
-      schedule_batch(kind, batch.documents, ctx, scheduler_state_);
+  // Each walks every site's whole queue, so only the kinds that read them
+  // pay for them.
+  if (reads_upload_class_backlog(kind)) {
+    ctx.upload_class_backlog_bytes =
+        sites_.front()->upload_queues.backlog_bytes_per_class();
+    for (std::size_t i = 1; i < sites_.size(); ++i) {
+      const std::vector<double> more =
+          sites_[i]->upload_queues.backlog_bytes_per_class();
+      for (std::size_t k = 0; k < more.size(); ++k) {
+        ctx.upload_class_backlog_bytes[k] += more[k];
+      }
+    }
+  }
+  if (reads_download_backlog(kind)) {
+    ctx.download_backlog_bytes.reserve(sites_.size());
+    for (const auto& site : sites_) {
+      ctx.download_backlog_bytes.push_back(
+          site->download_queue.total_backlog_bytes());
+    }
+  }
 
-  for (auto& d : decisions) {
-    Job job;
-    job.seq_id = d.seq_id;
-    job.doc = d.doc;
-    job.batch_index = batch.batch_index;
-    job.arrival = sim_.now();
-    job.scheduled_time = sim_.now();
-    job.placement = d.placement;
-    job.estimated_service_seconds = d.estimated_service_seconds;
-    // Realized service is a deterministic function of the document's
-    // identity, so the job is identical work wherever (and under whichever
-    // scheduler) it runs; only the simulated clusters consume this value.
-    job.true_service_seconds = truth_.realized_seconds(d.doc);
-
-    Job& placed = add_job(std::move(job));
+  for (const ScheduleDecision& d :
+       schedule_batch(kind, batch.documents, ctx, scheduler_state_)) {
+    Job& placed = add_job(d.seq_id);
+    placed.doc = d.doc;
+    placed.batch_index = batch.batch_index;
+    placed.arrival = sim_.now();
+    placed.scheduled_time = sim_.now();
+    placed.placement = d.placement;
+    placed.estimated_service_seconds = d.estimated_service_seconds;
     ++outstanding_;
 
     if (d.placement == Placement::kInternal) {
@@ -426,7 +425,17 @@ bool CloudBurstController::any_upload_idle() const {
   });
 }
 
-compute::MapReduceSpec CloudBurstController::spec_for(const Job& job) const {
+compute::MapReduceSpec CloudBurstController::spec_for(Job& job) {
+  // Realized service is a deterministic function of the document's
+  // identity, so the job is identical work wherever (and under whichever
+  // scheduler) it runs, and whenever it is drawn. Only the simulated
+  // clusters consume it, so it is drawn at the first dispatch: a rollout
+  // never draws for the backlog it leaves queued past its horizon.
+  if (!job.service_drawn) {
+    job.true_service_seconds = truth_.realized_seconds(job.doc);
+    job.service_drawn = true;
+    ++service_draws_;
+  }
   compute::MapReduceSpec spec;
   spec.job_id = job.seq_id;
   spec.map_seconds = job.true_service_seconds;
@@ -877,16 +886,17 @@ void CloudBurstController::maybe_push_out() {
     // The cushion must exclude the candidate's own believed IC work, so
     // retract first and re-commit if the move is rejected.
     belief_.retract_ic(seq);
-    const EcEstimate ec = belief_.ft_ec(job.doc, sim_.now());
-    if (!cbs::sla::satisfies_slack(ec.finish, belief_.slack(sim_.now()),
-                                   config_.params.slack_safety_margin)) {
+    const std::optional<EcEstimate> ec =
+        belief_.ft_ec_within(job.doc, sim_.now(), belief_.slack(sim_.now()),
+                             config_.params.slack_safety_margin);
+    if (!ec) {
       belief_.commit_ic(seq, job.estimated_service_seconds);
       continue;
     }
     ic_wait_.erase(std::next(it).base());
-    belief_.commit_ec(seq, job.doc, ec);
+    belief_.commit_ec(seq, job.doc, *ec);
     job.placement = Placement::kExternal;
-    job.site = ec.site;
+    job.site = ec->site;
     set_state(job, JobState::kUploadQueued);
     enqueue_upload(job, 0);
     arm_burst_deadline(seq);

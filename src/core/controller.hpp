@@ -183,6 +183,11 @@ class CloudBurstController : private cbs::sim::EventTarget,
   /// observed, or staging abandoned): the job was re-admitted to the IC
   /// queue at its FCFS position and re-executed internally.
   [[nodiscard]] std::size_t retractions() const noexcept { return retractions_; }
+  /// Realized services drawn so far: one per job dispatched at least once
+  /// (spec_for()).
+  [[nodiscard]] std::size_t service_draws() const noexcept {
+    return service_draws_;
+  }
   /// Periodic probes skipped because of a probe-blackout window.
   [[nodiscard]] std::size_t probe_blackout_skips() const noexcept {
     return probe_blackout_skips_;
@@ -298,10 +303,13 @@ class CloudBurstController : private cbs::sim::EventTarget,
   void update_cluster_drains(compute::Cluster& cluster,
                              models::VmHazardEstimator& hazard);
   [[nodiscard]] double site_failure_risk(std::size_t site) const;
-  [[nodiscard]] compute::MapReduceSpec spec_for(const Job& job) const;
+  /// The job's MapReduce work; draws its realized service at its first
+  /// dispatch.
+  [[nodiscard]] compute::MapReduceSpec spec_for(Job& job);
   [[nodiscard]] Job& job_at(std::uint64_t seq);
-  /// Adds an outstanding job to the table; returns it in place.
-  Job& add_job(Job job);
+  /// Adds an outstanding job with sequence id `seq` to the table; returns
+  /// it in place for the caller to fill.
+  Job& add_job(std::uint64_t seq);
 
   cbs::sim::Simulation& sim_;
   ControllerConfig config_;
@@ -354,6 +362,7 @@ class CloudBurstController : private cbs::sim::EventTarget,
   /// Pending burst-retraction deadlines: seq -> the deadline event.
   cbs::util::FlatMap<std::uint64_t, cbs::sim::EventId> burst_deadlines_;
   std::size_t retractions_ = 0;
+  std::size_t service_draws_ = 0;
   std::size_t probe_blackout_skips_ = 0;
 
   // ---- proactive resilience (absent and cost-free unless configured) ----

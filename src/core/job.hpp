@@ -36,9 +36,12 @@ struct Job {
   cbs::sim::SimTime completed_time = 0.0;
   JobState state = JobState::kArrived;
   cbs::sla::Placement placement = cbs::sla::Placement::kInternal;
+  bool service_drawn = false;  ///< true_service_seconds is set
   std::size_t site = 0;  ///< EC site of an external placement
-  /// Realized standard-machine service seconds (ground-truth draw, fixed at
-  /// scheduling time so IC and EC would execute identical work).
+  /// Realized standard-machine service seconds: a ground-truth draw keyed
+  /// on the document's identity, so IC and EC execute identical work. It is
+  /// drawn when the job is first dispatched (service_drawn), not at
+  /// scheduling time; it reads 0 until then.
   double true_service_seconds = 0.0;
   /// The scheduler's estimate at decision time (QRSM prediction).
   double estimated_service_seconds = 0.0;

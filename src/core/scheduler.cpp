@@ -3,18 +3,17 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <iterator>
+#include <cstddef>
 #include <stdexcept>
-#include <utility>
 
-#include "sla/slack.hpp"
 #include "workload/chunker.hpp"
 
 namespace cbs::core {
 
-ScheduleDecision decide_ic(const cbs::workload::Document& doc,
-                           ScheduleContext& ctx) {
-  ScheduleDecision d;
+ScheduleDecision& decide_ic(const cbs::workload::Document& doc,
+                            ScheduleContext& ctx,
+                            std::vector<ScheduleDecision>& out) {
+  ScheduleDecision& d = out.emplace_back();
   d.seq_id = (*ctx.next_seq)++;
   d.doc = doc;
   d.placement = cbs::sla::Placement::kInternal;
@@ -23,16 +22,15 @@ ScheduleDecision decide_ic(const cbs::workload::Document& doc,
   return d;
 }
 
-ScheduleDecision decide_ec(const cbs::workload::Document& doc,
-                           const EcEstimate& estimate, ScheduleContext& ctx,
-                           int upload_class) {
-  ScheduleDecision d;
+ScheduleDecision& decide_ec(const cbs::workload::Document& doc,
+                            const EcEstimate& estimate, ScheduleContext& ctx,
+                            std::vector<ScheduleDecision>& out) {
+  ScheduleDecision& d = out.emplace_back();
   d.seq_id = (*ctx.next_seq)++;
   d.doc = doc;
   d.placement = cbs::sla::Placement::kExternal;
   d.estimated_service_seconds = ctx.belief.estimate_service(doc);
   d.ec_estimate = estimate;
-  d.upload_class = upload_class;
   ctx.belief.commit_ec(d.seq_id, doc, estimate);
   return d;
 }
@@ -42,41 +40,33 @@ namespace {
 using Docs = std::vector<cbs::workload::Document>;
 
 /// Baseline: everything runs internally (the paper's "ICOnly" scheduler).
-std::vector<ScheduleDecision> schedule_ic_only(const Docs& docs,
-                                               ScheduleContext& ctx) {
-  std::vector<ScheduleDecision> out;
-  out.reserve(docs.size());
-  for (const auto& doc : docs) out.push_back(decide_ic(doc, ctx));
-  return out;
+void schedule_ic_only(const Docs& docs, ScheduleContext& ctx,
+                      std::vector<ScheduleDecision>& out) {
+  for (const auto& doc : docs) decide_ic(doc, ctx, out);
 }
 
 /// The model-free comparator: bursts each job with probability
 /// kRandomBurstProbability.
-std::vector<ScheduleDecision> schedule_random(const Docs& docs,
-                                              ScheduleContext& ctx,
-                                              cbs::sim::RngStream& rng) {
-  std::vector<ScheduleDecision> out;
-  out.reserve(docs.size());
+void schedule_random(const Docs& docs, ScheduleContext& ctx,
+                     cbs::sim::RngStream& rng,
+                     std::vector<ScheduleDecision>& out) {
   for (const auto& doc : docs) {
     if (rng.next_double() < kRandomBurstProbability) {
       // Still record the believed round trip so the belief stays coherent;
       // the decision itself ignores it.
-      out.push_back(decide_ec(doc, ctx.belief.ft_ec(doc, ctx.now), ctx));
+      decide_ec(doc, ctx.belief.ft_ec(doc, ctx.now), ctx, out);
     } else {
-      out.push_back(decide_ic(doc, ctx));
+      decide_ic(doc, ctx, out);
     }
   }
-  return out;
 }
 
 /// Algorithm 1 — the job-level greedy choice: each job goes where its
 /// estimated finish time is earlier. Simple, but bursted jobs can land on
 /// the critical path: a download delayed by a bandwidth dip directly delays
 /// in-order consumption (§IV.D), which is what Fig. 7–10 penalize.
-std::vector<ScheduleDecision> schedule_greedy(const Docs& docs,
-                                              ScheduleContext& ctx) {
-  std::vector<ScheduleDecision> out;
-  out.reserve(docs.size());
+void schedule_greedy(const Docs& docs, ScheduleContext& ctx,
+                     std::vector<ScheduleDecision>& out) {
   for (const auto& doc : docs) {
     // Algorithm 1, lines 2-8: compare ft^ic with ft^ec and take the smaller.
     // Greedy sees the system's queues as they are (each decision enqueues
@@ -88,12 +78,11 @@ std::vector<ScheduleDecision> schedule_greedy(const Docs& docs,
     const EcEstimate ec =
         ctx.belief.ft_ec_job_level(doc, ctx.now, ctx.download_backlog_bytes);
     if (t_ic <= ec.finish) {
-      out.push_back(decide_ic(doc, ctx));
+      decide_ic(doc, ctx, out);
     } else {
-      out.push_back(decide_ec(doc, ec, ctx));
+      decide_ec(doc, ec, ctx, out);
     }
   }
-  return out;
 }
 
 // ---- Algorithm 2 — the Order Preserving scheduler ----------------------
@@ -126,67 +115,57 @@ double size_stddev(const Docs& docs, std::size_t first, std::size_t last) {
   return std::sqrt(squares / static_cast<double>(n - 1));
 }
 
-/// Runs Algorithm 2's chunking pass in place over the batch.
-void apply_chunking(Docs& docs, ScheduleContext& ctx) {
+/// Runs Algorithm 2's chunking pass over the batch, handing `place` every
+/// document in order with each split document replaced by its chunks.
+/// Chunking reads no belief and placing draws no chunk id, so placing each
+/// document as the pass reaches it is the same as chunking the whole batch
+/// first.
+template <typename Place>
+void for_each_chunked(const Docs& docs, ScheduleContext& ctx, Place&& place) {
   const auto window = static_cast<std::size_t>(ctx.params.variability_window);
-  const std::size_t original_size = docs.size();
   const cbs::workload::PdfChunker chunker(ctx.params.chunker);
-
-  // The batch with every split document replaced by its chunks, in order;
-  // started at the first split, so a batch that splits nothing is left as
-  // it is. The documents after input document j are still the unsplit
-  // input docs[j + 1, end), so the window is read from docs.
-  Docs spliced;
-  for (std::size_t j = 0; j < original_size; ++j) {
+  for (std::size_t j = 0; j < docs.size(); ++j) {
     if (!docs[j].is_chunk()) {
-      // σ(i : i+x) over the sizes of the upcoming window (lines 4–5).
+      // σ(i : i+x) over the sizes of the upcoming window (lines 4–5); the
+      // documents after input document j are still the unsplit input.
       const double sigma =
-          size_stddev(docs, j, std::min(original_size, j + window));
+          size_stddev(docs, j, std::min(docs.size(), j + window));
 
       if (sigma > ctx.params.variability_threshold_mb &&
           chunker.chunk_count_for(docs[j].features.size_mb) > 1) {
-        // Lines 6–9: replace j_i by its chunks, spliced in order. Chunks
-        // are never re-split.
-        auto chunks = chunker.chunk(docs[j], ctx.truth, ctx.next_doc_id);
-        if (spliced.empty()) {
-          const auto split = docs.begin() + static_cast<std::ptrdiff_t>(j);
-          spliced.reserve(original_size - 1 + chunks.size());
-          spliced.assign(std::make_move_iterator(docs.begin()),
-                         std::make_move_iterator(split));
+        // Lines 6–9: replace j_i by its chunks, in order. Chunks are never
+        // re-split.
+        for (const auto& chunk :
+             chunker.chunk(docs[j], ctx.truth, ctx.next_doc_id)) {
+          place(chunk);
         }
-        spliced.insert(spliced.end(), std::make_move_iterator(chunks.begin()),
-                       std::make_move_iterator(chunks.end()));
         continue;
       }
     }
-    if (!spliced.empty()) spliced.push_back(std::move(docs[j]));
+    place(docs[j]);
   }
-  if (!spliced.empty()) docs = std::move(spliced);
 }
 
 /// Placement for one job once chunking is settled.
-ScheduleDecision place_order_preserving(const cbs::workload::Document& doc,
-                                        ScheduleContext& ctx) {
+ScheduleDecision& place_order_preserving(const cbs::workload::Document& doc,
+                                         ScheduleContext& ctx,
+                                         std::vector<ScheduleDecision>& out) {
   // Lines 11–16: burst exactly when the estimated external finish fits the
-  // cushion of the jobs ahead.
-  const EcEstimate ec = ctx.belief.ft_ec(doc, ctx.now);
+  // cushion of the jobs ahead. The cushion comes first, so that pricing
+  // the round trip can stop once it is sure to miss.
   const cbs::sim::SimTime cushion = ctx.belief.slack(ctx.now);
-  if (cbs::sla::satisfies_slack(ec.finish, cushion,
-                                ctx.params.slack_safety_margin)) {
-    return decide_ec(doc, ec, ctx);
+  if (const auto ec = ctx.belief.ft_ec_within(
+          doc, ctx.now, cushion, ctx.params.slack_safety_margin)) {
+    return decide_ec(doc, *ec, ctx, out);
   }
-  return decide_ic(doc, ctx);
+  return decide_ic(doc, ctx, out);
 }
 
-std::vector<ScheduleDecision> schedule_order_preserving(Docs docs,
-                                                        ScheduleContext& ctx) {
-  apply_chunking(docs, ctx);
-  std::vector<ScheduleDecision> out;
-  out.reserve(docs.size());
-  for (const auto& doc : docs) {
-    out.push_back(place_order_preserving(doc, ctx));
-  }
-  return out;
+void schedule_order_preserving(const Docs& docs, ScheduleContext& ctx,
+                               std::vector<ScheduleDecision>& out) {
+  for_each_chunked(docs, ctx, [&](const cbs::workload::Document& doc) {
+    place_order_preserving(doc, ctx, out);
+  });
 }
 
 /// §IV.C — the Order Preserving scheduler with Size-interval Bandwidth
@@ -194,47 +173,55 @@ std::vector<ScheduleDecision> schedule_order_preserving(Docs docs,
 /// bounds are recomputed per batch (Algorithm 3), isolating small jobs from
 /// large ones so they reach the EC faster. Lower-class jobs may ride
 /// higher-class queues, never the reverse.
-std::vector<ScheduleDecision> schedule_bandwidth_split(
-    Docs docs, ScheduleContext& ctx, SizeIntervalBounds& bounds,
-    std::vector<double>& scratch_sizes) {
+void schedule_bandwidth_split(const Docs& docs, ScheduleContext& ctx,
+                              SchedulerState& state) {
   // Bound computation sees the batch *after* chunking — the chunks are the
   // uploadable units whose sizes the queues must balance.
-  apply_chunking(docs, ctx);
+  Docs& batch = state.buffers.chunked;
+  batch.clear();
+  for_each_chunked(docs, ctx, [&batch](const cbs::workload::Document& doc) {
+    batch.push_back(doc);
+  });
   if (auto fresh = compute_size_interval_bounds(
-          docs, ctx.belief, ctx.now, ctx.ic_machines,
-          ctx.upload_class_backlog_bytes, scratch_sizes)) {
-    bounds = *fresh;
+          batch, ctx.belief, ctx.now, ctx.ic_machines,
+          ctx.upload_class_backlog_bytes, state.size_scratch)) {
+    state.bounds = *fresh;
   }
 
-  std::vector<ScheduleDecision> out;
-  out.reserve(docs.size());
-  for (const auto& doc : docs) {
-    ScheduleDecision d = place_order_preserving(doc, ctx);
+  for (const auto& doc : batch) {
+    ScheduleDecision& d =
+        place_order_preserving(doc, ctx, state.buffers.decisions);
     if (d.placement == cbs::sla::Placement::kExternal) {
-      d.upload_class = bounds.class_of(doc.features.size_mb);
+      d.upload_class = state.bounds.class_of(doc.features.size_mb);
     }
-    out.push_back(std::move(d));
   }
-  return out;
 }
 
 }  // namespace
 
-std::vector<ScheduleDecision> schedule_batch(SchedulerKind kind, Docs docs,
-                                             ScheduleContext& ctx,
-                                             SchedulerState& state) {
+const std::vector<ScheduleDecision>& schedule_batch(SchedulerKind kind,
+                                                    const Docs& docs,
+                                                    ScheduleContext& ctx,
+                                                    SchedulerState& state) {
+  std::vector<ScheduleDecision>& out = state.buffers.decisions;
+  out.clear();
+  out.reserve(docs.size());
   switch (kind) {
     case SchedulerKind::kIcOnly:
-      return schedule_ic_only(docs, ctx);
+      schedule_ic_only(docs, ctx, out);
+      return out;
     case SchedulerKind::kGreedy:
-      return schedule_greedy(docs, ctx);
+      schedule_greedy(docs, ctx, out);
+      return out;
     case SchedulerKind::kOrderPreserving:
-      return schedule_order_preserving(std::move(docs), ctx);
+      schedule_order_preserving(docs, ctx, out);
+      return out;
     case SchedulerKind::kBandwidthSplit:
-      return schedule_bandwidth_split(std::move(docs), ctx, state.bounds,
-                                      state.size_scratch);
+      schedule_bandwidth_split(docs, ctx, state);
+      return out;
     case SchedulerKind::kRandom:
-      return schedule_random(docs, ctx, state.rng);
+      schedule_random(docs, ctx, state.rng, out);
+      return out;
     case SchedulerKind::kLookahead:
       break;
   }

@@ -42,10 +42,11 @@ struct ScheduleContext {
   std::uint64_t* next_doc_id;  ///< id source for chunk documents
   std::size_t ic_machines = 1; ///< |IC| (Algorithm 3's n)
   /// Upload backlog per size-interval class (Algorithm 3's
-  /// s_up/m_up/l_up), summed over the EC sites; single-queue policies see
-  /// one entry.
+  /// s_up/m_up/l_up), summed over the EC sites. Filled only for the kinds
+  /// that read it (reads_upload_class_backlog()).
   std::vector<double> upload_class_backlog_bytes;
   /// Bytes waiting/in flight on each EC site's downlink at batch arrival.
+  /// Filled only for the kinds that read it (reads_download_backlog()).
   std::vector<double> download_backlog_bytes;
 };
 
@@ -84,6 +85,35 @@ struct SizeIntervalBounds {
 inline constexpr double kRandomBurstProbability = 0.15;
 inline constexpr std::uint64_t kRandomSeed = 12345;
 
+/// Whether batches admitted under `kind` read the per-class upload
+/// backlogs (Algorithm 3) or the download backlogs (Algorithm 1's
+/// job-level ft^ec) of ScheduleContext; the other kinds leave them empty.
+[[nodiscard]] constexpr bool reads_upload_class_backlog(
+    SchedulerKind kind) noexcept {
+  return kind == SchedulerKind::kBandwidthSplit;
+}
+[[nodiscard]] constexpr bool reads_download_backlog(
+    SchedulerKind kind) noexcept {
+  return kind == SchedulerKind::kGreedy;
+}
+
+/// Buffers an admission reuses from batch to batch: the batch after
+/// Algorithm 2's chunking (bandwidth-split, which sizes its queues on the
+/// whole chunked batch first) and the decisions. What they hold means
+/// nothing once the batch is placed, so a copy — a fork's — starts empty
+/// instead of copying it.
+struct AdmissionBuffers {
+  AdmissionBuffers() = default;
+  AdmissionBuffers(const AdmissionBuffers& /*other*/)
+      : chunked(), decisions() {}
+  AdmissionBuffers& operator=(const AdmissionBuffers& /*other*/) {
+    return *this;
+  }
+
+  std::vector<cbs::workload::Document> chunked;
+  std::vector<ScheduleDecision> decisions;
+};
+
 /// Every policy's per-run state, as one value: a controller holds it and a
 /// fork copies it. Each field belongs to one kind, so a run that admits
 /// under several kinds never lets one disturb another's.
@@ -94,14 +124,17 @@ struct SchedulerState {
   std::vector<double> size_scratch;
   /// Random: the burst draws.
   cbs::sim::RngStream rng{kRandomSeed};
+  /// Every kind: the admission's reused buffers.
+  AdmissionBuffers buffers;
 };
 
 /// The §IV burst policies: places every document of the batch under
-/// `kind`, in arrival order. Throws std::invalid_argument for kLookahead,
+/// `kind`, in arrival order. The decisions live in `state`'s buffers until
+/// the next call on `state`. Throws std::invalid_argument for kLookahead,
 /// which picks among the other kinds (harness/world.hpp) and places
 /// nothing itself.
-[[nodiscard]] std::vector<ScheduleDecision> schedule_batch(
-    SchedulerKind kind, std::vector<cbs::workload::Document> docs,
+[[nodiscard]] const std::vector<ScheduleDecision>& schedule_batch(
+    SchedulerKind kind, const std::vector<cbs::workload::Document>& docs,
     ScheduleContext& ctx, SchedulerState& state);
 
 /// Algorithm 3 in isolation (exposed for unit testing): given the batch,
@@ -119,15 +152,16 @@ struct SchedulerState {
     const std::vector<double>& queue_backlog_bytes,
     std::vector<double>& scratch_sizes);
 
-/// Shared helper: finalize an IC decision (estimate, commit, fill record).
-[[nodiscard]] ScheduleDecision decide_ic(const cbs::workload::Document& doc,
-                                         ScheduleContext& ctx);
+/// Shared helper: finalizes an IC decision (estimate, commit) as the next
+/// entry of `out`.
+ScheduleDecision& decide_ic(const cbs::workload::Document& doc,
+                            ScheduleContext& ctx,
+                            std::vector<ScheduleDecision>& out);
 
-/// Shared helper: finalize an EC decision with the given round-trip
-/// estimate.
-[[nodiscard]] ScheduleDecision decide_ec(const cbs::workload::Document& doc,
-                                         const EcEstimate& estimate,
-                                         ScheduleContext& ctx,
-                                         int upload_class = 0);
+/// Shared helper: finalizes an EC decision with the given round-trip
+/// estimate as the next entry of `out`.
+ScheduleDecision& decide_ec(const cbs::workload::Document& doc,
+                            const EcEstimate& estimate, ScheduleContext& ctx,
+                            std::vector<ScheduleDecision>& out);
 
 }  // namespace cbs::core

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
+#include <optional>
 #include <stdexcept>
 
 namespace cbs::harness::cli {
@@ -21,6 +23,36 @@ auto parse_flag(const Args& args, const std::string& key,
   } catch (const std::exception& e) {
     throw std::invalid_argument("--" + key + ": " + e.what());
   }
+}
+
+/// Digits only, so stoull cannot negate "-5" to 2^64 - 5; nullopt when
+/// `token` is not a whole number in [0, 2^64).
+std::optional<std::uint64_t> parse_u64(const std::string& token) {
+  if (token.empty() ||
+      std::isdigit(static_cast<unsigned char>(token.front())) == 0) {
+    return std::nullopt;
+  }
+  std::size_t pos = 0;
+  unsigned long long value = 0;
+  try {
+    value = std::stoull(token, &pos);
+  } catch (const std::exception&) {
+    return std::nullopt;  // out of range
+  }
+  if (pos != token.size()) return std::nullopt;
+  return static_cast<std::uint64_t>(value);
+}
+
+/// --seed over the whole uint64 range that Scenario::seed and --seeds take.
+std::uint64_t seed_from_args(const Args& args) {
+  const auto v = args.get("seed");
+  if (!v) return 42;
+  if (!v->empty() && v->front() == '-') {
+    throw std::invalid_argument("--seed must be >= 0");
+  }
+  const auto seed = parse_u64(*v);
+  if (!seed) throw std::runtime_error("bad integer for --seed: '" + *v + "'");
+  return *seed;
 }
 
 }  // namespace
@@ -148,14 +180,12 @@ const std::vector<std::string>& scenario_flags() {
 }
 
 Scenario scenario_from_args(const Args& args) {
-  // Signed values are range-checked before each cast: a seed of -5 would
-  // wrap to 2^64 - 5, and 2^32 + 3 candidates would truncate to 3.
-  const long seed = args.get_long_or("seed", 42);
-  if (seed < 0) throw std::invalid_argument("--seed must be >= 0");
+  // Signed values are range-checked before each cast: a batch count of -5
+  // would wrap to 2^64 - 5, and 2^32 + 3 candidates would truncate to 3.
   Scenario s = make_scenario(
       parse_flag(args, "scheduler", "order-preserving", parse_scheduler),
       parse_flag(args, "bucket", "large", parse_bucket),
-      static_cast<std::uint64_t>(seed), args.has("high-var"));
+      seed_from_args(args), args.has("high-var"));
   const long batches = args.get_long_or("batches", 8);
   if (batches < 0) throw std::invalid_argument("--batches must be >= 0");
   s.num_batches = static_cast<std::size_t>(batches);
@@ -224,19 +254,9 @@ std::vector<std::uint64_t> parse_seed_list(const std::string& csv) {
     if (end == std::string::npos) end = csv.size();
     const std::string token = csv.substr(start, end - start);
     if (token.empty()) throw std::runtime_error("empty seed in list: " + csv);
-    std::size_t pos = 0;
-    unsigned long long value = 0;
-    // stoull accepts a sign and negates "-5" to 2^64 - 5: digits only.
-    if (std::isdigit(static_cast<unsigned char>(token.front())) == 0) {
-      throw std::invalid_argument("bad seed: " + token);
-    }
-    try {
-      value = std::stoull(token, &pos);
-    } catch (const std::exception&) {
-      throw std::invalid_argument("bad seed: " + token);
-    }
-    if (pos != token.size()) throw std::runtime_error("bad seed: " + token);
-    seeds.push_back(static_cast<std::uint64_t>(value));
+    const auto seed = parse_u64(token);
+    if (!seed) throw std::invalid_argument("bad seed: " + token);
+    seeds.push_back(*seed);
     start = end + 1;
   }
   if (seeds.empty()) throw std::runtime_error("empty seed list");

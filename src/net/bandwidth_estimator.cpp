@@ -4,10 +4,17 @@
 #include <cassert>
 #include <cmath>
 
+#include "net/time_of_day.hpp"
+
 namespace cbs::net {
 
 using cbs::sim::kDay;
 using cbs::sim::SimTime;
+
+namespace {
+/// Days a transfer estimate integrates over before it extrapolates.
+constexpr std::size_t kMaxDays = 7;
+}  // namespace
 
 BandwidthEstimator::BandwidthEstimator(Config config)
     : config_(config),
@@ -18,11 +25,7 @@ BandwidthEstimator::BandwidthEstimator(Config config)
 }
 
 std::size_t BandwidthEstimator::slot_of(SimTime t) const {
-  double day_frac = std::fmod(t, kDay) / kDay;
-  if (day_frac < 0.0) day_frac += 1.0;
-  auto slot = static_cast<std::size_t>(day_frac *
-                                       static_cast<double>(config_.slots_per_day));
-  return slot % config_.slots_per_day;
+  return day_slot(t, config_.slots_per_day);
 }
 
 void BandwidthEstimator::observe(SimTime t, double rate) {
@@ -54,6 +57,7 @@ void BandwidthEstimator::rebuild_table() const {
     rate_[k] = std::max(slot_estimate(k), 1.0);
     movable_[k + 1] = movable_[k] + rate_[k] * slot_seconds;
   }
+  min_rate_ = *std::min_element(rate_.begin(), rate_.end());
   table_stale_ = false;
   ++work_.table_rebuilds;
 }
@@ -76,8 +80,14 @@ double BandwidthEstimator::estimate_transfer_seconds(SimTime t, double bytes) co
   const double slot_seconds = kDay / static_cast<double>(slots);
 
   // The rest of t's slot.
-  const double first_rate = rate_[slot_of(t)];
-  const double first_end = (std::floor(t / slot_seconds) + 1.0) * slot_seconds;
+  if (t != last_t_) {
+    last_t_ = t;
+    last_slot_ = slot_of(t);
+    last_slot_end_ = (std::floor(t / slot_seconds) + 1.0) * slot_seconds;
+    last_next_slot_ = kNoSlot;  // found below, if the transfer gets there
+  }
+  const double first_rate = rate_[last_slot_];
+  const double first_end = last_slot_end_;
   const double first_window = first_end - t;
   if (first_rate * first_window >= bytes) return bytes / first_rate;
   double remaining = bytes - first_rate * first_window;
@@ -87,8 +97,8 @@ double BandwidthEstimator::estimate_transfer_seconds(SimTime t, double bytes) co
   // slot counted. Any day of consecutive whole slots moves a day's
   // capacity, so whole days are skipped at once, keeping the last day
   // (and at least one byte) for the search.
-  constexpr std::size_t kMaxDays = 7;
-  const std::size_t next = slot_of(first_end);
+  if (last_next_slot_ == kNoSlot) last_next_slot_ = slot_of(first_end);
+  const std::size_t next = last_next_slot_;
   const double day_bytes = movable_[slots];
   double days = std::floor(remaining / day_bytes);
   if (days > 0.0 && days * day_bytes >= remaining) days -= 1.0;
@@ -119,6 +129,19 @@ double BandwidthEstimator::estimate_transfer_seconds(SimTime t, double bytes) co
   elapsed += static_cast<double>(lo - 1) * slot_seconds;
   return elapsed + (remaining - movable_in(next, lo - 1)) /
                        rate_[(next + lo - 1) % slots];
+}
+
+double BandwidthEstimator::transfer_seconds_floor(double seconds,
+                                                  double bytes) const {
+  if (seconds <= 0.0) return 0.0;
+  // The query that gave `seconds` left the table fresh. A step back at a
+  // seam is a few roundings of a byte count no larger than a week's bytes
+  // plus `bytes`, moved at some slot's rate, and of the seconds summed.
+  assert(!table_stale_);
+  const double week_bytes = static_cast<double>(kMaxDays) * movable_.back();
+  const double rounding =
+      0x1p-40 * (seconds + (week_bytes + bytes) / min_rate_);
+  return std::max(0.0, seconds - rounding);
 }
 
 }  // namespace cbs::net

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "net/ewma.hpp"
@@ -52,6 +53,17 @@ class BandwidthEstimator {
   [[nodiscard]] double estimate_transfer_seconds(cbs::sim::SimTime t,
                                                  double bytes) const;
 
+  /// A lower bound on estimate_transfer_seconds(t, b) for every b ≥ `bytes`,
+  /// given `seconds`, the estimate for (t, bytes) made since the last
+  /// observe(). The estimate grows with the bytes except at the seams where
+  /// a transfer starts to reach into one more slot or day: the pieces on
+  /// either side are rounded apart, and the estimate can step back there
+  /// by rounding (~5e-13 of its value seen). The bound takes off 2^-40 of
+  /// the estimate plus 2^-40 of the seconds a week's bytes and `bytes`
+  /// take at the slowest slot, which covers every such step.
+  [[nodiscard]] double transfer_seconds_floor(double seconds,
+                                              double bytes) const;
+
   /// Work done by estimate_transfer_seconds, counted rather than timed so
   /// that it does not depend on the host.
   struct Work {
@@ -82,11 +94,21 @@ class BandwidthEstimator {
   // Filled in by the first query after an observe() (logically const):
   // rate_[k] is slot k's estimate clamped to ≥ 1 B/s, and movable_[k] the
   // bytes whole slots 0..k−1 move at those rates, so movable_.back() is a
-  // day's capacity.
+  // day's capacity; min_rate_ is the smallest rate_[k].
   mutable std::vector<double> rate_;
   mutable std::vector<double> movable_;
+  mutable double min_rate_ = 1.0;
   mutable bool table_stale_ = true;
   mutable Work work_;
+  // The slot terms of the last query's start time t, kept because the
+  // queries of one admission share it: t's slot, the end of that slot and
+  // the slot after it (kNoSlot until a query from t reaches it). They
+  // depend on t alone, so no observe() stales them.
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+  mutable cbs::sim::SimTime last_t_ = std::numeric_limits<double>::quiet_NaN();
+  mutable std::size_t last_slot_ = 0;
+  mutable double last_slot_end_ = 0.0;
+  mutable std::size_t last_next_slot_ = kNoSlot;
 };
 
 }  // namespace cbs::net

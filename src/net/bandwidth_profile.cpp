@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "net/time_of_day.hpp"
+
 namespace cbs::net {
 
 using cbs::sim::kDay;
@@ -29,7 +31,7 @@ DiurnalProfile DiurnalProfile::flat() { return DiurnalProfile({1.0}); }
 double DiurnalProfile::multiplier_at(SimTime t) const {
   const std::size_t n = anchors_.size();
   if (n == 1) return anchors_[0];
-  double day_frac = std::fmod(t, kDay) / kDay;
+  double day_frac = day_remainder(t) / kDay;
   if (day_frac < 0.0) day_frac += 1.0;
   const double pos = day_frac * static_cast<double>(n);
   const auto idx = static_cast<std::size_t>(pos) % n;

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
+
+#include "net/time_of_day.hpp"
 
 namespace cbs::net {
 
-using cbs::sim::kDay;
 using cbs::sim::SimTime;
 
 ThreadTuner::ThreadTuner(Config config) : config_(config) {
@@ -19,11 +19,7 @@ ThreadTuner::ThreadTuner(Config config) : config_(config) {
 }
 
 std::size_t ThreadTuner::slot_of(SimTime t) const {
-  double day_frac = std::fmod(t, kDay) / kDay;
-  if (day_frac < 0.0) day_frac += 1.0;
-  auto slot = static_cast<std::size_t>(day_frac *
-                                       static_cast<double>(config_.slots_per_day));
-  return slot % config_.slots_per_day;
+  return day_slot(t, config_.slots_per_day);
 }
 
 int ThreadTuner::suggest(SimTime t) {

@@ -6,15 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <vector>
 
 #include "harness/experiment.hpp"
 #include "harness/runner.hpp"
 #include "harness/scenario.hpp"
+#include "harness/world.hpp"
 #include "recording_owner.hpp"
 #include "simcore/fault_plan.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/simulation.hpp"
+#include "workload/ground_truth.hpp"
 
 namespace {
 
@@ -205,6 +209,43 @@ TEST(FaultScenarioTest, RetractionPreservesFcfsReadmission) {
         << "IC completion order violates FCFS at t=" << ic_done[i].first;
     prev_seq = ic_done[i].second;
   }
+}
+
+TEST(FaultScenarioTest, ServiceIsDrawnOnceAtFirstDispatchOnEveryPath) {
+  // A job's realized service is drawn when it is first dispatched, not when
+  // it is admitted. On every path — IC, EC, a burst retracted and re-run
+  // internally, a task re-executed after a crash — it must be the
+  // identity-keyed draw of its document, drawn once per job.
+  harness::Scenario s = faulted_scenario(42);
+  // No chunks, so every job is an input document.
+  auto cfg = s.controller_config();
+  cfg.params.variability_threshold_mb = 1e9;
+  s.config_override = cfg;
+  ASSERT_GT(s.truth.noise_sigma, 0.0);
+  harness::ScenarioWorld world(s);
+  world.run();
+  const harness::RunResult r = world.result();
+  ASSERT_GT(r.faults.retractions, 0u);
+  ASSERT_GT(r.faults.reexecutions, 0u);
+
+  std::map<std::uint64_t, const workload::Document*> docs;
+  for (const auto& batch : world.batches()) {
+    for (const auto& doc : batch.documents) docs[doc.doc_id] = &doc;
+  }
+  const workload::GroundTruthModel truth(s.truth,
+                                         RngStream(s.seed).substream("truth"));
+  std::size_t internal = 0;
+  std::size_t external = 0;
+  for (const auto& o : r.outcomes) {
+    const auto it = docs.find(o.doc_id);
+    ASSERT_NE(it, docs.end()) << "outcome of an unknown document " << o.doc_id;
+    EXPECT_EQ(o.true_service_seconds, truth.realized_seconds(*it->second))
+        << "job " << o.seq_id;
+    ++(o.bursted() ? external : internal);
+  }
+  EXPECT_GT(internal, 0u);
+  EXPECT_GT(external, 0u);
+  EXPECT_EQ(world.controller().service_draws(), r.outcomes.size());
 }
 
 TEST(FaultScenarioTest, InertRecoveryPolicyDoesNotPerturbResults) {

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "closure_events.hpp"
@@ -12,6 +15,7 @@
 #include "net/link.hpp"
 #include "net/noise.hpp"
 #include "net/thread_tuner.hpp"
+#include "net/time_of_day.hpp"
 #include "recording_owner.hpp"
 #include "simcore/simulation.hpp"
 #include "stats/summary.hpp"
@@ -463,6 +467,168 @@ TEST(BandwidthEstimatorTest, TransferQueryCostDoesNotGrowWithBytes) {
   est.observe(0.0, 1.0e6);
   EXPECT_GT(est.estimate_transfer_seconds(0.0, 1.0e9), 0.0);
   EXPECT_EQ(est.work().table_rebuilds, 2u);
+}
+
+TEST(BandwidthEstimatorTest, TransferSecondsFloorHoldsAcrossSeams) {
+  // Order-preserving admission skips a document's upload query when the
+  // upload of the backlog ahead of it already misses, which needs
+  // transfer_seconds_floor(estimate(t, b1), b1) ≤ estimate(t, b2) for every
+  // b2 ≥ b1. The estimate can step back by rounding where a transfer starts
+  // to reach one more slot or day, so the bytes are swept a few ulps around
+  // every such seam of the week, and geometrically in between.
+  RngStream rng(77);
+  std::size_t checked = 0;
+  for (std::size_t trial = 0; trial < 30; ++trial) {
+    const std::size_t slots = std::array<std::size_t, 3>{48, 24, 1}[trial % 3];
+    const double slot_seconds = kDay / static_cast<double>(slots);
+    // Every fourth trial spreads the slot rates over four decades.
+    const double hi = trial % 4 == 3 ? 1.0e7 : 1.0e6;
+    BandwidthEstimator est(
+        {.slots_per_day = slots, .alpha = 0.3, .prior_rate = 2.5e5});
+    for (std::uint64_t k = rng.uniform_int(0, 200); k > 0; --k) {
+      est.observe(rng.uniform(0.0, 3.0 * kDay), rng.uniform(1.0e3, hi));
+    }
+    double t = rng.uniform(0.0, 30.0 * kDay);
+    if (trial % 5 == 0) {
+      t = static_cast<double>(rng.uniform_int(0, 30 * slots)) * slot_seconds;
+    }
+    std::vector<double> bytes;
+    for (int i = 0; i <= 300; ++i) {
+      bytes.push_back(std::pow(10.0, -1.0 + 15.0 * i / 300.0));
+    }
+    // The seams: where the estimate passes the end of t's slot and of each
+    // whole slot after it, found by bisection on the bytes.
+    const double first_window =
+        (std::floor(t / slot_seconds) + 1.0) * slot_seconds - t;
+    for (std::size_t k = 0; k <= 7 * slots; ++k) {
+      const double target =
+          first_window + static_cast<double>(k) * slot_seconds;
+      double lo = 0.0;
+      double hi_bytes = 1.0e16;
+      while (true) {
+        const double mid = 0.5 * (lo + hi_bytes);
+        if (mid == lo || mid == hi_bytes) break;
+        (est.estimate_transfer_seconds(t, mid) < target ? lo : hi_bytes) = mid;
+      }
+      double b = lo;
+      for (int u = 0; u < 16; ++u) b = std::nextafter(b, 0.0);
+      for (int u = 0; u < 32; ++u) {
+        bytes.push_back(b);
+        b = std::nextafter(b, std::numeric_limits<double>::infinity());
+      }
+    }
+    std::sort(bytes.begin(), bytes.end());
+    double floor = 0.0;  // the largest floor of any smaller byte count
+    for (const double b : bytes) {
+      const double seconds = est.estimate_transfer_seconds(t, b);
+      ASSERT_GE(seconds, floor) << "slots " << slots << " t " << t
+                                << " bytes " << b;
+      floor = std::max(floor, est.transfer_seconds_floor(seconds, b));
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 100000u);
+}
+
+// ---- The fmod-free time of day --------------------------------------------
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// The slot every caller computed with std::fmod before day_slot.
+std::size_t fmod_slot(double t, std::size_t slots) {
+  double day_frac = std::fmod(t, kDay) / kDay;
+  if (day_frac < 0.0) day_frac += 1.0;
+  auto slot = static_cast<std::size_t>(day_frac * static_cast<double>(slots));
+  return slot % slots;
+}
+
+/// DiurnalProfile::multiplier_at as it was computed with std::fmod.
+double fmod_multiplier(const std::vector<double>& anchors, double t) {
+  const std::size_t n = anchors.size();
+  if (n == 1) return anchors[0];
+  double day_frac = std::fmod(t, kDay) / kDay;
+  if (day_frac < 0.0) day_frac += 1.0;
+  const double pos = day_frac * static_cast<double>(n);
+  const auto idx = static_cast<std::size_t>(pos) % n;
+  const std::size_t next = (idx + 1) % n;
+  const double frac = pos - std::floor(pos);
+  return anchors[idx] * (1.0 - frac) + anchors[next] * frac;
+}
+
+/// Times that stress day_remainder: random times over a long run and far
+/// past it, whole days and slot boundaries with their neighbours a few ulps
+/// either side, and the values that take the fmod path.
+std::vector<double> time_of_day_probes() {
+  std::vector<double> probes;
+  const auto with_neighbours = [&probes](double t) {
+    double down = t;
+    double up = t;
+    probes.push_back(t);
+    for (int u = 0; u < 3; ++u) {
+      down = std::nextafter(down, -std::numeric_limits<double>::infinity());
+      up = std::nextafter(up, std::numeric_limits<double>::infinity());
+      probes.push_back(down);
+      probes.push_back(up);
+    }
+  };
+  RngStream rng(2026);
+  for (int i = 0; i < 20000; ++i) {
+    probes.push_back(rng.uniform(0.0, 400.0 * kDay));
+  }
+  for (int i = 0; i < 5000; ++i) {
+    probes.push_back(std::pow(10.0, rng.uniform(-300.0, 20.0)));
+  }
+  for (std::uint64_t n = 0; n <= 2000; ++n) {
+    with_neighbours(static_cast<double>(n) * kDay);
+  }
+  for (int i = 0; i < 2000; ++i) {
+    // Whole days up to 2^52 s, where the fast path ends.
+    const double n = std::floor(std::pow(2.0, rng.uniform(0.0, 35.5)));
+    with_neighbours(n * kDay);
+  }
+  for (const std::size_t slots : std::array<std::size_t, 3>{24, 48, 96}) {
+    const double slot_seconds = kDay / static_cast<double>(slots);
+    for (std::size_t k = 0; k <= 30 * slots; ++k) {
+      with_neighbours(static_cast<double>(k) * slot_seconds);
+    }
+  }
+  for (const double t : {0.0, -0.0, -1.0, -kDay, -1.0e10, 0x1p52, 0x1p60,
+                         std::numeric_limits<double>::denorm_min(),
+                         std::numeric_limits<double>::max(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    with_neighbours(t);
+  }
+  return probes;
+}
+
+TEST(TimeOfDayTest, DayRemainderIsFmodBitForBit) {
+  for (const double t : time_of_day_probes()) {
+    ASSERT_EQ(bits(day_remainder(t)), bits(std::fmod(t, kDay))) << t;
+  }
+}
+
+TEST(TimeOfDayTest, SlotsAndMultipliersMatchTheFmodForms) {
+  const DiurnalProfile pipe = DiurnalProfile::business_pipe();
+  const std::vector<double> odd = {0.9, 1.7, 0.4, 1.1, 2.3, 0.6, 1.0};
+  const DiurnalProfile seven(odd);
+  const std::vector<double> probes = time_of_day_probes();
+  for (const std::size_t slots : std::array<std::size_t, 5>{1, 7, 24, 48, 96}) {
+    const BandwidthEstimator est(
+        {.slots_per_day = slots, .alpha = 0.3, .prior_rate = 1.0});
+    for (const double t : probes) {
+      if (std::isnan(t) || std::isinf(t)) continue;  // no slot to compare
+      ASSERT_EQ(est.slot_of(t), fmod_slot(t, slots)) << slots << " " << t;
+    }
+  }
+  for (const double t : probes) {
+    if (std::isnan(t) || std::isinf(t)) continue;
+    ASSERT_EQ(bits(pipe.multiplier_at(t)),
+              bits(fmod_multiplier(pipe.anchors(), t)))
+        << t;
+    ASSERT_EQ(bits(seven.multiplier_at(t)), bits(fmod_multiplier(odd, t))) << t;
+  }
 }
 
 // ---- ThreadTuner ---------------------------------------------------------

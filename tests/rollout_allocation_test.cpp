@@ -10,7 +10,10 @@
 //    rolled may exceed 64 KiB: a fork keeps its tables' room to grow, so a
 //    rollout never reallocates the backlog it inherited (DESIGN §12.1);
 //  - the chain's allocation count at batch 200 stays under a ceiling
-//    recorded with 1.5x headroom.
+//    recorded with 1.5x headroom, and so do the allocations of the batch's
+//    admission, the transfer-time queries and the realized-service draws
+//    (order-preserving admission prices only what its decision reads, and a
+//    job's service is drawn when it is first dispatched).
 //
 // The decision point is reproduced without a test hook: the parent runs to
 // just before batch k arrives and is forked there. The fork, marked as an
@@ -104,6 +107,11 @@ struct Chain {
   AllocationCount admit;  ///< the decision batch's admission
   AllocationCount roll;   ///< the rest of the horizon
   AllocationCount teardown;
+  /// Transfer-time queries on the rollout's uplink and downlink estimators
+  /// while the batch is admitted and the horizon rolled.
+  std::size_t transfer_queries = 0;
+  /// Realized services the rollout drew (jobs it dispatched).
+  std::size_t service_draws = 0;
 
   [[nodiscard]] std::size_t count() const {
     return fork.count + admit.count + roll.count;
@@ -137,16 +145,27 @@ Chain measure_op_chain(std::size_t batch) {
     rollout = parent.fork();
     rollout->begin_rollout(cbs::core::SchedulerKind::kOrderPreserving);
   });
+  const auto queries = [&] {
+    const auto& site = rollout->controller().site(0);
+    return site.uplink_estimator.work().queries +
+           site.downlink_estimator.work().queries;
+  };
+  const std::size_t queries_at_fork = queries();
+  const std::size_t draws_at_fork = rollout->controller().service_draws();
   chain.admit = count_allocations([&] { rollout->run_until(arrival); });
   chain.roll = count_allocations(
       [&] { rollout->run_until(arrival + s.lookahead_horizon_seconds); });
+  chain.transfer_queries = queries() - queries_at_fork;
+  chain.service_draws = rollout->controller().service_draws() - draws_at_fork;
   chain.teardown = count_allocations([&] { rollout.reset(); });
   std::printf(
       "batch %zu: %zu outstanding; allocations fork %zu, admit %zu, roll %zu "
-      "(%zu bytes after the fork, largest %zu)\n",
+      "(%zu bytes after the fork, largest %zu); %zu transfer queries, %zu "
+      "service draws\n",
       batch, chain.outstanding, chain.fork.count, chain.admit.count,
       chain.roll.count, chain.admit.bytes + chain.roll.bytes,
-      chain.largest_after_fork());
+      chain.largest_after_fork(), chain.transfer_queries,
+      chain.service_draws);
   return chain;
 }
 
@@ -156,10 +175,18 @@ TEST(RolloutAllocation, CountIsBoundedAtBatch200) {
   const Chain chain = measure_op_chain(200);
   ASSERT_GT(chain.outstanding, 200u);  // the overload backlog is there
   EXPECT_LE(chain.largest_after_fork(), kLargestAllocation);
-  // 271 measured (98 fork, 26 admit, 147 roll); the ceiling keeps 1.5x
-  // headroom. Before forks kept their room to grow it was 1,176.
-  EXPECT_LE(chain.count(), 406u);
+  // 178 measured (81 fork, 18 admit, 79 roll); the ceilings keep 1.5x
+  // headroom. It was 217 (81, 25, 111) before admission reused its buffers
+  // and drew services lazily, and 1,176 before forks kept their room to
+  // grow.
+  EXPECT_LE(chain.count(), 267u);
+  EXPECT_LE(chain.admit.count, 27u);
   EXPECT_EQ(chain.teardown.count, 0u);
+  // 210 queries on the two links, where pricing every round trip in full
+  // made 364; 67 draws, one per job dispatched before the horizon, where
+  // drawing at admission made 182.
+  EXPECT_LE(chain.transfer_queries, 315u);
+  EXPECT_LE(chain.service_draws, 100u);
 }
 
 TEST(RolloutAllocation, NoLargeAllocationAtBatch399) {
