@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/belief_state.hpp"
@@ -85,6 +86,17 @@ void BM_EventCancelChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventCancelChurn)->Arg(1000)->Arg(10000);
 
+/// The belief rows' EC site of `machines` speed-1 machines, and the
+/// one-slot 1 MB/s pipe of the first two.
+cbs::core::EcSiteConfig ec_site(std::size_t machines, double overhead_seconds) {
+  cbs::core::EcSiteConfig site;
+  site.machines = machines;
+  site.job_overhead_seconds = overhead_seconds;
+  return site;
+}
+constexpr cbs::net::BandwidthEstimator::Config kOneSlotPipe{
+    .slots_per_day = 1, .alpha = 0.3, .prior_rate = 1.0e6};
+
 void BM_SlackMaintenance(benchmark::State& state) {
   // Eq. 1's cushion under commit/complete churn with `n` jobs outstanding.
   // The pre-optimization slack() rescanned all outstanding jobs on every
@@ -93,17 +105,17 @@ void BM_SlackMaintenance(benchmark::State& state) {
   cbs::sim::RngStream rng(11);
   cbs::workload::GroundTruthModel truth({}, rng.substream("t"));
   cbs::workload::WorkloadGenerator gen({}, truth, rng.substream("g"));
-  cbs::models::OracleEstimator estimator(truth);
-  cbs::net::BandwidthEstimator uplink(
-      {.slots_per_day = 1, .alpha = 0.3, .prior_rate = 1.0e6});
-  cbs::net::BandwidthEstimator downlink = uplink;
-  cbs::core::BeliefState belief(estimator, uplink, downlink, 50, 50, 1.0);
+  cbs::core::BeliefState belief(
+      std::make_unique<cbs::models::OracleEstimator>(truth), 50);
+  belief.add_ec_site(ec_site(50, 0.0), kOneSlotPipe);
   std::vector<cbs::workload::Document> docs;
   for (std::size_t i = 0; i < n; ++i) docs.push_back(gen.next());
   std::uint64_t seq = 1;
   double now = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    belief.commit_ec(seq++, docs[i], belief.ft_ec(docs[i], now));
+    const double service = belief.estimate_service(docs[i]);
+    belief.commit_ec(seq++, docs[i], service,
+                     belief.ft_ec(docs[i], service, now));
   }
   std::size_t oldest = 1;
   std::size_t i = 0;
@@ -113,7 +125,8 @@ void BM_SlackMaintenance(benchmark::State& state) {
     now += 1.0;
     belief.on_ec_complete(oldest++);
     const auto& doc = docs[i++ % docs.size()];
-    belief.commit_ec(seq++, doc, belief.ft_ec(doc, now));
+    const double service = belief.estimate_service(doc);
+    belief.commit_ec(seq++, doc, service, belief.ft_ec(doc, service, now));
     benchmark::DoNotOptimize(belief.slack(now));
   }
   state.SetItemsProcessed(state.iterations());
@@ -128,10 +141,6 @@ void BM_BatchAdmission(benchmark::State& state) {
   cbs::sim::RngStream rng(13);
   cbs::workload::GroundTruthModel truth({}, rng.substream("t"));
   cbs::workload::WorkloadGenerator gen({}, truth, rng.substream("g"));
-  cbs::models::OracleEstimator estimator(truth);
-  cbs::net::BandwidthEstimator uplink(
-      {.slots_per_day = 1, .alpha = 0.3, .prior_rate = 1.0e6});
-  cbs::net::BandwidthEstimator downlink = uplink;
   std::vector<cbs::workload::Document> batch;
   for (std::size_t i = 0; i < batch_size; ++i) batch.push_back(gen.next());
   cbs::core::SchedulerParams params;
@@ -139,7 +148,9 @@ void BM_BatchAdmission(benchmark::State& state) {
     state.PauseTiming();
     // Fresh belief per iteration so committed state does not accumulate
     // across iterations; seeded with a backlog so jobs are burst-eligible.
-    cbs::core::BeliefState belief(estimator, uplink, downlink, 4, 50, 1.0);
+    cbs::core::BeliefState belief(
+        std::make_unique<cbs::models::OracleEstimator>(truth), 4);
+    belief.add_ec_site(ec_site(50, 0.0), kOneSlotPipe);
     belief.commit_ic(999999, 40000.0);
     std::uint64_t next_seq = 1;
     std::uint64_t next_doc_id = 1ULL << 40;
@@ -176,24 +187,22 @@ void BM_BatchAdmissionRolloutState(benchmark::State& state) {
   cbs::sim::RngStream rng(17);
   cbs::workload::GroundTruthModel truth({}, rng.substream("t"));
   cbs::workload::WorkloadGenerator gen({}, truth, rng.substream("g"));
-  cbs::models::OracleEstimator estimator(truth);
-  cbs::net::BandwidthEstimator uplink(cbs::net::BandwidthEstimator::Config{});
-  cbs::net::BandwidthEstimator downlink(
-      cbs::net::BandwidthEstimator::Config{});
+  constexpr std::size_t kIcMachines = 8;
+  cbs::core::BeliefState base(
+      std::make_unique<cbs::models::OracleEstimator>(truth), kIcMachines);
+  base.add_ec_site(ec_site(2, 30.0), cbs::net::BandwidthEstimator::Config{});
   for (int k = 0; k < 96; ++k) {
     const double t = 900.0 * k;
     const double rate = 1.0e6 * (1.0 + 0.5 * std::sin(t / 86400.0 * 6.283));
-    uplink.observe(t, rate);
-    downlink.observe(t, 2.0 * rate);
+    base.uplink(0).observe(t, rate);
+    base.downlink(0).observe(t, 2.0 * rate);
   }
   const double now = 86400.0 + 9.0 * 3600.0;
-  constexpr std::size_t kIcMachines = 8;
-  cbs::core::BeliefState base(estimator, uplink, downlink, kIcMachines, 2,
-                              1.0, 30.0);
   std::uint64_t seq = 1;
   for (int i = 0; i < 200; ++i) {
     const auto doc = gen.next();
-    base.commit_ec(seq++, doc, base.ft_ec(doc, now));
+    const double service = base.estimate_service(doc);
+    base.commit_ec(seq++, doc, service, base.ft_ec(doc, service, now));
   }
   base.commit_ic(seq++, (base.slack(now) - now + 600.0) *
                             static_cast<double>(kIcMachines));
@@ -203,7 +212,7 @@ void BM_BatchAdmissionRolloutState(benchmark::State& state) {
   cbs::core::SchedulerState scheduler_state;
   for (auto _ : state) {
     state.PauseTiming();
-    cbs::core::BeliefState belief(base, estimator);
+    cbs::core::BeliefState belief(base);
     std::uint64_t next_seq = seq;
     std::uint64_t next_doc_id = 1ULL << 40;
     cbs::core::ScheduleContext ctx{

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "sla/slack.hpp"
 
@@ -10,30 +11,15 @@ namespace cbs::core {
 using cbs::sim::SimTime;
 
 BeliefState::BeliefState(
-    const cbs::models::ProcessingTimeEstimator& service_estimator,
+    std::unique_ptr<cbs::models::ProcessingTimeEstimator> service_model,
     std::size_t ic_machines)
-    : service_estimator_(service_estimator), ic_machines_(ic_machines) {
+    : service_model_(std::move(service_model)), ic_machines_(ic_machines) {
+  assert(service_model_ != nullptr);
   assert(ic_machines > 0);
 }
 
-BeliefState::BeliefState(
-    const cbs::models::ProcessingTimeEstimator& service_estimator,
-    const cbs::net::BandwidthEstimator& uplink_estimator,
-    const cbs::net::BandwidthEstimator& downlink_estimator,
-    std::size_t ic_machines, std::size_t ec_machines, double ec_speed,
-    double ec_job_overhead_seconds)
-    : BeliefState(service_estimator, ic_machines) {
-  EcSiteConfig site;
-  site.machines = ec_machines;
-  site.speed = ec_speed;
-  site.job_overhead_seconds = ec_job_overhead_seconds;
-  add_ec_site(uplink_estimator, downlink_estimator, site);
-}
-
-BeliefState::BeliefState(
-    const BeliefState& src,
-    const cbs::models::ProcessingTimeEstimator& service_estimator)
-    : service_estimator_(service_estimator),
+BeliefState::BeliefState(const BeliefState& src)
+    : service_model_(src.service_model_->clone()),
       ic_machines_(src.ic_machines_),
       sites_(src.sites_),
       ic_jobs_(src.ic_jobs_),
@@ -44,56 +30,47 @@ BeliefState::BeliefState(
       view_(src.view_) {}
 
 std::size_t BeliefState::add_ec_site(
-    const cbs::net::BandwidthEstimator& uplink_estimator,
-    const cbs::net::BandwidthEstimator& downlink_estimator,
-    const EcSiteConfig& site) {
+    const EcSiteConfig& site,
+    const cbs::net::BandwidthEstimator::Config& pipe) {
   assert(site.machines > 0 && site.speed > 0.0);
   assert(site.job_overhead_seconds >= 0.0);
-  EcSite s{std::cref(uplink_estimator), std::cref(downlink_estimator)};
+  EcSite& s = sites_.emplace_back(
+      EcSite{.uplink = cbs::net::BandwidthEstimator(pipe),
+             .downlink = cbs::net::BandwidthEstimator(pipe)});
   s.machines = site.machines;
   s.speed = site.speed;
   s.job_overhead = site.job_overhead_seconds;
-  sites_.push_back(s);
   return sites_.size() - 1;
 }
 
-void BeliefState::rebind_site(std::size_t site,
-                              const cbs::net::BandwidthEstimator& uplink_estimator,
-                              const cbs::net::BandwidthEstimator& downlink_estimator) {
-  sites_[site].uplink = std::cref(uplink_estimator);
-  sites_[site].downlink = std::cref(downlink_estimator);
-  sites_[site].floor = UploadQuery{};
-  sites_[site].last_upload = UploadQuery{};
-}
-
 double BeliefState::estimate_service(const cbs::workload::Document& doc) const {
-  return service_estimator_.estimate_seconds(doc);
+  return service_model_->estimate_seconds(doc);
 }
 
 double BeliefState::upload_seconds_for(const EcSite& site, SimTime t,
                                        double bytes) const {
   if (view_ == BandwidthView::kTransient) {
-    return bytes / std::max(site.uplink.get().last_observed(), 1.0);
+    return bytes / std::max(site.uplink.last_observed(), 1.0);
   }
-  return site.uplink.get().estimate_transfer_seconds(t, bytes);
+  return site.uplink.estimate_transfer_seconds(t, bytes);
 }
 
 double BeliefState::download_seconds_for(const EcSite& site, SimTime t,
                                          double bytes) const {
   if (view_ == BandwidthView::kTransient) {
-    return bytes / std::max(site.downlink.get().last_observed(), 1.0);
+    return bytes / std::max(site.downlink.last_observed(), 1.0);
   }
-  return site.downlink.get().estimate_transfer_seconds(t, bytes);
+  return site.downlink.estimate_transfer_seconds(t, bytes);
 }
 
 SimTime BeliefState::ic_drain_time(SimTime now) const {
   return now + ic_outstanding_seconds_ / ic_capacity();
 }
 
-SimTime BeliefState::ft_ic(const cbs::workload::Document& doc, SimTime now) const {
+SimTime BeliefState::ft_ic(double service, SimTime now) const {
   // Backlog drains at full aggregate rate; the new job's own work then
   // runs on one speed-1 machine.
-  return now + ic_outstanding_seconds_ / ic_capacity() + estimate_service(doc);
+  return now + ic_outstanding_seconds_ / ic_capacity() + service;
 }
 
 BeliefState::UploadQuery BeliefState::upload_query(const EcSite& site,
@@ -101,7 +78,7 @@ BeliefState::UploadQuery BeliefState::upload_query(const EcSite& site,
                                                    double bytes) const {
   return UploadQuery{.now = now,
                      .bytes = bytes,
-                     .observations = site.uplink.get().observation_count(),
+                     .observations = site.uplink.observation_count(),
                      .view = view_};
 }
 
@@ -119,7 +96,7 @@ double BeliefState::upload_floor(const EcSite& site, SimTime now) const {
   site.floor.seconds =
       view_ == BandwidthView::kTransient
           ? seconds
-          : site.uplink.get().transfer_seconds_floor(seconds, key.bytes);
+          : site.uplink.transfer_seconds_floor(seconds, key.bytes);
   return site.floor.seconds;
 }
 
@@ -192,18 +169,16 @@ EcEstimate BeliefState::pick_site(EstimateOn&& estimate) const {
 }
 
 EcEstimate BeliefState::ft_ec(const cbs::workload::Document& doc,
-                              SimTime now) const {
-  const double service = estimate_service(doc);
+                              double service, SimTime now) const {
   return pick_site([&](std::size_t site) {
     return estimate_on(site, doc, service, now, 0.0);
   });
 }
 
 EcEstimate BeliefState::ft_ec_job_level(
-    const cbs::workload::Document& doc, SimTime now,
+    const cbs::workload::Document& doc, double service, SimTime now,
     const std::vector<double>& observed_download_backlog_bytes) const {
   assert(observed_download_backlog_bytes.size() == sites_.size());
-  const double service = estimate_service(doc);
   return pick_site([&](std::size_t site) {
     return estimate_on(site, doc, service, now,
                        observed_download_backlog_bytes[site]);
@@ -211,10 +186,9 @@ EcEstimate BeliefState::ft_ec_job_level(
 }
 
 std::optional<EcEstimate> BeliefState::ft_ec_within(
-    const cbs::workload::Document& doc, SimTime now, SimTime slack,
-    cbs::sim::SimDuration margin) const {
+    const cbs::workload::Document& doc, double service, SimTime now,
+    SimTime slack, cbs::sim::SimDuration margin) const {
   assert(!sites_.empty());
-  const double service = estimate_service(doc);
   std::optional<EcEstimate> fastest;
   for (std::size_t s = 0; s < sites_.size(); ++s) {
     const EcSite& site = sites_[s];
@@ -235,8 +209,7 @@ std::optional<EcEstimate> BeliefState::ft_ec_within(
 }
 
 double BeliefState::ec_round_trip_no_load(const cbs::workload::Document& doc,
-                                          SimTime now) const {
-  const double service = estimate_service(doc);
+                                          double service, SimTime now) const {
   const EcEstimate e = pick_site([&](std::size_t site) {
     return no_load_on(site, doc, service, now);
   });
@@ -244,8 +217,9 @@ double BeliefState::ec_round_trip_no_load(const cbs::workload::Document& doc,
 }
 
 double BeliefState::ec_round_trip_no_load(const cbs::workload::Document& doc,
-                                          SimTime now, std::size_t site) const {
-  const EcEstimate e = no_load_on(site, doc, estimate_service(doc), now);
+                                          double service, SimTime now,
+                                          std::size_t site) const {
+  const EcEstimate e = no_load_on(site, doc, service, now);
   return e.upload_seconds + e.processing_seconds + e.download_seconds;
 }
 
@@ -296,11 +270,10 @@ void BeliefState::commit_ic(std::uint64_t seq, double estimated_service) {
 }
 
 void BeliefState::commit_ec(std::uint64_t seq, const cbs::workload::Document& doc,
-                            const EcEstimate& estimate) {
+                            double service, const EcEstimate& estimate) {
   assert(estimate.site < sites_.size());
-  const double proc_standard = estimate_service(doc);
   const bool inserted =
-      ec_jobs_.emplace(seq, EcJob{estimate.finish, proc_standard}).second;
+      ec_jobs_.emplace(seq, EcJob{estimate.finish, service}).second;
   assert(inserted && "seq committed to EC twice");
   (void)inserted;
   // Stale records (from completions/retractions) accumulate until they
@@ -319,7 +292,7 @@ void BeliefState::commit_ec(std::uint64_t seq, const cbs::workload::Document& do
   ec_finish_heap_.emplace_back(estimate.finish, seq);
   std::push_heap(ec_finish_heap_.begin(), ec_finish_heap_.end());
   EcSite& site = sites_[estimate.site];
-  site.outstanding_seconds += proc_standard;
+  site.outstanding_seconds += service;
   site.upload_backlog_bytes += doc.input_bytes();
 }
 

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -48,52 +48,69 @@ struct EcEstimate {
 class BeliefState {
  public:
   /// A belief over the internal cloud of `ic_machines` speed-1 machines
-  /// alone; add_ec_site() registers the external sites. A job occupies one
-  /// machine, so its own service time runs at the machine's speed, while
-  /// the backlog drains at the cluster's aggregate rate.
-  BeliefState(const cbs::models::ProcessingTimeEstimator& service_estimator,
-              std::size_t ic_machines);
+  /// alone, estimating service with `service_model`; add_ec_site()
+  /// registers the external sites. A job occupies one machine, so its own
+  /// service time runs at the machine's speed, while the backlog drains at
+  /// the cluster's aggregate rate.
+  BeliefState(
+      std::unique_ptr<cbs::models::ProcessingTimeEstimator> service_model,
+      std::size_t ic_machines);
 
-  /// A belief over the IC and one EC site (the paper's topology).
-  BeliefState(const cbs::models::ProcessingTimeEstimator& service_estimator,
-              const cbs::net::BandwidthEstimator& uplink_estimator,
-              const cbs::net::BandwidthEstimator& downlink_estimator,
-              std::size_t ic_machines, std::size_t ec_machines, double ec_speed,
-              double ec_job_overhead_seconds = 0.0);
+  /// Fork support: believes exactly what `src` does, with its own copies
+  /// of the service and bandwidth models.
+  BeliefState(const BeliefState& src);
+  BeliefState& operator=(const BeliefState&) = delete;
 
-  /// Fork support: copies `src`'s believed state wholesale, rebinding the
-  /// service estimator to the fork's clone. Pure value copy otherwise; the
-  /// sites still read `src`'s bandwidth estimators until rebind_site().
-  BeliefState(const BeliefState& src,
-              const cbs::models::ProcessingTimeEstimator& service_estimator);
+  /// Registers the next EC site (its index is the return value): its
+  /// machines, speed and per-job overhead from `site`, and a fresh uplink
+  /// and downlink bandwidth model built from `pipe`.
+  std::size_t add_ec_site(const EcSiteConfig& site,
+                          const cbs::net::BandwidthEstimator::Config& pipe);
 
-  /// Registers the next EC site (its index is the return value): the
-  /// bandwidth estimators of its pipe, and its machines, speed and per-job
-  /// overhead from `site`.
-  std::size_t add_ec_site(const cbs::net::BandwidthEstimator& uplink_estimator,
-                          const cbs::net::BandwidthEstimator& downlink_estimator,
-                          const EcSiteConfig& site);
-
-  /// Fork support: points site `site` at the fork's bandwidth estimators.
-  void rebind_site(std::size_t site,
-                   const cbs::net::BandwidthEstimator& uplink_estimator,
-                   const cbs::net::BandwidthEstimator& downlink_estimator);
+  /// The models the belief prices with. The controller feeds them what it
+  /// observes: a finished job to the service model, a finished transfer or
+  /// probe to its site's bandwidth model.
+  [[nodiscard]] cbs::models::ProcessingTimeEstimator& service_model() noexcept {
+    return *service_model_;
+  }
+  [[nodiscard]] const cbs::models::ProcessingTimeEstimator& service_model()
+      const noexcept {
+    return *service_model_;
+  }
+  [[nodiscard]] cbs::net::BandwidthEstimator& uplink(std::size_t site) {
+    return sites_[site].uplink;
+  }
+  [[nodiscard]] const cbs::net::BandwidthEstimator& uplink(
+      std::size_t site) const {
+    return sites_[site].uplink;
+  }
+  [[nodiscard]] cbs::net::BandwidthEstimator& downlink(std::size_t site) {
+    return sites_[site].downlink;
+  }
+  [[nodiscard]] const cbs::net::BandwidthEstimator& downlink(
+      std::size_t site) const {
+    return sites_[site].downlink;
+  }
 
   /// Estimated standard-machine service seconds for a document (t^e(i)).
+  /// The pricing calls below take this estimate as `service`: a scheduler
+  /// asks once per document and prices, decides and commits with the
+  /// answer.
   [[nodiscard]] double estimate_service(const cbs::workload::Document& doc) const;
 
-  /// ft^ic: estimated absolute completion time if `doc` were appended to
-  /// the internal queue now. The cluster is modeled as draining its
-  /// estimated backlog at the aggregate rate of its speed-1 machines —
-  /// accurate for the task-granular FCFS dispatch the controller uses.
-  [[nodiscard]] cbs::sim::SimTime ft_ic(const cbs::workload::Document& doc,
+  /// ft^ic: estimated absolute completion time if a job of `service`
+  /// seconds were appended to the internal queue now. The cluster is
+  /// modeled as draining its estimated backlog at the aggregate rate of its
+  /// speed-1 machines — accurate for the task-granular FCFS dispatch the
+  /// controller uses.
+  [[nodiscard]] cbs::sim::SimTime ft_ic(double service,
                                         cbs::sim::SimTime now) const;
 
   /// ft^ec with the full round-trip breakdown: upload-queue drain + upload,
   /// EC backlog, processing, download (Eq. 2's terms), on the site with the
   /// earliest believed completion.
   [[nodiscard]] EcEstimate ft_ec(const cbs::workload::Document& doc,
-                                 cbs::sim::SimTime now) const;
+                                 double service, cbs::sim::SimTime now) const;
 
   /// Algorithm 2's burst test: the ft_ec() estimate when its finish plus
   /// `margin` is within the cushion `slack` (sla::satisfies_slack), else
@@ -106,15 +123,18 @@ class BeliefState {
   /// have failed the test; and a site that fails has a later finish than
   /// one that fits, so it never was the pick.
   [[nodiscard]] std::optional<EcEstimate> ft_ec_within(
-      const cbs::workload::Document& doc, cbs::sim::SimTime now,
-      cbs::sim::SimTime slack, cbs::sim::SimDuration margin) const;
+      const cbs::workload::Document& doc, double service,
+      cbs::sim::SimTime now, cbs::sim::SimTime slack,
+      cbs::sim::SimDuration margin) const;
 
   /// ft^ec ignoring all queueing (Algorithm 3, line 5: completion "under no
   /// load": t_up + e_ec + t_down), on the site with the shortest one.
   [[nodiscard]] double ec_round_trip_no_load(const cbs::workload::Document& doc,
+                                             double service,
                                              cbs::sim::SimTime now) const;
   /// The same on a given site (a job already committed there).
   [[nodiscard]] double ec_round_trip_no_load(const cbs::workload::Document& doc,
+                                             double service,
                                              cbs::sim::SimTime now,
                                              std::size_t site) const;
 
@@ -127,7 +147,8 @@ class BeliefState {
   /// looks locally fine, and the queueing delay only materializes at
   /// download time.
   [[nodiscard]] EcEstimate ft_ec_job_level(
-      const cbs::workload::Document& doc, cbs::sim::SimTime now,
+      const cbs::workload::Document& doc, double service,
+      cbs::sim::SimTime now,
       const std::vector<double>& observed_download_backlog_bytes) const;
 
   /// Eq. 1: the cushion for the next job to be scheduled — the latest
@@ -159,10 +180,10 @@ class BeliefState {
 
   /// Records an IC placement of `seq` with the given service estimate.
   void commit_ic(std::uint64_t seq, double estimated_service);
-  /// Records an EC placement on `estimate.site` with its round-trip
-  /// estimate.
+  /// Records an EC placement on `estimate.site` with the service and
+  /// round-trip estimates it was priced with.
   void commit_ec(std::uint64_t seq, const cbs::workload::Document& doc,
-                 const EcEstimate& estimate);
+                 double service, const EcEstimate& estimate);
 
   // ---- Observations (completion notifications) ----
   // The EC calls name the job's site (the estimate's `site` at commit):
@@ -229,8 +250,8 @@ class BeliefState {
 
   /// What the belief knows about one EC site.
   struct EcSite {
-    std::reference_wrapper<const cbs::net::BandwidthEstimator> uplink;
-    std::reference_wrapper<const cbs::net::BandwidthEstimator> downlink;
+    cbs::net::BandwidthEstimator uplink;
+    cbs::net::BandwidthEstimator downlink;
     std::size_t machines = 1;
     double speed = 1.0;
     double job_overhead = 0.0;  ///< fixed wall-clock overhead per job
@@ -241,7 +262,9 @@ class BeliefState {
     /// document's upload estimate. `mutable`: they are memos, refreshed by
     /// the reads that find them stale. The documents of one admission share
     /// the floor until a burst grows the backlog, and the burst's own
-    /// estimate is the upload of the grown backlog.
+    /// estimate is the upload of the grown backlog. A copy keeps them: each
+    /// is keyed on every input of its query, and the copied uplink is in
+    /// the state they were computed in.
     mutable UploadQuery floor{};
     mutable UploadQuery last_upload{};
 
@@ -294,7 +317,7 @@ class BeliefState {
   template <typename EstimateOn>
   [[nodiscard]] EcEstimate pick_site(EstimateOn&& estimate) const;
 
-  const cbs::models::ProcessingTimeEstimator& service_estimator_;
+  std::unique_ptr<cbs::models::ProcessingTimeEstimator> service_model_;
   std::size_t ic_machines_;
   std::vector<EcSite> sites_;
 

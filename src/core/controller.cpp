@@ -80,14 +80,11 @@ CloudBurstController::Site::Site(cbs::sim::Simulation& sim,
                                  std::size_t index, cbs::sim::RngStream rng)
     : cluster(sim, owner, index, config.ec_sites[index].name,
               config.ec_sites[index].machines, config.ec_sites[index].speed),
-      runtime(cluster),
       uplink(sim, owner, index, config.ec_sites[index].uplink,
              rng.substream(site_stream("uplink", index))),
       downlink(sim, owner, index, config.ec_sites[index].downlink,
                rng.substream(site_stream("downlink", index))),
       store(sim, owner, index, config.store),
-      uplink_estimator(config.bandwidth_estimator),
-      downlink_estimator(config.bandwidth_estimator),
       up_tuner(config.thread_tuner),
       down_tuner(config.thread_tuner),
       upload_queues(sim, uplink, up_tuner, kUploadJob,
@@ -102,12 +99,9 @@ CloudBurstController::Site::Site(cbs::sim::Simulation& sim,
 CloudBurstController::Site::Site(cbs::sim::Simulation& dst,
                                  CloudBurstController& owner, const Site& src)
     : cluster(dst, owner, src.cluster),
-      runtime(src.runtime, cluster),
       uplink(dst, owner, src.uplink),
       downlink(dst, owner, src.downlink),
       store(dst, owner, src.store),
-      uplink_estimator(src.uplink_estimator),
-      downlink_estimator(src.downlink_estimator),
       up_tuner(src.up_tuner),
       down_tuner(src.down_tuner),
       upload_queues(dst, src.upload_queues, uplink, up_tuner),
@@ -117,25 +111,21 @@ CloudBurstController::Site::Site(cbs::sim::Simulation& dst,
       bursts(src.bursts),
       pending_boots(src.pending_boots) {}
 
-CloudBurstController::CloudBurstController(cbs::sim::Simulation& sim,
-                                           ControllerConfig config,
-                                           cbs::workload::GroundTruthModel& truth,
-                                           cbs::sim::RngStream rng)
+CloudBurstController::CloudBurstController(
+    cbs::sim::Simulation& sim, ControllerConfig config,
+    cbs::workload::GroundTruthModel truth, cbs::sim::RngStream rng)
     : sim_(sim),
       config_(validated(std::move(config))),
-      truth_(truth),
+      truth_(std::move(truth)),
       log_("controller", config_.log_threshold),
       target_(sim.register_target(*this)),
       ic_cluster_(sim, *this, kIcCluster, "ic", config_.topology.ic_machines),
-      ic_runtime_(ic_cluster_),
-      proc_estimator_(make_estimator(config_.estimator, truth)),
-      belief_(*proc_estimator_, config_.topology.ic_machines) {
+      belief_(make_estimator(config_.estimator, truth_),
+              config_.topology.ic_machines) {
   if (config_.log_sink) log_.set_sink(config_.log_sink);
   for (std::size_t i = 0; i < config_.ec_sites.size(); ++i) {
     sites_.push_back(std::make_unique<Site>(sim, *this, config_, i, rng));
-    Site& site = *sites_.back();
-    belief_.add_ec_site(site.uplink_estimator, site.downlink_estimator,
-                        config_.ec_sites[i]);
+    belief_.add_ec_site(config_.ec_sites[i], config_.bandwidth_estimator);
   }
   belief_.set_bandwidth_view(bandwidth_view_for(config_.scheduler));
   if (config_.faults.enabled()) {
@@ -158,17 +148,14 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& sim,
 }
 
 CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
-                                           const CloudBurstController& src,
-                                           cbs::workload::GroundTruthModel& truth)
+                                           const CloudBurstController& src)
     : sim_(dst),
       config_(src.config_),
-      truth_(truth),
+      truth_(src.truth_),
       log_("controller", config_.log_threshold),
       target_(dst.register_target(*this, src.target_)),
       ic_cluster_(dst, *this, src.ic_cluster_),
-      ic_runtime_(src.ic_runtime_, ic_cluster_),
-      proc_estimator_(src.proc_estimator_->clone(truth)),
-      belief_(src.belief_, *proc_estimator_),
+      belief_(src.belief_),
       scheduler_state_(src.scheduler_state_),
       jobs_(copy_with_room(src.jobs_)),
       job_slot_(src.job_slot_),
@@ -191,13 +178,9 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
       retractions_(src.retractions_),
       service_draws_(src.service_draws_),
       probe_blackout_skips_(src.probe_blackout_skips_) {
-  assert(proc_estimator_ != nullptr &&
-         "estimator kind does not support forking");
   if (config_.log_sink) log_.set_sink(config_.log_sink);
-  for (std::size_t i = 0; i < src.sites_.size(); ++i) {
-    sites_.push_back(std::make_unique<Site>(dst, *this, *src.sites_[i]));
-    Site& site = *sites_.back();
-    belief_.rebind_site(i, site.uplink_estimator, site.downlink_estimator);
+  for (const auto& site : src.sites_) {
+    sites_.push_back(std::make_unique<Site>(dst, *this, *site));
   }
   if (src.fault_plan_) {
     fault_plan_ = std::make_unique<sim::FaultPlan>(
@@ -231,14 +214,14 @@ void CloudBurstController::on_transfer_done(std::size_t site_index,
       on_upload_done(site_index, seq, rec);
       return;
     case kUploadProbe:
-      observe_transfer(site.uplink_estimator, site.up_tuner, rec);
+      observe_transfer(belief_.uplink(site_index), site.up_tuner, rec);
       return;
     case kDownloadJob:
       site.download_queue.on_transfer_done(seq);
       on_download_done(site_index, seq, rec);
       return;
     case kDownloadProbe:
-      observe_transfer(site.downlink_estimator, site.down_tuner, rec);
+      observe_transfer(belief_.downlink(site_index), site.down_tuner, rec);
       return;
   }
   assert(false && "unknown transfer kind");
@@ -246,15 +229,19 @@ void CloudBurstController::on_transfer_done(std::size_t site_index,
 
 void CloudBurstController::on_task_done(std::size_t cluster,
                                         const compute::TaskRecord& rec) {
-  if (cluster != kIcCluster) {
-    if (const auto seq = sites_[cluster]->runtime.on_task_done(rec)) {
-      on_ec_proc_done(cluster, *seq);
-    }
-    return;
+  assert(rec.kind == kMapTask || rec.kind == kMergeTask);
+  const std::uint64_t seq = rec.group_id;
+  if (rec.kind == kMapTask) {
+    // The job's merge queues behind whatever is waiting on its cluster.
+    cluster_at(cluster).submit(merge_seconds(cluster, job_at(seq)), seq,
+                               kMergeTask);
+  } else if (cluster == kIcCluster) {
+    on_ic_done(seq);
+  } else {
+    on_ec_proc_done(cluster, seq);
   }
-  if (const auto seq = ic_runtime_.on_task_done(rec)) on_ic_done(*seq);
   // Keep the feed-ahead window topped up after every IC task.
-  dispatch_ic();
+  if (cluster == kIcCluster) dispatch_ic();
 }
 
 void CloudBurstController::on_machine_idle(std::size_t cluster,
@@ -295,12 +282,12 @@ void CloudBurstController::pretrain(
     const std::vector<cbs::workload::Document>& docs,
     const std::vector<double>& observed_runtimes) {
   assert(docs.size() == observed_runtimes.size());
-  if (auto* per_class =
-          dynamic_cast<models::PerClassQrsmEstimator*>(proc_estimator_.get())) {
+  models::ProcessingTimeEstimator& model = belief_.service_model();
+  if (auto* per_class = dynamic_cast<models::PerClassQrsmEstimator*>(&model)) {
     per_class->pretrain(docs, observed_runtimes);
     return;
   }
-  auto* qrsm = dynamic_cast<models::QrsmEstimator*>(proc_estimator_.get());
+  auto* qrsm = dynamic_cast<models::QrsmEstimator*>(&model);
   if (qrsm == nullptr) return;  // oracle needs no training
   std::vector<cbs::workload::DocumentFeatures> features;
   features.reserve(docs.size());
@@ -400,7 +387,7 @@ void CloudBurstController::on_batch(const cbs::workload::Batch& batch,
       placed.site = d.ec_estimate.site;
       set_state(placed, JobState::kUploadQueued);
       enqueue_upload(placed, d.upload_class);
-      arm_burst_deadline(d.seq_id);
+      arm_burst_deadline(d.seq_id, d.estimated_service_seconds);
     }
   }
   dispatch_ic();
@@ -425,7 +412,7 @@ bool CloudBurstController::any_upload_idle() const {
   });
 }
 
-compute::MapReduceSpec CloudBurstController::spec_for(Job& job) {
+void CloudBurstController::submit_map(compute::Cluster& cluster, Job& job) {
   // Realized service is a deterministic function of the document's
   // identity, so the job is identical work wherever (and under whichever
   // scheduler) it runs, and whenever it is drawn. Only the simulated
@@ -436,12 +423,20 @@ compute::MapReduceSpec CloudBurstController::spec_for(Job& job) {
     job.service_drawn = true;
     ++service_draws_;
   }
-  compute::MapReduceSpec spec;
-  spec.job_id = job.seq_id;
-  spec.map_seconds = job.true_service_seconds;
-  spec.merge_seconds =
+  cluster.submit(job.true_service_seconds, job.seq_id, kMapTask);
+}
+
+double CloudBurstController::merge_seconds(std::size_t cluster,
+                                           const Job& job) const {
+  double seconds =
       config_.topology.merge_seconds_per_output_mb * job.doc.output_size_mb;
-  return spec;
+  if (cluster != kIcCluster) {
+    // EMR job setup/staging occupies the executing instance; book it on the
+    // merge task (speed-scaled so it costs the configured wall seconds).
+    const EcSiteConfig& cfg = config_.ec_sites[cluster];
+    seconds += cfg.job_overhead_seconds * cfg.speed;
+  }
+  return seconds;
 }
 
 void CloudBurstController::dispatch_ic() {
@@ -469,13 +464,13 @@ void CloudBurstController::set_state(Job& job, JobState state) {
 void CloudBurstController::run_on_ic(std::uint64_t seq) {
   Job& job = job_at(seq);
   set_state(job, JobState::kIcRunning);
-  ic_runtime_.run(spec_for(job));
+  submit_map(ic_cluster_, job);
 }
 
 void CloudBurstController::on_ic_done(std::uint64_t seq) {
   Job& job = job_at(seq);
   belief_.on_ic_complete(seq);
-  proc_estimator_->observe(job.doc, job.true_service_seconds);
+  belief_.service_model().observe(job.doc, job.true_service_seconds);
   finish_job(job);
   dispatch_ic();
   // Each internal completion is a fresh look at the §IV.D condition: "when
@@ -497,7 +492,7 @@ void CloudBurstController::on_upload_done(std::size_t site_index,
                                           const net::TransferRecord& rec) {
   Site& site = *sites_[site_index];
   disarm_burst_deadline(seq);  // past the retractable phase
-  observe_transfer(site.uplink_estimator, site.up_tuner, rec);
+  observe_transfer(belief_.uplink(site_index), site.up_tuner, rec);
   belief_.on_upload_complete(rec.bytes, site_index);
 
   // Stage the input. With the store healthy this completes synchronously;
@@ -512,13 +507,8 @@ void CloudBurstController::on_upload_done(std::size_t site_index,
 
 void CloudBurstController::start_ec_processing(std::uint64_t seq) {
   Job& job = job_at(seq);
-  const EcSiteConfig& cfg = config_.ec_sites[job.site];
   set_state(job, JobState::kEcRunning);
-  compute::MapReduceSpec spec = spec_for(job);
-  // EMR job setup/staging occupies the executing instance; book it on the
-  // merge task (speed-scaled so it costs the configured wall seconds).
-  spec.merge_seconds += cfg.job_overhead_seconds * cfg.speed;
-  sites_[job.site]->runtime.run(spec);
+  submit_map(sites_[job.site]->cluster, job);
 }
 
 void CloudBurstController::on_ec_proc_done(std::size_t site_index,
@@ -535,12 +525,12 @@ void CloudBurstController::on_download_done(std::size_t site_index,
                                             std::uint64_t seq,
                                             const net::TransferRecord& rec) {
   Site& site = *sites_[site_index];
-  observe_transfer(site.downlink_estimator, site.down_tuner, rec);
+  observe_transfer(belief_.downlink(site_index), site.down_tuner, rec);
 
   Job& job = job_at(seq);
   site.store.erase(seq, StoredObject::kOutput);
   belief_.on_ec_complete(seq, site_index);
-  proc_estimator_->observe(job.doc, job.true_service_seconds);
+  belief_.service_model().observe(job.doc, job.true_service_seconds);
   finish_job(job);
 }
 
@@ -613,14 +603,15 @@ void CloudBurstController::probe() {
 
 // ---- fault recovery: burst retraction (deadline / outage / staging) -----
 
-void CloudBurstController::arm_burst_deadline(std::uint64_t seq) {
+void CloudBurstController::arm_burst_deadline(std::uint64_t seq,
+                                              double service) {
   if (config_.faults.retraction_deadline_factor <= 0.0) return;
   Job& job = job_at(seq);
   // Allow `factor` times the believed unloaded round trip for the upload
   // phase; past that, the burst is doing worse than the estimate that
   // justified it and an internal re-execution is the safer bet.
   const double round_trip =
-      belief_.ec_round_trip_no_load(job.doc, sim_.now(), job.site);
+      belief_.ec_round_trip_no_load(job.doc, service, sim_.now(), job.site);
   double delay =
       config_.faults.retraction_deadline_factor * std::max(round_trip, 1.0);
   // Hazard-aware retraction: when the predictor sees EC failure risk, give
@@ -859,8 +850,8 @@ void CloudBurstController::maybe_pull_back() {
       const double reexec_seconds =
           job.estimated_service_seconds /
           static_cast<double>(config_.topology.ic_machines);
-      const double remaining_ec =
-          belief_.ec_round_trip_no_load(job.doc, sim_.now(), i);
+      const double remaining_ec = belief_.ec_round_trip_no_load(
+          job.doc, belief_.estimate_service(job.doc), sim_.now(), i);
       if (remaining_ec <= reexec_seconds) continue;
       if (!uploads.try_cancel(seq)) continue;
 
@@ -886,20 +877,21 @@ void CloudBurstController::maybe_push_out() {
     // The cushion must exclude the candidate's own believed IC work, so
     // retract first and re-commit if the move is rejected.
     belief_.retract_ic(seq);
-    const std::optional<EcEstimate> ec =
-        belief_.ft_ec_within(job.doc, sim_.now(), belief_.slack(sim_.now()),
-                             config_.params.slack_safety_margin);
+    const double service = belief_.estimate_service(job.doc);
+    const std::optional<EcEstimate> ec = belief_.ft_ec_within(
+        job.doc, service, sim_.now(), belief_.slack(sim_.now()),
+        config_.params.slack_safety_margin);
     if (!ec) {
       belief_.commit_ic(seq, job.estimated_service_seconds);
       continue;
     }
     ic_wait_.erase(std::next(it).base());
-    belief_.commit_ec(seq, job.doc, *ec);
+    belief_.commit_ec(seq, job.doc, service, *ec);
     job.placement = Placement::kExternal;
     job.site = ec->site;
     set_state(job, JobState::kUploadQueued);
     enqueue_upload(job, 0);
-    arm_burst_deadline(seq);
+    arm_burst_deadline(seq, service);
     ++push_outs_;
     log_.info(sim_.now(), "push-out of job ", seq, " to EC");
     return;

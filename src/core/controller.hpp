@@ -8,7 +8,6 @@
 
 #include "compute/cluster.hpp"
 #include "compute/job_store.hpp"
-#include "compute/mapreduce.hpp"
 #include "core/belief_state.hpp"
 #include "core/config.hpp"
 #include "core/job.hpp"
@@ -43,8 +42,17 @@ namespace cbs::core {
 /// is asynchronous; the controller reacts to completion events. It owns the
 /// autonomic loop: QRSM observations after every job, EWMA bandwidth
 /// updates after every transfer, periodic 1 MB probes, and thread-count
-/// tuning. The scheduler decides whether a job bursts; the belief sends a
-/// burst to the site with the earliest believed completion.
+/// tuning. The models it feeds belong to its BeliefState; the ground truth
+/// the simulated clusters run on belongs to the controller itself. The
+/// scheduler decides whether a job bursts; the belief sends a burst to the
+/// site with the earliest believed completion.
+///
+/// A job's MapReduce work is two cluster tasks on one machine at a time
+/// (the paper's Fig. 2 semantics): a map task of its realized service, and
+/// once the map has finished, a merge task (result merge and, on the EC,
+/// output compression plus the site's per-job overhead). Both queue in the
+/// cluster's FCFS order, so a job's merge queues behind the maps already
+/// waiting.
 ///
 /// The controller is the owner every component it builds reports to: the IC
 /// cluster, each site's cluster, links and store, and the fault plan. It
@@ -57,10 +65,11 @@ class CloudBurstController : private cbs::sim::EventTarget,
                              private compute::StoreOwner,
                              private sim::FaultOwner {
  public:
-  /// One external site: the EC half of Fig. 5 with its own pipe, bandwidth
-  /// model, thread tuners, transfer queues, staging store and (when the
-  /// hazard predictor is on) per-VM hazard estimator. Sites are independent
-  /// substrates; ControllerConfig::ec_sites[i] configures site i.
+  /// One external site: the EC half of Fig. 5 with its own pipe, thread
+  /// tuners, transfer queues, staging store and (when the hazard predictor
+  /// is on) per-VM hazard estimator; its bandwidth models are the belief's
+  /// site i. Sites are independent substrates; ControllerConfig::ec_sites[i]
+  /// configures site i.
   struct Site {
     /// Site `index`, whose components report to `owner` under `index`.
     Site(cbs::sim::Simulation& sim, CloudBurstController& owner,
@@ -74,12 +83,9 @@ class CloudBurstController : private cbs::sim::EventTarget,
     Site& operator=(const Site&) = delete;
 
     compute::Cluster cluster;
-    compute::MapReduceRuntime runtime;
     net::Link uplink;
     net::Link downlink;
     compute::JobStore store;
-    net::BandwidthEstimator uplink_estimator;
-    net::BandwidthEstimator downlink_estimator;
     net::ThreadTuner up_tuner;
     net::ThreadTuner down_tuner;
     TransferQueueSet upload_queues;
@@ -91,21 +97,21 @@ class CloudBurstController : private cbs::sim::EventTarget,
     std::size_t pending_boots = 0;  ///< elastic instances spinning up
   };
 
+  /// A controller whose clusters run on `truth`, the true service law.
   /// Throws std::invalid_argument when `config.ec_sites` is empty.
   CloudBurstController(cbs::sim::Simulation& sim, ControllerConfig config,
-                       cbs::workload::GroundTruthModel& truth,
+                       cbs::workload::GroundTruthModel truth,
                        cbs::sim::RngStream rng);
   CloudBurstController(const CloudBurstController&) = delete;
   CloudBurstController& operator=(const CloudBurstController&) = delete;
 
-  /// Fork support: deep-copies `src` into a controller bound to `dst`, the
-  /// copy of `src`'s engine, and the fork's ground-truth model. Every
+  /// Fork support: deep-copies `src`, its truth and belief included, into
+  /// a controller bound to `dst`, the copy of `src`'s engine. Every
   /// sub-component is value-cloned, registered on `dst` in the source's
   /// order and reports to this controller, so the copied pending events
   /// reach the clones.
   CloudBurstController(cbs::sim::Simulation& dst,
-                       const CloudBurstController& src,
-                       cbs::workload::GroundTruthModel& truth);
+                       const CloudBurstController& src);
 
   /// Seeds the QRSM with a labeled factory corpus (§III.A.1: "initial best
   /// estimate model based on a standard set of production data"). No-op for
@@ -163,14 +169,15 @@ class CloudBurstController : private cbs::sim::EventTarget,
   [[nodiscard]] const compute::JobStore& store() const noexcept {
     return sites_.front()->store;
   }
-  [[nodiscard]] const net::BandwidthEstimator& uplink_estimator() const noexcept {
-    return sites_.front()->uplink_estimator;
+  [[nodiscard]] const net::BandwidthEstimator& uplink_estimator() const {
+    return belief_.uplink(0);
   }
-  [[nodiscard]] const net::BandwidthEstimator& downlink_estimator() const noexcept {
-    return sites_.front()->downlink_estimator;
+  [[nodiscard]] const net::BandwidthEstimator& downlink_estimator() const {
+    return belief_.downlink(0);
   }
-  [[nodiscard]] const models::ProcessingTimeEstimator& service_estimator() const {
-    return *proc_estimator_;
+  [[nodiscard]] const models::ProcessingTimeEstimator& service_estimator()
+      const noexcept {
+    return belief_.service_model();
   }
   [[nodiscard]] const ControllerConfig& config() const noexcept { return config_; }
   /// Number of §IV.D rescheduler interventions that occurred.
@@ -233,6 +240,8 @@ class CloudBurstController : private cbs::sim::EventTarget,
 
  private:
   enum : std::uint32_t { kProbe, kBurstDeadline, kElasticCheck, kBootDone };
+  /// Kinds of the cluster tasks of a job (Cluster::submit).
+  enum : std::uint32_t { kMapTask = 1, kMergeTask };
   /// Report kinds of a site's transfers (Link::submit).
   enum : std::uint32_t {
     kUploadJob,
@@ -276,7 +285,9 @@ class CloudBurstController : private cbs::sim::EventTarget,
   void start_ec_processing(std::uint64_t seq);
   void on_ec_proc_done(std::size_t site, std::uint64_t seq);
   void on_boot_done(std::uint64_t boot_id);
-  void arm_burst_deadline(std::uint64_t seq);
+  /// Arms the upload-phase deadline of burst `seq`, priced with the
+  /// service estimate `service` its placement was decided on.
+  void arm_burst_deadline(std::uint64_t seq, double service);
   void disarm_burst_deadline(std::uint64_t seq);
   void on_burst_deadline(std::uint64_t seq);
   void readmit_to_ic(std::uint64_t seq, double pending_upload_bytes,
@@ -303,9 +314,11 @@ class CloudBurstController : private cbs::sim::EventTarget,
   void update_cluster_drains(compute::Cluster& cluster,
                              models::VmHazardEstimator& hazard);
   [[nodiscard]] double site_failure_risk(std::size_t site) const;
-  /// The job's MapReduce work; draws its realized service at its first
-  /// dispatch.
-  [[nodiscard]] compute::MapReduceSpec spec_for(Job& job);
+  /// Submits the map task of `job` to `cluster`: its realized service,
+  /// drawn at the job's first dispatch.
+  void submit_map(compute::Cluster& cluster, Job& job);
+  /// The merge task's seconds for `job` on `cluster`.
+  [[nodiscard]] double merge_seconds(std::size_t cluster, const Job& job) const;
   [[nodiscard]] Job& job_at(std::uint64_t seq);
   /// Adds an outstanding job with sequence id `seq` to the table; returns
   /// it in place for the caller to fill.
@@ -313,13 +326,14 @@ class CloudBurstController : private cbs::sim::EventTarget,
 
   cbs::sim::Simulation& sim_;
   ControllerConfig config_;
-  cbs::workload::GroundTruthModel& truth_;
+  /// The true service law: the clusters' realized services and the
+  /// chunker's output sizes come from it.
+  cbs::workload::GroundTruthModel truth_;
   sim::Logger log_;
   cbs::sim::TargetId target_;
 
   compute::Cluster ic_cluster_;
-  compute::MapReduceRuntime ic_runtime_;
-  std::unique_ptr<models::ProcessingTimeEstimator> proc_estimator_;
+  /// Owns the service and bandwidth models.
   BeliefState belief_;
   /// The policies' per-run state; a fork copies it.
   SchedulerState scheduler_state_;

@@ -11,27 +11,28 @@
 namespace cbs::core {
 
 ScheduleDecision& decide_ic(const cbs::workload::Document& doc,
-                            ScheduleContext& ctx,
+                            double service, ScheduleContext& ctx,
                             std::vector<ScheduleDecision>& out) {
   ScheduleDecision& d = out.emplace_back();
   d.seq_id = (*ctx.next_seq)++;
   d.doc = doc;
   d.placement = cbs::sla::Placement::kInternal;
-  d.estimated_service_seconds = ctx.belief.estimate_service(doc);
-  ctx.belief.commit_ic(d.seq_id, d.estimated_service_seconds);
+  d.estimated_service_seconds = service;
+  ctx.belief.commit_ic(d.seq_id, service);
   return d;
 }
 
 ScheduleDecision& decide_ec(const cbs::workload::Document& doc,
-                            const EcEstimate& estimate, ScheduleContext& ctx,
+                            double service, const EcEstimate& estimate,
+                            ScheduleContext& ctx,
                             std::vector<ScheduleDecision>& out) {
   ScheduleDecision& d = out.emplace_back();
   d.seq_id = (*ctx.next_seq)++;
   d.doc = doc;
   d.placement = cbs::sla::Placement::kExternal;
-  d.estimated_service_seconds = ctx.belief.estimate_service(doc);
+  d.estimated_service_seconds = service;
   d.ec_estimate = estimate;
-  ctx.belief.commit_ec(d.seq_id, doc, estimate);
+  ctx.belief.commit_ec(d.seq_id, doc, service, estimate);
   return d;
 }
 
@@ -42,7 +43,9 @@ using Docs = std::vector<cbs::workload::Document>;
 /// Baseline: everything runs internally (the paper's "ICOnly" scheduler).
 void schedule_ic_only(const Docs& docs, ScheduleContext& ctx,
                       std::vector<ScheduleDecision>& out) {
-  for (const auto& doc : docs) decide_ic(doc, ctx, out);
+  for (const auto& doc : docs) {
+    decide_ic(doc, ctx.belief.estimate_service(doc), ctx, out);
+  }
 }
 
 /// The model-free comparator: bursts each job with probability
@@ -51,12 +54,14 @@ void schedule_random(const Docs& docs, ScheduleContext& ctx,
                      cbs::sim::RngStream& rng,
                      std::vector<ScheduleDecision>& out) {
   for (const auto& doc : docs) {
+    const double service = ctx.belief.estimate_service(doc);
     if (rng.next_double() < kRandomBurstProbability) {
       // Still record the believed round trip so the belief stays coherent;
       // the decision itself ignores it.
-      decide_ec(doc, ctx.belief.ft_ec(doc, ctx.now), ctx, out);
+      decide_ec(doc, service, ctx.belief.ft_ec(doc, service, ctx.now), ctx,
+                out);
     } else {
-      decide_ic(doc, ctx, out);
+      decide_ic(doc, service, ctx, out);
     }
   }
 }
@@ -74,13 +79,14 @@ void schedule_greedy(const Docs& docs, ScheduleContext& ctx,
     // its transient value and never anticipates the *future* download
     // contention its bursts create beyond what is queued right now — the
     // §IV.D fragility.
-    const cbs::sim::SimTime t_ic = ctx.belief.ft_ic(doc, ctx.now);
-    const EcEstimate ec =
-        ctx.belief.ft_ec_job_level(doc, ctx.now, ctx.download_backlog_bytes);
+    const double service = ctx.belief.estimate_service(doc);
+    const cbs::sim::SimTime t_ic = ctx.belief.ft_ic(service, ctx.now);
+    const EcEstimate ec = ctx.belief.ft_ec_job_level(
+        doc, service, ctx.now, ctx.download_backlog_bytes);
     if (t_ic <= ec.finish) {
-      decide_ic(doc, ctx, out);
+      decide_ic(doc, service, ctx, out);
     } else {
-      decide_ec(doc, ec, ctx, out);
+      decide_ec(doc, service, ec, ctx, out);
     }
   }
 }
@@ -153,12 +159,13 @@ ScheduleDecision& place_order_preserving(const cbs::workload::Document& doc,
   // Lines 11–16: burst exactly when the estimated external finish fits the
   // cushion of the jobs ahead. The cushion comes first, so that pricing
   // the round trip can stop once it is sure to miss.
+  const double service = ctx.belief.estimate_service(doc);
   const cbs::sim::SimTime cushion = ctx.belief.slack(ctx.now);
   if (const auto ec = ctx.belief.ft_ec_within(
-          doc, ctx.now, cushion, ctx.params.slack_safety_margin)) {
-    return decide_ec(doc, *ec, ctx, out);
+          doc, service, ctx.now, cushion, ctx.params.slack_safety_margin)) {
+    return decide_ec(doc, service, *ec, ctx, out);
   }
-  return decide_ic(doc, ctx, out);
+  return decide_ic(doc, service, ctx, out);
 }
 
 void schedule_order_preserving(const Docs& docs, ScheduleContext& ctx,
@@ -245,10 +252,11 @@ std::optional<SizeIntervalBounds> compute_size_interval_bounds(
   std::vector<double>& eligible_sizes = scratch_sizes;  // the list L
   eligible_sizes.clear();
   for (const auto& doc : batch) {
-    const double t_ec = belief.ec_round_trip_no_load(doc, now);
+    const double service = belief.estimate_service(doc);
+    const double t_ec = belief.ec_round_trip_no_load(doc, service, now);
     if (t_ec < iload + rload / n) {
       eligible_sizes.push_back(doc.features.size_mb);
-      rload += belief.estimate_service(doc);
+      rload += service;
     }
   }
   if (eligible_sizes.empty()) return std::nullopt;

@@ -152,16 +152,17 @@ struct SchedulerState {
     const std::vector<double>& queue_backlog_bytes,
     std::vector<double>& scratch_sizes);
 
-/// Shared helper: finalizes an IC decision (estimate, commit) as the next
-/// entry of `out`.
+/// Shared helper: finalizes an IC decision, committed with the service
+/// estimate `service` it was priced with, as the next entry of `out`.
 ScheduleDecision& decide_ic(const cbs::workload::Document& doc,
-                            ScheduleContext& ctx,
+                            double service, ScheduleContext& ctx,
                             std::vector<ScheduleDecision>& out);
 
-/// Shared helper: finalizes an EC decision with the given round-trip
-/// estimate as the next entry of `out`.
+/// Shared helper: finalizes an EC decision with the service and round-trip
+/// estimates it was priced with as the next entry of `out`.
 ScheduleDecision& decide_ec(const cbs::workload::Document& doc,
-                            const EcEstimate& estimate, ScheduleContext& ctx,
+                            double service, const EcEstimate& estimate,
+                            ScheduleContext& ctx,
                             std::vector<ScheduleDecision>& out);
 
 }  // namespace cbs::core

@@ -39,7 +39,9 @@ class TransferQueueSet {
 
   /// Fork support: copies `src`'s queues and active bookkeeping into a set
   /// bound to the forked `link`/`tuner`. The set schedules no events of
-  /// its own (the link owns the transfer events).
+  /// its own (the link owns the transfer events). The one clone in src/
+  /// that takes peers besides the engine and its source: passing the link
+  /// and tuner to each call instead would cost more than it saves.
   TransferQueueSet(cbs::sim::Simulation& dst, const TransferQueueSet& src,
                    cbs::net::Link& link, cbs::net::ThreadTuner& tuner);
 

@@ -52,7 +52,8 @@ void pretrain_controller(cbs::core::CloudBurstController& controller,
 
 /// The scenario's batches, drawn from its "workload" and "arrivals"
 /// substreams. The generator reads the truth model only through const
-/// calls, so this local copy labels the documents as the world's would.
+/// calls, so this local copy labels the documents as the controller's
+/// would.
 std::vector<cbs::workload::Batch> draw_batches(const Scenario& scenario) {
   cbs::sim::RngStream root(scenario.seed);
   const cbs::workload::GroundTruthModel truth(scenario.truth,
@@ -180,18 +181,19 @@ ScenarioWorld::ScenarioWorld(
     std::shared_ptr<const std::vector<cbs::workload::Batch>> batches)
     : scenario_(scenario),
       target_(sim_.register_target(*this)),
-      truth_(scenario.truth,
-             cbs::sim::RngStream(scenario.seed).substream("truth")),
       batches_(std::move(batches)) {
   // The build order below mirrors the historical run_scenario body line by
   // line (substream derivation is a pure function of (parent, name), so
   // the local root here draws identically to the original's). Batches
   // drawn before the controller exists draw the same: drawing touches
-  // neither the engine nor truth_'s own stream.
+  // neither the engine nor the truth's own stream. The controller owns its
+  // copy of the truth; this one only labels the pretrain corpus.
   cbs::sim::RngStream root(scenario.seed);
+  cbs::workload::GroundTruthModel truth(scenario.truth,
+                                        root.substream("truth"));
   controller_ = std::make_unique<cbs::core::CloudBurstController>(
-      sim_, scenario.controller_config(), truth_, root.substream("system"));
-  pretrain_controller(*controller_, truth_, scenario.estimator,
+      sim_, scenario.controller_config(), truth, root.substream("system"));
+  pretrain_controller(*controller_, truth, scenario.estimator,
                       scenario.pretrain_samples, root.substream("pretrain"));
 
   // Pre-size the event slab: the pending arrival plus a working set of
@@ -213,9 +215,8 @@ ScenarioWorld::ScenarioWorld(const ScenarioWorld& src)
     : scenario_(src.scenario_),
       sim_(src.sim_),
       target_(sim_.register_target(*this, src.target_)),
-      truth_(src.truth_),
       controller_(std::make_unique<cbs::core::CloudBurstController>(
-          sim_, *src.controller_, truth_)),
+          sim_, *src.controller_)),
       batches_(src.batches_),
       first_arrival_seq_(src.first_arrival_seq_),
       rollout_(src.rollout_),

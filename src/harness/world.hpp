@@ -14,7 +14,6 @@
 #include "util/chunked_log.hpp"
 #include "util/flat_map.hpp"
 #include "workload/arrival.hpp"
-#include "workload/ground_truth.hpp"
 
 namespace cbs::harness {
 
@@ -42,8 +41,8 @@ struct ScorePrefix {
 };
 
 /// A scenario's entire running state as a first-class, *forkable* value:
-/// the engine, the ground-truth model, the controller and the arrival
-/// schedule, drawn or given (shared, immutable, across forks).
+/// the engine, the controller (which owns the ground-truth model) and the
+/// arrival schedule, drawn or given (shared, immutable, across forks).
 /// `run_scenario` is a thin wrapper over this class; holding the world
 /// directly additionally buys
 ///
@@ -163,7 +162,6 @@ class ScenarioWorld : private cbs::sim::EventTarget {
   Scenario scenario_;
   cbs::sim::Simulation sim_;
   cbs::sim::TargetId target_;
-  cbs::workload::GroundTruthModel truth_;
   std::unique_ptr<cbs::core::CloudBurstController> controller_;
   std::shared_ptr<const std::vector<cbs::workload::Batch>> batches_;
   /// Arrival i fires under the scheduling-order number first_arrival_seq_

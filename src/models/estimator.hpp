@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <utility>
 
 #include "models/qrsm.hpp"
 #include "workload/document.hpp"
@@ -26,16 +27,9 @@ class ProcessingTimeEstimator {
     (void)actual_seconds;
   }
 
-  /// Fork support: deep-copies the estimator's learned state. `truth` is
-  /// the fork's ground-truth model, used only by truth-referencing
-  /// estimators (OracleEstimator) to rebind their reference. Returns
-  /// nullptr when the concrete type does not support forking (ad-hoc test
-  /// estimators keep the default).
-  [[nodiscard]] virtual std::unique_ptr<ProcessingTimeEstimator> clone(
-      const cbs::workload::GroundTruthModel& truth) const {
-    (void)truth;
-    return nullptr;
-  }
+  /// Fork support: deep-copies the estimator, learned state included.
+  [[nodiscard]] virtual std::unique_ptr<ProcessingTimeEstimator> clone()
+      const = 0;
 };
 
 /// Production estimator: wraps the QRSM and learns online.
@@ -47,9 +41,8 @@ class QrsmEstimator final : public ProcessingTimeEstimator {
       const cbs::workload::Document& doc) const override;
   void observe(const cbs::workload::Document& doc, double actual_seconds) override;
 
-  [[nodiscard]] std::unique_ptr<ProcessingTimeEstimator> clone(
-      const cbs::workload::GroundTruthModel& truth) const override {
-    (void)truth;
+  [[nodiscard]] std::unique_ptr<ProcessingTimeEstimator> clone()
+      const override {
     return std::make_unique<QrsmEstimator>(*this);
   }
 
@@ -62,24 +55,26 @@ class QrsmEstimator final : public ProcessingTimeEstimator {
 
 /// Oracle estimator: returns the ground truth's noise-free expectation.
 /// Used by tests (slack invariants under perfect information) and by the
-/// estimation-error ablation bench.
+/// estimation-error ablation bench. It keeps its own copy of the law:
+/// expected_seconds() reads only the law's config, so the copy answers as
+/// the original would, and a clone needs nothing from its world.
 class OracleEstimator final : public ProcessingTimeEstimator {
  public:
-  explicit OracleEstimator(const cbs::workload::GroundTruthModel& truth)
-      : truth_(truth) {}
+  explicit OracleEstimator(cbs::workload::GroundTruthModel truth)
+      : truth_(std::move(truth)) {}
 
   [[nodiscard]] double estimate_seconds(
       const cbs::workload::Document& doc) const override {
     return truth_.expected_seconds(doc.features);
   }
 
-  [[nodiscard]] std::unique_ptr<ProcessingTimeEstimator> clone(
-      const cbs::workload::GroundTruthModel& truth) const override {
-    return std::make_unique<OracleEstimator>(truth);
+  [[nodiscard]] std::unique_ptr<ProcessingTimeEstimator> clone()
+      const override {
+    return std::make_unique<OracleEstimator>(*this);
   }
 
  private:
-  const cbs::workload::GroundTruthModel& truth_;
+  cbs::workload::GroundTruthModel truth_;
 };
 
 }  // namespace cbs::models

@@ -35,9 +35,8 @@ class PerClassQrsmEstimator final : public ProcessingTimeEstimator {
   void observe(const cbs::workload::Document& doc,
                double actual_seconds) override;
 
-  [[nodiscard]] std::unique_ptr<ProcessingTimeEstimator> clone(
-      const cbs::workload::GroundTruthModel& truth) const override {
-    (void)truth;
+  [[nodiscard]] std::unique_ptr<ProcessingTimeEstimator> clone()
+      const override {
     return std::make_unique<PerClassQrsmEstimator>(*this);
   }
 

@@ -1,27 +1,11 @@
 #include "sla/slack.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace cbs::sla {
 
 using cbs::sim::SimDuration;
 using cbs::sim::SimTime;
-
-SimTime slack_time(const std::vector<SimTime>& preceding_completion_estimates,
-                   SimTime fallback) {
-  if (preceding_completion_estimates.empty()) return fallback;
-  return *std::max_element(preceding_completion_estimates.begin(),
-                           preceding_completion_estimates.end());
-}
-
-SimTime external_round_trip_finish(SimTime start, double upload_seconds,
-                                   double processing_seconds,
-                                   double download_seconds) {
-  assert(upload_seconds >= 0.0 && processing_seconds >= 0.0 &&
-         download_seconds >= 0.0);
-  return start + upload_seconds + processing_seconds + download_seconds;
-}
 
 bool satisfies_slack(SimTime external_finish_estimate, SimTime slack,
                      SimDuration safety_margin) {

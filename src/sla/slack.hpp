@@ -1,7 +1,5 @@
 #pragma once
 
-#include <vector>
-
 #include "simcore/time.hpp"
 
 namespace cbs::sla {
@@ -17,23 +15,9 @@ namespace cbs::sla {
 ///   slack(j_i) >= t^e(i) + s_i/l(t_i) + o_i/l(t_i + t')
 ///
 /// Both sides are absolute times here (the harness works in absolute sim
-/// time); callers pass the estimated completion times of the preceding jobs
-/// as currently placed.
-
-/// Eq. 1. `preceding_completion_estimates` holds t_c^e of jobs ahead of i;
-/// returns `fallback` (typically "now") when the queue ahead is empty —
-/// a job with nothing ahead of it has no cushion.
-[[nodiscard]] cbs::sim::SimTime slack_time(
-    const std::vector<cbs::sim::SimTime>& preceding_completion_estimates,
-    cbs::sim::SimTime fallback);
-
-/// Eq. 2 split into its round-trip components, evaluated with the
-/// scheduler's estimated rates. Returns the estimated absolute completion
-/// time of the external round trip started at `start`:
-///   start + upload + processing + download.
-[[nodiscard]] cbs::sim::SimTime external_round_trip_finish(
-    cbs::sim::SimTime start, double upload_seconds, double processing_seconds,
-    double download_seconds);
+/// time). core::BeliefState keeps Eq. 1's cushion (slack()) and prices
+/// Eq. 2's round trip (ft_ec_within()); this header holds the test that
+/// compares them.
 
 /// The burst admission test of Algorithm 2, line 12: the estimated external
 /// finish must not exceed the slack (with an optional safety margin τ —

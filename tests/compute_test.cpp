@@ -7,7 +7,6 @@
 #include "closure_events.hpp"
 #include "compute/cluster.hpp"
 #include "compute/job_store.hpp"
-#include "compute/mapreduce.hpp"
 #include "recording_owner.hpp"
 #include "simcore/simulation.hpp"
 
@@ -148,90 +147,6 @@ TEST(ClusterTest, ZeroServiceTaskCompletesInstantly) {
   sim.run();
   ASSERT_EQ(owner.tasks.size(), 1u);
   EXPECT_DOUBLE_EQ(owner.tasks[0].completed, 0.0);
-}
-
-// ---- MapReduceRuntime ------------------------------------------------------
-
-/// Hands every finished task to a MapReduceRuntime, as the controller does,
-/// and records the runtime's completions as (job id, completion time).
-struct RuntimeOwner : RecordingOwner {
-  using RecordingOwner::RecordingOwner;
-  MapReduceRuntime* runtime = nullptr;
-  std::vector<std::pair<std::uint64_t, double>> done;
-  void on_task_done(std::size_t index, const TaskRecord& rec) override {
-    RecordingOwner::on_task_done(index, rec);
-    if (const auto job = runtime->on_task_done(rec)) {
-      done.emplace_back(*job, sim_.now());
-    }
-  }
-};
-
-TEST(MapReduceTest, SingleTaskJob) {
-  Simulation sim;
-  RuntimeOwner c(sim);
-  Cluster cluster(sim, c, 0, "c", 2);
-  MapReduceRuntime mr(cluster);
-  c.runtime = &mr;
-  mr.run({.job_id = 1, .map_seconds = 10.0, .merge_seconds = 2.0});
-  sim.run_until(10.0);
-  // The map is done; the merge runs.
-  EXPECT_TRUE(c.done.empty());
-  EXPECT_EQ(cluster.running_tasks(), 1u);
-  EXPECT_EQ(mr.jobs_in_flight(), 1u);
-  sim.run();
-  ASSERT_EQ(c.done.size(), 1u);
-  EXPECT_EQ(c.done[0].first, 1u);
-  EXPECT_DOUBLE_EQ(c.done[0].second, 12.0);
-}
-
-TEST(MapReduceTest, ConcurrentJobsInterleave) {
-  Simulation sim;
-  RuntimeOwner c(sim);
-  Cluster cluster(sim, c, 0, "c", 2);
-  MapReduceRuntime mr(cluster);
-  c.runtime = &mr;
-  for (std::uint64_t id = 1; id <= 3; ++id) {
-    mr.run({.job_id = id, .map_seconds = 4.0, .merge_seconds = 0.0});
-  }
-  sim.run();
-  ASSERT_EQ(c.done.size(), 3u);
-  // FCFS at task level preserves job completion order.
-  EXPECT_EQ(c.done[0].first, 1u);
-  EXPECT_EQ(c.done[1].first, 2u);
-  EXPECT_EQ(c.done[2].first, 3u);
-  EXPECT_DOUBLE_EQ(c.done[2].second, 8.0);
-  EXPECT_EQ(mr.jobs_in_flight(), 0u);
-}
-
-TEST(MapReduceTest, ForkMidJobMatchesSource) {
-  // Two jobs on one machine: mid-way through the first map, the fork
-  // carries a running map, a queued map and two jobs waiting to merge.
-  Simulation sim_a;
-  RuntimeOwner a(sim_a);
-  Cluster cluster_a(sim_a, a, 0, "c", 1);
-  MapReduceRuntime mr_a(cluster_a);
-  a.runtime = &mr_a;
-  mr_a.run({.job_id = 1, .map_seconds = 4.0, .merge_seconds = 1.0});
-  mr_a.run({.job_id = 2, .map_seconds = 5.0, .merge_seconds = 1.0});
-  sim_a.run_until(2.0);
-  ASSERT_EQ(cluster_a.running_tasks(), 1u);
-  ASSERT_EQ(cluster_a.queued_tasks(), 1u);
-
-  Simulation sim_b(sim_a);
-  RuntimeOwner b(sim_b);
-  Cluster cluster_b(sim_b, b, cluster_a);
-  MapReduceRuntime mr_b(mr_a, cluster_b);
-  b.runtime = &mr_b;
-  sim_b.verify_fork();
-
-  sim_a.run();
-  sim_b.run();
-  ASSERT_EQ(a.done.size(), 2u);
-  EXPECT_EQ(b.done, a.done);
-  // Job 1's merge queues behind job 2's map (FCFS): 4 + 5 + 1, then + 1.
-  EXPECT_DOUBLE_EQ(a.done[0].second, 10.0);
-  EXPECT_DOUBLE_EQ(a.done[1].second, 11.0);
-  EXPECT_EQ(mr_b.jobs_in_flight(), 0u);
 }
 
 // ---- JobStore --------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <stdexcept>
@@ -157,6 +158,96 @@ TEST(ControllerTest, EcPipelineMovesBytesThroughStore) {
   // The store drained completely.
   EXPECT_DOUBLE_EQ(ctl.store().occupancy_bytes(), 0.0);
   EXPECT_GT(ctl.store().peak_occupancy_bytes(), 0.0);
+}
+
+// ---- a job's MapReduce work: a map task, then a merge task --------------
+
+/// IC-only on `ic_machines` machines, merging at `merge_seconds_per_mb`
+/// seconds per output MB.
+ControllerConfig mapreduce_config(std::size_t ic_machines,
+                                  double merge_seconds_per_mb) {
+  ControllerConfig cfg = Rig::config(SchedulerKind::kIcOnly);
+  cfg.topology.ic_machines = ic_machines;
+  cfg.topology.merge_seconds_per_output_mb = merge_seconds_per_mb;
+  return cfg;
+}
+
+/// Each finished job's (seq id, completion time), in completion order.
+std::vector<std::pair<std::uint64_t, double>> completions(
+    const CloudBurstController& ctl) {
+  std::vector<std::pair<std::uint64_t, double>> done;
+  for (const auto& o : ctl.outcomes()) done.emplace_back(o.seq_id, o.completed);
+  return done;
+}
+
+TEST(ControllerTest, MapThenMergeFinishesAJob) {
+  Rig rig;
+  // 10 MB of output at 0.2 s per MB: a 2 s merge.
+  CloudBurstController ctl(rig.sim, mapreduce_config(2, 0.2), rig.truth,
+                           RngStream(2));
+  const cbs::workload::Batch batch = rig.batch(0, {10.0});
+  const double map = rig.truth.realized_seconds(batch.documents[0]);
+  ctl.on_batch(batch);
+  rig.sim.run_until(map);
+  // The map is done; the merge runs.
+  EXPECT_TRUE(ctl.outcomes().empty());
+  EXPECT_EQ(ctl.ic_cluster().running_tasks(), 1u);
+  EXPECT_EQ(ctl.outstanding_jobs(), 1u);
+  rig.sim.run();
+  const auto done = completions(ctl);
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].first, 1u);
+  EXPECT_DOUBLE_EQ(done[0].second, map + 2.0);
+}
+
+TEST(ControllerTest, ConcurrentJobsFinishInFcfsOrder) {
+  Rig rig;
+  CloudBurstController ctl(rig.sim, mapreduce_config(2, 0.0), rig.truth,
+                           RngStream(2));
+  const cbs::workload::Batch batch = rig.batch(0, {10.0, 10.0, 10.0});
+  const double map = rig.truth.realized_seconds(batch.documents[0]);
+  ASSERT_EQ(rig.truth.realized_seconds(batch.documents[2]), map);
+  ctl.on_batch(batch);
+  rig.sim.run();
+  const auto done = completions(ctl);
+  ASSERT_EQ(done.size(), 3u);
+  // FCFS at task level preserves job completion order.
+  EXPECT_EQ(done[0].first, 1u);
+  EXPECT_EQ(done[1].first, 2u);
+  EXPECT_EQ(done[2].first, 3u);
+  EXPECT_DOUBLE_EQ(done[2].second, 2.0 * map);
+  EXPECT_EQ(ctl.outstanding_jobs(), 0u);
+}
+
+TEST(ControllerTest, ForkMidJobFinishesLikeItsSource) {
+  // Two jobs on one machine: mid-way through the first map, the fork
+  // carries a running map, a queued map and two jobs waiting to merge.
+  Rig rig;
+  // 0.1 s per output MB: merges of 1 s and 2 s.
+  CloudBurstController a(rig.sim, mapreduce_config(1, 0.1), rig.truth,
+                         RngStream(2));
+  const cbs::workload::Batch batch = rig.batch(0, {10.0, 20.0});
+  const double map1 = rig.truth.realized_seconds(batch.documents[0]);
+  const double map2 = rig.truth.realized_seconds(batch.documents[1]);
+  a.on_batch(batch);
+  rig.sim.run_until(map1 / 2.0);
+  ASSERT_EQ(a.ic_cluster().running_tasks(), 1u);
+  ASSERT_EQ(a.ic_cluster().queued_tasks(), 1u);
+
+  Simulation sim_b(rig.sim);
+  CloudBurstController b(sim_b, a);
+  sim_b.verify_fork();
+
+  rig.sim.run();
+  sim_b.run();
+  const auto done = completions(a);
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(completions(b), done);
+  // Job 1's merge queues behind job 2's map (FCFS): map1 + map2 + 1, then
+  // + 2.
+  EXPECT_DOUBLE_EQ(done[0].second, map1 + map2 + 1.0);
+  EXPECT_DOUBLE_EQ(done[1].second, map1 + map2 + 3.0);
+  EXPECT_EQ(b.outstanding_jobs(), 0u);
 }
 
 TEST(ControllerTest, SequenceIdsSpanBatches) {

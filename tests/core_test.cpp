@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "core/belief_state.hpp"
 #include "core/config.hpp"
@@ -33,6 +34,10 @@ class FixedRateEstimator final : public cbs::models::ProcessingTimeEstimator {
   [[nodiscard]] double estimate_seconds(const Document& doc) const override {
     return doc.features.size_mb * seconds_per_mb_;
   }
+  [[nodiscard]] std::unique_ptr<cbs::models::ProcessingTimeEstimator> clone()
+      const override {
+    return std::make_unique<FixedRateEstimator>(*this);
+  }
 
  private:
   double seconds_per_mb_;
@@ -47,32 +52,50 @@ Document make_doc(std::uint64_t id, double size_mb, double output_mb = 0.0) {
   return d;
 }
 
+/// A one-slot pipe believed to run at `rate` bytes/s each way.
+cbs::net::BandwidthEstimator::Config pipe(double rate = 1.0e6) {
+  return {.slots_per_day = 1, .alpha = 0.3, .prior_rate = rate};
+}
+
+/// An EC site of `machines` speed-1 machines.
+EcSiteConfig ec_site(std::size_t machines, double overhead_seconds = 0.0) {
+  EcSiteConfig site;
+  site.machines = machines;
+  site.job_overhead_seconds = overhead_seconds;
+  return site;
+}
+
+/// A belief at 1 s per MB over 4 IC machines and one 2-machine EC site.
 struct BeliefFixture {
-  FixedRateEstimator estimator{1.0};  // 1 s per MB
-  cbs::net::BandwidthEstimator uplink{
-      {.slots_per_day = 1, .alpha = 0.3, .prior_rate = 1.0e6}};
-  cbs::net::BandwidthEstimator downlink{
-      {.slots_per_day = 1, .alpha = 0.3, .prior_rate = 1.0e6}};
-  BeliefState belief{estimator, uplink, downlink,
-                     /*ic*/ 4, /*ec*/ 2, 1.0, /*overhead*/ 0.0};
+  BeliefState belief{std::make_unique<FixedRateEstimator>(1.0), /*ic*/ 4};
+  BeliefFixture() { belief.add_ec_site(ec_site(2), pipe()); }
 };
+
+/// ft_ec and commit_ec with the belief's own service estimate, as a
+/// scheduler prices and commits.
+EcEstimate ft_ec(const BeliefState& belief, const Document& doc, double now) {
+  return belief.ft_ec(doc, belief.estimate_service(doc), now);
+}
+void commit_ec(BeliefState& belief, std::uint64_t seq, const Document& doc,
+               const EcEstimate& estimate) {
+  belief.commit_ec(seq, doc, belief.estimate_service(doc), estimate);
+}
 
 // ---- BeliefState -----------------------------------------------------------
 
 TEST(BeliefStateTest, FtIcUsesBacklogAndJobRate) {
   BeliefFixture fx;
-  // Empty system: 100 MB doc -> 100 s on one machine.
-  EXPECT_DOUBLE_EQ(fx.belief.ft_ic(make_doc(1, 100.0), 50.0), 150.0);
+  // Empty system: a 100 s job runs 100 s on one machine.
+  EXPECT_DOUBLE_EQ(fx.belief.ft_ic(100.0, 50.0), 150.0);
   // 400 s of backlog drains at rate 4.
   fx.belief.commit_ic(1, 400.0);
-  EXPECT_DOUBLE_EQ(fx.belief.ft_ic(make_doc(2, 100.0), 50.0),
-                   50.0 + 100.0 + 100.0);
+  EXPECT_DOUBLE_EQ(fx.belief.ft_ic(100.0, 50.0), 50.0 + 100.0 + 100.0);
 }
 
 TEST(BeliefStateTest, FtEcBreakdown) {
   BeliefFixture fx;
   // 100 MB in, 100 MB out at 1 MB/s both ways; service 100 s on 1 EC slot.
-  const EcEstimate e = fx.belief.ft_ec(make_doc(1, 100.0), 0.0);
+  const EcEstimate e = ft_ec(fx.belief, make_doc(1, 100.0), 0.0);
   EXPECT_DOUBLE_EQ(e.upload_seconds, 100.0);
   EXPECT_DOUBLE_EQ(e.ec_wait_seconds, 0.0);
   EXPECT_DOUBLE_EQ(e.processing_seconds, 100.0);
@@ -82,20 +105,20 @@ TEST(BeliefStateTest, FtEcBreakdown) {
 
 TEST(BeliefStateTest, FtEcSeesUploadBacklog) {
   BeliefFixture fx;
-  const EcEstimate before = fx.belief.ft_ec(make_doc(1, 100.0), 0.0);
-  fx.belief.commit_ec(10, make_doc(10, 50.0), before);
+  const EcEstimate before = ft_ec(fx.belief, make_doc(1, 100.0), 0.0);
+  commit_ec(fx.belief, 10, make_doc(10, 50.0), before);
   // 50 MB queued ahead -> upload takes 150 s now.
-  const EcEstimate after = fx.belief.ft_ec(make_doc(2, 100.0), 0.0);
+  const EcEstimate after = ft_ec(fx.belief, make_doc(2, 100.0), 0.0);
   EXPECT_DOUBLE_EQ(after.upload_seconds, 150.0);
 }
 
 TEST(BeliefStateTest, EcBacklogDrainsDuringUpload) {
   BeliefFixture fx;
-  fx.belief.commit_ec(10, make_doc(10, 100.0),
-                      fx.belief.ft_ec(make_doc(10, 100.0), 0.0));
+  commit_ec(fx.belief, 10, make_doc(10, 100.0),
+            ft_ec(fx.belief, make_doc(10, 100.0), 0.0));
   // 100 s of believed EC work; during our 200 s upload (100 queued + 100
   // own) the EC (capacity 2) fully drains it -> no wait.
-  const EcEstimate e = fx.belief.ft_ec(make_doc(2, 100.0), 0.0);
+  const EcEstimate e = ft_ec(fx.belief, make_doc(2, 100.0), 0.0);
   EXPECT_DOUBLE_EQ(e.ec_wait_seconds, 0.0);
 }
 
@@ -106,7 +129,7 @@ TEST(BeliefStateTest, SlackIsMaxOfIcDrainAndEcFinishes) {
   EXPECT_DOUBLE_EQ(fx.belief.slack(100.0), 200.0);
   EcEstimate far;
   far.finish = 900.0;
-  fx.belief.commit_ec(2, make_doc(2, 10.0), far);
+  commit_ec(fx.belief, 2, make_doc(2, 10.0), far);
   EXPECT_DOUBLE_EQ(fx.belief.slack(100.0), 900.0);
 }
 
@@ -123,7 +146,7 @@ TEST(BeliefStateTest, CompletionsReduceBacklog) {
 TEST(BeliefStateTest, UploadCompletionShrinksByteBacklog) {
   BeliefFixture fx;
   const Document d = make_doc(1, 30.0);
-  fx.belief.commit_ec(1, d, fx.belief.ft_ec(d, 0.0));
+  commit_ec(fx.belief, 1, d, ft_ec(fx.belief, d, 0.0));
   EXPECT_DOUBLE_EQ(fx.belief.upload_backlog_bytes(), 30.0e6);
   fx.belief.on_upload_complete(30.0e6);
   EXPECT_DOUBLE_EQ(fx.belief.upload_backlog_bytes(), 0.0);
@@ -135,7 +158,7 @@ TEST(BeliefStateTest, RetractUndoesCommit) {
   fx.belief.retract_ic(1);
   EXPECT_DOUBLE_EQ(fx.belief.ic_backlog_standard_seconds(), 0.0);
   const Document d = make_doc(2, 40.0);
-  fx.belief.commit_ec(2, d, fx.belief.ft_ec(d, 0.0));
+  commit_ec(fx.belief, 2, d, ft_ec(fx.belief, d, 0.0));
   fx.belief.retract_ec(2, d.input_bytes());
   EXPECT_EQ(fx.belief.outstanding_ec_jobs(), 0u);
   EXPECT_DOUBLE_EQ(fx.belief.upload_backlog_bytes(), 0.0);
@@ -143,10 +166,12 @@ TEST(BeliefStateTest, RetractUndoesCommit) {
 
 TEST(BeliefStateTest, TransientViewUsesLastObservation) {
   BeliefFixture fx;
-  fx.uplink.observe(0.0, 2.0e6);  // EWMA != last after a second sample
-  fx.uplink.observe(1.0, 0.5e6);
+  // EWMA != last after a second sample.
+  fx.belief.uplink(0).observe(0.0, 2.0e6);
+  fx.belief.uplink(0).observe(1.0, 0.5e6);
   fx.belief.set_bandwidth_view(BandwidthView::kTransient);
-  const EcEstimate e = fx.belief.ft_ec_job_level(make_doc(1, 100.0), 0.0, {0.0});
+  const EcEstimate e =
+      fx.belief.ft_ec_job_level(make_doc(1, 100.0), 100.0, 0.0, {0.0});
   EXPECT_DOUBLE_EQ(e.upload_seconds, 100.0e6 / 0.5e6);
 }
 
@@ -155,47 +180,93 @@ TEST(BeliefStateTest, JobLevelWaitsBehindObservedDownloads) {
   // 100 MB of output already on the downlink: the job-level view queues
   // behind it; ft_ec prices only the job's own output.
   const EcEstimate e =
-      fx.belief.ft_ec_job_level(make_doc(1, 100.0), 0.0, {100.0e6});
+      fx.belief.ft_ec_job_level(make_doc(1, 100.0), 100.0, 0.0, {100.0e6});
   EXPECT_DOUBLE_EQ(e.download_seconds, 200.0);
-  const EcEstimate full = fx.belief.ft_ec(make_doc(1, 100.0), 0.0);
+  const EcEstimate full = ft_ec(fx.belief, make_doc(1, 100.0), 0.0);
   EXPECT_DOUBLE_EQ(full.download_seconds, 100.0);
 }
 
 /// The fixture plus a second EC site with a 4x faster pipe (site 1).
 struct TwoSiteFixture : BeliefFixture {
-  cbs::net::BandwidthEstimator fast_up{
-      {.slots_per_day = 1, .alpha = 0.3, .prior_rate = 4.0e6}};
-  cbs::net::BandwidthEstimator fast_down = fast_up;
-  TwoSiteFixture() {
-    EcSiteConfig fast;
-    fast.job_overhead_seconds = 0.0;
-    belief.add_ec_site(fast_up, fast_down, fast);
-  }
+  TwoSiteFixture() { belief.add_ec_site(ec_site(2), pipe(4.0e6)); }
 };
 
 TEST(BeliefStateTest, FtEcPicksTheFastestSite) {
   TwoSiteFixture fx;
   ASSERT_EQ(fx.belief.site_count(), 2u);
   const Document d = make_doc(1, 100.0);
-  const EcEstimate e = fx.belief.ft_ec(d, 0.0);
+  const EcEstimate e = ft_ec(fx.belief, d, 0.0);
   EXPECT_EQ(e.site, 1u);
   EXPECT_DOUBLE_EQ(e.finish, 25.0 + 100.0 + 25.0);
   // The commitment loads site 1 only: site 0's no-load round trip is
   // unchanged, site 1's upload now queues behind 100 MB.
-  fx.belief.commit_ec(1, d, e);
-  EXPECT_DOUBLE_EQ(fx.belief.ec_round_trip_no_load(d, 0.0, 0), 300.0);
-  EXPECT_DOUBLE_EQ(fx.belief.ft_ec(d, 0.0).upload_seconds, 50.0);
+  commit_ec(fx.belief, 1, d, e);
+  EXPECT_DOUBLE_EQ(fx.belief.ec_round_trip_no_load(d, 100.0, 0.0, 0), 300.0);
+  EXPECT_DOUBLE_EQ(ft_ec(fx.belief, d, 0.0).upload_seconds, 50.0);
   fx.belief.retract_ec(1, d.input_bytes(), e.site);
   EXPECT_DOUBLE_EQ(fx.belief.upload_backlog_bytes(), 0.0);
 }
 
 TEST(BeliefStateTest, EcOverheadEntersProcessing) {
-  FixedRateEstimator est(1.0);
-  cbs::net::BandwidthEstimator up{{.slots_per_day = 1, .alpha = 0.3, .prior_rate = 1.0e6}};
-  cbs::net::BandwidthEstimator down = up;
-  BeliefState belief(est, up, down, 4, 2, 1.0, 45.0);
-  const EcEstimate e = belief.ft_ec(make_doc(1, 100.0), 0.0);
+  BeliefState belief(std::make_unique<FixedRateEstimator>(1.0), 4);
+  belief.add_ec_site(ec_site(2, 45.0), pipe());
+  const EcEstimate e = ft_ec(belief, make_doc(1, 100.0), 0.0);
   EXPECT_DOUBLE_EQ(e.processing_seconds, 145.0);
+}
+
+// A fork's belief is a copy: it prices exactly as its source did, memos
+// included, and learns apart from it.
+TEST(BeliefStateTest, CopyPricesLikeItsSourceAndStaysIndependent) {
+  TwoSiteFixture fx;
+  BeliefState& src = fx.belief;
+  src.uplink(0).observe(0.0, 2.0e6);
+  src.uplink(0).observe(1.0, 0.5e6);
+  src.downlink(1).observe(1.0, 3.0e6);
+  src.commit_ic(1, 400.0);
+  const Document queued = make_doc(2, 80.0);
+  commit_ec(src, 2, queued, ft_ec(src, queued, 0.0));
+  const Document doc = make_doc(3, 120.0);
+  const double service = src.estimate_service(doc);
+  // Priced once before the copy, so the upload memos cross it warm.
+  (void)src.ft_ec_within(doc, service, 5.0, src.slack(5.0), 0.0);
+
+  BeliefState copy(src);
+  const auto expect_same = [](const EcEstimate& a, const EcEstimate& b) {
+    EXPECT_EQ(a.site, b.site);
+    EXPECT_EQ(a.upload_seconds, b.upload_seconds);
+    EXPECT_EQ(a.ec_wait_seconds, b.ec_wait_seconds);
+    EXPECT_EQ(a.processing_seconds, b.processing_seconds);
+    EXPECT_EQ(a.download_seconds, b.download_seconds);
+    EXPECT_EQ(a.finish, b.finish);
+  };
+  for (const BandwidthView view :
+       {BandwidthView::kLearned, BandwidthView::kTransient}) {
+    src.set_bandwidth_view(view);
+    copy.set_bandwidth_view(view);
+    EXPECT_EQ(copy.estimate_service(doc), service);
+    EXPECT_EQ(copy.slack(5.0), src.slack(5.0));
+    EXPECT_EQ(copy.ft_ic(service, 5.0), src.ft_ic(service, 5.0));
+    expect_same(copy.ft_ec(doc, service, 5.0), src.ft_ec(doc, service, 5.0));
+    expect_same(copy.ft_ec_job_level(doc, service, 5.0, {1.0e6, 2.0e6}),
+                src.ft_ec_job_level(doc, service, 5.0, {1.0e6, 2.0e6}));
+    const auto a = copy.ft_ec_within(doc, service, 5.0, 1.0e4, 0.0);
+    const auto b = src.ft_ec_within(doc, service, 5.0, 1.0e4, 0.0);
+    ASSERT_EQ(a.has_value(), b.has_value());
+    if (a) expect_same(*a, *b);
+    EXPECT_EQ(copy.ec_round_trip_no_load(doc, service, 5.0),
+              src.ec_round_trip_no_load(doc, service, 5.0));
+  }
+
+  // The copy learns a collapsed uplink on site 0; the source does not.
+  src.set_bandwidth_view(BandwidthView::kLearned);
+  copy.set_bandwidth_view(BandwidthView::kLearned);
+  const EcEstimate before = src.ft_ec(doc, service, 5.0);
+  copy.uplink(0).observe(4.0, 1.0e3);
+  EXPECT_EQ(src.uplink(0).observation_count() + 1,
+            copy.uplink(0).observation_count());
+  expect_same(src.ft_ec(doc, service, 5.0), before);
+  EXPECT_NE(copy.ec_round_trip_no_load(doc, service, 5.0, 0),
+            src.ec_round_trip_no_load(doc, service, 5.0, 0));
 }
 
 // ---- scheduler context machinery ----------------------------------------
@@ -506,7 +577,7 @@ TEST(BeliefStateTest, IncrementalSlackMatchesBruteforceUnderChurn) {
     } else if (op < 6) {  // commit EC
       const std::uint64_t seq = next_seq++;
       const Document doc = make_doc(seq, rng.uniform(1.0, 400.0));
-      fx.belief.commit_ec(seq, doc, fx.belief.ft_ec(doc, now));
+      commit_ec(fx.belief, seq, doc, ft_ec(fx.belief, doc, now));
       live_ec.push_back(seq);
     } else if (op < 7 && !live_ic.empty()) {  // complete IC
       const std::size_t i = rng.next() % live_ic.size();
@@ -736,6 +807,65 @@ TEST(ConfigTest, HighVariationRaisesSigma) {
             normal.ec_sites[0].uplink.noise_sigma);
   EXPECT_DOUBLE_EQ(normal.ec_sites[0].uplink.base_rate,
                    high.ec_sites[0].uplink.base_rate);
+}
+
+/// Estimator at 1 s per MB that counts its estimates into `*calls`.
+class CountingEstimator final : public cbs::models::ProcessingTimeEstimator {
+ public:
+  explicit CountingEstimator(std::size_t* calls) : calls_(calls) {}
+  [[nodiscard]] double estimate_seconds(const Document& doc) const override {
+    ++*calls_;
+    return doc.features.size_mb;
+  }
+  [[nodiscard]] std::unique_ptr<cbs::models::ProcessingTimeEstimator> clone()
+      const override {
+    return std::make_unique<CountingEstimator>(*this);
+  }
+
+ private:
+  std::size_t* calls_;
+};
+
+// A scheduler asks the service model once per placed document and prices,
+// decides and commits with that answer. Bandwidth-split asks twice: once
+// in its bounds pass over the batch, once in its placement pass.
+TEST(ScheduleBatchTest, AsksTheServiceModelOncePerDocument) {
+  for (const auto& [kind, asks] :
+       {std::pair{SchedulerKind::kIcOnly, 1u},
+        std::pair{SchedulerKind::kOrderPreserving, 1u},
+        std::pair{SchedulerKind::kGreedy, 1u},
+        std::pair{SchedulerKind::kRandom, 1u},
+        std::pair{SchedulerKind::kBandwidthSplit, 2u}}) {
+    std::size_t calls = 0;
+    BeliefState belief(std::make_unique<CountingEstimator>(&calls), 4);
+    belief.add_ec_site(ec_site(2), pipe());
+    // A 300 s cushion: the small documents burst, the large ones stay.
+    belief.commit_ic(999, 1200.0);
+    cbs::workload::GroundTruthModel truth({.noise_sigma = 0.0}, RngStream(1));
+    SchedulerParams params;
+    params.variability_threshold_mb = 1e9;  // no chunking
+    std::uint64_t next_seq = 1;
+    std::uint64_t next_doc_id = 1000;
+    ScheduleContext ctx{
+        .now = 0.0,
+        .belief = belief,
+        .params = params,
+        .truth = truth,
+        .next_seq = &next_seq,
+        .next_doc_id = &next_doc_id,
+        .ic_machines = 4,
+        .upload_class_backlog_bytes = {0.0, 0.0, 0.0},
+        .download_backlog_bytes = {0.0},
+    };
+    SchedulerState state;
+    const auto& decisions = schedule_batch(
+        kind,
+        {make_doc(1, 10.0), make_doc(2, 20.0), make_doc(3, 150.0),
+         make_doc(4, 300.0), make_doc(5, 15.0)},
+        ctx, state);
+    ASSERT_EQ(decisions.size(), 5u) << to_string(kind);
+    EXPECT_EQ(calls, asks * decisions.size()) << to_string(kind);
+  }
 }
 
 TEST(ScheduleBatchTest, LookaheadPlacesNothingItself) {

@@ -22,17 +22,21 @@ using cbs::harness::ScenarioWorld;
 using cbs::harness::run_scenario;
 
 /// Checkpoint/resume helper: builds a fresh world, advances it to
-/// `fork_time`, forks it, abandons the parent and completes the fork. The
+/// `fork_time`, forks it, destroys the parent and completes the fork. The
 /// result must be byte-identical to run_scenario(scenario) — for any
-/// fork_time. A fork_time of 0 forks the pristine world before any event
-/// (including the t=0 batch) fires.
+/// fork_time — so the fork may keep nothing of its parent's, its models
+/// and truth included. A fork_time of 0 forks the pristine world before any
+/// event (including the t=0 batch) fires.
 RunResult run_scenario_via_fork(const Scenario& scenario,
                                 cbs::sim::SimTime fork_time) {
-  ScenarioWorld parent(scenario);
-  // fork_time 0 means a pristine fork: run_until(0) would already fire the
-  // t=0 batch (events at exactly the deadline fire), so skip it.
-  if (fork_time > 0.0) parent.run_until(fork_time);
-  std::unique_ptr<ScenarioWorld> resumed = parent.fork();
+  std::unique_ptr<ScenarioWorld> resumed;
+  {
+    ScenarioWorld parent(scenario);
+    // fork_time 0 means a pristine fork: run_until(0) would already fire
+    // the t=0 batch (events at exactly the deadline fire), so skip it.
+    if (fork_time > 0.0) parent.run_until(fork_time);
+    resumed = parent.fork();
+  }
   resumed->run();
   return resumed->result();
 }
@@ -196,6 +200,27 @@ TEST(ForkEquivalence, Table1FixtureForkMidRun) {
   // Mid third batch: uploads, EC processing, probes and the elastic check
   // are all in flight.
   expect_identical(run_scenario(s), run_scenario_via_fork(s, 400.0));
+}
+
+// The service model crosses the fork inside the belief: the oracle with
+// its own copy of the truth, the per-class QRSM with every class surface.
+// Each fork outlives the world it was copied from.
+TEST(ForkEquivalence, OracleEstimatorForkMidRun) {
+  Scenario s = table1_fixture(cbs::core::SchedulerKind::kOrderPreserving);
+  s.estimator = cbs::core::EstimatorKind::kOracle;
+  const RunResult straight = run_scenario(s);
+  for (const double at : {0.0, 400.0, 700.0}) {
+    expect_identical(straight, run_scenario_via_fork(s, at));
+  }
+}
+
+TEST(ForkEquivalence, PerClassEstimatorForkMidRun) {
+  Scenario s = table1_fixture(cbs::core::SchedulerKind::kOrderPreserving);
+  s.estimator = cbs::core::EstimatorKind::kPerClassQrsm;
+  const RunResult straight = run_scenario(s);
+  for (const double at : {0.0, 400.0, 700.0}) {
+    expect_identical(straight, run_scenario_via_fork(s, at));
+  }
 }
 
 TEST(ForkEquivalence, GreedyForkMidRun) {

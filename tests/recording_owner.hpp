@@ -2,7 +2,7 @@
 // The owner tests give a Link, Cluster, JobStore or FaultPlan they drive on
 // their own: it implements every component's owner interface and records
 // each report in the order it arrives. A test that must react to a report
-// (hand a finished task to a MapReduceRuntime, crash a machine) derives
+// (submit a follow-up task, crash a machine) derives
 // from it and overrides that one report.
 
 #include <cstdint>

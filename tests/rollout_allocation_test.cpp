@@ -146,9 +146,9 @@ Chain measure_op_chain(std::size_t batch) {
     rollout->begin_rollout(cbs::core::SchedulerKind::kOrderPreserving);
   });
   const auto queries = [&] {
-    const auto& site = rollout->controller().site(0);
-    return site.uplink_estimator.work().queries +
-           site.downlink_estimator.work().queries;
+    const auto& controller = rollout->controller();
+    return controller.uplink_estimator().work().queries +
+           controller.downlink_estimator().work().queries;
   };
   const std::size_t queries_at_fork = queries();
   const std::size_t draws_at_fork = rollout->controller().service_draws();
@@ -175,7 +175,7 @@ TEST(RolloutAllocation, CountIsBoundedAtBatch200) {
   const Chain chain = measure_op_chain(200);
   ASSERT_GT(chain.outstanding, 200u);  // the overload backlog is there
   EXPECT_LE(chain.largest_after_fork(), kLargestAllocation);
-  // 178 measured (81 fork, 18 admit, 79 roll); the ceilings keep 1.5x
+  // 176 measured (79 fork, 18 admit, 79 roll); the ceilings keep 1.5x
   // headroom. It was 217 (81, 25, 111) before admission reused its buffers
   // and drew services lazily, and 1,176 before forks kept their room to
   // grow.

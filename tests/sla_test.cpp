@@ -36,18 +36,6 @@ JobOutcome outcome(std::uint64_t seq, double completed, double output_mb = 10.0,
 
 // ---- slack (Eq. 1-2) -------------------------------------------------------
 
-TEST(SlackTest, EmptyQueueFallsBack) {
-  EXPECT_DOUBLE_EQ(slack_time({}, 123.0), 123.0);
-}
-
-TEST(SlackTest, MaxOfPrecedingCompletions) {
-  EXPECT_DOUBLE_EQ(slack_time({10.0, 40.0, 25.0}, 0.0), 40.0);
-}
-
-TEST(SlackTest, RoundTripAddsComponents) {
-  EXPECT_DOUBLE_EQ(external_round_trip_finish(100.0, 10.0, 20.0, 5.0), 135.0);
-}
-
 TEST(SlackTest, SatisfiesSlackBoundary) {
   EXPECT_TRUE(satisfies_slack(40.0, 40.0));
   EXPECT_FALSE(satisfies_slack(40.001, 40.0));

@@ -99,10 +99,9 @@ bool has_raw_eventid(const std::string& code) {
 bool has_component_pointer(const std::string& code) {
   static constexpr std::string_view kComponents[] = {
       "Simulation",        "EventQueue",     "Link",
-      "Cluster",           "JobStore",       "MapReduceRuntime",
-      "FaultPlan",         "BeliefState",    "TransferQueueSet",
-      "BandwidthEstimator", "ThreadTuner",   "SchedulerState",
-      "ProcessingTimeEstimator",
+      "Cluster",           "JobStore",       "FaultPlan",
+      "BeliefState",       "TransferQueueSet", "BandwidthEstimator",
+      "ThreadTuner",       "SchedulerState", "ProcessingTimeEstimator",
   };
   for (const std::string_view token : kComponents) {
     std::size_t at = 0;
