@@ -37,7 +37,6 @@ Cluster::Cluster(cbs::sim::Simulation& dst, ClusterOwner& owner,
       running_tasks_(src.running_tasks_),
       active_machines_(src.active_machines_),
       down_(src.down_),
-      drained_(src.drained_),
       crashes_(src.crashes_),
       reexecutions_(src.reexecutions_),
       drains_(src.drains_),
@@ -263,7 +262,6 @@ bool Cluster::drain_machine(std::size_t machine_idx) {
     return false;
   }
   machine.drained = true;
-  ++drained_;
   ++drains_;
   if (machine.busy) {
     // Checkpoint-restart: cancel the completion, bank the finished
@@ -293,8 +291,6 @@ bool Cluster::undrain_machine(std::size_t machine_idx) {
   Machine& machine = machines_[machine_idx];
   if (!machine.drained) return false;
   machine.drained = false;
-  assert(drained_ > 0);
-  --drained_;
   ++undrains_;
   dispatch();
   return true;

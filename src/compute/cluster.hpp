@@ -141,10 +141,6 @@ class Cluster : private cbs::sim::EventTarget {
 
   [[nodiscard]] bool machine_drained(std::size_t machine) const;
   [[nodiscard]] bool machine_retired(std::size_t machine) const;
-  /// Machines currently drained.
-  [[nodiscard]] std::size_t drained_machines() const noexcept {
-    return drained_;
-  }
   /// Cumulative drain / undrain decisions applied.
   [[nodiscard]] std::uint64_t drains() const noexcept { return drains_; }
   [[nodiscard]] std::uint64_t undrains() const noexcept { return undrains_; }
@@ -223,7 +219,6 @@ class Cluster : private cbs::sim::EventTarget {
   std::vector<std::optional<Running>> running_tasks_;  ///< parallel to machines_
   std::size_t active_machines_ = 0;
   std::size_t down_ = 0;
-  std::size_t drained_ = 0;
   std::uint64_t crashes_ = 0;
   std::uint64_t reexecutions_ = 0;
   std::uint64_t drains_ = 0;

@@ -7,17 +7,11 @@
 namespace cbs::compute {
 
 JobStore::JobStore(cbs::sim::Simulation& sim, StoreOwner& owner,
-                   std::size_t index, Config config)
+                   std::size_t index)
     : sim_(sim),
       target_(sim.register_target(*this)),
       owner_(owner),
-      index_(index),
-      config_(config) {
-  assert(config_.max_attempts >= 1);
-  assert(config_.retry_backoff >= 0.0);
-  assert(config_.backoff_multiplier >= 1.0);
-  assert(config_.capacity_bytes >= 0.0);
-}
+      index_(index) {}
 
 JobStore::JobStore(cbs::sim::Simulation& dst, StoreOwner& owner,
                    const JobStore& src)
@@ -25,7 +19,6 @@ JobStore::JobStore(cbs::sim::Simulation& dst, StoreOwner& owner,
       target_(dst.register_target(*this, src.target_)),
       owner_(owner),
       index_(src.index_),
-      config_(src.config_),
       available_(src.available_),
       failed_attempts_(src.failed_attempts_),
       abandoned_ops_(src.abandoned_ops_),
@@ -37,34 +30,25 @@ JobStore::JobStore(cbs::sim::Simulation& dst, StoreOwner& owner,
       pending_ops_(src.pending_ops_),
       next_op_id_(src.next_op_id_) {}
 
-cbs::sim::SimDuration JobStore::backoff_delay(int attempt) const {
-  // attempt 0 failed -> wait retry_backoff, then grow geometrically.
-  double delay = config_.retry_backoff;
-  for (int i = 0; i < attempt; ++i) delay *= config_.backoff_multiplier;
-  return std::min(delay, config_.max_backoff);
-}
-
 void JobStore::put_async(std::uint64_t seq, ObjectKind kind, double bytes) {
   step_op(PendingOp{.seq = seq, .kind = kind, .bytes = bytes});
 }
 
 void JobStore::step_op(PendingOp op) {
-  // An overwrite frees the old object.
-  const double delta = op.bytes - size_of(op.seq, op.kind);
-  if (available_ && occupancy_ + delta <= config_.capacity_bytes) {
+  if (available_) {
     put(op.seq, op.kind, op.bytes);
     owner_.on_put_done(index_, op.seq, op.kind, true);
     return;
   }
   ++failed_attempts_;
-  if (op.attempt + 1 >= config_.max_attempts) {
+  if (op.attempt + 1 >= kMaxAttempts) {
     ++abandoned_ops_;
     owner_.on_put_done(index_, op.seq, op.kind, false);
     return;
   }
   const std::uint64_t op_id = next_op_id_++;
-  const cbs::sim::SimDuration delay = backoff_delay(op.attempt);
-  sim_.schedule_in(delay, {target_, 0, op_id});
+  sim_.schedule_in(cbs::sim::doubling_backoff(kRetryBackoff, op.attempt),
+                   {target_, 0, op_id});
   pending_ops_.emplace(op_id, std::move(op));
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 
 #include "simcore/simulation.hpp"
 #include "simcore/time.hpp"
@@ -22,32 +21,23 @@ class StoreOwner;
 ///
 /// The synchronous put/size_of/erase API models the fault-free control
 /// plane. put_async adds S3-style best-effort semantics: while the store is
-/// unavailable (an EC outage) or over capacity, an attempt fails and is
-/// retried after exponential backoff, giving up after
-/// `Config::max_attempts`. With the store available and capacity
-/// unconstrained (the defaults), put_async completes synchronously and
-/// schedules no events — the fault layer is free when disabled.
+/// unavailable (an EC outage), an attempt fails and is retried after
+/// exponential backoff (kRetryBackoff, doubling), giving up after
+/// kMaxAttempts. With the store available, put_async completes
+/// synchronously and schedules no events — the fault layer is free when
+/// disabled.
 class JobStore : private cbs::sim::EventTarget {
  public:
   enum class ObjectKind : std::uint8_t { kInput, kOutput };
 
-  struct Config {
-    /// Attempts per operation (first try included). At least 1.
-    int max_attempts = 6;
-    /// Delay before the first retry; grows by `backoff_multiplier` per
-    /// subsequent retry, capped at `max_backoff`.
-    cbs::sim::SimDuration retry_backoff = 2.0;
-    double backoff_multiplier = 2.0;
-    cbs::sim::SimDuration max_backoff = 60.0;
-    /// Byte capacity; a put that would overflow it fails (and retries).
-    double capacity_bytes = std::numeric_limits<double>::infinity();
-  };
+  /// Attempts per put_async (first try included).
+  static constexpr int kMaxAttempts = 6;
+  /// Delay before the first retry; it doubles per subsequent retry, so a
+  /// put that never lands waits 2, 4, 8, 16 and 32 s and gives up at 62 s.
+  static constexpr cbs::sim::SimDuration kRetryBackoff = 2.0;
 
   /// A store that reports to `owner` under `index`.
-  JobStore(cbs::sim::Simulation& sim, StoreOwner& owner, std::size_t index)
-      : JobStore(sim, owner, index, Config{}) {}
-  JobStore(cbs::sim::Simulation& sim, StoreOwner& owner, std::size_t index,
-           Config config);
+  JobStore(cbs::sim::Simulation& sim, StoreOwner& owner, std::size_t index);
   JobStore(const JobStore&) = delete;
   JobStore& operator=(const JobStore&) = delete;
 
@@ -78,11 +68,11 @@ class JobStore : private cbs::sim::EventTarget {
   /// pending retry is value state that crosses a fork, not a closure.
   void put_async(std::uint64_t seq, ObjectKind kind, double bytes);
 
-  /// put_async attempts that failed (unavailable or over capacity).
+  /// put_async attempts that failed (store unavailable).
   [[nodiscard]] std::uint64_t failed_attempts() const noexcept {
     return failed_attempts_;
   }
-  /// Operations that exhausted max_attempts and reported ok = false.
+  /// Operations that exhausted kMaxAttempts and reported ok = false.
   [[nodiscard]] std::uint64_t abandoned_ops() const noexcept {
     return abandoned_ops_;
   }
@@ -93,7 +83,6 @@ class JobStore : private cbs::sim::EventTarget {
   /// quantity.
   [[nodiscard]] double occupancy_byte_seconds() const;
   [[nodiscard]] std::size_t object_count() const noexcept { return objects_.size(); }
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
 
  private:
   /// One put_async awaiting its next retry — pure value state, named by
@@ -111,14 +100,12 @@ class JobStore : private cbs::sim::EventTarget {
   /// The retry of pending op `op_id`.
   void on_event(std::uint32_t kind, std::uint64_t op_id) override;
   void integrate();
-  [[nodiscard]] cbs::sim::SimDuration backoff_delay(int attempt) const;
   void step_op(PendingOp op);
 
   cbs::sim::Simulation& sim_;
   cbs::sim::TargetId target_;
   StoreOwner& owner_;
   std::size_t index_;
-  Config config_;
   bool available_ = true;
   std::uint64_t failed_attempts_ = 0;
   std::uint64_t abandoned_ops_ = 0;
@@ -133,7 +120,7 @@ class JobStore : private cbs::sim::EventTarget {
 
 /// What a JobStore reports finished put_async() operations to. `store` is
 /// the index the owner gave the store at construction; `ok` is false when
-/// the put was abandoned after Config::max_attempts.
+/// the put was abandoned after JobStore::kMaxAttempts.
 class StoreOwner {
  public:
   virtual void on_put_done(std::size_t store, std::uint64_t seq,

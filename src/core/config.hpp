@@ -5,7 +5,6 @@
 #include <string_view>
 #include <vector>
 
-#include "compute/job_store.hpp"
 #include "models/hazard.hpp"
 #include "net/bandwidth_estimator.hpp"
 #include "net/link.hpp"
@@ -147,9 +146,6 @@ struct ControllerConfig {
   /// Proactive failure resilience (hazard prediction + drains). Disabled by
   /// default; zero-cost and byte-identical when off.
   ResilienceConfig resilience{};
-
-  /// EC staging-store retry/backoff/capacity knobs (S3 best-effort model).
-  cbs::compute::JobStore::Config store{};
 
   /// Record every job's pipeline-stage transitions (Fig. 5 observability);
   /// costs memory proportional to jobs x stages, so off by default.

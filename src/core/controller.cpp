@@ -84,7 +84,7 @@ CloudBurstController::Site::Site(cbs::sim::Simulation& sim,
              rng.substream(site_stream("uplink", index))),
       downlink(sim, owner, index, config.ec_sites[index].downlink,
                rng.substream(site_stream("downlink", index))),
-      store(sim, owner, index, config.store),
+      store(sim, owner, index),
       up_tuner(config.thread_tuner),
       down_tuner(config.thread_tuner),
       upload_queues(sim, uplink, up_tuner, kUploadJob,
@@ -254,7 +254,7 @@ void CloudBurstController::on_put_done(std::size_t site, std::uint64_t seq,
   if (!ok) {
     // Staging failed for good: a lost input wasted the upload, a lost
     // output the external execution. Either way the job re-runs internally.
-    readmit_to_ic(seq, 0.0,
+    retract_burst(seq, 0.0,
                   kind == StoredObject::kInput ? "input staging abandoned"
                                                : "output staging abandoned");
     return;
@@ -639,28 +639,30 @@ void CloudBurstController::on_burst_deadline(std::uint64_t seq) {
   const bool cancelled = uploads.try_cancel(seq) || uploads.try_cancel_active(seq);
   assert(cancelled);
   (void)cancelled;
-  readmit_to_ic(seq, job.doc.input_bytes(), "round-trip deadline exceeded");
+  retract_burst(seq, job.doc.input_bytes(), "round-trip deadline exceeded");
+}
+
+void CloudBurstController::retract_burst(std::uint64_t seq,
+                                         double pending_upload_bytes,
+                                         const char* why) {
+  ++retractions_;
+  log_.info(sim_.now(), "burst retraction of job ", seq, ": ", why);
+  readmit_to_ic(seq, pending_upload_bytes);
 }
 
 void CloudBurstController::readmit_to_ic(std::uint64_t seq,
-                                         double pending_upload_bytes,
-                                         const char* why) {
+                                         double pending_upload_bytes) {
+  disarm_burst_deadline(seq);
   Job& job = job_at(seq);
   belief_.retract_ec(seq, pending_upload_bytes, job.site);
   belief_.commit_ic(seq, job.estimated_service_seconds);
   job.placement = Placement::kInternal;
   set_state(job, JobState::kIcWaiting);
-  admit_ic_in_order(seq);
-  ++retractions_;
-  log_.info(sim_.now(), "burst retraction of job ", seq, ": ", why);
-  dispatch_ic();
-}
-
-void CloudBurstController::admit_ic_in_order(std::uint64_t seq) {
   // Re-admission preserves FCFS: the job re-enters the IC feed queue at
   // its sequence position, not at the tail.
-  const auto pos = std::lower_bound(ic_wait_.begin(), ic_wait_.end(), seq);
-  ic_wait_.insert(pos, seq);
+  ic_wait_.insert(std::lower_bound(ic_wait_.begin(), ic_wait_.end(), seq),
+                  seq);
+  dispatch_ic();
 }
 
 void CloudBurstController::on_outage_begin(
@@ -680,8 +682,7 @@ void CloudBurstController::on_outage_begin(
   for (const auto& site : sites_) {
     for (const std::uint64_t seq : site->upload_queues.queued_tags()) {
       if (!site->upload_queues.try_cancel(seq)) continue;
-      disarm_burst_deadline(seq);
-      readmit_to_ic(seq, job_at(seq).doc.input_bytes(), "EC outage observed");
+      retract_burst(seq, job_at(seq).doc.input_bytes(), "EC outage observed");
     }
   }
 }
@@ -855,14 +856,9 @@ void CloudBurstController::maybe_pull_back() {
       if (remaining_ec <= reexec_seconds) continue;
       if (!uploads.try_cancel(seq)) continue;
 
-      belief_.retract_ec(seq, job.doc.input_bytes(), i);
-      belief_.commit_ic(seq, job.estimated_service_seconds);
-      job.placement = Placement::kInternal;
-      set_state(job, JobState::kIcWaiting);
-      ic_wait_.push_back(seq);
       ++pull_backs_;
       log_.info(sim_.now(), "pull-back of job ", seq, " to IC");
-      dispatch_ic();
+      readmit_to_ic(seq, job.doc.input_bytes());
       return;
     }
   }

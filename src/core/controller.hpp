@@ -290,9 +290,14 @@ class CloudBurstController : private cbs::sim::EventTarget,
   void arm_burst_deadline(std::uint64_t seq, double service);
   void disarm_burst_deadline(std::uint64_t seq);
   void on_burst_deadline(std::uint64_t seq);
-  void readmit_to_ic(std::uint64_t seq, double pending_upload_bytes,
+  /// Counts and logs a burst retraction, then re-admits the job.
+  void retract_burst(std::uint64_t seq, double pending_upload_bytes,
                      const char* why);
-  void admit_ic_in_order(std::uint64_t seq);
+  /// Moves burst `seq` back to the IC: disarms its deadline, moves its
+  /// believed work (`pending_upload_bytes` of upload) from its site to the
+  /// IC, queues it at its FCFS position and feeds the IC. Retraction and
+  /// pull-back both come through here.
+  void readmit_to_ic(std::uint64_t seq, double pending_upload_bytes);
   void on_download_done(std::size_t site, std::uint64_t seq,
                         const net::TransferRecord& rec);
   void finish_job(Job& job);

@@ -21,7 +21,6 @@ struct FaultStats {
   std::uint64_t reexecutions = 0;     ///< tasks reclaimed from crashed VMs
   double wasted_compute_seconds = 0.0;  ///< standard seconds burned and lost
   std::uint64_t link_outage_aborts = 0;  ///< transfers severed by outages
-  std::uint64_t link_drops = 0;          ///< injected connection drops
   double wasted_transfer_bytes = 0.0;    ///< moved and lost (both directions)
   std::uint64_t retractions = 0;      ///< bursts pulled back to the IC
   std::uint64_t store_retries = 0;    ///< failed staging attempts

@@ -318,8 +318,6 @@ RunResult ScenarioWorld::result() const {
     result.faults.wasted_compute_seconds += ec.wasted_standard_seconds();
     result.faults.link_outage_aborts +=
         site.uplink.outage_aborts() + site.downlink.outage_aborts();
-    result.faults.link_drops +=
-        site.uplink.injected_failures() + site.downlink.injected_failures();
     result.faults.wasted_transfer_bytes +=
         site.uplink.wasted_bytes() + site.downlink.wasted_bytes();
     result.faults.store_retries += site.store.failed_attempts();

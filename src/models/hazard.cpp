@@ -8,6 +8,22 @@ namespace cbs::models {
 
 using cbs::sim::SimTime;
 
+namespace {
+
+/// EWMA smoothing of inter-failure gaps (same update rule as net::Ewma).
+constexpr double kEwmaAlpha = 0.3;
+/// Pseudo-failures of the Laplace/Gamma prior.
+constexpr double kPriorFailures = 1.0;
+/// Pseudo-exposure of the prior, seconds. kPriorFailures over this is the
+/// believed rate of a machine with no failure history.
+constexpr double kPriorExposureSeconds = 20000.0;
+constexpr double kPriorRate = kPriorFailures / kPriorExposureSeconds;
+/// Floor applied to observed inter-failure gaps and exposure terms so
+/// clock-adjacent failures (gap 0) never produce an infinite rate.
+constexpr double kMinGapSeconds = 1.0;
+
+}  // namespace
+
 std::string_view to_string(HazardPredictorKind kind) noexcept {
   switch (kind) {
     case HazardPredictorKind::kOff:
@@ -34,11 +50,7 @@ double HazardPredictionStats::recall() const noexcept {
 
 VmHazardEstimator::VmHazardEstimator(const HazardModelConfig& config,
                                      std::size_t machines, SimTime start)
-    : config_(config), start_(start) {
-  assert(config.ewma_alpha > 0.0 && config.ewma_alpha <= 1.0);
-  assert(config.prior_failures > 0.0);
-  assert(config.prior_exposure_seconds > 0.0);
-  assert(config.min_gap_seconds > 0.0);
+    : kind_(config.kind), start_(start) {
   machines_.reserve(machines);
   for (std::size_t m = 0; m < machines; ++m) {
     MachineState s;
@@ -53,10 +65,6 @@ void VmHazardEstimator::ensure_machines(std::size_t machines, SimTime now) {
     s.last_event = now;
     machines_.push_back(s);
   }
-}
-
-double VmHazardEstimator::prior_rate() const noexcept {
-  return config_.prior_failures / config_.prior_exposure_seconds;
 }
 
 void VmHazardEstimator::on_failure(std::size_t machine, SimTime now) {
@@ -77,9 +85,9 @@ void VmHazardEstimator::on_failure(std::size_t machine, SimTime now) {
   }
   // Clock-adjacent failures (gap <= 0, e.g. a crash at the recovery
   // instant) are floored instead of poisoning the rate with an infinity.
-  const double gap = std::max(now - s.last_event, config_.min_gap_seconds);
+  const double gap = std::max(now - s.last_event, kMinGapSeconds);
   if (s.has_gap) {
-    s.gap_ewma = config_.ewma_alpha * gap + (1.0 - config_.ewma_alpha) * s.gap_ewma;
+    s.gap_ewma = kEwmaAlpha * gap + (1.0 - kEwmaAlpha) * s.gap_ewma;
   } else {
     s.gap_ewma = gap;
     s.has_gap = true;
@@ -91,24 +99,24 @@ void VmHazardEstimator::on_failure(std::size_t machine, SimTime now) {
 double VmHazardEstimator::hazard_rate(std::size_t machine, SimTime now) const {
   assert(machine < machines_.size());
   const MachineState& s = machines_[machine];
-  switch (config_.kind) {
+  switch (kind_) {
     case HazardPredictorKind::kOff:
       return 0.0;
     case HazardPredictorKind::kEwma: {
-      if (!s.has_gap) return prior_rate();
+      if (!s.has_gap) return kPriorRate;
       // Survival discount: a machine that has already outlived its typical
       // gap is believed less hazardous, so the estimate (and any drain it
       // caused) decays instead of persisting forever.
       const double survival = now - s.last_event;
       const double effective_gap =
-          std::max({s.gap_ewma, survival, config_.min_gap_seconds});
+          std::max({s.gap_ewma, survival, kMinGapSeconds});
       return 1.0 / effective_gap;
     }
     case HazardPredictorKind::kBayes: {
       const double exposure =
-          std::max(now - start_, 0.0) + config_.prior_exposure_seconds;
-      return (static_cast<double>(s.failures) + config_.prior_failures) /
-             std::max(exposure, config_.min_gap_seconds);
+          std::max(now - start_, 0.0) + kPriorExposureSeconds;
+      return (static_cast<double>(s.failures) + kPriorFailures) /
+             std::max(exposure, kMinGapSeconds);
     }
   }
   return 0.0;

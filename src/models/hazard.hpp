@@ -17,22 +17,13 @@ enum class HazardPredictorKind : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(HazardPredictorKind kind) noexcept;
 
-/// Tunables of the per-VM hazard model. The prior is what keeps a cold VM
-/// from being trusted (or condemned) on no evidence: with zero observed
-/// failures the believed rate is prior_failures / prior_exposure_seconds,
-/// and each observed crash moves the estimate toward the empirical rate.
+/// The per-VM hazard model's one setting: which predictor runs. Its
+/// smoothing and its prior are constants (hazard.cpp): a Laplace prior of
+/// one failure per 20000 s keeps a cold VM from being trusted (or
+/// condemned) on no evidence, and each observed crash moves the estimate
+/// toward the empirical rate.
 struct HazardModelConfig {
   HazardPredictorKind kind = HazardPredictorKind::kOff;
-  /// EWMA smoothing of inter-failure gaps (same update rule as net::Ewma).
-  double ewma_alpha = 0.3;
-  /// Pseudo-failures of the Laplace/Gamma prior.
-  double prior_failures = 1.0;
-  /// Pseudo-exposure of the prior, seconds. prior_failures over this is the
-  /// believed rate of a machine with no failure history.
-  double prior_exposure_seconds = 20000.0;
-  /// Floor applied to observed inter-failure gaps and exposure terms so
-  /// clock-adjacent failures (gap 0) never produce an infinite rate.
-  double min_gap_seconds = 1.0;
 };
 
 /// Online quality of the predictor's high-risk calls, scored against the
@@ -59,9 +50,9 @@ struct HazardPredictionStats {
 ///    inter-failure gaps, discounted by survival — a machine that has
 ///    outlived its typical gap is believed less hazardous, so drains expire
 ///    instead of lasting forever. Cold machines fall back to the prior rate.
-///  - kBayes: the posterior-mean rate of a Gamma(prior_failures,
-///    prior_exposure) prior under exponential gaps —
-///    (failures + prior_failures) / (exposure + prior_exposure).
+///  - kBayes: the posterior-mean rate of a Gamma(prior failures, prior
+///    exposure) prior under exponential gaps —
+///    (failures + prior failures) / (exposure + prior exposure).
 ///
 /// Failure probability over a window is 1 - exp(-rate * w) via expm1.
 ///
@@ -109,9 +100,6 @@ class VmHazardEstimator {
   [[nodiscard]] const HazardPredictionStats& stats() const noexcept {
     return stats_;
   }
-  [[nodiscard]] const HazardModelConfig& config() const noexcept {
-    return config_;
-  }
 
  private:
   struct MachineState {
@@ -125,9 +113,7 @@ class VmHazardEstimator {
     cbs::sim::SimTime flag_until = 0.0;
   };
 
-  [[nodiscard]] double prior_rate() const noexcept;
-
-  HazardModelConfig config_;
+  HazardPredictorKind kind_;
   cbs::sim::SimTime start_ = 0.0;
   std::vector<MachineState> machines_;
   HazardPredictionStats stats_;

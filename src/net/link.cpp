@@ -31,8 +31,7 @@ std::size_t Link::HotPool::find(double d, TransferId t) const noexcept {
 }
 
 void Link::HotPool::insert(std::size_t pos, TransferId t, double d,
-                           double remaining, double fail_below_remaining,
-                           SimTime now) {
+                           double remaining, SimTime now) {
   id.insert(id.begin() + static_cast<std::ptrdiff_t>(pos), t);
   demand.insert(demand.begin() + static_cast<std::ptrdiff_t>(pos), d);
   rate.insert(rate.begin() + static_cast<std::ptrdiff_t>(pos), 0.0);
@@ -40,8 +39,6 @@ void Link::HotPool::insert(std::size_t pos, TransferId t, double d,
       bytes_remaining.begin() + static_cast<std::ptrdiff_t>(pos), remaining);
   last_progress.insert(last_progress.begin() + static_cast<std::ptrdiff_t>(pos),
                        now);
-  fail_below.insert(fail_below.begin() + static_cast<std::ptrdiff_t>(pos),
-                    fail_below_remaining);
   completion_time.insert(
       completion_time.begin() + static_cast<std::ptrdiff_t>(pos),
       cbs::sim::kTimeInfinity);
@@ -54,19 +51,8 @@ void Link::HotPool::erase(std::size_t pos) {
   bytes_remaining.erase(bytes_remaining.begin() +
                         static_cast<std::ptrdiff_t>(pos));
   last_progress.erase(last_progress.begin() + static_cast<std::ptrdiff_t>(pos));
-  fail_below.erase(fail_below.begin() + static_cast<std::ptrdiff_t>(pos));
   completion_time.erase(completion_time.begin() +
                         static_cast<std::ptrdiff_t>(pos));
-}
-
-void Link::HotPool::clear() noexcept {
-  id.clear();
-  demand.clear();
-  rate.clear();
-  bytes_remaining.clear();
-  last_progress.clear();
-  fail_below.clear();
-  completion_time.clear();
 }
 
 void Link::HotPool::reserve(std::size_t n) {
@@ -75,7 +61,6 @@ void Link::HotPool::reserve(std::size_t n) {
   rate.reserve(n);
   bytes_remaining.reserve(n);
   last_progress.reserve(n);
-  fail_below.reserve(n);
   completion_time.reserve(n);
 }
 
@@ -89,13 +74,9 @@ Link::Link(cbs::sim::Simulation& sim, LinkOwner& owner, std::size_t index,
       index_(index),
       config_(std::move(config)),
       noise_(config_.noise_rho, config_.noise_sigma, config_.noise_step,
-             rng.substream("noise")),
-      failure_rng_(rng.substream("failures")) {
+             rng.substream("noise")) {
   assert(config_.base_rate > 0.0);
   assert(config_.per_connection_cap > 0.0);
-  assert(config_.min_capacity_fraction > 0.0 && config_.min_capacity_fraction <= 1.0);
-  assert(config_.failure_probability >= 0.0 && config_.failure_probability < 1.0);
-  assert(config_.max_retries >= 0);
 }
 
 double Link::true_capacity_now() {
@@ -103,7 +84,7 @@ double Link::true_capacity_now() {
   const double raw = config_.base_rate * config_.profile.multiplier_at(t) *
                      throttle_factor(config_.throttles, t) *
                      noise_.multiplier_at(t);
-  return std::max(raw, config_.base_rate * config_.min_capacity_fraction);
+  return std::max(raw, config_.base_rate * kMinCapacityFraction);
 }
 
 Link::Link(cbs::sim::Simulation& dst, LinkOwner& owner, const Link& src)
@@ -113,8 +94,6 @@ Link::Link(cbs::sim::Simulation& dst, LinkOwner& owner, const Link& src)
       index_(src.index_),
       config_(src.config_),
       noise_(src.noise_),
-      failure_rng_(src.failure_rng_),
-      injected_failures_(src.injected_failures_),
       outage_aborts_(src.outage_aborts_),
       wasted_bytes_(src.wasted_bytes_),
       outage_(src.outage_),
@@ -169,19 +148,6 @@ void Link::schedule_activation(TransferId id, cbs::sim::SimDuration delay) {
       sim_.schedule_in(delay, {target_, kActivate, id});
 }
 
-void Link::arm_failure(Cold& transfer) {
-  transfer.fail_below_remaining = 0.0;
-  if (config_.failure_probability <= 0.0 ||
-      transfer.retries >= config_.max_retries) {
-    return;
-  }
-  if (failure_rng_.next_double() < config_.failure_probability) {
-    // Drop at a uniformly random progress point strictly inside (0, total).
-    transfer.fail_below_remaining =
-        transfer.bytes_total * failure_rng_.uniform(0.02, 0.98);
-  }
-}
-
 void Link::activate(TransferId id) {
   auto it = cold_.find(id);
   assert(it != cold_.end());
@@ -194,14 +160,12 @@ void Link::activate(TransferId id) {
   Cold& c = it->second;
   c.activated = true;
   if (c.started == 0.0) c.started = sim_.now();
-  arm_failure(c);
   note_busy_transition();
   progress_all();
-  // progress_all() mutates only the hot pool and the event queue, never
-  // cold_'s structure, so `c` is still valid here.
+  // progress_all() mutates only the hot pool, never cold_'s structure, so
+  // `c` is still valid here.
   const double d = demand_of(c);
-  hot_.insert(hot_.lower_bound(d, id), id, d, c.bytes_total,
-              c.fail_below_remaining, sim_.now());
+  hot_.insert(hot_.lower_bound(d, id), id, d, c.bytes_total, sim_.now());
   dirty_ = true;
   flush();
   ensure_tick();
@@ -214,47 +178,11 @@ void Link::progress_all() {
   // connection setup never enter the hot arrays, so there is nothing to
   // skip. Integration is per-transfer arithmetic with no side effects, so
   // streaming in demand order is bit-identical to the old id-order walk.
-  std::size_t crossings = 0;
   for (std::size_t i = 0; i < n; ++i) {
     hot_.bytes_remaining[i] = std::max(
         0.0, hot_.bytes_remaining[i] -
                  hot_.rate[i] * (now - hot_.last_progress[i]));
     hot_.last_progress[i] = now;
-    if (hot_.fail_below[i] > 0.0 &&
-        hot_.bytes_remaining[i] <= hot_.fail_below[i] &&
-        hot_.bytes_remaining[i] > 0.0) {
-      ++crossings;
-    }
-  }
-  if (crossings == 0) return;
-
-  // Connection drops: everything transferred so far is lost; the client
-  // reconnects (fresh setup latency) and restarts from byte zero. The
-  // resets run in ascending *id* order — the order the AoS walk produced —
-  // because the wasted-bytes accumulation and the reconnect-event sequence
-  // are observable (FP sum order, event FIFO ties).
-  std::vector<TransferId> crossed;
-  crossed.reserve(crossings);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (hot_.fail_below[i] > 0.0 &&
-        hot_.bytes_remaining[i] <= hot_.fail_below[i] &&
-        hot_.bytes_remaining[i] > 0.0) {
-      crossed.push_back(hot_.id[i]);
-    }
-  }
-  std::sort(crossed.begin(), crossed.end());
-  for (const TransferId id : crossed) {
-    Cold& c = cold_.at(id);
-    const std::size_t pos = hot_.find(demand_of(c), id);
-    assert(pos != HotPool::npos);
-    ++injected_failures_;
-    ++c.retries;
-    wasted_bytes_ += c.bytes_total - hot_.bytes_remaining[pos];
-    c.fail_below_remaining = 0.0;
-    c.activated = false;
-    hot_.erase(pos);
-    dirty_ = true;
-    schedule_activation(id, config_.setup_latency);
   }
 }
 
@@ -278,20 +206,8 @@ void Link::run_pass() {
     hot_.rate[i] = rate;
     remaining_capacity -= rate;
     --remaining_count;
-    // Completion ETA. A transfer armed with a connection-drop threshold
-    // fires the timer at the crossing instead (progress_all() then
-    // performs the reset and on_timer() finds no completion due).
-    SimTime done = cbs::sim::kTimeInfinity;
-    if (rate > 0.0) {
-      double eta = hot_.bytes_remaining[i] / rate;
-      if (hot_.fail_below[i] > 0.0 &&
-          hot_.bytes_remaining[i] > hot_.fail_below[i]) {
-        eta = std::min(
-            eta, (hot_.bytes_remaining[i] - hot_.fail_below[i]) / rate +
-                     1.0e-6);
-      }
-      done = now + eta;
-    }
+    const SimTime done = rate > 0.0 ? now + hot_.bytes_remaining[i] / rate
+                                    : cbs::sim::kTimeInfinity;
     hot_.completion_time[i] = done;
     next = std::min(next, done);
   }
@@ -335,13 +251,9 @@ void Link::on_timer() {
       due = i;
     }
   }
-  if (due == HotPool::npos) {
-    // progress_all() injected a connection drop for the transfer this
-    // timer targeted; it is re-establishing its connection, so only
-    // rebalance the survivors.
-    flush();
-    return;
-  }
+  // The timer is armed only at a stored ETA, and every membership change
+  // re-arms it, so some transfer is due.
+  assert(due != HotPool::npos);
   const TransferId id = hot_.id[due];
   auto it = cold_.find(id);
   assert(it != cold_.end());
@@ -354,7 +266,6 @@ void Link::on_timer() {
   rec.id = id;
   rec.bytes = c.bytes_total;
   rec.threads = c.threads;
-  rec.retries = c.retries;
   rec.requested = c.requested;
   rec.started = c.started;
   rec.completed = now;
@@ -412,7 +323,6 @@ void Link::set_outage(bool down) {
       wasted_bytes_ += c.bytes_total - hot_.bytes_remaining[pos];
       ++outage_aborts_;
       ++c.outage_aborts;
-      c.fail_below_remaining = 0.0;
       c.activated = false;
       c.waiting_outage = true;
       hot_.erase(pos);
@@ -434,14 +344,12 @@ void Link::set_outage(bool down) {
   for (auto& [id, c] : cold_) {
     if (!c.waiting_outage) continue;
     c.waiting_outage = false;
-    double backoff = 0.0;
-    if (c.outage_aborts > 0) {
-      backoff = config_.outage_backoff_base;
-      for (int i = 1; i < c.outage_aborts; ++i) {
-        backoff *= config_.outage_backoff_multiplier;
-      }
-      backoff = std::min(backoff, config_.outage_max_backoff);
-    }
+    const double backoff =
+        c.outage_aborts > 0
+            ? std::min(cbs::sim::doubling_backoff(kOutageBackoffBase,
+                                                  c.outage_aborts - 1),
+                       kOutageMaxBackoff)
+            : 0.0;
     schedule_activation(id, config_.setup_latency + backoff);
   }
 }

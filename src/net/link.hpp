@@ -29,24 +29,17 @@ struct LinkConfig {
   /// Fixed connection-establishment delay before a transfer starts moving.
   cbs::sim::SimDuration setup_latency = 0.5;
   std::vector<ThrottleEpisode> throttles;
-  /// Capacity never drops below this fraction of base_rate, so transfers
-  /// always make progress and every run terminates.
-  double min_capacity_fraction = 0.02;
-  /// Failure injection for the best-effort Internet path: probability that
-  /// a transfer suffers a connection drop at a uniformly random progress
-  /// point and restarts from scratch (after a fresh setup latency). At most
-  /// `max_retries` drops are injected per transfer, so completion is
-  /// guaranteed. 0 disables.
-  double failure_probability = 0.0;
-  int max_retries = 3;
-  /// Outage reconnect policy (set_outage): an aborted transfer reconnects
-  /// `setup_latency + min(max, base * multiplier^(aborts-1))` after the
-  /// outage lifts — exponential backoff per repeated abort of the same
-  /// transfer, fully deterministic.
-  cbs::sim::SimDuration outage_backoff_base = 1.0;
-  double outage_backoff_multiplier = 2.0;
-  cbs::sim::SimDuration outage_max_backoff = 60.0;
 };
+
+/// Capacity never drops below this fraction of base_rate, so transfers
+/// always make progress and every run terminates.
+inline constexpr double kMinCapacityFraction = 0.02;
+/// Outage reconnect policy (Link::set_outage): a transfer severed by its
+/// n-th outage reconnects `setup_latency + min(kOutageMaxBackoff,
+/// kOutageBackoffBase × 2^(n-1))` after the outage lifts — exponential
+/// backoff per repeated abort of the same transfer, fully deterministic.
+inline constexpr cbs::sim::SimDuration kOutageBackoffBase = 1.0;
+inline constexpr cbs::sim::SimDuration kOutageMaxBackoff = 60.0;
 
 using TransferId = std::uint64_t;
 
@@ -55,7 +48,6 @@ struct TransferRecord {
   TransferId id = 0;
   double bytes = 0.0;
   int threads = 1;
-  int retries = 0;  ///< injected connection drops survived
   cbs::sim::SimTime requested = 0.0;  ///< submit() time
   cbs::sim::SimTime started = 0.0;    ///< after setup latency
   cbs::sim::SimTime completed = 0.0;
@@ -63,11 +55,6 @@ struct TransferRecord {
   /// Throughput over the data-moving phase only.
   [[nodiscard]] double transfer_rate() const {
     const double dt = completed - started;
-    return dt > 0.0 ? bytes / dt : 0.0;
-  }
-  /// Effective rate including setup latency — what a probe measures.
-  [[nodiscard]] double effective_rate() const {
-    const double dt = completed - requested;
     return dt > 0.0 ? bytes / dt : 0.0;
   }
 };
@@ -104,7 +91,7 @@ class LinkOwner {
 /// SoA pool (`HotPool`) kept sorted by (demand, id) — the exact order the
 /// water-filling pass consumes — so a reallocation streams contiguous
 /// arrays with no per-pass sort and no pointer chasing. Cold bookkeeping
-/// (report kind and tag, retry counters, timestamps) sits in a `FlatMap`
+/// (report kind and tag, outage counters, timestamps) sits in a `FlatMap`
 /// keyed by the monotonically increasing `TransferId`, which doubles as the
 /// generation check: ids are never reused, so a stale id can never alias a
 /// later transfer. Membership changes only mark the link dirty; `flush()`
@@ -122,7 +109,7 @@ class Link : private cbs::sim::EventTarget {
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  /// Fork support: copies `src`'s value state (noise/failure RNG positions,
+  /// Fork support: copies `src`'s value state (noise RNG position,
   /// active transfers, accounting, its index) into a link bound to `dst`,
   /// the copy of `src`'s engine, that reports to `owner`.
   Link(cbs::sim::Simulation& dst, LinkOwner& owner, const Link& src);
@@ -146,10 +133,9 @@ class Link : private cbs::sim::EventTarget {
   /// outage aborts every established connection — each active transfer
   /// loses its progress and waits; when the outage lifts, transfers
   /// reconnect after setup latency plus exponential backoff (see
-  /// LinkConfig::outage_backoff_*). Transfers submitted during an outage
-  /// wait for it to lift. Idempotent per direction.
+  /// kOutageBackoffBase). Transfers submitted during an outage wait for it
+  /// to lift. Idempotent per direction.
   void set_outage(bool down);
-  [[nodiscard]] bool in_outage() const noexcept { return outage_; }
 
   /// Ground-truth capacity at the current sim time. Advances the noise
   /// process, so this is the *actual* instantaneous capacity (schedulers
@@ -160,16 +146,12 @@ class Link : private cbs::sim::EventTarget {
   [[nodiscard]] double total_bytes_delivered() const noexcept { return bytes_delivered_; }
   /// Total time during which at least one transfer was active.
   [[nodiscard]] double busy_time() const;
-  /// Connection drops injected so far (failure_probability > 0).
-  [[nodiscard]] std::uint64_t injected_failures() const noexcept {
-    return injected_failures_;
-  }
   /// Transfers whose connection was severed by an outage window.
   [[nodiscard]] std::uint64_t outage_aborts() const noexcept {
     return outage_aborts_;
   }
-  /// Payload bytes moved and then lost — to connection drops, outage
-  /// aborts and cancelled transfers. Useful bytes are in
+  /// Payload bytes moved and then lost — to outage aborts and cancelled
+  /// transfers. Useful bytes are in
   /// total_bytes_delivered(); wasted + delivered is what the pipe carried.
   [[nodiscard]] double wasted_bytes() const noexcept { return wasted_bytes_; }
   [[nodiscard]] const LinkConfig& config() const noexcept { return config_; }
@@ -198,12 +180,7 @@ class Link : private cbs::sim::EventTarget {
     int threads = 1;
     bool activated = false;  ///< setup latency elapsed; data is flowing
     bool waiting_outage = false;  ///< aborted; reconnects when outage lifts
-    int retries = 0;
     int outage_aborts = 0;  ///< outage severances (drives reconnect backoff)
-    /// When > 0: the transfer drops its connection once bytes_remaining
-    /// falls below this threshold, and restarts from scratch. Staged here
-    /// by arm_failure(); the live copy rides in the hot pool.
-    double fail_below_remaining = 0.0;
     cbs::sim::SimTime requested = 0.0;
     cbs::sim::SimTime started = 0.0;
     cbs::sim::EventId activation_event{};
@@ -220,7 +197,6 @@ class Link : private cbs::sim::EventTarget {
     std::vector<double> rate;
     std::vector<double> bytes_remaining;
     std::vector<cbs::sim::SimTime> last_progress;
-    std::vector<double> fail_below;  ///< 0 = no armed connection drop
     /// Absolute ETA from the last pass; kTimeInfinity when rate == 0.
     std::vector<cbs::sim::SimTime> completion_time;
 
@@ -231,9 +207,8 @@ class Link : private cbs::sim::EventTarget {
     [[nodiscard]] std::size_t lower_bound(double d, TransferId t) const noexcept;
     [[nodiscard]] std::size_t find(double d, TransferId t) const noexcept;
     void insert(std::size_t pos, TransferId t, double d, double remaining,
-                double fail_below_remaining, cbs::sim::SimTime now);
+                cbs::sim::SimTime now);
     void erase(std::size_t pos);
-    void clear() noexcept;
     void reserve(std::size_t n);
   };
 
@@ -246,7 +221,6 @@ class Link : private cbs::sim::EventTarget {
   void on_event(std::uint32_t kind, std::uint64_t id) override;
   void activate(TransferId id);
   void schedule_activation(TransferId id, cbs::sim::SimDuration delay);
-  void arm_failure(Cold& transfer);
   void progress_all();
   /// Runs the water-filling pass if membership changed or time advanced
   /// since the last pass, then re-arms the completion timer. Call at every
@@ -266,8 +240,6 @@ class Link : private cbs::sim::EventTarget {
   std::size_t index_;
   LinkConfig config_;
   Ar1LogNoise noise_;
-  cbs::sim::RngStream failure_rng_;
-  std::uint64_t injected_failures_ = 0;
   std::uint64_t outage_aborts_ = 0;
   double wasted_bytes_ = 0.0;
   bool outage_ = false;

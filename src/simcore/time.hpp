@@ -29,4 +29,12 @@ inline constexpr SimDuration kDay = 86400.0;
   return std::isfinite(t) && t >= 0.0;
 }
 
+/// The delay before retry `n` (0-based) of an exponential backoff that
+/// waits `first` and doubles each time: first × 2^n. Doubling is exact in
+/// floating point, so this equals multiplying by 2.0 n times.
+[[nodiscard]] inline SimDuration doubling_backoff(SimDuration first,
+                                                  int n) noexcept {
+  return std::ldexp(first, n);
+}
+
 }  // namespace cbs::sim

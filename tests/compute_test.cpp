@@ -304,11 +304,8 @@ TEST(JobStoreRetryTest, HealthyPutCompletesSynchronously) {
 TEST(JobStoreRetryTest, PutRetriesThroughOutage) {
   Simulation sim;
   cbs::testing::ClosureEvents events(sim);
-  JobStore::Config cfg;
-  cfg.retry_backoff = 2.0;
-  cfg.backoff_multiplier = 2.0;
   RecordingOwner owner(sim);
-  JobStore store(sim, owner, 0, cfg);
+  JobStore store(sim, owner, 0);
   store.set_available(false);
   store.put_async(1, kIn, 50.0);
   // Attempts at 0, 2, 6 (backoff 2 then 4); the store comes back at 5, so
@@ -323,53 +320,21 @@ TEST(JobStoreRetryTest, PutRetriesThroughOutage) {
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 50.0);
 }
 
-TEST(JobStoreRetryTest, ZeroCapacityPutIsAbandoned) {
+TEST(JobStoreRetryTest, GivesUpAfterSixAttempts) {
   Simulation sim;
-  JobStore::Config cfg;
-  cfg.capacity_bytes = 0.0;
-  cfg.max_attempts = 3;
   RecordingOwner owner(sim);
-  JobStore store(sim, owner, 0, cfg);
-  store.put_async(1, kIn, 1.0);
-  sim.run();
-  ASSERT_EQ(owner.puts.size(), 1u);
-  EXPECT_FALSE(owner.puts[0].ok);
-  EXPECT_EQ(store.failed_attempts(), 3u);
-  EXPECT_EQ(store.abandoned_ops(), 1u);
-  EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 0.0);
-}
-
-TEST(JobStoreRetryTest, OverwriteWithinCapacitySucceeds) {
-  Simulation sim;
-  JobStore::Config cfg;
-  cfg.capacity_bytes = 100.0;
-  RecordingOwner owner(sim);
-  JobStore store(sim, owner, 0, cfg);
-  store.put(1, kIn, 80.0);
-  // 80 -> 90 needs only 10 fresh bytes; the overwrite frees the old object.
-  store.put_async(1, kIn, 90.0);
-  ASSERT_EQ(owner.puts.size(), 1u);
-  EXPECT_TRUE(owner.puts[0].ok);
-  EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 90.0);
-}
-
-TEST(JobStoreRetryTest, BackoffIsCapped) {
-  Simulation sim;
-  JobStore::Config cfg;
-  cfg.retry_backoff = 2.0;
-  cfg.backoff_multiplier = 10.0;
-  cfg.max_backoff = 5.0;
-  cfg.max_attempts = 4;
-  RecordingOwner owner(sim);
-  JobStore store(sim, owner, 0, cfg);
+  JobStore store(sim, owner, 0);
   store.set_available(false);
   store.put_async(1, kIn, 1.0);
   sim.run();
-  // Attempts at 0, 2, 7 (20 capped to 5), 12: gives up on the fourth.
+  // Attempts at 0, 2, 6, 14, 30 and 62 (waits of 2, 4, 8, 16 and 32 s):
+  // gives up on the sixth.
   ASSERT_EQ(owner.puts.size(), 1u);
   EXPECT_FALSE(owner.puts[0].ok);
-  EXPECT_DOUBLE_EQ(owner.puts[0].at, 12.0);
+  EXPECT_DOUBLE_EQ(owner.puts[0].at, 62.0);
+  EXPECT_EQ(store.failed_attempts(), 6u);
   EXPECT_EQ(store.abandoned_ops(), 1u);
+  EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 0.0);
 }
 
 TEST(JobStoreTest, RunningStateTracksTransitions) {

@@ -163,7 +163,6 @@ void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.faults.reexecutions, b.faults.reexecutions);
   EXPECT_EQ(a.faults.wasted_compute_seconds, b.faults.wasted_compute_seconds);
   EXPECT_EQ(a.faults.link_outage_aborts, b.faults.link_outage_aborts);
-  EXPECT_EQ(a.faults.link_drops, b.faults.link_drops);
   EXPECT_EQ(a.faults.wasted_transfer_bytes, b.faults.wasted_transfer_bytes);
   EXPECT_EQ(a.faults.retractions, b.faults.retractions);
   EXPECT_EQ(a.faults.store_retries, b.faults.store_retries);

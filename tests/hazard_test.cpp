@@ -33,9 +33,8 @@ TEST(HazardEstimator, OffKindPredictsNothing) {
 TEST(HazardEstimator, ZeroFailureHistoryFallsBackToPrior) {
   for (const auto kind :
        {HazardPredictorKind::kEwma, HazardPredictorKind::kBayes}) {
-    const HazardModelConfig cfg = config_for(kind);
-    VmHazardEstimator est(cfg, 2);
-    const double prior = cfg.prior_failures / cfg.prior_exposure_seconds;
+    VmHazardEstimator est(config_for(kind), 2);
+    const double prior = 1.0 / 20000.0;  // one failure per 20000 s
     // A machine with no history must be believed at (near) the prior rate,
     // not at zero (overtrusted) or infinity (condemned).
     const double rate = est.hazard_rate(0, 0.0);
@@ -68,16 +67,15 @@ TEST(HazardEstimator, SurvivalDiscountsTheEwmaRate) {
 }
 
 TEST(HazardEstimator, ClockAdjacentFailuresAreFloored) {
-  const HazardModelConfig cfg = config_for(HazardPredictorKind::kEwma);
-  VmHazardEstimator est(cfg, 1);
-  // Two crashes at the same instant: the gap floors at min_gap_seconds, so
-  // the rate stays finite and the probability stays below 1.
+  VmHazardEstimator est(config_for(HazardPredictorKind::kEwma), 1);
+  // Two crashes at the same instant: the gap floors at 1 s, so the rate
+  // stays finite and the probability stays below 1.
   est.on_failure(0, 100.0);
   est.on_failure(0, 100.0);
   est.on_failure(0, 100.0);
   const double rate = est.hazard_rate(0, 100.0);
   EXPECT_TRUE(std::isfinite(rate));
-  EXPECT_LE(rate, 1.0 / cfg.min_gap_seconds);
+  EXPECT_LE(rate, 1.0);
   const double p = est.failure_probability(0, 100.0, 600.0);
   EXPECT_LT(p, 1.0);
   EXPECT_GT(p, 0.9);  // still read as extremely hazardous

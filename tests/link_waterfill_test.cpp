@@ -6,9 +6,9 @@
 // brute-force reference that re-sorts every transfer and water-fills from
 // scratch must reproduce the link's published rates bit-for-bit under
 // randomized submit/cancel storms. A second fixture forks a link
-// mid-flight — SoA pool, pending activations, armed failure thresholds,
-// single completion timer — and requires the fork to finish bit-identically
-// to the original.
+// mid-flight — SoA pool, pending activations, per-transfer outage abort
+// counts, transfers parked by an outage, single completion timer — and
+// requires the fork to finish bit-identically to the original.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -145,78 +145,94 @@ TEST(LinkWaterfillProperty, BatchedPassMatchesSortBasedReference) {
 }
 
 TEST(LinkForkEquivalence, MidFlightSoAStateForksBitExact) {
+  // Each seed forks twice: once with data flowing (a hot pool mixed with
+  // pending activations), once with the link severed by an outage that
+  // both copies lift after the fork. A mid-storm outage cycle first gives
+  // transfers non-zero abort counts, which set their reconnect backoff.
   for (const std::uint64_t seed : {5ULL, 17ULL, 301ULL}) {
-    Simulation sim_a;
-    LinkConfig cfg;
-    cfg.base_rate = 1.2e6;
-    cfg.per_connection_cap = 0.15e6;
-    cfg.noise_sigma = 0.3;
-    cfg.noise_rho = 0.85;
-    cfg.noise_step = 4.0;
-    cfg.profile = cbs::net::DiurnalProfile::business_pipe();
-    cfg.setup_latency = 0.4;
-    cfg.failure_probability = 0.2;  // armed fail_below thresholds cross forks
-    cbs::testing::RecordingOwner owner_a(sim_a);
-    Link a(sim_a, owner_a, 0, cfg, RngStream(seed).substream("link"));
+    for (const bool severed : {false, true}) {
+      Simulation sim_a;
+      LinkConfig cfg;
+      cfg.base_rate = 1.2e6;
+      cfg.per_connection_cap = 0.15e6;
+      cfg.noise_sigma = 0.3;
+      cfg.noise_rho = 0.85;
+      cfg.noise_step = 4.0;
+      cfg.profile = cbs::net::DiurnalProfile::business_pipe();
+      cfg.setup_latency = 0.4;
+      cbs::testing::RecordingOwner owner_a(sim_a);
+      Link a(sim_a, owner_a, 0, cfg, RngStream(seed).substream("link"));
 
-    RngStream rng(RngStream(seed).substream("storm"));
-    double t = 0.0;
-    for (int i = 0; i < 24; ++i) {
-      t += rng.uniform(0.05, 1.2);
-      const double bytes = rng.uniform(0.3e6, 3.0e6);
-      const int threads = 1 + static_cast<int>(rng.uniform_int(0, 3));
-      a.submit(bytes, threads, 0, static_cast<std::uint64_t>(i) + 1);
-      // Drain to just past this submission so the next one happens at its
-      // own timestamp (submissions are direct calls, not closures, so the
-      // engine holds only the link's events at the fork point).
-      sim_a.run_until(t);
+      RngStream rng(RngStream(seed).substream("storm"));
+      double t = 0.0;
+      for (int i = 0; i < 24; ++i) {
+        t += rng.uniform(0.05, 1.2);
+        const double bytes = rng.uniform(0.3e6, 3.0e6);
+        const int threads = 1 + static_cast<int>(rng.uniform_int(0, 3));
+        a.submit(bytes, threads, 0, static_cast<std::uint64_t>(i) + 1);
+        if (i == 10) a.set_outage(true);
+        if (i == 14) a.set_outage(false);
+        // Drain to just past this submission so the next one happens at
+        // its own timestamp (submissions are direct calls, not closures,
+        // so the engine holds only the link's events at the fork point).
+        sim_a.run_until(t);
+      }
+      ASSERT_GT(a.outage_aborts(), 0U) << "the outage severed nothing";
+      // Fork inside the last transfer's setup window: the pool holds a
+      // mix of activated (hot) and pending-activation (cold-only)
+      // transfers — or, severed, only parked ones.
+      sim_a.run_until(t + 0.2);
+      ASSERT_GT(a.active_transfers(), 0U) << "storm drained before the fork";
+      if (severed) a.set_outage(true);
+
+      const std::size_t pre_fork = owner_a.transfers.size();
+      Simulation sim_b(sim_a);
+      cbs::testing::RecordingOwner owner_b(sim_b);
+      Link b(sim_b, owner_b, a);
+      sim_b.verify_fork();
+      if (severed) {
+        a.set_outage(false);
+        b.set_outage(false);
+      }
+
+      sim_a.run();
+      sim_b.run();
+      const std::vector<TransferRecord> recs_a = owner_a.transfer_records();
+      const std::vector<TransferRecord> recs_b = owner_b.transfer_records();
+
+      // Bit-exact equivalence of everything after the fork point: the
+      // fork sees the same noise draws, the same reconnect backoffs, the
+      // same completion order. (recs_a also holds the pre-fork
+      // completions. The clone keeps no ledger: its history is those
+      // records followed by its own, checked against the source's below.)
+      ASSERT_EQ(recs_a.size(), pre_fork + recs_b.size());
+      for (std::size_t i = 0; i < recs_b.size(); ++i) {
+        const TransferRecord& ra = recs_a[pre_fork + i];
+        EXPECT_EQ(ra.id, recs_b[i].id);
+        EXPECT_EQ(ra.bytes, recs_b[i].bytes);
+        EXPECT_EQ(ra.threads, recs_b[i].threads);
+        EXPECT_EQ(ra.requested, recs_b[i].requested);
+        EXPECT_EQ(ra.started, recs_b[i].started);
+        EXPECT_EQ(ra.completed, recs_b[i].completed);
+        EXPECT_EQ(owner_a.transfers[pre_fork + i].tag,
+                  owner_b.transfers[i].tag);
+      }
+      std::vector<TransferRecord> ledger_b(
+          recs_a.begin(),
+          recs_a.begin() + static_cast<std::ptrdiff_t>(pre_fork));
+      ledger_b.insert(ledger_b.end(), recs_b.begin(), recs_b.end());
+      ASSERT_EQ(recs_a.size(), ledger_b.size());
+      for (std::size_t i = 0; i < recs_a.size(); ++i) {
+        EXPECT_EQ(recs_a[i].id, ledger_b[i].id);
+        EXPECT_EQ(recs_a[i].completed, ledger_b[i].completed);
+      }
+      EXPECT_EQ(recs_a.size(), 24U);
+      EXPECT_EQ(a.total_bytes_delivered(), b.total_bytes_delivered());
+      EXPECT_EQ(a.wasted_bytes(), b.wasted_bytes());
+      EXPECT_EQ(a.outage_aborts(), b.outage_aborts());
+      EXPECT_EQ(a.busy_time(), b.busy_time());
+      EXPECT_EQ(sim_a.now(), sim_b.now());
     }
-    // Fork inside the last transfer's setup window: the pool holds a mix
-    // of activated (hot) and pending-activation (cold-only) transfers.
-    sim_a.run_until(t + 0.2);
-    ASSERT_GT(a.active_transfers(), 0U) << "storm drained before the fork";
-
-    const std::size_t pre_fork = owner_a.transfers.size();
-    Simulation sim_b(sim_a);
-    cbs::testing::RecordingOwner owner_b(sim_b);
-    Link b(sim_b, owner_b, a);
-    sim_b.verify_fork();
-
-    sim_a.run();
-    sim_b.run();
-    const std::vector<TransferRecord> recs_a = owner_a.transfer_records();
-    const std::vector<TransferRecord> recs_b = owner_b.transfer_records();
-
-    // Bit-exact equivalence of everything after the fork point: the fork
-    // sees the same noise draws, the same failure injections, the same
-    // completion order. (recs_a also holds the pre-fork completions. The
-    // clone keeps no ledger: its history is those records followed by its
-    // own, checked against the source's below.)
-    ASSERT_EQ(recs_a.size(), pre_fork + recs_b.size());
-    for (std::size_t i = 0; i < recs_b.size(); ++i) {
-      const TransferRecord& ra = recs_a[pre_fork + i];
-      EXPECT_EQ(ra.id, recs_b[i].id);
-      EXPECT_EQ(ra.bytes, recs_b[i].bytes);
-      EXPECT_EQ(ra.threads, recs_b[i].threads);
-      EXPECT_EQ(ra.retries, recs_b[i].retries);
-      EXPECT_EQ(ra.requested, recs_b[i].requested);
-      EXPECT_EQ(ra.started, recs_b[i].started);
-      EXPECT_EQ(ra.completed, recs_b[i].completed);
-      EXPECT_EQ(owner_a.transfers[pre_fork + i].tag, owner_b.transfers[i].tag);
-    }
-    std::vector<TransferRecord> ledger_b(
-        recs_a.begin(), recs_a.begin() + static_cast<std::ptrdiff_t>(pre_fork));
-    ledger_b.insert(ledger_b.end(), recs_b.begin(), recs_b.end());
-    ASSERT_EQ(recs_a.size(), ledger_b.size());
-    for (std::size_t i = 0; i < recs_a.size(); ++i) {
-      EXPECT_EQ(recs_a[i].id, ledger_b[i].id);
-      EXPECT_EQ(recs_a[i].completed, ledger_b[i].completed);
-    }
-    EXPECT_EQ(a.total_bytes_delivered(), b.total_bytes_delivered());
-    EXPECT_EQ(a.wasted_bytes(), b.wasted_bytes());
-    EXPECT_EQ(a.injected_failures(), b.injected_failures());
-    EXPECT_EQ(a.busy_time(), b.busy_time());
-    EXPECT_EQ(sim_a.now(), sim_b.now());
   }
 }
 
