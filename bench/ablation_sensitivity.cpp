@@ -69,9 +69,7 @@ int main(int argc, char** argv) try {
     for (const double tau : taus) {
       harness::Scenario s =
           large_scenario(core::SchedulerKind::kOrderPreserving, seed);
-      auto cfg = core::default_controller_config(false);
-      cfg.params.slack_safety_margin = tau;
-      s.config_override = cfg;
+      s.params.slack_safety_margin = tau;
       char label[64];
       std::snprintf(label, sizeof(label), "tau=%.0f", tau);
       s.name = label;

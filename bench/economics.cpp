@@ -78,16 +78,11 @@ int main(int argc, char** argv) try {
     harness::Scenario s = harness::make_scenario(
         core::SchedulerKind::kOrderPreserving,
         workload::SizeBucket::kLargeBiased, seed);
-    s.config_override = core::default_controller_config(false);
     s.name = kStatic;
     variants.push_back(s);
 
-    auto cfg = core::default_controller_config(false);
-    cfg.elastic_ec.enabled = true;
-    cfg.elastic_ec.min_machines = 1;
-    cfg.elastic_ec.max_machines = 4;
-    cfg.ec_sites[0].machines = 1;  // start small, grow on demand
-    s.config_override = cfg;
+    s.elastic_ec = {true, 1, 4};
+    s.ec_sites[0].machines = 1;  // start small, grow on demand
     s.name = kElastic;
     variants.push_back(s);
   }

@@ -36,8 +36,7 @@ double mape(const cbs::models::QrsmModel& model,
 int main(int argc, char** argv) try {
   using namespace cbs;
   const harness::cli::Args args(argc, argv, harness::cli::scenario_flags());
-  sim::RngStream root(
-      static_cast<std::uint64_t>(args.get_long_or("seed", 1234)));
+  sim::RngStream root(harness::cli::seed_from_args(args, 1234));
   workload::GroundTruthModel truth({}, root.substream("truth"));
   workload::WorkloadGenerator gen({}, truth, root.substream("gen"));
 

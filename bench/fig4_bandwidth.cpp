@@ -63,7 +63,7 @@ int main(int argc, char** argv) try {
   using namespace cbs;
   const harness::cli::Args args(argc, argv, harness::cli::scenario_flags());
   sim::Simulation simulation;
-  sim::RngStream root(static_cast<std::uint64_t>(args.get_long_or("seed", 99)));
+  sim::RngStream root(harness::cli::seed_from_args(args, 99));
 
   net::LinkConfig cfg;
   cfg.base_rate = 1.3e6;

@@ -65,8 +65,7 @@ void report_bucket(const cbs::harness::ExperimentPlan& plan,
 int main(int argc, char** argv) try {
   using namespace cbs;
   const harness::cli::Args args(argc, argv, harness::cli::scenario_flags());
-  const auto seed =
-      static_cast<std::uint64_t>(args.get_long_or("seed", 42));
+  const auto seed = harness::cli::seed_from_args(args, 42);
 
   harness::ExperimentPlan plan = harness::ExperimentPlan::grid(
       {seed},

@@ -15,7 +15,7 @@
 int main(int argc, char** argv) try {
   using namespace cbs;
   const harness::cli::Args args(argc, argv, harness::cli::scenario_flags());
-  const auto seed = static_cast<std::uint64_t>(args.get_long_or("seed", 42));
+  const auto seed = harness::cli::seed_from_args(args, 42);
 
   std::printf("=== Fig. 8: completion times, large bucket ===\n\n");
   const harness::ExperimentPlan plan = harness::ExperimentPlan::grid(

@@ -5,8 +5,8 @@
 // the upload pipeline.
 //
 // Flags: --seeds a,b,c --threads N. Each cell is an ordinary run_scenario
-// run (Order Preserving, oracle estimator) whose config_override carries
-// the cell's EC site list; the belief places each burst on the site with
+// run (Order Preserving, oracle estimator) whose scenario carries the
+// cell's EC site list; the belief places each burst on the site with
 // the earliest believed round trip.
 #include <cstdio>
 #include <map>
@@ -49,10 +49,8 @@ harness::Scenario cell(const std::string& name, std::uint64_t seed,
   s.name = name;
   s.estimator = core::EstimatorKind::kOracle;
   s.num_batches = 8;
-  core::ControllerConfig cfg = core::default_controller_config(false);
-  cfg.ec_sites = sites;
-  cfg.bandwidth_estimator.prior_rate = sites[0].uplink.base_rate * 0.8;
-  s.config_override = cfg;
+  s.ec_sites = sites;
+  s.bandwidth_estimator.prior_rate = sites[0].uplink.base_rate * 0.8;
   return s;
 }
 

@@ -140,9 +140,7 @@ int main(int argc, char** argv) try {
     harness::Scenario s2 = harness::make_scenario(
         core::SchedulerKind::kOrderPreserving, workload::SizeBucket::kUniform,
         seed);
-    auto cfg2 = core::default_controller_config(false);
-    cfg2.params.variability_threshold_mb = 1.0e9;  // no chunking
-    s2.config_override = cfg2;
+    s2.params.variability_threshold_mb = 1.0e9;  // no chunking
     s2.name = kOpNoChunk;
     nochunk.push_back(s2);
     s2.scheduler = core::SchedulerKind::kBandwidthSplit;

@@ -14,11 +14,10 @@ int main() {
       /*seed=*/555);
   scenario.estimator = core::EstimatorKind::kOracle;
 
-  core::ControllerConfig cfg = core::default_controller_config(false);
-  cfg.bandwidth_estimator.prior_rate = 1.0e6;
+  scenario.bandwidth_estimator.prior_rate = 1.0e6;
 
   // Provider A: near-region, fat pipe, standard instances.
-  core::EcSiteConfig provider_a = cfg.ec_sites[0];
+  core::EcSiteConfig provider_a = scenario.ec_sites[0];
   provider_a.name = "near-region";
   provider_a.machines = 2;
   provider_a.speed = 1.0;
@@ -37,8 +36,7 @@ int main() {
   provider_b.downlink = provider_b.uplink;
   provider_b.downlink.base_rate = 0.8e6;
 
-  cfg.ec_sites = {provider_a, provider_b};
-  scenario.config_override = cfg;
+  scenario.ec_sites = {provider_a, provider_b};
 
   harness::ScenarioWorld world(scenario);
   world.run();

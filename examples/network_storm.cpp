@@ -14,11 +14,9 @@ int main() {
   auto configure = [](core::SchedulerKind kind) {
     harness::Scenario s = harness::make_scenario(
         kind, workload::SizeBucket::kLargeBiased, /*seed=*/99);
-    auto cfg = core::default_controller_config(false);
     // The storm: both directions throttled to 25% from t=10min to t=30min.
-    cfg.ec_sites[0].uplink.throttles = {{600.0, 1800.0, 0.25}};
-    cfg.ec_sites[0].downlink.throttles = {{600.0, 1800.0, 0.25}};
-    s.config_override = cfg;
+    s.ec_sites[0].uplink.throttles = {{600.0, 1800.0, 0.25}};
+    s.ec_sites[0].downlink.throttles = {{600.0, 1800.0, 0.25}};
     s.name = std::string(core::to_string(kind)) + "/storm";
     return s;
   };

@@ -17,10 +17,8 @@ int main() {
   scenario.num_batches = 1;
   scenario.mean_jobs_per_batch = 10.0;
   scenario.pretrain_samples = 150;
-  auto cfg = core::default_controller_config(false);
-  cfg.record_stage_log = true;
-  cfg.topology.ic_machines = 2;  // small IC so jobs burst readily
-  scenario.config_override = cfg;
+  scenario.record_stage_log = true;
+  scenario.topology.ic_machines = 2;  // small IC so jobs burst readily
 
   harness::ScenarioWorld world(scenario);
   world.run();

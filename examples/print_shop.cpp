@@ -23,11 +23,7 @@ int main() {
   scenario.name = "print shop day";
   scenario.seed = 2026;
   scenario.pretrain_samples = 150;  // the QRSM's factory prior
-  core::ControllerConfig cfg = scenario.controller_config();
-  cfg.elastic_ec.enabled = true;
-  cfg.elastic_ec.min_machines = 1;
-  cfg.elastic_ec.max_machines = 6;
-  scenario.config_override = cfg;
+  scenario.elastic_ec = {true, 1, 6};
 
   // The generators only read output sizes off the truth model; the world
   // builds its own from the same substream.

@@ -24,7 +24,7 @@ void set_link_noise(cbs::net::LinkConfig& link, bool high_network_variation) {
   link.noise_step = high_network_variation ? 120.0 : 30.0;
 }
 
-ControllerConfig default_controller_config(bool high_network_variation) {
+ControllerConfig default_controller_config() {
   ControllerConfig cfg;
 
   // The pipe: a thin business line with a per-connection cap that requires
@@ -39,7 +39,7 @@ ControllerConfig default_controller_config(bool high_network_variation) {
   ec.uplink.base_rate = 1.3e6;
   ec.uplink.per_connection_cap = 320.0e3;
   ec.uplink.profile = cbs::net::DiurnalProfile::business_pipe();
-  set_link_noise(ec.uplink, high_network_variation);
+  set_link_noise(ec.uplink, false);
   ec.uplink.setup_latency = 0.3;
 
   ec.downlink = ec.uplink;

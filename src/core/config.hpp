@@ -153,18 +153,18 @@ struct ControllerConfig {
 
   /// Per-run logging. Every controller owns its Logger, so concurrent
   /// runs (the parallel experiment runner) never share mutable logging
-  /// state; the process-wide Logger::global_threshold() only acts as a
-  /// floor. `log_sink` (when set) redirects this run's messages — e.g.
-  /// into a per-cell buffer — instead of the shared stderr stream.
+  /// state. At the default threshold only warnings and above reach the
+  /// default sink (stderr); `log_sink` (when set) redirects this run's
+  /// messages — e.g. into a per-cell buffer — instead of stderr.
   cbs::sim::LogLevel log_threshold = cbs::sim::LogLevel::kWarn;
   cbs::sim::Logger::Sink log_sink{};
 };
 
 /// Returns a config calibrated so that mean transfer time is of the order
 /// of mean processing time on the default workload — the regime the paper
-/// studies. `high_network_variation` raises the AR(1) sigma (Fig. 9/10).
-[[nodiscard]] ControllerConfig default_controller_config(
-    bool high_network_variation = false);
+/// studies, with the normal noise regime on its links
+/// (harness::Scenario::high_network_variation raises it for Fig. 9/10).
+[[nodiscard]] ControllerConfig default_controller_config();
 
 /// Sets `link`'s AR(1) noise to the normal regime or, with
 /// `high_network_variation`, to the long congestion epochs of Fig. 9/10.

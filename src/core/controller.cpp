@@ -115,35 +115,36 @@ CloudBurstController::CloudBurstController(
     cbs::sim::Simulation& sim, ControllerConfig config,
     cbs::workload::GroundTruthModel truth, cbs::sim::RngStream rng)
     : sim_(sim),
-      config_(validated(std::move(config))),
+      config_(std::make_shared<const ControllerConfig>(
+          validated(std::move(config)))),
       truth_(std::move(truth)),
-      log_("controller", config_.log_threshold),
+      log_("controller", config_->log_threshold),
       target_(sim.register_target(*this)),
-      ic_cluster_(sim, *this, kIcCluster, "ic", config_.topology.ic_machines),
-      belief_(make_estimator(config_.estimator, truth_),
-              config_.topology.ic_machines) {
-  if (config_.log_sink) log_.set_sink(config_.log_sink);
-  for (std::size_t i = 0; i < config_.ec_sites.size(); ++i) {
-    sites_.push_back(std::make_unique<Site>(sim, *this, config_, i, rng));
-    belief_.add_ec_site(config_.ec_sites[i], config_.bandwidth_estimator);
+      ic_cluster_(sim, *this, kIcCluster, "ic", config_->topology.ic_machines),
+      belief_(make_estimator(config_->estimator, truth_),
+              config_->topology.ic_machines) {
+  if (config_->log_sink) log_.set_sink(config_->log_sink);
+  for (std::size_t i = 0; i < config_->ec_sites.size(); ++i) {
+    sites_.push_back(std::make_unique<Site>(sim, *this, *config_, i, rng));
+    belief_.add_ec_site(config_->ec_sites[i], config_->bandwidth_estimator);
   }
-  belief_.set_bandwidth_view(bandwidth_view_for(config_.scheduler));
-  if (config_.faults.enabled()) {
+  belief_.set_bandwidth_view(bandwidth_view_for(config_->scheduler));
+  if (config_->faults.enabled()) {
     fault_plan_ = std::make_unique<sim::FaultPlan>(
-        sim_, static_cast<sim::FaultOwner&>(*this), config_.faults,
+        sim_, static_cast<sim::FaultOwner&>(*this), config_->faults,
         rng.substream("faults"));
-    fault_plan_->drive_vm_crashes("ic", config_.topology.ic_machines,
-                                  config_.faults.ic_vm_mtbf, kIcCluster);
+    fault_plan_->drive_vm_crashes("ic", config_->topology.ic_machines,
+                                  config_->faults.ic_vm_mtbf, kIcCluster);
     for (std::size_t i = 0; i < sites_.size(); ++i) {
       fault_plan_->drive_vm_crashes(site_stream("ec", i),
-                                    config_.ec_sites[i].machines,
-                                    config_.faults.ec_vm_mtbf, i);
+                                    config_->ec_sites[i].machines,
+                                    config_->faults.ec_vm_mtbf, i);
     }
     fault_plan_->drive_outages();
   }
-  if (config_.resilience.enabled()) {
+  if (config_->resilience.enabled()) {
     ic_hazard_ = std::make_unique<models::VmHazardEstimator>(
-        config_.resilience.hazard, config_.topology.ic_machines, sim_.now());
+        config_->resilience.hazard, config_->topology.ic_machines, sim_.now());
   }
 }
 
@@ -152,7 +153,7 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
     : sim_(dst),
       config_(src.config_),
       truth_(src.truth_),
-      log_("controller", config_.log_threshold),
+      log_("controller", config_->log_threshold),
       target_(dst.register_target(*this, src.target_)),
       ic_cluster_(dst, *this, src.ic_cluster_),
       belief_(src.belief_),
@@ -178,7 +179,7 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
       retractions_(src.retractions_),
       service_draws_(src.service_draws_),
       probe_blackout_skips_(src.probe_blackout_skips_) {
-  if (config_.log_sink) log_.set_sink(config_.log_sink);
+  if (config_->log_sink) log_.set_sink(config_->log_sink);
   for (const auto& site : src.sites_) {
     sites_.push_back(std::make_unique<Site>(dst, *this, *site));
   }
@@ -246,7 +247,7 @@ void CloudBurstController::on_task_done(std::size_t cluster,
 
 void CloudBurstController::on_machine_idle(std::size_t cluster,
                                            std::size_t /*machine*/) {
-  if (cluster == kIcCluster && config_.enable_rescheduler) maybe_pull_back();
+  if (cluster == kIcCluster && config_->enable_rescheduler) maybe_pull_back();
 }
 
 void CloudBurstController::on_put_done(std::size_t site, std::uint64_t seq,
@@ -340,11 +341,11 @@ void CloudBurstController::on_batch(const cbs::workload::Batch& batch,
   ScheduleContext ctx{
       .now = sim_.now(),
       .belief = belief_,
-      .params = config_.params,
+      .params = config_->params,
       .truth = truth_,
       .next_seq = &next_seq_,
       .next_doc_id = &next_doc_id_,
-      .ic_machines = config_.topology.ic_machines,
+      .ic_machines = config_->topology.ic_machines,
       .upload_class_backlog_bytes = {},
       .download_backlog_bytes = {},
   };
@@ -394,7 +395,7 @@ void CloudBurstController::on_batch(const cbs::workload::Batch& batch,
   ensure_probing();
   ensure_elastic_check();
   if (fault_plan_) fault_plan_->ensure_armed();
-  if (config_.enable_rescheduler && any_upload_idle()) {
+  if (config_->enable_rescheduler && any_upload_idle()) {
     maybe_push_out();
   }
   belief_.set_bandwidth_view(saved_view);
@@ -429,11 +430,11 @@ void CloudBurstController::submit_map(compute::Cluster& cluster, Job& job) {
 double CloudBurstController::merge_seconds(std::size_t cluster,
                                            const Job& job) const {
   double seconds =
-      config_.topology.merge_seconds_per_output_mb * job.doc.output_size_mb;
+      config_->topology.merge_seconds_per_output_mb * job.doc.output_size_mb;
   if (cluster != kIcCluster) {
     // EMR job setup/staging occupies the executing instance; book it on the
     // merge task (speed-scaled so it costs the configured wall seconds).
-    const EcSiteConfig& cfg = config_.ec_sites[cluster];
+    const EcSiteConfig& cfg = config_->ec_sites[cluster];
     seconds += cfg.job_overhead_seconds * cfg.speed;
   }
   return seconds;
@@ -444,19 +445,19 @@ void CloudBurstController::dispatch_ic() {
   // machines never starve while preserving the controller's ability to
   // reschedule jobs that have not started (the §IV.D strategies).
   while (!ic_wait_.empty() &&
-         ic_cluster_.queued_tasks() < config_.topology.ic_machines) {
+         ic_cluster_.queued_tasks() < config_->topology.ic_machines) {
     const std::uint64_t seq = ic_wait_.front();
     ic_wait_.pop_front();
     run_on_ic(seq);
   }
-  if (config_.enable_rescheduler && ic_wait_.empty() && ic_cluster_.idle()) {
+  if (config_->enable_rescheduler && ic_wait_.empty() && ic_cluster_.idle()) {
     maybe_pull_back();
   }
 }
 
 void CloudBurstController::set_state(Job& job, JobState state) {
   job.state = state;
-  if (config_.record_stage_log) {
+  if (config_->record_stage_log) {
     stage_log_.push_back(StageEvent{job.seq_id, state, sim_.now()});
   }
 }
@@ -475,7 +476,7 @@ void CloudBurstController::on_ic_done(std::uint64_t seq) {
   dispatch_ic();
   // Each internal completion is a fresh look at the §IV.D condition: "when
   // the EC upload queue is idle and IC has jobs waiting to execute".
-  if (config_.enable_rescheduler && any_upload_idle() && outstanding_ > 0) {
+  if (config_->enable_rescheduler && any_upload_idle() && outstanding_ > 0) {
     maybe_push_out();
   }
 }
@@ -500,7 +501,7 @@ void CloudBurstController::on_upload_done(std::size_t site_index,
   // falls back to internal execution (the upload was wasted).
   site.store.put_async(seq, StoredObject::kInput, rec.bytes);
 
-  if (config_.enable_rescheduler && site.upload_queues.idle()) {
+  if (config_->enable_rescheduler && site.upload_queues.idle()) {
     maybe_push_out();
   }
 }
@@ -575,15 +576,15 @@ sla::CostInputs CloudBurstController::cost_inputs() const {
 // ---- autonomic probing (§III.A.2) -----------------------------------
 
 void CloudBurstController::ensure_probing() {
-  if (probe_scheduled_ || config_.probe_interval <= 0.0) return;
+  if (probe_scheduled_ || config_->probe_interval <= 0.0) return;
   probe_scheduled_ = true;
-  sim_.schedule_in(config_.probe_interval, {target_, kProbe, 0});
+  sim_.schedule_in(config_->probe_interval, {target_, kProbe, 0});
 }
 
 void CloudBurstController::probe() {
   probe_scheduled_ = false;
   if (outstanding_ == 0) return;  // run over; stop generating events
-  if (config_.faults.in_probe_blackout(sim_.now())) {
+  if (config_->faults.in_probe_blackout(sim_.now())) {
     // Probe infrastructure is down: skip the measurement but keep the
     // cadence, so the EWMA model simply goes stale for the window.
     ++probe_blackout_skips_;
@@ -593,9 +594,9 @@ void CloudBurstController::probe() {
 
   for (const auto& site : sites_) {
     const int up_threads = site->up_tuner.suggest(sim_.now());
-    site->uplink.submit(config_.probe_bytes, up_threads, kUploadProbe, 0);
+    site->uplink.submit(config_->probe_bytes, up_threads, kUploadProbe, 0);
     const int down_threads = site->down_tuner.suggest(sim_.now());
-    site->downlink.submit(config_.probe_bytes, down_threads, kDownloadProbe,
+    site->downlink.submit(config_->probe_bytes, down_threads, kDownloadProbe,
                           0);
   }
   ensure_probing();
@@ -605,7 +606,7 @@ void CloudBurstController::probe() {
 
 void CloudBurstController::arm_burst_deadline(std::uint64_t seq,
                                               double service) {
-  if (config_.faults.retraction_deadline_factor <= 0.0) return;
+  if (config_->faults.retraction_deadline_factor <= 0.0) return;
   Job& job = job_at(seq);
   // Allow `factor` times the believed unloaded round trip for the upload
   // phase; past that, the burst is doing worse than the estimate that
@@ -613,7 +614,7 @@ void CloudBurstController::arm_burst_deadline(std::uint64_t seq,
   const double round_trip =
       belief_.ec_round_trip_no_load(job.doc, service, sim_.now(), job.site);
   double delay =
-      config_.faults.retraction_deadline_factor * std::max(round_trip, 1.0);
+      config_->faults.retraction_deadline_factor * std::max(round_trip, 1.0);
   // Hazard-aware retraction: when the predictor sees EC failure risk, give
   // the burst proportionally less patience before pulling it home — the
   // expected cost of waiting out a predicted outage rises with the risk.
@@ -737,19 +738,19 @@ void CloudBurstController::update_resilience() {
   // machine count is left alone.
   for (std::size_t i = 0; i < sites_.size(); ++i) {
     belief_.set_ec_risk_factor(
-        i, config_.resilience.risk_weight * site_failure_risk(i));
+        i, config_->resilience.risk_weight * site_failure_risk(i));
   }
 }
 
 void CloudBurstController::update_cluster_drains(
     compute::Cluster& cluster, models::VmHazardEstimator& hazard) {
   const sim::SimTime now = sim_.now();
-  const sim::SimDuration window = config_.resilience.drain_window_seconds;
+  const sim::SimDuration window = config_->resilience.drain_window_seconds;
   hazard.ensure_machines(cluster.machine_slots(), now);
   for (std::size_t m = 0; m < cluster.machine_slots(); ++m) {
     if (cluster.machine_retired(m)) continue;
     const double p = hazard.failure_probability(m, now, window);
-    if (p >= config_.resilience.drain_threshold) {
+    if (p >= config_->resilience.drain_threshold) {
       if (cluster.machine_drained(m) || cluster.drain_machine(m)) {
         // Flag (or keep flagging) the machine as predicted-to-crash; the
         // estimator scores the prediction when the crash lands or the
@@ -766,7 +767,7 @@ double CloudBurstController::site_failure_risk(std::size_t site) const {
   const models::VmHazardEstimator* hazard = sites_[site]->hazard.get();
   if (hazard == nullptr) return 0.0;
   return models::mean_failure_probability(
-      *hazard, sim_.now(), config_.resilience.drain_window_seconds);
+      *hazard, sim_.now(), config_->resilience.drain_window_seconds);
 }
 
 double CloudBurstController::ec_failure_risk() const {
@@ -778,7 +779,7 @@ double CloudBurstController::ec_failure_risk() const {
 // ---- elastic EC scaling (§V.B.4 future work, behind a flag) -------------
 
 void CloudBurstController::ensure_elastic_check() {
-  if (!config_.elastic_ec.enabled || elastic_check_scheduled_) return;
+  if (!config_->elastic_ec.enabled || elastic_check_scheduled_) return;
   elastic_check_scheduled_ = true;
   sim_.schedule_in(kElasticCheckInterval, {target_, kElasticCheck, 0});
 }
@@ -791,7 +792,7 @@ void CloudBurstController::elastic_check() {
 }
 
 void CloudBurstController::scale_site(std::size_t index) {
-  const ElasticEcConfig& e = config_.elastic_ec;
+  const ElasticEcConfig& e = config_->elastic_ec;
   Site& site = *sites_[index];
   compute::Cluster& cluster = site.cluster;
 
@@ -800,7 +801,7 @@ void CloudBurstController::scale_site(std::size_t index) {
   const double wait_seconds =
       cluster.queued_standard_seconds() /
       (static_cast<double>(std::max<std::size_t>(provisioned, 1)) *
-       config_.ec_sites[index].speed);
+       config_->ec_sites[index].speed);
 
   if (wait_seconds > kGrowWaitThresholdSeconds &&
       provisioned < e.max_machines) {
@@ -850,7 +851,7 @@ void CloudBurstController::maybe_pull_back() {
       Job& job = job_at(seq);
       const double reexec_seconds =
           job.estimated_service_seconds /
-          static_cast<double>(config_.topology.ic_machines);
+          static_cast<double>(config_->topology.ic_machines);
       const double remaining_ec = belief_.ec_round_trip_no_load(
           job.doc, belief_.estimate_service(job.doc), sim_.now(), i);
       if (remaining_ec <= reexec_seconds) continue;
@@ -876,7 +877,7 @@ void CloudBurstController::maybe_push_out() {
     const double service = belief_.estimate_service(job.doc);
     const std::optional<EcEstimate> ec = belief_.ft_ec_within(
         job.doc, service, sim_.now(), belief_.slack(sim_.now()),
-        config_.params.slack_safety_margin);
+        config_->params.slack_safety_margin);
     if (!ec) {
       belief_.commit_ic(seq, job.estimated_service_seconds);
       continue;

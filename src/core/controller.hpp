@@ -129,7 +129,7 @@ class CloudBurstController : private cbs::sim::EventTarget,
   void on_batch(const cbs::workload::Batch& batch, SchedulerKind kind);
   /// Admits a batch under the configured scheduler.
   void on_batch(const cbs::workload::Batch& batch) {
-    on_batch(batch, config_.scheduler);
+    on_batch(batch, config_->scheduler);
   }
 
   /// Turns this controller's log off for good (threshold kOff, sink
@@ -179,7 +179,7 @@ class CloudBurstController : private cbs::sim::EventTarget,
       const noexcept {
     return belief_.service_model();
   }
-  [[nodiscard]] const ControllerConfig& config() const noexcept { return config_; }
+  [[nodiscard]] const ControllerConfig& config() const noexcept { return *config_; }
   /// Number of §IV.D rescheduler interventions that occurred.
   [[nodiscard]] std::size_t pull_backs() const noexcept { return pull_backs_; }
   [[nodiscard]] std::size_t push_outs() const noexcept { return push_outs_; }
@@ -330,7 +330,8 @@ class CloudBurstController : private cbs::sim::EventTarget,
   Job& add_job(std::uint64_t seq);
 
   cbs::sim::Simulation& sim_;
-  ControllerConfig config_;
+  /// Immutable once validated, so a fork shares it.
+  std::shared_ptr<const ControllerConfig> config_;
   /// The true service law: the clusters' realized services and the
   /// chunker's output sizes come from it.
   cbs::workload::GroundTruthModel truth_;

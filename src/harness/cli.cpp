@@ -43,10 +43,11 @@ std::optional<std::uint64_t> parse_u64(const std::string& token) {
   return static_cast<std::uint64_t>(value);
 }
 
-/// --seed over the whole uint64 range that Scenario::seed and --seeds take.
-std::uint64_t seed_from_args(const Args& args) {
+}  // namespace
+
+std::uint64_t seed_from_args(const Args& args, std::uint64_t fallback) {
   const auto v = args.get("seed");
-  if (!v) return 42;
+  if (!v) return fallback;
   if (!v->empty() && v->front() == '-') {
     throw std::invalid_argument("--seed must be >= 0");
   }
@@ -54,8 +55,6 @@ std::uint64_t seed_from_args(const Args& args) {
   if (!seed) throw std::runtime_error("bad integer for --seed: '" + *v + "'");
   return *seed;
 }
-
-}  // namespace
 
 Args::Args(int argc, const char* const* argv,
            const std::vector<std::string>& known_flags) {
@@ -185,7 +184,7 @@ Scenario scenario_from_args(const Args& args) {
   Scenario s = make_scenario(
       parse_flag(args, "scheduler", "order-preserving", parse_scheduler),
       parse_flag(args, "bucket", "large", parse_bucket),
-      seed_from_args(args), args.has("high-var"));
+      seed_from_args(args, 42), args.has("high-var"));
   const long batches = args.get_long_or("batches", 8);
   if (batches < 0) throw std::invalid_argument("--batches must be >= 0");
   s.num_batches = static_cast<std::size_t>(batches);
@@ -207,13 +206,7 @@ Scenario scenario_from_args(const Args& args) {
         throw std::runtime_error("unknown estimator: " + name);
       });
 
-  if (args.has("elastic")) {
-    auto cfg = s.controller_config();
-    cfg.elastic_ec.enabled = true;
-    cfg.elastic_ec.min_machines = 1;
-    cfg.elastic_ec.max_machines = 6;
-    s.config_override = cfg;
-  }
+  if (args.has("elastic")) s.elastic_ec = {true, 1, 6};
 
   s.faults.ic_vm_mtbf = args.get_double_or("ic-mtbf", 0.0);
   s.faults.ec_vm_mtbf = args.get_double_or("ec-mtbf", 0.0);

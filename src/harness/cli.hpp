@@ -69,6 +69,13 @@ class Args {
 /// accepts them uniformly.
 [[nodiscard]] const std::vector<std::string>& scenario_flags();
 
+/// `--seed` over the whole uint64 range that Scenario::seed and --seeds
+/// take, or `fallback` when the flag is absent. Throws
+/// std::invalid_argument on a negative value ("--seed must be >= 0") and
+/// std::runtime_error on anything else that is not an integer in range.
+[[nodiscard]] std::uint64_t seed_from_args(const Args& args,
+                                           std::uint64_t fallback);
+
 /// Parses a comma-separated seed list ("42,7,1337"); throws on malformed
 /// input or an empty list.
 [[nodiscard]] std::vector<std::uint64_t> parse_seed_list(

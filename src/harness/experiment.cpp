@@ -10,20 +10,6 @@ RunResult run_scenario(const Scenario& scenario) {
   return world.result();
 }
 
-std::vector<RunResult> run_comparison(
-    const Scenario& base, const std::vector<cbs::core::SchedulerKind>& kinds) {
-  std::vector<RunResult> results;
-  results.reserve(kinds.size());
-  for (const auto kind : kinds) {
-    Scenario s = base;
-    s.scheduler = kind;
-    s.name = std::string(cbs::core::to_string(kind)) + "/" +
-             std::string(cbs::workload::to_string(base.bucket));
-    results.push_back(run_scenario(s));
-  }
-  return results;
-}
-
 std::vector<double> completion_by_seq(const RunResult& result) {
   std::vector<double> by_seq(result.outcomes.size());
   for (const auto& o : result.outcomes) {

@@ -92,11 +92,6 @@ struct RunResult {
 /// identical at any thread count.
 [[nodiscard]] RunResult run_scenario(const Scenario& scenario);
 
-/// Runs the same scenario under several schedulers (paired workload) and
-/// returns the results in the given order.
-[[nodiscard]] std::vector<RunResult> run_comparison(
-    const Scenario& base, const std::vector<cbs::core::SchedulerKind>& kinds);
-
 /// Per-job completion series in queue order (Fig. 7/8's x-axis is the job
 /// id, y-axis the completion time).
 [[nodiscard]] std::vector<double> completion_by_seq(const RunResult& result);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <exception>
-#include <mutex>
 #include <thread>
 
 #include "harness/task_pool.hpp"
@@ -47,7 +46,6 @@ std::vector<PlanCell> ExperimentPlan::cells() const {
                   std::string(cbs::workload::to_string(buckets[b]));
         if (sc.high_network_variation) sc.name += "/high-var";
         cell.scenario = std::move(sc);
-        if (customize) customize(cell.scenario, cell);
         out.push_back(std::move(cell));
       }
     }
@@ -76,8 +74,6 @@ std::vector<CellResult> run_plan(const ExperimentPlan& plan,
                             : std::max(1u, std::thread::hardware_concurrency());
   threads = std::min(threads, total);
 
-  std::mutex progress_mutex;
-  std::size_t done = 0;
   // Each cell writes only its own slot, so results land in plan order
   // whichever thread runs which cell.
   auto run_cell = [&](std::size_t i) {
@@ -89,10 +85,6 @@ std::vector<CellResult> run_plan(const ExperimentPlan& plan,
       slot.error = e.what();
     } catch (...) {
       slot.error = "unknown exception";
-    }
-    if (options.progress) {
-      const std::lock_guard<std::mutex> lock(progress_mutex);
-      options.progress(slot, ++done, total);
     }
   };
   // The caller runs cells too; with one thread the pool is the plain

@@ -42,10 +42,6 @@ struct ExperimentPlan {
   std::vector<cbs::core::SchedulerKind> schedulers;
   std::vector<cbs::workload::SizeBucket> buckets;
 
-  /// Applied to every grid scenario after the axes are stamped; use it for
-  /// per-cell tweaks that depend on the coordinates.
-  std::function<void(Scenario&, const PlanCell&)> customize;
-
   /// Ad-hoc scenarios appended verbatim after the grid.
   std::vector<Scenario> extra;
 
@@ -93,12 +89,6 @@ struct RunnerOptions {
   /// must share no mutable state across calls (see the thread-safety
   /// contract in simcore/simulation.hpp).
   std::function<RunResult(const Scenario&)> run;
-
-  /// Invoked after each finished cell, in completion order, with progress
-  /// counters. Called under an internal mutex: the callback need not
-  /// synchronize, but must not call back into the runner.
-  std::function<void(const CellResult&, std::size_t done, std::size_t total)>
-      progress;
 };
 
 /// Executes every cell of `plan` on a TaskPool (threads − 1 workers plus

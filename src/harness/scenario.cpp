@@ -7,26 +7,6 @@
 
 namespace cbs::harness {
 
-cbs::core::ControllerConfig Scenario::controller_config() const {
-  cbs::core::ControllerConfig cfg =
-      config_override.value_or(
-          cbs::core::default_controller_config(high_network_variation));
-  if (config_override && high_network_variation) {
-    for (cbs::core::EcSiteConfig& site : cfg.ec_sites) {
-      cbs::core::set_link_noise(site.uplink, true);
-      cbs::core::set_link_noise(site.downlink, true);
-    }
-  }
-  cfg.scheduler = scheduler;
-  cfg.estimator = estimator;
-  cfg.enable_rescheduler = enable_rescheduler;
-  if (faults.enabled()) cfg.faults = faults;
-  if (resilience.enabled()) cfg.resilience = resilience;
-  cfg.log_threshold = log_threshold;
-  cfg.log_sink = log_sink;
-  return cfg;
-}
-
 namespace {
 
 /// The error list's reporter: "<field> must be <rule> (got <got>)".

@@ -1,12 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/config.hpp"
-#include "simcore/logging.hpp"
 #include "sla/cost.hpp"
 #include "sla/tickets.hpp"
 #include "workload/arrival.hpp"
@@ -19,10 +17,19 @@ namespace cbs::harness {
 /// (LookaheadController::candidate_order()).
 inline constexpr int kLookaheadCandidates = 3;
 
-/// A complete experiment description: workload, network regime, scheduler.
-/// Two scenarios with the same seed and workload fields face byte-identical
-/// arrivals and service times, so scheduler comparisons are paired.
-struct Scenario {
+/// A complete experiment description: a controller configuration (the
+/// hybrid test bed and its scheduler) plus the workload, network regime,
+/// SLA and lookahead fields of one run. Every setting has exactly one
+/// field; callers set the controller's directly (`s.ec_sites = {...}`,
+/// `s.elastic_ec.enabled = true`). Two scenarios with the same seed and
+/// workload fields face byte-identical arrivals and service times, so
+/// scheduler comparisons are paired.
+struct Scenario : cbs::core::ControllerConfig {
+  /// The calibrated single-EC test bed of §V.A
+  /// (core::default_controller_config()).
+  Scenario()
+      : cbs::core::ControllerConfig(cbs::core::default_controller_config()) {}
+
   std::string name = "scenario";
   std::uint64_t seed = 42;
 
@@ -33,22 +40,10 @@ struct Scenario {
   double batch_interval_seconds = 180.0;
   cbs::workload::GroundTruthModel::Config truth{};
 
-  // System.
-  cbs::core::SchedulerKind scheduler =
-      cbs::core::SchedulerKind::kOrderPreserving;
-  cbs::core::EstimatorKind estimator = cbs::core::EstimatorKind::kQrsm;
+  /// Fig. 9/10's network regime: a world built from this scenario gives
+  /// every EC site's uplink and downlink the long congestion epochs of
+  /// core::set_link_noise(link, true), whatever their noise fields say.
   bool high_network_variation = false;
-  bool enable_rescheduler = false;
-
-  /// Fault injection and burst-retraction recovery (simcore/fault_plan.hpp).
-  /// Default-constructed = disabled; the run is then byte-identical to one
-  /// without the fault layer.
-  cbs::sim::FaultConfig faults{};
-
-  /// Proactive failure resilience (models/hazard.hpp, DESIGN.md §13).
-  /// Default-constructed = predictor off; the run is then byte-identical
-  /// to one without the resilience layer.
-  cbs::core::ResilienceConfig resilience{};
 
   // QRSM factory prior: corpus size used for pretraining (0 disables; the
   // oracle learns nothing and draws no corpus).
@@ -71,21 +66,6 @@ struct Scenario {
   // scored by the lookahead policy.
   cbs::sla::TicketPolicy ticket_policy{};
   cbs::sla::CostRates cost_rates{};
-
-  /// Per-run logging: each run's controller owns its Logger configured
-  /// from these fields, so concurrent run_scenario calls never share
-  /// mutable logging state. The default sink (stderr) is only reached for
-  /// warnings and above; set a sink to capture a run's log privately.
-  cbs::sim::LogLevel log_threshold = cbs::sim::LogLevel::kWarn;
-  cbs::sim::Logger::Sink log_sink{};
-
-  /// Full controller override (e.g. a list of EC sites); when set, the
-  /// scheduler/estimator/rescheduler, network-variation, fault, resilience
-  /// and logging fields above are still applied on top of it.
-  std::optional<cbs::core::ControllerConfig> config_override;
-
-  /// Resolves the effective controller configuration.
-  [[nodiscard]] cbs::core::ControllerConfig controller_config() const;
 
   /// One named error per value no run can use: no batches, a non-positive
   /// arrival rate, batch interval or OO sampling interval, a negative or

@@ -71,6 +71,20 @@ std::vector<cbs::workload::Batch> draw_batches(const Scenario& scenario) {
   return arrivals.generate_all();
 }
 
+/// The world's own copy of `scenario`: high network variation, when set,
+/// raises the noise of every EC site's uplink and downlink — the one place
+/// it is applied.
+std::shared_ptr<const Scenario> as_built(const Scenario& scenario) {
+  auto built = std::make_shared<Scenario>(scenario);
+  if (built->high_network_variation) {
+    for (cbs::core::EcSiteConfig& site : built->ec_sites) {
+      cbs::core::set_link_noise(site.uplink, true);
+      cbs::core::set_link_noise(site.downlink, true);
+    }
+  }
+  return built;
+}
+
 /// Throws std::invalid_argument naming the first document of `batches`
 /// whose id is outside [1, kFirstChunkId) or repeats an earlier one (ids
 /// key each document's service noise, so a repeat shares its draw).
@@ -167,21 +181,22 @@ double ordered_output_mb(const OutcomeLog& outcomes, std::uint64_t tolerance) {
 // fields, and its batches checked. Drawn batches are runnable by
 // construction.
 ScenarioWorld::ScenarioWorld(const Scenario& scenario)
-    : ScenarioWorld(scenario,
+    : ScenarioWorld(as_built(scenario),
                     std::make_shared<const std::vector<cbs::workload::Batch>>(
                         draw_batches(require_valid(scenario)))) {}
 
 ScenarioWorld::ScenarioWorld(const Scenario& scenario,
                              std::vector<cbs::workload::Batch> batches)
-    : ScenarioWorld(require_valid_except_arrivals(scenario),
+    : ScenarioWorld(as_built(require_valid_except_arrivals(scenario)),
                     require_runnable(std::move(batches))) {}
 
 ScenarioWorld::ScenarioWorld(
-    const Scenario& scenario,
+    std::shared_ptr<const Scenario> shared_scenario,
     std::shared_ptr<const std::vector<cbs::workload::Batch>> batches)
-    : scenario_(scenario),
+    : scenario_(std::move(shared_scenario)),
       target_(sim_.register_target(*this)),
       batches_(std::move(batches)) {
+  const Scenario& scenario = *scenario_;
   // The build order below mirrors the historical run_scenario body line by
   // line (substream derivation is a pure function of (parent, name), so
   // the local root here draws identically to the original's). Batches
@@ -192,7 +207,7 @@ ScenarioWorld::ScenarioWorld(
   cbs::workload::GroundTruthModel truth(scenario.truth,
                                         root.substream("truth"));
   controller_ = std::make_unique<cbs::core::CloudBurstController>(
-      sim_, scenario.controller_config(), truth, root.substream("system"));
+      sim_, scenario, truth, root.substream("system"));
   pretrain_controller(*controller_, truth, scenario.estimator,
                       scenario.pretrain_samples, root.substream("pretrain"));
 
@@ -256,17 +271,17 @@ void ScenarioWorld::deliver_batch(std::size_t index) {
   // every in-horizon arrival, with no nested lookahead; a lookahead run
   // admits under the candidate its decision picks; any other run under
   // its own scheduler.
-  cbs::core::SchedulerKind kind = scenario_.scheduler;
+  cbs::core::SchedulerKind kind = scenario_->scheduler;
   if (rollout_) {
     kind = rollout_kind_;
   } else if (kind == cbs::core::SchedulerKind::kLookahead) {
     if (!lookahead_) {
       LookaheadController::Config cfg;
-      cfg.horizon_seconds = scenario_.lookahead_horizon_seconds;
-      cfg.candidates = scenario_.lookahead_candidates;
+      cfg.horizon_seconds = scenario_->lookahead_horizon_seconds;
+      cfg.candidates = scenario_->lookahead_candidates;
       lookahead_ = std::make_unique<const LookaheadController>(cfg);
     }
-    score_prefix_.advance(controller_->outcomes(), scenario_.ticket_policy);
+    score_prefix_.advance(controller_->outcomes(), scenario_->ticket_policy);
     kind = lookahead_->decide(*this, batch).kind;
     lookahead_choices_.push_back(kind);
   }
@@ -280,6 +295,7 @@ RunResult ScenarioWorld::result() const {
                              " jobs outstanding");
   }
   const cbs::core::CloudBurstController& controller = *controller_;
+  const Scenario& scenario = *scenario_;
 
   RunResult result;
   result.outcomes = controller.outcomes().to_vector();
@@ -288,7 +304,7 @@ RunResult ScenarioWorld::result() const {
     throw std::runtime_error("run_scenario: outcome invariants violated: " +
                              violation);
   }
-  result.scenario = scenario_;
+  result.scenario = scenario;
   result.sim_end_time = sim_.now();
   result.events_processed = static_cast<std::size_t>(sim_.events_processed());
   result.pull_backs = controller.pull_backs();
@@ -348,18 +364,18 @@ RunResult ScenarioWorld::result() const {
   }
 
   result.oo_series = cbs::sla::OoMetricCalculator(result.outcomes)
-                          .ordered_mb_series(scenario_.oo_sampling_interval,
-                                             scenario_.oo_tolerance);
+                          .ordered_mb_series(scenario.oo_sampling_interval,
+                                             scenario.oo_tolerance);
   result.report = cbs::sla::build_report(
-      std::string(cbs::core::to_string(scenario_.scheduler)),
-      std::string(cbs::workload::to_string(scenario_.bucket)), result.outcomes,
+      std::string(cbs::core::to_string(scenario.scheduler)),
+      std::string(cbs::workload::to_string(scenario.bucket)), result.outcomes,
       ic.total_busy_time(), ic.machine_count(), ec_busy, ec_machines,
-      result.oo_series, scenario_.oo_tolerance);
+      result.oo_series, scenario.oo_tolerance);
 
   result.tickets =
-      cbs::sla::evaluate_tickets(result.outcomes, scenario_.ticket_policy);
+      cbs::sla::evaluate_tickets(result.outcomes, scenario.ticket_policy);
   result.cost =
-      cbs::sla::compute_cost(controller.cost_inputs(), scenario_.cost_rates);
+      cbs::sla::compute_cost(controller.cost_inputs(), scenario.cost_rates);
 
   if (const auto* qrsm = dynamic_cast<const cbs::models::QrsmEstimator*>(
           &controller.service_estimator());

@@ -41,8 +41,9 @@ struct ScorePrefix {
 };
 
 /// A scenario's entire running state as a first-class, *forkable* value:
-/// the engine, the controller (which owns the ground-truth model) and the
-/// arrival schedule, drawn or given (shared, immutable, across forks).
+/// the engine, the controller (which owns the ground-truth model), the
+/// scenario as built and the arrival schedule, drawn or given (these two
+/// shared, immutable, across forks).
 /// `run_scenario` is a thin wrapper over this class; holding the world
 /// directly additionally buys
 ///
@@ -100,7 +101,9 @@ class ScenarioWorld : private cbs::sim::EventTarget {
   [[nodiscard]] RunResult result() const;
 
   [[nodiscard]] cbs::sim::SimTime now() const noexcept { return sim_.now(); }
-  [[nodiscard]] const Scenario& scenario() const noexcept { return scenario_; }
+  /// The scenario as built: high network variation, when set, is already
+  /// applied to every EC site's links.
+  [[nodiscard]] const Scenario& scenario() const noexcept { return *scenario_; }
   [[nodiscard]] const cbs::core::CloudBurstController& controller() const {
     return *controller_;
   }
@@ -148,9 +151,10 @@ class ScenarioWorld : private cbs::sim::EventTarget {
   }
 
  private:
-  /// Builds over `batches`, which the public constructors have checked.
+  /// Builds over `shared_scenario` and `batches`, which the public
+  /// constructors have checked.
   ScenarioWorld(
-      const Scenario& scenario,
+      std::shared_ptr<const Scenario> shared_scenario,
       std::shared_ptr<const std::vector<cbs::workload::Batch>> batches);
 
   /// The arrival of batch `index`, the world's only event.
@@ -159,7 +163,7 @@ class ScenarioWorld : private cbs::sim::EventTarget {
   /// Makes arrival `index` the pending one (none past the last batch).
   void schedule_arrival(std::size_t index);
 
-  Scenario scenario_;
+  std::shared_ptr<const Scenario> scenario_;
   cbs::sim::Simulation sim_;
   cbs::sim::TargetId target_;
   std::unique_ptr<cbs::core::CloudBurstController> controller_;

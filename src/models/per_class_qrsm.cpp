@@ -38,11 +38,6 @@ void PerClassQrsmEstimator::pretrain(
   for (auto& m : per_class_) m.refit();
 }
 
-const QrsmModel& PerClassQrsmEstimator::class_model(
-    cbs::workload::JobType type) const {
-  return per_class_[index_of(type)];
-}
-
 bool PerClassQrsmEstimator::class_active(cbs::workload::JobType type) const {
   const std::size_t idx = index_of(type);
   return class_counts_[idx] >= config_.min_class_observations &&

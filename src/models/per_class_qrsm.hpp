@@ -45,7 +45,6 @@ class PerClassQrsmEstimator final : public ProcessingTimeEstimator {
                 const std::vector<double>& runtimes);
 
   [[nodiscard]] const QrsmModel& pooled() const noexcept { return pooled_; }
-  [[nodiscard]] const QrsmModel& class_model(cbs::workload::JobType type) const;
   /// True when predictions for `type` come from its dedicated surface.
   [[nodiscard]] bool class_active(cbs::workload::JobType type) const;
 

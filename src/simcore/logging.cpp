@@ -1,13 +1,8 @@
 #include "simcore/logging.hpp"
 
-#include <atomic>
 #include <cstdio>
 
 namespace cbs::sim {
-
-namespace {
-std::atomic<LogLevel> g_threshold{LogLevel::kWarn};
-}  // namespace
 
 std::string_view to_string(LogLevel level) noexcept {
   switch (level) {
@@ -19,19 +14,6 @@ std::string_view to_string(LogLevel level) noexcept {
     case LogLevel::kOff: return "OFF";
   }
   return "?";
-}
-
-void Logger::set_global_threshold(LogLevel level) noexcept {
-  g_threshold.store(level, std::memory_order_relaxed);
-}
-
-LogLevel Logger::global_threshold() noexcept {
-  return g_threshold.load(std::memory_order_relaxed);
-}
-
-Logger::Logger(std::string component, LogLevel threshold)
-    : component_(std::move(component)), threshold_(threshold) {
-  if (global_threshold() > threshold_) threshold_ = global_threshold();
 }
 
 void Logger::emit(LogLevel level, SimTime t, std::string_view msg) {

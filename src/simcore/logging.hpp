@@ -4,6 +4,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "simcore/time.hpp"
 
@@ -21,10 +22,8 @@ enum class LogLevel { kTrace, kDebug, kInfo, kWarn, kError, kOff };
 ///
 /// Thread-safety: a Logger instance is not internally synchronized — give
 /// each simulation run its own Logger (ControllerConfig::log_threshold /
-/// log_sink route this per run). The process-wide global threshold is an
-/// atomic floor consulted only at construction, so building loggers on
-/// many threads is safe; it exists for coarse muting (CLI --quiet), not
-/// for per-run control.
+/// log_sink route this per run). Loggers share no state, so building and
+/// using distinct ones on many threads is safe.
 class Logger {
  public:
   /// Copyable on purpose: sinks ride inside ControllerConfig/Scenario,
@@ -33,7 +32,8 @@ class Logger {
   // cbs-lint: std-function-ok(sink must stay copyable: it is carried by ControllerConfig/Scenario copies in the parallel runner)
   using Sink = std::function<void(LogLevel, SimTime, std::string_view)>;
 
-  explicit Logger(std::string component, LogLevel threshold = LogLevel::kWarn);
+  explicit Logger(std::string component, LogLevel threshold = LogLevel::kWarn)
+      : component_(std::move(component)), threshold_(threshold) {}
 
   void set_threshold(LogLevel level) noexcept { threshold_ = level; }
   [[nodiscard]] LogLevel threshold() const noexcept { return threshold_; }
@@ -64,10 +64,6 @@ class Logger {
   void warn(SimTime t, Args&&... args) {
     log(LogLevel::kWarn, t, std::forward<Args>(args)...);
   }
-
-  /// Process-wide default threshold applied to newly created loggers.
-  static void set_global_threshold(LogLevel level) noexcept;
-  [[nodiscard]] static LogLevel global_threshold() noexcept;
 
  private:
   void emit(LogLevel level, SimTime t, std::string_view msg);

@@ -45,10 +45,9 @@ class EventTarget {
 /// component layered on it (`src/net`, `src/compute`, `src/core`), holds
 /// no mutable global or function-local static state, so N simulations may
 /// run on N threads at once. This is what the parallel experiment runner
-/// (`harness/runner.hpp`) relies on. The only process-wide state in
-/// `simcore` is `Logger::global_threshold()`, an atomic that acts purely
-/// as a floor for newly built loggers; per-run log routing goes through
-/// per-controller sinks instead. Determinism is per-instance: a run's
+/// (`harness/runner.hpp`) relies on. `simcore` keeps no process-wide
+/// state at all: each run's log goes through its own controller's Logger
+/// and sink. Determinism is per-instance: a run's
 /// event trace depends only on its inputs (config + seed), never on what
 /// other threads do.
 class Simulation {

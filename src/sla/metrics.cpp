@@ -27,11 +27,6 @@ double speedup(const std::vector<JobOutcome>& outcomes) {
   return c <= 0.0 ? 0.0 : sequential_time(outcomes) / c;
 }
 
-double machine_utilization(double machine_busy_seconds, double makespan_seconds) {
-  assert(machine_busy_seconds >= 0.0);
-  return makespan_seconds <= 0.0 ? 0.0 : machine_busy_seconds / makespan_seconds;
-}
-
 double set_utilization(double total_busy_seconds, std::size_t machine_count,
                        double makespan_seconds) {
   assert(machine_count > 0);
@@ -39,17 +34,6 @@ double set_utilization(double total_busy_seconds, std::size_t machine_count,
              ? 0.0
              : total_busy_seconds /
                    (static_cast<double>(machine_count) * makespan_seconds);
-}
-
-std::map<std::size_t, BatchBurst> burst_ratio_per_batch(
-    const std::vector<JobOutcome>& outcomes) {
-  std::map<std::size_t, BatchBurst> per_batch;
-  for (const JobOutcome& o : outcomes) {
-    BatchBurst& b = per_batch[o.batch_index];
-    ++b.jobs;
-    if (o.bursted()) ++b.bursted;
-  }
-  return per_batch;
 }
 
 double burst_ratio(const std::vector<JobOutcome>& outcomes) {

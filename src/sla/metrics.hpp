@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "simcore/time.hpp"
@@ -22,31 +21,15 @@ namespace cbs::sla {
 /// we implement the meaningful ratio (≥ 1 when bursting helps).
 [[nodiscard]] double speedup(const std::vector<JobOutcome>& outcomes);
 
-/// Utilization of one machine (Eq. 8): busy time / makespan.
-[[nodiscard]] double machine_utilization(double machine_busy_seconds,
-                                         double makespan_seconds);
-
-/// Average utilization of a machine set (Eq. 9): Σ busy / (|M| · C).
+/// Average utilization of a machine set (Eq. 9): Σ busy / (|M| · C); with
+/// one machine it is Eq. 8, busy time / makespan.
 [[nodiscard]] double set_utilization(double total_busy_seconds,
                                      std::size_t machine_count,
                                      double makespan_seconds);
 
-/// Burst ratio of one batch (Eq. 11): bursted jobs / batch size.
-/// Keyed result of burst_ratio_per_batch below.
-struct BatchBurst {
-  std::size_t jobs = 0;
-  std::size_t bursted = 0;
-  [[nodiscard]] double ratio() const {
-    return jobs == 0 ? 0.0 : static_cast<double>(bursted) / static_cast<double>(jobs);
-  }
-};
-
-/// Eq. 11 for every batch present in the outcomes.
-[[nodiscard]] std::map<std::size_t, BatchBurst> burst_ratio_per_batch(
-    const std::vector<JobOutcome>& outcomes);
-
 /// Eq. 12: overall burst ratio (batch-size-weighted mean of Eq. 11, which
-/// reduces to total bursted / total jobs).
+/// reduces to total bursted / total jobs); over one batch's outcomes it is
+/// Eq. 11.
 [[nodiscard]] double burst_ratio(const std::vector<JobOutcome>& outcomes);
 
 /// Mean job turnaround (completion − arrival); not in the paper's SLA list

@@ -801,12 +801,11 @@ TEST(ConfigTest, SchedulerNames) {
 }
 
 TEST(ConfigTest, HighVariationRaisesSigma) {
-  const auto normal = default_controller_config(false);
-  const auto high = default_controller_config(true);
-  EXPECT_GT(high.ec_sites[0].uplink.noise_sigma,
-            normal.ec_sites[0].uplink.noise_sigma);
-  EXPECT_DOUBLE_EQ(normal.ec_sites[0].uplink.base_rate,
-                   high.ec_sites[0].uplink.base_rate);
+  const auto normal = default_controller_config().ec_sites[0].uplink;
+  auto high = normal;
+  set_link_noise(high, true);
+  EXPECT_GT(high.noise_sigma, normal.noise_sigma);
+  EXPECT_DOUBLE_EQ(normal.base_rate, high.base_rate);
 }
 
 /// Estimator at 1 s per MB that counts its estimates into `*calls`.

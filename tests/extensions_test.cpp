@@ -187,7 +187,7 @@ TEST(PerClassQrsmTest, PretrainSeedsAllModels) {
 TEST(PerClassQrsmTest, WorksAsControllerEstimator) {
   Simulation sim;
   workload::GroundTruthModel truth({.noise_sigma = 0.0}, RngStream(8));
-  auto cfg = core::default_controller_config(false);
+  auto cfg = core::default_controller_config();
   cfg.scheduler = core::SchedulerKind::kOrderPreserving;
   cfg.estimator = core::EstimatorKind::kPerClassQrsm;
   core::CloudBurstController ctl(sim, cfg, truth, RngStream(9));
@@ -226,21 +226,18 @@ harness::Scenario two_site_scenario(std::uint64_t seed) {
   harness::Scenario s = harness::make_scenario(
       core::SchedulerKind::kOrderPreserving, workload::SizeBucket::kLargeBiased,
       seed);
+  // The controller starts from a raw ControllerConfig, not the calibrated
+  // default test bed (the scheduler is order-preserving in both).
+  static_cast<core::ControllerConfig&>(s) = core::ControllerConfig{};
   s.estimator = core::EstimatorKind::kOracle;
   s.truth.noise_sigma = 0.0;
   s.num_batches = 2;
-  core::ControllerConfig cfg;
-  cfg.topology.ic_machines = 2;
-  cfg.params.slack_safety_margin = 0.0;
-  cfg.probe_interval = 0.0;
-  cfg.bandwidth_estimator.prior_rate = 1.0e6;
-  cfg.ec_sites = {flat_site("ec-fast", 4.0e6), flat_site("ec-slow", 0.4e6)};
-  s.config_override = cfg;
+  s.topology.ic_machines = 2;
+  s.params.slack_safety_margin = 0.0;
+  s.probe_interval = 0.0;
+  s.bandwidth_estimator.prior_rate = 1.0e6;
+  s.ec_sites = {flat_site("ec-fast", 4.0e6), flat_site("ec-slow", 0.4e6)};
   return s;
-}
-
-core::ControllerConfig& config_of(harness::Scenario& s) {
-  return *s.config_override;
 }
 
 /// Runs the scenario to completion; result() throws on a lost job or an
@@ -277,7 +274,7 @@ TEST(EcSitesTest, PrefersTheFasterProvider) {
 TEST(EcSitesTest, SpillsToSecondSiteWhenFirstSaturates) {
   harness::Scenario s = two_site_scenario(16);
   // Two equal sites: once one queues up, the other is believed faster.
-  config_of(s).ec_sites[1] = flat_site("ec-b", 4.0e6);
+  s.ec_sites[1] = flat_site("ec-b", 4.0e6);
   const SiteRun run = run_sites(s);
   ASSERT_GE(run.bursts[0] + run.bursts[1], 4u);
   EXPECT_GT(run.bursts[0], 0u);
@@ -287,12 +284,11 @@ TEST(EcSitesTest, SpillsToSecondSiteWhenFirstSaturates) {
 TEST(EcSitesTest, SurvivesNoisyPathsAndProbes) {
   harness::Scenario s = two_site_scenario(40);
   s.truth.noise_sigma = 0.3;  // noisy runtimes
-  core::ControllerConfig& cfg = config_of(s);
-  for (auto& site : cfg.ec_sites) {
+  for (auto& site : s.ec_sites) {
     site.uplink.noise_sigma = 0.3;
     site.downlink.noise_sigma = 0.3;
   }
-  cfg.probe_interval = 60.0;  // probing enabled on every site
+  s.probe_interval = 60.0;  // probing enabled on every site
   const SiteRun run = run_sites(s);
   EXPECT_EQ(cbs::sla::validate_outcomes(run.result.outcomes), "");
 }
@@ -308,29 +304,9 @@ TEST(EcSitesTest, DeterministicReplay) {
   EXPECT_EQ(completions(), completions());
 }
 
-TEST(EcSitesTest, SingleSiteListIsTheDefaultTopology) {
-  // The default configuration *is* a one-site list: spelling it out as an
-  // override changes nothing, down to the last bit.
-  harness::Scenario plain = harness::make_scenario(
-      core::SchedulerKind::kOrderPreserving, workload::SizeBucket::kLargeBiased,
-      18);
-  plain.num_batches = 3;
-  harness::Scenario spelled = plain;
-  spelled.config_override = core::default_controller_config(false);
-  ASSERT_EQ(spelled.config_override->ec_sites.size(), 1u);
-  const SiteRun a = run_sites(plain);
-  const SiteRun b = run_sites(spelled);
-  ASSERT_EQ(a.bursts.size(), 1u);
-  ASSERT_EQ(a.result.outcomes.size(), b.result.outcomes.size());
-  for (std::size_t i = 0; i < a.result.outcomes.size(); ++i) {
-    EXPECT_EQ(a.result.outcomes[i].completed, b.result.outcomes[i].completed);
-    EXPECT_EQ(a.result.outcomes[i].placement, b.result.outcomes[i].placement);
-  }
-}
-
 TEST(EcSitesTest, EmptySiteListIsRejected) {
   harness::Scenario s = two_site_scenario(19);
-  config_of(s).ec_sites.clear();
+  s.ec_sites.clear();
   EXPECT_THROW(harness::ScenarioWorld world(s), std::invalid_argument);
 }
 

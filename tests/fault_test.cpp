@@ -186,9 +186,7 @@ TEST(FaultScenarioTest, RetractionPreservesFcfsReadmission) {
   s.num_batches = 1;
   s.log_threshold = cbs::sim::LogLevel::kError;
   s.faults.outage_windows = {OutageWindow{190.0, 2000.0}};
-  auto cfg = core::default_controller_config(false);
-  cfg.topology.ic_machines = 1;
-  s.config_override = cfg;
+  s.topology.ic_machines = 1;
 
   const auto r = harness::run_scenario(s);
   ASSERT_GT(r.faults.retractions, 0u);
@@ -218,9 +216,7 @@ TEST(FaultScenarioTest, ServiceIsDrawnOnceAtFirstDispatchOnEveryPath) {
   // identity-keyed draw of its document, drawn once per job.
   harness::Scenario s = faulted_scenario(42);
   // No chunks, so every job is an input document.
-  auto cfg = s.controller_config();
-  cfg.params.variability_threshold_mb = 1e9;
-  s.config_override = cfg;
+  s.params.variability_threshold_mb = 1e9;
   ASSERT_GT(s.truth.noise_sigma, 0.0);
   harness::ScenarioWorld world(s);
   world.run();

@@ -81,17 +81,15 @@ Scenario hazard_fixture(cbs::models::HazardPredictorKind kind) {
 /// deadlines, per-site hazard estimators and elastic scaling of each site.
 Scenario two_site_fixture() {
   Scenario s = hazard_fixture(cbs::models::HazardPredictorKind::kEwma);
-  cbs::core::ControllerConfig cfg = cbs::core::default_controller_config(false);
-  cbs::core::EcSiteConfig far = cfg.ec_sites[0];
+  cbs::core::EcSiteConfig far = s.ec_sites[0];
   far.name = "ec-far";
   far.machines = 1;
   far.speed = 1.5;
   far.uplink.base_rate = 0.8e6;
   far.downlink.base_rate = 0.9e6;
-  cfg.ec_sites.push_back(far);
-  cfg.elastic_ec.enabled = true;
-  cfg.elastic_ec.max_machines = 3;
-  s.config_override = cfg;
+  s.ec_sites.push_back(far);
+  s.elastic_ec.enabled = true;
+  s.elastic_ec.max_machines = 3;
   return s;
 }
 

@@ -1,6 +1,6 @@
 # Runs BIN with ARGS (;-separated) and byte-compares stdout to GOLDEN.
 # Used by the golden CLI tests pinning table1_metrics / fault_degradation /
-# fig4_bandwidth / multi_cloud / economics.
+# fig4_bandwidth / multi_cloud / economics / cloudburst_sim.
 if(NOT DEFINED BIN OR NOT DEFINED GOLDEN)
   message(FATAL_ERROR "run_and_diff.cmake needs -DBIN=... and -DGOLDEN=...")
 endif()

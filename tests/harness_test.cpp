@@ -132,16 +132,17 @@ TEST(ScenarioCliTest, FlagsReachTheScenario) {
   EXPECT_DOUBLE_EQ(s.truth.noise_sigma, 0.3);
 }
 
-TEST(ScenarioCliTest, ElasticFlagConfiguresOverride) {
+TEST(ScenarioCliTest, ElasticFlagConfiguresElasticEc) {
   const Scenario s = cli::scenario_from_args(scenario_args({"--elastic"}));
-  ASSERT_TRUE(s.config_override.has_value());
-  EXPECT_TRUE(s.controller_config().elastic_ec.enabled);
+  EXPECT_TRUE(s.elastic_ec.enabled);
+  EXPECT_EQ(s.elastic_ec.min_machines, 1u);
+  EXPECT_EQ(s.elastic_ec.max_machines, 6u);
 }
 
 TEST(ScenarioCliTest, HighVarSurvivesElasticOverride) {
-  const Scenario s = cli::scenario_from_args(
-      scenario_args({"--elastic", "--high-var"}));
-  const auto cfg = s.controller_config();
+  const ScenarioWorld world(cli::scenario_from_args(
+      scenario_args({"--elastic", "--high-var"})));
+  const auto& cfg = world.controller().config();
   EXPECT_TRUE(cfg.elastic_ec.enabled);
   EXPECT_DOUBLE_EQ(cfg.ec_sites[0].uplink.noise_sigma, 0.25);
 }
@@ -558,9 +559,28 @@ TEST(ScenarioTest, ControllerConfigAppliesSchedulerFields) {
   Scenario s = make_scenario(core::SchedulerKind::kBandwidthSplit,
                              workload::SizeBucket::kUniform);
   s.enable_rescheduler = true;
-  const auto cfg = s.controller_config();
+  const ScenarioWorld world(s);
+  const auto& cfg = world.controller().config();
   EXPECT_EQ(cfg.scheduler, core::SchedulerKind::kBandwidthSplit);
   EXPECT_TRUE(cfg.enable_rescheduler);
+}
+
+TEST(ScenarioTest, HighVarAppliesToEverySite) {
+  Scenario s;
+  s.ec_sites.push_back(s.ec_sites.front());
+  s.ec_sites.back().name = "ec-2";
+  s.high_network_variation = true;
+  const ScenarioWorld world(s);
+  const core::CloudBurstController& controller = world.controller();
+  ASSERT_EQ(controller.site_count(), 2u);
+  for (std::size_t i = 0; i < controller.site_count(); ++i) {
+    for (const net::Link* link :
+         {&controller.site(i).uplink, &controller.site(i).downlink}) {
+      EXPECT_DOUBLE_EQ(link->config().noise_rho, 0.95);
+      EXPECT_DOUBLE_EQ(link->config().noise_sigma, 0.25);
+      EXPECT_DOUBLE_EQ(link->config().noise_step, 120.0);
+    }
+  }
 }
 
 }  // namespace

@@ -110,10 +110,11 @@ TEST(IntegrationTest, SameWorkloadAcrossSchedulers) {
   // Paired comparisons: with one seed, every scheduler faces the same
   // arrivals (count may differ only through chunking, so compare original
   // document ids and total input volume of non-chunk jobs).
-  const auto base =
-      small_scenario(SchedulerKind::kIcOnly, SizeBucket::kUniform);
-  const auto results = harness::run_comparison(
-      base, {SchedulerKind::kIcOnly, SchedulerKind::kGreedy});
+  const std::vector<harness::RunResult> results = {
+      harness::run_scenario(
+          small_scenario(SchedulerKind::kIcOnly, SizeBucket::kUniform)),
+      harness::run_scenario(
+          small_scenario(SchedulerKind::kGreedy, SizeBucket::kUniform))};
   double vol_ic = 0.0;
   double vol_greedy = 0.0;
   for (const auto& o : results[0].outcomes) vol_ic += o.input_mb;

@@ -64,19 +64,6 @@ TEST(LoggerTest, OffSilencesEverything) {
   EXPECT_TRUE(sink.empty());
 }
 
-TEST(LoggerTest, GlobalThresholdFloorsNewLoggers) {
-  const LogLevel before = Logger::global_threshold();
-  Logger::set_global_threshold(LogLevel::kError);
-  std::vector<Captured> sink;
-  Logger logger("late", LogLevel::kDebug);
-  logger.set_sink([&sink](LogLevel level, double t, std::string_view msg) {
-    sink.push_back({level, t, std::string(msg)});
-  });
-  logger.info(1.0, "dropped by global floor");
-  EXPECT_TRUE(sink.empty());
-  Logger::set_global_threshold(before);
-}
-
 TEST(LoggerTest, LevelNames) {
   EXPECT_EQ(cbs::sim::to_string(LogLevel::kDebug), "DEBUG");
   EXPECT_EQ(cbs::sim::to_string(LogLevel::kError), "ERROR");

@@ -165,12 +165,10 @@ std::vector<std::pair<std::string, Scenario>> fork_path_worlds() {
   worlds.emplace_back("l2-faults-ewma-hazard", hazard);
 
   Scenario sites = lookahead_scenario(42);
-  cbs::core::ControllerConfig cfg = cbs::core::default_controller_config();
-  cfg.ec_sites.push_back(cfg.ec_sites.front());
-  cfg.ec_sites.back().name = "ec-2";
-  cfg.ec_sites.back().uplink.base_rate *= 0.5;
-  cfg.ec_sites.back().downlink.base_rate *= 0.5;
-  sites.config_override = cfg;
+  sites.ec_sites.push_back(sites.ec_sites.front());
+  sites.ec_sites.back().name = "ec-2";
+  sites.ec_sites.back().uplink.base_rate *= 0.5;
+  sites.ec_sites.back().downlink.base_rate *= 0.5;
   worlds.emplace_back("two-ec-sites", sites);
 
   for (auto& [name, scenario] : worlds) {

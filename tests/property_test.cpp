@@ -137,12 +137,10 @@ TEST_P(ScenarioPropertyTest, OpSlackKeepsBurstsOffTheCriticalPath) {
   s.num_batches = 3;
   s.estimator = core::EstimatorKind::kOracle;
   s.truth.noise_sigma = 0.0;
-  auto cfg = core::default_controller_config(false);
-  cfg.ec_sites[0].uplink.noise_sigma = 0.0;
-  cfg.ec_sites[0].downlink.noise_sigma = 0.0;
-  cfg.ec_sites[0].uplink.profile = net::DiurnalProfile::flat();
-  cfg.ec_sites[0].downlink.profile = net::DiurnalProfile::flat();
-  s.config_override = cfg;
+  s.ec_sites[0].uplink.noise_sigma = 0.0;
+  s.ec_sites[0].downlink.noise_sigma = 0.0;
+  s.ec_sites[0].uplink.profile = net::DiurnalProfile::flat();
+  s.ec_sites[0].downlink.profile = net::DiurnalProfile::flat();
 
   const auto result = harness::run_scenario(s);
   const sla::JobOutcome* last = &result.outcomes.front();

@@ -1,11 +1,9 @@
 // Tests for the parallel experiment runner (harness/runner.hpp): plan
 // construction, determinism across thread counts, failure isolation,
-// result ordering, progress reporting and the aggregation reducers.
+// result ordering and the aggregation reducers.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -70,20 +68,6 @@ TEST(ExperimentPlanTest, ExtrasAppendAfterGridWithoutAxes) {
   EXPECT_EQ(cells[1].scheduler_index, harness::PlanCell::kNoAxis);
 }
 
-TEST(ExperimentPlanTest, CustomizeHookSeesCellCoordinates) {
-  harness::ExperimentPlan plan = harness::ExperimentPlan::grid(
-      {1, 2}, {SchedulerKind::kGreedy}, {SizeBucket::kUniform});
-  plan.customize = [](harness::Scenario& s, const harness::PlanCell& cell) {
-    s.num_batches = 10 + cell.seed_index;
-  };
-  const auto cells = plan.cells();
-  EXPECT_EQ(cells[0].scenario.num_batches, 10u);
-  EXPECT_EQ(cells[1].scenario.num_batches, 11u);
-}
-
-// The acceptance property of the whole refactor: a plan executed at 1, 2
-// and 8 threads yields bit-identical metrics, because every run is a pure
-// function of its scenario.
 TEST(RunnerTest, IdenticalResultsAtAnyThreadCount) {
   const harness::ExperimentPlan plan = small_grid();
 
@@ -265,42 +249,6 @@ TEST(RunnerTest, ResultOrderIndependentOfCompletionOrder) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].cell.index, i);
     EXPECT_EQ(results[i].result->scenario.name, "cell-" + std::to_string(i));
-  }
-}
-
-TEST(RunnerTest, ProgressCallbackReportsEveryCellExactlyOnce) {
-  std::vector<harness::Scenario> list(5);
-  for (std::size_t i = 0; i < list.size(); ++i) list[i].seed = i;
-  std::mutex mu;
-  std::vector<std::size_t> done_values;
-  std::vector<std::size_t> cell_indices;
-  harness::RunnerOptions opts;
-  opts.threads = 3;
-  opts.run = [](const harness::Scenario& s) {
-    harness::RunResult r;
-    r.scenario = s;
-    return r;
-  };
-  opts.progress = [&](const harness::CellResult& cell, std::size_t done,
-                      std::size_t total) {
-    std::lock_guard<std::mutex> lock(mu);
-    EXPECT_EQ(total, 5u);
-    done_values.push_back(done);
-    cell_indices.push_back(cell.cell.index);
-  };
-  const auto results =
-      harness::run_plan(harness::ExperimentPlan::list(list), opts);
-  ASSERT_EQ(results.size(), 5u);
-  ASSERT_EQ(done_values.size(), 5u);
-  // done counts 1..total (the callback is serialized under a mutex).
-  std::sort(done_values.begin(), done_values.end());
-  for (std::size_t i = 0; i < done_values.size(); ++i) {
-    EXPECT_EQ(done_values[i], i + 1);
-  }
-  // Every cell reported exactly once.
-  std::sort(cell_indices.begin(), cell_indices.end());
-  for (std::size_t i = 0; i < cell_indices.size(); ++i) {
-    EXPECT_EQ(cell_indices[i], i);
   }
 }
 

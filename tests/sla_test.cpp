@@ -217,7 +217,6 @@ TEST(MetricsTest, SpeedupIsSequentialOverMakespan) {
 }
 
 TEST(MetricsTest, UtilizationFormulas) {
-  EXPECT_DOUBLE_EQ(machine_utilization(80.0, 100.0), 0.8);
   EXPECT_DOUBLE_EQ(set_utilization(160.0, 2, 100.0), 0.8);
   EXPECT_DOUBLE_EQ(set_utilization(0.0, 4, 100.0), 0.0);
 }
@@ -230,9 +229,11 @@ TEST(MetricsTest, BurstRatioPerBatchAndOverall) {
       outcome(4, 1.0, 1.0, Placement::kExternal, 1),
       outcome(5, 1.0, 1.0, Placement::kInternal, 1),
   };
-  const auto per_batch = burst_ratio_per_batch(outcomes);
-  EXPECT_DOUBLE_EQ(per_batch.at(0).ratio(), 0.5);
-  EXPECT_NEAR(per_batch.at(1).ratio(), 2.0 / 3.0, 1e-12);
+  // Eq. 11 is Eq. 12 over one batch's outcomes.
+  const std::vector<JobOutcome> batch0(outcomes.begin(), outcomes.begin() + 2);
+  const std::vector<JobOutcome> batch1(outcomes.begin() + 2, outcomes.end());
+  EXPECT_DOUBLE_EQ(burst_ratio(batch0), 0.5);
+  EXPECT_NEAR(burst_ratio(batch1), 2.0 / 3.0, 1e-12);
   // Eq. 12 reduces to total bursted / total jobs.
   EXPECT_DOUBLE_EQ(burst_ratio(outcomes), 3.0 / 5.0);
 }
