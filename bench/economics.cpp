@@ -81,7 +81,7 @@ int main(int argc, char** argv) try {
     s.name = kStatic;
     variants.push_back(s);
 
-    s.elastic_ec = {true, 1, 4};
+    s.elastic_ec = {.enabled = true, .max_machines = 4};
     s.ec_sites[0].machines = 1;  // start small, grow on demand
     s.name = kElastic;
     variants.push_back(s);

@@ -29,6 +29,7 @@
 #include "harness/runner.hpp"
 #include "harness/scenario.hpp"
 #include "harness/table.hpp"
+#include "models/hazard.hpp"
 #include "stats/aggregate.hpp"
 
 namespace {
@@ -74,8 +75,7 @@ struct Arm {
 double total_lateness(const cbs::harness::RunResult& r) {
   double lateness = 0.0;
   for (const auto& o : r.outcomes) {
-    lateness +=
-        std::max(0.0, o.completed - r.scenario.ticket_policy.deadline_for(o));
+    lateness += r.scenario.ticket_policy.lateness(o);
   }
   return lateness;
 }
@@ -247,24 +247,16 @@ int main(int argc, char** argv) try {
     const double waste_on = slope(wasted_compute, on);
 
     // Predictor activity and quality, pooled over the on-arm cells.
-    std::uint64_t drains = 0, preds = 0, tp = 0, fp = 0, fn = 0, absorbed = 0;
+    std::uint64_t drains = 0, absorbed = 0;
+    cbs::models::HazardPredictionStats hazard;
     double checkpointed = 0.0;
     for (const auto& r : results) {
       if (r.cell.scenario.name.find(on) == std::string::npos) continue;
       drains += r.result->faults.drains;
-      preds += r.result->faults.hazard_predictions;
-      tp += r.result->faults.hazard_true_positives;
-      fp += r.result->faults.hazard_false_positives;
-      fn += r.result->faults.hazard_false_negatives;
+      hazard += r.result->faults.hazard;
       absorbed += r.result->faults.idle_crashes_absorbed;
       checkpointed += r.result->faults.checkpointed_compute_seconds;
     }
-    const double precision =
-        tp + fp == 0 ? 0.0
-                     : static_cast<double>(tp) / static_cast<double>(tp + fp);
-    const double recall =
-        tp + fn == 0 ? 0.0
-                     : static_cast<double>(tp) / static_cast<double>(tp + fn);
 
     std::printf("\npredictor matrix (%s):\n", on.c_str() + 1);
     std::printf("  drains=%llu preemptive-checkpoint=%.1fs"
@@ -272,7 +264,8 @@ int main(int argc, char** argv) try {
                 static_cast<unsigned long long>(drains), checkpointed,
                 static_cast<unsigned long long>(absorbed));
     std::printf("  predictions=%llu precision=%.2f recall=%.2f\n",
-                static_cast<unsigned long long>(preds), precision, recall);
+                static_cast<unsigned long long>(hazard.predictions),
+                hazard.precision(), hazard.recall());
     std::printf("  lateness slope:       off=%.1fs on=%.1fs  %s\n", lat_off,
                 lat_on, lat_on < lat_off ? "flatter" : "NOT flatter");
     std::printf("  wasted-compute slope: off=%.1fs on=%.1fs  %s\n", waste_off,

@@ -18,7 +18,7 @@ int main() {
   scenario.mean_jobs_per_batch = 10.0;
   scenario.pretrain_samples = 150;
   scenario.record_stage_log = true;
-  scenario.topology.ic_machines = 2;  // small IC so jobs burst readily
+  scenario.ic_machines = 2;  // small IC so jobs burst readily
 
   harness::ScenarioWorld world(scenario);
   world.run();

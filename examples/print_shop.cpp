@@ -23,7 +23,7 @@ int main() {
   scenario.name = "print shop day";
   scenario.seed = 2026;
   scenario.pretrain_samples = 150;  // the QRSM's factory prior
-  scenario.elastic_ec = {true, 1, 6};
+  scenario.elastic_ec = {.enabled = true, .max_machines = 6};
 
   // The generators only read output sizes off the truth model; the world
   // builds its own from the same substream.

@@ -167,9 +167,6 @@ class BeliefState {
   /// production call sites.
   [[nodiscard]] cbs::sim::SimTime slack_bruteforce(cbs::sim::SimTime now) const;
 
-  /// Estimated drain time of the internal cloud (absolute).
-  [[nodiscard]] cbs::sim::SimTime ic_drain_time(cbs::sim::SimTime now) const;
-
   /// Estimated IC backlog in standard seconds (Algorithm 3's iload, as
   /// wall-clock seconds once divided by capacity).
   [[nodiscard]] double ic_backlog_standard_seconds() const noexcept {
@@ -233,6 +230,9 @@ class BeliefState {
   }
 
  private:
+  /// Estimated drain time of the internal cloud (absolute).
+  [[nodiscard]] cbs::sim::SimTime ic_drain_time(cbs::sim::SimTime now) const;
+
   /// Believed upload seconds for `bytes` at `now`, and the state of the
   /// belief they were computed in.
   struct UploadQuery {

@@ -54,7 +54,6 @@ ControllerConfig default_controller_config() {
   // upload limits, connection quotas): one transfer cannot saturate the
   // pipe at peak hours — which is exactly why Algorithm 3's parallel
   // size-interval queues raise upload-bandwidth utilization.
-  cfg.thread_tuner.min_threads = 1;
   cfg.thread_tuner.max_threads = 4;
   cfg.thread_tuner.initial_threads = 4;
 

@@ -12,7 +12,6 @@
 #include "simcore/fault_plan.hpp"
 #include "simcore/logging.hpp"
 #include "simcore/time.hpp"
-#include "workload/chunker.hpp"
 
 namespace cbs::core {
 
@@ -37,27 +36,13 @@ enum class EstimatorKind : std::uint8_t {
 
 /// Tunables of the scheduling policies.
 struct SchedulerParams {
-  /// Algorithm 2: look-ahead window x for the size-variability test
-  /// σ(i:i+x) and the threshold th (MB of standard deviation) above which
-  /// the head job is chunked.
-  int variability_window = 5;
+  /// Algorithm 2: the threshold th (MB of standard deviation of the
+  /// look-ahead window's sizes) above which the head job is chunked.
   double variability_threshold_mb = 55.0;
-  cbs::workload::PdfChunker::Config chunker{};
   /// Safety margin τ subtracted from the slack before admitting a burst —
   /// the Order Preserving scheduler targets finishing τ early (§IV), which
   /// is what buys its robustness to bandwidth dips.
   cbs::sim::SimDuration slack_safety_margin = 30.0;
-};
-
-/// The internal cloud and the job shape shared by every cluster (§V.A test
-/// bed: 8 internal speed-1 VMs; the external side is
-/// ControllerConfig::ec_sites). Each job runs as one map task and one merge
-/// task, the paper's Fig. 2 semantics: a job occupies one resource, and
-/// parallelism comes from concurrent jobs and Algorithm 2's pdfchunk.
-struct TopologyConfig {
-  std::size_t ic_machines = 8;
-  /// Merge/compress cost per MB of output on the executing cluster.
-  double merge_seconds_per_output_mb = 0.05;
 };
 
 /// One external cloud site: its cluster and its own pipe. The default is
@@ -81,11 +66,10 @@ struct EcSiteConfig {
 /// §V.B.4 future work: elastic scaling of the external cloud — "the
 /// scaling (at EC) must be just enough to ensure saturation of the
 /// download bandwidth". A periodic autonomic check grows each EC site
-/// while work queues behind it and shrinks it when more than half its
-/// instances idle with an empty queue; the bounds apply per site.
+/// while work queues behind it, up to `max_machines`, and shrinks it when
+/// more than half its instances idle with an empty queue, down to one.
 struct ElasticEcConfig {
   bool enabled = false;
-  std::size_t min_machines = 1;
   std::size_t max_machines = 8;
 };
 
@@ -120,7 +104,11 @@ struct ControllerConfig {
   SchedulerKind scheduler = SchedulerKind::kOrderPreserving;
   EstimatorKind estimator = EstimatorKind::kQrsm;
   SchedulerParams params{};
-  TopologyConfig topology{};
+
+  /// The internal cloud's speed-1 VMs (§V.A: 8). Each job runs as one map
+  /// task and one merge task (Fig. 2): parallelism comes from concurrent
+  /// jobs and Algorithm 2's pdfchunk.
+  std::size_t ic_machines = 8;
 
   /// The external sites, one Fig. 5 EC pipeline each; at least one (an
   /// empty list is rejected at construction). Site 0 is the paper's EC.
@@ -129,9 +117,8 @@ struct ControllerConfig {
   cbs::net::BandwidthEstimator::Config bandwidth_estimator{};
   cbs::net::ThreadTuner::Config thread_tuner{};
 
-  /// Periodic 1 MB bandwidth probes (§III.A.2); 0 disables probing.
+  /// Period of the 1 MB bandwidth probes (§III.A.2); 0 disables probing.
   cbs::sim::SimDuration probe_interval = 150.0;
-  double probe_bytes = 1.0e6;
 
   /// §IV.D rescheduling strategies (paper future work; off by default).
   bool enable_rescheduler = false;

@@ -19,12 +19,18 @@ namespace {
 
 /// Elastic EC: the period of the scaling check, the spin-up delay of a new
 /// instance (an EC2 boot; capacity arrives late), the believed EC queue
-/// wait above which a site grows, and the fraction of idle instances (with
-/// an empty queue) above which it shrinks.
+/// wait above which a site grows, the fraction of idle instances (with an
+/// empty queue) above which it shrinks, and the fewest it shrinks to.
 constexpr cbs::sim::SimDuration kElasticCheckInterval = 60.0;
 constexpr cbs::sim::SimDuration kBootDelay = 45.0;
 constexpr double kGrowWaitThresholdSeconds = 90.0;
 constexpr double kShrinkIdleFraction = 0.5;
+constexpr std::size_t kElasticMinMachines = 1;
+
+/// Merge/compress cost per MB of output on the executing cluster.
+constexpr double kMergeSecondsPerOutputMb = 0.05;
+/// Bytes of one bandwidth probe (§III.A.2), each way.
+constexpr double kProbeBytes = 1.0e6;
 
 std::unique_ptr<models::ProcessingTimeEstimator> make_estimator(
     EstimatorKind kind, const cbs::workload::GroundTruthModel& truth) {
@@ -120,9 +126,9 @@ CloudBurstController::CloudBurstController(
       truth_(std::move(truth)),
       log_("controller", config_->log_threshold),
       target_(sim.register_target(*this)),
-      ic_cluster_(sim, *this, kIcCluster, "ic", config_->topology.ic_machines),
+      ic_cluster_(sim, *this, kIcCluster, "ic", config_->ic_machines),
       belief_(make_estimator(config_->estimator, truth_),
-              config_->topology.ic_machines) {
+              config_->ic_machines) {
   if (config_->log_sink) log_.set_sink(config_->log_sink);
   for (std::size_t i = 0; i < config_->ec_sites.size(); ++i) {
     sites_.push_back(std::make_unique<Site>(sim, *this, *config_, i, rng));
@@ -133,7 +139,7 @@ CloudBurstController::CloudBurstController(
     fault_plan_ = std::make_unique<sim::FaultPlan>(
         sim_, static_cast<sim::FaultOwner&>(*this), config_->faults,
         rng.substream("faults"));
-    fault_plan_->drive_vm_crashes("ic", config_->topology.ic_machines,
+    fault_plan_->drive_vm_crashes("ic", config_->ic_machines,
                                   config_->faults.ic_vm_mtbf, kIcCluster);
     for (std::size_t i = 0; i < sites_.size(); ++i) {
       fault_plan_->drive_vm_crashes(site_stream("ec", i),
@@ -144,7 +150,7 @@ CloudBurstController::CloudBurstController(
   }
   if (config_->resilience.enabled()) {
     ic_hazard_ = std::make_unique<models::VmHazardEstimator>(
-        config_->resilience.hazard, config_->topology.ic_machines, sim_.now());
+        config_->resilience.hazard, config_->ic_machines, sim_.now());
   }
 }
 
@@ -173,8 +179,6 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
       elastic_check_scheduled_(src.elastic_check_scheduled_),
       scale_ups_(src.scale_ups_),
       scale_downs_(src.scale_downs_),
-      boot_sites_(src.boot_sites_),
-      next_boot_id_(src.next_boot_id_),
       burst_deadlines_(src.burst_deadlines_),
       retractions_(src.retractions_),
       service_draws_(src.service_draws_),
@@ -345,7 +349,7 @@ void CloudBurstController::on_batch(const cbs::workload::Batch& batch,
       .truth = truth_,
       .next_seq = &next_seq_,
       .next_doc_id = &next_doc_id_,
-      .ic_machines = config_->topology.ic_machines,
+      .ic_machines = config_->ic_machines,
       .upload_class_backlog_bytes = {},
       .download_backlog_bytes = {},
   };
@@ -429,8 +433,7 @@ void CloudBurstController::submit_map(compute::Cluster& cluster, Job& job) {
 
 double CloudBurstController::merge_seconds(std::size_t cluster,
                                            const Job& job) const {
-  double seconds =
-      config_->topology.merge_seconds_per_output_mb * job.doc.output_size_mb;
+  double seconds = kMergeSecondsPerOutputMb * job.doc.output_size_mb;
   if (cluster != kIcCluster) {
     // EMR job setup/staging occupies the executing instance; book it on the
     // merge task (speed-scaled so it costs the configured wall seconds).
@@ -445,7 +448,7 @@ void CloudBurstController::dispatch_ic() {
   // machines never starve while preserving the controller's ability to
   // reschedule jobs that have not started (the §IV.D strategies).
   while (!ic_wait_.empty() &&
-         ic_cluster_.queued_tasks() < config_->topology.ic_machines) {
+         ic_cluster_.queued_tasks() < config_->ic_machines) {
     const std::uint64_t seq = ic_wait_.front();
     ic_wait_.pop_front();
     run_on_ic(seq);
@@ -594,10 +597,9 @@ void CloudBurstController::probe() {
 
   for (const auto& site : sites_) {
     const int up_threads = site->up_tuner.suggest(sim_.now());
-    site->uplink.submit(config_->probe_bytes, up_threads, kUploadProbe, 0);
+    site->uplink.submit(kProbeBytes, up_threads, kUploadProbe, 0);
     const int down_threads = site->down_tuner.suggest(sim_.now());
-    site->downlink.submit(config_->probe_bytes, down_threads, kDownloadProbe,
-                          0);
+    site->downlink.submit(kProbeBytes, down_threads, kDownloadProbe, 0);
   }
   ensure_probing();
 }
@@ -809,10 +811,8 @@ void CloudBurstController::scale_site(std::size_t index) {
     ++scale_ups_;
     log_.info(sim_.now(), "elastic EC: scaling ", cluster.name(), " up to ",
               provisioned + 1);
-    const std::uint64_t boot_id = next_boot_id_++;
-    boot_sites_[boot_id] = index;
-    sim_.schedule_in(kBootDelay, {target_, kBootDone, boot_id});
-  } else if (provisioned > e.min_machines && site.pending_boots == 0) {
+    sim_.schedule_in(kBootDelay, {target_, kBootDone, index});
+  } else if (provisioned > kElasticMinMachines && site.pending_boots == 0) {
     const auto idle =
         static_cast<double>(cluster.machine_count() - cluster.running_tasks());
     if (cluster.queued_tasks() == 0 &&
@@ -828,11 +828,7 @@ void CloudBurstController::scale_site(std::size_t index) {
   }
 }
 
-void CloudBurstController::on_boot_done(std::uint64_t boot_id) {
-  const auto it = boot_sites_.find(boot_id);
-  assert(it != boot_sites_.end());
-  const std::size_t index = it->second;
-  boot_sites_.erase(it);
+void CloudBurstController::on_boot_done(std::size_t index) {
   Site& site = *sites_[index];
   --site.pending_boots;
   site.cluster.add_machine();
@@ -851,7 +847,7 @@ void CloudBurstController::maybe_pull_back() {
       Job& job = job_at(seq);
       const double reexec_seconds =
           job.estimated_service_seconds /
-          static_cast<double>(config_->topology.ic_machines);
+          static_cast<double>(config_->ic_machines);
       const double remaining_ec = belief_.ec_round_trip_no_load(
           job.doc, belief_.estimate_service(job.doc), sim_.now(), i);
       if (remaining_ec <= reexec_seconds) continue;

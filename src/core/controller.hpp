@@ -199,13 +199,10 @@ class CloudBurstController : private cbs::sim::EventTarget,
   [[nodiscard]] std::size_t probe_blackout_skips() const noexcept {
     return probe_blackout_skips_;
   }
-  /// The per-VM hazard estimators (EC: site 0's), or nullptr when the
-  /// predictor is off.
+  /// The IC's per-VM hazard estimator, or nullptr when the predictor is
+  /// off (each EC site's is Site::hazard).
   [[nodiscard]] const models::VmHazardEstimator* ic_hazard() const noexcept {
     return ic_hazard_.get();
-  }
-  [[nodiscard]] const models::VmHazardEstimator* ec_hazard() const noexcept {
-    return sites_.front()->hazard.get();
   }
   /// Mean predicted probability that a usable (non-drained) EC machine
   /// fails within the drain window, averaged over the sites; 0 when the
@@ -284,7 +281,8 @@ class CloudBurstController : private cbs::sim::EventTarget,
                       const net::TransferRecord& rec);
   void start_ec_processing(std::uint64_t seq);
   void on_ec_proc_done(std::size_t site, std::uint64_t seq);
-  void on_boot_done(std::uint64_t boot_id);
+  /// An elastic instance of site `index` finished booting.
+  void on_boot_done(std::size_t index);
   /// Arms the upload-phase deadline of burst `seq`, priced with the
   /// service estimate `service` its placement was decided on.
   void arm_burst_deadline(std::uint64_t seq, double service);
@@ -372,10 +370,6 @@ class CloudBurstController : private cbs::sim::EventTarget,
   bool elastic_check_scheduled_ = false;
   std::size_t scale_ups_ = 0;
   std::size_t scale_downs_ = 0;
-
-  /// Elastic instances booting: boot id -> site.
-  cbs::util::FlatMap<std::uint64_t, std::size_t> boot_sites_;
-  std::uint64_t next_boot_id_ = 1;
 
   // ---- fault layer (absent and cost-free unless configured) ----
   std::unique_ptr<cbs::sim::FaultPlan> fault_plan_;

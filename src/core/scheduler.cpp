@@ -97,13 +97,16 @@ void schedule_greedy(const Docs& docs, ScheduleContext& ctx,
 // ever wait on a bursted one. Two mechanisms:
 //
 //  1. *Variance-triggered chunking* (lines 3–10): while the standard
-//     deviation of the next `variability_window` job sizes exceeds
+//     deviation of the next kVariabilityWindow job sizes exceeds
 //     `variability_threshold_mb`, the head job is pdfchunk()ed and the
 //     chunks spliced into the list as ordinary jobs.
 //  2. *Slack-gated bursting* (lines 11–16): a job is sent externally only
 //     when its estimated round trip finishes within the cushion created by
 //     the jobs ahead of it (Eq. 1–2) — so bursted jobs are never on the
 //     believed critical path.
+
+/// Algorithm 2's look-ahead window x of the variability test σ(i:i+x).
+constexpr std::size_t kVariabilityWindow = 5;
 
 /// Sample standard deviation of the sizes of docs[first, last): the sums
 /// of stats::stddev_of, in its order, without copying the sizes out.
@@ -128,14 +131,13 @@ double size_stddev(const Docs& docs, std::size_t first, std::size_t last) {
 /// first.
 template <typename Place>
 void for_each_chunked(const Docs& docs, ScheduleContext& ctx, Place&& place) {
-  const auto window = static_cast<std::size_t>(ctx.params.variability_window);
-  const cbs::workload::PdfChunker chunker(ctx.params.chunker);
+  const cbs::workload::PdfChunker chunker({});
   for (std::size_t j = 0; j < docs.size(); ++j) {
     if (!docs[j].is_chunk()) {
       // σ(i : i+x) over the sizes of the upcoming window (lines 4–5); the
       // documents after input document j are still the unsplit input.
       const double sigma =
-          size_stddev(docs, j, std::min(docs.size(), j + window));
+          size_stddev(docs, j, std::min(docs.size(), j + kVariabilityWindow));
 
       if (sigma > ctx.params.variability_threshold_mb &&
           chunker.chunk_count_for(docs[j].features.size_mb) > 1) {
@@ -281,8 +283,8 @@ std::optional<SizeIntervalBounds> compute_size_interval_bounds(
 
   // Lines 14–17: cut L proportionally to the left-over shares; the
   // partition boundaries become the small/medium upper bounds. Both bounds
-  // are order statistics of L, so nth_element selection yields values
-  // identical to the former full sort at O(|L|) instead of O(|L| log |L|).
+  // are order statistics of L, which nth_element selects in O(|L|) with the
+  // values a full sort would put at those positions.
   const auto count = static_cast<double>(eligible_sizes.size());
   const auto small_count = static_cast<std::size_t>(
       std::floor(count * leftover[0] / leftover_sum));

@@ -136,13 +136,9 @@ double TransferQueueSet::total_backlog_bytes() const {
 }
 
 bool TransferQueueSet::idle() const {
-  return active_count_ == 0 && queued_items() == 0;
-}
-
-std::size_t TransferQueueSet::queued_items() const {
-  std::size_t n = 0;
-  for (const auto& q : queues_) n += q.size();
-  return n;
+  return active_count_ == 0 &&
+         std::all_of(queues_.begin(), queues_.end(),
+                     [](const std::deque<Item>& q) { return q.empty(); });
 }
 
 std::vector<std::uint64_t> TransferQueueSet::queued_tags() const {

@@ -71,7 +71,6 @@ class TransferQueueSet {
     return static_cast<int>(queues_.size());
   }
   [[nodiscard]] bool idle() const;
-  [[nodiscard]] std::size_t queued_items() const;
   [[nodiscard]] std::size_t active_items() const noexcept { return active_count_; }
 
   /// Tags currently waiting (not started), youngest class first — the

@@ -206,7 +206,7 @@ Scenario scenario_from_args(const Args& args) {
         throw std::runtime_error("unknown estimator: " + name);
       });
 
-  if (args.has("elastic")) s.elastic_ec = {true, 1, 6};
+  if (args.has("elastic")) s.elastic_ec = {.enabled = true, .max_machines = 6};
 
   s.faults.ic_vm_mtbf = args.get_double_or("ic-mtbf", 0.0);
   s.faults.ec_vm_mtbf = args.get_double_or("ec-mtbf", 0.0);

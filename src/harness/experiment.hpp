@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "harness/scenario.hpp"
+#include "models/hazard.hpp"
 #include "sla/cost.hpp"
 #include "sla/job_outcome.hpp"
 #include "sla/oo_metric.hpp"
@@ -37,23 +38,9 @@ struct FaultStats {
   /// Standard seconds preserved by checkpoint restarts — compute a crash
   /// would have destroyed (the "wasted compute avoided" metric).
   double checkpointed_compute_seconds = 0.0;
-  // Predictor quality (predicted-vs-actual crashes, IC + EC pooled).
-  std::uint64_t hazard_predictions = 0;
-  std::uint64_t hazard_true_positives = 0;
-  std::uint64_t hazard_false_positives = 0;
-  std::uint64_t hazard_false_negatives = 0;
-  [[nodiscard]] double hazard_precision() const noexcept {
-    const auto called = hazard_true_positives + hazard_false_positives;
-    return called == 0 ? 0.0
-                       : static_cast<double>(hazard_true_positives) /
-                             static_cast<double>(called);
-  }
-  [[nodiscard]] double hazard_recall() const noexcept {
-    const auto actual = hazard_true_positives + hazard_false_negatives;
-    return actual == 0 ? 0.0
-                       : static_cast<double>(hazard_true_positives) /
-                             static_cast<double>(actual);
-  }
+  /// Predictor quality (predicted-vs-actual crashes), pooled over the IC
+  /// and then the EC sites.
+  cbs::models::HazardPredictionStats hazard{};
 };
 
 /// Everything a bench or test needs from one finished run.

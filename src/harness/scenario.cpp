@@ -1,9 +1,12 @@
 #include "harness/scenario.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
+
+#include "sla/oo_metric.hpp"
 
 namespace cbs::harness {
 
@@ -39,9 +42,37 @@ std::vector<std::string> Scenario::validate() const {
   // Written as !(x > 0) so that NaN is rejected too.
   if (!(mean_jobs_per_batch > 0.0)) {
     reject("mean_jobs_per_batch", "> 0", mean_jobs_per_batch);
+  } else if (std::isinf(mean_jobs_per_batch)) {
+    reject("mean_jobs_per_batch", "finite", mean_jobs_per_batch);
   }
   if (!(batch_interval_seconds > 0.0)) {
     reject("batch_interval_seconds", "> 0", batch_interval_seconds);
+  } else if (std::isinf(batch_interval_seconds)) {
+    reject("batch_interval_seconds", "finite", batch_interval_seconds);
+  }
+  if (errors.empty()) {
+    // The three fields are valid. A drawn batch holds at least one document,
+    // and every job completes at or after its arrival, so the OO series runs
+    // through the last arrival.
+    const double documents =
+        std::max(mean_jobs_per_batch, 1.0) * static_cast<double>(num_batches);
+    const double last_arrival =
+        static_cast<double>(num_batches - 1) * batch_interval_seconds;
+    std::ostringstream rule;
+    if (documents > static_cast<double>(kMaxDrawnDocuments)) {
+      rule << "<= " << kMaxDrawnDocuments;
+      reject("max(mean_jobs_per_batch, 1) * num_batches", rule.str().c_str(),
+             documents);
+    }
+    if (std::isfinite(oo_sampling_interval) && oo_sampling_interval > 0.0 &&
+        !cbs::sla::series_fits(last_arrival, oo_sampling_interval)) {
+      rule.str("");
+      rule << "short enough for an OO series of fewer than "
+           << cbs::sla::kMaxSeriesSamples << " samples at oo_sampling_interval "
+           << oo_sampling_interval;
+      reject("(num_batches - 1) * batch_interval_seconds", rule.str().c_str(),
+             last_arrival);
+    }
   }
   for (std::string& e : validate_except_arrivals()) {
     errors.push_back(std::move(e));

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -12,6 +13,12 @@
 #include "workload/ground_truth.hpp"
 
 namespace cbs::harness {
+
+/// The most documents a drawn workload may hold on average, max(λ, 1) ×
+/// num_batches: far above any run here (40000 batches × λ 15 ≈ 6×10^5
+/// documents), far below what exhausts memory and the 2^32 input-id space
+/// (workload::kFirstChunkId).
+inline constexpr std::size_t kMaxDrawnDocuments = 4'000'000;
 
 /// The length of the lookahead's candidate priority order
 /// (LookaheadController::candidate_order()).
@@ -68,14 +75,16 @@ struct Scenario : cbs::core::ControllerConfig {
   cbs::sla::CostRates cost_rates{};
 
   /// One named error per value no run can use: no batches, a non-positive
-  /// arrival rate, batch interval or OO sampling interval, a negative or
-  /// non-finite noise sigma or fault field. Empty when the scenario is
-  /// runnable.
+  /// or infinite arrival rate or batch interval, more documents than
+  /// kMaxDrawnDocuments, a last arrival past what the OO series can sample
+  /// (sla::kMaxSeriesSamples), a non-positive OO sampling interval, a
+  /// negative or non-finite noise sigma or fault field. Empty when the
+  /// scenario is runnable.
   [[nodiscard]] std::vector<std::string> validate() const;
 
-  /// validate() without its three arrival checks (num_batches,
-  /// mean_jobs_per_batch, batch_interval_seconds): only drawing the batches
-  /// reads those, so a world given its batches checks just these.
+  /// validate() without its arrival checks (those of num_batches,
+  /// mean_jobs_per_batch and batch_interval_seconds): only drawing the
+  /// batches reads those, so a world given its batches checks just these.
   [[nodiscard]] std::vector<std::string> validate_except_arrivals() const;
 };
 

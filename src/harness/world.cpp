@@ -39,10 +39,9 @@ void pretrain_controller(cbs::core::CloudBurstController& controller,
                          cbs::core::EstimatorKind estimator,
                          std::size_t samples, cbs::sim::RngStream rng) {
   if (samples == 0 || estimator == cbs::core::EstimatorKind::kOracle) return;
-  cbs::workload::WorkloadGenerator::Config gen_cfg;
-  gen_cfg.bucket = cbs::workload::SizeBucket::kUniform;
-  cbs::workload::WorkloadGenerator corpus_gen(gen_cfg, truth,
-                                              rng.substream("corpus"));
+  cbs::workload::WorkloadGenerator corpus_gen(
+      {.bucket = cbs::workload::SizeBucket::kUniform}, truth,
+      rng.substream("corpus"));
   std::vector<cbs::workload::Document> docs = corpus_gen.batch(samples);
   std::vector<double> runtimes;
   runtimes.reserve(docs.size());
@@ -58,16 +57,13 @@ std::vector<cbs::workload::Batch> draw_batches(const Scenario& scenario) {
   cbs::sim::RngStream root(scenario.seed);
   const cbs::workload::GroundTruthModel truth(scenario.truth,
                                               root.substream("truth"));
-  cbs::workload::WorkloadGenerator::Config gen_cfg;
-  gen_cfg.bucket = scenario.bucket;
-  cbs::workload::WorkloadGenerator generator(gen_cfg, truth,
-                                             root.substream("workload"));
-  cbs::workload::BatchArrivalProcess::Config arr_cfg;
-  arr_cfg.batch_interval = scenario.batch_interval_seconds;
-  arr_cfg.mean_jobs_per_batch = scenario.mean_jobs_per_batch;
-  arr_cfg.num_batches = scenario.num_batches;
-  cbs::workload::BatchArrivalProcess arrivals(arr_cfg, generator,
-                                              root.substream("arrivals"));
+  cbs::workload::WorkloadGenerator generator(
+      {.bucket = scenario.bucket}, truth, root.substream("workload"));
+  cbs::workload::BatchArrivalProcess arrivals(
+      {.batch_interval = scenario.batch_interval_seconds,
+       .mean_jobs_per_batch = scenario.mean_jobs_per_batch,
+       .num_batches = scenario.num_batches},
+      generator, root.substream("arrivals"));
   return arrivals.generate_all();
 }
 
@@ -112,17 +108,23 @@ void require_unique_ids(const std::vector<cbs::workload::Batch>& batches) {
   }
 }
 
-/// Returns `batches`, shared, when a world can schedule them; otherwise
-/// throws std::invalid_argument naming the first bad arrival or document.
+/// Returns `batches`, shared, when a world can schedule them and sample
+/// their OO series every `oo_interval` seconds (if that is valid: the
+/// scenario check names a bad one); otherwise throws std::invalid_argument
+/// naming the first bad arrival or document.
 std::shared_ptr<const std::vector<cbs::workload::Batch>> require_runnable(
-    std::vector<cbs::workload::Batch> batches) {
+    std::vector<cbs::workload::Batch> batches, double oo_interval) {
   if (batches.empty()) {
     throw std::invalid_argument("ScenarioWorld: empty batch list");
   }
+  const bool oo_valid = std::isfinite(oo_interval) && oo_interval > 0.0;
   double previous = 0.0;
   for (std::size_t i = 0; i < batches.size(); ++i) {
     const double t = batches[i].arrival_time;
-    if (std::isfinite(t) && t >= previous) {
+    // Every job completes at or after its arrival, so the OO series runs
+    // at least through it.
+    const bool sampled = !oo_valid || cbs::sla::series_fits(t, oo_interval);
+    if (std::isfinite(t) && t >= previous && sampled) {
       previous = t;
       continue;
     }
@@ -132,8 +134,11 @@ std::shared_ptr<const std::vector<cbs::workload::Batch>> require_runnable(
       msg << "must be finite (got " << t << ")";
     } else if (t < 0.0) {
       msg << "must be >= 0 (got " << t << ")";
-    } else {
+    } else if (t < previous) {
       msg << t << " is earlier than batch " << i - 1 << "'s " << previous;
+    } else {
+      msg << t << " needs an OO series of " << cbs::sla::kMaxSeriesSamples
+          << " samples or more at oo_sampling_interval " << oo_interval;
     }
     throw std::invalid_argument(msg.str());
   }
@@ -143,11 +148,6 @@ std::shared_ptr<const std::vector<cbs::workload::Batch>> require_runnable(
 }
 
 using OutcomeLog = cbs::util::ChunkedLog<cbs::sla::JobOutcome>;
-
-double lateness_of(const cbs::sla::JobOutcome& o,
-                   const cbs::sla::TicketPolicy& policy) {
-  return std::max(0.0, o.completed - policy.deadline_for(o));
-}
 
 /// The OO metric's o_t (paper Eq. 5–6) evaluated on a *partial* outcome
 /// set (a mid-horizon rollout has gaps in the seq-id space, which
@@ -188,7 +188,8 @@ ScenarioWorld::ScenarioWorld(const Scenario& scenario)
 ScenarioWorld::ScenarioWorld(const Scenario& scenario,
                              std::vector<cbs::workload::Batch> batches)
     : ScenarioWorld(as_built(require_valid_except_arrivals(scenario)),
-                    require_runnable(std::move(batches))) {}
+                    require_runnable(std::move(batches),
+                                     scenario.oo_sampling_interval)) {}
 
 ScenarioWorld::ScenarioWorld(
     std::shared_ptr<const Scenario> shared_scenario,
@@ -197,12 +198,11 @@ ScenarioWorld::ScenarioWorld(
       target_(sim_.register_target(*this)),
       batches_(std::move(batches)) {
   const Scenario& scenario = *scenario_;
-  // The build order below mirrors the historical run_scenario body line by
-  // line (substream derivation is a pure function of (parent, name), so
-  // the local root here draws identically to the original's). Batches
-  // drawn before the controller exists draw the same: drawing touches
-  // neither the engine nor the truth's own stream. The controller owns its
-  // copy of the truth; this one only labels the pretrain corpus.
+  // Substream derivation is a pure function of (parent, name), and drawing
+  // the batches touches neither the engine nor the truth's own stream, so
+  // this root draws as draw_batches()'s did. The controller owns its copy of
+  // the truth; this one only labels the pretrain corpus. The order of the
+  // steps below fixes the events' seqs.
   cbs::sim::RngStream root(scenario.seed);
   cbs::workload::GroundTruthModel truth(scenario.truth,
                                         root.substream("truth"));
@@ -321,8 +321,9 @@ RunResult ScenarioWorld::result() const {
   result.faults.drain_preemptions = ic.drain_preemptions();
   result.faults.idle_crashes_absorbed = ic.idle_crashes_absorbed();
   result.faults.checkpointed_compute_seconds = ic.checkpointed_standard_seconds();
-  std::vector<const cbs::models::VmHazardEstimator*> hazards = {
-      controller.ic_hazard()};
+  if (const auto* hazard = controller.ic_hazard()) {
+    result.faults.hazard += hazard->stats();
+  }
   double ec_busy = 0.0;
   std::size_t ec_machines = 0;
   for (std::size_t i = 0; i < controller.site_count(); ++i) {
@@ -344,7 +345,7 @@ RunResult ScenarioWorld::result() const {
     result.faults.idle_crashes_absorbed += ec.idle_crashes_absorbed();
     result.faults.checkpointed_compute_seconds +=
         ec.checkpointed_standard_seconds();
-    hazards.push_back(site.hazard.get());
+    if (site.hazard) result.faults.hazard += site.hazard->stats();
     ec_busy += ec.total_busy_time();
     ec_machines += ec.machine_count();
   }
@@ -353,14 +354,6 @@ RunResult ScenarioWorld::result() const {
   if (const auto* plan = controller.fault_plan()) {
     result.faults.crashes_injected = plan->crashes_injected();
     result.faults.outages = plan->outages_started();
-  }
-  for (const auto* hazard : hazards) {
-    if (hazard == nullptr) continue;
-    const cbs::models::HazardPredictionStats& hs = hazard->stats();
-    result.faults.hazard_predictions += hs.predictions;
-    result.faults.hazard_true_positives += hs.true_positives;
-    result.faults.hazard_false_positives += hs.false_positives;
-    result.faults.hazard_false_negatives += hs.false_negatives;
   }
 
   result.oo_series = cbs::sla::OoMetricCalculator(result.outcomes)
@@ -453,7 +446,7 @@ double LookaheadController::score_world(const ScenarioWorld& world) const {
   const OutcomeLog& outcomes = world.controller().outcomes();
   const cbs::sla::TicketPolicy& policy = world.scenario().ticket_policy;
   double lateness = 0.0;
-  for (const auto& o : outcomes) lateness += lateness_of(o, policy);
+  for (const auto& o : outcomes) lateness += policy.lateness(o);
   return score_with(world, lateness,
                     ordered_output_mb(outcomes, world.scenario().oo_tolerance));
 }
@@ -470,7 +463,7 @@ double LookaheadController::score_rollout(const ScenarioWorld& rollout,
   std::uint64_t max_id =
       prefix.ahead.empty() ? 0 : std::prev(prefix.ahead.end())->first;
   for (auto it = fresh; it != outcomes.end(); ++it) {
-    lateness += lateness_of(*it, policy);
+    lateness += policy.lateness(*it);
     max_id = std::max(max_id, it->seq_id);
   }
   double running = prefix.ordered_mb;
@@ -498,7 +491,7 @@ double LookaheadController::score_rollout(const ScenarioWorld& rollout,
 void ScorePrefix::advance(const OutcomeLog& log,
                           const cbs::sla::TicketPolicy& policy) {
   for (auto it = log.iterator_at(count); it != log.end(); ++it) {
-    lateness += lateness_of(*it, policy);
+    lateness += policy.lateness(*it);
     ahead.emplace(it->seq_id, it->output_mb);
   }
   count = log.size();

@@ -55,9 +55,9 @@ struct ScorePrefix {
 ///    fork `lookahead_horizon_seconds` forward, and commits the batch under
 ///    the best-scoring candidate (LookaheadController below).
 ///
-/// Construction replicates run_scenario's historical build order exactly —
-/// same RNG substreams, same event (time, seq) assignment — so results are
-/// byte-identical to the pre-world harness.
+/// Construction derives every RNG substream from (seed, name) and assigns
+/// event (time, seq) pairs in one fixed order, so two worlds built from the
+/// same scenario and batches run byte-identically.
 class ScenarioWorld : private cbs::sim::EventTarget {
  public:
   /// Draws the scenario's batches (the generator and arrival process of
@@ -69,8 +69,9 @@ class ScenarioWorld : private cbs::sim::EventTarget {
   /// mean_jobs_per_batch, batch_interval_seconds) are neither read nor
   /// checked. Throws std::invalid_argument when any other scenario field is
   /// invalid, when `batches` is empty, when an arrival time is non-finite,
-  /// negative or earlier than the one before it, or when a doc_id is
-  /// outside [1, kFirstChunkId) or given twice.
+  /// negative, earlier than the one before it or too late for the OO series
+  /// to sample (sla::kMaxSeriesSamples), or when a doc_id is outside
+  /// [1, kFirstChunkId) or given twice.
   ScenarioWorld(const Scenario& scenario,
                 std::vector<cbs::workload::Batch> batches);
 

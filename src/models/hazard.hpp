@@ -39,6 +39,16 @@ struct HazardPredictionStats {
 
   [[nodiscard]] double precision() const noexcept;
   [[nodiscard]] double recall() const noexcept;
+
+  /// Pools `other`'s counts into these (several estimators, several runs).
+  HazardPredictionStats& operator+=(
+      const HazardPredictionStats& other) noexcept {
+    predictions += other.predictions;
+    true_positives += other.true_positives;
+    false_positives += other.false_positives;
+    false_negatives += other.false_negatives;
+    return *this;
+  }
 };
 
 /// Online per-VM hazard estimator: observes each machine's crash times and

@@ -177,7 +177,7 @@ void Link::progress_all() {
   // Every pool entry is activated by construction — transfers still in
   // connection setup never enter the hot arrays, so there is nothing to
   // skip. Integration is per-transfer arithmetic with no side effects, so
-  // streaming in demand order is bit-identical to the old id-order walk.
+  // the pool's demand order gives the same bytes as any other order.
   for (std::size_t i = 0; i < n; ++i) {
     hot_.bytes_remaining[i] = std::max(
         0.0, hot_.bytes_remaining[i] -
@@ -219,9 +219,8 @@ void Link::run_pass() {
 void Link::flush() {
   if (dirty_ || last_pass_time_ != sim_.now()) run_pass();
   // Unconditionally re-arm the completion timer, even when the pass was
-  // skipped: the old design rescheduled every completion event here, so
-  // the timer must take a fresh event seq to keep same-timestamp FIFO
-  // ordering against events other components scheduled in between.
+  // skipped: the re-arm takes a fresh seq, so same-timestamp FIFO order
+  // holds against events other components scheduled in between.
   if (timer_armed_) {
     sim_.cancel(timer_event_);
     timer_armed_ = false;
@@ -330,8 +329,8 @@ void Link::set_outage(bool down) {
     assert(hot_.empty());
     dirty_ = true;
     next_completion_ = cbs::sim::kTimeInfinity;
-    // The old design cancelled every severed completion event; the single
-    // timer is their stand-in. A stale timer would also keep the run from
+    // No transfer is flowing, so no completion is due: disarm the timer. A
+    // stale timer would fire with nothing to complete and keep the run from
     // draining.
     if (timer_armed_) {
       sim_.cancel(timer_event_);

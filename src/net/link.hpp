@@ -173,8 +173,8 @@ class Link : private cbs::sim::EventTarget {
 
  private:
   /// Cold per-transfer bookkeeping: everything the water-filling pass does
-  /// NOT touch. Keyed by id in `cold_` (ascending-id iteration keeps every
-  /// side-effect order identical to the historical std::map design).
+  /// NOT touch. Keyed by id in `cold_`, so every walk that has side effects
+  /// (reports, events) visits transfers in ascending id order.
   struct Cold {
     double bytes_total = 0.0;
     int threads = 1;
@@ -223,10 +223,10 @@ class Link : private cbs::sim::EventTarget {
   void schedule_activation(TransferId id, cbs::sim::SimDuration delay);
   void progress_all();
   /// Runs the water-filling pass if membership changed or time advanced
-  /// since the last pass, then re-arms the completion timer. Call at every
-  /// point the AoS design called reallocate(); the unconditional re-arm is
-  /// what keeps the timer's event-seq position identical to the historical
-  /// rescheduled completion events.
+  /// since the last pass, then re-arms the completion timer. Call after
+  /// every change to the set of flowing transfers or their rates; the re-arm
+  /// is unconditional, so the timer always takes a fresh event seq and runs
+  /// after every same-timestamp event scheduled before the change.
   void flush();
   void run_pass();
   void on_timer();

@@ -11,9 +11,7 @@ using cbs::sim::SimTime;
 
 ThreadTuner::ThreadTuner(Config config) : config_(config) {
   assert(config.slots_per_day > 0);
-  assert(config.min_threads >= 1);
-  assert(config.max_threads >= config.min_threads);
-  assert(config.initial_threads >= config.min_threads &&
+  assert(config.initial_threads >= kMinThreads &&
          config.initial_threads <= config.max_threads);
   slots_.resize(config.slots_per_day, SlotState{config.initial_threads});
 }
@@ -28,7 +26,7 @@ int ThreadTuner::suggest(SimTime t) {
   // exploit the incumbent. Exploration alternates up/down.
   if (s.reports > 0 && s.reports % 3 == 2) {
     const int candidate = std::clamp(s.best_threads + s.probe_direction,
-                                     config_.min_threads, config_.max_threads);
+                                     kMinThreads, config_.max_threads);
     s.probe_direction = -s.probe_direction;
     if (candidate != s.best_threads) {
       s.exploring = true;
@@ -56,14 +54,14 @@ void ThreadTuner::report(SimTime t, int threads, double throughput) {
   if (threads < s.best_threads) {
     // Accept fewer threads whenever throughput is not materially worse —
     // fewer connections for the same rate is strictly preferable.
-    if (throughput >= s.best_throughput * (1.0 - config_.improvement_threshold)) {
+    if (throughput >= s.best_throughput * (1.0 - kImprovementThreshold)) {
       s.best_threads = threads;
       s.best_throughput = throughput;
     }
     return;
   }
   // More threads must earn their keep.
-  if (throughput > s.best_throughput * (1.0 + config_.improvement_threshold)) {
+  if (throughput > s.best_throughput * (1.0 + kImprovementThreshold)) {
     s.best_threads = threads;
     s.best_throughput = throughput;
   }

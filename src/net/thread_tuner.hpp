@@ -18,12 +18,8 @@ class ThreadTuner {
  public:
   struct Config {
     std::size_t slots_per_day = 48;
-    int min_threads = 1;
     int max_threads = 32;
     int initial_threads = 4;
-    /// Relative throughput gain required to accept a higher thread count —
-    /// avoids drifting up on noise.
-    double improvement_threshold = 0.05;
   };
 
   explicit ThreadTuner(Config config);
@@ -38,7 +34,6 @@ class ThreadTuner {
 
   /// Current converged choice for a slot (for the Fig. 4b bench).
   [[nodiscard]] int best_for_slot(std::size_t slot) const;
-  [[nodiscard]] std::size_t slots_per_day() const noexcept { return config_.slots_per_day; }
 
  private:
   struct SlotState {
@@ -51,6 +46,11 @@ class ThreadTuner {
   };
 
   [[nodiscard]] std::size_t slot_of(cbs::sim::SimTime t) const;
+
+  /// Fewest threads a transfer uses, and the relative throughput gain a
+  /// higher count must show to be accepted (so noise does not drift it up).
+  static constexpr int kMinThreads = 1;
+  static constexpr double kImprovementThreshold = 0.05;
 
   Config config_;
   std::vector<SlotState> slots_;

@@ -10,14 +10,6 @@ namespace cbs::sla {
 using cbs::sim::SimDuration;
 using cbs::sim::SimTime;
 
-namespace {
-
-/// The most samples series() takes: far above any run here (40000 batches
-/// at the default 120 s interval take ~6e4), far below what exhausts memory.
-constexpr std::size_t kMaxSeriesSamples = 10'000'000;
-
-}  // namespace
-
 OoMetricCalculator::OoMetricCalculator(const std::vector<JobOutcome>& outcomes) {
   by_id_.resize(outcomes.size() + 1);
   for (const JobOutcome& o : outcomes) {
@@ -57,16 +49,14 @@ OoSample OoMetricCalculator::sample_at(SimTime t, std::uint64_t tolerance) const
 std::vector<OoSample> OoMetricCalculator::series(SimDuration interval,
                                                  std::uint64_t tolerance) const {
   assert(interval > 0.0);
-  const SimTime end = last_completion_ + interval;
-  // The loop below takes about end / interval + 1 samples. Written as
-  // !(x < budget) so that an infinite quotient is rejected too.
-  if (!(end / interval < static_cast<double>(kMaxSeriesSamples))) {
+  if (!series_fits(last_completion_, interval)) {
     std::ostringstream msg;
     msg << "OO series: sampling interval " << interval
         << " s over a run ending at " << last_completion_
         << " s needs more than " << kMaxSeriesSamples << " samples";
     throw std::invalid_argument(msg.str());
   }
+  const SimTime end = last_completion_ + interval;
   std::vector<OoSample> out;
   for (SimTime t = 0.0; t <= end; t += interval) out.push_back({.time = t});
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -8,6 +9,19 @@
 #include "stats/timeseries.hpp"
 
 namespace cbs::sla {
+
+/// The most samples OoMetricCalculator::series() takes: far above any run
+/// here (40000 batches at the default 120 s interval take ~6e4), far below
+/// what exhausts memory.
+inline constexpr std::size_t kMaxSeriesSamples = 10'000'000;
+
+/// Whether series() at `interval` over a run whose last job completes at
+/// `last_completion` takes fewer than kMaxSeriesSamples samples (not if NaN).
+[[nodiscard]] inline bool series_fits(cbs::sim::SimTime last_completion,
+                                      cbs::sim::SimDuration interval) {
+  return (last_completion + interval) / interval <
+         static_cast<double>(kMaxSeriesSamples);
+}
 
 /// One sampling point of the Out-of-Order metric (paper Eq. 3–6).
 struct OoSample {
@@ -39,7 +53,7 @@ class OoMetricCalculator {
   /// One forward sweep: O(n log T) set-up, then each sample costs the span
   /// from the in-order frontier to the (tolerance+1)-th missing id; each
   /// sample is bit-identical to `sample_at` at its time. Throws
-  /// std::invalid_argument when that takes 10^7 samples or more.
+  /// std::invalid_argument when that takes kMaxSeriesSamples or more.
   [[nodiscard]] std::vector<OoSample> series(cbs::sim::SimDuration interval,
                                              std::uint64_t tolerance) const;
 

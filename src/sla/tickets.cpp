@@ -57,15 +57,11 @@ double tightest_ticket_scale(const std::vector<JobOutcome>& outcomes,
     required.push_back((o.completed - o.arrival) / window);
   }
   std::sort(required.begin(), required.end());
-  const auto idx = std::min(
-      required.size() - 1,
-      static_cast<std::size_t>(std::ceil(
-          target_hit_rate * static_cast<double>(required.size()))) == 0
-          ? 0
-          : static_cast<std::size_t>(std::ceil(
-                target_hit_rate * static_cast<double>(required.size()))) -
-                1);
-  return required[idx];
+  // The ceil(target × n)-th smallest, and at least the smallest.
+  const auto rank = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(
+             target_hit_rate * static_cast<double>(required.size()))));
+  return required[std::min(required.size(), rank) - 1];
 }
 
 }  // namespace cbs::sla

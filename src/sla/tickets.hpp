@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -23,6 +24,11 @@ struct TicketPolicy {
 
   [[nodiscard]] cbs::sim::SimTime deadline_for(const JobOutcome& o) const {
     return o.arrival + base_seconds + seconds_per_mb * o.input_mb;
+  }
+
+  /// How long after its promise `o` completed; 0 when it met it.
+  [[nodiscard]] double lateness(const JobOutcome& o) const {
+    return std::max(0.0, o.completed - deadline_for(o));
   }
 };
 

@@ -19,7 +19,7 @@ std::vector<Batch> BatchArrivalProcess::generate_all() {
   batches.reserve(config_.num_batches);
   for (std::size_t b = 0; b < config_.num_batches; ++b) {
     std::uint64_t n = cbs::stats::sample_poisson(rng_, config_.mean_jobs_per_batch);
-    while (config_.reject_empty_batches && n == 0) {
+    while (n == 0) {
       n = cbs::stats::sample_poisson(rng_, config_.mean_jobs_per_batch);
     }
     Batch batch;

@@ -25,18 +25,15 @@ class BatchArrivalProcess {
     cbs::sim::SimDuration batch_interval = 180.0;  ///< 3 minutes
     double mean_jobs_per_batch = 15.0;             ///< Poisson λ
     std::size_t num_batches = 4;
-    /// Batches are usually non-empty in production; resample a Poisson(λ)
-    /// draw of zero when this is set.
-    bool reject_empty_batches = true;
   };
 
   BatchArrivalProcess(Config config, WorkloadGenerator& generator,
                       cbs::sim::RngStream rng);
 
-  /// Pre-draws the whole arrival schedule (deterministic per seed).
+  /// Pre-draws the whole arrival schedule (deterministic per seed). Batches
+  /// are non-empty, as in production: a Poisson(λ) draw of zero is
+  /// resampled.
   [[nodiscard]] std::vector<Batch> generate_all();
-
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
 
  private:
   Config config_;

@@ -8,13 +8,11 @@ namespace cbs::workload {
 
 PdfChunker::PdfChunker(Config config) : config_(config) {
   assert(config.target_size_mb > 0.0);
-  assert(config.per_chunk_overhead_mb >= 0.0);
-  assert(config.max_chunks >= 1);
 }
 
 int PdfChunker::chunk_count_for(double size_mb) const {
   const int n = static_cast<int>(std::ceil(size_mb / config_.target_size_mb));
-  return std::clamp(n, 1, config_.max_chunks);
+  return std::clamp(n, 1, kMaxChunks);
 }
 
 std::vector<Document> PdfChunker::chunk(const Document& doc,
@@ -61,7 +59,7 @@ std::vector<Document> PdfChunker::chunk(const Document& doc,
     chunk.features.pages = std::max(chunk_pages, 1);
     chunk.features.num_images = std::max(chunk_images, 0);
     chunk.features.size_mb =
-        doc.features.size_mb * share + config_.per_chunk_overhead_mb;
+        doc.features.size_mb * share + kPerChunkOverheadMb;
     chunk.output_size_mb = truth.output_size_mb(chunk.features);
     chunks.push_back(chunk);
   }

@@ -9,19 +9,21 @@
 namespace cbs::workload {
 
 /// `pdfchunk` of Algorithm 2: splits an oversized document into page-range
-/// chunks of roughly `target_size_mb` each. Chunk features are scaled
-/// proportionally (pages, images, size) while per-document properties
-/// (resolution, color fraction, coverage, type) are inherited, so chunk
-/// processing estimates remain consistent with the parent's.
+/// chunks of roughly `target_size_mb` each, at most kMaxChunks. Chunk
+/// features are scaled proportionally (pages, images, size) while
+/// per-document properties (resolution, color fraction, coverage, type) are
+/// inherited, so chunk processing estimates remain consistent with the
+/// parent's.
 class PdfChunker {
  public:
   struct Config {
     double target_size_mb = 110.0;
-    /// Fixed per-chunk size overhead (duplicated resources: fonts, color
-    /// profiles) — chunking is not free.
-    double per_chunk_overhead_mb = 0.5;
-    int max_chunks = 64;
   };
+
+  /// Fixed per-chunk size overhead (duplicated resources: fonts, color
+  /// profiles) — chunking is not free.
+  static constexpr double kPerChunkOverheadMb = 0.5;
+  static constexpr int kMaxChunks = 64;
 
   explicit PdfChunker(Config config);
 
@@ -34,8 +36,6 @@ class PdfChunker {
   [[nodiscard]] std::vector<Document> chunk(const Document& doc,
                                             const GroundTruthModel& truth,
                                             std::uint64_t* next_id) const;
-
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
 
  private:
   Config config_;

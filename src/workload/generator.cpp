@@ -22,14 +22,13 @@ std::string_view to_string(SizeBucket bucket) noexcept {
   return "?";
 }
 
-WorkloadGenerator::WorkloadGenerator(Config config, const GroundTruthModel& truth,
-                                     cbs::sim::RngStream rng)
-    : config_(config),
-      truth_(truth),
-      rng_(rng),
-      pareto_(config.pareto_alpha, config.min_size_mb, config.max_size_mb) {}
-
 namespace {
+
+/// The §V.A document sizes: 1–300 MB production documents.
+constexpr double kMinSizeMb = 1.0;
+constexpr double kMaxSizeMb = 300.0;
+/// Shape of the bounded-Pareto bias of the small and large buckets.
+constexpr double kParetoAlpha = 1.1;
 
 /// The range of a uniform draw.
 struct Range {
@@ -125,21 +124,19 @@ DocumentFeatures features_for_size(cbs::sim::RngStream& rng, double size_mb) {
 }
 
 /// A document size from the configured bucket's law; `pareto` is the
-/// config's bounded Pareto.
+/// generator's bounded Pareto.
 double sample_size_mb(const WorkloadGenerator::Config& config,
                       const BoundedPareto& pareto, cbs::sim::RngStream& rng) {
-  const double lo = config.min_size_mb;
-  const double hi = config.max_size_mb;
   switch (config.bucket) {
     case SizeBucket::kSmallBiased:
       return pareto(rng);
     case SizeBucket::kUniform:
-      return rng.uniform(lo, hi);
+      return rng.uniform(kMinSizeMb, kMaxSizeMb);
     case SizeBucket::kLargeBiased:
-      // Mirror image of the small-biased law: mass piles up near hi.
-      return lo + hi - pareto(rng);
+      // Mirror image of the small-biased law: mass piles up near the top.
+      return kMinSizeMb + kMaxSizeMb - pareto(rng);
   }
-  return lo;
+  return kMinSizeMb;
 }
 
 /// Document `id`: its size, then its features, then its output size.
@@ -156,6 +153,13 @@ inline Document draw_document(const WorkloadGenerator::Config& config,
 }
 
 }  // namespace
+
+WorkloadGenerator::WorkloadGenerator(Config config, const GroundTruthModel& truth,
+                                     cbs::sim::RngStream rng)
+    : config_(config),
+      truth_(truth),
+      rng_(rng),
+      pareto_(kParetoAlpha, kMinSizeMb, kMaxSizeMb) {}
 
 Document WorkloadGenerator::next() {
   return draw_document(config_, pareto_, truth_, rng_, next_id_++);

@@ -27,10 +27,6 @@ class WorkloadGenerator {
  public:
   struct Config {
     SizeBucket bucket = SizeBucket::kUniform;
-    double min_size_mb = 1.0;
-    double max_size_mb = 300.0;
-    /// Shape of the bounded-Pareto bias for the small/large buckets.
-    double pareto_alpha = 1.1;
   };
 
   WorkloadGenerator(Config config, const GroundTruthModel& truth,
@@ -42,7 +38,6 @@ class WorkloadGenerator {
   /// Generates a batch of `n` documents.
   [[nodiscard]] std::vector<Document> batch(std::size_t n);
 
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
   [[nodiscard]] std::uint64_t documents_generated() const noexcept { return next_id_ - 1; }
 
  private:

@@ -9,7 +9,6 @@ namespace cbs::workload {
 
 GroundTruthModel::GroundTruthModel(Config config, cbs::sim::RngStream rng)
     : config_(config), rng_(rng) {
-  assert(config.per_mb > 0.0);
   assert(config.noise_sigma >= 0.0);
   noise_seed_ = rng_.next();
 }
@@ -32,13 +31,13 @@ double GroundTruthModel::type_cost_multiplier(JobType type) noexcept {
 
 double GroundTruthModel::expected_seconds(const DocumentFeatures& f) const {
   const double res_norm = f.resolution_dpi / 600.0;  // 600 dpi reference
-  double t = config_.base_seconds;
-  t += config_.per_mb * f.size_mb;
-  t += config_.resolution_color * f.size_mb * res_norm * f.color_fraction;
-  t += config_.per_image_mb * static_cast<double>(f.num_images) * f.avg_image_mb;
-  t += config_.coverage_sq_pages * f.coverage * f.coverage *
+  double t = kBaseSeconds;
+  t += kPerMb * f.size_mb;
+  t += kResolutionColor * f.size_mb * res_norm * f.color_fraction;
+  t += kPerImageMb * static_cast<double>(f.num_images) * f.avg_image_mb;
+  t += kCoverageSqPages * f.coverage * f.coverage *
        static_cast<double>(f.pages);
-  t += config_.text_pages * f.text_ratio * static_cast<double>(f.pages);
+  t += kTextPages * f.text_ratio * static_cast<double>(f.pages);
   return t * type_cost_multiplier(f.type);
 }
 

@@ -20,28 +20,9 @@ namespace cbs::workload {
 class GroundTruthModel {
  public:
   struct Config {
-    /// Baseline per-job fixed cost (parse, setup), seconds.
-    double base_seconds = 2.0;
-    /// Size term: seconds per MB on a standard machine. Calibrated so a
-    /// batch of λ=15 uniform-bucket jobs demands ~1.0x the 8-machine IC's
-    /// capacity per 3-minute interval (occasional Poisson spikes create
-    /// burst opportunities) while the large bucket demands ~1.9x (backlog
-    /// builds, slack grows, bursting pays) — matching the paper's
-    /// per-bucket utilization/burst contrasts.
-    double per_mb = 0.38;
-    /// Interaction: rasterizing high-resolution color costs extra.
-    double resolution_color = 0.25;
-    /// Image-work term: seconds per (image count × image size).
-    double per_image_mb = 0.07;
-    /// Quadratic coverage term acting on page count.
-    double coverage_sq_pages = 0.006;
-    /// Text-optimization term.
-    double text_pages = 0.003;
     /// Lognormal noise sigma (log-space). 0 disables noise — used by tests
     /// that need exact estimator behaviour.
     double noise_sigma = 0.18;
-    /// Output-size ratios per job type are scaled by this.
-    double output_ratio_scale = 1.0;
   };
 
   GroundTruthModel(Config config, cbs::sim::RngStream rng);
@@ -65,9 +46,8 @@ class GroundTruthModel {
   /// (fixed result metadata per page). Defined here so the workload
   /// generator's per-document loop inlines it.
   [[nodiscard]] double output_size_mb(const DocumentFeatures& f) const {
-    const double ratio = kOutputRatio[static_cast<std::size_t>(f.type)] *
-                         config_.output_ratio_scale;
-    return f.size_mb * ratio + 0.002 * static_cast<double>(f.pages);
+    return f.size_mb * kOutputRatio[static_cast<std::size_t>(f.type)] +
+           0.002 * static_cast<double>(f.pages);
   }
 
   /// Job-class cost multiplier applied to the expected time — the paper
@@ -82,6 +62,24 @@ class GroundTruthModel {
   /// raster-heavy classes inflate, text-heavy classes compress.
   static constexpr std::array<double, kAllJobTypes.size()> kOutputRatio{
       0.85, 0.70, 1.10, 0.90, 0.60, 1.25, 1.05};
+
+  /// Baseline per-job fixed cost (parse, setup), seconds.
+  static constexpr double kBaseSeconds = 2.0;
+  /// Size term: seconds per MB on a standard machine. Calibrated (DESIGN §6)
+  /// so a batch of λ=15 uniform-bucket jobs demands ~1.0x the 8-machine IC's
+  /// capacity per 3-minute interval (occasional Poisson spikes create burst
+  /// opportunities) while the large bucket demands ~1.9x (backlog builds,
+  /// slack grows, bursting pays) — matching the paper's per-bucket
+  /// utilization/burst contrasts.
+  static constexpr double kPerMb = 0.38;
+  /// Interaction: rasterizing high-resolution color costs extra.
+  static constexpr double kResolutionColor = 0.25;
+  /// Image-work term: seconds per (image count × image size).
+  static constexpr double kPerImageMb = 0.07;
+  /// Quadratic coverage term acting on page count.
+  static constexpr double kCoverageSqPages = 0.006;
+  /// Text-optimization term.
+  static constexpr double kTextPages = 0.003;
 
   Config config_;
   cbs::sim::RngStream rng_;

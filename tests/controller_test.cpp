@@ -42,7 +42,7 @@ struct Rig {
     ec.uplink.setup_latency = 0.0;
     ec.downlink = ec.uplink;
     cfg.bandwidth_estimator.prior_rate = 1.0e6;
-    cfg.topology.ic_machines = 2;
+    cfg.ic_machines = 2;
     ec.machines = 1;
     ec.job_overhead_seconds = 0.0;
     cfg.params.variability_threshold_mb = 1e9;  // no chunking unless asked
@@ -138,7 +138,7 @@ TEST(ControllerTest, EcPipelineMovesBytesThroughStore) {
   Rig rig;
   // Greedy + a saturated IC forces bursting.
   auto cfg = Rig::config(SchedulerKind::kGreedy);
-  cfg.topology.ic_machines = 1;
+  cfg.ic_machines = 1;
   CloudBurstController ctl(rig.sim, cfg, rig.truth, RngStream(3));
   // Many medium jobs: IC clogs, some of these must burst.
   std::vector<double> sizes(8, 50.0);
@@ -162,13 +162,14 @@ TEST(ControllerTest, EcPipelineMovesBytesThroughStore) {
 
 // ---- a job's MapReduce work: a map task, then a merge task --------------
 
-/// IC-only on `ic_machines` machines, merging at `merge_seconds_per_mb`
-/// seconds per output MB.
-ControllerConfig mapreduce_config(std::size_t ic_machines,
-                                  double merge_seconds_per_mb) {
+/// The controller's merge cost, seconds per output MB (the rig's documents
+/// output their input size).
+constexpr double kMergeSecondsPerMb = 0.05;
+
+/// IC-only on `ic_machines` machines.
+ControllerConfig mapreduce_config(std::size_t ic_machines) {
   ControllerConfig cfg = Rig::config(SchedulerKind::kIcOnly);
-  cfg.topology.ic_machines = ic_machines;
-  cfg.topology.merge_seconds_per_output_mb = merge_seconds_per_mb;
+  cfg.ic_machines = ic_machines;
   return cfg;
 }
 
@@ -182,8 +183,8 @@ std::vector<std::pair<std::uint64_t, double>> completions(
 
 TEST(ControllerTest, MapThenMergeFinishesAJob) {
   Rig rig;
-  // 10 MB of output at 0.2 s per MB: a 2 s merge.
-  CloudBurstController ctl(rig.sim, mapreduce_config(2, 0.2), rig.truth,
+  // 10 MB of output: a 0.5 s merge.
+  CloudBurstController ctl(rig.sim, mapreduce_config(2), rig.truth,
                            RngStream(2));
   const cbs::workload::Batch batch = rig.batch(0, {10.0});
   const double map = rig.truth.realized_seconds(batch.documents[0]);
@@ -197,12 +198,12 @@ TEST(ControllerTest, MapThenMergeFinishesAJob) {
   const auto done = completions(ctl);
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0].first, 1u);
-  EXPECT_DOUBLE_EQ(done[0].second, map + 2.0);
+  EXPECT_DOUBLE_EQ(done[0].second, map + 10.0 * kMergeSecondsPerMb);
 }
 
 TEST(ControllerTest, ConcurrentJobsFinishInFcfsOrder) {
   Rig rig;
-  CloudBurstController ctl(rig.sim, mapreduce_config(2, 0.0), rig.truth,
+  CloudBurstController ctl(rig.sim, mapreduce_config(2), rig.truth,
                            RngStream(2));
   const cbs::workload::Batch batch = rig.batch(0, {10.0, 10.0, 10.0});
   const double map = rig.truth.realized_seconds(batch.documents[0]);
@@ -215,7 +216,8 @@ TEST(ControllerTest, ConcurrentJobsFinishInFcfsOrder) {
   EXPECT_EQ(done[0].first, 1u);
   EXPECT_EQ(done[1].first, 2u);
   EXPECT_EQ(done[2].first, 3u);
-  EXPECT_DOUBLE_EQ(done[2].second, 2.0 * map);
+  // Job 3's map queues for the first free machine; its merge follows.
+  EXPECT_DOUBLE_EQ(done[2].second, 2.0 * map + 10.0 * kMergeSecondsPerMb);
   EXPECT_EQ(ctl.outstanding_jobs(), 0u);
 }
 
@@ -223,8 +225,8 @@ TEST(ControllerTest, ForkMidJobFinishesLikeItsSource) {
   // Two jobs on one machine: mid-way through the first map, the fork
   // carries a running map, a queued map and two jobs waiting to merge.
   Rig rig;
-  // 0.1 s per output MB: merges of 1 s and 2 s.
-  CloudBurstController a(rig.sim, mapreduce_config(1, 0.1), rig.truth,
+  // Merges of 0.5 s and 1 s.
+  CloudBurstController a(rig.sim, mapreduce_config(1), rig.truth,
                          RngStream(2));
   const cbs::workload::Batch batch = rig.batch(0, {10.0, 20.0});
   const double map1 = rig.truth.realized_seconds(batch.documents[0]);
@@ -243,10 +245,10 @@ TEST(ControllerTest, ForkMidJobFinishesLikeItsSource) {
   const auto done = completions(a);
   ASSERT_EQ(done.size(), 2u);
   EXPECT_EQ(completions(b), done);
-  // Job 1's merge queues behind job 2's map (FCFS): map1 + map2 + 1, then
-  // + 2.
-  EXPECT_DOUBLE_EQ(done[0].second, map1 + map2 + 1.0);
-  EXPECT_DOUBLE_EQ(done[1].second, map1 + map2 + 3.0);
+  // Job 1's merge queues behind job 2's map (FCFS): map1 + map2 + 0.5,
+  // then + 1.
+  EXPECT_DOUBLE_EQ(done[0].second, map1 + map2 + 10.0 * kMergeSecondsPerMb);
+  EXPECT_DOUBLE_EQ(done[1].second, map1 + map2 + 30.0 * kMergeSecondsPerMb);
   EXPECT_EQ(b.outstanding_jobs(), 0u);
 }
 
@@ -336,7 +338,7 @@ TEST(ControllerTest, ReschedulerPushesOutWhenUploadIdles) {
   Rig rig;
   auto cfg = Rig::config(SchedulerKind::kOrderPreserving);
   cfg.enable_rescheduler = true;
-  cfg.topology.ic_machines = 1;
+  cfg.ic_machines = 1;
   // The pipe is fast but the scheduler's prior says it is slow: Op bursts
   // little at batch time, then learns the real rate from its first uploads
   // — at which point idle-pipe push-outs become attractive (the adaptive
@@ -362,7 +364,6 @@ TEST(ControllerTest, ChunkedJobsGetFreshSeqAndDocIds) {
   Rig rig;
   auto cfg = Rig::config(SchedulerKind::kOrderPreserving);
   cfg.params.variability_threshold_mb = 30.0;
-  cfg.params.chunker.target_size_mb = 50.0;
   CloudBurstController ctl(rig.sim, cfg, rig.truth, RngStream(12));
   ctl.on_batch(rig.batch(0, {200.0, 5.0, 5.0}));
   rig.sim.run();
@@ -380,7 +381,7 @@ TEST(ControllerTest, StageLogRecordsThePipeline) {
   Rig rig;
   auto cfg = Rig::config(SchedulerKind::kGreedy);
   cfg.record_stage_log = true;
-  cfg.topology.ic_machines = 1;  // force some bursting
+  cfg.ic_machines = 1;  // force some bursting
   CloudBurstController ctl(rig.sim, cfg, rig.truth, RngStream(21));
   ctl.on_batch(rig.batch(0, {50.0, 50.0, 50.0, 50.0, 50.0, 50.0}));
   rig.sim.run();

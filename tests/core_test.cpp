@@ -386,9 +386,7 @@ TEST(OrderPreservingTest, SafetyMarginTightensAdmission) {
 
 TEST(OrderPreservingTest, ChunksHighVarianceWindows) {
   SchedulerFixture f;
-  f.params.variability_window = 3;
   f.params.variability_threshold_mb = 50.0;
-  f.params.chunker.target_size_mb = 60.0;
   // Sizes 290, 5, 5: sigma >> 50 -> the 290 MB head job gets chunked.
   const auto decisions =
       f.schedule(SchedulerKind::kOrderPreserving,

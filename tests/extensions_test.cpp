@@ -108,7 +108,7 @@ TEST(ElasticEcTest, ScalesUpUnderBacklogAndDownWhenIdle) {
   ec.uplink.setup_latency = 0.0;
   ec.downlink = ec.uplink;
   cfg.bandwidth_estimator.prior_rate = 5.0e6;
-  cfg.topology.ic_machines = 1;
+  cfg.ic_machines = 1;
   ec.machines = 1;
   ec.job_overhead_seconds = 0.0;
   cfg.elastic_ec.enabled = true;
@@ -232,7 +232,7 @@ harness::Scenario two_site_scenario(std::uint64_t seed) {
   s.estimator = core::EstimatorKind::kOracle;
   s.truth.noise_sigma = 0.0;
   s.num_batches = 2;
-  s.topology.ic_machines = 2;
+  s.ic_machines = 2;
   s.params.slack_safety_margin = 0.0;
   s.probe_interval = 0.0;
   s.bandwidth_estimator.prior_rate = 1.0e6;

@@ -186,7 +186,7 @@ TEST(FaultScenarioTest, RetractionPreservesFcfsReadmission) {
   s.num_batches = 1;
   s.log_threshold = cbs::sim::LogLevel::kError;
   s.faults.outage_windows = {OutageWindow{190.0, 2000.0}};
-  s.topology.ic_machines = 1;
+  s.ic_machines = 1;
 
   const auto r = harness::run_scenario(s);
   ASSERT_GT(r.faults.retractions, 0u);
@@ -323,14 +323,14 @@ TEST(FaultScenarioTest, HazardPredictorPreservesConservation) {
       hazard_scenario(42, models::HazardPredictorKind::kEwma));
   EXPECT_GT(r.outcomes.size(), 10u);
   EXPECT_GT(r.faults.drains, 0u);
-  EXPECT_GT(r.faults.hazard_predictions, 0u);
+  EXPECT_GT(r.faults.hazard.predictions, 0u);
   // Every prediction resolves to TP or FP (or is still open at run end).
-  EXPECT_LE(r.faults.hazard_true_positives + r.faults.hazard_false_positives,
-            r.faults.hazard_predictions);
-  EXPECT_GE(r.faults.hazard_precision(), 0.0);
-  EXPECT_LE(r.faults.hazard_precision(), 1.0);
-  EXPECT_GE(r.faults.hazard_recall(), 0.0);
-  EXPECT_LE(r.faults.hazard_recall(), 1.0);
+  EXPECT_LE(r.faults.hazard.true_positives + r.faults.hazard.false_positives,
+            r.faults.hazard.predictions);
+  EXPECT_GE(r.faults.hazard.precision(), 0.0);
+  EXPECT_LE(r.faults.hazard.precision(), 1.0);
+  EXPECT_GE(r.faults.hazard.recall(), 0.0);
+  EXPECT_LE(r.faults.hazard.recall(), 1.0);
 }
 
 TEST(FaultScenarioTest, HazardPredictorOffIsInertWhateverTheKnobs) {
@@ -347,7 +347,7 @@ TEST(FaultScenarioTest, HazardPredictorOffIsInertWhateverTheKnobs) {
   const auto a = harness::run_scenario(plain);
   const auto b = harness::run_scenario(off);
   EXPECT_EQ(b.faults.drains, 0u);
-  EXPECT_EQ(b.faults.hazard_predictions, 0u);
+  EXPECT_EQ(b.faults.hazard.predictions, 0u);
   EXPECT_EQ(a.report.makespan_seconds, b.report.makespan_seconds);
   EXPECT_EQ(a.events_processed, b.events_processed);
   ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
@@ -385,10 +385,10 @@ TEST(FaultScenarioTest, HazardRunsAreDeterministicAcrossThreadCounts) {
       EXPECT_EQ(r1[i].result->events_processed,
                 other->result->events_processed);
       EXPECT_EQ(r1[i].result->faults.drains, other->result->faults.drains);
-      EXPECT_EQ(r1[i].result->faults.hazard_predictions,
-                other->result->faults.hazard_predictions);
-      EXPECT_EQ(r1[i].result->faults.hazard_true_positives,
-                other->result->faults.hazard_true_positives);
+      EXPECT_EQ(r1[i].result->faults.hazard.predictions,
+                other->result->faults.hazard.predictions);
+      EXPECT_EQ(r1[i].result->faults.hazard.true_positives,
+                other->result->faults.hazard.true_positives);
       EXPECT_EQ(r1[i].result->faults.checkpointed_compute_seconds,
                 other->result->faults.checkpointed_compute_seconds);
     }

@@ -174,10 +174,10 @@ void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.faults.idle_crashes_absorbed, b.faults.idle_crashes_absorbed);
   EXPECT_EQ(a.faults.checkpointed_compute_seconds,
             b.faults.checkpointed_compute_seconds);
-  EXPECT_EQ(a.faults.hazard_predictions, b.faults.hazard_predictions);
-  EXPECT_EQ(a.faults.hazard_true_positives, b.faults.hazard_true_positives);
-  EXPECT_EQ(a.faults.hazard_false_positives, b.faults.hazard_false_positives);
-  EXPECT_EQ(a.faults.hazard_false_negatives, b.faults.hazard_false_negatives);
+  EXPECT_EQ(a.faults.hazard.predictions, b.faults.hazard.predictions);
+  EXPECT_EQ(a.faults.hazard.true_positives, b.faults.hazard.true_positives);
+  EXPECT_EQ(a.faults.hazard.false_positives, b.faults.hazard.false_positives);
+  EXPECT_EQ(a.faults.hazard.false_negatives, b.faults.hazard.false_negatives);
 }
 
 TEST(ForkEquivalence, WorldMatchesLegacyRunScenario) {
@@ -316,11 +316,13 @@ TEST(ForkEquivalence, HazardEstimatorStateIsCopiedExactly) {
   parent.run_until(700.0);
   std::unique_ptr<ScenarioWorld> forked = parent.fork();
 
-  for (const auto accessor :
-       {&cbs::core::CloudBurstController::ic_hazard,
-        &cbs::core::CloudBurstController::ec_hazard}) {
-    const auto* a = (parent.controller().*accessor)();
-    const auto* b = (forked->controller().*accessor)();
+  const cbs::core::CloudBurstController& pc = parent.controller();
+  const cbs::core::CloudBurstController& fc = forked->controller();
+  const std::pair<const cbs::models::VmHazardEstimator*,
+                  const cbs::models::VmHazardEstimator*>
+      estimators[] = {{pc.ic_hazard(), fc.ic_hazard()},
+                      {pc.site(0).hazard.get(), fc.site(0).hazard.get()}};
+  for (const auto& [a, b] : estimators) {
     ASSERT_NE(a, nullptr);
     ASSERT_NE(b, nullptr);
     ASSERT_EQ(a->machine_count(), b->machine_count());

@@ -17,6 +17,7 @@
 #include "harness/plot.hpp"
 #include "harness/scenario.hpp"
 #include "harness/world.hpp"
+#include "sla/oo_metric.hpp"
 
 namespace {
 
@@ -135,7 +136,6 @@ TEST(ScenarioCliTest, FlagsReachTheScenario) {
 TEST(ScenarioCliTest, ElasticFlagConfiguresElasticEc) {
   const Scenario s = cli::scenario_from_args(scenario_args({"--elastic"}));
   EXPECT_TRUE(s.elastic_ec.enabled);
-  EXPECT_EQ(s.elastic_ec.min_machines, 1u);
   EXPECT_EQ(s.elastic_ec.max_machines, 6u);
 }
 
@@ -249,6 +249,44 @@ TEST(ScenarioValidateTest, NamesEveryBadField) {
   EXPECT_TRUE(edges.validate().empty());
   edges.resilience.drain_threshold = 0.0;
   EXPECT_TRUE(edges.validate().empty());
+
+  // A non-finite interval once put batch 0 at 0 x inf = NaN; a huge rate
+  // once failed on std::bad_alloc.
+  Scenario infinite;
+  infinite.batch_interval_seconds = inf;
+  infinite.mean_jobs_per_batch = inf;
+  const std::vector<std::string> inf_errors = infinite.validate();
+  ASSERT_EQ(inf_errors.size(), 2u);
+  EXPECT_EQ(inf_errors[0], "mean_jobs_per_batch must be finite (got inf)");
+  EXPECT_EQ(inf_errors[1], "batch_interval_seconds must be finite (got inf)");
+
+  // Both caps, named together.
+  Scenario both;
+  both.num_batches = 100'000'000;
+  both.mean_jobs_per_batch = 0.5;  // a drawn batch still holds a document
+  const std::vector<std::string> caps = both.validate();
+  ASSERT_EQ(caps.size(), 2u);
+  EXPECT_EQ(caps[0],
+            "max(mean_jobs_per_batch, 1) * num_batches must be <= 4000000 "
+            "(got 1e+08)");
+  EXPECT_NE(caps[1].find("(num_batches - 1) * batch_interval_seconds must be "
+                         "short enough for an OO series of fewer than "
+                         "10000000 samples at oo_sampling_interval 120"),
+            std::string::npos);
+
+  // At the caps: exactly kMaxDrawnDocuments documents, and a last arrival
+  // whose series takes one sample fewer than the cap.
+  Scenario edge;
+  edge.num_batches = 2;
+  edge.mean_jobs_per_batch = static_cast<double>(kMaxDrawnDocuments) / 2.0;
+  EXPECT_TRUE(edge.validate().empty());
+  edge.mean_jobs_per_batch = 15.0;
+  edge.oo_sampling_interval = 1.0;
+  edge.batch_interval_seconds =
+      static_cast<double>(cbs::sla::kMaxSeriesSamples) - 2.0;
+  EXPECT_TRUE(edge.validate().empty());
+  edge.batch_interval_seconds += 1.0;
+  EXPECT_EQ(edge.validate().size(), 1u);
 }
 
 TEST(ScenarioValidateTest, WorldAndRunRejectInvalidScenarios) {
@@ -326,6 +364,11 @@ TEST(ScenarioWorldTest, GivenBatchesRejectEmptyNegativeAndDecreasingArrivals) {
   EXPECT_EQ(world_error(arriving_at(
                 {0.0, std::numeric_limits<double>::infinity()})),
             "ScenarioWorld: batch 1 arrival_time must be finite (got inf)");
+  // The OO series runs at least through the last arrival; at 1e15 s the
+  // link once aborted on an assert.
+  EXPECT_EQ(world_error(arriving_at({0.0, 1e15})),
+            "ScenarioWorld: batch 1 arrival_time 1e+15 needs an OO series of "
+            "10000000 samples or more at oo_sampling_interval 120");
 }
 
 /// Batches at 0, 180, ... holding documents with the listed ids.

@@ -163,7 +163,7 @@ TEST(IntegrationTest, ZeroPretrainStillWorks) {
 
 TEST(IntegrationTest, BytesConservedAcrossTheInterCloudPath) {
   // Every bursted input crosses the uplink once; every bursted output the
-  // downlink once; probes add probe_bytes per firing on each link.
+  // downlink once; probes add 1 MB per firing on each link.
   auto s = small_scenario(SchedulerKind::kGreedy, SizeBucket::kUniform);
   const auto result = harness::run_scenario(s);
   double bursted_in = 0.0;

@@ -633,13 +633,13 @@ TEST(TimeOfDayTest, SlotsAndMultipliersMatchTheFmodForms) {
 // ---- ThreadTuner ---------------------------------------------------------
 
 TEST(ThreadTunerTest, StartsAtInitial) {
-  ThreadTuner tuner({.slots_per_day = 1, .min_threads = 1, .max_threads = 8,
+  ThreadTuner tuner({.slots_per_day = 1, .max_threads = 8,
                      .initial_threads = 3});
   EXPECT_EQ(tuner.suggest(0.0), 3);
 }
 
 TEST(ThreadTunerTest, ClimbsWhenMoreThreadsPayOff) {
-  ThreadTuner tuner({.slots_per_day = 1, .min_threads = 1, .max_threads = 16,
+  ThreadTuner tuner({.slots_per_day = 1, .max_threads = 16,
                      .initial_threads = 2});
   // Throughput proportional to thread count (unsaturated pipe).
   for (int i = 0; i < 60; ++i) {
@@ -650,8 +650,8 @@ TEST(ThreadTunerTest, ClimbsWhenMoreThreadsPayOff) {
 }
 
 TEST(ThreadTunerTest, StopsAtSaturation) {
-  ThreadTuner tuner({.slots_per_day = 1, .min_threads = 1, .max_threads = 16,
-                     .initial_threads = 2, .improvement_threshold = 0.05});
+  ThreadTuner tuner({.slots_per_day = 1, .max_threads = 16,
+                     .initial_threads = 2});
   // Pipe saturates at 4 threads.
   for (int i = 0; i < 120; ++i) {
     const int t = tuner.suggest(0.0);
@@ -662,7 +662,7 @@ TEST(ThreadTunerTest, StopsAtSaturation) {
 }
 
 TEST(ThreadTunerTest, PrefersFewerThreadsAtEqualThroughput) {
-  ThreadTuner tuner({.slots_per_day = 1, .min_threads = 1, .max_threads = 16,
+  ThreadTuner tuner({.slots_per_day = 1, .max_threads = 16,
                      .initial_threads = 8});
   // Flat throughput: fewer connections should win over time.
   for (int i = 0; i < 200; ++i) {
@@ -673,7 +673,7 @@ TEST(ThreadTunerTest, PrefersFewerThreadsAtEqualThroughput) {
 }
 
 TEST(ThreadTunerTest, SlotsAreIndependent) {
-  ThreadTuner tuner({.slots_per_day = 24, .min_threads = 1, .max_threads = 16,
+  ThreadTuner tuner({.slots_per_day = 24, .max_threads = 16,
                      .initial_threads = 2});
   for (int i = 0; i < 60; ++i) {
     const int t = tuner.suggest(0.0);  // slot 0 only

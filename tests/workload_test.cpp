@@ -198,13 +198,13 @@ TEST(ChunkerTest, ChunkCountMatchesTarget) {
 }
 
 TEST(ChunkerTest, MaxChunksCapsSplit) {
-  PdfChunker chunker({.target_size_mb = 1.0, .max_chunks = 4});
-  EXPECT_EQ(chunker.chunk_count_for(300.0), 4);
+  PdfChunker chunker({.target_size_mb = 1.0});
+  EXPECT_EQ(chunker.chunk_count_for(300.0), PdfChunker::kMaxChunks);
 }
 
 TEST(ChunkerTest, SizesSumToOriginalPlusOverhead) {
   const auto truth = make_truth();
-  PdfChunker chunker({.target_size_mb = 60.0, .per_chunk_overhead_mb = 0.5});
+  PdfChunker chunker({.target_size_mb = 60.0});
   Document doc;
   doc.doc_id = 1;
   doc.features.size_mb = 290.0;
@@ -223,7 +223,7 @@ TEST(ChunkerTest, SizesSumToOriginalPlusOverhead) {
     EXPECT_EQ(c.parent_id, 1u);
     EXPECT_EQ(c.chunk_count, 5);
   }
-  EXPECT_NEAR(total_mb, 290.0 + 5 * 0.5, 1e-9);
+  EXPECT_NEAR(total_mb, 290.0 + 5 * PdfChunker::kPerChunkOverheadMb, 1e-9);
   EXPECT_EQ(total_pages, 100);
   EXPECT_EQ(total_images, 40);
 }
