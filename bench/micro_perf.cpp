@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/belief_state.hpp"
+#include "core/controller.hpp"
 #include "core/scheduler.hpp"
 #include "harness/experiment.hpp"
 #include "models/estimator.hpp"
@@ -151,7 +152,7 @@ void BM_BatchAdmission(benchmark::State& state) {
     cbs::core::BeliefState belief(
         std::make_unique<cbs::models::OracleEstimator>(truth), 4);
     belief.add_ec_site(ec_site(50, 0.0), kOneSlotPipe);
-    belief.commit_ic(999999, 40000.0);
+    belief.commit_ic(0, 40000.0);  // a job ahead of the batch
     std::uint64_t next_seq = 1;
     std::uint64_t next_doc_id = 1ULL << 40;
     cbs::core::SchedulerState scheduler_state;
@@ -516,6 +517,77 @@ void BM_FaultedScenario(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FaultedScenario)->Unit(benchmark::kMillisecond);
+
+void BM_BurstRetraction(benchmark::State& state) {
+  // The burst-retraction path on an overloaded controller: `n` jobs wait
+  // for one IC machine, and 64 bursts of scattered sizes wait for a flat
+  // 1 MB/s pipe. Every burst's round-trip deadline (a tenth of its
+  // unloaded round trip) fires in the timed window, in an order unlike the
+  // queue's, so most retractions cancel an upload from the middle of the
+  // queue and re-admit the job to the IC at its seq position. Each
+  // iteration forks the loaded controller outside the timing and runs the
+  // window.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kBursts = 64;
+  constexpr double kWindowSeconds = 60.0;
+  cbs::core::ControllerConfig cfg;
+  cfg.scheduler = cbs::core::SchedulerKind::kGreedy;
+  cfg.estimator = cbs::core::EstimatorKind::kOracle;
+  cfg.probe_interval = 0.0;
+  cfg.ic_machines = 1;
+  cfg.faults.retraction_deadline_factor = 0.1;
+  cbs::core::EcSiteConfig& ec = cfg.ec_sites[0];
+  ec.uplink.base_rate = 1.0e6;
+  ec.uplink.per_connection_cap = 1.0e6;
+  ec.uplink.noise_sigma = 0.0;
+  ec.uplink.setup_latency = 0.0;
+  ec.downlink = ec.uplink;
+  cfg.bandwidth_estimator.prior_rate = 1.0e6;
+  cfg.params.variability_threshold_mb = 1e9;  // no chunking
+  const cbs::workload::GroundTruthModel truth({.noise_sigma = 0.0},
+                                              cbs::sim::RngStream(1));
+  const auto batch = [](std::size_t index, std::uint64_t first_id,
+                        std::size_t count, auto size_mb) {
+    cbs::workload::Batch b;
+    b.batch_index = index;
+    for (std::size_t i = 0; i < count; ++i) {
+      cbs::workload::Document d;
+      d.doc_id = first_id + i;
+      d.features.size_mb = size_mb(i);
+      d.features.pages = static_cast<int>(d.features.size_mb);
+      d.output_size_mb = d.features.size_mb;
+      b.documents.push_back(d);
+    }
+    return b;
+  };
+  cbs::sim::Simulation sim;
+  cbs::core::CloudBurstController loaded(sim, cfg, truth,
+                                         cbs::sim::RngStream(2));
+  loaded.on_batch(batch(0, 1, n, [](std::size_t) { return 300.0; }),
+                  cbs::core::SchedulerKind::kIcOnly);
+  loaded.on_batch(batch(1, n + 1, kBursts, [](std::size_t i) {
+    return 10.0 + static_cast<double>((i * 37) % 64) * 2.0;
+  }));
+  std::int64_t retracted = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto fork_sim = std::make_unique<cbs::sim::Simulation>(sim);
+    auto fork = std::make_unique<cbs::core::CloudBurstController>(*fork_sim,
+                                                                  loaded);
+    state.ResumeTiming();
+    fork_sim->run_until(kWindowSeconds);
+    state.PauseTiming();
+    retracted += static_cast<std::int64_t>(fork->retractions());
+    fork.reset();
+    fork_sim.reset();
+    state.ResumeTiming();
+  }
+  if (retracted != state.iterations() * std::int64_t{kBursts}) {
+    state.SkipWithError("the deadlines did not retract the bursts");
+  }
+  state.SetItemsProcessed(retracted);
+}
+BENCHMARK(BM_BurstRetraction)->Arg(1000)->Arg(4000);
 
 void BM_HazardUpdate(benchmark::State& state) {
   // The per-event cost of the resilience layer: a crash observation plus a

@@ -238,8 +238,8 @@ SimTime BeliefState::slack(SimTime now) const {
       cushion = std::max(cushion, finish);
       break;
     }
-    const auto it = ec_jobs_.find(seq);
-    if (it != ec_jobs_.end() && it->second.est_finish == finish) {
+    const EcJob* job = ec_jobs_.find(seq);
+    if (job != nullptr && job->est_finish == finish) {
       heap_top_live_ = true;
       cushion = std::max(cushion, finish);
       break;
@@ -255,35 +255,32 @@ SimTime BeliefState::slack_bruteforce(SimTime now) const {
   if (!ic_jobs_.empty()) {
     cushion = std::max(cushion, ic_drain_time(now));
   }
-  for (const auto& [seq, job] : ec_jobs_) {
+  ec_jobs_.for_each_in_seq_order([&](std::uint64_t, const EcJob& job) {
     cushion = std::max(cushion, job.est_finish);
-  }
+  });
   return cushion;
 }
 
 void BeliefState::commit_ic(std::uint64_t seq, double estimated_service) {
   assert(estimated_service >= 0.0);
-  const bool inserted = ic_jobs_.emplace(seq, estimated_service).second;
-  assert(inserted && "seq committed to IC twice");
-  (void)inserted;
+  ic_jobs_.insert(seq, estimated_service);
   ic_outstanding_seconds_ += estimated_service;
 }
 
 void BeliefState::commit_ec(std::uint64_t seq, const cbs::workload::Document& doc,
                             double service, const EcEstimate& estimate) {
   assert(estimate.site < sites_.size());
-  const bool inserted =
-      ec_jobs_.emplace(seq, EcJob{estimate.finish, service}).second;
-  assert(inserted && "seq committed to EC twice");
-  (void)inserted;
+  ec_jobs_.insert(seq, EcJob{estimate.finish, service});
   // Stale records (from completions/retractions) accumulate until they
   // surface in slack(); rebuild from the live table when they dominate so
-  // churn-heavy runs stay bounded.
+  // churn-heavy runs stay bounded. The walk is in seq order: the heap's
+  // layout, and so the order stale tops surface in, follows its input.
   if (ec_finish_heap_.size() > 2 * ec_jobs_.size() + 64) {
     ec_finish_heap_.clear();
-    for (const auto& [live_seq, job] : ec_jobs_) {
-      ec_finish_heap_.emplace_back(job.est_finish, live_seq);
-    }
+    ec_jobs_.for_each_in_seq_order(
+        [&](std::uint64_t live_seq, const EcJob& job) {
+          ec_finish_heap_.emplace_back(job.est_finish, live_seq);
+        });
     std::make_heap(ec_finish_heap_.begin(), ec_finish_heap_.end());
     heap_top_live_ = true;
   }
@@ -297,19 +294,18 @@ void BeliefState::commit_ec(std::uint64_t seq, const cbs::workload::Document& do
 }
 
 void BeliefState::on_ic_complete(std::uint64_t seq) {
-  auto it = ic_jobs_.find(seq);
-  assert(it != ic_jobs_.end());
-  ic_outstanding_seconds_ = std::max(0.0, ic_outstanding_seconds_ - it->second);
-  ic_jobs_.erase(it);
+  const double estimated_service = ic_jobs_.at(seq);
+  ic_outstanding_seconds_ =
+      std::max(0.0, ic_outstanding_seconds_ - estimated_service);
+  ic_jobs_.erase(seq);
 }
 
 void BeliefState::on_ec_complete(std::uint64_t seq, std::size_t site) {
-  auto it = ec_jobs_.find(seq);
-  assert(it != ec_jobs_.end());
+  const double processing_seconds = ec_jobs_.at(seq).processing_seconds;
   EcSite& s = sites_[site];
   s.outstanding_seconds =
-      std::max(0.0, s.outstanding_seconds - it->second.processing_seconds);
-  ec_jobs_.erase(it);
+      std::max(0.0, s.outstanding_seconds - processing_seconds);
+  ec_jobs_.erase(seq);
   heap_top_live_ = false;
 }
 

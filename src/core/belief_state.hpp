@@ -9,9 +9,9 @@
 
 #include "core/config.hpp"
 #include "models/estimator.hpp"
-#include "util/flat_map.hpp"
 #include "net/bandwidth_estimator.hpp"
 #include "simcore/time.hpp"
+#include "util/seq_table.hpp"
 #include "workload/document.hpp"
 
 namespace cbs::core {
@@ -183,9 +183,7 @@ class BeliefState {
                  double service, const EcEstimate& estimate);
 
   // ---- Observations (completion notifications) ----
-  // The EC calls name the job's site (the estimate's `site` at commit):
-  // the job table stays two doubles per job, since completions erase from
-  // its front and every extra byte is moved again on each erase.
+  // The EC calls name the job's site (the estimate's `site` at commit).
 
   void on_ic_complete(std::uint64_t seq);
   void on_ec_complete(std::uint64_t seq, std::size_t site = 0);
@@ -321,8 +319,9 @@ class BeliefState {
   std::size_t ic_machines_;
   std::vector<EcSite> sites_;
 
-  // Outstanding IC jobs: seq -> estimated standard seconds.
-  cbs::util::FlatMap<std::uint64_t, double> ic_jobs_;
+  // Outstanding IC jobs: seq -> the service estimate committed with it,
+  // which is what its completion takes back off the backlog.
+  cbs::util::SeqTable<double> ic_jobs_;
   double ic_outstanding_seconds_ = 0.0;
   // Outstanding EC jobs: seq -> (estimated absolute completion, estimated
   // EC processing seconds still ahead of the store).
@@ -330,12 +329,13 @@ class BeliefState {
     cbs::sim::SimTime est_finish = 0.0;
     double processing_seconds = 0.0;
   };
-  cbs::util::FlatMap<std::uint64_t, EcJob> ec_jobs_;
+  cbs::util::SeqTable<EcJob> ec_jobs_;
   /// Lazy-deletion max-heap over (est_finish, seq) of the believed EC jobs.
   /// Completions/retractions leave stale records; slack() pops them when
   /// they surface (an entry is live iff ec_jobs_[seq].est_finish matches),
-  /// and commit_ec compacts when stale records dominate. `mutable` because
-  /// popping stale tops is a read-side maintenance step.
+  /// and commit_ec rebuilds it from the live records, in seq order, when
+  /// stale records dominate. `mutable` because popping stale tops is a
+  /// read-side maintenance step.
   mutable std::vector<std::pair<cbs::sim::SimTime, std::uint64_t>> ec_finish_heap_;
   /// The heap's top was found live and no job has left the table since, so
   /// slack() need not look it up again: within a batch, commits only push.

@@ -58,17 +58,6 @@ std::string site_stream(std::string_view base, std::size_t site) {
   return name;
 }
 
-/// A fork's copy of the job table with at least the source's room to grow
-/// (and never less than a batch's worth), so the rollout's first admission
-/// does not reallocate and move the whole inherited backlog.
-std::vector<Job> copy_with_room(const std::vector<Job>& src) {
-  constexpr std::size_t kMinRoom = 64;
-  std::vector<Job> copy;
-  copy.reserve(std::max(src.capacity(), src.size() + kMinRoom));
-  copy.assign(src.begin(), src.end());
-  return copy;
-}
-
 ControllerConfig validated(ControllerConfig config) {
   if (config.ec_sites.empty()) {
     throw std::invalid_argument(
@@ -164,9 +153,7 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
       ic_cluster_(dst, *this, src.ic_cluster_),
       belief_(src.belief_),
       scheduler_state_(src.scheduler_state_),
-      jobs_(copy_with_room(src.jobs_)),
-      job_slot_(src.job_slot_),
-      first_job_seq_(src.first_job_seq_),
+      jobs_(src.jobs_),
       ic_wait_(src.ic_wait_),
       outcomes_(src.outcomes_),
       next_seq_(src.next_seq_),
@@ -179,7 +166,6 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
       elastic_check_scheduled_(src.elastic_check_scheduled_),
       scale_ups_(src.scale_ups_),
       scale_downs_(src.scale_downs_),
-      burst_deadlines_(src.burst_deadlines_),
       retractions_(src.retractions_),
       service_draws_(src.service_draws_),
       probe_blackout_skips_(src.probe_blackout_skips_) {
@@ -300,25 +286,6 @@ void CloudBurstController::pretrain(
   qrsm->model().fit(features, observed_runtimes);
 }
 
-Job& CloudBurstController::job_at(std::uint64_t seq) {
-  assert(seq >= first_job_seq_ && seq - first_job_seq_ < job_slot_.size());
-  const std::uint32_t slot = job_slot_[seq - first_job_seq_];
-  assert(slot != kNoJob);
-  return jobs_[slot];
-}
-
-Job& CloudBurstController::add_job(std::uint64_t seq) {
-  if (job_slot_.empty()) first_job_seq_ = seq;
-  for (; seq < first_job_seq_; --first_job_seq_) job_slot_.push_front(kNoJob);
-  while (seq - first_job_seq_ >= job_slot_.size()) job_slot_.push_back(kNoJob);
-  std::uint32_t& slot = job_slot_[seq - first_job_seq_];
-  assert(slot == kNoJob);
-  slot = static_cast<std::uint32_t>(jobs_.size());
-  Job& job = jobs_.emplace_back();
-  job.seq_id = seq;
-  return job;
-}
-
 void CloudBurstController::on_batch(const cbs::workload::Batch& batch,
                                     SchedulerKind kind) {
   if (kind == SchedulerKind::kLookahead) {
@@ -376,7 +343,8 @@ void CloudBurstController::on_batch(const cbs::workload::Batch& batch,
 
   for (const ScheduleDecision& d :
        schedule_batch(kind, batch.documents, ctx, scheduler_state_)) {
-    Job& placed = add_job(d.seq_id);
+    Job& placed = jobs_.insert(d.seq_id);
+    placed.seq_id = d.seq_id;
     placed.doc = d.doc;
     placed.batch_index = batch.batch_index;
     placed.arrival = sim_.now();
@@ -389,7 +357,7 @@ void CloudBurstController::on_batch(const cbs::workload::Batch& batch,
       set_state(placed, JobState::kIcWaiting);
       ic_wait_.push_back(d.seq_id);
     } else {
-      placed.site = d.ec_estimate.site;
+      placed.site = static_cast<std::uint32_t>(d.ec_estimate.site);
       set_state(placed, JobState::kUploadQueued);
       enqueue_upload(placed, d.upload_class);
       arm_burst_deadline(d.seq_id, d.estimated_service_seconds);
@@ -495,7 +463,7 @@ void CloudBurstController::on_upload_done(std::size_t site_index,
                                           std::uint64_t seq,
                                           const net::TransferRecord& rec) {
   Site& site = *sites_[site_index];
-  disarm_burst_deadline(seq);  // past the retractable phase
+  disarm_burst_deadline(job_at(seq));  // past the retractable phase
   observe_transfer(belief_.uplink(site_index), site.up_tuner, rec);
   belief_.on_upload_complete(rec.bytes, site_index);
 
@@ -547,20 +515,7 @@ void CloudBurstController::finish_job(Job& job) {
   log_.debug(sim_.now(), "job ", job.seq_id, " done on ",
              cbs::sla::to_string(job.placement));
   // The outcome is the job's whole record from here on; `job` dangles.
-  // The last job in the table moves into its slot.
-  std::uint32_t& entry = job_slot_[job.seq_id - first_job_seq_];
-  const std::uint32_t slot = entry;
-  assert(&jobs_[slot] == &job);
-  entry = kNoJob;
-  if (slot + 1 != jobs_.size()) {
-    jobs_[slot] = jobs_.back();
-    job_slot_[jobs_[slot].seq_id - first_job_seq_] = slot;
-  }
-  jobs_.pop_back();
-  while (!job_slot_.empty() && job_slot_.front() == kNoJob) {
-    job_slot_.pop_front();
-    ++first_job_seq_;
-  }
+  jobs_.erase(job.seq_id);
 }
 
 sla::CostInputs CloudBurstController::cost_inputs() const {
@@ -621,20 +576,18 @@ void CloudBurstController::arm_burst_deadline(std::uint64_t seq,
   // the burst proportionally less patience before pulling it home — the
   // expected cost of waiting out a predicted outage rises with the risk.
   if (sites_[job.site]->hazard) delay /= (1.0 + belief_.ec_risk_factor(job.site));
-  burst_deadlines_[seq] =
-      sim_.schedule_in(delay, {target_, kBurstDeadline, seq});
+  job.burst_deadline = sim_.schedule_in(delay, {target_, kBurstDeadline, seq});
 }
 
-void CloudBurstController::disarm_burst_deadline(std::uint64_t seq) {
-  auto it = burst_deadlines_.find(seq);
-  if (it == burst_deadlines_.end()) return;
-  sim_.cancel(it->second);
-  burst_deadlines_.erase(it);
+void CloudBurstController::disarm_burst_deadline(Job& job) {
+  if (job.burst_deadline == cbs::sim::EventId{}) return;
+  sim_.cancel(job.burst_deadline);
+  job.burst_deadline = {};
 }
 
 void CloudBurstController::on_burst_deadline(std::uint64_t seq) {
-  burst_deadlines_.erase(seq);
   Job& job = job_at(seq);
+  job.burst_deadline = {};
   // Only the upload phase is retractable: once the input is staged the
   // remaining EC work is believed cheaper than starting over internally.
   if (job.state != JobState::kUploadQueued) return;
@@ -655,16 +608,15 @@ void CloudBurstController::retract_burst(std::uint64_t seq,
 
 void CloudBurstController::readmit_to_ic(std::uint64_t seq,
                                          double pending_upload_bytes) {
-  disarm_burst_deadline(seq);
   Job& job = job_at(seq);
+  disarm_burst_deadline(job);
   belief_.retract_ec(seq, pending_upload_bytes, job.site);
   belief_.commit_ic(seq, job.estimated_service_seconds);
   job.placement = Placement::kInternal;
   set_state(job, JobState::kIcWaiting);
   // Re-admission preserves FCFS: the job re-enters the IC feed queue at
   // its sequence position, not at the tail.
-  ic_wait_.insert(std::lower_bound(ic_wait_.begin(), ic_wait_.end(), seq),
-                  seq);
+  ic_wait_.insert_sorted(seq);
   dispatch_ic();
 }
 
@@ -864,8 +816,8 @@ void CloudBurstController::maybe_pull_back() {
 void CloudBurstController::maybe_push_out() {
   // An upload pipe is idle while internal jobs wait: scan the IC wait
   // queue from the tail for a job whose round trip fits the current slack.
-  for (auto it = ic_wait_.rbegin(); it != ic_wait_.rend(); ++it) {
-    const std::uint64_t seq = *it;
+  for (auto it = ic_wait_.end(); it != ic_wait_.begin();) {
+    const std::uint64_t seq = *--it;
     Job& job = job_at(seq);
     // The cushion must exclude the candidate's own believed IC work, so
     // retract first and re-commit if the move is rejected.
@@ -878,10 +830,10 @@ void CloudBurstController::maybe_push_out() {
       belief_.commit_ic(seq, job.estimated_service_seconds);
       continue;
     }
-    ic_wait_.erase(std::next(it).base());
+    ic_wait_.erase(it);
     belief_.commit_ec(seq, job.doc, service, *ec);
     job.placement = Placement::kExternal;
-    job.site = ec->site;
+    job.site = static_cast<std::uint32_t>(ec->site);
     set_state(job, JobState::kUploadQueued);
     enqueue_upload(job, 0);
     arm_burst_deadline(seq, service);

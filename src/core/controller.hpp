@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,7 +13,8 @@
 #include "core/scheduler.hpp"
 #include "core/upload_queues.hpp"
 #include "util/chunked_log.hpp"
-#include "util/flat_map.hpp"
+#include "util/seq_queue.hpp"
+#include "util/seq_table.hpp"
 #include "models/estimator.hpp"
 #include "models/hazard.hpp"
 #include "net/bandwidth_estimator.hpp"
@@ -286,7 +286,7 @@ class CloudBurstController : private cbs::sim::EventTarget,
   /// Arms the upload-phase deadline of burst `seq`, priced with the
   /// service estimate `service` its placement was decided on.
   void arm_burst_deadline(std::uint64_t seq, double service);
-  void disarm_burst_deadline(std::uint64_t seq);
+  void disarm_burst_deadline(Job& job);
   void on_burst_deadline(std::uint64_t seq);
   /// Counts and logs a burst retraction, then re-admits the job.
   void retract_burst(std::uint64_t seq, double pending_upload_bytes,
@@ -322,10 +322,7 @@ class CloudBurstController : private cbs::sim::EventTarget,
   void submit_map(compute::Cluster& cluster, Job& job);
   /// The merge task's seconds for `job` on `cluster`.
   [[nodiscard]] double merge_seconds(std::size_t cluster, const Job& job) const;
-  [[nodiscard]] Job& job_at(std::uint64_t seq);
-  /// Adds an outstanding job with sequence id `seq` to the table; returns
-  /// it in place for the caller to fill.
-  Job& add_job(std::uint64_t seq);
+  [[nodiscard]] Job& job_at(std::uint64_t seq) { return jobs_.at(seq); }
 
   cbs::sim::Simulation& sim_;
   /// Immutable once validated, so a fork shares it.
@@ -346,18 +343,13 @@ class CloudBurstController : private cbs::sim::EventTarget,
   std::vector<std::unique_ptr<Site>> sites_;
 
   /// Outstanding jobs only: finish_job() erases a job once its outcome is
-  /// recorded, so a fork copies live state, not the run's history. The
-  /// jobs sit densely in jobs_, in no particular order; the job with seq s
-  /// is jobs_[job_slot_[s − first_job_seq_]], and kNoJob marks a seq not in
-  /// the table. Finished seqs are trimmed off the front, so job_slot_ spans
-  /// the oldest outstanding seq to the newest. Every lookup, insert and
-  /// erase is O(1); jobs do not finish in seq order, and under overload an
-  /// erase from a seq-ordered table moved O(backlog) jobs.
-  static constexpr std::uint32_t kNoJob = UINT32_MAX;
-  std::vector<Job> jobs_;
-  std::deque<std::uint32_t> job_slot_;
-  std::uint64_t first_job_seq_ = 0;
-  std::deque<std::uint64_t> ic_wait_;  ///< IC feed queue (enables rescheduling)
+  /// recorded, so a fork copies live state, not the run's history. Jobs do
+  /// not finish in seq order, so the table finds, adds and erases in O(1).
+  cbs::util::SeqTable<Job> jobs_;
+  /// The IC feed queue in FCFS (seq) order; a re-admitted job rejoins it
+  /// at its place. Jobs wait here, not on the cluster, so the §IV.D
+  /// rescheduler can still move them.
+  cbs::util::SeqQueue ic_wait_;
   cbs::util::ChunkedLog<cbs::sla::JobOutcome> outcomes_;
   std::uint64_t next_seq_ = 1;
   /// Chunk ids, disjoint from inputs.
@@ -373,8 +365,6 @@ class CloudBurstController : private cbs::sim::EventTarget,
 
   // ---- fault layer (absent and cost-free unless configured) ----
   std::unique_ptr<cbs::sim::FaultPlan> fault_plan_;
-  /// Pending burst-retraction deadlines: seq -> the deadline event.
-  cbs::util::FlatMap<std::uint64_t, cbs::sim::EventId> burst_deadlines_;
   std::size_t retractions_ = 0;
   std::size_t service_draws_ = 0;
   std::size_t probe_blackout_skips_ = 0;

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "simcore/event_queue.hpp"
 #include "simcore/time.hpp"
 #include "sla/job_outcome.hpp"
 #include "workload/document.hpp"
@@ -37,7 +38,9 @@ struct Job {
   JobState state = JobState::kArrived;
   cbs::sla::Placement placement = cbs::sla::Placement::kInternal;
   bool service_drawn = false;  ///< true_service_seconds is set
-  std::size_t site = 0;  ///< EC site of an external placement
+  /// EC site of an external placement; 32 bits, so it shares the word of
+  /// the three fields above and a job stays 168 bytes.
+  std::uint32_t site = 0;
   /// Realized standard-machine service seconds: a ground-truth draw keyed
   /// on the document's identity, so IC and EC execute identical work. It is
   /// drawn when the job is first dispatched (service_drawn), not at
@@ -45,6 +48,9 @@ struct Job {
   double true_service_seconds = 0.0;
   /// The scheduler's estimate at decision time (QRSM prediction).
   double estimated_service_seconds = 0.0;
+  /// The pending burst-retraction deadline of a burst still in its upload
+  /// phase; EventId{} when none is armed.
+  cbs::sim::EventId burst_deadline{};
 
   [[nodiscard]] cbs::sla::JobOutcome to_outcome() const;
 };

@@ -32,6 +32,7 @@ TransferQueueSet::TransferQueueSet(cbs::sim::Simulation& dst,
       tuner_(tuner),
       transfer_kind_(src.transfer_kind_),
       queues_(src.queues_),
+      queued_(src.queued_),
       slots_(src.slots_),
       active_(src.active_),
       active_count_(src.active_count_) {}
@@ -39,20 +40,24 @@ TransferQueueSet::TransferQueueSet(cbs::sim::Simulation& dst,
 void TransferQueueSet::enqueue(std::uint64_t tag, double bytes, int klass) {
   assert(bytes > 0.0);
   assert(klass >= 0 && klass < num_classes());
-  queues_[static_cast<std::size_t>(klass)].push_back(Item{tag, bytes, klass});
+  Queue& queue = queues_[static_cast<std::size_t>(klass)];
+  queued_.insert(tag, QueuedAt{klass, queue.front_index + queue.items.size()});
+  queue.items.push_back(Item{tag, bytes, klass});
   pump();
 }
 
 bool TransferQueueSet::try_cancel(std::uint64_t tag) {
-  for (auto& queue : queues_) {
-    for (auto it = queue.begin(); it != queue.end(); ++it) {
-      if (it->tag == tag) {
-        queue.erase(it);
-        return true;
-      }
-    }
+  const QueuedAt* at = queued_.find(tag);
+  if (at == nullptr) return false;
+  Queue& queue = queues_[static_cast<std::size_t>(at->klass)];
+  queue.items[static_cast<std::size_t>(at->index - queue.front_index)]
+      .cancelled = true;
+  queued_.erase(tag);
+  while (!queue.items.empty() && queue.items.front().cancelled) {
+    queue.items.pop_front();
+    ++queue.front_index;
   }
-  return false;
+  return true;
 }
 
 void TransferQueueSet::release_slot(const ActiveItem& active) {
@@ -76,7 +81,7 @@ bool TransferQueueSet::try_cancel_active(std::uint64_t tag) {
 int TransferQueueSet::pick_queue_for_class(int klass) const {
   // Own class first, then the nearest lower class with waiting work.
   for (int q = klass; q >= 0; --q) {
-    if (!queues_[static_cast<std::size_t>(q)].empty()) return q;
+    if (!queues_[static_cast<std::size_t>(q)].items.empty()) return q;
   }
   return -1;
 }
@@ -89,8 +94,8 @@ void TransferQueueSet::pump() {
       const int source = pick_queue_for_class(klass);
       if (source < 0) break;
 
-      Item item = queues_[static_cast<std::size_t>(source)].front();
-      queues_[static_cast<std::size_t>(source)].pop_front();
+      const Item item = queues_[static_cast<std::size_t>(source)].items.front();
+      try_cancel(item.tag);  // takes it out of its queue, as a cancel does
       class_slots[s].busy = true;
       ++active_count_;
 
@@ -116,7 +121,9 @@ std::vector<double> TransferQueueSet::backlog_bytes_per_class() const {
   std::vector<double> backlog(queues_.size(), 0.0);
   for (std::size_t q = 0; q < queues_.size(); ++q) {
     double queued = 0.0;
-    for (const Item& item : queues_[q]) queued += item.bytes;
+    for (const Item& item : queues_[q].items) {
+      if (!item.cancelled) queued += item.bytes;
+    }
     backlog[q] = queued;
   }
   // Summed from the live transfers, never kept as a running total: adding
@@ -138,15 +145,27 @@ double TransferQueueSet::total_backlog_bytes() const {
 bool TransferQueueSet::idle() const {
   return active_count_ == 0 &&
          std::all_of(queues_.begin(), queues_.end(),
-                     [](const std::deque<Item>& q) { return q.empty(); });
+                     [](const Queue& q) { return q.items.empty(); });
 }
 
 std::vector<std::uint64_t> TransferQueueSet::queued_tags() const {
   std::vector<std::uint64_t> tags;
-  for (const auto& q : queues_) {
-    for (const Item& item : q) tags.push_back(item.tag);
+  for (const Queue& q : queues_) {
+    for (const Item& item : q.items) {
+      if (!item.cancelled) tags.push_back(item.tag);
+    }
   }
   return tags;
+}
+
+std::size_t TransferQueueSet::tombstones() const {
+  std::size_t count = 0;
+  for (const Queue& q : queues_) {
+    count += static_cast<std::size_t>(
+        std::count_if(q.items.begin(), q.items.end(),
+                      [](const Item& item) { return item.cancelled; }));
+  }
+  return count;
 }
 
 }  // namespace cbs::core

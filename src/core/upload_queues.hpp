@@ -6,6 +6,7 @@
 
 #include "net/link.hpp"
 #include "util/flat_map.hpp"
+#include "util/seq_table.hpp"
 #include "net/thread_tuner.hpp"
 #include "simcore/simulation.hpp"
 
@@ -55,7 +56,9 @@ class TransferQueueSet {
 
   /// Cancels a *queued* (not yet started) item. Returns true on success;
   /// false when the item already started or is unknown — the §IV.D
-  /// rescheduler uses this to pull jobs back before upload begins.
+  /// rescheduler uses this to pull jobs back before upload begins. O(1):
+  /// the tag index finds the item, which stays in its queue as a tombstone
+  /// until it reaches the front.
   bool try_cancel(std::uint64_t tag);
 
   /// Cancels an *in-flight* transfer: the underlying link transfer is
@@ -77,11 +80,29 @@ class TransferQueueSet {
   /// rescheduler scans these for pull-back candidates.
   [[nodiscard]] std::vector<std::uint64_t> queued_tags() const;
 
+  /// Cancelled items still held in their queues, behind a waiting item.
+  [[nodiscard]] std::size_t tombstones() const;
+
  private:
   struct Item {
     std::uint64_t tag;
     double bytes;
     int klass;
+    bool cancelled = false;  ///< a tombstone: skipped, dropped at the front
+  };
+
+  /// One class's FIFO. Its front item is never a tombstone, so a queue
+  /// holds waiting work exactly when it is not empty.
+  struct Queue {
+    std::deque<Item> items;
+    std::uint64_t front_index = 0;  ///< items.front()'s number in the class
+  };
+
+  /// Where a waiting item sits: its class and its number in that class
+  /// (Queue::front_index counts the items popped before it).
+  struct QueuedAt {
+    int klass = 0;
+    std::uint64_t index = 0;
   };
 
   struct Slot {
@@ -103,7 +124,9 @@ class TransferQueueSet {
   cbs::net::Link& link_;
   cbs::net::ThreadTuner& tuner_;
   std::uint32_t transfer_kind_;  ///< Link::submit's report kind
-  std::vector<std::deque<Item>> queues_;
+  std::vector<Queue> queues_;
+  /// Every waiting item, by tag.
+  cbs::util::SeqTable<QueuedAt> queued_;
   std::vector<std::vector<Slot>> slots_;  // per class
   // Deterministic ascending-tag iteration, and cancellation needs tag
   // lookup; tags are monotonic so inserts are O(1) amortized appends.

@@ -64,6 +64,10 @@ std::vector<std::string> Scenario::validate() const {
       reject("max(mean_jobs_per_batch, 1) * num_batches", rule.str().c_str(),
              documents);
     }
+    // The run reaches at least the last arrival, and a lookahead decision
+    // there rolls a horizon past it. One error names a last arrival out of
+    // reach.
+    const double horizon_end = last_arrival + lookahead_horizon_seconds;
     if (std::isfinite(oo_sampling_interval) && oo_sampling_interval > 0.0 &&
         !cbs::sla::series_fits(last_arrival, oo_sampling_interval)) {
       rule.str("");
@@ -72,6 +76,15 @@ std::vector<std::string> Scenario::validate() const {
            << oo_sampling_interval;
       reject("(num_batches - 1) * batch_interval_seconds", rule.str().c_str(),
              last_arrival);
+    } else if (std::isfinite(lookahead_horizon_seconds) &&
+               lookahead_horizon_seconds > 0.0 &&
+               horizon_end > kMaxSimSeconds) {
+      rule.str("");
+      rule << "<= kMaxSimSeconds (" << kMaxSimSeconds << ")";
+      reject(
+          "(num_batches - 1) * batch_interval_seconds + "
+          "lookahead_horizon_seconds",
+          rule.str().c_str(), horizon_end);
     }
   }
   for (std::string& e : validate_except_arrivals()) {

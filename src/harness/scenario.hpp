@@ -20,6 +20,15 @@ namespace cbs::harness {
 /// (workload::kFirstChunkId).
 inline constexpr std::size_t kMaxDrawnDocuments = 4'000'000;
 
+/// The latest simulated time a run may need to reach: the last arrival
+/// plus the lookahead horizon. About 32 years, far past any run here
+/// (40000 batches × 180 s ≈ 7×10^6 s), and small enough that a clock
+/// reading keeps the resolution the link's completion check needs: at
+/// 10^9 s one ulp is 1.2×10^-7 s, so a 10^8 B/s transfer due then is off by
+/// about 12 bytes, inside the 10^-3 × size tolerance of its smallest (1 MB)
+/// transfers. At 10^15 s that check aborted.
+inline constexpr double kMaxSimSeconds = 1.0e9;
+
 /// The length of the lookahead's candidate priority order
 /// (LookaheadController::candidate_order()).
 inline constexpr int kLookaheadCandidates = 3;
@@ -77,7 +86,8 @@ struct Scenario : cbs::core::ControllerConfig {
   /// One named error per value no run can use: no batches, a non-positive
   /// or infinite arrival rate or batch interval, more documents than
   /// kMaxDrawnDocuments, a last arrival past what the OO series can sample
-  /// (sla::kMaxSeriesSamples), a non-positive OO sampling interval, a
+  /// (sla::kMaxSeriesSamples) or, with the lookahead horizon added, past
+  /// kMaxSimSeconds, a non-positive OO sampling interval, a
   /// negative or non-finite noise sigma or fault field. Empty when the
   /// scenario is runnable.
   [[nodiscard]] std::vector<std::string> validate() const;

@@ -108,23 +108,29 @@ void require_unique_ids(const std::vector<cbs::workload::Batch>& batches) {
   }
 }
 
-/// Returns `batches`, shared, when a world can schedule them and sample
-/// their OO series every `oo_interval` seconds (if that is valid: the
-/// scenario check names a bad one); otherwise throws std::invalid_argument
-/// naming the first bad arrival or document.
+/// Returns `batches`, shared, when a world can schedule them, sample their
+/// OO series every `scenario.oo_sampling_interval` seconds and look
+/// `scenario.lookahead_horizon_seconds` past each within kMaxSimSeconds
+/// (where those fields are valid: the scenario check names a bad one);
+/// otherwise throws std::invalid_argument naming the first bad arrival or
+/// document.
 std::shared_ptr<const std::vector<cbs::workload::Batch>> require_runnable(
-    std::vector<cbs::workload::Batch> batches, double oo_interval) {
+    std::vector<cbs::workload::Batch> batches, const Scenario& scenario) {
   if (batches.empty()) {
     throw std::invalid_argument("ScenarioWorld: empty batch list");
   }
+  const double oo_interval = scenario.oo_sampling_interval;
   const bool oo_valid = std::isfinite(oo_interval) && oo_interval > 0.0;
+  const double horizon = scenario.lookahead_horizon_seconds;
+  const bool horizon_valid = std::isfinite(horizon) && horizon > 0.0;
   double previous = 0.0;
   for (std::size_t i = 0; i < batches.size(); ++i) {
     const double t = batches[i].arrival_time;
     // Every job completes at or after its arrival, so the OO series runs
     // at least through it.
     const bool sampled = !oo_valid || cbs::sla::series_fits(t, oo_interval);
-    if (std::isfinite(t) && t >= previous && sampled) {
+    const bool reachable = !horizon_valid || t + horizon <= kMaxSimSeconds;
+    if (std::isfinite(t) && t >= previous && sampled && reachable) {
       previous = t;
       continue;
     }
@@ -136,9 +142,12 @@ std::shared_ptr<const std::vector<cbs::workload::Batch>> require_runnable(
       msg << "must be >= 0 (got " << t << ")";
     } else if (t < previous) {
       msg << t << " is earlier than batch " << i - 1 << "'s " << previous;
-    } else {
+    } else if (!sampled) {
       msg << t << " needs an OO series of " << cbs::sla::kMaxSeriesSamples
           << " samples or more at oo_sampling_interval " << oo_interval;
+    } else {
+      msg << t << " + lookahead_horizon_seconds " << horizon
+          << " must be <= kMaxSimSeconds (" << kMaxSimSeconds << ")";
     }
     throw std::invalid_argument(msg.str());
   }
@@ -188,8 +197,7 @@ ScenarioWorld::ScenarioWorld(const Scenario& scenario)
 ScenarioWorld::ScenarioWorld(const Scenario& scenario,
                              std::vector<cbs::workload::Batch> batches)
     : ScenarioWorld(as_built(require_valid_except_arrivals(scenario)),
-                    require_runnable(std::move(batches),
-                                     scenario.oo_sampling_interval)) {}
+                    require_runnable(std::move(batches), scenario)) {}
 
 ScenarioWorld::ScenarioWorld(
     std::shared_ptr<const Scenario> shared_scenario,

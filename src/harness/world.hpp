@@ -69,8 +69,9 @@ class ScenarioWorld : private cbs::sim::EventTarget {
   /// mean_jobs_per_batch, batch_interval_seconds) are neither read nor
   /// checked. Throws std::invalid_argument when any other scenario field is
   /// invalid, when `batches` is empty, when an arrival time is non-finite,
-  /// negative, earlier than the one before it or too late for the OO series
-  /// to sample (sla::kMaxSeriesSamples), or when a doc_id is outside
+  /// negative, earlier than the one before it, too late for the OO series
+  /// to sample (sla::kMaxSeriesSamples) or, with the lookahead horizon
+  /// added, past kMaxSimSeconds, or when a doc_id is outside
   /// [1, kFirstChunkId) or given twice.
   ScenarioWorld(const Scenario& scenario,
                 std::vector<cbs::workload::Batch> batches);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -358,6 +359,56 @@ TEST(ControllerTest, ReschedulerPushesOutWhenUploadIdles) {
   EXPECT_EQ(ctl.outstanding_jobs(), 0u);
   EXPECT_EQ(cbs::sla::validate_outcomes(ctl.outcomes().to_vector()), "");
   EXPECT_GT(ctl.push_outs() + ctl.pull_backs(), 0u);
+}
+
+TEST(ControllerTest, RetractedBurstRejoinsTheIcQueueAtItsSeq) {
+  // Greedy bursts part of a first batch into a pipe whose queue outlasts
+  // the retraction deadlines; a second batch queues more IC work behind.
+  // A retracted burst must then run before every waiting job of a later
+  // seq, not behind them at the tail.
+  Rig rig;
+  auto cfg = Rig::config(SchedulerKind::kGreedy);
+  cfg.record_stage_log = true;
+  cfg.ic_machines = 1;
+  cfg.faults.retraction_deadline_factor = 1.0;
+  CloudBurstController ctl(rig.sim, cfg, rig.truth, RngStream(31));
+  ctl.on_batch(rig.batch(0, std::vector<double>(12, 40.0)));
+  rig.sim.run_until(30.0);
+  ctl.on_batch(rig.batch(1, std::vector<double>(12, 40.0)));
+  rig.sim.run();
+  ASSERT_GT(ctl.retractions(), 0u);
+  EXPECT_EQ(ctl.outstanding_jobs(), 0u);
+  EXPECT_EQ(cbs::sla::validate_outcomes(ctl.outcomes().to_vector()), "");
+
+  std::vector<CloudBurstController::StageEvent> log;
+  for (const auto& e : ctl.stage_log()) log.push_back(e);
+  std::map<std::uint64_t, JobState> state;
+  std::size_t overtaken = 0;  // retractions with a later seq waiting
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    const std::uint64_t seq = log[i].seq_id;
+    const bool readmitted = log[i].state == JobState::kIcWaiting &&
+                            state.contains(seq) &&
+                            state.at(seq) == JobState::kUploadQueued;
+    state[seq] = log[i].state;
+    if (!readmitted) continue;
+    std::vector<std::uint64_t> waiting;
+    for (const auto& [other, s] : state) {
+      if (s == JobState::kIcWaiting) waiting.push_back(other);
+    }
+    if (waiting.back() > seq) ++overtaken;
+    // The waiting jobs, the re-admitted one among them, start on the IC in
+    // seq order.
+    std::vector<std::uint64_t> started;
+    for (std::size_t j = i + 1; j < log.size(); ++j) {
+      if (log[j].state == JobState::kIcRunning &&
+          std::find(waiting.begin(), waiting.end(), log[j].seq_id) !=
+              waiting.end()) {
+        started.push_back(log[j].seq_id);
+      }
+    }
+    EXPECT_EQ(started, waiting) << "after job " << seq << " was retracted";
+  }
+  EXPECT_GT(overtaken, 0u);
 }
 
 TEST(ControllerTest, ChunkedJobsGetFreshSeqAndDocIds) {

@@ -741,6 +741,84 @@ TEST(TransferQueueSetTest, QueuedTagsListsWaitingOnly) {
   EXPECT_EQ(tags, (std::vector<std::uint64_t>{2, 3}));
 }
 
+TEST(TransferQueueSetTest, CancelInTheMiddleMatchesAScanningQueue) {
+  // The reference is the queue as a scan would keep it: each class's
+  // waiting items in order, a cancelled one erased where it stands.
+  using Waiting = std::vector<std::pair<std::uint64_t, double>>;
+  QueueFixture f;
+  TransferQueueSet& queues = f.queues(3);
+  std::vector<Waiting> reference(3);
+  // Tags 1 and 2 take class 2's and class 0's slots; class 1's slot stays
+  // free, and ride-up never carries class 2 work on it.
+  queues.enqueue(1, 3.0e6, 2);
+  queues.enqueue(2, 1.0e6, 0);
+  queues.enqueue(3, 2.0e6, 1);  // takes class 1's slot
+  for (std::uint64_t tag = 4; tag <= 12; ++tag) {
+    const int klass = tag % 2 == 0 ? 0 : 2;
+    const double bytes = 1.0e6 / static_cast<double>(tag);
+    queues.enqueue(tag, bytes, klass);
+    reference[static_cast<std::size_t>(klass)].emplace_back(tag, bytes);
+  }
+  ASSERT_EQ(queues.active_items(), 3u);
+  const auto cancel = [&](std::uint64_t tag) {
+    for (Waiting& waiting : reference) {
+      for (auto it = waiting.begin(); it != waiting.end(); ++it) {
+        if (it->first != tag) continue;
+        waiting.erase(it);
+        return queues.try_cancel(tag);
+      }
+    }
+    return !queues.try_cancel(tag);  // not waiting: the cancel must fail
+  };
+  // Middle items of both classes, then a class's front, which drops the
+  // tombstone behind it; a started item cannot be cancelled.
+  for (const std::uint64_t tag : {8u, 7u, 6u, 4u, 1u, 3u}) {
+    EXPECT_TRUE(cancel(tag)) << tag;
+  }
+  EXPECT_EQ(queues.tombstones(), 1u);  // 7, behind 5 in class 2
+
+  std::vector<std::uint64_t> expected_tags;
+  for (const Waiting& waiting : reference) {
+    for (const auto& [tag, bytes] : waiting) expected_tags.push_back(tag);
+  }
+  EXPECT_EQ(queues.queued_tags(), expected_tags);
+  const std::pair<std::uint64_t, double> active[] = {
+      {1, 3.0e6}, {2, 1.0e6}, {3, 2.0e6}};
+  const int active_class[] = {2, 0, 1};
+  std::vector<double> expected_backlog(3, 0.0);
+  for (std::size_t k = 0; k < 3; ++k) {
+    double queued = 0.0;
+    for (const auto& [tag, bytes] : reference[k]) queued += bytes;
+    expected_backlog[k] = queued;
+  }
+  for (std::size_t i = 0; i < 3; ++i) {
+    expected_backlog[static_cast<std::size_t>(active_class[i])] +=
+        active[i].second;
+  }
+  EXPECT_EQ(queues.backlog_bytes_per_class(), expected_backlog);
+
+  // The link numbers transfers as they are submitted: within each class
+  // the waiting items start in the reference's order.
+  f.sim.run();
+  EXPECT_TRUE(queues.idle());
+  EXPECT_EQ(queues.tombstones(), 0u);
+  std::vector<QueueOwner::Transfer> started = f.owner.transfers;
+  std::sort(started.begin(), started.end(),
+            [](const auto& a, const auto& b) { return a.rec.id < b.rec.id; });
+  for (const Waiting& waiting : reference) {
+    std::vector<std::uint64_t> want;
+    for (const auto& [tag, bytes] : waiting) want.push_back(tag);
+    std::vector<std::uint64_t> got;
+    for (const auto& t : started) {
+      if (std::find(want.begin(), want.end(), t.tag) != want.end()) {
+        got.push_back(t.tag);
+      }
+    }
+    EXPECT_EQ(got, want);
+  }
+  EXPECT_EQ(started.size(), 3 + expected_tags.size());
+}
+
 TEST(BandwidthSplitTest, ClassBoundariesAreInclusive) {
   const SizeIntervalBounds bounds{40.0, 120.0};
   EXPECT_EQ(bounds.class_of(40.0), 0);

@@ -369,6 +369,38 @@ TEST(ForkEquivalence, TwoSiteFixtureForkLate) {
   expect_identical(run_scenario(s), run_scenario_via_fork(s, 700.0));
 }
 
+TEST(ForkEquivalence, L2FaultOverloadForkOverUploadTombstones) {
+  // greedy_faults_overload's L2 faults, shortened: retraction deadlines
+  // cancel uploads waiting in the middle of the queue, and each stays
+  // there as a tombstone until it reaches the front. The fork lands just
+  // after a retraction has left one, so the queue, its tag index and the
+  // re-admitted job's place in the IC feed all cross it.
+  Scenario s = cbs::harness::make_scenario(
+      cbs::core::SchedulerKind::kGreedy, cbs::workload::SizeBucket::kUniform,
+      /*seed=*/1);
+  s.estimator = cbs::core::EstimatorKind::kOracle;
+  s.num_batches = 40;
+  s.faults.ec_vm_mtbf = 1200.0;
+  s.faults.ic_vm_mtbf = 6000.0;
+  s.faults.retraction_deadline_factor = 3.0;
+  s.resilience.hazard.kind = cbs::models::HazardPredictorKind::kEwma;
+  s.log_threshold = cbs::sim::LogLevel::kError;
+
+  std::unique_ptr<ScenarioWorld> resumed;
+  {
+    ScenarioWorld parent(s);
+    const auto& uploads = parent.controller().site(0).upload_queues;
+    while (parent.pending_events() > 0 && uploads.tombstones() == 0) {
+      parent.run_until(parent.now() + 1.0);
+    }
+    ASSERT_GT(uploads.tombstones(), 0u);
+    ASSERT_GT(parent.controller().retractions(), 0u);
+    resumed = parent.fork();
+  }
+  resumed->run();
+  expect_identical(run_scenario(s), resumed->result());
+}
+
 TEST(ForkEquivalence, ReschedulerFixtureReschedulesBeforeTheMidFork) {
   // Guards the fixture: the mid-run fork below must land after the
   // rescheduler has already moved a job, and pull-backs (which an idle IC

@@ -287,6 +287,23 @@ TEST(ScenarioValidateTest, NamesEveryBadField) {
   EXPECT_TRUE(edge.validate().empty());
   edge.batch_interval_seconds += 1.0;
   EXPECT_EQ(edge.validate().size(), 1u);
+
+  // A coarse OO interval samples a far horizon in few samples, but the
+  // clock cannot reach it: at 1e15 s the link aborted on an assert. The
+  // last arrival plus the lookahead horizon may reach kMaxSimSeconds.
+  Scenario far;
+  far.num_batches = 2;
+  far.batch_interval_seconds = 1e15;
+  far.oo_sampling_interval = 1e14;
+  EXPECT_EQ(far.validate(),
+            std::vector<std::string>{
+                "(num_batches - 1) * batch_interval_seconds + "
+                "lookahead_horizon_seconds must be <= kMaxSimSeconds (1e+09) "
+                "(got 1e+15)"});
+  far.batch_interval_seconds = kMaxSimSeconds - far.lookahead_horizon_seconds;
+  EXPECT_TRUE(far.validate().empty());
+  far.lookahead_horizon_seconds += 1.0;
+  EXPECT_EQ(far.validate().size(), 1u);
 }
 
 TEST(ScenarioValidateTest, WorldAndRunRejectInvalidScenarios) {
@@ -369,6 +386,18 @@ TEST(ScenarioWorldTest, GivenBatchesRejectEmptyNegativeAndDecreasingArrivals) {
   EXPECT_EQ(world_error(arriving_at({0.0, 1e15})),
             "ScenarioWorld: batch 1 arrival_time 1e+15 needs an OO series of "
             "10000000 samples or more at oo_sampling_interval 120");
+  // A coarse OO interval samples it, but the clock cannot reach it.
+  Scenario coarse;
+  coarse.oo_sampling_interval = 1e14;
+  try {
+    const ScenarioWorld world(coarse, arriving_at({0.0, 1e15}));
+    ADD_FAILURE() << "a 1e15 s arrival was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "ScenarioWorld: batch 1 arrival_time 1e+15 + "
+                 "lookahead_horizon_seconds 900 must be <= kMaxSimSeconds "
+                 "(1e+09)");
+  }
 }
 
 /// Batches at 0, 180, ... holding documents with the listed ids.

@@ -175,11 +175,13 @@ TEST(RolloutAllocation, CountIsBoundedAtBatch200) {
   const Chain chain = measure_op_chain(200);
   ASSERT_GT(chain.outstanding, 200u);  // the overload backlog is there
   EXPECT_LE(chain.largest_after_fork(), kLargestAllocation);
-  // 168 measured (73 fork, 18 admit, 77 roll); the ceilings keep 1.5x
-  // headroom. The fork made 4 more before it shared the scenario and the
-  // controller's configuration with its parent, 217 (81, 25, 111) were
-  // made before admission reused its buffers and drew services lazily,
-  // and 1,176 before forks kept their room to grow.
+  // 165 measured (71 fork, 17 admit, 77 roll); the ceilings keep 1.5x
+  // headroom. 168 (73, 18, 77) were made before the job, belief and queue
+  // tag tables became seq-indexed, and the fork made 4 more before it
+  // shared the scenario and the controller's configuration with its
+  // parent. 217 (81, 25, 111) were made before admission reused its
+  // buffers and drew services lazily, and 1,176 before forks kept their
+  // room to grow.
   EXPECT_LE(chain.count(), 267u);
   EXPECT_LE(chain.admit.count, 27u);
   EXPECT_EQ(chain.teardown.count, 0u);
