@@ -60,7 +60,7 @@ BENCHMARK(BM_EventEngineThroughput)->Arg(1000)->Arg(10000);
 
 void BM_EventCancelChurn(benchmark::State& state) {
   // The burst-retraction pattern: most scheduled events are cancelled
-  // before firing. Exercises tombstoning + compaction in the event engine.
+  // before firing. Exercises the event engine's in-place cancellation.
   const auto n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     cbs::sim::Simulation sim;
@@ -86,6 +86,25 @@ void BM_EventCancelChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EventCancelChurn)->Arg(1000)->Arg(10000);
+
+void BM_EventRearm(benchmark::State& state) {
+  // The link's completion timer (Link::flush): `n` other events pending,
+  // and one timer moved to a fresh completion time on every step.
+  const auto n = static_cast<int>(state.range(0));
+  cbs::sim::Simulation sim;
+  CountingTarget target(sim);
+  for (int i = 0; i < n; ++i) {
+    sim.schedule_at(static_cast<double>(i % 97) + 1.0, {target.id, 0, 1});
+  }
+  const cbs::sim::EventId timer = sim.schedule_at(0.5, {target.id, 1, 0});
+  std::uint64_t step = 0;
+  for (auto _ : state) {
+    const double t = static_cast<double>(++step * 37 % 97) + 0.5;
+    benchmark::DoNotOptimize(sim.reschedule(timer, t));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventRearm)->Arg(16)->Arg(128)->Arg(1024);
 
 /// The belief rows' EC site of `machines` speed-1 machines, and the
 /// one-slot 1 MB/s pipe of the first two.

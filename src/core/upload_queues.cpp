@@ -33,6 +33,7 @@ TransferQueueSet::TransferQueueSet(cbs::sim::Simulation& dst,
       transfer_kind_(src.transfer_kind_),
       queues_(src.queues_),
       queued_(src.queued_),
+      indexed_(src.indexed_),
       slots_(src.slots_),
       active_(src.active_),
       active_count_(src.active_count_) {}
@@ -41,23 +42,42 @@ void TransferQueueSet::enqueue(std::uint64_t tag, double bytes, int klass) {
   assert(bytes > 0.0);
   assert(klass >= 0 && klass < num_classes());
   Queue& queue = queues_[static_cast<std::size_t>(klass)];
-  queued_.insert(tag, QueuedAt{klass, queue.front_index + queue.items.size()});
+  if (indexed_) {
+    queued_.insert(tag,
+                   QueuedAt{klass, queue.front_index + queue.items.size()});
+  }
   queue.items.push_back(Item{tag, bytes, klass});
   pump();
 }
 
 bool TransferQueueSet::try_cancel(std::uint64_t tag) {
+  if (!indexed_) {
+    // Until now every queue was free of tombstones: each item's number in
+    // its class is its place behind the front.
+    indexed_ = true;
+    for (int klass = 0; klass < num_classes(); ++klass) {
+      const Queue& queue = queues_[static_cast<std::size_t>(klass)];
+      for (std::size_t i = 0; i < queue.items.size(); ++i) {
+        queued_.insert(queue.items[i].tag,
+                       QueuedAt{klass, queue.front_index + i});
+      }
+    }
+  }
   const QueuedAt* at = queued_.find(tag);
   if (at == nullptr) return false;
   Queue& queue = queues_[static_cast<std::size_t>(at->klass)];
   queue.items[static_cast<std::size_t>(at->index - queue.front_index)]
       .cancelled = true;
   queued_.erase(tag);
+  drop_dead_front(queue);
+  return true;
+}
+
+void TransferQueueSet::drop_dead_front(Queue& queue) {
   while (!queue.items.empty() && queue.items.front().cancelled) {
     queue.items.pop_front();
     ++queue.front_index;
   }
-  return true;
 }
 
 void TransferQueueSet::release_slot(const ActiveItem& active) {
@@ -94,8 +114,12 @@ void TransferQueueSet::pump() {
       const int source = pick_queue_for_class(klass);
       if (source < 0) break;
 
-      const Item item = queues_[static_cast<std::size_t>(source)].items.front();
-      try_cancel(item.tag);  // takes it out of its queue, as a cancel does
+      Queue& queue = queues_[static_cast<std::size_t>(source)];
+      const Item item = queue.items.front();
+      queue.items.pop_front();
+      ++queue.front_index;
+      if (indexed_) queued_.erase(item.tag);
+      drop_dead_front(queue);
       class_slots[s].busy = true;
       ++active_count_;
 

@@ -58,7 +58,8 @@ class TransferQueueSet {
   /// false when the item already started or is unknown — the §IV.D
   /// rescheduler uses this to pull jobs back before upload begins. O(1):
   /// the tag index finds the item, which stays in its queue as a tombstone
-  /// until it reaches the front.
+  /// until it reaches the front. The index is built at the first call, so
+  /// a set that never cancels (a download queue) never keeps one.
   bool try_cancel(std::uint64_t tag);
 
   /// Cancels an *in-flight* transfer: the underlying link transfer is
@@ -117,6 +118,8 @@ class TransferQueueSet {
   };
 
   void pump();
+  /// Pops the tombstones at the front of `queue`, so its front is live.
+  void drop_dead_front(Queue& queue);
   void release_slot(const ActiveItem& active);
   [[nodiscard]] int pick_queue_for_class(int klass) const;
 
@@ -125,8 +128,9 @@ class TransferQueueSet {
   cbs::net::ThreadTuner& tuner_;
   std::uint32_t transfer_kind_;  ///< Link::submit's report kind
   std::vector<Queue> queues_;
-  /// Every waiting item, by tag.
+  /// Every waiting item, by tag, once indexed_.
   cbs::util::SeqTable<QueuedAt> queued_;
+  bool indexed_ = false;  ///< set by the first try_cancel()
   std::vector<std::vector<Slot>> slots_;  // per class
   // Deterministic ascending-tag iteration, and cancellation needs tag
   // lookup; tags are monotonic so inserts are O(1) amortized appends.

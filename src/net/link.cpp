@@ -221,12 +221,17 @@ void Link::flush() {
   // Unconditionally re-arm the completion timer, even when the pass was
   // skipped: the re-arm takes a fresh seq, so same-timestamp FIFO order
   // holds against events other components scheduled in between.
-  if (timer_armed_) {
-    sim_.cancel(timer_event_);
-    timer_armed_ = false;
-    timer_event_ = cbs::sim::EventId{};
-  }
-  if (next_completion_ != cbs::sim::kTimeInfinity) {
+  if (next_completion_ == cbs::sim::kTimeInfinity) {
+    if (timer_armed_) {
+      sim_.cancel(timer_event_);
+      timer_armed_ = false;
+      timer_event_ = cbs::sim::EventId{};
+    }
+  } else if (timer_armed_) {
+    const bool moved = sim_.reschedule(timer_event_, next_completion_);
+    assert(moved);
+    (void)moved;
+  } else {
     timer_event_ = sim_.schedule_at(next_completion_, {target_, kTimer, 0});
     timer_armed_ = true;
   }

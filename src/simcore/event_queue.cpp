@@ -1,6 +1,5 @@
 #include "simcore/event_queue.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace cbs::sim {
@@ -21,61 +20,62 @@ constexpr std::uint32_t id_slot(std::uint64_t value) noexcept {
 
 }  // namespace
 
-std::uint32_t EventQueue::acquire_slot() {
-  if (!free_.empty()) {
-    const std::uint32_t idx = free_.back();
-    free_.pop_back();
-    return idx;
-  }
-  slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
-}
-
-void EventQueue::release_slot(std::uint32_t idx) {
-  slots_[idx].state = SlotState::kFree;
-  free_.push_back(idx);
-}
-
 // 4-ary heap: parent of i is (i-1)/4, children are 4i+1..4i+4. Half the
 // depth of a binary heap, so sift paths touch half as many cache lines;
-// the extra sibling comparisons are over four adjacent POD records, which
-// the prefetcher handles for free. This is where the engine's time goes,
-// so the arity is a measured choice, not a style one.
+// the extra sibling comparisons are over four adjacent 16-byte keys. This
+// is where the engine's time goes, so the arity is a measured choice, not
+// a style one. Every record move goes through put(), which keeps the
+// record's slot pointing at its position.
 
-void EventQueue::sift_up(std::size_t pos) {
-  const HeapItem item = heap_[pos];
+void EventQueue::put(std::size_t pos, HeapItem item) noexcept {
+  heap_[pos] = item;
+  slots_[item.slot()].pos = static_cast<std::uint32_t>(pos);
+}
+
+void EventQueue::sift_up(std::size_t pos, HeapItem item) noexcept {
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / 4;
-    if (!fires_before(item, heap_[parent])) break;
-    heap_[pos] = heap_[parent];
+    if (!(item.key < heap_[parent].key)) break;
+    put(pos, heap_[parent]);
     pos = parent;
   }
-  heap_[pos] = item;
+  put(pos, item);
 }
 
-void EventQueue::sift_down(std::size_t pos) {
+void EventQueue::place(std::size_t pos, HeapItem item) noexcept {
+  if (pos > 0 && item.key < heap_[(pos - 1) / 4].key) {
+    sift_up(pos, item);
+    return;
+  }
+  // Floyd's descent: walk the hole at `pos` down the smaller children to a
+  // leaf, then sift `item` up from there. The pick of the smallest of four
+  // full children is a branchless two-round tournament.
   const std::size_t n = heap_.size();
-  const HeapItem item = heap_[pos];
-  while (true) {
-    const std::size_t first = 4 * pos + 1;
-    if (first >= n) break;
-    const std::size_t last = std::min(first + 4, n);
+  for (std::size_t first = 4 * pos + 1; first < n; first = 4 * pos + 1) {
     std::size_t best = first;
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (fires_before(heap_[c], heap_[best])) best = c;
+    if (first + 4 <= n) {
+      const std::size_t a = first + (heap_[first + 1].key < heap_[first].key);
+      const std::size_t b =
+          first + 2 + (heap_[first + 3].key < heap_[first + 2].key);
+      best = heap_[b].key < heap_[a].key ? b : a;
+    } else {
+      for (std::size_t c = first + 1; c < n; ++c) {
+        if (heap_[c].key < heap_[best].key) best = c;
+      }
     }
-    if (!fires_before(heap_[best], item)) break;
-    heap_[pos] = heap_[best];
+    put(pos, heap_[best]);
     pos = best;
   }
-  heap_[pos] = item;
+  sift_up(pos, item);
 }
 
-void EventQueue::heapify() {
-  if (heap_.size() < 2) return;
-  for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;) {
-    sift_down(i);
-  }
+void EventQueue::remove_at(std::size_t pos) noexcept {
+  const std::uint32_t idx = heap_[pos].slot();
+  slots_[idx].pos = kNoPos;
+  free_.push_back(idx);
+  const HeapItem last = heap_.back();
+  heap_.pop_back();
+  if (pos < heap_.size()) place(pos, last);
 }
 
 void EventQueue::reserve(std::size_t expected_events) {
@@ -92,15 +92,20 @@ EventId EventQueue::push_reserved(SimTime t, std::uint64_t seq, Event event) {
   assert(is_valid_time(t) && "event time must be finite and non-negative");
   assert(seq > 0 && seq < next_seq_ && "seq must predate next_seq()");
   assert(seq < (1ULL << (64 - kSlotBits)) && "lifetime event limit");
-  const std::uint32_t idx = acquire_slot();
+  std::uint32_t idx = 0;
+  if (free_.empty()) {
+    idx = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    idx = free_.back();
+    free_.pop_back();
+  }
   assert(idx < (1U << kSlotBits) && "too many concurrent events");
   Slot& slot = slots_[idx];
   ++slot.gen;
-  slot.state = SlotState::kPending;
   slot.event = event;
-  heap_.push_back(HeapItem{t, (seq << kSlotBits) | idx});
-  sift_up(heap_.size() - 1);
-  ++live_;
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, make_item(t, seq, idx));
   return EventId{pack_id(slot.gen, idx)};
 }
 
@@ -108,81 +113,52 @@ const Event* EventQueue::find(EventId id) const noexcept {
   const std::uint32_t idx = id_slot(id.value);
   if (idx >= slots_.size()) return nullptr;
   const Slot& slot = slots_[idx];
-  if (slot.state != SlotState::kPending || slot.gen != id_gen(id.value)) {
-    return nullptr;
-  }
+  if (slot.pos == kNoPos || slot.gen != id_gen(id.value)) return nullptr;
   return &slot.event;
 }
 
 bool EventQueue::cancel(EventId id) {
   if (find(id) == nullptr) return false;
-  // Tombstone: the heap record stays until it surfaces or a compaction
-  // sweeps it.
-  slots_[id_slot(id.value)].state = SlotState::kCancelled;
-  ++tombstones_;
-  assert(live_ > 0);
-  --live_;
-  maybe_compact();
+  remove_at(slots_[id_slot(id.value)].pos);
+  return true;
+}
+
+bool EventQueue::reschedule(EventId id, SimTime t) {
+  assert(is_valid_time(t) && "event time must be finite and non-negative");
+  if (find(id) == nullptr) return false;
+  const std::uint64_t seq = next_seq_++;
+  assert(seq < (1ULL << (64 - kSlotBits)) && "lifetime event limit");
+  const std::uint32_t idx = id_slot(id.value);
+  place(slots_[idx].pos, make_item(t, seq, idx));
   return true;
 }
 
 std::size_t EventQueue::count_pending(TargetId target) const noexcept {
   std::size_t count = 0;
   for (const HeapItem& item : heap_) {
-    const Slot& slot = slots_[item.slot()];
-    if (slot.state == SlotState::kPending && slot.event.target == target) {
-      ++count;
-    }
+    if (slots_[item.slot()].event.target == target) ++count;
   }
   return count;
 }
 
-void EventQueue::drop_cancelled_head() {
-  while (!heap_.empty() &&
-         slots_[heap_.front().slot()].state == SlotState::kCancelled) {
-    release_slot(heap_.front().slot());
-    --tombstones_;
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
+bool EventQueue::consistent() const noexcept {
+  std::size_t pending = 0;
+  for (const Slot& slot : slots_) pending += slot.pos != kNoPos;
+  if (pending != heap_.size() || pending + free_.size() != slots_.size()) {
+    return false;
   }
-}
-
-void EventQueue::maybe_compact() {
-  // Compact when tombstones dominate: the heap then shrinks to the live
-  // events, bounding memory on cancel-heavy workloads (burst-retraction
-  // deadlines are armed per burst and almost always cancelled).
-  if (tombstones_ < 64 || tombstones_ * 2 < heap_.size()) return;
-  std::size_t kept = 0;
-  for (const HeapItem& item : heap_) {
-    if (slots_[item.slot()].state == SlotState::kCancelled) {
-      release_slot(item.slot());
-    } else {
-      heap_[kept++] = item;
-    }
+  for (std::size_t pos = 0; pos < heap_.size(); ++pos) {
+    if (slots_[heap_[pos].slot()].pos != pos) return false;
+    if (pos > 0 && heap_[pos].key < heap_[(pos - 1) / 4].key) return false;
   }
-  heap_.resize(kept);
-  tombstones_ = 0;
-  heapify();
-}
-
-SimTime EventQueue::next_time() {
-  drop_cancelled_head();
-  return heap_.empty() ? kTimeInfinity : heap_.front().time;
+  return true;
 }
 
 EventQueue::Popped EventQueue::pop() {
-  drop_cancelled_head();
   assert(!heap_.empty() && "pop() on empty EventQueue");
-  const std::uint32_t idx = heap_.front().slot();
-  assert(slots_[idx].state == SlotState::kPending);
-  const Popped out{heap_.front().time, slots_[idx].event};
-  release_slot(idx);
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
-  assert(live_ > 0);
-  --live_;
+  const HeapItem top = heap_.front();
+  const Popped out{top.when(), slots_[top.slot()].event};
+  remove_at(0);
   return out;
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -29,7 +30,7 @@ struct Event {
 };
 
 /// Priority queue of timestamped event records with stable FIFO
-/// tie-breaking and O(1) amortized cancellation.
+/// tie-breaking and in-place cancellation.
 ///
 /// Determinism contract: two events at the same timestamp fire in the order
 /// they were scheduled, regardless of heap internals. This is what makes
@@ -38,15 +39,14 @@ struct Event {
 /// ## Engine layout
 ///
 /// Event state lives in a flat slab of reusable POD slots (event record +
-/// generation + state); the 4-ary heap orders small POD `{time, order}`
-/// records by (time, scheduling order). Consequences:
+/// generation + heap position); an indexed 4-ary heap orders 16-byte keys
+/// of the live events only, by (time, scheduling order). Consequences:
 ///
 ///  - scheduling an event allocates nothing once the slab and heap vectors
 ///    have warmed up;
-///  - cancellation marks the slot and leaves a tombstone record in the
-///    heap; tombstones are dropped when they surface, and bulk-compacted
-///    when they outnumber live events — so cancel-heavy paths
-///    (burst-retraction deadlines) cannot grow the heap unboundedly;
+///  - a slot knows where its record sits, so cancel() and reschedule()
+///    fix the heap in place: a cancelled event leaves nothing behind, and
+///    the heap is never larger than the number of pending events;
 ///  - the queue is a plain value: copying it copies the slab, the heap and
 ///    the seq counter, so every EventId of the source names the same event
 ///    in the copy. A copy only reads its source.
@@ -69,15 +69,23 @@ class EventQueue {
   /// cancelling an already-fired or already-cancelled event is a no-op.
   bool cancel(EventId id);
 
+  /// Moves a pending event to time `t` under a fresh seq, exactly as a
+  /// cancel() followed by a push() of the same record would order it, but
+  /// `id` keeps naming it. Returns false (and does nothing) when `id` is
+  /// not pending. Precondition: is_valid_time(t).
+  bool reschedule(EventId id, SimTime t);
+
   /// The record of a pending event; nullptr once it fired or was cancelled.
   [[nodiscard]] const Event* find(EventId id) const noexcept;
 
-  [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
 
-  /// Timestamp of the next live event; kTimeInfinity when empty.
-  [[nodiscard]] SimTime next_time();
+  /// Timestamp of the next event; kTimeInfinity when empty.
+  [[nodiscard]] SimTime next_time() const noexcept {
+    return heap_.empty() ? kTimeInfinity : heap_.front().when();
+  }
 
-  /// Removes and returns the next live event along with its time.
+  /// Removes and returns the next event along with its time.
   /// Precondition: !empty().
   struct Popped {
     SimTime time;
@@ -85,68 +93,68 @@ class EventQueue {
   };
   Popped pop();
 
-  /// Number of live (non-cancelled) events still pending.
-  [[nodiscard]] std::size_t size() const noexcept { return live_; }
+  /// Number of pending events.
+  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
 
-  /// Live events addressed to `target` (diagnostics; O(heap)).
+  /// Pending events addressed to `target` (diagnostics; O(size)).
   [[nodiscard]] std::size_t count_pending(TargetId target) const noexcept;
 
-  /// Total events scheduled over the queue's lifetime (diagnostics).
+  /// Total events scheduled over the queue's lifetime (diagnostics); a
+  /// reschedule counts as one more.
   [[nodiscard]] std::uint64_t total_scheduled() const noexcept { return next_seq_ - 1; }
 
-  /// Cancelled events still occupying heap records (diagnostics/tests).
-  [[nodiscard]] std::size_t tombstones() const noexcept { return tombstones_; }
+  /// True when the heap is ordered, every pending slot's stored position
+  /// holds its record, and every other slot is free (tests; O(slots)).
+  [[nodiscard]] bool consistent() const noexcept;
 
   [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }
   void set_next_seq(std::uint64_t seq) noexcept { next_seq_ = seq; }
 
  private:
-  enum class SlotState : std::uint8_t { kFree, kPending, kCancelled };
+  static constexpr std::uint32_t kNoPos = ~std::uint32_t{0};
 
-  /// The event record plus its identity (gen, state): 24 bytes of POD.
+  /// The event record plus its identity and heap position: 24 bytes of POD.
   struct Slot {
     Event event;
-    std::uint32_t gen = 0;   ///< bumped on every reuse; part of the EventId
-    SlotState state = SlotState::kFree;
+    std::uint32_t gen = 0;       ///< bumped on every reuse; part of the EventId
+    std::uint32_t pos = kNoPos;  ///< index in heap_; kNoPos when free
   };
 
-  /// One heap record, deliberately 16 bytes so sift moves stay cheap and
-  /// 10k pending events fit in 160 KB of L2. `order` packs the insertion
-  /// seq (high 40 bits) over the slot index (low 24): seq is unique, so
-  /// comparing `order` alone IS the FIFO tie-break, and the slot rides
-  /// along for free. Limits — ≤ 2^24 concurrent events, ≤ 2^40 lifetime
-  /// events — are asserted in push().
-  struct HeapItem {
-    SimTime time;
-    std::uint64_t order;  ///< (seq << kSlotBits) | slot
+  __extension__ typedef unsigned __int128 Key;
 
+  /// One heap record: a 128-bit key whose high half is the time's bits
+  /// (non-negative doubles order as their bit patterns) and whose low half
+  /// packs the insertion seq (high 40 bits) over the slot index (low 24).
+  /// seq is unique, so one integer comparison is the (time, FIFO) order,
+  /// and the slot rides along for free. Limits — ≤ 2^24 concurrent events,
+  /// ≤ 2^40 lifetime events — are asserted in push_reserved().
+  struct HeapItem {
+    Key key;
+
+    [[nodiscard]] SimTime when() const noexcept {
+      return std::bit_cast<SimTime>(static_cast<std::uint64_t>(key >> 64));
+    }
     [[nodiscard]] std::uint32_t slot() const noexcept {
-      return static_cast<std::uint32_t>(order & ((1ULL << kSlotBits) - 1));
+      return static_cast<std::uint32_t>(key & ((1U << kSlotBits) - 1));
     }
   };
   static constexpr unsigned kSlotBits = 24;
 
-  /// Strict-weak "fires earlier" order: (time, seq). seq is unique, so this
-  /// is a total order and every valid heap yields the same pop sequence.
-  [[nodiscard]] static bool fires_before(const HeapItem& a,
-                                         const HeapItem& b) noexcept {
-    if (a.time != b.time) return a.time < b.time;
-    return a.order < b.order;
+  /// The record of `slot` at `t` under `seq`; `t + 0.0` maps -0.0 to +0.0.
+  [[nodiscard]] static HeapItem make_item(SimTime t, std::uint64_t seq,
+                                          std::uint32_t slot) noexcept {
+    return {(Key{std::bit_cast<std::uint64_t>(t + 0.0)} << 64) |
+            (seq << kSlotBits) | slot};
   }
 
-  std::uint32_t acquire_slot();
-  void release_slot(std::uint32_t idx);
-  void sift_up(std::size_t pos);
-  void sift_down(std::size_t pos);
-  void heapify();
-  void drop_cancelled_head();
-  void maybe_compact();
+  void put(std::size_t pos, HeapItem item) noexcept;
+  void sift_up(std::size_t pos, HeapItem item) noexcept;
+  void place(std::size_t pos, HeapItem item) noexcept;
+  void remove_at(std::size_t pos) noexcept;
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  ///< reusable slot indices (LIFO)
   std::vector<HeapItem> heap_;
-  std::size_t tombstones_ = 0;  ///< cancelled records still in heap_
-  std::size_t live_ = 0;        ///< pending (non-cancelled) events
   std::uint64_t next_seq_ = 1;
 };
 

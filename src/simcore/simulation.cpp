@@ -49,6 +49,12 @@ EventId Simulation::schedule_reserved(SimTime t, std::uint64_t seq,
   return queue_.push_reserved(t, seq, event);
 }
 
+bool Simulation::reschedule(EventId id, SimTime t) {
+  assert(is_valid_time(t) && "reschedule: invalid time");
+  assert(t >= now_ && "reschedule: cannot schedule in the past");
+  return queue_.reschedule(id, t);
+}
+
 EventId Simulation::schedule_in(SimDuration delay, Event event) {
   assert(delay >= 0.0 && "schedule_in: negative delay");
   return queue_.push(now_ + delay, event);

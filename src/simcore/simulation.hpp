@@ -97,6 +97,11 @@ class Simulation {
   /// Cancels a pending event; no-op if already fired/cancelled.
   bool cancel(EventId id) { return queue_.cancel(id); }
 
+  /// Moves a pending event to `t >= now()` under a fresh seq: it then
+  /// pops exactly where cancel() plus schedule_at() would put it, and `id`
+  /// still names it. Returns false when `id` is not pending.
+  bool reschedule(EventId id, SimTime t);
+
   /// The record of a pending event; nullptr once it fired or was cancelled.
   [[nodiscard]] const Event* find_pending(EventId id) const noexcept {
     return queue_.find(id);

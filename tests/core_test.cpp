@@ -819,6 +819,30 @@ TEST(TransferQueueSetTest, CancelInTheMiddleMatchesAScanningQueue) {
   EXPECT_EQ(started.size(), 3 + expected_tags.size());
 }
 
+TEST(TransferQueueSetTest, FirstCancelAfterPumpingFindsEveryWaitingItem) {
+  // The tag index is built at the first cancel, after the pump has taken
+  // items off the front: it must still point at each waiting item.
+  QueueFixture f;
+  TransferQueueSet& queues = f.queues(1);
+  for (std::uint64_t tag = 1; tag <= 8; ++tag) queues.enqueue(tag, 1.0e6, 0);
+  f.sim.run_until(2.5);  // 1 and 2 done, 3 in flight
+  EXPECT_EQ(queues.queued_tags(),
+            (std::vector<std::uint64_t>{4, 5, 6, 7, 8}));
+  EXPECT_FALSE(queues.try_cancel(3));
+  EXPECT_TRUE(queues.try_cancel(6));
+  queues.enqueue(9, 1.0e6, 0);
+  EXPECT_TRUE(queues.try_cancel(4));
+  EXPECT_TRUE(queues.try_cancel(9));
+  EXPECT_FALSE(queues.try_cancel(6));
+  EXPECT_EQ(queues.queued_tags(), (std::vector<std::uint64_t>{5, 7, 8}));
+  f.sim.run_until(3.5);  // 3 done, 5 in flight
+  EXPECT_FALSE(queues.try_cancel(5));
+  EXPECT_EQ(queues.queued_tags(), (std::vector<std::uint64_t>{7, 8}));
+  f.sim.run();
+  EXPECT_EQ(f.owner.tags(), (std::vector<std::uint64_t>{1, 2, 3, 5, 7, 8}));
+  EXPECT_TRUE(queues.idle());
+}
+
 TEST(BandwidthSplitTest, ClassBoundariesAreInclusive) {
   const SizeIntervalBounds bounds{40.0, 120.0};
   EXPECT_EQ(bounds.class_of(40.0), 0);

@@ -175,8 +175,10 @@ TEST(RolloutAllocation, CountIsBoundedAtBatch200) {
   const Chain chain = measure_op_chain(200);
   ASSERT_GT(chain.outstanding, 200u);  // the overload backlog is there
   EXPECT_LE(chain.largest_after_fork(), kLargestAllocation);
-  // 165 measured (71 fork, 17 admit, 77 roll); the ceilings keep 1.5x
-  // headroom. 168 (73, 18, 77) were made before the job, belief and queue
+  // 164 measured (71 fork, 17 admit, 76 roll); the ceilings keep 1.5x
+  // headroom. 165 (71, 17, 77) were made before the event heap removed
+  // cancelled records in place and the download queue stopped keeping a
+  // tag index. 168 (73, 18, 77) were made before the job, belief and queue
   // tag tables became seq-indexed, and the fork made 4 more before it
   // shared the scenario and the controller's configuration with its
   // parent. 217 (81, 25, 111) were made before admission reused its

@@ -2,7 +2,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
+#include <map>
+#include <set>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "closure_events.hpp"
@@ -216,8 +220,8 @@ TEST(EventQueueTest, FiredIdCannotCancelSlotSuccessor) {
 }
 
 TEST(EventQueueTest, CancelHeavyChurnStaysBoundedAndOrdered) {
-  // Interleave schedule/cancel so tombstones build up and compaction runs;
-  // the survivors must still pop in exact (time, seq) order.
+  // Cancel three of every four events; the heap must hold exactly the
+  // survivors, and they must still pop in exact (time, seq) order.
   EventQueue q;
   std::vector<EventId> doomed;
   std::vector<double> expected_times;
@@ -231,11 +235,145 @@ TEST(EventQueueTest, CancelHeavyChurnStaysBoundedAndOrdered) {
     }
   }
   for (const EventId id : doomed) ASSERT_TRUE(q.cancel(id));
-  // Compaction must have kept tombstones from dominating the heap.
-  EXPECT_LE(q.tombstones(), q.size() + 64);
+  EXPECT_EQ(q.size(), expected_times.size());
+  EXPECT_TRUE(q.consistent());
   std::vector<double> popped;
   while (!q.empty()) popped.push_back(q.pop().time);
   EXPECT_EQ(popped, expected_times);
+}
+
+TEST(EventQueueTest, RescheduleKeepsTheIdAndTakesAFreshSeq) {
+  EventQueue q;
+  const EventId moved = q.push(1.0, ev(1));
+  q.push(2.0, ev(2));
+  const std::uint64_t seq = q.next_seq();
+  ASSERT_TRUE(q.reschedule(moved, 2.0));
+  EXPECT_EQ(q.next_seq(), seq + 1);
+  ASSERT_NE(q.find(moved), nullptr);
+  EXPECT_EQ(q.find(moved)->arg, 1u);
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(drain(q), (std::vector<std::uint64_t>{2, 1}));
+  EXPECT_FALSE(q.reschedule(moved, 3.0));  // fired: a no-op
+  EXPECT_EQ(q.next_seq(), seq + 1);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueTest, NegativeZeroTiesWithZero) {
+  EventQueue q;
+  q.push(0.0, ev(1));
+  q.push(-0.0, ev(2));
+  q.push(0.0, ev(3));
+  EXPECT_EQ(q.next_time(), 0.0);
+  EXPECT_EQ(drain(q), (std::vector<std::uint64_t>{1, 2, 3}));
+}
+
+// Randomized model check: every operation on the queue is mirrored on a
+// std::set ordered by (time, seq), and the two must agree on the pop
+// sequence, the size and every lookup, with the heap's stored positions
+// consistent after each step.
+TEST(EventQueueTest, MatchesAnOrderedSetUnderRandomChurn) {
+  struct Pending {
+    EventId id;
+    double time;
+    std::uint64_t seq;
+  };
+  using Key = std::tuple<double, std::uint64_t, std::uint64_t>;  // time, seq, arg
+  RngStream rng(2024);
+  EventQueue q;
+  std::set<Key> model;
+  std::map<std::uint64_t, Pending> live;  // by arg
+  std::vector<EventId> stale;             // fired or cancelled
+  std::vector<std::uint64_t> reserved;    // seqs taken by reserve, unused
+  std::uint64_t next_arg = 0;
+  double now = 0.0;
+  const auto pick_time = [&] {
+    // Few distinct times, so FIFO ties are common; -0.0 must tie with 0.0.
+    const std::uint64_t step = rng.uniform_int(0, 6);
+    return step == 0 && now == 0.0 ? -0.0 : now + 0.5 * static_cast<double>(step);
+  };
+  const auto pick_live = [&]() -> std::map<std::uint64_t, Pending>::iterator {
+    auto it = live.begin();
+    std::advance(it, static_cast<long>(rng.uniform_int(0, live.size() - 1)));
+    return it;
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t op = rng.uniform_int(0, 99);
+    if (op < 30 || live.empty()) {
+      const double t = pick_time();
+      const std::uint64_t arg = next_arg++;
+      const std::uint64_t seq = q.next_seq();
+      const EventId id = q.push(t, ev(arg));
+      model.emplace(t, seq, arg);
+      live[arg] = {id, t, seq};
+    } else if (op < 38) {
+      if (reserved.empty()) {
+        const std::uint64_t first = q.next_seq();
+        q.set_next_seq(first + 4);
+        for (std::uint64_t s = first; s < first + 4; ++s) reserved.push_back(s);
+      }
+      const std::uint64_t seq = reserved.front();
+      reserved.erase(reserved.begin());
+      const double t = pick_time();
+      const std::uint64_t arg = next_arg++;
+      const EventId id = q.push_reserved(t, seq, ev(arg));
+      model.emplace(t, seq, arg);
+      live[arg] = {id, t, seq};
+    } else if (op < 55) {
+      const auto it = pick_live();
+      ASSERT_TRUE(q.cancel(it->second.id));
+      model.erase({it->second.time, it->second.seq, it->first});
+      stale.push_back(it->second.id);
+      live.erase(it);
+    } else if (op < 75) {
+      const auto it = pick_live();
+      const double t = pick_time();
+      const std::uint64_t seq = q.next_seq();
+      ASSERT_TRUE(q.reschedule(it->second.id, t));
+      ASSERT_EQ(q.next_seq(), seq + 1);
+      model.erase({it->second.time, it->second.seq, it->first});
+      model.emplace(t, seq, it->first);
+      it->second.time = t;
+      it->second.seq = seq;
+    } else if (op < 95) {
+      const auto [time, event] = q.pop();
+      ASSERT_FALSE(model.empty());
+      const auto [want_time, want_seq, want_arg] = *model.begin();
+      ASSERT_EQ(time, want_time);
+      ASSERT_EQ(event.arg, want_arg);
+      model.erase(model.begin());
+      stale.push_back(live.at(want_arg).id);
+      live.erase(want_arg);
+      now = time;
+    } else if (op < 98 && !stale.empty()) {
+      // A stale id acts on nothing, whichever event now holds its slot.
+      const EventId id = stale[rng.uniform_int(0, stale.size() - 1)];
+      const std::uint64_t seq = q.next_seq();
+      EXPECT_EQ(q.find(id), nullptr);
+      EXPECT_FALSE(q.cancel(id));
+      EXPECT_FALSE(q.reschedule(id, now));
+      EXPECT_EQ(q.next_seq(), seq);
+    } else {
+      // Copy mid-churn and carry on with the copy; the source drains in
+      // the model's order.
+      EventQueue copy(q);
+      std::vector<std::uint64_t> want;
+      for (const auto& [time, seq, arg] : model) want.push_back(arg);
+      EXPECT_EQ(drain(q), want);
+      q = copy;
+    }
+    ASSERT_EQ(q.size(), model.size());
+    ASSERT_TRUE(q.consistent()) << "step " << step;
+    if (step % 64 == 0) {
+      for (const auto& [arg, p] : live) {
+        const Event* found = q.find(p.id);
+        ASSERT_NE(found, nullptr);
+        EXPECT_EQ(found->arg, arg);
+      }
+    }
+  }
+  std::vector<std::uint64_t> want;
+  for (const auto& [time, seq, arg] : model) want.push_back(arg);
+  EXPECT_EQ(drain(q), want);
 }
 
 TEST(SimulationTest, RunUntilAdvancesClockToDeadlineWhenIdle) {
@@ -335,6 +473,25 @@ TEST(SimulationForkTest, CancellingASourceIdInTheCopyLeavesTheSourceAlone) {
   EXPECT_EQ(a.fired.size(), 2u);
   ASSERT_EQ(a2.fired.size(), 1u);
   EXPECT_EQ(a2.fired[0].arg, 8u);
+}
+
+TEST(SimulationTest, RescheduledEventLosesATieToAnEarlierSchedule) {
+  Simulation sim;
+  Recorder a(sim);
+  const EventId moved = a.schedule(5.0, 1, 1);
+  a.schedule(3.0, 1, 2);  // scheduled before the reschedule
+  ASSERT_TRUE(sim.reschedule(moved, 3.0));
+  a.schedule(3.0, 1, 3);  // scheduled after it
+  ASSERT_NE(sim.find_pending(moved), nullptr);
+  EXPECT_EQ(sim.find_pending(moved)->arg, 1u);
+  EXPECT_EQ(sim.pending_events(), 3u);
+  sim.run();
+  ASSERT_EQ(a.fired.size(), 3u);
+  EXPECT_EQ(a.fired[0].arg, 2u);
+  EXPECT_EQ(a.fired[1].arg, 1u);
+  EXPECT_EQ(a.fired[2].arg, 3u);
+  EXPECT_EQ(a.fired[1].time, 3.0);
+  EXPECT_FALSE(sim.reschedule(moved, 4.0));
 }
 
 TEST(SimulationForkTest, CopyWithADifferentTargetCountThrows) {

@@ -128,7 +128,8 @@ bool has_component_pointer(const std::string& code) {
 }
 
 /// File-level scan for the event-churn rule: a `for`/`while` body that
-/// both cancels an event and schedules one is re-arming timers per item —
+/// both cancels an event and schedules one, or reschedules one, is
+/// re-arming timers per item —
 /// the pattern batched water-filling exists to avoid. Tracks brace depth
 /// across lines; a loop frame opens at the `{` following a loop keyword
 /// and closes when depth returns to its entry level. The violation is
@@ -179,8 +180,12 @@ void scan_event_churn(SourceFile& f, const Rule& rule,
       }
     }
     if (frames.empty()) continue;
-    const bool cancels = has_member_or_free_call(code, "cancel");
-    const bool schedules = has_member_or_free_call(code, "schedule_in") ||
+    // A reschedule() is a cancel and a schedule in one call.
+    const bool reschedules = has_member_or_free_call(code, "reschedule");
+    const bool cancels =
+        reschedules || has_member_or_free_call(code, "cancel");
+    const bool schedules = reschedules ||
+                           has_member_or_free_call(code, "schedule_in") ||
                            has_member_or_free_call(code, "schedule_at");
     if (!cancels && !schedules) continue;
     for (LoopFrame& fr : frames) {
@@ -243,8 +248,9 @@ const std::vector<Rule>& token_rules() {
        "schedule_at/schedule_in so cancel()'s generation check stays sound",
        in_src_outside_simcore, has_raw_eventid},
       {"event-churn", "event-churn",
-       "cancel + schedule pair inside a loop body: N cancels + N schedules "
-       "per pass is the per-item timer churn the data-oriented link core "
+       "cancel + schedule pair (or a reschedule) inside a loop body: N "
+       "cancels + N schedules per pass is the per-item timer churn the "
+       "data-oriented link core "
        "removed (DESIGN.md §14) — batch the pass and re-arm ONE timer "
        "after the loop, or waive with the reason it cannot be batched",
        in_event_hot_layers,
