@@ -25,7 +25,7 @@
 #include "workload/arrival.hpp"
 #include "workload/chunker.hpp"
 #include "sla/oo_metric.hpp"
-#include "util/flat_map.hpp"
+#include "util/seq_table.hpp"
 #include "workload/generator.hpp"
 
 namespace {
@@ -366,7 +366,7 @@ void BM_OoMetricSeries(benchmark::State& state) {
 }
 BENCHMARK(BM_OoMetricSeries)->Arg(100)->Arg(1000)->Arg(30000);
 
-void BM_FlatMapFifoErase(benchmark::State& state) {
+void BM_SeqTableFifoErase(benchmark::State& state) {
   // The belief table's life: n jobs admitted in sequence order, then
   // completed roughly first-in first-out; one completion in 16 overtakes up
   // to 63 older jobs.
@@ -378,16 +378,16 @@ void BM_FlatMapFifoErase(benchmark::State& state) {
     std::swap(order[i], order[std::min(n - 1, i + rng.uniform_int(1, 63))]);
   }
   for (auto _ : state) {
-    cbs::util::FlatMap<std::uint64_t, double> table;
+    cbs::util::SeqTable<double> table;
     for (std::uint64_t k = 1; k <= n; ++k) {
-      table.emplace(k, static_cast<double>(k));
+      table.insert(k, static_cast<double>(k));
     }
     for (const std::uint64_t k : order) table.erase(k);
     benchmark::DoNotOptimize(table.size());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_FlatMapFifoErase)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_SeqTableFifoErase)->Arg(1000)->Arg(10000);
 
 /// A link owner that ignores every completion and submits one transfer to
 /// `link` per event it receives.

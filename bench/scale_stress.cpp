@@ -69,8 +69,7 @@ class Storm : private cbs::net::LinkOwner, private cbs::sim::EventTarget {
         jobs_(jobs),
         link_(sim, *this, 0, uplink_config(),
               cbs::sim::RngStream(42).substream("link")),
-        queues_(sim, link_, tuner_, /*transfer_kind=*/0, /*num_classes=*/3,
-                /*slots_per_class=*/2) {
+        queues_(sim, link_, tuner_, /*transfer_kind=*/0, /*num_classes=*/3) {
     if (jobs_ > 0) schedule_next();
   }
 

@@ -49,14 +49,12 @@ void JobStore::step_op(PendingOp op) {
   const std::uint64_t op_id = next_op_id_++;
   sim_.schedule_in(cbs::sim::doubling_backoff(kRetryBackoff, op.attempt),
                    {target_, 0, op_id});
-  pending_ops_.emplace(op_id, std::move(op));
+  pending_ops_.insert(op_id, std::move(op));
 }
 
 void JobStore::on_event(std::uint32_t /*kind*/, std::uint64_t op_id) {
-  auto it = pending_ops_.find(op_id);
-  assert(it != pending_ops_.end());
-  PendingOp op = std::move(it->second);
-  pending_ops_.erase(it);
+  PendingOp op = std::move(pending_ops_.at(op_id));
+  pending_ops_.erase(op_id);
   ++op.attempt;
   step_op(std::move(op));
 }
@@ -78,27 +76,30 @@ std::uint64_t JobStore::key_of(std::uint64_t seq, ObjectKind kind) {
 void JobStore::put(std::uint64_t seq, ObjectKind kind, double bytes) {
   assert(bytes >= 0.0);
   integrate();
-  auto [it, inserted] = objects_.emplace(key_of(seq, kind), bytes);
-  if (!inserted) {
-    occupancy_ -= it->second;
-    it->second = bytes;
+  const std::uint64_t key = key_of(seq, kind);
+  if (double* stored = objects_.find(key)) {
+    occupancy_ -= *stored;
+    *stored = bytes;
+  } else {
+    objects_.insert(key, bytes);
   }
   occupancy_ += bytes;
   peak_ = std::max(peak_, occupancy_);
 }
 
 double JobStore::size_of(std::uint64_t seq, ObjectKind kind) const {
-  auto it = objects_.find(key_of(seq, kind));
-  return it == objects_.end() ? 0.0 : it->second;
+  const double* stored = objects_.find(key_of(seq, kind));
+  return stored == nullptr ? 0.0 : *stored;
 }
 
 double JobStore::erase(std::uint64_t seq, ObjectKind kind) {
-  auto it = objects_.find(key_of(seq, kind));
-  if (it == objects_.end()) return 0.0;
+  const std::uint64_t key = key_of(seq, kind);
+  const double* stored = objects_.find(key);
+  if (stored == nullptr) return 0.0;
   integrate();
-  const double freed = it->second;
+  const double freed = *stored;
   occupancy_ -= freed;
-  objects_.erase(it);
+  objects_.erase(key);
   return freed;
 }
 

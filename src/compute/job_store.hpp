@@ -4,7 +4,7 @@
 
 #include "simcore/simulation.hpp"
 #include "simcore/time.hpp"
-#include "util/flat_map.hpp"
+#include "util/seq_table.hpp"
 
 namespace cbs::compute {
 
@@ -109,12 +109,12 @@ class JobStore : private cbs::sim::EventTarget {
   bool available_ = true;
   std::uint64_t failed_attempts_ = 0;
   std::uint64_t abandoned_ops_ = 0;
-  cbs::util::FlatMap<std::uint64_t, double> objects_;
+  cbs::util::SeqTable<double> objects_;
   double occupancy_ = 0.0;
   double peak_ = 0.0;
   double byte_seconds_ = 0.0;
   cbs::sim::SimTime last_change_ = 0.0;
-  cbs::util::FlatMap<std::uint64_t, PendingOp> pending_ops_;
+  cbs::util::SeqTable<PendingOp> pending_ops_;
   std::uint64_t next_op_id_ = 1;
 };
 

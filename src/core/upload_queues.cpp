@@ -9,18 +9,17 @@ TransferQueueSet::TransferQueueSet(cbs::sim::Simulation& sim,
                                    cbs::net::Link& link,
                                    cbs::net::ThreadTuner& tuner,
                                    std::uint32_t transfer_kind,
-                                   int num_classes, int slots_per_class)
-    : sim_(sim), link_(link), tuner_(tuner), transfer_kind_(transfer_kind) {
+                                   int num_classes)
+    : sim_(sim),
+      link_(link),
+      tuner_(tuner),
+      transfer_kind_(transfer_kind),
+      queues_(static_cast<std::size_t>(num_classes)),
+      in_flight_(static_cast<std::size_t>(num_classes)) {
   assert(num_classes >= 1);
-  assert(slots_per_class >= 1);
-  queues_.resize(static_cast<std::size_t>(num_classes));
-  slots_.assign(static_cast<std::size_t>(num_classes),
-                std::vector<Slot>(static_cast<std::size_t>(slots_per_class)));
-  // The slot policy bounds this set's concurrent transfers, so the link's
-  // SoA pool can be sized once up front (shared links take the max).
-  link_.reserve_transfers(
-      static_cast<std::size_t>(num_classes) *
-      static_cast<std::size_t>(slots_per_class));
+  // One slot per class bounds this set's concurrent transfers, so the
+  // link's SoA pool can be sized once up front (shared links take the max).
+  link_.reserve_transfers(static_cast<std::size_t>(num_classes));
 }
 
 TransferQueueSet::TransferQueueSet(cbs::sim::Simulation& dst,
@@ -34,9 +33,7 @@ TransferQueueSet::TransferQueueSet(cbs::sim::Simulation& dst,
       queues_(src.queues_),
       queued_(src.queued_),
       indexed_(src.indexed_),
-      slots_(src.slots_),
-      active_(src.active_),
-      active_count_(src.active_count_) {}
+      in_flight_(src.in_flight_) {}
 
 void TransferQueueSet::enqueue(std::uint64_t tag, double bytes, int klass) {
   assert(bytes > 0.0);
@@ -80,20 +77,21 @@ void TransferQueueSet::drop_dead_front(Queue& queue) {
   }
 }
 
-void TransferQueueSet::release_slot(const ActiveItem& active) {
-  slots_[static_cast<std::size_t>(active.slot_klass)][active.slot].busy = false;
-  --active_count_;
+std::optional<TransferQueueSet::InFlight>* TransferQueueSet::slot_of(
+    std::uint64_t tag) {
+  for (std::optional<InFlight>& slot : in_flight_) {
+    if (slot && slot->item.tag == tag) return &slot;
+  }
+  return nullptr;
 }
 
 bool TransferQueueSet::try_cancel_active(std::uint64_t tag) {
-  auto it = active_.find(tag);
-  if (it == active_.end()) return false;
-  const ActiveItem active = it->second;
-  active_.erase(it);
-  const bool cancelled = link_.cancel(active.transfer);
+  std::optional<InFlight>* slot = slot_of(tag);
+  if (slot == nullptr) return false;
+  const bool cancelled = link_.cancel((*slot)->transfer);
   assert(cancelled);
   (void)cancelled;
-  release_slot(active);
+  slot->reset();
   pump();
   return true;
 }
@@ -108,36 +106,29 @@ int TransferQueueSet::pick_queue_for_class(int klass) const {
 
 void TransferQueueSet::pump() {
   for (int klass = 0; klass < num_classes(); ++klass) {
-    auto& class_slots = slots_[static_cast<std::size_t>(klass)];
-    for (std::size_t s = 0; s < class_slots.size(); ++s) {
-      if (class_slots[s].busy) continue;
-      const int source = pick_queue_for_class(klass);
-      if (source < 0) break;
+    std::optional<InFlight>& slot = in_flight_[static_cast<std::size_t>(klass)];
+    if (slot) continue;
+    const int source = pick_queue_for_class(klass);
+    if (source < 0) continue;
 
-      Queue& queue = queues_[static_cast<std::size_t>(source)];
-      const Item item = queue.items.front();
-      queue.items.pop_front();
-      ++queue.front_index;
-      if (indexed_) queued_.erase(item.tag);
-      drop_dead_front(queue);
-      class_slots[s].busy = true;
-      ++active_count_;
+    Queue& queue = queues_[static_cast<std::size_t>(source)];
+    const Item item = queue.items.front();
+    queue.items.pop_front();
+    ++queue.front_index;
+    if (indexed_) queued_.erase(item.tag);
+    drop_dead_front(queue);
 
-      const int threads = tuner_.suggest(sim_.now());
-      const std::uint64_t tag = item.tag;
-      const cbs::net::TransferId id =
-          link_.submit(item.bytes, threads, transfer_kind_, tag);
-      active_.emplace(tag, ActiveItem{item, klass, s, id});
-    }
+    const int threads = tuner_.suggest(sim_.now());
+    const cbs::net::TransferId id =
+        link_.submit(item.bytes, threads, transfer_kind_, item.tag);
+    slot = InFlight{item, id};
   }
 }
 
 void TransferQueueSet::on_transfer_done(std::uint64_t tag) {
-  auto it = active_.find(tag);
-  assert(it != active_.end());
-  const ActiveItem done = it->second;
-  active_.erase(it);
-  release_slot(done);
+  std::optional<InFlight>* slot = slot_of(tag);
+  assert(slot != nullptr);
+  slot->reset();
   pump();
 }
 
@@ -153,9 +144,17 @@ std::vector<double> TransferQueueSet::backlog_bytes_per_class() const {
   // Summed from the live transfers, never kept as a running total: adding
   // and subtracting different sizes leaves a rounding residue that can go
   // negative once a class empties, and Algorithm 3's left-over shares then
-  // leave [0, 1].
-  for (const auto& [tag, active] : active_) {
-    backlog[static_cast<std::size_t>(active.item.klass)] += active.item.bytes;
+  // leave [0, 1]. Ride-ups put several items of one class in flight, so
+  // they are added in ascending tag order, whichever slots carry them.
+  const Item* prev = nullptr;
+  for (std::size_t n = active_items(); n > 0; --n) {
+    const Item* next = nullptr;
+    for (const std::optional<InFlight>& slot : in_flight_) {
+      if (!slot || (prev != nullptr && slot->item.tag <= prev->tag)) continue;
+      if (next == nullptr || slot->item.tag < next->tag) next = &slot->item;
+    }
+    backlog[static_cast<std::size_t>(next->klass)] += next->bytes;
+    prev = next;
   }
   return backlog;
 }
@@ -166,8 +165,16 @@ double TransferQueueSet::total_backlog_bytes() const {
   return total;
 }
 
+std::size_t TransferQueueSet::active_items() const noexcept {
+  return static_cast<std::size_t>(
+      std::count_if(in_flight_.begin(), in_flight_.end(),
+                    [](const std::optional<InFlight>& slot) {
+                      return slot.has_value();
+                    }));
+}
+
 bool TransferQueueSet::idle() const {
-  return active_count_ == 0 &&
+  return active_items() == 0 &&
          std::all_of(queues_.begin(), queues_.end(),
                      [](const Queue& q) { return q.items.empty(); });
 }

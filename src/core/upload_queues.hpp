@@ -2,10 +2,10 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <vector>
 
 #include "net/link.hpp"
-#include "util/flat_map.hpp"
 #include "util/seq_table.hpp"
 #include "net/thread_tuner.hpp"
 #include "simcore/simulation.hpp"
@@ -22,10 +22,9 @@ namespace cbs::core {
 /// empty, it serves the head of the nearest *lower* class — small jobs may
 /// use the medium/large pipes, large jobs may never block the small pipe.
 ///
-/// The set holds at most `num_classes × slots_per_class` transfers in
-/// flight on the link, and tells the link so at construction
-/// (Link::reserve_transfers) — the link's hot/cold transfer tables then
-/// never reallocate in steady state.
+/// The set holds at most `num_classes` transfers in flight on the link, and
+/// tells the link so at construction (Link::reserve_transfers) — the link's
+/// hot pool then never reallocates in steady state.
 ///
 /// The set does not listen to the link. It submits every transfer with the
 /// report kind it was built with, and the link's owner hands each finished
@@ -34,7 +33,7 @@ class TransferQueueSet {
  public:
   TransferQueueSet(cbs::sim::Simulation& sim, cbs::net::Link& link,
                    cbs::net::ThreadTuner& tuner, std::uint32_t transfer_kind,
-                   int num_classes, int slots_per_class = 1);
+                   int num_classes);
   TransferQueueSet(const TransferQueueSet&) = delete;
   TransferQueueSet& operator=(const TransferQueueSet&) = delete;
 
@@ -75,7 +74,7 @@ class TransferQueueSet {
     return static_cast<int>(queues_.size());
   }
   [[nodiscard]] bool idle() const;
-  [[nodiscard]] std::size_t active_items() const noexcept { return active_count_; }
+  [[nodiscard]] std::size_t active_items() const noexcept;
 
   /// Tags currently waiting (not started), youngest class first — the
   /// rescheduler scans these for pull-back candidates.
@@ -106,22 +105,19 @@ class TransferQueueSet {
     std::uint64_t index = 0;
   };
 
-  struct Slot {
-    bool busy = false;
-  };
-
-  struct ActiveItem {
+  /// The item a class's slot carries — its own, or a lower class's ride-up
+  /// — and its link transfer.
+  struct InFlight {
     Item item;
-    int slot_klass = 0;        ///< class whose slot carries it (ride-up)
-    std::size_t slot = 0;
     cbs::net::TransferId transfer{};
   };
 
   void pump();
   /// Pops the tombstones at the front of `queue`, so its front is live.
   void drop_dead_front(Queue& queue);
-  void release_slot(const ActiveItem& active);
   [[nodiscard]] int pick_queue_for_class(int klass) const;
+  /// The slot carrying `tag`, or nullptr when none does.
+  [[nodiscard]] std::optional<InFlight>* slot_of(std::uint64_t tag);
 
   cbs::sim::Simulation& sim_;
   cbs::net::Link& link_;
@@ -131,11 +127,8 @@ class TransferQueueSet {
   /// Every waiting item, by tag, once indexed_.
   cbs::util::SeqTable<QueuedAt> queued_;
   bool indexed_ = false;  ///< set by the first try_cancel()
-  std::vector<std::vector<Slot>> slots_;  // per class
-  // Deterministic ascending-tag iteration, and cancellation needs tag
-  // lookup; tags are monotonic so inserts are O(1) amortized appends.
-  cbs::util::FlatMap<std::uint64_t, ActiveItem> active_;
-  std::size_t active_count_ = 0;
+  /// Per class, the one transfer its slot carries, if any.
+  std::vector<std::optional<InFlight>> in_flight_;
 };
 
 }  // namespace cbs::core

@@ -468,18 +468,16 @@ double LookaheadController::score_rollout(const ScenarioWorld& rollout,
   // at the frontier over the prefix's ids ahead plus the rollout's own.
   const auto fresh = outcomes.iterator_at(prefix.count);
   double lateness = prefix.lateness;
-  std::uint64_t max_id =
-      prefix.ahead.empty() ? 0 : std::prev(prefix.ahead.end())->first;
+  std::size_t window = prefix.ahead.size();
   for (auto it = fresh; it != outcomes.end(); ++it) {
     lateness += policy.lateness(*it);
-    max_id = std::max(max_id, it->seq_id);
+    window = std::max(
+        window, static_cast<std::size_t>(it->seq_id - prefix.frontier) + 1);
   }
   double running = prefix.ordered_mb;
-  if (max_id >= prefix.frontier) {
-    std::vector<double> output_by_id(max_id - prefix.frontier + 1, -1.0);
-    for (const auto& [id, mb] : prefix.ahead) {
-      output_by_id[id - prefix.frontier] = mb;
-    }
+  if (window > 0) {
+    std::vector<double> output_by_id(window, -1.0);  // -1 = missing
+    std::copy(prefix.ahead.begin(), prefix.ahead.end(), output_by_id.begin());
     for (auto it = fresh; it != outcomes.end(); ++it) {
       output_by_id[it->seq_id - prefix.frontier] = it->output_mb;
     }
@@ -500,14 +498,18 @@ void ScorePrefix::advance(const OutcomeLog& log,
                           const cbs::sla::TicketPolicy& policy) {
   for (auto it = log.iterator_at(count); it != log.end(); ++it) {
     lateness += policy.lateness(*it);
-    ahead.emplace(it->seq_id, it->output_mb);
+    const auto i = static_cast<std::size_t>(it->seq_id - frontier);
+    if (i >= ahead.size()) ahead.resize(i + 1, -1.0);
+    ahead[i] = it->output_mb;
   }
   count = log.size();
-  while (!ahead.empty() && ahead.begin()->first == frontier) {
-    ordered_mb += ahead.begin()->second;
-    ahead.erase(ahead.begin());
-    ++frontier;
+  std::size_t done = 0;
+  while (done < ahead.size() && ahead[done] >= 0.0) {
+    ordered_mb += ahead[done];
+    ++done;
   }
+  ahead.erase(ahead.begin(), ahead.begin() + static_cast<std::ptrdiff_t>(done));
+  frontier += done;
 }
 
 double LookaheadController::score_with(const ScenarioWorld& world,

@@ -12,7 +12,6 @@
 #include "sla/job_outcome.hpp"
 #include "sla/tickets.hpp"
 #include "util/chunked_log.hpp"
-#include "util/flat_map.hpp"
 #include "workload/arrival.hpp"
 
 namespace cbs::harness {
@@ -31,8 +30,9 @@ struct ScorePrefix {
   double lateness = 0.0;       ///< Σ ticket lateness over them, in log order
   std::uint64_t frontier = 1;  ///< smallest seq id not among them
   double ordered_mb = 0.0;     ///< Σ output_mb, ids 1..frontier-1, id order
-  /// output_mb of the folded ids above the frontier.
-  cbs::util::FlatMap<std::uint64_t, double> ahead;
+  /// output_mb of id frontier + i at [i], −1 where that id is not folded
+  /// in; it ends at the highest folded id, so [0] is −1 when not empty.
+  std::vector<double> ahead;
 
   /// Folds in the entries of `log` past `count`. `log` must extend the log
   /// this prefix was built from (the same world, or a fork of it).

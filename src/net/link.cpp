@@ -124,7 +124,6 @@ void Link::on_event(std::uint32_t kind, std::uint64_t id) {
 
 void Link::reserve_transfers(std::size_t expected) {
   hot_.reserve(expected);
-  cold_.reserve(expected);
 }
 
 TransferId Link::submit(double bytes, int threads, std::uint32_t kind,
@@ -132,13 +131,12 @@ TransferId Link::submit(double bytes, int threads, std::uint32_t kind,
   assert(bytes > 0.0);
   assert(threads >= 1);
   const TransferId id = next_id_++;
-  Cold c;
+  Cold& c = cold_.insert(id);
   c.bytes_total = bytes;
   c.threads = threads;
   c.requested = sim_.now();
   c.kind = kind;
   c.tag = tag;
-  cold_.emplace(id, c);
   schedule_activation(id, config_.setup_latency);
   return id;
 }
@@ -149,15 +147,13 @@ void Link::schedule_activation(TransferId id, cbs::sim::SimDuration delay) {
 }
 
 void Link::activate(TransferId id) {
-  auto it = cold_.find(id);
-  assert(it != cold_.end());
+  Cold& c = cold_.at(id);
   if (outage_) {
     // The link is down: hold the connection attempt until the outage
     // lifts (set_outage(false) reactivates every waiting transfer).
-    it->second.waiting_outage = true;
+    c.waiting_outage = true;
     return;
   }
-  Cold& c = it->second;
   c.activated = true;
   if (c.started == 0.0) c.started = sim_.now();
   note_busy_transition();
@@ -259,9 +255,7 @@ void Link::on_timer() {
   // re-arms it, so some transfer is due.
   assert(due != HotPool::npos);
   const TransferId id = hot_.id[due];
-  auto it = cold_.find(id);
-  assert(it != cold_.end());
-  Cold& c = it->second;
+  const Cold& c = cold_.at(id);
   // Floating-point progress integration can leave a few bytes of dust; the
   // timer was armed from the same arithmetic, so anything left here is
   // rounding noise.
@@ -278,7 +272,7 @@ void Link::on_timer() {
   const std::uint64_t tag = c.tag;
   hot_.erase(due);
   dirty_ = true;
-  cold_.erase(it);
+  cold_.erase(id);
   note_busy_transition();
   flush();
   if (cold_.empty() && tick_scheduled_) {
@@ -290,19 +284,18 @@ void Link::on_timer() {
 }
 
 bool Link::cancel(TransferId id) {
-  auto it = cold_.find(id);
-  if (it == cold_.end()) return false;
+  const Cold* c = cold_.find(id);
+  if (c == nullptr) return false;
   progress_all();
-  Cold& c = it->second;
-  sim_.cancel(c.activation_event);
-  if (c.activated) {
-    const std::size_t pos = hot_.find(demand_of(c), id);
+  sim_.cancel(c->activation_event);
+  if (c->activated) {
+    const std::size_t pos = hot_.find(demand_of(*c), id);
     assert(pos != HotPool::npos);
-    wasted_bytes_ += c.bytes_total - hot_.bytes_remaining[pos];
+    wasted_bytes_ += c->bytes_total - hot_.bytes_remaining[pos];
     hot_.erase(pos);
     dirty_ = true;
   }
-  cold_.erase(it);
+  cold_.erase(id);
   note_busy_transition();
   flush();
   if (cold_.empty() && tick_scheduled_) {
@@ -320,8 +313,8 @@ void Link::set_outage(bool down) {
     // are parked by activate() when their event fires.
     progress_all();
     outage_ = true;
-    for (auto& [id, c] : cold_) {
-      if (!c.activated) continue;
+    cold_.for_each_in_seq_order([&](TransferId id, Cold& c) {
+      if (!c.activated) return;
       const std::size_t pos = hot_.find(demand_of(c), id);
       assert(pos != HotPool::npos);
       wasted_bytes_ += c.bytes_total - hot_.bytes_remaining[pos];
@@ -330,7 +323,7 @@ void Link::set_outage(bool down) {
       c.activated = false;
       c.waiting_outage = true;
       hot_.erase(pos);
-    }
+    });
     assert(hot_.empty());
     dirty_ = true;
     next_completion_ = cbs::sim::kTimeInfinity;
@@ -345,8 +338,8 @@ void Link::set_outage(bool down) {
     return;
   }
   outage_ = false;
-  for (auto& [id, c] : cold_) {
-    if (!c.waiting_outage) continue;
+  cold_.for_each_in_seq_order([&](TransferId id, Cold& c) {
+    if (!c.waiting_outage) return;
     c.waiting_outage = false;
     const double backoff =
         c.outage_aborts > 0
@@ -355,7 +348,7 @@ void Link::set_outage(bool down) {
                        kOutageMaxBackoff)
             : 0.0;
     schedule_activation(id, config_.setup_latency + backoff);
-  }
+  });
 }
 
 void Link::ensure_tick() {
@@ -390,12 +383,12 @@ double Link::busy_time() const {
 std::vector<Link::RateSample> Link::current_rates() const {
   std::vector<RateSample> out;
   out.reserve(hot_.size());
-  for (const auto& [id, c] : cold_) {
-    if (!c.activated) continue;
+  cold_.for_each_in_seq_order([&](TransferId id, const Cold& c) {
+    if (!c.activated) return;
     const std::size_t pos = hot_.find(c.threads * config_.per_connection_cap, id);
     assert(pos != HotPool::npos);
     out.push_back(RateSample{id, c.threads, hot_.rate[pos]});
-  }
+  });
   return out;
 }
 

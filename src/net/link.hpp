@@ -8,7 +8,7 @@
 #include "net/noise.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/simulation.hpp"
-#include "util/flat_map.hpp"
+#include "util/seq_table.hpp"
 
 namespace cbs::net {
 
@@ -91,7 +91,7 @@ class LinkOwner {
 /// SoA pool (`HotPool`) kept sorted by (demand, id) — the exact order the
 /// water-filling pass consumes — so a reallocation streams contiguous
 /// arrays with no per-pass sort and no pointer chasing. Cold bookkeeping
-/// (report kind and tag, outage counters, timestamps) sits in a `FlatMap`
+/// (report kind and tag, outage counters, timestamps) sits in a `SeqTable`
 /// keyed by the monotonically increasing `TransferId`, which doubles as the
 /// generation check: ids are never reused, so a stale id can never alias a
 /// later transfer. Membership changes only mark the link dirty; `flush()`
@@ -114,8 +114,8 @@ class Link : private cbs::sim::EventTarget {
   /// the copy of `src`'s engine, that reports to `owner`.
   Link(cbs::sim::Simulation& dst, LinkOwner& owner, const Link& src);
 
-  /// Pre-sizes the transfer tables for `expected` concurrent transfers.
-  /// Purely a performance hint; growth past it still works.
+  /// Pre-sizes the hot pool for `expected` concurrent transfers. Purely a
+  /// performance hint; growth past it still works.
   void reserve_transfers(std::size_t expected);
 
   /// Starts a transfer of `bytes` using `threads` parallel connections.
@@ -244,7 +244,7 @@ class Link : private cbs::sim::EventTarget {
   double wasted_bytes_ = 0.0;
   bool outage_ = false;
   HotPool hot_;
-  cbs::util::FlatMap<TransferId, Cold> cold_;
+  cbs::util::SeqTable<Cold> cold_;
   TransferId next_id_ = 1;
   double bytes_delivered_ = 0.0;
   // Batched-reallocation state: membership changes set dirty_; flush()

@@ -9,34 +9,38 @@
 
 namespace cbs::util {
 
-/// A table keyed by sequence id: the controller's jobs, the belief's
-/// per-job records and a transfer queue's tag index.
+/// A table keyed by an increasing per-owner id: the controller's jobs and
+/// the belief's per-job records (by job seq), a transfer queue's tag index,
+/// a link's transfers (by TransferId) and a store's objects (by
+/// 2·seq + kind) and pending retries (by op id).
 ///
-/// The keys are job seqs. New ones arrive in increasing order, entries
-/// leave in any order, and a few come back below the lowest live seq (a
-/// retracted burst re-admitted to the IC). The table keeps
+/// New keys mostly arrive in increasing order, entries leave in any order,
+/// and a few come back below the lowest live key (a retracted burst
+/// re-admitted to the IC). The table keeps
 ///
 ///  - the entries densely in one vector, in no particular order: an erase
 ///    moves the last entry into the hole (swap-remove);
-///  - a contiguous slot index, one 32-bit dense position per seq from the
-///    lowest live seq (`base_`) to the highest inserted. It starts at a
-///    `head_` offset into its vector: erasing the lowest seq advances the
-///    head past every empty slot, and a seq below `base_` takes the room
+///  - a contiguous slot index, one 32-bit dense position per key from the
+///    lowest live key (`base_`) to the highest inserted. It starts at a
+///    `head_` offset into its vector: erasing the lowest key advances the
+///    head past every empty slot, and a key below `base_` takes the room
 ///    in front of the head (growing it when there is none).
 ///
 /// So every find, insert and erase is O(1) amortized, with no binary
 /// search and no shift of the entries. for_each_in_seq_order() walks the
-/// slot index, O(highest − lowest live seq).
+/// slot index, O(highest − lowest live key).
 ///
 /// A copy (every fork copies these tables) holds the live slot range only
 /// and keeps room to grow, so a rollout's first inserts do not reallocate
-/// the inherited backlog. References returned by find() and insert() are
-/// invalidated by the next insert or erase.
+/// the inherited backlog; a copy of an empty table allocates nothing.
+/// References returned by find() and insert() are invalidated by the next
+/// insert or erase.
 template <typename T>
 class SeqTable {
  public:
   SeqTable() = default;
   SeqTable(const SeqTable& other) : base_(other.base_) {
+    if (other.empty()) return;
     entries_.reserve(std::max(other.entries_.capacity(),
                               other.entries_.size() + kCopyRoom));
     entries_.assign(other.entries_.begin(), other.entries_.end());
@@ -121,12 +125,21 @@ class SeqTable {
     return true;
   }
 
-  /// Calls `fn(seq, entry)` for every entry, in increasing seq order.
+  /// Calls `fn(seq, entry)` for every entry, in increasing seq order. The
+  /// mutable walk lets `fn` change entries, but not insert or erase.
   template <typename Fn>
   void for_each_in_seq_order(Fn&& fn) const {
     for (std::size_t i = head_; i < slot_.size(); ++i) {
       if (slot_[i] == kNone) continue;
       const Entry& e = entries_[slot_[i]];
+      fn(e.seq, e.value);
+    }
+  }
+  template <typename Fn>
+  void for_each_in_seq_order(Fn&& fn) {
+    for (std::size_t i = head_; i < slot_.size(); ++i) {
+      if (slot_[i] == kNone) continue;
+      Entry& e = entries_[slot_[i]];
       fn(e.seq, e.value);
     }
   }

@@ -731,6 +731,30 @@ TEST(TransferQueueSetTest, DrainedClassBacklogIsExactlyZero) {
   }
 }
 
+TEST(TransferQueueSetTest, RideUpsAddToTheBacklogInTagOrder) {
+  // Class 0 work rides both higher slots. Once tag 2 lands, class 1's slot
+  // takes tag 4 while class 2's still carries tag 3, so the slots hold
+  // tags 1, 4, 3. The backlog must add them in tag order.
+  QueueFixture f;
+  TransferQueueSet& queues = f.queues(3);
+  const double b1 = 64.0e6 / 7.0;
+  const double b3 = 64.0e6 / 11.0;
+  const double b4 = 64.0e6 / 31.0;
+  const double b5 = 64.0e6 / 3.0;
+  queues.enqueue(1, b1, 0);
+  queues.enqueue(2, 1.0e3, 0);  // lands within milliseconds
+  queues.enqueue(3, b3, 0);
+  queues.enqueue(4, b4, 0);
+  queues.enqueue(5, b5, 0);  // still waiting at the check
+  f.sim.run_until(1.0);
+  ASSERT_EQ(f.owner.tags(), (std::vector<std::uint64_t>{2}));
+  ASSERT_EQ(queues.queued_tags(), (std::vector<std::uint64_t>{5}));
+  const double tag_order = ((b5 + b1) + b3) + b4;
+  const double slot_order = ((b5 + b1) + b4) + b3;
+  ASSERT_NE(tag_order, slot_order);  // the sizes tell the orders apart
+  EXPECT_EQ(queues.backlog_bytes_per_class()[0], tag_order);
+}
+
 TEST(TransferQueueSetTest, QueuedTagsListsWaitingOnly) {
   QueueFixture f;
   TransferQueueSet& queues = f.queues(1);

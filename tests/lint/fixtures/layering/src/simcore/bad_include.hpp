@@ -3,6 +3,6 @@
 #pragma once
 
 #include "core/controller.hpp"
-#include "util/flat_map.hpp"
+#include "util/seq_table.hpp"
 
 namespace cbs::sim {}  // namespace cbs::sim

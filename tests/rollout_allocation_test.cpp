@@ -175,8 +175,11 @@ TEST(RolloutAllocation, CountIsBoundedAtBatch200) {
   const Chain chain = measure_op_chain(200);
   ASSERT_GT(chain.outstanding, 200u);  // the overload backlog is there
   EXPECT_LE(chain.largest_after_fork(), kLargestAllocation);
-  // 164 measured (71 fork, 17 admit, 76 roll); the ceilings keep 1.5x
-  // headroom. 165 (71, 17, 77) were made before the event heap removed
+  // 159 measured (66 fork, 17 admit, 76 roll); the ceilings keep 1.5x
+  // headroom. 164 (71, 17, 76) were made before the link and store tables
+  // became SeqTables, a copy of an empty one stopped reserving room, and a
+  // transfer queue's classes each kept one in-flight item in one vector.
+  // 165 (71, 17, 77) were made before the event heap removed
   // cancelled records in place and the download queue stopped keeping a
   // tag index. 168 (73, 18, 77) were made before the job, belief and queue
   // tag tables became seq-indexed, and the fork made 4 more before it

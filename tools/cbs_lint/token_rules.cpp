@@ -208,7 +208,7 @@ const std::vector<Rule>& token_rules() {
   static const std::vector<Rule> kRules = {
       {"nondeterministic-container", "nondeterministic",
        "hash-ordered container in sim state: simcore/core/models iterate "
-       "their tables, so only deterministic-order containers (FlatMap, "
+       "their tables, so only deterministic-order containers (SeqTable, "
        "std::map, vector) are allowed",
        in_deterministic_state_layers,
        [](const std::string& code) {
