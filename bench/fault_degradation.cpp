@@ -275,9 +275,9 @@ int main(int argc, char** argv) try {
   }
 
   if (const auto json_path = args.get("json")) {
-    // perf_compare-format rows so CI can pin every cell of the matrix
-    // against a committed baseline (values are simulated quantities, not
-    // times; the field name is just the comparator's schema).
+    // perf_compare value rows, so CI pins every cell of the matrix against
+    // a committed baseline in both directions (simulated quantities, not
+    // times: a drop fails the gate as a rise does).
     std::FILE* f = std::fopen(json_path->c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
@@ -288,7 +288,7 @@ int main(int argc, char** argv) try {
     for (const std::string& key : makespan.keys()) {
       const auto row = [&](const char* metric, double value) {
         if (value <= 0.0) return;  // comparator drops non-positive entries
-        std::fprintf(f, "%s    {\"name\": \"FD_%s/%s\", \"cpu_time_ns\": %.1f}",
+        std::fprintf(f, "%s    {\"name\": \"FD_%s/%s\", \"value\": %.1f}",
                      first ? "" : ",\n", metric, key.c_str(), value);
         first = false;
       };

@@ -100,9 +100,7 @@ bool Cluster::remove_machine() {
     Machine& machine = machines_[m];
     if (machine.retired || machine.retire_when_free) continue;
     if (!machine.busy) {
-      machine.retired = true;
-      --active_machines_;
-      note_provision_change(active_machines_);
+      retire(machine);
       return true;
     }
   }
@@ -177,12 +175,7 @@ void Cluster::finish(std::size_t machine_idx) {
   machine.busy = false;
   machine.busy_accum += sim_.now() - machine.busy_since;
   --running_;
-  if (machine.retire_when_free) {
-    machine.retire_when_free = false;
-    machine.retired = true;
-    --active_machines_;
-    note_provision_change(active_machines_);
-  }
+  if (machine.retire_when_free) retire(machine);
 
   TaskRecord rec;
   rec.task_id = task.task_id;
@@ -212,29 +205,20 @@ bool Cluster::crash_machine(std::size_t machine_idx) {
   // exactly the outcome the proactive policy drains for.
   if (machine.drained && !machine.busy) ++idle_crashes_absorbed_;
   if (machine.busy) {
-    Running& run = *running_tasks_[machine_idx];
-    sim_.cancel(run.completion);
+    Running run = preempt(machine_idx);
     // Cycles burned so far are both paid for (busy time) and wasted (the
     // re-execution starts from scratch).
     const double lost_wall = sim_.now() - run.started;
     wasted_standard_seconds_ += lost_wall * speed_;
-    machine.busy = false;
-    machine.busy_accum += sim_.now() - machine.busy_since;
-    --running_;
     ++reexecutions_;
-    Pending task = std::move(run.task);
-    running_tasks_[machine_idx].reset();
     // Head of the queue: the lost task keeps its FCFS position.
-    queued_standard_seconds_ += task.standard_service;
-    queue_.push_front(std::move(task));
+    queued_standard_seconds_ += run.task.standard_service;
+    queue_.push_front(std::move(run.task));
   }
   if (machine.retire_when_free) {
     // The machine was draining toward retirement anyway — retire it now
     // instead of parking it in the down state.
-    machine.retire_when_free = false;
-    machine.retired = true;
-    --active_machines_;
-    note_provision_change(active_machines_);
+    retire(machine);
   } else {
     machine.down = true;
     ++down_;
@@ -242,6 +226,24 @@ bool Cluster::crash_machine(std::size_t machine_idx) {
   // The reclaimed task may fit on another free machine right away.
   dispatch();
   return true;
+}
+
+Cluster::Running Cluster::preempt(std::size_t machine_idx) {
+  Running run = std::move(*running_tasks_[machine_idx]);
+  running_tasks_[machine_idx].reset();
+  sim_.cancel(run.completion);
+  Machine& machine = machines_[machine_idx];
+  machine.busy = false;
+  machine.busy_accum += sim_.now() - machine.busy_since;
+  --running_;
+  return run;
+}
+
+void Cluster::retire(Machine& machine) {
+  machine.retire_when_free = false;
+  machine.retired = true;
+  --active_machines_;
+  note_provision_change(active_machines_);
 }
 
 bool Cluster::recover_machine(std::size_t machine_idx) {
@@ -266,15 +268,10 @@ bool Cluster::drain_machine(std::size_t machine_idx) {
   if (machine.busy) {
     // Checkpoint-restart: cancel the completion, bank the finished
     // fraction and re-queue only the remainder at its FCFS position.
-    Running& run = *running_tasks_[machine_idx];
-    sim_.cancel(run.completion);
+    Running run = preempt(machine_idx);
     const double done_standard = (sim_.now() - run.started) * speed_;
-    machine.busy = false;
-    machine.busy_accum += sim_.now() - machine.busy_since;
-    --running_;
     ++drain_preemptions_;
-    Pending task = std::move(run.task);
-    running_tasks_[machine_idx].reset();
+    Pending& task = run.task;
     const double remaining =
         std::max(0.0, task.standard_service - done_standard);
     checkpointed_standard_seconds_ += task.standard_service - remaining;

@@ -206,6 +206,11 @@ class Cluster : private cbs::sim::EventTarget {
   void on_event(std::uint32_t kind, std::uint64_t machine) override;
   void dispatch();
   void finish(std::size_t machine);
+  /// Takes the task off busy machine `machine` before it completes: cancels
+  /// its completion, closes the busy interval and returns what ran.
+  Running preempt(std::size_t machine);
+  /// Retires `machine` for good: one fewer active machine from now on.
+  void retire(Machine& machine);
 
   void note_provision_change(std::size_t new_count);
 

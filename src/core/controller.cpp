@@ -158,7 +158,6 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
       outcomes_(src.outcomes_),
       next_seq_(src.next_seq_),
       next_doc_id_(src.next_doc_id_),
-      outstanding_(src.outstanding_),
       probe_scheduled_(src.probe_scheduled_),
       pull_backs_(src.pull_backs_),
       push_outs_(src.push_outs_),
@@ -351,7 +350,6 @@ void CloudBurstController::on_batch(const cbs::workload::Batch& batch,
     placed.scheduled_time = sim_.now();
     placed.placement = d.placement;
     placed.estimated_service_seconds = d.estimated_service_seconds;
-    ++outstanding_;
 
     if (d.placement == Placement::kInternal) {
       set_state(placed, JobState::kIcWaiting);
@@ -447,7 +445,8 @@ void CloudBurstController::on_ic_done(std::uint64_t seq) {
   dispatch_ic();
   // Each internal completion is a fresh look at the §IV.D condition: "when
   // the EC upload queue is idle and IC has jobs waiting to execute".
-  if (config_->enable_rescheduler && any_upload_idle() && outstanding_ > 0) {
+  if (config_->enable_rescheduler && any_upload_idle() &&
+      outstanding_jobs() > 0) {
     maybe_push_out();
   }
 }
@@ -510,8 +509,6 @@ void CloudBurstController::finish_job(Job& job) {
   set_state(job, JobState::kCompleted);
   job.completed_time = sim_.now();
   outcomes_.push_back(job.to_outcome());
-  assert(outstanding_ > 0);
-  --outstanding_;
   log_.debug(sim_.now(), "job ", job.seq_id, " done on ",
              cbs::sla::to_string(job.placement));
   // The outcome is the job's whole record from here on; `job` dangles.
@@ -541,7 +538,7 @@ void CloudBurstController::ensure_probing() {
 
 void CloudBurstController::probe() {
   probe_scheduled_ = false;
-  if (outstanding_ == 0) return;  // run over; stop generating events
+  if (outstanding_jobs() == 0) return;  // run over; stop generating events
   if (config_->faults.in_probe_blackout(sim_.now())) {
     // Probe infrastructure is down: skip the measurement but keep the
     // cadence, so the EWMA model simply goes stale for the window.
@@ -740,7 +737,7 @@ void CloudBurstController::ensure_elastic_check() {
 
 void CloudBurstController::elastic_check() {
   elastic_check_scheduled_ = false;
-  if (outstanding_ == 0) return;  // run over; let the simulation drain
+  if (outstanding_jobs() == 0) return;  // run over; let the simulation drain
   for (std::size_t i = 0; i < sites_.size(); ++i) scale_site(i);
   ensure_elastic_check();
 }

@@ -147,10 +147,9 @@ class CloudBurstController : private cbs::sim::EventTarget,
       const noexcept {
     return outcomes_;
   }
-  [[nodiscard]] std::size_t outstanding_jobs() const noexcept { return outstanding_; }
-  /// Entries in the job table: exactly the outstanding jobs, since a job
-  /// is erased once its outcome is recorded.
-  [[nodiscard]] std::size_t job_table_size() const noexcept {
+  /// Jobs admitted and not yet finished: the job table's entries, since a
+  /// job is erased once its outcome is recorded.
+  [[nodiscard]] std::size_t outstanding_jobs() const noexcept {
     return jobs_.size();
   }
   [[nodiscard]] const compute::Cluster& ic_cluster() const noexcept { return ic_cluster_; }
@@ -259,7 +258,9 @@ class CloudBurstController : private cbs::sim::EventTarget,
   void on_machine_idle(std::size_t cluster, std::size_t machine) override;
   void on_put_done(std::size_t site, std::uint64_t seq,
                    compute::JobStore::ObjectKind kind, bool ok) override;
-  [[nodiscard]] bool faults_active() const override { return outstanding_ > 0; }
+  [[nodiscard]] bool faults_active() const override {
+    return outstanding_jobs() > 0;
+  }
   void on_vm_crash(std::size_t cluster, std::size_t machine) override;
   void on_vm_recover(std::size_t cluster, std::size_t machine) override;
   void on_outage_begin(const sim::OutageWindow& window) override;
@@ -354,7 +355,6 @@ class CloudBurstController : private cbs::sim::EventTarget,
   std::uint64_t next_seq_ = 1;
   /// Chunk ids, disjoint from inputs.
   std::uint64_t next_doc_id_ = cbs::workload::kFirstChunkId;
-  std::size_t outstanding_ = 0;
   bool probe_scheduled_ = false;
   std::size_t pull_backs_ = 0;
   std::size_t push_outs_ = 0;

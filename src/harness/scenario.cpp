@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "sla/oo_metric.hpp"
@@ -14,7 +15,7 @@ namespace {
 
 /// The error list's reporter: "<field> must be <rule> (got <got>)".
 auto rejecter(std::vector<std::string>& errors) {
-  return [&errors](const char* field, const char* rule, double got) {
+  return [&errors](std::string_view field, std::string_view rule, double got) {
     std::ostringstream msg;
     msg << field << " must be " << rule << " (got " << got << ")";
     errors.push_back(msg.str());
@@ -61,7 +62,7 @@ std::vector<std::string> Scenario::validate() const {
     std::ostringstream rule;
     if (documents > static_cast<double>(kMaxDrawnDocuments)) {
       rule << "<= " << kMaxDrawnDocuments;
-      reject("max(mean_jobs_per_batch, 1) * num_batches", rule.str().c_str(),
+      reject("max(mean_jobs_per_batch, 1) * num_batches", rule.str(),
              documents);
     }
     // The run reaches at least the last arrival, and a lookahead decision
@@ -74,7 +75,7 @@ std::vector<std::string> Scenario::validate() const {
       rule << "short enough for an OO series of fewer than "
            << cbs::sla::kMaxSeriesSamples << " samples at oo_sampling_interval "
            << oo_sampling_interval;
-      reject("(num_batches - 1) * batch_interval_seconds", rule.str().c_str(),
+      reject("(num_batches - 1) * batch_interval_seconds", rule.str(),
              last_arrival);
     } else if (std::isfinite(lookahead_horizon_seconds) &&
                lookahead_horizon_seconds > 0.0 &&
@@ -84,7 +85,7 @@ std::vector<std::string> Scenario::validate() const {
       reject(
           "(num_batches - 1) * batch_interval_seconds + "
           "lookahead_horizon_seconds",
-          rule.str().c_str(), horizon_end);
+          rule.str(), horizon_end);
     }
   }
   for (std::string& e : validate_except_arrivals()) {
@@ -96,28 +97,25 @@ std::vector<std::string> Scenario::validate() const {
 std::vector<std::string> Scenario::validate_except_arrivals() const {
   std::vector<std::string> errors;
   const auto reject = rejecter(errors);
-  if (!std::isfinite(truth.noise_sigma) || truth.noise_sigma < 0.0) {
-    reject("truth.noise_sigma", "finite and >= 0", truth.noise_sigma);
-  }
-  if (!std::isfinite(oo_sampling_interval) || oo_sampling_interval <= 0.0) {
-    reject("oo_sampling_interval", "finite and > 0", oo_sampling_interval);
-  }
-  const std::pair<const char*, double> fault_fields[] = {
-      {"faults.ic_vm_mtbf", faults.ic_vm_mtbf},
-      {"faults.ec_vm_mtbf", faults.ec_vm_mtbf},
-      {"faults.vm_recovery_seconds", faults.vm_recovery_seconds},
-      {"faults.retraction_deadline_factor", faults.retraction_deadline_factor},
+  // Written as !(x > 0) and !(x >= 0) so that NaN is rejected too.
+  const auto positive = [&](std::string_view field, double value) {
+    if (!(value > 0.0) || std::isinf(value)) {
+      reject(field, "finite and > 0", value);
+    }
   };
-  for (const auto& [field, value] : fault_fields) {
-    if (!std::isfinite(value) || value < 0.0) {
+  const auto non_negative = [&](std::string_view field, double value) {
+    if (!(value >= 0.0) || std::isinf(value)) {
       reject(field, "finite and >= 0", value);
     }
-  }
-  if (!std::isfinite(lookahead_horizon_seconds) ||
-      lookahead_horizon_seconds <= 0.0) {
-    reject("lookahead_horizon_seconds", "finite and > 0",
-           lookahead_horizon_seconds);
-  }
+  };
+  non_negative("truth.noise_sigma", truth.noise_sigma);
+  positive("oo_sampling_interval", oo_sampling_interval);
+  non_negative("faults.ic_vm_mtbf", faults.ic_vm_mtbf);
+  non_negative("faults.ec_vm_mtbf", faults.ec_vm_mtbf);
+  non_negative("faults.vm_recovery_seconds", faults.vm_recovery_seconds);
+  non_negative("faults.retraction_deadline_factor",
+               faults.retraction_deadline_factor);
+  positive("lookahead_horizon_seconds", lookahead_horizon_seconds);
   if (lookahead_candidates < 1 || lookahead_candidates > kLookaheadCandidates) {
     reject("lookahead_candidates", "in [1, 3]", lookahead_candidates);
   }
@@ -126,13 +124,51 @@ std::vector<std::string> Scenario::validate_except_arrivals() const {
     reject("resilience.drain_threshold", "finite and in [0, 1]",
            resilience.drain_threshold);
   }
-  if (!std::isfinite(resilience.drain_window_seconds) ||
-      resilience.drain_window_seconds <= 0.0) {
-    reject("resilience.drain_window_seconds", "finite and > 0",
-           resilience.drain_window_seconds);
+  positive("resilience.drain_window_seconds", resilience.drain_window_seconds);
+  non_negative("resilience.risk_weight", resilience.risk_weight);
+
+  // The fields the controller's constructors (clusters, links, their noise,
+  // the estimators and the thread tuner) assert on.
+  non_negative("params.slack_safety_margin", params.slack_safety_margin);
+  if (ic_machines == 0) reject("ic_machines", "> 0", 0.0);
+  for (std::size_t i = 0; i < ec_sites.size(); ++i) {
+    const cbs::core::EcSiteConfig& site = ec_sites[i];
+    const std::string at = "ec_sites[" + std::to_string(i) + "].";
+    if (site.machines == 0) reject(at + "machines", "> 0", 0.0);
+    positive(at + "speed", site.speed);
+    non_negative(at + "job_overhead_seconds", site.job_overhead_seconds);
+    for (const auto& [direction, link] :
+         {std::pair{"uplink.", &site.uplink},
+          std::pair{"downlink.", &site.downlink}}) {
+      const std::string field = at + direction;
+      positive(field + "base_rate", link->base_rate);
+      positive(field + "per_connection_cap", link->per_connection_cap);
+      if (!(link->noise_rho >= 0.0 && link->noise_rho < 1.0)) {
+        reject(field + "noise_rho", "in [0, 1)", link->noise_rho);
+      }
+      non_negative(field + "noise_sigma", link->noise_sigma);
+      positive(field + "noise_step", link->noise_step);
+      non_negative(field + "setup_latency", link->setup_latency);
+    }
   }
-  if (!std::isfinite(resilience.risk_weight) || resilience.risk_weight < 0.0) {
-    reject("resilience.risk_weight", "finite and >= 0", resilience.risk_weight);
+  if (bandwidth_estimator.slots_per_day == 0) {
+    reject("bandwidth_estimator.slots_per_day", "> 0", 0.0);
+  }
+  if (!(bandwidth_estimator.alpha > 0.0 && bandwidth_estimator.alpha <= 1.0)) {
+    reject("bandwidth_estimator.alpha", "in (0, 1]", bandwidth_estimator.alpha);
+  }
+  positive("bandwidth_estimator.prior_rate", bandwidth_estimator.prior_rate);
+  if (thread_tuner.slots_per_day == 0) {
+    reject("thread_tuner.slots_per_day", "> 0", 0.0);
+  }
+  if (thread_tuner.initial_threads < 1 ||
+      thread_tuner.initial_threads > thread_tuner.max_threads) {
+    reject("thread_tuner.initial_threads", "in [1, thread_tuner.max_threads]",
+           thread_tuner.initial_threads);
+  }
+  // <= 0 turns probing off; NaN or inf would schedule a probe at no time.
+  if (!std::isfinite(probe_interval)) {
+    reject("probe_interval", "finite", probe_interval);
   }
   return errors;
 }

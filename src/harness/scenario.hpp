@@ -88,8 +88,11 @@ struct Scenario : cbs::core::ControllerConfig {
   /// kMaxDrawnDocuments, a last arrival past what the OO series can sample
   /// (sla::kMaxSeriesSamples) or, with the lookahead horizon added, past
   /// kMaxSimSeconds, a non-positive OO sampling interval, a
-  /// negative or non-finite noise sigma or fault field. Empty when the
-  /// scenario is runnable.
+  /// negative or non-finite noise sigma or fault field, and every
+  /// ControllerConfig field a constructor of the controller's parts
+  /// asserts on (cluster sizes and speeds, link rates and noise, the
+  /// estimator and thread-tuner configs, the slack margin). Empty when
+  /// the scenario is runnable.
   [[nodiscard]] std::vector<std::string> validate() const;
 
   /// validate() without its arrival checks (those of num_batches,

@@ -304,6 +304,59 @@ TEST(ScenarioValidateTest, NamesEveryBadField) {
   EXPECT_TRUE(far.validate().empty());
   far.lookahead_horizon_seconds += 1.0;
   EXPECT_EQ(far.validate().size(), 1u);
+
+  // Every ControllerConfig field a constructor asserts on: each of these
+  // once passed validation and then aborted the run in a cluster, link,
+  // noise, estimator or thread-tuner constructor, or at the first slack
+  // test. Now the world refuses it by name.
+  using Edit = void (*)(Scenario&);
+  const std::pair<const char*, Edit> controller_fields[] = {
+      {"ic_machines", [](Scenario& c) { c.ic_machines = 0; }},
+      {"ec_sites[0].machines", [](Scenario& c) { c.ec_sites[0].machines = 0; }},
+      {"ec_sites[0].speed", [](Scenario& c) { c.ec_sites[0].speed = -1.0; }},
+      {"ec_sites[1].speed",
+       [](Scenario& c) { c.ec_sites.push_back({.speed = 0.0}); }},
+      {"ec_sites[0].job_overhead_seconds",
+       [](Scenario& c) { c.ec_sites[0].job_overhead_seconds = -1.0; }},
+      {"ec_sites[0].uplink.base_rate",
+       [](Scenario& c) { c.ec_sites[0].uplink.base_rate = 0.0; }},
+      {"ec_sites[0].downlink.per_connection_cap",
+       [](Scenario& c) { c.ec_sites[0].downlink.per_connection_cap = 0.0; }},
+      {"ec_sites[0].uplink.noise_rho",
+       [](Scenario& c) { c.ec_sites[0].uplink.noise_rho = 1.0; }},
+      {"ec_sites[0].downlink.noise_sigma",
+       [](Scenario& c) { c.ec_sites[0].downlink.noise_sigma = -0.1; }},
+      {"ec_sites[0].uplink.noise_step",
+       [](Scenario& c) { c.ec_sites[0].uplink.noise_step = 0.0; }},
+      {"ec_sites[0].downlink.setup_latency",
+       [](Scenario& c) { c.ec_sites[0].downlink.setup_latency = -1.0; }},
+      {"bandwidth_estimator.slots_per_day",
+       [](Scenario& c) { c.bandwidth_estimator.slots_per_day = 0; }},
+      {"bandwidth_estimator.alpha",
+       [](Scenario& c) { c.bandwidth_estimator.alpha = 0.0; }},
+      {"bandwidth_estimator.prior_rate",
+       [](Scenario& c) { c.bandwidth_estimator.prior_rate = 0.0; }},
+      {"thread_tuner.slots_per_day",
+       [](Scenario& c) { c.thread_tuner.slots_per_day = 0; }},
+      {"thread_tuner.initial_threads",
+       [](Scenario& c) { c.thread_tuner.initial_threads = 0; }},
+      {"params.slack_safety_margin",
+       [](Scenario& c) { c.params.slack_safety_margin = std::nan(""); }},
+      {"probe_interval", [](Scenario& c) { c.probe_interval = std::nan(""); }},
+  };
+  for (const auto& [expected, edit] : controller_fields) {
+    Scenario bad;
+    edit(bad);
+    const std::vector<std::string> bad_errors = bad.validate();
+    ASSERT_EQ(bad_errors.size(), 1u) << expected;
+    EXPECT_EQ(bad_errors[0].rfind(std::string(expected) + " must be", 0), 0u)
+        << bad_errors[0];
+    EXPECT_THROW(ScenarioWorld{bad}, std::invalid_argument) << expected;
+  }
+  // Probing off (a zero or negative interval) stays valid.
+  Scenario no_probes;
+  no_probes.probe_interval = 0.0;
+  EXPECT_TRUE(no_probes.validate().empty());
 }
 
 TEST(ScenarioValidateTest, WorldAndRunRejectInvalidScenarios) {
