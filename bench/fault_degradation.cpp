@@ -13,8 +13,9 @@
 // and with the proactive resilience policy (pre-emptive drains, risk-priced
 // bursting, DESIGN.md §13) — and the run gates on the degradation *slope*:
 // the predictor-on arm must degrade strictly less steeply in both ticket
-// lateness and wasted compute as faults escalate. Zero lost jobs is still
-// validated per run in both arms.
+// lateness and wasted compute as faults escalate, and its predictor must
+// have made at least one prediction (else that arm never acted). Zero lost
+// jobs is still validated per run in both arms.
 //
 // Flags: --seeds a,b,c --threads N
 //        --hazard-predictor off|ewma|bayes --drain-threshold --drain-window
@@ -270,8 +271,18 @@ int main(int argc, char** argv) try {
                 lat_on, lat_on < lat_off ? "flatter" : "NOT flatter");
     std::printf("  wasted-compute slope: off=%.1fs on=%.1fs  %s\n", waste_off,
                 waste_on, waste_on < waste_off ? "flatter" : "NOT flatter");
-    flatter = lat_on < lat_off && waste_on < waste_off;
+    // A predictor that never predicted never acted, so its arm is the
+    // reactive arm up to event order, and a slope difference between the
+    // two proves nothing about prediction.
+    const bool predicted = hazard.predictions > 0;
+    flatter = predicted && lat_on < lat_off && waste_on < waste_off;
     std::printf("  degradation gate:     %s\n", flatter ? "PASS" : "FAIL");
+    if (!predicted) {
+      std::fprintf(stderr,
+                   "degradation gate: FAIL: the %s predictor made 0 "
+                   "predictions, so its arm never acted\n",
+                   on.c_str() + 1);
+    }
   }
 
   if (const auto json_path = args.get("json")) {

@@ -156,33 +156,6 @@ std::shared_ptr<const std::vector<cbs::workload::Batch>> require_runnable(
       std::move(batches));
 }
 
-using OutcomeLog = cbs::util::ChunkedLog<cbs::sla::JobOutcome>;
-
-/// The OO metric's o_t (paper Eq. 5–6) evaluated on a *partial* outcome
-/// set (a mid-horizon rollout has gaps in the seq-id space, which
-/// OoMetricCalculator rejects): the cumulative output MB of completed jobs
-/// with id <= m, where m is the largest id with at most `tolerance`
-/// missing jobs below it.
-double ordered_output_mb(const OutcomeLog& outcomes, std::uint64_t tolerance) {
-  if (outcomes.empty()) return 0.0;
-  std::uint64_t max_id = 0;
-  for (const auto& o : outcomes) max_id = std::max(max_id, o.seq_id);
-  std::vector<double> output_by_id(max_id + 1, -1.0);  // -1 = missing
-  for (const auto& o : outcomes) output_by_id[o.seq_id] = o.output_mb;
-  double ordered = 0.0;
-  double running = 0.0;
-  std::uint64_t missing = 0;
-  for (std::uint64_t id = 1; id <= max_id; ++id) {
-    if (output_by_id[id] < 0.0) {
-      if (++missing > tolerance) break;
-      continue;
-    }
-    running += output_by_id[id];
-    ordered = running;
-  }
-  return ordered;
-}
-
 }  // namespace
 
 // Each public constructor checks what it reads, then delegates: drawing
@@ -451,65 +424,32 @@ LookaheadController::Decision LookaheadController::decide(
 }
 
 double LookaheadController::score_world(const ScenarioWorld& world) const {
-  const OutcomeLog& outcomes = world.controller().outcomes();
-  const cbs::sla::TicketPolicy& policy = world.scenario().ticket_policy;
+  const auto outcomes = world.controller().outcomes().to_vector();
+  const Scenario& scenario = world.scenario();
   double lateness = 0.0;
-  for (const auto& o : outcomes) lateness += policy.lateness(o);
-  return score_with(world, lateness,
-                    ordered_output_mb(outcomes, world.scenario().oo_tolerance));
+  for (const auto& o : outcomes) lateness += scenario.ticket_policy.lateness(o);
+  const cbs::sla::OoMetricCalculator oo(outcomes);
+  return score_with(
+      world, lateness,
+      oo.sample_at(cbs::sim::kTimeInfinity, scenario.oo_tolerance).ordered_mb);
 }
 
 double LookaheadController::score_rollout(const ScenarioWorld& rollout,
                                           const ScorePrefix& prefix) const {
-  const OutcomeLog& outcomes = rollout.controller().outcomes();
-  const cbs::sla::TicketPolicy& policy = rollout.scenario().ticket_policy;
-  // Every id below the frontier is done, so ordered_output_mb()'s walk
-  // over ids 1..frontier-1 has already happened in the prefix; resume it
-  // at the frontier over the prefix's ids ahead plus the rollout's own.
-  const auto fresh = outcomes.iterator_at(prefix.count);
-  double lateness = prefix.lateness;
-  std::size_t window = prefix.ahead.size();
-  for (auto it = fresh; it != outcomes.end(); ++it) {
-    lateness += policy.lateness(*it);
-    window = std::max(
-        window, static_cast<std::size_t>(it->seq_id - prefix.frontier) + 1);
-  }
-  double running = prefix.ordered_mb;
-  if (window > 0) {
-    std::vector<double> output_by_id(window, -1.0);  // -1 = missing
-    std::copy(prefix.ahead.begin(), prefix.ahead.end(), output_by_id.begin());
-    for (auto it = fresh; it != outcomes.end(); ++it) {
-      output_by_id[it->seq_id - prefix.frontier] = it->output_mb;
-    }
-    const std::uint64_t tolerance = rollout.scenario().oo_tolerance;
-    std::uint64_t missing = 0;
-    for (const double mb : output_by_id) {
-      if (mb < 0.0) {
-        if (++missing > tolerance) break;
-        continue;
-      }
-      running += mb;
-    }
-  }
-  return score_with(rollout, lateness, running);
+  ScorePrefix score = prefix;
+  const Scenario& scenario = rollout.scenario();
+  score.advance(rollout.controller().outcomes(), scenario.ticket_policy);
+  return score_with(rollout, score.lateness,
+                    score.oo.ordered(scenario.oo_tolerance).ordered_mb);
 }
 
-void ScorePrefix::advance(const OutcomeLog& log,
-                          const cbs::sla::TicketPolicy& policy) {
-  for (auto it = log.iterator_at(count); it != log.end(); ++it) {
+void ScorePrefix::advance(
+    const cbs::util::ChunkedLog<cbs::sla::JobOutcome>& log,
+    const cbs::sla::TicketPolicy& policy) {
+  for (auto it = log.iterator_at(oo.count()); it != log.end(); ++it) {
     lateness += policy.lateness(*it);
-    const auto i = static_cast<std::size_t>(it->seq_id - frontier);
-    if (i >= ahead.size()) ahead.resize(i + 1, -1.0);
-    ahead[i] = it->output_mb;
+    oo.fold(it->seq_id, it->output_mb);
   }
-  count = log.size();
-  std::size_t done = 0;
-  while (done < ahead.size() && ahead[done] >= 0.0) {
-    ordered_mb += ahead[done];
-    ++done;
-  }
-  ahead.erase(ahead.begin(), ahead.begin() + static_cast<std::ptrdiff_t>(done));
-  frontier += done;
 }
 
 double LookaheadController::score_with(const ScenarioWorld& world,

@@ -10,6 +10,7 @@
 #include "harness/scenario.hpp"
 #include "simcore/simulation.hpp"
 #include "sla/job_outcome.hpp"
+#include "sla/oo_metric.hpp"
 #include "sla/tickets.hpp"
 #include "util/chunked_log.hpp"
 #include "workload/arrival.hpp"
@@ -20,22 +21,16 @@ class LookaheadController;
 class TaskPool;
 
 /// The part of a lookahead score that a rollout inherits from its parent
-/// world: the parent's outcome log up to `count`, already folded. A rollout
-/// is a fork, so its log starts with exactly these entries, and scoring it
-/// continues from here instead of re-walking the whole run. The sums add the
-/// same terms in the same order as a full recompute, so scores stay
-/// bit-identical.
+/// world: the parent's outcome log up to `oo.count()`, already folded. A
+/// rollout is a fork, so its log starts with exactly these entries, and its
+/// score folds its own into a copy of this. The sums add the same terms in
+/// the same order as a full recompute, so scores stay bit-identical.
 struct ScorePrefix {
-  std::size_t count = 0;       ///< outcomes folded in, from the log's start
-  double lateness = 0.0;       ///< Σ ticket lateness over them, in log order
-  std::uint64_t frontier = 1;  ///< smallest seq id not among them
-  double ordered_mb = 0.0;     ///< Σ output_mb, ids 1..frontier-1, id order
-  /// output_mb of id frontier + i at [i], −1 where that id is not folded
-  /// in; it ends at the highest folded id, so [0] is −1 when not empty.
-  std::vector<double> ahead;
+  double lateness = 0.0;    ///< Σ ticket lateness over them, in log order
+  cbs::sla::OoFrontier oo;  ///< their ordered output (paper Eq. 5–6)
 
-  /// Folds in the entries of `log` past `count`. `log` must extend the log
-  /// this prefix was built from (the same world, or a fork of it).
+  /// Folds in the entries of `log` past `oo.count()`. `log` must extend the
+  /// log this prefix was built from (the same world, or a fork of it).
   void advance(const cbs::util::ChunkedLog<cbs::sla::JobOutcome>& log,
                const cbs::sla::TicketPolicy& policy);
 };
@@ -245,8 +240,8 @@ class LookaheadController {
   [[nodiscard]] Decision decide(const ScenarioWorld& parent,
                                 const cbs::workload::Batch& batch) const;
 
-  /// The trajectory score of a (rolled-forward) world; lower is better.
-  /// Walks the world's whole outcome log: the reference for score_rollout.
+  /// The trajectory score of a (rolled-forward) world; lower is better. The
+  /// reference for score_rollout: walks the whole log, o_t by sample_at.
   [[nodiscard]] double score_world(const ScenarioWorld& world) const;
 
   /// score_world(rollout), bit for bit, continuing from `prefix` — the

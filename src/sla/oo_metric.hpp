@@ -31,6 +31,38 @@ struct OoSample {
   std::size_t completed_count = 0;  ///< |C_t|
 };
 
+/// The ordered-output frontier of completed jobs folded in any id order:
+/// the first id not yet folded, the id-order sum of output below it and the
+/// outputs folded ahead of it. Folding is O(1) amortized per id up to the
+/// highest folded; `ordered()` costs the span from the frontier to the
+/// (tolerance+1)-th missing id. `series()` and the lookahead score (which
+/// copies its parent's) fold into one; `sample_at` is their reference.
+class OoFrontier {
+ public:
+  /// Folds in a completed job: each `seq_id` (>= 1) once, `output_mb` >= 0.
+  void fold(std::uint64_t seq_id, double output_mb);
+
+  /// m_t, o_t and |C_t| over the folded jobs (`time` is left 0). o_t adds
+  /// the same doubles in the same order as `sample_at`: bit-identical to it.
+  [[nodiscard]] OoSample ordered(std::uint64_t tolerance) const;
+
+  /// Jobs folded in.
+  [[nodiscard]] std::size_t count() const noexcept { return count_; }
+  /// The smallest id not folded in; every id below it is.
+  [[nodiscard]] std::uint64_t frontier() const noexcept {
+    return base_ + head_;
+  }
+
+ private:
+  /// output_mb of id base_ + i at [i], −1 where that id is not folded in;
+  /// it ends at the highest folded id. [0, head_) is below the frontier.
+  std::vector<double> ahead_;
+  std::uint64_t base_ = 1;
+  std::size_t head_ = 0;
+  double below_mb_ = 0.0;  // Σ output_mb, ids 1..frontier()-1, id order
+  std::size_t count_ = 0;
+};
+
 /// Computes the paper's OO metric: at each sampling time s_t, the largest
 /// job id m_t such that job m_t has completed and at most `tolerance` jobs
 /// with smaller ids are still missing (Eq. 5, i − t_l ≤ |J_it|), and the
@@ -40,19 +72,20 @@ struct OoSample {
 /// tolerance) the queue's chronology.
 class OoMetricCalculator {
  public:
-  /// `outcomes` may be in any order; ids must be 1..n exactly once
-  /// (validate_outcomes enforces this upstream).
+  /// `outcomes` may be in any order, each id (>= 1) at most once. An id
+  /// below the largest that is absent counts as never done, so a rollout's
+  /// partial log is accepted as is.
   explicit OoMetricCalculator(const std::vector<JobOutcome>& outcomes);
 
   /// The metric at one sampling time: one O(n) pass over the ids. The
-  /// reference `series()` is tested against.
+  /// reference that series() and every OoFrontier are tested against.
   [[nodiscard]] OoSample sample_at(cbs::sim::SimTime t, std::uint64_t tolerance) const;
 
   /// Samples every `interval` seconds from t = 0 through the last
   /// completion (inclusive of one sample past it, so the series ends flat).
-  /// One forward sweep: O(n log T) set-up, then each sample costs the span
-  /// from the in-order frontier to the (tolerance+1)-th missing id; each
-  /// sample is bit-identical to `sample_at` at its time. Throws
+  /// One OoFrontier fed each sample's newly done jobs: O(n + T) set-up, then
+  /// each sample costs the span from the frontier to the (tolerance+1)-th
+  /// missing id and is bit-identical to `sample_at` at its time. Throws
   /// std::invalid_argument when that takes kMaxSeriesSamples or more.
   [[nodiscard]] std::vector<OoSample> series(cbs::sim::SimDuration interval,
                                              std::uint64_t tolerance) const;
@@ -61,7 +94,6 @@ class OoMetricCalculator {
   [[nodiscard]] cbs::stats::TimeSeries ordered_mb_series(
       cbs::sim::SimDuration interval, std::uint64_t tolerance) const;
 
-  [[nodiscard]] std::size_t job_count() const noexcept { return by_id_.size(); }
   [[nodiscard]] cbs::sim::SimTime last_completion() const noexcept {
     return last_completion_;
   }

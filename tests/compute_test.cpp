@@ -283,6 +283,53 @@ TEST(ClusterCrashTest, CrashOnIdleMachineJustTakesItDown) {
   EXPECT_EQ(cluster.down_machines(), 0u);
 }
 
+// ---- Cluster drain (pre-emptive resilience) --------------------------------
+
+TEST(ClusterDrainTest, DrainCheckpointsTheRunningTaskAndRequeuesItsRest) {
+  Simulation sim;
+  cbs::testing::ClosureEvents events(sim);
+  RecordingOwner owner(sim);
+  Cluster cluster(sim, owner, 0, "c", 2, 2.0);
+  const TaskId a = cluster.submit(20.0, 1, 0);  // machine 0, done at 10 s
+  const TaskId b = cluster.submit(40.0, 2, 0);  // machine 1, done at 20 s
+  const TaskId c = cluster.submit(10.0, 3, 0);  // queued behind both
+  events.at(2.5, [&] {
+    ASSERT_TRUE(cluster.drain_machine(0));
+    // (2.5 − 0) s × speed 2 = 5 standard seconds banked; the other 15
+    // re-queue at the head, ahead of c. No healthy machine is free, so the
+    // drained one takes them back at once.
+    EXPECT_EQ(cluster.drain_preemptions(), 1u);
+    EXPECT_DOUBLE_EQ(cluster.checkpointed_standard_seconds(), 5.0);
+    EXPECT_EQ(cluster.running_tasks(), 2u);
+    EXPECT_EQ(cluster.queued_tasks(), 1u);
+    EXPECT_DOUBLE_EQ(cluster.queued_standard_seconds(), 10.0);
+    EXPECT_FALSE(cluster.drain_machine(0));  // already drained
+  });
+  sim.run();
+
+  ASSERT_EQ(owner.tasks.size(), 3u);
+  // The remainder runs 15 / 2 = 7.5 s from 2.5 s; c follows it on machine
+  // 0 at 10 s, so the remainder kept a's place at the head of the queue.
+  EXPECT_EQ(owner.tasks[0].task_id, a);
+  EXPECT_EQ(owner.tasks[0].machine, 0u);
+  EXPECT_DOUBLE_EQ(owner.tasks[0].started, 2.5);
+  EXPECT_DOUBLE_EQ(owner.tasks[0].completed, 10.0);
+  EXPECT_DOUBLE_EQ(owner.tasks[0].standard_service, 15.0);
+  EXPECT_EQ(owner.tasks[1].task_id, c);
+  EXPECT_DOUBLE_EQ(owner.tasks[1].completed, 15.0);
+  EXPECT_EQ(owner.tasks[2].task_id, b);
+  EXPECT_DOUBLE_EQ(owner.tasks[2].completed, 20.0);
+
+  // A drain wastes nothing: no re-execution, and machine 0 was busy for
+  // all 15 s of the 20 standard seconds it served.
+  EXPECT_EQ(cluster.drains(), 1u);
+  EXPECT_EQ(cluster.drain_preemptions(), 1u);
+  EXPECT_EQ(cluster.reexecutions(), 0u);
+  EXPECT_DOUBLE_EQ(cluster.wasted_standard_seconds(), 0.0);
+  EXPECT_DOUBLE_EQ(cluster.machine_busy_time(0), 15.0);
+  EXPECT_TRUE(cluster.machine_drained(0));
+}
+
 // ---- JobStore retry/backoff (S3 best-effort semantics) -------------------
 
 TEST(JobStoreRetryTest, HealthyPutCompletesSynchronously) {

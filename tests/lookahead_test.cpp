@@ -192,8 +192,8 @@ TEST(Lookahead, PrefixScoresMatchFullRecomputeBitForBit) {
       // The arrival fires a real decision, which advances the prefix.
       world.run_until(world.batches()[i].arrival_time);
       if (i >= 17) {
-        EXPECT_GT(world.score_prefix().count, 0u) << name;
-        EXPECT_GT(world.score_prefix().frontier, 1u) << name;
+        EXPECT_GT(world.score_prefix().oo.count(), 0u) << name;
+        EXPECT_GT(world.score_prefix().oo.frontier(), 1u) << name;
       }
       const auto decision = lookahead.decide(world, world.batches()[i]);
       const std::vector<double> want =

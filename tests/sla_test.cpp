@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "sla/job_outcome.hpp"
@@ -192,6 +194,109 @@ TEST(OoMetricTest, SeriesMatchesSampleAtBitForBit) {
         }
       }
     }
+  }
+}
+
+TEST(OoMetricTest, SeriesMatchesSampleAtWhenSampleTimesDrift) {
+  // At a 0.1 s interval the sample times, a running sum, drift from k / 10.
+  // Completions fall on the drifted times, on k / 10 and on k × 0.1, so a
+  // due sample read off completed / interval alone would land one off.
+  constexpr double kInterval = 0.1;
+  std::vector<double> times;
+  for (double t = 0.0; t <= 300.0; t += kInterval) times.push_back(t);
+  std::vector<JobOutcome> outcomes;
+  std::mt19937_64 rng(11);
+  for (std::uint64_t i = 1; i <= 2000; ++i) {
+    const std::size_t k = 1 + rng() % 2900;
+    const auto kd = static_cast<double>(k);
+    const double completed[] = {times[k], kd / 10.0, kd * kInterval};
+    const auto mb = static_cast<double>(1 + i % 7);
+    outcomes.push_back(outcome(i, completed[rng() % 3], mb));
+  }
+  const OoMetricCalculator oo(outcomes);
+  for (const std::uint64_t tol : {std::uint64_t{0}, std::uint64_t{3}}) {
+    const auto series = oo.series(kInterval, tol);
+    ASSERT_LE(series.size(), times.size());
+    for (std::size_t k = 0; k < series.size(); ++k) {
+      const OoSample& s = series[k];
+      const OoSample ref = oo.sample_at(times[k], tol);
+      ASSERT_EQ(s.completed_count, ref.completed_count) << "k " << k;
+      ASSERT_EQ(s.max_in_order, ref.max_in_order) << "k " << k;
+      ASSERT_EQ(std::memcmp(&s.ordered_mb, &ref.ordered_mb, sizeof(double)), 0)
+          << "k " << k;
+    }
+  }
+  // The drift is real: some k / 10 differs from the k-th sample time.
+  std::size_t drifted = 0;
+  for (std::size_t k = 0; k < times.size(); ++k) {
+    if (times[k] != static_cast<double>(k) / 10.0) ++drifted;
+  }
+  EXPECT_GT(drifted, 0u);
+}
+
+TEST(OoMetricTest, CopiedFrontierExtendsAsOneFoldedFromScratch) {
+  // A rollout's view: only the completed jobs, so the ids have gaps. A
+  // frontier copied midway and then extended must read as one folded from
+  // scratch, and both as sample_at() over the same gapped log; the source
+  // of the copy must not move. Two logs: the completed jobs in completion
+  // order, where job 2 (last to complete) holds a window of thousands open
+  // at tolerance 0; and every job, each up to 63 places late in id order,
+  // where the frontier keeps moving and drops its spent front as it goes.
+  const auto same = [](const OoSample& a, const OoSample& b) {
+    return a.max_in_order == b.max_in_order &&
+           a.completed_count == b.completed_count &&
+           std::memcmp(&a.ordered_mb, &b.ordered_mb, sizeof(double)) == 0;
+  };
+  const std::uint64_t n = 3000;
+  const auto check = [&](const std::vector<JobOutcome>& log,
+                         const std::string& label) {
+    const std::size_t half = log.size() / 2;
+    const std::vector<JobOutcome> first(log.begin(),
+                                        log.begin() + static_cast<long>(half));
+    OoFrontier whole;
+    for (const JobOutcome& o : log) whole.fold(o.seq_id, o.output_mb);
+    OoFrontier midway;
+    for (const JobOutcome& o : first) midway.fold(o.seq_id, o.output_mb);
+    OoFrontier extended = midway;
+    for (std::size_t i = half; i < log.size(); ++i) {
+      extended.fold(log[i].seq_id, log[i].output_mb);
+    }
+    EXPECT_EQ(midway.count(), half) << label;
+    EXPECT_EQ(extended.count(), log.size()) << label;
+    EXPECT_EQ(extended.frontier(), whole.frontier()) << label;
+
+    const OoMetricCalculator all(log);
+    const OoMetricCalculator part(first);
+    const double end = std::numeric_limits<double>::infinity();
+    for (const std::uint64_t tol : {std::uint64_t{0}, std::uint64_t{1},
+                                    std::uint64_t{4}, n}) {
+      EXPECT_TRUE(same(extended.ordered(tol), whole.ordered(tol)))
+          << label << " tol " << tol;
+      EXPECT_TRUE(same(whole.ordered(tol), all.sample_at(end, tol)))
+          << label << " tol " << tol;
+      EXPECT_TRUE(same(midway.ordered(tol), part.sample_at(end, tol)))
+          << label << " tol " << tol;
+    }
+    return midway;
+  };
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const std::vector<JobOutcome> outcomes = sweep_outcomes(seed, n);
+    const std::string label = "seed " + std::to_string(seed);
+
+    std::vector<JobOutcome> log = outcomes;
+    std::erase_if(log, [](const JobOutcome& o) { return o.completed <= 0.0; });
+    std::ranges::stable_sort(log, {}, &JobOutcome::completed);
+    const OoFrontier midway = check(log, label + " completion order");
+    // Job 2 is still out at the copy, ids past n/2 are in: a wide window.
+    EXPECT_LE(midway.frontier(), 2u) << label;
+    EXPECT_GT(midway.ordered(n).max_in_order, n / 2) << label;
+
+    log = outcomes;
+    for (JobOutcome& o : log) o.completed = 1.0;
+    std::ranges::stable_sort(log, {}, [](const JobOutcome& o) {
+      return o.seq_id + (o.seq_id * 0x9E3779B97F4A7C15ULL >> 58);
+    });
+    EXPECT_GT(check(log, label + " near id order").frontier(), n / 4) << label;
   }
 }
 
