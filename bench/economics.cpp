@@ -98,7 +98,7 @@ int main(int argc, char** argv) try {
       prov_results, [](const RunResult& r) { return r.cost.cloud_total(); });
   const auto p_hours = harness::group_by_name(
       prov_results, [](const RunResult& r) {
-        return r.cost.ec_compute / sla::CostRates{}.ec_machine_hour;
+        return r.cost.ec_compute / sla::kEcMachineHour;
       });
   const auto p_hit = harness::group_by_name(
       prov_results, [](const RunResult& r) { return r.tickets.hit_rate; });

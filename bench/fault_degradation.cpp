@@ -18,8 +18,9 @@
 // jobs is still validated per run in both arms.
 //
 // Flags: --seeds a,b,c --threads N
-//        --hazard-predictor off|ewma|bayes --drain-threshold --drain-window
-//        --risk-weight (proactive-resilience arm of the matrix)
+//        --hazard-predictor off|ewma|bayes --drain-threshold
+//        (proactive-resilience arm of the matrix; bayes predicts at
+//        --drain-threshold 0.03, EXPERIMENTS.md)
 //        --json PATH (machine-readable rows in perf_compare format)
 #include <algorithm>
 #include <cstdio>
@@ -98,10 +99,6 @@ int main(int argc, char** argv) try {
       args.get_or("hazard-predictor", "off"));
   resilience.drain_threshold =
       args.get_double_or("drain-threshold", resilience.drain_threshold);
-  resilience.drain_window_seconds =
-      args.get_double_or("drain-window", resilience.drain_window_seconds);
-  resilience.risk_weight =
-      args.get_double_or("risk-weight", resilience.risk_weight);
   const bool matrix = resilience.enabled();
 
   std::vector<Arm> arms = {{"", core::ResilienceConfig{}}};

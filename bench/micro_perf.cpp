@@ -115,7 +115,7 @@ cbs::core::EcSiteConfig ec_site(std::size_t machines, double overhead_seconds) {
   return site;
 }
 constexpr cbs::net::BandwidthEstimator::Config kOneSlotPipe{
-    .slots_per_day = 1, .alpha = 0.3, .prior_rate = 1.0e6};
+    .slots_per_day = 1, .prior_rate = 1.0e6};
 
 void BM_SlackMaintenance(benchmark::State& state) {
   // Eq. 1's cushion under commit/complete churn with `n` jobs outstanding.
@@ -465,7 +465,7 @@ void BM_BandwidthEstimatorTransferSeconds(benchmark::State& state) {
   // when the queue ahead of the job is priced too.
   const auto bytes = static_cast<double>(state.range(0));
   cbs::net::BandwidthEstimator est(
-      {.slots_per_day = 48, .alpha = 0.3, .prior_rate = 1.0e6});
+      {.slots_per_day = 48, .prior_rate = 1.0e6});
   for (int s = 0; s < 48; ++s) {
     est.observe(static_cast<double>(s) * 1800.0, 0.5e6 + 2.0e4 * s);
   }
@@ -561,7 +561,7 @@ void BM_BurstRetraction(benchmark::State& state) {
   ec.uplink.noise_sigma = 0.0;
   ec.uplink.setup_latency = 0.0;
   ec.downlink = ec.uplink;
-  cfg.bandwidth_estimator.prior_rate = 1.0e6;
+  cfg.bandwidth_prior_rate = 1.0e6;
   cfg.params.variability_threshold_mb = 1e9;  // no chunking
   const cbs::workload::GroundTruthModel truth({.noise_sigma = 0.0},
                                               cbs::sim::RngStream(1));

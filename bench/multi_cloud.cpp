@@ -50,7 +50,7 @@ harness::Scenario cell(const std::string& name, std::uint64_t seed,
   s.estimator = core::EstimatorKind::kOracle;
   s.num_batches = 8;
   s.ec_sites = sites;
-  s.bandwidth_estimator.prior_rate = sites[0].uplink.base_rate * 0.8;
+  s.bandwidth_prior_rate = sites[0].uplink.base_rate * 0.8;
   return s;
 }
 

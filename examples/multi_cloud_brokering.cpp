@@ -14,7 +14,7 @@ int main() {
       /*seed=*/555);
   scenario.estimator = core::EstimatorKind::kOracle;
 
-  scenario.bandwidth_estimator.prior_rate = 1.0e6;
+  scenario.bandwidth_prior_rate = 1.0e6;
 
   // Provider A: near-region, fat pipe, standard instances.
   core::EcSiteConfig provider_a = scenario.ec_sites[0];

@@ -46,16 +46,7 @@ ControllerConfig default_controller_config() {
   ec.downlink.name = "downlink";
   ec.downlink.base_rate = 1.5e6;  // asymmetric line: downstream is wider
 
-  cfg.bandwidth_estimator.prior_rate = 1.0e6;
-  cfg.bandwidth_estimator.alpha = 0.3;
-  cfg.bandwidth_estimator.slots_per_day = 48;
-
-  // Per-transfer parallelism is bounded by the application (multipart
-  // upload limits, connection quotas): one transfer cannot saturate the
-  // pipe at peak hours — which is exactly why Algorithm 3's parallel
-  // size-interval queues raise upload-bandwidth utilization.
-  cfg.thread_tuner.max_threads = 4;
-  cfg.thread_tuner.initial_threads = 4;
+  cfg.bandwidth_prior_rate = 1.0e6;
 
   return cfg;
 }

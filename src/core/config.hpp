@@ -6,9 +6,7 @@
 #include <vector>
 
 #include "models/hazard.hpp"
-#include "net/bandwidth_estimator.hpp"
 #include "net/link.hpp"
-#include "net/thread_tuner.hpp"
 #include "simcore/fault_plan.hpp"
 #include "simcore/logging.hpp"
 #include "simcore/time.hpp"
@@ -83,16 +81,12 @@ struct ElasticEcConfig {
 /// built, no estimate changes, runs stay byte-identical.
 struct ResilienceConfig {
   cbs::models::HazardModelConfig hazard{};
-  /// Drain a machine once its predicted failure probability within
-  /// `drain_window_seconds` reaches this; it is undrained when the
+  /// Drain a machine once its predicted failure probability within the
+  /// controller's 600 s drain window reaches this; it is undrained when the
   /// probability falls back below. Drains are soft: dispatch avoids the
   /// machine while a healthy one is free, but never stalls the queue
   /// (compute::Cluster::drain_machine).
   double drain_threshold = 0.35;
-  cbs::sim::SimDuration drain_window_seconds = 600.0;
-  /// Risk pricing lever: believed EC processing scales by
-  /// (1 + risk_weight × mean P(EC VM fails within the drain window)).
-  double risk_weight = 0.5;
 
   [[nodiscard]] bool enabled() const noexcept {
     return hazard.kind != cbs::models::HazardPredictorKind::kOff;
@@ -114,8 +108,9 @@ struct ControllerConfig {
   /// empty list is rejected at construction). Site 0 is the paper's EC.
   std::vector<EcSiteConfig> ec_sites{EcSiteConfig{}};
 
-  cbs::net::BandwidthEstimator::Config bandwidth_estimator{};
-  cbs::net::ThreadTuner::Config thread_tuner{};
+  /// Bytes/s each site's bandwidth estimator believes before its first
+  /// observation (net::BandwidthEstimator::Config::prior_rate).
+  double bandwidth_prior_rate = 250.0e3;
 
   /// Period of the 1 MB bandwidth probes (§III.A.2); 0 disables probing.
   cbs::sim::SimDuration probe_interval = 150.0;
@@ -140,11 +135,9 @@ struct ControllerConfig {
 
   /// Per-run logging. Every controller owns its Logger, so concurrent
   /// runs (the parallel experiment runner) never share mutable logging
-  /// state. At the default threshold only warnings and above reach the
-  /// default sink (stderr); `log_sink` (when set) redirects this run's
-  /// messages — e.g. into a per-cell buffer — instead of stderr.
+  /// state. At the default threshold only warnings and above reach
+  /// stderr.
   cbs::sim::LogLevel log_threshold = cbs::sim::LogLevel::kWarn;
-  cbs::sim::Logger::Sink log_sink{};
 };
 
 /// Returns a config calibrated so that mean transfer time is of the order

@@ -32,6 +32,21 @@ constexpr double kMergeSecondsPerOutputMb = 0.05;
 /// Bytes of one bandwidth probe (§III.A.2), each way.
 constexpr double kProbeBytes = 1.0e6;
 
+/// Every site's upload and download thread tuners. Per-transfer
+/// parallelism is bounded by the application (multipart upload limits,
+/// connection quotas): one transfer cannot saturate the pipe at peak hours
+/// — which is exactly why Algorithm 3's parallel size-interval queues raise
+/// upload-bandwidth utilization.
+constexpr cbs::net::ThreadTuner::Config kTransferTuner{
+    .slots_per_day = 48, .max_threads = 4, .initial_threads = 4};
+
+/// Proactive resilience (DESIGN.md §13.2): the window the hazard
+/// predictor's failure probabilities look ahead, and the risk pricing
+/// lever — believed EC processing scales by
+/// (1 + kRiskWeight × mean P(EC VM fails within kDrainWindowSeconds)).
+constexpr cbs::sim::SimDuration kDrainWindowSeconds = 600.0;
+constexpr double kRiskWeight = 0.5;
+
 std::unique_ptr<models::ProcessingTimeEstimator> make_estimator(
     EstimatorKind kind, const cbs::workload::GroundTruthModel& truth) {
   switch (kind) {
@@ -80,8 +95,8 @@ CloudBurstController::Site::Site(cbs::sim::Simulation& sim,
       downlink(sim, owner, index, config.ec_sites[index].downlink,
                rng.substream(site_stream("downlink", index))),
       store(sim, owner, index),
-      up_tuner(config.thread_tuner),
-      down_tuner(config.thread_tuner),
+      up_tuner(kTransferTuner),
+      down_tuner(kTransferTuner),
       upload_queues(sim, uplink, up_tuner, kUploadJob,
                     upload_classes(config.scheduler)),
       download_queue(sim, downlink, down_tuner, kDownloadJob, 1) {
@@ -118,10 +133,10 @@ CloudBurstController::CloudBurstController(
       ic_cluster_(sim, *this, kIcCluster, "ic", config_->ic_machines),
       belief_(make_estimator(config_->estimator, truth_),
               config_->ic_machines) {
-  if (config_->log_sink) log_.set_sink(config_->log_sink);
   for (std::size_t i = 0; i < config_->ec_sites.size(); ++i) {
     sites_.push_back(std::make_unique<Site>(sim, *this, *config_, i, rng));
-    belief_.add_ec_site(config_->ec_sites[i], config_->bandwidth_estimator);
+    belief_.add_ec_site(config_->ec_sites[i],
+                        {.prior_rate = config_->bandwidth_prior_rate});
   }
   belief_.set_bandwidth_view(bandwidth_view_for(config_->scheduler));
   if (config_->faults.enabled()) {
@@ -168,7 +183,6 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
       retractions_(src.retractions_),
       service_draws_(src.service_draws_),
       probe_blackout_skips_(src.probe_blackout_skips_) {
-  if (config_->log_sink) log_.set_sink(config_->log_sink);
   for (const auto& site : src.sites_) {
     sites_.push_back(std::make_unique<Site>(dst, *this, *site));
   }
@@ -684,29 +698,27 @@ void CloudBurstController::update_resilience() {
   }
   // Fold each site's predicted outage risk into every believed estimate on
   // that site via a single lever: ft_ec and friends inflate their
-  // processing term by (1 + risk_weight * mean failure probability). Drains
+  // processing term by (1 + kRiskWeight * mean failure probability). Drains
   // are soft (they re-route dispatch, not remove capacity), so the believed
   // machine count is left alone.
   for (std::size_t i = 0; i < sites_.size(); ++i) {
-    belief_.set_ec_risk_factor(
-        i, config_->resilience.risk_weight * site_failure_risk(i));
+    belief_.set_ec_risk_factor(i, kRiskWeight * site_failure_risk(i));
   }
 }
 
 void CloudBurstController::update_cluster_drains(
     compute::Cluster& cluster, models::VmHazardEstimator& hazard) {
   const sim::SimTime now = sim_.now();
-  const sim::SimDuration window = config_->resilience.drain_window_seconds;
   hazard.ensure_machines(cluster.machine_slots(), now);
   for (std::size_t m = 0; m < cluster.machine_slots(); ++m) {
     if (cluster.machine_retired(m)) continue;
-    const double p = hazard.failure_probability(m, now, window);
+    const double p = hazard.failure_probability(m, now, kDrainWindowSeconds);
     if (p >= config_->resilience.drain_threshold) {
       if (cluster.machine_drained(m) || cluster.drain_machine(m)) {
         // Flag (or keep flagging) the machine as predicted-to-crash; the
         // estimator scores the prediction when the crash lands or the
         // window expires.
-        hazard.note_prediction(m, now, window);
+        hazard.note_prediction(m, now, kDrainWindowSeconds);
       }
     } else if (cluster.machine_drained(m)) {
       cluster.undrain_machine(m);
@@ -718,7 +730,7 @@ double CloudBurstController::site_failure_risk(std::size_t site) const {
   const models::VmHazardEstimator* hazard = sites_[site]->hazard.get();
   if (hazard == nullptr) return 0.0;
   return models::mean_failure_probability(
-      *hazard, sim_.now(), config_->resilience.drain_window_seconds);
+      *hazard, sim_.now(), kDrainWindowSeconds);
 }
 
 double CloudBurstController::ec_failure_risk() const {

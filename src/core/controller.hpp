@@ -132,13 +132,9 @@ class CloudBurstController : private cbs::sim::EventTarget,
     on_batch(batch, config_->scheduler);
   }
 
-  /// Turns this controller's log off for good (threshold kOff, sink
-  /// dropped). A lookahead rollout calls it so a hypothetical future
-  /// never reaches the run's `log_sink`.
-  void mute_log() {
-    log_.set_threshold(sim::LogLevel::kOff);
-    log_.set_sink({});
-  }
+  /// Turns this controller's log off for good. A lookahead rollout calls
+  /// it so a hypothetical future never reaches the run's log.
+  void mute_log() { log_.set_threshold(sim::LogLevel::kOff); }
 
   // ---- results & introspection -------------------------------------
 

@@ -171,7 +171,7 @@ const std::vector<std::string>& scenario_flags() {
       // Fault layer (simcore/fault_plan.hpp knobs).
       "ic-mtbf",   "ec-mtbf",     "vm-recovery", "retraction-factor",
       // Proactive resilience (models/hazard.hpp, DESIGN.md §13).
-      "hazard-predictor", "drain-threshold", "drain-window", "risk-weight",
+      "hazard-predictor", "drain-threshold",
       // Model-predictive lookahead (harness/world.hpp).
       "horizon",   "candidates",
   };
@@ -219,10 +219,6 @@ Scenario scenario_from_args(const Args& args) {
       parse_flag(args, "hazard-predictor", "off", parse_hazard_predictor);
   s.resilience.drain_threshold =
       args.get_double_or("drain-threshold", s.resilience.drain_threshold);
-  s.resilience.drain_window_seconds =
-      args.get_double_or("drain-window", s.resilience.drain_window_seconds);
-  s.resilience.risk_weight =
-      args.get_double_or("risk-weight", s.resilience.risk_weight);
 
   s.lookahead_horizon_seconds =
       args.get_double_or("horizon", s.lookahead_horizon_seconds);

@@ -58,8 +58,8 @@ class Args {
 ///   --rescheduler --elastic --estimator (qrsm|oracle|per-class)
 ///   --tolerance --oo-interval --noise
 ///   --ic-mtbf --ec-mtbf --vm-recovery --retraction-factor (fault layer)
-///   --hazard-predictor (off|ewma|bayes) --drain-threshold --drain-window
-///   --risk-weight (proactive resilience, DESIGN.md §13)
+///   --hazard-predictor (off|ewma|bayes) --drain-threshold (proactive
+///   resilience, DESIGN.md §13)
 ///   --horizon --candidates (model-predictive lookahead, harness/world.hpp;
 ///   --candidates in [1, 3]: order-preserving, greedy, ic-only)
 [[nodiscard]] Scenario scenario_from_args(const Args& args);

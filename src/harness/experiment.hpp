@@ -56,12 +56,11 @@ struct RunResult {
   std::size_t push_outs = 0;
   /// QRSM fit quality at end of run (NaN for the oracle estimator).
   double qrsm_r_squared = 0.0;
-  double qrsm_mape = 0.0;
   /// Peak bytes staged in the EC store.
   double peak_store_bytes = 0.0;
   /// Ticket SLA scorecard (scenario.ticket_policy).
   cbs::sla::TicketReport tickets{};
-  /// Pay-as-you-go bill (scenario.cost_rates).
+  /// Pay-as-you-go bill (the rate card of sla/cost.hpp).
   cbs::sla::CostReport cost{};
   /// Fault/recovery counters (all zero when faults are disabled).
   FaultStats faults{};

@@ -124,11 +124,9 @@ std::vector<std::string> Scenario::validate_except_arrivals() const {
     reject("resilience.drain_threshold", "finite and in [0, 1]",
            resilience.drain_threshold);
   }
-  positive("resilience.drain_window_seconds", resilience.drain_window_seconds);
-  non_negative("resilience.risk_weight", resilience.risk_weight);
 
-  // The fields the controller's constructors (clusters, links, their noise,
-  // the estimators and the thread tuner) assert on.
+  // The fields the controller's constructors (clusters, links, their noise
+  // and the bandwidth estimators) assert on.
   non_negative("params.slack_safety_margin", params.slack_safety_margin);
   if (ic_machines == 0) reject("ic_machines", "> 0", 0.0);
   for (std::size_t i = 0; i < ec_sites.size(); ++i) {
@@ -151,21 +149,7 @@ std::vector<std::string> Scenario::validate_except_arrivals() const {
       non_negative(field + "setup_latency", link->setup_latency);
     }
   }
-  if (bandwidth_estimator.slots_per_day == 0) {
-    reject("bandwidth_estimator.slots_per_day", "> 0", 0.0);
-  }
-  if (!(bandwidth_estimator.alpha > 0.0 && bandwidth_estimator.alpha <= 1.0)) {
-    reject("bandwidth_estimator.alpha", "in (0, 1]", bandwidth_estimator.alpha);
-  }
-  positive("bandwidth_estimator.prior_rate", bandwidth_estimator.prior_rate);
-  if (thread_tuner.slots_per_day == 0) {
-    reject("thread_tuner.slots_per_day", "> 0", 0.0);
-  }
-  if (thread_tuner.initial_threads < 1 ||
-      thread_tuner.initial_threads > thread_tuner.max_threads) {
-    reject("thread_tuner.initial_threads", "in [1, thread_tuner.max_threads]",
-           thread_tuner.initial_threads);
-  }
+  positive("bandwidth_prior_rate", bandwidth_prior_rate);
   // <= 0 turns probing off; NaN or inf would schedule a probe at no time.
   if (!std::isfinite(probe_interval)) {
     reject("probe_interval", "finite", probe_interval);

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "sla/cost.hpp"
 #include "sla/tickets.hpp"
 #include "workload/arrival.hpp"
 #include "workload/generator.hpp"
@@ -78,10 +77,9 @@ struct Scenario : cbs::core::ControllerConfig {
   double oo_sampling_interval = 120.0;
   std::uint64_t oo_tolerance = 4;
 
-  // Ticket SLA (§I) and pay-as-you-go billing evaluated on every run, and
-  // scored by the lookahead policy.
+  // Ticket SLA (§I) evaluated on every run, and scored by the lookahead
+  // policy with the pay-as-you-go bill (sla/cost.hpp).
   cbs::sla::TicketPolicy ticket_policy{};
-  cbs::sla::CostRates cost_rates{};
 
   /// One named error per value no run can use: no batches, a non-positive
   /// or infinite arrival rate or batch interval, more documents than
@@ -91,8 +89,8 @@ struct Scenario : cbs::core::ControllerConfig {
   /// negative or non-finite noise sigma or fault field, and every
   /// ControllerConfig field a constructor of the controller's parts
   /// asserts on (cluster sizes and speeds, link rates and noise, the
-  /// estimator and thread-tuner configs, the slack margin). Empty when
-  /// the scenario is runnable.
+  /// bandwidth prior, the slack margin). Empty when the scenario is
+  /// runnable.
   [[nodiscard]] std::vector<std::string> validate() const;
 
   /// validate() without its arrival checks (those of num_batches,

@@ -348,17 +348,14 @@ RunResult ScenarioWorld::result() const {
 
   result.tickets =
       cbs::sla::evaluate_tickets(result.outcomes, scenario.ticket_policy);
-  result.cost =
-      cbs::sla::compute_cost(controller.cost_inputs(), scenario.cost_rates);
+  result.cost = cbs::sla::compute_cost(controller.cost_inputs());
 
   if (const auto* qrsm = dynamic_cast<const cbs::models::QrsmEstimator*>(
           &controller.service_estimator());
       qrsm != nullptr && qrsm->model().last_fit()) {
     result.qrsm_r_squared = qrsm->model().last_fit()->r_squared;
-    result.qrsm_mape = qrsm->model().last_fit()->mape;
   } else {
     result.qrsm_r_squared = std::nan("");
-    result.qrsm_mape = std::nan("");
   }
   return result;
 }
@@ -458,8 +455,8 @@ double LookaheadController::score_with(const ScenarioWorld& world,
   const double unfinished =
       kUnfinishedPenaltySeconds *
       static_cast<double>(world.controller().outstanding_jobs());
-  const cbs::sla::CostReport cost = cbs::sla::compute_cost(
-      world.controller().cost_inputs(), world.scenario().cost_rates);
+  const cbs::sla::CostReport cost =
+      cbs::sla::compute_cost(world.controller().cost_inputs());
   // Predicted-outage exposure: jobs the horizon-end belief still places on
   // the EC are at risk of a predicted crash; price each at the unfinished
   // penalty times the predicted failure risk. Zero exactly when the hazard

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <iterator>
-#include <ranges>
 #include <utility>
 
 #include "linalg/cholesky.hpp"
@@ -229,9 +227,7 @@ QrsmModel::QrsmModel(Config config) : config_(config) {
 void QrsmModel::fit(const std::vector<cbs::workload::DocumentFeatures>& features,
                     const std::vector<double>& runtimes) {
   assert(features.size() == runtimes.size());
-  fill_mape();  // the previous fit stays complete if this one cannot run
   buffer_.clear();
-  evicted_ = 0;
   anchored_ = false;
   for (std::size_t i = 0; i < features.size(); ++i) {
     buffer_.push_back(Example{extract_raw(features[i]), runtimes[i]});
@@ -246,19 +242,13 @@ void QrsmModel::observe(const cbs::workload::DocumentFeatures& features,
                         double runtime) {
   assert(runtime >= 0.0);
   buffer_.push_back(Example{extract_raw(features), runtime});
-  const bool evicts = config_.window > 0 && buffered() > config_.window;
+  const bool evicts = config_.window > 0 && buffer_.size() > config_.window;
   if (anchored_ && evicts) {
-    accumulate<2>({&buffer_.back(), &buffer_[evicted_]}, {1.0, -1.0});
+    accumulate<2>({&buffer_.back(), &buffer_.front()}, {1.0, -1.0});
   } else if (anchored_) {
     accumulate<1>({&buffer_.back()}, {1.0});
   }
-  if (evicts) {
-    ++evicted_;
-    // Rows out of the window wait only for the pending MAPE, and never
-    // more than one window's worth of them.
-    if (evicted_ >= config_.window) fill_mape();
-    if (!mape_pending_) drop_evicted();
-  }
+  if (evicts) buffer_.pop_front();
   ++total_observed_;
   if (++since_refit_ >= config_.refit_interval) {
     refit();
@@ -307,17 +297,14 @@ bool QrsmModel::drifted() const {
 }
 
 void QrsmModel::rebuild_moments() {
-  const std::ranges::subrange window(
-      std::next(buffer_.begin(), static_cast<std::ptrdiff_t>(evicted_)),
-      buffer_.end());
   ref_ = FeatureScaler::fit(
-      window, [](const Example& ex) -> const RawFeatures& { return ex.raw; });
+      buffer_, [](const Example& ex) -> const RawFeatures& { return ex.raw; });
   mono_.fill(0.0);
   xty_.fill(0.0);
   sum_y2_ = 0.0;
   mass_x_ = 0.0;
   mass_y_ = 0.0;
-  for (const Example& ex : window) accumulate<1>({&ex}, {1.0});
+  for (const Example& ex : buffer_) accumulate<1>({&ex}, {1.0});
   drift_x_ = 0.0;  // the sums were just formed from scratch
   drift_y_ = 0.0;
   anchored_ = true;
@@ -404,7 +391,7 @@ void QrsmModel::refit() {
   for (std::size_t i = 0; i < n; ++i) chol[i * n + i] += config_.ridge_lambda;
   if (!cbs::linalg::cholesky_in_place(chol, n)) {
     // A rank-deficient window (possible only with ridge_lambda = 0): keep
-    // the previous fit, its scaling and the rows its pending MAPE needs.
+    // the previous fit and its scaling.
     ++refit_failures_;
     return;
   }
@@ -428,16 +415,10 @@ void QrsmModel::refit() {
   const double sum_y = xty_[0];
   const double ss_tot = sum_y2_ - sum_y * sum_y / rows;
 
-  // The new fit replaces the old one, and with it the old fit's pending
-  // MAPE and the rows kept for it.
-  drop_evicted();
   scaler_ = scaler;
   fit_ = QrsmFit{.coefficients = beta,
                  .r_squared = ss_tot <= 0.0 ? 1.0 : 1.0 - ss_res / ss_tot,
-                 .rmse = std::sqrt(ss_res / rows),
-                 .mape = 0.0};
-  fit_rows_ = buffer_.size();
-  mape_pending_ = true;
+                 .rmse = std::sqrt(ss_res / rows)};
 }
 
 double QrsmModel::surface(const RawFeatures& raw) const {
@@ -449,35 +430,13 @@ double QrsmModel::surface(const RawFeatures& raw) const {
   return y;
 }
 
-void QrsmModel::fill_mape() const {
-  if (!mape_pending_) return;
-  mape_pending_ = false;
-  // Rows with y = 0 are skipped.
-  double ape_sum = 0.0;
-  std::size_t ape_n = 0;
-  for (std::size_t r = 0; r < fit_rows_; ++r) {
-    const Example& ex = buffer_[r];
-    if (std::abs(ex.y) > 1e-12) {
-      ape_sum += std::abs((ex.y - surface(ex.raw)) / ex.y);
-      ++ape_n;
-    }
-  }
-  fit_->mape = ape_n == 0 ? 0.0 : ape_sum / static_cast<double>(ape_n);
-}
-
-void QrsmModel::drop_evicted() {
-  buffer_.erase(buffer_.begin(),
-                std::next(buffer_.begin(), static_cast<std::ptrdiff_t>(evicted_)));
-  evicted_ = 0;
-}
-
 double QrsmModel::predict(const cbs::workload::DocumentFeatures& features) const {
   if (!fit_) {
     // Cold start: mean of whatever has been seen, else the configured floor.
     double fallback = config_.min_prediction_seconds;
     if (buffered() > 0) {
       double sum = 0.0;
-      for (std::size_t r = evicted_; r < buffer_.size(); ++r) sum += buffer_[r].y;
+      for (const Example& ex : buffer_) sum += ex.y;
       fallback = sum / static_cast<double>(buffered());
     }
     return std::max(fallback, config_.min_prediction_seconds);

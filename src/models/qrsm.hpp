@@ -16,7 +16,6 @@ struct QrsmFit {
   QuadraticRow coefficients{};  ///< over quadratic_expand's columns
   double r_squared = 0.0;       ///< 1 - SS_res / SS_tot
   double rmse = 0.0;            ///< sqrt(mean squared residual)
-  double mape = 0.0;            ///< mean |residual / y| over y != 0 rows
 };
 
 /// Quadratic Response Surface Model for processing time (paper §III.A.1):
@@ -67,18 +66,13 @@ class QrsmModel {
   [[nodiscard]] double predict(const cbs::workload::DocumentFeatures& features) const;
 
   [[nodiscard]] bool is_fitted() const noexcept { return fit_.has_value(); }
-  /// Goodness of fit on the most recent training window. R² and RMSE come
-  /// from the moments at refit; MAPE needs one pass over that window and is
-  /// filled in by the first read after the refit. That read writes, so one
-  /// model must not be read from two threads at once.
-  [[nodiscard]] const std::optional<QrsmFit>& last_fit() const {
-    fill_mape();
+  /// The surface and its goodness of fit (from the moments) on the most
+  /// recent training window.
+  [[nodiscard]] const std::optional<QrsmFit>& last_fit() const noexcept {
     return fit_;
   }
   [[nodiscard]] std::size_t observations() const noexcept { return total_observed_; }
-  [[nodiscard]] std::size_t buffered() const noexcept {
-    return buffer_.size() - evicted_;
-  }
+  [[nodiscard]] std::size_t buffered() const noexcept { return buffer_.size(); }
   /// Refits whose normal equations were not positive definite (a
   /// rank-deficient window with ridge_lambda = 0). Each kept the previous
   /// fit, and its scaling, unchanged.
@@ -121,18 +115,10 @@ class QrsmModel {
   [[nodiscard]] FeatureScaler scaler_from_moments() const;
   /// The fitted surface before clamping.
   [[nodiscard]] double surface(const std::array<double, kNumRawFeatures>& raw) const;
-  void fill_mape() const;
-  /// Pops the rows that left the window.
-  void drop_evicted();
 
   Config config_;
-  /// The window's pairs, oldest first. While the last fit's MAPE is
-  /// pending, the first `evicted_` rows have already left the window and
-  /// are kept only so that MAPE is measured on the fit's own window, which
-  /// is then `buffer_[0, fit_rows_)`.
+  /// The window's pairs, oldest first.
   std::deque<Example> buffer_;
-  std::size_t evicted_ = 0;
-  std::size_t fit_rows_ = 0;
   std::size_t total_observed_ = 0;
   std::size_t since_refit_ = 0;
   FeatureScaler scaler_;
@@ -157,9 +143,7 @@ class QrsmModel {
   std::size_t moment_rows_ = 0;
   std::size_t refit_failures_ = 0;
 
-  // Filled in by the first last_fit() read after a refit (logically const).
-  mutable std::optional<QrsmFit> fit_;
-  mutable bool mape_pending_ = false;
+  std::optional<QrsmFit> fit_;
 };
 
 }  // namespace cbs::models

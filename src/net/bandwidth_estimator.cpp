@@ -14,12 +14,14 @@ using cbs::sim::SimTime;
 namespace {
 /// Days a transfer estimate integrates over before it extrapolates.
 constexpr std::size_t kMaxDays = 7;
+/// EWMA weight of the newest sample (§III.A.2's α).
+constexpr double kAlpha = 0.3;
 }  // namespace
 
 BandwidthEstimator::BandwidthEstimator(Config config)
     : config_(config),
-      slot_ewmas_(config.slots_per_day, Ewma(config.alpha)),
-      global_ewma_(config.alpha) {
+      slot_ewmas_(config.slots_per_day, Ewma(kAlpha)),
+      global_ewma_(kAlpha) {
   assert(config.slots_per_day > 0);
   assert(config.prior_rate > 0.0);
 }

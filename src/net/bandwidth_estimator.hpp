@@ -10,9 +10,10 @@
 namespace cbs::net {
 
 /// The autonomic network-estimation model of §III.A.2: the day is divided
-/// into slots; each slot keeps an EWMA of the effective rates observed there
-/// (periodic 1 MB probes plus every real transfer). Queries for a slot with
-/// no data yet fall back to the global EWMA, then to the configured prior.
+/// into slots; each slot keeps an EWMA (α = 0.3) of the effective rates
+/// observed there (periodic 1 MB probes plus every real transfer). Queries
+/// for a slot with no data yet fall back to the global EWMA, then to the
+/// configured prior.
 ///
 /// This object is the *only* view of the network that schedulers get — the
 /// gap between these estimates and Link's ground truth is what the paper's
@@ -21,7 +22,6 @@ class BandwidthEstimator {
  public:
   struct Config {
     std::size_t slots_per_day = 48;  ///< 30-minute slots
-    double alpha = 0.3;              ///< EWMA weight of the newest sample
     double prior_rate = 250.0e3;     ///< bytes/s before any observation
   };
 

@@ -17,8 +17,8 @@ std::string_view to_string(LogLevel level) noexcept {
 }
 
 void Logger::emit(LogLevel level, SimTime t, std::string_view msg) {
-  if (sink_) {
-    sink_(level, t, msg);
+  if (sink_ != nullptr) {
+    sink_->write(level, t, msg);
     return;
   }
   std::fprintf(stderr, "%-5s t=%10.2f %.*s\n", to_string(level).data(), t,

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -14,30 +13,35 @@ enum class LogLevel { kTrace, kDebug, kInfo, kWarn, kError, kOff };
 
 [[nodiscard]] std::string_view to_string(LogLevel level) noexcept;
 
+/// Where a Logger writes its formatted messages instead of stderr.
+class LogSink {
+ public:
+  virtual void write(LogLevel level, SimTime t, std::string_view msg) = 0;
+
+ protected:
+  ~LogSink() = default;
+};
+
 /// Minimal leveled logger stamped with simulated time.
 ///
-/// The sink is injectable so tests can capture output and benches can mute
-/// it; the default sink writes to stderr. Logging below the threshold costs
-/// one branch — message formatting is skipped entirely.
+/// The sink is injectable so tests can capture output; without one the
+/// logger writes to stderr. Logging below the threshold costs one branch —
+/// message formatting is skipped entirely.
 ///
 /// Thread-safety: a Logger instance is not internally synchronized — give
-/// each simulation run its own Logger (ControllerConfig::log_threshold /
-/// log_sink route this per run). Loggers share no state, so building and
-/// using distinct ones on many threads is safe.
+/// each simulation run its own Logger (ControllerConfig::log_threshold
+/// sets this per run). Loggers share no state, so building and using
+/// distinct ones on many threads is safe.
 class Logger {
  public:
-  /// Copyable on purpose: sinks ride inside ControllerConfig/Scenario,
-  /// which the parallel runner copies per plan cell — so a move-only
-  /// callable cannot carry them.
-  // cbs-lint: std-function-ok(sink must stay copyable: it is carried by ControllerConfig/Scenario copies in the parallel runner)
-  using Sink = std::function<void(LogLevel, SimTime, std::string_view)>;
-
   explicit Logger(std::string component, LogLevel threshold = LogLevel::kWarn)
       : component_(std::move(component)), threshold_(threshold) {}
 
   void set_threshold(LogLevel level) noexcept { threshold_ = level; }
   [[nodiscard]] LogLevel threshold() const noexcept { return threshold_; }
-  void set_sink(Sink sink) { sink_ = std::move(sink); }
+  /// Routes messages to `sink` (not owned; it must outlive the logger), or
+  /// back to stderr when null.
+  void set_sink(LogSink* sink) noexcept { sink_ = sink; }
 
   [[nodiscard]] bool enabled(LogLevel level) const noexcept {
     return level >= threshold_ && threshold_ != LogLevel::kOff;
@@ -70,7 +74,7 @@ class Logger {
 
   std::string component_;
   LogLevel threshold_;
-  Sink sink_;
+  LogSink* sink_ = nullptr;
 };
 
 }  // namespace cbs::sim

@@ -10,16 +10,16 @@ constexpr double kBytesPerGb = 1.0e9;
 constexpr double kSecondsPerMonth = 30.0 * 86400.0;
 }  // namespace
 
-CostReport compute_cost(const CostInputs& inputs, const CostRates& rates) {
+CostReport compute_cost(const CostInputs& inputs) {
   CostReport r;
-  r.ec_compute = inputs.ec_provisioned_machine_seconds / kSecondsPerHour *
-                 rates.ec_machine_hour;
-  r.egress = inputs.uplink_bytes / kBytesPerGb * rates.egress_per_gb;
-  r.ingress = inputs.downlink_bytes / kBytesPerGb * rates.ingress_per_gb;
+  r.ec_compute =
+      inputs.ec_provisioned_machine_seconds / kSecondsPerHour * kEcMachineHour;
+  r.egress = inputs.uplink_bytes / kBytesPerGb * kEgressPerGb;
+  r.ingress = inputs.downlink_bytes / kBytesPerGb * kIngressPerGb;
   r.storage = inputs.store_byte_seconds / kBytesPerGb / kSecondsPerMonth *
-              rates.store_gb_month;
-  r.ic_amortized = inputs.ic_machine_seconds / kSecondsPerHour *
-                   rates.ic_machine_hour_amortized;
+              kStoreGbMonth;
+  r.ic_amortized =
+      inputs.ic_machine_seconds / kSecondsPerHour * kIcMachineHourAmortized;
   return r;
 }
 

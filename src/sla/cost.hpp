@@ -7,21 +7,25 @@
 
 namespace cbs::sla {
 
-/// Pay-as-you-go economics — the paper's motivating constraint (§I:
-/// dedicated processing/network resources are "cost-prohibitive";
-/// "remote computation can completely be scaled down during periods of low
-/// demand without incurring processing or more importantly, bandwidth
-/// costs"). Prices are abstract currency units; the defaults mirror 2010
-/// EC2/S3-class list prices (m1.small-hour and per-GB transfer).
-struct CostRates {
-  double ec_machine_hour = 0.10;       ///< per provisioned EC machine-hour
-  double egress_per_gb = 0.15;         ///< data leaving the IC (uploads)
-  double ingress_per_gb = 0.10;        ///< data returning (downloads)
-  double store_gb_month = 0.15;        ///< staging storage (prorated)
-  /// Amortized internal cost per machine-hour (owned hardware, power,
-  /// space). Only used for totals that compare against an all-IC build-out.
-  double ic_machine_hour_amortized = 0.04;
-};
+// Pay-as-you-go economics — the paper's motivating constraint (§I:
+// dedicated processing/network resources are "cost-prohibitive";
+// "remote computation can completely be scaled down during periods of low
+// demand without incurring processing or more importantly, bandwidth
+// costs"). Prices are abstract currency units mirroring 2010 EC2/S3-class
+// list prices (m1.small-hour and per-GB transfer); §V.A bills one rate
+// card, so the rates are constants.
+
+/// Per provisioned EC machine-hour.
+inline constexpr double kEcMachineHour = 0.10;
+/// Per GB leaving the IC (uploads).
+inline constexpr double kEgressPerGb = 0.15;
+/// Per GB returning (downloads).
+inline constexpr double kIngressPerGb = 0.10;
+/// Per GB-month of staging storage (prorated).
+inline constexpr double kStoreGbMonth = 0.15;
+/// Amortized internal cost per machine-hour (owned hardware, power,
+/// space). Only used for totals that compare against an all-IC build-out.
+inline constexpr double kIcMachineHourAmortized = 0.04;
 
 /// Itemized bill for one run.
 struct CostReport {
@@ -50,8 +54,8 @@ struct CostInputs {
   double ic_machine_seconds = 0.0;
 };
 
-[[nodiscard]] CostReport compute_cost(const CostInputs& inputs,
-                                      const CostRates& rates);
+/// The bill of `inputs` at the rate card above.
+[[nodiscard]] CostReport compute_cost(const CostInputs& inputs);
 
 /// Cloud cost per processed MB of output — the unit economics a capacity
 /// planner compares against the amortized cost of buying more IC machines.

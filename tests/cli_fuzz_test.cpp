@@ -40,8 +40,7 @@ const std::vector<Argv>& valid_argvs() {
       {"--scheduler", "lookahead", "--horizon", "600", "--candidates", "2",
        "--ic-mtbf", "6000", "--ec-mtbf", "1200", "--vm-recovery", "300",
        "--retraction-factor", "3", "--hazard-predictor", "ewma",
-       "--drain-threshold", "0.4", "--drain-window", "900",
-       "--risk-weight", "0.5"},
+       "--drain-threshold", "0.4"},
       {"--scheduler", "op-bandwidth-split", "--bucket=small", "--high-var",
        "--rescheduler", "--elastic", "--noise", "0.2", "--oo-interval", "60",
        "--seeds", "1,2,3", "--threads", "2", "--estimator", "oracle"},
@@ -200,8 +199,6 @@ const std::map<std::string, std::string>& field_of_flag() {
       {"retraction-factor", "retraction_deadline_factor"},
       {"horizon", "lookahead_horizon_seconds"},
       {"drain-threshold", "drain_threshold"},
-      {"drain-window", "drain_window_seconds"},
-      {"risk-weight", "risk_weight"},
   };
   return kFields;
 }

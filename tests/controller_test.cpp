@@ -42,7 +42,7 @@ struct Rig {
     ec.uplink.noise_sigma = 0.0;
     ec.uplink.setup_latency = 0.0;
     ec.downlink = ec.uplink;
-    cfg.bandwidth_estimator.prior_rate = 1.0e6;
+    cfg.bandwidth_prior_rate = 1.0e6;
     cfg.ic_machines = 2;
     ec.machines = 1;
     ec.job_overhead_seconds = 0.0;
@@ -348,7 +348,7 @@ TEST(ControllerTest, ReschedulerPushesOutWhenUploadIdles) {
   ec.uplink.base_rate = 5.0e6;
   ec.uplink.per_connection_cap = 5.0e6;
   ec.downlink = ec.uplink;
-  cfg.bandwidth_estimator.prior_rate = 0.4e6;
+  cfg.bandwidth_prior_rate = 0.4e6;
   ec.machines = 2;
   CloudBurstController ctl(rig.sim, cfg, rig.truth, RngStream(11));
   // One huge backlog: Op bursts some; when uploads drain and IC still has

@@ -54,7 +54,7 @@ Document make_doc(std::uint64_t id, double size_mb, double output_mb = 0.0) {
 
 /// A one-slot pipe believed to run at `rate` bytes/s each way.
 cbs::net::BandwidthEstimator::Config pipe(double rate = 1.0e6) {
-  return {.slots_per_day = 1, .alpha = 0.3, .prior_rate = rate};
+  return {.slots_per_day = 1, .prior_rate = rate};
 }
 
 /// An EC site of `machines` speed-1 machines.

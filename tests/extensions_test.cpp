@@ -107,7 +107,7 @@ TEST(ElasticEcTest, ScalesUpUnderBacklogAndDownWhenIdle) {
   ec.uplink.noise_sigma = 0.0;
   ec.uplink.setup_latency = 0.0;
   ec.downlink = ec.uplink;
-  cfg.bandwidth_estimator.prior_rate = 5.0e6;
+  cfg.bandwidth_prior_rate = 5.0e6;
   cfg.ic_machines = 1;
   ec.machines = 1;
   ec.job_overhead_seconds = 0.0;
@@ -235,7 +235,7 @@ harness::Scenario two_site_scenario(std::uint64_t seed) {
   s.ic_machines = 2;
   s.params.slack_safety_margin = 0.0;
   s.probe_interval = 0.0;
-  s.bandwidth_estimator.prior_rate = 1.0e6;
+  s.bandwidth_prior_rate = 1.0e6;
   s.ec_sites = {flat_site("ec-fast", 4.0e6), flat_site("ec-slow", 0.4e6)};
   return s;
 }

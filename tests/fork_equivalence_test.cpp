@@ -104,7 +104,7 @@ Scenario rescheduler_fixture() {
 
 /// OP + QRSM at the default settings (4096-row window, refit every 32
 /// observations), long enough for the window to wrap: a fork copies the
-/// running moments and the rows kept for a pending MAPE.
+/// running moments mid-window.
 Scenario qrsm_wrap_fixture() {
   Scenario s = table1_fixture(cbs::core::SchedulerKind::kOrderPreserving);
   s.num_batches = 220;
@@ -460,7 +460,8 @@ TEST(ForkEquivalence, QrsmWrappedWindowForkBetweenRefits) {
   ASSERT_TRUE(qrsm_of(*forked).last_fit().has_value());
   EXPECT_EQ(qrsm_of(parent).last_fit()->coefficients,
             qrsm_of(*forked).last_fit()->coefficients);
-  EXPECT_EQ(qrsm_of(parent).last_fit()->mape, qrsm_of(*forked).last_fit()->mape);
+  EXPECT_EQ(qrsm_of(parent).last_fit()->rmse,
+            qrsm_of(*forked).last_fit()->rmse);
 }
 
 TEST(ForkEquivalence, ForkIsIndependentOfParent) {

@@ -217,35 +217,19 @@ TEST(ScenarioValidateTest, NamesEveryBadField) {
               std::string::npos);
   }
   Scenario resilience;
-  resilience.resilience.drain_window_seconds = 0.0;
-  resilience.resilience.risk_weight = std::nan("");
   resilience.resilience.drain_threshold = 1.5;
   const std::vector<std::string> res_errors = resilience.validate();
-  ASSERT_EQ(res_errors.size(), 3u);
+  ASSERT_EQ(res_errors.size(), 1u);
   EXPECT_NE(res_errors[0].find("resilience.drain_threshold"),
             std::string::npos);
-  EXPECT_NE(res_errors[1].find("resilience.drain_window_seconds"),
-            std::string::npos);
-  EXPECT_NE(res_errors[2].find("resilience.risk_weight"), std::string::npos);
-  for (const double window : {-1.0, std::nan(""), inf}) {
-    Scenario r;
-    r.resilience.drain_window_seconds = window;
-    EXPECT_EQ(r.validate().size(), 1u) << window;
-  }
-  for (const double weight : {-0.5, inf}) {
-    Scenario r;
-    r.resilience.risk_weight = weight;
-    EXPECT_EQ(r.validate().size(), 1u) << weight;
-  }
   for (const double threshold : {-0.1, std::nan(""), inf}) {
     Scenario r;
     r.resilience.drain_threshold = threshold;
     EXPECT_EQ(r.validate().size(), 1u) << threshold;
   }
-  // The edges of the ranges are valid.
+  // The edges of the range are valid.
   Scenario edges;
   edges.resilience.drain_threshold = 1.0;
-  edges.resilience.risk_weight = 0.0;
   EXPECT_TRUE(edges.validate().empty());
   edges.resilience.drain_threshold = 0.0;
   EXPECT_TRUE(edges.validate().empty());
@@ -330,16 +314,8 @@ TEST(ScenarioValidateTest, NamesEveryBadField) {
        [](Scenario& c) { c.ec_sites[0].uplink.noise_step = 0.0; }},
       {"ec_sites[0].downlink.setup_latency",
        [](Scenario& c) { c.ec_sites[0].downlink.setup_latency = -1.0; }},
-      {"bandwidth_estimator.slots_per_day",
-       [](Scenario& c) { c.bandwidth_estimator.slots_per_day = 0; }},
-      {"bandwidth_estimator.alpha",
-       [](Scenario& c) { c.bandwidth_estimator.alpha = 0.0; }},
-      {"bandwidth_estimator.prior_rate",
-       [](Scenario& c) { c.bandwidth_estimator.prior_rate = 0.0; }},
-      {"thread_tuner.slots_per_day",
-       [](Scenario& c) { c.thread_tuner.slots_per_day = 0; }},
-      {"thread_tuner.initial_threads",
-       [](Scenario& c) { c.thread_tuner.initial_threads = 0; }},
+      {"bandwidth_prior_rate",
+       [](Scenario& c) { c.bandwidth_prior_rate = 0.0; }},
       {"params.slack_safety_margin",
        [](Scenario& c) { c.params.slack_safety_margin = std::nan(""); }},
       {"probe_interval", [](Scenario& c) { c.probe_interval = std::nan(""); }},
@@ -378,9 +354,8 @@ TEST(ScenarioValidateTest, CliRejectsBadValuesBeforeCasting) {
   for (const char* flag :
        {"--oo-interval=0", "--oo-interval=nan", "--ic-mtbf=-5",
         "--retraction-factor=-1", "--horizon=nan", "--horizon=-100",
-        "--horizon=0", "--drain-window=0", "--drain-window=nan",
-        "--risk-weight=nan", "--risk-weight=-1", "--drain-threshold=1.5",
-        "--drain-threshold=nan", "--candidates=0", "--candidates=4"}) {
+        "--horizon=0", "--drain-threshold=1.5", "--drain-threshold=nan",
+        "--candidates=0", "--candidates=4"}) {
     EXPECT_THROW((void)cli::scenario_from_args(scenario_args({flag})),
                  std::invalid_argument)
         << flag;
@@ -391,10 +366,6 @@ TEST(ScenarioValidateTest, CliRejectsBadValuesBeforeCasting) {
   EXPECT_THROW((void)cli::scenario_from_args(scenario_args(
                    {"--scheduler=lookahead", "--horizon=nan"})),
                std::invalid_argument);
-  EXPECT_THROW(
-      (void)cli::scenario_from_args(scenario_args(
-          {"--hazard-predictor=ewma", "--ec-mtbf=1200", "--risk-weight=nan"})),
-      std::invalid_argument);
 }
 
 // ---- ScenarioWorld over given batches ---------------------------------------

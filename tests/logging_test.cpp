@@ -16,52 +16,57 @@ struct Captured {
   std::string message;
 };
 
-Logger capturing_logger(std::vector<Captured>& sink,
+struct CapturingSink final : cbs::sim::LogSink {
+  std::vector<Captured> lines;
+  void write(LogLevel level, double t, std::string_view msg) override {
+    lines.push_back({level, t, std::string(msg)});
+  }
+};
+
+Logger capturing_logger(CapturingSink& sink,
                         LogLevel threshold = LogLevel::kDebug) {
   Logger logger("test", threshold);
   // The constructor floors the threshold at the process-wide default;
   // set_threshold afterwards expresses an explicit per-test choice.
   logger.set_threshold(threshold);
-  logger.set_sink([&sink](LogLevel level, double t, std::string_view msg) {
-    sink.push_back({level, t, std::string(msg)});
-  });
+  logger.set_sink(&sink);
   return logger;
 }
 
 TEST(LoggerTest, MessagesBelowThresholdAreDropped) {
-  std::vector<Captured> sink;
-  Logger logger = capturing_logger(sink, LogLevel::kWarn);
+  CapturingSink capture;
+  Logger logger = capturing_logger(capture, LogLevel::kWarn);
   logger.debug(1.0, "quiet");
   logger.info(2.0, "quiet");
   logger.warn(3.0, "loud");
-  ASSERT_EQ(sink.size(), 1u);
-  EXPECT_EQ(sink[0].level, LogLevel::kWarn);
-  EXPECT_DOUBLE_EQ(sink[0].time, 3.0);
+  ASSERT_EQ(capture.lines.size(), 1u);
+  EXPECT_EQ(capture.lines[0].level, LogLevel::kWarn);
+  EXPECT_DOUBLE_EQ(capture.lines[0].time, 3.0);
 }
 
 TEST(LoggerTest, MessagesAreFormattedWithComponent) {
-  std::vector<Captured> sink;
-  Logger logger = capturing_logger(sink);
+  CapturingSink capture;
+  Logger logger = capturing_logger(capture);
   logger.info(5.0, "job ", 42, " done in ", 1.5, "s");
-  ASSERT_EQ(sink.size(), 1u);
-  EXPECT_EQ(sink[0].message, "[test] job 42 done in 1.5s");
+  ASSERT_EQ(capture.lines.size(), 1u);
+  EXPECT_EQ(capture.lines[0].message, "[test] job 42 done in 1.5s");
 }
 
 TEST(LoggerTest, ThresholdCanBeRaisedAtRuntime) {
-  std::vector<Captured> sink;
-  Logger logger = capturing_logger(sink, LogLevel::kDebug);
+  CapturingSink capture;
+  Logger logger = capturing_logger(capture, LogLevel::kDebug);
   logger.set_threshold(LogLevel::kError);
   logger.warn(1.0, "dropped");
-  EXPECT_TRUE(sink.empty());
+  EXPECT_TRUE(capture.lines.empty());
   EXPECT_FALSE(logger.enabled(LogLevel::kWarn));
   EXPECT_TRUE(logger.enabled(LogLevel::kError));
 }
 
 TEST(LoggerTest, OffSilencesEverything) {
-  std::vector<Captured> sink;
-  Logger logger = capturing_logger(sink, LogLevel::kOff);
+  CapturingSink capture;
+  Logger logger = capturing_logger(capture, LogLevel::kOff);
   logger.log(LogLevel::kError, 1.0, "nope");
-  EXPECT_TRUE(sink.empty());
+  EXPECT_TRUE(capture.lines.empty());
 }
 
 TEST(LoggerTest, LevelNames) {

@@ -9,9 +9,9 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -218,7 +218,7 @@ TEST(Lookahead, PrefixScoresMatchFullRecomputeBitForBit) {
   }
 }
 
-// A forked controller used to re-install the run's log_sink, so every
+// A forked controller used to re-install the run's log sink, so every
 // rollout that crossed an outage start logged it into the real run (16
 // lines here). Rollouts are silenced; only the run itself logs it.
 TEST(Lookahead, RolloutsDoNotWriteToTheRunLog) {
@@ -226,15 +226,17 @@ TEST(Lookahead, RolloutsDoNotWriteToTheRunLog) {
   s.num_batches = 40;
   s.estimator = cbs::core::EstimatorKind::kOracle;
   s.faults.outage_windows = {cbs::sim::OutageWindow{2000.0, 600.0}};
-  std::vector<std::pair<double, std::string>> lines;
-  s.log_sink = [&lines](cbs::sim::LogLevel, cbs::sim::SimTime t,
-                        std::string_view msg) { lines.emplace_back(t, msg); };
+  testing::internal::CaptureStderr();
   (void)run_scenario(s);
+  std::istringstream log(testing::internal::GetCapturedStderr());
   std::size_t outage_lines = 0;
-  for (const auto& [t, msg] : lines) {
-    if (msg.find("EC outage begins") == std::string::npos) continue;
+  for (std::string line; std::getline(log, line);) {
+    if (line.find("EC outage begins") == std::string::npos) continue;
     ++outage_lines;
-    EXPECT_EQ(t, 2000.0);
+    // The logger stamps each line "<LEVEL> t=<time> [component] ...".
+    const std::size_t at = line.find("t=");
+    ASSERT_NE(at, std::string::npos) << line;
+    EXPECT_EQ(std::stod(line.substr(at + 2)), 2000.0) << line;
   }
   EXPECT_EQ(outage_lines, 1u);
 }

@@ -198,7 +198,7 @@ TEST(QrsmTest, RankDeficientWindowKeepsLastFit) {
   ASSERT_TRUE(model.is_fitted());
   EXPECT_EQ(model.last_fit()->coefficients, before.coefficients);
   EXPECT_EQ(model.last_fit()->r_squared, before.r_squared);
-  EXPECT_EQ(model.last_fit()->mape, before.mape);
+  EXPECT_EQ(model.last_fit()->rmse, before.rmse);
   EXPECT_TRUE(std::isfinite(model.predict(same)));
   EXPECT_EQ(model.predict(feats[0]), predicted_before);
 }
@@ -234,7 +234,7 @@ struct Labeled {
 /// The batch reference, independent of the model's moments: FeatureScaler::fit
 /// and quadratic_expand give the explicit design rows of `window`; the ridge
 /// normal equations XᵀX + λI = Xᵀy are formed from those rows and solved by
-/// Cholesky, and R², RMSE and MAPE come from the explicit residuals.
+/// Cholesky, and R² and RMSE come from the explicit residuals.
 QrsmFit batch_fit(const std::deque<Labeled>& window, double lambda) {
   constexpr std::size_t n = kQuadraticDim;
   std::vector<std::array<double, kNumRawFeatures>> raws;
@@ -264,22 +264,15 @@ QrsmFit batch_fit(const std::deque<Labeled>& window, double lambda) {
   mean_y /= static_cast<double>(window.size());
   double ss_res = 0.0;
   double ss_tot = 0.0;
-  double ape_sum = 0.0;
-  std::size_t ape_n = 0;
   for (std::size_t r = 0; r < design.size(); ++r) {
     double pred = 0.0;
     for (std::size_t i = 0; i < n; ++i) pred += design[r][i] * fit.coefficients[i];
     const double y = window[r].y;
     ss_res += (y - pred) * (y - pred);
     ss_tot += (y - mean_y) * (y - mean_y);
-    if (std::abs(y) > 1e-12) {
-      ape_sum += std::abs((y - pred) / y);
-      ++ape_n;
-    }
   }
   fit.rmse = std::sqrt(ss_res / static_cast<double>(window.size()));
   fit.r_squared = ss_tot <= 0.0 ? 1.0 : 1.0 - ss_res / ss_tot;
-  fit.mape = ape_n == 0 ? 0.0 : ape_sum / static_cast<double>(ape_n);
   return fit;
 }
 
@@ -294,7 +287,6 @@ void expect_matches_batch(const QrsmFit& got, const QrsmFit& want) {
   EXPECT_LE(std::sqrt(diff2) / std::sqrt(want2), 1e-8);
   EXPECT_NEAR(got.r_squared, want.r_squared, 1e-8);
   EXPECT_NEAR(got.rmse, want.rmse, 1e-8);
-  EXPECT_NEAR(got.mape, want.mape, 1e-8);
 }
 
 /// `n` documents with noisy labels; from `regime_change_at` on the labels
@@ -435,8 +427,8 @@ TEST(QrsmIncrementalTest, MatchesBatchWithTinyRidge) {
                        data);
 }
 
-TEST(QrsmIncrementalTest, MapeIsMeasuredOnTheFitWindow) {
-  // MAPE is read only after later observations pushed rows of the fit's
+TEST(QrsmIncrementalTest, LastFitDescribesTheWindowItWasFittedOn) {
+  // The fit is read only after later observations pushed rows of its
   // window out: it must still describe that window.
   const QrsmModel::Config cfg{.refit_interval = 32, .window = 128};
   const auto data = labeled_stream(400, 26);

@@ -316,13 +316,13 @@ TEST(LinkTest, DiurnalProfileChangesRateAcrossTicks) {
 // ---- BandwidthEstimator ------------------------------------------------
 
 TEST(BandwidthEstimatorTest, PriorBeforeObservations) {
-  BandwidthEstimator est({.slots_per_day = 24, .alpha = 0.3, .prior_rate = 5.0e5});
+  BandwidthEstimator est({.slots_per_day = 24, .prior_rate = 5.0e5});
   EXPECT_DOUBLE_EQ(est.estimate(0.0), 5.0e5);
   EXPECT_DOUBLE_EQ(est.last_observed(), 5.0e5);
 }
 
 TEST(BandwidthEstimatorTest, SlotMapping) {
-  BandwidthEstimator est({.slots_per_day = 24, .alpha = 0.3, .prior_rate = 1.0});
+  BandwidthEstimator est({.slots_per_day = 24, .prior_rate = 1.0});
   EXPECT_EQ(est.slot_of(0.0), 0u);
   EXPECT_EQ(est.slot_of(kHour + 1.0), 1u);
   EXPECT_EQ(est.slot_of(23.5 * kHour), 23u);
@@ -330,25 +330,26 @@ TEST(BandwidthEstimatorTest, SlotMapping) {
 }
 
 TEST(BandwidthEstimatorTest, SlotEwmaThenGlobalFallback) {
-  BandwidthEstimator est({.slots_per_day = 24, .alpha = 0.5, .prior_rate = 1.0});
+  BandwidthEstimator est({.slots_per_day = 24, .prior_rate = 1.0});
   est.observe(0.5 * kHour, 100.0);  // slot 0
   EXPECT_DOUBLE_EQ(est.estimate(0.0), 100.0);
   // Slot 5 has no data: falls back to the global EWMA (= 100).
   EXPECT_DOUBLE_EQ(est.estimate(5.0 * kHour), 100.0);
   est.observe(5.5 * kHour, 300.0);
   EXPECT_DOUBLE_EQ(est.estimate(5.0 * kHour), 300.0);
-  // Global is now 0.5*300 + 0.5*100 = 200 for untouched slots.
-  EXPECT_DOUBLE_EQ(est.estimate(10.0 * kHour), 200.0);
+  // Global is now 0.3*300 + 0.7*100 = 160 for untouched slots.
+  EXPECT_DOUBLE_EQ(est.estimate(10.0 * kHour), 160.0);
 }
 
 TEST(BandwidthEstimatorTest, TransferSecondsSimpleCase) {
-  BandwidthEstimator est({.slots_per_day = 1, .alpha = 0.3, .prior_rate = 1.0e6});
+  BandwidthEstimator est({.slots_per_day = 1, .prior_rate = 1.0e6});
   EXPECT_NEAR(est.estimate_transfer_seconds(0.0, 5.0e6), 5.0, 1e-9);
 }
 
 TEST(BandwidthEstimatorTest, TransferSecondsBlendsAcrossSlots) {
-  BandwidthEstimator est({.slots_per_day = 24, .alpha = 1.0, .prior_rate = 1.0e6});
-  // Slot 0 fast (2 MB/s), slot 1 slow (0.5 MB/s).
+  BandwidthEstimator est({.slots_per_day = 24, .prior_rate = 1.0e6});
+  // Slot 0 fast (2 MB/s), slot 1 slow (0.5 MB/s); one observation each, so
+  // each slot's EWMA is that observation.
   est.observe(0.0, 2.0e6);
   est.observe(kHour, 0.5e6);
   for (int s = 2; s < 24; ++s) est.observe(static_cast<double>(s) * kHour, 1.0e6);
@@ -360,11 +361,12 @@ TEST(BandwidthEstimatorTest, TransferSecondsBlendsAcrossSlots) {
 }
 
 TEST(BandwidthEstimatorTest, LastObservedIsRaw) {
-  BandwidthEstimator est({.slots_per_day = 24, .alpha = 0.1, .prior_rate = 1.0});
+  BandwidthEstimator est({.slots_per_day = 24, .prior_rate = 1.0});
   est.observe(0.0, 100.0);
   est.observe(1.0, 900.0);
   EXPECT_DOUBLE_EQ(est.last_observed(), 900.0);
-  EXPECT_LT(est.estimate(0.0), 300.0);  // EWMA is far behind the spike
+  // The EWMA is far behind the spike: 0.3 * 900 + 0.7 * 100.
+  EXPECT_DOUBLE_EQ(est.estimate(0.0), 340.0);
 }
 
 /// The slot-by-slot walk that estimate_transfer_seconds replaced, kept as
@@ -411,7 +413,6 @@ TEST(BandwidthEstimatorTest, TransferSecondsMatchTheSlotWalk) {
     const double lo = slow ? 0.05 : 1.0e5;
     const double hi = slow ? 3.0 : 1.0e6;
     BandwidthEstimator est({.slots_per_day = slots,
-                            .alpha = 0.3,
                             .prior_rate = slow ? 0.5 : 2.5e5});
     for (std::size_t q = 0; q < 60; ++q) {
       // Observing a few slots at a time leaves the others on the global
@@ -449,7 +450,7 @@ TEST(BandwidthEstimatorTest, TransferSecondsMatchTheSlotWalk) {
 
 TEST(BandwidthEstimatorTest, TransferQueryCostDoesNotGrowWithBytes) {
   BandwidthEstimator est(
-      {.slots_per_day = 48, .alpha = 0.3, .prior_rate = 1.0e6});
+      {.slots_per_day = 48, .prior_rate = 1.0e6});
   for (int s = 0; s < 48; ++s) {
     est.observe(static_cast<double>(s) * 1800.0, 0.5e6 + 2.0e4 * s);
   }
@@ -483,7 +484,7 @@ TEST(BandwidthEstimatorTest, TransferSecondsFloorHoldsAcrossSeams) {
     // Every fourth trial spreads the slot rates over four decades.
     const double hi = trial % 4 == 3 ? 1.0e7 : 1.0e6;
     BandwidthEstimator est(
-        {.slots_per_day = slots, .alpha = 0.3, .prior_rate = 2.5e5});
+        {.slots_per_day = slots, .prior_rate = 2.5e5});
     for (std::uint64_t k = rng.uniform_int(0, 200); k > 0; --k) {
       est.observe(rng.uniform(0.0, 3.0 * kDay), rng.uniform(1.0e3, hi));
     }
@@ -615,7 +616,7 @@ TEST(TimeOfDayTest, SlotsAndMultipliersMatchTheFmodForms) {
   const std::vector<double> probes = time_of_day_probes();
   for (const std::size_t slots : std::array<std::size_t, 5>{1, 7, 24, 48, 96}) {
     const BandwidthEstimator est(
-        {.slots_per_day = slots, .alpha = 0.3, .prior_rate = 1.0});
+        {.slots_per_day = slots, .prior_rate = 1.0});
     for (const double t : probes) {
       if (std::isnan(t) || std::isinf(t)) continue;  // no slot to compare
       ASSERT_EQ(est.slot_of(t), fmod_slot(t, slots)) << slots << " " << t;

@@ -114,8 +114,7 @@ TEST(CostTest, ItemizedBill) {
   in.downlink_bytes = 5.0e9;                         // 5 GB back
   in.store_byte_seconds = 1.0e9 * 30.0 * 86400.0;    // 1 GB-month
   in.ic_machine_seconds = 10.0 * 3600.0;
-  const CostRates rates{};  // defaults
-  const CostReport r = compute_cost(in, rates);
+  const CostReport r = compute_cost(in);
   EXPECT_NEAR(r.ec_compute, 0.20, 1e-9);
   EXPECT_NEAR(r.egress, 1.50, 1e-9);
   EXPECT_NEAR(r.ingress, 0.50, 1e-9);
@@ -126,7 +125,7 @@ TEST(CostTest, ItemizedBill) {
 }
 
 TEST(CostTest, ZeroUsageIsFree) {
-  const CostReport r = compute_cost(CostInputs{}, CostRates{});
+  const CostReport r = compute_cost(CostInputs{});
   EXPECT_DOUBLE_EQ(r.grand_total(), 0.0);
 }
 

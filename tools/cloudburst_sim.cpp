@@ -13,7 +13,7 @@
 //        --tolerance t_l    --oo-interval s   --noise sigma
 //        --ic-mtbf s  --ec-mtbf s  --vm-recovery s  --retraction-factor f
 //        --hazard-predictor (off|ewma|bayes)  --drain-threshold p
-//        --drain-window s  --risk-weight w   (proactive resilience)
+//                                       (proactive resilience)
 //        --horizon s  --candidates N   (scheduler=lookahead rollouts;
 //                                       N in [1, 3])
 //        --csv (report|completion|oo)
@@ -42,8 +42,7 @@ void print_usage() {
       "                      [--ic-mtbf s] [--ec-mtbf s] [--vm-recovery s]\n"
       "                      [--retraction-factor f]\n"
       "                      [--hazard-predictor off|ewma|bayes]\n"
-      "                      [--drain-threshold p] [--drain-window s]\n"
-      "                      [--risk-weight w]\n"
+      "                      [--drain-threshold p]\n"
       "                      [--horizon s] [--candidates 1|2|3]\n"
       "                      [--csv report|completion|oo]\n"
       "schedulers: ic-only greedy order-preserving op-bandwidth-split\n"
