@@ -506,17 +506,6 @@ BENCHMARK_CAPTURE(draw_workload, large, cbs::workload::SizeBucket::kLargeBiased)
     ->Name("BM_DrawWorkload/large")
     ->Unit(benchmark::kMillisecond);
 
-void BM_FullScenario(benchmark::State& state) {
-  for (auto _ : state) {
-    auto scenario = cbs::harness::make_scenario(
-        cbs::core::SchedulerKind::kOrderPreserving,
-        cbs::workload::SizeBucket::kUniform, 42);
-    scenario.num_batches = 2;
-    benchmark::DoNotOptimize(cbs::harness::run_scenario(scenario));
-  }
-}
-BENCHMARK(BM_FullScenario)->Unit(benchmark::kMillisecond);
-
 void BM_FaultedScenario(benchmark::State& state) {
   // Full run with the fault layer hot: VM crashes on both clusters, EC
   // outage windows, and burst-retraction deadlines (the cancel-heavy path
@@ -638,26 +627,6 @@ BENCHMARK(BM_HazardUpdate)
     ->Args({8, 0})
     ->Args({64, 0})
     ->Args({64, 1});
-
-void BM_HazardFaultedScenario(benchmark::State& state) {
-  // BM_FaultedScenario with the predictor on: full run cost including
-  // hazard updates, drain/undrain sweeps and risk-priced burst decisions.
-  for (auto _ : state) {
-    auto scenario = cbs::harness::make_scenario(
-        cbs::core::SchedulerKind::kOrderPreserving,
-        cbs::workload::SizeBucket::kLargeBiased, 1337);
-    scenario.num_batches = 2;
-    scenario.faults.ec_vm_mtbf = 1200.0;
-    scenario.faults.ic_vm_mtbf = 6000.0;
-    scenario.faults.retraction_deadline_factor = 3.0;
-    scenario.faults.outage_windows = {cbs::sim::OutageWindow{400.0, 240.0},
-                                      cbs::sim::OutageWindow{1500.0, 180.0}};
-    scenario.resilience.hazard.kind = cbs::models::HazardPredictorKind::kEwma;
-    scenario.log_threshold = cbs::sim::LogLevel::kOff;  // keep stderr clean
-    benchmark::DoNotOptimize(cbs::harness::run_scenario(scenario));
-  }
-}
-BENCHMARK(BM_HazardFaultedScenario)->Unit(benchmark::kMillisecond);
 
 void BM_SnapshotFork(benchmark::State& state) {
   // Cost of one deep fork of a live mid-run world (engine copy +

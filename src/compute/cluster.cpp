@@ -10,16 +10,14 @@ using cbs::sim::SimTime;
 Cluster::Cluster(cbs::sim::Simulation& sim, ClusterOwner& owner,
                  std::size_t index, std::string name, std::size_t machines,
                  double speed)
-    : sim_(sim),
-      target_(sim.register_target(*this)),
-      owner_(owner),
-      index_(index),
-      name_(std::move(name)),
-      speed_(speed),
-      machines_(machines),
-      running_tasks_(machines) {
+    : sim_(sim), target_(sim.register_target(*this)), owner_(owner) {
   assert(machines > 0);
   assert(speed > 0.0);
+  index_ = index;
+  name_ = std::move(name);
+  speed_ = speed;
+  machines_.resize(machines);
+  running_tasks_.resize(machines);
   active_machines_ = machines;
   provision_level_ = machines;
   provision_since_ = sim.now();
@@ -27,31 +25,10 @@ Cluster::Cluster(cbs::sim::Simulation& sim, ClusterOwner& owner,
 
 Cluster::Cluster(cbs::sim::Simulation& dst, ClusterOwner& owner,
                  const Cluster& src)
-    : sim_(dst),
+    : ClusterState(src),
+      sim_(dst),
       target_(dst.register_target(*this, src.target_)),
-      owner_(owner),
-      index_(src.index_),
-      name_(src.name_),
-      speed_(src.speed_),
-      machines_(src.machines_),
-      running_tasks_(src.running_tasks_),
-      active_machines_(src.active_machines_),
-      down_(src.down_),
-      crashes_(src.crashes_),
-      reexecutions_(src.reexecutions_),
-      drains_(src.drains_),
-      undrains_(src.undrains_),
-      drain_preemptions_(src.drain_preemptions_),
-      idle_crashes_absorbed_(src.idle_crashes_absorbed_),
-      wasted_standard_seconds_(src.wasted_standard_seconds_),
-      checkpointed_standard_seconds_(src.checkpointed_standard_seconds_),
-      provision_accum_(src.provision_accum_),
-      provision_since_(src.provision_since_),
-      provision_level_(src.provision_level_),
-      queue_(src.queue_),
-      running_(src.running_),
-      queued_standard_seconds_(src.queued_standard_seconds_),
-      next_id_(src.next_id_) {}
+      owner_(owner) {}
 
 void Cluster::on_event(std::uint32_t /*kind*/, std::uint64_t machine) {
   finish(machine);
@@ -83,8 +60,12 @@ std::size_t Cluster::add_machine() {
     machines_.emplace_back();
     running_tasks_.emplace_back();
   } else {
-    machines_[idx].retired = false;
-    machines_[idx].retire_when_free = false;
+    Machine& machine = machines_[idx];
+    if (machine.down) --down_;
+    machine.retired = false;
+    machine.retire_when_free = false;
+    machine.down = false;
+    machine.drained = false;
   }
   ++active_machines_;
   note_provision_change(active_machines_);

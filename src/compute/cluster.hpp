@@ -40,12 +40,67 @@ class ClusterOwner {
   ~ClusterOwner() = default;
 };
 
+/// A Cluster's value state: everything but its engine, target id and
+/// owner, so a fork copies it whole (DESIGN.md §12.2).
+struct ClusterState {
+  struct Machine {
+    bool busy = false;
+    bool retired = false;        ///< released; never dispatched again
+    bool retire_when_free = false;
+    bool down = false;           ///< crashed; awaiting recover_machine()
+    bool drained = false;        ///< pre-emptively held out of dispatch
+    double busy_accum = 0.0;
+    cbs::sim::SimTime busy_since = 0.0;
+  };
+
+  struct Pending {
+    TaskId task_id;
+    std::uint64_t group_id;
+    std::uint32_t kind;
+    cbs::sim::SimTime enqueued;
+    double standard_service;
+  };
+
+  /// The task executing on one machine; its completion event carries only
+  /// the machine index, so a crash can cancel the event and reclaim the
+  /// task.
+  struct Running {
+    Pending task;
+    cbs::sim::SimTime started = 0.0;
+    cbs::sim::EventId completion{};
+  };
+
+  std::size_t index_ = 0;
+  std::string name_;
+  double speed_ = 1.0;
+  std::vector<Machine> machines_;
+  std::vector<std::optional<Running>> running_tasks_;  ///< parallel to machines_
+  std::size_t active_machines_ = 0;
+  std::size_t down_ = 0;
+  std::uint64_t crashes_ = 0;
+  std::uint64_t reexecutions_ = 0;
+  std::uint64_t drains_ = 0;
+  std::uint64_t undrains_ = 0;
+  std::uint64_t drain_preemptions_ = 0;
+  std::uint64_t idle_crashes_absorbed_ = 0;
+  double wasted_standard_seconds_ = 0.0;
+  double checkpointed_standard_seconds_ = 0.0;
+  // Provisioned machine-seconds accounting.
+  double provision_accum_ = 0.0;
+  cbs::sim::SimTime provision_since_ = 0.0;
+  std::size_t provision_level_ = 0;
+  std::deque<Pending> queue_;
+  std::size_t running_ = 0;
+  double queued_standard_seconds_ = 0.0;
+  TaskId next_id_ = 1;
+};
+
 /// A pool of identical machines with one global FCFS task queue — the
 /// execution substrate for both the internal (Hadoop on printer
 /// controllers) and external (EMR) clouds. Tasks are dispatched to the
 /// lowest-indexed free machine; each machine runs one task at a time at
 /// `speed` times the standard rate.
-class Cluster : private cbs::sim::EventTarget {
+class Cluster : private ClusterState, private cbs::sim::EventTarget {
  public:
   /// A cluster that reports to `owner` under `index`.
   Cluster(cbs::sim::Simulation& sim, ClusterOwner& owner, std::size_t index,
@@ -53,9 +108,8 @@ class Cluster : private cbs::sim::EventTarget {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// Fork support: copies `src`'s value state (machines, queue, running
-  /// tasks, accounting, its index) into a cluster bound to `dst`, the copy
-  /// of `src`'s engine, that reports to `owner`.
+  /// Fork support: copies `src`'s ClusterState whole into a cluster bound
+  /// to `dst`, the copy of `src`'s engine, that reports to `owner`.
   Cluster(cbs::sim::Simulation& dst, ClusterOwner& owner, const Cluster& src);
 
   /// Enqueues a task needing `standard_service_seconds` of speed-1
@@ -94,7 +148,9 @@ class Cluster : private cbs::sim::EventTarget {
 
   /// Provisions one more machine (an EC instance spin-up). It becomes
   /// eligible for dispatch immediately; model boot delay by scheduling the
-  /// call at now + boot_time. Returns its machine index.
+  /// call at now + boot_time. A reused retired slot boots as a fresh
+  /// machine: neither drained nor down (a pending recovery of the old
+  /// instance then finds nothing to recover). Returns its machine index.
   std::size_t add_machine();
 
   /// Retires one machine: an idle machine is released immediately,
@@ -175,33 +231,6 @@ class Cluster : private cbs::sim::EventTarget {
   }
 
  private:
-  struct Machine {
-    bool busy = false;
-    bool retired = false;        ///< released; never dispatched again
-    bool retire_when_free = false;
-    bool down = false;           ///< crashed; awaiting recover_machine()
-    bool drained = false;        ///< pre-emptively held out of dispatch
-    double busy_accum = 0.0;
-    cbs::sim::SimTime busy_since = 0.0;
-  };
-
-  struct Pending {
-    TaskId task_id;
-    std::uint64_t group_id;
-    std::uint32_t kind;
-    cbs::sim::SimTime enqueued;
-    double standard_service;
-  };
-
-  /// The task executing on one machine; its completion event carries only
-  /// the machine index, so a crash can cancel the event and reclaim the
-  /// task.
-  struct Running {
-    Pending task;
-    cbs::sim::SimTime started = 0.0;
-    cbs::sim::EventId completion{};
-  };
-
   /// The completion of the task running on machine `machine`.
   void on_event(std::uint32_t kind, std::uint64_t machine) override;
   void dispatch();
@@ -217,29 +246,6 @@ class Cluster : private cbs::sim::EventTarget {
   cbs::sim::Simulation& sim_;
   cbs::sim::TargetId target_;
   ClusterOwner& owner_;
-  std::size_t index_;
-  std::string name_;
-  double speed_;
-  std::vector<Machine> machines_;
-  std::vector<std::optional<Running>> running_tasks_;  ///< parallel to machines_
-  std::size_t active_machines_ = 0;
-  std::size_t down_ = 0;
-  std::uint64_t crashes_ = 0;
-  std::uint64_t reexecutions_ = 0;
-  std::uint64_t drains_ = 0;
-  std::uint64_t undrains_ = 0;
-  std::uint64_t drain_preemptions_ = 0;
-  std::uint64_t idle_crashes_absorbed_ = 0;
-  double wasted_standard_seconds_ = 0.0;
-  double checkpointed_standard_seconds_ = 0.0;
-  // Provisioned machine-seconds accounting.
-  double provision_accum_ = 0.0;
-  cbs::sim::SimTime provision_since_ = 0.0;
-  std::size_t provision_level_ = 0;
-  std::deque<Pending> queue_;
-  std::size_t running_ = 0;
-  double queued_standard_seconds_ = 0.0;
-  TaskId next_id_ = 1;
 };
 
 }  // namespace cbs::compute

@@ -8,27 +8,16 @@ namespace cbs::compute {
 
 JobStore::JobStore(cbs::sim::Simulation& sim, StoreOwner& owner,
                    std::size_t index)
-    : sim_(sim),
-      target_(sim.register_target(*this)),
-      owner_(owner),
-      index_(index) {}
+    : sim_(sim), target_(sim.register_target(*this)), owner_(owner) {
+  index_ = index;
+}
 
 JobStore::JobStore(cbs::sim::Simulation& dst, StoreOwner& owner,
                    const JobStore& src)
-    : sim_(dst),
+    : JobStoreState(src),
+      sim_(dst),
       target_(dst.register_target(*this, src.target_)),
-      owner_(owner),
-      index_(src.index_),
-      available_(src.available_),
-      failed_attempts_(src.failed_attempts_),
-      abandoned_ops_(src.abandoned_ops_),
-      objects_(src.objects_),
-      occupancy_(src.occupancy_),
-      peak_(src.peak_),
-      byte_seconds_(src.byte_seconds_),
-      last_change_(src.last_change_),
-      pending_ops_(src.pending_ops_),
-      next_op_id_(src.next_op_id_) {}
+      owner_(owner) {}
 
 void JobStore::put_async(std::uint64_t seq, ObjectKind kind, double bytes) {
   step_op(PendingOp{.seq = seq, .kind = kind, .bytes = bytes});

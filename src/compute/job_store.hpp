@@ -10,6 +10,33 @@ namespace cbs::compute {
 
 class StoreOwner;
 
+/// A JobStore's value state: everything but its engine, target id and
+/// owner, so a fork copies it whole (DESIGN.md §12.2).
+struct JobStoreState {
+  enum class ObjectKind : std::uint8_t { kInput, kOutput };
+
+  /// One put_async awaiting its next retry — pure value state, named by
+  /// its retry event's argument.
+  struct PendingOp {
+    std::uint64_t seq = 0;
+    ObjectKind kind = ObjectKind::kInput;
+    double bytes = 0.0;
+    int attempt = 0;
+  };
+
+  std::size_t index_ = 0;
+  bool available_ = true;
+  std::uint64_t failed_attempts_ = 0;
+  std::uint64_t abandoned_ops_ = 0;
+  cbs::util::SeqTable<double> objects_;
+  double occupancy_ = 0.0;
+  double peak_ = 0.0;
+  double byte_seconds_ = 0.0;
+  cbs::sim::SimTime last_change_ = 0.0;
+  cbs::util::SeqTable<PendingOp> pending_ops_;
+  std::uint64_t next_op_id_ = 1;
+};
+
 /// The external cloud's staging storage (Amazon S3 in the prototype):
 /// uploaded job inputs land here before EMR picks them up, and compressed
 /// outputs wait here for download. Keeps current and peak occupancy and
@@ -26,9 +53,9 @@ class StoreOwner;
 /// kMaxAttempts. With the store available, put_async completes
 /// synchronously and schedules no events — the fault layer is free when
 /// disabled.
-class JobStore : private cbs::sim::EventTarget {
+class JobStore : private JobStoreState, private cbs::sim::EventTarget {
  public:
-  enum class ObjectKind : std::uint8_t { kInput, kOutput };
+  using JobStoreState::ObjectKind;
 
   /// Attempts per put_async (first try included).
   static constexpr int kMaxAttempts = 6;
@@ -41,7 +68,7 @@ class JobStore : private cbs::sim::EventTarget {
   JobStore(const JobStore&) = delete;
   JobStore& operator=(const JobStore&) = delete;
 
-  /// Fork support: copies `src`'s value state (objects, occupancy
+  /// Fork support: copies `src`'s JobStoreState whole (objects, occupancy
   /// accounting, pending retry records, its index) into a store bound to
   /// `dst`, the copy of `src`'s engine, that reports to `owner`.
   JobStore(cbs::sim::Simulation& dst, StoreOwner& owner, const JobStore& src);
@@ -85,15 +112,6 @@ class JobStore : private cbs::sim::EventTarget {
   [[nodiscard]] std::size_t object_count() const noexcept { return objects_.size(); }
 
  private:
-  /// One put_async awaiting its next retry — pure value state, named by
-  /// its retry event's argument.
-  struct PendingOp {
-    std::uint64_t seq = 0;
-    ObjectKind kind = ObjectKind::kInput;
-    double bytes = 0.0;
-    int attempt = 0;
-  };
-
   /// The objects_ key of job `seq`'s object of `kind`.
   [[nodiscard]] static std::uint64_t key_of(std::uint64_t seq, ObjectKind kind);
 
@@ -105,17 +123,6 @@ class JobStore : private cbs::sim::EventTarget {
   cbs::sim::Simulation& sim_;
   cbs::sim::TargetId target_;
   StoreOwner& owner_;
-  std::size_t index_;
-  bool available_ = true;
-  std::uint64_t failed_attempts_ = 0;
-  std::uint64_t abandoned_ops_ = 0;
-  cbs::util::SeqTable<double> objects_;
-  double occupancy_ = 0.0;
-  double peak_ = 0.0;
-  double byte_seconds_ = 0.0;
-  cbs::sim::SimTime last_change_ = 0.0;
-  cbs::util::SeqTable<PendingOp> pending_ops_;
-  std::uint64_t next_op_id_ = 1;
 };
 
 /// What a JobStore reports finished put_async() operations to. `store` is

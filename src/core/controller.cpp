@@ -101,8 +101,8 @@ CloudBurstController::Site::Site(cbs::sim::Simulation& sim,
                     upload_classes(config.scheduler)),
       download_queue(sim, downlink, down_tuner, kDownloadJob, 1) {
   if (config.resilience.enabled()) {
-    hazard = std::make_unique<models::VmHazardEstimator>(
-        config.resilience.hazard, config.ec_sites[index].machines, sim.now());
+    hazard.emplace(config.resilience.hazard, config.ec_sites[index].machines,
+                   sim.now());
   }
 }
 
@@ -116,23 +116,26 @@ CloudBurstController::Site::Site(cbs::sim::Simulation& dst,
       down_tuner(src.down_tuner),
       upload_queues(dst, src.upload_queues, uplink, up_tuner),
       download_queue(dst, src.download_queue, downlink, down_tuner),
-      hazard(src.hazard ? std::make_unique<models::VmHazardEstimator>(*src.hazard)
-                        : nullptr),
+      hazard(src.hazard),
       bursts(src.bursts),
       pending_boots(src.pending_boots) {}
+
+ControllerState::ControllerState(ControllerConfig config,
+                                 cbs::workload::GroundTruthModel truth)
+    : config_(std::make_shared<const ControllerConfig>(
+          validated(std::move(config)))),
+      truth_(std::move(truth)),
+      belief_(make_estimator(config_->estimator, truth_),
+              config_->ic_machines) {}
 
 CloudBurstController::CloudBurstController(
     cbs::sim::Simulation& sim, ControllerConfig config,
     cbs::workload::GroundTruthModel truth, cbs::sim::RngStream rng)
-    : sim_(sim),
-      config_(std::make_shared<const ControllerConfig>(
-          validated(std::move(config)))),
-      truth_(std::move(truth)),
+    : ControllerState(std::move(config), std::move(truth)),
+      sim_(sim),
       log_("controller", config_->log_threshold),
       target_(sim.register_target(*this)),
-      ic_cluster_(sim, *this, kIcCluster, "ic", config_->ic_machines),
-      belief_(make_estimator(config_->estimator, truth_),
-              config_->ic_machines) {
+      ic_cluster_(sim, *this, kIcCluster, "ic", config_->ic_machines) {
   for (std::size_t i = 0; i < config_->ec_sites.size(); ++i) {
     sites_.push_back(std::make_unique<Site>(sim, *this, *config_, i, rng));
     belief_.add_ec_site(config_->ec_sites[i],
@@ -153,45 +156,24 @@ CloudBurstController::CloudBurstController(
     fault_plan_->drive_outages();
   }
   if (config_->resilience.enabled()) {
-    ic_hazard_ = std::make_unique<models::VmHazardEstimator>(
-        config_->resilience.hazard, config_->ic_machines, sim_.now());
+    ic_hazard_.emplace(config_->resilience.hazard, config_->ic_machines,
+                       sim_.now());
   }
 }
 
 CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
                                            const CloudBurstController& src)
-    : sim_(dst),
-      config_(src.config_),
-      truth_(src.truth_),
+    : ControllerState(src),
+      sim_(dst),
       log_("controller", config_->log_threshold),
       target_(dst.register_target(*this, src.target_)),
-      ic_cluster_(dst, *this, src.ic_cluster_),
-      belief_(src.belief_),
-      scheduler_state_(src.scheduler_state_),
-      jobs_(src.jobs_),
-      ic_wait_(src.ic_wait_),
-      outcomes_(src.outcomes_),
-      next_seq_(src.next_seq_),
-      next_doc_id_(src.next_doc_id_),
-      probe_scheduled_(src.probe_scheduled_),
-      pull_backs_(src.pull_backs_),
-      push_outs_(src.push_outs_),
-      stage_log_(src.stage_log_),
-      elastic_check_scheduled_(src.elastic_check_scheduled_),
-      scale_ups_(src.scale_ups_),
-      scale_downs_(src.scale_downs_),
-      retractions_(src.retractions_),
-      service_draws_(src.service_draws_),
-      probe_blackout_skips_(src.probe_blackout_skips_) {
+      ic_cluster_(dst, *this, src.ic_cluster_) {
   for (const auto& site : src.sites_) {
     sites_.push_back(std::make_unique<Site>(dst, *this, *site));
   }
   if (src.fault_plan_) {
     fault_plan_ = std::make_unique<sim::FaultPlan>(
         dst, static_cast<sim::FaultOwner&>(*this), *src.fault_plan_);
-  }
-  if (src.ic_hazard_) {
-    ic_hazard_ = std::make_unique<models::VmHazardEstimator>(*src.ic_hazard_);
   }
 }
 
@@ -278,8 +260,9 @@ compute::Cluster& CloudBurstController::cluster_at(std::size_t cluster) {
 
 models::VmHazardEstimator* CloudBurstController::hazard_at(
     std::size_t cluster) {
-  return cluster == kIcCluster ? ic_hazard_.get()
-                               : sites_[cluster]->hazard.get();
+  std::optional<models::VmHazardEstimator>& hazard =
+      cluster == kIcCluster ? ic_hazard_ : sites_[cluster]->hazard;
+  return hazard ? &*hazard : nullptr;
 }
 
 void CloudBurstController::pretrain(
@@ -361,7 +344,6 @@ void CloudBurstController::on_batch(const cbs::workload::Batch& batch,
     placed.doc = d.doc;
     placed.batch_index = batch.batch_index;
     placed.arrival = sim_.now();
-    placed.scheduled_time = sim_.now();
     placed.placement = d.placement;
     placed.estimated_service_seconds = d.estimated_service_seconds;
 
@@ -727,8 +709,9 @@ void CloudBurstController::update_cluster_drains(
 }
 
 double CloudBurstController::site_failure_risk(std::size_t site) const {
-  const models::VmHazardEstimator* hazard = sites_[site]->hazard.get();
-  if (hazard == nullptr) return 0.0;
+  const std::optional<models::VmHazardEstimator>& hazard =
+      sites_[site]->hazard;
+  if (!hazard) return 0.0;
   return models::mean_failure_probability(
       *hazard, sim_.now(), kDrainWindowSeconds);
 }

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,62 @@
 
 namespace cbs::core {
 
+/// A CloudBurstController's value state: everything but its engine, log,
+/// target id and the components that report to it (IC cluster, sites,
+/// fault plan), so a fork copies it whole (DESIGN.md §12.2).
+struct ControllerState {
+  /// Validates `config` (throws std::invalid_argument when
+  /// `config.ec_sites` is empty) and builds the belief's service model.
+  ControllerState(ControllerConfig config,
+                  cbs::workload::GroundTruthModel truth);
+
+  /// One pipeline-stage transition of one job.
+  struct StageEvent {
+    std::uint64_t seq_id = 0;
+    JobState state = JobState::kArrived;
+    cbs::sim::SimTime time = 0.0;
+  };
+
+  /// Immutable once validated, so a fork shares it.
+  std::shared_ptr<const ControllerConfig> config_;
+  /// The true service law: the clusters' realized services and the
+  /// chunker's output sizes come from it.
+  cbs::workload::GroundTruthModel truth_;
+  /// Owns the service and bandwidth models.
+  BeliefState belief_;
+  /// The policies' per-run state.
+  SchedulerState scheduler_state_;
+
+  /// Outstanding jobs only: finish_job() erases a job once its outcome is
+  /// recorded, so a fork copies live state, not the run's history. Jobs do
+  /// not finish in seq order, so the table finds, adds and erases in O(1).
+  cbs::util::SeqTable<Job> jobs_;
+  /// The IC feed queue in FCFS (seq) order; a re-admitted job rejoins it
+  /// at its place. Jobs wait here, not on the cluster, so the §IV.D
+  /// rescheduler can still move them.
+  cbs::util::SeqQueue ic_wait_;
+  cbs::util::ChunkedLog<cbs::sla::JobOutcome> outcomes_;
+  std::uint64_t next_seq_ = 1;
+  /// Chunk ids, disjoint from inputs.
+  std::uint64_t next_doc_id_ = cbs::workload::kFirstChunkId;
+  bool probe_scheduled_ = false;
+  std::size_t pull_backs_ = 0;
+  std::size_t push_outs_ = 0;
+  cbs::util::ChunkedLog<StageEvent> stage_log_;
+  bool elastic_check_scheduled_ = false;
+  std::size_t scale_ups_ = 0;
+  std::size_t scale_downs_ = 0;
+
+  // ---- fault layer ----
+  std::size_t retractions_ = 0;
+  std::size_t service_draws_ = 0;
+  std::size_t probe_blackout_skips_ = 0;
+
+  /// The IC's per-VM hazard estimator (each EC site's is Site::hazard);
+  /// absent unless the predictor is configured.
+  std::optional<models::VmHazardEstimator> ic_hazard_;
+};
+
 /// The cloud-bursting controller: the pipelined, event-based architecture
 /// of the paper's Fig. 5, wiring together
 ///
@@ -59,7 +116,8 @@ namespace cbs::core {
 /// tells them apart by the index each got at construction — kIcCluster for
 /// the IC cluster, i for everything of site i — and a transfer by the
 /// report kind it was submitted with.
-class CloudBurstController : private cbs::sim::EventTarget,
+class CloudBurstController : private ControllerState,
+                             private cbs::sim::EventTarget,
                              private net::LinkOwner,
                              private compute::ClusterOwner,
                              private compute::StoreOwner,
@@ -90,9 +148,9 @@ class CloudBurstController : private cbs::sim::EventTarget,
     net::ThreadTuner down_tuner;
     TransferQueueSet upload_queues;
     TransferQueueSet download_queue;
-    /// Per-VM hazard estimator; nullptr when the predictor is off. Pure
-    /// value state, so forks copy-construct it.
-    std::unique_ptr<models::VmHazardEstimator> hazard;
+    /// Per-VM hazard estimator; absent when the predictor is off. Pure
+    /// value state, so forks copy it.
+    std::optional<models::VmHazardEstimator> hazard;
     std::size_t bursts = 0;         ///< jobs placed on this site so far
     std::size_t pending_boots = 0;  ///< elastic instances spinning up
   };
@@ -105,11 +163,11 @@ class CloudBurstController : private cbs::sim::EventTarget,
   CloudBurstController(const CloudBurstController&) = delete;
   CloudBurstController& operator=(const CloudBurstController&) = delete;
 
-  /// Fork support: deep-copies `src`, its truth and belief included, into
-  /// a controller bound to `dst`, the copy of `src`'s engine. Every
-  /// sub-component is value-cloned, registered on `dst` in the source's
-  /// order and reports to this controller, so the copied pending events
-  /// reach the clones.
+  /// Fork support: copies `src`'s ControllerState whole, its truth and
+  /// belief included, into a controller bound to `dst`, the copy of
+  /// `src`'s engine. The IC cluster, the sites and the fault plan are
+  /// value-cloned, registered on `dst` in the source's order and report
+  /// to this controller, so the copied pending events reach the clones.
   CloudBurstController(cbs::sim::Simulation& dst,
                        const CloudBurstController& src);
 
@@ -197,7 +255,7 @@ class CloudBurstController : private cbs::sim::EventTarget,
   /// The IC's per-VM hazard estimator, or nullptr when the predictor is
   /// off (each EC site's is Site::hazard).
   [[nodiscard]] const models::VmHazardEstimator* ic_hazard() const noexcept {
-    return ic_hazard_.get();
+    return ic_hazard_ ? &*ic_hazard_ : nullptr;
   }
   /// Mean predicted probability that a usable (non-drained) EC machine
   /// fails within the drain window, averaged over the sites; 0 when the
@@ -220,11 +278,7 @@ class CloudBurstController : private cbs::sim::EventTarget,
 
   /// One pipeline-stage transition of one job (recorded when
   /// ControllerConfig::record_stage_log is set).
-  struct StageEvent {
-    std::uint64_t seq_id = 0;
-    JobState state = JobState::kArrived;
-    cbs::sim::SimTime time = 0.0;
-  };
+  using ControllerState::StageEvent;
   [[nodiscard]] const cbs::util::ChunkedLog<StageEvent>& stage_log()
       const noexcept {
     return stage_log_;
@@ -322,53 +376,14 @@ class CloudBurstController : private cbs::sim::EventTarget,
   [[nodiscard]] Job& job_at(std::uint64_t seq) { return jobs_.at(seq); }
 
   cbs::sim::Simulation& sim_;
-  /// Immutable once validated, so a fork shares it.
-  std::shared_ptr<const ControllerConfig> config_;
-  /// The true service law: the clusters' realized services and the
-  /// chunker's output sizes come from it.
-  cbs::workload::GroundTruthModel truth_;
   sim::Logger log_;
   cbs::sim::TargetId target_;
-
   compute::Cluster ic_cluster_;
-  /// Owns the service and bandwidth models.
-  BeliefState belief_;
-  /// The policies' per-run state; a fork copies it.
-  SchedulerState scheduler_state_;
   /// One per ControllerConfig::ec_sites entry; heap-held so the references
   /// between a site's members stay valid.
   std::vector<std::unique_ptr<Site>> sites_;
-
-  /// Outstanding jobs only: finish_job() erases a job once its outcome is
-  /// recorded, so a fork copies live state, not the run's history. Jobs do
-  /// not finish in seq order, so the table finds, adds and erases in O(1).
-  cbs::util::SeqTable<Job> jobs_;
-  /// The IC feed queue in FCFS (seq) order; a re-admitted job rejoins it
-  /// at its place. Jobs wait here, not on the cluster, so the §IV.D
-  /// rescheduler can still move them.
-  cbs::util::SeqQueue ic_wait_;
-  cbs::util::ChunkedLog<cbs::sla::JobOutcome> outcomes_;
-  std::uint64_t next_seq_ = 1;
-  /// Chunk ids, disjoint from inputs.
-  std::uint64_t next_doc_id_ = cbs::workload::kFirstChunkId;
-  bool probe_scheduled_ = false;
-  std::size_t pull_backs_ = 0;
-  std::size_t push_outs_ = 0;
-  cbs::util::ChunkedLog<StageEvent> stage_log_;
-  bool elastic_check_scheduled_ = false;
-  std::size_t scale_ups_ = 0;
-  std::size_t scale_downs_ = 0;
-
-  // ---- fault layer (absent and cost-free unless configured) ----
+  /// The fault generator; absent and cost-free unless configured.
   std::unique_ptr<cbs::sim::FaultPlan> fault_plan_;
-  std::size_t retractions_ = 0;
-  std::size_t service_draws_ = 0;
-  std::size_t probe_blackout_skips_ = 0;
-
-  // ---- proactive resilience (absent and cost-free unless configured) ----
-  // Pure value state (no events, no hooks), so forks copy-construct it; the
-  // EC estimators live in the sites.
-  std::unique_ptr<models::VmHazardEstimator> ic_hazard_;
 };
 
 }  // namespace cbs::core

@@ -8,7 +8,6 @@ std::string_view to_string(JobState state) noexcept {
     case JobState::kIcWaiting: return "ic-waiting";
     case JobState::kIcRunning: return "ic-running";
     case JobState::kUploadQueued: return "upload-queued";
-    case JobState::kUploading: return "uploading";
     case JobState::kEcRunning: return "ec-running";
     case JobState::kDownloading: return "downloading";
     case JobState::kCompleted: return "completed";
@@ -22,7 +21,6 @@ cbs::sla::JobOutcome Job::to_outcome() const {
   o.doc_id = doc.doc_id;
   o.batch_index = batch_index;
   o.arrival = arrival;
-  o.scheduled = scheduled_time;
   o.completed = completed_time;
   o.input_mb = doc.features.size_mb;
   o.output_mb = doc.output_size_mb;

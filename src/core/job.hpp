@@ -17,8 +17,9 @@ enum class JobState : std::uint8_t {
   kArrived,       ///< in the central job queue, not yet scheduled
   kIcWaiting,     ///< assigned to IC, in the controller's feed queue
   kIcRunning,     ///< map/merge tasks executing on the internal cluster
-  kUploadQueued,  ///< assigned to EC, waiting in an upload queue
-  kUploading,
+  /// Assigned to EC, in an upload queue; a burst stays here through its
+  /// upload (on_burst_deadline reads it as "upload not finished").
+  kUploadQueued,
   kEcRunning,     ///< in the EC store / executing on the external cluster
   kDownloading,
   kCompleted,
@@ -33,13 +34,12 @@ struct Job {
   cbs::workload::Document doc;
   std::size_t batch_index = 0;
   cbs::sim::SimTime arrival = 0.0;
-  cbs::sim::SimTime scheduled_time = 0.0;
   cbs::sim::SimTime completed_time = 0.0;
   JobState state = JobState::kArrived;
   cbs::sla::Placement placement = cbs::sla::Placement::kInternal;
   bool service_drawn = false;  ///< true_service_seconds is set
   /// EC site of an external placement; 32 bits, so it shares the word of
-  /// the three fields above and a job stays 168 bytes.
+  /// the three fields above and a job stays 160 bytes.
   std::uint32_t site = 0;
   /// Realized standard-machine service seconds: a ground-truth draw keyed
   /// on the document's identity, so IC and EC execute identical work. It is

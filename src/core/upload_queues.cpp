@@ -10,13 +10,11 @@ TransferQueueSet::TransferQueueSet(cbs::sim::Simulation& sim,
                                    cbs::net::ThreadTuner& tuner,
                                    std::uint32_t transfer_kind,
                                    int num_classes)
-    : sim_(sim),
-      link_(link),
-      tuner_(tuner),
-      transfer_kind_(transfer_kind),
-      queues_(static_cast<std::size_t>(num_classes)),
-      in_flight_(static_cast<std::size_t>(num_classes)) {
+    : sim_(sim), link_(link), tuner_(tuner) {
   assert(num_classes >= 1);
+  transfer_kind_ = transfer_kind;
+  queues_.resize(static_cast<std::size_t>(num_classes));
+  in_flight_.resize(static_cast<std::size_t>(num_classes));
   // One slot per class bounds this set's concurrent transfers, so the
   // link's SoA pool can be sized once up front (shared links take the max).
   link_.reserve_transfers(static_cast<std::size_t>(num_classes));
@@ -26,14 +24,7 @@ TransferQueueSet::TransferQueueSet(cbs::sim::Simulation& dst,
                                    const TransferQueueSet& src,
                                    cbs::net::Link& link,
                                    cbs::net::ThreadTuner& tuner)
-    : sim_(dst),
-      link_(link),
-      tuner_(tuner),
-      transfer_kind_(src.transfer_kind_),
-      queues_(src.queues_),
-      queued_(src.queued_),
-      indexed_(src.indexed_),
-      in_flight_(src.in_flight_) {}
+    : TransferQueueSetState(src), sim_(dst), link_(link), tuner_(tuner) {}
 
 void TransferQueueSet::enqueue(std::uint64_t tag, double bytes, int klass) {
   assert(bytes > 0.0);

@@ -12,6 +12,46 @@
 
 namespace cbs::core {
 
+/// A TransferQueueSet's value state: everything but its engine and its
+/// site's link and tuner, so a fork copies it whole (DESIGN.md §12.2).
+struct TransferQueueSetState {
+  struct Item {
+    std::uint64_t tag;
+    double bytes;
+    int klass;
+    bool cancelled = false;  ///< a tombstone: skipped, dropped at the front
+  };
+
+  /// One class's FIFO. Its front item is never a tombstone, so a queue
+  /// holds waiting work exactly when it is not empty.
+  struct Queue {
+    std::deque<Item> items;
+    std::uint64_t front_index = 0;  ///< items.front()'s number in the class
+  };
+
+  /// Where a waiting item sits: its class and its number in that class
+  /// (Queue::front_index counts the items popped before it).
+  struct QueuedAt {
+    int klass = 0;
+    std::uint64_t index = 0;
+  };
+
+  /// The item a class's slot carries — its own, or a lower class's ride-up
+  /// — and its link transfer.
+  struct InFlight {
+    Item item;
+    cbs::net::TransferId transfer{};
+  };
+
+  std::uint32_t transfer_kind_ = 0;  ///< Link::submit's report kind
+  std::vector<Queue> queues_;
+  /// Every waiting item, by tag, once indexed_.
+  cbs::util::SeqTable<QueuedAt> queued_;
+  bool indexed_ = false;  ///< set by the first try_cancel()
+  /// Per class, the one transfer its slot carries, if any.
+  std::vector<std::optional<InFlight>> in_flight_;
+};
+
 /// The asynchronous transfer stage of the pipelined architecture (Fig. 5):
 /// a set of FIFO classes feeding one Link, one active transfer slot per
 /// class. With one class this is the plain upload (or download) queue used
@@ -29,7 +69,7 @@ namespace cbs::core {
 /// The set does not listen to the link. It submits every transfer with the
 /// report kind it was built with, and the link's owner hands each finished
 /// one back through on_transfer_done().
-class TransferQueueSet {
+class TransferQueueSet : private TransferQueueSetState {
  public:
   TransferQueueSet(cbs::sim::Simulation& sim, cbs::net::Link& link,
                    cbs::net::ThreadTuner& tuner, std::uint32_t transfer_kind,
@@ -37,8 +77,8 @@ class TransferQueueSet {
   TransferQueueSet(const TransferQueueSet&) = delete;
   TransferQueueSet& operator=(const TransferQueueSet&) = delete;
 
-  /// Fork support: copies `src`'s queues and active bookkeeping into a set
-  /// bound to the forked `link`/`tuner`. The set schedules no events of
+  /// Fork support: copies `src`'s TransferQueueSetState whole (queues and
+  /// active bookkeeping) into a set bound to the forked `link`/`tuner`. The set schedules no events of
   /// its own (the link owns the transfer events). The one clone in src/
   /// that takes peers besides the engine and its source: passing the link
   /// and tuner to each call instead would cost more than it saves.
@@ -84,34 +124,6 @@ class TransferQueueSet {
   [[nodiscard]] std::size_t tombstones() const;
 
  private:
-  struct Item {
-    std::uint64_t tag;
-    double bytes;
-    int klass;
-    bool cancelled = false;  ///< a tombstone: skipped, dropped at the front
-  };
-
-  /// One class's FIFO. Its front item is never a tombstone, so a queue
-  /// holds waiting work exactly when it is not empty.
-  struct Queue {
-    std::deque<Item> items;
-    std::uint64_t front_index = 0;  ///< items.front()'s number in the class
-  };
-
-  /// Where a waiting item sits: its class and its number in that class
-  /// (Queue::front_index counts the items popped before it).
-  struct QueuedAt {
-    int klass = 0;
-    std::uint64_t index = 0;
-  };
-
-  /// The item a class's slot carries — its own, or a lower class's ride-up
-  /// — and its link transfer.
-  struct InFlight {
-    Item item;
-    cbs::net::TransferId transfer{};
-  };
-
   void pump();
   /// Pops the tombstones at the front of `queue`, so its front is live.
   void drop_dead_front(Queue& queue);
@@ -122,13 +134,6 @@ class TransferQueueSet {
   cbs::sim::Simulation& sim_;
   cbs::net::Link& link_;
   cbs::net::ThreadTuner& tuner_;
-  std::uint32_t transfer_kind_;  ///< Link::submit's report kind
-  std::vector<Queue> queues_;
-  /// Every waiting item, by tag, once indexed_.
-  cbs::util::SeqTable<QueuedAt> queued_;
-  bool indexed_ = false;  ///< set by the first try_cancel()
-  /// Per class, the one transfer its slot carries, if any.
-  std::vector<std::optional<InFlight>> in_flight_;
 };
 
 }  // namespace cbs::core

@@ -11,7 +11,8 @@ using cbs::sim::SimTime;
 
 // --- HotPool: the SoA allocation arrays --------------------------------
 
-std::size_t Link::HotPool::lower_bound(double d, TransferId t) const noexcept {
+std::size_t LinkState::HotPool::lower_bound(double d,
+                                            TransferId t) const noexcept {
   std::size_t lo = 0;
   std::size_t hi = id.size();
   while (lo < hi) {
@@ -25,13 +26,13 @@ std::size_t Link::HotPool::lower_bound(double d, TransferId t) const noexcept {
   return lo;
 }
 
-std::size_t Link::HotPool::find(double d, TransferId t) const noexcept {
+std::size_t LinkState::HotPool::find(double d, TransferId t) const noexcept {
   const std::size_t pos = lower_bound(d, t);
   return (pos < id.size() && id[pos] == t) ? pos : npos;
 }
 
-void Link::HotPool::insert(std::size_t pos, TransferId t, double d,
-                           double remaining, SimTime now) {
+void LinkState::HotPool::insert(std::size_t pos, TransferId t, double d,
+                                double remaining, SimTime now) {
   id.insert(id.begin() + static_cast<std::ptrdiff_t>(pos), t);
   demand.insert(demand.begin() + static_cast<std::ptrdiff_t>(pos), d);
   rate.insert(rate.begin() + static_cast<std::ptrdiff_t>(pos), 0.0);
@@ -44,7 +45,7 @@ void Link::HotPool::insert(std::size_t pos, TransferId t, double d,
       cbs::sim::kTimeInfinity);
 }
 
-void Link::HotPool::erase(std::size_t pos) {
+void LinkState::HotPool::erase(std::size_t pos) {
   id.erase(id.begin() + static_cast<std::ptrdiff_t>(pos));
   demand.erase(demand.begin() + static_cast<std::ptrdiff_t>(pos));
   rate.erase(rate.begin() + static_cast<std::ptrdiff_t>(pos));
@@ -55,7 +56,7 @@ void Link::HotPool::erase(std::size_t pos) {
                         static_cast<std::ptrdiff_t>(pos));
 }
 
-void Link::HotPool::reserve(std::size_t n) {
+void LinkState::HotPool::reserve(std::size_t n) {
   id.reserve(n);
   demand.reserve(n);
   rate.reserve(n);
@@ -66,15 +67,19 @@ void Link::HotPool::reserve(std::size_t n) {
 
 // --- Link --------------------------------------------------------------
 
-Link::Link(cbs::sim::Simulation& sim, LinkOwner& owner, std::size_t index,
-           LinkConfig config, cbs::sim::RngStream rng)
-    : sim_(sim),
-      target_(sim.register_target(*this)),
-      owner_(owner),
-      index_(index),
+LinkState::LinkState(std::size_t index, LinkConfig config,
+                     cbs::sim::RngStream rng)
+    : index_(index),
       config_(std::move(config)),
       noise_(config_.noise_rho, config_.noise_sigma, config_.noise_step,
-             rng.substream("noise")) {
+             rng.substream("noise")) {}
+
+Link::Link(cbs::sim::Simulation& sim, LinkOwner& owner, std::size_t index,
+           LinkConfig config, cbs::sim::RngStream rng)
+    : LinkState(index, std::move(config), rng),
+      sim_(sim),
+      target_(sim.register_target(*this)),
+      owner_(owner) {
   assert(config_.base_rate > 0.0);
   assert(config_.per_connection_cap > 0.0);
 }
@@ -88,30 +93,10 @@ double Link::true_capacity_now() {
 }
 
 Link::Link(cbs::sim::Simulation& dst, LinkOwner& owner, const Link& src)
-    : sim_(dst),
+    : LinkState(src),
+      sim_(dst),
       target_(dst.register_target(*this, src.target_)),
-      owner_(owner),
-      index_(src.index_),
-      config_(src.config_),
-      noise_(src.noise_),
-      outage_aborts_(src.outage_aborts_),
-      wasted_bytes_(src.wasted_bytes_),
-      outage_(src.outage_),
-      hot_(src.hot_),
-      cold_(src.cold_),
-      next_id_(src.next_id_),
-      bytes_delivered_(src.bytes_delivered_),
-      dirty_(src.dirty_),
-      last_pass_time_(src.last_pass_time_),
-      last_pass_capacity_(src.last_pass_capacity_),
-      next_completion_(src.next_completion_),
-      timer_armed_(src.timer_armed_),
-      timer_event_(src.timer_event_),
-      tick_scheduled_(src.tick_scheduled_),
-      tick_event_(src.tick_event_),
-      busy_accum_(src.busy_accum_),
-      busy_since_(src.busy_since_),
-      busy_(src.busy_) {}
+      owner_(owner) {}
 
 void Link::on_event(std::uint32_t kind, std::uint64_t id) {
   switch (kind) {

@@ -73,6 +73,80 @@ class LinkOwner {
   ~LinkOwner() = default;
 };
 
+/// A Link's value state: everything but its engine, target id and owner,
+/// so a fork copies it whole (DESIGN.md §12.2).
+struct LinkState {
+  LinkState(std::size_t index, LinkConfig config, cbs::sim::RngStream rng);
+
+  /// Cold per-transfer bookkeeping: everything the water-filling pass does
+  /// NOT touch. Keyed by id in `cold_`, so every walk that has side effects
+  /// (reports, events) visits transfers in ascending id order.
+  struct Cold {
+    double bytes_total = 0.0;
+    int threads = 1;
+    bool activated = false;  ///< setup latency elapsed; data is flowing
+    bool waiting_outage = false;  ///< aborted; reconnects when outage lifts
+    int outage_aborts = 0;  ///< outage severances (drives reconnect backoff)
+    cbs::sim::SimTime requested = 0.0;
+    cbs::sim::SimTime started = 0.0;
+    cbs::sim::EventId activation_event{};
+    std::uint32_t kind = 0;  ///< reported back to the owner
+    std::uint64_t tag = 0;
+  };
+
+  /// SoA pool of activated transfers, sorted by (demand, id) — insertion
+  /// keeps the order, so no pass ever sorts. All fields of index i belong
+  /// to transfer id[i].
+  struct HotPool {
+    std::vector<TransferId> id;
+    std::vector<double> demand;  ///< threads × per_connection_cap
+    std::vector<double> rate;
+    std::vector<double> bytes_remaining;
+    std::vector<cbs::sim::SimTime> last_progress;
+    /// Absolute ETA from the last pass; kTimeInfinity when rate == 0.
+    std::vector<cbs::sim::SimTime> completion_time;
+
+    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+    [[nodiscard]] std::size_t size() const noexcept { return id.size(); }
+    [[nodiscard]] bool empty() const noexcept { return id.empty(); }
+    [[nodiscard]] std::size_t lower_bound(double d, TransferId t) const noexcept;
+    [[nodiscard]] std::size_t find(double d, TransferId t) const noexcept;
+    void insert(std::size_t pos, TransferId t, double d, double remaining,
+                cbs::sim::SimTime now);
+    void erase(std::size_t pos);
+    void reserve(std::size_t n);
+  };
+
+  std::size_t index_;
+  LinkConfig config_;
+  Ar1LogNoise noise_;
+  std::uint64_t outage_aborts_ = 0;
+  double wasted_bytes_ = 0.0;
+  bool outage_ = false;
+  HotPool hot_;
+  cbs::util::SeqTable<Cold> cold_;
+  TransferId next_id_ = 1;
+  double bytes_delivered_ = 0.0;
+  // Batched-reallocation state: membership changes set dirty_; flush()
+  // skips the arithmetic when neither membership nor the clock moved
+  // (capacity and demands are pure functions of both).
+  bool dirty_ = true;
+  cbs::sim::SimTime last_pass_time_ = -1.0;
+  double last_pass_capacity_ = 0.0;
+  /// Minimum completion_time over the hot pool (kTimeInfinity when none).
+  cbs::sim::SimTime next_completion_ = cbs::sim::kTimeInfinity;
+  /// The single per-link completion timer (replaces per-transfer events).
+  bool timer_armed_ = false;
+  cbs::sim::EventId timer_event_{};
+  bool tick_scheduled_ = false;
+  cbs::sim::EventId tick_event_{};
+  // Busy-time accounting.
+  double busy_accum_ = 0.0;
+  cbs::sim::SimTime busy_since_ = 0.0;
+  bool busy_ = false;
+};
+
 /// One direction of the inter-cloud pipe, modeled as a fluid-flow shared
 /// channel:
 ///
@@ -101,7 +175,7 @@ class LinkOwner {
 ///
 /// The model conserves bytes exactly (see LinkTest.ConservesBytes) and is
 /// fully deterministic given the seed.
-class Link : private cbs::sim::EventTarget {
+class Link : private LinkState, private cbs::sim::EventTarget {
  public:
   /// A link that reports to `owner` under `index`.
   Link(cbs::sim::Simulation& sim, LinkOwner& owner, std::size_t index,
@@ -109,7 +183,7 @@ class Link : private cbs::sim::EventTarget {
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  /// Fork support: copies `src`'s value state (noise RNG position,
+  /// Fork support: copies `src`'s LinkState whole (noise RNG position,
   /// active transfers, accounting, its index) into a link bound to `dst`,
   /// the copy of `src`'s engine, that reports to `owner`.
   Link(cbs::sim::Simulation& dst, LinkOwner& owner, const Link& src);
@@ -172,46 +246,6 @@ class Link : private cbs::sim::EventTarget {
   }
 
  private:
-  /// Cold per-transfer bookkeeping: everything the water-filling pass does
-  /// NOT touch. Keyed by id in `cold_`, so every walk that has side effects
-  /// (reports, events) visits transfers in ascending id order.
-  struct Cold {
-    double bytes_total = 0.0;
-    int threads = 1;
-    bool activated = false;  ///< setup latency elapsed; data is flowing
-    bool waiting_outage = false;  ///< aborted; reconnects when outage lifts
-    int outage_aborts = 0;  ///< outage severances (drives reconnect backoff)
-    cbs::sim::SimTime requested = 0.0;
-    cbs::sim::SimTime started = 0.0;
-    cbs::sim::EventId activation_event{};
-    std::uint32_t kind = 0;  ///< reported back to the owner
-    std::uint64_t tag = 0;
-  };
-
-  /// SoA pool of activated transfers, sorted by (demand, id) — insertion
-  /// keeps the order, so no pass ever sorts. All fields of index i belong
-  /// to transfer id[i].
-  struct HotPool {
-    std::vector<TransferId> id;
-    std::vector<double> demand;  ///< threads × per_connection_cap
-    std::vector<double> rate;
-    std::vector<double> bytes_remaining;
-    std::vector<cbs::sim::SimTime> last_progress;
-    /// Absolute ETA from the last pass; kTimeInfinity when rate == 0.
-    std::vector<cbs::sim::SimTime> completion_time;
-
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-    [[nodiscard]] std::size_t size() const noexcept { return id.size(); }
-    [[nodiscard]] bool empty() const noexcept { return id.empty(); }
-    [[nodiscard]] std::size_t lower_bound(double d, TransferId t) const noexcept;
-    [[nodiscard]] std::size_t find(double d, TransferId t) const noexcept;
-    void insert(std::size_t pos, TransferId t, double d, double remaining,
-                cbs::sim::SimTime now);
-    void erase(std::size_t pos);
-    void reserve(std::size_t n);
-  };
-
   [[nodiscard]] double demand_of(const Cold& c) const noexcept {
     return c.threads * config_.per_connection_cap;
   }
@@ -237,33 +271,6 @@ class Link : private cbs::sim::EventTarget {
   cbs::sim::Simulation& sim_;
   cbs::sim::TargetId target_;
   LinkOwner& owner_;
-  std::size_t index_;
-  LinkConfig config_;
-  Ar1LogNoise noise_;
-  std::uint64_t outage_aborts_ = 0;
-  double wasted_bytes_ = 0.0;
-  bool outage_ = false;
-  HotPool hot_;
-  cbs::util::SeqTable<Cold> cold_;
-  TransferId next_id_ = 1;
-  double bytes_delivered_ = 0.0;
-  // Batched-reallocation state: membership changes set dirty_; flush()
-  // skips the arithmetic when neither membership nor the clock moved
-  // (capacity and demands are pure functions of both).
-  bool dirty_ = true;
-  cbs::sim::SimTime last_pass_time_ = -1.0;
-  double last_pass_capacity_ = 0.0;
-  /// Minimum completion_time over the hot pool (kTimeInfinity when none).
-  cbs::sim::SimTime next_completion_ = cbs::sim::kTimeInfinity;
-  /// The single per-link completion timer (replaces per-transfer events).
-  bool timer_armed_ = false;
-  cbs::sim::EventId timer_event_{};
-  bool tick_scheduled_ = false;
-  cbs::sim::EventId tick_event_{};
-  // Busy-time accounting.
-  double busy_accum_ = 0.0;
-  cbs::sim::SimTime busy_since_ = 0.0;
-  bool busy_ = false;
 };
 
 }  // namespace cbs::net

@@ -9,11 +9,10 @@ namespace cbs::sim {
 
 FaultPlan::FaultPlan(Simulation& sim, FaultOwner& owner, FaultConfig config,
                      RngStream rng)
-    : sim_(sim),
+    : FaultPlanState(std::move(config), rng),
+      sim_(sim),
       target_(sim.register_target(*this)),
-      owner_(owner),
-      config_(std::move(config)),
-      rng_(rng) {
+      owner_(owner) {
   assert(config_.ic_vm_mtbf >= 0.0);
   assert(config_.ec_vm_mtbf >= 0.0);
   assert(config_.vm_recovery_seconds >= 0.0);
@@ -21,17 +20,10 @@ FaultPlan::FaultPlan(Simulation& sim, FaultOwner& owner, FaultConfig config,
 }
 
 FaultPlan::FaultPlan(Simulation& dst, FaultOwner& owner, const FaultPlan& src)
-    : sim_(dst),
+    : FaultPlanState(src),
+      sim_(dst),
       target_(dst.register_target(*this, src.target_)),
-      owner_(owner),
-      config_(src.config_),
-      rng_(src.rng_),
-      processes_(src.processes_),
-      outage_edges_(src.outage_edges_),
-      outages_driven_(src.outages_driven_),
-      outage_depth_(src.outage_depth_),
-      crashes_injected_(src.crashes_injected_),
-      outages_started_(src.outages_started_) {}
+      owner_(owner) {}
 
 void FaultPlan::on_event(std::uint32_t kind, std::uint64_t index) {
   switch (kind) {

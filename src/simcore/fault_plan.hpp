@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "simcore/rng.hpp"
@@ -88,6 +89,37 @@ class FaultOwner {
   ~FaultOwner() = default;
 };
 
+/// A FaultPlan's value state: everything but its engine, target id and
+/// owner, so a fork copies it whole (DESIGN.md §12.2).
+struct FaultPlanState {
+  FaultPlanState(FaultConfig config, RngStream rng)
+      : config_(std::move(config)), rng_(rng) {}
+
+  struct CrashProcess {
+    RngStream rng;
+    double mtbf;
+    std::size_t machine;
+    std::size_t cluster;  ///< the owner's index of the machine's cluster
+    bool armed;           ///< a crash event is pending
+    bool recovering;      ///< crashed; the recovery event is pending
+  };
+
+  /// One scheduled outage edge (begin or end of a configured window).
+  struct OutageEdge {
+    OutageWindow window;
+    bool begin;
+  };
+
+  FaultConfig config_;
+  RngStream rng_;
+  std::vector<CrashProcess> processes_;
+  std::vector<OutageEdge> outage_edges_;
+  bool outages_driven_ = false;
+  int outage_depth_ = 0;
+  std::uint64_t crashes_injected_ = 0;
+  std::uint64_t outages_started_ = 0;
+};
+
 /// Deterministic, seed-driven fault-event generator.
 ///
 /// The plan owns independent RNG substreams per (cluster, machine), so a
@@ -98,16 +130,17 @@ class FaultOwner {
 /// resume them. Events carry only a process or edge index and every report
 /// goes to the owner fixed at construction, so a fork copies the plan's
 /// value state and nothing else.
-class FaultPlan : private EventTarget {
+class FaultPlan : private FaultPlanState, private EventTarget {
  public:
   FaultPlan(Simulation& sim, FaultOwner& owner, FaultConfig config,
             RngStream rng);
   FaultPlan(const FaultPlan&) = delete;
   FaultPlan& operator=(const FaultPlan&) = delete;
 
-  /// Fork support: copies `src`'s value state (RNG positions, per-process
-  /// armed/recovering flags, outage schedule and depth) into a plan bound
-  /// to `dst`, the copy of `src`'s engine, that reports to `owner`.
+  /// Fork support: copies `src`'s FaultPlanState whole (RNG positions,
+  /// per-process armed/recovering flags, outage schedule and depth) into a
+  /// plan bound to `dst`, the copy of `src`'s engine, that reports to
+  /// `owner`.
   FaultPlan(Simulation& dst, FaultOwner& owner, const FaultPlan& src);
 
   [[nodiscard]] const FaultConfig& config() const noexcept { return config_; }
@@ -134,21 +167,6 @@ class FaultPlan : private EventTarget {
   }
 
  private:
-  struct CrashProcess {
-    RngStream rng;
-    double mtbf;
-    std::size_t machine;
-    std::size_t cluster;  ///< the owner's index of the machine's cluster
-    bool armed;           ///< a crash event is pending
-    bool recovering;      ///< crashed; the recovery event is pending
-  };
-
-  /// One scheduled outage edge (begin or end of a configured window).
-  struct OutageEdge {
-    OutageWindow window;
-    bool begin;
-  };
-
   enum : std::uint32_t { kCrash, kRecover, kOutageEdge };
 
   void on_event(std::uint32_t kind, std::uint64_t index) override;
@@ -161,14 +179,6 @@ class FaultPlan : private EventTarget {
   Simulation& sim_;
   TargetId target_;
   FaultOwner& owner_;
-  FaultConfig config_;
-  RngStream rng_;
-  std::vector<CrashProcess> processes_;
-  std::vector<OutageEdge> outage_edges_;
-  bool outages_driven_ = false;
-  int outage_depth_ = 0;
-  std::uint64_t crashes_injected_ = 0;
-  std::uint64_t outages_started_ = 0;
 };
 
 }  // namespace cbs::sim

@@ -22,9 +22,6 @@ std::string validate_outcomes(const std::vector<JobOutcome>& outcomes) {
     if (o.completed < o.arrival) {
       err << "job " << o.seq_id << " completed before arrival; ";
     }
-    if (o.scheduled < o.arrival) {
-      err << "job " << o.seq_id << " scheduled before arrival; ";
-    }
     if (o.input_mb < 0.0 || o.output_mb < 0.0 || o.true_service_seconds < 0.0) {
       err << "job " << o.seq_id << " has negative size/service; ";
     }

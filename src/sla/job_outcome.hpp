@@ -22,8 +22,7 @@ struct JobOutcome {
   std::uint64_t doc_id = 0;
   std::size_t batch_index = 0;
   cbs::sim::SimTime arrival = 0.0;
-  cbs::sim::SimTime scheduled = 0.0;   ///< when the placement decision was made
-  cbs::sim::SimTime completed = 0.0;   ///< result available in the result queue
+  cbs::sim::SimTime completed = 0.0;  ///< result available in the result queue
   double input_mb = 0.0;
   double output_mb = 0.0;
   /// Realized standard-machine service seconds (ground truth).

@@ -330,6 +330,38 @@ TEST(ClusterDrainTest, DrainCheckpointsTheRunningTaskAndRequeuesItsRest) {
   EXPECT_TRUE(cluster.machine_drained(0));
 }
 
+TEST(ClusterElasticTest, ReusedSlotBootsAsAFreshMachine) {
+  // add_machine() reuses a retired slot for a new instance: a slot retired
+  // while drained or while down comes back neither, and the old instance's
+  // late recovery finds nothing to recover.
+  Simulation sim;
+  RecordingOwner owner(sim);
+  Cluster cluster(sim, owner, 0, "c", 3);
+  ASSERT_TRUE(cluster.drain_machine(2));
+  ASSERT_TRUE(cluster.crash_machine(1));
+  ASSERT_TRUE(cluster.remove_machine());  // the idle, drained machine 2
+  ASSERT_TRUE(cluster.remove_machine());  // the down machine 1
+  ASSERT_TRUE(cluster.machine_retired(1));
+  ASSERT_TRUE(cluster.machine_retired(2));
+  ASSERT_EQ(cluster.machine_count(), 1u);
+
+  EXPECT_EQ(cluster.add_machine(), 1u);
+  EXPECT_EQ(cluster.add_machine(), 2u);
+  EXPECT_EQ(cluster.machine_count(), 3u);
+  EXPECT_EQ(cluster.down_machines(), 0u);
+  EXPECT_FALSE(cluster.machine_drained(1));
+  EXPECT_FALSE(cluster.machine_drained(2));
+  EXPECT_FALSE(cluster.recover_machine(1));
+
+  // All three machines take a task at once.
+  for (int i = 0; i < 3; ++i) cluster.submit(10.0, 0, 0);
+  sim.run();
+  ASSERT_EQ(owner.tasks.size(), 3u);
+  for (const TaskRecord& rec : owner.tasks) {
+    EXPECT_DOUBLE_EQ(rec.completed, 10.0);
+  }
+}
+
 // ---- JobStore retry/backoff (S3 best-effort semantics) -------------------
 
 TEST(JobStoreRetryTest, HealthyPutCompletesSynchronously) {

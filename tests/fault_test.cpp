@@ -333,6 +333,26 @@ TEST(FaultScenarioTest, HazardPredictorPreservesConservation) {
   EXPECT_LE(r.faults.hazard.recall(), 1.0);
 }
 
+TEST(FaultScenarioTest, ElasticHazardRunCheckpointsDrainedTasks) {
+  // The whole-run path to a drain's checkpoint-restart: greedy on the
+  // uniform bucket with an elastic EC, crashes on both clouds, retraction
+  // and the EWMA predictor (cloudburst_sim --scheduler greedy --bucket
+  // uniform --batches 40 --seed 42 --elastic --ic-mtbf 3000 --ec-mtbf 600
+  // --retraction-factor 2 --hazard-predictor ewma).
+  harness::Scenario s = harness::make_scenario(
+      core::SchedulerKind::kGreedy, workload::SizeBucket::kUniform, 42);
+  s.num_batches = 40;
+  s.log_threshold = cbs::sim::LogLevel::kError;
+  s.elastic_ec = {.enabled = true, .max_machines = 6};
+  s.faults.ic_vm_mtbf = 3000.0;
+  s.faults.ec_vm_mtbf = 600.0;
+  s.faults.retraction_deadline_factor = 2.0;
+  s.resilience.hazard.kind = models::HazardPredictorKind::kEwma;
+  const auto r = harness::run_scenario(s);  // throws on invariant violation
+  EXPECT_GT(r.faults.drain_preemptions, 0u);
+  EXPECT_GT(r.faults.checkpointed_compute_seconds, 0.0);
+}
+
 TEST(FaultScenarioTest, HazardPredictorOffIsInertWhateverTheKnobs) {
   // kind == kOff must disable the whole resilience layer even when the
   // drain threshold is set aggressively — the byte-identity contract of

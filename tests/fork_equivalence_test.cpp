@@ -134,7 +134,6 @@ void expect_identical(const RunResult& a, const RunResult& b) {
     EXPECT_EQ(x.seq_id, y.seq_id) << "outcome " << i;
     EXPECT_EQ(x.doc_id, y.doc_id) << "outcome " << i;
     EXPECT_EQ(x.arrival, y.arrival) << "outcome " << i;
-    EXPECT_EQ(x.scheduled, y.scheduled) << "outcome " << i;
     EXPECT_EQ(x.completed, y.completed) << "outcome " << i;
     EXPECT_EQ(x.input_mb, y.input_mb) << "outcome " << i;
     EXPECT_EQ(x.output_mb, y.output_mb) << "outcome " << i;
@@ -321,7 +320,8 @@ TEST(ForkEquivalence, HazardEstimatorStateIsCopiedExactly) {
   const std::pair<const cbs::models::VmHazardEstimator*,
                   const cbs::models::VmHazardEstimator*>
       estimators[] = {{pc.ic_hazard(), fc.ic_hazard()},
-                      {pc.site(0).hazard.get(), fc.site(0).hazard.get()}};
+                      {&pc.site(0).hazard.value(),
+                       &fc.site(0).hazard.value()}};
   for (const auto& [a, b] : estimators) {
     ASSERT_NE(a, nullptr);
     ASSERT_NE(b, nullptr);

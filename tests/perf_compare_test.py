@@ -109,7 +109,7 @@ class PerfReportTest(unittest.TestCase):
 
     def testReadsTheCommittedBaselineAndARawReport(self):
         baseline = parse_report(MICRO.read_bytes())
-        self.assertGreaterEqual(len(baseline), 40)
+        self.assertGreaterEqual(len(baseline), 39)
         self.assertSoundRows(baseline, "baseline")
         self.assertFalse(any(r.is_value for r in baseline))
         # Every committed baseline (time, RSS and value rows) is emitted

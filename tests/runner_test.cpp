@@ -135,7 +135,6 @@ TEST(RunnerTest, NestedLookaheadPoolsGiveIdenticalResults) {
       const auto& x = a.outcomes[j];
       const auto& y = b.outcomes[j];
       EXPECT_EQ(x.seq_id, y.seq_id) << i << "/" << j;
-      EXPECT_EQ(x.scheduled, y.scheduled) << i << "/" << j;
       EXPECT_EQ(x.completed, y.completed) << i << "/" << j;
       EXPECT_EQ(x.placement, y.placement) << i << "/" << j;
     }

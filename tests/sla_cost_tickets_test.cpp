@@ -18,7 +18,6 @@ JobOutcome outcome(std::uint64_t seq, double arrival, double completed,
   o.seq_id = seq;
   o.doc_id = seq;
   o.arrival = arrival;
-  o.scheduled = arrival;
   o.completed = completed;
   o.input_mb = input_mb;
   o.output_mb = input_mb;

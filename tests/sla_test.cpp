@@ -27,7 +27,6 @@ JobOutcome outcome(std::uint64_t seq, double completed, double output_mb = 10.0,
   o.doc_id = seq;
   o.batch_index = batch;
   o.arrival = arrival;
-  o.scheduled = arrival;
   o.completed = completed;
   o.input_mb = output_mb;
   o.output_mb = output_mb;

@@ -227,7 +227,6 @@ class Parser {
     if (t.text == "template") {
       ++i_;
       if (at_punct(i_, "<")) i_ = skip_angles(i_);
-      pending_template_ = true;
       return;
     }
     if (t.text == "class" || t.text == "struct" || t.text == "union") {
@@ -276,8 +275,6 @@ class Parser {
   /// Returns true when `class`/`struct` at i_ opens a definition (which it
   /// parses); false when the keyword is part of an ordinary declaration.
   bool try_parse_class() {
-    const bool is_template = pending_template_;
-    pending_template_ = false;
     std::size_t k = i_ + 1;
     std::string name;
     if (k < toks_.size() && toks_[k].kind == Tok::kIdent) {
@@ -314,7 +311,6 @@ class Parser {
     cls.qualified = qualified_name(cls.simple);
     cls.rel = rel_;
     cls.line = toks_[i_].line;
-    cls.is_template = is_template;
     out_.classes.push_back(std::move(cls));
     scopes_.push_back(
         {Scope::kClass, name, out_.classes.size() - 1});
@@ -363,7 +359,6 @@ class Parser {
   void parse_declaration() {
     const std::size_t stmt_begin = i_;
     const std::size_t stmt_line = toks_[i_].line;
-    pending_template_ = false;
 
     int angle = 0;
     bool sig_found = false;        // identifier immediately followed by `(`
@@ -374,8 +369,6 @@ class Parser {
     bool is_deleted = false;
     bool is_defaulted = false;
     std::size_t init_begin = static_cast<std::size_t>(-1);  // after `=`/`{`
-    std::string default_init;
-    bool has_default_init = false;
     std::size_t prefix_end = static_cast<std::size_t>(-1);  // name zone end
 
     while (i_ < toks_.size()) {
@@ -415,13 +408,11 @@ class Parser {
           if (at_ident(i_ + 1, "delete")) is_deleted = true;
           skip_to_semicolon();
           finish(stmt_begin, stmt_line, sig_found, sig_name, params,
-                 init_list, "", false, is_deleted, is_defaulted, prefix_end,
-                 default_init, has_default_init);
+                 init_list, "", false, is_deleted, is_defaulted, prefix_end);
           return;
         }
         if (prefix_end == static_cast<std::size_t>(-1)) prefix_end = i_;
         init_begin = i_ + 1;
-        has_default_init = true;
         // Consume the initializer through the terminating `;`.
         int braces = 0;
         int parens = 0;
@@ -440,11 +431,9 @@ class Parser {
           }
           ++i_;
         }
-        default_init = join_tokens(toks_, init_begin, i_);
         if (at_punct(i_, ";")) ++i_;
         finish(stmt_begin, stmt_line, sig_found, sig_name, params, init_list,
-               "", false, false, false, prefix_end, default_init,
-               has_default_init);
+               "", false, false, false, prefix_end);
         return;
       }
       if (t.text == ":" && angle == 0 && params_closed && sig_found) {
@@ -481,7 +470,7 @@ class Parser {
         if (prefix_end == static_cast<std::size_t>(-1)) prefix_end = i_;
         skip_to_semicolon();
         finish(stmt_begin, stmt_line, false, 0, "", "", "", false, false,
-               false, prefix_end, "", false);
+               false, prefix_end);
         return;
       }
       if (t.text == "{" && angle == 0) {
@@ -490,22 +479,19 @@ class Parser {
           i_ = capture_balanced(i_, "{", "}", &body);
           if (at_punct(i_, ";")) ++i_;
           finish(stmt_begin, stmt_line, true, sig_name, params, init_list,
-                 body, true, false, false, prefix_end, default_init,
-                 has_default_init);
+                 body, true, false, false, prefix_end);
           return;
         }
         // Member brace-initializer: `EventId timer_event_{};`
         if (prefix_end == static_cast<std::size_t>(-1)) prefix_end = i_;
-        has_default_init = true;
-        i_ = capture_balanced(i_, "{", "}", &default_init);
+        i_ = skip_balanced(i_, "{", "}");
         continue;
       }
       if (t.text == ";") {
         if (prefix_end == static_cast<std::size_t>(-1)) prefix_end = i_;
         ++i_;
         finish(stmt_begin, stmt_line, sig_found, sig_name, params, init_list,
-               "", false, false, false, prefix_end, default_init,
-               has_default_init);
+               "", false, false, false, prefix_end);
         return;
       }
       ++i_;
@@ -519,8 +505,7 @@ class Parser {
               std::size_t sig_name, const std::string& params,
               const std::string& init_list, const std::string& body,
               bool has_body, bool is_deleted, bool is_defaulted,
-              std::size_t prefix_end, const std::string& default_init,
-              bool has_default_init) {
+              std::size_t prefix_end) {
     if (sig_found) {
       MethodDecl m;
       // `~Link` destructors: the tilde precedes the name token.
@@ -578,23 +563,11 @@ class Parser {
     MemberDecl d;
     d.name = toks_[name_idx].text;
     d.line = toks_[name_idx].line;
-    d.default_init = default_init;
-    d.has_default_init = has_default_init;
-    int angle = 0;
     for (std::size_t k = stmt_begin; k < name_idx; ++k) {
       const Tok& t = toks_[k];
       if (t.kind == Tok::kIdent) {
         if (t.text == "static") d.is_static = true;
         if (t.text == "mutable" || t.text == "inline") continue;
-      }
-      if (t.kind == Tok::kPunct) {
-        if (t.text == "<") ++angle;
-        if (t.text == ">") --angle;
-        if (t.text == ">>") angle -= 2;
-        if (angle == 0 && (t.text == "&" || t.text == "&&")) {
-          d.is_reference = true;
-        }
-        if (angle == 0 && t.text == "*") d.is_pointer = true;
       }
       if (!d.type_text.empty()) d.type_text += ' ';
       d.type_text += t.text;
@@ -606,7 +579,6 @@ class Parser {
   std::string rel_;
   std::vector<Tok> toks_;
   std::size_t i_ = 0;
-  bool pending_template_ = false;
   std::vector<Scope> scopes_;
   ParsedFile out_;
 };

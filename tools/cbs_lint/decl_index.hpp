@@ -4,9 +4,9 @@
 // extracts exactly what the whole-program structural rules need:
 //
 //   * every class/struct in the tree (including nested classes and class
-//     templates), with a per-class member table — name, type text,
-//     static/reference/pointer-ness, default member initializer — and
-//     every method's parameter list, constructor init-list and body text;
+//     templates), with a per-class member table — name, type text and
+//     static-ness — and every method's parameter list, constructor
+//     init-list and body text;
 //   * out-of-line member definitions (`X::Y::f(...) { ... }`), attached
 //     back to their class so "does this class call schedule_at?" and
 //     "does the clone constructor copy this member?" are whole-program
@@ -33,13 +33,9 @@ namespace cbslint {
 /// One non-function declaration inside a class body.
 struct MemberDecl {
   std::string name;
-  std::string type_text;     ///< tokens left of the name, space-joined
-  std::string default_init;  ///< text after `=` / inside `{...}`, or empty
-  std::size_t line = 0;      ///< 1-based, in the declaring file
+  std::string type_text;  ///< tokens left of the name, space-joined
+  std::size_t line = 0;   ///< 1-based, in the declaring file
   bool is_static = false;
-  bool is_reference = false;  ///< `&` in the declarator's type
-  bool is_pointer = false;    ///< `*` in the declarator's type
-  bool has_default_init = false;
 };
 
 /// One method declaration or definition (in-class or out-of-line). An
@@ -61,7 +57,6 @@ struct ClassDecl {
   std::string simple;     ///< e.g. "Cold"
   std::string rel;        ///< file declaring the class body
   std::size_t line = 0;
-  bool is_template = false;
   std::vector<MemberDecl> members;
   std::vector<MethodDecl> methods;
 };
@@ -81,8 +76,8 @@ struct OutOfLineDef {
   std::string rel;
 };
 
-/// Everything the front-end extracted from one file. Produced per file
-/// (in parallel), merged into a DeclIndex afterwards.
+/// Everything the front-end extracted from one file. Produced per file,
+/// merged into a DeclIndex afterwards.
 struct ParsedFile {
   std::vector<ClassDecl> classes;
   std::vector<OutOfLineDef> defs;

@@ -1,19 +1,17 @@
-// cbs_lint driver: file walk, parallel per-file scan, whole-program
-// structural pass, report emission.
+// cbs_lint entry point: file walk, per-file scan, whole-program structural
+// pass, report emission.
 //
 // Usage:
-//   cbs_lint [--root <dir>] [--jobs N] [--format text|json]
+//   cbs_lint [--root <dir>] [--format text|json]
 //            [--list-waivers | --fix-waivers] [--quiet]
 //
-// The per-file work (load, strip, token rules, declaration parse) fans out
-// over --jobs worker threads; results are merged in sorted-path order and
-// every report is sorted by (file, line, rule), so output is byte-identical
-// at any thread count — the same discipline the experiment runner follows.
+// Files are scanned (load, strip, token rules, declaration parse) in
+// sorted-path order and every report is sorted by (file, line, rule), so
+// the output is a function of the tree alone.
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
-#include <cstdlib>
+#include <deque>
 #include <filesystem>
 #include <iostream>
 #include <map>
@@ -21,7 +19,6 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -37,7 +34,6 @@ struct Options {
   fs::path root = ".";
   bool list_waivers = false;
   bool quiet = false;
-  std::size_t jobs = 0;  ///< 0 = auto (hardware concurrency, capped)
   bool json = false;
 };
 
@@ -55,14 +51,6 @@ bool should_scan(const fs::path& rel) {
   const std::string ext = rel.extension().string();
   return ext == ".cpp" || ext == ".hpp" || ext == ".cc" || ext == ".h";
 }
-
-/// Everything one worker produces for one file; merged in path order.
-struct PerFile {
-  std::optional<SourceFile> file;
-  std::vector<Finding> findings;
-  ParsedFile parsed;
-  std::vector<std::string> errors;
-};
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -149,49 +137,21 @@ int run(const Options& opt) {
       if (!ec && should_scan(rel)) paths.push_back(rel);
     }
   }
-  std::sort(paths.begin(), paths.end());  // deterministic merge order
+  std::sort(paths.begin(), paths.end());  // deterministic scan order
 
-  // Fan the per-file work out; slot i belongs to paths[i], so the merge
-  // below is byte-identical at any --jobs value.
-  std::vector<PerFile> slots(paths.size());
-  std::size_t jobs = opt.jobs;
-  if (jobs == 0) {
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    jobs = std::min<std::size_t>(hw, 8);
-  }
-  jobs = std::min(jobs, std::max<std::size_t>(paths.size(), 1));
-  std::atomic<std::size_t> next{0};
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= paths.size()) return;
-      PerFile& slot = slots[i];
-      slot.file = load_file(opt.root / paths[i], paths[i], &slot.errors);
-      if (!slot.file) continue;
-      scan_token_rules(*slot.file, &slot.findings);
-      slot.parsed = parse_file(*slot.file);
-    }
-  };
-  if (jobs <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (std::size_t t = 0; t < jobs; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-
+  std::deque<SourceFile> loaded;  // stable addresses for the tables below
   std::vector<Finding> findings;
-  std::vector<SourceFile*> files;  // stable: slots outlive everything below
+  std::vector<SourceFile*> files;
   std::map<std::string, SourceFile*> files_by_rel;
   std::vector<ParsedFile> parsed;
-  for (PerFile& slot : slots) {
-    for (std::string& e : slot.errors) errors.push_back(std::move(e));
-    for (Finding& v : slot.findings) findings.push_back(std::move(v));
-    if (!slot.file) continue;
-    files.push_back(&*slot.file);
-    files_by_rel[slot.file->path.generic_string()] = &*slot.file;
-    parsed.push_back(std::move(slot.parsed));
+  for (const fs::path& rel : paths) {
+    std::optional<SourceFile> file = load_file(opt.root / rel, rel, &errors);
+    if (!file) continue;
+    SourceFile& f = loaded.emplace_back(std::move(*file));
+    scan_token_rules(f, &findings);
+    parsed.push_back(parse_file(f));
+    files.push_back(&f);
+    files_by_rel[f.path.generic_string()] = &f;
   }
 
   // Waivers naming a rule that does not exist are stale by definition — a
@@ -296,15 +256,6 @@ int main(int argc, char** argv) {
       opt.list_waivers = true;
     } else if (arg == "--quiet") {
       opt.quiet = true;
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      char* end = nullptr;
-      const long n = std::strtol(v.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || n < 1 || n > 512) {
-        std::cerr << "cbs_lint: --jobs expects an integer in [1, 512]\n";
-        return 2;
-      }
-      opt.jobs = static_cast<std::size_t>(n);
     } else if (arg == "--format" && i + 1 < argc) {
       const std::string_view v = argv[++i];
       if (v == "json") {
@@ -323,9 +274,8 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: cbs_lint [--root <dir>] [--jobs N] "
-                   "[--format text|json] [--list-waivers|--fix-waivers] "
-                   "[--quiet]\n";
+      std::cout << "usage: cbs_lint [--root <dir>] [--format text|json] "
+                   "[--list-waivers|--fix-waivers] [--quiet]\n";
       return 0;
     } else {
       std::cerr << "cbs_lint: unknown argument '" << arg << "'\n";
