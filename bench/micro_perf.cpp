@@ -143,7 +143,7 @@ void BM_SlackMaintenance(benchmark::State& state) {
     // Steady-state churn: complete the oldest, commit a replacement, read
     // the slack — the per-batch pattern of Algorithm 1/2.
     now += 1.0;
-    belief.on_ec_complete(oldest++);
+    belief.on_ec_complete(oldest++, 0);
     const auto& doc = docs[i++ % docs.size()];
     const double service = belief.estimate_service(doc);
     belief.commit_ec(seq++, doc, service, belief.ft_ec(doc, service, now));
@@ -171,7 +171,7 @@ void BM_BatchAdmission(benchmark::State& state) {
     cbs::core::BeliefState belief(
         std::make_unique<cbs::models::OracleEstimator>(truth), 4);
     belief.add_ec_site(ec_site(50, 0.0), kOneSlotPipe);
-    belief.commit_ic(0, 40000.0);  // a job ahead of the batch
+    belief.commit_ic(40000.0);  // a job ahead of the batch
     std::uint64_t next_seq = 1;
     std::uint64_t next_doc_id = 1ULL << 40;
     cbs::core::SchedulerState scheduler_state;
@@ -224,8 +224,8 @@ void BM_BatchAdmissionRolloutState(benchmark::State& state) {
     const double service = base.estimate_service(doc);
     base.commit_ec(seq++, doc, service, base.ft_ec(doc, service, now));
   }
-  base.commit_ic(seq++, (base.slack(now) - now + 600.0) *
-                            static_cast<double>(kIcMachines));
+  base.commit_ic((base.slack(now) - now + 600.0) *
+                 static_cast<double>(kIcMachines));
   std::vector<cbs::workload::Document> batch;
   for (int i = 0; i < 15; ++i) batch.push_back(gen.next());
   const cbs::core::SchedulerParams params;

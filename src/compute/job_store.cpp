@@ -25,7 +25,7 @@ void JobStore::put_async(std::uint64_t seq, ObjectKind kind, double bytes) {
 
 void JobStore::step_op(PendingOp op) {
   if (available_) {
-    put(op.seq, op.kind, op.bytes);
+    put(op.bytes);
     owner_.on_put_done(index_, op.seq, op.kind, true);
     return;
   }
@@ -57,39 +57,19 @@ double JobStore::occupancy_byte_seconds() const {
   return byte_seconds_ + occupancy_ * (sim_.now() - last_change_);
 }
 
-std::uint64_t JobStore::key_of(std::uint64_t seq, ObjectKind kind) {
-  assert(seq < (std::uint64_t{1} << 63));
-  return (seq << 1) | static_cast<std::uint64_t>(kind);
-}
-
-void JobStore::put(std::uint64_t seq, ObjectKind kind, double bytes) {
+void JobStore::put(double bytes) {
   assert(bytes >= 0.0);
   integrate();
-  const std::uint64_t key = key_of(seq, kind);
-  if (double* stored = objects_.find(key)) {
-    occupancy_ -= *stored;
-    *stored = bytes;
-  } else {
-    objects_.insert(key, bytes);
-  }
+  ++objects_;
   occupancy_ += bytes;
   peak_ = std::max(peak_, occupancy_);
 }
 
-double JobStore::size_of(std::uint64_t seq, ObjectKind kind) const {
-  const double* stored = objects_.find(key_of(seq, kind));
-  return stored == nullptr ? 0.0 : *stored;
-}
-
-double JobStore::erase(std::uint64_t seq, ObjectKind kind) {
-  const std::uint64_t key = key_of(seq, kind);
-  const double* stored = objects_.find(key);
-  if (stored == nullptr) return 0.0;
+void JobStore::release(double bytes) {
+  assert(objects_ > 0);
   integrate();
-  const double freed = *stored;
-  occupancy_ -= freed;
-  objects_.erase(key);
-  return freed;
+  --objects_;
+  occupancy_ -= bytes;
 }
 
 }  // namespace cbs::compute

@@ -28,7 +28,7 @@ struct JobStoreState {
   bool available_ = true;
   std::uint64_t failed_attempts_ = 0;
   std::uint64_t abandoned_ops_ = 0;
-  cbs::util::SeqTable<double> objects_;
+  std::size_t objects_ = 0;  ///< objects stored now
   double occupancy_ = 0.0;
   double peak_ = 0.0;
   double byte_seconds_ = 0.0;
@@ -39,16 +39,16 @@ struct JobStoreState {
 
 /// The external cloud's staging storage (Amazon S3 in the prototype):
 /// uploaded job inputs land here before EMR picks them up, and compressed
-/// outputs wait here for download. Keeps current and peak occupancy and
-/// their time integral (the billing quantity) as running values, not as a
-/// history, so a fork copies only the live objects.
+/// outputs wait here for download. Keeps the object count, current and
+/// peak occupancy and their time integral (the billing quantity) as
+/// running values, with no per-object record: the owner's job knows the
+/// size of what it staged and releases exactly those bytes, so a fork
+/// copies a few scalars and the pending retries.
 ///
-/// A job has at most one object of each kind here, so an object is named
-/// by its job's sequence id and its kind.
-///
-/// The synchronous put/size_of/erase API models the fault-free control
-/// plane. put_async adds S3-style best-effort semantics: while the store is
-/// unavailable (an EC outage), an attempt fails and is retried after
+/// A job has at most one object of each kind here; put_async names it by
+/// its job's sequence id and its kind, which come back in the owner's
+/// report. put_async has S3-style best-effort semantics: while the store
+/// is unavailable (an EC outage), an attempt fails and is retried after
 /// exponential backoff (kRetryBackoff, doubling), giving up after
 /// kMaxAttempts. With the store available, put_async completes
 /// synchronously and schedules no events — the fault layer is free when
@@ -68,31 +68,24 @@ class JobStore : private JobStoreState, private cbs::sim::EventTarget {
   JobStore(const JobStore&) = delete;
   JobStore& operator=(const JobStore&) = delete;
 
-  /// Fork support: copies `src`'s JobStoreState whole (objects, occupancy
+  /// Fork support: copies `src`'s JobStoreState whole (occupancy
   /// accounting, pending retry records, its index) into a store bound to
   /// `dst`, the copy of `src`'s engine, that reports to `owner`.
   JobStore(cbs::sim::Simulation& dst, StoreOwner& owner, const JobStore& src);
 
-  /// Stores `bytes` as job `seq`'s object of `kind`; overwrites an
-  /// existing one.
-  void put(std::uint64_t seq, ObjectKind kind, double bytes);
-
-  /// Size of job `seq`'s object of `kind`; 0 if absent.
-  [[nodiscard]] double size_of(std::uint64_t seq, ObjectKind kind) const;
-
-  /// Removes an object; no-op if absent. Returns the freed bytes.
-  double erase(std::uint64_t seq, ObjectKind kind);
-
-  // ---- Best-effort path (retry/backoff against outages) --------------
+  /// Removes a stored object of `bytes`: exactly the bytes its put_async
+  /// staged, so occupancy returns to what it was before.
+  void release(double bytes);
 
   /// Availability switch, driven by the EC outage windows of the fault
   /// plan. While false, every put_async attempt fails.
   void set_available(bool available) noexcept { available_ = available; }
   [[nodiscard]] bool available() const noexcept { return available_; }
 
-  /// put() with retry/backoff. The result goes to the owner once, with
-  /// `seq` and `kind`: synchronously when the first attempt succeeds. A
-  /// pending retry is value state that crosses a fork, not a closure.
+  /// Stores `bytes` as job `seq`'s object of `kind`, with retry/backoff.
+  /// The result goes to the owner once, with `seq` and `kind`:
+  /// synchronously when the first attempt succeeds. A pending retry is
+  /// value state that crosses a fork, not a closure.
   void put_async(std::uint64_t seq, ObjectKind kind, double bytes);
 
   /// put_async attempts that failed (store unavailable).
@@ -109,12 +102,11 @@ class JobStore : private JobStoreState, private cbs::sim::EventTarget {
   /// Integral of occupancy over time (byte-seconds) — the storage-billing
   /// quantity.
   [[nodiscard]] double occupancy_byte_seconds() const;
-  [[nodiscard]] std::size_t object_count() const noexcept { return objects_.size(); }
+  [[nodiscard]] std::size_t object_count() const noexcept { return objects_; }
 
  private:
-  /// The objects_ key of job `seq`'s object of `kind`.
-  [[nodiscard]] static std::uint64_t key_of(std::uint64_t seq, ObjectKind kind);
-
+  /// Stores an object of `bytes`: the landing of a put_async attempt.
+  void put(double bytes);
   /// The retry of pending op `op_id`.
   void on_event(std::uint32_t kind, std::uint64_t op_id) override;
   void integrate();

@@ -225,9 +225,7 @@ double BeliefState::ec_round_trip_no_load(const cbs::workload::Document& doc,
 
 SimTime BeliefState::slack(SimTime now) const {
   SimTime cushion = now;
-  if (!ic_jobs_.empty()) {
-    cushion = std::max(cushion, ic_drain_time(now));
-  }
+  if (ic_jobs_ > 0) cushion = std::max(cushion, ic_drain_time(now));
   // Pop stale heap tops (completed/retracted jobs, or a seq re-committed
   // with a different estimate) until a live maximum surfaces. Each stale
   // record is popped exactly once, so the amortized cost per slack() call
@@ -252,18 +250,16 @@ SimTime BeliefState::slack(SimTime now) const {
 
 SimTime BeliefState::slack_bruteforce(SimTime now) const {
   SimTime cushion = now;
-  if (!ic_jobs_.empty()) {
-    cushion = std::max(cushion, ic_drain_time(now));
-  }
+  if (ic_jobs_ > 0) cushion = std::max(cushion, ic_drain_time(now));
   ec_jobs_.for_each_in_seq_order([&](std::uint64_t, const EcJob& job) {
     cushion = std::max(cushion, job.est_finish);
   });
   return cushion;
 }
 
-void BeliefState::commit_ic(std::uint64_t seq, double estimated_service) {
+void BeliefState::commit_ic(double estimated_service) {
   assert(estimated_service >= 0.0);
-  ic_jobs_.insert(seq, estimated_service);
+  ++ic_jobs_;
   ic_outstanding_seconds_ += estimated_service;
 }
 
@@ -293,11 +289,11 @@ void BeliefState::commit_ec(std::uint64_t seq, const cbs::workload::Document& do
   site.upload_backlog_bytes += doc.input_bytes();
 }
 
-void BeliefState::on_ic_complete(std::uint64_t seq) {
-  const double estimated_service = ic_jobs_.at(seq);
+void BeliefState::on_ic_complete(double estimated_service) {
+  assert(ic_jobs_ > 0);
+  --ic_jobs_;
   ic_outstanding_seconds_ =
       std::max(0.0, ic_outstanding_seconds_ - estimated_service);
-  ic_jobs_.erase(seq);
 }
 
 void BeliefState::on_ec_complete(std::uint64_t seq, std::size_t site) {
@@ -318,10 +314,6 @@ double BeliefState::upload_backlog_bytes() const noexcept {
   double total = 0.0;
   for (const EcSite& site : sites_) total += site.upload_backlog_bytes;
   return total;
-}
-
-void BeliefState::retract_ic(std::uint64_t seq) {
-  on_ic_complete(seq);  // identical bookkeeping: the work leaves the IC belief
 }
 
 void BeliefState::retract_ec(std::uint64_t seq, double pending_upload_bytes,

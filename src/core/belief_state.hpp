@@ -175,8 +175,10 @@ class BeliefState {
 
   // ---- Commitments (called by the controller as decisions are made) ----
 
-  /// Records an IC placement of `seq` with the given service estimate.
-  void commit_ic(std::uint64_t seq, double estimated_service);
+  /// Records an IC placement with the service estimate it was priced
+  /// with. The belief keeps no per-job record: the caller's job keeps the
+  /// estimate and hands it back on completion.
+  void commit_ic(double estimated_service);
   /// Records an EC placement on `estimate.site` with the service and
   /// round-trip estimates it was priced with.
   void commit_ec(std::uint64_t seq, const cbs::workload::Document& doc,
@@ -185,20 +187,21 @@ class BeliefState {
   // ---- Observations (completion notifications) ----
   // The EC calls name the job's site (the estimate's `site` at commit).
 
-  void on_ic_complete(std::uint64_t seq);
-  void on_ec_complete(std::uint64_t seq, std::size_t site = 0);
+  /// An IC job committed with `estimated_service` left the IC belief: it
+  /// finished, or the rescheduler moved it out.
+  void on_ic_complete(double estimated_service);
+  void on_ec_complete(std::uint64_t seq, std::size_t site);
   /// An upload to `site` finished; removes its bytes from that site's
   /// believed upload backlog.
-  void on_upload_complete(double bytes, std::size_t site = 0);
+  void on_upload_complete(double bytes, std::size_t site);
 
-  /// Moves a job between clouds (rescheduler support). The caller supplies
-  /// the new estimate for the receiving side.
-  void retract_ic(std::uint64_t seq);
+  /// Takes an EC job back off `site` (rescheduler support), with the
+  /// `pending_upload_bytes` it had not uploaded yet.
   void retract_ec(std::uint64_t seq, double pending_upload_bytes,
-                  std::size_t site = 0);
+                  std::size_t site);
 
   [[nodiscard]] std::size_t outstanding_ic_jobs() const noexcept {
-    return ic_jobs_.size();
+    return ic_jobs_;
   }
   [[nodiscard]] std::size_t outstanding_ec_jobs() const noexcept {
     return ec_jobs_.size();
@@ -319,9 +322,9 @@ class BeliefState {
   std::size_t ic_machines_;
   std::vector<EcSite> sites_;
 
-  // Outstanding IC jobs: seq -> the service estimate committed with it,
-  // which is what its completion takes back off the backlog.
-  cbs::util::SeqTable<double> ic_jobs_;
+  // Outstanding IC jobs and the sum of the service estimates they were
+  // committed with; each job's own estimate is its caller's to keep.
+  std::size_t ic_jobs_ = 0;
   double ic_outstanding_seconds_ = 0.0;
   // Outstanding EC jobs: seq -> (estimated absolute completion, estimated
   // EC processing seconds still ahead of the store).

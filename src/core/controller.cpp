@@ -435,7 +435,7 @@ void CloudBurstController::run_on_ic(std::uint64_t seq) {
 
 void CloudBurstController::on_ic_done(std::uint64_t seq) {
   Job& job = job_at(seq);
-  belief_.on_ic_complete(seq);
+  belief_.on_ic_complete(job.estimated_service_seconds);
   belief_.service_model().observe(job.doc, job.true_service_seconds);
   finish_job(job);
   dispatch_ic();
@@ -483,8 +483,9 @@ void CloudBurstController::on_ec_proc_done(std::size_t site_index,
   Site& site = *sites_[site_index];
   Job& job = job_at(seq);
   // The merge task already covered compression cost; swap input for the
-  // compressed output in the store and ship it home.
-  site.store.erase(seq, StoredObject::kInput);
+  // compressed output in the store and ship it home. The input staged is
+  // the upload's bytes, which are the document's.
+  site.store.release(job.doc.input_bytes());
   site.store.put_async(seq, StoredObject::kOutput, job.doc.output_bytes());
 }
 
@@ -495,7 +496,7 @@ void CloudBurstController::on_download_done(std::size_t site_index,
   observe_transfer(belief_.downlink(site_index), site.down_tuner, rec);
 
   Job& job = job_at(seq);
-  site.store.erase(seq, StoredObject::kOutput);
+  site.store.release(job.doc.output_bytes());
   belief_.on_ec_complete(seq, site_index);
   belief_.service_model().observe(job.doc, job.true_service_seconds);
   finish_job(job);
@@ -503,8 +504,7 @@ void CloudBurstController::on_download_done(std::size_t site_index,
 
 void CloudBurstController::finish_job(Job& job) {
   set_state(job, JobState::kCompleted);
-  job.completed_time = sim_.now();
-  outcomes_.push_back(job.to_outcome());
+  outcomes_.push_back(job.to_outcome(sim_.now()));
   log_.debug(sim_.now(), "job ", job.seq_id, " done on ",
              cbs::sla::to_string(job.placement));
   // The outcome is the job's whole record from here on; `job` dangles.
@@ -604,7 +604,7 @@ void CloudBurstController::readmit_to_ic(std::uint64_t seq,
   Job& job = job_at(seq);
   disarm_burst_deadline(job);
   belief_.retract_ec(seq, pending_upload_bytes, job.site);
-  belief_.commit_ic(seq, job.estimated_service_seconds);
+  belief_.commit_ic(job.estimated_service_seconds);
   job.placement = Placement::kInternal;
   set_state(job, JobState::kIcWaiting);
   // Re-admission preserves FCFS: the job re-enters the IC feed queue at
@@ -652,9 +652,8 @@ void CloudBurstController::on_vm_crash(std::size_t cluster,
   models::VmHazardEstimator* hazard = hazard_at(cluster);
   if (hazard != nullptr) {
     // Feed the estimator *before* applying the crash so the gap sample
-    // ends exactly at the crash instant (elastic EC may have grown the
-    // cluster since construction), then re-evaluate the proactive policy.
-    hazard->ensure_machines(crashed.machine_slots(), sim_.now());
+    // ends exactly at the crash instant, then re-evaluate the proactive
+    // policy.
     hazard->on_failure(machine, sim_.now());
   }
   crashed.crash_machine(machine);
@@ -691,7 +690,6 @@ void CloudBurstController::update_resilience() {
 void CloudBurstController::update_cluster_drains(
     compute::Cluster& cluster, models::VmHazardEstimator& hazard) {
   const sim::SimTime now = sim_.now();
-  hazard.ensure_machines(cluster.machine_slots(), now);
   for (std::size_t m = 0; m < cluster.machine_slots(); ++m) {
     if (cluster.machine_retired(m)) continue;
     const double p = hazard.failure_probability(m, now, kDrainWindowSeconds);
@@ -775,7 +773,9 @@ void CloudBurstController::scale_site(std::size_t index) {
 void CloudBurstController::on_boot_done(std::size_t index) {
   Site& site = *sites_[index];
   --site.pending_boots;
-  site.cluster.add_machine();
+  const std::size_t machine = site.cluster.add_machine();
+  // The instance is new, whichever slot it took: its hazard starts cold.
+  if (site.hazard) site.hazard->boot_machine(machine, sim_.now());
   belief_.set_ec_machines(index, site.cluster.machine_count());
 }
 
@@ -813,13 +813,13 @@ void CloudBurstController::maybe_push_out() {
     Job& job = job_at(seq);
     // The cushion must exclude the candidate's own believed IC work, so
     // retract first and re-commit if the move is rejected.
-    belief_.retract_ic(seq);
+    belief_.on_ic_complete(job.estimated_service_seconds);
     const double service = belief_.estimate_service(job.doc);
     const std::optional<EcEstimate> ec = belief_.ft_ec_within(
         job.doc, service, sim_.now(), belief_.slack(sim_.now()),
         config_->params.slack_safety_margin);
     if (!ec) {
-      belief_.commit_ic(seq, job.estimated_service_seconds);
+      belief_.commit_ic(job.estimated_service_seconds);
       continue;
     }
     ic_wait_.erase(it);

@@ -44,7 +44,7 @@ struct ControllerState {
   /// One pipeline-stage transition of one job.
   struct StageEvent {
     std::uint64_t seq_id = 0;
-    JobState state = JobState::kArrived;
+    JobState state = JobState::kIcWaiting;
     cbs::sim::SimTime time = 0.0;
   };
 

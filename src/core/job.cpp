@@ -4,7 +4,6 @@ namespace cbs::core {
 
 std::string_view to_string(JobState state) noexcept {
   switch (state) {
-    case JobState::kArrived: return "arrived";
     case JobState::kIcWaiting: return "ic-waiting";
     case JobState::kIcRunning: return "ic-running";
     case JobState::kUploadQueued: return "upload-queued";
@@ -15,13 +14,13 @@ std::string_view to_string(JobState state) noexcept {
   return "?";
 }
 
-cbs::sla::JobOutcome Job::to_outcome() const {
+cbs::sla::JobOutcome Job::to_outcome(cbs::sim::SimTime completed) const {
   cbs::sla::JobOutcome o;
   o.seq_id = seq_id;
   o.doc_id = doc.doc_id;
   o.batch_index = batch_index;
   o.arrival = arrival;
-  o.completed = completed_time;
+  o.completed = completed;
   o.input_mb = doc.features.size_mb;
   o.output_mb = doc.output_size_mb;
   o.true_service_seconds = true_service_seconds;

@@ -12,9 +12,9 @@ namespace cbs::core {
 
 /// Lifecycle of a job inside the cloud-bursting pipeline (the asynchronous
 /// queue network of Fig. 5: schedule → [upload → EC compute → download] or
-/// [IC compute] → result queue).
+/// [IC compute] → result queue). A job is created by its placement, so it
+/// starts in kIcWaiting or kUploadQueued.
 enum class JobState : std::uint8_t {
-  kArrived,       ///< in the central job queue, not yet scheduled
   kIcWaiting,     ///< assigned to IC, in the controller's feed queue
   kIcRunning,     ///< map/merge tasks executing on the internal cluster
   /// Assigned to EC, in an upload queue; a burst stays here through its
@@ -34,12 +34,11 @@ struct Job {
   cbs::workload::Document doc;
   std::size_t batch_index = 0;
   cbs::sim::SimTime arrival = 0.0;
-  cbs::sim::SimTime completed_time = 0.0;
-  JobState state = JobState::kArrived;
+  JobState state = JobState::kIcWaiting;
   cbs::sla::Placement placement = cbs::sla::Placement::kInternal;
   bool service_drawn = false;  ///< true_service_seconds is set
   /// EC site of an external placement; 32 bits, so it shares the word of
-  /// the three fields above and a job stays 160 bytes.
+  /// the three fields above and a job stays 152 bytes.
   std::uint32_t site = 0;
   /// Realized standard-machine service seconds: a ground-truth draw keyed
   /// on the document's identity, so IC and EC execute identical work. It is
@@ -52,7 +51,9 @@ struct Job {
   /// phase; EventId{} when none is armed.
   cbs::sim::EventId burst_deadline{};
 
-  [[nodiscard]] cbs::sla::JobOutcome to_outcome() const;
+  /// The job's outcome, had it completed at `completed`.
+  [[nodiscard]] cbs::sla::JobOutcome to_outcome(
+      cbs::sim::SimTime completed) const;
 };
 
 }  // namespace cbs::core

@@ -18,7 +18,7 @@ ScheduleDecision& decide_ic(const cbs::workload::Document& doc,
   d.doc = doc;
   d.placement = cbs::sla::Placement::kInternal;
   d.estimated_service_seconds = service;
-  ctx.belief.commit_ic(d.seq_id, service);
+  ctx.belief.commit_ic(service);
   return d;
 }
 
@@ -193,7 +193,7 @@ void schedule_bandwidth_split(const Docs& docs, ScheduleContext& ctx,
   });
   if (auto fresh = compute_size_interval_bounds(
           batch, ctx.belief, ctx.now, ctx.ic_machines,
-          ctx.upload_class_backlog_bytes, state.size_scratch)) {
+          ctx.upload_class_backlog_bytes, state.buffers.sizes)) {
     state.bounds = *fresh;
   }
 

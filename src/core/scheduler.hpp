@@ -98,19 +98,20 @@ inline constexpr std::uint64_t kRandomSeed = 12345;
 }
 
 /// Buffers an admission reuses from batch to batch: the batch after
-/// Algorithm 2's chunking (bandwidth-split, which sizes its queues on the
-/// whole chunked batch first) and the decisions. What they hold means
-/// nothing once the batch is placed, so a copy — a fork's — starts empty
-/// instead of copying it.
+/// Algorithm 2's chunking and the eligible-size list L (bandwidth-split,
+/// which sizes its queues on the whole chunked batch first), and the
+/// decisions. What they hold means nothing once the batch is placed, so a
+/// copy — a fork's — starts empty instead of copying it.
 struct AdmissionBuffers {
   AdmissionBuffers() = default;
   AdmissionBuffers(const AdmissionBuffers& /*other*/)
-      : chunked(), decisions() {}
+      : chunked(), sizes(), decisions() {}
   AdmissionBuffers& operator=(const AdmissionBuffers& /*other*/) {
     return *this;
   }
 
   std::vector<cbs::workload::Document> chunked;
+  std::vector<double> sizes;
   std::vector<ScheduleDecision> decisions;
 };
 
@@ -119,9 +120,8 @@ struct AdmissionBuffers {
 /// under several kinds never lets one disturb another's.
 struct SchedulerState {
   /// Bandwidth-split: the Algorithm-3 bounds in force (sane defaults
-  /// before batch 1) and the reused eligible-size list L.
+  /// before batch 1).
   SizeIntervalBounds bounds{40.0, 120.0};
-  std::vector<double> size_scratch;
   /// Random: the burst draws.
   cbs::sim::RngStream rng{kRandomSeed};
   /// Every kind: the admission's reused buffers.

@@ -59,12 +59,15 @@ VmHazardEstimator::VmHazardEstimator(const HazardModelConfig& config,
   }
 }
 
-void VmHazardEstimator::ensure_machines(std::size_t machines, SimTime now) {
-  while (machines_.size() < machines) {
-    MachineState s;
-    s.last_event = now;
-    machines_.push_back(s);
+void VmHazardEstimator::boot_machine(std::size_t machine, SimTime now) {
+  const MachineState cold{.last_event = now};
+  if (machine >= machines_.size()) {
+    machines_.resize(machine + 1, cold);
+    return;
   }
+  MachineState& s = machines_[machine];
+  if (s.flag_active) ++stats_.false_positives;
+  s = cold;
 }
 
 void VmHazardEstimator::on_failure(std::size_t machine, SimTime now) {

@@ -74,9 +74,12 @@ class VmHazardEstimator {
   VmHazardEstimator(const HazardModelConfig& config, std::size_t machines,
                     cbs::sim::SimTime start = 0.0);
 
-  /// Grows the tracked machine set (elastic clusters); new machines start
-  /// cold with exposure metered from `now`. No-op if already that large.
-  void ensure_machines(std::size_t machines, cbs::sim::SimTime now);
+  /// A new instance booted into slot `machine` (elastic clusters) at
+  /// `now`: the slot starts cold, with no failures and exposure metered
+  /// from `now`. A slot past the tracked ones grows the table with cold
+  /// machines; a tracked slot forgets its old instance, whose still-raised
+  /// flag resolves as a false positive.
+  void boot_machine(std::size_t machine, cbs::sim::SimTime now);
 
   /// Records a crash of `machine` at `now` and resolves any outstanding
   /// high-risk flag on it (true positive if the crash landed in the flag's

@@ -154,15 +154,14 @@ TEST(ClusterTest, ZeroServiceTaskCompletesInstantly) {
 constexpr auto kIn = JobStore::ObjectKind::kInput;
 constexpr auto kOut = JobStore::ObjectKind::kOutput;
 
-TEST(JobStoreTest, PutGetErase) {
+TEST(JobStoreTest, PutThenReleaseEmptiesTheStore) {
   Simulation sim;
   RecordingOwner owner(sim);
   JobStore store(sim, owner, 0);
-  store.put(1, kIn, 100.0);
-  EXPECT_DOUBLE_EQ(store.size_of(1, kIn), 100.0);
+  store.put_async(1, kIn, 100.0);
+  EXPECT_EQ(store.object_count(), 1u);
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 100.0);
-  EXPECT_DOUBLE_EQ(store.erase(1, kIn), 100.0);
-  EXPECT_DOUBLE_EQ(store.size_of(1, kIn), 0.0);
+  store.release(100.0);
   EXPECT_EQ(store.object_count(), 0u);
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 0.0);
 }
@@ -171,46 +170,26 @@ TEST(JobStoreTest, InputAndOutputOfAJobAreDistinctObjects) {
   Simulation sim;
   RecordingOwner owner(sim);
   JobStore store(sim, owner, 0);
-  store.put(7, kIn, 100.0);
-  store.put(7, kOut, 30.0);
-  store.put(8, kIn, 5.0);
+  store.put_async(7, kIn, 100.0);
+  store.put_async(7, kOut, 30.0);
+  store.put_async(8, kIn, 5.0);
   EXPECT_EQ(store.object_count(), 3u);
-  EXPECT_DOUBLE_EQ(store.size_of(7, kIn), 100.0);
-  EXPECT_DOUBLE_EQ(store.size_of(7, kOut), 30.0);
-  EXPECT_DOUBLE_EQ(store.size_of(8, kOut), 0.0);
-  EXPECT_DOUBLE_EQ(store.erase(7, kIn), 100.0);
-  EXPECT_DOUBLE_EQ(store.size_of(7, kOut), 30.0);
+  EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 135.0);
+  store.release(100.0);  // job 7's input; its output stays
+  EXPECT_EQ(store.object_count(), 2u);
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 35.0);
-}
-
-TEST(JobStoreTest, OverwriteReplacesSize) {
-  Simulation sim;
-  RecordingOwner owner(sim);
-  JobStore store(sim, owner, 0);
-  store.put(1, kIn, 100.0);
-  store.put(1, kIn, 40.0);
-  EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 40.0);
-  EXPECT_EQ(store.object_count(), 1u);
 }
 
 TEST(JobStoreTest, PeakOccupancy) {
   Simulation sim;
   RecordingOwner owner(sim);
   JobStore store(sim, owner, 0);
-  store.put(1, kIn, 100.0);
-  store.put(2, kIn, 50.0);
-  store.erase(1, kIn);
-  store.put(3, kIn, 20.0);
+  store.put_async(1, kIn, 100.0);
+  store.put_async(2, kIn, 50.0);
+  store.release(100.0);
+  store.put_async(3, kIn, 20.0);
   EXPECT_DOUBLE_EQ(store.peak_occupancy_bytes(), 150.0);
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 70.0);
-}
-
-TEST(JobStoreTest, EraseMissingIsNoOp) {
-  Simulation sim;
-  RecordingOwner owner(sim);
-  JobStore store(sim, owner, 0);
-  EXPECT_DOUBLE_EQ(store.erase(99, kOut), 0.0);
-  EXPECT_DOUBLE_EQ(store.size_of(99, kOut), 0.0);
 }
 
 // ---- Cluster crash/recover (fault injection) -----------------------------
@@ -374,7 +353,7 @@ TEST(JobStoreRetryTest, HealthyPutCompletesSynchronously) {
   EXPECT_TRUE(owner.puts[0].ok);
   EXPECT_EQ(owner.puts[0].seq, 42u);
   EXPECT_EQ(owner.puts[0].kind, kIn);
-  EXPECT_DOUBLE_EQ(store.size_of(42, kIn), 100.0);
+  EXPECT_EQ(store.object_count(), 1u);
   EXPECT_EQ(sim.pending_events(), 0u);
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 100.0);
   EXPECT_EQ(store.failed_attempts(), 0u);
@@ -424,10 +403,10 @@ TEST(JobStoreTest, RunningStateTracksTransitions) {
   RecordingOwner owner(sim);
   JobStore store(sim, owner, 0);
   events.at(5.0, [&] {
-    store.put(1, kIn, 10.0);
+    store.put_async(1, kIn, 10.0);
     EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 10.0);
   });
-  events.at(9.0, [&] { store.erase(1, kIn); });
+  events.at(9.0, [&] { store.release(10.0); });
   sim.run();
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 0.0);
   EXPECT_DOUBLE_EQ(store.peak_occupancy_bytes(), 10.0);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -88,7 +90,7 @@ TEST(BeliefStateTest, FtIcUsesBacklogAndJobRate) {
   // Empty system: a 100 s job runs 100 s on one machine.
   EXPECT_DOUBLE_EQ(fx.belief.ft_ic(100.0, 50.0), 150.0);
   // 400 s of backlog drains at rate 4.
-  fx.belief.commit_ic(1, 400.0);
+  fx.belief.commit_ic(400.0);
   EXPECT_DOUBLE_EQ(fx.belief.ft_ic(100.0, 50.0), 50.0 + 100.0 + 100.0);
 }
 
@@ -125,7 +127,7 @@ TEST(BeliefStateTest, EcBacklogDrainsDuringUpload) {
 TEST(BeliefStateTest, SlackIsMaxOfIcDrainAndEcFinishes) {
   BeliefFixture fx;
   EXPECT_DOUBLE_EQ(fx.belief.slack(100.0), 100.0);  // empty: fallback now
-  fx.belief.commit_ic(1, 400.0);                    // drains at t+100
+  fx.belief.commit_ic(400.0);                    // drains at t+100
   EXPECT_DOUBLE_EQ(fx.belief.slack(100.0), 200.0);
   EcEstimate far;
   far.finish = 900.0;
@@ -135,10 +137,10 @@ TEST(BeliefStateTest, SlackIsMaxOfIcDrainAndEcFinishes) {
 
 TEST(BeliefStateTest, CompletionsReduceBacklog) {
   BeliefFixture fx;
-  fx.belief.commit_ic(1, 100.0);
-  fx.belief.commit_ic(2, 60.0);
+  fx.belief.commit_ic(100.0);
+  fx.belief.commit_ic(60.0);
   EXPECT_DOUBLE_EQ(fx.belief.ic_backlog_standard_seconds(), 160.0);
-  fx.belief.on_ic_complete(1);
+  fx.belief.on_ic_complete(100.0);
   EXPECT_DOUBLE_EQ(fx.belief.ic_backlog_standard_seconds(), 60.0);
   EXPECT_EQ(fx.belief.outstanding_ic_jobs(), 1u);
 }
@@ -148,18 +150,19 @@ TEST(BeliefStateTest, UploadCompletionShrinksByteBacklog) {
   const Document d = make_doc(1, 30.0);
   commit_ec(fx.belief, 1, d, ft_ec(fx.belief, d, 0.0));
   EXPECT_DOUBLE_EQ(fx.belief.upload_backlog_bytes(), 30.0e6);
-  fx.belief.on_upload_complete(30.0e6);
+  fx.belief.on_upload_complete(30.0e6, 0);
   EXPECT_DOUBLE_EQ(fx.belief.upload_backlog_bytes(), 0.0);
 }
 
 TEST(BeliefStateTest, RetractUndoesCommit) {
   BeliefFixture fx;
-  fx.belief.commit_ic(1, 100.0);
-  fx.belief.retract_ic(1);
+  fx.belief.commit_ic(100.0);
+  fx.belief.on_ic_complete(100.0);
   EXPECT_DOUBLE_EQ(fx.belief.ic_backlog_standard_seconds(), 0.0);
+  EXPECT_EQ(fx.belief.outstanding_ic_jobs(), 0u);
   const Document d = make_doc(2, 40.0);
   commit_ec(fx.belief, 2, d, ft_ec(fx.belief, d, 0.0));
-  fx.belief.retract_ec(2, d.input_bytes());
+  fx.belief.retract_ec(2, d.input_bytes(), 0);
   EXPECT_EQ(fx.belief.outstanding_ec_jobs(), 0u);
   EXPECT_DOUBLE_EQ(fx.belief.upload_backlog_bytes(), 0.0);
 }
@@ -222,7 +225,7 @@ TEST(BeliefStateTest, CopyPricesLikeItsSourceAndStaysIndependent) {
   src.uplink(0).observe(0.0, 2.0e6);
   src.uplink(0).observe(1.0, 0.5e6);
   src.downlink(1).observe(1.0, 3.0e6);
-  src.commit_ic(1, 400.0);
+  src.commit_ic(400.0);
   const Document queued = make_doc(2, 80.0);
   commit_ec(src, 2, queued, ft_ec(src, queued, 0.0));
   const Document doc = make_doc(3, 120.0);
@@ -318,7 +321,7 @@ TEST(IcOnlySchedulerTest, PlacesEverythingInternally) {
 TEST(GreedySchedulerTest, PicksEarlierFinish) {
   SchedulerFixture f;
   // Preload the IC so ft_ic is slow: 4000 std-s over 4 machines = 1000 s.
-  f.fx.belief.commit_ic(999, 4000.0);
+  f.fx.belief.commit_ic(4000.0);
   // 100 MB job: ft_ic = 1000 + 100 = 1100 vs ft_ec = 100+100+100 = 300.
   const auto decisions =
       f.schedule(SchedulerKind::kGreedy, {make_doc(1, 100.0)});
@@ -335,7 +338,7 @@ TEST(GreedySchedulerTest, KeepsJobWhenIcWins) {
 
 TEST(GreedySchedulerTest, SeesLiveUploadQueueButTransientBandwidth) {
   SchedulerFixture f;
-  f.fx.belief.commit_ic(999, 40000.0);  // force EC for everything
+  f.fx.belief.commit_ic(40000.0);  // force EC for everything
   const auto decisions = f.schedule(
       SchedulerKind::kGreedy,
       {make_doc(1, 100.0), make_doc(2, 100.0), make_doc(3, 100.0)});
@@ -359,7 +362,7 @@ TEST(OrderPreservingTest, BurstsOnlyWithinSlack) {
   EXPECT_EQ(d1[0].placement, Placement::kInternal);
   // Preload a big IC backlog: slack = 40000/4 = 10000 s; a 100 MB round
   // trip (300 s) easily fits.
-  f.fx.belief.commit_ic(999, 40000.0);
+  f.fx.belief.commit_ic(40000.0);
   const auto d2 =
       f.schedule(SchedulerKind::kOrderPreserving, {make_doc(2, 100.0)});
   EXPECT_EQ(d2[0].placement, Placement::kExternal);
@@ -369,7 +372,7 @@ TEST(OrderPreservingTest, SafetyMarginTightensAdmission) {
   SchedulerFixture f;
   f.params.variability_threshold_mb = 1e9;
   // Slack = 320/4 = 80 s; round trip of a 25 MB job = 75 s.
-  f.fx.belief.commit_ic(999, 320.0);
+  f.fx.belief.commit_ic(320.0);
   f.params.slack_safety_margin = 0.0;
   {
     const auto d =
@@ -414,13 +417,13 @@ TEST(OrderPreservingTest, LowVarianceLeavesJobsIntact) {
 
 TEST(BandwidthSplitTest, BoundsPartitionEligibleSizes) {
   SchedulerFixture f;
-  f.fx.belief.commit_ic(999, 40000.0);  // everything is burst-eligible
+  f.fx.belief.commit_ic(40000.0);  // everything is burst-eligible
   const std::vector<Document> batch = {
       make_doc(1, 10.0), make_doc(2, 20.0),  make_doc(3, 40.0),
       make_doc(4, 80.0), make_doc(5, 160.0), make_doc(6, 300.0)};
   const auto bounds = compute_size_interval_bounds(
       batch, f.fx.belief, 0.0, 4, {0.0, 0.0, 0.0},
-      f.state.size_scratch);
+      f.state.buffers.sizes);
   ASSERT_TRUE(bounds.has_value());
   EXPECT_GT(bounds->small_upper_mb, 0.0);
   EXPECT_GE(bounds->medium_upper_mb, bounds->small_upper_mb);
@@ -434,13 +437,13 @@ TEST(BandwidthSplitTest, NoEligibleJobsMeansNoBounds) {
   const std::vector<Document> batch = {make_doc(1, 100.0)};
   const auto bounds = compute_size_interval_bounds(
       batch, f.fx.belief, 0.0, 4, {0.0, 0.0, 0.0},
-      f.state.size_scratch);
+      f.state.buffers.sizes);
   EXPECT_FALSE(bounds.has_value());
 }
 
 TEST(BandwidthSplitTest, BackloggedQueueGetsFewerJobs) {
   SchedulerFixture f;
-  f.fx.belief.commit_ic(999, 40000.0);
+  f.fx.belief.commit_ic(40000.0);
   std::vector<Document> batch;
   for (int i = 1; i <= 12; ++i) {
     batch.push_back(make_doc(static_cast<std::uint64_t>(i), 25.0 * i));
@@ -449,10 +452,10 @@ TEST(BandwidthSplitTest, BackloggedQueueGetsFewerJobs) {
   // small bound must drop relative to the balanced case.
   const auto balanced = compute_size_interval_bounds(
       batch, f.fx.belief, 0.0, 4, {0.0, 0.0, 0.0},
-      f.state.size_scratch);
+      f.state.buffers.sizes);
   const auto skewed = compute_size_interval_bounds(
       batch, f.fx.belief, 0.0, 4, {1.0e9, 0.0, 0.0},
-      f.state.size_scratch);
+      f.state.buffers.sizes);
   ASSERT_TRUE(balanced.has_value());
   ASSERT_TRUE(skewed.has_value());
   EXPECT_LT(skewed->small_upper_mb, balanced->small_upper_mb);
@@ -462,7 +465,7 @@ TEST(BandwidthSplitTest, RoundingResidueBacklogKeepsBoundsInRange) {
   // The per-class backlog that aborted op-bandwidth-split on the uniform
   // bucket (seed 1, 100 batches): rounding residue, one class below zero.
   SchedulerFixture f;
-  f.fx.belief.commit_ic(999, 1.0e9);  // everything is burst-eligible
+  f.fx.belief.commit_ic(1.0e9);  // everything is burst-eligible
   std::vector<Document> batch;
   for (int i = 1; i <= 24; ++i) {
     batch.push_back(make_doc(static_cast<std::uint64_t>(i), 10.0 * i));
@@ -470,7 +473,7 @@ TEST(BandwidthSplitTest, RoundingResidueBacklogKeepsBoundsInRange) {
   const auto bounds = compute_size_interval_bounds(
       batch, f.fx.belief, 0.0, 4,
       {2.6077032089233398e-08, -7.4505805969238281e-09, 0.0},
-      f.state.size_scratch);
+      f.state.buffers.sizes);
   ASSERT_TRUE(bounds.has_value());
   EXPECT_GE(bounds->small_upper_mb, 10.0);
   EXPECT_GE(bounds->medium_upper_mb, bounds->small_upper_mb);
@@ -480,7 +483,7 @@ TEST(BandwidthSplitTest, RoundingResidueBacklogKeepsBoundsInRange) {
 TEST(BandwidthSplitTest, SchedulerAssignsUploadClasses) {
   SchedulerFixture f;
   f.params.variability_threshold_mb = 1e9;
-  f.fx.belief.commit_ic(999, 40000.0);
+  f.fx.belief.commit_ic(40000.0);
   std::vector<Document> batch;
   for (int i = 1; i <= 9; ++i) {
     batch.push_back(make_doc(static_cast<std::uint64_t>(i), 30.0 * i));
@@ -522,7 +525,7 @@ SizeIntervalBounds reference_bounds(std::vector<double> sorted_sizes,
 
 TEST(BandwidthSplitTest, SelectionBoundsMatchSortReference) {
   SchedulerFixture f;
-  f.fx.belief.commit_ic(999, 1.0e9);  // everything is burst-eligible
+  f.fx.belief.commit_ic(1.0e9);  // everything is burst-eligible
   RngStream rng(20260806);
   std::vector<double> scratch;
   for (int trial = 0; trial < 200; ++trial) {
@@ -561,48 +564,62 @@ TEST(BandwidthSplitTest, SelectionBoundsMatchSortReference) {
 TEST(BeliefStateTest, IncrementalSlackMatchesBruteforceUnderChurn) {
   BeliefFixture fx;
   RngStream rng(777);
-  std::vector<std::uint64_t> live_ic;
+  // The caller keeps each IC job's committed estimate (the controller's
+  // job does) and hands it back; the IC backlog and count are checked
+  // exactly against running values kept the same way.
+  std::map<std::uint64_t, double> live_ic;
   std::vector<std::uint64_t> live_ec;
+  double ic_backlog = 0.0;
   std::uint64_t next_seq = 1;
   double now = 0.0;
+  const auto take_ic = [&](std::size_t i) {
+    const auto it = std::next(live_ic.begin(), static_cast<std::ptrdiff_t>(i));
+    fx.belief.on_ic_complete(it->second);
+    ic_backlog = std::max(0.0, ic_backlog - it->second);
+    live_ic.erase(it);
+  };
   for (int step = 0; step < 4000; ++step) {
     now += rng.uniform(0.0, 5.0);
     const std::uint64_t op = rng.next() % 10;
     if (op < 3) {  // commit IC
-      const std::uint64_t seq = next_seq++;
-      fx.belief.commit_ic(seq, rng.uniform(1.0, 500.0));
-      live_ic.push_back(seq);
+      const double service = rng.uniform(1.0, 500.0);
+      fx.belief.commit_ic(service);
+      live_ic.emplace(next_seq++, service);
+      ic_backlog += service;
     } else if (op < 6) {  // commit EC
       const std::uint64_t seq = next_seq++;
       const Document doc = make_doc(seq, rng.uniform(1.0, 400.0));
       commit_ec(fx.belief, seq, doc, ft_ec(fx.belief, doc, now));
       live_ec.push_back(seq);
     } else if (op < 7 && !live_ic.empty()) {  // complete IC
-      const std::size_t i = rng.next() % live_ic.size();
-      fx.belief.on_ic_complete(live_ic[i]);
-      live_ic.erase(live_ic.begin() + static_cast<std::ptrdiff_t>(i));
+      take_ic(rng.next() % live_ic.size());
     } else if (op < 8 && !live_ec.empty()) {  // complete EC
       const std::size_t i = rng.next() % live_ec.size();
-      fx.belief.on_ec_complete(live_ec[i]);
+      fx.belief.on_ec_complete(live_ec[i], 0);
       live_ec.erase(live_ec.begin() + static_cast<std::ptrdiff_t>(i));
-    } else if (op < 9 && !live_ic.empty()) {  // fault retraction, IC side
-      const std::size_t i = rng.next() % live_ic.size();
-      fx.belief.retract_ic(live_ic[i]);
-      live_ic.erase(live_ic.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (op < 9 && !live_ic.empty()) {  // push-out, IC side
+      take_ic(rng.next() % live_ic.size());
     } else if (!live_ec.empty()) {  // fault retraction, EC side
       const std::size_t i = rng.next() % live_ec.size();
-      fx.belief.retract_ec(live_ec[i], rng.uniform(0.0, 1.0e8));
+      fx.belief.retract_ec(live_ec[i], rng.uniform(0.0, 1.0e8), 0);
       live_ec.erase(live_ec.begin() + static_cast<std::ptrdiff_t>(i));
     }
     // Exact equality, not near-equality: both paths take max over the same
     // doubles, which is order-insensitive, so any difference is a tracking
-    // bug in the incremental structure.
+    // bug in the incremental structure. The backlog is the same arithmetic
+    // on the same doubles in the same order.
     ASSERT_EQ(fx.belief.slack(now), fx.belief.slack_bruteforce(now))
         << "diverged at step " << step;
+    ASSERT_EQ(fx.belief.ic_backlog_standard_seconds(), ic_backlog)
+        << "step " << step;
+    ASSERT_EQ(fx.belief.outstanding_ic_jobs(), live_ic.size())
+        << "step " << step;
   }
   // Drain everything: the incremental structure must agree on empty too.
-  for (const auto seq : live_ic) fx.belief.on_ic_complete(seq);
-  for (const auto seq : live_ec) fx.belief.on_ec_complete(seq);
+  while (!live_ic.empty()) take_ic(0);
+  for (const auto seq : live_ec) fx.belief.on_ec_complete(seq, 0);
+  EXPECT_EQ(fx.belief.outstanding_ic_jobs(), 0u);
+  EXPECT_EQ(fx.belief.ic_backlog_standard_seconds(), ic_backlog);
   EXPECT_EQ(fx.belief.slack(now), fx.belief.slack_bruteforce(now));
   EXPECT_EQ(fx.belief.slack(now), now);
 }
@@ -963,7 +980,7 @@ TEST(ScheduleBatchTest, AsksTheServiceModelOncePerDocument) {
     BeliefState belief(std::make_unique<CountingEstimator>(&calls), 4);
     belief.add_ec_site(ec_site(2), pipe());
     // A 300 s cushion: the small documents burst, the large ones stay.
-    belief.commit_ic(999, 1200.0);
+    belief.commit_ic(1200.0);
     cbs::workload::GroundTruthModel truth({.noise_sigma = 0.0}, RngStream(1));
     SchedulerParams params;
     params.variability_threshold_mb = 1e9;  // no chunking

@@ -10,6 +10,8 @@
 #include <map>
 #include <vector>
 
+#include "closure_events.hpp"
+#include "core/controller.hpp"
 #include "harness/experiment.hpp"
 #include "harness/runner.hpp"
 #include "harness/scenario.hpp"
@@ -142,15 +144,25 @@ harness::Scenario faulted_scenario(std::uint64_t seed) {
 }
 
 TEST(FaultScenarioTest, ConservationHoldsUnderHeavyFaults) {
-  // run_scenario itself validates that job ids 1..n complete exactly once
-  // and throws otherwise — surviving the call IS the conservation check.
-  const auto r = harness::run_scenario(faulted_scenario(42));
+  // result() validates that job ids 1..n complete exactly once and throws
+  // otherwise — surviving the call IS the conservation check.
+  harness::ScenarioWorld world(faulted_scenario(42));
+  world.run();
+  const auto r = world.result();
   EXPECT_GT(r.outcomes.size(), 10u);
   EXPECT_GT(r.faults.ic_crashes + r.faults.ec_crashes, 0u);
   EXPECT_GT(r.faults.reexecutions, 0u);
   EXPECT_GT(r.faults.wasted_compute_seconds, 0.0);
   EXPECT_EQ(r.faults.outages, 1u);
   EXPECT_GT(r.faults.probe_blackout_skips, 0u);
+  EXPECT_GT(r.faults.store_retries, 0u);
+  // Every staged object was released, retried puts included: the store
+  // keeps no per-object record, so its count and occupancy are the check.
+  const core::CloudBurstController& controller = world.controller();
+  for (std::size_t i = 0; i < controller.site_count(); ++i) {
+    EXPECT_EQ(controller.site(i).store.object_count(), 0u) << "site " << i;
+    EXPECT_EQ(controller.site(i).store.occupancy_bytes(), 0.0) << "site " << i;
+  }
 }
 
 TEST(FaultScenarioTest, OutageTriggersRetractionAndJobsStillComplete) {
@@ -338,7 +350,10 @@ TEST(FaultScenarioTest, ElasticHazardRunCheckpointsDrainedTasks) {
   // uniform bucket with an elastic EC, crashes on both clouds, retraction
   // and the EWMA predictor (cloudburst_sim --scheduler greedy --bucket
   // uniform --batches 40 --seed 42 --elastic --ic-mtbf 3000 --ec-mtbf 600
-  // --retraction-factor 2 --hazard-predictor ewma).
+  // --retraction-factor 2 --hazard-predictor ewma --drain-threshold 0.02).
+  // A machine's risk rises only at its own crash, when it is down, so only
+  // a booted instance can be drained busy: it starts cold, at the prior's
+  // 1 - e^(-600/20000) ~ 0.0296, and the threshold sits below that.
   harness::Scenario s = harness::make_scenario(
       core::SchedulerKind::kGreedy, workload::SizeBucket::kUniform, 42);
   s.num_batches = 40;
@@ -348,9 +363,67 @@ TEST(FaultScenarioTest, ElasticHazardRunCheckpointsDrainedTasks) {
   s.faults.ec_vm_mtbf = 600.0;
   s.faults.retraction_deadline_factor = 2.0;
   s.resilience.hazard.kind = models::HazardPredictorKind::kEwma;
+  s.resilience.drain_threshold = 0.02;
   const auto r = harness::run_scenario(s);  // throws on invariant violation
   EXPECT_GT(r.faults.drain_preemptions, 0u);
   EXPECT_GT(r.faults.checkpointed_compute_seconds, 0.0);
+}
+
+TEST(FaultScenarioTest, ReusedElasticSlotStartsWithAColdHazardHistory) {
+  // The elastic run above, on a controller stepped one event at a time: a
+  // retired EC slot that had crashes and is booted again is a new
+  // instance, so the site's hazard estimator must read it cold (no
+  // failures, no flag) the moment it is reused.
+  harness::Scenario s = harness::make_scenario(
+      core::SchedulerKind::kGreedy, workload::SizeBucket::kUniform, 42);
+  s.num_batches = 40;
+  s.log_threshold = cbs::sim::LogLevel::kError;
+  s.elastic_ec = {.enabled = true, .max_machines = 6};
+  s.faults.ic_vm_mtbf = 3000.0;
+  s.faults.ec_vm_mtbf = 600.0;
+  s.faults.retraction_deadline_factor = 2.0;
+  s.resilience.hazard.kind = models::HazardPredictorKind::kEwma;
+  const harness::ScenarioWorld drawn(s);  // for its batches only
+
+  Simulation sim;
+  cbs::testing::ClosureEvents arrivals(sim);
+  const workload::GroundTruthModel truth(s.truth,
+                                         RngStream(s.seed).substream("truth"));
+  core::CloudBurstController ctl(sim, s, truth, RngStream(s.seed));
+  for (const workload::Batch& batch : drawn.batches()) {
+    arrivals.at(batch.arrival_time, [&ctl, &batch] { ctl.on_batch(batch); });
+  }
+  const compute::Cluster& cluster = ctl.site(0).cluster;
+  const models::VmHazardEstimator& hazard = ctl.site(0).hazard.value();
+  // A slot the estimator does not track yet has no history.
+  const auto failures = [&hazard](std::size_t m) {
+    return m < hazard.machine_count() ? hazard.failures(m) : 0u;
+  };
+  // Per slot, after the previous event: retired or not, and the failures
+  // the estimator held for it. A retired slot's crash processes keep
+  // running, so its entry can gather history until the slot is reused.
+  std::vector<bool> retired;
+  std::vector<std::uint64_t> held;
+  std::size_t reused_with_history = 0;
+  while (sim.step()) {
+    for (std::size_t m = 0; m < cluster.machine_slots(); ++m) {
+      const bool now_retired = cluster.machine_retired(m);
+      if (m == retired.size()) {
+        retired.push_back(now_retired);
+        held.push_back(failures(m));
+        continue;
+      }
+      if (retired[m] && !now_retired) {
+        if (held[m] > 0) ++reused_with_history;
+        EXPECT_EQ(failures(m), 0u) << "slot " << m << " at " << sim.now();
+        EXPECT_FALSE(hazard.flagged(m)) << "slot " << m << " at " << sim.now();
+      }
+      retired[m] = now_retired;
+      held[m] = failures(m);
+    }
+  }
+  EXPECT_EQ(ctl.outstanding_jobs(), 0u);
+  EXPECT_GT(reused_with_history, 0u);
 }
 
 TEST(FaultScenarioTest, HazardPredictorOffIsInertWhateverTheKnobs) {

@@ -168,18 +168,41 @@ TEST(HazardEstimator, ReflaggingExtendsWithoutDoubleCounting) {
   EXPECT_EQ(est.stats().true_positives, 1U);
 }
 
-TEST(HazardEstimator, EnsureMachinesGrowsColdFromNow) {
-  VmHazardEstimator est(config_for(HazardPredictorKind::kBayes), 2);
+TEST(HazardEstimator, BootMachineGrowsColdFromNow) {
+  VmHazardEstimator est(config_for(HazardPredictorKind::kEwma), 2);
   est.on_failure(0, 1000.0);
-  est.ensure_machines(4, 5000.0);
-  EXPECT_EQ(est.machine_count(), 4U);
-  est.ensure_machines(3, 6000.0);  // never shrinks
+  est.boot_machine(3, 5000.0);  // slots 2 and 3 join, both cold
   EXPECT_EQ(est.machine_count(), 4U);
   EXPECT_EQ(est.failures(2), 0U);
-  // The late machine's exposure is metered from its registration, so at
-  // equal wall time it has less exposure and a *higher* prior-driven rate
-  // than a machine registered at t=0 (exposure anchors differ).
-  EXPECT_GE(est.hazard_rate(2, 6000.0), est.hazard_rate(1, 6000.0));
+  EXPECT_EQ(est.failures(3), 0U);
+  EXPECT_DOUBLE_EQ(est.hazard_rate(3, 5000.0), est.hazard_rate(1, 5000.0));
+  // Exposure is metered from the boot: the first gap is 5100 - 5000.
+  est.on_failure(3, 5100.0);
+  EXPECT_DOUBLE_EQ(est.hazard_rate(3, 5100.0), 1.0 / 100.0);
+  est.on_failure(2, 5200.0);
+  EXPECT_DOUBLE_EQ(est.hazard_rate(2, 5200.0), 1.0 / 200.0);
+}
+
+TEST(HazardEstimator, BootingATrackedSlotForgetsItsOldInstance) {
+  VmHazardEstimator est(config_for(HazardPredictorKind::kEwma), 2);
+  est.on_failure(1, 100.0);
+  est.on_failure(1, 150.0);
+  est.note_prediction(1, 150.0, 600.0);
+  ASSERT_EQ(est.failures(1), 2U);
+  ASSERT_TRUE(est.flagged(1));
+  est.boot_machine(1, 400.0);
+  EXPECT_EQ(est.machine_count(), 2U);
+  EXPECT_EQ(est.failures(1), 0U);
+  EXPECT_FALSE(est.flagged(1));
+  // The old instance's flag resolves as a false positive, once.
+  EXPECT_EQ(est.stats().false_positives, 1U);
+  est.settle(2000.0);
+  EXPECT_EQ(est.stats().false_positives, 1U);
+  // The new instance is believed at the prior rate, like a machine that
+  // never crashed, and its first gap runs from the boot.
+  EXPECT_DOUBLE_EQ(est.hazard_rate(1, 500.0), est.hazard_rate(0, 500.0));
+  est.on_failure(1, 700.0);
+  EXPECT_DOUBLE_EQ(est.hazard_rate(1, 700.0), 1.0 / 300.0);
 }
 
 TEST(HazardEstimator, CopyIsIndependent) {

@@ -175,8 +175,11 @@ TEST(RolloutAllocation, CountIsBoundedAtBatch200) {
   const Chain chain = measure_op_chain(200);
   ASSERT_GT(chain.outstanding, 200u);  // the overload backlog is there
   EXPECT_LE(chain.largest_after_fork(), kLargestAllocation);
-  // 159 measured (66 fork, 17 admit, 76 roll); the ceilings keep 1.5x
-  // headroom. 164 (71, 17, 76) were made before the link and store tables
+  // 155 measured (62 fork, 17 admit, 76 roll); the ceilings keep 1.5x
+  // headroom. 159 (66, 17, 76) were made before the belief stopped keeping
+  // a table of committed IC estimates and the store one of staged sizes
+  // (each copy was two allocations: its entries and its slot index).
+  // 164 (71, 17, 76) were made before the link and store tables
   // became SeqTables, a copy of an empty one stopped reserving room, and a
   // transfer queue's classes each kept one in-flight item in one vector.
   // 165 (71, 17, 77) were made before the event heap removed
